@@ -1,0 +1,24 @@
+//! The one checksum and the one seal of the microslip workspace.
+//!
+//! Checkpoints (`MSLIPCK1`), rank state files, result artifacts
+//! (`MSLIPRA1`), cache entries and wire frames (`MSN1`) all protect their
+//! bytes with the same CRC-32, and all but the frames carry it the same
+//! way: as a four-byte little-endian trailer. This crate owns both — the
+//! table-sliced [`Crc32`] and the streaming [`SealWriter`] / [`SealReader`]
+//! pair — plus the bulk little-endian `f64` runs those formats are mostly
+//! made of. It depends on nothing, forbids `unsafe`, and is on the trust
+//! boundary: sealed bytes come off disks and sockets, so nothing here
+//! panics on what it reads.
+
+#![forbid(unsafe_code)]
+
+mod crc;
+mod le;
+mod seal;
+
+pub use crc::{crc32, Crc32};
+pub use le::{f64s_from_le, put_f64s, read_f64s, write_f64s};
+pub use seal::{
+    open, publish, read_file, seal, unseal, verify, write_file, SealError, SealReader, SealWriter,
+    CHUNK, TRAILER_LEN,
+};

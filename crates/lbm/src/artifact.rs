@@ -18,7 +18,8 @@
 //! verbatim and lets a client `cmp` a fetched result against a local
 //! re-run.
 
-use crate::checkpoint::{self, CheckpointError};
+use microslip_codec::{f64s_from_le, put_f64s, TRAILER_LEN};
+
 use crate::config_codec::{put_f64, put_str, put_u64, Reader};
 use crate::diagnostics::FlowDiagnostics;
 use crate::macroscopic::Snapshot;
@@ -51,7 +52,13 @@ impl ResultArtifact {
     pub fn encode(&self) -> Vec<u8> {
         let s = &self.snapshot;
         let d = &self.diagnostics;
-        let mut out = Vec::new();
+        // Exact — magic, six header words, two string lengths and nine
+        // diagnostics around the strings and the f64 runs — plus room for
+        // the trailer `seal` appends, so neither step reallocates.
+        let values = s.rho.iter().map(Vec::len).sum::<usize>() + s.velocity.len();
+        let mut out = Vec::with_capacity(
+            8 * (1 + 6 + 2 + 9 + values) + self.key.len() + self.summary_json.len() + TRAILER_LEN,
+        );
         out.extend_from_slice(&MAGIC);
         put_str(&mut out, &self.key);
         put_u64(&mut out, self.phases);
@@ -61,13 +68,9 @@ impl ResultArtifact {
         put_u64(&mut out, s.nz as u64);
         put_u64(&mut out, s.rho.len() as u64);
         for comp in &s.rho {
-            for &v in comp {
-                put_f64(&mut out, v);
-            }
+            put_f64s(&mut out, comp);
         }
-        for &v in &s.velocity {
-            put_f64(&mut out, v);
-        }
+        put_f64s(&mut out, &s.velocity);
         let [mx, my, mz] = d.total_momentum;
         for v in [
             d.total_mass,
@@ -111,18 +114,16 @@ impl ResultArtifact {
         if ncomp == 0 || ncomp > 64 {
             return Err(format!("implausible component count {ncomp}"));
         }
-        let mut rho = Vec::with_capacity(ncomp);
-        for _ in 0..ncomp {
-            let mut comp = Vec::with_capacity(cells);
-            for _ in 0..cells {
-                comp.push(r.f64()?);
-            }
-            rho.push(comp);
-        }
-        let mut velocity = Vec::with_capacity(cells * 3);
-        for _ in 0..cells * 3 {
-            velocity.push(r.f64()?);
-        }
+        // `take` bounds every run against the bytes actually present
+        // before anything is allocated for it.
+        let mut f64s = |n: usize| -> Result<Vec<f64>, String> {
+            let bytes = r.take(n.checked_mul(8).ok_or("length overflow")?)?;
+            let mut run = vec![0.0; n];
+            f64s_from_le(bytes, &mut run);
+            Ok(run)
+        };
+        let rho = (0..ncomp).map(|_| f64s(cells)).collect::<Result<Vec<_>, _>>()?;
+        let velocity = f64s(cells * 3)?;
         let snapshot = Snapshot {
             x0,
             nx: usize::try_from(nx).map_err(|_| format!("nx {nx} overflows usize"))?,
@@ -150,18 +151,15 @@ impl ResultArtifact {
     /// Encodes and seals with the CRC-32 trailer — the exact byte string
     /// the cache stores and the daemon ships to `fetch` clients.
     pub fn seal(&self) -> Vec<u8> {
-        checkpoint::seal(self.encode())
+        microslip_codec::seal(self.encode())
     }
 
     /// Verifies and decodes a sealed artifact.
     pub fn unseal(bytes: &[u8]) -> Result<ResultArtifact, String> {
-        let payload = checkpoint::unseal(bytes).map_err(describe)?;
+        let payload = microslip_codec::unseal(bytes)
+            .map_err(|e| format!("sealed artifact rejected: {e}"))?;
         ResultArtifact::decode(payload)
     }
-}
-
-fn describe(e: CheckpointError) -> String {
-    format!("sealed artifact rejected: {e:?}")
 }
 
 #[cfg(test)]

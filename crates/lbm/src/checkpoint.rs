@@ -9,10 +9,23 @@
 //! Layout: an 8-byte magic, seven `u64` header words (grid, slab, phase,
 //! component count), then for every component the raw `f`, ψ, force and
 //! `ueq` arrays (ghost planes included, so no re-exchange is needed before
-//! the first restored phase).
+//! the first restored phase). On disk the payload is sealed with the
+//! [`microslip_codec`] CRC-32 trailer.
+//!
+//! The codec is a stream: [`encode_solver`] writes a solver's arrays to any
+//! `Write` and [`decode_solver`] fills a solver's arrays from any `Read`,
+//! a chunk at a time, so [`write_solver`] / [`read_solver`] move a slab
+//! between memory and a sealed file without a second, serialised copy of
+//! it. The `Vec<u8>` entry points are the same code over a buffer.
+
+use std::io::{self, Read, Write};
+use std::path::Path;
+
+use microslip_codec::{read_f64s, write_f64s, SealError, TRAILER_LEN};
 
 use crate::component::ComponentState;
 use crate::config::ChannelConfig;
+use crate::field::SlabArray;
 use crate::geometry::Slab;
 use crate::simulation::Simulation;
 use crate::solver::SlabSolver;
@@ -20,17 +33,20 @@ use crate::solver::SlabSolver;
 /// File-format magic ("MSLIPCK1").
 pub const MAGIC: [u8; 8] = *b"MSLIPCK1";
 
+/// Magic plus the seven header words.
+const HEADER_LEN: usize = 64;
+
 /// Why a restore was rejected.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CheckpointError {
     /// Magic bytes absent or wrong version.
     BadMagic,
     /// The byte stream ended early or has trailing garbage.
-    BadLength { expected: usize, got: usize },
+    BadLength { expected: u64, got: u64 },
     /// The checkpoint does not belong to the given configuration.
     ConfigMismatch(String),
-    /// A sealed file is torn or bit-rotted: the CRC-32 trailer is missing
-    /// or does not match the payload.
+    /// A sealed file is unreadable, torn or bit-rotted: the CRC-32 trailer
+    /// is missing or does not match the payload.
     Corrupt { detail: String },
 }
 
@@ -51,153 +67,83 @@ impl std::fmt::Display for CheckpointError {
 
 impl std::error::Error for CheckpointError {}
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) over `bytes`.
-/// The table is rebuilt per call — checkpoint files are written a handful
-/// of times per run, so simplicity beats a cached table here.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut table = [0u32; 256];
-    for (i, slot) in table.iter_mut().enumerate() {
-        let mut c = i as u32;
-        for _ in 0..8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-        }
-        *slot = c;
-    }
-    let mut crc = !0u32;
-    for &b in bytes {
-        // lint:allow(panic-reachability, index is masked to 0xff over a fixed 256-entry table)
-        crc = table[((crc ^ b as u32) & 0xff) as usize] ^ (crc >> 8);
-    }
-    !crc
-}
-
-/// Appends the CRC-32 trailer that [`unseal`] verifies.
-pub fn seal(mut payload: Vec<u8>) -> Vec<u8> {
-    let crc = crc32(&payload);
-    payload.extend_from_slice(&crc.to_le_bytes());
-    payload
-}
-
-/// Strips and verifies the CRC-32 trailer of a sealed checkpoint,
-/// returning the payload. A torn write (file shorter than the trailer) or
-/// any bit rot in payload or trailer yields [`CheckpointError::Corrupt`].
-pub fn unseal(bytes: &[u8]) -> Result<&[u8], CheckpointError> {
-    if bytes.len() < 4 {
-        return Err(CheckpointError::Corrupt {
-            detail: format!("{} bytes is shorter than the CRC trailer", bytes.len()),
-        });
-    }
-    let (payload, trailer) = bytes.split_at(bytes.len() - 4);
-    // lint:allow(panic-reachability, split_at leaves trailer exactly 4 bytes after the length check above)
-    let stored = u32::from_le_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
-    let computed = crc32(payload);
-    if stored != computed {
-        return Err(CheckpointError::Corrupt {
-            detail: format!("CRC mismatch: stored {stored:#010x}, computed {computed:#010x}"),
-        });
-    }
-    Ok(payload)
-}
-
-/// Crash-safe sealed write: the payload plus CRC trailer lands in a
-/// same-directory temp file and is renamed into place, so a reader never
-/// observes a half-written checkpoint — it sees either the old file, the
-/// new file, or a leftover `.tmp` it ignores.
-pub fn write_sealed(path: &std::path::Path, payload: Vec<u8>) -> std::io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, seal(payload))?;
-    std::fs::rename(&tmp, path)
-}
-
-/// Reads a sealed checkpoint file and returns the verified payload.
-pub fn read_sealed(path: &std::path::Path) -> Result<Vec<u8>, CheckpointError> {
-    let bytes = std::fs::read(path).map_err(|e| CheckpointError::Corrupt {
-        detail: format!("read {}: {e}", path.display()),
-    })?;
-    unseal(&bytes).map(|p| p.to_vec())
-}
-
-fn push_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn push_f64s(out: &mut Vec<u8>, vs: &[f64]) {
-    out.reserve(vs.len() * 8);
-    for v in vs {
-        out.extend_from_slice(&v.to_le_bytes());
+impl From<SealError> for CheckpointError {
+    fn from(e: SealError) -> CheckpointError {
+        CheckpointError::Corrupt { detail: e.to_string() }
     }
 }
 
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+fn arrays(c: &ComponentState) -> [&SlabArray; 4] {
+    [&c.f, &c.psi, &c.force, &c.ueq]
 }
 
-impl<'a> Reader<'a> {
-    fn u64(&mut self) -> Result<u64, CheckpointError> {
-        let end = self.pos + 8;
-        let chunk = self
-            .bytes
-            .get(self.pos..end)
-            .ok_or(CheckpointError::BadLength { expected: end, got: self.bytes.len() })?;
-        self.pos = end;
-        // lint:allow(panic-reachability, chunk is exactly 8 bytes by the get(pos..end) range above)
-        Ok(u64::from_le_bytes(chunk.try_into().unwrap()))
-    }
-
-    fn f64s(&mut self, n: usize, out: &mut [f64]) -> Result<(), CheckpointError> {
-        assert_eq!(out.len(), n);
-        let end = self.pos + 8 * n;
-        let chunk = self
-            .bytes
-            .get(self.pos..end)
-            .ok_or(CheckpointError::BadLength { expected: end, got: self.bytes.len() })?;
-        for (k, o) in out.iter_mut().enumerate() {
-            *o = f64::from_le_bytes(chunk[8 * k..8 * k + 8].try_into().unwrap());
-        }
-        self.pos = end;
-        Ok(())
-    }
+fn arrays_mut(c: &mut ComponentState) -> [&mut SlabArray; 4] {
+    [&mut c.f, &mut c.psi, &mut c.force, &mut c.ueq]
 }
 
-/// Serializes a slab solver's mutable state plus a phase counter.
-pub fn save_solver(solver: &SlabSolver, phase: u64) -> Vec<u8> {
+/// Bytes [`encode_solver`] writes for `solver`.
+fn encoded_len(solver: &SlabSolver) -> usize {
+    let values: usize =
+        solver.comps.iter().flat_map(arrays).map(|a| a.data().len()).sum();
+    HEADER_LEN + 8 * values
+}
+
+/// Streams a slab solver's mutable state plus a phase counter into `w`.
+pub fn encode_solver(solver: &SlabSolver, phase: u64, w: &mut impl Write) -> io::Result<()> {
     let grid = solver.grid();
-    let mut out = Vec::new();
-    out.extend_from_slice(&MAGIC);
-    push_u64(&mut out, solver.global_nx as u64);
-    push_u64(&mut out, grid.ny as u64);
-    push_u64(&mut out, grid.nz as u64);
-    push_u64(&mut out, solver.x0 as u64);
-    push_u64(&mut out, solver.nx_local() as u64);
-    push_u64(&mut out, solver.comps.len() as u64);
-    push_u64(&mut out, phase);
-    for c in &solver.comps {
-        push_f64s(&mut out, c.f.data());
-        push_f64s(&mut out, c.psi.data());
-        push_f64s(&mut out, c.force.data());
-        push_f64s(&mut out, c.ueq.data());
+    let words = [
+        solver.global_nx as u64,
+        grid.ny as u64,
+        grid.nz as u64,
+        solver.x0 as u64,
+        solver.nx_local() as u64,
+        solver.comps.len() as u64,
+        phase,
+    ];
+    let mut header = [0u8; HEADER_LEN];
+    header[..8].copy_from_slice(&MAGIC);
+    for (dst, word) in header[8..].chunks_exact_mut(8).zip(words) {
+        dst.copy_from_slice(&word.to_le_bytes());
     }
-    out
+    w.write_all(&header)?;
+    for array in solver.comps.iter().flat_map(arrays) {
+        write_f64s(w, array.data())?;
+    }
+    Ok(())
 }
 
-/// Restores a slab solver from `bytes`, validating against `config`.
-/// Returns the solver and the saved phase counter.
-pub fn load_solver(
+/// Restores a slab solver from the `payload_len` bytes `r` yields,
+/// validating against `config`. Returns the solver and the saved phase
+/// counter. The header is checked — with overflow-checked arithmetic, it
+/// may be hostile — before anything is allocated, and the length before
+/// any array is read.
+pub fn decode_solver(
     config: &ChannelConfig,
-    bytes: &[u8],
+    r: &mut impl Read,
+    payload_len: u64,
 ) -> Result<(SlabSolver, u64), CheckpointError> {
-    if bytes.len() < 8 || bytes[..8] != MAGIC {
+    let unreadable = |e: io::Error| CheckpointError::Corrupt { detail: e.to_string() };
+    let mut header = [0u8; HEADER_LEN];
+    let have = usize::try_from(payload_len).map_or(HEADER_LEN, |n| n.min(HEADER_LEN));
+    r.read_exact(&mut header[..have]).map_err(unreadable)?;
+    if header[..8] != MAGIC {
         return Err(CheckpointError::BadMagic);
     }
-    let mut r = Reader { bytes, pos: 8 };
-    let global_nx = r.u64()? as usize;
-    let ny = r.u64()? as usize;
-    let nz = r.u64()? as usize;
-    let x0 = r.u64()? as usize;
-    let nx_local = r.u64()? as usize;
-    let ncomp = r.u64()? as usize;
-    let phase = r.u64()?;
+    if have < HEADER_LEN {
+        return Err(CheckpointError::BadLength { expected: HEADER_LEN as u64, got: payload_len });
+    }
+    let mut words = [0u64; 7];
+    for (word, chunk) in words.iter_mut().zip(header[8..].chunks_exact(8)) {
+        *word = u64::from_le_bytes(chunk.try_into().expect("chunks_exact(8) yields 8 bytes"));
+    }
+    let dim = |i: usize, what: &str| {
+        usize::try_from(words[i]).map_err(|_| {
+            CheckpointError::ConfigMismatch(format!("{what} {} exceeds usize", words[i]))
+        })
+    };
+    let (global_nx, ny, nz) = (dim(0, "nx")?, dim(1, "ny")?, dim(2, "nz")?);
+    let (x0, nx_local, ncomp) = (dim(3, "x0")?, dim(4, "nx_local")?, dim(5, "component count")?);
+    let phase = words[6];
 
     if global_nx != config.dims.nx || ny != config.dims.ny || nz != config.dims.nz {
         return Err(CheckpointError::ConfigMismatch(format!(
@@ -211,33 +157,72 @@ pub fn load_solver(
             config.ncomp()
         )));
     }
-    if nx_local == 0 || x0 + nx_local > global_nx {
+    if nx_local == 0 || x0.checked_add(nx_local).is_none_or(|end| end > global_nx) {
         return Err(CheckpointError::ConfigMismatch(format!(
-            "slab [{x0}, {}) outside domain",
-            x0 + nx_local
+            "slab of {nx_local} planes at x0={x0} outside the {global_nx}-plane domain"
         )));
     }
 
     let mut solver = SlabSolver::new(config, Slab { x0, nx_local });
-    for c in solver.comps.iter_mut() {
-        read_component(&mut r, c)?;
+    let expected = encoded_len(&solver) as u64;
+    if expected != payload_len {
+        return Err(CheckpointError::BadLength { expected, got: payload_len });
     }
-    if r.pos != bytes.len() {
-        return Err(CheckpointError::BadLength { expected: r.pos, got: bytes.len() });
+    for array in solver.comps.iter_mut().flat_map(arrays_mut) {
+        read_f64s(r, array.data_mut()).map_err(unreadable)?;
     }
     Ok((solver, phase))
 }
 
-fn read_component(r: &mut Reader<'_>, c: &mut ComponentState) -> Result<(), CheckpointError> {
-    let n = c.f.data().len();
-    r.f64s(n, c.f.data_mut())?;
-    let n = c.psi.data().len();
-    r.f64s(n, c.psi.data_mut())?;
-    let n = c.force.data().len();
-    r.f64s(n, c.force.data_mut())?;
-    let n = c.ueq.data().len();
-    r.f64s(n, c.ueq.data_mut())?;
-    Ok(())
+/// Serializes a slab solver's mutable state plus a phase counter.
+pub fn save_solver(solver: &SlabSolver, phase: u64) -> Vec<u8> {
+    // Room for the trailer too, so sealing the result never reallocates.
+    let mut out = Vec::with_capacity(encoded_len(solver) + TRAILER_LEN);
+    encode_solver(solver, phase, &mut out).expect("writing to a Vec cannot fail");
+    out
+}
+
+/// Restores a slab solver from `bytes`, validating against `config`.
+/// Returns the solver and the saved phase counter.
+pub fn load_solver(
+    config: &ChannelConfig,
+    mut bytes: &[u8],
+) -> Result<(SlabSolver, u64), CheckpointError> {
+    let len = bytes.len() as u64;
+    decode_solver(config, &mut bytes, len)
+}
+
+/// Streams `solver` into a sealed checkpoint file at `path`, crash-safely
+/// (see [`microslip_codec::publish`]).
+pub fn write_solver(path: &Path, solver: &SlabSolver, phase: u64) -> io::Result<()> {
+    microslip_codec::write_file(path, |w| encode_solver(solver, phase, w))
+}
+
+/// Restores a solver straight from the sealed checkpoint file at `path`.
+/// The arrays are filled before the trailer can be compared, so a damaged
+/// file is judged by its checksum — `Corrupt`, whatever its header happened
+/// to say — and the half-filled solver never leaves this function.
+pub fn read_solver(
+    config: &ChannelConfig,
+    path: &Path,
+) -> Result<(SlabSolver, u64), CheckpointError> {
+    let mut reader = microslip_codec::open(path)?;
+    let payload_len = reader.remaining();
+    let restored = decode_solver(config, &mut reader, payload_len);
+    reader.finish()?;
+    restored
+}
+
+/// Crash-safe sealed write of an already serialized payload.
+pub fn write_sealed(path: &Path, payload: Vec<u8>) -> io::Result<()> {
+    microslip_codec::write_file(path, |w| w.write_all(&payload))
+}
+
+/// Reads a sealed checkpoint file and returns the verified payload.
+pub fn read_sealed(path: &Path) -> Result<Vec<u8>, CheckpointError> {
+    let mut bytes = microslip_codec::read_file(path)?;
+    bytes.truncate(bytes.len() - TRAILER_LEN);
+    Ok(bytes)
 }
 
 impl Simulation {
@@ -250,6 +235,21 @@ impl Simulation {
     /// configuration. The restored run continues bitwise identically.
     pub fn restore(config: ChannelConfig, bytes: &[u8]) -> Result<Simulation, CheckpointError> {
         let (solver, phase) = load_solver(&config, bytes)?;
+        Simulation::from_restored(config, solver, phase)
+    }
+
+    /// As [`restore`](Self::restore), streamed from a sealed file written
+    /// by [`write_solver`] (or [`write_sealed`] of a [`save`](Self::save)).
+    pub fn restore_file(config: ChannelConfig, path: &Path) -> Result<Simulation, CheckpointError> {
+        let (solver, phase) = read_solver(&config, path)?;
+        Simulation::from_restored(config, solver, phase)
+    }
+
+    fn from_restored(
+        config: ChannelConfig,
+        solver: SlabSolver,
+        phase: u64,
+    ) -> Result<Simulation, CheckpointError> {
         if solver.nx_local() != config.dims.nx {
             return Err(CheckpointError::ConfigMismatch(
                 "checkpoint is a partial slab, not a whole-channel simulation".into(),
@@ -355,43 +355,6 @@ mod tests {
     }
 
     #[test]
-    fn crc32_matches_the_ieee_check_vector() {
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
-    fn seal_unseal_roundtrip() {
-        let payload = Simulation::new(config()).save();
-        let sealed = seal(payload.clone());
-        assert_eq!(sealed.len(), payload.len() + 4);
-        assert_eq!(unseal(&sealed).unwrap(), &payload[..]);
-    }
-
-    #[test]
-    fn torn_seal_rejected() {
-        // A write killed mid-flight under a non-atomic scheme leaves a
-        // prefix; any truncation must surface as Corrupt, never as a
-        // silently shorter checkpoint.
-        let sealed = seal(Simulation::new(config()).save());
-        for cut in [0, 3, sealed.len() / 2, sealed.len() - 1] {
-            let err = unseal(&sealed[..cut]).unwrap_err();
-            assert!(matches!(err, CheckpointError::Corrupt { .. }), "cut {cut}: {err}");
-        }
-    }
-
-    #[test]
-    fn bit_rot_rejected_in_payload_and_trailer() {
-        let sealed = seal(Simulation::new(config()).save());
-        for flip in [9, sealed.len() - 2] {
-            let mut bad = sealed.clone();
-            bad[flip] ^= 0x40;
-            let err = unseal(&bad).unwrap_err();
-            assert!(matches!(err, CheckpointError::Corrupt { .. }), "flip {flip}: {err}");
-        }
-    }
-
-    #[test]
     fn write_sealed_is_atomic_and_readable() {
         let dir = std::env::temp_dir()
             .join(format!("microslip-ckpt-{}", std::process::id()));
@@ -412,5 +375,46 @@ mod tests {
     fn read_sealed_missing_file_is_typed() {
         let err = read_sealed(std::path::Path::new("/nonexistent/ckpt.bin")).unwrap_err();
         assert!(matches!(err, CheckpointError::Corrupt { .. }));
+    }
+
+    #[test]
+    fn hostile_header_is_a_typed_error_not_a_wrap() {
+        // A CRC-valid file whose header was crafted, not torn: x0 + nx_local
+        // overflows, and every word is at the top of its range.
+        let mut bytes = Simulation::new(config()).save();
+        bytes[8 + 3 * 8..8 + 4 * 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        let err = load_solver(&config(), &bytes).unwrap_err();
+        assert!(matches!(err, CheckpointError::ConfigMismatch(_)), "{err}");
+
+        let dir = std::env::temp_dir()
+            .join(format!("microslip-ckpt-hostile-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("hostile.bin");
+        write_sealed(&path, bytes).unwrap();
+        let err = read_solver(&config(), &path).unwrap_err();
+        assert!(matches!(err, CheckpointError::ConfigMismatch(_)), "{err}");
+        for word in 0..6 {
+            let mut bytes = Simulation::new(config()).save();
+            bytes[8 + word * 8..16 + word * 8].copy_from_slice(&u64::MAX.to_le_bytes());
+            let err = load_solver(&config(), &bytes).unwrap_err();
+            assert!(matches!(err, CheckpointError::ConfigMismatch(_)), "word {word}: {err}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn streamed_file_equals_the_buffered_one_and_restores() {
+        let dir = std::env::temp_dir()
+            .join(format!("microslip-ckpt-stream-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut sim = Simulation::new(config());
+        sim.run(4);
+        let (streamed, buffered) = (dir.join("streamed.bin"), dir.join("buffered.bin"));
+        write_solver(&streamed, sim.solver(), sim.phase()).unwrap();
+        write_sealed(&buffered, sim.save()).unwrap();
+        assert_eq!(std::fs::read(&streamed).unwrap(), std::fs::read(&buffered).unwrap());
+        let restored = Simulation::restore_file(config(), &buffered).unwrap();
+        assert_eq!((restored.phase(), restored.snapshot()), (4, sim.snapshot()));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

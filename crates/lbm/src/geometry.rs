@@ -91,6 +91,16 @@ pub fn even_slabs(nx: usize, parts: usize) -> Vec<Slab> {
     out
 }
 
+/// Whether `slabs` (in any order) cover planes `0..nx` exactly once.
+pub fn slabs_tile(slabs: impl IntoIterator<Item = Slab>, nx: usize) -> bool {
+    let mut slabs: Vec<Slab> = slabs.into_iter().collect();
+    slabs.sort_by_key(|s| s.x0);
+    let end = slabs
+        .iter()
+        .try_fold(0, |x, s| (s.x0 == x && s.nx_local > 0).then(|| x.checked_add(s.nx_local))?);
+    end == Some(nx)
+}
+
 /// Signed distances (in lattice units) from cell center `(y, z)` to each of
 /// the four lateral walls, used by the hydrophobic wall-force model.
 ///
@@ -235,6 +245,11 @@ mod tests {
                     x = s.x_end();
                 }
                 assert_eq!(x, nx, "slabs must cover the domain");
+                assert!(slabs_tile(slabs.iter().rev().copied(), nx), "any order tiles");
+                assert!(!slabs_tile(slabs.iter().copied(), nx + 1), "short of the domain");
+                assert!(!slabs_tile(slabs.iter().skip(1).copied(), nx), "a gap at the start");
+                let twice = slabs.iter().chain(slabs.first()).copied();
+                assert!(!slabs_tile(twice, nx), "an overlap");
                 let sizes: Vec<usize> = slabs.iter().map(|s| s.nx_local).collect();
                 let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
                 assert!(max - min <= 1, "even split must be balanced");

@@ -138,24 +138,47 @@ impl Snapshot {
         [self.velocity[3 * cell], self.velocity[3 * cell + 1], self.velocity[3 * cell + 2]]
     }
 
+    /// An all-zero snapshot of planes `x0 .. x0 + nx`, for slabs to be
+    /// [captured into](Self::capture_into).
+    pub fn zeros(x0: usize, nx: usize, ny: usize, nz: usize, ncomp: usize) -> Snapshot {
+        let n = nx * ny * nz;
+        Snapshot { x0, nx, ny, nz, rho: vec![vec![0.0; n]; ncomp], velocity: vec![0.0; 3 * n] }
+    }
+
     /// Captures the interior of a slab. `x0` is the slab's global offset.
     pub fn capture(comps: &[ComponentState], x0: usize) -> Snapshot {
         let grid = comps[0].grid();
-        let (nx, ny, nz) = (grid.nx_local(), grid.ny, grid.nz);
-        let n = nx * ny * nz;
-        let mut rho = vec![vec![0.0; n]; comps.len()];
-        let mut velocity = vec![0.0; 3 * n];
+        let mut out = Snapshot::zeros(x0, grid.nx_local(), grid.ny, grid.nz, comps.len());
+        out.capture_into(comps, x0);
+        out
+    }
+
+    /// Captures the interior of the slab at global offset `x0` straight
+    /// into its planes of `self` — how slabs that tile a channel become one
+    /// snapshot without a per-slab copy in between ([`stitch`](Self::stitch)
+    /// is the same for snapshots that already exist). Panics if the slab
+    /// does not lie inside `self` or disagrees on lateral extent or
+    /// component count.
+    pub fn capture_into(&mut self, comps: &[ComponentState], x0: usize) {
+        let grid = comps[0].grid();
+        let (ny, nz) = (grid.ny, grid.nz);
+        assert!((ny, nz, comps.len()) == (self.ny, self.nz, self.rho.len()));
+        assert!(
+            x0 >= self.x0 && x0 + grid.nx_local() <= self.x0 + self.nx,
+            "slab lies outside the snapshot"
+        );
+        let first = x0 - self.x0;
         for xl in LocalGrid::FIRST..=grid.last() {
             for y in 0..ny {
                 for z in 0..nz {
                     let lcell = grid.idx(xl, y, z);
-                    let ocell = ((xl - 1) * ny + y) * nz + z;
+                    let ocell = ((first + xl - 1) * ny + y) * nz + z;
                     let mut rho_tot = 0.0;
                     let mut mom = [0.0f64; 3];
                     for (s, c) in comps.iter().enumerate() {
                         let m = c.spec.mass;
                         let r = m * c.psi.at(0, lcell);
-                        rho[s][ocell] = r;
+                        self.rho[s][ocell] = r;
                         rho_tot += r;
                         let raw = raw_momentum(c, lcell);
                         for a in 0..3 {
@@ -163,13 +186,12 @@ impl Snapshot {
                         }
                     }
                     for a in 0..3 {
-                        velocity[3 * ocell + a] =
+                        self.velocity[3 * ocell + a] =
                             if rho_tot > 0.0 { mom[a] / rho_tot } else { 0.0 };
                     }
                 }
             }
         }
-        Snapshot { x0, nx, ny, nz, rho, velocity }
     }
 
     /// Stitches per-slab snapshots (any order) into one global snapshot.
@@ -183,15 +205,7 @@ impl Snapshot {
         let nz = parts[0].nz;
         let ncomp = parts[0].rho.len();
         let nx: usize = parts.iter().map(|s| s.nx).sum();
-        let n = nx * ny * nz;
-        let mut out = Snapshot {
-            x0: parts[0].x0,
-            nx,
-            ny,
-            nz,
-            rho: vec![vec![0.0; n]; ncomp],
-            velocity: vec![0.0; 3 * n],
-        };
+        let mut out = Snapshot::zeros(parts[0].x0, nx, ny, nz, ncomp);
         let mut expect_x0 = parts[0].x0;
         for s in &parts {
             assert_eq!(s.x0, expect_x0, "slabs must tile contiguously");
@@ -266,6 +280,20 @@ mod tests {
         let base = 2 * 2 * 2;
         assert_eq!(joined.rho[0][base], b.rho[0][0]);
         assert_eq!(joined.u(0), a.u(0));
+        // Capturing each slab straight into place gives the same snapshot,
+        // in either order.
+        let mut direct = Snapshot::zeros(0, 5, 2, 2, 2);
+        direct.capture_into(&make(3, 2), 2);
+        direct.capture_into(&make(2, 1), 0);
+        assert_eq!(direct, joined);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the snapshot")]
+    fn capture_into_rejects_a_slab_past_the_end() {
+        let grid = LocalGrid::new(3, 2, 2);
+        let c = ComponentState::new(ComponentSpec::water(), grid);
+        Snapshot::zeros(0, 4, 2, 2, 1).capture_into(std::slice::from_ref(&c), 2);
     }
 
     #[test]

@@ -568,6 +568,12 @@ impl SlabSolver {
         Snapshot::capture(&self.comps, self.x0)
     }
 
+    /// Captures this slab's interior into its planes of `out` (see
+    /// [`Snapshot::capture_into`]).
+    pub fn snapshot_into(&self, out: &mut Snapshot) {
+        out.capture_into(&self.comps, self.x0);
+    }
+
     /// Total mass over this slab (all components).
     pub fn total_mass(&self) -> f64 {
         self.comps.iter().map(|c| c.total_mass()).sum()

@@ -2,8 +2,8 @@
 //!
 //! One directory, one file per key: `<dir>/<key>.artifact`, where the key
 //! is the hex hash of the job's canonical scenario bytes. Entries are
-//! written atomically (tmp + rename, the [`crate::checkpoint`] idiom) and
-//! verified on every read — a torn or bit-rotted entry is treated as a
+//! written atomically ([`microslip_codec::publish`]) and verified on every
+//! read — a torn or bit-rotted entry is treated as a
 //! **miss** and evicted so the job simply recomputes, because a cache
 //! must never be able to fail a sweep.
 //!
@@ -12,10 +12,10 @@
 //! is a typed error, not a file access.
 
 use std::fs;
-use std::io;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
-use crate::checkpoint;
+use microslip_codec::SealError;
 
 /// Longest accepted key (the scenario hash is 16 hex chars; leave head
 /// room for wider hashes without admitting arbitrary strings).
@@ -64,15 +64,15 @@ impl CacheStore {
     }
 
     /// Looks `key` up and returns the **sealed** artifact bytes, verbatim
-    /// as stored, after verifying the CRC trailer. A missing entry is
-    /// `None`; a corrupt entry is evicted and reported as `None` too —
-    /// the caller recomputes, it never fails.
+    /// as stored, verified against the CRC trailer as they stream in. A
+    /// missing or unreadable entry is `None`; a corrupt entry is evicted
+    /// and reported as `None` too — the caller recomputes, it never fails.
     pub fn get_sealed(&self, key: &str) -> Option<Vec<u8>> {
         let path = self.entry_path(key).ok()?;
-        let bytes = fs::read(&path).ok()?;
-        match checkpoint::unseal(&bytes) {
-            Ok(_) => Some(bytes),
-            Err(_) => {
+        match microslip_codec::read_file(&path) {
+            Ok(sealed) => Some(sealed),
+            Err(SealError::Io(_)) => None,
+            Err(SealError::Corrupt(_)) => {
                 let _ = fs::remove_file(&path);
                 None
             }
@@ -83,11 +83,11 @@ impl CacheStore {
     /// Rejects bytes that do not verify — the cache only ever holds
     /// entries [`get_sealed`](Self::get_sealed) will accept.
     pub fn put_sealed(&self, key: &str, sealed: &[u8]) -> Result<(), String> {
-        checkpoint::unseal(sealed).map_err(|e| format!("refusing to cache torn artifact: {e:?}"))?;
+        microslip_codec::unseal(sealed)
+            .map_err(|e| format!("refusing to cache torn artifact: {e}"))?;
         let path = self.entry_path(key)?;
-        let tmp = path.with_extension("tmp");
-        fs::write(&tmp, sealed).map_err(|e| format!("cache write failed: {e}"))?;
-        fs::rename(&tmp, &path).map_err(|e| format!("cache publish failed: {e}"))
+        microslip_codec::publish(&path, |file| file.write_all(sealed))
+            .map_err(|e| format!("cache write failed: {e}"))
     }
 
     /// Removes the entry for `key`. Returns whether one existed.
@@ -160,7 +160,7 @@ mod tests {
     }
 
     fn sealed(content: &[u8]) -> Vec<u8> {
-        checkpoint::seal(content.to_vec())
+        microslip_codec::seal(content.to_vec())
     }
 
     #[test]

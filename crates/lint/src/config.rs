@@ -227,6 +227,10 @@ pub fn default_config() -> LintConfig {
         // A malformed input must come back as CommError::Protocol / a
         // parse error, never as a panic that kills the rank.
         boundary_paths: vec![
+            // The one CRC-32 and seal: every frame `read_frame` accepts,
+            // every artifact `unseal` opens and every sealed file a rank
+            // or the daemon reads back passes through it unverified.
+            "crates/codec/src".into(),
             "crates/net/src/wire.rs".into(),
             "crates/net/src/rendezvous.rs".into(),
             "crates/net/src/tcp.rs".into(),

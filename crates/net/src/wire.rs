@@ -56,7 +56,8 @@
 //! [`Frame::bytes_payload`] recovers the exact input bytes.
 
 use std::io::{self, Read, Write};
-use std::sync::OnceLock;
+
+use microslip_codec::{crc32, f64s_from_le, put_f64s, Crc32};
 
 /// Frame preamble: the ASCII bytes `MSN1` ("microslip net v1").
 pub const MAGIC: [u8; 4] = *b"MSN1";
@@ -201,10 +202,8 @@ impl Frame {
                 "byte payload length {declared} needs {need_elems} f64 elements, frame has {have_elems}"
             )));
         }
-        let mut out = Vec::with_capacity(self.payload.len() * 8);
-        for x in &self.payload {
-            out.extend_from_slice(&x.to_le_bytes());
-        }
+        let mut out = Vec::new();
+        put_f64s(&mut out, &self.payload);
         let declared_len = usize::try_from(declared).map_err(|_| {
             FrameError::Protocol(format!("byte payload length {declared} overflows usize"))
         })?;
@@ -228,51 +227,22 @@ impl From<io::Error> for FrameError {
     }
 }
 
-/// CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320).
-pub fn crc32(bytes: &[u8]) -> u32 {
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, slot) in table.iter_mut().enumerate() {
-            // lint:allow(cast-truncation, i < 256 over a fixed 256-entry table)
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            }
-            *slot = c;
-        }
-        table
-    });
-    let mut crc = !0u32;
-    for &b in bytes {
-        // lint:allow(boundary-index, index is masked to 0xFF and the table has 256 entries)
-        // lint:allow(cast-truncation, u8 widens into u32 and the table index is masked to 0xFF)
-        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    !crc
-}
-
 /// Serializes `frame` into a single buffer (one `write_all`, so a frame is
 /// never interleaved mid-stream by a panicking sender).
 pub fn encode(frame: &Frame) -> Vec<u8> {
     // lint:allow(cast-truncation, frames are locally constructed and the decoder's MAX_PAYLOAD_LEN check rejects anything a truncated length could describe)
     let len = frame.payload.len() as u32;
-    // Build the CRC-covered region (everything after the magic) first, so
-    // the checksum never needs to slice back into a partially built buffer.
-    let mut covered = Vec::with_capacity(20 + frame.payload.len() * 8);
-    covered.extend_from_slice(&VERSION.to_le_bytes());
-    covered.push(frame.kind.code());
-    covered.push(0); // pad
-    covered.extend_from_slice(&frame.from.to_le_bytes());
-    covered.extend_from_slice(&frame.tag.to_le_bytes());
-    covered.extend_from_slice(&len.to_le_bytes());
-    for &x in &frame.payload {
-        covered.extend_from_slice(&x.to_le_bytes());
-    }
-    let crc = crc32(&covered);
-    let mut buf = Vec::with_capacity(8 + covered.len());
+    let mut buf = Vec::with_capacity(MAGIC.len() + 20 + frame.payload.len() * 8 + 4);
     buf.extend_from_slice(&MAGIC);
-    buf.extend_from_slice(&covered);
+    buf.extend_from_slice(&VERSION.to_le_bytes());
+    buf.push(frame.kind.code());
+    buf.push(0); // pad
+    buf.extend_from_slice(&frame.from.to_le_bytes());
+    buf.extend_from_slice(&frame.tag.to_le_bytes());
+    buf.extend_from_slice(&len.to_le_bytes());
+    put_f64s(&mut buf, &frame.payload);
+    // The CRC covers everything after the magic.
+    let crc = crc32(buf.get(MAGIC.len()..).unwrap_or_default());
     buf.extend_from_slice(&crc.to_le_bytes());
     buf
 }
@@ -286,9 +256,8 @@ fn read_exact(r: &mut impl Read, buf: &mut [u8]) -> io::Result<()> {
     r.read_exact(buf)
 }
 
-/// Converts one `chunks_exact(8)` chunk into an `f64` without fallible
-/// conversions: copying through a fixed array cannot fail even if the
-/// chunk were somehow short.
+/// Converts one `chunks(8)` chunk into an `f64`, zero-padding a short
+/// tail chunk; copying through a fixed array cannot fail.
 fn f64_from_le_chunk(chunk: &[u8]) -> f64 {
     let mut le = [0u8; 8];
     for (dst, src) in le.iter_mut().zip(chunk) {
@@ -342,16 +311,17 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, FrameError> {
     read_exact(r, &mut crc_bytes)?;
     let got = u32::from_le_bytes(crc_bytes);
     // The CRC covers version..payload == header ++ body.
-    let mut covered = Vec::with_capacity(20 + body.len());
-    covered.extend_from_slice(&header);
-    covered.extend_from_slice(&body);
-    let want = crc32(&covered);
+    let mut crc = Crc32::new();
+    crc.update(&header);
+    crc.update(&body);
+    let want = crc.finish();
     if got != want {
         return Err(FrameError::Protocol(format!(
             "crc mismatch: frame says {got:#010x}, computed {want:#010x}"
         )));
     }
-    let payload = body.chunks_exact(8).map(f64_from_le_chunk).collect();
+    let mut payload = vec![0.0; body_len];
+    f64s_from_le(&body, &mut payload);
     Ok(Frame { kind, from, tag, payload })
 }
 
@@ -359,13 +329,6 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, FrameError> {
 mod tests {
     use super::*;
     use std::io::Cursor;
-
-    #[test]
-    fn crc32_known_vectors() {
-        // Standard IEEE CRC-32 check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
 
     #[test]
     fn roundtrip_all_kinds() {

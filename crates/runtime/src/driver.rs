@@ -8,15 +8,13 @@ use microslip_balance::policy::NeighborPolicy;
 use microslip_balance::predict::HarmonicMean;
 use microslip_comm::channel::mesh;
 use microslip_comm::Transport;
-use microslip_lbm::geometry::even_slabs;
+use microslip_lbm::geometry::{even_slabs, slabs_tile};
 use microslip_lbm::macroscopic::Snapshot;
-use microslip_lbm::{ChannelConfig, Parallelism};
+use microslip_lbm::{ChannelConfig, Parallelism, SlabSolver};
 use microslip_obs::{Event, TraceSink};
 
 use crate::throttle::ThrottlePlan;
-use crate::worker::{
-    worker_main, worker_main_with_solver, LoadModel, WorkerConfig, WorkerReport,
-};
+use crate::worker::{worker_main_with_solver, LoadModel, WorkerConfig, WorkerReport};
 
 /// Configuration of a threaded parallel run.
 #[derive(Clone, Debug)]
@@ -34,9 +32,6 @@ pub struct RuntimeConfig {
     /// the base throttle (the real-thread analogue of the paper's random
     /// spikes).
     pub spikes: Vec<(usize, u64, u64, f64)>,
-    /// Ask every worker to serialize its final state into its report
-    /// (resume with [`run_parallel_from`]).
-    pub checkpoint_at_end: bool,
     /// Phases between periodic on-disk checkpoints
     /// (`ckpt-rank{r}-phase{p}.bin` in [`Self::checkpoint_dir`]); 0
     /// disables them.
@@ -66,7 +61,6 @@ impl RuntimeConfig {
             predictor_window: 10,
             throttle: Vec::new(),
             spikes: Vec::new(),
-            checkpoint_at_end: false,
             checkpoint_every: 0,
             checkpoint_dir: None,
             load: LoadModel::Measured,
@@ -118,90 +112,42 @@ pub fn run_parallel(cfg: &RuntimeConfig, policy: Arc<dyn NeighborPolicy>) -> Run
         cfg.channel.dims.nx >= cfg.workers,
         "need at least one plane per worker"
     );
-    cfg.channel.validate().expect("invalid channel configuration");
-
+    // Each worker builds its own slab on its own thread.
     let slabs = even_slabs(cfg.channel.dims.nx, cfg.workers);
-    let transports = mesh(cfg.workers);
-    let start = Instant::now();
-    cfg.trace.record_with(|| Event::Meta {
-        mode: "runtime".into(),
-        nodes: cfg.workers,
-        phases: cfg.phases,
-        policy: policy.name().into(),
-    });
-    let worker_cfg = Arc::new(WorkerConfig {
-        channel: cfg.channel.clone(),
-        phases: cfg.phases,
-        start_phase: 0,
-        remap_interval: cfg.remap_interval,
-        predictor_window: cfg.predictor_window,
-        checkpoint_at_end: cfg.checkpoint_at_end,
-        checkpoint_every: cfg.checkpoint_every,
-        checkpoint_dir: cfg.checkpoint_dir.clone(),
-        load: cfg.load,
-        parallelism: Parallelism::new(cfg.threads_per_worker.max(1)),
-        trace: cfg.trace.clone(),
-        epoch: start,
-    });
-
-    let mut handles = Vec::with_capacity(cfg.workers);
-    for (transport, slab) in transports.into_iter().zip(slabs) {
-        let rank = transport.rank();
-        let wcfg = Arc::clone(&worker_cfg);
-        let policy = Arc::clone(&policy);
-        let throttle = cfg.throttle_for(rank);
-        let predictor_window = cfg.predictor_window;
-        handles.push(
-            std::thread::Builder::new()
-                .name(format!("microslip-worker-{rank}"))
-                .spawn(move || {
-                    let predictor = HarmonicMean { window: predictor_window };
-                    worker_main(&wcfg, policy.as_ref(), &predictor, transport, slab, throttle)
-                })
-                .expect("spawn worker"),
-        );
-    }
-    let mut reports: Vec<WorkerReport> = handles
-        .into_iter()
-        .map(|h| {
-            h.join()
-                .expect("worker panicked")
-                .unwrap_or_else(|e| panic!("worker failed: {e}"))
-        })
-        .collect();
-    let wall_seconds = start.elapsed().as_secs_f64();
-    reports.sort_by_key(|r| r.rank);
-    let snapshot = Snapshot::stitch(reports.iter().map(|r| r.snapshot.clone()).collect());
-    RunOutcome { snapshot, reports, wall_seconds }
+    let starts = slabs.into_iter().map(|slab| move |ch: &ChannelConfig| SlabSolver::new(ch, slab));
+    run_workers(cfg, policy, starts.collect())
 }
 
-/// Resumes a parallel run from per-worker checkpoints (one per rank, in
-/// rank order — e.g. the `checkpoint` fields of a prior run's reports).
-/// The slab layout is taken from the checkpoints, so a partition reshaped
-/// by earlier remapping resumes exactly where it stood.
+/// Resumes a parallel run from per-worker solvers (one per rank, in rank
+/// order — e.g. the `solver` fields of a prior run's reports, or files
+/// restored with [`microslip_lbm::checkpoint::read_solver`]). The slab
+/// layout is taken from the solvers, so a partition reshaped by earlier
+/// remapping resumes exactly where it stood.
 pub fn run_parallel_from(
     cfg: &RuntimeConfig,
     policy: Arc<dyn NeighborPolicy>,
-    checkpoints: &[Vec<u8>],
+    solvers: Vec<SlabSolver>,
 ) -> RunOutcome {
-    assert_eq!(checkpoints.len(), cfg.workers, "need one checkpoint per worker");
-    cfg.channel.validate().expect("invalid channel configuration");
-    let solvers: Vec<microslip_lbm::SlabSolver> = checkpoints
-        .iter()
-        .map(|bytes| {
-            microslip_lbm::checkpoint::load_solver(&cfg.channel, bytes)
-                .expect("invalid checkpoint")
-                .0
-        })
-        .collect();
-    // The slabs must tile the domain contiguously.
-    let mut x = 0;
-    for s in &solvers {
-        assert_eq!(s.x0(), x, "checkpoints do not tile the domain");
-        x += s.nx_local();
-    }
-    assert_eq!(x, cfg.channel.dims.nx);
+    assert_eq!(solvers.len(), cfg.workers, "need one solver per worker");
+    assert!(
+        slabs_tile(solvers.iter().map(SlabSolver::slab), cfg.channel.dims.nx),
+        "solvers do not tile the domain"
+    );
+    let starts = solvers.into_iter().map(|solver| move |_: &ChannelConfig| solver);
+    run_workers(cfg, policy, starts.collect())
+}
 
+/// Spawns one worker per entry of `starts` (each yields that rank's
+/// solver, on the rank's own thread), joins them and gathers the result.
+fn run_workers<S>(
+    cfg: &RuntimeConfig,
+    policy: Arc<dyn NeighborPolicy>,
+    starts: Vec<S>,
+) -> RunOutcome
+where
+    S: FnOnce(&ChannelConfig) -> SlabSolver + Send + 'static,
+{
+    cfg.channel.validate().expect("invalid channel configuration");
     let transports = mesh(cfg.workers);
     let start = Instant::now();
     cfg.trace.record_with(|| Event::Meta {
@@ -216,7 +162,6 @@ pub fn run_parallel_from(
         start_phase: 0,
         remap_interval: cfg.remap_interval,
         predictor_window: cfg.predictor_window,
-        checkpoint_at_end: cfg.checkpoint_at_end,
         checkpoint_every: cfg.checkpoint_every,
         checkpoint_dir: cfg.checkpoint_dir.clone(),
         load: cfg.load,
@@ -224,8 +169,9 @@ pub fn run_parallel_from(
         trace: cfg.trace.clone(),
         epoch: start,
     });
+
     let mut handles = Vec::with_capacity(cfg.workers);
-    for (transport, solver) in transports.into_iter().zip(solvers) {
+    for (transport, solver) in transports.into_iter().zip(starts) {
         let rank = transport.rank();
         let wcfg = Arc::clone(&worker_cfg);
         let policy = Arc::clone(&policy);
@@ -236,6 +182,7 @@ pub fn run_parallel_from(
                 .name(format!("microslip-worker-{rank}"))
                 .spawn(move || {
                     let predictor = HarmonicMean { window: predictor_window };
+                    let solver = solver(&wcfg.channel);
                     worker_main_with_solver(
                         &wcfg,
                         policy.as_ref(),
@@ -258,7 +205,17 @@ pub fn run_parallel_from(
         .collect();
     let wall_seconds = start.elapsed().as_secs_f64();
     reports.sort_by_key(|r| r.rank);
-    let snapshot = Snapshot::stitch(reports.iter().map(|r| r.snapshot.clone()).collect());
+    // The solvers stay in the reports, so each slab is captured straight
+    // into the global snapshot — no per-rank snapshot in between.
+    let dims = cfg.channel.dims;
+    assert!(
+        slabs_tile(reports.iter().map(|r| r.final_slab), dims.nx),
+        "final slabs do not tile the domain"
+    );
+    let mut snapshot = Snapshot::zeros(0, dims.nx, dims.ny, dims.nz, cfg.channel.ncomp());
+    for r in &reports {
+        r.solver.snapshot_into(&mut snapshot);
+    }
     RunOutcome { snapshot, reports, wall_seconds }
 }
 
@@ -346,14 +303,12 @@ mod tests {
         cfg.remap_interval = 3;
         cfg.predictor_window = 2;
         cfg.throttle = vec![1.0, 6.0, 1.0, 1.0];
-        cfg.checkpoint_at_end = true;
         let first = run_parallel(&cfg, Arc::new(Filtered::default()));
-        let checkpoints: Vec<Vec<u8>> =
-            first.reports.iter().map(|r| r.checkpoint.clone().unwrap()).collect();
         // The slow worker shed planes before the checkpoint.
         assert!(first.final_counts()[1] < 5, "{:?}", first.final_counts());
+        let solvers = first.reports.into_iter().map(|r| r.solver).collect();
 
-        let resumed = run_parallel_from(&cfg, Arc::new(Filtered::default()), &checkpoints);
+        let resumed = run_parallel_from(&cfg, Arc::new(Filtered::default()), solvers);
 
         let want = sequential_snapshot(&channel, 20);
         assert_eq!(resumed.snapshot, want, "resumed parallel run diverged");

@@ -20,7 +20,6 @@ use microslip_balance::policy::NeighborPolicy;
 use microslip_balance::predict::{History, Predictor};
 use microslip_balance::Partition;
 use microslip_comm::{CommError, InstrumentedTransport, LinearTopology, Tag, Transport};
-use microslip_lbm::macroscopic::Snapshot;
 use microslip_lbm::{ChannelConfig, Parallelism, Side, Slab, SlabSolver};
 use microslip_obs::{Event, SpanKind, TraceSink};
 
@@ -82,8 +81,6 @@ pub struct WorkerConfig {
     pub remap_interval: u64,
     /// Harmonic-predictor window (paper: 10).
     pub predictor_window: usize,
-    /// Serialize each worker's final state into its report.
-    pub checkpoint_at_end: bool,
     /// Phases between periodic on-disk checkpoints; 0 disables them.
     pub checkpoint_every: u64,
     /// Directory for periodic checkpoints (`ckpt-rank{r}-phase{p}.bin`);
@@ -111,14 +108,14 @@ pub struct WorkerReport {
     pub rank: usize,
     pub final_slab: Slab,
     pub profile: Profile,
-    pub snapshot: Snapshot,
+    /// The solver as the last phase left it: snapshot it, stream it to a
+    /// checkpoint file ([`microslip_lbm::checkpoint::write_solver`]), or
+    /// hand it to [`crate::driver::run_parallel_from`] to resume — no
+    /// serialised copy is made on the way.
+    pub solver: SlabSolver,
     /// Planes this worker sent away / received during remapping.
     pub planes_sent: usize,
     pub planes_received: usize,
-    /// Serialized end-of-run state (only when the run requested
-    /// checkpointing) — feed back through
-    /// [`crate::driver::run_parallel_from`] to resume.
-    pub checkpoint: Option<Vec<u8>>,
 }
 
 /// Runs one worker to completion. `transport` is this rank's endpoint of
@@ -174,17 +171,13 @@ pub fn worker_main_with_solver<T: Transport>(
     transport.flush_to(tracer.sink(), rank);
     outcome?;
 
-    let checkpoint = cfg
-        .checkpoint_at_end
-        .then(|| microslip_lbm::checkpoint::save_solver(&solver, cfg.phases));
     Ok(WorkerReport {
         rank,
         final_slab: solver.slab(),
         profile: tracer.profile,
-        snapshot: solver.snapshot(),
+        solver,
         planes_sent,
         planes_received,
-        checkpoint,
     })
 }
 
@@ -296,7 +289,6 @@ fn run_phases<T: Transport>(
         // mid-write can never leave a checkpoint that both exists under
         // its final name and fails verification silently.
         if cfg.checkpoint_every > 0 && phase % cfg.checkpoint_every == 0 {
-            let bytes = microslip_lbm::checkpoint::save_solver(solver, phase);
             let dir = cfg
                 .checkpoint_dir
                 .clone()
@@ -304,7 +296,7 @@ fn run_phases<T: Transport>(
             std::fs::create_dir_all(&dir)
                 .map_err(|e| WorkerError::Io(format!("create {}: {e}", dir.display())))?;
             let path = dir.join(format!("ckpt-rank{rank}-phase{phase}.bin"));
-            microslip_lbm::checkpoint::write_sealed(&path, bytes)
+            microslip_lbm::checkpoint::write_solver(&path, solver, phase)
                 .map_err(|e| WorkerError::Io(format!("write {}: {e}", path.display())))?;
         }
     }

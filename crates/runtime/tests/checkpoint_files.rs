@@ -55,17 +55,15 @@ fn periodic_checkpoints_restart_bitwise() {
 
     // Restart from the phase-5 files (sealed: CRC trailer verified on
     // read) and run the remaining 5 phases.
-    let checkpoints: Vec<Vec<u8>> = (0..workers)
+    let solvers = (0..workers)
         .map(|rank| {
-            microslip_lbm::checkpoint::read_sealed(
-                &dir.join(format!("ckpt-rank{rank}-phase5.bin")),
-            )
-            .unwrap()
+            let path = dir.join(format!("ckpt-rank{rank}-phase5.bin"));
+            microslip_lbm::checkpoint::read_solver(&cfg.channel, &path).unwrap().0
         })
         .collect();
     let mut resume_cfg = cfg.clone();
     resume_cfg.phases = 5;
-    let resumed = run_parallel_from(&resume_cfg, Arc::new(Filtered::default()), &checkpoints);
+    let resumed = run_parallel_from(&resume_cfg, Arc::new(Filtered::default()), solvers);
     assert_eq!(
         resumed.snapshot, want.snapshot,
         "restart from periodic checkpoints diverged from the uninterrupted run"

@@ -28,7 +28,6 @@ fn run_instrumented(
         start_phase: 0,
         remap_interval,
         predictor_window: 2,
-        checkpoint_at_end: false,
         checkpoint_every: 0,
         checkpoint_dir: None,
         load: microslip_runtime::LoadModel::Measured,

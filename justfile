@@ -107,6 +107,24 @@ serve-smoke:
 test-all:
     cargo test --release --workspace --offline
 
+# The performance ledger (examples/ledger/, the BENCHMARK.json contract's
+# driver): every workload untraced and traced, every metric by name, to
+# target/ledger/ledger.json. ~10 min on the 2-CPU reference host. (Written
+# beside the directory and moved in: the driver's scratch lives under
+# target/ledger/ too, and it removes the directory whenever its last run
+# leaves it empty.)
+bench seed="1":
+    cargo build --release --offline --bin microslip --example ledger
+    ./target/release/examples/ledger --seed {{seed}} --traced --out target/ledger.json.new
+    mkdir -p target/ledger && mv target/ledger.json.new target/ledger/ledger.json
+
+# Compares a fresh ledger against BASE (a ledger.json from `just bench` on
+# the commit to beat) with BENCHMARK.json's bounds. Advisory — one run per
+# side cannot carry a claim (that takes ten alternating pairs), so this is
+# not part of tier 1.
+bench-check BASE: bench
+    ./target/release/examples/ledger --compare {{BASE}} target/ledger/ledger.json --manifest BENCHMARK.json
+
 # Criterion micro-benches of the LBM hot kernels.
 bench-kernels:
     cargo bench --offline -p microslip-bench --bench kernels

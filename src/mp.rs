@@ -33,10 +33,11 @@
 
 use std::fmt;
 use std::fs;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use microslip_balance::recovery::RecoveryPlan;
@@ -45,9 +46,9 @@ use microslip_balance::predict::HarmonicMean;
 use microslip_balance::Partition;
 use microslip_cluster::Scheme;
 use microslip_comm::{CommError, NodeId, Tag, Transport};
-use microslip_lbm::checkpoint::{load_solver, read_sealed, write_sealed};
+use microslip_lbm::checkpoint::{read_solver, write_solver};
 use microslip_lbm::config_codec::{decode_config, encode_config};
-use microslip_lbm::geometry::even_slabs;
+use microslip_lbm::geometry::{even_slabs, slabs_tile};
 use microslip_lbm::macroscopic::Snapshot;
 use microslip_lbm::{ChannelConfig, Slab};
 use microslip_net::{connect_epoch, reserve_port, NetConfig};
@@ -506,19 +507,46 @@ fn supervise(
     rank_errors
 }
 
+/// Restores every rank's final state and stitches the global snapshot.
+/// The state files are streamed from disk straight into a solver's arrays
+/// and captured straight into the snapshot, on scoped threads — as many
+/// slabs in flight as the host has CPUs, so the driver's memory is bounded
+/// by that, not by the rank count.
+fn gather_snapshot(cfg: &MpConfig, dir: &Path) -> Result<Snapshot, String> {
+    let dims = cfg.channel.dims;
+    let global = Mutex::new(Snapshot::zeros(0, dims.nx, dims.ny, dims.nz, cfg.channel.ncomp()));
+    let restore = |rank: usize| -> Result<Slab, String> {
+        let path = dir.join(format!("rank{rank}.state"));
+        let (solver, _) = read_solver(&cfg.channel, &path)
+            .map_err(|e| format!("{}: {e}", path.display()))?;
+        solver.snapshot_into(&mut global.lock().expect("a gather lane panicked"));
+        Ok(solver.slab())
+    };
+    let lanes = std::thread::available_parallelism().map_or(1, |n| n.get()).min(cfg.ranks);
+    let slabs = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..lanes)
+            .map(|lane| {
+                let ranks = (lane..cfg.ranks).step_by(lanes);
+                scope.spawn(move || ranks.map(restore).collect::<Result<Vec<_>, _>>())
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|lane| lane.join().expect("a gather lane panicked"))
+            .collect::<Result<Vec<Vec<Slab>>, String>>()
+    })?;
+    if !slabs_tile(slabs.into_iter().flatten(), dims.nx) {
+        return Err(format!("the rank state files in {} do not tile the channel", dir.display()));
+    }
+    Ok(global.into_inner().expect("a gather lane panicked"))
+}
+
 /// Reads every rank's artifacts and assembles the outcome.
 fn gather(cfg: &MpConfig, dir: &Path) -> Result<MpOutcome, String> {
-    let mut snapshots = Vec::with_capacity(cfg.ranks);
+    let snapshot = gather_snapshot(cfg, dir)?;
     let mut reports = Vec::with_capacity(cfg.ranks);
     let mut streams = Vec::with_capacity(cfg.ranks);
     for rank in 0..cfg.ranks {
-        let state_path = dir.join(format!("rank{rank}.state"));
-        let bytes = read_sealed(&state_path)
-            .map_err(|e| format!("read {}: {e}", state_path.display()))?;
-        let (solver, _) = load_solver(&cfg.channel, &bytes)
-            .map_err(|e| format!("{}: {e}", state_path.display()))?;
-        snapshots.push(solver.snapshot());
-
         let report_path = dir.join(format!("rank{rank}.report"));
         let text = fs::read_to_string(&report_path)
             .map_err(|e| format!("read {}: {e}", report_path.display()))?;
@@ -531,7 +559,7 @@ fn gather(cfg: &MpConfig, dir: &Path) -> Result<MpOutcome, String> {
             .push(from_jsonl(&jsonl).map_err(|e| format!("{}: {e}", trace_path.display()))?);
     }
     Ok(MpOutcome {
-        snapshot: Snapshot::stitch(snapshots),
+        snapshot,
         reports,
         events: merge_rank_streams(streams),
         dir: dir.to_path_buf(),
@@ -585,10 +613,9 @@ pub fn write_epoch_file(dir: &Path, info: &EpochInfo) -> Result<(), String> {
         "epoch {}\nrendezvous {}\ndead {}\nplan {}\n",
         info.epoch, info.rendezvous, info.dead, info.plan
     );
-    let tmp = dir.join("epoch.tmp");
-    fs::write(&tmp, text).map_err(|e| format!("write {}: {e}", tmp.display()))?;
     let path = dir.join("epoch");
-    fs::rename(&tmp, &path).map_err(|e| format!("publish {}: {e}", path.display()))
+    microslip_codec::publish(&path, |file| file.write_all(text.as_bytes()))
+        .map_err(|e| format!("publish {}: {e}", path.display()))
 }
 
 /// Reads `dir/epoch`; `None` when absent or unparseable (a torn write is
@@ -608,7 +635,8 @@ pub fn read_epoch_file(dir: &Path) -> Option<EpochInfo> {
 }
 
 /// Phases with a CRC-valid periodic checkpoint for `rank` in `dir`,
-/// ascending. Torn or corrupt files (a crash mid-write leaves at worst a
+/// ascending — each candidate checked in one streaming pass, so a scan
+/// allocates nothing slab-sized. Torn or corrupt files (a crash mid-write leaves at worst a
 /// stray `.tmp`; a damaged file fails its CRC trailer) are skipped, not
 /// errors: recovery rolls back to the newest phase every survivor can
 /// actually restore.
@@ -626,7 +654,7 @@ pub fn checkpoint_phases(dir: &Path, rank: usize) -> Vec<u64> {
         else {
             continue;
         };
-        if read_sealed(&entry.path()).is_ok() {
+        if microslip_codec::verify(&entry.path()).is_ok() {
             phases.push(p);
         }
     }
@@ -781,9 +809,7 @@ fn execute<T: Transport>(
         }
         Some(p) => {
             let path = a.dir.join(format!("ckpt-rank{}-phase{p}.bin", a.rank));
-            let bytes = read_sealed(&path)
-                .map_err(|e| WorkerError::Io(format!("{}: {e}", path.display())))?;
-            let (solver, _) = load_solver(&cfg.channel, &bytes)
+            let (solver, _) = read_solver(&cfg.channel, &path)
                 .map_err(|e| WorkerError::Io(format!("{}: {e}", path.display())))?;
             worker_main_with_solver(cfg, policy, &predictor, transport, solver, throttle)
         }
@@ -846,9 +872,7 @@ fn execute_recovery<T: Transport>(
         worker_main(cfg, policy, &predictor, transport, slab, throttle)
     } else {
         let path = a.dir.join(format!("ckpt-rank{rank}-phase{agreed}.bin"));
-        let bytes = read_sealed(&path)
-            .map_err(|e| WorkerError::Io(format!("{}: {e}", path.display())))?;
-        let (solver, _) = load_solver(&cfg.channel, &bytes)
+        let (solver, _) = read_solver(&cfg.channel, &path)
             .map_err(|e| WorkerError::Io(format!("{}: {e}", path.display())))?;
         let slab = solver.slab();
         sink.record(Event::Recovery {
@@ -1002,7 +1026,6 @@ pub fn run_worker(a: &MpWorkerArgs) -> Result<(), String> {
         start_phase: 0,
         remap_interval: a.remap_interval,
         predictor_window: a.predictor_window,
-        checkpoint_at_end: true,
         checkpoint_every: a.checkpoint_every,
         checkpoint_dir: Some(a.dir.clone()),
         load: match a.synthetic_load {
@@ -1039,9 +1062,8 @@ pub fn run_worker(a: &MpWorkerArgs) -> Result<(), String> {
 
     match result {
         Ok(report) => {
-            let state = report.checkpoint.expect("checkpoint_at_end was requested");
             let state_path = a.dir.join(format!("rank{rank}.state"));
-            write_sealed(&state_path, state)
+            write_solver(&state_path, &report.solver, a.phases)
                 .map_err(|e| format!("write {}: {e}", state_path.display()))?;
             let summary = format!(
                 "rank {}\nx0 {}\nnx_local {}\nplanes_sent {}\nplanes_received {}\n",
@@ -1131,7 +1153,8 @@ mod tests {
 
     #[test]
     fn checkpoint_phase_scan_skips_torn_and_foreign_files() {
-        use microslip_lbm::checkpoint::{seal, write_sealed};
+        use microslip_codec::seal;
+        use microslip_lbm::checkpoint::write_sealed;
         let dir = scratch("ckpt-scan");
         write_sealed(&dir.join("ckpt-rank1-phase3.bin"), b"aaaa".to_vec()).unwrap();
         write_sealed(&dir.join("ckpt-rank1-phase6.bin"), b"bbbb".to_vec()).unwrap();

@@ -559,7 +559,7 @@ pub struct Runtime {
 
 impl Runtime {
     /// The underlying runtime configuration (escape hatch for knobs the
-    /// scenario does not surface, e.g. `checkpoint_at_end`).
+    /// scenario does not surface, e.g. `checkpoint_every`).
     pub fn config(&self) -> &RuntimeConfig {
         &self.cfg
     }

@@ -29,11 +29,12 @@
 //! surfaces typed errors; the module is on the lint boundary.
 
 use std::collections::HashMap;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-use microslip_lbm::checkpoint::{self};
+use microslip_lbm::checkpoint;
 use microslip_lbm::store::validate_key;
 use microslip_lbm::{CacheStore, FlowDiagnostics, ResultArtifact, Simulation, WallBc};
 use microslip_net::serve::{request, Reply, Served, ServeLoop};
@@ -56,7 +57,9 @@ const CADENCE_DEFAULT: u64 = u64::MAX;
 /// (every-5 ran 3.4× slower than no checkpoints on the reference domain,
 /// every-10 was close to undisturbed), and replay from a sparse
 /// checkpoint costs far less than the writes it avoids. So: roughly six
-/// checkpoints per job, never denser than every 10 phases.
+/// checkpoints per job, never denser than every 10 phases. (Those
+/// measurements predate the streaming seal of `crates/codec`, which made
+/// a sealed write ~4× cheaper; the rule has not been re-derived.)
 pub fn default_checkpoint_every(phases: u64) -> u64 {
     (phases / 6).max(10)
 }
@@ -313,8 +316,8 @@ fn newest_valid_checkpoint(dir: &Path, scenario: &Scenario) -> Option<(Simulatio
         .collect();
     phases.sort_unstable();
     for phase in phases.into_iter().rev() {
-        let Ok(bytes) = checkpoint::read_sealed(&checkpoint_path(dir, phase)) else { continue };
-        if let Ok(sim) = Simulation::restore(scenario.channel.clone(), &bytes) {
+        let path = checkpoint_path(dir, phase);
+        if let Ok(sim) = Simulation::restore_file(scenario.channel.clone(), &path) {
             return Some((sim, phase));
         }
     }
@@ -372,9 +375,10 @@ pub fn run_job(args: &RunJobArgs) -> Result<(), String> {
         }
         sim.step();
         if args.checkpoint_every > 0 && sim.phase().is_multiple_of(args.checkpoint_every) {
-            checkpoint::write_sealed(
+            checkpoint::write_solver(
                 &checkpoint_path(&args.checkpoint_dir, sim.phase()),
-                sim.save(),
+                sim.solver(),
+                sim.phase(),
             )
             .map_err(|e| format!("checkpoint at phase {}: {e}", sim.phase()))?;
         }
@@ -388,9 +392,7 @@ pub fn run_job(args: &RunJobArgs) -> Result<(), String> {
         diagnostics,
         summary_json: job_summary(&scenario, &key),
     };
-    let tmp = args.out_path.with_extension("tmp");
-    std::fs::write(&tmp, artifact.seal()).map_err(|e| format!("writing {}: {e}", tmp.display()))?;
-    std::fs::rename(&tmp, &args.out_path)
+    microslip_codec::publish(&args.out_path, |file| file.write_all(&artifact.seal()))
         .map_err(|e| format!("publishing {}: {e}", args.out_path.display()))
 }
 

@@ -7,6 +7,7 @@ use std::fs;
 use std::path::PathBuf;
 use std::process::Command;
 
+use microslip::lbm::checkpoint::{load_solver, read_sealed};
 use microslip::lbm::config_codec::encode_config;
 use microslip::lbm::{ChannelConfig, Dims};
 use microslip::obs::{from_jsonl, remap_fingerprints, validate_jsonl, Event, TraceSink};
@@ -36,6 +37,8 @@ fn builder(ranks: usize, phases: u64) -> Scenario {
 
 #[test]
 fn mp_run_matches_threaded_bitwise_with_identical_remap_decisions() {
+    // Four ranks are more than the gather has lanes on a two-CPU host, so
+    // this also pins the order-free stitch of the bounded-parallel gather.
     for ranks in [2usize, 4] {
         // Threaded reference, traced so its remap decisions are on record.
         let (sink, recorder) = TraceSink::recorder(1 << 16);
@@ -52,6 +55,23 @@ fn mp_run_matches_threaded_bitwise_with_identical_remap_decisions() {
             "{ranks}-rank mp run diverged from the threaded run"
         );
         assert_eq!(outcome.final_counts(), threaded.final_counts());
+
+        // The streamed `rank{r}.state` files are still sealed checkpoints
+        // the buffered API opens, each holding its rank's slice of the result.
+        let channel = builder(ranks, 12).channel;
+        let plane = channel.dims.ny * channel.dims.nz;
+        for report in &outcome.reports {
+            let path = outcome.dir.join(format!("rank{}.state", report.rank));
+            let (solver, phase) = load_solver(&channel, &read_sealed(&path).unwrap()).unwrap();
+            assert_eq!((phase, solver.slab()), (12, report.final_slab));
+            let part = solver.snapshot();
+            let cells = part.x0 * plane..(part.x0 + part.nx) * plane;
+            for (mine, all) in part.rho.iter().zip(&outcome.snapshot.rho) {
+                assert_eq!(mine[..], all[cells.clone()], "rank {} density", report.rank);
+            }
+            let all = &outcome.snapshot.velocity[3 * cells.start..3 * cells.end];
+            assert_eq!(part.velocity[..], *all, "rank {} velocity", report.rank);
+        }
         assert!(
             outcome.planes_migrated() > 0,
             "equivalence is only meaningful if remapping actually moved planes"

@@ -1,0 +1,117 @@
+//! Golden bytes of the three checksummed formats, recorded from the
+//! pre-`crates/codec` implementation (PR 11's tree): a sealed checkpoint,
+//! a sealed result artifact and one wire frame, each pinned by length,
+//! payload CRC (recomputed here by a bytewise oracle, compared with the
+//! stored one) and its first and last sixteen bytes. A change to a byte
+//! format, to the CRC or to the order anything is written in fails here.
+
+use microslip::lbm::checkpoint::{load_solver, read_sealed, write_sealed};
+use microslip::lbm::diagnostics::FlowDiagnostics;
+use microslip::lbm::{ChannelConfig, Dims, ResultArtifact, Simulation};
+use microslip_net::wire::{encode, Frame};
+
+fn crc32_bytewise(bytes: &[u8]) -> u32 {
+    let mut crc = !0u32;
+    for &b in bytes {
+        crc ^= u32::from(b);
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 { 0xEDB8_8320 ^ (crc >> 1) } else { crc >> 1 };
+        }
+    }
+    !crc
+}
+
+struct Golden {
+    len: usize,
+    /// CRC of the covered bytes — also what the last four bytes store.
+    crc: u32,
+    first: [u8; 16],
+    last: [u8; 16],
+}
+
+/// `covered` is the range of `bytes` its CRC protects.
+fn assert_golden(label: &str, bytes: &[u8], covered: std::ops::Range<usize>, want: &Golden) {
+    assert_eq!(bytes.len(), want.len, "{label}: length");
+    assert_eq!(crc32_bytewise(&bytes[covered]), want.crc, "{label}: CRC of the covered bytes");
+    assert_eq!(bytes[bytes.len() - 4..], want.crc.to_le_bytes(), "{label}: stored CRC");
+    assert_eq!(bytes[..16], want.first, "{label}: first 16 bytes");
+    assert_eq!(bytes[bytes.len() - 16..], want.last, "{label}: last 16 bytes");
+}
+
+fn config() -> ChannelConfig {
+    let mut c = ChannelConfig::paper_scaled(Dims::new(10, 6, 4));
+    c.body = [1e-4, 0.0, 0.0];
+    c
+}
+
+fn simulation() -> Simulation {
+    let mut sim = Simulation::new(config());
+    sim.run(3);
+    sim
+}
+
+#[test]
+fn sealed_checkpoint_bytes_are_pinned() {
+    let sim = simulation();
+    let dir = std::env::temp_dir().join(format!("microslip-golden-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("golden.bin");
+    write_sealed(&path, sim.save()).unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    assert_golden(
+        "checkpoint",
+        &bytes,
+        0..bytes.len() - 4,
+        &Golden {
+            len: 119_876,
+            crc: 0x5cb3_34aa,
+            first: *b"MSLIPCK1\x0a\0\0\0\0\0\0\0",
+            last: [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xaa, 0x34, 0xb3, 0x5c],
+        },
+    );
+    // And the file still opens through the buffered API.
+    let (solver, phase) = load_solver(&config(), &read_sealed(&path).unwrap()).unwrap();
+    assert_eq!((phase, solver.snapshot()), (3, sim.snapshot()));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn sealed_artifact_bytes_are_pinned() {
+    let snapshot = simulation().snapshot();
+    let artifact = ResultArtifact {
+        key: "00f00ba4deadbeef".into(),
+        phases: 3,
+        diagnostics: FlowDiagnostics::compute(&snapshot),
+        snapshot,
+        summary_json: "{\"mode\": \"serve\"}\n".into(),
+    };
+    let bytes = artifact.seal();
+    assert_golden(
+        "artifact",
+        &bytes,
+        0..bytes.len() - 4,
+        &Golden {
+            len: 9782,
+            crc: 0x67cb_88d7,
+            first: *b"MSLIPRA1\x10\0\0\0\0\0\0\0",
+            last: *b"\": \"serve\"}\n\xd7\x88\xcb\x67",
+        },
+    );
+    assert_eq!(ResultArtifact::unseal(&bytes).unwrap(), artifact);
+}
+
+#[test]
+fn wire_frame_bytes_are_pinned() {
+    let bytes = encode(&Frame::data(3, 17, vec![1.0, -2.5, 0.125]));
+    assert_golden(
+        "frame",
+        &bytes,
+        4..bytes.len() - 4,
+        &Golden {
+            len: 52,
+            crc: 0xa19c_ecc2,
+            first: [b'M', b'S', b'N', b'1', 1, 0, 0, 0, 3, 0, 0, 0, 0x11, 0, 0, 0],
+            last: [0, 0, 0x04, 0xc0, 0, 0, 0, 0, 0, 0, 0xc0, 0x3f, 0xc2, 0xec, 0x9c, 0xa1],
+        },
+    );
+}
