@@ -1,8 +1,10 @@
 //! # microslip-bench — reproduction harness
 //!
 //! One binary per table/figure of the paper's evaluation (see DESIGN.md's
-//! per-experiment index) plus criterion micro-benchmarks of the hot
-//! kernels. This library holds the shared table-formatting helpers.
+//! per-experiment index) plus criterion micro-benchmarks of the balancer,
+//! the cluster engine and the halo transport. Kernel, socket and tracing
+//! costs are ledger metrics (`examples/ledger/`), not benches here. This
+//! library holds the shared table-formatting helpers.
 
 /// Prints a row: a left label of width `first_width` followed by
 /// 14-character right-aligned cells.

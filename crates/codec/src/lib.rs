@@ -6,17 +6,21 @@
 //! way: as a four-byte little-endian trailer. This crate owns both — the
 //! table-sliced [`Crc32`] and the streaming [`SealWriter`] / [`SealReader`]
 //! pair — plus the bulk little-endian `f64` runs those formats are mostly
-//! made of. It depends on nothing, forbids `unsafe`, and is on the trust
-//! boundary: sealed bytes come off disks and sockets, so nothing here
-//! panics on what it reads.
+//! made of, and the one bounded scalar cursor ([`Reader`] with its
+//! `put_*` writers) the unsealed codecs — channel config, scenario, sweep
+//! request, artifact body — are built from. It depends on nothing,
+//! forbids `unsafe`, and is on the trust boundary: these bytes come off
+//! disks and sockets, so nothing here panics on what it reads.
 
 #![forbid(unsafe_code)]
 
 mod crc;
+mod cursor;
 mod le;
 mod seal;
 
 pub use crc::{crc32, Crc32};
+pub use cursor::{put_f64, put_str, put_u64, Reader};
 pub use le::{f64s_from_le, put_f64s, read_f64s, write_f64s};
 pub use seal::{
     open, publish, read_file, seal, unseal, verify, write_file, SealError, SealReader, SealWriter,

@@ -18,9 +18,8 @@
 //! verbatim and lets a client `cmp` a fetched result against a local
 //! re-run.
 
-use microslip_codec::{f64s_from_le, put_f64s, TRAILER_LEN};
+use microslip_codec::{f64s_from_le, put_f64, put_f64s, put_str, put_u64, Reader, TRAILER_LEN};
 
-use crate::config_codec::{put_f64, put_str, put_u64, Reader};
 use crate::diagnostics::FlowDiagnostics;
 use crate::macroscopic::Snapshot;
 
@@ -94,7 +93,7 @@ impl ResultArtifact {
         if !bytes.starts_with(&MAGIC) {
             return Err("not a microslip result artifact (bad magic)".into());
         }
-        let mut r = Reader { bytes, pos: 8 };
+        let mut r = Reader::new("artifact", bytes, 8);
         let key = r.str()?;
         let phases = r.u64()?;
         let x0 = r.usize()?;
@@ -142,9 +141,7 @@ impl ResultArtifact {
             flow_rate: r.f64()?,
         };
         let summary_json = r.str()?;
-        if r.pos != bytes.len() {
-            return Err(format!("{} trailing bytes after artifact", bytes.len() - r.pos));
-        }
+        r.finish()?;
         Ok(ResultArtifact { key, phases, snapshot, diagnostics, summary_json })
     }
 

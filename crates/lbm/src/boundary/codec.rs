@@ -11,7 +11,9 @@
 //! latent config errors.
 
 use super::WallBc;
-use crate::config_codec::{put_f64, put_region, put_u64, read_region, Reader};
+use microslip_codec::{put_f64, put_u64, Reader};
+
+use crate::config_codec::{put_region, read_region};
 
 /// Appends the wall-BC field to a config encoding.
 pub(crate) fn encode_wall_bc(out: &mut Vec<u8>, bc: &WallBc) {
@@ -75,9 +77,9 @@ mod tests {
     fn roundtrip(bc: &WallBc) -> WallBc {
         let mut bytes = Vec::new();
         encode_wall_bc(&mut bytes, bc);
-        let mut r = Reader { bytes: &bytes, pos: 0 };
+        let mut r = Reader::new("wall BC", &bytes, 0);
         let back = decode_wall_bc(&mut r).expect("decode");
-        assert_eq!(r.pos, bytes.len(), "decode must consume the whole field");
+        r.finish().expect("decode must consume the whole field");
         back
     }
 
@@ -104,7 +106,7 @@ mod tests {
         let mut bytes = Vec::new();
         put_u64(&mut bytes, 1);
         put_f64(&mut bytes, 1.5);
-        let mut r = Reader { bytes: &bytes, pos: 0 };
+        let mut r = Reader::new("wall BC", &bytes, 0);
         assert!(decode_wall_bc(&mut r).unwrap_err().contains("outside [0, 1]"));
 
         let mut bytes = Vec::new();
@@ -113,7 +115,7 @@ mod tests {
         put_f64(&mut bytes, -0.5);
         put_u64(&mut bytes, 2);
         put_u64(&mut bytes, 0);
-        let mut r = Reader { bytes: &bytes, pos: 0 };
+        let mut r = Reader::new("wall BC", &bytes, 0);
         assert!(decode_wall_bc(&mut r).unwrap_err().contains("outside [0, 1]"));
 
         let mut bytes = Vec::new();
@@ -122,12 +124,12 @@ mod tests {
         put_f64(&mut bytes, 0.5);
         put_u64(&mut bytes, 0);
         put_u64(&mut bytes, 0);
-        let mut r = Reader { bytes: &bytes, pos: 0 };
+        let mut r = Reader::new("wall BC", &bytes, 0);
         assert!(decode_wall_bc(&mut r).unwrap_err().contains("period"));
 
         let mut bytes = Vec::new();
         put_u64(&mut bytes, 9);
-        let mut r = Reader { bytes: &bytes, pos: 0 };
+        let mut r = Reader::new("wall BC", &bytes, 0);
         assert!(decode_wall_bc(&mut r).unwrap_err().contains("discriminant"));
     }
 
@@ -141,7 +143,7 @@ mod tests {
             },
         );
         for cut in 0..bytes.len() {
-            let mut r = Reader { bytes: &bytes[..cut], pos: 0 };
+            let mut r = Reader::new("wall BC", &bytes[..cut], 0);
             assert!(decode_wall_bc(&mut r).is_err(), "prefix {cut} accepted");
         }
     }

@@ -12,6 +12,8 @@
 //! as `u64` length plus UTF-8 bytes, sequences as `u64` count plus
 //! elements.
 
+use microslip_codec::{put_f64, put_str, put_u64, Reader};
+
 use crate::boundary::codec::{decode_wall_bc, encode_wall_bc};
 use crate::component::{CollisionOperator, ComponentSpec, CouplingMatrix};
 use crate::config::{ChannelConfig, InitProfile};
@@ -23,77 +25,6 @@ use crate::potential::PsiFn;
 
 /// File-format magic ("MSLIPCF2" — version 2 added the wall-BC field).
 pub const MAGIC: [u8; 8] = *b"MSLIPCF2";
-
-pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u64(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-/// Little-endian cursor shared by this codec and the result-artifact codec
-/// in [`crate::artifact`]: every read is bounds-checked and surfaces a
-/// typed error, never a panic.
-pub(crate) struct Reader<'a> {
-    pub(crate) bytes: &'a [u8],
-    pub(crate) pos: usize,
-}
-
-/// Copies an 8-byte chunk (from `Reader::take(8)`) into a fixed array
-/// without a fallible conversion.
-fn le8(chunk: &[u8]) -> [u8; 8] {
-    let mut le = [0u8; 8];
-    for (dst, src) in le.iter_mut().zip(chunk) {
-        *dst = *src;
-    }
-    le
-}
-
-impl<'a> Reader<'a> {
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self.pos.checked_add(n).ok_or("length overflow")?;
-        let chunk = self
-            .bytes
-            .get(self.pos..end)
-            .ok_or_else(|| format!("config truncated at byte {}", self.pos))?;
-        self.pos = end;
-        Ok(chunk)
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(le8(self.take(8)?)))
-    }
-
-    pub(crate) fn usize(&mut self) -> Result<usize, String> {
-        usize::try_from(self.u64()?).map_err(|_| "value exceeds usize".to_string())
-    }
-
-    pub(crate) fn f64(&mut self) -> Result<f64, String> {
-        Ok(f64::from_le_bytes(le8(self.take(8)?)))
-    }
-
-    pub(crate) fn bool(&mut self) -> Result<bool, String> {
-        match self.u64()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            v => Err(format!("invalid boolean {v}")),
-        }
-    }
-
-    pub(crate) fn str(&mut self) -> Result<String, String> {
-        let len = self.usize()?;
-        if len > 1 << 20 {
-            return Err(format!("implausible string length {len}"));
-        }
-        String::from_utf8(self.take(len)?.to_vec()).map_err(|e| format!("bad utf-8: {e}"))
-    }
-}
 
 /// Appends one solid-region record (shared with the wall-BC codec in
 /// [`crate::boundary::codec`], whose `RoughWall` variant carries regions).
@@ -208,7 +139,7 @@ pub fn decode_config(bytes: &[u8]) -> Result<ChannelConfig, String> {
     if !bytes.starts_with(&MAGIC) {
         return Err("not a microslip config (bad magic)".into());
     }
-    let mut r = Reader { bytes, pos: 8 };
+    let mut r = Reader::new("config", bytes, 8);
     let dims = Dims::new(r.usize()?, r.usize()?, r.usize()?);
     let ncomp = r.usize()?;
     if ncomp == 0 || ncomp > 64 {
@@ -279,9 +210,7 @@ pub fn decode_config(bytes: &[u8]) -> Result<ChannelConfig, String> {
     }
     let wall_bc = decode_wall_bc(&mut r)?;
     let parallelism = Parallelism::new(r.usize()?.max(1));
-    if r.pos != bytes.len() {
-        return Err(format!("{} trailing bytes after config", bytes.len() - r.pos));
-    }
+    r.finish()?;
     Ok(ChannelConfig { dims, components, coupling, wall, body, init, obstacles, wall_bc, parallelism })
 }
 

@@ -37,7 +37,7 @@ pub fn feq_all<L: Lattice>(n: f64, u: [f64; 3], out: &mut [f64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lattice::{D2Q9, D3Q19, CS2};
+    use crate::lattice::{D3Q19, CS2};
 
     fn moments<L: Lattice>(n: f64, u: [f64; 3]) -> (f64, [f64; 3], [[f64; 3]; 3]) {
         let mut f = vec![0.0; L::Q];
@@ -87,17 +87,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn d2q9_moments() {
-        let n = 0.9;
-        let u = [0.04, 0.01, 0.0];
-        let (m0, m1, _) = moments::<D2Q9>(n, u);
-        assert!((m0 - n).abs() < 1e-14);
-        assert!((m1[0] - n * u[0]).abs() < 1e-14);
-        assert!((m1[1] - n * u[1]).abs() < 1e-14);
-        assert_eq!(m1[2], 0.0);
     }
 
     #[test]

@@ -3,31 +3,31 @@
 //!
 //! The paper uses the D3Q19 lattice (Fig. 1): 19 discrete velocities in three
 //! dimensions — one rest vector, six axis-aligned vectors and twelve face
-//! diagonals. A D2Q9 descriptor is also provided for the two-dimensional
-//! mini-solver used in tests and the quickstart example.
+//! diagonals. It is the only descriptor: two-dimensional reference flows
+//! run on the same lattice as a pseudo-2-D channel (specular z-walls, see
+//! [`crate::boundary::WallBc::TunableSlip`]).
 //!
 //! Descriptors are plain `const` tables so kernels can be fully unrolled by
 //! the compiler; the invariants every valid descriptor must satisfy (weights
 //! sum to one, zero first moment, isotropic second moment, `opposite` is an
 //! involution) are checked in the unit tests below.
 
-/// Lattice sound speed squared, `c_s^2 = 1/3`, shared by D2Q9 and D3Q19.
+/// Lattice sound speed squared, `c_s^2 = 1/3`, of the D3Q19 lattice.
 pub const CS2: f64 = 1.0 / 3.0;
 
 /// Inverse of [`CS2`], used in equilibrium expansion.
 pub const INV_CS2: f64 = 3.0;
 
-/// A discrete velocity set in up to three dimensions.
+/// A discrete velocity set.
 ///
 /// Implementations expose their tables as associated constants so generic
-/// kernels monomorphize to straight-line code. Velocities are padded to
-/// three components; two-dimensional lattices set the `z` component to zero.
+/// kernels monomorphize to straight-line code.
 pub trait Lattice: Copy + Send + Sync + 'static {
-    /// Spatial dimension (2 or 3).
+    /// Spatial dimension.
     const D: usize;
     /// Number of discrete velocities.
     const Q: usize;
-    /// Discrete velocity vectors `e_i`, padded to 3 components.
+    /// Discrete velocity vectors `e_i`.
     const E: &'static [[i32; 3]];
     /// Quadrature weights `w_i`.
     const W: &'static [f64];
@@ -116,39 +116,6 @@ impl D3Q19 {
         [0, 1, 2, 3, 4, 6, 5, 7, 8, 9, 10, 13, 14, 11, 12, 17, 18, 15, 16];
 }
 
-/// The two-dimensional, nine-velocity lattice (rest + 4 axis + 4 diagonal).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct D2Q9;
-
-impl Lattice for D2Q9 {
-    const D: usize = 2;
-    const Q: usize = 9;
-    const E: &'static [[i32; 3]] = &[
-        [0, 0, 0],
-        [1, 0, 0],
-        [-1, 0, 0],
-        [0, 1, 0],
-        [0, -1, 0],
-        [1, 1, 0],
-        [-1, -1, 0],
-        [1, -1, 0],
-        [-1, 1, 0],
-    ];
-    const W: &'static [f64] = &[
-        4.0 / 9.0,
-        1.0 / 9.0,
-        1.0 / 9.0,
-        1.0 / 9.0,
-        1.0 / 9.0,
-        1.0 / 36.0,
-        1.0 / 36.0,
-        1.0 / 36.0,
-        1.0 / 36.0,
-    ];
-    const OPP: &'static [usize] = &[0, 2, 1, 4, 3, 6, 5, 8, 7];
-    const NAME: &'static str = "D2Q9";
-}
-
 /// Checks the moment identities a valid descriptor must satisfy.
 ///
 /// Returns an error string naming the first violated identity; used by the
@@ -208,11 +175,6 @@ mod tests {
     #[test]
     fn d3q19_is_valid() {
         validate::<D3Q19>().unwrap();
-    }
-
-    #[test]
-    fn d2q9_is_valid() {
-        validate::<D2Q9>().unwrap();
     }
 
     #[test]

@@ -52,7 +52,6 @@ pub mod simulation;
 pub mod solver;
 pub mod store;
 pub mod streaming;
-pub mod twodim;
 pub mod units;
 
 pub use boundary::WallBc;

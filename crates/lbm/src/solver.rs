@@ -4,23 +4,30 @@
 //! [`SlabSolver`] owns a contiguous range of y–z planes (a [`Slab`]) plus
 //! ghost planes, and exposes the phase as separate sub-steps so a parallel
 //! driver can interleave communication exactly as the paper's pseudo-code
-//! (Fig. 2) does:
+//! (Fig. 2) does. There is **one schedule**, run by every driver — the
+//! sequential [`Simulation`](crate::simulation::Simulation), the threaded
+//! workers and the TCP ranks:
 //!
 //! ```text
-//! collide                         (line 4)
+//! collide_edges                   (line 4, the two planes the halo ships)
 //! ⇄ exchange populations          (line 8)
-//! stream + bounce back            (lines 5, 10–11)
-//! compute ψ
+//! stream_collide_fused            (lines 4–5, 10–11: collide the rest,
+//!                                  stream + bounce back, one sweep)
+//! compute_psi
 //! ⇄ exchange number density       (line 14)
-//! compute forces                  (line 16)
-//! compute velocities              (line 17)
+//! compute_forces                  (line 16)
+//! compute_velocities              (line 17)
 //! ```
 //!
-//! The sequential driver ([`crate::simulation::Simulation`]) is the
-//! single-slab special case where both exchanges reduce to periodic ghost
-//! copies. Because all kernels operate per cell in the same order in both
-//! drivers, a decomposed run is **bitwise identical** to a sequential run —
-//! the invariant the integration tests pin down.
+//! The sequential driver is the single-slab special case where both
+//! exchanges reduce to periodic ghost copies
+//! ([`phase_periodic`](SlabSolver::phase_periodic)). Because all kernels
+//! operate per cell in the same order in every driver, a decomposed run is
+//! **bitwise identical** to a sequential run — the invariant the
+//! integration tests pin down. The textbook order (collide everything,
+//! then stream everything) survives only as the serial, test-only
+//! [`phase_periodic_reference`](SlabSolver::phase_periodic_reference) that
+//! `tests/parallel_equivalence.rs` holds the schedule to.
 
 use crate::boundary::{SlipMap, WallBc};
 use crate::component::{ComponentState, CouplingMatrix};
@@ -222,43 +229,32 @@ impl SlabSolver {
 
     // ---- phase sub-steps -------------------------------------------------
 
-    /// Phase step 1: LBGK collision of every component.
-    pub fn collide(&mut self) {
-        let par = self.par.effective();
+    /// Phase step 1: collides the two slab-edge planes — everything the
+    /// population halo exchange reads ([`f_halo_out`](Self::f_halo_out)
+    /// ships edge planes only). The remaining planes are left to
+    /// [`stream_collide_fused`](Self::stream_collide_fused), which collides
+    /// them just ahead of streaming.
+    pub fn collide_edges(&mut self) {
         let grid = self.grid();
         let p = grid.plane_cells();
-        let chunks = par.plane_chunks(LocalGrid::FIRST, grid.last());
         for c in self.comps.iter_mut() {
-            if chunks.len() <= 1 {
-                crate::collision::collide(c);
-                continue;
+            crate::collision::collide_cells(c, LocalGrid::FIRST * p..(LocalGrid::FIRST + 1) * p);
+            if grid.last() != LocalGrid::FIRST {
+                crate::collision::collide_cells(c, grid.last() * p..(grid.last() + 1) * p);
             }
-            let cells = grid.cells();
-            let op = c.spec.collision;
-            let tau = c.spec.tau;
-            let ueq = crate::par::ConstPtr::new(c.ueq.data().as_ptr());
-            let f = crate::par::SendPtr::new(c.f.data_mut().as_mut_ptr());
-            par.run_chunks(&chunks, |a, b| {
-                // Safety: collision is cell-local and chunks are disjoint
-                // cell ranges of this component's `f`.
-                unsafe {
-                    crate::collision::collide_cells_raw(op, tau, f.get(), ueq.get(), cells, a * p..b * p)
-                }
-            });
         }
     }
 
-    /// Phase step 2 (after population exchange): streaming + the active
-    /// wall BC (bounce-back or a slip rule) at channel walls and
+    /// Phase step 2 (after the population exchange): collides the interior
+    /// planes and streams every plane in a single sweep over `f`, applying
+    /// the active wall BC (bounce-back or a slip rule) at channel walls and
     /// obstacles. The BC is resolved to a per-plane weight map here, once;
     /// the sweep kernels never dispatch per cell.
-    pub fn stream(&mut self) {
-        let par = self.par;
+    pub fn stream_collide_fused(&mut self) {
+        let slip = slip_map(&self.slip_ry, &self.wall_bc);
         let has_solid = !self.obstacles.is_empty();
-        let slip = (!self.slip_ry.is_empty())
-            .then(|| SlipMap { ry: &self.slip_ry, rz: self.wall_bc.slip_rz() });
         for c in self.comps.iter_mut() {
-            crate::streaming::stream_with(c, &self.solid, has_solid, slip, par);
+            crate::streaming::stream_collide_fused(c, &self.solid, has_solid, slip, self.par);
         }
     }
 
@@ -285,40 +281,6 @@ impl SlabSolver {
     /// Phase step 5: common velocity and equilibrium velocities.
     pub fn compute_velocities(&mut self) {
         crate::multicomponent::update_equilibrium_velocities_with(&mut self.comps, self.par);
-    }
-
-    // ---- fused collide→stream schedule -----------------------------------
-
-    /// Collides only the two slab-edge planes — everything the population
-    /// halo exchange reads ([`f_halo_out`](Self::f_halo_out) ships edge
-    /// planes only). The fused driver runs this *before* the exchange and
-    /// leaves the remaining planes to
-    /// [`stream_collide_fused`](Self::stream_collide_fused), which collides
-    /// them just ahead of streaming.
-    pub fn collide_edges(&mut self) {
-        let grid = self.grid();
-        let p = grid.plane_cells();
-        for c in self.comps.iter_mut() {
-            crate::collision::collide_cells(c, LocalGrid::FIRST * p..(LocalGrid::FIRST + 1) * p);
-            if grid.last() != LocalGrid::FIRST {
-                crate::collision::collide_cells(c, grid.last() * p..(grid.last() + 1) * p);
-            }
-        }
-    }
-
-    /// Phase steps 1+2 fused (after [`collide_edges`](Self::collide_edges)
-    /// and the population exchange): collides the interior planes and
-    /// streams every plane in a single sweep over `f`, bitwise identical
-    /// to `collide()` + `stream()` at any thread budget (see
-    /// [`crate::streaming::stream_collide_fused`]).
-    pub fn stream_collide_fused(&mut self) {
-        let par = self.par;
-        let has_solid = !self.obstacles.is_empty();
-        let slip = (!self.slip_ry.is_empty())
-            .then(|| SlipMap { ry: &self.slip_ry, rz: self.wall_bc.slip_rz() });
-        for c in self.comps.iter_mut() {
-            crate::streaming::stream_collide_fused(c, &self.solid, has_solid, slip, par);
-        }
     }
 
     // ---- halo protocol ---------------------------------------------------
@@ -514,27 +476,37 @@ impl SlabSolver {
     // ---- drivers & observables --------------------------------------------
 
     /// One full phase with periodic ghost self-exchange; only meaningful
-    /// when this slab covers the entire channel.
+    /// when this slab covers the entire channel. The same seven steps the
+    /// runtime workers run, with the two exchanges as local ghost copies.
     pub fn phase_periodic(&mut self) {
-        assert_eq!(self.nx_local(), self.global_nx, "phase_periodic needs the whole channel");
-        self.collide();
-        self.f_ghosts_periodic();
-        self.stream();
-        self.compute_psi();
-        self.psi_ghosts_periodic();
-        self.compute_forces();
-        self.compute_velocities();
-    }
-
-    /// [`phase_periodic`](Self::phase_periodic) on the fused
-    /// collide→stream schedule (the hot path the runtime workers use):
-    /// edge planes collide before the ghost fill, the rest collide inside
-    /// the streaming sweep. Bitwise identical to `phase_periodic`.
-    pub fn phase_periodic_fused(&mut self) {
         assert_eq!(self.nx_local(), self.global_nx, "phase_periodic needs the whole channel");
         self.collide_edges();
         self.f_ghosts_periodic();
         self.stream_collide_fused();
+        self.finish_phase_periodic();
+    }
+
+    /// Test oracle for [`phase_periodic`](Self::phase_periodic): the
+    /// textbook order — collide every plane, fill ghosts, then stream every
+    /// plane — run serially, followed by the same ψ/force/velocity steps.
+    /// Not a second schedule: nothing outside the tests calls it.
+    #[doc(hidden)]
+    pub fn phase_periodic_reference(&mut self) {
+        assert_eq!(self.nx_local(), self.global_nx, "phase_periodic needs the whole channel");
+        for c in self.comps.iter_mut() {
+            crate::collision::collide(c);
+        }
+        self.f_ghosts_periodic();
+        let slip = slip_map(&self.slip_ry, &self.wall_bc);
+        let has_solid = !self.obstacles.is_empty();
+        for c in self.comps.iter_mut() {
+            crate::streaming::stream_unfused(c, &self.solid, has_solid, slip);
+        }
+        self.finish_phase_periodic();
+    }
+
+    /// The post-streaming half of a periodic phase (also all of priming).
+    fn finish_phase_periodic(&mut self) {
         self.compute_psi();
         self.psi_ghosts_periodic();
         self.compute_forces();
@@ -545,10 +517,7 @@ impl SlabSolver {
     /// state (ψ, forces, ueq), using periodic ghosts. Parallel drivers do
     /// the same steps with real exchanges instead.
     pub fn prime_periodic(&mut self) {
-        self.compute_psi();
-        self.psi_ghosts_periodic();
-        self.compute_forces();
-        self.compute_velocities();
+        self.finish_phase_periodic();
     }
 
     /// As [`prime_periodic`](Self::prime_periodic) but without the ghost
@@ -578,6 +547,12 @@ impl SlabSolver {
     pub fn total_mass(&self) -> f64 {
         self.comps.iter().map(|c| c.total_mass()).sum()
     }
+}
+
+/// The per-plane slip weights as the sweep kernels take them (`None` for
+/// the pure bounce-back variants, whose `slip_ry` is empty).
+fn slip_map<'a>(slip_ry: &'a [f64], wall_bc: &WallBc) -> Option<SlipMap<'a>> {
+    (!slip_ry.is_empty()).then(|| SlipMap { ry: slip_ry, rz: wall_bc.slip_rz() })
 }
 
 /// Resizes every field of a component consistently.
@@ -638,7 +613,7 @@ mod tests {
         let n = solvers.len();
         let f_len = solvers[0].f_halo_len();
         for s in solvers.iter_mut() {
-            s.collide();
+            s.collide_edges();
         }
         // Exchange populations (periodic ring).
         let mut right_msgs = vec![vec![0.0; f_len]; n];
@@ -654,7 +629,7 @@ mod tests {
             solvers[i].f_halo_in(Side::Right, &left_msgs[from_right]);
         }
         for s in solvers.iter_mut() {
-            s.stream();
+            s.stream_collide_fused();
             s.compute_psi();
         }
         // Exchange ψ.
@@ -794,74 +769,6 @@ mod tests {
         a.take_planes(Side::Left, 3);
     }
 
-    fn run_phases(s: &mut SlabSolver, phases: usize, fused: bool) -> Snapshot {
-        s.prime_periodic();
-        for _ in 0..phases {
-            if fused {
-                s.phase_periodic_fused();
-            } else {
-                s.phase_periodic();
-            }
-        }
-        s.snapshot()
-    }
-
-    #[test]
-    fn fused_phase_is_bitwise_identical_to_classic() {
-        let cfg = small_config();
-        let slab = Slab { x0: 0, nx_local: cfg.dims.nx };
-        let want = run_phases(&mut SlabSolver::new(&cfg, slab), 8, false);
-        for threads in [1, 2, 4, 16] {
-            let mut s = SlabSolver::new(&cfg, slab);
-            s.set_parallelism(Parallelism::new(threads));
-            let got = run_phases(&mut s, 8, true);
-            assert_eq!(got, want, "fused schedule at {threads} threads changed the physics");
-        }
-    }
-
-    #[test]
-    fn parallel_kernels_are_bitwise_identical_to_serial() {
-        let cfg = small_config();
-        let slab = Slab { x0: 0, nx_local: cfg.dims.nx };
-        let want = run_phases(&mut SlabSolver::new(&cfg, slab), 8, false);
-        for threads in [2, 3, 4] {
-            let mut s = SlabSolver::new(&cfg, slab);
-            s.set_parallelism(Parallelism::new(threads));
-            let got = run_phases(&mut s, 8, false);
-            assert_eq!(got, want, "plane-parallel kernels at {threads} threads changed the physics");
-        }
-    }
-
-    #[test]
-    fn fused_phase_matches_classic_with_obstacles() {
-        // Obstacles force the generic (per-cell bounce-back) streaming
-        // path; the fused sweep must stay bitwise identical there too.
-        let mut cfg = small_config();
-        cfg.obstacles
-            .push(crate::geometry::SolidRegion::Block { min: [4, 2, 1], max: [6, 4, 3] });
-        let slab = Slab { x0: 0, nx_local: cfg.dims.nx };
-        let want = run_phases(&mut SlabSolver::new(&cfg, slab), 6, false);
-        for threads in [1, 4] {
-            let mut s = SlabSolver::new(&cfg, slab);
-            s.set_parallelism(Parallelism::new(threads));
-            let got = run_phases(&mut s, 6, true);
-            assert_eq!(got, want, "fused+obstacles at {threads} threads changed the physics");
-        }
-    }
-
-    #[test]
-    fn fused_phase_handles_trt_and_mrt_operators() {
-        let mut cfg = small_config();
-        cfg.components[0].0.collision = crate::component::CollisionOperator::trt_magic();
-        cfg.components[1].0.collision = crate::component::CollisionOperator::mrt_standard();
-        let slab = Slab { x0: 0, nx_local: cfg.dims.nx };
-        let want = run_phases(&mut SlabSolver::new(&cfg, slab), 5, false);
-        let mut s = SlabSolver::new(&cfg, slab);
-        s.set_parallelism(Parallelism::new(3));
-        let got = run_phases(&mut s, 5, true);
-        assert_eq!(got, want, "fused TRT/MRT diverged from classic");
-    }
-
     /// The three non-default wall BCs on the test channel.
     fn slip_bcs() -> Vec<WallBc> {
         vec![
@@ -933,22 +840,6 @@ mod tests {
         }
         let got = Snapshot::stitch(solvers.iter().map(|s| s.snapshot()).collect());
         assert_eq!(got, want, "migration must not change patterned-slip physics");
-    }
-
-    #[test]
-    fn fused_slip_phase_is_bitwise_identical_to_classic() {
-        for bc in slip_bcs() {
-            let mut cfg = small_config();
-            cfg.wall_bc = bc.clone();
-            let slab = Slab { x0: 0, nx_local: cfg.dims.nx };
-            let want = run_phases(&mut SlabSolver::new(&cfg, slab), 6, false);
-            for threads in [1, 4] {
-                let mut s = SlabSolver::new(&cfg, slab);
-                s.set_parallelism(Parallelism::new(threads));
-                let got = run_phases(&mut s, 6, true);
-                assert_eq!(got, want, "fused {bc:?} at {threads} threads changed the physics");
-            }
-        }
     }
 
     #[test]

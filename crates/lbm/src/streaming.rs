@@ -21,14 +21,21 @@
 //! This places the no-slip wall half a grid spacing outside the first fluid
 //! cell, second-order accurately.
 //!
+//! # One schedule
+//!
+//! There is one production entry point, [`stream_collide_fused`]: the
+//! solver collides the two slab-edge planes, exchanges halos, and this
+//! sweep collides every remaining plane just ahead of streaming it. The
+//! unfused variant of the same sweep (`fuse = false`, all planes collided
+//! beforehand) exists only for `SlabSolver::phase_periodic_reference` and
+//! the unit tests below, which hold it to a two-lattice per-cell oracle.
+//!
 //! # In-place sliding-window sweep
 //!
-//! Historically streaming wrote a second full lattice (`f_tmp`) and swapped
-//! buffers — doubling the dominant allocation and the write traffic of the
-//! hottest loop. The sweep below streams **in place**: x-planes are
-//! processed left to right, and because the pull stencil only ever reads
-//! planes `xl − 1 ..= xl + 1`, a two-plane ring buffer of *saved*
-//! post-collision planes is enough to replace the second lattice:
+//! The sweep streams **in place**: x-planes are processed left to right,
+//! and because the pull stencil only ever reads planes `xl − 1 ..= xl + 1`,
+//! a two-plane ring buffer of *saved* post-collision planes is enough to
+//! replace a second lattice:
 //!
 //! - `e_x = +1` channels pull from the saved copy of plane `xl − 1`
 //!   (overwritten one iteration ago),
@@ -42,7 +49,7 @@
 //! (parallel or not) additionally save the two planes flanking each chunk
 //! cut before the sweep starts, so no chunk ever pulls a neighbor chunk's
 //! already-overwritten plane.
-
+//!
 //! # Slip boundary conditions
 //!
 //! When the active [`crate::boundary::WallBc`] is a slip model, wall links
@@ -79,38 +86,8 @@ use crate::par::{ConstPtr, Parallelism, SendPtr};
 
 const Q: usize = D3Q19::Q;
 
-/// Streams one component over the interior of its slab **in place**,
-/// consuming the ghost planes of `f`.
-///
-/// `solid` flags solid cells over the full local grid (ghost planes
-/// included); populations bounce back at solid upstream cells exactly as
-/// they do at the channel walls, and solid cells themselves carry no
-/// populations. Pass an all-`false` mask for an obstacle-free channel.
-///
-/// After this call, `f` holds the post-streaming populations and ghost
-/// planes of `f` are stale.
-pub fn stream(comp: &mut ComponentState, solid: &[bool]) {
-    let has_solid = solid.iter().any(|&s| s);
-    stream_with(comp, solid, has_solid, None, Parallelism::serial());
-}
-
-/// [`stream`] with a caller-supplied obstacle flag (the solver knows it
-/// without scanning the mask) and a thread budget: the interior planes are
-/// chunked and streamed concurrently. Bitwise identical to serial at any
-/// thread count — streaming moves values without arithmetic, and the saved
-/// boundary planes guarantee every chunk pulls the same post-collision
-/// sources as a single serial sweep.
-pub(crate) fn stream_with(
-    comp: &mut ComponentState,
-    solid: &[bool],
-    has_solid: bool,
-    slip: Option<SlipMap<'_>>,
-    par: Parallelism,
-) {
-    sweep(comp, solid, has_solid, slip, par, false);
-}
-
-/// Fused collide→stream sweep over the slab interior.
+/// The production sweep: collides and streams one component over the
+/// interior of its slab **in place**, consuming the ghost planes of `f`.
 ///
 /// Requires planes `FIRST` and `last` to be **already collided**
 /// ([`crate::solver::SlabSolver::collide_edges`] — their post-collision
@@ -118,16 +95,23 @@ pub(crate) fn stream_with(
 /// `f` to be current. Collides each remaining interior plane and streams
 /// every plane in a single pass: streaming plane `xl` pulls from planes
 /// `xl − 1 ..= xl + 1`, so the sweep collides plane `xl + 1` just before
-/// streaming `xl`. The two passes of the classic schedule touch the full
-/// `f` array twice; here the collided planes are still cache-hot when
-/// streaming reads them.
+/// streaming `xl`, while it is still cache-hot.
+///
+/// `solid` flags solid cells over the full local grid (ghost planes
+/// included); populations bounce back at solid upstream cells exactly as
+/// they do at the channel walls, and solid cells themselves carry no
+/// populations. `has_solid` selects the per-cell obstacle kernels (the
+/// solver knows it without scanning the mask).
 ///
 /// With a multi-thread budget the chunks proceed concurrently; the two
 /// planes around each chunk cut are pre-collided (and then saved) serially
 /// so no task ever reads a neighbor's in-flight write. Collision stays
-/// cell-local and streaming still reads the same post-collision values, so
-/// the result is bitwise identical to `collide()` followed by `stream()`
-/// at any thread count.
+/// cell-local and streaming reads the same post-collision values, so the
+/// result is bitwise identical to a whole-slab collision followed by
+/// [`stream_unfused`] at any thread count.
+///
+/// After this call, `f` holds the post-streaming populations and ghost
+/// planes of `f` are stale.
 pub(crate) fn stream_collide_fused(
     comp: &mut ComponentState,
     solid: &[bool],
@@ -136,6 +120,18 @@ pub(crate) fn stream_collide_fused(
     par: Parallelism,
 ) {
     sweep(comp, solid, has_solid, slip, par, true);
+}
+
+/// The same sweep over a slab whose planes are **all** already collided,
+/// serially: the streaming half of the test-only reference schedule
+/// ([`crate::solver::SlabSolver::phase_periodic_reference`]).
+pub(crate) fn stream_unfused(
+    comp: &mut ComponentState,
+    solid: &[bool],
+    has_solid: bool,
+    slip: Option<SlipMap<'_>>,
+) {
+    sweep(comp, solid, has_solid, slip, Parallelism::serial(), false);
 }
 
 /// One post-collision x-plane as a streaming source: either a live plane
@@ -158,10 +154,11 @@ impl PlaneSrc {
     }
 }
 
-/// The in-place collide/stream sweep shared by [`stream_with`] (`fuse =
-/// false`, every plane already collided) and [`stream_collide_fused`]
-/// (`fuse = true`, edge planes collided, the rest collided inside the
-/// sweep).
+/// The in-place sweep behind [`stream_collide_fused`] (`fuse = true`: edge
+/// planes collided, the rest collided inside the sweep) and
+/// [`stream_unfused`] (`fuse = false`: every plane already collided — pure
+/// data movement, which is what the unit tests hold against the
+/// two-lattice oracles at every chunk decomposition).
 fn sweep(
     comp: &mut ComponentState,
     solid: &[bool],
@@ -652,6 +649,11 @@ mod tests {
         vec![false; c.grid().cells()]
     }
 
+    /// Serial bounce-back streaming, kernel picked by scanning the mask.
+    fn stream(c: &mut ComponentState, solid: &[bool]) {
+        stream_unfused(c, solid, solid.iter().any(|&s| s), None);
+    }
+
     /// Streams with an empty obstacle mask.
     fn stream_clear(c: &mut ComponentState) {
         let solid = no_solid(c);
@@ -897,7 +899,7 @@ mod tests {
 
                 fill_ghosts_periodic(&mut a);
                 fill_ghosts_periodic(&mut b);
-                stream_with(&mut a, &solid, false, None, Parallelism::new(threads));
+                sweep(&mut a, &solid, false, None, Parallelism::new(threads), false);
                 stream_reference(&mut b, &solid);
                 assert_eq!(
                     a.f.data(),
@@ -932,7 +934,7 @@ mod tests {
             let mut b = a.clone();
             fill_ghosts_periodic(&mut a);
             fill_ghosts_periodic(&mut b);
-            stream_with(&mut a, &solid, true, None, Parallelism::new(threads));
+            sweep(&mut a, &solid, true, None, Parallelism::new(threads), false);
             stream_reference(&mut b, &solid);
             assert_eq!(a.f.data(), b.f.data(), "obstacle sweep diverged ({threads} threads)");
         }
@@ -1011,7 +1013,7 @@ mod tests {
                     fill_ghosts_periodic(&mut a);
                     fill_ghosts_periodic(&mut b);
                     let slip = SlipMap { ry: &ry, rz };
-                    stream_with(&mut a, &solid, false, Some(slip), Parallelism::new(threads));
+                    sweep(&mut a, &solid, false, Some(slip), Parallelism::new(threads), false);
                     stream_reference_slip(&mut b, &ry, rz);
                     assert_eq!(
                         a.f.data(),
@@ -1035,8 +1037,8 @@ mod tests {
             fill_ghosts_periodic(&mut b);
             let slip = SlipMap { ry: &ry, rz: 0.0 };
             // `has_solid` selects the kernel; the mask itself is empty.
-            stream_with(&mut a, &solid, false, Some(slip), Parallelism::new(threads));
-            stream_with(&mut b, &solid, true, Some(slip), Parallelism::new(threads));
+            sweep(&mut a, &solid, false, Some(slip), Parallelism::new(threads), false);
+            sweep(&mut b, &solid, true, Some(slip), Parallelism::new(threads), false);
             assert_eq!(a.f.data(), b.f.data(), "slip fast/generic kernels disagree");
         }
     }
@@ -1054,7 +1056,7 @@ mod tests {
             fill_ghosts_periodic(&mut c);
             let solid = no_solid(&c);
             let slip = SlipMap { ry: &ry, rz: 0.0 };
-            stream_with(&mut c, &solid, false, Some(slip), Parallelism::serial());
+            sweep(&mut c, &solid, false, Some(slip), Parallelism::serial(), false);
         }
         assert!(
             (interior_mass(&c) - m0).abs() < 1e-10,
@@ -1074,7 +1076,7 @@ mod tests {
         let ry = vec![0.0; grid.lx];
         let solid = no_solid(&c);
         let slip = SlipMap { ry: &ry, rz: 0.0 };
-        stream_with(&mut c, &solid, false, Some(slip), Parallelism::serial());
+        sweep(&mut c, &solid, false, Some(slip), Parallelism::serial(), false);
         // MIRROR_Y[7] = 9 = (+1, −1, 0).
         assert_eq!(c.f.at(9, grid.idx(3, grid.ny - 1, 1)), 0.8);
         // Nothing bounced straight back into the source cell.
@@ -1146,7 +1148,7 @@ mod tests {
 
                 let mut before: Vec<u64> =
                     a.f.data().iter().map(|v| v.to_bits()).collect();
-                stream_with(&mut a, &solid, false, None, Parallelism::new(threads));
+                sweep(&mut a, &solid, false, None, Parallelism::new(threads), false);
                 let mut after: Vec<u64> =
                     a.f.data().iter().map(|v| v.to_bits()).collect();
                 // Ghost planes are stale after streaming; compare the
@@ -1158,6 +1160,38 @@ mod tests {
 
                 stream_reference(&mut b, &solid);
                 prop_assert_eq!(a.f.data(), b.f.data());
+            }
+
+            #[test]
+            fn streaming_conserves_mass_under_arbitrary_masks(
+                seed in 0usize..64,
+                solid_bits in proptest::collection::vec(any::<bool>(), 12),
+            ) {
+                // Three interior planes of 4×3 with an arbitrary obstacle
+                // layout, replicated per plane so the periodic ghosts stay
+                // consistent; (0, 0) stays fluid so no plane is all solid.
+                let mut c = make(3, 4, 3);
+                let grid = c.grid();
+                fill_pseudorandom(&mut c, seed);
+                let mut solid = no_solid(&c);
+                for xl in 0..grid.lx {
+                    for (q, &bit) in solid_bits.iter().enumerate() {
+                        let cell = xl * grid.plane_cells() + q;
+                        solid[cell] = bit && q != 0;
+                        if solid[cell] {
+                            for i in 0..Q {
+                                c.f.set(i, cell, 0.0);
+                            }
+                        }
+                    }
+                }
+                let m0 = interior_mass(&c);
+                for _ in 0..4 {
+                    fill_ghosts_periodic(&mut c);
+                    stream(&mut c, &solid);
+                }
+                let m1 = interior_mass(&c);
+                prop_assert!((m1 - m0).abs() < 1e-9 * m0.max(1.0), "mass {m0} -> {m1}");
             }
         }
     }

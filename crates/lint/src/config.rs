@@ -207,11 +207,6 @@ pub fn default_config() -> LintConfig {
                     .into(),
             ),
             (
-                "crates/runtime/src/profile.rs".into(),
-                "wall-clock stopwatch for derived profiles; never feeds back into remapping"
-                    .into(),
-            ),
-            (
                 "crates/runtime/src/trace.rs".into(),
                 "stamps trace events with wall time relative to the run epoch".into(),
             ),
@@ -229,7 +224,10 @@ pub fn default_config() -> LintConfig {
         boundary_paths: vec![
             // The one CRC-32 and seal: every frame `read_frame` accepts,
             // every artifact `unseal` opens and every sealed file a rank
-            // or the daemon reads back passes through it unverified.
+            // or the daemon reads back passes through it unverified. Also
+            // the one bounded byte cursor every unsealed decoder below
+            // (config, wall BC, scenario, sweep request, artifact) reads
+            // through.
             "crates/codec/src".into(),
             "crates/net/src/wire.rs".into(),
             "crates/net/src/rendezvous.rs".into(),
@@ -294,10 +292,6 @@ pub fn default_config() -> LintConfig {
             unsafe_file(
                 "crates/lbm/src/multicomponent.rs",
                 "per-component raw field pointers inside the fused parallel sweep",
-            ),
-            unsafe_file(
-                "crates/lbm/src/solver.rs",
-                "fused collide-stream writes through disjoint plane pointers",
             ),
             unsafe_file(
                 "crates/lbm/src/par.rs",

@@ -1,6 +1,6 @@
 //! Derived summaries over an event stream: per-node utilization, the
 //! load-imbalance factor, and migration churn — emitted as the
-//! machine-readable `BENCH_trace.json` benchmark artifact.
+//! machine-readable `*.summary.json` written beside every trace.
 
 use std::collections::BTreeMap;
 
@@ -140,7 +140,7 @@ impl TraceSummary {
     }
 
     /// Serializes the summary as a canonical JSON document (the
-    /// `BENCH_trace.json` format).
+    /// `*.summary.json` format of `--trace PREFIX`).
     pub fn to_json(&self) -> String {
         let nodes: Vec<String> = self
             .nodes

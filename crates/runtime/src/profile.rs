@@ -1,7 +1,5 @@
 //! Per-worker wall-clock accounting, mirroring the paper's Fig. 9 bars.
 
-use std::time::Instant;
-
 /// Seconds spent by one worker in each activity class.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct Profile {
@@ -55,31 +53,6 @@ impl Profile {
     }
 }
 
-/// A scope timer accumulating into one `Profile` field.
-///
-/// Workers no longer account through wall-clock laps — a lap spanning a
-/// throttled section folds the padding into whatever field it lands in,
-/// which is exactly the ambiguity event spans resolve. Worker accounting
-/// now flows through [`Tracer`](crate::trace::Tracer); this remains as a
-/// free-standing utility for one-off measurements.
-pub struct Stopwatch {
-    start: Instant,
-}
-
-impl Stopwatch {
-    pub fn start() -> Self {
-        Stopwatch { start: Instant::now() }
-    }
-
-    /// Seconds since start; restarts the watch.
-    pub fn lap(&mut self) -> f64 {
-        let now = Instant::now();
-        let dt = now.duration_since(self.start).as_secs_f64();
-        self.start = now;
-        dt
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,15 +78,5 @@ mod tests {
         assert!((p.pad - 0.5).abs() < 1e-12);
         assert!((p.comm - 0.1).abs() < 1e-12);
         assert_eq!(p.remap, 0.0);
-    }
-
-    #[test]
-    fn stopwatch_laps_are_positive_and_reset() {
-        let mut w = Stopwatch::start();
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        let a = w.lap();
-        let b = w.lap();
-        assert!(a >= 0.002);
-        assert!(b < a, "lap must reset the origin");
     }
 }

@@ -181,19 +181,19 @@ mod tests {
     #[test]
     fn worker_accounting_books_padded_wall_time() {
         // Pins the worker-loop accounting pattern (worker.rs):
-        //   d = lap(); pad(d); section = lap() + d;
+        //   d = elapsed(); pad(d); section = elapsed();
         // `section` must be the *padded* duration ≈ d · factor — padded
         // time is simulated compute, counted exactly once.
         let factor = 4.0;
         let t = Throttle::new(factor);
-        let mut watch = crate::profile::Stopwatch::start();
-        let spin_until = Instant::now() + Duration::from_millis(10);
+        let start = Instant::now();
+        let spin_until = start + Duration::from_millis(10);
         while Instant::now() < spin_until {
             std::hint::spin_loop();
         }
-        let d = watch.lap();
+        let d = start.elapsed().as_secs_f64();
         t.pad(Duration::from_secs_f64(d));
-        let section = watch.lap() + d;
+        let section = start.elapsed().as_secs_f64();
         assert!(
             section >= 0.95 * factor * d,
             "section {section}s must report the padded time (~{}s)",

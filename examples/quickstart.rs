@@ -1,7 +1,8 @@
 //! Quickstart: the two faces of `microslip` in under a minute.
 //!
-//! 1. A 2-D single-component channel flow validated against the analytic
-//!    Poiseuille profile.
+//! 1. A single-component channel flow in the solver's pseudo-2-D mode
+//!    (no-slip y plates, specular z walls) validated against the analytic
+//!    plane-Poiseuille profile.
 //! 2. A small 3-D two-component (water + air) hydrophobic microchannel —
 //!    the paper's physics at toy resolution — reporting the apparent slip.
 //! 3. The same channel on the parallel runtime via [`Scenario`] — one
@@ -11,21 +12,26 @@
 
 use microslip::lbm::analytic::{compare, plane_poiseuille};
 use microslip::lbm::observables::{apparent_slip_fraction, mean_velocity_y_profile};
-use microslip::lbm::twodim::Channel2d;
+use microslip::lbm::simulation::velocity_converged;
+use microslip::lbm::WallBc;
 use microslip::prelude::*;
 
 fn main() {
-    // ---- Part 1: 2-D Poiseuille validation ------------------------------
-    println!("== 2-D channel flow vs analytic Poiseuille ==");
+    // ---- Part 1: pseudo-2-D Poiseuille validation -----------------------
+    println!("== pseudo-2-D channel flow vs analytic Poiseuille ==");
     let (ny, g) = (24, 1e-6);
-    let mut ch = Channel2d::new(4, ny, 1.0, g);
-    ch.run(6000);
-    let numeric = ch.velocity_profile();
-    let reference: Vec<f64> = (0..ny)
-        .map(|y| plane_poiseuille(y as f64 + 0.5, ny as f64, g, ch.viscosity()))
+    let mut cfg = ChannelConfig::single_component(Dims::new(4, ny, 4), 1.0, g);
+    cfg.wall_bc = WallBc::TunableSlip { r: 1.0 };
+    let mut sim = Simulation::new(cfg);
+    let steps = sim.run_until(20_000, 500, velocity_converged(1e-10));
+    let numeric = mean_velocity_y_profile(&sim.snapshot());
+    let reference: Vec<f64> = numeric
+        .distance
+        .iter()
+        .map(|&d| plane_poiseuille(d, ny as f64, g, 1.0 / 6.0))
         .collect();
-    let err = compare(&numeric, &reference);
-    println!("   rows: {ny}, steps: 6000");
+    let err = compare(&numeric.value, &reference);
+    println!("   rows: {ny}, steps: {steps}");
     println!("   relative L2 error vs Poiseuille: {:.4}", err.l2);
     println!("   relative Linf error:             {:.4}", err.linf);
 

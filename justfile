@@ -14,6 +14,7 @@ tier1:
     just mp-smoke
     just chaos
     just serve-smoke
+    just ledger-smoke
 
 # Analytic physics gate: duct flow vs the double-cosh series, measured
 # slip length vs the tunable-slip b(r) law, patterned-wall effective slip
@@ -103,6 +104,15 @@ serve-smoke:
     cmp $DIR/fetched.artifact $DIR/direct.artifact
     echo "serve-smoke: OK (2 cache hits, worker death recovered, fetch bitwise-equal to direct run)"
 
+# Ledger smoke: all five BENCHMARK.json workloads at toy scale with every
+# in-command bitwise/mass/count check (~5 s). The ledger under
+# examples/ledger/ is frozen between benchmark PRs, so a PR that removes an
+# API it calls, or breaks one of its checks, fails here before the
+# benchmark gate does.
+ledger-smoke:
+    cargo build --release --offline --bin microslip --example ledger
+    ./target/release/examples/ledger --quick --out target/ledger-smoke.json
+
 # Full workspace test run (release mode; slower, covers the examples).
 test-all:
     cargo test --release --workspace --offline
@@ -124,20 +134,3 @@ bench seed="1":
 # not part of tier 1.
 bench-check BASE: bench
     ./target/release/examples/ledger --compare {{BASE}} target/ledger/ledger.json --manifest BENCHMARK.json
-
-# Criterion micro-benches of the LBM hot kernels.
-bench-kernels:
-    cargo bench --offline -p microslip-bench --bench kernels
-
-# Intra-slab kernel-scaling baseline: serial vs fused vs fused+rayon at
-# 1/2/4/8 threads on the paper-shaped 400x200x20 slab; writes
-# BENCH_kernels.json at the repo root.
-bench-scaling:
-    cargo build --release --offline -p microslip-bench
-    ./target/release/kernel_scaling --reps 3 --out BENCH_kernels.json
-
-# Socket-overhead bench: the per-phase halo pattern over in-process
-# channels vs a real localhost TCP mesh; writes BENCH_net.json.
-bench-net:
-    cargo build --release --offline -p microslip-bench --bin net_overhead
-    ./target/release/net_overhead --reps 400 --out BENCH_net.json

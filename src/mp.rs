@@ -21,7 +21,10 @@
 //!   [`microslip_obs::merge_rank_streams`]; written even when the rank
 //!   fails, so a crashed run still leaves partial evidence behind;
 //! * `rank{r}.error` — present only on failure, the typed
-//!   [`WorkerError`] rendered for the driver.
+//!   [`WorkerError`] rendered for the driver;
+//! * `rank{r}.stderr` — whatever the rank process printed to stderr
+//!   (its own `error: rank N failed: …` line, a panic message), kept off
+//!   the driver's terminal; respawns append.
 //!
 //! Determinism carries over: remapping moves planes, never changes
 //! physics, so an `mp` run is bitwise identical to the threaded and
@@ -284,6 +287,11 @@ pub fn run_multiprocess(cfg: &MpConfig) -> Result<MpOutcome, MpFailure> {
                       epoch: u64,
                       rejoin: bool|
      -> Result<Child, String> {
+        let stderr = std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(dir.join(format!("rank{rank}.stderr")))
+            .map_err(|e| format!("rank {rank} stderr file: {e}"))?;
         let mut cmd = Command::new(&exe);
         cmd.arg("mp-worker")
             .arg("--rank")
@@ -304,7 +312,8 @@ pub fn run_multiprocess(cfg: &MpConfig) -> Result<MpOutcome, MpFailure> {
             .arg(cfg.scheme.name())
             .arg("--checkpoint-every")
             .arg(cfg.checkpoint_every.to_string())
-            .stdout(Stdio::null());
+            .stdout(Stdio::null())
+            .stderr(stderr);
         if cfg.recover {
             cmd.arg("--supervised").arg("--epoch").arg(epoch.to_string());
         }

@@ -50,6 +50,7 @@
 use std::sync::Arc;
 
 use microslip_balance::policy::{Conservative, Filtered, NeighborPolicy, NoRemap};
+use microslip_codec::{put_f64, put_u64, Reader};
 use microslip_cluster::{
     run_scheme_traced, ClusterConfig, CostModel, Dedicated, Disturbance, RunResult, Scheme,
 };
@@ -279,7 +280,7 @@ impl Scenario {
         if !bytes.starts_with(&MAGIC) {
             return Err("not a microslip scenario (bad magic)".into());
         }
-        let mut r = ByteReader { bytes, pos: 8 };
+        let mut r = Reader::new("scenario", bytes, 8);
         let channel_len = r.usize()?;
         if channel_len > 1 << 24 {
             return Err(format!("implausible channel config length {channel_len}"));
@@ -312,9 +313,7 @@ impl Scenario {
             1 => LoadModel::Synthetic { per_point: r.f64()? },
             d => return Err(format!("unknown load-model discriminant {d}")),
         };
-        if r.pos != bytes.len() {
-            return Err(format!("{} trailing bytes after scenario", bytes.len() - r.pos));
-        }
+        r.finish()?;
         Ok(Scenario {
             channel,
             workers,
@@ -466,69 +465,6 @@ fn scheme_from_code(code: u64) -> Result<Scheme, String> {
         2 => Ok(Scheme::Conservative),
         3 => Ok(Scheme::Global),
         d => Err(format!("unknown scheme discriminant {d}")),
-    }
-}
-
-pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_f64(out: &mut Vec<u8>, v: f64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u64(out, s.len() as u64);
-    out.extend_from_slice(s.as_bytes());
-}
-
-/// Bounds-checked little-endian cursor (the `config_codec` idiom), shared
-/// with the sweep-request codec in [`crate::serve`]: every read surfaces
-/// a typed error, never a panic.
-pub(crate) struct ByteReader<'a> {
-    pub(crate) bytes: &'a [u8],
-    pub(crate) pos: usize,
-}
-
-/// Copies an 8-byte chunk into a fixed array without a fallible
-/// conversion.
-fn le8(chunk: &[u8]) -> [u8; 8] {
-    let mut le = [0u8; 8];
-    for (dst, src) in le.iter_mut().zip(chunk) {
-        *dst = *src;
-    }
-    le
-}
-
-impl<'a> ByteReader<'a> {
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        let end = self.pos.checked_add(n).ok_or("length overflow")?;
-        let chunk = self
-            .bytes
-            .get(self.pos..end)
-            .ok_or_else(|| format!("scenario truncated at byte {}", self.pos))?;
-        self.pos = end;
-        Ok(chunk)
-    }
-
-    pub(crate) fn u64(&mut self) -> Result<u64, String> {
-        Ok(u64::from_le_bytes(le8(self.take(8)?)))
-    }
-
-    pub(crate) fn usize(&mut self) -> Result<usize, String> {
-        usize::try_from(self.u64()?).map_err(|_| "value exceeds usize".to_string())
-    }
-
-    pub(crate) fn f64(&mut self) -> Result<f64, String> {
-        Ok(f64::from_le_bytes(le8(self.take(8)?)))
-    }
-
-    pub(crate) fn str(&mut self) -> Result<String, String> {
-        let len = self.usize()?;
-        if len > 1 << 20 {
-            return Err(format!("implausible string length {len}"));
-        }
-        String::from_utf8(self.take(len)?.to_vec()).map_err(|e| format!("bad utf-8: {e}"))
     }
 }
 

@@ -34,6 +34,7 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
+use microslip_codec::{put_f64, put_str, put_u64, Reader};
 use microslip_lbm::checkpoint;
 use microslip_lbm::store::validate_key;
 use microslip_lbm::{CacheStore, FlowDiagnostics, ResultArtifact, Simulation, WallBc};
@@ -41,7 +42,7 @@ use microslip_net::serve::{request, Reply, Served, ServeLoop};
 use microslip_net::wire::{Frame, FrameKind};
 use microslip_obs::{to_jsonl, Event, JobStage, TraceSummary};
 
-use crate::scenario::{put_f64, put_str, put_u64, ByteReader, Scenario};
+use crate::scenario::Scenario;
 
 /// Sweep-request magic ("MSLIPSW1" — microslip sweep v1).
 pub const SWEEP_MAGIC: [u8; 8] = *b"MSLIPSW1";
@@ -204,7 +205,7 @@ impl SweepRequest {
         if !bytes.starts_with(&SWEEP_MAGIC) {
             return Err("not a microslip sweep request (bad magic)".into());
         }
-        let mut r = ByteReader { bytes, pos: 8 };
+        let mut r = Reader::new("sweep request", bytes, 8);
         let base_len = r.usize()?;
         if base_len > 1 << 24 {
             return Err(format!("implausible scenario length {base_len}"));
@@ -231,9 +232,7 @@ impl SweepRequest {
             }
             axes.push((name, values));
         }
-        if r.pos != bytes.len() {
-            return Err(format!("{} trailing bytes after sweep request", bytes.len() - r.pos));
-        }
+        r.finish()?;
         Ok(SweepRequest { base, checkpoint_every, axes })
     }
 

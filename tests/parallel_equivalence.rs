@@ -8,7 +8,8 @@ use std::sync::Arc;
 use microslip::balance::policy::NeighborPolicy;
 use microslip::balance::{Conservative, FilterParams, Filtered, NoRemap};
 use microslip::lbm::{
-    ChannelConfig, CollisionOperator, Dims, Simulation, Snapshot, SolidRegion, WallBc,
+    ChannelConfig, CollisionOperator, Dims, Parallelism, Simulation, Slab, SlabSolver, Snapshot,
+    SolidRegion, WallBc,
 };
 use microslip::runtime::{run_parallel, RuntimeConfig};
 
@@ -22,6 +23,53 @@ fn sequential(channel: &ChannelConfig, phases: u64) -> Snapshot {
     let mut sim = Simulation::new(channel.clone());
     sim.run(phases);
     sim.snapshot()
+}
+
+#[test]
+fn fused_schedule_matches_the_serial_reference_bitwise() {
+    // `Simulation` runs the same fused schedule as the workers and the
+    // ranks, so every other test here compares fused with fused. This one
+    // anchors them all: the textbook collide-all-then-stream-all order,
+    // run serially, must give the same bits at every thread budget, wall
+    // BC, collision operator and obstacle layout.
+    let dims = Dims::new(12, 6, 4);
+    let phases = 6;
+    let bcs = [
+        WallBc::BounceBack,
+        WallBc::TunableSlip { r: 0.3 },
+        WallBc::PatternedSlip { r_a: 1.0, r_b: 0.2, period: 2, phase: 1 },
+        WallBc::rough_stripes(1, 3, dims),
+    ];
+    for bc in &bcs {
+        for (trt_mrt, block) in [(false, false), (false, true), (true, false), (true, true)] {
+            let mut cfg = channel(dims.nx);
+            cfg.wall_bc = bc.clone();
+            if trt_mrt {
+                cfg.components[0].0.collision = CollisionOperator::trt_magic();
+                cfg.components[1].0.collision = CollisionOperator::mrt_standard();
+            }
+            if block {
+                cfg.obstacles.push(SolidRegion::Block { min: [4, 2, 1], max: [6, 4, 3] });
+            }
+            let mut reference = SlabSolver::new(&cfg, Slab { x0: 0, nx_local: dims.nx });
+            reference.prime_periodic();
+            for _ in 0..phases {
+                reference.phase_periodic_reference();
+            }
+            for threads in [1, 2, 4, 16] {
+                let case = format!("{bc:?}, trt+mrt {trt_mrt}, block {block}, {threads} threads");
+                cfg.parallelism = Parallelism::new(threads);
+                let mut sim = Simulation::new(cfg.clone());
+                sim.run(phases);
+                assert_eq!(sim.snapshot(), reference.snapshot(), "fields diverged: {case}");
+                assert_eq!(
+                    sim.total_mass().to_bits(),
+                    reference.total_mass().to_bits(),
+                    "mass diverged: {case}"
+                );
+            }
+        }
+    }
 }
 
 #[test]

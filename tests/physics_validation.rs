@@ -2,7 +2,8 @@
 //! the paper's qualitative results (Figures 6–7).
 
 use microslip::lbm::analytic::{
-    compare, duct_velocity, slip_poiseuille, striped_slip_bounds, tunable_slip_length,
+    compare, duct_velocity, plane_poiseuille, slip_poiseuille, striped_slip_bounds,
+    tunable_slip_length,
 };
 use microslip::lbm::observables::{
     apparent_slip_fraction, mean_density_y_profile, mean_velocity_y_profile, slip_length,
@@ -140,6 +141,20 @@ fn analytic_slip_estimate(ny: usize, b: f64) -> f64 {
     let distance: Vec<f64> = (0..ny).map(|y| y as f64 + 0.5).collect();
     let value = distance.iter().map(|&d| slip_poiseuille(d, h, 1e-6, 1.0 / 6.0, b)).collect();
     slip_length(&YProfile { distance, value })
+}
+
+#[test]
+fn pseudo_2d_channel_converges_to_plane_poiseuille() {
+    // `TunableSlip { r: 1.0 }` is no-slip in y with specular z-walls —
+    // the 3-D solver's pseudo-2-D mode (the only 2-D solver there is),
+    // whose steady state is plane Poiseuille between the y plates.
+    let ny = 24;
+    let u = converged_slip_profile(4, ny, WallBc::TunableSlip { r: 1.0 });
+    let reference: Vec<f64> =
+        u.distance.iter().map(|&d| plane_poiseuille(d, ny as f64, 1e-6, 1.0 / 6.0)).collect();
+    let err = compare(&u.value, &reference);
+    assert!(err.l2 < 0.01, "L2 error vs Poiseuille: {}", err.l2);
+    assert!(err.linf < 0.02, "Linf error vs Poiseuille: {}", err.linf);
 }
 
 #[test]

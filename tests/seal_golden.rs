@@ -4,10 +4,20 @@
 //! payload CRC (recomputed here by a bytewise oracle, compared with the
 //! stored one) and its first and last sixteen bytes. A change to a byte
 //! format, to the CRC or to the order anything is written in fails here.
+//!
+//! The three unsealed codecs — `MSLIPCF2` channel config, `Scenario`
+//! canonical bytes (with the content key derived from them) and the sweep
+//! request — are pinned the same way, recorded from the tree that still
+//! had one byte cursor per crate (PR 15's).
 
 use microslip::lbm::checkpoint::{load_solver, read_sealed, write_sealed};
 use microslip::lbm::diagnostics::FlowDiagnostics;
 use microslip::lbm::{ChannelConfig, Dims, ResultArtifact, Simulation};
+use microslip::lbm::config_codec::{decode_config, encode_config};
+use microslip::lbm::WallBc;
+use microslip::scenario::Scenario;
+use microslip::serve::SweepRequest;
+use microslip::runtime::LoadModel;
 use microslip_net::wire::{encode, Frame};
 
 fn crc32_bytewise(bytes: &[u8]) -> u32 {
@@ -34,6 +44,15 @@ fn assert_golden(label: &str, bytes: &[u8], covered: std::ops::Range<usize>, wan
     assert_eq!(bytes.len(), want.len, "{label}: length");
     assert_eq!(crc32_bytewise(&bytes[covered]), want.crc, "{label}: CRC of the covered bytes");
     assert_eq!(bytes[bytes.len() - 4..], want.crc.to_le_bytes(), "{label}: stored CRC");
+    assert_eq!(bytes[..16], want.first, "{label}: first 16 bytes");
+    assert_eq!(bytes[bytes.len() - 16..], want.last, "{label}: last 16 bytes");
+}
+
+/// As [`assert_golden`] for the unsealed codecs (config, scenario, sweep
+/// request), which store no checksum: `want.crc` is of all the bytes.
+fn assert_golden_unsealed(label: &str, bytes: &[u8], want: &Golden) {
+    assert_eq!(bytes.len(), want.len, "{label}: length");
+    assert_eq!(crc32_bytewise(bytes), want.crc, "{label}: CRC of the bytes");
     assert_eq!(bytes[..16], want.first, "{label}: first 16 bytes");
     assert_eq!(bytes[bytes.len() - 16..], want.last, "{label}: last 16 bytes");
 }
@@ -114,4 +133,75 @@ fn wire_frame_bytes_are_pinned() {
             last: [0, 0, 0x04, 0xc0, 0, 0, 0, 0, 0, 0, 0xc0, 0x3f, 0xc2, 0xec, 0x9c, 0xa1],
         },
     );
+}
+
+fn scenario() -> Scenario {
+    Scenario::new(config())
+        .workers(3)
+        .phases(12)
+        .remap_every(4)
+        .predictor_window(2)
+        .throttle(1, 0.5)
+        .spike(2, 3, 6, 0.25)
+        .threads_per_worker(2)
+        .wall_bc(WallBc::PatternedSlip { r_a: 1.0, r_b: 0.25, period: 4, phase: 1 })
+        .load_model(LoadModel::Synthetic { per_point: 1.5e-6 })
+}
+
+fn sweep_request() -> SweepRequest {
+    SweepRequest {
+        base: scenario(),
+        checkpoint_every: Some(4),
+        axes: vec![("wall-amplitude".into(), vec![0.1, 0.2]), ("slip-r".into(), vec![0.5])],
+    }
+}
+
+#[test]
+fn config_bytes_are_pinned() {
+    let bytes = encode_config(&config());
+    assert_golden_unsealed(
+        "config",
+        &bytes,
+        &Golden {
+            len: 296,
+            crc: 0x3668_22f7,
+            first: *b"MSLIPCF2\x0a\0\0\0\0\0\0\0",
+            last: [0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0],
+        },
+    );
+    assert_eq!(encode_config(&decode_config(&bytes).unwrap()), bytes);
+}
+
+#[test]
+fn scenario_bytes_and_key_are_pinned() {
+    let bytes = scenario().canonical_bytes();
+    assert_golden_unsealed(
+        "scenario",
+        &bytes,
+        &Golden {
+            len: 472,
+            crc: 0xc455_3830,
+            first: *b"MSLIPSC1\x48\x01\0\0\0\0\0\0",
+            last: [1, 0, 0, 0, 0, 0, 0, 0, 0x54, 0xe4, 0x10, 0x71, 0x73, 0x2a, 0xb9, 0x3e],
+        },
+    );
+    // The content address the serve cache files results under.
+    assert_eq!(scenario().key(), "9d96b9c457b997e0");
+    assert_eq!(Scenario::decode(&bytes).unwrap().canonical_bytes(), bytes);
+}
+
+#[test]
+fn sweep_request_bytes_are_pinned() {
+    let bytes = sweep_request().encode();
+    assert_golden_unsealed(
+        "sweep request",
+        &bytes,
+        &Golden {
+            len: 580,
+            crc: 0xd618_e43f,
+            first: *b"MSLIPSW1\xd8\x01\0\0\0\0\0\0",
+            last: [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xe0, 0x3f],
+        },
+    );
+    assert_eq!(SweepRequest::decode(&bytes).unwrap().encode(), bytes);
 }
