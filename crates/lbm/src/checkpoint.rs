@@ -25,7 +25,6 @@ use microslip_codec::{read_f64s, write_f64s, SealError, TRAILER_LEN};
 
 use crate::component::ComponentState;
 use crate::config::ChannelConfig;
-use crate::field::SlabArray;
 use crate::geometry::Slab;
 use crate::simulation::Simulation;
 use crate::solver::SlabSolver;
@@ -73,18 +72,14 @@ impl From<SealError> for CheckpointError {
     }
 }
 
-fn arrays(c: &ComponentState) -> [&SlabArray; 4] {
-    [&c.f, &c.psi, &c.force, &c.ueq]
-}
-
-fn arrays_mut(c: &mut ComponentState) -> [&mut SlabArray; 4] {
-    [&mut c.f, &mut c.psi, &mut c.force, &mut c.ueq]
-}
-
 /// Bytes [`encode_solver`] writes for `solver`.
 fn encoded_len(solver: &SlabSolver) -> usize {
-    let values: usize =
-        solver.comps.iter().flat_map(arrays).map(|a| a.data().len()).sum();
+    let values: usize = solver
+        .comps
+        .iter()
+        .flat_map(ComponentState::arrays)
+        .map(|a| a.channels() * a.grid().cells())
+        .sum();
     HEADER_LEN + 8 * values
 }
 
@@ -106,8 +101,12 @@ pub fn encode_solver(solver: &SlabSolver, phase: u64, w: &mut impl Write) -> io:
         dst.copy_from_slice(&word.to_le_bytes());
     }
     w.write_all(&header)?;
-    for array in solver.comps.iter().flat_map(arrays) {
-        write_f64s(w, array.data())?;
+    // The window only, channel by channel: the bytes do not depend on how
+    // many planes the slab has reserved around it.
+    for array in solver.comps.iter().flat_map(ComponentState::arrays) {
+        for ch in 0..array.channels() {
+            write_f64s(w, array.channel(ch))?;
+        }
     }
     Ok(())
 }
@@ -168,8 +167,10 @@ pub fn decode_solver(
     if expected != payload_len {
         return Err(CheckpointError::BadLength { expected, got: payload_len });
     }
-    for array in solver.comps.iter_mut().flat_map(arrays_mut) {
-        read_f64s(r, array.data_mut()).map_err(unreadable)?;
+    for array in solver.comps.iter_mut().flat_map(ComponentState::arrays_mut) {
+        for ch in 0..array.channels() {
+            read_f64s(r, array.channel_mut(ch)).map_err(unreadable)?;
+        }
     }
     Ok((solver, phase))
 }

@@ -29,13 +29,16 @@ pub fn collide(comp: &mut ComponentState) {
 /// (a sub-range of the interior). This is the unit of work of the
 /// plane-parallel and fused drivers; [`collide`] is the full-interior case.
 pub(crate) fn collide_cells(comp: &mut ComponentState, range: Range<usize>) {
-    let cells = comp.grid().cells();
+    let cells = comp.f.stride();
+    debug_assert!(range.end <= comp.grid().cells() && comp.ueq.stride() == cells);
     let op = comp.spec.collision;
     let tau = comp.spec.tau;
-    let ueq = comp.ueq.data().as_ptr();
-    let f = comp.f.data_mut().as_mut_ptr();
-    // Safety: `f`/`ueq` are the component's full channel-major arrays,
-    // `range` lies within them, and we hold exclusive access to `comp`.
+    let ueq = comp.ueq.base_ptr();
+    let f = comp.f.base_mut_ptr();
+    // Safety: `f`/`ueq` are the window bases of the component's
+    // channel-major arrays (channel stride `cells`, the window inside the
+    // storage capacity), `range` lies within the window, and we hold
+    // exclusive access to `comp`.
     unsafe { collide_cells_raw(op, tau, f, ueq, cells, range) }
 }
 
@@ -43,9 +46,10 @@ pub(crate) fn collide_cells(comp: &mut ComponentState, range: Range<usize>) {
 ///
 /// # Safety
 ///
-/// `f` must point to a Q-channel and `ueq` to a 3-channel channel-major
-/// array of `cells` cells each; every cell index in `range` must be below
-/// `cells`, and no other thread may concurrently read or write any cell of
+/// `f` must point to the window base of a Q-channel and `ueq` of a
+/// 3-channel channel-major array, both of channel stride `cells`; every
+/// cell index in `range` must lie in the window (so below `cells`), and no
+/// other thread may concurrently read or write any cell of
 /// `range` through `f` (distinct ranges may be collided concurrently —
 /// collision is purely cell-local).
 pub(crate) unsafe fn collide_cells_raw(

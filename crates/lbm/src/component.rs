@@ -120,7 +120,10 @@ impl ComponentSpec {
 
 /// Per-slab mutable state of one component.
 ///
-/// Storage is sized for the slab *including* ghost planes. `f` holds the
+/// Storage covers the slab *including* ghost planes — as the window of a
+/// larger reservation when the slab can gain planes
+/// ([`windowed`](Self::windowed)); the four arrays always share one
+/// capacity and one window. `f` holds the
 /// current populations; streaming updates it **in place** (sliding-window
 /// sweep, see [`crate::streaming`]), so no second lattice is stored — the
 /// dominant allocation is half what a two-lattice scheme would need. `psi`
@@ -143,13 +146,23 @@ pub struct ComponentState {
 impl ComponentState {
     /// Zero-initialized state on `grid` for the D3Q19 lattice.
     pub fn new(spec: ComponentSpec, grid: LocalGrid) -> Self {
-        ComponentState {
-            spec,
-            f: SlabArray::new(grid, D3Q19::Q),
-            psi: SlabArray::new(grid, 1),
-            force: SlabArray::new(grid, 3),
-            ueq: SlabArray::new(grid, 3),
-        }
+        ComponentState::windowed(spec, grid, grid.lx, 0)
+    }
+
+    /// As [`new`](Self::new) with `grid` the window at storage plane `off`
+    /// of `cap_planes` reserved planes (see [`SlabArray::windowed`]).
+    pub fn windowed(spec: ComponentSpec, grid: LocalGrid, cap_planes: usize, off: usize) -> Self {
+        let array = |channels| SlabArray::windowed(grid, channels, cap_planes, off);
+        ComponentState { spec, f: array(D3Q19::Q), psi: array(1), force: array(3), ueq: array(3) }
+    }
+
+    /// The four arrays, in checkpoint and migration-message order.
+    pub(crate) fn arrays(&self) -> [&SlabArray; 4] {
+        [&self.f, &self.psi, &self.force, &self.ueq]
+    }
+
+    pub(crate) fn arrays_mut(&mut self) -> [&mut SlabArray; 4] {
+        [&mut self.f, &mut self.psi, &mut self.force, &mut self.ueq]
     }
 
     pub fn grid(&self) -> LocalGrid {

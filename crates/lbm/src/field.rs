@@ -5,10 +5,12 @@
 //! Ghost planes hold copies of the neighbor's boundary data and are refreshed
 //! by halo exchange each phase; they are never owned.
 //!
-//! Layout is channel-major (`data[ch * cells + cell]`) with x-major cell
-//! indexing, so one y–z plane of one channel is a contiguous run — plane
-//! extraction for halo exchange and lattice-point migration is a straight
-//! `copy_from_slice`.
+//! Layout is channel-major with x-major cell indexing, so one y–z plane of
+//! one channel is a contiguous run — plane extraction for halo exchange and
+//! lattice-point migration is a straight `copy_from_slice`. The slab is a
+//! *window* of planes inside a possibly larger storage reservation (see
+//! [`SlabArray`]): a slab that gains or loses planes moves its window and
+//! copies only the planes that travel.
 
 use crate::geometry::Dims;
 
@@ -78,18 +80,59 @@ impl LocalGrid {
 ///
 /// "Channel" means one scalar slot per cell: the 19 populations of one fluid
 /// component, the 3 components of a velocity, or a single scalar density.
-#[derive(Clone, Debug, PartialEq)]
+///
+/// Storage may hold more planes than the grid: `channels × cap_planes ×
+/// plane_cells` values, of which the grid is the **window** of `lx` planes
+/// starting at storage plane `off`. Every accessor — indexing, slices,
+/// `==`, `clone()`, `Debug` — reads and writes the window only; kernels get
+/// the window's base pointer and the storage channel [`stride`](Self::stride)
+/// and keep their loop extents local. Moving the window
+/// ([`set_window`](Self::set_window)) is how a slab gains and loses planes
+/// without its surviving planes being copied. Slots outside the window hold
+/// unspecified values nothing reads, and (to page granularity) no memory:
+/// storage comes from `alloc_zeroed`, whose untouched pages are reserved,
+/// not resident, and pages a window leaves are handed back (`release`).
 pub struct SlabArray {
     grid: LocalGrid,
     channels: usize,
+    /// Planes per channel in `data` (`>= off + grid.lx`).
+    cap_planes: usize,
+    /// Storage plane of the window's left ghost plane.
+    off: usize,
     data: Vec<f64>,
 }
 
 impl SlabArray {
-    /// Zero-initialized field with `channels` scalar slots per cell.
+    /// Zero-initialized field with `channels` scalar slots per cell whose
+    /// storage is exactly its grid.
     pub fn new(grid: LocalGrid, channels: usize) -> Self {
+        SlabArray::windowed(grid, channels, grid.lx, 0)
+    }
+
+    /// Zero-initialized field over the window `off .. off + grid.lx` of
+    /// `cap_planes` storage planes per channel.
+    pub fn windowed(grid: LocalGrid, channels: usize, cap_planes: usize, off: usize) -> Self {
         assert!(channels > 0);
-        SlabArray { grid, channels, data: vec![0.0; channels * grid.cells()] }
+        assert!(off + grid.lx <= cap_planes, "window outside the storage capacity");
+        let data = vec![0.0; channels * cap_planes * grid.plane_cells()];
+        let mut array = SlabArray { grid, channels, cap_planes, off, data };
+        // Zeroed storage is untouched pages when it comes fresh from the
+        // OS, but written ones when the allocator recycles memory (glibc
+        // below its mmap threshold): hand back what the window leaves.
+        array.release_planes(0..off);
+        array.release_planes(off + grid.lx..cap_planes);
+        array
+    }
+
+    /// Returns the storage of `planes` (outside the window) to the OS. An
+    /// inverted range — nothing vacated on that side — selects nothing.
+    fn release_planes(&mut self, planes: std::ops::Range<usize>) {
+        let (p, stride) = (self.grid.plane_cells(), self.stride());
+        for channel in self.data.chunks_exact_mut(stride) {
+            if let Some(vacated) = channel.get_mut(planes.start * p..planes.end * p) {
+                release(vacated);
+            }
+        }
     }
 
     pub fn grid(&self) -> LocalGrid {
@@ -100,41 +143,61 @@ impl SlabArray {
         self.channels
     }
 
-    /// Raw storage (channel-major).
-    pub fn data(&self) -> &[f64] {
-        &self.data
+    /// Distance in `f64`s between the same cell of consecutive channels.
+    pub fn stride(&self) -> usize {
+        self.cap_planes * self.grid.plane_cells()
     }
 
-    pub fn data_mut(&mut self) -> &mut [f64] {
-        &mut self.data
+    /// Storage index of window cell 0 of channel 0.
+    #[inline(always)]
+    fn base(&self) -> usize {
+        self.off * self.grid.plane_cells()
     }
 
-    /// Flat index of `(ch, cell)`.
+    /// Pointer to window cell 0 of channel 0: cell `cell` of channel `ch`
+    /// is at `base_ptr().add(ch * stride() + cell)` for `cell <
+    /// grid().cells()`.
+    pub fn base_ptr(&self) -> *const f64 {
+        self.data[self.base()..].as_ptr()
+    }
+
+    /// Mutable [`base_ptr`](Self::base_ptr).
+    pub fn base_mut_ptr(&mut self) -> *mut f64 {
+        let base = self.base();
+        self.data[base..].as_mut_ptr()
+    }
+
+    /// Value of `(ch, cell)`.
     #[inline(always)]
     pub fn at(&self, ch: usize, cell: usize) -> f64 {
-        debug_assert!(ch < self.channels);
-        self.data[ch * self.grid.cells() + cell]
+        debug_assert!(ch < self.channels && cell < self.grid.cells(), "cell outside the window");
+        self.data[ch * self.stride() + self.base() + cell]
     }
 
     #[inline(always)]
     pub fn set(&mut self, ch: usize, cell: usize, v: f64) {
-        debug_assert!(ch < self.channels);
-        let n = self.grid.cells();
+        debug_assert!(ch < self.channels && cell < self.grid.cells(), "cell outside the window");
+        let i = ch * self.stride() + self.base() + cell;
         // lint:allow(panic-reachability, kernel hot path; ch and cell are bounded by grid construction)
-        self.data[ch * n + cell] = v;
+        self.data[i] = v;
     }
 
-    /// All cells of one channel.
+    /// All window cells of one channel.
     #[inline]
     pub fn channel(&self, ch: usize) -> &[f64] {
-        let n = self.grid.cells();
-        &self.data[ch * n..(ch + 1) * n]
+        let start = ch * self.stride() + self.base();
+        &self.data[start..start + self.grid.cells()]
     }
 
     #[inline]
     pub fn channel_mut(&mut self, ch: usize) -> &mut [f64] {
-        let n = self.grid.cells();
-        &mut self.data[ch * n..(ch + 1) * n]
+        let start = ch * self.stride() + self.base();
+        &mut self.data[start..start + self.grid.cells()]
+    }
+
+    /// The window's values, channel-major — what a checkpoint stores.
+    pub fn to_vec(&self) -> Vec<f64> {
+        (0..self.channels).flat_map(|ch| self.channel(ch)).copied().collect()
     }
 
     /// Number of `f64` values in one extracted plane (all channels).
@@ -146,10 +209,8 @@ impl SlabArray {
     pub fn copy_plane_out(&self, xl: usize, buf: &mut [f64]) {
         let p = self.grid.plane_cells();
         assert_eq!(buf.len(), self.plane_len());
-        let cells = self.grid.cells();
-        for ch in 0..self.channels {
-            let src = ch * cells + xl * p;
-            buf[ch * p..(ch + 1) * p].copy_from_slice(&self.data[src..src + p]);
+        for (ch, dst) in buf.chunks_exact_mut(p).enumerate() {
+            dst.copy_from_slice(&self.channel(ch)[xl * p..(xl + 1) * p]);
         }
     }
 
@@ -158,23 +219,23 @@ impl SlabArray {
     pub fn copy_plane_in(&mut self, xl: usize, buf: &[f64]) {
         let p = self.grid.plane_cells();
         assert_eq!(buf.len(), self.plane_len());
-        let cells = self.grid.cells();
-        for ch in 0..self.channels {
-            let dst = ch * cells + xl * p;
-            self.data[dst..dst + p].copy_from_slice(&buf[ch * p..(ch + 1) * p]);
+        for (ch, src) in buf.chunks_exact(p).enumerate() {
+            self.channel_mut(ch)[xl * p..(xl + 1) * p].copy_from_slice(src);
         }
     }
 
-    /// Copies a contiguous run of `count` planes starting at `xl` into `buf`
+    /// Appends a contiguous run of `count` planes starting at `xl` to `out`
     /// (channel-major within each plane, planes concatenated in x order).
-    pub fn copy_planes_out(&self, xl: usize, count: usize, buf: &mut [f64]) {
-        assert_eq!(buf.len(), count * self.plane_len());
-        for (k, chunk) in buf.chunks_exact_mut(self.plane_len()).enumerate() {
-            self.copy_plane_out(xl + k, chunk);
+    pub fn append_planes(&self, xl: usize, count: usize, out: &mut Vec<f64>) {
+        let p = self.grid.plane_cells();
+        for xl in xl..xl + count {
+            for ch in 0..self.channels {
+                out.extend_from_slice(&self.channel(ch)[xl * p..(xl + 1) * p]);
+            }
         }
     }
 
-    /// Inverse of [`copy_planes_out`](Self::copy_planes_out).
+    /// Inverse of [`append_planes`](Self::append_planes).
     pub fn copy_planes_in(&mut self, xl: usize, buf: &[f64]) {
         assert_eq!(buf.len() % self.plane_len(), 0);
         for (k, chunk) in buf.chunks_exact(self.plane_len()).enumerate() {
@@ -182,29 +243,99 @@ impl SlabArray {
         }
     }
 
-    /// Reshapes the slab to a new owned-plane count, shifting existing
-    /// interior planes by `shift` (old interior plane `xl` moves to
-    /// `xl + shift`). Planes shifted out of range are dropped; uncovered
-    /// planes are zero. Used when lattice-point migration changes the slab.
-    pub fn resize_shift(&mut self, new_nx_local: usize, shift: isize) -> SlabArray {
-        let new_grid = LocalGrid::new(new_nx_local, self.grid.ny, self.grid.nz);
-        let mut out = SlabArray::new(new_grid, self.channels);
-        let p = self.grid.plane_cells();
-        let old_cells = self.grid.cells();
-        let new_cells = new_grid.cells();
-        for old_xl in 1..=self.grid.last() {
-            let new_xl = old_xl as isize + shift;
-            if new_xl < 1 || new_xl > new_grid.last() as isize {
-                continue;
-            }
-            let new_xl = new_xl as usize;
-            for ch in 0..self.channels {
-                let src = ch * old_cells + old_xl * p;
-                let dst = ch * new_cells + new_xl * p;
-                out.data[dst..dst + p].copy_from_slice(&self.data[src..src + p]);
-            }
+    /// Moves the window to `nx_local` owned planes whose left ghost is
+    /// storage plane `off`, and zeroes the two ghost planes of the new
+    /// window (they may be slots an earlier window left values in). A
+    /// plane inside both the old and the new window keeps its storage
+    /// slot, so its values survive bit for bit at local index
+    /// `old_xl + old_off - off`. Used when lattice-point migration changes
+    /// the slab.
+    pub fn set_window(&mut self, off: usize, nx_local: usize) {
+        let grid = LocalGrid::new(nx_local, self.grid.ny, self.grid.nz);
+        // Not a debug_assert: kernels address the window through raw
+        // pointers, so memory safety rests on it lying inside the storage.
+        assert!(off + grid.lx <= self.cap_planes, "window outside the storage capacity");
+        // Storage planes the old window covered and the new one does not,
+        // on its left and on its right.
+        let (old, new) = (self.off..self.off + self.grid.lx, off..off + grid.lx);
+        self.release_planes(old.start..new.start.min(old.end));
+        self.release_planes(new.end.max(old.start)..old.end);
+        self.grid = grid;
+        self.off = off;
+        let p = grid.plane_cells();
+        for ch in 0..self.channels {
+            let cells = self.channel_mut(ch);
+            cells[..p].fill(0.0);
+            cells[(grid.lx - 1) * p..].fill(0.0);
         }
-        std::mem::replace(self, out)
+    }
+}
+
+/// Hands the whole pages inside `vacated` — storage a window has just left —
+/// back to the operating system, so a slab's resident memory follows its
+/// window down as well as up: without this, planes given away would stay
+/// resident in the giver for the rest of the run while the receiver faults
+/// in its own copies. The values become unspecified (zeros where a page
+/// went, the old values on the partial pages at either end), which is all
+/// storage outside the window ever promises.
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+fn release(vacated: &mut [f64]) {
+    extern "C" {
+        fn madvise(addr: *mut core::ffi::c_void, len: usize, advice: i32) -> i32;
+    }
+    const MADV_DONTNEED: i32 = 4;
+    // The base page size of every x86-64 Linux (the `cfg` above).
+    const PAGE: usize = 4096;
+    let start = vacated.as_mut_ptr() as usize;
+    let first = start.next_multiple_of(PAGE);
+    let end = (start + std::mem::size_of_val(vacated)) & !(PAGE - 1);
+    if first < end {
+        // SAFETY: `first..end` is page-aligned and lies inside `vacated`,
+        // memory this array owns and holds exclusively (`&mut`), backed by
+        // the global allocator's private anonymous mapping, for which
+        // MADV_DONTNEED means "zero-fill on next touch" — every bit pattern,
+        // zero included, is a valid `f64`, and nothing reads these values
+        // before a window moves back over them and overwrites or zeroes
+        // them. A failure (the advice is refused) leaves the pages as they
+        // were, which is equally fine, so the result is not inspected.
+        unsafe { madvise(first as *mut core::ffi::c_void, end - first, MADV_DONTNEED) };
+    }
+}
+
+#[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
+fn release(_vacated: &mut [f64]) {}
+
+/// Same capacity and window, but only the window is copied: a derived
+/// clone would write — and so make resident — the whole reservation.
+impl Clone for SlabArray {
+    fn clone(&self) -> Self {
+        let mut out = SlabArray::windowed(self.grid, self.channels, self.cap_planes, self.off);
+        let stride = self.stride();
+        for (dst, src) in out.data.chunks_exact_mut(stride).zip(self.data.chunks_exact(stride)) {
+            let window = dst.iter_mut().zip(src).skip(self.base()).take(self.grid.cells());
+            window.for_each(|(d, s)| *d = *s);
+        }
+        out
+    }
+}
+
+/// Equal grids, channel counts and window values; where the window sits in
+/// its storage, and what lies outside it, is not part of the value.
+impl PartialEq for SlabArray {
+    fn eq(&self, other: &Self) -> bool {
+        self.grid == other.grid
+            && self.channels == other.channels
+            && (0..self.channels).all(|ch| self.channel(ch) == other.channel(ch))
+    }
+}
+
+impl std::fmt::Debug for SlabArray {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SlabArray")
+            .field("grid", &self.grid)
+            .field("channels", &self.channels)
+            .field("data", &self.to_vec())
+            .finish()
     }
 }
 
@@ -239,8 +370,9 @@ mod tests {
     fn multi_plane_roundtrip() {
         let grid = LocalGrid::new(6, 2, 2);
         let a = filled(grid, 19);
-        let mut buf = vec![0.0; 3 * a.plane_len()];
-        a.copy_planes_out(2, 3, &mut buf);
+        let mut buf = Vec::new();
+        a.append_planes(2, 3, &mut buf);
+        assert_eq!(buf.len(), 3 * a.plane_len());
         let mut b = filled(grid, 19);
         // Wipe and restore.
         for xl in 2..5 {
@@ -251,37 +383,153 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    #[test]
-    fn resize_shift_preserves_moved_planes() {
+    /// A 4-plane window at storage plane 3 of 12, every window cell (ghosts
+    /// included) holding a distinct value.
+    fn windowed_filled(channels: usize) -> SlabArray {
         let grid = LocalGrid::new(4, 2, 2);
-        let a = filled(grid, 2);
-        let mut b = a.clone();
-        // Grow by one plane on the left: old interior planes shift right.
-        b.resize_shift(5, 1);
-        assert_eq!(b.grid().nx_local(), 5);
-        let (mut old_buf, mut new_buf) = (vec![0.0; a.plane_len()], vec![0.0; a.plane_len()]);
-        for old_xl in 1..=4 {
-            a.copy_plane_out(old_xl, &mut old_buf);
-            b.copy_plane_out(old_xl + 1, &mut new_buf);
-            assert_eq!(old_buf, new_buf, "plane {old_xl} must survive the shift");
+        let mut a = SlabArray::windowed(grid, channels, 12, 3);
+        for ch in 0..channels {
+            for cell in 0..grid.cells() {
+                a.set(ch, cell, (1 + ch * 10_000 + cell) as f64);
+            }
         }
-        // The newly exposed first interior plane is zero.
-        b.copy_plane_out(1, &mut new_buf);
-        assert!(new_buf.iter().all(|&v| v == 0.0));
+        a
+    }
+
+    fn values(a: &SlabArray, xl: usize) -> Vec<f64> {
+        let mut buf = vec![0.0; a.plane_len()];
+        a.copy_plane_out(xl, &mut buf);
+        buf
+    }
+
+    fn plane(a: &SlabArray, xl: usize) -> Vec<u64> {
+        values(a, xl).iter().map(|v| v.to_bits()).collect()
     }
 
     #[test]
-    fn resize_shift_drops_planes_moved_out() {
-        let grid = LocalGrid::new(4, 2, 2);
-        let mut a = filled(grid, 1);
-        // Shrink by two planes from the left.
-        a.resize_shift(2, -2);
-        assert_eq!(a.grid().nx_local(), 2);
-        // Remaining interior planes correspond to old planes 3 and 4.
-        let p = a.grid().plane_cells();
-        let mut buf = vec![0.0; a.plane_len()];
-        a.copy_plane_out(1, &mut buf);
-        assert_eq!(buf[0], (3 * p) as f64);
+    fn a_windowed_array_equals_the_compact_one() {
+        let a = windowed_filled(3);
+        let mut b = SlabArray::new(a.grid(), 3);
+        for xl in 0..a.grid().lx {
+            b.copy_plane_in(xl, &values(&a, xl));
+        }
+        assert_eq!(a, b);
+        assert_eq!(a.to_vec(), b.to_vec());
+        assert_eq!(a.stride(), 12 * 4);
+        assert_eq!(b.stride(), 6 * 4);
+    }
+
+    #[test]
+    fn window_bump_keeps_every_surviving_plane_bit_identical() {
+        let a = windowed_filled(2);
+        // Grow by two planes on the left and shrink by one on the right:
+        // old interior planes 1..=3 survive, at local index + 2.
+        let mut b = a.clone();
+        b.set_window(1, 5);
+        assert_eq!(b.grid().nx_local(), 5);
+        for old_xl in 1..=3 {
+            assert_eq!(plane(&a, old_xl), plane(&b, old_xl + 2), "plane {old_xl} must survive");
+        }
+        // Shrink from the left: old planes 3..=4 survive, at local index − 2.
+        let mut c = a.clone();
+        c.set_window(5, 2);
+        for old_xl in 3..=4 {
+            assert_eq!(plane(&a, old_xl), plane(&c, old_xl - 2), "plane {old_xl} must survive");
+        }
+        // Both ghost planes of a moved window are zero, whatever the slots
+        // held: b's right ghost was a's interior plane 4, c's left ghost
+        // a's interior plane 2.
+        for moved in [&b, &c] {
+            for ghost in [LocalGrid::GHOST_LEFT, moved.grid().ghost_right()] {
+                assert!(plane(moved, ghost).iter().all(|&bits| bits == 0), "dirty ghost");
+            }
+        }
+    }
+
+    #[test]
+    fn stale_values_in_vacated_slots_reach_nothing() {
+        // Shrink away two filled planes on each side, then compare with an
+        // array that never held them.
+        let mut a = windowed_filled(2);
+        a.set_window(5, 1);
+        let mut fresh = SlabArray::windowed(a.grid(), 2, 12, 5);
+        for xl in 0..3 {
+            fresh.copy_plane_in(xl, &values(&a, xl));
+        }
+        assert_eq!(a, fresh, "== must not see outside the window");
+        assert_eq!(a.to_vec(), fresh.to_vec(), "nor what a checkpoint stores");
+        assert_eq!(format!("{a:?}"), format!("{fresh:?}"));
+        // A clone carries the window and nothing else: growing it back
+        // over the vacated slots finds zeros, not the originals' values.
+        let mut b = a.clone();
+        assert_eq!(b, a);
+        b.set_window(3, 4);
+        a.set_window(3, 4);
+        assert!(plane(&b, 1).iter().all(|&bits| bits == 0), "the clone copied a stale slot");
+        assert!(plane(&a, 1).iter().any(|&bits| bits != 0), "the original still holds it");
+        assert_ne!(a, b);
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_cloned_window_is_resident_for_its_window_not_its_reservation() {
+        fn resident_mb() -> usize {
+            let statm = std::fs::read_to_string("/proc/self/statm").unwrap();
+            (statm.split(' ').nth(1).unwrap().parse::<usize>().unwrap() * 4096) >> 20
+        }
+        // 128 MB reserved (one channel of 4096 planes × 32 KB), 4-plane
+        // window in the middle.
+        let grid = LocalGrid::new(2, 64, 64);
+        let before = resident_mb();
+        let mut a = SlabArray::windowed(grid, 1, 4096, 2000);
+        a.channel_mut(0).fill(1.5);
+        let b = std::hint::black_box(a.clone());
+        let grown = resident_mb().saturating_sub(before);
+        assert_eq!(a, b);
+        assert_eq!(b.stride(), a.stride(), "the clone keeps the reservation");
+        assert!(grown < 64, "reservation became resident: +{grown} MB for two 128 KB windows");
+    }
+
+    #[test]
+    fn releasing_whole_pages_leaves_the_surviving_planes_intact() {
+        // 32 KB planes, so vacated planes span whole pages and really go
+        // back to the OS (where `release` is implemented).
+        let grid = LocalGrid::new(30, 64, 64);
+        let mut a = SlabArray::windowed(grid, 2, 64, 16);
+        for ch in 0..2 {
+            let cells = a.channel_mut(ch);
+            for (cell, v) in cells.iter_mut().enumerate() {
+                *v = (1 + ch + 2 * cell) as f64;
+            }
+        }
+        let before = a.clone();
+        // Lose 10 planes on the left and 12 on the right, then take the
+        // old window back: old interior planes 11..=18 never left it.
+        a.set_window(26, 8);
+        a.set_window(16, 30);
+        for xl in 11..=18 {
+            assert_eq!(plane(&a, xl), plane(&before, xl), "plane {xl}");
+        }
+        // The planes that came back are writable storage again.
+        a.channel_mut(1).fill(7.0);
+        assert!(a.channel(1).iter().all(|&v| v == 7.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the storage capacity")]
+    fn a_window_cannot_leave_its_storage() {
+        windowed_filled(1).set_window(7, 4);
+    }
+
+    // The per-cell accessors are on kernel-adjacent paths, so their window
+    // check is a debug assertion — which the dev-profile test run compiles.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "outside the window")]
+    fn reading_past_the_window_is_caught_in_dev_builds() {
+        let a = windowed_filled(2);
+        // In storage (the reservation continues), but not in the window.
+        a.at(0, a.grid().cells());
     }
 
     #[test]

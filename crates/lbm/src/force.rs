@@ -110,8 +110,12 @@ pub(crate) fn compute_forces_with(
 ) {
     assert_eq!(comps.len(), coupling.components());
     let grid = comps[0].grid();
-    let ncells = grid.cells();
-    assert_eq!(solid.len(), ncells);
+    assert_eq!(solid.len(), grid.cells());
+    // Channel stride of the 3-channel arrays the assembly kernels address:
+    // every component's `force`, and the adhesion kernel below, which is
+    // laid out to match (its window at storage plane 0; the zeroed pages
+    // past the window are never touched).
+    let ncells = comps[0].force.stride();
     let s = comps.len();
     let par = par.effective();
     let chunks = par.plane_chunks(LocalGrid::FIRST, grid.last());
@@ -205,7 +209,7 @@ pub(crate) fn compute_forces_with(
                 p: grid.plane_cells(),
                 n: ConstPtr::new(comps[a].psi.channel(0).as_ptr()),
                 pe: pe_ptrs[a],
-                force: SendPtr::new(comps[a].force.data_mut().as_mut_ptr()),
+                force: SendPtr::new(comps[a].force.base_mut_ptr()),
                 // Active couplings in ascending-b order (the inactive
                 // g = 0 terms contributed nothing and are skipped,
                 // exactly as before).
@@ -505,11 +509,11 @@ mod tests {
         let solid = vec![false; grid.cells()];
         let wall = WallForce::paper();
         compute_forces(&mut comps, &CouplingMatrix::cross(0.15), &wall, [1e-5, 0.0, 0.0], &solid);
-        let snapshot: Vec<f64> = comps[0].force.data().to_vec();
+        let snapshot: Vec<f64> = comps[0].force.to_vec();
         // Recompute with adhesion explicitly zero (same thing).
         comps[0].spec.wall_adhesion = 0.0;
         compute_forces(&mut comps, &CouplingMatrix::cross(0.15), &wall, [1e-5, 0.0, 0.0], &solid);
-        assert_eq!(snapshot, comps[0].force.data());
+        assert_eq!(snapshot, comps[0].force.to_vec());
     }
 
     #[test]

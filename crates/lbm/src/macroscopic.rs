@@ -29,11 +29,11 @@ pub fn compute_psi(comp: &mut ComponentState) {
 /// bitwise identical at any thread count.
 pub(crate) fn compute_psi_with(comp: &mut ComponentState, par: crate::par::Parallelism) {
     let grid = comp.grid();
-    let cells = grid.cells();
+    let cells = comp.f.stride();
     let p = grid.plane_cells();
     let par = par.effective();
     let chunks = par.plane_chunks(LocalGrid::FIRST, grid.last());
-    let f = crate::par::ConstPtr::new(comp.f.data().as_ptr());
+    let f = crate::par::ConstPtr::new(comp.f.base_ptr());
     let psi = crate::par::SendPtr::new(comp.psi.channel_mut(0).as_mut_ptr());
     par.run_cell_chunks(&chunks, p, |range| {
         // Safety: chunks are disjoint cell ranges of ψ; `f` is read-only.
@@ -45,9 +45,10 @@ pub(crate) fn compute_psi_with(comp: &mut ComponentState, par: crate::par::Paral
 ///
 /// # Safety
 ///
-/// `f` must point to a Q-channel channel-major array of `cells` cells and
-/// `psi` to a single channel of at least `range.end` cells; no other
-/// thread may write the ψ cells of `range` during the call.
+/// `f` must point to the window base of a Q-channel channel-major array
+/// of channel stride `cells` and `psi` to a single channel, both windows
+/// of at least `range.end` cells; no other thread may write the ψ cells of
+/// `range` during the call.
 unsafe fn compute_psi_cells_raw(
     f: *const f64,
     psi: *mut f64,
@@ -77,16 +78,17 @@ unsafe fn compute_psi_cells_raw(
 /// `m_σ` for mass momentum).
 #[inline]
 pub fn raw_momentum(comp: &ComponentState, cell: usize) -> [f64; 3] {
-    // Safety: `cell` is in bounds for the component's own arrays.
-    unsafe { raw_momentum_raw(comp.f.data().as_ptr(), comp.grid().cells(), cell) }
+    assert!(cell < comp.grid().cells());
+    // Safety: `cell` lies in the window of the component's own array.
+    unsafe { raw_momentum_raw(comp.f.base_ptr(), comp.f.stride(), cell) }
 }
 
 /// [`raw_momentum`] on a raw channel-major `f` array.
 ///
 /// # Safety
 ///
-/// `f` must point to a Q-channel channel-major array of `cells` cells and
-/// `cell` must be below `cells`.
+/// `f` must point to the window base of a Q-channel channel-major array
+/// of channel stride `cells` and `cell` must lie in the window.
 #[inline]
 pub(crate) unsafe fn raw_momentum_raw(f: *const f64, cells: usize, cell: usize) -> [f64; 3] {
     let mut m = [0.0f64; 3];

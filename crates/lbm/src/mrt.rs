@@ -183,13 +183,14 @@ pub fn rate_vector(tau: f64, rates: MrtRates) -> [f64; 19] {
 /// Applies one MRT collision to every interior cell of `comp`.
 pub fn collide_mrt(comp: &mut ComponentState, rates: MrtRates) {
     let grid = comp.grid();
-    let cells = grid.cells();
+    let cells = comp.f.stride();
     let p = grid.plane_cells();
     let interior = LocalGrid::FIRST * p..(grid.last() + 1) * p;
     let tau = comp.spec.tau;
-    let ueq = comp.ueq.data().as_ptr();
-    let f = comp.f.data_mut().as_mut_ptr();
-    // Safety: full channel-major arrays, interior range, exclusive access.
+    let ueq = comp.ueq.base_ptr();
+    let f = comp.f.base_mut_ptr();
+    // Safety: window bases of channel-major arrays of stride `cells`, the
+    // window's interior range, exclusive access.
     unsafe { collide_mrt_cells_raw(tau, rates, f, ueq, cells, interior) }
 }
 

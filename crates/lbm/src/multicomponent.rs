@@ -52,15 +52,17 @@ pub(crate) struct CompView {
 /// count.
 pub(crate) fn update_equilibrium_velocities_with(comps: &mut [ComponentState], par: Parallelism) {
     let grid = comps[0].grid();
-    let cells = grid.cells();
+    // One channel stride for every array of every component: they share a
+    // storage capacity and a window.
+    let cells = comps[0].f.stride();
     let p = grid.plane_cells();
     let views: Vec<CompView> = comps
         .iter_mut()
         .map(|c| CompView {
-            f: ConstPtr::new(c.f.data().as_ptr()),
-            psi: ConstPtr::new(c.psi.data().as_ptr()),
-            force: ConstPtr::new(c.force.data().as_ptr()),
-            ueq: SendPtr::new(c.ueq.data_mut().as_mut_ptr()),
+            f: ConstPtr::new(c.f.base_ptr()),
+            psi: ConstPtr::new(c.psi.base_ptr()),
+            force: ConstPtr::new(c.force.base_ptr()),
+            ueq: SendPtr::new(c.ueq.base_mut_ptr()),
             mass: c.spec.mass,
             momentum_tau: c.spec.momentum_tau(),
         })

@@ -43,8 +43,8 @@ pub(crate) fn avx2_available() -> bool {
 /// # Safety
 ///
 /// Same contract as [`crate::collision::collide_cells_raw`] (valid
-/// channel-major `f`/`ueq` over `cells`, exclusive access to `range`),
-/// plus: the caller must have checked [`avx2_available`].
+/// channel-major `f`/`ueq` of channel stride `cells`, exclusive access to
+/// `range`), plus: the caller must have checked [`avx2_available`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 pub(crate) unsafe fn collide_bgk_avx2(
@@ -125,10 +125,11 @@ pub(crate) unsafe fn collide_bgk_avx2(
 ///
 /// # Safety
 ///
-/// `f` must point to a Q-channel channel-major array of `cells` cells and
-/// `psi` to a single channel of at least `range.end` cells; no other
-/// thread may write the ψ cells of `range` during the call, and the
-/// caller must have checked [`avx2_available`].
+/// `f` must point to the window base of a Q-channel channel-major array
+/// of channel stride `cells` and `psi` to a single channel, both windows
+/// of at least `range.end` cells; no other thread may write the ψ cells of
+/// `range` during the call, and the caller must have checked
+/// [`avx2_available`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 pub(crate) unsafe fn sum_channels_avx2(
@@ -167,8 +168,9 @@ pub(crate) unsafe fn sum_channels_avx2(
 ///
 /// # Safety
 ///
-/// Every view must hold pointers to channel-major arrays of `cells`
-/// cells (Q channels for `f`, 3 for `force`/`ueq`, 1 for `psi`); no other
+/// Every view must hold the window bases of channel-major arrays of
+/// channel stride `cells` whose windows cover `range` (Q channels for
+/// `f`, 3 for `force`/`ueq`, 1 for `psi`); no other
 /// thread may write the `ueq` cells of `range` during the call, and the
 /// caller must have checked [`avx2_available`].
 #[cfg(target_arch = "x86_64")]
@@ -601,20 +603,21 @@ unsafe fn gvec_plane_avx2(
 pub(crate) struct ForceAssembly {
     pub(crate) ny: usize,
     pub(crate) nz: usize,
+    /// Channel stride of the 3-channel lattice arrays (`force`, adhesion).
     pub(crate) ncells: usize,
     /// Cells per plane (`ny·nz`), the channel stride of the G buffers.
     pub(crate) p: usize,
-    /// Component number density n_a (1 channel, full lattice).
+    /// Component number density n_a (1 channel, the slab's window).
     pub(crate) n: ConstPtr<f64>,
-    /// Evaluated interaction potential ψ_a (1 channel, full lattice).
+    /// Evaluated interaction potential ψ_a (1 channel, the slab's window).
     pub(crate) pe: ConstPtr<f64>,
-    /// Output force density (3 channels, full lattice).
+    /// Output force density (3 channels, window base, stride `ncells`).
     pub(crate) force: SendPtr<f64>,
     /// Active couplings (component index b, g_ab), ascending b; b indexes
     /// the caller's per-plane G buffers.
     pub(crate) couplings: Vec<(usize, f64)>,
-    /// Adhesion kernel (base pointer, g_w) when g_w ≠ 0; 3 channels over
-    /// the full lattice.
+    /// Adhesion kernel (base pointer, g_w) when g_w ≠ 0; 3 channels of
+    /// stride `ncells`.
     pub(crate) adhesion: Option<(ConstPtr<f64>, f64)>,
     /// Per-row wall-force magnitudes (lengths ny and nz).
     pub(crate) wy: Vec<f64>,
@@ -631,8 +634,9 @@ pub(crate) struct ForceAssembly {
 ///
 /// # Safety
 ///
-/// All lattice pointers in `args` must be live channel-major arrays of
-/// `ncells` cells (channel counts per the field docs); every coupling's
+/// All lattice pointers in `args` must be the window bases of live
+/// channel-major arrays covering plane `xl`, the 3-channel ones of channel
+/// stride `ncells` (channel counts per the field docs); every coupling's
 /// `planes` entry must hold `3·p` readable cells; no other thread may
 /// write the force cells of plane `xl` during the call.
 pub(crate) unsafe fn force_assemble_scalar(
@@ -843,8 +847,8 @@ mod tests {
         collide(&mut a); // dispatches to AVX2 when available
         collide_bgk_reference(&mut b);
         assert_eq!(
-            a.f.data(),
-            b.f.data(),
+            a.f,
+            b.f,
             "SIMD BGK must be bitwise identical to the scalar reference"
         );
     }

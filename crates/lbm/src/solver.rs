@@ -32,7 +32,7 @@
 use crate::boundary::{SlipMap, WallBc};
 use crate::component::{ComponentState, CouplingMatrix};
 use crate::config::ChannelConfig;
-use crate::field::{LocalGrid, SlabArray};
+use crate::field::LocalGrid;
 use crate::force::WallForce;
 use crate::geometry::{Slab, SolidRegion};
 use crate::lattice::{Lattice, D3Q19};
@@ -72,13 +72,14 @@ pub struct SlabSolver {
     obstacles: Vec<SolidRegion>,
     /// The active wall boundary condition (bounce-back, slip, …).
     wall_bc: WallBc,
-    /// Per-local-plane y-wall bounce weights for the slip BCs (empty for
-    /// the pure bounce-back variants); rebuilt with the solid mask
-    /// whenever the slab changes, keyed by periodic global x so it is
-    /// invariant under decomposition and migration.
+    /// Y-wall bounce weights for the slip BCs (empty for the pure
+    /// bounce-back variants), one per **storage plane** of the whole
+    /// channel — plane `s` holds global x `s − 1`, periodically — built
+    /// once; the slab reads its [`window`] of it, so it is invariant under
+    /// decomposition and migration.
     slip_ry: Vec<f64>,
-    /// Solid mask over the local grid (ghost planes included); rebuilt
-    /// from `obstacles` whenever the slab changes.
+    /// Solid mask over the same storage planes (so ghost planes included),
+    /// built once from `obstacles` and read through the same window.
     solid: Vec<bool>,
     /// Intra-slab thread budget for the phase kernels (bitwise transparent
     /// — see [`crate::par`]).
@@ -95,11 +96,16 @@ impl SlabSolver {
         let grid = LocalGrid::new(slab.nx_local, config.dims.ny, config.dims.nz);
         let init = config.init;
         let nx_global = config.dims.nx;
+        // Every slab reserves the whole channel and lives at the storage
+        // planes of its global x (left ghost at plane `x0`), so migration
+        // is a window move and never has to grow anything. The planes
+        // outside the window are reserved address space, not memory.
+        let cap_planes = nx_global + 2;
         let comps = config
             .components
             .iter()
             .map(|(spec, n0)| {
-                let mut c = ComponentState::new(spec.clone(), grid);
+                let mut c = ComponentState::windowed(spec.clone(), grid, cap_planes, slab.x0);
                 c.init_profile(slab.x0, |x| n0 * init.factor(x, nx_global));
                 c
             })
@@ -113,35 +119,39 @@ impl SlabSolver {
             body: config.body,
             obstacles: config.effective_obstacles(),
             wall_bc: config.wall_bc.clone(),
-            slip_ry: Vec::new(),
+            slip_ry: config.wall_bc.slip_ry(0, nx_global, cap_planes),
             solid: Vec::new(),
             par: config.parallelism,
         };
-        solver.rebuild_mask();
+        solver.solid = solver.build_mask();
         solver.clear_solid_cells();
         solver
     }
 
-    /// Rebuilds the solid mask for the current slab (ghost planes use the
-    /// periodic global x of their source plane, so decomposed masks agree
-    /// with the sequential one).
-    fn rebuild_mask(&mut self) {
-        let grid = self.grid();
-        let mut solid = vec![false; grid.cells()];
+    /// The solid mask over the storage planes: the whole channel plus its
+    /// two ghost planes, which take the periodic global x of their source
+    /// plane, so decomposed masks agree with the sequential one.
+    fn build_mask(&self) -> Vec<bool> {
+        let channel = LocalGrid::new(self.global_nx, self.grid().ny, self.grid().nz);
+        let mut solid = vec![false; channel.cells()];
         if !self.obstacles.is_empty() {
-            for xl in 0..grid.lx {
-                let gx = (self.x0 + self.global_nx + xl - 1) % self.global_nx;
-                for y in 0..grid.ny {
-                    for z in 0..grid.nz {
+            for s in 0..channel.lx {
+                let gx = (self.global_nx + s - 1) % self.global_nx;
+                for y in 0..channel.ny {
+                    for z in 0..channel.nz {
                         if self.obstacles.iter().any(|o| o.contains(gx, y, z)) {
-                            solid[grid.idx(xl, y, z)] = true;
+                            solid[channel.idx(s, y, z)] = true;
                         }
                     }
                 }
             }
         }
-        self.solid = solid;
-        self.slip_ry = self.wall_bc.slip_ry(self.x0, self.global_nx, grid.lx);
+        solid
+    }
+
+    /// The solid mask over the local grid (ghost planes included).
+    fn solid(&self) -> &[bool] {
+        window(&self.solid, self.x0, self.grid())
     }
 
     /// Zeros all per-cell state at solid cells (used after initialization
@@ -151,11 +161,8 @@ impl SlabSolver {
         if self.obstacles.is_empty() {
             return;
         }
-        let grid = self.grid();
-        for cell in 0..grid.cells() {
-            if !self.solid[cell] {
-                continue;
-            }
+        let solid = window(&self.solid, self.x0, self.grid());
+        for cell in (0..solid.len()).filter(|&cell| solid[cell]) {
             for c in self.comps.iter_mut() {
                 for i in 0..D3Q19::Q {
                     c.f.set(i, cell, 0.0);
@@ -171,14 +178,14 @@ impl SlabSolver {
 
     /// Whether the local cell `(xl, y, z)` is solid.
     pub fn is_solid(&self, xl: usize, y: usize, z: usize) -> bool {
-        self.solid[self.grid().idx(xl, y, z)]
+        self.solid()[self.grid().idx(xl, y, z)]
     }
 
     /// Fraction of this slab's interior cells that are solid.
     pub fn solid_fraction(&self) -> f64 {
         let grid = self.grid();
         let p = grid.plane_cells();
-        let interior = &self.solid[LocalGrid::FIRST * p..(grid.last() + 1) * p];
+        let interior = &self.solid()[LocalGrid::FIRST * p..(grid.last() + 1) * p];
         interior.iter().filter(|&&s| s).count() as f64 / interior.len() as f64
     }
 
@@ -251,10 +258,12 @@ impl SlabSolver {
     /// obstacles. The BC is resolved to a per-plane weight map here, once;
     /// the sweep kernels never dispatch per cell.
     pub fn stream_collide_fused(&mut self) {
-        let slip = slip_map(&self.slip_ry, &self.wall_bc);
+        let grid = self.grid();
+        let slip = slip_map(&self.slip_ry, self.x0, grid.lx, &self.wall_bc);
+        let solid = window(&self.solid, self.x0, grid);
         let has_solid = !self.obstacles.is_empty();
         for c in self.comps.iter_mut() {
-            crate::streaming::stream_collide_fused(c, &self.solid, has_solid, slip, self.par);
+            crate::streaming::stream_collide_fused(c, solid, has_solid, slip, self.par);
         }
     }
 
@@ -268,12 +277,13 @@ impl SlabSolver {
 
     /// Phase step 4 (after ψ exchange): total force densities.
     pub fn compute_forces(&mut self) {
+        let solid = window(&self.solid, self.x0, self.grid());
         crate::force::compute_forces_with(
             &mut self.comps,
             &self.coupling,
             &self.wall,
             self.body,
-            &self.solid,
+            solid,
             self.par,
         );
     }
@@ -304,26 +314,57 @@ impl SlabSolver {
         }
     }
 
+    /// Local index of the owned plane at the `side` edge.
+    fn edge(&self, side: Side) -> usize {
+        match side {
+            Side::Left => LocalGrid::FIRST,
+            Side::Right => self.grid().last(),
+        }
+    }
+
+    /// Local index of the `side` ghost plane.
+    fn ghost(&self, side: Side) -> usize {
+        match side {
+            Side::Left => LocalGrid::GHOST_LEFT,
+            Side::Right => self.grid().ghost_right(),
+        }
+    }
+
+    /// The plane-long runs a population halo message to the `side` neighbor
+    /// is made of: the edge plane's boundary-crossing directions, per
+    /// component.
+    fn f_halo_runs(&self, side: Side) -> impl Iterator<Item = &[f64]> {
+        let p = self.grid().plane_cells();
+        let xl = self.edge(side);
+        self.comps.iter().flat_map(move |c| {
+            Self::crossing_dirs(side).iter().map(move |&i| &c.f.channel(i)[xl * p..(xl + 1) * p])
+        })
+    }
+
+    /// As [`f_halo_runs`](Self::f_halo_runs) for the ψ message: the edge
+    /// plane of each component.
+    fn psi_halo_runs(&self, side: Side) -> impl Iterator<Item = &[f64]> {
+        let p = self.grid().plane_cells();
+        let xl = self.edge(side);
+        self.comps.iter().map(move |c| &c.psi.channel(0)[xl * p..(xl + 1) * p])
+    }
+
     /// Extracts the post-collision populations the `side` neighbor needs:
     /// the edge plane's boundary-crossing directions, per component.
     pub fn f_halo_out(&self, side: Side, buf: &mut [f64]) {
         assert_eq!(buf.len(), self.f_halo_len());
-        let grid = self.grid();
-        let p = grid.plane_cells();
-        let xl = match side {
-            Side::Left => LocalGrid::FIRST,
-            Side::Right => grid.last(),
-        };
-        let dirs = Self::crossing_dirs(side);
-        let mut off = 0;
-        for c in &self.comps {
-            let cells = grid.cells();
-            for &i in dirs {
-                let src = i * cells + xl * p;
-                buf[off..off + p].copy_from_slice(&c.f.data()[src..src + p]);
-                off += p;
-            }
+        let p = self.grid().plane_cells();
+        for (dst, src) in buf.chunks_exact_mut(p).zip(self.f_halo_runs(side)) {
+            dst.copy_from_slice(src);
         }
+    }
+
+    /// [`f_halo_out`](Self::f_halo_out) into a fresh message, packed once:
+    /// the `Vec` a transport takes ownership of.
+    pub fn f_halo_message(&self, side: Side) -> Vec<f64> {
+        let mut msg = Vec::with_capacity(self.f_halo_len());
+        self.f_halo_runs(side).for_each(|run| msg.extend_from_slice(run));
+        msg
     }
 
     /// Installs a neighbor's halo message into the `side` ghost plane.
@@ -331,22 +372,15 @@ impl SlabSolver {
     /// `f_halo_out(side.opposite())`.
     pub fn f_halo_in(&mut self, side: Side, buf: &[f64]) {
         assert_eq!(buf.len(), self.f_halo_len());
-        let grid = self.grid();
-        let p = grid.plane_cells();
-        let xl = match side {
-            Side::Left => LocalGrid::GHOST_LEFT,
-            Side::Right => grid.ghost_right(),
-        };
+        let p = self.grid().plane_cells();
+        let xl = self.ghost(side);
         // A left ghost supplies +x-moving populations (sent by the left
         // neighbor's right edge); a right ghost supplies −x movers.
         let dirs = Self::crossing_dirs(side.opposite());
-        let mut off = 0;
+        let mut runs = buf.chunks_exact(p);
         for c in self.comps.iter_mut() {
-            let cells = grid.cells();
-            for &i in dirs {
-                let dst = i * cells + xl * p;
-                c.f.data_mut()[dst..dst + p].copy_from_slice(&buf[off..off + p]);
-                off += p;
+            for (&i, run) in dirs.iter().zip(&mut runs) {
+                c.f.channel_mut(i)[xl * p..(xl + 1) * p].copy_from_slice(run);
             }
         }
     }
@@ -354,48 +388,53 @@ impl SlabSolver {
     /// Extracts the edge ψ plane for the `side` neighbor.
     pub fn psi_halo_out(&self, side: Side, buf: &mut [f64]) {
         assert_eq!(buf.len(), self.psi_halo_len());
-        let grid = self.grid();
-        let xl = match side {
-            Side::Left => LocalGrid::FIRST,
-            Side::Right => grid.last(),
-        };
-        let p = grid.plane_cells();
-        for (k, c) in self.comps.iter().enumerate() {
-            c.psi.copy_plane_out(xl, &mut buf[k * p..(k + 1) * p]);
+        let p = self.grid().plane_cells();
+        for (dst, src) in buf.chunks_exact_mut(p).zip(self.psi_halo_runs(side)) {
+            dst.copy_from_slice(src);
         }
+    }
+
+    /// [`psi_halo_out`](Self::psi_halo_out) into a fresh message.
+    pub fn psi_halo_message(&self, side: Side) -> Vec<f64> {
+        let mut msg = Vec::with_capacity(self.psi_halo_len());
+        self.psi_halo_runs(side).for_each(|run| msg.extend_from_slice(run));
+        msg
     }
 
     /// Installs a neighbor's ψ plane into the `side` ghost.
     pub fn psi_halo_in(&mut self, side: Side, buf: &[f64]) {
         assert_eq!(buf.len(), self.psi_halo_len());
-        let grid = self.grid();
-        let xl = match side {
-            Side::Left => LocalGrid::GHOST_LEFT,
-            Side::Right => grid.ghost_right(),
-        };
-        let p = grid.plane_cells();
-        for (k, c) in self.comps.iter_mut().enumerate() {
-            c.psi.copy_plane_in(xl, &buf[k * p..(k + 1) * p]);
+        let p = self.grid().plane_cells();
+        let xl = self.ghost(side);
+        for (c, run) in self.comps.iter_mut().zip(buf.chunks_exact(p)) {
+            c.psi.channel_mut(0)[xl * p..(xl + 1) * p].copy_from_slice(run);
         }
     }
 
     /// Periodic self-exchange of the population halo (sequential driver, or
     /// a single node owning the whole channel).
     pub fn f_ghosts_periodic(&mut self) {
-        let mut buf = vec![0.0; self.f_halo_len()];
-        self.f_halo_out(Side::Right, &mut buf);
-        self.f_halo_in(Side::Left, &buf);
-        self.f_halo_out(Side::Left, &mut buf);
-        self.f_halo_in(Side::Right, &buf);
+        let p = self.grid().plane_cells();
+        for side in [Side::Right, Side::Left] {
+            // What leaves the `side` edge enters through the other ghost.
+            let (src, dst) = (self.edge(side), self.ghost(side.opposite()));
+            for c in self.comps.iter_mut() {
+                for &i in Self::crossing_dirs(side) {
+                    c.f.channel_mut(i).copy_within(src * p..(src + 1) * p, dst * p);
+                }
+            }
+        }
     }
 
     /// Periodic self-exchange of the ψ halo.
     pub fn psi_ghosts_periodic(&mut self) {
-        let mut buf = vec![0.0; self.psi_halo_len()];
-        self.psi_halo_out(Side::Right, &mut buf);
-        self.psi_halo_in(Side::Left, &buf);
-        self.psi_halo_out(Side::Left, &mut buf);
-        self.psi_halo_in(Side::Right, &buf);
+        let p = self.grid().plane_cells();
+        for side in [Side::Right, Side::Left] {
+            let (src, dst) = (self.edge(side), self.ghost(side.opposite()));
+            for c in self.comps.iter_mut() {
+                c.psi.channel_mut(0).copy_within(src * p..(src + 1) * p, dst * p);
+            }
+        }
     }
 
     // ---- migration protocol ----------------------------------------------
@@ -414,63 +453,50 @@ impl SlabSolver {
     /// Panics if the slab would be left without at least one plane.
     pub fn take_planes(&mut self, side: Side, count: usize) -> Vec<f64> {
         assert!(count > 0 && count < self.nx_local(), "cannot give away the whole slab");
-        let grid = self.grid();
         let first = match side {
             Side::Left => LocalGrid::FIRST,
-            Side::Right => grid.last() + 1 - count,
+            Side::Right => self.grid().last() + 1 - count,
         };
         let mut out = Vec::with_capacity(count * self.migration_plane_len());
-        for c in &self.comps {
-            for arr in [&c.f, &c.psi, &c.force, &c.ueq] {
-                let mut buf = vec![0.0; count * arr.plane_len()];
-                arr.copy_planes_out(first, count, &mut buf);
-                out.extend_from_slice(&buf);
-            }
-        }
-        let new_nx = self.nx_local() - count;
-        let shift: isize = match side {
-            Side::Left => -(count as isize),
-            Side::Right => 0,
-        };
-        for c in self.comps.iter_mut() {
-            resize_all(c, new_nx, shift);
+        for arr in self.comps.iter().flat_map(ComponentState::arrays) {
+            arr.append_planes(first, count, &mut out);
         }
         if side == Side::Left {
             self.x0 += count;
         }
-        self.rebuild_mask();
+        self.set_window(self.nx_local() - count);
         out
+    }
+
+    /// Moves every array's window to `nx_local` planes at the current `x0`.
+    /// The surviving planes stay where they are in storage; the two new
+    /// ghost planes come out zero (a checkpoint stores them), and the solid
+    /// mask and slip weights need nothing — they are read through the same
+    /// window.
+    fn set_window(&mut self, nx_local: usize) {
+        for arr in self.comps.iter_mut().flat_map(ComponentState::arrays_mut) {
+            arr.set_window(self.x0, nx_local);
+        }
     }
 
     /// Attaches `count` planes (produced by the neighbor's `take_planes`)
     /// to the `side` edge of this slab. Adjusts `x0`.
     pub fn give_planes(&mut self, side: Side, count: usize, data: &[f64]) {
         assert_eq!(data.len(), count * self.migration_plane_len());
-        let new_nx = self.nx_local() + count;
-        let shift: isize = match side {
-            Side::Left => count as isize,
-            Side::Right => 0,
-        };
-        for c in self.comps.iter_mut() {
-            resize_all(c, new_nx, shift);
+        if side == Side::Left {
+            self.x0 = self.x0.checked_sub(count).expect("planes given past the channel's left end");
         }
-        let grid = self.grid();
+        self.set_window(self.nx_local() + count);
         let first = match side {
             Side::Left => LocalGrid::FIRST,
-            Side::Right => grid.last() + 1 - count,
+            Side::Right => self.grid().last() + 1 - count,
         };
         let mut off = 0;
-        for c in self.comps.iter_mut() {
-            for arr in [&mut c.f, &mut c.psi, &mut c.force, &mut c.ueq] {
-                let len = count * arr.plane_len();
-                arr.copy_planes_in(first, &data[off..off + len]);
-                off += len;
-            }
+        for arr in self.comps.iter_mut().flat_map(ComponentState::arrays_mut) {
+            let len = count * arr.plane_len();
+            arr.copy_planes_in(first, &data[off..off + len]);
+            off += len;
         }
-        if side == Side::Left {
-            self.x0 -= count;
-        }
-        self.rebuild_mask();
     }
 
     // ---- drivers & observables --------------------------------------------
@@ -497,10 +523,11 @@ impl SlabSolver {
             crate::collision::collide(c);
         }
         self.f_ghosts_periodic();
-        let slip = slip_map(&self.slip_ry, &self.wall_bc);
+        let grid = self.grid();
+        let slip = slip_map(&self.slip_ry, 0, grid.lx, &self.wall_bc);
         let has_solid = !self.obstacles.is_empty();
         for c in self.comps.iter_mut() {
-            crate::streaming::stream_unfused(c, &self.solid, has_solid, slip);
+            crate::streaming::stream_unfused(c, window(&self.solid, 0, grid), has_solid, slip);
         }
         self.finish_phase_periodic();
     }
@@ -549,21 +576,18 @@ impl SlabSolver {
     }
 }
 
-/// The per-plane slip weights as the sweep kernels take them (`None` for
-/// the pure bounce-back variants, whose `slip_ry` is empty).
-fn slip_map<'a>(slip_ry: &'a [f64], wall_bc: &WallBc) -> Option<SlipMap<'a>> {
-    (!slip_ry.is_empty()).then(|| SlipMap { ry: slip_ry, rz: wall_bc.slip_rz() })
+/// The slab's `lx` planes of the per-storage-plane slip weights as the
+/// sweep kernels take them (`None` for the pure bounce-back variants, whose
+/// `slip_ry` is empty).
+fn slip_map<'a>(slip_ry: &'a [f64], x0: usize, lx: usize, wall_bc: &WallBc) -> Option<SlipMap<'a>> {
+    (!slip_ry.is_empty()).then(|| SlipMap { ry: &slip_ry[x0..x0 + lx], rz: wall_bc.slip_rz() })
 }
 
-/// Resizes every field of a component consistently.
-fn resize_all(c: &mut ComponentState, new_nx: usize, shift: isize) {
-    let resize = |a: &mut SlabArray| {
-        a.resize_shift(new_nx, shift);
-    };
-    resize(&mut c.f);
-    resize(&mut c.psi);
-    resize(&mut c.force);
-    resize(&mut c.ueq);
+/// The slab's share of a per-cell table over the channel's storage planes:
+/// the local grid of a slab at `x0` starts (left ghost) at storage plane
+/// `x0`, exactly as its field arrays' windows do.
+fn window<T>(table: &[T], x0: usize, grid: LocalGrid) -> &[T] {
+    &table[x0 * grid.plane_cells()..][..grid.cells()]
 }
 
 #[cfg(test)]
@@ -762,6 +786,38 @@ mod tests {
     }
 
     #[test]
+    fn vacated_slots_reach_no_checkpoint_snapshot_mass_or_clone() {
+        use crate::checkpoint::{load_solver, save_solver};
+        let cfg = small_config();
+        let mut a = SlabSolver::new(&cfg, Slab { x0: 3, nx_local: 6 });
+        a.prime_local_psi();
+        a.prime_finish();
+        // Planes leave on both sides; their values stay behind in storage.
+        a.take_planes(Side::Left, 2);
+        a.take_planes(Side::Right, 3);
+        assert_eq!(a.slab(), Slab { x0: 5, nx_local: 1 });
+        // A solver rebuilt from the bytes never held those planes.
+        let bytes = save_solver(&a, 0);
+        let (fresh, _) = load_solver(&cfg, &bytes).unwrap();
+        assert_eq!(save_solver(&fresh, 0), bytes);
+        assert_eq!(save_solver(&a.clone(), 0), bytes);
+        assert_eq!(fresh.snapshot(), a.snapshot());
+        assert_eq!(fresh.total_mass().to_bits(), a.total_mass().to_bits());
+        for (c, d) in a.components().iter().zip(fresh.components()) {
+            assert_eq!(c.arrays(), d.arrays());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "storage capacity")]
+    fn planes_cannot_be_given_past_the_periodic_seam() {
+        let cfg = small_config();
+        let mut a = SlabSolver::new(&cfg, Slab { x0: 6, nx_local: 6 });
+        let data = vec![0.0; a.migration_plane_len()];
+        a.give_planes(Side::Right, 1, &data);
+    }
+
+    #[test]
     #[should_panic(expected = "whole slab")]
     fn cannot_take_entire_slab() {
         let cfg = small_config();
@@ -807,8 +863,9 @@ mod tests {
 
     #[test]
     fn migration_preserves_slip_physics_bitwise() {
-        // Plane migration re-keys the per-plane slip weights by global x;
-        // a patterned wall is the hardest case (weights differ per plane).
+        // The per-plane slip weights are keyed by global x and read through
+        // the slab's window; a patterned wall is the hardest case (weights
+        // differ per plane).
         let mut cfg = small_config();
         cfg.wall_bc = WallBc::PatternedSlip { r_a: 0.9, r_b: 0.1, period: 2, phase: 0 };
         let mut seq = SlabSolver::new(&cfg, Slab { x0: 0, nx_local: cfg.dims.nx });

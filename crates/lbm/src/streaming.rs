@@ -141,8 +141,9 @@ pub(crate) fn stream_unfused(
 #[derive(Clone, Copy)]
 struct PlaneSrc {
     base: *const f64,
-    /// Channel stride: `cells` for live planes of `f` (channel-major over
-    /// the full slab), `plane_cells` for saved plane copies.
+    /// Channel stride: that of `f` for its live planes (channel-major
+    /// over the slab's storage capacity), `plane_cells` for saved plane
+    /// copies.
     stride: usize,
 }
 
@@ -168,9 +169,12 @@ fn sweep(
     fuse: bool,
 ) {
     let grid = comp.grid();
-    let cells = grid.cells();
+    // Channel stride of `f` and `ueq`; every plane index below is local to
+    // the window both base pointers start at.
+    let cells = comp.f.stride();
+    debug_assert_eq!(comp.ueq.stride(), cells);
     let p = grid.plane_cells();
-    assert_eq!(solid.len(), cells);
+    assert_eq!(solid.len(), grid.cells());
     if let Some(s) = slip {
         assert_eq!(s.ry.len(), grid.lx, "slip map must cover every local plane incl. ghosts");
     }
@@ -192,8 +196,8 @@ fn sweep(
     done[first] = true;
     done[last] = true;
     if fuse {
-        let ueq = comp.ueq.data().as_ptr();
-        let f = comp.f.data_mut().as_mut_ptr();
+        let ueq = comp.ueq.base_ptr();
+        let f = comp.f.base_mut_ptr();
         for &(a, _) in &chunks[1..] {
             for xl in [a - 1, a] {
                 if !done[xl] {
@@ -224,8 +228,8 @@ fn sweep(
         .collect();
 
     {
-        let ueq = ConstPtr::new(comp.ueq.data().as_ptr());
-        let f = SendPtr::new(comp.f.data_mut().as_mut_ptr());
+        let ueq = ConstPtr::new(comp.ueq.base_ptr());
+        let f = SendPtr::new(comp.f.base_mut_ptr());
         let done = &done;
         let saved = &saved;
         let chunks_ref = &chunks;
@@ -237,8 +241,8 @@ fn sweep(
             let (left, right) = &saved[k];
             let fp = f.get();
             // A live plane of `f` as a source (ghosts, right neighbors):
-            // channel-major means channel i of plane xl starts at
-            // `i*cells + xl*p = (xl*p) + i*cells`.
+            // channel-major means channel i of local plane xl starts at
+            // `i*cells + xl*p = (xl*p) + i*cells` past the window base.
             let live = |xl: usize| PlaneSrc { base: unsafe { fp.add(xl * p) as *const f64 }, stride: cells };
             // Two-plane ring buffer holding the saved post-collision copies
             // of planes xl (cur) and xl−1 (prev).
@@ -297,15 +301,15 @@ fn sweep(
                 // channel/row loops inside each kernel stay branch-free.
                 unsafe {
                     match (slip, has_solid) {
-                        (None, false) => stream_plane_fast(fp, grid, xl, prev, cur, next),
+                        (None, false) => stream_plane_fast(fp, cells, grid, xl, prev, cur, next),
                         (None, true) => {
-                            stream_plane_generic(fp, grid, xl, prev, cur, next, solid)
+                            stream_plane_generic(fp, cells, grid, xl, prev, cur, next, solid)
                         }
                         (Some(s), false) => {
-                            stream_plane_slip(fp, grid, xl, prev, cur, next, s.ry, s.rz)
+                            stream_plane_slip(fp, cells, grid, xl, prev, cur, next, s.ry, s.rz)
                         }
                         (Some(s), true) => stream_plane_slip_generic(
-                            fp, grid, xl, prev, cur, next, solid, s.ry, s.rz,
+                            fp, cells, grid, xl, prev, cur, next, solid, s.ry, s.rz,
                         ),
                     }
                 }
@@ -348,20 +352,21 @@ unsafe fn upstream(i: usize, prev: PlaneSrc, cur: PlaneSrc, next: PlaneSrc) -> *
 ///
 /// # Safety
 ///
-/// `f` must be the component's channel-major population array over `grid`;
-/// `xl` an interior plane; `prev`/`cur`/`next` must expose the
+/// `f` must be the window base of the component's channel-major population
+/// array, `cells` its channel stride and `grid` its window; `xl` an
+/// interior plane; `prev`/`cur`/`next` must expose the
 /// post-collision values of planes `xl − 1`, `xl`, `xl + 1` and not alias
 /// plane `xl` of `f`; no other thread may access plane `xl` of `f` during
 /// the call.
 unsafe fn stream_plane_fast(
     f: *mut f64,
+    cells: usize,
     grid: LocalGrid,
     xl: usize,
     prev: PlaneSrc,
     cur: PlaneSrc,
     next: PlaneSrc,
 ) {
-    let cells = grid.cells();
     let p = grid.plane_cells();
     let (ny, nz) = (grid.ny, grid.nz);
     for i in 0..Q {
@@ -400,8 +405,10 @@ unsafe fn stream_plane_fast(
 /// Reference per-cell in-place streaming with obstacle bounce-back.
 /// Safety: see [`stream_plane_fast`]; additionally `solid` must cover the
 /// full local grid.
+#[allow(clippy::too_many_arguments)]
 unsafe fn stream_plane_generic(
     f: *mut f64,
+    cells: usize,
     grid: LocalGrid,
     xl: usize,
     prev: PlaneSrc,
@@ -409,7 +416,6 @@ unsafe fn stream_plane_generic(
     next: PlaneSrc,
     solid: &[bool],
 ) {
-    let cells = grid.cells();
     let p = grid.plane_cells();
     let ny = grid.ny as isize;
     let nz = grid.nz as isize;
@@ -464,6 +470,7 @@ unsafe fn stream_plane_generic(
 #[allow(clippy::too_many_arguments)]
 unsafe fn stream_plane_slip(
     f: *mut f64,
+    cells: usize,
     grid: LocalGrid,
     xl: usize,
     prev: PlaneSrc,
@@ -472,7 +479,6 @@ unsafe fn stream_plane_slip(
     ry: &[f64],
     rz: f64,
 ) {
-    let cells = grid.cells();
     let p = grid.plane_cells();
     let (ny, nz) = (grid.ny, grid.nz);
     for i in 0..Q {
@@ -555,6 +561,7 @@ unsafe fn stream_plane_slip(
 #[allow(clippy::too_many_arguments)]
 unsafe fn stream_plane_slip_generic(
     f: *mut f64,
+    cells: usize,
     grid: LocalGrid,
     xl: usize,
     prev: PlaneSrc,
@@ -564,7 +571,6 @@ unsafe fn stream_plane_slip_generic(
     ry: &[f64],
     rz: f64,
 ) {
-    let cells = grid.cells();
     let p = grid.plane_cells();
     let ny = grid.ny as isize;
     let nz = grid.nz as isize;
@@ -667,7 +673,7 @@ mod tests {
         let cells = grid.cells();
         let ny = grid.ny as isize;
         let nz = grid.nz as isize;
-        let src = c.f.data().to_vec();
+        let src = c.f.to_vec();
         for i in 0..Q {
             let e = D3Q19::E[i];
             let opp = D3Q19::OPP[i];
@@ -902,8 +908,8 @@ mod tests {
                 sweep(&mut a, &solid, false, None, Parallelism::new(threads), false);
                 stream_reference(&mut b, &solid);
                 assert_eq!(
-                    a.f.data(),
-                    b.f.data(),
+                    a.f,
+                    b.f,
                     "in-place sweep diverged ({nx}x{ny}x{nz}, {threads} threads)"
                 );
             }
@@ -936,7 +942,7 @@ mod tests {
             fill_ghosts_periodic(&mut b);
             sweep(&mut a, &solid, true, None, Parallelism::new(threads), false);
             stream_reference(&mut b, &solid);
-            assert_eq!(a.f.data(), b.f.data(), "obstacle sweep diverged ({threads} threads)");
+            assert_eq!(a.f, b.f, "obstacle sweep diverged ({threads} threads)");
         }
     }
 
@@ -948,7 +954,7 @@ mod tests {
         let cells = grid.cells();
         let ny = grid.ny as isize;
         let nz = grid.nz as isize;
-        let src = c.f.data().to_vec();
+        let src = c.f.to_vec();
         for i in 0..Q {
             let e = D3Q19::E[i];
             let opp = D3Q19::OPP[i];
@@ -1016,8 +1022,8 @@ mod tests {
                     sweep(&mut a, &solid, false, Some(slip), Parallelism::new(threads), false);
                     stream_reference_slip(&mut b, &ry, rz);
                     assert_eq!(
-                        a.f.data(),
-                        b.f.data(),
+                        a.f,
+                        b.f,
                         "slip sweep diverged ({nx}x{ny}x{nz}, {threads} threads, rz={rz})"
                     );
                 }
@@ -1039,7 +1045,7 @@ mod tests {
             // `has_solid` selects the kernel; the mask itself is empty.
             sweep(&mut a, &solid, false, Some(slip), Parallelism::new(threads), false);
             sweep(&mut b, &solid, true, Some(slip), Parallelism::new(threads), false);
-            assert_eq!(a.f.data(), b.f.data(), "slip fast/generic kernels disagree");
+            assert_eq!(a.f, b.f, "slip fast/generic kernels disagree");
         }
     }
 
@@ -1147,10 +1153,10 @@ mod tests {
                 let solid = no_solid(&a);
 
                 let mut before: Vec<u64> =
-                    a.f.data().iter().map(|v| v.to_bits()).collect();
+                    a.f.to_vec().iter().map(|v| v.to_bits()).collect();
                 sweep(&mut a, &solid, false, None, Parallelism::new(threads), false);
                 let mut after: Vec<u64> =
-                    a.f.data().iter().map(|v| v.to_bits()).collect();
+                    a.f.to_vec().iter().map(|v| v.to_bits()).collect();
                 // Ghost planes are stale after streaming; compare the
                 // full multiset anyway by restoring ghosts from `b`
                 // (streaming never writes ghosts, so they are unchanged).
@@ -1159,7 +1165,7 @@ mod tests {
                 prop_assert_eq!(before, after, "streaming must permute, not rewrite");
 
                 stream_reference(&mut b, &solid);
-                prop_assert_eq!(a.f.data(), b.f.data());
+                prop_assert_eq!(a.f, b.f);
             }
 
             #[test]

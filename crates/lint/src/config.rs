@@ -253,19 +253,28 @@ pub fn default_config() -> LintConfig {
         ],
         unsafe_registry: vec![
             unsafe_file(
+                "crates/lbm/src/field.rs",
+                "madvise(MADV_DONTNEED) on whole pages of storage planes a slab's window \
+                 has just left: memory the array owns exclusively, outside every window",
+            ),
+            unsafe_file(
                 "crates/lbm/src/streaming.rs",
-                "raw-pointer plane streaming over disjoint x-planes (src/dst never alias)",
+                "raw-pointer plane streaming over disjoint x-planes of the slab's window \
+                 (window base + storage channel stride, the window inside the capacity; \
+                 src/dst never alias)",
             ),
             unsafe_file(
                 "crates/lbm/src/collision.rs",
-                "BGK/TRT collision kernels via raw pointers over disjoint cell ranges",
+                "BGK/TRT collision kernels via raw pointers over disjoint cell ranges of \
+                 the window (window base + storage channel stride)",
             ),
             UnsafeEntry {
                 path: "crates/lbm/src/simd.rs".into(),
                 why: "runtime-dispatched core::arch AVX2 kernels (BGK collide, psi \
                       reduction, ueq update, interaction gradient, force assembly) plus \
-                      their raw-pointer scalar references; every pair is held bitwise \
-                      identical by the in-file proptests"
+                      their raw-pointer scalar references, addressing window-local cells \
+                      from a window base with the storage channel stride; every pair is \
+                      held bitwise identical by the in-file proptests"
                     .into(),
                 expect_fns: vec![
                     "collide_bgk_avx2".into(),
@@ -279,19 +288,23 @@ pub fn default_config() -> LintConfig {
             },
             unsafe_file(
                 "crates/lbm/src/mrt.rs",
-                "MRT collision kernel via raw pointers over disjoint cell ranges",
+                "MRT collision kernel via raw pointers over disjoint cell ranges of the \
+                 window (window base + storage channel stride)",
             ),
             unsafe_file(
                 "crates/lbm/src/macroscopic.rs",
-                "psi/momentum reductions through raw pointers over disjoint cell ranges",
+                "psi/momentum reductions through raw pointers over disjoint cell ranges of \
+                 the window (window base + storage channel stride)",
             ),
             unsafe_file(
                 "crates/lbm/src/force.rs",
-                "force accumulation writes through raw pointers, one disjoint range per thread",
+                "force accumulation writes through raw pointers from the window base, one \
+                 disjoint plane range of the window per thread",
             ),
             unsafe_file(
                 "crates/lbm/src/multicomponent.rs",
-                "per-component raw field pointers inside the fused parallel sweep",
+                "per-component raw window-base pointers (one shared storage channel \
+                 stride) inside the fused parallel sweep",
             ),
             unsafe_file(
                 "crates/lbm/src/par.rs",

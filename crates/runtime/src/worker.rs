@@ -320,16 +320,14 @@ fn exchange_f<T: Transport>(
         tracer.span(SpanKind::Halo, phase, t0, t1);
         return Ok(());
     }
-    let len = solver.f_halo_len();
-    let mut buf = vec![0.0; len];
-    solver.f_halo_out(Side::Right, &mut buf);
-    transport.send(topo.ring_right(), Tag::F_HALO, buf.clone())?;
-    solver.f_halo_out(Side::Left, &mut buf);
-    transport.send(topo.ring_left(), Tag::F_HALO, buf)?;
-    let from_left = transport.recv(topo.ring_left(), Tag::F_HALO)?;
-    solver.f_halo_in(Side::Left, &from_left);
-    let from_right = transport.recv(topo.ring_right(), Tag::F_HALO)?;
-    solver.f_halo_in(Side::Right, &from_right);
+    // Each side is packed once, straight into the message it travels in.
+    transport.send(topo.ring_right(), Tag::F_HALO, solver.f_halo_message(Side::Right))?;
+    transport.send(topo.ring_left(), Tag::F_HALO, solver.f_halo_message(Side::Left))?;
+    for (side, peer) in [(Side::Left, topo.ring_left()), (Side::Right, topo.ring_right())] {
+        let halo = transport.recv(peer, Tag::F_HALO)?;
+        check_len(peer, "population halo", halo.len(), solver.f_halo_len())?;
+        solver.f_halo_in(side, &halo);
+    }
     let t1 = tracer.now();
     tracer.span(SpanKind::Halo, phase, t0, t1);
     Ok(())
@@ -350,19 +348,47 @@ fn exchange_psi<T: Transport>(
         tracer.span(SpanKind::Halo, phase, t0, t1);
         return Ok(());
     }
-    let len = solver.psi_halo_len();
-    let mut buf = vec![0.0; len];
-    solver.psi_halo_out(Side::Right, &mut buf);
-    transport.send(topo.ring_right(), Tag::PSI_HALO, buf.clone())?;
-    solver.psi_halo_out(Side::Left, &mut buf);
-    transport.send(topo.ring_left(), Tag::PSI_HALO, buf)?;
-    let from_left = transport.recv(topo.ring_left(), Tag::PSI_HALO)?;
-    solver.psi_halo_in(Side::Left, &from_left);
-    let from_right = transport.recv(topo.ring_right(), Tag::PSI_HALO)?;
-    solver.psi_halo_in(Side::Right, &from_right);
+    transport.send(topo.ring_right(), Tag::PSI_HALO, solver.psi_halo_message(Side::Right))?;
+    transport.send(topo.ring_left(), Tag::PSI_HALO, solver.psi_halo_message(Side::Left))?;
+    for (side, peer) in [(Side::Left, topo.ring_left()), (Side::Right, topo.ring_right())] {
+        let halo = transport.recv(peer, Tag::PSI_HALO)?;
+        check_len(peer, "ψ halo", halo.len(), solver.psi_halo_len())?;
+        solver.psi_halo_in(side, &halo);
+    }
     let t1 = tracer.now();
     tracer.span(SpanKind::Halo, phase, t0, t1);
     Ok(())
+}
+
+/// A message's length is fixed by state both ends hold; over the `mp`
+/// substrate it is bytes off a socket, so a mismatch is the peer's protocol
+/// violation to report, not an invariant of this process to assert.
+fn check_len(peer: usize, what: &str, got: usize, want: usize) -> Result<(), CommError> {
+    if got == want {
+        return Ok(());
+    }
+    Err(CommError::Protocol { peer, detail: format!("{what} of {got} values, expected {want}") })
+}
+
+/// Decodes a `LOAD` message, `[pred (−1 = None), planes]`, from `peer`: two
+/// values, a prediction that is a number, and a plane count some rank of a
+/// `max_planes`-plane channel could hold.
+fn decode_load(
+    peer: usize,
+    msg: &[f64],
+    max_planes: usize,
+) -> Result<(Option<f64>, usize), CommError> {
+    let bad = |detail: String| CommError::Protocol { peer, detail };
+    let &[pred, planes] = msg else {
+        return Err(bad(format!("load message of {} values, expected 2", msg.len())));
+    };
+    if pred.is_nan() {
+        return Err(bad("load prediction is not a number".into()));
+    }
+    if !(0.0..=max_planes as f64).contains(&planes) || planes.fract() != 0.0 {
+        return Err(bad(format!("load message claims {planes} planes of {max_planes}")));
+    }
+    Ok(((pred >= 0.0).then_some(pred), planes as usize))
 }
 
 /// One node's view of the cluster: `(per-point prediction, planes)` for
@@ -393,10 +419,7 @@ fn remap_round<T: Transport>(
 
     // Message encoding: [pred (−1 = None), planes].
     let encode = |pred: Option<f64>, planes: usize| vec![pred.unwrap_or(-1.0), planes as f64];
-    let decode = |msg: &[f64]| -> (Option<f64>, usize) {
-        let pred = if msg[0] < 0.0 { None } else { Some(msg[0]) };
-        (pred, msg[1] as usize)
-    };
+    let decode = |peer: usize, msg: &[f64]| decode_load(peer, msg, cfg.channel.dims.nx);
 
     let mut view: LoadView = vec![None; n];
     view[rank] = Some((my_pred, my_planes));
@@ -407,7 +430,7 @@ fn remap_round<T: Transport>(
     }
     for peer in [topo.line_left(), topo.line_right()].into_iter().flatten() {
         let msg = transport.recv(peer, Tag::LOAD)?;
-        view[peer] = Some(decode(&msg));
+        view[peer] = Some(decode(peer, &msg)?);
     }
 
     // Hop 2: forward each neighbor's data to the opposite neighbor, so
@@ -422,13 +445,13 @@ fn remap_round<T: Transport>(
         if l > 0 {
             // Left neighbor has its own left neighbor: expect its data.
             let msg = transport.recv(l, Tag::LOAD)?;
-            view[l - 1] = Some(decode(&msg));
+            view[l - 1] = Some(decode(l, &msg)?);
         }
     }
     if let Some(r) = topo.line_right() {
         if r + 1 < n {
             let msg = transport.recv(r, Tag::LOAD)?;
-            view[r + 1] = Some(decode(&msg));
+            view[r + 1] = Some(decode(r, &msg)?);
         }
     }
 
@@ -496,7 +519,7 @@ fn remap_round<T: Transport>(
         if f > 0 {
             let data = transport.recv(l, Tag::MIGRATE_DATA)?;
             let count = f as usize;
-            assert_eq!(data.len(), count * solver.migration_plane_len());
+            check_len(l, "migration", data.len(), count * solver.migration_plane_len())?;
             solver.give_planes(Side::Left, count, &data);
             *planes_received += count;
         } else if f < 0 {
@@ -520,7 +543,7 @@ fn remap_round<T: Transport>(
         } else if f < 0 {
             let data = transport.recv(r, Tag::MIGRATE_DATA)?;
             let count = (-f) as usize;
-            assert_eq!(data.len(), count * solver.migration_plane_len());
+            check_len(r, "migration", data.len(), count * solver.migration_plane_len())?;
             solver.give_planes(Side::Right, count, &data);
             *planes_received += count;
         }
@@ -528,4 +551,103 @@ fn remap_round<T: Transport>(
     let t1 = tracer.now();
     tracer.span(SpanKind::Remap, phase, t0, t1);
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use microslip_balance::policy::Filtered;
+    use microslip_balance::predict::LastPhase;
+    use microslip_comm::channel::mesh;
+    use microslip_lbm::geometry::even_slabs;
+    use microslip_lbm::Dims;
+
+    /// Rank 0 of two runs one remap round against a peer that has already
+    /// sent `load` and `data` — what a broken or hostile rank 1 would put on
+    /// the wire. The peer claims to be ten times slower, so rank 0 expects
+    /// planes from it.
+    fn remap_round_against(load: Vec<f64>, data: Vec<f64>) -> Result<(), CommError> {
+        let channel = ChannelConfig::paper_scaled(Dims::new(12, 4, 3));
+        let cfg = WorkerConfig {
+            channel: channel.clone(),
+            phases: 2,
+            start_phase: 0,
+            remap_interval: 2,
+            predictor_window: 1,
+            checkpoint_every: 0,
+            checkpoint_dir: None,
+            load: LoadModel::Synthetic { per_point: 1e-6 },
+            parallelism: Parallelism::serial(),
+            trace: TraceSink::null(),
+            epoch: Instant::now(),
+        };
+        let mut ends = mesh(2);
+        let mut peer = ends.pop().expect("two endpoints");
+        let mut me = ends.pop().expect("two endpoints");
+        peer.send(0, Tag::LOAD, load)?;
+        peer.send(0, Tag::MIGRATE_DATA, data)?;
+        let mut solver = SlabSolver::new(&channel, even_slabs(12, 2)[0]);
+        let mut history = History::new(1);
+        history.push(1e-6);
+        let mut tracer = Tracer::new(TraceSink::null(), 0, cfg.epoch);
+        remap_round(
+            &cfg,
+            &Filtered::default(),
+            &LastPhase,
+            &mut solver,
+            &mut me,
+            &LinearTopology::new(0, 2),
+            &mut history,
+            &mut tracer,
+            2,
+            &mut 0,
+            &mut 0,
+        )
+    }
+
+    fn assert_protocol_error(outcome: Result<(), CommError>, needle: &str) {
+        match outcome {
+            Err(CommError::Protocol { peer: 1, detail }) => {
+                assert!(detail.contains(needle), "{detail:?} does not mention {needle:?}")
+            }
+            other => panic!("expected a protocol error from peer 1, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_bad_load_message_is_a_typed_protocol_error() {
+        for load in [vec![], vec![1e-5], vec![1e-5, 6.0, 0.0]] {
+            assert_protocol_error(remap_round_against(load, vec![]), "expected 2");
+        }
+        for planes in [f64::NAN, f64::INFINITY, -1.0, 6.5, 13.0] {
+            assert_protocol_error(remap_round_against(vec![1e-5, planes], vec![]), "planes");
+        }
+        assert_protocol_error(remap_round_against(vec![f64::NAN, 6.0], vec![]), "not a number");
+    }
+
+    /// Values per migrated plane of the test channel.
+    fn plane_len() -> usize {
+        let channel = ChannelConfig::paper_scaled(Dims::new(12, 4, 3));
+        SlabSolver::new(&channel, even_slabs(12, 2)[0]).migration_plane_len()
+    }
+
+    #[test]
+    fn a_short_or_long_migration_is_a_typed_protocol_error() {
+        let plane = plane_len();
+        // No whole number of planes: wrong whatever count the policy chose.
+        for len in [0, 1, plane - 1, plane + 1, 5 * plane + 1] {
+            let outcome = remap_round_against(vec![1e-5, 6.0], vec![0.0; len]);
+            assert_protocol_error(outcome, "migration");
+        }
+    }
+
+    #[test]
+    fn a_well_formed_round_against_the_same_peer_succeeds() {
+        // The control: the same loads with the planes the policy asks for.
+        let plane = plane_len();
+        let moved = (1..6)
+            .filter(|count| remap_round_against(vec![1e-5, 6.0], vec![0.0; count * plane]).is_ok())
+            .count();
+        assert_eq!(moved, 1, "exactly one plane count is the one decided");
+    }
 }

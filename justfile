@@ -134,3 +134,85 @@ bench seed="1":
 # not part of tier 1.
 bench-check BASE: bench
     ./target/release/examples/ledger --compare {{BASE}} target/ledger/ledger.json --manifest BENCHMARK.json
+
+# The choosing-metrics §8 rule for one workload: builds PARENT_DIR (a
+# checkout of the commit to beat — `git clone` or `git archive`, not a
+# worktree) and this tree into separate target dirs, runs the benchmark
+# command N times per side on seeds 1..N, alternating which side goes
+# first, and prints each metric's median and quartiles per side, the
+# change/parent ratio of medians, and how many pairs the change won (ties
+# count for neither). A gain is claimed at ≥ 9/10 wins with the medians
+# further apart than the parent's own quartiles; a regression is a median
+# worse than BENCHMARK.json's bound. Raw lines stay in target/pairs/.
+pairs WORKLOAD PARENT_DIR N="10":
+    #!/usr/bin/env bash
+    set -euo pipefail
+    out="$PWD/target/pairs"
+    parent="$(cd "{{PARENT_DIR}}" && pwd)"
+    mkdir -p "$out"
+    for side in parent change; do
+        dir="$PWD"; [ $side = parent ] && dir="$parent"
+        cargo build --release --offline --quiet --manifest-path "$dir/Cargo.toml" \
+            --target-dir "$out/$side" --bin microslip --example ledger
+        : > "$out/{{WORKLOAD}}.$side.jsonl"
+    done
+    for seed in $(seq {{N}}); do
+        order="parent change"; [ $((seed % 2)) -eq 0 ] && order="change parent"
+        for side in $order; do
+            dir="$PWD"; [ $side = parent ] && dir="$parent"
+            (cd "$dir" && CARGO_TARGET_DIR="$out/$side" bash examples/ledger/run.sh \
+                --workload {{WORKLOAD}} --seed $seed --seconds 6 --trace 0 2>/dev/null) \
+                | tail -n 1 >> "$out/{{WORKLOAD}}.$side.jsonl"
+        done
+        echo "pair $seed/{{N}} done" >&2
+    done
+    awk -v workload={{WORKLOAD}} '
+        function sorted(src, n, dst,   i, j, v) {
+            for (i = 1; i <= n; i++) {
+                v = src[i]
+                for (j = i - 1; j >= 1 && dst[j] > v; j--) dst[j + 1] = dst[j]
+                dst[j + 1] = v
+            }
+        }
+        # Linear-interpolated quantile of an ascending array.
+        function quantile(a, n, q,   h, lo) {
+            h = 1 + (n - 1) * q; lo = int(h)
+            return lo >= n ? a[n] : a[lo] + (h - lo) * (a[lo + 1] - a[lo])
+        }
+        FILENAME ~ /BENCHMARK.json$/ {
+            if (match($0, /"name": "[^"]+"/)) name = substr($0, RSTART + 9, RLENGTH - 10)
+            if (match($0, /"better": "[^"]+"/)) better[name] = substr($0, RSTART + 11, RLENGTH - 12)
+            next
+        }
+        {
+            side = FILENAME ~ /parent.jsonl$/ ? "parent" : "change"
+            run = ++runs[side]
+            if ($0 !~ /"correct": true/) failed[side]++
+            line = $0
+            while (match(line, /"[a-z_.0-9]+": \{"value": [-0-9.e+]+/)) {
+                pair = substr(line, RSTART, RLENGTH); line = substr(line, RSTART + RLENGTH)
+                split(pair, kv, /": \{"value": /)
+                metric = substr(kv[1], 2)
+                if (!(metric in seen)) { seen[metric] = 1; metrics[++nmetrics] = metric }
+                value[side, metric, run] = kv[2] + 0
+            }
+        }
+        END {
+            n = runs["parent"] < runs["change"] ? runs["parent"] : runs["change"]
+            printf "%s: %d pairs, failed runs parent %d change %d\n", workload, n, failed["parent"], failed["change"]
+            printf "%-14s %-34s %-34s %8s %6s\n", "metric", "parent median [q1, q3]", "change median [q1, q3]", "ratio", "wins"
+            for (m = 1; m <= nmetrics; m++) {
+                metric = metrics[m]; wins = 0
+                for (i = 1; i <= n; i++) {
+                    p[i] = value["parent", metric, i]; c[i] = value["change", metric, i]
+                    if (better[metric] == "higher" ? c[i] > p[i] : c[i] < p[i]) wins++
+                }
+                sorted(p, n, ps); sorted(c, n, cs)
+                pm = quantile(ps, n, 0.5); cm = quantile(cs, n, 0.5)
+                printf "%-14s %-34s %-34s %8.3f %3d/%d\n", metric, \
+                    sprintf("%.4g [%.4g, %.4g]", pm, quantile(ps, n, 0.25), quantile(ps, n, 0.75)), \
+                    sprintf("%.4g [%.4g, %.4g]", cm, quantile(cs, n, 0.25), quantile(cs, n, 0.75)), \
+                    (pm != 0 ? cm / pm : 0), wins, n
+            }
+        }
+    ' BENCHMARK.json "$out/{{WORKLOAD}}.parent.jsonl" "$out/{{WORKLOAD}}.change.jsonl"

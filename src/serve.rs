@@ -382,7 +382,10 @@ pub fn run_job(args: &RunJobArgs) -> Result<(), String> {
             .map_err(|e| format!("checkpoint at phase {}: {e}", sim.phase()))?;
         }
     }
-    let snapshot = sim.snapshot();
+    // The solver is done: its lattices go before the artifact is encoded,
+    // so a job's peak memory is what stepping needed and is reached while
+    // it steps, not in the last milliseconds of the process.
+    let snapshot = sim.into_snapshot();
     let diagnostics = FlowDiagnostics::compute(&snapshot);
     let artifact = ResultArtifact {
         key: key.clone(),

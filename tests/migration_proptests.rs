@@ -4,67 +4,15 @@
 //! plans that decide *which* planes move after a membership change.
 
 use microslip::balance::{Partition, RecoveryPlan};
+use microslip::lbm::checkpoint::{load_solver, save_solver};
+use microslip::lbm::component::CollisionOperator;
+use microslip::lbm::geometry::{even_slabs, SolidRegion};
 use microslip::lbm::macroscopic::Snapshot;
-use microslip::lbm::{ChannelConfig, Dims, Side, Simulation, Slab, SlabSolver};
+use microslip::lbm::{ChannelConfig, Dims, Side, Simulation, Slab, SlabSolver, WallBc};
 use proptest::prelude::*;
 
-/// Carries halos between a vector of solvers forming a periodic ring —
-/// the hand-rolled equivalent of what the threaded runtime does.
-fn exchange_f(solvers: &mut [SlabSolver]) {
-    let n = solvers.len();
-    let len = solvers[0].f_halo_len();
-    let mut right = vec![vec![0.0; len]; n];
-    let mut left = vec![vec![0.0; len]; n];
-    for (i, s) in solvers.iter().enumerate() {
-        s.f_halo_out(Side::Right, &mut right[i]);
-        s.f_halo_out(Side::Left, &mut left[i]);
-    }
-    for i in 0..n {
-        solvers[i].f_halo_in(Side::Left, &right[(i + n - 1) % n]);
-        solvers[i].f_halo_in(Side::Right, &left[(i + 1) % n]);
-    }
-}
-
-fn exchange_psi(solvers: &mut [SlabSolver]) {
-    let n = solvers.len();
-    let len = solvers[0].psi_halo_len();
-    let mut right = vec![vec![0.0; len]; n];
-    let mut left = vec![vec![0.0; len]; n];
-    for (i, s) in solvers.iter().enumerate() {
-        s.psi_halo_out(Side::Right, &mut right[i]);
-        s.psi_halo_out(Side::Left, &mut left[i]);
-    }
-    for i in 0..n {
-        solvers[i].psi_halo_in(Side::Left, &right[(i + n - 1) % n]);
-        solvers[i].psi_halo_in(Side::Right, &left[(i + 1) % n]);
-    }
-}
-
-fn phase(solvers: &mut [SlabSolver]) {
-    for s in solvers.iter_mut() {
-        s.collide_edges();
-    }
-    exchange_f(solvers);
-    for s in solvers.iter_mut() {
-        s.stream_collide_fused();
-        s.compute_psi();
-    }
-    exchange_psi(solvers);
-    for s in solvers.iter_mut() {
-        s.compute_forces();
-        s.compute_velocities();
-    }
-}
-
-fn prime(solvers: &mut [SlabSolver]) {
-    for s in solvers.iter_mut() {
-        s.prime_local_psi();
-    }
-    exchange_psi(solvers);
-    for s in solvers.iter_mut() {
-        s.prime_finish();
-    }
-}
+mod common;
+use common::{migrate, phase, prime};
 
 /// A migration step: move `count` planes across `edge` in `dir`.
 #[derive(Clone, Debug)]
@@ -183,6 +131,111 @@ proptest! {
         }
         let got = Snapshot::stitch(solvers.iter().map(|s| s.snapshot()).collect());
         prop_assert_eq!(got, want);
+    }
+}
+
+/// The wall BCs × collision operators the generated sequences run under:
+/// plain bounce-back, x-varying slip weights, and a solid mask (roughness
+/// ridges plus a block obstacle) — each with BGK or TRT + MRT.
+fn migration_config(dims: Dims, bc: usize, relaxed: bool) -> ChannelConfig {
+    let mut cfg = ChannelConfig::paper_scaled(dims);
+    cfg.body = [1e-4, 0.0, 0.0];
+    match bc {
+        0 => {}
+        1 => cfg.wall_bc = WallBc::PatternedSlip { r_a: 0.9, r_b: 0.2, period: 2, phase: 1 },
+        _ => {
+            cfg.wall_bc = WallBc::rough_stripes(1, 3, dims);
+            cfg.obstacles = vec![SolidRegion::Block { min: [5, 2, 0], max: [7, 4, 2] }];
+        }
+    }
+    if relaxed {
+        cfg.components[0].0.collision = CollisionOperator::trt_magic();
+        cfg.components[1].0.collision = CollisionOperator::mrt_standard();
+    }
+    cfg
+}
+
+/// What every migrated decomposition must still satisfy: it stitches to the
+/// sequential snapshot, every slab's mass and checkpoint are those of the
+/// compact slab `load_solver` rebuilds from its bytes, and the slabs tile
+/// the channel.
+fn assert_remapped_run_is_sequential(cfg: &ChannelConfig, solvers: &[SlabSolver], phases: u64) {
+    let mut sim = Simulation::new(cfg.clone());
+    sim.run(phases);
+    let got = Snapshot::stitch(solvers.iter().map(|s| s.snapshot()).collect());
+    assert_eq!(got, sim.snapshot(), "migrations changed the physics");
+    for s in solvers {
+        let bytes = save_solver(s, phases);
+        let (restored, phase) = load_solver(cfg, &bytes).expect("a saved slab loads");
+        assert_eq!((phase, restored.slab()), (phases, s.slab()));
+        assert_eq!(save_solver(&restored, phases), bytes, "checkpoint of a migrated slab");
+        assert_eq!(restored.total_mass().to_bits(), s.total_mass().to_bits());
+        assert_eq!(restored.snapshot(), s.snapshot());
+    }
+    let mass: f64 = solvers.iter().map(|s| s.total_mass()).sum();
+    let want = sim.solver().total_mass();
+    assert!(((mass - want) / want).abs() < 1e-13, "mass {mass} vs sequential {want}");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Random take/give sequences, both directions, any count the donor
+    /// can spare (so planes routinely leave a slab's initial window, and
+    /// come back), several per phase.
+    #[test]
+    fn generated_migration_sequences_keep_fields_mass_and_checkpoints(
+        workers in 2usize..5,
+        bc in 0usize..3,
+        relaxed in any::<bool>(),
+        phases in 2u8..6,
+        ops in proptest::collection::vec((0u8..6, 0usize..64, 0usize..64, any::<bool>()), 0..10),
+    ) {
+        let dims = Dims::new(12, 6, 3);
+        let cfg = migration_config(dims, bc, relaxed);
+        let mut solvers: Vec<SlabSolver> =
+            even_slabs(dims.nx, workers).into_iter().map(|slab| SlabSolver::new(&cfg, slab)).collect();
+        prime(&mut solvers);
+        for p in 0..phases {
+            phase(&mut solvers);
+            for &(when, edge, count, rightward) in &ops {
+                let edge = edge % (workers - 1);
+                let spare = solvers[if rightward { edge } else { edge + 1 }].nx_local() - 1;
+                if when == p && spare > 0 {
+                    migrate(&mut solvers, edge, 1 + count % spare, rightward);
+                }
+            }
+        }
+        assert_remapped_run_is_sequential(&cfg, &solvers, phases as u64);
+    }
+}
+
+/// The directed worst case: the middle slab's window is pushed entirely out
+/// of the planes it started on — to the right edge of the channel, then to
+/// the left edge — and brought back, under every BC × operator.
+#[test]
+fn a_slab_travels_across_the_channel_and_back() {
+    let dims = Dims::new(12, 6, 3);
+    for (bc, relaxed) in [(0, false), (1, true), (2, false), (2, true)] {
+        let cfg = migration_config(dims, bc, relaxed);
+        let mut solvers: Vec<SlabSolver> =
+            even_slabs(dims.nx, 3).into_iter().map(|slab| SlabSolver::new(&cfg, slab)).collect();
+        prime(&mut solvers);
+        // (edge, count, rightward): slab 1 starts on planes 4..8.
+        let moves = [
+            (1, 3, false), // 4 | 7 | 1
+            (0, 6, false), // 10 | 1 | 1: slab 1 sits on plane 10
+            (0, 9, true),  // 1 | 10 | 1
+            (1, 9, true),  // 1 | 1 | 10: slab 1 sits on plane 1
+            (1, 6, false), // 1 | 7 | 4
+            (0, 3, false), // 4 | 4 | 4 again
+        ];
+        for (edge, count, rightward) in moves {
+            phase(&mut solvers);
+            migrate(&mut solvers, edge, count, rightward);
+        }
+        assert_eq!(solvers.iter().map(|s| s.slab()).collect::<Vec<_>>(), even_slabs(dims.nx, 3));
+        assert_remapped_run_is_sequential(&cfg, &solvers, moves.len() as u64);
     }
 }
 

@@ -10,15 +10,18 @@
 //! request — are pinned the same way, recorded from the tree that still
 //! had one byte cursor per crate (PR 15's).
 
-use microslip::lbm::checkpoint::{load_solver, read_sealed, write_sealed};
+use microslip::lbm::checkpoint::{load_solver, read_sealed, save_solver, write_sealed};
 use microslip::lbm::diagnostics::FlowDiagnostics;
-use microslip::lbm::{ChannelConfig, Dims, ResultArtifact, Simulation};
+use microslip::lbm::geometry::even_slabs;
+use microslip::lbm::{ChannelConfig, Dims, ResultArtifact, Simulation, SlabSolver, Snapshot};
 use microslip::lbm::config_codec::{decode_config, encode_config};
 use microslip::lbm::WallBc;
 use microslip::scenario::Scenario;
 use microslip::serve::SweepRequest;
 use microslip::runtime::LoadModel;
 use microslip_net::wire::{encode, Frame};
+
+mod common;
 
 fn crc32_bytewise(bytes: &[u8]) -> u32 {
     let mut crc = !0u32;
@@ -91,6 +94,60 @@ fn sealed_checkpoint_bytes_are_pinned() {
     // And the file still opens through the buffered API.
     let (solver, phase) = load_solver(&config(), &read_sealed(&path).unwrap()).unwrap();
     assert_eq!((phase, solver.snapshot()), (3, sim.snapshot()));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Two half-channel slabs after a fixed take/give sequence with phases in
+/// between: planes leave slab 0, travel past slab 1's initial window and
+/// come back, so both slabs end on layouts they did not start with.
+fn remapped_slabs() -> Vec<SlabSolver> {
+    let cfg = config();
+    let mut slabs: Vec<SlabSolver> =
+        even_slabs(cfg.dims.nx, 2).into_iter().map(|slab| SlabSolver::new(&cfg, slab)).collect();
+    common::prime(&mut slabs);
+    for (count, rightward) in [(2, true), (4, false), (3, true), (2, false)] {
+        common::phase(&mut slabs);
+        common::migrate(&mut slabs, 0, count, rightward);
+    }
+    common::phase(&mut slabs);
+    slabs
+}
+
+#[test]
+fn sealed_checkpoint_bytes_after_a_remap_are_pinned() {
+    // Recorded from PR 17's tree, where a migration rebuilt the slab
+    // (`resize_all`): the bytes a checkpoint holds after planes have moved
+    // — ghost planes zeroed by the migration included — must not depend on
+    // how the slab is stored.
+    let slabs = remapped_slabs();
+    assert_eq!(slabs.iter().map(|s| s.nx_local()).collect::<Vec<_>>(), [6, 4]);
+    let want = [
+        Golden {
+            len: 79_940,
+            crc: 0xd881_a255,
+            first: *b"MSLIPCK1\x0a\0\0\0\0\0\0\0",
+            last: [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x55, 0xa2, 0x81, 0xd8],
+        },
+        Golden {
+            len: 59_972,
+            crc: 0x4c1f_b970,
+            first: *b"MSLIPCK1\x0a\0\0\0\0\0\0\0",
+            last: [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x70, 0xb9, 0x1f, 0x4c],
+        },
+    ];
+    let dir = std::env::temp_dir().join(format!("microslip-golden-remap-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (rank, (slab, want)) in slabs.iter().zip(&want).enumerate() {
+        let path = dir.join(format!("rank{rank}.bin"));
+        write_sealed(&path, save_solver(slab, 5)).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        assert_golden(&format!("remapped rank {rank}"), &bytes, 0..bytes.len() - 4, want);
+    }
+    // The remapped run is still the sequential run.
+    let mut sim = Simulation::new(config());
+    sim.run(5);
+    let stitched = Snapshot::stitch(slabs.iter().map(|s| s.snapshot()).collect());
+    assert_eq!(stitched, sim.snapshot());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
