@@ -19,7 +19,7 @@
 //! it. The `Vec<u8>` entry points are the same code over a buffer.
 
 use std::io::{self, Read, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use microslip_codec::{read_f64s, write_f64s, SealError, TRAILER_LEN};
 
@@ -214,6 +214,40 @@ pub fn read_solver(
     restored
 }
 
+/// The periodic checkpoint of `rank` after `phase` in a run directory —
+/// the one place the file name is spelled. A whole-channel job is rank 0.
+pub fn path(dir: &Path, rank: usize, phase: u64) -> PathBuf {
+    dir.join(format!("ckpt-rank{rank}-phase{phase}.bin"))
+}
+
+/// Phases `rank` has a periodic checkpoint file for in `dir`, ascending.
+/// Names only: the files are not opened.
+pub fn phases(dir: &Path, rank: usize) -> Vec<u64> {
+    let Ok(entries) = std::fs::read_dir(dir) else { return Vec::new() };
+    let mut phases: Vec<u64> = entries
+        .flatten()
+        .filter_map(|entry| {
+            let name = entry.file_name();
+            let stem = name.to_str()?.strip_suffix(".bin")?;
+            let phase = stem.rsplit(|c: char| !c.is_ascii_digit()).next()?.parse().ok()?;
+            // Only the name `path` spells is this rank's checkpoint.
+            (entry.path() == path(dir, rank, phase)).then_some(phase)
+        })
+        .collect();
+    phases.sort_unstable();
+    phases
+}
+
+/// The [`phases`] whose file passes its CRC — each checked in one
+/// streaming pass, so a scan allocates nothing slab-sized. Torn or corrupt
+/// files (a crash mid-write leaves at worst a stray `.tmp`; a damaged file
+/// fails its trailer) are skipped, not errors: a restart takes the newest
+/// phase it can actually restore.
+pub fn valid_phases(dir: &Path, rank: usize) -> Vec<u64> {
+    let intact = |phase: &u64| microslip_codec::verify(&path(dir, rank, *phase)).is_ok();
+    phases(dir, rank).into_iter().filter(intact).collect()
+}
+
 /// Crash-safe sealed write of an already serialized payload.
 pub fn write_sealed(path: &Path, payload: Vec<u8>) -> io::Result<()> {
     microslip_codec::write_file(path, |w| w.write_all(&payload))
@@ -369,6 +403,30 @@ mod tests {
         let (solver, phase) = load_solver(&config(), &read_sealed(&path).unwrap()).unwrap();
         assert_eq!(phase, 0);
         assert_eq!(solver.nx_local(), 10);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn checkpoint_phase_scan_skips_torn_and_foreign_files() {
+        let dir = std::env::temp_dir()
+            .join(format!("microslip-ckpt-scan-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        write_sealed(&path(&dir, 1, 3), b"aaaa".to_vec()).unwrap();
+        write_sealed(&path(&dir, 1, 6), b"bbbb".to_vec()).unwrap();
+        // Torn write: sealed bytes with the tail sliced off mid-trailer.
+        let torn = microslip_codec::seal(b"cccc".to_vec());
+        std::fs::write(path(&dir, 1, 9), &torn[..torn.len() - 2]).unwrap();
+        // Other ranks, other spellings and unrelated files are ignored.
+        write_sealed(&path(&dir, 2, 6), b"dddd".to_vec()).unwrap();
+        write_sealed(&dir.join("ckpt-rank1-phase07.bin"), b"eeee".to_vec()).unwrap();
+        write_sealed(&dir.join("ckpt-000000000008.bin"), b"ffff".to_vec()).unwrap();
+        std::fs::write(dir.join("ckpt-rank1-phase12.bin.tmp"), b"junk").unwrap();
+        assert_eq!(phases(&dir, 1), vec![3, 6, 9]);
+        assert_eq!(valid_phases(&dir, 1), vec![3, 6]);
+        assert_eq!(valid_phases(&dir, 2), vec![6]);
+        assert_eq!(valid_phases(&dir, 0), Vec::<u64>::new());
+        assert_eq!(valid_phases(&dir.join("absent"), 0), Vec::<u64>::new());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -250,6 +250,11 @@ pub fn default_config() -> LintConfig {
             "crates/lbm/src/store.rs".into(),
             "src/scenario.rs".into(),
             "src/serve.rs".into(),
+            // The one child-process layer: it interprets exit statuses
+            // and error files a crashed rank or job left behind, and a
+            // panic here would take the driver or the daemon down with
+            // every child it holds.
+            "src/supervisor.rs".into(),
         ],
         unsafe_registry: vec![
             unsafe_file(

@@ -33,8 +33,8 @@ pub struct RuntimeConfig {
     /// spikes).
     pub spikes: Vec<(usize, u64, u64, f64)>,
     /// Phases between periodic on-disk checkpoints
-    /// (`ckpt-rank{r}-phase{p}.bin` in [`Self::checkpoint_dir`]); 0
-    /// disables them.
+    /// ([`microslip_lbm::checkpoint::path`] in [`Self::checkpoint_dir`]);
+    /// 0 disables them.
     pub checkpoint_every: u64,
     /// Directory for periodic checkpoints; `None` = current directory.
     pub checkpoint_dir: Option<std::path::PathBuf>,
@@ -69,7 +69,27 @@ impl RuntimeConfig {
         }
     }
 
-    fn throttle_for(&self, rank: usize) -> ThrottlePlan {
+    /// The static configuration every worker of this run shares — the
+    /// threads of [`run_parallel`] and the rank processes of a
+    /// multi-process run alike. `epoch` is their common time origin.
+    pub fn worker_config(&self, epoch: Instant) -> WorkerConfig {
+        WorkerConfig {
+            channel: self.channel.clone(),
+            phases: self.phases,
+            start_phase: 0,
+            remap_interval: self.remap_interval,
+            predictor_window: self.predictor_window,
+            checkpoint_every: self.checkpoint_every,
+            checkpoint_dir: self.checkpoint_dir.clone(),
+            load: self.load,
+            parallelism: Parallelism::new(self.threads_per_worker.max(1)),
+            trace: self.trace.clone(),
+            epoch,
+        }
+    }
+
+    /// `rank`'s slowdown schedule: its base factor plus its spikes.
+    pub fn throttle_for(&self, rank: usize) -> ThrottlePlan {
         let base = self.throttle.get(rank).copied().unwrap_or(1.0);
         let mut plan = ThrottlePlan::constant(base.max(1.0));
         for &(r, from, to, factor) in &self.spikes {
@@ -156,19 +176,7 @@ where
         phases: cfg.phases,
         policy: policy.name().into(),
     });
-    let worker_cfg = Arc::new(WorkerConfig {
-        channel: cfg.channel.clone(),
-        phases: cfg.phases,
-        start_phase: 0,
-        remap_interval: cfg.remap_interval,
-        predictor_window: cfg.predictor_window,
-        checkpoint_every: cfg.checkpoint_every,
-        checkpoint_dir: cfg.checkpoint_dir.clone(),
-        load: cfg.load,
-        parallelism: Parallelism::new(cfg.threads_per_worker.max(1)),
-        trace: cfg.trace.clone(),
-        epoch: start,
-    });
+    let worker_cfg = Arc::new(cfg.worker_config(start));
 
     let mut handles = Vec::with_capacity(cfg.workers);
     for (transport, solver) in transports.into_iter().zip(starts) {

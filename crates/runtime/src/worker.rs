@@ -83,8 +83,9 @@ pub struct WorkerConfig {
     pub predictor_window: usize,
     /// Phases between periodic on-disk checkpoints; 0 disables them.
     pub checkpoint_every: u64,
-    /// Directory for periodic checkpoints (`ckpt-rank{r}-phase{p}.bin`);
-    /// defaults to the current directory.
+    /// Directory for periodic checkpoints
+    /// ([`microslip_lbm::checkpoint::path`]); defaults to the current
+    /// directory.
     pub checkpoint_dir: Option<std::path::PathBuf>,
     /// Load-index source for the remap predictor (see [`LoadModel`]).
     pub load: LoadModel,
@@ -295,7 +296,7 @@ fn run_phases<T: Transport>(
                 .unwrap_or_else(|| std::path::PathBuf::from("."));
             std::fs::create_dir_all(&dir)
                 .map_err(|e| WorkerError::Io(format!("create {}: {e}", dir.display())))?;
-            let path = dir.join(format!("ckpt-rank{rank}-phase{phase}.bin"));
+            let path = microslip_lbm::checkpoint::path(&dir, rank, phase);
             microslip_lbm::checkpoint::write_solver(&path, solver, phase)
                 .map_err(|e| WorkerError::Io(format!("write {}: {e}", path.display())))?;
         }

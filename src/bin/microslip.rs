@@ -14,9 +14,7 @@
 //! ```
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
-use microslip::balance::{Conservative, Filtered, NoRemap};
 use microslip::cluster::{
     run_scheme_traced, ClusterConfig, Dedicated, FixedSlowNodes, Scheme,
 };
@@ -28,9 +26,9 @@ use microslip::obs::{
     Event, Recorder, TraceSink, TraceSummary, DEFAULT_CAPACITY,
 };
 use microslip::mp::{FaultSite, MpFault, MpWorkerArgs};
-use microslip::runtime::{run_parallel, LoadModel, RuntimeConfig};
+use microslip::runtime::LoadModel;
 use microslip::serve::{self, RunJobArgs, ServeConfig, SweepRequest};
-use microslip::{run_multiprocess, MpConfig, Scenario};
+use microslip::Scenario;
 
 /// Parsed `--key value` flags (and bare `--key` booleans).
 struct Flags {
@@ -63,6 +61,11 @@ impl Flags {
 
     fn has(&self, key: &str) -> bool {
         self.values.contains_key(key)
+    }
+
+    /// The value of a flag the (internal) command cannot run without.
+    fn need(&self, key: &str) -> Result<String, String> {
+        self.values.get(key).cloned().ok_or_else(|| format!("missing required --{key}"))
     }
 }
 
@@ -223,9 +226,10 @@ fn cmd_cluster(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `--throttle RANK:FACTOR[,RANK:FACTOR…]` → dense per-rank factors.
-fn throttle_spec(spec: &str, ranks: usize) -> Result<Vec<f64>, String> {
-    let mut out = vec![1.0; ranks];
+/// `--throttle RANK:FACTOR[,RANK:FACTOR…]` → the scenario's sparse
+/// `(rank, factor)` pairs.
+fn throttle_spec(spec: &str, ranks: usize) -> Result<Vec<(usize, f64)>, String> {
+    let mut out = Vec::new();
     for part in spec.split(',') {
         let (rank, factor) = part
             .split_once(':')
@@ -235,7 +239,7 @@ fn throttle_spec(spec: &str, ranks: usize) -> Result<Vec<f64>, String> {
         if rank >= ranks {
             return Err(format!("rank {rank} out of range for {ranks} ranks"));
         }
-        out[rank] = factor;
+        out.push((rank, factor));
     }
     Ok(out)
 }
@@ -244,30 +248,25 @@ fn cmd_parallel(args: &[String]) -> Result<(), String> {
     let f = Flags::parse(args)?;
     let workers = f.get("workers", 4usize)?;
     let phases = f.get("phases", 100u64)?;
-    let scheme = f.get("scheme", "filtered".to_string())?;
+    let scheme = scheme_by_name(&f.get("scheme", "filtered".to_string())?)?;
     let (sink, recording) = trace_flag(&f);
-    let mut cfg = RuntimeConfig::new(
-        ChannelConfig::paper_scaled(Dims::new(48, 24, 8)),
-        workers,
-        phases,
-    );
-    cfg.remap_interval = 10;
-    cfg.trace = sink;
-    cfg.checkpoint_every = f.get("checkpoint-every", 0u64)?;
-    if let Some(dir) = f.values.get("checkpoint-dir") {
-        cfg.checkpoint_dir = Some(dir.into());
-    }
+    let mut scenario = Scenario::new(ChannelConfig::paper_scaled(Dims::new(48, 24, 8)))
+        .workers(workers)
+        .phases(phases)
+        .scheme(scheme)
+        .trace(sink);
     if let Some(spec) = f.values.get("throttle") {
-        cfg.throttle = throttle_spec(spec, workers)?;
+        scenario.throttle = throttle_spec(spec, workers)?;
     }
-    let outcome = match scheme.as_str() {
-        "no-remap" => run_parallel(&cfg, Arc::new(NoRemap)),
-        "filtered" => run_parallel(&cfg, Arc::new(Filtered::default())),
-        "conservative" => run_parallel(&cfg, Arc::new(Conservative::default())),
-        other => return Err(format!("scheme '{other}' not executable on the threaded runtime")),
-    };
+    let mut runtime = scenario.runtime()?;
+    runtime.config_mut().checkpoint_every = f.get("checkpoint-every", 0u64)?;
+    if let Some(dir) = f.values.get("checkpoint-dir") {
+        runtime.config_mut().checkpoint_dir = Some(dir.into());
+    }
+    let outcome = runtime.run();
     println!(
-        "{scheme} on {workers} workers, {phases} phases: wall {:.2}s, planes {:?}, migrated {}",
+        "{} on {workers} workers, {phases} phases: wall {:.2}s, planes {:?}, migrated {}",
+        scheme.name(),
         outcome.wall_seconds,
         outcome.final_counts(),
         outcome.planes_migrated()
@@ -289,38 +288,36 @@ fn cmd_mp(args: &[String]) -> Result<(), String> {
     let ranks = f.get("ranks", 2usize)?;
     let phases = f.get("phases", 20u64)?;
     let scheme = scheme_by_name(&f.get("scheme", "filtered".to_string())?)?;
-    let nx = f.get("nx", 32usize)?;
-    let ny = f.get("ny", 8usize)?;
-    let nz = f.get("nz", 4usize)?;
-    let mut channel = ChannelConfig::paper_scaled(Dims::new(nx, ny, nz));
-    channel.body = [1.0e-4, 0.0, 0.0];
-    let check_channel = channel.clone();
-    let mut cfg = MpConfig::new(channel, ranks, phases);
-    cfg.remap_interval = f.get("remap-every", 10u64)?;
-    cfg.predictor_window = f.get("predictor-window", 3usize)?;
-    cfg.scheme = scheme;
+    let dims = (f.get("nx", 32usize)?, f.get("ny", 8usize)?, f.get("nz", 4usize)?);
+    let mut scenario = Scenario::paper_scaled(dims.0, dims.1, dims.2)
+        .workers(ranks)
+        .phases(phases)
+        .remap_every(f.get("remap-every", 10u64)?)
+        .predictor_window(f.get("predictor-window", 3usize)?)
+        .scheme(scheme);
+    if let Some(spec) = f.values.get("throttle") {
+        scenario.throttle = throttle_spec(spec, ranks)?;
+    }
+    if f.has("synthetic-load") {
+        let per_point = f.get("synthetic-load", 1.0f64)?;
+        scenario = scenario.load_model(LoadModel::Synthetic { per_point });
+    }
+    let mut mp = scenario.clone().multiprocess()?;
+    let cfg = mp.config_mut();
     cfg.checkpoint_every = f.get("checkpoint-every", 0u64)?;
     if f.has("resume-phase") {
         cfg.resume_phase = Some(f.get("resume-phase", 0u64)?);
-    }
-    if let Some(spec) = f.values.get("throttle") {
-        cfg.throttle = throttle_spec(spec, ranks)?;
-    }
-    if f.has("synthetic-load") {
-        cfg.load = LoadModel::Synthetic { per_point: f.get("synthetic-load", 1.0f64)? };
     }
     if let Some(dir) = f.values.get("dir") {
         cfg.dir = Some(dir.into());
     }
     if let Some(spec) = f.values.get("chaos") {
         cfg.fault = Some(chaos_spec(spec, ranks)?);
-        // A chaos kill only makes sense with the supervisor on.
-        cfg.recover = true;
     }
-    if f.has("recover") {
-        cfg.recover = true;
-    }
-    let outcome = run_multiprocess(&cfg).map_err(|e| e.to_string())?;
+    // A chaos kill only makes sense with the supervisor on.
+    cfg.recover = f.has("recover") || cfg.fault.is_some();
+    let faulted = cfg.fault.is_some();
+    let outcome = mp.run().map_err(|e| e.to_string())?;
     println!(
         "{} on {ranks} processes, {phases} phases: planes {:?}, migrated {}",
         scheme.name(),
@@ -334,36 +331,22 @@ fn cmd_mp(args: &[String]) -> Result<(), String> {
         }
     }
     if f.has("check") {
-        // Re-run the exact configuration on the threaded runtime and hold
-        // the two substrates to the equivalence bar: bitwise-identical
-        // fields, and (under a synthetic load model) identical remap
-        // decisions.
+        // Re-run the exact scenario on the threaded runtime and hold the
+        // two substrates to the equivalence bar: bitwise-identical fields,
+        // and (under a synthetic load model) identical remap decisions.
         let (sink, rec) = TraceSink::recorder(DEFAULT_CAPACITY);
-        let mut rcfg = RuntimeConfig::new(check_channel, ranks, phases);
-        rcfg.remap_interval = cfg.remap_interval;
-        rcfg.predictor_window = cfg.predictor_window;
-        rcfg.throttle = cfg.throttle.clone();
-        rcfg.spikes = cfg.spikes.clone();
-        rcfg.load = cfg.load;
-        rcfg.trace = sink;
-        let reference = match scheme {
-            Scheme::NoRemap => run_parallel(&rcfg, Arc::new(NoRemap)),
-            Scheme::Filtered => run_parallel(&rcfg, Arc::new(Filtered::default())),
-            Scheme::Conservative => run_parallel(&rcfg, Arc::new(Conservative::default())),
-            other => {
-                return Err(format!("scheme '{}' not executable on the threaded runtime", other.name()))
-            }
-        };
+        let synthetic = matches!(scenario.load, LoadModel::Synthetic { .. });
+        let reference = scenario.trace(sink).runtime()?.run();
         if outcome.snapshot != reference.snapshot {
             return Err("check failed: mp fields differ from the threaded reference".to_string());
         }
         // Remap decisions are only held equal on undisturbed runs: after a
         // recovery rollback the predictor's history restarts empty, so
         // post-recovery decisions may differ while the physics may not.
-        if cfg.fault.is_none() {
+        if !faulted {
             let mp_prints = remap_fingerprints(&outcome.events);
             let threaded_prints = remap_fingerprints(&rec.events());
-            if matches!(cfg.load, LoadModel::Synthetic { .. }) && mp_prints != threaded_prints {
+            if synthetic && mp_prints != threaded_prints {
                 return Err("check failed: mp remap decisions differ from the threaded reference".to_string());
             }
             println!(
@@ -396,54 +379,26 @@ fn chaos_spec(spec: &str, ranks: usize) -> Result<MpFault, String> {
     Ok(MpFault { rank, die_at_phase, site })
 }
 
+/// `--key N` when present.
+fn optional<T: std::str::FromStr>(f: &Flags, key: &str) -> Result<Option<T>, String> {
+    f.values
+        .get(key)
+        .map(|v| v.parse().map_err(|_| format!("bad --{key} '{v}'")))
+        .transpose()
+}
+
 /// One rank of a multi-process run — spawned by `microslip mp`, not meant
-/// for direct use.
+/// for direct use. What to run is the `scenario.bin` in `--dir`; the flags
+/// are what differs per process.
 fn cmd_mp_worker(args: &[String]) -> Result<(), String> {
     let f = Flags::parse(args)?;
-    let need = |key: &str| -> Result<String, String> {
-        f.values.get(key).cloned().ok_or_else(|| format!("mp-worker requires --{key}"))
-    };
-    let mut spikes = Vec::new();
-    if let Some(spec) = f.values.get("spikes") {
-        for part in spec.split(',') {
-            let fields: Vec<&str> = part.split(':').collect();
-            let err = || format!("--spikes wants FROM:TO:FACTOR, got '{part}'");
-            if fields.len() != 3 {
-                return Err(err());
-            }
-            let from = fields[0].parse().map_err(|_| err())?;
-            let to = fields[1].parse().map_err(|_| err())?;
-            let factor = fields[2].parse().map_err(|_| err())?;
-            spikes.push((from, to, factor));
-        }
-    }
     let a = MpWorkerArgs {
-        rank: need("rank")?.parse().map_err(|_| "bad --rank".to_string())?,
-        ranks: need("ranks")?.parse().map_err(|_| "bad --ranks".to_string())?,
-        rendezvous: need("rendezvous")?,
-        dir: need("dir")?.into(),
-        phases: f.get("phases", 100u64)?,
-        remap_interval: f.get("remap-every", 0u64)?,
-        predictor_window: f.get("predictor-window", 10usize)?,
-        scheme: f.get("scheme", "filtered".to_string())?,
-        throttle_factor: f.get("throttle-factor", 1.0f64)?,
-        spikes,
-        synthetic_load: f
-            .values
-            .get("synthetic-load")
-            .map(|v| v.parse().map_err(|_| format!("bad --synthetic-load '{v}'")))
-            .transpose()?,
+        rank: f.need("rank")?.parse().map_err(|_| "bad --rank".to_string())?,
+        rendezvous: f.need("rendezvous")?,
+        dir: f.need("dir")?.into(),
         checkpoint_every: f.get("checkpoint-every", 0u64)?,
-        resume_phase: f
-            .values
-            .get("resume-phase")
-            .map(|v| v.parse().map_err(|_| format!("bad --resume-phase '{v}'")))
-            .transpose()?,
-        die_at_phase: f
-            .values
-            .get("die-at-phase")
-            .map(|v| v.parse().map_err(|_| format!("bad --die-at-phase '{v}'")))
-            .transpose()?,
+        resume_phase: optional(&f, "resume-phase")?,
+        die_at_phase: optional(&f, "die-at-phase")?,
         die_site: match f.values.get("die-site").map(String::as_str) {
             None | Some("halo") => FaultSite::Halo,
             Some("remap") => FaultSite::Remap,
@@ -452,7 +407,6 @@ fn cmd_mp_worker(args: &[String]) -> Result<(), String> {
         supervised: f.has("supervised"),
         epoch: f.get("epoch", 1u64)?,
         rejoin: f.has("rejoin"),
-        epoch_wait_ms: f.get("epoch-wait-ms", 30_000u64)?,
     };
     microslip::mp::run_worker(&a)
 }
@@ -632,20 +586,13 @@ fn cmd_fetch(args: &[String]) -> Result<(), String> {
 /// to reproduce a cached artifact bit for bit.
 fn cmd_run_job(args: &[String]) -> Result<(), String> {
     let f = Flags::parse(args)?;
-    let need = |key: &str| -> Result<String, String> {
-        f.values.get(key).cloned().ok_or_else(|| format!("run-job requires --{key}"))
-    };
     let a = RunJobArgs {
-        scenario_path: need("scenario")?.into(),
-        out_path: need("out")?.into(),
+        scenario_path: f.need("scenario")?.into(),
+        out_path: f.need("out")?.into(),
         checkpoint_dir: f.get("checkpoint-dir", "target/run-job-ckpt".to_string())?.into(),
         checkpoint_every: f.get("checkpoint-every", 0u64)?,
         resume: f.has("resume"),
-        die_at_phase: f
-            .values
-            .get("die-at-phase")
-            .map(|v| v.parse().map_err(|_| format!("bad --die-at-phase '{v}'")))
-            .transpose()?,
+        die_at_phase: optional(&f, "die-at-phase")?,
     };
     serve::run_job(&a)
 }

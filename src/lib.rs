@@ -64,6 +64,7 @@ pub use microslip_runtime as runtime;
 pub mod mp;
 pub mod scenario;
 pub mod serve;
+pub mod supervisor;
 pub use mp::{
     run_multiprocess, FaultSite, MpConfig, MpFailure, MpFault, MpOutcome, MpReport,
 };

@@ -9,9 +9,10 @@
 //! running the `mp-worker` subcommand, hands them a rendezvous address,
 //! and gathers their results from a shared run directory:
 //!
-//! * `config.bin` — the [`ChannelConfig`], byte-exact via
-//!   [`microslip_lbm::config_codec`], written by the driver and decoded by
-//!   every child;
+//! * `scenario.bin` — the run's [`Scenario`] in its canonical bytes,
+//!   written by the driver and decoded by every child: the same file a
+//!   `serve` job reads, so a rank's command line carries only what differs
+//!   per process ([`MpWorkerArgs`]);
 //! * `rank{r}.state` — each rank's end-of-run solver state
 //!   ([`microslip_lbm::checkpoint`] format), stitched into the global
 //!   [`Snapshot`];
@@ -29,40 +30,57 @@
 //! Determinism carries over: remapping moves planes, never changes
 //! physics, so an `mp` run is bitwise identical to the threaded and
 //! sequential runs of the same configuration. With
-//! [`LoadModel::Synthetic`] the remap *decisions* are a pure function of
-//! the configuration too, and the two substrates produce identical
-//! decision audit trails (compare with
+//! [`microslip_runtime::LoadModel::Synthetic`] the remap *decisions* are
+//! a pure function of the configuration too, and the two substrates
+//! produce identical decision audit trails (compare with
 //! [`microslip_obs::remap_fingerprints`]).
 
 use std::fmt;
 use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use microslip_balance::recovery::RecoveryPlan;
-use microslip_balance::policy::{Conservative, Filtered, NeighborPolicy, NoRemap};
+use microslip_balance::policy::NeighborPolicy;
 use microslip_balance::predict::HarmonicMean;
+use microslip_balance::recovery::RecoveryPlan;
 use microslip_balance::Partition;
-use microslip_cluster::Scheme;
 use microslip_comm::{CommError, NodeId, Tag, Transport};
-use microslip_lbm::checkpoint::{read_solver, write_solver};
-use microslip_lbm::config_codec::{decode_config, encode_config};
+use microslip_lbm::checkpoint::{self, read_solver, write_solver};
 use microslip_lbm::geometry::{even_slabs, slabs_tile};
 use microslip_lbm::macroscopic::Snapshot;
-use microslip_lbm::{ChannelConfig, Slab};
+use microslip_lbm::{Slab, SlabSolver};
 use microslip_net::{connect_epoch, reserve_port, NetConfig};
 use microslip_obs::{
     from_jsonl, merge_rank_streams, to_jsonl, Event, RecoveryStage, TraceSink,
     DEFAULT_CAPACITY,
 };
 use microslip_runtime::worker::{
-    worker_main, worker_main_with_solver, WorkerConfig, WorkerError, WorkerReport,
+    worker_main_with_solver, WorkerConfig, WorkerError, WorkerReport,
 };
-use microslip_runtime::{LoadModel, ThrottlePlan};
+use microslip_runtime::RuntimeConfig;
+
+use crate::scenario::Scenario;
+use crate::supervisor::{die_injected, Budget, Child, Exit, Verdict};
+
+/// How many times the driver respawns dead ranks before the run is
+/// declared lost.
+const MAX_RESPAWNS: usize = 3;
+
+/// How long a supervised survivor waits for the driver to publish the
+/// next epoch before giving up — the bound keeps an orphaned survivor
+/// (driver died too) from hanging forever.
+const EPOCH_WAIT: Duration = Duration::from_secs(30);
+
+/// How long an aborting driver lets unsupervised survivors exit on their
+/// own: each notices its dead peer within a phase and leaves its typed
+/// error and partial trace behind.
+const ABORT_GRACE: Duration = Duration::from_secs(30);
+
+/// The driver's poll interval over its children.
+const POLL: Duration = Duration::from_millis(15);
 
 /// Where in the worker protocol an injected fault strikes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -86,31 +104,17 @@ pub struct MpFault {
     pub site: FaultSite,
 }
 
-/// Configuration of a multi-process run.
+/// A multi-process run: the [`Scenario`] (`workers` = ranks) plus how to
+/// execute it here.
 #[derive(Clone, Debug)]
 pub struct MpConfig {
-    pub channel: ChannelConfig,
-    /// Worker processes (one slab each).
-    pub ranks: usize,
-    pub phases: u64,
-    /// Phases between remap rounds; 0 disables remapping.
-    pub remap_interval: u64,
-    pub predictor_window: usize,
-    /// Remapping scheme; [`Scheme::Global`] is rejected (needs a
-    /// collective).
-    pub scheme: Scheme,
-    /// Per-rank slowdown factors (≥ 1). Empty = all full speed.
-    pub throttle: Vec<f64>,
-    /// Transient spikes `(rank, from_phase, to_phase, factor)`.
-    pub spikes: Vec<(usize, u64, u64, f64)>,
-    /// Load-index source. Use [`LoadModel::Synthetic`] when comparing
-    /// remap decisions against a threaded run of the same configuration.
-    pub load: LoadModel,
+    /// What to run; every rank reads it back from `scenario.bin`.
+    pub scenario: Scenario,
     /// Phases between periodic checkpoints in the run directory; 0
     /// disables them.
     pub checkpoint_every: u64,
-    /// Resume every rank from `ckpt-rank{r}-phase{p}.bin` in the run
-    /// directory and run `phases` *more* phases.
+    /// Resume every rank from its [`checkpoint::path`] file of this phase
+    /// in the run directory and run `phases` *more* phases.
     pub resume_phase: Option<u64>,
     /// Run directory; `None` = a fresh directory under the system temp
     /// dir.
@@ -122,34 +126,21 @@ pub struct MpConfig {
     /// Supervise the children: when a rank dies without leaving a typed
     /// error file, bump the membership epoch, respawn it with `--rejoin`,
     /// and let the survivors re-mesh and roll back to the last common
-    /// checkpoint. Off, a dead rank fails the run (the pre-recovery
-    /// behavior).
+    /// checkpoint. Off, a dead rank fails the run.
     pub recover: bool,
-    /// How many times one rank may be respawned before the run is
-    /// declared lost.
-    pub max_respawns: u32,
 }
 
 impl MpConfig {
-    /// A run with no remapping and no throttling.
-    pub fn new(channel: ChannelConfig, ranks: usize, phases: u64) -> Self {
+    /// `scenario` with no checkpoints, no fault and no recovery.
+    pub fn new(scenario: Scenario) -> Self {
         MpConfig {
-            channel,
-            ranks,
-            phases,
-            remap_interval: 0,
-            predictor_window: 10,
-            scheme: Scheme::Filtered,
-            throttle: Vec::new(),
-            spikes: Vec::new(),
-            load: LoadModel::Measured,
+            scenario,
             checkpoint_every: 0,
             resume_phase: None,
             dir: None,
             worker_exe: None,
             fault: None,
             recover: false,
-            max_respawns: 3,
         }
     }
 }
@@ -213,17 +204,6 @@ impl fmt::Display for MpFailure {
 
 impl std::error::Error for MpFailure {}
 
-fn policy_by_name(name: &str) -> Result<Arc<dyn NeighborPolicy>, String> {
-    match name {
-        "no-remap" => Ok(Arc::new(NoRemap)),
-        "filtered" => Ok(Arc::new(Filtered::default())),
-        "conservative" => Ok(Arc::new(Conservative::default())),
-        other => {
-            Err(format!("scheme '{other}' not executable on the multi-process runtime"))
-        }
-    }
-}
-
 static RUN_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 fn fresh_run_dir() -> PathBuf {
@@ -234,9 +214,10 @@ fn fresh_run_dir() -> PathBuf {
     ))
 }
 
-/// Forks `cfg.ranks` worker processes, waits for them, and stitches their
+/// Forks one worker process per rank, supervises them, and stitches their
 /// results. On failure the error carries every failed rank's typed error
-/// text; partial traces stay in the run directory.
+/// text; partial traces stay in the run directory. However this returns,
+/// no rank process outlives it.
 pub fn run_multiprocess(cfg: &MpConfig) -> Result<MpOutcome, MpFailure> {
     let dir = cfg.dir.clone().unwrap_or_else(fresh_run_dir);
     let fail = |message: String| MpFailure {
@@ -244,146 +225,73 @@ pub fn run_multiprocess(cfg: &MpConfig) -> Result<MpOutcome, MpFailure> {
         rank_errors: Vec::new(),
         dir: dir.clone(),
     };
-
-    if cfg.ranks == 0 {
-        return Err(fail("need at least one rank".into()));
-    }
-    if cfg.channel.dims.nx < cfg.ranks {
-        return Err(fail(format!(
-            "need at least one plane per rank ({} planes < {} ranks)",
-            cfg.channel.dims.nx, cfg.ranks
-        )));
-    }
-    if cfg.scheme == Scheme::Global {
-        return Err(fail(
-            "the global scheme needs a collective exchange and only runs on the \
-             virtual cluster"
-                .into(),
-        ));
-    }
-    cfg.channel.validate().map_err(&fail)?;
-    policy_by_name(cfg.scheme.name()).map_err(&fail)?;
+    let ranks = cfg.scenario.workers;
+    cfg.scenario.validate_ranks("rank").map_err(&fail)?;
 
     fs::create_dir_all(&dir)
         .map_err(|e| fail(format!("create run dir {}: {e}", dir.display())))?;
-    let config_path = dir.join("config.bin");
-    fs::write(&config_path, encode_config(&cfg.channel))
-        .map_err(|e| fail(format!("write {}: {e}", config_path.display())))?;
+    let scenario_path = dir.join("scenario.bin");
+    fs::write(&scenario_path, cfg.scenario.canonical_bytes())
+        .map_err(|e| fail(format!("write {}: {e}", scenario_path.display())))?;
 
     let port =
         reserve_port().map_err(|e| fail(format!("reserve rendezvous port: {e}")))?;
-    let rendezvous = format!("127.0.0.1:{port}");
     let exe = match &cfg.worker_exe {
         Some(p) => p.clone(),
         None => std::env::current_exe()
             .map_err(|e| fail(format!("locate worker executable: {e}")))?,
     };
 
-    // Shared by the initial spawn and (under supervision) respawns: a
-    // rejoining rank gets the new epoch's rendezvous and no fault flags —
-    // a replacement must not re-inherit its predecessor's death sentence.
-    let spawn_rank = |rank: usize,
-                      rendezvous: &str,
-                      epoch: u64,
-                      rejoin: bool|
-     -> Result<Child, String> {
-        let stderr = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(dir.join(format!("rank{rank}.stderr")))
-            .map_err(|e| format!("rank {rank} stderr file: {e}"))?;
-        let mut cmd = Command::new(&exe);
-        cmd.arg("mp-worker")
-            .arg("--rank")
-            .arg(rank.to_string())
-            .arg("--ranks")
-            .arg(cfg.ranks.to_string())
-            .arg("--rendezvous")
-            .arg(rendezvous)
-            .arg("--dir")
-            .arg(&dir)
-            .arg("--phases")
-            .arg(cfg.phases.to_string())
-            .arg("--remap-every")
-            .arg(cfg.remap_interval.to_string())
-            .arg("--predictor-window")
-            .arg(cfg.predictor_window.to_string())
-            .arg("--scheme")
-            .arg(cfg.scheme.name())
-            .arg("--checkpoint-every")
-            .arg(cfg.checkpoint_every.to_string())
-            .stdout(Stdio::null())
-            .stderr(stderr);
-        if cfg.recover {
-            cmd.arg("--supervised").arg("--epoch").arg(epoch.to_string());
-        }
-        if rejoin {
-            cmd.arg("--rejoin");
-        }
-        let factor = cfg.throttle.get(rank).copied().unwrap_or(1.0);
-        if factor > 1.0 {
-            // f64 Display is shortest-round-trip, so the child parses the
-            // exact same value — synthetic load indices stay bit-equal to
-            // the threaded run's.
-            cmd.arg("--throttle-factor").arg(factor.to_string());
-        }
-        let spikes: Vec<String> = cfg
-            .spikes
-            .iter()
-            .filter(|s| s.0 == rank)
-            .map(|&(_, from, to, x)| format!("{from}:{to}:{x}"))
-            .collect();
-        if !spikes.is_empty() {
-            cmd.arg("--spikes").arg(spikes.join(","));
-        }
-        if let LoadModel::Synthetic { per_point } = cfg.load {
-            cmd.arg("--synthetic-load").arg(per_point.to_string());
-        }
-        if let Some(p) = cfg.resume_phase {
-            cmd.arg("--resume-phase").arg(p.to_string());
-        }
-        if !rejoin {
-            if let Some(f) = cfg.fault.filter(|f| f.rank == rank) {
-                cmd.arg("--die-at-phase").arg(f.die_at_phase.to_string());
-                if f.site == FaultSite::Remap {
-                    cmd.arg("--die-site").arg("remap");
-                }
-            }
-        }
-        cmd.spawn()
-            .map_err(|e| format!("spawn rank {rank} ({}): {e}", exe.display()))
+    // Shared by the initial spawn and respawns: a rejoining rank gets the
+    // new epoch's rendezvous and no fault — a replacement must not
+    // re-inherit its predecessor's death sentence.
+    let spawn_rank = |rank: usize, rendezvous: &str, epoch: u64, rejoin: bool| {
+        let fault = cfg.fault.filter(|f| f.rank == rank && !rejoin);
+        let args = MpWorkerArgs {
+            rank,
+            rendezvous: rendezvous.to_string(),
+            dir: dir.clone(),
+            checkpoint_every: cfg.checkpoint_every,
+            resume_phase: cfg.resume_phase,
+            die_at_phase: fault.map(|f| f.die_at_phase),
+            die_site: fault.map(|f| f.site).unwrap_or_default(),
+            supervised: cfg.recover,
+            epoch,
+            rejoin,
+        };
+        Child::spawn(&exe, args.to_args(), &dir.join(format!("rank{rank}.stderr")))
+            .map_err(|e| format!("rank {rank}: {e}"))
     };
 
-    let mut children = Vec::with_capacity(cfg.ranks);
-    for rank in 0..cfg.ranks {
-        children.push(spawn_rank(rank, &rendezvous, 1, false).map_err(&fail)?);
+    // A membership change: publish the next epoch — a fresh rendezvous
+    // port and the nominal recovery plan for `dead` — and spawn the
+    // replacement. Survivors poll the epoch file, drop their dead mesh, and
+    // rendezvous again at the new address.
+    let respawn = |dead: usize, epoch: u64| {
+        let port = reserve_port().map_err(|e| format!("reserve rejoin port: {e}"))?;
+        // The audit plan: where the dead rank's planes would land had the
+        // survivors absorbed them (see [`EpochInfo::plan`]).
+        let dims = cfg.scenario.channel.dims;
+        let nominal = even_slabs(dims.nx, ranks).iter().map(|s| s.nx_local).collect();
+        let plan = RecoveryPlan::for_death(&Partition::new(nominal, dims.ny * dims.nz), dead);
+        let rendezvous = format!("127.0.0.1:{port}");
+        let info = EpochInfo { epoch, rendezvous, dead, plan: plan.summary() };
+        write_epoch_file(&dir, &info)?;
+        spawn_rank(dead, &info.rendezvous, epoch, true)
+    };
+
+    let rendezvous = format!("127.0.0.1:{port}");
+    let mut live = Vec::with_capacity(ranks);
+    for rank in 0..ranks {
+        live.push(Some(spawn_rank(rank, &rendezvous, 1, false).map_err(&fail)?));
     }
 
-    let rank_errors = if cfg.recover {
-        supervise(cfg, &dir, children, &spawn_rank)
-    } else {
-        let mut rank_errors = Vec::new();
-        for (rank, mut child) in children.into_iter().enumerate() {
-            let status = child.wait();
-            let err_path = dir.join(format!("rank{rank}.error"));
-            if let Ok(text) = fs::read_to_string(&err_path) {
-                rank_errors.push((rank, text.trim().to_string()));
-                continue;
-            }
-            match status {
-                Ok(s) if s.success() => {}
-                Ok(s) => rank_errors.push((rank, format!("exited with {s}"))),
-                Err(e) => rank_errors.push((rank, format!("wait failed: {e}"))),
-            }
-        }
-        rank_errors
-    };
+    let rank_errors = supervise(cfg.recover, &dir, live, &respawn);
     if !rank_errors.is_empty() {
         return Err(MpFailure {
             message: format!(
-                "{} of {} ranks failed (partial traces in {})",
+                "{} of {ranks} ranks failed (partial traces in {})",
                 rank_errors.len(),
-                cfg.ranks,
                 dir.display()
             ),
             rank_errors,
@@ -391,128 +299,72 @@ pub fn run_multiprocess(cfg: &MpConfig) -> Result<MpOutcome, MpFailure> {
         });
     }
 
-    gather(cfg, &dir).map_err(|message| MpFailure {
-        message,
-        rank_errors: Vec::new(),
-        dir: dir.clone(),
-    })
+    gather(&cfg.scenario, &dir).map_err(fail)
 }
 
-/// The driver's supervision loop (`recover = true`): poll the children; a
-/// rank that dies without leaving a typed `rank{r}.error` file is treated
-/// as crashed — the membership epoch is bumped, the new rendezvous and
-/// nominal recovery plan are published in the epoch file, and a
-/// replacement is spawned with `--rejoin`. A typed error, a wait failure,
-/// or exhausted respawns abort the run (remaining children are killed so
-/// the caller gets a prompt, complete failure report).
-type SpawnRank<'a> = &'a dyn Fn(usize, &str, u64, bool) -> Result<Child, String>;
-
+/// The driver's gang policy over its children's exits. A rank that dies
+/// without leaving a typed `rank{r}.error` file is treated as crashed:
+/// while the respawn budget lasts (it is empty unless `recover` is on) the
+/// membership epoch is bumped and a replacement spawned with `--rejoin`.
+/// A typed error, a wait failure or an exhausted budget aborts the run:
+/// the rest are reaped and whoever still runs is killed, so the caller
+/// gets a prompt, complete failure report. Returns the failed ranks.
 fn supervise(
-    cfg: &MpConfig,
+    recover: bool,
     dir: &Path,
-    children: Vec<Child>,
-    spawn_rank: SpawnRank<'_>,
+    mut live: Vec<Option<Child>>,
+    respawn: &dyn Fn(usize, u64) -> Result<Child, String>,
 ) -> Vec<(usize, String)> {
-    let mut live: Vec<Option<Child>> = children.into_iter().map(Some).collect();
-    let mut rank_errors: Vec<(usize, String)> = Vec::new();
+    let error_file = |rank: usize| dir.join(format!("rank{rank}.error"));
+    let mut budget = Budget::new(if recover { MAX_RESPAWNS } else { 0 });
     let mut epoch: u64 = 1;
-    let mut respawns: u32 = 0;
-    'supervision: loop {
-        let mut all_done = true;
+    let first_failure = 'poll: loop {
+        let mut running = false;
         for (rank, slot) in live.iter_mut().enumerate() {
             let Some(child) = slot.as_mut() else { continue };
-            let status = match child.try_wait() {
-                Ok(None) => {
-                    all_done = false;
-                    continue;
-                }
-                Ok(Some(s)) => s,
-                Err(e) => {
-                    rank_errors.push((rank, format!("wait failed: {e}")));
-                    break 'supervision;
+            let Some(exit) = child.poll(Some(&error_file(rank))) else {
+                running = true;
+                continue;
+            };
+            *slot = None;
+            let replacement = match budget.judge(exit) {
+                Verdict::Done => continue,
+                Verdict::Fatal(why) => break 'poll Some((rank, why)),
+                Verdict::Respawn { .. } => {
+                    epoch += 1;
+                    respawn(rank, epoch)
                 }
             };
-            if status.success() {
-                *slot = None;
-                continue;
+            match replacement {
+                Ok(child) => *slot = Some(child),
+                Err(why) => break 'poll Some((rank, why)),
             }
-            let err_path = dir.join(format!("rank{rank}.error"));
-            if let Ok(text) = fs::read_to_string(&err_path) {
-                *slot = None;
-                rank_errors.push((rank, text.trim().to_string()));
-                break 'supervision;
-            }
-            if respawns >= cfg.max_respawns {
-                *slot = None;
-                rank_errors.push((
-                    rank,
-                    format!("exited with {status} after {respawns} respawns; giving up"),
-                ));
-                break 'supervision;
-            }
-            // Hard death with no typed error: a crash. Publish the next
-            // epoch and respawn the rank; survivors poll the epoch file,
-            // drop their dead mesh, and rendezvous again at the new
-            // address.
-            respawns += 1;
-            epoch += 1;
-            let step = (|| -> Result<Child, String> {
-                let port =
-                    reserve_port().map_err(|e| format!("reserve rejoin port: {e}"))?;
-                let addr = format!("127.0.0.1:{port}");
-                // The audit plan: where the dead rank's planes would land
-                // had the survivors absorbed them (see [`EpochInfo::plan`]).
-                let nominal: Vec<usize> = even_slabs(cfg.channel.dims.nx, cfg.ranks)
-                    .iter()
-                    .map(|s| s.nx_local)
-                    .collect();
-                let plane_cells = cfg.channel.dims.ny * cfg.channel.dims.nz;
-                let plan =
-                    RecoveryPlan::for_death(&Partition::new(nominal, plane_cells), rank);
-                write_epoch_file(
-                    dir,
-                    &EpochInfo {
-                        epoch,
-                        rendezvous: addr.clone(),
-                        dead: rank,
-                        plan: plan.summary(),
-                    },
-                )?;
-                spawn_rank(rank, &addr, epoch, true)
-            })();
-            match step {
-                Ok(c) => {
-                    *slot = Some(c);
-                    all_done = false;
-                }
-                Err(e) => {
-                    *slot = None;
-                    rank_errors.push((rank, e));
-                    break 'supervision;
-                }
-            }
+            running = true;
         }
-        if all_done {
-            break;
+        if !running {
+            break None;
         }
-        std::thread::sleep(Duration::from_millis(15));
+        std::thread::sleep(POLL);
+    };
+    let Some(first_failure) = first_failure else { return Vec::new() };
+
+    // Abort. A supervised survivor is waiting for an epoch that will not
+    // come, so there is nothing to wait for; an unsupervised one exits on
+    // its own once it notices the dead peer.
+    let deadline = Instant::now() + if recover { Duration::ZERO } else { ABORT_GRACE };
+    while Instant::now() < deadline
+        && live.iter_mut().flatten().any(|child| child.poll(None).is_none())
+    {
+        std::thread::sleep(POLL);
     }
-    // On abort, reap everything still running and collect any typed
-    // errors the kill shook loose.
-    if !rank_errors.is_empty() {
-        for (rank, slot) in live.iter_mut().enumerate() {
-            if let Some(child) = slot.as_mut() {
-                let _ = child.kill();
-                let _ = child.wait();
-                let err_path = dir.join(format!("rank{rank}.error"));
-                if let Ok(text) = fs::read_to_string(&err_path) {
-                    rank_errors.push((rank, text.trim().to_string()));
-                }
-            }
-        }
-        rank_errors.sort_by_key(|&(r, _)| r);
-        rank_errors.dedup_by(|a, b| a.0 == b.0);
+    // Every exit of a rank's own is part of the report; whoever still runs
+    // is killed as its handle drops.
+    let mut rank_errors = vec![first_failure];
+    for (rank, slot) in live.iter_mut().enumerate() {
+        let exit = slot.as_mut().and_then(|child| child.poll(Some(&error_file(rank))));
+        rank_errors.extend(exit.filter(|exit| *exit != Exit::Clean).map(|exit| (rank, exit.to_string())));
     }
+    rank_errors.sort_by_key(|&(rank, _)| rank);
     rank_errors
 }
 
@@ -521,21 +373,21 @@ fn supervise(
 /// and captured straight into the snapshot, on scoped threads — as many
 /// slabs in flight as the host has CPUs, so the driver's memory is bounded
 /// by that, not by the rank count.
-fn gather_snapshot(cfg: &MpConfig, dir: &Path) -> Result<Snapshot, String> {
-    let dims = cfg.channel.dims;
-    let global = Mutex::new(Snapshot::zeros(0, dims.nx, dims.ny, dims.nz, cfg.channel.ncomp()));
+fn gather_snapshot(run: &Scenario, dir: &Path) -> Result<Snapshot, String> {
+    let dims = run.channel.dims;
+    let global = Mutex::new(Snapshot::zeros(0, dims.nx, dims.ny, dims.nz, run.channel.ncomp()));
     let restore = |rank: usize| -> Result<Slab, String> {
         let path = dir.join(format!("rank{rank}.state"));
-        let (solver, _) = read_solver(&cfg.channel, &path)
+        let (solver, _) = read_solver(&run.channel, &path)
             .map_err(|e| format!("{}: {e}", path.display()))?;
         solver.snapshot_into(&mut global.lock().expect("a gather lane panicked"));
         Ok(solver.slab())
     };
-    let lanes = std::thread::available_parallelism().map_or(1, |n| n.get()).min(cfg.ranks);
+    let lanes = std::thread::available_parallelism().map_or(1, |n| n.get()).min(run.workers);
     let slabs = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..lanes)
             .map(|lane| {
-                let ranks = (lane..cfg.ranks).step_by(lanes);
+                let ranks = (lane..run.workers).step_by(lanes);
                 scope.spawn(move || ranks.map(restore).collect::<Result<Vec<_>, _>>())
             })
             .collect();
@@ -551,11 +403,11 @@ fn gather_snapshot(cfg: &MpConfig, dir: &Path) -> Result<Snapshot, String> {
 }
 
 /// Reads every rank's artifacts and assembles the outcome.
-fn gather(cfg: &MpConfig, dir: &Path) -> Result<MpOutcome, String> {
-    let snapshot = gather_snapshot(cfg, dir)?;
-    let mut reports = Vec::with_capacity(cfg.ranks);
-    let mut streams = Vec::with_capacity(cfg.ranks);
-    for rank in 0..cfg.ranks {
+fn gather(run: &Scenario, dir: &Path) -> Result<MpOutcome, String> {
+    let snapshot = gather_snapshot(run, dir)?;
+    let mut reports = Vec::with_capacity(run.workers);
+    let mut streams = Vec::with_capacity(run.workers);
+    for rank in 0..run.workers {
         let report_path = dir.join(format!("rank{rank}.report"));
         let text = fs::read_to_string(&report_path)
             .map_err(|e| format!("read {}: {e}", report_path.display()))?;
@@ -643,34 +495,6 @@ pub fn read_epoch_file(dir: &Path) -> Option<EpochInfo> {
     })
 }
 
-/// Phases with a CRC-valid periodic checkpoint for `rank` in `dir`,
-/// ascending — each candidate checked in one streaming pass, so a scan
-/// allocates nothing slab-sized. Torn or corrupt files (a crash mid-write leaves at worst a
-/// stray `.tmp`; a damaged file fails its CRC trailer) are skipped, not
-/// errors: recovery rolls back to the newest phase every survivor can
-/// actually restore.
-pub fn checkpoint_phases(dir: &Path, rank: usize) -> Vec<u64> {
-    let prefix = format!("ckpt-rank{rank}-phase");
-    let mut phases = Vec::new();
-    let Ok(entries) = fs::read_dir(dir) else { return phases };
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let Some(p) = name
-            .strip_prefix(&prefix)
-            .and_then(|rest| rest.strip_suffix(".bin"))
-            .and_then(|rest| rest.parse::<u64>().ok())
-        else {
-            continue;
-        };
-        if microslip_codec::verify(&entry.path()).is_ok() {
-            phases.push(p);
-        }
-    }
-    phases.sort_unstable();
-    phases
-}
-
 /// Post-re-mesh collective: agree on the rollback phase. Every rank
 /// reports the checkpoint phases it can restore; rank 0 intersects them
 /// and broadcasts the newest common one (0 = none in common, restart
@@ -701,23 +525,13 @@ fn recovery_sync<T: Transport>(t: &mut T, mine: &[u64]) -> Result<u64, CommError
 // Worker side (the `mp-worker` subcommand)
 // ---------------------------------------------------------------------------
 
-/// Parsed arguments of one `mp-worker` invocation.
+/// What differs per process in one `mp-worker` invocation; what to run
+/// is the `scenario.bin` in [`Self::dir`].
 #[derive(Clone, Debug)]
 pub struct MpWorkerArgs {
     pub rank: usize,
-    pub ranks: usize,
     pub rendezvous: String,
     pub dir: PathBuf,
-    pub phases: u64,
-    pub remap_interval: u64,
-    pub predictor_window: usize,
-    /// Policy name ("no-remap", "filtered", "conservative").
-    pub scheme: String,
-    pub throttle_factor: f64,
-    /// `(from_phase, to_phase, factor)` spikes for this rank.
-    pub spikes: Vec<(u64, u64, f64)>,
-    /// `Some(per_point)` selects [`LoadModel::Synthetic`].
-    pub synthetic_load: Option<f64>,
     pub checkpoint_every: u64,
     pub resume_phase: Option<u64>,
     /// Fault injection: exit hard at this phase (site below).
@@ -733,13 +547,33 @@ pub struct MpWorkerArgs {
     /// This process replaces a dead rank: it recovers from checkpoints
     /// exactly like a survivor instead of starting the run fresh.
     pub rejoin: bool,
-    /// How long a survivor waits for the driver to publish the next
-    /// epoch before giving up (milliseconds).
-    pub epoch_wait_ms: u64,
+}
+
+impl MpWorkerArgs {
+    /// The `mp-worker` command line the CLI parses back into `self`.
+    fn to_args(&self) -> Vec<String> {
+        let valued = [
+            ("rank", Some(self.rank.to_string())),
+            ("rendezvous", Some(self.rendezvous.clone())),
+            ("dir", Some(self.dir.display().to_string())),
+            ("epoch", Some(self.epoch.to_string())),
+            ("checkpoint-every", Some(self.checkpoint_every.to_string())),
+            ("resume-phase", self.resume_phase.map(|phase| phase.to_string())),
+            ("die-at-phase", self.die_at_phase.map(|phase| phase.to_string())),
+            ("die-site", (self.die_site == FaultSite::Remap).then(|| "remap".to_string())),
+        ];
+        let switches = [("supervised", self.supervised), ("rejoin", self.rejoin)];
+        let mut args = vec!["mp-worker".to_string()];
+        for (name, value) in valued {
+            args.extend(value.into_iter().flat_map(|value| [format!("--{name}"), value]));
+        }
+        args.extend(switches.iter().filter(|(_, on)| *on).map(|(name, _)| format!("--{name}")));
+        args
+    }
 }
 
 /// A [`Transport`] wrapper that kills the process partway through a
-/// chosen protocol step of a chosen phase — `process::exit` runs no
+/// chosen protocol step of a chosen phase — [`die_injected`] runs no
 /// destructors, so no goodbye frame is sent and peers see a raw EOF,
 /// exactly like a node crash.
 struct FaultTransport<T: Transport> {
@@ -777,15 +611,13 @@ impl<T: Transport> Transport for FaultTransport<T> {
     fn send(&mut self, to: NodeId, tag: Tag, payload: Vec<f64>) -> Result<(), CommError> {
         if tag == Tag::F_HALO {
             self.f_halo_sends += 1;
-            if self.site == FaultSite::Halo && self.f_halo_sends >= self.die_on_send {
-                std::process::exit(13);
-            }
         }
-        if self.site == FaultSite::Remap
-            && tag == Tag::LOAD
-            && self.f_halo_sends >= self.die_on_send
-        {
-            std::process::exit(13);
+        let strikes = match self.site {
+            FaultSite::Halo => tag == Tag::F_HALO,
+            FaultSite::Remap => tag == Tag::LOAD,
+        };
+        if strikes && self.f_halo_sends >= self.die_on_send {
+            die_injected(&format!("rank {} dies mid-{:?} exchange", self.rank(), self.site));
         }
         self.inner.send(to, tag, payload)
     }
@@ -795,125 +627,137 @@ impl<T: Transport> Transport for FaultTransport<T> {
     }
 }
 
-fn throttle_plan(a: &MpWorkerArgs) -> ThrottlePlan {
-    let mut throttle = ThrottlePlan::constant(a.throttle_factor.max(1.0));
-    for &(from, to, factor) in &a.spikes {
-        throttle = throttle.with_spike(from, to, factor);
-    }
-    throttle
-}
-
-fn execute<T: Transport>(
-    a: &MpWorkerArgs,
-    cfg: &WorkerConfig,
-    policy: &dyn NeighborPolicy,
-    transport: T,
-) -> Result<WorkerReport, WorkerError> {
-    let predictor = HarmonicMean { window: cfg.predictor_window.max(1) };
-    let throttle = throttle_plan(a);
-    match a.resume_phase {
-        None => {
-            let slab = even_slabs(cfg.channel.dims.nx, a.ranks)[a.rank];
-            worker_main(cfg, policy, &predictor, transport, slab, throttle)
-        }
-        Some(p) => {
-            let path = a.dir.join(format!("ckpt-rank{}-phase{p}.bin", a.rank));
-            let (solver, _) = read_solver(&cfg.channel, &path)
-                .map_err(|e| WorkerError::Io(format!("{}: {e}", path.display())))?;
-            worker_main_with_solver(cfg, policy, &predictor, transport, solver, throttle)
-        }
-    }
-}
-
-/// One recovery attempt (epoch > 1): agree on the rollback phase over the
-/// fresh mesh, restore the newest common checkpoint (or restart fresh),
-/// and run the remaining phases. Emits the rollback → plan-applied →
-/// resumed stages of the recovery arc.
-fn execute_recovery<T: Transport>(
-    a: &MpWorkerArgs,
-    cfg: &mut WorkerConfig,
-    policy: &dyn NeighborPolicy,
-    sink: &TraceSink,
+/// One rank's view of the run it is part of.
+struct RankRun<'a> {
+    a: &'a MpWorkerArgs,
+    /// The scenario finalized exactly as the threaded runtime would run it.
+    run: &'a RuntimeConfig,
+    policy: &'a dyn NeighborPolicy,
     t0: Instant,
-    epoch: u64,
-    mut transport: T,
-) -> Result<WorkerReport, WorkerError> {
-    let rank = a.rank;
-    let now = |t0: Instant| t0.elapsed().as_secs_f64();
-    let mine = checkpoint_phases(&a.dir, rank);
-    let agreed = recovery_sync(&mut transport, &mine).map_err(WorkerError::Comm)?;
-    sink.record(Event::Recovery {
-        time: now(t0),
-        node: rank,
-        epoch,
-        stage: RecoveryStage::Rollback,
-        phase: agreed,
-        planes: 0,
-        detail: if agreed == 0 {
-            format!("no common checkpoint among {} ranks; restarting fresh", a.ranks)
-        } else {
-            format!("rolling back to the newest common checkpoint, phase {agreed}")
-        },
-    });
-    let predictor = HarmonicMean { window: cfg.predictor_window.max(1) };
-    let throttle = throttle_plan(a);
-    cfg.start_phase = agreed;
-    if agreed == 0 {
-        let slab = even_slabs(cfg.channel.dims.nx, a.ranks)[rank];
-        sink.record(Event::Recovery {
-            time: now(t0),
-            node: rank,
-            epoch,
-            stage: RecoveryStage::PlanApplied,
-            phase: 0,
-            planes: slab.nx_local,
-            detail: format!("fresh slab x0={} nx={}", slab.x0, slab.nx_local),
-        });
-        sink.record(Event::Recovery {
-            time: now(t0),
-            node: rank,
-            epoch,
-            stage: RecoveryStage::Resumed,
-            phase: 0,
-            planes: slab.nx_local,
-            detail: format!("phase loop restarted at 1 of {}", cfg.phases),
-        });
-        worker_main(cfg, policy, &predictor, transport, slab, throttle)
-    } else {
-        let path = a.dir.join(format!("ckpt-rank{rank}-phase{agreed}.bin"));
-        let (solver, _) = read_solver(&cfg.channel, &path)
+}
+
+impl RankRun<'_> {
+    /// This rank's solver at the start of an attempt — restored from its
+    /// checkpoint of `phase`, or a fresh even slab — and what was done.
+    fn solver_at(&self, phase: Option<u64>) -> Result<(SlabSolver, String), WorkerError> {
+        let Some(phase) = phase else {
+            let slab = even_slabs(self.run.channel.dims.nx, self.run.workers)[self.a.rank];
+            let how = format!("fresh slab x0={} nx={}", slab.x0, slab.nx_local);
+            return Ok((SlabSolver::new(&self.run.channel, slab), how));
+        };
+        let path = checkpoint::path(&self.a.dir, self.a.rank, phase);
+        let (solver, _) = read_solver(&self.run.channel, &path)
             .map_err(|e| WorkerError::Io(format!("{}: {e}", path.display())))?;
         let slab = solver.slab();
-        sink.record(Event::Recovery {
-            time: now(t0),
-            node: rank,
+        let how = format!("restored {} (slab x0={} nx={})", path.display(), slab.x0, slab.nx_local);
+        Ok((solver, how))
+    }
+
+    fn recovery_event(&self, epoch: u64, stage: RecoveryStage, phase: u64, planes: usize, detail: String) {
+        self.run.trace.record(Event::Recovery {
+            time: self.t0.elapsed().as_secs_f64(),
+            node: self.a.rank,
             epoch,
-            stage: RecoveryStage::PlanApplied,
-            phase: agreed,
-            planes: slab.nx_local,
-            detail: format!(
-                "restored {} (slab x0={} nx={})",
-                path.display(),
-                slab.x0,
-                slab.nx_local
-            ),
+            stage,
+            phase,
+            planes,
+            detail,
         });
-        sink.record(Event::Recovery {
-            time: now(t0),
-            node: rank,
-            epoch,
-            stage: RecoveryStage::Resumed,
-            phase: agreed,
-            planes: slab.nx_local,
-            detail: format!("phase loop resumed at {} of {}", agreed + 1, cfg.phases),
-        });
-        worker_main_with_solver(cfg, policy, &predictor, transport, solver, throttle)
+    }
+
+    /// One attempt over a connected mesh. The first (epoch 1) starts from
+    /// a fresh slab or the checkpoint `--resume-phase` names. A recovery
+    /// attempt (epoch > 1) agrees on the rollback phase over the fresh
+    /// mesh, restores the newest common checkpoint (or restarts fresh) and
+    /// runs the remaining phases, emitting the rollback → plan-applied →
+    /// resumed stages of the recovery arc.
+    fn execute<T: Transport>(
+        &self,
+        cfg: &mut WorkerConfig,
+        epoch: u64,
+        mut transport: T,
+    ) -> Result<WorkerReport, WorkerError> {
+        use RecoveryStage::{PlanApplied, Resumed, Rollback};
+        let solver = if epoch == 1 {
+            self.solver_at(self.a.resume_phase)?.0
+        } else {
+            let mine = checkpoint::valid_phases(&self.a.dir, self.a.rank);
+            let agreed = recovery_sync(&mut transport, &mine).map_err(WorkerError::Comm)?;
+            let (rollback, resumed) = if agreed == 0 {
+                let ranks = self.run.workers;
+                (
+                    format!("no common checkpoint among {ranks} ranks; restarting fresh"),
+                    format!("phase loop restarted at 1 of {}", cfg.phases),
+                )
+            } else {
+                (
+                    format!("rolling back to the newest common checkpoint, phase {agreed}"),
+                    format!("phase loop resumed at {} of {}", agreed + 1, cfg.phases),
+                )
+            };
+            self.recovery_event(epoch, Rollback, agreed, 0, rollback);
+            cfg.start_phase = agreed;
+            let (solver, how) = self.solver_at((agreed > 0).then_some(agreed))?;
+            let planes = solver.slab().nx_local;
+            self.recovery_event(epoch, PlanApplied, agreed, planes, how);
+            self.recovery_event(epoch, Resumed, agreed, planes, resumed);
+            solver
+        };
+        let predictor = HarmonicMean { window: cfg.predictor_window.max(1) };
+        let throttle = self.run.throttle_for(self.a.rank);
+        worker_main_with_solver(cfg, self.policy, &predictor, transport, solver, throttle)
+    }
+
+    /// The attempt loop: connect at the current epoch and run. A
+    /// supervised rank that loses a peer emits the death-detected stage,
+    /// waits for the driver to publish the next epoch, and re-meshes; any
+    /// other failure — and any failure of an unsupervised rank — is final.
+    /// Rollback recovery replays identical deterministic physics from a
+    /// bitwise checkpoint of the same run, so the final fields match the
+    /// undisturbed run exactly — the property the chaos tests pin.
+    fn attempts(&self, cfg: &mut WorkerConfig) -> Result<WorkerReport, WorkerError> {
+        use RecoveryStage::{DeathDetected, Remesh};
+        let a = self.a;
+        let ranks = self.run.workers;
+        let net = NetConfig::default();
+        let mut epoch = a.epoch.max(1);
+        let mut rendezvous = a.rendezvous.clone();
+        loop {
+            let transport = connect_epoch(Some(a.rank), ranks, &rendezvous, epoch, &net)
+                .map_err(WorkerError::Comm)?;
+            if epoch > 1 {
+                let detail = format!("re-meshed {ranks} ranks at {rendezvous}");
+                self.recovery_event(epoch, Remesh, 0, 0, detail);
+            }
+            // The injected fault belongs to the first attempt only.
+            let attempt = match a.die_at_phase.filter(|_| epoch == 1) {
+                Some(phase) => {
+                    self.execute(cfg, epoch, FaultTransport::new(transport, phase, a.die_site))
+                }
+                None => self.execute(cfg, epoch, transport),
+            };
+            match attempt {
+                Err(WorkerError::Comm(CommError::Disconnected { peer })) if a.supervised => {
+                    // A peer died mid-protocol. Our own transport was
+                    // dropped with the failed attempt, cascading goodbye
+                    // frames so every survivor reaches this point within
+                    // milliseconds.
+                    let detail = format!("lost peer {peer} (epoch {epoch}); awaiting new epoch");
+                    self.recovery_event(epoch, DeathDetected, 0, 0, detail);
+                    let Some(next) = wait_for_epoch(&a.dir, epoch, EPOCH_WAIT) else {
+                        return Err(WorkerError::Comm(CommError::Disconnected { peer }));
+                    };
+                    epoch = next.epoch;
+                    rendezvous = next.rendezvous;
+                }
+                other => return other,
+            }
+        }
     }
 }
 
 /// Polls the epoch file until the driver publishes an epoch newer than
-/// `current`, up to `wait`. The bound keeps an orphaned survivor (driver
-/// died too) from hanging forever.
+/// `current`, up to `wait`.
 fn wait_for_epoch(dir: &Path, current: u64, wait: Duration) -> Option<EpochInfo> {
     let deadline = Instant::now() + wait;
     loop {
@@ -929,139 +773,33 @@ fn wait_for_epoch(dir: &Path, current: u64, wait: Duration) -> Option<EpochInfo>
     }
 }
 
-/// The supervised attempt loop: connect at the current epoch and run; on
-/// a lost peer, emit the death-detected stage, wait for the driver to
-/// publish the next epoch, and re-mesh. Any other failure is final.
-/// Rollback recovery replays identical deterministic physics from a
-/// bitwise checkpoint of the same run, so the final fields match the
-/// undisturbed run exactly — the property the chaos tests pin.
-fn run_supervised(
-    a: &MpWorkerArgs,
-    cfg: &mut WorkerConfig,
-    policy: &dyn NeighborPolicy,
-    sink: &TraceSink,
-    net: &NetConfig,
-    t0: Instant,
-) -> Result<WorkerReport, WorkerError> {
-    let rank = a.rank;
-    let mut epoch = a.epoch.max(1);
-    let mut rendezvous = a.rendezvous.clone();
-    loop {
-        let transport = connect_epoch(Some(rank), a.ranks, &rendezvous, epoch, net)
-            .map_err(WorkerError::Comm)?;
-        if epoch > 1 {
-            sink.record(Event::Recovery {
-                time: t0.elapsed().as_secs_f64(),
-                node: rank,
-                epoch,
-                stage: RecoveryStage::Remesh,
-                phase: 0,
-                planes: 0,
-                detail: format!("re-meshed {} ranks at {rendezvous}", a.ranks),
-            });
-        }
-        let attempt = if epoch == 1 {
-            match a.die_at_phase {
-                Some(p) => execute(
-                    a,
-                    cfg,
-                    policy,
-                    FaultTransport::new(transport, p, a.die_site),
-                ),
-                None => execute(a, cfg, policy, transport),
-            }
-        } else {
-            execute_recovery(a, cfg, policy, sink, t0, epoch, transport)
-        };
-        match attempt {
-            Err(WorkerError::Comm(CommError::Disconnected { peer })) => {
-                // A peer died mid-protocol. Our own transport was dropped
-                // with the failed attempt, cascading goodbye frames so
-                // every survivor reaches this point within milliseconds.
-                sink.record(Event::Recovery {
-                    time: t0.elapsed().as_secs_f64(),
-                    node: rank,
-                    epoch,
-                    stage: RecoveryStage::DeathDetected,
-                    phase: 0,
-                    planes: 0,
-                    detail: format!("lost peer {peer} (epoch {epoch}); awaiting new epoch"),
-                });
-                match wait_for_epoch(
-                    &a.dir,
-                    epoch,
-                    Duration::from_millis(a.epoch_wait_ms.max(1)),
-                ) {
-                    Some(info) => {
-                        epoch = info.epoch;
-                        rendezvous = info.rendezvous;
-                    }
-                    None => {
-                        return Err(WorkerError::Comm(CommError::Disconnected { peer }))
-                    }
-                }
-            }
-            other => return other,
-        }
-    }
-}
-
-/// Entry point of the `mp-worker` subcommand: joins the TCP mesh, runs
-/// the standard worker protocol, and leaves `rank{r}.state` /
-/// `rank{r}.report` / `rank{r}.jsonl` in the run directory. On failure
-/// the trace is still flushed and `rank{r}.error` carries the typed
-/// error.
+/// Entry point of the `mp-worker` subcommand: reads the run's
+/// `scenario.bin`, joins the TCP mesh, runs the standard worker protocol,
+/// and leaves `rank{r}.state` / `rank{r}.report` / `rank{r}.jsonl` in the
+/// run directory. On failure the trace is still flushed and
+/// `rank{r}.error` carries the typed error.
 pub fn run_worker(a: &MpWorkerArgs) -> Result<(), String> {
     let rank = a.rank;
-    let config_path = a.dir.join("config.bin");
-    let config_bytes = fs::read(&config_path)
-        .map_err(|e| format!("read {}: {e}", config_path.display()))?;
-    let channel = decode_config(&config_bytes)
-        .map_err(|e| format!("{}: {e}", config_path.display()))?;
-    let policy = policy_by_name(&a.scheme)?;
+    let scenario = Scenario::read_file(&a.dir.join("scenario.bin"))?;
+    if rank >= scenario.workers {
+        return Err(format!("rank {rank} out of range for {} ranks", scenario.workers));
+    }
 
     let (sink, recorder) = TraceSink::recorder(DEFAULT_CAPACITY);
     sink.record(Event::Meta {
         mode: "mp".into(),
-        nodes: a.ranks,
-        phases: a.phases,
-        policy: a.scheme.clone(),
+        nodes: scenario.workers,
+        phases: scenario.phases,
+        policy: scenario.scheme.name().into(),
     });
-    let parallelism = channel.parallelism;
+    let mut runtime = scenario.trace(sink).runtime()?;
+    runtime.config_mut().checkpoint_every = a.checkpoint_every;
+    runtime.config_mut().checkpoint_dir = Some(a.dir.clone());
+    let policy = runtime.policy();
     let t0 = Instant::now();
-    let mut cfg = WorkerConfig {
-        channel,
-        phases: a.phases,
-        start_phase: 0,
-        remap_interval: a.remap_interval,
-        predictor_window: a.predictor_window,
-        checkpoint_every: a.checkpoint_every,
-        checkpoint_dir: Some(a.dir.clone()),
-        load: match a.synthetic_load {
-            Some(per_point) => LoadModel::Synthetic { per_point },
-            None => LoadModel::Measured,
-        },
-        parallelism,
-        trace: sink.clone(),
-        epoch: t0,
-    };
-
-    let net = NetConfig::default();
-    let result = if a.supervised {
-        run_supervised(a, &mut cfg, policy.as_ref(), &sink, &net, t0)
-    } else {
-        connect_epoch(Some(rank), a.ranks, &a.rendezvous, a.epoch.max(1), &net)
-            .map_err(WorkerError::Comm)
-            .and_then(|transport| match a.die_at_phase {
-                Some(p) => execute(
-                    a,
-                    &cfg,
-                    policy.as_ref(),
-                    FaultTransport::new(transport, p, a.die_site),
-                ),
-                None => execute(a, &cfg, policy.as_ref(), transport),
-            })
-    };
+    let mut cfg = runtime.config().worker_config(t0);
+    let result =
+        RankRun { a, run: runtime.config(), policy: policy.as_ref(), t0 }.attempts(&mut cfg);
 
     // The trace lands on disk no matter what: a failed rank must leave
     // its partial evidence (spans, traffic totals) behind.
@@ -1072,7 +810,7 @@ pub fn run_worker(a: &MpWorkerArgs) -> Result<(), String> {
     match result {
         Ok(report) => {
             let state_path = a.dir.join(format!("rank{rank}.state"));
-            write_solver(&state_path, &report.solver, a.phases)
+            write_solver(&state_path, &report.solver, runtime.config().phases)
                 .map_err(|e| format!("write {}: {e}", state_path.display()))?;
             let summary = format!(
                 "rank {}\nx0 {}\nnx_local {}\nplanes_sent {}\nplanes_received {}\n",
@@ -1098,7 +836,7 @@ pub fn run_worker(a: &MpWorkerArgs) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use microslip_lbm::Dims;
+    use microslip_cluster::Scheme;
 
     #[test]
     fn report_round_trips_through_the_kv_format() {
@@ -1119,14 +857,11 @@ mod tests {
 
     #[test]
     fn driver_validates_before_spawning_anything() {
-        let channel = ChannelConfig::paper_scaled(Dims::new(8, 6, 4));
-        let no_ranks = MpConfig::new(channel.clone(), 0, 2);
-        assert!(run_multiprocess(&no_ranks).is_err());
-        let too_thin = MpConfig::new(channel.clone(), 16, 2);
-        assert!(run_multiprocess(&too_thin).is_err());
-        let mut global = MpConfig::new(channel, 2, 2);
-        global.scheme = Scheme::Global;
-        let err = run_multiprocess(&global).unwrap_err();
+        let run = |s: Scenario| run_multiprocess(&MpConfig::new(s.phases(2)));
+        assert!(run(Scenario::paper_scaled(8, 6, 4).workers(0)).is_err());
+        assert!(run(Scenario::paper_scaled(8, 6, 4).workers(16)).is_err());
+        let global = Scenario::paper_scaled(8, 6, 4).workers(2).scheme(Scheme::Global);
+        let err = run(global).unwrap_err();
         assert!(err.to_string().contains("global"), "{err}");
     }
 
@@ -1161,22 +896,31 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_phase_scan_skips_torn_and_foreign_files() {
-        use microslip_codec::seal;
-        use microslip_lbm::checkpoint::write_sealed;
-        let dir = scratch("ckpt-scan");
-        write_sealed(&dir.join("ckpt-rank1-phase3.bin"), b"aaaa".to_vec()).unwrap();
-        write_sealed(&dir.join("ckpt-rank1-phase6.bin"), b"bbbb".to_vec()).unwrap();
-        // Torn write: sealed bytes with the tail sliced off mid-trailer.
-        let torn = seal(b"cccc".to_vec());
-        fs::write(dir.join("ckpt-rank1-phase9.bin"), &torn[..torn.len() - 2]).unwrap();
-        // Other ranks and unrelated files are ignored.
-        write_sealed(&dir.join("ckpt-rank2-phase6.bin"), b"dddd".to_vec()).unwrap();
-        fs::write(dir.join("ckpt-rank1-phase12.bin.tmp"), b"junk").unwrap();
-        assert_eq!(checkpoint_phases(&dir, 1), vec![3, 6]);
-        assert_eq!(checkpoint_phases(&dir, 2), vec![6]);
-        assert_eq!(checkpoint_phases(&dir, 0), Vec::<u64>::new());
-        let _ = fs::remove_dir_all(&dir);
+    fn worker_command_line_carries_only_per_process_flags() {
+        let mut a = MpWorkerArgs {
+            rank: 2,
+            rendezvous: "127.0.0.1:4501".into(),
+            dir: "/tmp/run".into(),
+            checkpoint_every: 3,
+            resume_phase: None,
+            die_at_phase: None,
+            die_site: FaultSite::Halo,
+            supervised: false,
+            epoch: 1,
+            rejoin: false,
+        };
+        let plain = "mp-worker --rank 2 --rendezvous 127.0.0.1:4501 --dir /tmp/run --epoch 1 \
+                     --checkpoint-every 3";
+        assert_eq!(a.to_args().join(" "), plain);
+        a.resume_phase = Some(6);
+        a.die_at_phase = Some(7);
+        a.die_site = FaultSite::Remap;
+        a.supervised = true;
+        a.rejoin = true;
+        assert_eq!(
+            a.to_args().join(" "),
+            format!("{plain} --resume-phase 6 --die-at-phase 7 --die-site remap --supervised --rejoin")
+        );
     }
 
     #[test]

@@ -47,6 +47,7 @@
 //! [`ClusterConfig::paper`], …) remain as thin, stable shims for code that
 //! wants full manual control; new code should prefer the scenario.
 
+use std::path::Path;
 use std::sync::Arc;
 
 use microslip_balance::policy::{Conservative, Filtered, NeighborPolicy, NoRemap};
@@ -329,6 +330,14 @@ impl Scenario {
         })
     }
 
+    /// Reads the file a driver wrote [`canonical_bytes`](Self::canonical_bytes)
+    /// to — how an `mp` rank and a `serve` job are told what to run.
+    pub fn read_file(path: &Path) -> Result<Scenario, String> {
+        let bytes =
+            std::fs::read(path).map_err(|e| format!("reading {}: {e}", path.display()))?;
+        Scenario::decode(&bytes).map_err(|e| format!("{}: {e}", path.display()))
+    }
+
     /// The scenario's content-address key: FNV-1a 64 over the canonical
     /// bytes, as 16 lowercase hex characters. Identical scenarios — and
     /// only identical scenarios, up to hash collision — share a key; the
@@ -363,23 +372,23 @@ impl Scenario {
         Ok(())
     }
 
-    fn reject_global(&self) -> Result<(), String> {
-        if self.scheme == Scheme::Global {
-            return Err(
-                "the global scheme needs a collective exchange and only runs on the \
-                 virtual cluster — use cluster()"
-                    .into(),
-            );
-        }
-        Ok(())
+    /// What the worker protocol demands of a scenario, on threads and on
+    /// rank processes alike (`role` names them in the error): a
+    /// neighbor-local scheme, a plane per `role`, a valid channel and
+    /// throttle ranks in range. Returns the policy and the dense throttle.
+    pub(crate) fn validate_ranks(
+        &self,
+        role: &str,
+    ) -> Result<(Arc<dyn NeighborPolicy>, Vec<f64>), String> {
+        let policy = neighbor_policy(self.scheme)?;
+        self.validate_for(role)?;
+        self.channel.validate()?;
+        Ok((policy, expand_throttle(&self.throttle, self.workers)?))
     }
 
     /// Finalizes into a threaded [`Runtime`].
     pub fn runtime(self) -> Result<Runtime, String> {
-        self.reject_global()?;
-        self.validate_for("worker")?;
-        self.channel.validate()?;
-        let throttle = expand_throttle(&self.throttle, self.workers)?;
+        let (policy, throttle) = self.validate_ranks("worker")?;
         let mut cfg = RuntimeConfig::new(self.channel, self.workers, self.phases);
         cfg.remap_interval = self.remap_every;
         cfg.predictor_window = self.predictor_window;
@@ -388,7 +397,7 @@ impl Scenario {
         cfg.trace = self.trace;
         cfg.spikes = self.spikes;
         cfg.throttle = throttle;
-        Ok(Runtime { cfg, scheme: self.scheme })
+        Ok(Runtime { cfg, policy })
     }
 
     /// Finalizes into a [`Multiprocess`] run: the same worker protocol as
@@ -397,18 +406,8 @@ impl Scenario {
     /// trace sink is not carried over — each worker process records its
     /// own trace, and the driver merges them into [`MpOutcome::events`].
     pub fn multiprocess(self) -> Result<Multiprocess, String> {
-        self.reject_global()?;
-        self.validate_for("rank")?;
-        self.channel.validate()?;
-        let throttle = expand_throttle(&self.throttle, self.workers)?;
-        let mut cfg = MpConfig::new(self.channel, self.workers, self.phases);
-        cfg.remap_interval = self.remap_every;
-        cfg.predictor_window = self.predictor_window;
-        cfg.scheme = self.scheme;
-        cfg.throttle = throttle;
-        cfg.spikes = self.spikes;
-        cfg.load = self.load;
-        Ok(Multiprocess { cfg })
+        self.validate_ranks("rank")?;
+        Ok(Multiprocess { cfg: MpConfig::new(self) })
     }
 
     /// Finalizes into a virtual-time [`ClusterExperiment`] with the *same
@@ -468,6 +467,20 @@ fn scheme_from_code(code: u64) -> Result<Scheme, String> {
     }
 }
 
+/// The policy object of a scheme the worker protocol can execute: every
+/// scheme whose decisions are neighbor-local, i.e. all but
+/// [`Scheme::Global`].
+pub fn neighbor_policy(scheme: Scheme) -> Result<Arc<dyn NeighborPolicy>, String> {
+    match scheme {
+        Scheme::NoRemap => Ok(Arc::new(NoRemap)),
+        Scheme::Filtered => Ok(Arc::new(Filtered::default())),
+        Scheme::Conservative => Ok(Arc::new(Conservative::default())),
+        Scheme::Global => Err("the global scheme needs a collective exchange and only runs \
+                               on the virtual cluster — use cluster()"
+            .into()),
+    }
+}
+
 /// Expands sparse `(rank, factor)` throttle pairs into a dense per-rank
 /// vector, validating ranks.
 fn expand_throttle(pairs: &[(usize, f64)], workers: usize) -> Result<Vec<f64>, String> {
@@ -487,10 +500,19 @@ fn expand_throttle(pairs: &[(usize, f64)], workers: usize) -> Result<Vec<f64>, S
 }
 
 /// A fully-validated threaded run, ready to execute.
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct Runtime {
     cfg: RuntimeConfig,
-    scheme: Scheme,
+    policy: Arc<dyn NeighborPolicy>,
+}
+
+impl std::fmt::Debug for Runtime {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Runtime")
+            .field("cfg", &self.cfg)
+            .field("policy", &self.policy.name())
+            .finish()
+    }
 }
 
 impl Runtime {
@@ -507,13 +529,7 @@ impl Runtime {
 
     /// The policy object the run will use.
     pub fn policy(&self) -> Arc<dyn NeighborPolicy> {
-        match self.scheme {
-            Scheme::NoRemap => Arc::new(NoRemap),
-            Scheme::Filtered => Arc::new(Filtered::default()),
-            Scheme::Conservative => Arc::new(Conservative::default()),
-            // lint:allow(boundary-panic, Runtime only exists after reject_global() passed in Scenario::runtime; no input reaches this arm)
-            Scheme::Global => unreachable!("rejected by Scenario::runtime"),
-        }
+        Arc::clone(&self.policy)
     }
 
     /// Executes the run on `workers` threads.

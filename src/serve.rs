@@ -12,10 +12,11 @@
 //!   sealed [`ResultArtifact`]s — duplicate scenarios, within one sweep
 //!   or across sweeps, are computed exactly once;
 //! * schedules **misses** onto a bounded pool of `microslip run-job`
-//!   subprocesses, supervised the way [`crate::mp`] supervises its ranks:
-//!   children are polled, a death is answered with a bounded respawn that
-//!   resumes from the newest CRC-valid checkpoint — a worker dying
-//!   mid-job restarts *that job*, it never fails the sweep.
+//!   subprocesses held through [`crate::supervisor`], the layer
+//!   [`crate::mp`] holds its ranks through: children are polled, a death
+//!   is answered with a bounded respawn that resumes from the newest
+//!   CRC-valid checkpoint — a worker dying mid-job restarts *that job*,
+//!   it never fails the sweep.
 //!
 //! **Why the cache is sound.** The solver is bitwise deterministic across
 //! substrates (the repository's core invariant), `run-job` executes the
@@ -31,7 +32,6 @@
 use std::collections::HashMap;
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use microslip_codec::{put_f64, put_str, put_u64, Reader};
@@ -43,6 +43,7 @@ use microslip_net::wire::{Frame, FrameKind};
 use microslip_obs::{to_jsonl, Event, JobStage, TraceSummary};
 
 use crate::scenario::Scenario;
+use crate::supervisor::{die_injected, Budget, Child, Verdict};
 
 /// Sweep-request magic ("MSLIPSW1" — microslip sweep v1).
 pub const SWEEP_MAGIC: [u8; 8] = *b"MSLIPSW1";
@@ -285,42 +286,21 @@ pub struct RunJobArgs {
     pub checkpoint_every: u64,
     /// Resume from the newest CRC-valid checkpoint instead of phase 0.
     pub resume: bool,
-    /// Fault injection: exit with code [`JOB_FAULT_EXIT`] *before*
-    /// stepping this phase (first attempt only; the daemon strips it on
-    /// respawn).
+    /// Fault injection: die ([`die_injected`]) *before* stepping this
+    /// phase (first attempt only; the daemon strips it on respawn).
     pub die_at_phase: Option<u64>,
 }
 
-/// Exit code `run-job` uses for an injected fault (distinct from 1 so a
-/// chaos kill is distinguishable from a real error in the logs).
-pub const JOB_FAULT_EXIT: i32 = 13;
-
-fn checkpoint_path(dir: &Path, phase: u64) -> PathBuf {
-    dir.join(format!("ckpt-{phase:012}.bin"))
-}
-
-/// Scans `dir` for the newest checkpoint that both unseals (CRC-valid)
-/// and restores against `scenario`'s channel. Torn or mismatched files
-/// are skipped, not fatal — the job falls back to an older checkpoint or
-/// a fresh start, exactly like `mp` recovery.
-fn newest_valid_checkpoint(dir: &Path, scenario: &Scenario) -> Option<(Simulation, u64)> {
-    let entries = std::fs::read_dir(dir).ok()?;
-    let mut phases: Vec<u64> = entries
-        .flatten()
-        .filter_map(|e| {
-            let name = e.file_name();
-            let name = name.to_str()?;
-            name.strip_prefix("ckpt-")?.strip_suffix(".bin")?.parse::<u64>().ok()
-        })
-        .collect();
-    phases.sort_unstable();
-    for phase in phases.into_iter().rev() {
-        let path = checkpoint_path(dir, phase);
-        if let Ok(sim) = Simulation::restore_file(scenario.channel.clone(), &path) {
-            return Some((sim, phase));
-        }
-    }
-    None
+/// The newest checkpoint in `dir` that both unseals (CRC-valid) and
+/// restores against `scenario`'s channel — a job is rank 0 of 1. Torn or
+/// mismatched files are skipped, not fatal: the job falls back to an
+/// older checkpoint or a fresh start, exactly like `mp` recovery. The
+/// restore is the CRC check, so only files down to the first good one
+/// are read.
+fn newest_valid_checkpoint(dir: &Path, scenario: &Scenario) -> Option<Simulation> {
+    checkpoint::phases(dir, 0).into_iter().rev().find_map(|phase| {
+        Simulation::restore_file(scenario.channel.clone(), &checkpoint::path(dir, 0, phase)).ok()
+    })
 }
 
 /// The deterministic per-job trace summary embedded in the artifact.
@@ -351,35 +331,24 @@ fn job_summary(scenario: &Scenario, key: &str) -> String {
 /// (bitwise-identical to every parallel substrate), checkpointing on the
 /// requested cadence, and seals the result artifact.
 pub fn run_job(args: &RunJobArgs) -> Result<(), String> {
-    let bytes = std::fs::read(&args.scenario_path)
-        .map_err(|e| format!("reading {}: {e}", args.scenario_path.display()))?;
-    let scenario = Scenario::decode(&bytes)?;
+    let scenario = Scenario::read_file(&args.scenario_path)?;
     scenario.channel.validate()?;
     let key = scenario.key();
     std::fs::create_dir_all(&args.checkpoint_dir)
         .map_err(|e| format!("creating {}: {e}", args.checkpoint_dir.display()))?;
-    let mut sim = if args.resume {
-        match newest_valid_checkpoint(&args.checkpoint_dir, &scenario) {
-            Some((sim, _phase)) => sim,
-            None => Simulation::new(scenario.channel.clone()),
-        }
-    } else {
-        Simulation::new(scenario.channel.clone())
-    };
+    let restored = args.resume.then(|| newest_valid_checkpoint(&args.checkpoint_dir, &scenario));
+    let mut sim = restored.flatten().unwrap_or_else(|| Simulation::new(scenario.channel.clone()));
     while sim.phase() < scenario.phases {
         if args.die_at_phase == Some(sim.phase()) {
-            // Injected fault: die exactly here, after any checkpoints
-            // below this phase have been sealed.
-            std::process::exit(JOB_FAULT_EXIT);
+            // Exactly here, after any checkpoints below this phase have
+            // been sealed.
+            die_injected(&format!("job {key} dies before phase {}", sim.phase()));
         }
         sim.step();
         if args.checkpoint_every > 0 && sim.phase().is_multiple_of(args.checkpoint_every) {
-            checkpoint::write_solver(
-                &checkpoint_path(&args.checkpoint_dir, sim.phase()),
-                sim.solver(),
-                sim.phase(),
-            )
-            .map_err(|e| format!("checkpoint at phase {}: {e}", sim.phase()))?;
+            let path = checkpoint::path(&args.checkpoint_dir, 0, sim.phase());
+            checkpoint::write_solver(&path, sim.solver(), sim.phase())
+                .map_err(|e| format!("checkpoint at phase {}: {e}", sim.phase()))?;
         }
     }
     // The solver is done: its lattices go before the artifact is encoded,
@@ -451,7 +420,8 @@ struct Job {
     key: String,
     sweep: u64,
     state: JobState,
-    respawns: usize,
+    /// Respawns of this job's worker, bounded by `max_respawns`.
+    budget: Budget,
     checkpoint_every: u64,
     die_at_phase: Option<u64>,
 }
@@ -567,7 +537,7 @@ impl Daemon {
                     key: key.clone(),
                     sweep,
                     state: JobState::Queued,
-                    respawns: 0,
+                    budget: Budget::new(self.cfg.max_respawns),
                     checkpoint_every: cadence,
                     die_at_phase,
                 },
@@ -625,7 +595,7 @@ impl Daemon {
                 job.key,
                 job.sweep,
                 state_name(&job.state),
-                job.respawns
+                job.budget.used()
             ));
             if let JobState::Failed { detail } = &job.state {
                 out.push_str(&format!(" detail={detail}"));
@@ -637,40 +607,51 @@ impl Daemon {
     }
 
     /// Spawns one `run-job` child for `key`.
-    fn spawn(&mut self, key: &str, resume: bool) -> Result<Child, String> {
+    fn spawn(&self, key: &str, resume: bool) -> Result<Child, String> {
         let Some(job) = self.jobs.get(key) else {
             return Err(format!("spawn of unknown job {key}"));
         };
         let dir = self.job_dir(key);
-        let stderr = std::fs::File::create(dir.join("job.stderr"))
-            .map_err(|e| format!("job stderr file: {e}"))?;
-        let mut cmd = Command::new(&self.cfg.worker_exe);
-        cmd.arg("run-job")
-            .arg("--scenario")
-            .arg(dir.join("scenario.bin"))
-            .arg("--out")
-            .arg(dir.join("result.artifact"))
-            .arg("--checkpoint-dir")
-            .arg(dir.join("ckpt"))
-            .arg("--checkpoint-every")
-            .arg(job.checkpoint_every.to_string())
-            .stdin(Stdio::null())
-            .stdout(Stdio::null())
-            .stderr(Stdio::from(stderr));
+        let path = |name: &str| dir.join(name).display().to_string();
+        let mut args = vec![
+            "run-job".to_string(),
+            "--scenario".into(),
+            path("scenario.bin"),
+            "--out".into(),
+            path("result.artifact"),
+            "--checkpoint-dir".into(),
+            path("ckpt"),
+            "--checkpoint-every".into(),
+            job.checkpoint_every.to_string(),
+        ];
         if resume {
-            cmd.arg("--resume");
-        }
-        if let (false, Some(phase)) = (resume, job.die_at_phase) {
+            args.push("--resume".into());
+        } else if let Some(phase) = job.die_at_phase {
             // Chaos lands on the first attempt only; the respawn runs clean.
-            cmd.arg("--die-at-phase").arg(phase.to_string());
+            args.extend(["--die-at-phase".into(), phase.to_string()]);
         }
-        cmd.spawn().map_err(|e| format!("spawning run-job for {key}: {e}"))
+        Child::spawn(&self.cfg.worker_exe, args, &dir.join("job.stderr"))
+            .map_err(|e| format!("run-job for {key}: {e}"))
     }
 
-    /// One supervision round, the `mp` pattern at job granularity: start
-    /// queued jobs while pool slots are free, poll running children,
-    /// absorb exits. Returns true when anything changed (so the caller
-    /// can skip its idle sleep).
+    /// Moves `key` to `state` and puts the transition on the record.
+    fn transition(&mut self, key: &str, state: JobState, stage: JobStage, phase: u64, detail: &str) {
+        let Some(job) = self.jobs.get_mut(key) else { return };
+        let sweep = job.sweep;
+        job.state = state;
+        self.record(sweep, key, stage, phase, detail);
+    }
+
+    fn fail(&mut self, key: &str, detail: String) {
+        self.transition(key, JobState::Failed { detail: detail.clone() }, JobStage::Failed, 0, &detail);
+    }
+
+    /// One supervision round, the pool policy over the children's exits:
+    /// start queued jobs while pool slots are free, poll running children,
+    /// absorb exits — a death is answered by requeueing the job, whose
+    /// next attempt runs with `--resume` (checkpoint-restart of *that
+    /// job*), until its budget is spent. Returns true when anything
+    /// changed (so the caller can skip its idle sleep).
     fn supervise(&mut self) -> bool {
         let mut changed = false;
         // Reap finished children first so their slots free up this round.
@@ -678,32 +659,19 @@ impl Daemon {
         for key in &keys {
             let Some(job) = self.jobs.get_mut(key) else { continue };
             let JobState::Running { child } = &mut job.state else { continue };
-            let status = match child.try_wait() {
-                Ok(Some(status)) => status,
-                Ok(None) => continue,
-                Err(e) => {
-                    let detail = format!("wait failed: {e}");
-                    job.state = JobState::Failed { detail: detail.clone() };
-                    let sweep = job.sweep;
-                    self.record(sweep, key, JobStage::Failed, 0, &detail);
-                    changed = true;
-                    continue;
-                }
-            };
+            let Some(exit) = child.poll(None) else { continue };
             changed = true;
-            if status.success() {
-                match self.absorb_result(key) {
-                    Ok(()) => {}
-                    Err(detail) => {
-                        if let Some(job) = self.jobs.get_mut(key) {
-                            let sweep = job.sweep;
-                            job.state = JobState::Failed { detail: detail.clone() };
-                            self.record(sweep, key, JobStage::Failed, 0, &detail);
-                        }
+            match job.budget.judge(exit) {
+                Verdict::Done => {
+                    if let Err(detail) = self.absorb_result(key) {
+                        self.fail(key, detail);
                     }
                 }
-            } else {
-                self.handle_death(key, &status.to_string());
+                Verdict::Respawn { attempt, status } => {
+                    let detail = format!("child died ({status}); respawn {attempt} will resume");
+                    self.transition(key, JobState::Queued, JobStage::Restarted, 0, &detail);
+                }
+                Verdict::Fatal(why) => self.fail(key, format!("child {why}")),
             }
         }
         // Fill free pool slots in submission order.
@@ -721,27 +689,15 @@ impl Daemon {
             if !matches!(job.state, JobState::Queued) {
                 continue;
             }
-            let resume = job.respawns > 0;
+            let resume = job.budget.used() > 0;
+            changed = true;
             match self.spawn(key, resume) {
                 Ok(child) => {
-                    if let Some(job) = self.jobs.get_mut(key) {
-                        let sweep = job.sweep;
-                        let stage =
-                            if resume { JobStage::Restarted } else { JobStage::Started };
-                        job.state = JobState::Running { child };
-                        self.record(sweep, key, stage, 0, "");
-                    }
+                    let stage = if resume { JobStage::Restarted } else { JobStage::Started };
+                    self.transition(key, JobState::Running { child }, stage, 0, "");
                     slots -= 1;
-                    changed = true;
                 }
-                Err(detail) => {
-                    if let Some(job) = self.jobs.get_mut(key) {
-                        let sweep = job.sweep;
-                        job.state = JobState::Failed { detail: detail.clone() };
-                        self.record(sweep, key, JobStage::Failed, 0, &detail);
-                    }
-                    changed = true;
-                }
+                Err(detail) => self.fail(key, detail),
             }
         }
         changed
@@ -756,32 +712,8 @@ impl Daemon {
             return Err(format!("artifact claims key {}, expected {key}", artifact.key));
         }
         self.store.put_sealed(key, &sealed)?;
-        if let Some(job) = self.jobs.get_mut(key) {
-            let sweep = job.sweep;
-            let phases = artifact.phases;
-            job.state = JobState::Done;
-            self.record(sweep, key, JobStage::Done, phases, "");
-        }
+        self.transition(key, JobState::Done, JobStage::Done, artifact.phases, "");
         Ok(())
-    }
-
-    /// A child died: bounded respawn with `--resume` (checkpoint-restart
-    /// of *that job*), or a typed failure once the budget is exhausted.
-    fn handle_death(&mut self, key: &str, status: &str) {
-        let Some(job) = self.jobs.get_mut(key) else { return };
-        let sweep = job.sweep;
-        if job.respawns < self.cfg.max_respawns {
-            job.respawns += 1;
-            let attempt = job.respawns;
-            job.state = JobState::Queued;
-            let detail = format!("child died ({status}); respawn {attempt} will resume");
-            self.record(sweep, key, JobStage::Restarted, 0, &detail);
-        } else {
-            let detail =
-                format!("child died ({status}); respawn budget {} exhausted", self.cfg.max_respawns);
-            job.state = JobState::Failed { detail: detail.clone() };
-            self.record(sweep, key, JobStage::Failed, 0, &detail);
-        }
     }
 
     fn busy(&self) -> bool {

@@ -8,8 +8,6 @@ use std::path::PathBuf;
 use std::process::Command;
 
 use microslip::lbm::checkpoint::{load_solver, read_sealed};
-use microslip::lbm::config_codec::encode_config;
-use microslip::lbm::{ChannelConfig, Dims};
 use microslip::obs::{from_jsonl, remap_fingerprints, validate_jsonl, Event, TraceSink};
 use microslip::runtime::LoadModel;
 use microslip::{FaultSite, MpFault, Scenario};
@@ -55,6 +53,10 @@ fn mp_run_matches_threaded_bitwise_with_identical_remap_decisions() {
             "{ranks}-rank mp run diverged from the threaded run"
         );
         assert_eq!(outcome.final_counts(), threaded.final_counts());
+
+        // What the ranks were told to run is the submitted scenario itself.
+        let told = fs::read(outcome.dir.join("scenario.bin")).unwrap();
+        assert_eq!(Scenario::decode(&told).unwrap().key(), builder(ranks, 12).key());
 
         // The streamed `rank{r}.state` files are still sealed checkpoints
         // the buffered API opens, each holding its rank's slice of the result.
@@ -243,16 +245,15 @@ fn chaos_kill_and_rejoin_recovers_bitwise_with_full_recovery_arc() {
 #[test]
 fn unreachable_rendezvous_fails_with_typed_handshake_error() {
     let dir = scratch_dir("dead-rendezvous");
-    let channel = ChannelConfig::paper_scaled(Dims::new(8, 6, 4));
-    fs::write(dir.join("config.bin"), encode_config(&channel)).unwrap();
+    let scenario = Scenario::paper_scaled(8, 6, 4).workers(2).phases(2);
+    fs::write(dir.join("scenario.bin"), scenario.canonical_bytes()).unwrap();
 
     // Rank 1 dials a port nobody listens on; bounded retries must give up
     // with a typed handshake error, an error file, and a flushed trace.
     let output = Command::new(WORKER_EXE)
         .arg("mp-worker")
-        .args(["--rank", "1", "--ranks", "2"])
+        .args(["--rank", "1"])
         .args(["--rendezvous", "127.0.0.1:9"])
-        .args(["--phases", "2"])
         .arg("--dir")
         .arg(&dir)
         .output()

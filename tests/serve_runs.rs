@@ -177,6 +177,13 @@ fn killed_worker_restarts_from_checkpoint_and_matches_direct_run_bitwise() {
     serve::shutdown(&addr).expect("shutdown");
     handle.join().expect("daemon thread").expect("daemon exits clean despite the kill");
 
+    // The first attempt's dying words survive the respawn that succeeded.
+    let stderr = fs::read_to_string(dir.join("jobs").join(&key).join("job.stderr")).unwrap();
+    assert!(
+        stderr.contains("injected fault") && stderr.contains("before phase 9"),
+        "job.stderr lost the first attempt's output: {stderr:?}"
+    );
+
     // The supervision story is on the record: a restart, then completion,
     // and never a sweep failure.
     let events = job_events(&dir);
@@ -192,5 +199,44 @@ fn killed_worker_restarts_from_checkpoint_and_matches_direct_run_bitwise() {
         "result computed across a worker death differs from an undisturbed run"
     );
 
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn resume_skips_a_torn_newest_checkpoint_and_stays_bitwise() {
+    use microslip::lbm::checkpoint;
+    let dir = scratch_dir("torn-resume");
+    let scenario = base_scenario(12);
+    let scenario_path = dir.join("job.scenario");
+    fs::write(&scenario_path, scenario.canonical_bytes()).expect("write scenario");
+    let ckpt = dir.join("ckpt");
+    let job = |out: &str, resume: bool| {
+        serve::run_job(&RunJobArgs {
+            scenario_path: scenario_path.clone(),
+            out_path: dir.join(out),
+            checkpoint_dir: ckpt.clone(),
+            checkpoint_every: 4,
+            resume,
+            die_at_phase: None,
+        })
+        .expect("run-job");
+        fs::read(dir.join(out)).expect("read artifact")
+    };
+    let want = job("whole.artifact", false);
+    assert_eq!(checkpoint::valid_phases(&ckpt, 0), vec![4, 8, 12]);
+
+    // A crash tore the newest checkpoint; the oldest is gone, so a restart
+    // from scratch would have to write it again.
+    let newest = checkpoint::path(&ckpt, 0, 12);
+    let bytes = fs::read(&newest).unwrap();
+    fs::write(&newest, &bytes[..bytes.len() - 3]).unwrap();
+    fs::remove_file(checkpoint::path(&ckpt, 0, 4)).unwrap();
+    assert_eq!(checkpoint::valid_phases(&ckpt, 0), vec![8]);
+
+    let got = job("resumed.artifact", true);
+    assert_eq!(got, want, "resuming past a torn checkpoint changed the result");
+    // It restored phase 8 — not the torn 12, not phase 0 — and replayed
+    // 9..=12, sealing 12 again on the way.
+    assert_eq!(checkpoint::valid_phases(&ckpt, 0), vec![8, 12]);
     let _ = fs::remove_dir_all(&dir);
 }
