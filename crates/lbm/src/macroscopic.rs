@@ -11,89 +11,99 @@
 //!
 //! (the half-force term makes the measured velocity second-order accurate
 //! in the presence of forcing).
+//!
+//! Every reduction of populations to ψ = Σ_i f_i and the number momentum
+//! j = Σ_i f_i e_i goes through one kernel, [`moments_raw`]: the streaming
+//! sweep runs it on each plane it has just streamed (ψ into `psi`, j into
+//! the plane's `ueq` slots — see [`crate::streaming`]), [`compute_psi`] on
+//! the whole slab for priming, [`Snapshot::capture_into`] plane by plane.
 
 use crate::component::ComponentState;
 use crate::field::LocalGrid;
 use crate::lattice::{Lattice, D3Q19};
 
-/// Recomputes ψ (number density) at every interior cell from the current
-/// populations. Ghost planes are left untouched (they are refreshed by the
-/// halo exchange that follows in the phase).
+/// Recomputes the moments of every interior cell from the populations: ψ
+/// (number density) into `psi` and j into the three `ueq` slots, where
+/// [`crate::multicomponent::update_equilibrium_velocities`] expects it —
+/// what a sweep leaves behind, for priming a state no sweep produced (a
+/// one-off, so serial). Ghost planes are left to the halo exchange.
 pub fn compute_psi(comp: &mut ComponentState) {
-    compute_psi_with(comp, crate::par::Parallelism::serial());
-}
-
-/// [`compute_psi`] with a thread budget: the interior cell range is split
-/// into plane chunks summed concurrently. Per-cell channel sums keep their
-/// serial accumulation order (directions ascending), so the result is
-/// bitwise identical at any thread count.
-pub(crate) fn compute_psi_with(comp: &mut ComponentState, par: crate::par::Parallelism) {
     let grid = comp.grid();
-    let cells = comp.f.stride();
-    let p = grid.plane_cells();
-    let par = par.effective();
-    let chunks = par.plane_chunks(LocalGrid::FIRST, grid.last());
-    let f = crate::par::ConstPtr::new(comp.f.base_ptr());
-    let psi = crate::par::SendPtr::new(comp.psi.channel_mut(0).as_mut_ptr());
-    par.run_cell_chunks(&chunks, p, |range| {
-        // Safety: chunks are disjoint cell ranges of ψ; `f` is read-only.
-        unsafe { compute_psi_cells_raw(f.get(), psi.get(), cells, range) }
-    });
+    let (cells, p) = (comp.f.stride(), grid.plane_cells());
+    assert_eq!(comp.ueq.stride(), cells);
+    let at = LocalGrid::FIRST * p;
+    let (f, psi, ueq) = (comp.f.base_ptr(), comp.psi.base_mut_ptr(), comp.ueq.base_mut_ptr());
+    // Safety: the interior planes lie inside the window the three arrays
+    // share, and the outputs are exclusively borrowed.
+    unsafe { moments_raw(f.add(at), cells, psi.add(at), ueq.add(at), cells, grid.nx_local() * p) }
 }
 
-/// Sums the Q population channels into ψ over the cells of `range`.
+/// The moments kernel: for each of `n` consecutive cells, ψ = Σ_i f_i and
+/// j_a = Σ_i f_i e_ia, every sum over ascending channels from +0.0 with the
+/// `e_ia = 0` terms skipped (they would only add ±0.0 to an accumulator
+/// that is never −0.0). AVX2 4 cells at a time where the host has it, the
+/// scalar loop for the rest — the same additions in the same order.
 ///
 /// # Safety
 ///
-/// `f` must point to the window base of a Q-channel channel-major array
-/// of channel stride `cells` and `psi` to a single channel, both windows
-/// of at least `range.end` cells; no other thread may write the ψ cells of
-/// `range` during the call.
-unsafe fn compute_psi_cells_raw(
+/// `f` must point at channel 0 of the first cell of a Q-channel
+/// channel-major array of channel stride `f_stride`, `psi` at the first
+/// cell's ψ and `j` at axis 0 of the first cell of a 3-channel array of
+/// channel stride `j_stride`, all valid for `n` cells per channel; outputs
+/// must not overlap `f`, and no other thread may access them meanwhile.
+pub(crate) unsafe fn moments_raw(
     f: *const f64,
+    f_stride: usize,
     psi: *mut f64,
-    cells: usize,
-    range: core::ops::Range<usize>,
+    j: *mut f64,
+    j_stride: usize,
+    n: usize,
 ) {
-    // AVX2 4-cells-at-a-time when available (bitwise identical — per cell
-    // the channels add in the same ascending order); scalar remainder.
     #[cfg(target_arch = "x86_64")]
-    let range = if crate::simd::avx2_available() {
-        crate::simd::sum_channels_avx2(f, psi, cells, range)
+    let done = if crate::simd::avx2_available() {
+        crate::simd::moments_avx2(f, f_stride, psi, j, j_stride, n)
     } else {
-        range
+        0
     };
-    for cell in range.clone() {
-        *psi.add(cell) = 0.0;
-    }
-    for i in 0..D3Q19::Q {
-        let ch = f.add(i * cells);
-        for cell in range.clone() {
-            *psi.add(cell) += *ch.add(cell);
+    #[cfg(not(target_arch = "x86_64"))]
+    let done = 0;
+    for cell in done..n {
+        let at = |i: usize| *f.add(i * f_stride + cell);
+        *psi.add(cell) = (0..D3Q19::Q).fold(0.0, |acc, i| acc + at(i));
+        for a in 0..3 {
+            *j.add(a * j_stride + cell) = MOMENTUM_TERMS[a].iter().fold(0.0, |acc, &(i, e)| acc + at(i) * e);
         }
     }
 }
 
+/// Per axis `a`, the ten channels with `e_ia ≠ 0` in ascending order, each
+/// with its `e_ia` as a float: the terms of j_a, in summation order.
+pub(crate) const MOMENTUM_TERMS: [[(usize, f64); 10]; 3] = {
+    let mut terms = [[(0, 0.0); 10]; 3];
+    let mut a = 0;
+    while a < 3 {
+        let (mut i, mut k) = (0, 0);
+        while i < D3Q19::Q {
+            if D3Q19::E[i][a] != 0 {
+                terms[a][k] = (i, D3Q19::E[i][a] as f64);
+                k += 1;
+            }
+            i += 1;
+        }
+        assert!(k == 10);
+        a += 1;
+    }
+    terms
+};
+
 /// Number-momentum of one component at `cell`: `Σ_i f_i e_i` (multiply by
-/// `m_σ` for mass momentum).
+/// `m_σ` for mass momentum) — the per-cell definition the moments kernel
+/// is held to.
 #[inline]
 pub fn raw_momentum(comp: &ComponentState, cell: usize) -> [f64; 3] {
-    assert!(cell < comp.grid().cells());
-    // Safety: `cell` lies in the window of the component's own array.
-    unsafe { raw_momentum_raw(comp.f.base_ptr(), comp.f.stride(), cell) }
-}
-
-/// [`raw_momentum`] on a raw channel-major `f` array.
-///
-/// # Safety
-///
-/// `f` must point to the window base of a Q-channel channel-major array
-/// of channel stride `cells` and `cell` must lie in the window.
-#[inline]
-pub(crate) unsafe fn raw_momentum_raw(f: *const f64, cells: usize, cell: usize) -> [f64; 3] {
     let mut m = [0.0f64; 3];
     for i in 1..D3Q19::Q {
-        let v = *f.add(i * cells + cell);
+        let v = comp.f.at(i, cell);
         let e = D3Q19::E[i];
         m[0] += v * e[0] as f64;
         m[1] += v * e[1] as f64;
@@ -169,28 +179,39 @@ impl Snapshot {
             x0 >= self.x0 && x0 + grid.nx_local() <= self.x0 + self.nx,
             "slab lies outside the snapshot"
         );
-        let first = x0 - self.x0;
+        let p = grid.plane_cells();
+        // Plane by plane: j from the moments kernel into a scratch (`ueq`,
+        // where a phase keeps j, is live at a phase boundary; the ψ the
+        // kernel also produces goes unused — `psi` is the state's own), the
+        // momentum summed in place in `velocity`, the components
+        // accumulating per cell in ascending order.
+        let mut j = vec![0.0f64; 4 * p];
         for xl in LocalGrid::FIRST..=grid.last() {
-            for y in 0..ny {
-                for z in 0..nz {
-                    let lcell = grid.idx(xl, y, z);
-                    let ocell = ((first + xl - 1) * ny + y) * nz + z;
-                    let mut rho_tot = 0.0;
-                    let mut mom = [0.0f64; 3];
-                    for (s, c) in comps.iter().enumerate() {
-                        let m = c.spec.mass;
-                        let r = m * c.psi.at(0, lcell);
-                        self.rho[s][ocell] = r;
-                        rho_tot += r;
-                        let raw = raw_momentum(c, lcell);
-                        for a in 0..3 {
-                            mom[a] += m * raw[a] + 0.5 * c.force.at(a, lcell);
-                        }
+            let (here, out) = (xl * p..(xl + 1) * p, (x0 - self.x0 + xl - 1) * p);
+            let u = &mut self.velocity[3 * out..3 * (out + p)];
+            u.fill(0.0);
+            for (c, rho) in comps.iter().zip(self.rho.iter_mut()) {
+                let m = c.spec.mass;
+                // Safety: plane `xl` lies in the window of `f`; the scratch
+                // holds 3 + 1 channels of `p` cells.
+                unsafe {
+                    let j = j.as_mut_ptr();
+                    moments_raw(c.f.base_ptr().add(here.start), c.f.stride(), j.add(3 * p), j, p, p)
+                };
+                for (rho, psi) in rho[out..out + p].iter_mut().zip(&c.psi.channel(0)[here.clone()]) {
+                    *rho = m * psi;
+                }
+                for a in 0..3 {
+                    let force = &c.force.channel(a)[here.clone()];
+                    for (q, u) in u.chunks_exact_mut(3).enumerate() {
+                        u[a] += m * j[a * p + q] + 0.5 * force[q];
                     }
-                    for a in 0..3 {
-                        self.velocity[3 * ocell + a] =
-                            if rho_tot > 0.0 { mom[a] / rho_tot } else { 0.0 };
-                    }
+                }
+            }
+            for (q, u) in u.chunks_exact_mut(3).enumerate() {
+                let rho_tot = self.rho.iter().fold(0.0, |tot, rho| tot + rho[out + q]);
+                for a in 0..3 {
+                    u[a] = if rho_tot > 0.0 { u[a] / rho_tot } else { 0.0 };
                 }
             }
         }

@@ -17,10 +17,13 @@
 //! where `F_σ` is the total force density (interaction + wall + body) from
 //! [`crate::force::compute_forces`]. The force shift is how forcing enters
 //! the Shan–Chen LBGK scheme.
+//!
+//! `Σ_i f_i^σ e_i` is not gathered here: the streaming sweep (or, when
+//! priming, [`crate::macroscopic::compute_psi`]) left it in the three `ueq`
+//! slots of each cell; this update reads it there and writes `u_σ^eq` back.
 
 use crate::component::ComponentState;
 use crate::field::LocalGrid;
-use crate::lattice::{Lattice, D3Q19};
 use crate::par::{ConstPtr, Parallelism, SendPtr};
 
 /// Density floor below which the force shift is suppressed to avoid
@@ -29,16 +32,15 @@ pub const RHO_FLOOR: f64 = 1e-12;
 
 /// Computes `u_σ^eq` at every interior cell for all components.
 ///
-/// Must run after [`crate::macroscopic::compute_psi`] and
-/// [`crate::force::compute_forces`] in the phase.
+/// Must run after [`crate::force::compute_forces`] in the phase, with
+/// `psi` and the j held in `ueq` current (see the module docs).
 pub fn update_equilibrium_velocities(comps: &mut [ComponentState]) {
     update_equilibrium_velocities_with(comps, Parallelism::serial());
 }
 
-/// Raw per-component view for the cross-component cell loop: every array
-/// is read-only except `ueq`, written once per cell.
+/// Raw per-component view for the cross-component cell loop: `psi` and
+/// `force` are read-only, `ueq` is read (j) and then written once per cell.
 pub(crate) struct CompView {
-    pub(crate) f: ConstPtr<f64>,
     pub(crate) psi: ConstPtr<f64>,
     pub(crate) force: ConstPtr<f64>,
     pub(crate) ueq: SendPtr<f64>,
@@ -54,12 +56,11 @@ pub(crate) fn update_equilibrium_velocities_with(comps: &mut [ComponentState], p
     let grid = comps[0].grid();
     // One channel stride for every array of every component: they share a
     // storage capacity and a window.
-    let cells = comps[0].f.stride();
+    let cells = comps[0].ueq.stride();
     let p = grid.plane_cells();
     let views: Vec<CompView> = comps
         .iter_mut()
         .map(|c| CompView {
-            f: ConstPtr::new(c.f.base_ptr()),
             psi: ConstPtr::new(c.psi.base_ptr()),
             force: ConstPtr::new(c.force.base_ptr()),
             ueq: SendPtr::new(c.ueq.base_mut_ptr()),
@@ -70,91 +71,43 @@ pub(crate) fn update_equilibrium_velocities_with(comps: &mut [ComponentState], p
 
     let par = par.effective();
     let chunks = par.plane_chunks(LocalGrid::FIRST, grid.last());
-    // Cells are processed in blocks so the raw momenta can be accumulated
-    // channel-outer (one contiguous load per direction per block) instead
-    // of gathering 18 strided channels per cell. Bitwise identity with the
-    // per-cell version: per cell each accumulator still receives its terms
-    // in ascending-direction then ascending-component order, the products
-    // are unchanged, and the dropped e_a = 0 terms only ever added ±0.0 to
-    // an accumulator that is never −0.0.
-    const B: usize = 128;
     par.run_cell_chunks(&chunks, p, |range| {
         // AVX2 4-cells-at-a-time when the host supports it (bitwise
         // identical, including the lane-wise IEEE divisions — see
-        // [`crate::simd`]); the scalar block loop below handles the
-        // remainder and non-x86 hosts.
+        // [`crate::simd`]); the scalar loop takes the rest and other hosts.
         #[cfg(target_arch = "x86_64")]
         let range = if crate::simd::avx2_available() {
-            // Safety: the views alias no writable cell across chunks and
-            // the chunk owns `range` (see below).
+            // Safety: the views alias no `ueq` cell across chunks and the
+            // chunk owns `range` (see below).
             unsafe { crate::simd::update_ueq_avx2(&views, cells, range) }
         } else {
             range
         };
-        let mut raw = [0.0f64; 3 * B];
-        let mut num = [0.0f64; 3 * B];
-        let mut den = [0.0f64; B];
-        let mut ubar = [0.0f64; 3 * B];
-        let mut base = range.start;
-        while base < range.end {
-            let len = (range.end - base).min(B);
-            num[..3 * B].fill(0.0);
-            den[..B].fill(0.0);
-            // Safety (whole block): all reads go to arrays nobody writes
-            // during the launch; each `ueq` cell is written by exactly one
-            // chunk.
+        for cell in range {
+            // Safety (whole cell): nobody writes `psi` or `force` during
+            // the launch; a cell's `ueq` slots are read and written by one
+            // chunk only, every component's j before any is overwritten.
             unsafe {
+                // ū accumulates in ascending component order.
+                let mut num = [0.0f64; 3];
+                let mut den = 0.0f64;
                 for v in &views {
-                    let m = v.mass;
                     let inv_tau = 1.0 / v.momentum_tau;
-                    raw[..3 * B].fill(0.0);
-                    for i in 1..D3Q19::Q {
-                        let e = D3Q19::E[i];
-                        let ch = v.f.get().add(i * cells + base);
-                        for a in 0..3 {
-                            if e[a] == 0 {
-                                continue;
-                            }
-                            let ea = e[a] as f64;
-                            for j in 0..len {
-                                raw[a * B + j] += *ch.add(j) * ea;
-                            }
-                        }
-                    }
                     for a in 0..3 {
-                        for j in 0..len {
-                            num[a * B + j] += m * raw[a * B + j] * inv_tau;
-                        }
+                        num[a] += v.mass * *v.ueq.get().add(a * cells + cell) * inv_tau;
                     }
-                    let psi = v.psi.get().add(base);
-                    for j in 0..len {
-                        den[j] += m * *psi.add(j) * inv_tau;
-                    }
+                    den += v.mass * *v.psi.get().add(cell) * inv_tau;
                 }
-                for j in 0..len {
-                    if den[j] > RHO_FLOOR {
-                        for a in 0..3 {
-                            ubar[a * B + j] = num[a * B + j] / den[j];
-                        }
-                    } else {
-                        for a in 0..3 {
-                            ubar[a * B + j] = 0.0;
-                        }
-                    }
-                }
+                let ubar = if den > RHO_FLOOR { num.map(|n| n / den) } else { [0.0; 3] };
                 for v in &views {
-                    for j in 0..len {
-                        let cell = base + j;
-                        let rho = v.mass * *v.psi.get().add(cell);
-                        let shift = if rho > RHO_FLOOR { v.momentum_tau / rho } else { 0.0 };
-                        for a in 0..3 {
-                            *v.ueq.get().add(a * cells + cell) =
-                                ubar[a * B + j] + shift * *v.force.get().add(a * cells + cell);
-                        }
+                    let rho = v.mass * *v.psi.get().add(cell);
+                    let shift = if rho > RHO_FLOOR { v.momentum_tau / rho } else { 0.0 };
+                    for a in 0..3 {
+                        *v.ueq.get().add(a * cells + cell) =
+                            ubar[a] + shift * *v.force.get().add(a * cells + cell);
                     }
                 }
             }
-            base += len;
         }
     });
 }

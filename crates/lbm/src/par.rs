@@ -2,13 +2,13 @@
 //!
 //! The distributed runtime parallelizes *across* slabs (one worker thread
 //! per node); this module parallelizes *within* a slab, chunking the
-//! interior x-planes of the five per-phase kernels (collision, streaming,
-//! ψ, forces, equilibrium velocities) over scoped rayon tasks.
+//! interior x-planes of the per-phase kernels (collision, streaming with
+//! its moments, forces, equilibrium velocities) over scoped rayon tasks.
 //!
 //! The design constraint is the repo's flagship invariant: any
 //! parallelization must be **bitwise transparent to the physics**. Every
-//! kernel here is per-cell (collision, ψ, velocities) or writes only its
-//! own plane while reading a ±1-plane stencil of a buffer nobody mutates
+//! kernel here is per-cell (collision, moments, velocities) or writes only
+//! its own plane while reading a ±1-plane stencil of a buffer nobody mutates
 //! (streaming, forces), so partitioning the planes into contiguous chunks
 //! changes neither the values computed nor any accumulation order. The
 //! chunk boundaries themselves ([`Parallelism::plane_chunks`]) depend only
@@ -84,7 +84,7 @@ impl Parallelism {
     /// one-core host configured with `threads: 8` pays neither task
     /// spawning nor per-chunk setup (boundary-plane saves, scratch
     /// buffers). Safe because every kernel is decomposition-invariant:
-    /// collision/ψ/velocities are cell-local, forces accumulate per cell
+    /// collision/moments/velocities are cell-local, forces accumulate per cell
     /// in a fixed direction order, and streaming is pure data movement —
     /// so any chunking produces bitwise identical fields.
     pub fn effective(&self) -> Parallelism {

@@ -116,63 +116,73 @@ pub(crate) unsafe fn collide_bgk_avx2(
     cell..range.end
 }
 
-/// AVX2 ψ = Σ_i f_i over `range`, 4 cells per iteration. Returns the
-/// remainder sub-range for the caller's scalar tail.
+/// AVX2 body of [`crate::macroscopic::moments_raw`], 4 cells per
+/// iteration. Returns how many cells it covered (a multiple of 4); the
+/// caller's scalar loop takes the rest.
 ///
-/// Bitwise identity: per cell the channels are added in ascending order,
-/// exactly as the scalar channel-outer loop does; lanes are independent
-/// cells.
+/// Bitwise identity with that loop: per cell every accumulator starts at
+/// +0.0 and receives the same terms in ascending channel order (`e_a = 0`
+/// terms skipped); lanes are independent cells.
 ///
 /// # Safety
 ///
-/// `f` must point to the window base of a Q-channel channel-major array
-/// of channel stride `cells` and `psi` to a single channel, both windows
-/// of at least `range.end` cells; no other thread may write the ψ cells of
-/// `range` during the call, and the caller must have checked
-/// [`avx2_available`].
+/// As [`crate::macroscopic::moments_raw`], plus the caller must have
+/// checked [`avx2_available`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-pub(crate) unsafe fn sum_channels_avx2(
+pub(crate) unsafe fn moments_avx2(
     f: *const f64,
+    f_stride: usize,
     psi: *mut f64,
-    cells: usize,
-    range: Range<usize>,
-) -> Range<usize> {
+    j: *mut f64,
+    j_stride: usize,
+    n: usize,
+) -> usize {
     use crate::lattice::{Lattice, D3Q19};
+    use crate::macroscopic::MOMENTUM_TERMS;
     use core::arch::x86_64::*;
 
     const L: usize = 4;
-    let mut cell = range.start;
-    while cell + L <= range.end {
+    let mut cell = 0;
+    while cell + L <= n {
+        let at = f.add(cell);
         let mut acc = _mm256_setzero_pd();
         for i in 0..D3Q19::Q {
-            acc = _mm256_add_pd(acc, _mm256_loadu_pd(f.add(i * cells + cell)));
+            acc = _mm256_add_pd(acc, _mm256_loadu_pd(at.add(i * f_stride)));
         }
         _mm256_storeu_pd(psi.add(cell), acc);
+        for a in 0..3 {
+            let mut acc = _mm256_setzero_pd();
+            for &(i, e) in &MOMENTUM_TERMS[a] {
+                let v = _mm256_loadu_pd(at.add(i * f_stride));
+                acc = _mm256_add_pd(acc, _mm256_mul_pd(v, _mm256_set1_pd(e)));
+            }
+            _mm256_storeu_pd(j.add(a * j_stride + cell), acc);
+        }
         cell += L;
     }
-    cell..range.end
+    cell
 }
 
 /// AVX2 equilibrium-velocity update over `range`, 4 cells per iteration.
 /// Returns the remainder sub-range for the caller's scalar tail.
 ///
-/// Bitwise identity with the scalar block loop in
-/// [`crate::multicomponent`]: per cell, momenta accumulate in ascending
-/// direction order and ū numerator/denominator in ascending component
-/// order with unchanged products; `_mm256_div_pd` is lane-wise
-/// IEEE-correct, so the divisions match the scalar ones bit for bit; the
-/// density-floor guards become compare+blend with the same `>` semantics
-/// (NaN compares false), and the suppressed branches produce exactly the
-/// 0.0 the scalar path uses. No FMA anywhere.
+/// Bitwise identity with the scalar cell loop in
+/// [`crate::multicomponent`]: per cell, every component's j is read from
+/// its `ueq` slots before any is overwritten, the ū numerator/denominator
+/// accumulate in ascending component order with unchanged products;
+/// `_mm256_div_pd` is lane-wise IEEE-correct, so the divisions match the
+/// scalar ones bit for bit; the density-floor guards become compare+blend
+/// with the same `>` semantics (NaN compares false), and the suppressed
+/// branches produce exactly the 0.0 the scalar path uses. No FMA anywhere.
 ///
 /// # Safety
 ///
 /// Every view must hold the window bases of channel-major arrays of
-/// channel stride `cells` whose windows cover `range` (Q channels for
-/// `f`, 3 for `force`/`ueq`, 1 for `psi`); no other
-/// thread may write the `ueq` cells of `range` during the call, and the
-/// caller must have checked [`avx2_available`].
+/// channel stride `cells` whose windows cover `range` (3 channels for
+/// `force`/`ueq`, 1 for `psi`); no other thread may access the `ueq` cells
+/// of `range` during the call, and the caller must have checked
+/// [`avx2_available`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 pub(crate) unsafe fn update_ueq_avx2(
@@ -180,7 +190,6 @@ pub(crate) unsafe fn update_ueq_avx2(
     cells: usize,
     range: Range<usize>,
 ) -> Range<usize> {
-    use crate::lattice::{Lattice, D3Q19};
     use crate::multicomponent::RHO_FLOOR;
     use core::arch::x86_64::*;
 
@@ -195,20 +204,10 @@ pub(crate) unsafe fn update_ueq_avx2(
         for v in views {
             let m = _mm256_set1_pd(v.mass);
             let inv_tau = _mm256_set1_pd(1.0 / v.momentum_tau);
-            let mut raw = [zero; 3];
-            for i in 1..D3Q19::Q {
-                let e = D3Q19::E[i];
-                let fv = _mm256_loadu_pd(v.f.get().add(i * cells + cell));
-                for a in 0..3 {
-                    if e[a] != 0 {
-                        let ea = _mm256_set1_pd(e[a] as f64);
-                        raw[a] = _mm256_add_pd(raw[a], _mm256_mul_pd(fv, ea));
-                    }
-                }
-            }
             for a in 0..3 {
-                // num += (m * raw) * inv_tau — scalar association.
-                num[a] = _mm256_add_pd(num[a], _mm256_mul_pd(_mm256_mul_pd(m, raw[a]), inv_tau));
+                // num += (m * j) * inv_tau — scalar association.
+                let j = _mm256_loadu_pd(v.ueq.get().add(a * cells + cell));
+                num[a] = _mm256_add_pd(num[a], _mm256_mul_pd(_mm256_mul_pd(m, j), inv_tau));
             }
             let psi = _mm256_loadu_pd(v.psi.get().add(cell));
             den = _mm256_add_pd(den, _mm256_mul_pd(_mm256_mul_pd(m, psi), inv_tau));
@@ -863,122 +862,131 @@ mod tests {
 
     #[cfg(target_arch = "x86_64")]
     #[test]
-    fn sum_channels_avx2_matches_scalar_bitwise() {
+    fn moments_avx2_matches_scalar_bitwise() {
+        use crate::macroscopic::{moments_raw, raw_momentum};
         if !super::avx2_available() {
             return;
         }
-        // Odd cell count so the 4-wide kernel leaves a scalar tail.
-        let cells = 37;
-        let mut f = vec![0.0; D3Q19::Q * cells];
-        lcg_fill(&mut f, 0xB0);
-        let mut got = vec![0.0; cells];
-        let tail = unsafe { super::sum_channels_avx2(f.as_ptr(), got.as_mut_ptr(), cells, 0..cells) };
-        assert_eq!(tail, 36..37, "expected one scalar-tail cell");
-        for cell in tail {
-            got[cell] = (0..D3Q19::Q).map(|i| f[i * cells + cell]).sum();
+        // A windowed component, so the channel stride (the whole channel's
+        // capacity) differs from the window the kernel runs over.
+        let grid = LocalGrid::new(3, 3, 5);
+        let mut c = ComponentState::windowed(ComponentSpec::water(), grid, 9, 2);
+        assert_ne!(c.f.stride(), grid.cells());
+        let mut vals = vec![0.0; D3Q19::Q * grid.cells()];
+        lcg_fill(&mut vals, 0xB0); // both signs
+        for (k, &v) in vals.iter().enumerate() {
+            let (i, cell) = (k / grid.cells(), k % grid.cells());
+            // Exact zeros of both signs in some cells and channels.
+            let v = match (cell + i) % 11 {
+                0 => 0.0,
+                1 => -0.0,
+                _ => v,
+            };
+            c.f.set(i, cell, if cell % 13 == 5 { 0.0 } else { v });
         }
-        for cell in 0..cells {
-            let mut want = 0.0;
-            for i in 0..D3Q19::Q {
-                want += f[i * cells + cell];
-            }
-            assert_eq!(got[cell].to_bits(), want.to_bits(), "cell {cell}");
+        // Ranges whose length is not a multiple of 4, at unaligned starts.
+        for (start, n) in [(0, 1), (3, 7), (5, 30), (1, 44), (2, 4), (0, 45), (7, 0)] {
+            let mut psi = vec![f64::NAN; n];
+            let mut j = vec![f64::NAN; 3 * n + 5];
+            let j_stride = n + 2;
+            let f = c.f.base_ptr();
+            // The AVX2 body alone, then the dispatcher (body + scalar tail).
+            let body = unsafe {
+                super::moments_avx2(f.add(start), c.f.stride(), psi.as_mut_ptr(), j.as_mut_ptr(), j_stride, n)
+            };
+            assert_eq!(body, n - n % 4);
+            let check = |psi: &[f64], j: &[f64], upto: usize| {
+                for q in 0..upto {
+                    let mut want = 0.0;
+                    for i in 0..D3Q19::Q {
+                        want += c.f.at(i, start + q);
+                    }
+                    assert_eq!(psi[q].to_bits(), want.to_bits(), "ψ of cell {q} of {start}+{n}");
+                    let want = raw_momentum(&c, start + q);
+                    for a in 0..3 {
+                        assert_eq!(
+                            j[a * j_stride + q].to_bits(),
+                            want[a].to_bits(),
+                            "j[{a}] of cell {q} of {start}+{n}"
+                        );
+                    }
+                }
+            };
+            check(&psi, &j, body);
+            unsafe {
+                moments_raw(f.add(start), c.f.stride(), psi.as_mut_ptr(), j.as_mut_ptr(), j_stride, n)
+            };
+            check(&psi, &j, n);
         }
     }
 
-    #[cfg(target_arch = "x86_64")]
+    /// The velocity update fed Σf·e through the `ueq` slots (AVX2 body and
+    /// scalar tail both run) against a per-cell reference with the
+    /// documented association order.
     #[test]
-    fn update_ueq_avx2_matches_scalar_bitwise() {
-        use crate::multicomponent::RHO_FLOOR;
-        use crate::multicomponent::CompView;
-        use crate::par::{ConstPtr, SendPtr};
-        if !super::avx2_available() {
-            return;
-        }
-        let cells = 29;
-        let specs = [(1.0, 1.0), (0.037, 0.8)]; // (mass, momentum_tau)
-        let mut fs: Vec<Vec<f64>> = Vec::new();
-        let mut psis: Vec<Vec<f64>> = Vec::new();
-        let mut forces: Vec<Vec<f64>> = Vec::new();
-        let mut ueq_simd: Vec<Vec<f64>> = Vec::new();
-        let mut ueq_ref: Vec<Vec<f64>> = Vec::new();
-        for (k, _) in specs.iter().enumerate() {
-            let mut f = vec![0.0; D3Q19::Q * cells];
-            lcg_fill(&mut f, 0xF0 + k as u64);
-            let mut psi = vec![0.0; cells];
-            lcg_fill(&mut psi, 0x51 + k as u64);
-            for (i, v) in psi.iter_mut().enumerate() {
-                // Mix dense cells with a few below the density floor so the
-                // compare+blend guard is exercised in both directions.
-                *v = if i % 7 == 3 { 0.0 } else { v.abs() + 0.1 };
-            }
-            let mut fo = vec![0.0; 3 * cells];
-            lcg_fill(&mut fo, 0xFA + k as u64);
-            fs.push(f);
-            psis.push(psi);
-            forces.push(fo);
-            ueq_simd.push(vec![0.0; 3 * cells]);
-            ueq_ref.push(vec![0.0; 3 * cells]);
-        }
-        let views: Vec<CompView> = (0..specs.len())
-            .map(|k| CompView {
-                f: ConstPtr::new(fs[k].as_ptr()),
-                psi: ConstPtr::new(psis[k].as_ptr()),
-                force: ConstPtr::new(forces[k].as_ptr()),
-                ueq: SendPtr::new(ueq_simd[k].as_mut_ptr()),
-                mass: specs[k].0,
-                momentum_tau: specs[k].1,
-            })
-            .collect();
-        let tail = unsafe { super::update_ueq_avx2(&views, cells, 0..cells) };
-        assert_eq!(tail, 28..29, "expected one scalar-tail cell");
-        drop(views);
-        // Per-cell scalar reference with the documented association order.
-        for cell in 0..cells {
-            let mut num = [0.0f64; 3];
-            let mut den = 0.0f64;
-            for k in 0..specs.len() {
-                let (m, tau) = specs[k];
-                let inv_tau = 1.0 / tau;
-                let mut raw = [0.0f64; 3];
-                for i in 1..D3Q19::Q {
-                    let e = D3Q19::E[i];
+    fn velocity_update_reads_j_from_ueq_bitwise() {
+        use crate::multicomponent::{update_equilibrium_velocities, RHO_FLOOR};
+        let grid = LocalGrid::new(1, 3, 5); // 15 interior cells: 3 AVX2 blocks + 3 tail cells
+        let specs = [
+            ComponentSpec { mass: 1.0, tau: 1.0, ..ComponentSpec::water() },
+            ComponentSpec { mass: 0.037, tau: 0.8, ..ComponentSpec::air() },
+        ];
+        let mut comps: Vec<ComponentState> = specs
+            .iter()
+            .enumerate()
+            .map(|(k, spec)| {
+                let mut c = ComponentState::new(spec.clone(), grid);
+                let mut j = vec![0.0; 3 * grid.cells()];
+                let mut psi = vec![0.0; grid.cells()];
+                let mut force = vec![0.0; 3 * grid.cells()];
+                lcg_fill(&mut j, 0xF0 + k as u64);
+                lcg_fill(&mut psi, 0x51 + k as u64);
+                lcg_fill(&mut force, 0xFA + k as u64);
+                for cell in 0..grid.cells() {
+                    // Mix dense cells with a few below the density floor so
+                    // the guard is exercised in both directions.
+                    c.psi.set(0, cell, if cell % 7 == 3 { 0.0 } else { psi[cell].abs() + 0.1 });
                     for a in 0..3 {
-                        if e[a] != 0 {
-                            raw[a] += fs[k][i * cells + cell] * e[a] as f64;
-                        }
+                        c.ueq.set(a, cell, j[a * grid.cells() + cell]);
+                        c.force.set(a, cell, force[a * grid.cells() + cell]);
                     }
                 }
+                c
+            })
+            .collect();
+        let before = comps.clone();
+        update_equilibrium_velocities(&mut comps);
+        let p = grid.plane_cells();
+        for cell in p..2 * p {
+            let mut num = [0.0f64; 3];
+            let mut den = 0.0f64;
+            for c in &before {
+                let (m, inv_tau) = (c.spec.mass, 1.0 / c.spec.momentum_tau());
                 for a in 0..3 {
-                    num[a] += m * raw[a] * inv_tau;
+                    num[a] += m * c.ueq.at(a, cell) * inv_tau;
                 }
-                den += m * psis[k][cell] * inv_tau;
+                den += m * c.psi.at(0, cell) * inv_tau;
             }
-            let ubar = if den > RHO_FLOOR {
-                [num[0] / den, num[1] / den, num[2] / den]
-            } else {
-                [0.0; 3]
-            };
-            for k in 0..specs.len() {
-                let (m, tau) = specs[k];
-                let rho = m * psis[k][cell];
-                let shift = if rho > RHO_FLOOR { tau / rho } else { 0.0 };
+            let ubar = if den > RHO_FLOOR { num.map(|n| n / den) } else { [0.0; 3] };
+            for (k, c) in before.iter().enumerate() {
+                let rho = c.spec.mass * c.psi.at(0, cell);
+                let shift = if rho > RHO_FLOOR { c.spec.momentum_tau() / rho } else { 0.0 };
                 for a in 0..3 {
-                    ueq_ref[k][a * cells + cell] = ubar[a] + shift * forces[k][a * cells + cell];
+                    let want = ubar[a] + shift * c.force.at(a, cell);
+                    assert_eq!(
+                        comps[k].ueq.at(a, cell).to_bits(),
+                        want.to_bits(),
+                        "component {k} axis {a} cell {cell}"
+                    );
                 }
             }
         }
-        // The SIMD path only filled the vector body; the tail cell is
-        // compared against what the production scalar block would write,
-        // which the reference above also is — copy it in.
-        for k in 0..specs.len() {
-            for a in 0..3 {
-                ueq_simd[k][a * cells + 28] = ueq_ref[k][a * cells + 28];
-            }
-        }
-        for k in 0..specs.len() {
-            for (i, (&g, &w)) in ueq_simd[k].iter().zip(ueq_ref[k].iter()).enumerate() {
-                assert_eq!(g.to_bits(), w.to_bits(), "component {k} slot {i}");
+        // Ghost planes are not part of the update.
+        for (c, b) in comps.iter().zip(&before) {
+            for cell in (0..p).chain(2 * p..3 * p) {
+                for a in 0..3 {
+                    assert_eq!(c.ueq.at(a, cell).to_bits(), b.ueq.at(a, cell).to_bits());
+                }
             }
         }
     }

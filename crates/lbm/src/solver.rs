@@ -11,13 +11,17 @@
 //! ```text
 //! collide_edges                   (line 4, the two planes the halo ships)
 //! ⇄ exchange populations          (line 8)
-//! stream_collide_fused            (lines 4–5, 10–11: collide the rest,
-//!                                  stream + bounce back, one sweep)
-//! compute_psi
+//! stream_collide_fused            (lines 4–5, 10–11, 14: collide the rest,
+//!                                  stream + bounce back, take ψ and Σf·e
+//!                                  of each streamed plane — one sweep)
 //! ⇄ exchange number density       (line 14)
 //! compute_forces                  (line 16)
-//! compute_velocities              (line 17)
+//! compute_velocities              (line 17, from the Σf·e parked in `ueq`)
 //! ```
+//!
+//! Between `stream_collide_fused` and `compute_velocities`, `ueq` holds
+//! Σf·e, not a velocity; every checkpoint, migration and snapshot is taken
+//! at a phase boundary, outside that interval.
 //!
 //! The sequential driver is the single-slab special case where both
 //! exchanges reduce to periodic ghost copies
@@ -154,9 +158,9 @@ impl SlabSolver {
         window(&self.solid, self.x0, self.grid())
     }
 
-    /// Zeros all per-cell state at solid cells (used after initialization
-    /// and after receiving migrated planes, whose solid cells are zero
-    /// already on the wire but whose ψ/ueq defaults must not linger).
+    /// Zeros all per-cell state at solid cells, once, after initialization
+    /// (whose ψ/ueq defaults must not linger there); streaming keeps their
+    /// populations zero from then on, and ψ and ueq follow from those.
     fn clear_solid_cells(&mut self) {
         if self.obstacles.is_empty() {
             return;
@@ -255,7 +259,8 @@ impl SlabSolver {
     /// Phase step 2 (after the population exchange): collides the interior
     /// planes and streams every plane in a single sweep over `f`, applying
     /// the active wall BC (bounce-back or a slip rule) at channel walls and
-    /// obstacles. The BC is resolved to a per-plane weight map here, once;
+    /// obstacles, and leaves each streamed plane's ψ in `psi` and its Σf·e
+    /// in `ueq`. The BC is resolved to a per-plane weight map here, once;
     /// the sweep kernels never dispatch per cell.
     pub fn stream_collide_fused(&mut self) {
         let grid = self.grid();
@@ -267,15 +272,14 @@ impl SlabSolver {
         }
     }
 
-    /// Phase step 3: recompute ψ from the streamed populations.
+    /// The moments of the whole slab (ψ into `psi`, Σf·e into `ueq`) — what
+    /// [`stream_collide_fused`](Self::stream_collide_fused) leaves behind.
+    /// Not a phase step: priming and the test oracle call it.
     pub fn compute_psi(&mut self) {
-        let par = self.par;
-        for c in self.comps.iter_mut() {
-            crate::macroscopic::compute_psi_with(c, par);
-        }
+        self.comps.iter_mut().for_each(crate::macroscopic::compute_psi);
     }
 
-    /// Phase step 4 (after ψ exchange): total force densities.
+    /// Phase step 3 (after ψ exchange): total force densities.
     pub fn compute_forces(&mut self) {
         let solid = window(&self.solid, self.x0, self.grid());
         crate::force::compute_forces_with(
@@ -288,7 +292,8 @@ impl SlabSolver {
         );
     }
 
-    /// Phase step 5: common velocity and equilibrium velocities.
+    /// Phase step 4: common velocity and equilibrium velocities, from the
+    /// Σf·e held in `ueq`.
     pub fn compute_velocities(&mut self) {
         crate::multicomponent::update_equilibrium_velocities_with(&mut self.comps, self.par);
     }
@@ -502,7 +507,7 @@ impl SlabSolver {
     // ---- drivers & observables --------------------------------------------
 
     /// One full phase with periodic ghost self-exchange; only meaningful
-    /// when this slab covers the entire channel. The same seven steps the
+    /// when this slab covers the entire channel. The same six steps the
     /// runtime workers run, with the two exchanges as local ghost copies.
     pub fn phase_periodic(&mut self) {
         assert_eq!(self.nx_local(), self.global_nx, "phase_periodic needs the whole channel");
@@ -513,9 +518,10 @@ impl SlabSolver {
     }
 
     /// Test oracle for [`phase_periodic`](Self::phase_periodic): the
-    /// textbook order — collide every plane, fill ghosts, then stream every
-    /// plane — run serially, followed by the same ψ/force/velocity steps.
-    /// Not a second schedule: nothing outside the tests calls it.
+    /// textbook order — collide every plane, fill ghosts, stream every
+    /// plane — run serially, then the rest recomputed from the populations
+    /// as priming does (whole-slab moments first). Not a second schedule:
+    /// nothing outside the tests calls it.
     #[doc(hidden)]
     pub fn phase_periodic_reference(&mut self) {
         assert_eq!(self.nx_local(), self.global_nx, "phase_periodic needs the whole channel");
@@ -529,12 +535,11 @@ impl SlabSolver {
         for c in self.comps.iter_mut() {
             crate::streaming::stream_unfused(c, window(&self.solid, 0, grid), has_solid, slip);
         }
-        self.finish_phase_periodic();
+        self.prime_periodic();
     }
 
-    /// The post-streaming half of a periodic phase (also all of priming).
+    /// The post-moments half of a periodic phase (and of priming).
     fn finish_phase_periodic(&mut self) {
-        self.compute_psi();
         self.psi_ghosts_periodic();
         self.compute_forces();
         self.compute_velocities();
@@ -544,6 +549,7 @@ impl SlabSolver {
     /// state (ψ, forces, ueq), using periodic ghosts. Parallel drivers do
     /// the same steps with real exchanges instead.
     pub fn prime_periodic(&mut self) {
+        self.compute_psi();
         self.finish_phase_periodic();
     }
 
@@ -654,7 +660,6 @@ mod tests {
         }
         for s in solvers.iter_mut() {
             s.stream_collide_fused();
-            s.compute_psi();
         }
         // Exchange ψ.
         let p_len = solvers[0].psi_halo_len();

@@ -1,4 +1,5 @@
-//! Streaming (propagation) with halfway bounce-back walls.
+//! Streaming (propagation) with halfway bounce-back walls, and the moments
+//! of each streamed plane.
 //!
 //! Post-collision populations move one lattice link per phase. We use the
 //! *pull* formulation: the new population at a cell is read from the
@@ -29,6 +30,17 @@
 //! unfused variant of the same sweep (`fuse = false`, all planes collided
 //! beforehand) exists only for `SlabSolver::phase_periodic_reference` and
 //! the unit tests below, which hold it to a two-lattice per-cell oracle.
+//!
+//! # Moments ride the sweep
+//!
+//! Right after plane `xl` has been streamed, while its channels are still
+//! cache-resident, the sweep runs [`moments_raw`] on it: ψ = Σ_i f_i goes
+//! to `psi`, the number momentum Σ_i f_i e_i to the plane's `ueq` slots.
+//! Those are dead storage by then — a plane is always collided (the only
+//! reader of `ueq`) before it is streamed, at every chunk decomposition —
+//! until [`crate::multicomponent`]'s velocity update reads the momentum
+//! there and overwrites it with the next equilibrium velocity: no ψ pass,
+//! no second pass over the populations, no extra lattice-sized array.
 //!
 //! # In-place sliding-window sweep
 //!
@@ -82,7 +94,8 @@ use crate::boundary::SlipMap;
 use crate::component::ComponentState;
 use crate::field::LocalGrid;
 use crate::lattice::{Lattice, D3Q19};
-use crate::par::{ConstPtr, Parallelism, SendPtr};
+use crate::macroscopic::moments_raw;
+use crate::par::{Parallelism, SendPtr};
 
 const Q: usize = D3Q19::Q;
 
@@ -110,8 +123,8 @@ const Q: usize = D3Q19::Q;
 /// result is bitwise identical to a whole-slab collision followed by
 /// [`stream_unfused`] at any thread count.
 ///
-/// After this call, `f` holds the post-streaming populations and ghost
-/// planes of `f` are stale.
+/// After this call, `f` holds the post-streaming populations (its ghost
+/// planes are stale), `psi` their ψ and `ueq` their Σf·e (module docs).
 pub(crate) fn stream_collide_fused(
     comp: &mut ComponentState,
     solid: &[bool],
@@ -159,7 +172,8 @@ impl PlaneSrc {
 /// planes collided, the rest collided inside the sweep) and
 /// [`stream_unfused`] (`fuse = false`: every plane already collided — pure
 /// data movement, which is what the unit tests hold against the
-/// two-lattice oracles at every chunk decomposition).
+/// two-lattice oracles at every chunk decomposition). Either way each
+/// plane's moments are taken as soon as it is streamed (module docs).
 fn sweep(
     comp: &mut ComponentState,
     solid: &[bool],
@@ -228,7 +242,8 @@ fn sweep(
         .collect();
 
     {
-        let ueq = ConstPtr::new(comp.ueq.base_ptr());
+        let ueq = SendPtr::new(comp.ueq.base_mut_ptr());
+        let psi = SendPtr::new(comp.psi.base_mut_ptr());
         let f = SendPtr::new(comp.f.base_mut_ptr());
         let done = &done;
         let saved = &saved;
@@ -265,7 +280,7 @@ fn sweep(
                             op,
                             tau,
                             fp,
-                            ueq.get(),
+                            ueq.get() as *const f64,
                             cells,
                             nxt * p..(nxt + 1) * p,
                         )
@@ -312,6 +327,12 @@ fn sweep(
                             fp, cells, grid, xl, prev, cur, next, solid, s.ry, s.rz,
                         ),
                     }
+                    // Moments of the plane just streamed: ψ, and j into its
+                    // `ueq` slots. Safety: plane xl was collided before it
+                    // was streamed, so its `ueq` is dead; ψ and `ueq` of xl
+                    // are this task's alone; one window and stride for all.
+                    let at = xl * p;
+                    moments_raw(fp.add(at), cells, psi.get().add(at), ueq.get().add(at), cells, p);
                 }
                 prev = cur;
                 cur_slot = 1 - cur_slot;

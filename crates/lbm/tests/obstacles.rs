@@ -180,7 +180,6 @@ fn phase(solvers: &mut [SlabSolver]) {
     exchange_f(solvers);
     for s in solvers.iter_mut() {
         s.stream_collide_fused();
-        s.compute_psi();
     }
     exchange_psi(solvers);
     for s in solvers.iter_mut() {

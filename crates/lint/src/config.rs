@@ -266,7 +266,8 @@ pub fn default_config() -> LintConfig {
                 "crates/lbm/src/streaming.rs",
                 "raw-pointer plane streaming over disjoint x-planes of the slab's window \
                  (window base + storage channel stride, the window inside the capacity; \
-                 src/dst never alias)",
+                 src/dst never alias); the sweep also writes psi and the ueq slots of the \
+                 plane it owns, after that plane's collision has read them",
             ),
             unsafe_file(
                 "crates/lbm/src/collision.rs",
@@ -275,15 +276,15 @@ pub fn default_config() -> LintConfig {
             ),
             UnsafeEntry {
                 path: "crates/lbm/src/simd.rs".into(),
-                why: "runtime-dispatched core::arch AVX2 kernels (BGK collide, psi \
-                      reduction, ueq update, interaction gradient, force assembly) plus \
+                why: "runtime-dispatched core::arch AVX2 kernels (BGK collide, psi/momentum \
+                      moments, ueq update, interaction gradient, force assembly) plus \
                       their raw-pointer scalar references, addressing window-local cells \
                       from a window base with the storage channel stride; every pair is \
                       held bitwise identical by the in-file proptests"
                     .into(),
                 expect_fns: vec![
                     "collide_bgk_avx2".into(),
-                    "sum_channels_avx2".into(),
+                    "moments_avx2".into(),
                     "update_ueq_avx2".into(),
                     "gvec_plane".into(),
                     "gvec_plane_avx2".into(),
@@ -298,8 +299,9 @@ pub fn default_config() -> LintConfig {
             ),
             unsafe_file(
                 "crates/lbm/src/macroscopic.rs",
-                "psi/momentum reductions through raw pointers over disjoint cell ranges of \
-                 the window (window base + storage channel stride)",
+                "the moments kernel (psi and momentum of a run of cells) through raw \
+                 pointers: disjoint cell ranges of the window (window base + storage \
+                 channel stride) into psi/ueq, or one plane into a snapshot's scratch",
             ),
             unsafe_file(
                 "crates/lbm/src/force.rs",
@@ -309,7 +311,8 @@ pub fn default_config() -> LintConfig {
             unsafe_file(
                 "crates/lbm/src/multicomponent.rs",
                 "per-component raw window-base pointers (one shared storage channel \
-                 stride) inside the fused parallel sweep",
+                 stride) in the velocity update: each cell's ueq slots are read (momentum) \
+                 and then overwritten by the one chunk that owns the cell",
             ),
             unsafe_file(
                 "crates/lbm/src/par.rs",

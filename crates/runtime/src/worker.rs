@@ -243,11 +243,8 @@ fn run_phases<T: Transport>(
         // Exchange distribution functions.
         exchange_f(solver, transport, topo, tracer, phase)?;
 
-        // Fused collide→stream over the interior, bounce-back, ψ.
-        compute_secs += section(tracer, &throttle, phase, || {
-            solver.stream_collide_fused();
-            solver.compute_psi();
-        });
+        // Fused collide→stream over the interior, bounce-back, ψ and Σf·e.
+        compute_secs += section(tracer, &throttle, phase, || solver.stream_collide_fused());
 
         // Exchange number densities.
         exchange_psi(solver, transport, topo, tracer, phase)?;

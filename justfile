@@ -143,7 +143,11 @@ bench-check BASE: bench
 # change/parent ratio of medians, and how many pairs the change won (ties
 # count for neither). A gain is claimed at ≥ 9/10 wins with the medians
 # further apart than the parent's own quartiles; a regression is a median
-# worse than BENCHMARK.json's bound. Raw lines stay in target/pairs/.
+# worse than BENCHMARK.json's bound. The last lines apply that rule to each
+# end-to-end metric: `gain`, `regression`, `unresolved` (either side's
+# quartile distance wider than the bound, and not every run of the change
+# better than every run of the parent) or `flat`. Raw lines stay in
+# target/pairs/.
 pairs WORKLOAD PARENT_DIR N="10":
     #!/usr/bin/env bash
     set -euo pipefail
@@ -182,6 +186,7 @@ pairs WORKLOAD PARENT_DIR N="10":
         FILENAME ~ /BENCHMARK.json$/ {
             if (match($0, /"name": "[^"]+"/)) name = substr($0, RSTART + 9, RLENGTH - 10)
             if (match($0, /"better": "[^"]+"/)) better[name] = substr($0, RSTART + 11, RLENGTH - 12)
+            if (match($0, /"bound": [0-9.]+/)) bound[name] = substr($0, RSTART + 9, RLENGTH - 9) + 0
             next
         }
         {
@@ -209,10 +214,27 @@ pairs WORKLOAD PARENT_DIR N="10":
                 }
                 sorted(p, n, ps); sorted(c, n, cs)
                 pm = quantile(ps, n, 0.5); cm = quantile(cs, n, 0.5)
+                p1 = quantile(ps, n, 0.25); p3 = quantile(ps, n, 0.75)
+                c1 = quantile(cs, n, 0.25); c3 = quantile(cs, n, 0.75)
                 printf "%-14s %-34s %-34s %8.3f %3d/%d\n", metric, \
-                    sprintf("%.4g [%.4g, %.4g]", pm, quantile(ps, n, 0.25), quantile(ps, n, 0.75)), \
-                    sprintf("%.4g [%.4g, %.4g]", cm, quantile(cs, n, 0.25), quantile(cs, n, 0.75)), \
+                    sprintf("%.4g [%.4g, %.4g]", pm, p1, p3), sprintf("%.4g [%.4g, %.4g]", cm, c1, c3), \
                     (pm != 0 ? cm / pm : 0), wins, n
+                if (!(metric in bound)) continue
+                # The rule above, per end-to-end metric. `sign` turns
+                # "better" into "larger"; the spread is the quartile
+                # distance over the median, of whichever side is wider.
+                sign = better[metric] == "higher" ? 1 : -1
+                iqr = p3 - p1
+                spread = pm != 0 ? iqr / pm : 0
+                if (cm != 0 && (c3 - c1) / cm > spread) spread = (c3 - c1) / cm
+                clear = sign > 0 ? cs[1] > ps[n] : cs[n] < ps[1]
+                if (sign * (cm - pm) < -bound[metric] * pm) v = "regression"
+                else if (10 * wins >= 9 * n && sign * (cm - pm) > iqr) v = "gain"
+                else if (spread > bound[metric] && !clear) v = "unresolved"
+                else v = "flat"
+                verdicts = verdicts sprintf("verdict %-12s %-10s (wins %d/%d, change median ahead by %.4g, parent quartile distance %.4g, spread %.1f %% vs bound %.0f %%)\n", \
+                    metric, v, wins, n, sign * (cm - pm), iqr, 100 * spread, 100 * bound[metric])
             }
+            printf "%s%s", verdicts, n < 10 ? "(fewer than ten pairs: the verdicts are advisory)\n" : ""
         }
     ' BENCHMARK.json "$out/{{WORKLOAD}}.parent.jsonl" "$out/{{WORKLOAD}}.change.jsonl"

@@ -42,7 +42,6 @@ pub fn phase(solvers: &mut [SlabSolver]) {
     exchange_f(solvers);
     for s in solvers.iter_mut() {
         s.stream_collide_fused();
-        s.compute_psi();
     }
     exchange_psi(solvers);
     for s in solvers.iter_mut() {

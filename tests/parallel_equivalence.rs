@@ -7,11 +7,14 @@ use std::sync::Arc;
 
 use microslip::balance::policy::NeighborPolicy;
 use microslip::balance::{Conservative, FilterParams, Filtered, NoRemap};
+use microslip::lbm::geometry::even_slabs;
 use microslip::lbm::{
     ChannelConfig, CollisionOperator, Dims, Parallelism, Simulation, Slab, SlabSolver, Snapshot,
     SolidRegion, WallBc,
 };
 use microslip::runtime::{run_parallel, RuntimeConfig};
+
+mod common;
 
 fn channel(nx: usize) -> ChannelConfig {
     let mut c = ChannelConfig::paper_scaled(Dims::new(nx, 6, 4));
@@ -25,21 +28,17 @@ fn sequential(channel: &ChannelConfig, phases: u64) -> Snapshot {
     sim.snapshot()
 }
 
-#[test]
-fn fused_schedule_matches_the_serial_reference_bitwise() {
-    // `Simulation` runs the same fused schedule as the workers and the
-    // ranks, so every other test here compares fused with fused. This one
-    // anchors them all: the textbook collide-all-then-stream-all order,
-    // run serially, must give the same bits at every thread budget, wall
-    // BC, collision operator and obstacle layout.
+/// The schedule matrix on a 12×6×4 channel: every wall BC × {BGK,
+/// TRT+MRT} × {no obstacle, a block}, to be crossed with `THREAD_BUDGETS`.
+fn schedule_matrix() -> Vec<(String, ChannelConfig)> {
     let dims = Dims::new(12, 6, 4);
-    let phases = 6;
     let bcs = [
         WallBc::BounceBack,
         WallBc::TunableSlip { r: 0.3 },
         WallBc::PatternedSlip { r_a: 1.0, r_b: 0.2, period: 2, phase: 1 },
         WallBc::rough_stripes(1, 3, dims),
     ];
+    let mut out = Vec::new();
     for bc in &bcs {
         for (trt_mrt, block) in [(false, false), (false, true), (true, false), (true, true)] {
             let mut cfg = channel(dims.nx);
@@ -51,22 +50,75 @@ fn fused_schedule_matches_the_serial_reference_bitwise() {
             if block {
                 cfg.obstacles.push(SolidRegion::Block { min: [4, 2, 1], max: [6, 4, 3] });
             }
-            let mut reference = SlabSolver::new(&cfg, Slab { x0: 0, nx_local: dims.nx });
-            reference.prime_periodic();
-            for _ in 0..phases {
-                reference.phase_periodic_reference();
-            }
-            for threads in [1, 2, 4, 16] {
-                let case = format!("{bc:?}, trt+mrt {trt_mrt}, block {block}, {threads} threads");
-                cfg.parallelism = Parallelism::new(threads);
-                let mut sim = Simulation::new(cfg.clone());
-                sim.run(phases);
-                assert_eq!(sim.snapshot(), reference.snapshot(), "fields diverged: {case}");
-                assert_eq!(
-                    sim.total_mass().to_bits(),
-                    reference.total_mass().to_bits(),
-                    "mass diverged: {case}"
-                );
+            out.push((format!("{bc:?}, trt+mrt {trt_mrt}, block {block}"), cfg));
+        }
+    }
+    out
+}
+
+const THREAD_BUDGETS: [usize; 4] = [1, 2, 4, 16];
+
+#[test]
+fn fused_schedule_matches_the_serial_reference_bitwise() {
+    // `Simulation` runs the same fused schedule as the workers and the
+    // ranks, so every other test here compares fused with fused. This one
+    // anchors them all: the textbook collide-all-then-stream-all order,
+    // run serially, must give the same bits at every thread budget, wall
+    // BC, collision operator and obstacle layout.
+    let phases = 6;
+    for (case, mut cfg) in schedule_matrix() {
+        let mut reference = SlabSolver::new(&cfg, Slab { x0: 0, nx_local: cfg.dims.nx });
+        reference.prime_periodic();
+        for _ in 0..phases {
+            reference.phase_periodic_reference();
+        }
+        for threads in THREAD_BUDGETS {
+            let case = format!("{case}, {threads} threads");
+            cfg.parallelism = Parallelism::new(threads);
+            let mut sim = Simulation::new(cfg.clone());
+            sim.run(phases);
+            assert_eq!(sim.snapshot(), reference.snapshot(), "fields diverged: {case}");
+            assert_eq!(
+                sim.total_mass().to_bits(),
+                reference.total_mass().to_bits(),
+                "mass diverged: {case}"
+            );
+        }
+    }
+}
+
+#[test]
+fn the_sweep_leaves_the_moments_a_whole_slab_pass_would() {
+    // The production phase has no ψ pass: the sweep takes ψ and Σf·e from
+    // each plane as it streams it. Right after the sweep, recomputing the
+    // moments of the whole slab must change no bit of `psi` or `ueq`.
+    let bits = |s: &SlabSolver| -> Vec<Vec<u64>> {
+        let arrays = s.components().iter().flat_map(|c| [&c.psi, &c.ueq]);
+        arrays.map(|a| a.to_vec().iter().map(|v| v.to_bits()).collect()).collect()
+    };
+    for (case, mut cfg) in schedule_matrix() {
+        for threads in THREAD_BUDGETS {
+            cfg.parallelism = Parallelism::new(threads);
+            for parts in [1, 2, 3] {
+                let mut solvers: Vec<SlabSolver> = even_slabs(cfg.dims.nx, parts)
+                    .into_iter()
+                    .map(|slab| SlabSolver::new(&cfg, slab))
+                    .collect();
+                common::prime(&mut solvers);
+                for _ in 0..2 {
+                    common::phase(&mut solvers);
+                }
+                solvers.iter_mut().for_each(SlabSolver::collide_edges);
+                common::exchange_f(&mut solvers);
+                for (k, s) in solvers.iter_mut().enumerate() {
+                    s.stream_collide_fused();
+                    let mut again = s.clone();
+                    again.compute_psi();
+                    assert!(
+                        bits(s) == bits(&again),
+                        "stale moments: {case}, {threads} threads, slab {k} of {parts}"
+                    );
+                }
             }
         }
     }
