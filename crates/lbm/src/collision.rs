@@ -11,23 +11,30 @@
 //! The number density `n_σ` entering the equilibrium is recomputed from the
 //! incoming populations, so collision is purely cell-local — the property
 //! that makes the LBM "very natural for parallelization" (paper §2.1).
+//!
+//! Each operator (BGK, TRT, [`crate::mrt`]) has one body, from `src` into
+//! `dst` ([`collide_cells_raw`]): the sweep collides out of place into its
+//! ring ([`crate::streaming`]), everything else in place — safe, as every
+//! body reads all of a cell's populations before it writes any.
 
 use crate::component::{CollisionOperator, ComponentState};
 use crate::field::LocalGrid;
 use crate::lattice::{Lattice, D3Q19};
 use std::ops::Range;
 
-/// Applies one collision (BGK or TRT per the component's spec) to every
-/// interior cell of `comp`.
+const Q: usize = D3Q19::Q;
+
+/// Applies one collision (BGK, TRT or MRT per the component's spec) to
+/// every interior cell of `comp`, in place.
 pub fn collide(comp: &mut ComponentState) {
     let grid = comp.grid();
     let p = grid.plane_cells();
     collide_cells(comp, LocalGrid::FIRST * p..(grid.last() + 1) * p);
 }
 
-/// Applies one collision to the contiguous cell range `range` of `comp`
-/// (a sub-range of the interior). This is the unit of work of the
-/// plane-parallel and fused drivers; [`collide`] is the full-interior case.
+/// Collides the contiguous cell range `range` of `comp` (a sub-range of
+/// the interior) in place: the slab-edge planes of the phase schedule, and
+/// [`collide`]'s whole interior.
 pub(crate) fn collide_cells(comp: &mut ComponentState, range: Range<usize>) {
     let cells = comp.f.stride();
     debug_assert!(range.end <= comp.grid().cells() && comp.ueq.stride() == cells);
@@ -39,75 +46,118 @@ pub(crate) fn collide_cells(comp: &mut ComponentState, range: Range<usize>) {
     // channel-major arrays (channel stride `cells`, the window inside the
     // storage capacity), `range` lies within the window, and we hold
     // exclusive access to `comp`.
-    unsafe { collide_cells_raw(op, tau, f, ueq, cells, range) }
+    unsafe {
+        let at = f.add(range.start);
+        collide_cells_raw(op, tau, at, cells, at, cells, ueq.add(range.start), range.len())
+    }
 }
 
-/// Collides the cells of `range`, dispatching on the operator.
+/// Collides `n` consecutive cells from `src` into `dst`, dispatching on the
+/// operator; in place when `dst == src`.
 ///
 /// # Safety
 ///
-/// `f` must point to the window base of a Q-channel and `ueq` of a
-/// 3-channel channel-major array, both of channel stride `cells`; every
-/// cell index in `range` must lie in the window (so below `cells`), and no
-/// other thread may concurrently read or write any cell of
-/// `range` through `f` (distinct ranges may be collided concurrently —
-/// collision is purely cell-local).
+/// `src` must point at channel 0 of the first cell of a Q-channel
+/// channel-major array of channel stride `src_stride`, `ueq` at axis 0 of
+/// the same cell of a 3-channel array of the same stride, and `dst` at
+/// channel 0 of the first cell of a Q-channel array of stride
+/// `dst_stride`, all valid for `n` cells per channel. `dst` is either
+/// `src` itself (with `dst_stride == src_stride`) or overlaps neither
+/// `src` nor `ueq`; no other thread may write those cells, or access the
+/// `dst` cells, during the call (distinct cells may be collided
+/// concurrently — collision is purely cell-local).
+#[allow(clippy::too_many_arguments)]
 pub(crate) unsafe fn collide_cells_raw(
     op: CollisionOperator,
     tau: f64,
-    f: *mut f64,
+    src: *const f64,
+    src_stride: usize,
+    dst: *mut f64,
+    dst_stride: usize,
     ueq: *const f64,
-    cells: usize,
-    range: Range<usize>,
+    n: usize,
 ) {
     match op {
-        CollisionOperator::Bgk => collide_bgk_raw(tau, f, ueq, cells, range),
-        CollisionOperator::Trt { magic } => collide_trt_raw(tau, magic, f, ueq, cells, range),
+        CollisionOperator::Bgk => collide_bgk(1.0 / tau, src, src_stride, dst, dst_stride, ueq, n),
+        CollisionOperator::Trt { magic } => {
+            collide_trt(tau, magic, src, src_stride, dst, dst_stride, ueq, n)
+        }
         CollisionOperator::Mrt(rates) => {
-            crate::mrt::collide_mrt_cells_raw(tau, rates, f, ueq, cells, range)
+            crate::mrt::collide_mrt_raw(tau, rates, src, src_stride, dst, dst_stride, ueq, n)
         }
     }
 }
 
-/// Single-relaxation-time LBGK: AVX2 4-cells-at-a-time when the host
-/// supports it (bitwise identical — see [`crate::simd`]), scalar
-/// otherwise and for the remainder cells. Safety: see
-/// [`collide_cells_raw`].
-unsafe fn collide_bgk_raw(tau: f64, f: *mut f64, ueq: *const f64, cells: usize, range: Range<usize>) {
-    let omega = 1.0 / tau;
-    #[cfg(target_arch = "x86_64")]
-    let range = if crate::simd::avx2_available() {
-        crate::simd::collide_bgk_avx2(omega, f, ueq, cells, range)
-    } else {
-        range
-    };
-    collide_bgk_scalar(omega, f, ueq, cells, range);
+/// One opposite pair `(i, o = opp(i))`, `i` the member whose first nonzero
+/// velocity component is +1: e_i·u folds to `u[a] + s·u[b]` (`s = 0` for
+/// an axis pair, weight 1/18, where e_i·u = u[a]; ±1 for a diagonal pair,
+/// weight 1/36), and e_o·u is its negation.
+#[derive(Clone, Copy)]
+pub(crate) struct OppositePair {
+    pub(crate) i: usize,
+    pub(crate) o: usize,
+    pub(crate) a: usize,
+    pub(crate) b: usize,
+    pub(crate) s: i32,
 }
 
-/// Scalar LBGK over `range`. Safety: see [`collide_cells_raw`].
-unsafe fn collide_bgk_scalar(
+/// The nine opposite pairs of D3Q19 in ascending `i` (held to the lattice
+/// tables by a unit test).
+pub(crate) const OPPOSITE_PAIRS: [OppositePair; 9] = [
+    OppositePair { i: 1, o: 2, a: 0, b: 0, s: 0 },
+    OppositePair { i: 3, o: 4, a: 1, b: 1, s: 0 },
+    OppositePair { i: 5, o: 6, a: 2, b: 2, s: 0 },
+    OppositePair { i: 7, o: 8, a: 0, b: 1, s: 1 },
+    OppositePair { i: 9, o: 10, a: 0, b: 1, s: -1 },
+    OppositePair { i: 11, o: 12, a: 0, b: 2, s: 1 },
+    OppositePair { i: 13, o: 14, a: 0, b: 2, s: -1 },
+    OppositePair { i: 15, o: 16, a: 1, b: 2, s: 1 },
+    OppositePair { i: 17, o: 18, a: 1, b: 2, s: -1 },
+];
+
+/// Single-relaxation-time LBGK: AVX2 4 cells at a time where the host has
+/// it, this scalar loop for the rest — the same pair-folded arithmetic
+/// ([`crate::simd`] docs). Safety: see [`collide_cells_raw`].
+unsafe fn collide_bgk(
     omega: f64,
-    f: *mut f64,
+    src: *const f64,
+    ss: usize,
+    dst: *mut f64,
+    ds: usize,
     ueq: *const f64,
-    cells: usize,
-    range: Range<usize>,
+    n: usize,
 ) {
-    for cell in range {
-        // Gather populations (strided by `cells` across channels).
-        let mut fi = [0.0f64; 19];
-        let mut n = 0.0;
-        for i in 0..D3Q19::Q {
-            let v = *f.add(i * cells + cell);
+    #[cfg(target_arch = "x86_64")]
+    let done = if crate::simd::avx2_available() {
+        crate::simd::collide_bgk_into_avx2(omega, src, ss, dst, ds, ueq, n)
+    } else {
+        0
+    };
+    #[cfg(not(target_arch = "x86_64"))]
+    let done = 0;
+    for cell in done..n {
+        let mut fi = [0.0f64; Q];
+        let mut rho = 0.0;
+        for i in 0..Q {
+            let v = *src.add(i * ss + cell);
             fi[i] = v;
-            n += v;
+            rho += v;
         }
-        let u = [*ueq.add(cell), *ueq.add(cells + cell), *ueq.add(2 * cells + cell)];
-        let uu = u[0] * u[0] + u[1] * u[1] + u[2] * u[2];
-        for i in 0..D3Q19::Q {
-            let e = D3Q19::E[i];
-            let eu = e[0] as f64 * u[0] + e[1] as f64 * u[1] + e[2] as f64 * u[2];
-            let feq = D3Q19::W[i] * n * (1.0 + 3.0 * eu + 4.5 * eu * eu - 1.5 * uu);
-            *f.add(i * cells + cell) = fi[i] - omega * (fi[i] - feq);
+        let u = [*ueq.add(cell), *ueq.add(ss + cell), *ueq.add(2 * ss + cell)];
+        let uu15 = 1.5 * (u[0] * u[0] + u[1] * u[1] + u[2] * u[2]);
+        let (wn_axis, wn_diag) = (D3Q19::W[1] * rho, D3Q19::W[7] * rho);
+        let relax = |i: usize, feq: f64| *dst.add(i * ds + cell) = fi[i] - omega * (fi[i] - feq);
+        relax(0, D3Q19::W[0] * rho * (1.0 - uu15));
+        for p in OPPOSITE_PAIRS {
+            let eu = match p.s {
+                0 => u[p.a],
+                1 => u[p.a] + u[p.b],
+                _ => u[p.a] - u[p.b],
+            };
+            let (t, sq) = (3.0 * eu, 4.5 * eu * eu);
+            let wn = if p.s == 0 { wn_axis } else { wn_diag };
+            relax(p.i, wn * (((1.0 + t) + sq) - uu15));
+            relax(p.o, wn * (((1.0 - t) + sq) - uu15));
         }
     }
 }
@@ -116,50 +166,50 @@ unsafe fn collide_bgk_scalar(
 /// population pair relaxes with ω⁺ = 1/τ; the antisymmetric (odd) part
 /// with ω⁻ from the magic parameter: τ⁻ = ½ + Λ/(τ⁺ − ½).
 /// Safety: see [`collide_cells_raw`].
-unsafe fn collide_trt_raw(
+#[allow(clippy::too_many_arguments)]
+unsafe fn collide_trt(
     tau_plus: f64,
     magic: f64,
-    f: *mut f64,
+    src: *const f64,
+    ss: usize,
+    dst: *mut f64,
+    ds: usize,
     ueq: *const f64,
-    cells: usize,
-    range: Range<usize>,
+    n: usize,
 ) {
     assert!(magic > 0.0, "TRT magic parameter must be positive");
     let tau_minus = 0.5 + magic / (tau_plus - 0.5);
     let omega_plus = 1.0 / tau_plus;
     let omega_minus = 1.0 / tau_minus;
 
-    for cell in range {
-        let mut fi = [0.0f64; 19];
-        let mut n = 0.0;
-        for i in 0..D3Q19::Q {
-            let v = *f.add(i * cells + cell);
+    for cell in 0..n {
+        let mut fi = [0.0f64; Q];
+        let mut rho = 0.0;
+        for i in 0..Q {
+            let v = *src.add(i * ss + cell);
             fi[i] = v;
-            n += v;
+            rho += v;
         }
-        let u = [*ueq.add(cell), *ueq.add(cells + cell), *ueq.add(2 * cells + cell)];
+        let u = [*ueq.add(cell), *ueq.add(ss + cell), *ueq.add(2 * ss + cell)];
         let uu = u[0] * u[0] + u[1] * u[1] + u[2] * u[2];
-        let mut feq = [0.0f64; 19];
-        for i in 0..D3Q19::Q {
+        let mut feq = [0.0f64; Q];
+        for i in 0..Q {
             let e = D3Q19::E[i];
             let eu = e[0] as f64 * u[0] + e[1] as f64 * u[1] + e[2] as f64 * u[2];
-            feq[i] = D3Q19::W[i] * n * (1.0 + 3.0 * eu + 4.5 * eu * eu - 1.5 * uu);
+            feq[i] = D3Q19::W[i] * rho * (1.0 + 3.0 * eu + 4.5 * eu * eu - 1.5 * uu);
         }
         // Rest population is purely symmetric.
-        *f.add(cell) = fi[0] - omega_plus * (fi[0] - feq[0]);
-        for i in 1..D3Q19::Q {
-            let o = D3Q19::OPP[i];
-            if o < i {
-                continue; // each pair handled once
-            }
+        *dst.add(cell) = fi[0] - omega_plus * (fi[0] - feq[0]);
+        for p in OPPOSITE_PAIRS {
+            let (i, o) = (p.i, p.o);
             let f_plus = 0.5 * (fi[i] + fi[o]);
             let f_minus = 0.5 * (fi[i] - fi[o]);
             let feq_plus = 0.5 * (feq[i] + feq[o]);
             let feq_minus = 0.5 * (feq[i] - feq[o]);
             let d_plus = omega_plus * (f_plus - feq_plus);
             let d_minus = omega_minus * (f_minus - feq_minus);
-            *f.add(i * cells + cell) = fi[i] - d_plus - d_minus;
-            *f.add(o * cells + cell) = fi[o] - d_plus + d_minus;
+            *dst.add(i * ds + cell) = fi[i] - d_plus - d_minus;
+            *dst.add(o * ds + cell) = fi[o] - d_plus + d_minus;
         }
     }
 }
@@ -373,6 +423,79 @@ mod tests {
         for i in 0..D3Q19::Q {
             for cell in 0..cells {
                 assert!((c.f.at(i, cell) - snapshot.at(i, cell)).abs() < 1e-14);
+            }
+        }
+    }
+
+    #[test]
+    fn opposite_pairs_match_the_lattice() {
+        let mut seen = [false; Q];
+        seen[0] = true;
+        for p in OPPOSITE_PAIRS {
+            let (e, eo) = (D3Q19::E[p.i], D3Q19::E[p.o]);
+            assert_eq!(D3Q19::OPP[p.i], p.o);
+            let mut folded = [0; 3];
+            folded[p.a] += 1;
+            folded[p.b] += p.s;
+            assert_eq!(e, folded, "pair ({}, {})", p.i, p.o);
+            assert_eq!(eo, folded.map(|c| -c));
+            let w = if p.s == 0 { D3Q19::W[1] } else { D3Q19::W[7] };
+            assert!(D3Q19::W[p.i] == w && D3Q19::W[p.o] == w);
+            seen[p.i] = true;
+            seen[p.o] = true;
+        }
+        assert!(seen.iter().all(|&s| s), "every direction belongs to one pair");
+    }
+
+    #[test]
+    fn out_of_place_collision_matches_in_place_bitwise() {
+        // A windowed component, so the source stride (the channel's whole
+        // capacity) differs from the window; the destination has stride
+        // `plane_cells`, as a ring slot does.
+        let grid = LocalGrid::new(3, 3, 17);
+        let p = grid.plane_cells();
+        let ops = [CollisionOperator::Bgk, CollisionOperator::trt_magic(), CollisionOperator::mrt_standard()];
+        for op in ops {
+            let spec = ComponentSpec { tau: 0.83, collision: op, ..ComponentSpec::water() };
+            let mut c = ComponentState::windowed(spec, grid, 11, 4);
+            assert_ne!(c.f.stride(), grid.cells());
+            let mut seed = 0x5EEDu64;
+            let mut next = || {
+                seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (seed >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+            };
+            for cell in 0..grid.cells() {
+                for i in 0..Q {
+                    c.f.set(i, cell, 0.05 + 0.02 * next());
+                }
+                for a in 0..3 {
+                    c.ueq.set(a, cell, 0.04 * next());
+                }
+            }
+            let before = c.f.to_vec();
+            // Unaligned starts; lengths around and across the 4-cell body.
+            for (start, n) in [(p + 1, 0), (p + 2, 1), (p + 3, 3), (p, 4), (2 * p + 5, 7), (p + 1, 45)] {
+                let mut slot = vec![f64::NAN; Q * p];
+                // Safety: `start + n` lies inside the window, `slot` holds
+                // Q channels of stride `p ≥ n`, and nothing else runs.
+                unsafe {
+                    let (f, ueq) = (c.f.base_ptr().add(start), c.ueq.base_ptr().add(start));
+                    collide_cells_raw(op, c.spec.tau, f, c.f.stride(), slot.as_mut_ptr(), p, ueq, n);
+                }
+                assert_eq!(c.f.to_vec(), before, "{op:?}: the source was written");
+                let mut in_place = c.clone();
+                collide_cells(&mut in_place, start..start + n);
+                for i in 0..Q {
+                    for q in 0..p {
+                        let got = slot[i * p + q];
+                        if q < n {
+                            let want = in_place.f.at(i, start + q);
+                            assert_eq!(got.to_bits(), want.to_bits(), "{op:?} {start}+{n}: dir {i} cell {q}");
+                        } else {
+                            assert!(got.is_nan(), "{op:?} {start}+{n}: wrote past the range");
+                        }
+                    }
+                }
             }
         }
     }

@@ -124,7 +124,7 @@ impl ComponentSpec {
 /// larger reservation when the slab can gain planes
 /// ([`windowed`](Self::windowed)); the four arrays always share one
 /// capacity and one window. `f` holds the
-/// current populations; streaming updates it **in place** (sliding-window
+/// current populations; streaming updates it **in place** (three-slot-ring
 /// sweep, see [`crate::streaming`]), so no second lattice is stored — the
 /// dominant allocation is half what a two-lattice scheme would need. `psi`
 /// is the number density (ghost planes refreshed by the second halo

@@ -91,7 +91,8 @@ impl LocalGrid {
 /// without its surviving planes being copied. Slots outside the window hold
 /// unspecified values nothing reads, and (to page granularity) no memory:
 /// storage comes from `alloc_zeroed`, whose untouched pages are reserved,
-/// not resident, and pages a window leaves are handed back (`release`).
+/// not resident, pages a window leaves are handed back (`release`), and
+/// only a new window's 2 MiB-aligned interior is advised into huge pages.
 pub struct SlabArray {
     grid: LocalGrid,
     channels: usize,
@@ -121,6 +122,16 @@ impl SlabArray {
         // below its mmap threshold): hand back what the window leaves.
         array.release_planes(0..off);
         array.release_planes(off + grid.lx..cap_planes);
+        // Huge pages where the window's first touch faults (most of
+        // `SlabSolver::new` on a VM), but only on the 2 MiB-aligned interior
+        // of each channel's window: one reaching outside would make reserved
+        // storage resident. Without THP the advice changes nothing.
+        let (window, stride) = (array.base()..array.base() + grid.cells(), array.stride());
+        for channel in array.data.chunks_exact_mut(stride) {
+            if let Some(cells) = channel.get_mut(window.clone()) {
+                madvise_interior(cells, HUGE_PAGE, MADV_HUGEPAGE);
+            }
+        }
         array
     }
 
@@ -278,32 +289,41 @@ impl SlabArray {
 /// in its own copies. The values become unspecified (zeros where a page
 /// went, the old values on the partial pages at either end), which is all
 /// storage outside the window ever promises.
-#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
 fn release(vacated: &mut [f64]) {
+    madvise_interior(vacated, PAGE, MADV_DONTNEED);
+}
+
+// Linux's advice values, and the base and huge page sizes of x86-64.
+const MADV_DONTNEED: i32 = 4;
+const MADV_HUGEPAGE: i32 = 14;
+const PAGE: usize = 4096;
+const HUGE_PAGE: usize = 2 << 20;
+
+/// `madvise(advice)` on the `align`-aligned interior of `cells`, if any.
+#[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+fn madvise_interior(cells: &mut [f64], align: usize, advice: i32) {
     extern "C" {
         fn madvise(addr: *mut core::ffi::c_void, len: usize, advice: i32) -> i32;
     }
-    const MADV_DONTNEED: i32 = 4;
-    // The base page size of every x86-64 Linux (the `cfg` above).
-    const PAGE: usize = 4096;
-    let start = vacated.as_mut_ptr() as usize;
-    let first = start.next_multiple_of(PAGE);
-    let end = (start + std::mem::size_of_val(vacated)) & !(PAGE - 1);
+    let start = cells.as_mut_ptr() as usize;
+    let first = start.next_multiple_of(align);
+    let end = (start + std::mem::size_of_val(cells)) & !(align - 1);
     if first < end {
-        // SAFETY: `first..end` is page-aligned and lies inside `vacated`,
-        // memory this array owns and holds exclusively (`&mut`), backed by
-        // the global allocator's private anonymous mapping, for which
-        // MADV_DONTNEED means "zero-fill on next touch" — every bit pattern,
-        // zero included, is a valid `f64`, and nothing reads these values
-        // before a window moves back over them and overwrites or zeroes
-        // them. A failure (the advice is refused) leaves the pages as they
-        // were, which is equally fine, so the result is not inspected.
-        unsafe { madvise(first as *mut core::ffi::c_void, end - first, MADV_DONTNEED) };
+        // SAFETY: `first..end` is page-aligned (`align` is a multiple of
+        // `PAGE`) and lies inside `cells`, memory this array owns and holds
+        // exclusively (`&mut`), backed by the global allocator's private
+        // anonymous mapping. MADV_HUGEPAGE is a paging hint that keeps every
+        // value; MADV_DONTNEED means "zero-fill on next touch" — every bit
+        // pattern, zero included, is a valid `f64`, and nothing reads vacated
+        // values before a window moves back over them and overwrites or
+        // zeroes them. A refused advice leaves the pages as they were, which
+        // is equally fine, so the result is not inspected.
+        unsafe { madvise(first as *mut core::ffi::c_void, end - first, advice) };
     }
 }
 
 #[cfg(not(all(target_os = "linux", target_arch = "x86_64")))]
-fn release(_vacated: &mut [f64]) {}
+fn madvise_interior(_cells: &mut [f64], _align: usize, _advice: i32) {}
 
 /// Same capacity and window, but only the window is copied: a derived
 /// clone would write — and so make resident — the whole reservation.
@@ -488,6 +508,51 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(b.stride(), a.stride(), "the clone keeps the reservation");
         assert!(grown < 64, "reservation became resident: +{grown} MB for two 128 KB windows");
+    }
+
+    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+    #[test]
+    fn huge_page_advice_stays_inside_the_window() {
+        /// Resident bytes of `a`'s whole storage, page by page (`mincore`):
+        /// unlike `VmRSS`, blind to what concurrently running tests touch.
+        fn resident_storage(a: &SlabArray) -> usize {
+            extern "C" {
+                fn mincore(addr: *mut core::ffi::c_void, len: usize, vec: *mut u8) -> i32;
+            }
+            let start = a.data.as_ptr() as usize & !(PAGE - 1);
+            let end = (a.data.as_ptr() as usize + std::mem::size_of_val(&a.data[..])).next_multiple_of(PAGE);
+            let mut pages = vec![0u8; (end - start) / PAGE];
+            // SAFETY: `start..end` is page-aligned and covers the live
+            // allocation behind `a.data` (plus the rest of its first and
+            // last pages, in the same mapping); `pages` has one byte per page.
+            let rc = unsafe { mincore(start as *mut core::ffi::c_void, end - start, pages.as_mut_ptr()) };
+            assert_eq!(rc, 0, "mincore failed");
+            pages.iter().filter(|&&b| b & 1 == 1).count() * PAGE
+        }
+        // Two channels of 1024 planes × 32 KB (32 MiB each), windowed over
+        // half of them from storage plane 260 — edges off any 2 MiB line.
+        let grid = LocalGrid::new(510, 64, 64);
+        let mut a = SlabArray::windowed(grid, 2, 1024, 260);
+        for ch in 0..2 {
+            a.channel_mut(ch).fill(2.5);
+        }
+        // Outside the window, only the base pages the window's edges share
+        // with it (and the allocation's first and last page) may be
+        // resident — unless the host's THP mode is `always`, where the
+        // kernel may back any touched 2 MiB stretch with a huge page,
+        // advice or not: then up to one per window edge.
+        let thp = std::fs::read_to_string("/sys/kernel/mm/transparent_hugepage/enabled");
+        let slack = if thp.is_ok_and(|mode| mode.contains("[always]")) { 4 << 20 } else { 4 * PAGE };
+        let window = 2 * grid.cells() * std::mem::size_of::<f64>();
+        let resident = resident_storage(&a);
+        assert!(resident >= window, "the window is not resident after being written");
+        assert!(
+            resident <= window + 2 * slack,
+            "storage outside the window became resident: {} KiB for a {} KiB window",
+            resident >> 10,
+            window >> 10
+        );
+        assert!(a.channel(1).iter().all(|&v| v == 2.5));
     }
 
     #[test]

@@ -180,48 +180,53 @@ pub fn rate_vector(tau: f64, rates: MrtRates) -> [f64; 19] {
     s
 }
 
-/// Applies one MRT collision to every interior cell of `comp`.
+/// Applies one MRT collision to every interior cell of `comp`, in place.
 pub fn collide_mrt(comp: &mut ComponentState, rates: MrtRates) {
     let grid = comp.grid();
     let cells = comp.f.stride();
     let p = grid.plane_cells();
-    let interior = LocalGrid::FIRST * p..(grid.last() + 1) * p;
+    let at = LocalGrid::FIRST * p;
     let tau = comp.spec.tau;
     let ueq = comp.ueq.base_ptr();
     let f = comp.f.base_mut_ptr();
     // Safety: window bases of channel-major arrays of stride `cells`, the
-    // window's interior range, exclusive access.
-    unsafe { collide_mrt_cells_raw(tau, rates, f, ueq, cells, interior) }
+    // window's interior cells, exclusive access.
+    unsafe {
+        collide_mrt_raw(tau, rates, f.add(at), cells, f.add(at), cells, ueq.add(at), grid.nx_local() * p)
+    }
 }
 
-/// MRT collision over the cells of `range`.
-/// Safety: see [`crate::collision::collide_cells_raw`].
-pub(crate) unsafe fn collide_mrt_cells_raw(
+/// MRT collision of `n` cells from `src` into `dst` (in place when they
+/// are the same). Safety: see [`crate::collision::collide_cells_raw`].
+#[allow(clippy::too_many_arguments)]
+pub(crate) unsafe fn collide_mrt_raw(
     tau: f64,
     rates: MrtRates,
-    f: *mut f64,
+    src: *const f64,
+    ss: usize,
+    dst: *mut f64,
+    ds: usize,
     ueq: *const f64,
-    cells: usize,
-    range: core::ops::Range<usize>,
+    n: usize,
 ) {
     let b = basis();
     let s = rate_vector(tau, rates);
 
     let mut feq = [0.0f64; 19];
-    for cell in range {
+    for cell in 0..n {
         let mut fi = [0.0f64; 19];
-        let mut n = 0.0;
+        let mut rho = 0.0;
         for i in 0..D3Q19::Q {
-            let v = *f.add(i * cells + cell);
+            let v = *src.add(i * ss + cell);
             fi[i] = v;
-            n += v;
+            rho += v;
         }
-        let u = [*ueq.add(cell), *ueq.add(cells + cell), *ueq.add(2 * cells + cell)];
+        let u = [*ueq.add(cell), *ueq.add(ss + cell), *ueq.add(2 * ss + cell)];
         let uu = u[0] * u[0] + u[1] * u[1] + u[2] * u[2];
         for i in 0..D3Q19::Q {
             let e = D3Q19::E[i];
             let eu = e[0] as f64 * u[0] + e[1] as f64 * u[1] + e[2] as f64 * u[2];
-            feq[i] = D3Q19::W[i] * n * (1.0 + 3.0 * eu + 4.5 * eu * eu - 1.5 * uu);
+            feq[i] = D3Q19::W[i] * rho * (1.0 + 3.0 * eu + 4.5 * eu * eu - 1.5 * uu);
         }
         // Relax in moment space: accumulate the post-collision correction
         // Δf = Mᵀ D⁻¹ S M (f − f_eq) and subtract.
@@ -240,7 +245,7 @@ pub(crate) unsafe fn collide_mrt_cells_raw(
             }
         }
         for i in 0..19 {
-            *f.add(i * cells + cell) = fi[i] - delta[i];
+            *dst.add(i * ds + cell) = fi[i] - delta[i];
         }
     }
 }

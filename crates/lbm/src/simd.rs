@@ -17,6 +17,16 @@
 //! scalar arithmetic for mul/add/sub, so SIMD-vs-scalar is a pure
 //! scheduling change, not a numerical one (covered by
 //! `simd_matches_scalar_bitwise` below).
+//!
+//! The BGK kernels (this AVX2 body and its scalar tail) walk
+//! [`crate::collision::OPPOSITE_PAIRS`] instead of the textbook
+//! per-direction `(w_i·n)·(((1 + 3e·u) + (4.5e·u)·e·u) − 1.5u²)`: e·u folds
+//! to ±u_a or u_a ± u_b, w·n is taken once per weight class, and the two
+//! populations of a pair share 3e·u and (4.5e·u)·e·u. For finite inputs
+//! that is the textbook arithmetic bit for bit: the fold drops `0·u_b`
+//! terms, which can change only the sign of a zero e·u, and both `1 + 3e·u`
+//! and `(4.5e·u)·e·u` erase that sign. A non-finite velocity (where the
+//! dropped `0·∞` would have been NaN) exists only in a diverged state.
 
 #![cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
 
@@ -37,23 +47,27 @@ pub(crate) fn avx2_available() -> bool {
     }
 }
 
-/// AVX2 BGK collision over `range`, 4 cells per iteration. Returns the
-/// remainder sub-range (fewer than 4 cells) for the caller's scalar tail.
+/// AVX2 BGK collision of `n` cells from `src` into `dst`, 4 cells per
+/// iteration, unrolled over [`crate::collision::OPPOSITE_PAIRS`] (module
+/// docs). Returns how many cells it covered (a multiple of 4); the
+/// caller's scalar loop — the same arithmetic — takes the rest.
 ///
 /// # Safety
 ///
-/// Same contract as [`crate::collision::collide_cells_raw`] (valid
-/// channel-major `f`/`ueq` of channel stride `cells`, exclusive access to
-/// `range`), plus: the caller must have checked [`avx2_available`].
+/// Same contract as [`crate::collision::collide_cells_raw`], plus the
+/// caller must have checked [`avx2_available`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-pub(crate) unsafe fn collide_bgk_avx2(
+pub(crate) unsafe fn collide_bgk_into_avx2(
     omega: f64,
-    f: *mut f64,
+    src: *const f64,
+    ss: usize,
+    dst: *mut f64,
+    ds: usize,
     ueq: *const f64,
-    cells: usize,
-    range: Range<usize>,
-) -> Range<usize> {
+    n: usize,
+) -> usize {
+    use crate::collision::{OppositePair, OPPOSITE_PAIRS};
     use crate::lattice::{Lattice, D3Q19};
     use core::arch::x86_64::*;
 
@@ -63,57 +77,64 @@ pub(crate) unsafe fn collide_bgk_avx2(
     let three = _mm256_set1_pd(3.0);
     let c45 = _mm256_set1_pd(4.5);
     let c15 = _mm256_set1_pd(1.5);
-    let mut cell = range.start;
-    while cell + L <= range.end {
-        // Gather populations (strided by `cells` across channels, the 4
-        // cells of each channel contiguous) and accumulate n in channel
-        // order — the same summation order as the scalar kernel.
+    let w_rest = _mm256_set1_pd(D3Q19::W[0]);
+    let w_axis = _mm256_set1_pd(D3Q19::W[1]);
+    let w_diag = _mm256_set1_pd(D3Q19::W[7]);
+    let mut cell = 0;
+    while cell + L <= n {
+        // Gather populations (strided across channels, the 4 cells of each
+        // channel contiguous) and accumulate n in ascending channel order.
         let mut fi = [_mm256_setzero_pd(); D3Q19::Q];
-        let mut n = _mm256_setzero_pd();
+        let mut rho = _mm256_setzero_pd();
         for i in 0..D3Q19::Q {
-            let v = _mm256_loadu_pd(f.add(i * cells + cell));
+            let v = _mm256_loadu_pd(src.add(i * ss + cell));
             fi[i] = v;
-            n = _mm256_add_pd(n, v);
+            rho = _mm256_add_pd(rho, v);
         }
-        let u0 = _mm256_loadu_pd(ueq.add(cell));
-        let u1 = _mm256_loadu_pd(ueq.add(cells + cell));
-        let u2 = _mm256_loadu_pd(ueq.add(2 * cells + cell));
-        // uu = (u0*u0 + u1*u1) + u2*u2 — scalar association.
-        let uu = _mm256_add_pd(
-            _mm256_add_pd(_mm256_mul_pd(u0, u0), _mm256_mul_pd(u1, u1)),
-            _mm256_mul_pd(u2, u2),
+        let u = [
+            _mm256_loadu_pd(ueq.add(cell)),
+            _mm256_loadu_pd(ueq.add(ss + cell)),
+            _mm256_loadu_pd(ueq.add(2 * ss + cell)),
+        ];
+        // 1.5·((u0·u0 + u1·u1) + u2·u2), shared by every direction.
+        let uu15 = _mm256_mul_pd(
+            c15,
+            _mm256_add_pd(
+                _mm256_add_pd(_mm256_mul_pd(u[0], u[0]), _mm256_mul_pd(u[1], u[1])),
+                _mm256_mul_pd(u[2], u[2]),
+            ),
         );
-        // 1.5*uu is the same product for every direction; hoisting it
-        // changes no rounding (it is a single pure multiplication).
-        let uu15 = _mm256_mul_pd(c15, uu);
-        for i in 0..D3Q19::Q {
-            let e = D3Q19::E[i];
-            let e0 = _mm256_set1_pd(e[0] as f64);
-            let e1 = _mm256_set1_pd(e[1] as f64);
-            let e2 = _mm256_set1_pd(e[2] as f64);
-            // eu = (e0*u0 + e1*u1) + e2*u2 — scalar association.
-            let eu = _mm256_add_pd(
-                _mm256_add_pd(_mm256_mul_pd(e0, u0), _mm256_mul_pd(e1, u1)),
-                _mm256_mul_pd(e2, u2),
-            );
-            // poly = ((1 + 3*eu) + (4.5*eu)*eu) − 1.5*uu
-            let poly = _mm256_sub_pd(
-                _mm256_add_pd(
-                    _mm256_add_pd(one, _mm256_mul_pd(three, eu)),
-                    _mm256_mul_pd(_mm256_mul_pd(c45, eu), eu),
-                ),
-                uu15,
-            );
-            // feq = (W[i]*n) * poly
-            let w = _mm256_set1_pd(D3Q19::W[i]);
-            let feq = _mm256_mul_pd(_mm256_mul_pd(w, n), poly);
-            // f' = fi − omega*(fi − feq)
-            let out = _mm256_sub_pd(fi[i], _mm256_mul_pd(omega_v, _mm256_sub_pd(fi[i], feq)));
-            _mm256_storeu_pd(f.add(i * cells + cell), out);
+        // f' = fi − ω·(fi − feq), stored straight to the destination.
+        macro_rules! relax {
+            ($i:expr, $feq:expr) => {{
+                let out = _mm256_sub_pd(fi[$i], _mm256_mul_pd(omega_v, _mm256_sub_pd(fi[$i], $feq)));
+                _mm256_storeu_pd(dst.add($i * ds + cell), out);
+            }};
         }
+        relax!(0, _mm256_mul_pd(_mm256_mul_pd(w_rest, rho), _mm256_sub_pd(one, uu15)));
+        let wn_axis = _mm256_mul_pd(w_axis, rho);
+        let wn_diag = _mm256_mul_pd(w_diag, rho);
+        // One opposite pair per expansion, its table entry a constant:
+        // e·u, the weight class and both stores fold at compile time.
+        macro_rules! pairs {
+            ($($k:literal)*) => {$({
+                const P: OppositePair = OPPOSITE_PAIRS[$k];
+                let eu = match P.s {
+                    0 => u[P.a],
+                    1 => _mm256_add_pd(u[P.a], u[P.b]),
+                    _ => _mm256_sub_pd(u[P.a], u[P.b]),
+                };
+                let wn = if P.s == 0 { wn_axis } else { wn_diag };
+                let t = _mm256_mul_pd(three, eu);
+                let sq = _mm256_mul_pd(_mm256_mul_pd(c45, eu), eu);
+                relax!(P.i, _mm256_mul_pd(wn, _mm256_sub_pd(_mm256_add_pd(_mm256_add_pd(one, t), sq), uu15)));
+                relax!(P.o, _mm256_mul_pd(wn, _mm256_sub_pd(_mm256_add_pd(_mm256_sub_pd(one, t), sq), uu15)));
+            })*};
+        }
+        pairs!(0 1 2 3 4 5 6 7 8);
         cell += L;
     }
-    cell..range.end
+    cell
 }
 
 /// AVX2 body of [`crate::macroscopic::moments_raw`], 4 cells per
@@ -823,33 +844,49 @@ mod tests {
 
     #[test]
     fn simd_matches_scalar_bitwise() {
-        // Odd plane size so the 4-wide kernel leaves a scalar tail.
-        let grid = LocalGrid::new(3, 5, 3);
-        let spec = ComponentSpec { tau: 0.83, ..ComponentSpec::water() };
-        let mut a = ComponentState::new(spec, grid);
-        a.init_uniform(0.9, [0.0; 3]);
-        for xl in 1..=grid.last() {
-            for y in 0..grid.ny {
-                for z in 0..grid.nz {
-                    let cell = grid.idx(xl, y, z);
-                    for i in 0..D3Q19::Q {
-                        let v = a.f.at(i, cell);
-                        a.f.set(i, cell, v + 0.002 * ((cell * 13 + i * 7) % 17) as f64);
-                    }
-                    for (axis, vu) in [(0, 3.1e-3), (1, -1.7e-3), (2, 0.9e-3)] {
-                        a.ueq.set(axis, cell, vu * ((cell % 5) as f64 - 2.0));
-                    }
-                }
+        // The pair-folded BGK kernel, AVX2 body and scalar tail, against
+        // the textbook per-direction formula — on the inputs where folding
+        // e·u could change a bit: velocity components of +0.0 and −0.0 in
+        // every combination with each other and with nonzero values of
+        // either sign, and exact-zero populations of both signs among
+        // mixed-sign ones. A windowed component, so the channel stride
+        // differs from the window.
+        let grid = LocalGrid::new(5, 3, 5); // 75 interior cells: 18 AVX2 blocks + 3
+        let spec = ComponentSpec { tau: 0.71, ..ComponentSpec::water() };
+        let mut a = ComponentState::windowed(spec, grid, 10, 3);
+        let mut vals = vec![0.0; D3Q19::Q * grid.cells()];
+        lcg_fill(&mut vals, 0xB6);
+        let p = grid.plane_cells();
+        let palette = [0.0, -0.0, 3.1e-3, -1.7e-2];
+        for cell in 0..grid.cells() {
+            for i in 0..D3Q19::Q {
+                let v = match (cell * 7 + i) % 9 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => 0.1 * vals[i * grid.cells() + cell],
+                };
+                a.f.set(i, cell, v);
+            }
+            // Interior cell k gets palette entries (k, k/4, k/16) mod 4:
+            // all 64 sign/zero combinations of (u0, u1, u2).
+            let k = cell.wrapping_sub(p);
+            for axis in 0..3 {
+                a.ueq.set(axis, cell, palette[(k >> (2 * axis)) % 4]);
             }
         }
-        let mut b = a.clone();
-        collide(&mut a); // dispatches to AVX2 when available
-        collide_bgk_reference(&mut b);
-        assert_eq!(
-            a.f,
-            b.f,
-            "SIMD BGK must be bitwise identical to the scalar reference"
-        );
+        let mut want = a.clone();
+        collide_bgk_reference(&mut want);
+        let bits = |c: &ComponentState| c.f.to_vec().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        // The dispatcher over the whole interior (AVX2 body + scalar tail),
+        // then cell by cell (the scalar loop alone).
+        let mut whole = a.clone();
+        collide(&mut whole);
+        assert!(bits(&whole) == bits(&want), "folded BGK (AVX2 + tail) differs from the textbook formula");
+        let mut scalar = a.clone();
+        for cell in p..p + grid.nx_local() * p {
+            crate::collision::collide_cells(&mut scalar, cell..cell + 1);
+        }
+        assert!(bits(&scalar) == bits(&want), "folded BGK (scalar) differs from the textbook formula");
     }
 
     /// Deterministic pseudo-random fill for the kernel oracles.

@@ -31,29 +31,20 @@
 //! beforehand) exists only for `SlabSolver::phase_periodic_reference` and
 //! the unit tests below, which hold it to a two-lattice per-cell oracle.
 //!
-//! # Moments ride the sweep
+//! # In-place sweep over a three-slot ring
 //!
-//! Right after plane `xl` has been streamed, while its channels are still
-//! cache-resident, the sweep runs [`moments_raw`] on it: ψ = Σ_i f_i goes
-//! to `psi`, the number momentum Σ_i f_i e_i to the plane's `ueq` slots.
-//! Those are dead storage by then — a plane is always collided (the only
-//! reader of `ueq`) before it is streamed, at every chunk decomposition —
-//! until [`crate::multicomponent`]'s velocity update reads the momentum
-//! there and overwrites it with the next equilibrium velocity: no ψ pass,
-//! no second pass over the populations, no extra lattice-sized array.
-//!
-//! # In-place sliding-window sweep
-//!
-//! The sweep streams **in place**: x-planes are processed left to right,
-//! and because the pull stencil only ever reads planes `xl − 1 ..= xl + 1`,
-//! a two-plane ring buffer of *saved* post-collision planes is enough to
-//! replace a second lattice:
-//!
-//! - `e_x = +1` channels pull from the saved copy of plane `xl − 1`
-//!   (overwritten one iteration ago),
-//! - `e_x = 0` channels and **all** bounce-back reads pull from the saved
-//!   copy of plane `xl` (taken just before overwriting it),
-//! - `e_x = −1` channels pull from plane `xl + 1`, still untouched in `f`.
+//! The sweep streams **in place**, x-planes left to right. The pull stencil
+//! only reads planes `xl − 1 ..= xl + 1`, so a ring of three
+//! *post-collision* planes replaces a second lattice: `e_x = +1` channels
+//! pull from the slot of plane `xl − 1`, `e_x = 0` channels and **all**
+//! bounce-back reads from the slot of `xl`, `e_x = −1` channels from the
+//! slot of `xl + 1`. Plane `xl + 1` is collided **out of place** — from `f`,
+//! which still holds its pre-collision populations, into its slot — just
+//! before plane `xl` is streamed. So `f` is written once per plane, by
+//! streaming: collided values are neither written back to `f` nor copied
+//! into the ring. Only planes collided before the sweep are copied into a
+//! slot: the two slab-edge planes, the chunk-cut planes and every plane of
+//! the `fuse = false` path.
 //!
 //! Streaming is pure data movement — every destination receives exactly the
 //! same source value as the two-lattice scheme — so the result is bitwise
@@ -61,6 +52,19 @@
 //! (parallel or not) additionally save the two planes flanking each chunk
 //! cut before the sweep starts, so no chunk ever pulls a neighbor chunk's
 //! already-overwritten plane.
+//!
+//! # Row blocks
+//!
+//! A plane is streamed [`ROW_BLOCK_CELLS`] cells (whole z-rows) at a time,
+//! all 19 channels, and each block's moments — ψ = Σ_i f_i to `psi`, the
+//! number momentum Σ_i f_i e_i to its `ueq` slots ([`moments_raw`]) — are
+//! taken while it is still in L1, not re-read as a whole plane from L3 (a
+//! paper-grid plane is 608 KB, and the ring alone fills most of a 2 MiB
+//! L2). The `ueq` slots are dead storage by then — a plane is always
+//! collided, their only reader, before it is streamed — until
+//! [`crate::multicomponent`]'s velocity update reads the momentum there and
+//! overwrites it with the next equilibrium velocity: no ψ pass, no extra
+//! lattice-sized array.
 //!
 //! # Slip boundary conditions
 //!
@@ -96,8 +100,13 @@ use crate::field::LocalGrid;
 use crate::lattice::{Lattice, D3Q19};
 use crate::macroscopic::moments_raw;
 use crate::par::{Parallelism, SendPtr};
+use std::ops::Range;
 
 const Q: usize = D3Q19::Q;
+
+/// Cells per streaming row block, rounded down to whole z-rows (at least
+/// one): the block's 19 channels stay in L1 for its moments (module docs).
+const ROW_BLOCK_CELLS: usize = 80;
 
 /// The production sweep: collides and streams one component over the
 /// interior of its slab **in place**, consuming the ghost planes of `f`.
@@ -107,8 +116,8 @@ const Q: usize = D3Q19::Q;
 /// populations are what the halo exchange ships) and the ghost planes of
 /// `f` to be current. Collides each remaining interior plane and streams
 /// every plane in a single pass: streaming plane `xl` pulls from planes
-/// `xl − 1 ..= xl + 1`, so the sweep collides plane `xl + 1` just before
-/// streaming `xl`, while it is still cache-hot.
+/// `xl − 1 ..= xl + 1`, so the sweep collides plane `xl + 1` into the ring
+/// just before streaming `xl`.
 ///
 /// `solid` flags solid cells over the full local grid (ghost planes
 /// included); populations bounce back at solid upstream cells exactly as
@@ -147,16 +156,15 @@ pub(crate) fn stream_unfused(
     sweep(comp, solid, has_solid, slip, Parallelism::serial(), false);
 }
 
-/// One post-collision x-plane as a streaming source: either a live plane
-/// of `f` (ghosts, not-yet-overwritten right neighbors) or a saved copy
-/// (ring buffer, chunk-boundary saves). `ch(i)` is the contiguous
-/// `plane_cells`-long channel-`i` slice of the plane.
+/// One post-collision x-plane as a streaming source: a ring slot, a saved
+/// chunk-boundary copy, or a ghost plane of `f` (which streaming never
+/// writes). `ch(i)` is the contiguous `plane_cells`-long channel-`i` slice
+/// of the plane.
 #[derive(Clone, Copy)]
 struct PlaneSrc {
     base: *const f64,
-    /// Channel stride: that of `f` for its live planes (channel-major
-    /// over the slab's storage capacity), `plane_cells` for saved plane
-    /// copies.
+    /// Channel stride: that of `f` for a ghost plane (channel-major over
+    /// the slab's storage capacity), `plane_cells` for slots and saves.
     stride: usize,
 }
 
@@ -169,11 +177,11 @@ impl PlaneSrc {
 }
 
 /// The in-place sweep behind [`stream_collide_fused`] (`fuse = true`: edge
-/// planes collided, the rest collided inside the sweep) and
+/// planes collided, the rest collided into the ring inside the sweep) and
 /// [`stream_unfused`] (`fuse = false`: every plane already collided — pure
 /// data movement, which is what the unit tests hold against the
-/// two-lattice oracles at every chunk decomposition). Either way each
-/// plane's moments are taken as soon as it is streamed (module docs).
+/// two-lattice oracles at every chunk decomposition). Either way each row
+/// block's moments are taken as soon as it is streamed (module docs).
 fn sweep(
     comp: &mut ComponentState,
     solid: &[bool],
@@ -195,32 +203,25 @@ fn sweep(
     let first = LocalGrid::FIRST;
     let last = grid.last();
     // Decompose by the *effective* budget: chunk cuts cost boundary-plane
-    // saves and per-chunk ring buffers, so never cut more than the host
-    // can actually run. Bitwise safe — streaming moves the same values
-    // under any decomposition.
+    // saves and per-chunk rings, so never cut more than the host can
+    // actually run. Bitwise safe — streaming moves the same values under
+    // any decomposition.
     let par = par.effective();
     let chunks = par.plane_chunks(first, last);
     let op = comp.spec.collision;
     let tau = comp.spec.tau;
 
-    // `done[xl]`: plane xl already collided (fused schedule only). Edges
-    // were collided before the halo exchange; chunk-cut planes are
-    // pre-collided here so the saves below capture post-collision values.
-    let mut done = vec![false; grid.lx];
+    // `done[xl]`: plane xl already collided in `f`. Edges were collided
+    // before the halo exchange; chunk-cut planes are pre-collided here so
+    // the saves below capture post-collision values. Without `fuse`, all.
+    let mut done = vec![!fuse; grid.lx];
     done[first] = true;
     done[last] = true;
-    if fuse {
-        let ueq = comp.ueq.base_ptr();
-        let f = comp.f.base_mut_ptr();
-        for &(a, _) in &chunks[1..] {
-            for xl in [a - 1, a] {
-                if !done[xl] {
-                    // Safety: serial, in-bounds interior plane.
-                    unsafe {
-                        crate::collision::collide_cells_raw(op, tau, f, ueq, cells, xl * p..(xl + 1) * p)
-                    };
-                    done[xl] = true;
-                }
+    for &(a, _) in &chunks[1..] {
+        for xl in [a - 1, a] {
+            if !done[xl] {
+                crate::collision::collide_cells(comp, xl * p..(xl + 1) * p);
+                done[xl] = true;
             }
         }
     }
@@ -241,104 +242,94 @@ fn sweep(
         })
         .collect();
 
-    {
-        let ueq = SendPtr::new(comp.ueq.base_mut_ptr());
-        let psi = SendPtr::new(comp.psi.base_mut_ptr());
-        let f = SendPtr::new(comp.f.base_mut_ptr());
-        let done = &done;
-        let saved = &saved;
-        let chunks_ref = &chunks;
-        par.run_chunks(&chunks, |a, b| {
-            let k = chunks_ref
-                .iter()
-                .position(|&c| c == (a, b))
-                .expect("run_chunks passes chunks verbatim");
-            let (left, right) = &saved[k];
-            let fp = f.get();
-            // A live plane of `f` as a source (ghosts, right neighbors):
-            // channel-major means channel i of local plane xl starts at
-            // `i*cells + xl*p = (xl*p) + i*cells` past the window base.
-            let live = |xl: usize| PlaneSrc { base: unsafe { fp.add(xl * p) as *const f64 }, stride: cells };
-            // Two-plane ring buffer holding the saved post-collision copies
-            // of planes xl (cur) and xl−1 (prev).
-            let mut ring = [vec![0.0f64; Q * p], vec![0.0f64; Q * p]];
-            let mut cur_slot = 0usize;
-            let mut prev = match left {
-                Some(buf) => PlaneSrc { base: buf.as_ptr(), stride: p },
-                // First chunk: plane `first − 1` is the left ghost plane,
-                // which streaming never writes — read it live.
-                None => live(first - 1),
-            };
-            for xl in a..b {
-                let nxt = xl + 1;
-                if fuse && nxt < b && !done[nxt] {
-                    // Safety: plane `nxt` is strictly inside this chunk
-                    // (chunk cuts and edges are pre-collided), so no other
-                    // task touches it; collision is cell-local.
-                    unsafe {
-                        crate::collision::collide_cells_raw(
-                            op,
-                            tau,
-                            fp,
-                            ueq.get() as *const f64,
-                            cells,
-                            nxt * p..(nxt + 1) * p,
-                        )
-                    };
+    let rows_per_block = (ROW_BLOCK_CELLS / grid.nz).max(1);
+    let ueq = SendPtr::new(comp.ueq.base_mut_ptr());
+    let psi = SendPtr::new(comp.psi.base_mut_ptr());
+    let f = SendPtr::new(comp.f.base_mut_ptr());
+    let done = &done;
+    let saved = &saved;
+    let chunks_ref = &chunks;
+    par.run_chunks(&chunks, |a, b| {
+        let k = chunks_ref
+            .iter()
+            .position(|&c| c == (a, b))
+            .expect("run_chunks passes chunks verbatim");
+        let (left, right) = &saved[k];
+        let fp = f.get();
+        let saved_src = |buf: &Vec<f64>| PlaneSrc { base: buf.as_ptr(), stride: p };
+        // A ghost plane of `f`: channel i of plane xl is at xl*p + i*cells.
+        let ghost = |xl: usize| PlaneSrc { base: unsafe { fp.add(xl * p) as *const f64 }, stride: cells };
+        // The ring: post-collision planes xl − 1, xl, xl + 1; chunk plane
+        // a + j lives in slot j % 3.
+        let mut ring = [vec![0.0f64; Q * p], vec![0.0f64; Q * p], vec![0.0f64; Q * p]];
+        let slots = ring.each_mut().map(|slot| slot.as_mut_ptr());
+        // Puts post-collision plane `xl` (of this chunk, not yet streamed)
+        // into `slot`: collided out of place from `f`, or copied if it was
+        // collided before the sweep. Safety: plane xl is this task's; the
+        // slot is not a live source (see the loop below).
+        let fill = |slot: *mut f64, xl: usize| unsafe {
+            let at = xl * p;
+            if done[xl] {
+                for i in 0..Q {
+                    std::ptr::copy_nonoverlapping(fp.add(i * cells + at), slot.add(i * p), p);
                 }
-                // Save the post-collision plane xl before overwriting it.
-                // Safety: `prev` may point into ring[1 − cur_slot] — never
-                // the slot written here. Source planes of `f` are disjoint
-                // from the ring buffers.
-                let cur = unsafe {
-                    let dst = ring[cur_slot].as_mut_ptr();
-                    for i in 0..Q {
-                        std::ptr::copy_nonoverlapping(fp.add(i * cells + xl * p) as *const f64, dst.add(i * p), p);
-                    }
-                    PlaneSrc { base: dst as *const f64, stride: p }
-                };
-                let next = if nxt == b {
-                    match right {
-                        Some(buf) => PlaneSrc { base: buf.as_ptr(), stride: p },
-                        // Last chunk: plane `last + 1` is the right ghost
-                        // plane (never written) — read it live.
-                        None => live(nxt),
-                    }
-                } else {
-                    // Still inside this chunk and not yet streamed.
-                    live(nxt)
-                };
+            } else {
+                let ueq = ueq.get().add(at) as *const f64;
+                crate::collision::collide_cells_raw(op, tau, fp.add(at), cells, slot, p, ueq, p);
+            }
+            PlaneSrc { base: slot, stride: p }
+        };
+        let mut prev = match left {
+            Some(buf) => saved_src(buf),
+            // First chunk: plane `first − 1` is the left ghost plane.
+            None => ghost(first - 1),
+        };
+        let mut cur = fill(slots[0], a);
+        for (j, xl) in (a..b).enumerate() {
+            let nxt = xl + 1;
+            let next = if nxt < b {
+                // Slot (j + 1) % 3 held plane xl − 2, no longer a source.
+                fill(slots[(j + 1) % 3], nxt)
+            } else {
+                match right {
+                    Some(buf) => saved_src(buf),
+                    // Last chunk: plane `last + 1` is the right ghost plane.
+                    None => ghost(nxt),
+                }
+            };
+            for y0 in (0..grid.ny).step_by(rows_per_block) {
+                let rows = y0..(y0 + rows_per_block).min(grid.ny);
                 // Safety: the write target (plane xl of `f`) never aliases
-                // a source — `cur`/saved copies live outside `f`, `prev`
-                // live is the left ghost, `next` live is plane xl+1 — and
-                // concurrent tasks write only their own disjoint planes.
-                // The wall-BC dispatch is resolved here, per plane, so the
-                // channel/row loops inside each kernel stay branch-free.
+                // a source — slots and saves live outside `f`, and ghost
+                // planes are never written — and concurrent tasks write
+                // only their own disjoint planes. The wall-BC dispatch is
+                // resolved here, per block, so the channel/row loops inside
+                // each kernel stay branch-free.
                 unsafe {
+                    let r = rows.clone();
                     match (slip, has_solid) {
-                        (None, false) => stream_plane_fast(fp, cells, grid, xl, prev, cur, next),
-                        (None, true) => {
-                            stream_plane_generic(fp, cells, grid, xl, prev, cur, next, solid)
-                        }
+                        (None, false) => stream_plane_fast(fp, cells, grid, xl, prev, cur, next, r),
+                        (None, true) => stream_plane_generic(fp, cells, grid, xl, prev, cur, next, r, solid),
                         (Some(s), false) => {
-                            stream_plane_slip(fp, cells, grid, xl, prev, cur, next, s.ry, s.rz)
+                            stream_plane_slip(fp, cells, grid, xl, prev, cur, next, r, s.ry, s.rz)
                         }
                         (Some(s), true) => stream_plane_slip_generic(
-                            fp, cells, grid, xl, prev, cur, next, solid, s.ry, s.rz,
+                            fp, cells, grid, xl, prev, cur, next, r, solid, s.ry, s.rz,
                         ),
                     }
-                    // Moments of the plane just streamed: ψ, and j into its
+                    // Moments of the block just streamed: ψ, and j into its
                     // `ueq` slots. Safety: plane xl was collided before it
                     // was streamed, so its `ueq` is dead; ψ and `ueq` of xl
                     // are this task's alone; one window and stride for all.
-                    let at = xl * p;
-                    moments_raw(fp.add(at), cells, psi.get().add(at), ueq.get().add(at), cells, p);
+                    let at = xl * p + rows.start * grid.nz;
+                    let n = rows.len() * grid.nz;
+                    moments_raw(fp.add(at), cells, psi.get().add(at), ueq.get().add(at), cells, n);
                 }
-                prev = cur;
-                cur_slot = 1 - cur_slot;
             }
-        });
-    }
+            prev = cur;
+            cur = next;
+        }
+    });
 }
 
 /// Copies all Q channels of post-collision plane `xl` into a fresh
@@ -355,8 +346,8 @@ fn save_plane(comp: &ComponentState, xl: usize) -> Vec<f64> {
 }
 
 /// Picks the upstream plane source for channel `i`: `e_x = +1` pulls from
-/// the saved previous plane, `e_x = 0` from the saved current plane,
-/// `e_x = −1` from the right neighbor.
+/// the post-collision plane `xl − 1`, `e_x = 0` from plane `xl`, `e_x = −1`
+/// from plane `xl + 1`.
 unsafe fn upstream(i: usize, prev: PlaneSrc, cur: PlaneSrc, next: PlaneSrc) -> *const f64 {
     match D3Q19::E[i][0] {
         1 => prev.ch(i),
@@ -365,20 +356,22 @@ unsafe fn upstream(i: usize, prev: PlaneSrc, cur: PlaneSrc, next: PlaneSrc) -> *
     }
 }
 
-/// Obstacle-free in-place streaming of one plane: with no solids, a whole
-/// z-row either bounces in place (upstream row behind a y-wall) or is a
-/// contiguous copy of the upstream row, with at most one bounce-back cell
-/// at a z-wall. Produces bit-identical values to the per-cell reference
-/// loop — every cell receives the same source element either way.
+/// Obstacle-free in-place streaming of the z-rows `rows` of one plane:
+/// with no solids, a whole z-row either bounces in place (upstream row
+/// behind a y-wall) or is a contiguous copy of the upstream row, with at
+/// most one bounce-back cell at a z-wall. Produces bit-identical values to
+/// the per-cell reference loop — every cell receives the same source
+/// element either way.
 ///
 /// # Safety
 ///
 /// `f` must be the window base of the component's channel-major population
 /// array, `cells` its channel stride and `grid` its window; `xl` an
-/// interior plane; `prev`/`cur`/`next` must expose the
-/// post-collision values of planes `xl − 1`, `xl`, `xl + 1` and not alias
-/// plane `xl` of `f`; no other thread may access plane `xl` of `f` during
-/// the call.
+/// interior plane and `rows` within `0..ny`; `prev`/`cur`/`next` must
+/// expose the post-collision values of planes `xl − 1`, `xl`, `xl + 1` and
+/// not alias plane `xl` of `f`; no other thread may access plane `xl` of
+/// `f` during the call.
+#[allow(clippy::too_many_arguments)]
 unsafe fn stream_plane_fast(
     f: *mut f64,
     cells: usize,
@@ -387,6 +380,7 @@ unsafe fn stream_plane_fast(
     prev: PlaneSrc,
     cur: PlaneSrc,
     next: PlaneSrc,
+    rows: Range<usize>,
 ) {
     let p = grid.plane_cells();
     let (ny, nz) = (grid.ny, grid.nz);
@@ -396,7 +390,7 @@ unsafe fn stream_plane_fast(
         let src = upstream(i, prev, cur, next);
         let bounce = cur.ch(opp);
         let dst = f.add(i * cells + xl * p);
-        for y in 0..ny {
+        for y in rows.clone() {
             let row = y * nz;
             let ys = y as isize - e[1] as isize;
             if ys < 0 || ys >= ny as isize {
@@ -435,6 +429,7 @@ unsafe fn stream_plane_generic(
     prev: PlaneSrc,
     cur: PlaneSrc,
     next: PlaneSrc,
+    rows: Range<usize>,
     solid: &[bool],
 ) {
     let p = grid.plane_cells();
@@ -449,7 +444,7 @@ unsafe fn stream_plane_generic(
         // Upstream plane along x always exists (ghosts at 0, lx−1); the
         // solid mask is indexed globally, the sources plane-locally.
         let xs = (xl as isize - e[0] as isize) as usize;
-        for y in 0..ny {
+        for y in rows.start as isize..rows.end as isize {
             let ys = y - e[1] as isize;
             for z in 0..nz {
                 let zs = z - e[2] as isize;
@@ -497,6 +492,7 @@ unsafe fn stream_plane_slip(
     prev: PlaneSrc,
     cur: PlaneSrc,
     next: PlaneSrc,
+    rows: Range<usize>,
     ry: &[f64],
     rz: f64,
 ) {
@@ -508,8 +504,10 @@ unsafe fn stream_plane_slip(
         let src = upstream(i, prev, cur, next);
         let dst = f.add(i * cells + xl * p);
         if e[1] == 0 && e[2] == 0 {
-            // Rest and x-only channels never touch a wall: whole-plane copy.
-            std::ptr::copy_nonoverlapping(src, dst, p);
+            // Rest and x-only channels never touch a wall: one copy of the
+            // block's rows.
+            let at = rows.start * nz;
+            std::ptr::copy_nonoverlapping(src.add(at), dst.add(at), rows.len() * nz);
             continue;
         }
         let bounce = cur.ch(opp);
@@ -521,7 +519,7 @@ unsafe fn stream_plane_slip(
         // what keeps the patterned rule exactly mass-conserving.
         let rb = ry[xl];
         let rs = 1.0 - ry[(xl as isize - e[0] as isize) as usize];
-        for y in 0..ny {
+        for y in rows.clone() {
             let row = y * nz;
             let ys = y as isize - e[1] as isize;
             if ys < 0 || ys >= ny as isize {
@@ -588,6 +586,7 @@ unsafe fn stream_plane_slip_generic(
     prev: PlaneSrc,
     cur: PlaneSrc,
     next: PlaneSrc,
+    rows: Range<usize>,
     solid: &[bool],
     ry: &[f64],
     rz: f64,
@@ -606,7 +605,7 @@ unsafe fn stream_plane_slip_generic(
         let xs = (xl as isize - e[0] as isize) as usize;
         let rb = ry[xl];
         let rs = 1.0 - ry[xs];
-        for y in 0..ny {
+        for y in rows.start as isize..rows.end as isize {
             let ys = y - e[1] as isize;
             for z in 0..nz {
                 let zs = z - e[2] as isize;
@@ -914,10 +913,12 @@ mod tests {
 
     #[test]
     fn inplace_sweep_matches_two_lattice_reference() {
-        // The heart of the rewrite: the sliding-window in-place sweep must
+        // The heart of the rewrite: the in-place ring sweep must
         // reproduce the two-lattice pull scheme bit for bit — obstacle-free
         // fast path and generic obstacle path, all chunk decompositions.
-        for (nx, ny, nz) in [(1, 3, 4), (2, 4, 3), (5, 3, 5), (9, 4, 2)] {
+        // The last three shapes split each plane into several row blocks
+        // (with nz = 90, every block is a single row).
+        for (nx, ny, nz) in MULTI_BLOCK_SHAPES {
             for threads in [1usize, 2, 3, 8] {
                 let mut a = make(nx, ny, nz);
                 fill_pseudorandom(&mut a, nx + threads);
@@ -937,10 +938,20 @@ mod tests {
         }
     }
 
+    /// Plane shapes for the sweep oracles: the first four are one row
+    /// block per plane, the last three several.
+    const MULTI_BLOCK_SHAPES: [(usize, usize, usize); 7] =
+        [(1, 3, 4), (2, 4, 3), (5, 3, 5), (9, 4, 2), (4, 37, 9), (3, 7, 90), (6, 31, 3)];
+
+    /// Rows per streaming block at lateral extent `nz` (as `sweep` cuts).
+    fn block_rows(nz: usize) -> usize {
+        (ROW_BLOCK_CELLS / nz).max(1)
+    }
+
     #[test]
     fn inplace_sweep_matches_reference_with_obstacles() {
-        for threads in [1usize, 2, 5] {
-            let mut a = make(7, 5, 4);
+        for (ny, threads) in [(5, 1usize), (5, 2), (5, 5), (31, 1), (31, 3)] {
+            let mut a = make(7, ny, 4);
             let grid = a.grid();
             fill_pseudorandom(&mut a, threads);
             let mut solid = no_solid(&a);
@@ -951,6 +962,16 @@ mod tests {
                 }
             }
             solid[grid.idx(1, 4, 0)] = true;
+            // On the tall plane, a block straddling the first row-block
+            // edge: its faces bounce populations across the edge.
+            let edge = block_rows(grid.nz);
+            if edge < ny {
+                for xl in 2..=5 {
+                    for y in edge - 2..edge + 2 {
+                        solid[grid.idx(xl, y, 1)] = true;
+                    }
+                }
+            }
             for cell in 0..grid.cells() {
                 if solid[cell] {
                     for i in 0..Q {
@@ -963,7 +984,7 @@ mod tests {
             fill_ghosts_periodic(&mut b);
             sweep(&mut a, &solid, true, None, Parallelism::new(threads), false);
             stream_reference(&mut b, &solid);
-            assert_eq!(a.f, b.f, "obstacle sweep diverged ({threads} threads)");
+            assert_eq!(a.f, b.f, "obstacle sweep diverged (ny {ny}, {threads} threads)");
         }
     }
 
@@ -1028,7 +1049,7 @@ mod tests {
 
     #[test]
     fn slip_sweep_matches_two_lattice_reference() {
-        for (nx, ny, nz) in [(1, 3, 4), (2, 4, 3), (5, 3, 5), (9, 4, 2)] {
+        for (nx, ny, nz) in MULTI_BLOCK_SHAPES {
             for threads in [1usize, 2, 3, 8] {
                 for rz in [0.0, 0.4] {
                     let mut a = make(nx, ny, nz);
@@ -1054,8 +1075,9 @@ mod tests {
 
     #[test]
     fn slip_generic_matches_slip_fast_on_empty_mask() {
-        for threads in [1usize, 3] {
-            let mut a = make(6, 4, 3);
+        // One row block per plane, then several.
+        for (ny, threads) in [(4, 1usize), (4, 3), (31, 1), (31, 3)] {
+            let mut a = make(6, ny, 3);
             fill_pseudorandom(&mut a, 5);
             let mut b = a.clone();
             let solid = no_solid(&a);
@@ -1066,7 +1088,7 @@ mod tests {
             // `has_solid` selects the kernel; the mask itself is empty.
             sweep(&mut a, &solid, false, Some(slip), Parallelism::new(threads), false);
             sweep(&mut b, &solid, true, Some(slip), Parallelism::new(threads), false);
-            assert_eq!(a.f, b.f, "slip fast/generic kernels disagree");
+            assert_eq!(a.f, b.f, "slip fast/generic kernels disagree (ny {ny}, {threads} threads)");
         }
     }
 

@@ -259,31 +259,37 @@ pub fn default_config() -> LintConfig {
         unsafe_registry: vec![
             unsafe_file(
                 "crates/lbm/src/field.rs",
-                "madvise(MADV_DONTNEED) on whole pages of storage planes a slab's window \
-                 has just left: memory the array owns exclusively, outside every window",
+                "madvise on memory the array owns exclusively: MADV_DONTNEED on whole pages \
+                 of storage planes a slab's window has just left, MADV_HUGEPAGE on the \
+                 2 MiB-aligned interior of each channel's window (a paging hint that keeps \
+                 every value); mincore in a residency test",
             ),
             unsafe_file(
                 "crates/lbm/src/streaming.rs",
-                "raw-pointer plane streaming over disjoint x-planes of the slab's window \
-                 (window base + storage channel stride, the window inside the capacity; \
-                 src/dst never alias); the sweep also writes psi and the ueq slots of the \
-                 plane it owns, after that plane's collision has read them",
+                "raw-pointer sweep over disjoint x-planes of the slab's window (window base \
+                 + storage channel stride, the window inside the capacity): each plane is \
+                 collided out of place into a three-slot ring of post-collision planes (or \
+                 copied in, if collided before the sweep), and f is written only by \
+                 streaming, from ring slots, saved chunk-cut planes or ghost planes, never \
+                 a plane of f being written; psi and the ueq slots of the plane a task owns \
+                 are written row block by row block, after that plane's collision read them",
             ),
             unsafe_file(
                 "crates/lbm/src/collision.rs",
-                "BGK/TRT collision kernels via raw pointers over disjoint cell ranges of \
-                 the window (window base + storage channel stride)",
+                "BGK/TRT collision kernels via raw pointers, one src/dst body each: in place \
+                 over disjoint cell ranges of the window (window base + storage channel \
+                 stride), or from the window into a ring slot that aliases nothing",
             ),
             UnsafeEntry {
                 path: "crates/lbm/src/simd.rs".into(),
-                why: "runtime-dispatched core::arch AVX2 kernels (BGK collide, psi/momentum \
+                why: "runtime-dispatched core::arch AVX2 kernels (src/dst BGK collide, psi/momentum \
                       moments, ueq update, interaction gradient, force assembly) plus \
                       their raw-pointer scalar references, addressing window-local cells \
                       from a window base with the storage channel stride; every pair is \
                       held bitwise identical by the in-file proptests"
                     .into(),
                 expect_fns: vec![
-                    "collide_bgk_avx2".into(),
+                    "collide_bgk_into_avx2".into(),
                     "moments_avx2".into(),
                     "update_ueq_avx2".into(),
                     "gvec_plane".into(),
@@ -294,8 +300,9 @@ pub fn default_config() -> LintConfig {
             },
             unsafe_file(
                 "crates/lbm/src/mrt.rs",
-                "MRT collision kernel via raw pointers over disjoint cell ranges of the \
-                 window (window base + storage channel stride)",
+                "MRT collision kernel via raw pointers, one src/dst body: in place over \
+                 disjoint cell ranges of the window (window base + storage channel \
+                 stride), or from the window into a ring slot that aliases nothing",
             ),
             unsafe_file(
                 "crates/lbm/src/macroscopic.rs",

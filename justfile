@@ -135,20 +135,23 @@ bench seed="1":
 bench-check BASE: bench
     ./target/release/examples/ledger --compare {{BASE}} target/ledger/ledger.json --manifest BENCHMARK.json
 
-# The choosing-metrics §8 rule for one workload: builds PARENT_DIR (a
+# The choosing-metrics §8 rule, per workload: builds PARENT_DIR (a
 # checkout of the commit to beat — `git clone` or `git archive`, not a
-# worktree) and this tree into separate target dirs, runs the benchmark
-# command N times per side on seeds 1..N, alternating which side goes
-# first, and prints each metric's median and quartiles per side, the
-# change/parent ratio of medians, and how many pairs the change won (ties
-# count for neither). A gain is claimed at ≥ 9/10 wins with the medians
-# further apart than the parent's own quartiles; a regression is a median
-# worse than BENCHMARK.json's bound. The last lines apply that rule to each
+# worktree) and this tree into separate target dirs, then for each workload
+# of the comma-separated WORKLOADS runs the benchmark command N times per
+# side on seeds SEED0 .. SEED0+N−1 (pick seeds not used while writing the
+# change), alternating which side goes first, and prints one block per
+# workload: each metric's median and quartiles per side, the change/parent
+# ratio of medians, and how many pairs the change won (ties count for
+# neither). A gain is claimed at ≥ 9/10 wins with the medians further apart
+# than the parent's own quartiles; a regression is a median worse than
+# BENCHMARK.json's bound. Each block ends by applying that rule to every
 # end-to-end metric: `gain`, `regression`, `unresolved` (either side's
 # quartile distance wider than the bound, and not every run of the change
-# better than every run of the parent) or `flat`. Raw lines stay in
-# target/pairs/.
-pairs WORKLOAD PARENT_DIR N="10":
+# better than every run of the parent) or `flat` — "no end-to-end metric
+# worse on any workload" is a question about all five. Raw lines stay in
+# target/pairs/WORKLOAD.{parent,change}.jsonl.
+pairs WORKLOADS PARENT_DIR N="10" SEED0="1":
     #!/usr/bin/env bash
     set -euo pipefail
     out="$PWD/target/pairs"
@@ -158,83 +161,87 @@ pairs WORKLOAD PARENT_DIR N="10":
         dir="$PWD"; [ $side = parent ] && dir="$parent"
         cargo build --release --offline --quiet --manifest-path "$dir/Cargo.toml" \
             --target-dir "$out/$side" --bin microslip --example ledger
-        : > "$out/{{WORKLOAD}}.$side.jsonl"
     done
-    for seed in $(seq {{N}}); do
-        order="parent change"; [ $((seed % 2)) -eq 0 ] && order="change parent"
-        for side in $order; do
-            dir="$PWD"; [ $side = parent ] && dir="$parent"
-            (cd "$dir" && CARGO_TARGET_DIR="$out/$side" bash examples/ledger/run.sh \
-                --workload {{WORKLOAD}} --seed $seed --seconds 6 --trace 0 2>/dev/null) \
-                | tail -n 1 >> "$out/{{WORKLOAD}}.$side.jsonl"
+    IFS=, read -ra workloads <<< "{{WORKLOADS}}"
+    for workload in "${workloads[@]}"; do
+        for side in parent change; do : > "$out/$workload.$side.jsonl"; done
+        for k in $(seq 0 $(({{N}} - 1))); do
+            seed=$(({{SEED0}} + k))
+            order="parent change"; [ $((k % 2)) -eq 1 ] && order="change parent"
+            for side in $order; do
+                dir="$PWD"; [ $side = parent ] && dir="$parent"
+                (cd "$dir" && CARGO_TARGET_DIR="$out/$side" bash examples/ledger/run.sh \
+                    --workload "$workload" --seed $seed --seconds 6 --trace 0 2>/dev/null) \
+                    | tail -n 1 >> "$out/$workload.$side.jsonl"
+            done
+            echo "$workload: pair $((k + 1))/{{N}} done (seed $seed)" >&2
         done
-        echo "pair $seed/{{N}} done" >&2
-    done
-    awk -v workload={{WORKLOAD}} '
-        function sorted(src, n, dst,   i, j, v) {
-            for (i = 1; i <= n; i++) {
-                v = src[i]
-                for (j = i - 1; j >= 1 && dst[j] > v; j--) dst[j + 1] = dst[j]
-                dst[j + 1] = v
-            }
-        }
-        # Linear-interpolated quantile of an ascending array.
-        function quantile(a, n, q,   h, lo) {
-            h = 1 + (n - 1) * q; lo = int(h)
-            return lo >= n ? a[n] : a[lo] + (h - lo) * (a[lo + 1] - a[lo])
-        }
-        FILENAME ~ /BENCHMARK.json$/ {
-            if (match($0, /"name": "[^"]+"/)) name = substr($0, RSTART + 9, RLENGTH - 10)
-            if (match($0, /"better": "[^"]+"/)) better[name] = substr($0, RSTART + 11, RLENGTH - 12)
-            if (match($0, /"bound": [0-9.]+/)) bound[name] = substr($0, RSTART + 9, RLENGTH - 9) + 0
-            next
-        }
-        {
-            side = FILENAME ~ /parent.jsonl$/ ? "parent" : "change"
-            run = ++runs[side]
-            if ($0 !~ /"correct": true/) failed[side]++
-            line = $0
-            while (match(line, /"[a-z_.0-9]+": \{"value": [-0-9.e+]+/)) {
-                pair = substr(line, RSTART, RLENGTH); line = substr(line, RSTART + RLENGTH)
-                split(pair, kv, /": \{"value": /)
-                metric = substr(kv[1], 2)
-                if (!(metric in seen)) { seen[metric] = 1; metrics[++nmetrics] = metric }
-                value[side, metric, run] = kv[2] + 0
-            }
-        }
-        END {
-            n = runs["parent"] < runs["change"] ? runs["parent"] : runs["change"]
-            printf "%s: %d pairs, failed runs parent %d change %d\n", workload, n, failed["parent"], failed["change"]
-            printf "%-14s %-34s %-34s %8s %6s\n", "metric", "parent median [q1, q3]", "change median [q1, q3]", "ratio", "wins"
-            for (m = 1; m <= nmetrics; m++) {
-                metric = metrics[m]; wins = 0
+        awk -v workload="$workload" '
+            function sorted(src, n, dst,   i, j, v) {
                 for (i = 1; i <= n; i++) {
-                    p[i] = value["parent", metric, i]; c[i] = value["change", metric, i]
-                    if (better[metric] == "higher" ? c[i] > p[i] : c[i] < p[i]) wins++
+                    v = src[i]
+                    for (j = i - 1; j >= 1 && dst[j] > v; j--) dst[j + 1] = dst[j]
+                    dst[j + 1] = v
                 }
-                sorted(p, n, ps); sorted(c, n, cs)
-                pm = quantile(ps, n, 0.5); cm = quantile(cs, n, 0.5)
-                p1 = quantile(ps, n, 0.25); p3 = quantile(ps, n, 0.75)
-                c1 = quantile(cs, n, 0.25); c3 = quantile(cs, n, 0.75)
-                printf "%-14s %-34s %-34s %8.3f %3d/%d\n", metric, \
-                    sprintf("%.4g [%.4g, %.4g]", pm, p1, p3), sprintf("%.4g [%.4g, %.4g]", cm, c1, c3), \
-                    (pm != 0 ? cm / pm : 0), wins, n
-                if (!(metric in bound)) continue
-                # The rule above, per end-to-end metric. `sign` turns
-                # "better" into "larger"; the spread is the quartile
-                # distance over the median, of whichever side is wider.
-                sign = better[metric] == "higher" ? 1 : -1
-                iqr = p3 - p1
-                spread = pm != 0 ? iqr / pm : 0
-                if (cm != 0 && (c3 - c1) / cm > spread) spread = (c3 - c1) / cm
-                clear = sign > 0 ? cs[1] > ps[n] : cs[n] < ps[1]
-                if (sign * (cm - pm) < -bound[metric] * pm) v = "regression"
-                else if (10 * wins >= 9 * n && sign * (cm - pm) > iqr) v = "gain"
-                else if (spread > bound[metric] && !clear) v = "unresolved"
-                else v = "flat"
-                verdicts = verdicts sprintf("verdict %-12s %-10s (wins %d/%d, change median ahead by %.4g, parent quartile distance %.4g, spread %.1f %% vs bound %.0f %%)\n", \
-                    metric, v, wins, n, sign * (cm - pm), iqr, 100 * spread, 100 * bound[metric])
             }
-            printf "%s%s", verdicts, n < 10 ? "(fewer than ten pairs: the verdicts are advisory)\n" : ""
-        }
-    ' BENCHMARK.json "$out/{{WORKLOAD}}.parent.jsonl" "$out/{{WORKLOAD}}.change.jsonl"
+            # Linear-interpolated quantile of an ascending array.
+            function quantile(a, n, q,   h, lo) {
+                h = 1 + (n - 1) * q; lo = int(h)
+                return lo >= n ? a[n] : a[lo] + (h - lo) * (a[lo + 1] - a[lo])
+            }
+            FILENAME ~ /BENCHMARK.json$/ {
+                if (match($0, /"name": "[^"]+"/)) name = substr($0, RSTART + 9, RLENGTH - 10)
+                if (match($0, /"better": "[^"]+"/)) better[name] = substr($0, RSTART + 11, RLENGTH - 12)
+                if (match($0, /"bound": [0-9.]+/)) bound[name] = substr($0, RSTART + 9, RLENGTH - 9) + 0
+                next
+            }
+            {
+                side = FILENAME ~ /parent.jsonl$/ ? "parent" : "change"
+                run = ++runs[side]
+                if ($0 !~ /"correct": true/) failed[side]++
+                line = $0
+                while (match(line, /"[a-z_.0-9]+": \{"value": [-0-9.e+]+/)) {
+                    pair = substr(line, RSTART, RLENGTH); line = substr(line, RSTART + RLENGTH)
+                    split(pair, kv, /": \{"value": /)
+                    metric = substr(kv[1], 2)
+                    if (!(metric in seen)) { seen[metric] = 1; metrics[++nmetrics] = metric }
+                    value[side, metric, run] = kv[2] + 0
+                }
+            }
+            END {
+                n = runs["parent"] < runs["change"] ? runs["parent"] : runs["change"]
+                printf "%s: %d pairs, failed runs parent %d change %d\n", workload, n, failed["parent"], failed["change"]
+                printf "%-14s %-34s %-34s %8s %6s\n", "metric", "parent median [q1, q3]", "change median [q1, q3]", "ratio", "wins"
+                for (m = 1; m <= nmetrics; m++) {
+                    metric = metrics[m]; wins = 0
+                    for (i = 1; i <= n; i++) {
+                        p[i] = value["parent", metric, i]; c[i] = value["change", metric, i]
+                        if (better[metric] == "higher" ? c[i] > p[i] : c[i] < p[i]) wins++
+                    }
+                    sorted(p, n, ps); sorted(c, n, cs)
+                    pm = quantile(ps, n, 0.5); cm = quantile(cs, n, 0.5)
+                    p1 = quantile(ps, n, 0.25); p3 = quantile(ps, n, 0.75)
+                    c1 = quantile(cs, n, 0.25); c3 = quantile(cs, n, 0.75)
+                    printf "%-14s %-34s %-34s %8.3f %3d/%d\n", metric, \
+                        sprintf("%.4g [%.4g, %.4g]", pm, p1, p3), sprintf("%.4g [%.4g, %.4g]", cm, c1, c3), \
+                        (pm != 0 ? cm / pm : 0), wins, n
+                    if (!(metric in bound)) continue
+                    # The rule above, per end-to-end metric. `sign` turns
+                    # "better" into "larger"; the spread is the quartile
+                    # distance over the median, of whichever side is wider.
+                    sign = better[metric] == "higher" ? 1 : -1
+                    iqr = p3 - p1
+                    spread = pm != 0 ? iqr / pm : 0
+                    if (cm != 0 && (c3 - c1) / cm > spread) spread = (c3 - c1) / cm
+                    clear = sign > 0 ? cs[1] > ps[n] : cs[n] < ps[1]
+                    if (sign * (cm - pm) < -bound[metric] * pm) v = "regression"
+                    else if (10 * wins >= 9 * n && sign * (cm - pm) > iqr) v = "gain"
+                    else if (spread > bound[metric] && !clear) v = "unresolved"
+                    else v = "flat"
+                    verdicts = verdicts sprintf("verdict %-12s %-10s (wins %d/%d, change median ahead by %.4g, parent quartile distance %.4g, spread %.1f %% vs bound %.0f %%)\n", \
+                        metric, v, wins, n, sign * (cm - pm), iqr, 100 * spread, 100 * bound[metric])
+                }
+                printf "%s%s", verdicts, n < 10 ? "(fewer than ten pairs: the verdicts are advisory)\n" : ""
+            }
+        ' BENCHMARK.json "$out/$workload.parent.jsonl" "$out/$workload.change.jsonl"
+    done

@@ -17,7 +17,11 @@ use microslip::runtime::{run_parallel, RuntimeConfig};
 mod common;
 
 fn channel(nx: usize) -> ChannelConfig {
-    let mut c = ChannelConfig::paper_scaled(Dims::new(nx, 6, 4));
+    channel_at(Dims::new(nx, 6, 4))
+}
+
+fn channel_at(dims: Dims) -> ChannelConfig {
+    let mut c = ChannelConfig::paper_scaled(dims);
     c.body = [1.0e-4, 0.0, 0.0];
     c
 }
@@ -28,29 +32,31 @@ fn sequential(channel: &ChannelConfig, phases: u64) -> Snapshot {
     sim.snapshot()
 }
 
-/// The schedule matrix on a 12×6×4 channel: every wall BC × {BGK,
-/// TRT+MRT} × {no obstacle, a block}, to be crossed with `THREAD_BUDGETS`.
+/// The schedule matrix: every wall BC × {BGK, TRT+MRT} × {no obstacle, a
+/// block}, to be crossed with `THREAD_BUDGETS`, on a 12×6×4 channel (one
+/// streaming row block per plane) and a 12×30×9 one (several).
 fn schedule_matrix() -> Vec<(String, ChannelConfig)> {
-    let dims = Dims::new(12, 6, 4);
-    let bcs = [
-        WallBc::BounceBack,
-        WallBc::TunableSlip { r: 0.3 },
-        WallBc::PatternedSlip { r_a: 1.0, r_b: 0.2, period: 2, phase: 1 },
-        WallBc::rough_stripes(1, 3, dims),
-    ];
     let mut out = Vec::new();
-    for bc in &bcs {
-        for (trt_mrt, block) in [(false, false), (false, true), (true, false), (true, true)] {
-            let mut cfg = channel(dims.nx);
-            cfg.wall_bc = bc.clone();
-            if trt_mrt {
-                cfg.components[0].0.collision = CollisionOperator::trt_magic();
-                cfg.components[1].0.collision = CollisionOperator::mrt_standard();
+    for dims in [Dims::new(12, 6, 4), Dims::new(12, 30, 9)] {
+        let bcs = [
+            WallBc::BounceBack,
+            WallBc::TunableSlip { r: 0.3 },
+            WallBc::PatternedSlip { r_a: 1.0, r_b: 0.2, period: 2, phase: 1 },
+            WallBc::rough_stripes(1, 3, dims),
+        ];
+        for bc in &bcs {
+            for (trt_mrt, block) in [(false, false), (false, true), (true, false), (true, true)] {
+                let mut cfg = channel_at(dims);
+                cfg.wall_bc = bc.clone();
+                if trt_mrt {
+                    cfg.components[0].0.collision = CollisionOperator::trt_magic();
+                    cfg.components[1].0.collision = CollisionOperator::mrt_standard();
+                }
+                if block {
+                    cfg.obstacles.push(SolidRegion::Block { min: [4, 2, 1], max: [6, 4, 3] });
+                }
+                out.push((format!("{dims:?}, {bc:?}, trt+mrt {trt_mrt}, block {block}"), cfg));
             }
-            if block {
-                cfg.obstacles.push(SolidRegion::Block { min: [4, 2, 1], max: [6, 4, 3] });
-            }
-            out.push((format!("{bc:?}, trt+mrt {trt_mrt}, block {block}"), cfg));
         }
     }
     out
