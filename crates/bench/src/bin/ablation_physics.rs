@@ -3,16 +3,15 @@
 //! amplitude c0, decay length c1, and the water–air coupling g.
 //!
 //! Each run is an independent scaled-channel simulation; sweeps execute
-//! concurrently on the rayon pool.
+//! concurrently on scoped threads.
 //!
 //! Usage: `ablation_physics [phases]` (default 1500).
 
-use microslip_bench::{arg_or, f, header, row};
+use microslip_bench::{arg_or, f, header, par_map, row};
 use microslip_lbm::observables::{
     apparent_slip_fraction, mean_density_y_profile, mean_velocity_y_profile,
 };
 use microslip_lbm::{ChannelConfig, CouplingMatrix, Dims, Simulation, WallForce};
-use rayon::prelude::*;
 
 fn run(mutate: impl Fn(&mut ChannelConfig), phases: u64) -> (f64, f64) {
     let dims = Dims::new(10, 40, 8);
@@ -38,10 +37,7 @@ fn main() {
     println!("-- wall-force amplitude c0 (paper: 0.2) --");
     row(10, "c0", &["slip u_w/u0".into(), "depletion".into()]);
     let amps = [0.05, 0.1, 0.2, 0.3, 0.4];
-    let out: Vec<_> = amps
-        .par_iter()
-        .map(|&a| run(|c| c.wall.amplitude = a, phases))
-        .collect();
+    let out = par_map(&amps, |&a| run(|c| c.wall.amplitude = a, phases));
     for (a, (slip, dep)) in amps.iter().zip(out) {
         row(10, &a.to_string(), &[f(slip, 3), format!("{}%", f(dep * 100.0, 0))]);
     }
@@ -50,10 +46,7 @@ fn main() {
     println!("-- decay length c1 in lattice units of 5 nm (paper: 2) --");
     row(10, "c1", &["slip u_w/u0".into(), "depletion".into()]);
     let decays = [0.5, 1.0, 2.0, 4.0, 6.0];
-    let out: Vec<_> = decays
-        .par_iter()
-        .map(|&d| run(|c| c.wall.decay = d, phases))
-        .collect();
+    let out = par_map(&decays, |&d| run(|c| c.wall.decay = d, phases));
     for (d, (slip, dep)) in decays.iter().zip(out) {
         row(10, &d.to_string(), &[f(slip, 3), format!("{}%", f(dep * 100.0, 0))]);
     }
@@ -62,10 +55,7 @@ fn main() {
     println!("-- water-air repulsion g (paper model: cross coupling) --");
     row(10, "g", &["slip u_w/u0".into(), "depletion".into()]);
     let gs = [0.0, 0.05, 0.15, 0.3];
-    let out: Vec<_> = gs
-        .par_iter()
-        .map(|&g| run(move |c| c.coupling = CouplingMatrix::cross(g), phases))
-        .collect();
+    let out = par_map(&gs, |&g| run(move |c| c.coupling = CouplingMatrix::cross(g), phases));
     for (g, (slip, dep)) in gs.iter().zip(out) {
         row(10, &g.to_string(), &[f(slip, 3), format!("{}%", f(dep * 100.0, 0))]);
     }
@@ -92,7 +82,7 @@ fn main() {
             }),
         ),
     ];
-    let out: Vec<_> = models.par_iter().map(|(_, m)| run(m, phases)).collect();
+    let out = par_map(&models, |(_, m)| run(m, phases));
     for ((name, _), (slip, dep)) in models.iter().zip(out) {
         row(22, name, &[f(slip, 3), format!("{}%", f(dep * 100.0, 0))]);
     }

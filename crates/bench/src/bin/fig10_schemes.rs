@@ -3,9 +3,8 @@
 //!
 //! Usage: `fig10_schemes [phases]` (default 600, the paper's value).
 
-use microslip_bench::{arg_or, f, header, row};
+use microslip_bench::{arg_or, f, header, par_map, row};
 use microslip_cluster::{fixed_slow_point, Scheme};
-use rayon::prelude::*;
 
 fn main() {
     let phases: u64 = arg_or(1, 600);
@@ -15,18 +14,12 @@ fn main() {
     );
     row(12, "slow nodes", &Scheme::ALL.map(|s| s.name().to_string()));
     // All 24 points are independent deterministic simulations: sweep them
-    // on the rayon pool and print in order.
-    let grid: Vec<(usize, Vec<String>)> = (0..=5usize)
-        .into_par_iter()
-        .map(|m| {
-            let cells = Scheme::ALL
-                .iter()
-                .map(|&s| f(fixed_slow_point(phases, s, m).total_time, 1))
-                .collect();
-            (m, cells)
-        })
-        .collect();
-    for (m, cells) in grid {
+    // concurrently and print in order.
+    let slow: Vec<usize> = (0..=5).collect();
+    let grid: Vec<Vec<String>> = par_map(&slow, |&m| {
+        Scheme::ALL.iter().map(|&s| f(fixed_slow_point(phases, s, m).total_time, 1)).collect()
+    });
+    for (m, cells) in slow.iter().zip(grid) {
         row(12, &m.to_string(), &cells);
     }
     println!();

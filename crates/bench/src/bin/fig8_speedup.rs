@@ -7,9 +7,8 @@
 //!
 //! Usage: `fig8_speedup [phases]` (default 20000, the paper's value).
 
-use microslip_bench::{arg_or, f, header, row};
+use microslip_bench::{arg_or, f, header, par_map, row};
 use microslip_cluster::{fixed_slow_point, Scheme};
-use rayon::prelude::*;
 
 fn main() {
     let phases: u64 = arg_or(1, 20_000);
@@ -27,21 +26,18 @@ fn main() {
             "E(no-remap)".into(),
         ],
     );
-    let rows: Vec<(usize, Vec<String>)> = (0..=5usize)
-        .into_par_iter()
-        .map(|m| {
-            let filt = fixed_slow_point(phases, Scheme::Filtered, m);
-            let none = fixed_slow_point(phases, Scheme::NoRemap, m);
-            let cells = vec![
-                f(filt.speedup(), 2),
-                f(none.speedup(), 2),
-                f(filt.normalized_efficiency(m), 2),
-                f(none.normalized_efficiency(m), 2),
-            ];
-            (m, cells)
-        })
-        .collect();
-    for (m, cells) in rows {
+    let slow: Vec<usize> = (0..=5).collect();
+    let rows: Vec<Vec<String>> = par_map(&slow, |&m| {
+        let filt = fixed_slow_point(phases, Scheme::Filtered, m);
+        let none = fixed_slow_point(phases, Scheme::NoRemap, m);
+        vec![
+            f(filt.speedup(), 2),
+            f(none.speedup(), 2),
+            f(filt.normalized_efficiency(m), 2),
+            f(none.normalized_efficiency(m), 2),
+        ]
+    });
+    for (m, cells) in slow.iter().zip(rows) {
         row(12, &m.to_string(), &cells);
     }
     println!();

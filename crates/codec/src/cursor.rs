@@ -1,5 +1,5 @@
 //! The one bounded byte cursor — and the scalar writers it reads back —
-//! behind every unsealed codec: the `MSLIPCF2` channel config and its
+//! behind every unsealed codec: the `MSLIPCF3` channel config and its
 //! wall-BC field, `Scenario` canonical bytes, sweep requests and the
 //! result-artifact body. Scalars are little-endian `u64`/`f64`; strings
 //! are a `u64` length plus UTF-8 bytes. Decoders run on bytes a peer or a

@@ -4,7 +4,6 @@ use crate::boundary::WallBc;
 use crate::component::{ComponentSpec, CouplingMatrix};
 use crate::force::WallForce;
 use crate::geometry::{Dims, SolidRegion};
-use crate::par::Parallelism;
 
 /// Shape of the initial density field (scaled by each component's
 /// initial density).
@@ -56,9 +55,6 @@ pub struct ChannelConfig {
     /// Wall boundary condition at the channel walls (halfway bounce-back
     /// unless a slip model from [`crate::boundary`] is selected).
     pub wall_bc: WallBc,
-    /// Intra-slab thread budget for the per-phase kernels. Serial by
-    /// default; any value produces bitwise-identical physics.
-    pub parallelism: Parallelism,
 }
 
 impl ChannelConfig {
@@ -82,7 +78,6 @@ impl ChannelConfig {
             init: InitProfile::Uniform,
             obstacles: Vec::new(),
             wall_bc: WallBc::BounceBack,
-            parallelism: Parallelism::serial(),
         }
     }
 
@@ -107,7 +102,6 @@ impl ChannelConfig {
             init: InitProfile::Uniform,
             obstacles: Vec::new(),
             wall_bc: WallBc::BounceBack,
-            parallelism: Parallelism::serial(),
         }
     }
 
@@ -137,7 +131,6 @@ impl ChannelConfig {
             init: InitProfile::Uniform,
             obstacles: Vec::new(),
             wall_bc: WallBc::BounceBack,
-            parallelism: Parallelism::serial(),
         }
     }
 
@@ -180,9 +173,6 @@ impl ChannelConfig {
         }
         if self.wall.decay <= 0.0 {
             return Err("wall force decay length must be positive".into());
-        }
-        if self.parallelism.threads() == 0 {
-            return Err("parallelism must allow at least one thread".into());
         }
         self.wall_bc.validate_for(self.dims)?;
         // Obstacles — including wall-BC roughness elements — must leave at
@@ -280,15 +270,6 @@ mod tests {
         cfg.validate().unwrap();
         assert_eq!(cfg.ncomp(), 1);
         assert_eq!(cfg.coupling.get(0, 0), -6.0);
-    }
-
-    #[test]
-    fn zero_thread_parallelism_rejected() {
-        let mut cfg = ChannelConfig::paper_scaled(Dims::new(8, 4, 4));
-        cfg.parallelism = Parallelism { threads: 0 };
-        assert!(cfg.validate().is_err());
-        cfg.parallelism = Parallelism::new(4);
-        cfg.validate().unwrap();
     }
 
     #[test]

@@ -20,11 +20,11 @@ use crate::config::{ChannelConfig, InitProfile};
 use crate::force::{WallForce, WallForceMode};
 use crate::geometry::{Dims, SolidRegion};
 use crate::mrt::MrtRates;
-use crate::par::Parallelism;
 use crate::potential::PsiFn;
 
-/// File-format magic ("MSLIPCF2" — version 2 added the wall-BC field).
-pub const MAGIC: [u8; 8] = *b"MSLIPCF2";
+/// File-format magic ("MSLIPCF3" — version 2 added the wall-BC field,
+/// version 3 dropped the trailing intra-slab thread count).
+pub const MAGIC: [u8; 8] = *b"MSLIPCF3";
 
 /// Appends one solid-region record (shared with the wall-BC codec in
 /// [`crate::boundary::codec`], whose `RoughWall` variant carries regions).
@@ -130,7 +130,6 @@ pub fn encode_config(cfg: &ChannelConfig) -> Vec<u8> {
         put_region(&mut out, o);
     }
     encode_wall_bc(&mut out, &cfg.wall_bc);
-    put_u64(&mut out, cfg.parallelism.threads() as u64);
     out
 }
 
@@ -209,9 +208,8 @@ pub fn decode_config(bytes: &[u8]) -> Result<ChannelConfig, String> {
         obstacles.push(read_region(&mut r)?);
     }
     let wall_bc = decode_wall_bc(&mut r)?;
-    let parallelism = Parallelism::new(r.usize()?.max(1));
     r.finish()?;
-    Ok(ChannelConfig { dims, components, coupling, wall, body, init, obstacles, wall_bc, parallelism })
+    Ok(ChannelConfig { dims, components, coupling, wall, body, init, obstacles, wall_bc })
 }
 
 #[cfg(test)]
@@ -236,7 +234,6 @@ mod tests {
             SolidRegion::CylinderZ { center: [18.0, 4.5], radius: 2.25 },
         ];
         cfg.wall_bc = WallBc::PatternedSlip { r_a: 1.0, r_b: 0.125, period: 2, phase: 1 };
-        cfg.parallelism = Parallelism::new(3);
         cfg
     }
 
@@ -266,7 +263,6 @@ mod tests {
             back.wall_bc,
             WallBc::PatternedSlip { r_a: 1.0, r_b: 0.125, period: 2, phase: 1 }
         );
-        assert_eq!(back.parallelism.threads(), 3);
         assert_eq!(back.body[2].to_bits(), f64::MIN_POSITIVE.to_bits());
     }
 
@@ -295,7 +291,7 @@ mod tests {
         cfg.wall_bc = WallBc::TunableSlip { r: 0.5 };
         let mut bytes = encode_config(&cfg);
         let needle = 0.5f64.to_le_bytes();
-        let pos = (0..bytes.len() - 8)
+        let pos = (0..=bytes.len() - 8)
             .rev()
             .find(|&i| bytes[i..i + 8] == needle)
             .expect("encoded r present");

@@ -24,7 +24,6 @@
 use crate::component::{ComponentState, CouplingMatrix};
 use crate::field::LocalGrid;
 use crate::lattice::{Lattice, D3Q19};
-use crate::par::{ConstPtr, Parallelism, SendPtr};
 use crate::potential::PsiFn;
 
 /// How the hydrophobic wall magnitude combines with the local fluid state.
@@ -85,28 +84,15 @@ impl WallForce {
 /// Requires ψ ghost planes to be current (second halo exchange of the
 /// phase). `body` is an acceleration applied to all components (the
 /// paper's streamwise driving), contributing force density `ρ_σ · body`.
+/// All three passes (adhesion kernel, interaction-kernel vectors, force
+/// assembly) iterate x-planes and write only cells of their own plane,
+/// reading at most a ±1-plane ψ stencil that nobody mutates.
 pub fn compute_forces(
     comps: &mut [ComponentState],
     coupling: &CouplingMatrix,
     wall: &WallForce,
     body: [f64; 3],
     solid: &[bool],
-) {
-    compute_forces_with(comps, coupling, wall, body, solid, Parallelism::serial());
-}
-
-/// [`compute_forces`] with a thread budget. All three passes (adhesion
-/// kernel, interaction-kernel vectors, force assembly) iterate x-planes and
-/// write only cells of their own plane, reading at most a ±1-plane ψ
-/// stencil that nobody mutates — so chunking the planes is bitwise
-/// transparent.
-pub(crate) fn compute_forces_with(
-    comps: &mut [ComponentState],
-    coupling: &CouplingMatrix,
-    wall: &WallForce,
-    body: [f64; 3],
-    solid: &[bool],
-    par: Parallelism,
 ) {
     assert_eq!(comps.len(), coupling.components());
     let grid = comps[0].grid();
@@ -117,8 +103,7 @@ pub(crate) fn compute_forces_with(
     // past the window are never touched).
     let ncells = comps[0].force.stride();
     let s = comps.len();
-    let par = par.effective();
-    let chunks = par.plane_chunks(LocalGrid::FIRST, grid.last());
+    let (first, last) = (LocalGrid::FIRST, grid.last());
     let ny = grid.ny as isize;
     let nz = grid.nz as isize;
     // Adhesion kernel A(x) = Σ_i w_i s(x+e_i) e_i, shared by all
@@ -126,38 +111,33 @@ pub(crate) fn compute_forces_with(
     let any_adhesion = comps.iter().any(|c| c.spec.wall_adhesion != 0.0);
     let adhesion_vec: Vec<f64> = if any_adhesion {
         let mut out = vec![0.0; 3 * ncells];
-        let out_ptr = SendPtr::new(out.as_mut_ptr());
-        par.run_chunks(&chunks, |lo, hi| {
-            for xl in lo..hi {
-                for y in 0..grid.ny {
-                    for z in 0..grid.nz {
-                        let cell = (xl * grid.ny + y) * grid.nz + z;
-                        let mut acc = [0.0f64; 3];
-                        for i in 1..D3Q19::Q {
-                            let e = D3Q19::E[i];
-                            let yn = y as isize + e[1] as isize;
-                            let zn = z as isize + e[2] as isize;
-                            let is_solid = if yn < 0 || yn >= ny || zn < 0 || zn >= nz {
-                                true // channel wall
-                            } else {
-                                let xn = (xl as isize + e[0] as isize) as usize;
-                                solid[(xn * grid.ny + yn as usize) * grid.nz + zn as usize]
-                            };
-                            if is_solid {
-                                acc[0] += D3Q19::W[i] * e[0] as f64;
-                                acc[1] += D3Q19::W[i] * e[1] as f64;
-                                acc[2] += D3Q19::W[i] * e[2] as f64;
-                            }
+        for xl in first..=last {
+            for y in 0..grid.ny {
+                for z in 0..grid.nz {
+                    let cell = (xl * grid.ny + y) * grid.nz + z;
+                    let mut acc = [0.0f64; 3];
+                    for i in 1..D3Q19::Q {
+                        let e = D3Q19::E[i];
+                        let yn = y as isize + e[1] as isize;
+                        let zn = z as isize + e[2] as isize;
+                        let is_solid = if yn < 0 || yn >= ny || zn < 0 || zn >= nz {
+                            true // channel wall
+                        } else {
+                            let xn = (xl as isize + e[0] as isize) as usize;
+                            solid[(xn * grid.ny + yn as usize) * grid.nz + zn as usize]
+                        };
+                        if is_solid {
+                            acc[0] += D3Q19::W[i] * e[0] as f64;
+                            acc[1] += D3Q19::W[i] * e[1] as f64;
+                            acc[2] += D3Q19::W[i] * e[2] as f64;
                         }
-                        for a in 0..3 {
-                            // Safety: `cell` lies in this chunk's planes;
-                            // chunks are disjoint.
-                            unsafe { *out_ptr.get().add(a * ncells + cell) = acc[a] };
-                        }
+                    }
+                    for a in 0..3 {
+                        out[a * ncells + cell] = acc[a];
                     }
                 }
             }
-        });
+        }
         out
     } else {
         Vec::new()
@@ -165,13 +145,13 @@ pub(crate) fn compute_forces_with(
 
     // The interaction-kernel vector G_b(x) = Σ_i w_i ψ_b(x+e_i) e_i
     // (≈ c_s² ∇ψ_b to second order) is never materialized over the whole
-    // lattice: each chunk computes it one plane at a time into a
-    // cache-resident buffer (via the separable-aggregate form, see
-    // [`crate::simd::gvec_plane`]) and immediately assembles every
-    // component's total force for that plane. That removes 3·s
-    // full-lattice channels of write+read memory traffic per phase. The
-    // per-cell values depend only on ψ and the cell position, so the
-    // result is bitwise identical at any chunking or decomposition.
+    // lattice: it is computed one plane at a time into a cache-resident
+    // buffer (via the separable-aggregate form, see
+    // [`crate::simd::gvec_plane`]) and every component's total force for
+    // that plane is assembled at once. That removes 3·s full-lattice
+    // channels of write+read memory traffic per phase. The per-cell values
+    // depend only on ψ and the cell position, so the result is bitwise
+    // identical at any slab decomposition.
     //
     // ψ is pre-evaluated once per cell per component (the gather would
     // re-evaluate each neighbor up to 18×); Linear is the identity, so
@@ -185,10 +165,10 @@ pub(crate) fn compute_forces_with(
             pf => Some(c.psi.channel(0).iter().map(|&n| pf.eval(n)).collect()),
         })
         .collect();
-    let pe_ptrs: Vec<ConstPtr<f64>> = comps
+    let pe_ptrs: Vec<*const f64> = comps
         .iter()
         .zip(&evals)
-        .map(|(c, ev)| ConstPtr::new(ev.as_deref().unwrap_or(c.psi.channel(0)).as_ptr()))
+        .map(|(c, ev)| ev.as_deref().unwrap_or(c.psi.channel(0)).as_ptr())
         .collect();
 
     // Per-component assembly inputs (see [`crate::simd::ForceAssembly`]).
@@ -207,9 +187,9 @@ pub(crate) fn compute_forces_with(
                 nz: grid.nz,
                 ncells,
                 p: grid.plane_cells(),
-                n: ConstPtr::new(comps[a].psi.channel(0).as_ptr()),
+                n: comps[a].psi.channel(0).as_ptr(),
                 pe: pe_ptrs[a],
-                force: SendPtr::new(comps[a].force.base_mut_ptr()),
+                force: comps[a].force.base_mut_ptr(),
                 // Active couplings in ascending-b order (the inactive
                 // g = 0 terms contributed nothing and are skipped,
                 // exactly as before).
@@ -218,7 +198,7 @@ pub(crate) fn compute_forces_with(
                     .map(|b| (b, coupling.get(a, b)))
                     .collect(),
                 adhesion: if g_wall != 0.0 {
-                    Some((ConstPtr::new(adhesion_vec.as_ptr()), g_wall))
+                    Some((adhesion_vec.as_ptr(), g_wall))
                 } else {
                     None
                 },
@@ -247,47 +227,32 @@ pub(crate) fn compute_forces_with(
         })
         .collect();
 
+    // Plane buffers for the interaction-kernel vectors (3 channels × plane
+    // cells per component), and a staging plane + trailing zero row for
+    // the aggregate sweeps.
     let p = grid.plane_cells();
-    let (pe_ptrs, assemblies) = (&pe_ptrs, &assemblies);
-    par.run_chunks(&chunks, |lo, hi| {
-        // Per-chunk plane buffers for the interaction-kernel vectors
-        // (3 channels × plane cells per component). Pointers are captured
-        // once so the per-plane loop never re-borrows the buffers.
-        let mut gp: Vec<Vec<f64>> = (0..s).map(|_| vec![0.0; 3 * p]).collect();
-        let gp_ptrs: Vec<SendPtr<f64>> =
-            gp.iter_mut().map(|v| SendPtr::new(v.as_mut_ptr())).collect();
-        let planes: Vec<ConstPtr<f64>> =
-            gp_ptrs.iter().map(|q| ConstPtr::new(q.get() as *const f64)).collect();
-        // Staging plane + trailing zero row for the aggregate sweeps.
-        let mut scratch = vec![0.0; p + grid.nz];
-        let scratch = scratch.as_mut_ptr();
-        for xl in lo..hi {
-            // Safety: the plane buffers are chunk-local; ψ arrays are
-            // read-only during the launch; each force plane is written by
-            // exactly one chunk (chunk planes are disjoint).
-            unsafe {
-                for b in 0..s {
-                    crate::simd::gvec_plane(
-                        pe_ptrs[b].get(),
-                        gp_ptrs[b].get(),
-                        scratch,
-                        xl,
-                        grid.ny,
-                        grid.nz,
-                        p,
-                    );
+    let mut gp: Vec<Vec<f64>> = (0..s).map(|_| vec![0.0; 3 * p]).collect();
+    let gp_ptrs: Vec<*mut f64> = gp.iter_mut().map(|v| v.as_mut_ptr()).collect();
+    let planes: Vec<*const f64> = gp_ptrs.iter().map(|&q| q as *const f64).collect();
+    let mut scratch = vec![0.0; p + grid.nz];
+    let scratch = scratch.as_mut_ptr();
+    for xl in first..=last {
+        // Safety: the plane buffers and ψ arrays are only read by the
+        // assembly, and each force plane is written once.
+        unsafe {
+            for b in 0..s {
+                crate::simd::gvec_plane(pe_ptrs[b], gp_ptrs[b], scratch, xl, grid.ny, grid.nz, p);
+            }
+            for args in &assemblies {
+                #[cfg(target_arch = "x86_64")]
+                if crate::simd::avx2_available() {
+                    crate::simd::force_assemble_avx2(args, xl, &planes);
+                    continue;
                 }
-                for args in assemblies {
-                    #[cfg(target_arch = "x86_64")]
-                    if crate::simd::avx2_available() {
-                        crate::simd::force_assemble_avx2(args, xl, &planes);
-                        continue;
-                    }
-                    crate::simd::force_assemble_scalar(args, xl, &planes);
-                }
+                crate::simd::force_assemble_scalar(args, xl, &planes);
             }
         }
-    });
+    }
 }
 
 #[cfg(test)]

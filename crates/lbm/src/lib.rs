@@ -45,7 +45,6 @@ pub mod macroscopic;
 pub mod mrt;
 pub mod multicomponent;
 pub mod observables;
-pub mod par;
 pub mod potential;
 pub(crate) mod simd;
 pub mod simulation;
@@ -60,7 +59,6 @@ pub use config::{ChannelConfig, InitProfile};
 pub use force::{WallForce, WallForceMode};
 pub use geometry::{Dims, Microchannel, Slab, SolidRegion};
 pub use macroscopic::Snapshot;
-pub use par::Parallelism;
 pub use potential::PsiFn;
 pub use artifact::ResultArtifact;
 pub use checkpoint::CheckpointError;

@@ -24,35 +24,27 @@
 
 use crate::component::ComponentState;
 use crate::field::LocalGrid;
-use crate::par::{ConstPtr, Parallelism, SendPtr};
 
 /// Density floor below which the force shift is suppressed to avoid
 /// dividing by a vanishing component density.
 pub const RHO_FLOOR: f64 = 1e-12;
 
-/// Computes `u_σ^eq` at every interior cell for all components.
-///
-/// Must run after [`crate::force::compute_forces`] in the phase, with
-/// `psi` and the j held in `ueq` current (see the module docs).
-pub fn update_equilibrium_velocities(comps: &mut [ComponentState]) {
-    update_equilibrium_velocities_with(comps, Parallelism::serial());
-}
-
 /// Raw per-component view for the cross-component cell loop: `psi` and
 /// `force` are read-only, `ueq` is read (j) and then written once per cell.
 pub(crate) struct CompView {
-    pub(crate) psi: ConstPtr<f64>,
-    pub(crate) force: ConstPtr<f64>,
-    pub(crate) ueq: SendPtr<f64>,
+    pub(crate) psi: *const f64,
+    pub(crate) force: *const f64,
+    pub(crate) ueq: *mut f64,
     pub(crate) mass: f64,
     pub(crate) momentum_tau: f64,
 }
 
-/// [`update_equilibrium_velocities`] with a thread budget. The update is
-/// purely cell-local (it couples components, not cells), so plane chunks
-/// are independent and the result is bitwise identical at any thread
-/// count.
-pub(crate) fn update_equilibrium_velocities_with(comps: &mut [ComponentState], par: Parallelism) {
+/// Computes `u_σ^eq` at every interior cell for all components.
+///
+/// Must run after [`crate::force::compute_forces`] in the phase, with
+/// `psi` and the j held in `ueq` current (see the module docs). The update
+/// is cell-local: it couples components, not cells.
+pub fn update_equilibrium_velocities(comps: &mut [ComponentState]) {
     let grid = comps[0].grid();
     // One channel stride for every array of every component: they share a
     // storage capacity and a window.
@@ -61,55 +53,50 @@ pub(crate) fn update_equilibrium_velocities_with(comps: &mut [ComponentState], p
     let views: Vec<CompView> = comps
         .iter_mut()
         .map(|c| CompView {
-            psi: ConstPtr::new(c.psi.base_ptr()),
-            force: ConstPtr::new(c.force.base_ptr()),
-            ueq: SendPtr::new(c.ueq.base_mut_ptr()),
+            psi: c.psi.base_ptr(),
+            force: c.force.base_ptr(),
+            ueq: c.ueq.base_mut_ptr(),
             mass: c.spec.mass,
             momentum_tau: c.spec.momentum_tau(),
         })
         .collect();
 
-    let par = par.effective();
-    let chunks = par.plane_chunks(LocalGrid::FIRST, grid.last());
-    par.run_cell_chunks(&chunks, p, |range| {
-        // AVX2 4-cells-at-a-time when the host supports it (bitwise
-        // identical, including the lane-wise IEEE divisions — see
-        // [`crate::simd`]); the scalar loop takes the rest and other hosts.
-        #[cfg(target_arch = "x86_64")]
-        let range = if crate::simd::avx2_available() {
-            // Safety: the views alias no `ueq` cell across chunks and the
-            // chunk owns `range` (see below).
-            unsafe { crate::simd::update_ueq_avx2(&views, cells, range) }
-        } else {
-            range
-        };
-        for cell in range {
-            // Safety (whole cell): nobody writes `psi` or `force` during
-            // the launch; a cell's `ueq` slots are read and written by one
-            // chunk only, every component's j before any is overwritten.
-            unsafe {
-                // ū accumulates in ascending component order.
-                let mut num = [0.0f64; 3];
-                let mut den = 0.0f64;
-                for v in &views {
-                    let inv_tau = 1.0 / v.momentum_tau;
-                    for a in 0..3 {
-                        num[a] += v.mass * *v.ueq.get().add(a * cells + cell) * inv_tau;
-                    }
-                    den += v.mass * *v.psi.get().add(cell) * inv_tau;
+    let range = LocalGrid::FIRST * p..(grid.last() + 1) * p;
+    // AVX2 4-cells-at-a-time when the host supports it (bitwise identical,
+    // including the lane-wise IEEE divisions — see [`crate::simd`]); the
+    // scalar loop takes the rest and other hosts.
+    #[cfg(target_arch = "x86_64")]
+    let range = if crate::simd::avx2_available() {
+        // Safety: the views hold live window bases covering the interior.
+        unsafe { crate::simd::update_ueq_avx2(&views, cells, range) }
+    } else {
+        range
+    };
+    for cell in range {
+        // Safety (whole cell): `psi` and `force` are only read; a cell's
+        // `ueq` slots are read, every component's j before any is
+        // overwritten.
+        unsafe {
+            // ū accumulates in ascending component order.
+            let mut num = [0.0f64; 3];
+            let mut den = 0.0f64;
+            for v in &views {
+                let inv_tau = 1.0 / v.momentum_tau;
+                for a in 0..3 {
+                    num[a] += v.mass * *v.ueq.add(a * cells + cell) * inv_tau;
                 }
-                let ubar = if den > RHO_FLOOR { num.map(|n| n / den) } else { [0.0; 3] };
-                for v in &views {
-                    let rho = v.mass * *v.psi.get().add(cell);
-                    let shift = if rho > RHO_FLOOR { v.momentum_tau / rho } else { 0.0 };
-                    for a in 0..3 {
-                        *v.ueq.get().add(a * cells + cell) =
-                            ubar[a] + shift * *v.force.get().add(a * cells + cell);
-                    }
+                den += v.mass * *v.psi.add(cell) * inv_tau;
+            }
+            let ubar = if den > RHO_FLOOR { num.map(|n| n / den) } else { [0.0; 3] };
+            for v in &views {
+                let rho = v.mass * *v.psi.add(cell);
+                let shift = if rho > RHO_FLOOR { v.momentum_tau / rho } else { 0.0 };
+                for a in 0..3 {
+                    *v.ueq.add(a * cells + cell) = ubar[a] + shift * *v.force.add(a * cells + cell);
                 }
             }
         }
-    });
+    }
 }
 
 #[cfg(test)]

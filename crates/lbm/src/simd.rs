@@ -30,7 +30,6 @@
 
 #![cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
 
-use crate::par::{ConstPtr, SendPtr};
 use std::ops::Range;
 
 /// Whether the AVX2 BGK kernel may run on this host. The feature probe is
@@ -227,10 +226,10 @@ pub(crate) unsafe fn update_ueq_avx2(
             let inv_tau = _mm256_set1_pd(1.0 / v.momentum_tau);
             for a in 0..3 {
                 // num += (m * j) * inv_tau — scalar association.
-                let j = _mm256_loadu_pd(v.ueq.get().add(a * cells + cell));
+                let j = _mm256_loadu_pd(v.ueq.add(a * cells + cell));
                 num[a] = _mm256_add_pd(num[a], _mm256_mul_pd(_mm256_mul_pd(m, j), inv_tau));
             }
-            let psi = _mm256_loadu_pd(v.psi.get().add(cell));
+            let psi = _mm256_loadu_pd(v.psi.add(cell));
             den = _mm256_add_pd(den, _mm256_mul_pd(_mm256_mul_pd(m, psi), inv_tau));
         }
         // ū = num/den where den > floor, else 0. Lanes failing the guard
@@ -244,13 +243,13 @@ pub(crate) unsafe fn update_ueq_avx2(
         for v in views {
             let m = _mm256_set1_pd(v.mass);
             let tau = _mm256_set1_pd(v.momentum_tau);
-            let rho = _mm256_mul_pd(m, _mm256_loadu_pd(v.psi.get().add(cell)));
+            let rho = _mm256_mul_pd(m, _mm256_loadu_pd(v.psi.add(cell)));
             let rho_ok = _mm256_cmp_pd::<_CMP_GT_OQ>(rho, floor);
             let shift = _mm256_blendv_pd(zero, _mm256_div_pd(tau, rho), rho_ok);
             for a in 0..3 {
-                let fc = _mm256_loadu_pd(v.force.get().add(a * cells + cell));
+                let fc = _mm256_loadu_pd(v.force.add(a * cells + cell));
                 let out = _mm256_add_pd(ubar[a], _mm256_mul_pd(shift, fc));
-                _mm256_storeu_pd(v.ueq.get().add(a * cells + cell), out);
+                _mm256_storeu_pd(v.ueq.add(a * cells + cell), out);
             }
         }
         cell += L;
@@ -324,10 +323,10 @@ unsafe fn cross_row<const SUB: bool>(
 /// direction-by-direction gather — same sum to roundoff, one fixed
 /// association order. Out-of-range neighbors contribute 0 (ψ = 0 behind
 /// the walls). The per-cell values depend only on ψ, so the result is
-/// identical at any plane chunking or slab decomposition — the bitwise
-/// cross-mode invariant holds because every execution path runs exactly
-/// this function. rustc never contracts mul+add into FMA, so the
-/// AVX2-compiled clone below is bitwise identical to the baseline build.
+/// identical at any slab decomposition — the bitwise cross-mode invariant
+/// holds because every execution path runs exactly this function. rustc
+/// never contracts mul+add into FMA, so the AVX2-compiled clone below is
+/// bitwise identical to the baseline build.
 ///
 /// # Safety
 ///
@@ -617,9 +616,9 @@ unsafe fn gvec_plane_avx2(
 
 /// Inputs of one component's force assembly (see [`crate::force`]):
 /// everything is read-only during the launch except `force`, written once
-/// per cell. The Shan–Chen couplings reference chunk-local *plane* buffers
-/// of the interaction-kernel vectors (3 channels, stride `p`) by component
-/// index, so the kernels assemble one plane per call.
+/// per cell. The Shan–Chen couplings reference *plane* buffers of the
+/// interaction-kernel vectors (3 channels, stride `p`) by component index,
+/// so the kernels assemble one plane per call.
 pub(crate) struct ForceAssembly {
     pub(crate) ny: usize,
     pub(crate) nz: usize,
@@ -628,17 +627,17 @@ pub(crate) struct ForceAssembly {
     /// Cells per plane (`ny·nz`), the channel stride of the G buffers.
     pub(crate) p: usize,
     /// Component number density n_a (1 channel, the slab's window).
-    pub(crate) n: ConstPtr<f64>,
+    pub(crate) n: *const f64,
     /// Evaluated interaction potential ψ_a (1 channel, the slab's window).
-    pub(crate) pe: ConstPtr<f64>,
+    pub(crate) pe: *const f64,
     /// Output force density (3 channels, window base, stride `ncells`).
-    pub(crate) force: SendPtr<f64>,
+    pub(crate) force: *mut f64,
     /// Active couplings (component index b, g_ab), ascending b; b indexes
     /// the caller's per-plane G buffers.
     pub(crate) couplings: Vec<(usize, f64)>,
     /// Adhesion kernel (base pointer, g_w) when g_w ≠ 0; 3 channels of
     /// stride `ncells`.
-    pub(crate) adhesion: Option<(ConstPtr<f64>, f64)>,
+    pub(crate) adhesion: Option<(*const f64, f64)>,
     /// Per-row wall-force magnitudes (lengths ny and nz).
     pub(crate) wy: Vec<f64>,
     pub(crate) wz: Vec<f64>,
@@ -662,7 +661,7 @@ pub(crate) struct ForceAssembly {
 pub(crate) unsafe fn force_assemble_scalar(
     args: &ForceAssembly,
     xl: usize,
-    planes: &[ConstPtr<f64>],
+    planes: &[*const f64],
 ) {
     for y in 0..args.ny {
         let wy = args.wy[y];
@@ -678,7 +677,7 @@ pub(crate) unsafe fn force_assemble_scalar(
 #[inline(always)]
 unsafe fn force_cell_scalar(
     args: &ForceAssembly,
-    planes: &[ConstPtr<f64>],
+    planes: &[*const f64],
     cell: usize,
     pcell: usize,
     wy: f64,
@@ -686,8 +685,8 @@ unsafe fn force_cell_scalar(
 ) {
     let ncells = args.ncells;
     let p = args.p;
-    let n_here = *args.n.get().add(cell);
-    let psi_here = *args.pe.get().add(cell);
+    let n_here = *args.n.add(cell);
+    let psi_here = *args.pe.add(cell);
     let rho_here = args.mass * n_here;
     // Shan–Chen term: ψ·g is hoisted out of the three axis products; the
     // association (ψ·g)·G_b is the one the original expression had.
@@ -696,7 +695,7 @@ unsafe fn force_cell_scalar(
     let mut fz = 0.0;
     for &(b, g) in &args.couplings {
         let pg = psi_here * g;
-        let gv = planes[b].get();
+        let gv = planes[b];
         fx -= pg * *gv.add(pcell);
         fy -= pg * *gv.add(p + pcell);
         fz -= pg * *gv.add(2 * p + pcell);
@@ -704,7 +703,6 @@ unsafe fn force_cell_scalar(
     // Solid-fluid adhesion: F = −g_w ψ(n) Σ_i w_i s(x+e_i) e_i.
     if let Some((adh, gw)) = args.adhesion {
         let pg = gw * psi_here;
-        let adh = adh.get();
         fx -= pg * *adh.add(cell);
         fy -= pg * *adh.add(ncells + cell);
         fz -= pg * *adh.add(2 * ncells + cell);
@@ -717,7 +715,7 @@ unsafe fn force_cell_scalar(
     fx += rho_here * args.body[0];
     fy += rho_here * args.body[1];
     fz += rho_here * args.body[2];
-    let f = args.force.get();
+    let f = args.force;
     *f.add(cell) = fx;
     *f.add(ncells + cell) = fy;
     *f.add(2 * ncells + cell) = fz;
@@ -737,7 +735,7 @@ unsafe fn force_cell_scalar(
 pub(crate) unsafe fn force_assemble_avx2(
     args: &ForceAssembly,
     xl: usize,
-    planes: &[ConstPtr<f64>],
+    planes: &[*const f64],
 ) {
     use core::arch::x86_64::*;
 
@@ -761,15 +759,15 @@ pub(crate) unsafe fn force_assemble_avx2(
         while z + L <= args.nz {
             let cell = row + z;
             let pcell = prow + z;
-            let n_v = _mm256_loadu_pd(args.n.get().add(cell));
-            let pe_v = _mm256_loadu_pd(args.pe.get().add(cell));
+            let n_v = _mm256_loadu_pd(args.n.add(cell));
+            let pe_v = _mm256_loadu_pd(args.pe.add(cell));
             let rho = _mm256_mul_pd(mass_v, n_v);
             let mut fx = zero;
             let mut fy = zero;
             let mut fz = zero;
             for &(b, g) in &args.couplings {
                 let pg = _mm256_mul_pd(pe_v, _mm256_set1_pd(g));
-                let gv = planes[b].get();
+                let gv = planes[b];
                 fx = _mm256_sub_pd(fx, _mm256_mul_pd(pg, _mm256_loadu_pd(gv.add(pcell))));
                 fy = _mm256_sub_pd(fy, _mm256_mul_pd(pg, _mm256_loadu_pd(gv.add(p + pcell))));
                 fz = _mm256_sub_pd(
@@ -779,7 +777,6 @@ pub(crate) unsafe fn force_assemble_avx2(
             }
             if let Some((adh, gw)) = args.adhesion {
                 let pg = _mm256_mul_pd(_mm256_set1_pd(gw), pe_v);
-                let adh = adh.get();
                 fx = _mm256_sub_pd(fx, _mm256_mul_pd(pg, _mm256_loadu_pd(adh.add(cell))));
                 fy = _mm256_sub_pd(
                     fy,
@@ -796,7 +793,7 @@ pub(crate) unsafe fn force_assemble_avx2(
             fx = _mm256_add_pd(fx, _mm256_mul_pd(rho, body_v[0]));
             fy = _mm256_add_pd(fy, _mm256_mul_pd(rho, body_v[1]));
             fz = _mm256_add_pd(fz, _mm256_mul_pd(rho, body_v[2]));
-            let f = args.force.get();
+            let f = args.force;
             _mm256_storeu_pd(f.add(cell), fx);
             _mm256_storeu_pd(f.add(ncells + cell), fy);
             _mm256_storeu_pd(f.add(2 * ncells + cell), fz);
@@ -1061,7 +1058,6 @@ mod tests {
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn force_assembly_avx2_matches_scalar_bitwise() {
-        use crate::par::{ConstPtr, SendPtr};
         if !super::avx2_available() {
             return;
         }
@@ -1075,13 +1071,12 @@ mod tests {
         lcg_fill(&mut n, 0x11);
         lcg_fill(&mut pe, 0x22);
         lcg_fill(&mut adh, 0x33);
-        let mut gbufs: Vec<Vec<f64>> = (0..2).map(|b| {
+        let gbufs: Vec<Vec<f64>> = (0..2).map(|b| {
             let mut g = vec![0.0; 3 * p];
             lcg_fill(&mut g, 0x44 + b);
             g
         }).collect();
-        let planes: Vec<ConstPtr<f64>> =
-            gbufs.iter_mut().map(|g| ConstPtr::new(g.as_ptr())).collect();
+        let planes: Vec<*const f64> = gbufs.iter().map(|g| g.as_ptr()).collect();
         let mut wy = vec![0.0; ny];
         let mut wz = vec![0.0; nz];
         lcg_fill(&mut wy, 0x55);
@@ -1094,11 +1089,11 @@ mod tests {
                 nz,
                 ncells,
                 p,
-                n: ConstPtr::new(n.as_ptr()),
-                pe: ConstPtr::new(pe.as_ptr()),
-                force: SendPtr::new(force.as_mut_ptr()),
+                n: n.as_ptr(),
+                pe: pe.as_ptr(),
+                force: force.as_mut_ptr(),
                 couplings: vec![(0, 0.9), (1, -0.31)],
-                adhesion: Some((ConstPtr::new(adh.as_ptr()), 0.17)),
+                adhesion: Some((adh.as_ptr(), 0.17)),
                 wy: wy.clone(),
                 wz: wz.clone(),
                 per_mass,

@@ -41,7 +41,6 @@ use crate::force::WallForce;
 use crate::geometry::{Slab, SolidRegion};
 use crate::lattice::{Lattice, D3Q19};
 use crate::macroscopic::Snapshot;
-use crate::par::Parallelism;
 
 /// A slab edge, in global x orientation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -85,9 +84,6 @@ pub struct SlabSolver {
     /// Solid mask over the same storage planes (so ghost planes included),
     /// built once from `obstacles` and read through the same window.
     solid: Vec<bool>,
-    /// Intra-slab thread budget for the phase kernels (bitwise transparent
-    /// — see [`crate::par`]).
-    par: Parallelism,
 }
 
 impl SlabSolver {
@@ -125,7 +121,6 @@ impl SlabSolver {
             wall_bc: config.wall_bc.clone(),
             slip_ry: config.wall_bc.slip_ry(0, nx_global, cap_planes),
             solid: Vec::new(),
-            par: config.parallelism,
         };
         solver.solid = solver.build_mask();
         solver.clear_solid_cells();
@@ -226,18 +221,6 @@ impl SlabSolver {
         self.comps[0].grid()
     }
 
-    /// The intra-slab thread budget.
-    pub fn parallelism(&self) -> Parallelism {
-        self.par
-    }
-
-    /// Sets the intra-slab thread budget for all subsequent phase kernels.
-    /// Bitwise transparent: any value produces fields identical to
-    /// [`Parallelism::serial`].
-    pub fn set_parallelism(&mut self, par: Parallelism) {
-        self.par = par;
-    }
-
     // ---- phase sub-steps -------------------------------------------------
 
     /// Phase step 1: collides the two slab-edge planes — everything the
@@ -268,7 +251,7 @@ impl SlabSolver {
         let solid = window(&self.solid, self.x0, grid);
         let has_solid = !self.obstacles.is_empty();
         for c in self.comps.iter_mut() {
-            crate::streaming::stream_collide_fused(c, solid, has_solid, slip, self.par);
+            crate::streaming::stream_collide_fused(c, solid, has_solid, slip);
         }
     }
 
@@ -282,20 +265,13 @@ impl SlabSolver {
     /// Phase step 3 (after ψ exchange): total force densities.
     pub fn compute_forces(&mut self) {
         let solid = window(&self.solid, self.x0, self.grid());
-        crate::force::compute_forces_with(
-            &mut self.comps,
-            &self.coupling,
-            &self.wall,
-            self.body,
-            solid,
-            self.par,
-        );
+        crate::force::compute_forces(&mut self.comps, &self.coupling, &self.wall, self.body, solid);
     }
 
     /// Phase step 4: common velocity and equilibrium velocities, from the
     /// Σf·e held in `ueq`.
     pub fn compute_velocities(&mut self) {
-        crate::multicomponent::update_equilibrium_velocities_with(&mut self.comps, self.par);
+        crate::multicomponent::update_equilibrium_velocities(&mut self.comps);
     }
 
     // ---- halo protocol ---------------------------------------------------
@@ -914,13 +890,5 @@ mod tests {
         assert!(s.is_solid(1, 5, 0), "ridge cell at the high wall");
         assert!(!s.is_solid(1, 2, 0), "channel middle stays fluid");
         assert!(!s.is_solid(4, 0, 0), "inter-ridge plane (gx 3) stays fluid");
-    }
-
-    #[test]
-    fn parallelism_from_config_reaches_solver() {
-        let mut cfg = small_config();
-        cfg.parallelism = Parallelism::new(4);
-        let s = SlabSolver::new(&cfg, Slab { x0: 0, nx_local: cfg.dims.nx });
-        assert_eq!(s.parallelism(), Parallelism::new(4));
     }
 }

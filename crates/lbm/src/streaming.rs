@@ -43,15 +43,13 @@
 //! before plane `xl` is streamed. So `f` is written once per plane, by
 //! streaming: collided values are neither written back to `f` nor copied
 //! into the ring. Only planes collided before the sweep are copied into a
-//! slot: the two slab-edge planes, the chunk-cut planes and every plane of
-//! the `fuse = false` path.
+//! slot: the two slab-edge planes and every plane of the `fuse = false`
+//! path.
 //!
 //! Streaming is pure data movement — every destination receives exactly the
 //! same source value as the two-lattice scheme — so the result is bitwise
-//! identical while the memory footprint halves. Multi-chunk sweeps
-//! (parallel or not) additionally save the two planes flanking each chunk
-//! cut before the sweep starts, so no chunk ever pulls a neighbor chunk's
-//! already-overwritten plane.
+//! identical while the memory footprint halves. The sweep runs serially on
+//! the thread that owns the slab; more cores mean more slabs.
 //!
 //! # Row blocks
 //!
@@ -99,7 +97,6 @@ use crate::component::ComponentState;
 use crate::field::LocalGrid;
 use crate::lattice::{Lattice, D3Q19};
 use crate::macroscopic::moments_raw;
-use crate::par::{Parallelism, SendPtr};
 use std::ops::Range;
 
 const Q: usize = D3Q19::Q;
@@ -125,12 +122,9 @@ const ROW_BLOCK_CELLS: usize = 80;
 /// populations. `has_solid` selects the per-cell obstacle kernels (the
 /// solver knows it without scanning the mask).
 ///
-/// With a multi-thread budget the chunks proceed concurrently; the two
-/// planes around each chunk cut are pre-collided (and then saved) serially
-/// so no task ever reads a neighbor's in-flight write. Collision stays
-/// cell-local and streaming reads the same post-collision values, so the
-/// result is bitwise identical to a whole-slab collision followed by
-/// [`stream_unfused`] at any thread count.
+/// Collision stays cell-local and streaming reads the same post-collision
+/// values, so the result is bitwise identical to a whole-slab collision
+/// followed by [`stream_unfused`].
 ///
 /// After this call, `f` holds the post-streaming populations (its ghost
 /// planes are stale), `psi` their ψ and `ueq` their Σf·e (module docs).
@@ -139,13 +133,12 @@ pub(crate) fn stream_collide_fused(
     solid: &[bool],
     has_solid: bool,
     slip: Option<SlipMap<'_>>,
-    par: Parallelism,
 ) {
-    sweep(comp, solid, has_solid, slip, par, true);
+    sweep(comp, solid, has_solid, slip, true);
 }
 
-/// The same sweep over a slab whose planes are **all** already collided,
-/// serially: the streaming half of the test-only reference schedule
+/// The same sweep over a slab whose planes are **all** already collided:
+/// the streaming half of the test-only reference schedule
 /// ([`crate::solver::SlabSolver::phase_periodic_reference`]).
 pub(crate) fn stream_unfused(
     comp: &mut ComponentState,
@@ -153,18 +146,17 @@ pub(crate) fn stream_unfused(
     has_solid: bool,
     slip: Option<SlipMap<'_>>,
 ) {
-    sweep(comp, solid, has_solid, slip, Parallelism::serial(), false);
+    sweep(comp, solid, has_solid, slip, false);
 }
 
-/// One post-collision x-plane as a streaming source: a ring slot, a saved
-/// chunk-boundary copy, or a ghost plane of `f` (which streaming never
-/// writes). `ch(i)` is the contiguous `plane_cells`-long channel-`i` slice
-/// of the plane.
+/// One post-collision x-plane as a streaming source: a ring slot or a
+/// ghost plane of `f` (which streaming never writes). `ch(i)` is the
+/// contiguous `plane_cells`-long channel-`i` slice of the plane.
 #[derive(Clone, Copy)]
 struct PlaneSrc {
     base: *const f64,
     /// Channel stride: that of `f` for a ghost plane (channel-major over
-    /// the slab's storage capacity), `plane_cells` for slots and saves.
+    /// the slab's storage capacity), `plane_cells` for slots.
     stride: usize,
 }
 
@@ -180,14 +172,13 @@ impl PlaneSrc {
 /// planes collided, the rest collided into the ring inside the sweep) and
 /// [`stream_unfused`] (`fuse = false`: every plane already collided — pure
 /// data movement, which is what the unit tests hold against the
-/// two-lattice oracles at every chunk decomposition). Either way each row
-/// block's moments are taken as soon as it is streamed (module docs).
+/// two-lattice oracles). Either way each row block's moments are taken as
+/// soon as it is streamed (module docs).
 fn sweep(
     comp: &mut ComponentState,
     solid: &[bool],
     has_solid: bool,
     slip: Option<SlipMap<'_>>,
-    par: Parallelism,
     fuse: bool,
 ) {
     let grid = comp.grid();
@@ -202,147 +193,75 @@ fn sweep(
     }
     let first = LocalGrid::FIRST;
     let last = grid.last();
-    // Decompose by the *effective* budget: chunk cuts cost boundary-plane
-    // saves and per-chunk rings, so never cut more than the host can
-    // actually run. Bitwise safe — streaming moves the same values under
-    // any decomposition.
-    let par = par.effective();
-    let chunks = par.plane_chunks(first, last);
     let op = comp.spec.collision;
     let tau = comp.spec.tau;
-
-    // `done[xl]`: plane xl already collided in `f`. Edges were collided
-    // before the halo exchange; chunk-cut planes are pre-collided here so
-    // the saves below capture post-collision values. Without `fuse`, all.
-    let mut done = vec![!fuse; grid.lx];
-    done[first] = true;
-    done[last] = true;
-    for &(a, _) in &chunks[1..] {
-        for xl in [a - 1, a] {
-            if !done[xl] {
-                crate::collision::collide_cells(comp, xl * p..(xl + 1) * p);
-                done[xl] = true;
-            }
-        }
-    }
-
-    // Save the post-collision planes flanking each chunk cut: the chunk
-    // left of a cut needs plane `b` (its `e_x = −1` source) before the
-    // right chunk overwrites it, and the right chunk needs plane `a − 1`
-    // (its `e_x = +1` source) before the left chunk overwrites it. The
-    // saves depend only on the chunk decomposition, never on execution
-    // order, so inline and threaded execution read identical sources.
-    type SavedCut = (Option<Vec<f64>>, Option<Vec<f64>>);
-    let saved: Vec<SavedCut> = chunks
-        .iter()
-        .map(|&(a, b)| {
-            let left = (a > first).then(|| save_plane(comp, a - 1));
-            let right = (b <= last).then(|| save_plane(comp, b));
-            (left, right)
-        })
-        .collect();
-
     let rows_per_block = (ROW_BLOCK_CELLS / grid.nz).max(1);
-    let ueq = SendPtr::new(comp.ueq.base_mut_ptr());
-    let psi = SendPtr::new(comp.psi.base_mut_ptr());
-    let f = SendPtr::new(comp.f.base_mut_ptr());
-    let done = &done;
-    let saved = &saved;
-    let chunks_ref = &chunks;
-    par.run_chunks(&chunks, |a, b| {
-        let k = chunks_ref
-            .iter()
-            .position(|&c| c == (a, b))
-            .expect("run_chunks passes chunks verbatim");
-        let (left, right) = &saved[k];
-        let fp = f.get();
-        let saved_src = |buf: &Vec<f64>| PlaneSrc { base: buf.as_ptr(), stride: p };
-        // A ghost plane of `f`: channel i of plane xl is at xl*p + i*cells.
-        let ghost = |xl: usize| PlaneSrc { base: unsafe { fp.add(xl * p) as *const f64 }, stride: cells };
-        // The ring: post-collision planes xl − 1, xl, xl + 1; chunk plane
-        // a + j lives in slot j % 3.
-        let mut ring = [vec![0.0f64; Q * p], vec![0.0f64; Q * p], vec![0.0f64; Q * p]];
-        let slots = ring.each_mut().map(|slot| slot.as_mut_ptr());
-        // Puts post-collision plane `xl` (of this chunk, not yet streamed)
-        // into `slot`: collided out of place from `f`, or copied if it was
-        // collided before the sweep. Safety: plane xl is this task's; the
-        // slot is not a live source (see the loop below).
-        let fill = |slot: *mut f64, xl: usize| unsafe {
-            let at = xl * p;
-            if done[xl] {
-                for i in 0..Q {
-                    std::ptr::copy_nonoverlapping(fp.add(i * cells + at), slot.add(i * p), p);
-                }
-            } else {
-                let ueq = ueq.get().add(at) as *const f64;
-                crate::collision::collide_cells_raw(op, tau, fp.add(at), cells, slot, p, ueq, p);
+    let ueq = comp.ueq.base_mut_ptr();
+    let psi = comp.psi.base_mut_ptr();
+    let fp = comp.f.base_mut_ptr();
+    // A ghost plane of `f`: channel i of plane xl is at xl*p + i*cells.
+    let ghost = |xl: usize| PlaneSrc { base: unsafe { fp.add(xl * p) as *const f64 }, stride: cells };
+    // The ring: post-collision planes xl − 1, xl, xl + 1; plane first + j
+    // lives in slot j % 3.
+    let mut ring = [vec![0.0f64; Q * p], vec![0.0f64; Q * p], vec![0.0f64; Q * p]];
+    let slots = ring.each_mut().map(|slot| slot.as_mut_ptr());
+    // Puts post-collision plane `xl` (not yet streamed) into `slot`: copied
+    // if it was collided before the sweep (an edge plane, or every plane
+    // without `fuse`), else collided out of place from `f`. Safety: the
+    // slot is not a live source (see the loop below).
+    let fill = |slot: *mut f64, xl: usize| unsafe {
+        let at = xl * p;
+        if !fuse || xl == first || xl == last {
+            for i in 0..Q {
+                std::ptr::copy_nonoverlapping(fp.add(i * cells + at), slot.add(i * p), p);
             }
-            PlaneSrc { base: slot, stride: p }
-        };
-        let mut prev = match left {
-            Some(buf) => saved_src(buf),
-            // First chunk: plane `first − 1` is the left ghost plane.
-            None => ghost(first - 1),
-        };
-        let mut cur = fill(slots[0], a);
-        for (j, xl) in (a..b).enumerate() {
-            let nxt = xl + 1;
-            let next = if nxt < b {
-                // Slot (j + 1) % 3 held plane xl − 2, no longer a source.
-                fill(slots[(j + 1) % 3], nxt)
-            } else {
-                match right {
-                    Some(buf) => saved_src(buf),
-                    // Last chunk: plane `last + 1` is the right ghost plane.
-                    None => ghost(nxt),
-                }
-            };
-            for y0 in (0..grid.ny).step_by(rows_per_block) {
-                let rows = y0..(y0 + rows_per_block).min(grid.ny);
-                // Safety: the write target (plane xl of `f`) never aliases
-                // a source — slots and saves live outside `f`, and ghost
-                // planes are never written — and concurrent tasks write
-                // only their own disjoint planes. The wall-BC dispatch is
-                // resolved here, per block, so the channel/row loops inside
-                // each kernel stay branch-free.
-                unsafe {
-                    let r = rows.clone();
-                    match (slip, has_solid) {
-                        (None, false) => stream_plane_fast(fp, cells, grid, xl, prev, cur, next, r),
-                        (None, true) => stream_plane_generic(fp, cells, grid, xl, prev, cur, next, r, solid),
-                        (Some(s), false) => {
-                            stream_plane_slip(fp, cells, grid, xl, prev, cur, next, r, s.ry, s.rz)
-                        }
-                        (Some(s), true) => stream_plane_slip_generic(
-                            fp, cells, grid, xl, prev, cur, next, r, solid, s.ry, s.rz,
-                        ),
-                    }
-                    // Moments of the block just streamed: ψ, and j into its
-                    // `ueq` slots. Safety: plane xl was collided before it
-                    // was streamed, so its `ueq` is dead; ψ and `ueq` of xl
-                    // are this task's alone; one window and stride for all.
-                    let at = xl * p + rows.start * grid.nz;
-                    let n = rows.len() * grid.nz;
-                    moments_raw(fp.add(at), cells, psi.get().add(at), ueq.get().add(at), cells, n);
-                }
-            }
-            prev = cur;
-            cur = next;
+        } else {
+            let ueq = ueq.add(at) as *const f64;
+            crate::collision::collide_cells_raw(op, tau, fp.add(at), cells, slot, p, ueq, p);
         }
-    });
-}
-
-/// Copies all Q channels of post-collision plane `xl` into a fresh
-/// `[Q * plane_cells]` buffer (channel-contiguous).
-fn save_plane(comp: &ComponentState, xl: usize) -> Vec<f64> {
-    let grid = comp.grid();
-    let p = grid.plane_cells();
-    let mut buf = vec![0.0f64; Q * p];
-    for i in 0..Q {
-        let ch = comp.f.channel(i);
-        buf[i * p..(i + 1) * p].copy_from_slice(&ch[xl * p..(xl + 1) * p]);
+        PlaneSrc { base: slot, stride: p }
+    };
+    let mut prev = ghost(first - 1);
+    let mut cur = fill(slots[0], first);
+    for (j, xl) in (first..=last).enumerate() {
+        let nxt = xl + 1;
+        let next = if nxt <= last {
+            // Slot (j + 1) % 3 held plane xl − 2, no longer a source.
+            fill(slots[(j + 1) % 3], nxt)
+        } else {
+            // Plane `last + 1` is the right ghost plane.
+            ghost(nxt)
+        };
+        for y0 in (0..grid.ny).step_by(rows_per_block) {
+            let rows = y0..(y0 + rows_per_block).min(grid.ny);
+            // Safety: the write target (plane xl of `f`) never aliases a
+            // source — slots live outside `f`, and ghost planes are never
+            // written. The wall-BC dispatch is resolved here, per block, so
+            // the channel/row loops inside each kernel stay branch-free.
+            unsafe {
+                let r = rows.clone();
+                match (slip, has_solid) {
+                    (None, false) => stream_plane_fast(fp, cells, grid, xl, prev, cur, next, r),
+                    (None, true) => stream_plane_generic(fp, cells, grid, xl, prev, cur, next, r, solid),
+                    (Some(s), false) => {
+                        stream_plane_slip(fp, cells, grid, xl, prev, cur, next, r, s.ry, s.rz)
+                    }
+                    (Some(s), true) => stream_plane_slip_generic(
+                        fp, cells, grid, xl, prev, cur, next, r, solid, s.ry, s.rz,
+                    ),
+                }
+                // Moments of the block just streamed: ψ, and j into its
+                // `ueq` slots. Safety: plane xl was collided before it was
+                // streamed, so its `ueq` is dead; one window and stride for
+                // all.
+                let at = xl * p + rows.start * grid.nz;
+                let n = rows.len() * grid.nz;
+                moments_raw(fp.add(at), cells, psi.add(at), ueq.add(at), cells, n);
+            }
+        }
+        prev = cur;
+        cur = next;
     }
-    buf
 }
 
 /// Picks the upstream plane source for channel `i`: `e_x = +1` pulls from
@@ -915,26 +834,20 @@ mod tests {
     fn inplace_sweep_matches_two_lattice_reference() {
         // The heart of the rewrite: the in-place ring sweep must
         // reproduce the two-lattice pull scheme bit for bit — obstacle-free
-        // fast path and generic obstacle path, all chunk decompositions.
-        // The last three shapes split each plane into several row blocks
-        // (with nz = 90, every block is a single row).
+        // fast path and generic obstacle path. The last three shapes split
+        // each plane into several row blocks (with nz = 90, every block is
+        // a single row).
         for (nx, ny, nz) in MULTI_BLOCK_SHAPES {
-            for threads in [1usize, 2, 3, 8] {
-                let mut a = make(nx, ny, nz);
-                fill_pseudorandom(&mut a, nx + threads);
-                let mut b = a.clone();
-                let solid = no_solid(&a);
+            let mut a = make(nx, ny, nz);
+            fill_pseudorandom(&mut a, nx + 1);
+            let mut b = a.clone();
+            let solid = no_solid(&a);
 
-                fill_ghosts_periodic(&mut a);
-                fill_ghosts_periodic(&mut b);
-                sweep(&mut a, &solid, false, None, Parallelism::new(threads), false);
-                stream_reference(&mut b, &solid);
-                assert_eq!(
-                    a.f,
-                    b.f,
-                    "in-place sweep diverged ({nx}x{ny}x{nz}, {threads} threads)"
-                );
-            }
+            fill_ghosts_periodic(&mut a);
+            fill_ghosts_periodic(&mut b);
+            stream_unfused(&mut a, &solid, false, None);
+            stream_reference(&mut b, &solid);
+            assert_eq!(a.f, b.f, "in-place sweep diverged ({nx}x{ny}x{nz})");
         }
     }
 
@@ -950,12 +863,12 @@ mod tests {
 
     #[test]
     fn inplace_sweep_matches_reference_with_obstacles() {
-        for (ny, threads) in [(5, 1usize), (5, 2), (5, 5), (31, 1), (31, 3)] {
+        for ny in [5, 31] {
             let mut a = make(7, ny, 4);
             let grid = a.grid();
-            fill_pseudorandom(&mut a, threads);
+            fill_pseudorandom(&mut a, ny);
             let mut solid = no_solid(&a);
-            // An obstacle block spanning a chunk cut plus a lone voxel.
+            // An obstacle block spanning two planes plus a lone voxel.
             for xl in 3..=4 {
                 for y in 1..3 {
                     solid[grid.idx(xl, y, 2)] = true;
@@ -982,9 +895,9 @@ mod tests {
             let mut b = a.clone();
             fill_ghosts_periodic(&mut a);
             fill_ghosts_periodic(&mut b);
-            sweep(&mut a, &solid, true, None, Parallelism::new(threads), false);
+            stream_unfused(&mut a, &solid, true, None);
             stream_reference(&mut b, &solid);
-            assert_eq!(a.f, b.f, "obstacle sweep diverged (ny {ny}, {threads} threads)");
+            assert_eq!(a.f, b.f, "obstacle sweep diverged (ny {ny})");
         }
     }
 
@@ -1050,25 +963,19 @@ mod tests {
     #[test]
     fn slip_sweep_matches_two_lattice_reference() {
         for (nx, ny, nz) in MULTI_BLOCK_SHAPES {
-            for threads in [1usize, 2, 3, 8] {
-                for rz in [0.0, 0.4] {
-                    let mut a = make(nx, ny, nz);
-                    fill_pseudorandom(&mut a, nx + threads);
-                    let mut b = a.clone();
-                    let solid = no_solid(&a);
-                    let ry = varied_ry(a.grid().lx);
+            for rz in [0.0, 0.4] {
+                let mut a = make(nx, ny, nz);
+                fill_pseudorandom(&mut a, nx + 1);
+                let mut b = a.clone();
+                let solid = no_solid(&a);
+                let ry = varied_ry(a.grid().lx);
 
-                    fill_ghosts_periodic(&mut a);
-                    fill_ghosts_periodic(&mut b);
-                    let slip = SlipMap { ry: &ry, rz };
-                    sweep(&mut a, &solid, false, Some(slip), Parallelism::new(threads), false);
-                    stream_reference_slip(&mut b, &ry, rz);
-                    assert_eq!(
-                        a.f,
-                        b.f,
-                        "slip sweep diverged ({nx}x{ny}x{nz}, {threads} threads, rz={rz})"
-                    );
-                }
+                fill_ghosts_periodic(&mut a);
+                fill_ghosts_periodic(&mut b);
+                let slip = SlipMap { ry: &ry, rz };
+                stream_unfused(&mut a, &solid, false, Some(slip));
+                stream_reference_slip(&mut b, &ry, rz);
+                assert_eq!(a.f, b.f, "slip sweep diverged ({nx}x{ny}x{nz}, rz={rz})");
             }
         }
     }
@@ -1076,7 +983,7 @@ mod tests {
     #[test]
     fn slip_generic_matches_slip_fast_on_empty_mask() {
         // One row block per plane, then several.
-        for (ny, threads) in [(4, 1usize), (4, 3), (31, 1), (31, 3)] {
+        for ny in [4, 31] {
             let mut a = make(6, ny, 3);
             fill_pseudorandom(&mut a, 5);
             let mut b = a.clone();
@@ -1086,9 +993,9 @@ mod tests {
             fill_ghosts_periodic(&mut b);
             let slip = SlipMap { ry: &ry, rz: 0.0 };
             // `has_solid` selects the kernel; the mask itself is empty.
-            sweep(&mut a, &solid, false, Some(slip), Parallelism::new(threads), false);
-            sweep(&mut b, &solid, true, Some(slip), Parallelism::new(threads), false);
-            assert_eq!(a.f, b.f, "slip fast/generic kernels disagree (ny {ny}, {threads} threads)");
+            stream_unfused(&mut a, &solid, false, Some(slip));
+            stream_unfused(&mut b, &solid, true, Some(slip));
+            assert_eq!(a.f, b.f, "slip fast/generic kernels disagree (ny {ny})");
         }
     }
 
@@ -1105,7 +1012,7 @@ mod tests {
             fill_ghosts_periodic(&mut c);
             let solid = no_solid(&c);
             let slip = SlipMap { ry: &ry, rz: 0.0 };
-            sweep(&mut c, &solid, false, Some(slip), Parallelism::serial(), false);
+            stream_unfused(&mut c, &solid, false, Some(slip));
         }
         assert!(
             (interior_mass(&c) - m0).abs() < 1e-10,
@@ -1125,7 +1032,7 @@ mod tests {
         let ry = vec![0.0; grid.lx];
         let solid = no_solid(&c);
         let slip = SlipMap { ry: &ry, rz: 0.0 };
-        sweep(&mut c, &solid, false, Some(slip), Parallelism::serial(), false);
+        stream_unfused(&mut c, &solid, false, Some(slip));
         // MIRROR_Y[7] = 9 = (+1, −1, 0).
         assert_eq!(c.f.at(9, grid.idx(3, grid.ny - 1, 1)), 0.8);
         // Nothing bounced straight back into the source cell.
@@ -1179,7 +1086,6 @@ mod tests {
                 nx in 1usize..6,
                 ny in 2usize..5,
                 nz in 2usize..5,
-                threads in 1usize..5,
                 seed in 0usize..64,
             ) {
                 // The in-place sweep only moves values: sorting all
@@ -1197,7 +1103,7 @@ mod tests {
 
                 let mut before: Vec<u64> =
                     a.f.to_vec().iter().map(|v| v.to_bits()).collect();
-                sweep(&mut a, &solid, false, None, Parallelism::new(threads), false);
+                stream_unfused(&mut a, &solid, false, None);
                 let mut after: Vec<u64> =
                     a.f.to_vec().iter().map(|v| v.to_bits()).collect();
                 // Ghost planes are stale after streaming; compare the

@@ -266,13 +266,13 @@ pub fn default_config() -> LintConfig {
             ),
             unsafe_file(
                 "crates/lbm/src/streaming.rs",
-                "raw-pointer sweep over disjoint x-planes of the slab's window (window base \
-                 + storage channel stride, the window inside the capacity): each plane is \
+                "raw-pointer sweep over the x-planes of the slab's window (window base + \
+                 storage channel stride, the window inside the capacity): each plane is \
                  collided out of place into a three-slot ring of post-collision planes (or \
                  copied in, if collided before the sweep), and f is written only by \
-                 streaming, from ring slots, saved chunk-cut planes or ghost planes, never \
-                 a plane of f being written; psi and the ueq slots of the plane a task owns \
-                 are written row block by row block, after that plane's collision read them",
+                 streaming, from ring slots or ghost planes, never a plane of f being \
+                 written; psi and the ueq slots of the streamed plane are written row block \
+                 by row block, after that plane's collision read them",
             ),
             unsafe_file(
                 "crates/lbm/src/collision.rs",
@@ -312,18 +312,15 @@ pub fn default_config() -> LintConfig {
             ),
             unsafe_file(
                 "crates/lbm/src/force.rs",
-                "force accumulation writes through raw pointers from the window base, one \
-                 disjoint plane range of the window per thread",
+                "force assembly writes each plane of the window once through raw pointers \
+                 from the window base, reading psi and per-plane gradient buffers that \
+                 alias nothing it writes",
             ),
             unsafe_file(
                 "crates/lbm/src/multicomponent.rs",
                 "per-component raw window-base pointers (one shared storage channel \
                  stride) in the velocity update: each cell's ueq slots are read (momentum) \
-                 and then overwritten by the one chunk that owns the cell",
-            ),
-            unsafe_file(
-                "crates/lbm/src/par.rs",
-                "Send/Sync pointer wrappers underpinning the disjoint-chunk parallelism",
+                 for every component before any is overwritten",
             ),
         ],
         scan_roots: vec![

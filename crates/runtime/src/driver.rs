@@ -10,7 +10,7 @@ use microslip_comm::channel::mesh;
 use microslip_comm::Transport;
 use microslip_lbm::geometry::{even_slabs, slabs_tile};
 use microslip_lbm::macroscopic::Snapshot;
-use microslip_lbm::{ChannelConfig, Parallelism, SlabSolver};
+use microslip_lbm::{ChannelConfig, SlabSolver};
 use microslip_obs::{Event, TraceSink};
 
 use crate::throttle::ThrottlePlan;
@@ -40,10 +40,6 @@ pub struct RuntimeConfig {
     pub checkpoint_dir: Option<std::path::PathBuf>,
     /// Load-index source for the remap predictor (see [`LoadModel`]).
     pub load: LoadModel,
-    /// Rayon threads each worker may use inside its own slab (the second
-    /// level of parallelism). 1 = serial kernels; results are bitwise
-    /// identical at any value.
-    pub threads_per_worker: usize,
     /// Observability sink (default: disabled). When enabled, the run
     /// emits a meta header plus per-worker activity spans, remap-decision
     /// audits, migrations and end-of-run traffic totals.
@@ -64,7 +60,6 @@ impl RuntimeConfig {
             checkpoint_every: 0,
             checkpoint_dir: None,
             load: LoadModel::Measured,
-            threads_per_worker: 1,
             trace: TraceSink::null(),
         }
     }
@@ -82,7 +77,6 @@ impl RuntimeConfig {
             checkpoint_every: self.checkpoint_every,
             checkpoint_dir: self.checkpoint_dir.clone(),
             load: self.load,
-            parallelism: Parallelism::new(self.threads_per_worker.max(1)),
             trace: self.trace.clone(),
             epoch,
         }

@@ -20,7 +20,7 @@ use microslip_balance::policy::NeighborPolicy;
 use microslip_balance::predict::{History, Predictor};
 use microslip_balance::Partition;
 use microslip_comm::{CommError, InstrumentedTransport, LinearTopology, Tag, Transport};
-use microslip_lbm::{ChannelConfig, Parallelism, Side, Slab, SlabSolver};
+use microslip_lbm::{ChannelConfig, Side, Slab, SlabSolver};
 use microslip_obs::{Event, SpanKind, TraceSink};
 
 use crate::profile::Profile;
@@ -89,10 +89,6 @@ pub struct WorkerConfig {
     pub checkpoint_dir: Option<std::path::PathBuf>,
     /// Load-index source for the remap predictor (see [`LoadModel`]).
     pub load: LoadModel,
-    /// Intra-slab thread budget for the phase kernels (the second level of
-    /// parallelism under the slab decomposition). Bitwise-neutral: any
-    /// value yields the same physics.
-    pub parallelism: Parallelism,
     /// Observability sink (default: disabled). Workers emit activity
     /// spans, remap-decision audits, migrations and end-of-run traffic
     /// totals into it.
@@ -147,7 +143,6 @@ pub fn worker_main_with_solver<T: Transport>(
     let rank = transport.rank();
     let n = transport.size();
     let topo = LinearTopology::new(rank, n);
-    solver.set_parallelism(cfg.parallelism);
     let mut transport = InstrumentedTransport::new(transport);
     let mut tracer = Tracer::new(cfg.trace.clone(), rank, cfg.epoch);
     let mut history = History::new(cfg.predictor_window.max(1));
@@ -575,7 +570,6 @@ mod tests {
             checkpoint_every: 0,
             checkpoint_dir: None,
             load: LoadModel::Synthetic { per_point: 1e-6 },
-            parallelism: Parallelism::serial(),
             trace: TraceSink::null(),
             epoch: Instant::now(),
         };

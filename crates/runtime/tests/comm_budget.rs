@@ -9,7 +9,7 @@ use microslip_balance::policy::{Filtered, NoRemap};
 use microslip_balance::predict::HarmonicMean;
 use microslip_comm::{mesh, InstrumentedTransport, Tag, Transport};
 use microslip_lbm::geometry::even_slabs;
-use microslip_lbm::{ChannelConfig, Dims, Parallelism};
+use microslip_lbm::{ChannelConfig, Dims};
 use microslip_runtime::worker::{worker_main, WorkerConfig, WorkerReport};
 use microslip_runtime::ThrottlePlan;
 
@@ -31,7 +31,6 @@ fn run_instrumented(
         checkpoint_every: 0,
         checkpoint_dir: None,
         load: microslip_runtime::LoadModel::Measured,
-        parallelism: Parallelism::serial(),
         trace: microslip_obs::TraceSink::null(),
         epoch: std::time::Instant::now(),
     });

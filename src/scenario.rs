@@ -56,14 +56,15 @@ use microslip_cluster::{
     run_scheme_traced, ClusterConfig, CostModel, Dedicated, Disturbance, RunResult, Scheme,
 };
 use microslip_lbm::config_codec::{decode_config, encode_config};
-use microslip_lbm::{ChannelConfig, Dims, Parallelism, WallBc};
+use microslip_lbm::{ChannelConfig, Dims, WallBc};
 use microslip_obs::TraceSink;
 use microslip_runtime::{run_parallel, LoadModel, RunOutcome, RuntimeConfig};
 
 use crate::mp::{run_multiprocess, MpConfig, MpFailure, MpOutcome};
 
-/// Scenario-codec magic ("MSLIPSC1" — microslip scenario v1).
-pub const MAGIC: [u8; 8] = *b"MSLIPSC1";
+/// Scenario-codec magic ("MSLIPSC2" — microslip scenario v2, which
+/// dropped the per-worker thread count).
+pub const MAGIC: [u8; 8] = *b"MSLIPSC2";
 
 /// One complete, self-contained description of a run: the channel physics
 /// plus the parallel schedule. Finalize onto a substrate with
@@ -88,8 +89,6 @@ pub struct Scenario {
     pub throttle: Vec<(usize, f64)>,
     /// Transient slowdowns as `(rank, from_phase, to_phase, factor)`.
     pub spikes: Vec<(usize, u64, u64, f64)>,
-    /// Rayon threads per worker (second level of parallelism).
-    pub threads_per_worker: usize,
     /// Load-index source for the remap predictor.
     pub load: LoadModel,
     /// Observability sink — execution-side, deliberately **excluded**
@@ -121,7 +120,7 @@ impl Scenario {
     /// Starts from an explicit channel configuration.
     ///
     /// Defaults: 4 workers, 100 phases, filtered remapping every 10
-    /// phases, predictor window 10, serial kernels, tracing disabled.
+    /// phases, predictor window 10, tracing disabled.
     pub fn new(channel: ChannelConfig) -> Self {
         Scenario {
             channel,
@@ -132,7 +131,6 @@ impl Scenario {
             scheme: Scheme::Filtered,
             throttle: Vec::new(),
             spikes: Vec::new(),
-            threads_per_worker: 1,
             load: LoadModel::Measured,
             trace: TraceSink::null(),
         }
@@ -189,15 +187,6 @@ impl Scenario {
     /// `[from, to)`.
     pub fn spike(mut self, rank: usize, from: u64, to: u64, factor: f64) -> Self {
         self.spikes.push((rank, from, to, factor));
-        self
-    }
-
-    /// Rayon threads per worker for the second level of parallelism.
-    /// Sets both the kernel parallelism of the channel and the runtime's
-    /// per-worker thread budget (previously two separate knobs).
-    pub fn threads_per_worker(mut self, threads: usize) -> Self {
-        self.threads_per_worker = threads.max(1);
-        self.channel.parallelism = Parallelism::new(threads.max(1));
         self
     }
 
@@ -263,7 +252,6 @@ impl Scenario {
             put_u64(&mut out, to);
             put_f64(&mut out, factor);
         }
-        put_u64(&mut out, self.threads_per_worker as u64);
         match self.load {
             LoadModel::Measured => put_u64(&mut out, 0),
             LoadModel::Synthetic { per_point } => {
@@ -308,7 +296,6 @@ impl Scenario {
         for _ in 0..nspikes {
             spikes.push((r.usize()?, r.u64()?, r.u64()?, r.f64()?));
         }
-        let threads_per_worker = r.usize()?;
         let load = match r.u64()? {
             0 => LoadModel::Measured,
             1 => LoadModel::Synthetic { per_point: r.f64()? },
@@ -324,7 +311,6 @@ impl Scenario {
             scheme,
             throttle,
             spikes,
-            threads_per_worker,
             load,
             trace: TraceSink::null(),
         })
@@ -392,7 +378,6 @@ impl Scenario {
         let mut cfg = RuntimeConfig::new(self.channel, self.workers, self.phases);
         cfg.remap_interval = self.remap_every;
         cfg.predictor_window = self.predictor_window;
-        cfg.threads_per_worker = self.threads_per_worker;
         cfg.load = self.load;
         cfg.trace = self.trace;
         cfg.spikes = self.spikes;
@@ -618,17 +603,6 @@ mod tests {
     }
 
     #[test]
-    fn scenario_threads_both_parallelism_knobs() {
-        let rt = Scenario::paper_scaled(16, 6, 4)
-            .workers(2)
-            .threads_per_worker(3)
-            .runtime()
-            .unwrap();
-        assert_eq!(rt.config().threads_per_worker, 3);
-        assert_eq!(rt.config().channel.parallelism, Parallelism::new(3));
-    }
-
-    #[test]
     fn cluster_geometry_is_derived_from_the_channel() {
         let ex = Scenario::paper_scaled(16, 6, 4)
             .workers(4)
@@ -672,7 +646,6 @@ mod tests {
             .scheme(Scheme::Conservative)
             .throttle(1, 6.0)
             .spike(2, 10, 20, 3.0)
-            .threads_per_worker(2)
             .load_model(LoadModel::Synthetic { per_point: 1.5 })
     }
 

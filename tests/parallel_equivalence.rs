@@ -9,8 +9,8 @@ use microslip::balance::policy::NeighborPolicy;
 use microslip::balance::{Conservative, FilterParams, Filtered, NoRemap};
 use microslip::lbm::geometry::even_slabs;
 use microslip::lbm::{
-    ChannelConfig, CollisionOperator, Dims, Parallelism, Simulation, Slab, SlabSolver, Snapshot,
-    SolidRegion, WallBc,
+    ChannelConfig, CollisionOperator, Dims, Simulation, Slab, SlabSolver, Snapshot, SolidRegion,
+    WallBc,
 };
 use microslip::runtime::{run_parallel, RuntimeConfig};
 
@@ -33,8 +33,8 @@ fn sequential(channel: &ChannelConfig, phases: u64) -> Snapshot {
 }
 
 /// The schedule matrix: every wall BC × {BGK, TRT+MRT} × {no obstacle, a
-/// block}, to be crossed with `THREAD_BUDGETS`, on a 12×6×4 channel (one
-/// streaming row block per plane) and a 12×30×9 one (several).
+/// block}, on a 12×6×4 channel (one streaming row block per plane) and a
+/// 12×30×9 one (several).
 fn schedule_matrix() -> Vec<(String, ChannelConfig)> {
     let mut out = Vec::new();
     for dims in [Dims::new(12, 6, 4), Dims::new(12, 30, 9)] {
@@ -62,34 +62,28 @@ fn schedule_matrix() -> Vec<(String, ChannelConfig)> {
     out
 }
 
-const THREAD_BUDGETS: [usize; 4] = [1, 2, 4, 16];
-
 #[test]
 fn fused_schedule_matches_the_serial_reference_bitwise() {
     // `Simulation` runs the same fused schedule as the workers and the
     // ranks, so every other test here compares fused with fused. This one
     // anchors them all: the textbook collide-all-then-stream-all order,
-    // run serially, must give the same bits at every thread budget, wall
-    // BC, collision operator and obstacle layout.
+    // must give the same bits at every wall BC, collision operator and
+    // obstacle layout.
     let phases = 6;
-    for (case, mut cfg) in schedule_matrix() {
+    for (case, cfg) in schedule_matrix() {
         let mut reference = SlabSolver::new(&cfg, Slab { x0: 0, nx_local: cfg.dims.nx });
         reference.prime_periodic();
         for _ in 0..phases {
             reference.phase_periodic_reference();
         }
-        for threads in THREAD_BUDGETS {
-            let case = format!("{case}, {threads} threads");
-            cfg.parallelism = Parallelism::new(threads);
-            let mut sim = Simulation::new(cfg.clone());
-            sim.run(phases);
-            assert_eq!(sim.snapshot(), reference.snapshot(), "fields diverged: {case}");
-            assert_eq!(
-                sim.total_mass().to_bits(),
-                reference.total_mass().to_bits(),
-                "mass diverged: {case}"
-            );
-        }
+        let mut sim = Simulation::new(cfg);
+        sim.run(phases);
+        assert_eq!(sim.snapshot(), reference.snapshot(), "fields diverged: {case}");
+        assert_eq!(
+            sim.total_mass().to_bits(),
+            reference.total_mass().to_bits(),
+            "mass diverged: {case}"
+        );
     }
 }
 
@@ -102,29 +96,23 @@ fn the_sweep_leaves_the_moments_a_whole_slab_pass_would() {
         let arrays = s.components().iter().flat_map(|c| [&c.psi, &c.ueq]);
         arrays.map(|a| a.to_vec().iter().map(|v| v.to_bits()).collect()).collect()
     };
-    for (case, mut cfg) in schedule_matrix() {
-        for threads in THREAD_BUDGETS {
-            cfg.parallelism = Parallelism::new(threads);
-            for parts in [1, 2, 3] {
-                let mut solvers: Vec<SlabSolver> = even_slabs(cfg.dims.nx, parts)
-                    .into_iter()
-                    .map(|slab| SlabSolver::new(&cfg, slab))
-                    .collect();
-                common::prime(&mut solvers);
-                for _ in 0..2 {
-                    common::phase(&mut solvers);
-                }
-                solvers.iter_mut().for_each(SlabSolver::collide_edges);
-                common::exchange_f(&mut solvers);
-                for (k, s) in solvers.iter_mut().enumerate() {
-                    s.stream_collide_fused();
-                    let mut again = s.clone();
-                    again.compute_psi();
-                    assert!(
-                        bits(s) == bits(&again),
-                        "stale moments: {case}, {threads} threads, slab {k} of {parts}"
-                    );
-                }
+    for (case, cfg) in schedule_matrix() {
+        for parts in [1, 2, 3] {
+            let mut solvers: Vec<SlabSolver> = even_slabs(cfg.dims.nx, parts)
+                .into_iter()
+                .map(|slab| SlabSolver::new(&cfg, slab))
+                .collect();
+            common::prime(&mut solvers);
+            for _ in 0..2 {
+                common::phase(&mut solvers);
+            }
+            solvers.iter_mut().for_each(SlabSolver::collide_edges);
+            common::exchange_f(&mut solvers);
+            for (k, s) in solvers.iter_mut().enumerate() {
+                s.stream_collide_fused();
+                let mut again = s.clone();
+                again.compute_psi();
+                assert!(bits(s) == bits(&again), "stale moments: {case}, slab {k} of {parts}");
             }
         }
     }
@@ -199,37 +187,10 @@ fn two_component_slip_physics_survives_decomposition() {
 }
 
 #[test]
-fn intra_slab_threads_do_not_change_physics() {
-    // Second-level parallelism: each worker splits its own slab across
-    // rayon threads. Any thread count must reproduce the sequential run
-    // bit for bit, with and without remapping churn.
-    let ch = channel(18);
-    let phases = 9;
-    let want = sequential(&ch, phases);
-    for threads in [1usize, 4] {
-        let mut cfg = RuntimeConfig::new(ch.clone(), 3, phases);
-        cfg.threads_per_worker = threads;
-        let got = run_parallel(&cfg, Arc::new(NoRemap));
-        assert_eq!(got.snapshot, want, "3 workers x {threads} threads diverged");
-
-        let mut cfg = RuntimeConfig::new(ch.clone(), 3, phases);
-        cfg.threads_per_worker = threads;
-        cfg.remap_interval = 3;
-        cfg.predictor_window = 2;
-        cfg.throttle = vec![1.0, 5.0, 1.0];
-        let got = run_parallel(&cfg, Arc::new(Filtered::default()));
-        assert_eq!(
-            got.snapshot, want,
-            "3 workers x {threads} threads with remapping diverged"
-        );
-    }
-}
-
-#[test]
 fn obstacle_bounce_back_survives_decomposition_and_threads() {
     // Interior solids exercise the bounce-back branch of the in-place
     // streaming sweep; a cylinder post and a wall-attached block cover
-    // both the curved and the axis-aligned masks.
+    // both the curved and the axis-aligned masks, on worker threads.
     let mut ch = ChannelConfig::paper_scaled(Dims::new(20, 8, 6));
     ch.body = [1.0e-4, 0.0, 0.0];
     ch.obstacles = vec![
@@ -243,17 +204,13 @@ fn obstacle_bounce_back_survives_decomposition_and_threads() {
         let got = run_parallel(&cfg, Arc::new(NoRemap));
         assert_eq!(got.snapshot, want, "{workers} workers diverged around obstacles");
     }
-    let mut cfg = RuntimeConfig::new(ch, 2, phases);
-    cfg.threads_per_worker = 4;
-    let got = run_parallel(&cfg, Arc::new(NoRemap));
-    assert_eq!(got.snapshot, want, "threaded obstacle run diverged");
 }
 
 #[test]
 fn trt_and_mrt_operators_stay_bitwise() {
     // The non-BGK collision operators take different kernel paths
     // (including the AVX2 BGK fast path being skipped); each must still
-    // be bitwise identical across decomposition and thread counts.
+    // be bitwise identical across worker counts.
     for (name, op) in [
         ("trt", CollisionOperator::trt_magic()),
         ("mrt", CollisionOperator::mrt_standard()),
@@ -264,13 +221,11 @@ fn trt_and_mrt_operators_stay_bitwise() {
         }
         let phases = 6;
         let want = sequential(&ch, phases);
-        let cfg = RuntimeConfig::new(ch.clone(), 3, phases);
-        let got = run_parallel(&cfg, Arc::new(NoRemap));
-        assert_eq!(got.snapshot, want, "{name}: 3 workers diverged");
-        let mut cfg = RuntimeConfig::new(ch, 2, phases);
-        cfg.threads_per_worker = 4;
-        let got = run_parallel(&cfg, Arc::new(NoRemap));
-        assert_eq!(got.snapshot, want, "{name}: threaded run diverged");
+        for workers in [2usize, 3] {
+            let cfg = RuntimeConfig::new(ch.clone(), workers, phases);
+            let got = run_parallel(&cfg, Arc::new(NoRemap));
+            assert_eq!(got.snapshot, want, "{name}: {workers} workers diverged");
+        }
     }
 }
 
@@ -296,9 +251,8 @@ fn slip_walls_survive_decomposition_and_threads() {
         cfg.remap_interval = 3;
         cfg.predictor_window = 2;
         cfg.throttle = vec![1.0, 5.0, 1.0];
-        cfg.threads_per_worker = 4;
         let got = run_parallel(&cfg, Arc::new(Filtered::default()));
-        assert_eq!(got.snapshot, want, "{name}: threaded remapping run diverged");
+        assert_eq!(got.snapshot, want, "{name}: remapping run diverged");
     }
 }
 

@@ -4,7 +4,7 @@
 //! scenarios always share a key, and perturbing *any* field changes it.
 
 use microslip::cluster::Scheme;
-use microslip::lbm::{Dims, InitProfile, Parallelism, SolidRegion, WallBc};
+use microslip::lbm::{Dims, InitProfile, SolidRegion, WallBc};
 use microslip::runtime::LoadModel;
 use microslip::Scenario;
 use proptest::prelude::*;
@@ -23,7 +23,6 @@ struct Knobs {
     scheme_idx: usize,
     throttle: Vec<(usize, f64)>,
     spikes: Vec<(usize, u64, u64, f64)>,
-    threads_per_worker: usize,
     synthetic: Option<f64>,
     body_x: f64,
     wall_amplitude: f64,
@@ -50,7 +49,7 @@ fn knobs() -> impl Strategy<Value = Knobs> {
         proptest::collection::vec((0usize..6, 1.0f64..8.0), 0..3),
         proptest::collection::vec((0usize..6, 0u64..50, 50u64..100, 1.0f64..4.0), 0..3),
         (
-            (1usize..4, any::<bool>(), 0.1f64..10.0),
+            (any::<bool>(), 0.1f64..10.0),
             (1e-6f64..1e-3, 0.0f64..0.5),
             (0usize..4, 0.1f64..0.9),
         ),
@@ -63,7 +62,7 @@ fn knobs() -> impl Strategy<Value = Knobs> {
                 throttle,
                 spikes,
                 (
-                    (threads_per_worker, measured, per_point),
+                    (measured, per_point),
                     (body_x, wall_amplitude),
                     (wall_bc_idx, slip_r),
                 ),
@@ -80,7 +79,6 @@ fn knobs() -> impl Strategy<Value = Knobs> {
                 scheme_idx,
                 throttle,
                 spikes,
-                threads_per_worker,
                 synthetic,
                 body_x,
                 wall_amplitude,
@@ -97,8 +95,7 @@ fn scenario(k: &Knobs) -> Scenario {
         .phases(k.phases)
         .remap_every(k.remap_every)
         .predictor_window(k.predictor_window)
-        .scheme(Scheme::ALL[k.scheme_idx])
-        .threads_per_worker(k.threads_per_worker);
+        .scheme(Scheme::ALL[k.scheme_idx]);
     for &(rank, factor) in &k.throttle {
         s = s.throttle(rank, factor);
     }
@@ -148,7 +145,6 @@ proptest! {
             ("scheme", base.clone().scheme(Scheme::ALL[(k.scheme_idx + 1) % 4])),
             ("throttle", base.clone().throttle(7, 2.5)),
             ("spikes", base.clone().spike(7, 1, 2, 1.5)),
-            ("threads_per_worker", base.clone().threads_per_worker(k.threads_per_worker + 1)),
             (
                 "load",
                 base.clone().load_model(match k.synthetic {
@@ -187,9 +183,6 @@ proptest! {
         let mut obstacles = base.clone();
         obstacles.channel.obstacles.push(SolidRegion::Block { min: [1, 1, 1], max: [2, 2, 2] });
         variants.push(("obstacles", obstacles));
-        let mut parallelism = base.clone();
-        parallelism.channel.parallelism = Parallelism::new(k.threads_per_worker + 7);
-        variants.push(("parallelism", parallelism));
         for (field, variant) in variants {
             prop_assert!(
                 variant.key() != key,

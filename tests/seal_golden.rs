@@ -5,10 +5,12 @@
 //! stored one) and its first and last sixteen bytes. A change to a byte
 //! format, to the CRC or to the order anything is written in fails here.
 //!
-//! The three unsealed codecs — `MSLIPCF2` channel config, `Scenario`
-//! canonical bytes (with the content key derived from them) and the sweep
-//! request — are pinned the same way, recorded from the tree that still
-//! had one byte cursor per crate (PR 15's).
+//! The three unsealed codecs — `MSLIPCF3` channel config, `MSLIPSC2`
+//! `Scenario` canonical bytes (with the content key derived from them) and
+//! the sweep request — are pinned the same way, recorded when the config
+//! and the scenario dropped their thread counts. Bytes of the previous
+//! versions (`MSLIPCF2`, `MSLIPSC1`) are rebuilt here and must be refused
+//! by magic.
 
 use microslip::lbm::checkpoint::{load_solver, read_sealed, save_solver, write_sealed};
 use microslip::lbm::diagnostics::FlowDiagnostics;
@@ -16,7 +18,7 @@ use microslip::lbm::geometry::even_slabs;
 use microslip::lbm::{ChannelConfig, Dims, ResultArtifact, Simulation, SlabSolver, Snapshot};
 use microslip::lbm::config_codec::{decode_config, encode_config};
 use microslip::lbm::WallBc;
-use microslip::scenario::Scenario;
+use microslip::scenario::{fnv1a64, Scenario};
 use microslip::serve::SweepRequest;
 use microslip::runtime::LoadModel;
 use microslip_net::wire::{encode, Frame};
@@ -200,7 +202,6 @@ fn scenario() -> Scenario {
         .predictor_window(2)
         .throttle(1, 0.5)
         .spike(2, 3, 6, 0.25)
-        .threads_per_worker(2)
         .wall_bc(WallBc::PatternedSlip { r_a: 1.0, r_b: 0.25, period: 4, phase: 1 })
         .load_model(LoadModel::Synthetic { per_point: 1.5e-6 })
 }
@@ -220,10 +221,10 @@ fn config_bytes_are_pinned() {
         "config",
         &bytes,
         &Golden {
-            len: 296,
-            crc: 0x3668_22f7,
-            first: *b"MSLIPCF2\x0a\0\0\0\0\0\0\0",
-            last: [0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0],
+            len: 288,
+            crc: 0xcdbd_df28,
+            first: *b"MSLIPCF3\x0a\0\0\0\0\0\0\0",
+            last: [0; 16],
         },
     );
     assert_eq!(encode_config(&decode_config(&bytes).unwrap()), bytes);
@@ -236,14 +237,14 @@ fn scenario_bytes_and_key_are_pinned() {
         "scenario",
         &bytes,
         &Golden {
-            len: 472,
-            crc: 0xc455_3830,
-            first: *b"MSLIPSC1\x48\x01\0\0\0\0\0\0",
+            len: 456,
+            crc: 0xb32b_c3ce,
+            first: *b"MSLIPSC2\x40\x01\0\0\0\0\0\0",
             last: [1, 0, 0, 0, 0, 0, 0, 0, 0x54, 0xe4, 0x10, 0x71, 0x73, 0x2a, 0xb9, 0x3e],
         },
     );
     // The content address the serve cache files results under.
-    assert_eq!(scenario().key(), "9d96b9c457b997e0");
+    assert_eq!(scenario().key(), "ba4aa7581863401e");
     assert_eq!(Scenario::decode(&bytes).unwrap().canonical_bytes(), bytes);
 }
 
@@ -254,11 +255,63 @@ fn sweep_request_bytes_are_pinned() {
         "sweep request",
         &bytes,
         &Golden {
-            len: 580,
-            crc: 0xd618_e43f,
-            first: *b"MSLIPSW1\xd8\x01\0\0\0\0\0\0",
+            len: 564,
+            crc: 0xf570_3adb,
+            first: *b"MSLIPSW1\xc8\x01\0\0\0\0\0\0",
             last: [1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xe0, 0x3f],
         },
     );
     assert_eq!(SweepRequest::decode(&bytes).unwrap().encode(), bytes);
 }
+
+/// `cfg` (current config bytes) in the previous layout: magic `MSLIPCF2`
+/// and a trailing thread count.
+fn previous_config(cfg: &[u8], threads: u64) -> Vec<u8> {
+    [b"MSLIPCF2".as_slice(), &cfg[8..], &threads.to_le_bytes()].concat()
+}
+
+/// `s` in the previous layout: magic `MSLIPSC1`, the previous config, and
+/// a thread count just before the load model (16 bytes for the fixture's
+/// synthetic model).
+fn previous_scenario(s: &Scenario, threads: u64) -> Vec<u8> {
+    let bytes = s.canonical_bytes();
+    let cfg = encode_config(&s.channel);
+    let old_cfg = previous_config(&cfg, threads);
+    let (schedule, load) = bytes[16 + cfg.len()..].split_at(bytes.len() - 16 - cfg.len() - 16);
+    let len = (old_cfg.len() as u64).to_le_bytes();
+    [b"MSLIPSC1".as_slice(), &len, &old_cfg, schedule, &threads.to_le_bytes(), load].concat()
+}
+
+#[test]
+fn previous_format_bytes_are_rejected_by_magic() {
+    // The fixtures as the previous tree wrote them: the config with its
+    // serial thread count, the scenario (and the request embedding it)
+    // with two threads per worker in both slots.
+    let old_config = previous_config(&encode_config(&config()), 1);
+    let old_scenario = previous_scenario(&scenario(), 2);
+    let old_request = {
+        let (r, base) = (sweep_request().encode(), scenario().canonical_bytes());
+        let len = (old_scenario.len() as u64).to_le_bytes();
+        [&r[..8], &len, &old_scenario, &r[16 + base.len()..]].concat()
+    };
+    // They are byte for byte the previous goldens, key included…
+    for (label, bytes, len, crc) in [
+        ("config", &old_config, 296, 0x3668_22f7),
+        ("scenario", &old_scenario, 472, 0xc455_3830),
+        ("sweep request", &old_request, 580, 0xd618_e43f),
+    ] {
+        assert_eq!((bytes.len(), crc32_bytewise(bytes)), (len, crc), "{label}: not the old bytes");
+    }
+    assert_eq!(format!("{:016x}", fnv1a64(&old_scenario)), "9d96b9c457b997e0");
+    // …and every decoder refuses them as a bad magic, never misreading the
+    // old thread count as the next field.
+    let errors = [
+        decode_config(&old_config).unwrap_err(),
+        Scenario::decode(&old_scenario).unwrap_err(),
+        SweepRequest::decode(&old_request).unwrap_err(),
+    ];
+    for err in errors {
+        assert!(err.contains("bad magic"), "unexpected error: {err}");
+    }
+}
+
