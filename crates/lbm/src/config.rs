@@ -35,7 +35,7 @@ impl InitProfile {
 /// Complete specification of a two-phase microchannel run: grid, fluid
 /// components (with initial number densities), interparticle coupling,
 /// hydrophobic wall force and streamwise driving.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ChannelConfig {
     pub dims: Dims,
     /// Components and their uniform initial number densities (the paper's

@@ -66,70 +66,77 @@ pub(crate) fn read_region(r: &mut Reader<'_>) -> Result<SolidRegion, String> {
     })
 }
 
-/// Serializes a complete channel configuration.
+/// Serializes a complete channel configuration. The structs with public
+/// fields are destructured without `..`, so a field added to one of them
+/// is a compile error here until it is encoded.
 pub fn encode_config(cfg: &ChannelConfig) -> Vec<u8> {
+    let ChannelConfig { dims, components, coupling, wall, body, init, obstacles, wall_bc } = cfg;
+    let Dims { nx, ny, nz } = *dims;
     let mut out = Vec::new();
     out.extend_from_slice(&MAGIC);
-    put_u64(&mut out, cfg.dims.nx as u64);
-    put_u64(&mut out, cfg.dims.ny as u64);
-    put_u64(&mut out, cfg.dims.nz as u64);
-    put_u64(&mut out, cfg.components.len() as u64);
-    for (spec, init_n) in &cfg.components {
-        put_str(&mut out, &spec.name);
-        put_f64(&mut out, spec.mass);
-        put_f64(&mut out, spec.tau);
-        put_u64(&mut out, spec.feels_wall_force as u64);
-        match spec.psi_fn {
+    put_u64(&mut out, nx as u64);
+    put_u64(&mut out, ny as u64);
+    put_u64(&mut out, nz as u64);
+    put_u64(&mut out, components.len() as u64);
+    for (spec, init_n) in components {
+        let ComponentSpec { name, mass, tau, feels_wall_force, psi_fn, collision, wall_adhesion } =
+            spec;
+        put_str(&mut out, name);
+        put_f64(&mut out, *mass);
+        put_f64(&mut out, *tau);
+        put_u64(&mut out, *feels_wall_force as u64);
+        match *psi_fn {
             PsiFn::Linear => put_u64(&mut out, 0),
             PsiFn::ShanChen { n0 } => {
                 put_u64(&mut out, 1);
                 put_f64(&mut out, n0);
             }
         }
-        match spec.collision {
+        match *collision {
             CollisionOperator::Bgk => put_u64(&mut out, 0),
             CollisionOperator::Trt { magic } => {
                 put_u64(&mut out, 1);
                 put_f64(&mut out, magic);
             }
-            CollisionOperator::Mrt(r) => {
+            CollisionOperator::Mrt(MrtRates { s_e, s_eps, s_q, s_pi, s_m }) => {
                 put_u64(&mut out, 2);
-                for v in [r.s_e, r.s_eps, r.s_q, r.s_pi, r.s_m] {
+                for v in [s_e, s_eps, s_q, s_pi, s_m] {
                     put_f64(&mut out, v);
                 }
             }
         }
-        put_f64(&mut out, spec.wall_adhesion);
+        put_f64(&mut out, *wall_adhesion);
         put_f64(&mut out, *init_n);
     }
-    let n = cfg.coupling.components();
+    let n = coupling.components();
     put_u64(&mut out, n as u64);
     for a in 0..n {
         for b in 0..n {
-            put_f64(&mut out, cfg.coupling.get(a, b));
+            put_f64(&mut out, coupling.get(a, b));
         }
     }
-    put_f64(&mut out, cfg.wall.amplitude);
-    put_f64(&mut out, cfg.wall.decay);
-    put_u64(&mut out, match cfg.wall.mode {
+    let WallForce { amplitude, decay, mode } = *wall;
+    put_f64(&mut out, amplitude);
+    put_f64(&mut out, decay);
+    put_u64(&mut out, match mode {
         WallForceMode::PerMass => 0,
         WallForceMode::ForceDensity => 1,
     });
-    for v in cfg.body {
-        put_f64(&mut out, v);
+    for v in body {
+        put_f64(&mut out, *v);
     }
-    match cfg.init {
+    match *init {
         InitProfile::Uniform => put_u64(&mut out, 0),
         InitProfile::CosineX { amplitude } => {
             put_u64(&mut out, 1);
             put_f64(&mut out, amplitude);
         }
     }
-    put_u64(&mut out, cfg.obstacles.len() as u64);
-    for o in &cfg.obstacles {
+    put_u64(&mut out, obstacles.len() as u64);
+    for o in obstacles {
         put_region(&mut out, o);
     }
-    encode_wall_bc(&mut out, &cfg.wall_bc);
+    encode_wall_bc(&mut out, wall_bc);
     out
 }
 
@@ -139,7 +146,11 @@ pub fn decode_config(bytes: &[u8]) -> Result<ChannelConfig, String> {
         return Err("not a microslip config (bad magic)".into());
     }
     let mut r = Reader::new("config", bytes, 8);
-    let dims = Dims::new(r.usize()?, r.usize()?, r.usize()?);
+    let (nx, ny, nz) = (r.usize()?, r.usize()?, r.usize()?);
+    if nx == 0 || ny == 0 || nz == 0 {
+        return Err(format!("channel dimensions {nx}x{ny}x{nz} must all be positive"));
+    }
+    let dims = Dims::new(nx, ny, nz);
     let ncomp = r.usize()?;
     if ncomp == 0 || ncomp > 64 {
         return Err(format!("implausible component count {ncomp}"));
@@ -297,6 +308,13 @@ mod tests {
             .expect("encoded r present");
         bytes[pos..pos + 8].copy_from_slice(&1.5f64.to_le_bytes());
         assert!(decode_config(&bytes).unwrap_err().contains("outside [0, 1]"));
+    }
+
+    #[test]
+    fn zero_dims_rejected_without_panicking() {
+        let mut bytes = encode_config(&ChannelConfig::paper_scaled(Dims::new(8, 6, 4)));
+        bytes[8] = 0; // nx, the first field after the magic
+        assert!(decode_config(&bytes).unwrap_err().contains("positive"));
     }
 
     #[test]

@@ -29,14 +29,8 @@ pub struct LintConfig {
     /// Path prefixes excluded from all scanning (vendored shims, build
     /// output, and the lint's own deliberately-violating fixtures).
     pub exclude: Vec<String>,
-    /// The trace-schema cross-check, if enabled.
-    pub schema: Option<SchemaCheck>,
     /// The call-graph panic-reachability pass, if enabled.
     pub reachability: Option<ReachabilityCheck>,
-    /// The wire-protocol frame-kind conformance pass, if enabled.
-    pub protocol: Option<ProtocolCheck>,
-    /// Encoder/decoder field-order drift checks.
-    pub codecs: Vec<CodecCheck>,
 }
 
 /// One unsafe-registry entry: the file, why its unsafe is sound, and the
@@ -52,28 +46,6 @@ pub struct UnsafeEntry {
     pub expect_fns: Vec<String>,
 }
 
-/// Files and function names for the trace-schema exhaustiveness rule:
-/// every variant of the event enum must appear in the JSONL emitter, the
-/// JSONL parser, the `type_name` mapping, and the `required_fields`
-/// schema contract — so emitter/parser drift fails the build.
-#[derive(Clone, Debug)]
-pub struct SchemaCheck {
-    /// File holding the event enum.
-    pub event_file: String,
-    /// Name of the event enum.
-    pub event_enum: String,
-    /// File holding the exporter/parser functions.
-    pub exporter_file: String,
-    /// Function serializing an event to one JSON line.
-    pub emitter_fn: String,
-    /// Function parsing one JSON line back into an event.
-    pub parser_fn: String,
-    /// Function mapping each variant to its stable schema name.
-    pub name_fn: String,
-    /// Function listing the required JSON fields per schema name.
-    pub contract_fn: String,
-}
-
 /// Entry points for transitive panic-reachability: the fns through which
 /// untrusted bytes enter the workspace. Reachable panic sites *outside*
 /// the boundary-path files (which the token rules already cover) are
@@ -82,76 +54,6 @@ pub struct SchemaCheck {
 pub struct ReachabilityCheck {
     /// `(file, fn name)` pairs; every same-named fn in the file counts.
     pub entries: Vec<(String, String)>,
-}
-
-/// The wire-protocol conformance pass: the frame-kind enum, its paired
-/// to-code/from-code fns, and where each kind-code range must be
-/// handled.
-#[derive(Clone, Debug)]
-pub struct ProtocolCheck {
-    /// File holding the kind enum and both code fns.
-    pub wire_file: String,
-    /// Name of the kind enum.
-    pub kind_enum: String,
-    /// Fn mapping variants to wire codes (`FrameKind::code`).
-    pub to_code_fn: String,
-    /// Fn mapping wire codes back to variants (`FrameKind::from_code`).
-    pub from_code_fn: String,
-    /// Dispatch coverage per kind-code range.
-    pub coverage: Vec<KindCoverage>,
-}
-
-/// One kind-code range and the files where those kinds must be handled:
-/// every enum variant whose code falls in `min_code..=max_code` must be
-/// named in at least one of `files`.
-#[derive(Clone, Debug)]
-pub struct KindCoverage {
-    /// Human label for messages ("mesh peers", "serve loop").
-    pub what: String,
-    pub min_code: u32,
-    pub max_code: u32,
-    pub files: Vec<String>,
-}
-
-/// The key-perturbation test paired with a codec: every encoded field
-/// must have a variant in this test, so a field the key ignores cannot
-/// slip in.
-#[derive(Clone, Debug)]
-pub struct PerturbTest {
-    pub file: String,
-    pub test_fn: String,
-}
-
-/// What shape of codec a [`CodecCheck`] pairs up.
-#[derive(Clone, Debug)]
-pub enum CodecKind {
-    /// Struct codec: the encoder writes `<root>.<field>` in order; the
-    /// decoder must `let`-bind the same fields in the same order.
-    Struct {
-        /// Receiver the encoder reads fields from (`self`, `cfg`).
-        root: String,
-    },
-    /// Enum codec: each encoder match arm writes a discriminant and its
-    /// pattern fields; the decoder must match the same discriminants
-    /// into the same variants with the same field order.
-    Enum {
-        /// Name of the encoded enum.
-        name: String,
-    },
-}
-
-/// One encoder/decoder pair whose field order is the codec contract.
-#[derive(Clone, Debug)]
-pub struct CodecCheck {
-    /// File holding both fns.
-    pub file: String,
-    /// `impl` type both fns live in (`None` for free fns).
-    pub in_impl: Option<String>,
-    pub encode_fn: String,
-    pub decode_fn: String,
-    pub kind: CodecKind,
-    /// Key-perturbation test that must cover every encoded field.
-    pub perturb: Option<PerturbTest>,
 }
 
 /// True when `path` equals `prefix` or lives under it.
@@ -336,15 +238,6 @@ pub fn default_config() -> LintConfig {
             // job (see crates/lint/tests/self_test.rs).
             "crates/lint/tests/fixtures".into(),
         ],
-        schema: Some(SchemaCheck {
-            event_file: "crates/obs/src/event.rs".into(),
-            event_enum: "Event".into(),
-            exporter_file: "crates/obs/src/export.rs".into(),
-            emitter_fn: "event_to_json".into(),
-            parser_fn: "event_from_json".into(),
-            name_fn: "type_name".into(),
-            contract_fn: "required_fields".into(),
-        }),
         // The decode fns through which client/peer bytes enter. The serve
         // loop and mp driver are *not* entries: everything they feed into
         // decoders is covered via these, and the run itself operates on
@@ -364,76 +257,6 @@ pub fn default_config() -> LintConfig {
                 ("crates/obs/src/json.rs".into(), "parse".into()),
             ],
         }),
-        protocol: Some(ProtocolCheck {
-            wire_file: "crates/net/src/wire.rs".into(),
-            kind_enum: "FrameKind".into(),
-            to_code_fn: "code".into(),
-            from_code_fn: "from_code".into(),
-            coverage: vec![
-                KindCoverage {
-                    what: "mesh peers (halo exchange + rendezvous)".into(),
-                    min_code: 0,
-                    max_code: 15,
-                    files: vec![
-                        "crates/net/src/tcp.rs".into(),
-                        "crates/net/src/rendezvous.rs".into(),
-                    ],
-                },
-                KindCoverage {
-                    what: "the serve daemon request loop".into(),
-                    min_code: 16,
-                    max_code: 255,
-                    files: vec!["src/serve.rs".into()],
-                },
-            ],
-        }),
-        codecs: vec![
-            CodecCheck {
-                file: "src/scenario.rs".into(),
-                in_impl: Some("Scenario".into()),
-                encode_fn: "canonical_bytes".into(),
-                decode_fn: "decode".into(),
-                kind: CodecKind::Struct { root: "self".into() },
-                perturb: Some(PerturbTest {
-                    file: "tests/scenario_codec.rs".into(),
-                    test_fn: "every_field_perturbation_changes_the_key".into(),
-                }),
-            },
-            CodecCheck {
-                file: "crates/lbm/src/config_codec.rs".into(),
-                in_impl: None,
-                encode_fn: "encode_config".into(),
-                decode_fn: "decode_config".into(),
-                kind: CodecKind::Struct { root: "cfg".into() },
-                // The channel config is part of the scenario key: every
-                // field it encodes must also perturb the sweep key.
-                perturb: Some(PerturbTest {
-                    file: "tests/scenario_codec.rs".into(),
-                    test_fn: "every_field_perturbation_changes_the_key".into(),
-                }),
-            },
-            CodecCheck {
-                file: "crates/lbm/src/boundary/codec.rs".into(),
-                in_impl: None,
-                encode_fn: "encode_wall_bc".into(),
-                decode_fn: "decode_wall_bc".into(),
-                kind: CodecKind::Enum { name: "WallBc".into() },
-                perturb: Some(PerturbTest {
-                    file: "tests/scenario_codec.rs".into(),
-                    test_fn: "every_field_perturbation_changes_the_key".into(),
-                }),
-            },
-            CodecCheck {
-                file: "src/serve.rs".into(),
-                in_impl: Some("SweepRequest".into()),
-                encode_fn: "encode".into(),
-                decode_fn: "decode".into(),
-                kind: CodecKind::Struct { root: "self".into() },
-                // Sweep requests are transport, not cache keys: no
-                // perturbation list to pair with.
-                perturb: None,
-            },
-        ],
     }
 }
 
@@ -487,18 +310,14 @@ mod tests {
                 "{path} is allowlisted but not inside any determinism path"
             );
         }
-        // Reachability entries must name boundary files: the pass skips
-        // sites inside boundary paths, so a non-boundary entry would
+        // Reachability entries must name scanned boundary files: the pass
+        // skips sites inside boundary paths, so a non-boundary entry would
         // leave its own body uncovered by any rule.
         for (file, f) in &cfg.reachability.as_ref().unwrap().entries {
             assert!(cfg.in_boundary_paths(file), "reachability entry {file}::{f} must be a boundary path");
-        }
-        // Codec and protocol files must be scanned (inside scan roots).
-        for c in &cfg.codecs {
             assert!(
-                cfg.scan_roots.iter().any(|r| path_matches(&c.file, r)),
-                "codec file {} is outside the scan roots",
-                c.file
+                cfg.scan_roots.iter().any(|r| path_matches(file, r)),
+                "reachability entry {file}::{f} is outside the scan roots"
             );
         }
     }

@@ -316,7 +316,7 @@ mod tests {
                 rule: "boundary-panic",
                 message: "escapes: \" \\ \n tab\t".into(),
             },
-            Finding { file: "b.rs".into(), line: 9, rule: "codec-drift", message: "m".into() },
+            Finding { file: "b.rs".into(), line: 9, rule: "panic-reachability", message: "m".into() },
         ];
         let parsed = parse_baseline(&to_json(&findings)).unwrap();
         assert_eq!(parsed.len(), 2);

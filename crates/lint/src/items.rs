@@ -1,12 +1,9 @@
-//! A flat item model over the token stream: `#[cfg(test)]` extents,
-//! `fn` items with their enclosing `impl` type, enum variants, and the
-//! small path/match scanners the cross-file passes share.
+//! A flat item model over the token stream: `#[cfg(test)]` extents and
+//! `fn` items with their enclosing `impl` type.
 //!
 //! This is deliberately not an AST. Brace matching plus "which `impl`
-//! block am I inside" is enough to name-resolve intra-workspace calls
-//! and pair encoder/decoder bodies, and it keeps the crate zero-dep.
-
-use std::collections::BTreeMap;
+//! block am I inside" is enough to name-resolve intra-workspace calls,
+//! and it keeps the crate zero-dep.
 
 use crate::lexer::{Tok, Token};
 
@@ -250,151 +247,6 @@ pub fn parse_fn_items(file: &str, tokens: &[Token]) -> Vec<FnItem> {
     out
 }
 
-/// The item named `name` whose `impl` context matches exactly.
-pub fn find_fn<'a>(
-    items: &'a [FnItem],
-    name: &str,
-    in_impl: Option<&str>,
-) -> Option<&'a FnItem> {
-    items
-        .iter()
-        .find(|it| it.name == name && it.impl_of.as_deref() == in_impl)
-}
-
-/// Variant names (with lines) of `enum <name> { … }`.
-pub fn enum_variants(sig: &[&Token], name: &str) -> Option<Vec<(String, u32)>> {
-    let mut i = 0usize;
-    loop {
-        let t = sig.get(i)?;
-        if t.ident() == Some("enum") && sig.get(i + 1).and_then(|t| t.ident()) == Some(name) {
-            break;
-        }
-        i += 1;
-    }
-    // Skip to the opening brace (past any generics).
-    while !sig.get(i)?.is_punct('{') {
-        i += 1;
-    }
-    i += 1;
-    let mut depth = 1usize;
-    let mut variants = Vec::new();
-    let mut expecting_name = true;
-    while depth > 0 {
-        let t = sig.get(i)?;
-        match &t.tok {
-            Tok::Punct('{') | Tok::Punct('(') | Tok::Punct('[') => depth += 1,
-            Tok::Punct('}') | Tok::Punct(')') | Tok::Punct(']') => depth -= 1,
-            Tok::Punct('#') if depth == 1 => {
-                // Attribute on a variant: skip the bracketed group.
-                i += 1;
-                if sig.get(i).is_some_and(|t| t.is_punct('[')) {
-                    let mut d = 0usize;
-                    while let Some(t) = sig.get(i) {
-                        match &t.tok {
-                            Tok::Punct('[') => d += 1,
-                            Tok::Punct(']') => {
-                                d -= 1;
-                                if d == 0 {
-                                    break;
-                                }
-                            }
-                            _ => {}
-                        }
-                        i += 1;
-                    }
-                }
-            }
-            Tok::Punct(',') if depth == 1 => expecting_name = true,
-            Tok::Ident(v) if depth == 1 && expecting_name => {
-                variants.push((v.clone(), t.line));
-                expecting_name = false;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    Some(variants)
-}
-
-/// Body tokens and declaration line of the first `fn <name>`.
-pub fn fn_body<'t>(sig: &[&'t Token], name: &str) -> Option<(Vec<&'t Token>, u32)> {
-    let mut i = 0usize;
-    loop {
-        let t = sig.get(i)?;
-        if t.ident() == Some("fn") && sig.get(i + 1).and_then(|t| t.ident()) == Some(name) {
-            break;
-        }
-        i += 1;
-    }
-    let fn_line = sig.get(i)?.line;
-    while !sig.get(i)?.is_punct('{') {
-        i += 1;
-    }
-    let start = i;
-    let mut depth = 0usize;
-    while let Some(t) = sig.get(i) {
-        match &t.tok {
-            Tok::Punct('{') => depth += 1,
-            Tok::Punct('}') => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some((sig[start..=i].to_vec(), fn_line));
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    Some((sig[start..].to_vec(), fn_line))
-}
-
-/// True when `Enum::Variant` occurs in `body`.
-pub fn has_path(body: &[&Token], enum_name: &str, variant: &str) -> bool {
-    body.windows(4).any(|w| {
-        w[0].ident() == Some(enum_name)
-            && w[1].is_punct(':')
-            && w[2].is_punct(':')
-            && w[3].ident() == Some(variant)
-    })
-}
-
-/// Extracts `Enum::Variant … => "name"` arms from the name-mapping body.
-pub fn variant_name_map(body: &[&Token], enum_name: &str) -> BTreeMap<String, String> {
-    let mut map = BTreeMap::new();
-    let mut i = 0usize;
-    while i + 3 < body.len() {
-        if body[i].ident() == Some(enum_name)
-            && body[i + 1].is_punct(':')
-            && body[i + 2].is_punct(':')
-        {
-            if let Some(variant) = body[i + 3].ident() {
-                // Scan forward to the `=>`, then take the first string.
-                let mut j = i + 4;
-                while j + 1 < body.len()
-                    && !(body[j].is_punct('=') && body[j + 1].is_punct('>'))
-                {
-                    j += 1;
-                }
-                let mut k = j + 2;
-                while let Some(t) = body.get(k) {
-                    match &t.tok {
-                        Tok::Str(s) => {
-                            map.insert(variant.to_string(), s.clone());
-                            break;
-                        }
-                        // Stop at the arm's end; no literal means no name.
-                        Tok::Punct(',') => break,
-                        _ => k += 1,
-                    }
-                }
-                i = j;
-            }
-        }
-        i += 1;
-    }
-    map
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -455,8 +307,7 @@ mod tests { fn t_only() {} }
         assert!(items.iter().find(|i| i.name == "danger").unwrap().is_unsafe);
         assert!(items.iter().find(|i| i.name == "t_only").unwrap().test_only);
         assert!(!items.iter().find(|i| i.name == "method").unwrap().test_only);
-        assert_eq!(find_fn(&items, "method", Some("S")).unwrap().line, 4);
-        assert!(find_fn(&items, "method", None).is_none());
+        assert_eq!(items.iter().find(|i| i.name == "method").unwrap().line, 4);
         assert_eq!(items.iter().find(|i| i.name == "free").unwrap().qualified_name(), "free");
         assert_eq!(
             items.iter().find(|i| i.name == "fmt").unwrap().qualified_name(),

@@ -11,9 +11,8 @@
 //! AST: rules work on the flat token stream plus brace matching.
 
 /// One lexed token. Identifiers keep their text (rules match on names),
-/// string literals keep their raw inner text (the schema rule reads event
-/// names out of match arms), comments keep their text (the suppression
-/// parser reads `lint:allow` out of them).
+/// literals keep their raw text, comments keep their text (the
+/// suppression parser reads `lint:allow` out of them).
 #[derive(Clone, Debug, PartialEq)]
 pub enum Tok {
     /// Identifier or keyword (`unsafe`, `HashMap`, `unwrap`, …).
@@ -25,8 +24,7 @@ pub enum Tok {
     Str(String),
     /// Char or byte-char literal.
     Char,
-    /// Numeric literal; payload is the literal text as written (the
-    /// protocol pass pairs `code()`/`from_code()` arms by value).
+    /// Numeric literal; payload is the literal text as written.
     Num(String),
     /// Lifetime or loop label (`'a`, `'static`, `'outer`).
     Lifetime,

@@ -17,18 +17,15 @@
 //!   name-resolved call graph over every `fn` in the workspace; panic
 //!   sites reachable from the decode entry points are findings even when
 //!   they live outside the boundary files ([`callgraph`]).
-//! * **protocol conformance** (`protocol-drift`) — the frame-kind enum,
-//!   its `code`/`from_code` pair, the wire doc table, and the dispatch
-//!   sites must agree ([`passes::protocol`]).
-//! * **codec field-order** (`codec-drift`) — every field an encoder
-//!   writes must be decoded in the same order and covered by the
-//!   key-perturbation test ([`passes::codec`]).
-//! * **trace-schema exhaustiveness** (`schema-drift`) — every `Event`
-//!   variant must appear in the JSONL emitter, the parser, the name
-//!   mapping and the required-fields contract.
 //! * **unsafe containment** (`unsafe-containment`) — `unsafe` only in
 //!   explicitly registered kernel files, each with a justification whose
 //!   named fns are re-verified against the file.
+//!
+//! Drift between the byte codecs, the frame-kind table and the trace
+//! schema is not checked here: each encoder destructures its type
+//! exhaustively, `FrameKind`'s `#[repr(u8)]` discriminants are the one
+//! code table, and the round-trip tests beside each format cover every
+//! variant, so that drift is a compile error or a failing test.
 //!
 //! Findings can be suppressed inline with `// lint:allow(<rule>,
 //! <reason>)`; a missing reason is itself a violation (`allow-syntax`),
@@ -47,26 +44,20 @@ pub mod lexer;
 pub mod passes;
 pub mod rules;
 
-use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 pub use allow::{format_allow, parse_allow, Allow, AllowParse};
-pub use config::{
-    default_config, CodecCheck, CodecKind, KindCoverage, LintConfig, PerturbTest, ProtocolCheck,
-    ReachabilityCheck, SchemaCheck, UnsafeEntry,
-};
+pub use config::{default_config, LintConfig, ReachabilityCheck, UnsafeEntry};
 pub use diag::{diff_baseline, parse_baseline, sort_findings, to_json, BaselineEntry, Finding};
 
 use items::FnItem;
-use lexer::Token;
 use passes::Suppressions;
 
-/// One scanned file: its tokens, item table, per-file findings (already
-/// filtered through suppressions), and the suppressions themselves so
-/// the workspace passes can consult them before the staleness audit.
+/// One scanned file: its item table, per-file findings (already filtered
+/// through suppressions), and the suppressions themselves so the
+/// workspace passes can consult them before the staleness audit.
 struct FileScan {
     rel: String,
-    tokens: Vec<Token>,
     items: Vec<FnItem>,
     suppressions: Suppressions,
     findings: Vec<Finding>,
@@ -90,7 +81,7 @@ fn scan_file(rel_path: &str, src: &str, cfg: &LintConfig) -> FileScan {
     findings.extend(raw.into_iter().filter(|f| !suppressions.covers(f.rule, f.line)));
     let has_unsafe = !passes::unsafe_check::unsafe_lines(&tokens).is_empty();
     let items = items::parse_fn_items(rel_path, &tokens);
-    FileScan { rel: rel_path.to_string(), tokens, items, suppressions, findings, has_unsafe }
+    FileScan { rel: rel_path.to_string(), items, suppressions, findings, has_unsafe }
 }
 
 /// Lints one file's source in isolation (per-file rules only — the
@@ -106,10 +97,9 @@ pub fn lint_source(rel_path: &str, src: &str, cfg: &LintConfig) -> (Vec<Finding>
 
 /// Lints the whole workspace under `root`: walks the configured scan
 /// roots, runs the per-file rules, then the cross-file passes (unsafe
-/// registry staleness, trace schema, protocol conformance, codec drift,
-/// panic reachability), filters everything through the inline
-/// suppressions, and finally audits the suppressions themselves for
-/// staleness. Findings come back sorted.
+/// registry staleness, panic reachability), filters everything through
+/// the inline suppressions, and finally audits the suppressions
+/// themselves for staleness. Findings come back sorted.
 pub fn lint_workspace(root: &Path, cfg: &LintConfig) -> std::io::Result<Vec<Finding>> {
     let mut files = Vec::new();
     for scan_root in &cfg.scan_roots {
@@ -161,53 +151,6 @@ pub fn lint_workspace(root: &Path, cfg: &LintConfig) -> std::io::Result<Vec<Find
                 });
             }
         }
-    }
-
-    if let Some(sc) = &cfg.schema {
-        let read = |rel: &str| std::fs::read_to_string(root.join(rel));
-        match (read(&sc.event_file), read(&sc.exporter_file)) {
-            (Ok(event_src), Ok(export_src)) => {
-                raw.extend(passes::schema::check_schema(sc, &event_src, &export_src));
-            }
-            (event, export) => {
-                for (rel, result) in [(&sc.event_file, event), (&sc.exporter_file, export)] {
-                    if let Err(e) = result {
-                        raw.push(Finding {
-                            file: rel.clone(),
-                            line: 1,
-                            rule: "schema-drift",
-                            message: format!("cannot read schema file: {e}"),
-                        });
-                    }
-                }
-            }
-        }
-    }
-
-    let token_map: BTreeMap<String, Vec<Token>> =
-        scans.iter().map(|s| (s.rel.clone(), s.tokens.clone())).collect();
-
-    if let Some(pc) = &cfg.protocol {
-        match token_map.get(&pc.wire_file) {
-            Some(wire_tokens) => {
-                raw.extend(passes::protocol::check_protocol(pc, wire_tokens, &token_map));
-            }
-            None => raw.push(Finding {
-                file: pc.wire_file.clone(),
-                line: 1,
-                rule: "protocol-drift",
-                message: "wire file was not scanned; fix the lint config".to_string(),
-            }),
-        }
-    }
-
-    for check in &cfg.codecs {
-        let file_items: &[FnItem] = scans
-            .iter()
-            .find(|s| s.rel == check.file)
-            .map(|s| s.items.as_slice())
-            .unwrap_or(&[]);
-        raw.extend(passes::codec::check_codec(check, file_items, &token_map));
     }
 
     if let Some(rc) = &cfg.reachability {

@@ -5,15 +5,12 @@
 //! from it); none needs type information, which is exactly why these
 //! invariants live here and not in clippy: they are *project* rules
 //! ("no wall clock in remap decisions", "this file parses untrusted
-//! bytes", "this enum and that match must agree") that only make sense
-//! with the workspace's invariant map ([`crate::config`]).
+//! bytes") that only make sense with the workspace's invariant map
+//! ([`crate::config`]).
 
 pub mod boundary;
 pub mod casts;
-pub mod codec;
 pub mod determinism;
-pub mod protocol;
-pub mod schema;
 pub mod unsafe_check;
 
 use std::cell::Cell;
@@ -34,9 +31,6 @@ pub const KNOWN_RULES: &[&str] = &[
     "boundary-index",
     "cast-truncation",
     "panic-reachability",
-    "protocol-drift",
-    "codec-drift",
-    "schema-drift",
     "unsafe-containment",
 ];
 

@@ -9,9 +9,6 @@ pub use crate::callgraph::check_reachability;
 pub use crate::items::{line_is_exempt, test_exempt_ranges};
 pub use crate::passes::boundary::check_boundary;
 pub use crate::passes::casts::check_casts;
-pub use crate::passes::codec::check_codec;
 pub use crate::passes::determinism::check_determinism;
-pub use crate::passes::protocol::check_protocol;
-pub use crate::passes::schema::check_schema;
 pub use crate::passes::unsafe_check::{check_unsafe_containment, unsafe_fn_names, unsafe_lines};
 pub use crate::passes::{collect_suppressions, Suppressions, KNOWN_RULES};

@@ -3,19 +3,14 @@
 //!
 //! The fixtures live under `tests/fixtures/` (excluded from the
 //! workspace scan precisely because they violate rules on purpose) and
-//! are linted here through the public `lint_source` / `check_schema`
-//! entry points with small synthetic configs, so each rule is exercised
-//! exactly as the binary would.
-
-use std::collections::BTreeMap;
+//! are linted here through the public `lint_source` /
+//! `check_reachability` entry points with small synthetic configs, so
+//! each rule is exercised exactly as the binary would.
 
 use microslip_lint::items::parse_fn_items;
-use microslip_lint::lexer::{lex, Token};
-use microslip_lint::rules::{check_codec, check_protocol, check_reachability, check_schema};
-use microslip_lint::{
-    diff_baseline, lint_source, parse_baseline, CodecCheck, CodecKind, Finding, KindCoverage,
-    LintConfig, PerturbTest, ProtocolCheck, SchemaCheck, UnsafeEntry,
-};
+use microslip_lint::lexer::lex;
+use microslip_lint::rules::check_reachability;
+use microslip_lint::{diff_baseline, lint_source, parse_baseline, Finding, LintConfig, UnsafeEntry};
 
 /// Lints a fixture as if it were at `path` under the given config.
 fn lint(path: &str, src: &str, cfg: &LintConfig) -> Vec<(u32, &'static str)> {
@@ -173,83 +168,6 @@ fn reachability_fixture_pair() {
     assert!(dirty[0].message.contains("decode -> header_word"), "{}", dirty[0].message);
 }
 
-fn fixture_protocol() -> ProtocolCheck {
-    ProtocolCheck {
-        wire_file: "wire.rs".into(),
-        kind_enum: "Kind".into(),
-        to_code_fn: "code".into(),
-        from_code_fn: "from_code".into(),
-        coverage: vec![KindCoverage {
-            what: "the dispatch loop".into(),
-            min_code: 0,
-            max_code: 255,
-            files: vec!["dispatch.rs".into()],
-        }],
-    }
-}
-
-#[test]
-fn protocol_fixture_pair() {
-    let pc = fixture_protocol();
-    let mut coverage: BTreeMap<String, Vec<Token>> = BTreeMap::new();
-    coverage.insert("dispatch.rs".into(), lex(include_str!("fixtures/protocol_dispatch.rs")));
-
-    let clean = check_protocol(&pc, &lex(include_str!("fixtures/protocol_pass_wire.rs")), &coverage);
-    assert!(clean.is_empty(), "conformant wire fixture must be clean: {clean:?}");
-
-    let dirty = check_protocol(&pc, &lex(include_str!("fixtures/protocol_fail_wire.rs")), &coverage);
-    assert!(dirty.iter().all(|f| f.rule == "protocol-drift"));
-    // `Probe` is missing from from_code, the doc table, and the dispatch
-    // loop — three distinct drift findings.
-    assert_eq!(dirty.len(), 3, "{dirty:?}");
-    assert!(dirty.iter().all(|f| f.message.contains("Probe")), "{dirty:?}");
-}
-
-fn fixture_codec(perturb: Option<PerturbTest>) -> CodecCheck {
-    CodecCheck {
-        file: "codec.rs".into(),
-        in_impl: Some("Rec".into()),
-        encode_fn: "encode".into(),
-        decode_fn: "decode".into(),
-        kind: CodecKind::Struct { root: "self".into() },
-        perturb,
-    }
-}
-
-#[test]
-fn codec_fixture_pair() {
-    let check = fixture_codec(None);
-    let no_tokens = BTreeMap::new();
-
-    let items = parse_fn_items("codec.rs", &lex(include_str!("fixtures/codec_pass.rs")));
-    let clean = check_codec(&check, &items, &no_tokens);
-    assert!(clean.is_empty(), "in-order codec fixture must be clean: {clean:?}");
-
-    let items = parse_fn_items("codec.rs", &lex(include_str!("fixtures/codec_fail.rs")));
-    let dirty = check_codec(&check, &items, &no_tokens);
-    assert!(dirty.iter().all(|f| f.rule == "codec-drift"));
-    // `b` is never bound; `c` is decoded out of order.
-    assert_eq!(dirty.len(), 2, "{dirty:?}");
-    assert!(dirty[0].message.contains("`self.b`") && dirty[0].message.contains("never bound"));
-    assert!(dirty[1].message.contains("`self.c`") && dirty[1].message.contains("out of order"));
-}
-
-#[test]
-fn codec_perturbation_gap_fixture_fires() {
-    let check = fixture_codec(Some(PerturbTest {
-        file: "perturb.rs".into(),
-        test_fn: "every_field_perturbation_changes_the_key".into(),
-    }));
-    let mut tokens: BTreeMap<String, Vec<Token>> = BTreeMap::new();
-    tokens.insert("perturb.rs".into(), lex(include_str!("fixtures/codec_perturb.rs")));
-    let items = parse_fn_items("codec.rs", &lex(include_str!("fixtures/codec_pass.rs")));
-    let findings = check_codec(&check, &items, &tokens);
-    // The perturbation test covers `a` but not `b`.
-    assert_eq!(findings.len(), 1, "{findings:?}");
-    assert_eq!(findings[0].file, "perturb.rs");
-    assert!(findings[0].message.contains("`b`"), "{}", findings[0].message);
-}
-
 #[test]
 fn baseline_fixture_diffs_by_content_not_line() {
     let baseline = parse_baseline(include_str!("fixtures/baseline.json"))
@@ -276,38 +194,4 @@ fn baseline_fixture_diffs_by_content_not_line() {
     assert_eq!(new[0].file, "crates/net/src/tcp.rs");
     // The serve.rs entry no longer occurs: stale baseline entry.
     assert_eq!(resolved, 1);
-}
-
-fn fixture_schema() -> SchemaCheck {
-    SchemaCheck {
-        event_file: "event.rs".into(),
-        event_enum: "Ev".into(),
-        exporter_file: "export.rs".into(),
-        emitter_fn: "to_json".into(),
-        parser_fn: "from_json".into(),
-        name_fn: "label".into(),
-        contract_fn: "fields".into(),
-    }
-}
-
-#[test]
-fn schema_fixture_pair() {
-    let sc = fixture_schema();
-    let clean = check_schema(
-        &sc,
-        include_str!("fixtures/schema_pass_event.rs"),
-        include_str!("fixtures/schema_pass_export.rs"),
-    );
-    assert!(clean.is_empty(), "clean schema fixtures must agree: {clean:?}");
-
-    let drifted = check_schema(
-        &sc,
-        include_str!("fixtures/schema_fail_event.rs"),
-        include_str!("fixtures/schema_fail_export.rs"),
-    );
-    assert!(drifted.iter().all(|f| f.rule == "schema-drift"));
-    // The `Drop` variant is missing from the emitter, the parser, and the
-    // name mapping — three distinct drift findings.
-    assert_eq!(drifted.len(), 3, "{drifted:?}");
-    assert!(drifted.iter().all(|f| f.message.contains("Drop")), "{drifted:?}");
 }

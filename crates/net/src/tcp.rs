@@ -271,3 +271,35 @@ impl Drop for TcpTransport {
         self.close();
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Write;
+    use std::net::TcpListener;
+
+    #[test]
+    fn every_kind_but_data_and_goodbye_is_a_protocol_error() {
+        for kind in FrameKind::ALL {
+            if matches!(kind, FrameKind::Data | FrameKind::Goodbye) {
+                continue;
+            }
+            // Rank 0 of two, its socket to rank 1 fed raw frames by the test.
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+            let (stream, _) = listener.accept().unwrap();
+            stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            let mut rank0 = TcpTransport::new(0, vec![None, Some(stream)]);
+            peer.write_all(&wire::encode(&Frame { kind, from: 1, tag: 0, payload: vec![] }))
+                .unwrap();
+            match rank0.recv(1, Tag(0)) {
+                Err(CommError::Protocol { peer: 1, detail }) => {
+                    assert!(detail.contains(&format!("{kind:?}")), "{detail}")
+                }
+                other => panic!("{kind:?} frame: expected a protocol error, got {other:?}"),
+            }
+            // Hang up first so closing rank 0 does not wait out its drain.
+            drop(peer);
+        }
+    }
+}

@@ -72,92 +72,83 @@ pub const MAX_PAYLOAD_LEN: u32 = 1 << 28;
 /// `from` value in a HELLO frame meaning "assign me a rank".
 pub const ASSIGN_ME: u32 = u32::MAX;
 
-/// What a frame carries.
+/// What a frame carries. The discriminants are the wire's kind codes,
+/// the one code table (the module docs list it): `code` is the cast and
+/// `from_code` searches [`FrameKind::ALL`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[repr(u8)]
 pub enum FrameKind {
     /// Tagged application payload.
-    Data,
+    Data = 0,
     /// Poison frame: the sender is shutting this connection down cleanly.
-    Goodbye,
+    Goodbye = 1,
     /// Rendezvous: joiner → rank 0. `from` = claimed rank (or
     /// [`ASSIGN_ME`]), `tag` = the joiner's data-listener port.
-    Hello,
+    Hello = 2,
     /// Rendezvous: rank 0 → joiner. `from` = the joiner's final rank,
     /// payload = data ports of all ranks, indexed by rank.
-    Roster,
+    Roster = 3,
     /// Mesh establishment: first frame on a data connection, `from` =
     /// the connecting rank, `tag` = the membership epoch.
-    Ident,
+    Ident = 4,
     /// Rendezvous after a membership change: like [`Hello`](Self::Hello)
     /// (`from` = rank, `tag` = data-listener port) but carries the
     /// membership epoch as a one-element payload. The coordinator rejects
     /// joiners whose epoch does not match its own — the fencing that keeps
     /// a stale process out of a recovered mesh.
-    Rejoin,
+    Rejoin = 5,
     /// Serve: client → daemon. Byte payload = an encoded sweep request
     /// (base scenario + parameter grid). Codes ≥ 16 are the serve
     /// protocol's range — a v1 mesh peer rejects them with a typed
     /// `Protocol` error (see the module docs on versioning).
-    SweepSubmit,
+    SweepSubmit = 16,
     /// Serve: daemon → client. Byte payload = the accepted-sweep report
     /// (sweep id, expanded job keys, dedupe counts).
-    SweepReply,
+    SweepReply = 17,
     /// Serve: client → daemon. `tag` = sweep id to report on (0 = all).
-    StatusQuery,
+    StatusQuery = 18,
     /// Serve: daemon → client. Byte payload = per-job state report.
-    StatusReply,
+    StatusReply = 19,
     /// Serve: client → daemon. Byte payload = the content-address key of
     /// the result artifact to fetch.
-    Fetch,
+    Fetch = 20,
     /// Serve: daemon → client. Byte payload = the sealed result artifact,
     /// verbatim as stored (byte-identical to a direct run's output).
-    FetchReply,
+    FetchReply = 21,
     /// Serve: daemon → client. Byte payload = a typed failure message
     /// (unknown key, malformed request, …).
-    ServeError,
+    ServeError = 22,
     /// Serve: client → daemon. Ask the daemon to finish its queue and
     /// exit cleanly; acknowledged with an empty [`StatusReply`](Self::StatusReply).
-    Shutdown,
+    Shutdown = 23,
 }
 
 impl FrameKind {
+    /// Every kind, in code order.
+    pub const ALL: [FrameKind; 14] = [
+        FrameKind::Data,
+        FrameKind::Goodbye,
+        FrameKind::Hello,
+        FrameKind::Roster,
+        FrameKind::Ident,
+        FrameKind::Rejoin,
+        FrameKind::SweepSubmit,
+        FrameKind::SweepReply,
+        FrameKind::StatusQuery,
+        FrameKind::StatusReply,
+        FrameKind::Fetch,
+        FrameKind::FetchReply,
+        FrameKind::ServeError,
+        FrameKind::Shutdown,
+    ];
+
     fn code(self) -> u8 {
-        match self {
-            FrameKind::Data => 0,
-            FrameKind::Goodbye => 1,
-            FrameKind::Hello => 2,
-            FrameKind::Roster => 3,
-            FrameKind::Ident => 4,
-            FrameKind::Rejoin => 5,
-            FrameKind::SweepSubmit => 16,
-            FrameKind::SweepReply => 17,
-            FrameKind::StatusQuery => 18,
-            FrameKind::StatusReply => 19,
-            FrameKind::Fetch => 20,
-            FrameKind::FetchReply => 21,
-            FrameKind::ServeError => 22,
-            FrameKind::Shutdown => 23,
-        }
+        // lint:allow(cast-truncation, a fieldless #[repr(u8)] enum casts to its own u8 discriminant)
+        self as u8
     }
 
     fn from_code(code: u8) -> Option<FrameKind> {
-        match code {
-            0 => Some(FrameKind::Data),
-            1 => Some(FrameKind::Goodbye),
-            2 => Some(FrameKind::Hello),
-            3 => Some(FrameKind::Roster),
-            4 => Some(FrameKind::Ident),
-            5 => Some(FrameKind::Rejoin),
-            16 => Some(FrameKind::SweepSubmit),
-            17 => Some(FrameKind::SweepReply),
-            18 => Some(FrameKind::StatusQuery),
-            19 => Some(FrameKind::StatusReply),
-            20 => Some(FrameKind::Fetch),
-            21 => Some(FrameKind::FetchReply),
-            22 => Some(FrameKind::ServeError),
-            23 => Some(FrameKind::Shutdown),
-            _ => None,
-        }
+        FrameKind::ALL.into_iter().find(|k| k.code() == code)
     }
 }
 
@@ -352,6 +343,44 @@ mod tests {
             let bytes = encode(&f);
             let back = read_frame(&mut Cursor::new(&bytes)).expect("decode");
             assert_eq!(back, f);
+        }
+    }
+
+    #[test]
+    fn kind_codes_are_one_table() {
+        // Every byte decodes to the kind with that code, or to nothing.
+        for code in 0..=u8::MAX {
+            if let Some(kind) = FrameKind::from_code(code) {
+                assert_eq!(kind.code(), code);
+            }
+        }
+        // ALL holds every kind once, in code order. The match has no
+        // wildcard: a new kind stops this test compiling until it has a
+        // position here and a place in ALL.
+        for (i, kind) in FrameKind::ALL.into_iter().enumerate() {
+            let position = match kind {
+                FrameKind::Data => 0,
+                FrameKind::Goodbye => 1,
+                FrameKind::Hello => 2,
+                FrameKind::Roster => 3,
+                FrameKind::Ident => 4,
+                FrameKind::Rejoin => 5,
+                FrameKind::SweepSubmit => 6,
+                FrameKind::SweepReply => 7,
+                FrameKind::StatusQuery => 8,
+                FrameKind::StatusReply => 9,
+                FrameKind::Fetch => 10,
+                FrameKind::FetchReply => 11,
+                FrameKind::ServeError => 12,
+                FrameKind::Shutdown => 13,
+            };
+            assert_eq!(position, i, "{kind:?} is out of place in ALL");
+        }
+        // The module docs carry a `code  Name` row for every kind.
+        let doc = include_str!("wire.rs");
+        for kind in FrameKind::ALL {
+            let row = format!("//! {:>4}  {kind:?} ", kind.code());
+            assert!(doc.contains(&row), "the kind table has no row {row:?}");
         }
     }
 

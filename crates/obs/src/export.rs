@@ -249,10 +249,13 @@ pub fn event_from_json(line: &str) -> Result<Event, String> {
     let f64_of = |name: &str| {
         v.get(name).and_then(Value::as_f64).ok_or_else(|| bad(name, "a number"))
     };
-    let u64_of = |name: &str| f64_of(name).map(|x| x as u64);
     let usize_of = |name: &str| {
         v.get(name).and_then(Value::as_usize).ok_or_else(|| bad(name, "a non-negative integer"))
     };
+    // Counters are held to `as_usize`'s rule too (an integer in
+    // [0, 2^53)), so a negative, fractional or huge value is an error,
+    // never truncated or saturated into one.
+    let u64_of = |name: &str| usize_of(name).map(|n| n as u64);
     let str_of = |name: &str| {
         v.get(name).and_then(Value::as_str).map(String::from).ok_or_else(|| bad(name, "a string"))
     };
@@ -672,6 +675,29 @@ mod tests {
     }
 
     #[test]
+    fn sample_events_hold_every_variant() {
+        // The round-trip tests below cover the emitter, the parser and
+        // `required_fields` only for the variants sampled here. The match
+        // has no wildcard: a new variant stops this test compiling until
+        // it has a slot (and `seen` one more entry), and the assertion
+        // then fails until `sample_events` holds one.
+        let mut seen = [false; 7];
+        for e in sample_events() {
+            let slot = match e {
+                Event::Meta { .. } => 0,
+                Event::Span(_) => 1,
+                Event::Remap(_) => 2,
+                Event::Migration { .. } => 3,
+                Event::Traffic { .. } => 4,
+                Event::Recovery { .. } => 5,
+                Event::Job { .. } => 6,
+            };
+            seen[slot] = true;
+        }
+        assert_eq!(seen, [true; 7], "sample_events misses a variant");
+    }
+
+    #[test]
     fn jsonl_round_trips_through_validator() {
         let text = to_jsonl(&sample_events());
         let stats = validate_jsonl(&text).unwrap();
@@ -786,6 +812,12 @@ mod tests {
         // Wrongly-typed fields are rejected, not coerced.
         let bad = good.replace("\"nodes\":1", "\"nodes\":\"one\"");
         assert!(from_jsonl(&bad).is_err());
+        // So are counters that are not integers in [0, 2^53).
+        for phases in ["-3.5", "2.7", "1e300"] {
+            let bad = good.replace("\"phases\":1", &format!("\"phases\":{phases}"));
+            let err = from_jsonl(&bad).unwrap_err();
+            assert!(err.contains("\"phases\" must be a non-negative integer"), "{phases}: {err}");
+        }
     }
 
     #[test]

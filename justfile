@@ -7,7 +7,7 @@
 tier1:
     cargo build --release --offline
     cargo test -q --offline
-    cargo clippy --workspace --offline -- -D warnings
+    cargo clippy --workspace --all-targets --offline -- -D warnings
     just lint
     just physics
     just trace-smoke
@@ -27,8 +27,9 @@ physics:
 # Project-invariant static analysis (microslip-lint): determinism of the
 # decision/kernel crates, panic-freedom of the untrusted-input parsers
 # (direct tokens *and* call-graph reachability), cast truncation on trust
-# boundaries, protocol/codec drift, trace-schema exhaustiveness, and
-# unsafe containment. The self-tests prove each rule fires; the binary
+# boundaries, and unsafe containment. Codec, frame-kind and trace-schema
+# drift are compile errors and round-trip test failures instead (see
+# README "Static analysis"). The self-tests prove each rule fires; the binary
 # run diffs the workspace against the committed findings baseline, so CI
 # fails only on NEW findings (fix them or regenerate with
 # `just lint-baseline` and justify the diff in review).

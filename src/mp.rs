@@ -506,8 +506,11 @@ fn recovery_sync<T: Transport>(t: &mut T, mine: &[u64]) -> Result<u64, CommError
     if t.rank() == 0 {
         let mut common: BTreeSet<u64> = mine.iter().copied().collect();
         for from in 1..n {
-            let theirs: BTreeSet<u64> =
-                t.recv(from, Tag::COLLECTIVE)?.iter().map(|&p| p as u64).collect();
+            let theirs = t.recv(from, Tag::COLLECTIVE)?;
+            let theirs = theirs
+                .iter()
+                .map(|&p| decode_phase(from, p))
+                .collect::<Result<BTreeSet<u64>, _>>()?;
             common = common.intersection(&theirs).copied().collect();
         }
         let agreed = common.iter().next_back().copied().unwrap_or(0);
@@ -517,7 +520,27 @@ fn recovery_sync<T: Transport>(t: &mut T, mine: &[u64]) -> Result<u64, CommError
         Ok(agreed)
     } else {
         t.send(0, Tag::COLLECTIVE, mine.iter().map(|&p| p as f64).collect())?;
-        Ok(t.recv(0, Tag::COLLECTIVE)?.first().copied().unwrap_or(0.0) as u64)
+        let reply = t.recv(0, Tag::COLLECTIVE)?;
+        let &[agreed] = reply.as_slice() else {
+            return Err(CommError::Protocol {
+                peer: 0,
+                detail: format!("recovery broadcast of {} values, expected 1", reply.len()),
+            });
+        };
+        decode_phase(0, agreed)
+    }
+}
+
+/// A checkpoint phase in a recovery message from `peer`: an integer in
+/// [0, 2^53), never a NaN, a negative or a fraction truncated into one.
+fn decode_phase(peer: usize, phase: f64) -> Result<u64, CommError> {
+    if phase.fract() == 0.0 && (0.0..9_007_199_254_740_992.0).contains(&phase) {
+        Ok(phase as u64)
+    } else {
+        Err(CommError::Protocol {
+            peer,
+            detail: format!("recovery phase {phase} is not a non-negative integer"),
+        })
     }
 }
 
@@ -921,6 +944,46 @@ mod tests {
             a.to_args().join(" "),
             format!("{plain} --resume-phase 6 --die-at-phase 7 --die-site remap --supervised --rejoin")
         );
+    }
+
+    /// Rank 0 and rank 1 of a two-rank channel mesh.
+    fn two_ranks() -> (microslip_comm::ChannelTransport, microslip_comm::ChannelTransport) {
+        let mut mesh = microslip_comm::mesh(2);
+        let rank1 = mesh.pop().unwrap();
+        (mesh.pop().unwrap(), rank1)
+    }
+
+    #[test]
+    fn recovery_sync_refuses_malformed_phases() {
+        // Rank 1 reports phases no checkpoint can have.
+        for hostile in [vec![f64::NAN], vec![-3.0], vec![2.5], vec![3.0, f64::INFINITY]] {
+            let (mut rank0, mut rank1) = two_ranks();
+            rank1.send(0, Tag::COLLECTIVE, hostile.clone()).unwrap();
+            match recovery_sync(&mut rank0, &[3, 6]) {
+                Err(CommError::Protocol { peer: 1, detail }) => {
+                    assert!(detail.contains("not a non-negative integer"), "{detail}")
+                }
+                other => panic!("{hostile:?}: expected a protocol error, got {other:?}"),
+            }
+        }
+        // Rank 0 broadcasts anything but exactly one such phase.
+        for hostile in [vec![], vec![3.0, 6.0], vec![f64::NAN], vec![-1.0], vec![4.5]] {
+            let (mut rank0, mut rank1) = two_ranks();
+            rank0.send(1, Tag::COLLECTIVE, hostile.clone()).unwrap();
+            let outcome = recovery_sync(&mut rank1, &[3, 6]);
+            assert!(
+                matches!(outcome, Err(CommError::Protocol { peer: 0, .. })),
+                "{hostile:?}: expected a protocol error, got {outcome:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn recovery_sync_agrees_on_the_newest_common_phase() {
+        let (mut rank0, mut rank1) = two_ranks();
+        let peer = std::thread::spawn(move || recovery_sync(&mut rank1, &[3, 6, 9]));
+        assert_eq!(recovery_sync(&mut rank0, &[3, 6]).unwrap(), 6);
+        assert_eq!(peer.join().unwrap().unwrap(), 6);
     }
 
     #[test]

@@ -97,6 +97,35 @@ pub struct Scenario {
     trace: TraceSink,
 }
 
+/// Equality of what a scenario describes: the channel and the schedule.
+/// The trace sink is not part of a scenario's identity (see the module
+/// docs), so it is skipped — by name, so a new field must be placed.
+impl PartialEq for Scenario {
+    fn eq(&self, other: &Scenario) -> bool {
+        let Scenario {
+            channel,
+            workers,
+            phases,
+            remap_every,
+            predictor_window,
+            scheme,
+            throttle,
+            spikes,
+            load,
+            trace: _,
+        } = self;
+        *channel == other.channel
+            && *workers == other.workers
+            && *phases == other.phases
+            && *remap_every == other.remap_every
+            && *predictor_window == other.predictor_window
+            && *scheme == other.scheme
+            && *throttle == other.throttle
+            && *spikes == other.spikes
+            && *load == other.load
+    }
+}
+
 /// Which engine executes a [`Scenario`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Substrate {
@@ -230,29 +259,43 @@ impl Scenario {
     /// equality is scenario equality — which is what makes
     /// [`key`](Scenario::key) a sound cache address.
     pub fn canonical_bytes(&self) -> Vec<u8> {
+        // No `..`: a field added to the scenario is a compile error here
+        // until it is encoded or, like the trace sink, explicitly skipped.
+        let Scenario {
+            channel,
+            workers,
+            phases,
+            remap_every,
+            predictor_window,
+            scheme,
+            throttle,
+            spikes,
+            load,
+            trace: _,
+        } = self;
         let mut out = Vec::new();
         out.extend_from_slice(&MAGIC);
-        let channel = encode_config(&self.channel);
+        let channel = encode_config(channel);
         put_u64(&mut out, channel.len() as u64);
         out.extend_from_slice(&channel);
-        put_u64(&mut out, self.workers as u64);
-        put_u64(&mut out, self.phases);
-        put_u64(&mut out, self.remap_every);
-        put_u64(&mut out, self.predictor_window as u64);
-        put_u64(&mut out, scheme_code(self.scheme));
-        put_u64(&mut out, self.throttle.len() as u64);
-        for &(rank, factor) in &self.throttle {
+        put_u64(&mut out, *workers as u64);
+        put_u64(&mut out, *phases);
+        put_u64(&mut out, *remap_every);
+        put_u64(&mut out, *predictor_window as u64);
+        put_u64(&mut out, scheme_code(*scheme));
+        put_u64(&mut out, throttle.len() as u64);
+        for &(rank, factor) in throttle {
             put_u64(&mut out, rank as u64);
             put_f64(&mut out, factor);
         }
-        put_u64(&mut out, self.spikes.len() as u64);
-        for &(rank, from, to, factor) in &self.spikes {
+        put_u64(&mut out, spikes.len() as u64);
+        for &(rank, from, to, factor) in spikes {
             put_u64(&mut out, rank as u64);
             put_u64(&mut out, from);
             put_u64(&mut out, to);
             put_f64(&mut out, factor);
         }
-        match self.load {
+        match *load {
             LoadModel::Measured => put_u64(&mut out, 0),
             LoadModel::Synthetic { per_point } => {
                 put_u64(&mut out, 1);

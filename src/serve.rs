@@ -72,7 +72,7 @@ pub fn default_checkpoint_every(phases: u64) -> u64 {
 
 /// A parameter grid over a base scenario: the cartesian product of the
 /// axes, each axis a named list of values.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SweepRequest {
     /// The scenario every job starts from.
     pub base: Scenario,
@@ -126,8 +126,10 @@ fn patterned_parts(bc: &WallBc) -> (f64, f64, usize, usize) {
 /// patterned slip, keeping any previously-set `r` as the stripe material.
 pub fn apply_axis(s: &mut Scenario, axis: &str, value: f64) -> Result<(), String> {
     match axis {
-        // lint:allow(boundary-index, constant index 0 into a fixed [f64; 3] body-force array)
-        "body-x" => s.channel.body[0] = value,
+        "body-x" => {
+            let [body_x, _, _] = &mut s.channel.body;
+            *body_x = value;
+        }
         "wall-amplitude" => s.channel.wall.amplitude = value,
         "wall-decay" => s.channel.wall.decay = value,
         "coupling" => {
@@ -184,14 +186,15 @@ pub fn apply_axis(s: &mut Scenario, axis: &str, value: f64) -> Result<(), String
 impl SweepRequest {
     /// Serializes the request for the [`FrameKind::SweepSubmit`] payload.
     pub fn encode(&self) -> Vec<u8> {
+        let SweepRequest { base, checkpoint_every, axes } = self;
         let mut out = Vec::new();
         out.extend_from_slice(&SWEEP_MAGIC);
-        let base = self.base.canonical_bytes();
+        let base = base.canonical_bytes();
         put_u64(&mut out, base.len() as u64);
         out.extend_from_slice(&base);
-        put_u64(&mut out, self.checkpoint_every.unwrap_or(CADENCE_DEFAULT));
-        put_u64(&mut out, self.axes.len() as u64);
-        for (name, values) in &self.axes {
+        put_u64(&mut out, checkpoint_every.unwrap_or(CADENCE_DEFAULT));
+        put_u64(&mut out, axes.len() as u64);
+        for (name, values) in axes {
             put_str(&mut out, name);
             put_u64(&mut out, values.len() as u64);
             for &v in values {
@@ -440,6 +443,20 @@ struct Daemon {
 }
 
 impl Daemon {
+    fn new(cfg: &ServeConfig, store: CacheStore) -> Daemon {
+        Daemon {
+            cfg: cfg.clone(),
+            store,
+            jobs: HashMap::new(),
+            queue: Vec::new(),
+            sweeps: 0,
+            scheduled: 0,
+            events: Vec::new(),
+            started: Instant::now(),
+            shutting_down: false,
+        }
+    }
+
     fn now(&self) -> f64 {
         self.started.elapsed().as_secs_f64()
     }
@@ -756,17 +773,7 @@ pub fn run_serve(cfg: &ServeConfig) -> Result<(), String> {
     std::fs::write(cfg.dir.join("serve.addr"), format!("{addr}\n"))
         .map_err(|e| format!("writing serve.addr: {e}"))?;
     println!("serve: listening on {addr}, cache in {}", store.dir().display());
-    let mut daemon = Daemon {
-        cfg: cfg.clone(),
-        store,
-        jobs: HashMap::new(),
-        queue: Vec::new(),
-        sweeps: 0,
-        scheduled: 0,
-        events: Vec::new(),
-        started: Instant::now(),
-        shutting_down: false,
-    };
+    let mut daemon = Daemon::new(cfg, store);
     loop {
         let served = serve_loop.poll(|req| daemon.handle(req));
         let handled = match served {
@@ -939,23 +946,56 @@ mod tests {
             .load_model(LoadModel::Synthetic { per_point: 1.0 })
     }
 
+    /// A pinned and a default cadence, with and without grid axes.
+    fn requests() -> [SweepRequest; 2] {
+        [
+            SweepRequest {
+                base: base(),
+                checkpoint_every: Some(4),
+                axes: vec![
+                    ("wall-amplitude".into(), vec![0.1, 0.2]),
+                    ("body-x".into(), vec![1e-4]),
+                ],
+            },
+            SweepRequest { base: base(), checkpoint_every: None, axes: vec![] },
+        ]
+    }
+
     #[test]
     fn sweep_request_roundtrips() {
-        let req = SweepRequest {
-            base: base(),
-            checkpoint_every: Some(4),
-            axes: vec![
-                ("wall-amplitude".into(), vec![0.1, 0.2]),
-                ("body-x".into(), vec![1e-4]),
-            ],
-        };
-        let bytes = req.encode();
-        let back = SweepRequest::decode(&bytes).expect("decode");
-        assert_eq!(back.encode(), bytes);
-        assert_eq!(back.checkpoint_every, Some(4));
-        // None (use-default) survives too.
-        let req = SweepRequest { base: base(), checkpoint_every: None, axes: vec![] };
-        assert_eq!(SweepRequest::decode(&req.encode()).unwrap().checkpoint_every, None);
+        for req in requests() {
+            let bytes = req.encode();
+            let back = SweepRequest::decode(&bytes).expect("decode");
+            assert_eq!(back, req);
+            assert_eq!(back.encode(), bytes);
+        }
+    }
+
+    #[test]
+    fn sweep_request_codec_is_canonical() {
+        // Every single-byte change that still decodes re-encodes to exactly
+        // the changed bytes: no dead decode arm, no two encodings of one
+        // request. Every value is tried where a byte starts a little-endian
+        // u64 below 256 (a discriminant, count or flag), every single-bit
+        // flip elsewhere.
+        for req in requests() {
+            let bytes = req.encode();
+            for i in 0..bytes.len() {
+                let small = bytes.get(i + 1..i + 8).is_some_and(|h| h.iter().all(|&b| b == 0));
+                let values: Vec<u8> = if small {
+                    (0..=u8::MAX).collect()
+                } else {
+                    (0..8).map(|bit| bytes[i] ^ (1 << bit)).collect()
+                };
+                for value in values {
+                    let mut changed = bytes.clone();
+                    changed[i] = value;
+                    if let Ok(back) = SweepRequest::decode(&changed) {
+                        assert_eq!(back.encode(), changed, "byte {i} set to {value}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -1090,6 +1130,24 @@ mod tests {
         assert!(apply_axis(&mut s, "slip-r", 0.4).is_ok());
         assert!(apply_axis(&mut s, "patch-period", 2.0).is_ok());
         assert!(s.channel.validate().is_ok());
+    }
+
+    #[test]
+    fn handle_refuses_every_kind_that_is_not_a_request() {
+        let dir = std::env::temp_dir()
+            .join(format!("microslip-serve-unit-handle-{}", std::process::id()));
+        let store = CacheStore::open(dir.join("cache")).unwrap();
+        let mut daemon = Daemon::new(&ServeConfig::new(&dir, "microslip"), store);
+        for kind in FrameKind::ALL {
+            use FrameKind::{Fetch, Shutdown, StatusQuery, SweepSubmit};
+            if matches!(kind, SweepSubmit | StatusQuery | Fetch | Shutdown) {
+                continue;
+            }
+            let reply = daemon.handle(Frame { kind, from: 0, tag: 0, payload: vec![] });
+            assert_eq!(reply.frame.kind, FrameKind::ServeError, "{kind:?}");
+            assert!(!reply.shutdown, "{kind:?}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

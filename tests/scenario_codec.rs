@@ -1,16 +1,21 @@
 //! Property-based tests of the [`Scenario`] canonical codec and its
 //! content-address key — the contract the serve daemon's result cache
-//! stands on: encode/decode round-trips byte-exactly, identical
-//! scenarios always share a key, and perturbing *any* field changes it.
+//! stands on: every variant of every codec enum round-trips field for
+//! field, the encoding is canonical (a byte string the encoder did not
+//! write never decodes), identical scenarios always share a key, and
+//! perturbing *any* field changes it.
 
 use microslip::cluster::Scheme;
-use microslip::lbm::{Dims, InitProfile, SolidRegion, WallBc};
+use microslip::lbm::{
+    CollisionOperator, Dims, InitProfile, PsiFn, SolidRegion, WallBc, WallForceMode,
+};
 use microslip::runtime::LoadModel;
 use microslip::Scenario;
 use proptest::prelude::*;
 
 /// All the codec-visible degrees of freedom, as plain data the strategy
-/// can generate and `prop_assert!` can print.
+/// can generate and `prop_assert!` can print. The `*_idx` knobs pick a
+/// variant (modulo the variant count) from the lists below.
 #[derive(Clone, Debug)]
 struct Knobs {
     nx: usize,
@@ -23,52 +28,125 @@ struct Knobs {
     scheme_idx: usize,
     throttle: Vec<(usize, f64)>,
     spikes: Vec<(usize, u64, u64, f64)>,
-    synthetic: Option<f64>,
+    load_idx: usize,
+    per_point: f64,
     body_x: f64,
     wall_amplitude: f64,
     wall_bc_idx: usize,
     slip_r: f64,
+    psi_idx: usize,
+    collision_idx: usize,
+    wall_mode_idx: usize,
+    init_idx: usize,
+    /// How many of the three obstacle kinds the channel holds.
+    obstacles: usize,
 }
 
-/// The wall BC a knob set selects — every enum variant reachable (the
-/// codec validates only parameter ranges, not geometry, so any dims go).
-fn wall_bc(k: &Knobs) -> WallBc {
-    match k.wall_bc_idx {
-        0 => WallBc::BounceBack,
-        1 => WallBc::TunableSlip { r: k.slip_r },
-        2 => WallBc::PatternedSlip { r_a: 1.0, r_b: k.slip_r, period: 2, phase: 1 },
-        _ => WallBc::rough_stripes(1, 2, Dims::new(k.nx, k.ny, k.nz)),
+/// Every variant of an enum, in order: `next` maps each variant to the one
+/// after it, `None` after the last. Each `next` below is a `match` with no
+/// wildcard arm, so a variant added to a codec enum stops this file
+/// compiling until the generator can build it.
+fn all_variants<T>(first: T, next: impl Fn(&T) -> Option<T>) -> Vec<T> {
+    let mut all = vec![first];
+    while let Some(v) = all.last().and_then(&next) {
+        all.push(v);
     }
+    all
+}
+
+/// Variant `i` of `all`, wrapping.
+fn pick<T: Clone>(all: &[T], i: usize) -> T {
+    all[i % all.len()].clone()
+}
+
+fn schemes() -> Vec<Scheme> {
+    all_variants(Scheme::NoRemap, |s| match s {
+        Scheme::NoRemap => Some(Scheme::Filtered),
+        Scheme::Filtered => Some(Scheme::Conservative),
+        Scheme::Conservative => Some(Scheme::Global),
+        Scheme::Global => None,
+    })
+}
+
+fn load_models(k: &Knobs) -> Vec<LoadModel> {
+    all_variants(LoadModel::Measured, |l| match l {
+        LoadModel::Measured => Some(LoadModel::Synthetic { per_point: k.per_point }),
+        LoadModel::Synthetic { .. } => None,
+    })
+}
+
+/// The codec validates only parameter ranges, not geometry, so any
+/// region fits any dims.
+fn regions() -> Vec<SolidRegion> {
+    all_variants(SolidRegion::Block { min: [0, 0, 0], max: [2, 1, 4] }, |r| match r {
+        SolidRegion::Block { .. } => {
+            Some(SolidRegion::Sphere { center: [3.0, 0.5, 2.0], radius: 0.9 })
+        }
+        SolidRegion::Sphere { .. } => {
+            Some(SolidRegion::CylinderZ { center: [5.5, 1.0], radius: 0.75 })
+        }
+        SolidRegion::CylinderZ { .. } => None,
+    })
+}
+
+fn wall_bcs(k: &Knobs) -> Vec<WallBc> {
+    all_variants(WallBc::BounceBack, |bc| match bc {
+        WallBc::BounceBack => Some(WallBc::TunableSlip { r: k.slip_r }),
+        WallBc::TunableSlip { .. } => {
+            Some(WallBc::PatternedSlip { r_a: 1.0, r_b: k.slip_r, period: 2, phase: 1 })
+        }
+        WallBc::PatternedSlip { .. } => Some(WallBc::RoughWall { elements: regions() }),
+        WallBc::RoughWall { .. } => None,
+    })
+}
+
+fn psi_fns() -> Vec<PsiFn> {
+    all_variants(PsiFn::Linear, |p| match p {
+        PsiFn::Linear => Some(PsiFn::ShanChen { n0: 0.7 }),
+        PsiFn::ShanChen { .. } => None,
+    })
+}
+
+fn collisions() -> Vec<CollisionOperator> {
+    all_variants(CollisionOperator::Bgk, |c| match c {
+        CollisionOperator::Bgk => Some(CollisionOperator::trt_magic()),
+        CollisionOperator::Trt { .. } => Some(CollisionOperator::mrt_standard()),
+        CollisionOperator::Mrt(_) => None,
+    })
+}
+
+fn wall_modes() -> Vec<WallForceMode> {
+    all_variants(WallForceMode::PerMass, |m| match m {
+        WallForceMode::PerMass => Some(WallForceMode::ForceDensity),
+        WallForceMode::ForceDensity => None,
+    })
+}
+
+fn inits() -> Vec<InitProfile> {
+    all_variants(InitProfile::Uniform, |i| match i {
+        InitProfile::Uniform => Some(InitProfile::CosineX { amplitude: 0.125 }),
+        InitProfile::CosineX { .. } => None,
+    })
 }
 
 fn knobs() -> impl Strategy<Value = Knobs> {
     (
         (2usize..24, 2usize..12, 2usize..8),
         (1usize..6, 1u64..500, 0u64..20, 1usize..12),
-        0usize..4,
         proptest::collection::vec((0usize..6, 1.0f64..8.0), 0..3),
         proptest::collection::vec((0usize..6, 0u64..50, 50u64..100, 1.0f64..4.0), 0..3),
-        (
-            (any::<bool>(), 0.1f64..10.0),
-            (1e-6f64..1e-3, 0.0f64..0.5),
-            (0usize..4, 0.1f64..0.9),
-        ),
+        ((0.1f64..10.0, 1e-6f64..1e-3), (0.0f64..0.5, 0.1f64..0.9)),
+        proptest::collection::vec(0usize..12, 8),
     )
         .prop_map(
             |(
                 (nx, ny, nz),
                 (workers, phases, remap_every, predictor_window),
-                scheme_idx,
                 throttle,
                 spikes,
-                (
-                    (measured, per_point),
-                    (body_x, wall_amplitude),
-                    (wall_bc_idx, slip_r),
-                ),
-            )| {
-                let synthetic = if measured { None } else { Some(per_point) };
-                Knobs {
+                ((per_point, body_x), (wall_amplitude, slip_r)),
+                picks,
+            )| Knobs {
                 nx,
                 ny,
                 nz,
@@ -76,15 +154,20 @@ fn knobs() -> impl Strategy<Value = Knobs> {
                 phases,
                 remap_every,
                 predictor_window,
-                scheme_idx,
+                scheme_idx: picks[0],
                 throttle,
                 spikes,
-                synthetic,
+                load_idx: picks[1],
+                per_point,
                 body_x,
                 wall_amplitude,
-                wall_bc_idx,
+                wall_bc_idx: picks[2],
                 slip_r,
-            }
+                psi_idx: picks[3],
+                collision_idx: picks[4],
+                wall_mode_idx: picks[5],
+                init_idx: picks[6],
+                obstacles: picks[7] % 4,
             },
         )
 }
@@ -95,20 +178,79 @@ fn scenario(k: &Knobs) -> Scenario {
         .phases(k.phases)
         .remap_every(k.remap_every)
         .predictor_window(k.predictor_window)
-        .scheme(Scheme::ALL[k.scheme_idx]);
+        .scheme(pick(&schemes(), k.scheme_idx))
+        .load_model(pick(&load_models(k), k.load_idx));
     for &(rank, factor) in &k.throttle {
         s = s.throttle(rank, factor);
     }
     for &(rank, from, to, factor) in &k.spikes {
         s = s.spike(rank, from, to, factor);
     }
-    if let Some(per_point) = k.synthetic {
-        s = s.load_model(LoadModel::Synthetic { per_point });
+    // Both components, offset by one, so one scenario holds two variants.
+    for (c, (spec, _)) in s.channel.components.iter_mut().enumerate() {
+        spec.psi_fn = pick(&psi_fns(), k.psi_idx + c);
+        spec.collision = pick(&collisions(), k.collision_idx + c);
     }
     s.channel.body[0] = k.body_x;
     s.channel.wall.amplitude = k.wall_amplitude;
-    s.channel.wall_bc = wall_bc(k);
+    s.channel.wall.mode = pick(&wall_modes(), k.wall_mode_idx);
+    s.channel.init = pick(&inits(), k.init_idx);
+    s.channel.obstacles = regions().into_iter().take(k.obstacles).collect();
+    s.channel.wall_bc = pick(&wall_bcs(k), k.wall_bc_idx);
     s
+}
+
+/// Scenario `i` takes variant `i` of every enum and all three obstacle
+/// kinds, for `i` up to the longest variant list — so the corpus holds
+/// every variant of every codec enum.
+fn corpus() -> Vec<Scenario> {
+    let mut k = Knobs {
+        nx: 8,
+        ny: 6,
+        nz: 4,
+        workers: 2,
+        phases: 40,
+        remap_every: 5,
+        predictor_window: 7,
+        scheme_idx: 0,
+        throttle: vec![(1, 6.0)],
+        spikes: vec![(0, 10, 20, 3.0)],
+        load_idx: 0,
+        per_point: 1.5,
+        body_x: 2.5e-5,
+        wall_amplitude: 0.3,
+        wall_bc_idx: 0,
+        slip_r: 0.4,
+        psi_idx: 0,
+        collision_idx: 0,
+        wall_mode_idx: 0,
+        init_idx: 0,
+        obstacles: 3,
+    };
+    let longest = [
+        schemes().len(),
+        load_models(&k).len(),
+        wall_bcs(&k).len(),
+        psi_fns().len(),
+        collisions().len(),
+        wall_modes().len(),
+        inits().len(),
+    ]
+    .into_iter()
+    .max()
+    .unwrap_or(0);
+    (0..longest)
+        .map(|i| {
+            k.scheme_idx = i;
+            k.load_idx = i;
+            k.wall_bc_idx = i;
+            k.psi_idx = i;
+            k.collision_idx = i;
+            k.wall_mode_idx = i;
+            k.init_idx = i;
+            scenario(&k)
+        })
+        .collect()
 }
 
 proptest! {
@@ -119,6 +261,7 @@ proptest! {
         let s = scenario(&k);
         let bytes = s.canonical_bytes();
         let back = Scenario::decode(&bytes).expect("decode of own encoding");
+        prop_assert_eq!(&back, &s, "decode differs field for field");
         prop_assert_eq!(back.canonical_bytes(), bytes, "re-encode differs");
         prop_assert_eq!(back.key(), s.key());
     }
@@ -147,9 +290,9 @@ proptest! {
             ("spikes", base.clone().spike(7, 1, 2, 1.5)),
             (
                 "load",
-                base.clone().load_model(match k.synthetic {
-                    None => LoadModel::Synthetic { per_point: 1.0 },
-                    Some(p) => LoadModel::Synthetic { per_point: p + 1.0 },
+                base.clone().load_model(match base.load {
+                    LoadModel::Measured => LoadModel::Synthetic { per_point: 1.0 },
+                    LoadModel::Synthetic { per_point: p } => LoadModel::Synthetic { per_point: p + 1.0 },
                 }),
             ),
         ];
@@ -243,16 +386,47 @@ proptest! {
         at in 0usize..usize::MAX,
         xor in 1u8..=255,
     ) {
-        // Flipping a byte either fails to decode, or decodes into a
-        // scenario whose canonical bytes differ from the original — it
-        // can never silently alias back to the same cache entry with
-        // different contents.
-        let bytes = scenario(&k).canonical_bytes();
-        let mut corrupt = bytes.clone();
+        // Flipping a byte either fails to decode, or decodes into the
+        // scenario whose canonical bytes are exactly the flipped ones — so
+        // it can never alias back to the original's cache entry, and no
+        // decode arm accepts bytes the encoder would not write.
+        let mut corrupt = scenario(&k).canonical_bytes();
         let i = at % corrupt.len();
         corrupt[i] ^= xor;
         if let Ok(back) = Scenario::decode(&corrupt) {
-            prop_assert_ne!(back.canonical_bytes(), bytes);
+            prop_assert_eq!(back.canonical_bytes(), corrupt);
+        }
+    }
+}
+
+/// The values tried at byte `i`: every value where `i` starts a
+/// little-endian `u64` below 256 (a discriminant, count or flag), the
+/// eight single-bit flips everywhere else.
+fn single_byte_changes(bytes: &[u8], i: usize) -> Vec<u8> {
+    if bytes.get(i + 1..i + 8).is_some_and(|high| high.iter().all(|&b| b == 0)) {
+        (0..=u8::MAX).collect()
+    } else {
+        (0..8).map(|bit| bytes[i] ^ (1 << bit)).collect()
+    }
+}
+
+#[test]
+fn every_variant_decodes_canonically_under_single_byte_changes() {
+    // The deterministic half of the property above, over every variant of
+    // every codec enum and every byte position. A dead decode arm, or a
+    // discriminant decoded into the wrong variant, decodes bytes that
+    // re-encode differently.
+    for s in corpus() {
+        let bytes = s.canonical_bytes();
+        assert_eq!(Scenario::decode(&bytes).expect("decode of own encoding"), s);
+        for i in 0..bytes.len() {
+            for value in single_byte_changes(&bytes, i) {
+                let mut changed = bytes.clone();
+                changed[i] = value;
+                if let Ok(back) = Scenario::decode(&changed) {
+                    assert_eq!(back.canonical_bytes(), changed, "byte {i} set to {value}");
+                }
+            }
         }
     }
 }
