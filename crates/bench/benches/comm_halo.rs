@@ -1,9 +1,9 @@
 //! Microbenchmarks of the communication substrate: halo extraction and
-//! installation, plane migration packing, channel-transport round trips
-//! and the small collectives.
+//! installation, plane migration packing and channel-transport round
+//! trips.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use microslip_comm::{collective, mesh, Tag, Transport};
+use microslip_comm::{mesh, Tag, Transport};
 use microslip_lbm::{ChannelConfig, Dims, Side, Slab, SlabSolver};
 
 fn bench_comm(c: &mut Criterion) {
@@ -53,19 +53,6 @@ fn bench_comm(c: &mut Criterion) {
         });
         me.send(1, Tag::F_HALO, Vec::new()).unwrap();
         echo.join().unwrap();
-    });
-    g.bench_function("allgather-8-ranks", |b| {
-        b.iter(|| {
-            let handles: Vec<_> = mesh(8)
-                .into_iter()
-                .map(|mut t| {
-                    std::thread::spawn(move || collective::allgather(&mut t, 1.0).unwrap())
-                })
-                .collect();
-            for h in handles {
-                h.join().unwrap();
-            }
-        })
     });
     g.finish();
 }

@@ -8,17 +8,18 @@
 //!
 //! Usage: `fig6_density [phases]` (default 2500).
 
-use microslip_bench::{arg_or, f, header, row};
+use microslip_bench::arg_or;
+use microslip_cluster::experiment::{f, header, row};
 use microslip_lbm::observables::mean_density_y_profile;
 use microslip_lbm::units::UnitScales;
 use microslip_lbm::{ChannelConfig, Dims, Simulation};
 
 fn main() {
     let phases: u64 = arg_or(1, 2500);
-    header(
+    print!("{}", header(
         "Fig. 6 — fluid densities near the side wall",
         "water-air S-C LBM, hydrophobic wall forces, mid-channel cut",
-    );
+    ));
     let dims = Dims::new(16, 48, 10);
     let mut sim = Simulation::new(ChannelConfig::paper_scaled(dims));
     sim.run(phases);
@@ -26,17 +27,17 @@ fn main() {
     let scales = UnitScales::paper();
     let water = mean_density_y_profile(&snap, 0);
     let air = mean_density_y_profile(&snap, 1);
-    row(12, "dist (nm)", &["water g/cm3".into(), "air 1e-4 g/cm3".into()]);
+    print!("{}", row(12, "dist (nm)", &["water g/cm3", "air 1e-4 g/cm3"]));
     for k in 0..dims.ny / 2 {
         let nm = scales.length_to_physical(water.distance[k]) * 1e9;
-        row(
+        print!("{}", row(
             12,
             &f(nm, 1),
             &[
                 f(scales.density_to_g_cm3(water.value[k]), 4),
                 f(scales.density_to_g_cm3(air.value[k]) * 1e4, 4),
             ],
-        );
+        ));
     }
     println!();
     let bulk_w = water.value[dims.ny / 2];

@@ -19,7 +19,8 @@
 use std::sync::Arc;
 
 use microslip_balance::policy::{Conservative, FilterParams, Filtered, NeighborPolicy, NoRemap};
-use microslip_bench::{arg_or, f, header, row};
+use microslip_bench::arg_or;
+use microslip_cluster::experiment::{f, header, row};
 use microslip_lbm::{ChannelConfig, Dims};
 use microslip_runtime::{run_parallel, LoadModel, RuntimeConfig};
 
@@ -31,10 +32,10 @@ fn main() {
     let phases: u64 = arg_or(1, 40);
     let repeats: usize = arg_or(2, 3);
     let load: String = arg_or(3, "synthetic".to_string());
-    header(
+    print!("{}", header(
         "Remap policies on real threads (paper §3.4's design choices, re-asked)",
         "400x200x20, 2 workers, worker 1 slow x1.5, worker 0 spiked x2.5; wall seconds",
-    );
+    ));
     let mut cfg =
         RuntimeConfig::new(ChannelConfig::paper_scaled(Dims::new(400, 200, 20)), 2, phases);
     cfg.remap_interval = 5;
@@ -54,18 +55,14 @@ fn main() {
         ("exact (1.0)", Arc::new(Conservative::default())),
         ("half (0.5)", Arc::new(Conservative { fraction: 0.5, ..Default::default() })),
     ];
-    row(
-        14,
-        "policy",
-        &["wall (s)".into(), "remap max (s)".into(), "migrated".into(), "final".into()],
-    );
+    print!("{}", row(14, "policy", &["wall (s)", "remap max (s)", "migrated", "final"]));
     for (name, policy) in &policies {
         let mut walls = Vec::new();
         for _ in 0..repeats {
             let o = run_parallel(&cfg, policy.clone());
             let remap = o.reports.iter().map(|r| r.profile.remap).fold(0.0, f64::max);
             walls.push(o.wall_seconds);
-            row(
+            print!("{}", row(
                 14,
                 name,
                 &[
@@ -74,9 +71,9 @@ fn main() {
                     o.planes_migrated().to_string(),
                     format!("{:?}", o.final_counts()),
                 ],
-            );
+            ));
         }
         walls.sort_by(f64::total_cmp);
-        row(14, "", &[format!("median {}", f(walls[walls.len() / 2], 2))]);
+        print!("{}", row(14, "", &[format!("median {}", f(walls[walls.len() / 2], 2))]));
     }
 }

@@ -73,12 +73,21 @@ impl FixedSlowNodes {
 
     /// The paper's setup: the first `m` of the "selected" nodes are slowed
     /// to 30 %. Node 9 first (the profiled node of Fig. 9), then spread.
+    /// Panics if `m` exceeds [`paper_max`](Self::paper_max).
     pub fn paper(total: usize, m: usize) -> Self {
-        let order = [9usize, 3, 14, 6, 17, 1, 11, 19, 8, 4];
-        let chosen: Vec<usize> =
-            order.iter().copied().filter(|&n| n < total).take(m).collect();
+        let chosen: Vec<usize> = Self::paper_order(total).take(m).collect();
         assert_eq!(chosen.len(), m, "not enough distinct nodes for m={m}");
         FixedSlowNodes::new(total, &chosen, SLOW_SPEED)
+    }
+
+    /// How many slow nodes [`paper`](Self::paper) can place on `total`
+    /// nodes.
+    pub fn paper_max(total: usize) -> usize {
+        Self::paper_order(total).count()
+    }
+
+    fn paper_order(total: usize) -> impl Iterator<Item = usize> {
+        [9usize, 3, 14, 6, 17, 1, 11, 19, 8, 4].into_iter().filter(move |&n| n < total)
     }
 }
 
@@ -417,6 +426,9 @@ mod tests {
         for n in (0..20).filter(|&n| n != 9) {
             assert_eq!(d.speed(n, 0.0), 1.0);
         }
+        assert_eq!(FixedSlowNodes::paper_max(20), 10);
+        assert_eq!(FixedSlowNodes::paper_max(3), 1);
+        assert_eq!(FixedSlowNodes::paper_max(0), 0);
     }
 
     #[test]

@@ -5,8 +5,10 @@
 //! point-to-point transport ([`transport::Transport`]) with a
 //! crossbeam-channel implementation ([`channel::mesh`]), the linear/ring
 //! topology of the 1-D slab decomposition ([`topology::LinearTopology`]),
-//! and the small collectives needed by the Global remapping baseline
-//! ([`collective`]).
+//! the transport contract every backend must pass ([`contract`]) and a
+//! traffic-counting wrapper ([`instrument`]). There are no collectives:
+//! the filtered scheme's exchanges are neighbour-local, and the Global
+//! baseline runs only on the virtual cluster.
 //!
 //! ```
 //! use microslip_comm::{mesh, Tag, Transport};
@@ -30,7 +32,6 @@
 pub mod channel;
 pub mod contract;
 pub mod instrument;
-pub mod collective;
 pub mod topology;
 pub mod transport;
 

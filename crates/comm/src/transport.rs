@@ -30,7 +30,7 @@ impl Tag {
     pub const MIGRATE_COUNT: Tag = Tag(4);
     /// Migration plane payload — paper line 29.
     pub const MIGRATE_DATA: Tag = Tag(5);
-    /// Collective operations (allgather / allreduce / barrier).
+    /// All-rank agreement (the rollback-phase sync after a recovery).
     pub const COLLECTIVE: Tag = Tag(6);
     /// Result gathering at the end of a run.
     pub const GATHER: Tag = Tag(7);

@@ -24,6 +24,20 @@ tier1:
 physics:
     cargo test -q --offline --test physics_validation
 
+# Rewrites the virtual-cluster goldens, tests/goldens/cluster/NAME.txt,
+# from `microslip cluster NAME` for every registry entry. This is the only
+# way a golden changes: `cargo test` compares each entry against its golden
+# byte for byte and never writes one. Review the diff; the shape assertions
+# in tests/cluster_reproduction.rs say which moves are legitimate.
+figures:
+    #!/usr/bin/env bash
+    set -euo pipefail
+    cargo build --release --offline --bin microslip
+    rm -rf tests/goldens/cluster && mkdir -p tests/goldens/cluster
+    for name in $(./target/release/microslip cluster | tail -n +2); do
+        ./target/release/microslip cluster "$name" > "tests/goldens/cluster/$name.txt"
+    done
+
 # Project-invariant static analysis (microslip-lint): determinism of the
 # decision/kernel crates, panic-freedom of the untrusted-input parsers
 # (direct tokens *and* call-graph reachability), cast truncation on trust

@@ -2,7 +2,8 @@
 //!
 //! ```console
 //! $ microslip slip --ny 40 --phases 1500        # fluid-slip physics run
-//! $ microslip cluster --scheme filtered --slow 2 # virtual-cluster run
+//! $ microslip cluster fig10                      # a paper figure or table,
+//!                                                #   from the virtual cluster
 //! $ microslip parallel --workers 4 --throttle 1:4 # threaded runtime demo
 //! $ microslip trace --mode cluster --out run     # traced run -> run.jsonl,
 //!                                                #   run.trace.json (Perfetto),
@@ -15,9 +16,7 @@
 
 use std::collections::HashMap;
 
-use microslip::cluster::{
-    run_scheme_traced, ClusterConfig, Dedicated, FixedSlowNodes, Scheme,
-};
+use microslip::cluster::{experiment, ClusterConfig, FixedSlowNodes, RunResult, Scheme};
 use microslip::lbm::diagnostics::FlowDiagnostics;
 use microslip::lbm::observables::{apparent_slip_fraction, mean_velocity_y_profile};
 use microslip::lbm::{ChannelConfig, Dims, Simulation, WallBc, WallForce};
@@ -106,7 +105,7 @@ fn print_help() {
     println!();
     println!("commands:");
     println!("  slip      run the two-phase slip physics   [--nx --ny --nz --phases --no-wall-force]");
-    println!("  cluster   virtual non-dedicated cluster    [--nodes --phases --scheme --slow --trace PREFIX]");
+    println!("  cluster   a paper figure/table, virtual cluster [NAME; no NAME lists them]");
     println!("  parallel  threaded runtime with remapping  [--workers --phases --throttle R:F --scheme --trace PREFIX");
     println!("                                              --checkpoint-every N --checkpoint-dir DIR]");
     println!("  mp        multi-process runtime over TCP   [--ranks --phases --throttle R:F --scheme --dir DIR");
@@ -130,7 +129,8 @@ fn print_help() {
     println!("  run-job   one scenario, serial reference (internal; spawned by 'serve')");
     println!("            [--scenario FILE --out FILE --checkpoint-dir DIR --checkpoint-every N --resume]");
     println!("  trace     traced run -> PREFIX.jsonl + PREFIX.trace.json + PREFIX.summary.json");
-    println!("            [--mode cluster|parallel --out PREFIX --scheme --phases --check]");
+    println!("            [--mode cluster|parallel --out PREFIX --scheme --phases --check");
+    println!("             cluster: --nodes --slow   parallel: --workers --throttle]");
     println!("  info      model parameters and calibration anchors");
 }
 
@@ -196,34 +196,47 @@ fn write_trace_artifacts(prefix: &str, events: &[Event]) -> Result<(), String> {
 }
 
 fn cmd_cluster(args: &[String]) -> Result<(), String> {
-    let f = Flags::parse(args)?;
-    let nodes = f.get("nodes", 20usize)?;
-    let phases = f.get("phases", 600u64)?;
-    let slow = f.get("slow", 1usize)?;
-    let scheme = scheme_by_name(&f.get("scheme", "filtered".to_string())?)?;
-    let (sink, recording) = trace_flag(&f);
-    let cfg = ClusterConfig::paper(nodes, phases);
-    let r = if slow == 0 {
-        run_scheme_traced(&cfg, scheme, &Dedicated, &sink)
-    } else {
-        run_scheme_traced(&cfg, scheme, &FixedSlowNodes::paper(nodes, slow), &sink)
-    };
-    if let Some((prefix, rec)) = recording {
-        write_trace_artifacts(&prefix, &rec.events())?;
-    }
-    println!(
-        "{} on {nodes} nodes, {phases} phases, {slow} slow node(s):",
-        scheme.name()
-    );
-    println!(
-        "  time {:.1}s  speedup {:.2}  efficiency {:.2}  migrated {} planes",
-        r.total_time,
-        r.speedup(),
-        r.normalized_efficiency(slow),
-        r.migrated_planes
-    );
-    println!("  final planes: {:?}", r.final_counts);
+    print!("{}", cluster_text(args)?);
     Ok(())
+}
+
+/// What `microslip cluster [NAME]` prints: the experiment's table, or the
+/// list of experiments when no name is given.
+fn cluster_text(args: &[String]) -> Result<String, String> {
+    match args {
+        [] => {
+            let mut out = String::from("experiments (microslip cluster NAME):\n");
+            for (name, _) in experiment::EXPERIMENTS {
+                out += &format!("  {name}\n");
+            }
+            Ok(out)
+        }
+        [name] => Ok(experiment::find(name).map_err(|e| e.to_string())?()),
+        _ => Err("usage: microslip cluster [NAME]".to_string()),
+    }
+}
+
+/// The `trace --mode cluster` run: the paper's 400×200×20 channel on
+/// `nodes` virtual nodes, `slow` of them under a 70 % competing job.
+/// Node and slow-node counts are checked before the engine runs.
+fn cluster_run(
+    nodes: usize,
+    phases: u64,
+    slow: usize,
+    scheme: Scheme,
+    sink: TraceSink,
+) -> Result<RunResult, String> {
+    let ex = Scenario::paper_scaled(400, 200, 20)
+        .workers(nodes)
+        .phases(phases)
+        .scheme(scheme)
+        .trace(sink)
+        .cluster()?;
+    let max = FixedSlowNodes::paper_max(nodes);
+    if slow > max {
+        return Err(format!("--slow {slow}: at most {max} slow node(s) on {nodes} nodes"));
+    }
+    Ok(if slow == 0 { ex.run_dedicated() } else { ex.run(&FixedSlowNodes::paper(nodes, slow)) })
 }
 
 /// `--throttle RANK:FACTOR[,RANK:FACTOR…]` → the scenario's sparse
@@ -608,13 +621,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
         "cluster" => {
             let nodes = f.get("nodes", 20usize)?;
             let phases = f.get("phases", 200u64)?;
-            let slow = f.get("slow", 2usize)?;
-            let cfg = ClusterConfig::paper(nodes, phases);
-            let r = if slow == 0 {
-                run_scheme_traced(&cfg, scheme, &Dedicated, &sink)
-            } else {
-                run_scheme_traced(&cfg, scheme, &FixedSlowNodes::paper(nodes, slow), &sink)
-            };
+            let r = cluster_run(nodes, phases, f.get("slow", 2usize)?, scheme, sink)?;
             println!(
                 "cluster {} on {nodes} nodes, {phases} phases: time {:.1}s, migrated {}",
                 scheme.name(),
@@ -717,6 +724,29 @@ mod tests {
         assert_eq!(scheme_by_name("filtered").unwrap(), Scheme::Filtered);
         assert_eq!(scheme_by_name("global").unwrap(), Scheme::Global);
         assert!(scheme_by_name("magic").is_err());
+    }
+
+    #[test]
+    fn cluster_lists_every_experiment_and_rejects_unknown_names() {
+        let listing = cluster_text(&[]).unwrap();
+        let err = cluster_text(&["fig11".to_string()]).unwrap_err();
+        assert!(err.contains("unknown experiment 'fig11'"), "{err}");
+        for (name, _) in experiment::EXPERIMENTS {
+            let listed = listing.matches(&format!("  {name}\n")).count();
+            assert_eq!(listed, 1, "{name} must be listed exactly once: {listing}");
+            assert!(err.contains(name), "error misses {name}: {err}");
+        }
+        assert!(cluster_text(&["fig3".to_string(), "fig8".to_string()]).is_err());
+    }
+
+    #[test]
+    fn trace_cluster_run_rejects_bad_counts_before_running() {
+        let run = |nodes, slow| cluster_run(nodes, 4, slow, Scheme::Filtered, TraceSink::null());
+        assert!(run(3, 5).unwrap_err().contains("at most 1 slow node"));
+        assert!(run(0, 2).unwrap_err().contains("at least one node"));
+        assert!(run(500, 2).unwrap_err().contains("at least one plane per node"));
+        let r = run(4, 1).unwrap();
+        assert_eq!(r.final_counts.iter().sum::<usize>(), 400);
     }
 
     #[test]

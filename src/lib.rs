@@ -27,8 +27,7 @@
 //!   canonical binary codec and a content-address [`Scenario::key`];
 //!   finalize it onto real threads ([`Scenario::runtime`]), the
 //!   virtual-time cluster ([`Scenario::cluster`]), or separate OS
-//!   processes over localhost TCP ([`Scenario::multiprocess`]) — or
-//!   uniformly via [`Scenario::build`] and a [`Substrate`] selector;
+//!   processes over localhost TCP ([`Scenario::multiprocess`]);
 //! * [`mp`] — the multi-process rank runtime: a driver that forks
 //!   `microslip mp-worker` children meshed by [`microslip_net`] and
 //!   stitches their snapshots, reports and JSONL traces back together;
@@ -68,7 +67,7 @@ pub mod supervisor;
 pub use mp::{
     run_multiprocess, FaultSite, MpConfig, MpFailure, MpFault, MpOutcome, MpReport,
 };
-pub use scenario::{ClusterExperiment, Execution, Multiprocess, Runtime, Scenario, Substrate};
+pub use scenario::{ClusterExperiment, Multiprocess, Runtime, Scenario};
 
 /// The types most runs need, in one import.
 ///
@@ -80,9 +79,7 @@ pub use scenario::{ClusterExperiment, Execution, Multiprocess, Runtime, Scenario
 /// ```
 pub mod prelude {
     pub use crate::mp::{MpConfig, MpOutcome};
-    pub use crate::scenario::{
-        ClusterExperiment, Execution, Multiprocess, Runtime, Scenario, Substrate,
-    };
+    pub use crate::scenario::{ClusterExperiment, Multiprocess, Runtime, Scenario};
     pub use microslip_cluster::{
         ClusterConfig, Dedicated, Disturbance, DutyCycle, FixedSlowNodes, RunResult, Scheme,
         TransientSpikes,

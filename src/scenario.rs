@@ -23,9 +23,7 @@
 //! * [`Scenario::runtime`] → a [`Runtime`] on real threads;
 //! * [`Scenario::multiprocess`] → a [`Multiprocess`] over localhost TCP;
 //! * [`Scenario::cluster`] → a [`ClusterExperiment`] on the calibrated
-//!   virtual-time engine;
-//! * [`Scenario::build`] → any of the above via the [`Substrate`]
-//!   selector, as a uniform [`Execution`].
+//!   virtual-time engine.
 //!
 //! The attached [`TraceSink`] is execution-side observability, **not**
 //! part of the scenario's identity: it is excluded from the canonical
@@ -68,9 +66,8 @@ pub const MAGIC: [u8; 8] = *b"MSLIPSC2";
 
 /// One complete, self-contained description of a run: the channel physics
 /// plus the parallel schedule. Finalize onto a substrate with
-/// [`runtime`](Scenario::runtime), [`multiprocess`](Scenario::multiprocess),
-/// [`cluster`](Scenario::cluster), or uniformly via
-/// [`build`](Scenario::build).
+/// [`runtime`](Scenario::runtime), [`multiprocess`](Scenario::multiprocess)
+/// or [`cluster`](Scenario::cluster).
 #[derive(Clone, Debug)]
 pub struct Scenario {
     /// Geometry, physics and boundary conditions.
@@ -124,25 +121,6 @@ impl PartialEq for Scenario {
             && *spikes == other.spikes
             && *load == other.load
     }
-}
-
-/// Which engine executes a [`Scenario`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Substrate {
-    /// Real threads in this process ([`Runtime`]).
-    Threaded,
-    /// One OS process per rank over localhost TCP ([`Multiprocess`]).
-    Multiprocess,
-    /// The calibrated virtual-time engine ([`ClusterExperiment`]).
-    Cluster,
-}
-
-/// A [`Scenario`] finalized onto some [`Substrate`].
-#[derive(Clone, Debug)]
-pub enum Execution {
-    Threaded(Runtime),
-    Multiprocess(Multiprocess),
-    Cluster(ClusterExperiment),
 }
 
 impl Scenario {
@@ -378,15 +356,6 @@ impl Scenario {
     // ------------------------------------------------------------------
     // Finalizers
     // ------------------------------------------------------------------
-
-    /// Finalizes onto `substrate`.
-    pub fn build(self, substrate: Substrate) -> Result<Execution, String> {
-        match substrate {
-            Substrate::Threaded => self.runtime().map(Execution::Threaded),
-            Substrate::Multiprocess => self.multiprocess().map(Execution::Multiprocess),
-            Substrate::Cluster => self.cluster().map(Execution::Cluster),
-        }
-    }
 
     fn validate_for(&self, role: &str) -> Result<(), String> {
         if self.workers == 0 {
@@ -632,17 +601,10 @@ mod tests {
         assert!(Scenario::paper_scaled(2, 6, 4).workers(4).runtime().is_err());
         assert!(Scenario::paper_scaled(16, 6, 4).workers(0).runtime().is_err());
         assert!(Scenario::paper_scaled(16, 6, 4).throttle(9, 2.0).runtime().is_err());
-        // Global is fine on the virtual cluster.
+        // Global is fine on the virtual cluster, and refused on ranks.
         assert!(Scenario::paper_scaled(16, 6, 4).scheme(Scheme::Global).cluster().is_ok());
-        // The uniform selector routes identically.
-        assert!(Scenario::paper_scaled(16, 6, 4)
-            .scheme(Scheme::Global)
-            .build(Substrate::Multiprocess)
-            .is_err());
-        assert!(matches!(
-            Scenario::paper_scaled(16, 6, 4).build(Substrate::Cluster),
-            Ok(Execution::Cluster(_))
-        ));
+        assert!(Scenario::paper_scaled(16, 6, 4).scheme(Scheme::Global).multiprocess().is_err());
+        assert!(Scenario::paper_scaled(16, 6, 4).workers(0).cluster().is_err());
     }
 
     #[test]

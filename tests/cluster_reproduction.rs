@@ -1,32 +1,73 @@
 //! End-to-end assertions that the cluster simulator reproduces the
 //! *shape* of every performance artifact in the paper's evaluation —
-//! who wins, by roughly what factor, and where the crossovers fall.
+//! who wins, by roughly what factor, and where the crossovers fall — and
+//! that every figure and table it prints is byte-identical to its golden.
 
+use std::path::Path;
+
+use microslip::cluster::experiment::{par_map, EXPERIMENTS};
 use microslip::cluster::{
     dedicated_speedup, fig3_point, fixed_slow_point, run_scheme, transient_point,
     ClusterConfig, Dedicated, FixedSlowNodes, Scheme,
 };
 
+/// Every registry entry against `tests/goldens/cluster/NAME.txt`, byte for
+/// byte. The shape tests below say why a golden may move; `just figures`
+/// is the one way to move it.
+#[test]
+fn every_experiment_matches_its_golden() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/goldens/cluster");
+    for (name, got) in par_map(EXPERIMENTS, |(name, render)| (*name, render())) {
+        let path = dir.join(format!("{name}.txt"));
+        let want = std::fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("reading {}: {e}", path.display()));
+        if got == want {
+            continue;
+        }
+        let same = want.lines().zip(got.lines()).take_while(|(w, g)| w == g).count();
+        let line = |text: &str| text.lines().nth(same).unwrap_or("<end of output>").to_string();
+        panic!(
+            "experiment `{name}` differs from {} at line {}:\n  golden: {}\n  got:    {}\n\
+             if the change is intended, regenerate the goldens with `just figures`",
+            path.display(),
+            same + 1,
+            line(&want),
+            line(&got)
+        );
+    }
+    // No golden outlives its experiment.
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let file = entry.unwrap().file_name().into_string().unwrap();
+        let stem = file.strip_suffix(".txt").unwrap_or(&file);
+        assert!(
+            EXPERIMENTS.iter().any(|(name, _)| *name == stem),
+            "{file} in {} names no experiment",
+            dir.display()
+        );
+    }
+}
+
 #[test]
 fn fig3_shape_linear_then_sharp() {
     let overhead: Vec<f64> =
         (0..=10).map(|k| fig3_point(120, k as f64 / 10.0).1).collect();
-    // Monotone nondecreasing.
+    // Strictly increasing.
     for w in overhead.windows(2) {
-        assert!(w[1] >= w[0] - 1e-9, "overhead must grow: {overhead:?}");
+        assert!(w[1] > w[0], "overhead must grow: {overhead:?}");
     }
     // Slope in (60,100] much larger than in [0,60].
     let early = (overhead[6] - overhead[0]) / 6.0;
     let late = (overhead[10] - overhead[6]) / 4.0;
     assert!(late > 1.5 * early, "late slope {late} vs early {early}");
     // Paper: ~185 % at 100 %. We land the same factor-2-to-4 regime.
-    assert!(overhead[10] > 120.0 && overhead[10] < 320.0);
+    assert!(overhead[10] > 120.0 && overhead[10] < 300.0, "overhead(100 %) = {}", overhead[10]);
 }
 
 #[test]
 fn fig8_filtered_holds_speedup_noremap_collapses() {
     let phases = 4000;
     let mut prev = f64::INFINITY;
+    let mut speedup = Vec::new();
     for m in 0..=5 {
         let filt = fixed_slow_point(phases, Scheme::Filtered, m);
         let none = fixed_slow_point(phases, Scheme::NoRemap, m);
@@ -42,12 +83,17 @@ fn fig8_filtered_holds_speedup_noremap_collapses() {
             );
             // No-remapping collapses far below.
             assert!(none.speedup() < 0.6 * filt.speedup());
-            // Normalized efficiency stays high (paper ≥ 0.8).
-            assert!(filt.normalized_efficiency(m) > 0.7);
+            // Normalized efficiency stays high (paper ≥ 0.8; ~0.9 below
+            // four slow nodes).
+            let eff = filt.normalized_efficiency(m);
+            assert!(eff > 0.7 && (m > 2 || eff > 0.75), "efficiency at m={m}: {eff}");
         }
         assert!(filt.speedup() <= prev + 0.2, "speedup should not grow with more slow nodes");
         prev = filt.speedup();
+        speedup.push(filt.speedup());
     }
+    // The paper's anchors: ≈ 16 with one slow node, ≈ 13 with five.
+    assert!(speedup[1] > 14.0 && speedup[5] < 16.0 && speedup[1] > speedup[5], "{speedup:?}");
 }
 
 #[test]
@@ -126,6 +172,8 @@ fn scaling_is_near_linear_when_dedicated() {
         assert!(s > prev);
         prev = s;
     }
+    // One node is the sequential run.
+    assert!((dedicated_speedup(600, 1) - 1.0).abs() < 1e-9);
     // The paper's headline number.
     let s20 = dedicated_speedup(600, 20);
     assert!((s20 - 18.97).abs() < 1.0, "speedup(20) = {s20} (paper 18.97)");
