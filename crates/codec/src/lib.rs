@@ -4,15 +4,17 @@
 //! (`MSLIPRA1`), cache entries and wire frames (`MSN1`) all protect their
 //! bytes with the same CRC-32, and all but the frames carry it the same
 //! way: as a four-byte little-endian trailer. This crate owns both — the
-//! table-sliced [`Crc32`] and the streaming [`SealWriter`] / [`SealReader`]
-//! pair — plus the bulk little-endian `f64` runs those formats are mostly
-//! made of, and the one bounded scalar cursor ([`Reader`] with its
-//! `put_*` writers) the unsealed codecs — channel config, scenario, sweep
-//! request, artifact body — are built from. It depends on nothing,
-//! forbids `unsafe`, and is on the trust boundary: these bytes come off
-//! disks and sockets, so nothing here panics on what it reads.
+//! [`Crc32`] (a carry-less-multiply fold where the CPU has one, table-sliced
+//! otherwise) and the streaming [`SealWriter`] / [`SealReader`] pair — plus
+//! the bulk little-endian `f64` runs those formats are mostly made of, and
+//! the one bounded scalar cursor ([`Reader`] with its `put_*` writers) the
+//! unsealed codecs — channel config, scenario, sweep request, artifact body
+//! — are built from. It depends on nothing and is on the trust boundary:
+//! these bytes come off disks and sockets, so nothing here panics on what it
+//! reads. Its one `unsafe` is the call into the fold after the CPU features
+//! it needs were detected; the fold itself reads through safe slices.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 
 mod crc;
 mod cursor;

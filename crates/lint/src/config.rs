@@ -159,6 +159,13 @@ pub fn default_config() -> LintConfig {
             "src/supervisor.rs".into(),
         ],
         unsafe_registry: vec![
+            UnsafeEntry {
+                path: "crates/codec/src/crc.rs".into(),
+                why: "one dispatch call into the CRC-32 fold after runtime detection of \
+                      pclmulqdq and sse4.1; the kernel uses no raw pointers"
+                    .into(),
+                expect_fns: vec!["update".into()],
+            },
             unsafe_file(
                 "crates/lbm/src/field.rs",
                 "madvise on memory the array owns exclusively: MADV_DONTNEED on whole pages \
