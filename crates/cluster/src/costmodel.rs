@@ -91,7 +91,11 @@ pub struct MessageSizes {
     /// ψ halo: components × plane cells × 8 bytes.
     pub psi_halo: usize,
     /// One migrated plane: (19 + 1 + 3 + 3) channels × components ×
-    /// plane cells × 8 bytes.
+    /// plane cells × 8 bytes. Deliberately the paper's plane, which carries
+    /// the force field too: the figures model the paper's code, whose
+    /// remap costs were measured with it. `lbm::SlabSolver` migrates 23
+    /// channels per component (its force is never stored) plus one ψ ghost
+    /// plane per message.
     pub migration_per_plane: usize,
     /// A load-index message (one f64).
     pub load_index: usize,

@@ -7,10 +7,13 @@
 //! a restored simulation continues on the identical trajectory.
 //!
 //! Layout: an 8-byte magic, seven `u64` header words (grid, slab, phase,
-//! component count), then for every component the raw `f`, ψ, force and
-//! `ueq` arrays (ghost planes included, so no re-exchange is needed before
-//! the first restored phase). On disk the payload is sealed with the
-//! [`microslip_codec`] CRC-32 trailer.
+//! component count), then for every component the raw `f` (19 channels), ψ
+//! (1) and `ueq` (3) arrays — 23 channels, ghost planes included, so no
+//! re-exchange is needed before the first restored phase (the force is not
+//! state: a phase and a snapshot recompute it from ψ and its ghosts). On
+//! disk the payload is sealed with the [`microslip_codec`] CRC-32 trailer.
+//! `MSLIPCK1`, the 26-channel layout with a stored force, is refused by
+//! magic.
 //!
 //! The codec is a stream: [`encode_solver`] writes a solver's arrays to any
 //! `Write` and [`decode_solver`] fills a solver's arrays from any `Read`,
@@ -29,8 +32,8 @@ use crate::geometry::Slab;
 use crate::simulation::Simulation;
 use crate::solver::SlabSolver;
 
-/// File-format magic ("MSLIPCK1").
-pub const MAGIC: [u8; 8] = *b"MSLIPCK1";
+/// File-format magic ("MSLIPCK2").
+pub const MAGIC: [u8; 8] = *b"MSLIPCK2";
 
 /// Magic plus the seven header words.
 const HEADER_LEN: usize = 64;
@@ -111,16 +114,14 @@ pub fn encode_solver(solver: &SlabSolver, phase: u64, w: &mut impl Write) -> io:
     Ok(())
 }
 
-/// Restores a slab solver from the `payload_len` bytes `r` yields,
-/// validating against `config`. Returns the solver and the saved phase
-/// counter. The header is checked — with overflow-checked arithmetic, it
-/// may be hostile — before anything is allocated, and the length before
-/// any array is read.
-pub fn decode_solver(
-    config: &ChannelConfig,
+/// The header of a checkpoint: the slab it holds and its phase, after the
+/// magic and the grid have been checked against `config` (`None`: only the
+/// magic and the slab's own bounds are checked).
+fn decode_header(
+    config: Option<&ChannelConfig>,
     r: &mut impl Read,
     payload_len: u64,
-) -> Result<(SlabSolver, u64), CheckpointError> {
+) -> Result<(Slab, u64), CheckpointError> {
     let unreadable = |e: io::Error| CheckpointError::Corrupt { detail: e.to_string() };
     let mut header = [0u8; HEADER_LEN];
     let have = usize::try_from(payload_len).map_or(HEADER_LEN, |n| n.min(HEADER_LEN));
@@ -144,35 +145,61 @@ pub fn decode_solver(
     let (x0, nx_local, ncomp) = (dim(3, "x0")?, dim(4, "nx_local")?, dim(5, "component count")?);
     let phase = words[6];
 
-    if global_nx != config.dims.nx || ny != config.dims.ny || nz != config.dims.nz {
-        return Err(CheckpointError::ConfigMismatch(format!(
-            "grid {global_nx}x{ny}x{nz} vs config {}x{}x{}",
-            config.dims.nx, config.dims.ny, config.dims.nz
-        )));
-    }
-    if ncomp != config.ncomp() {
-        return Err(CheckpointError::ConfigMismatch(format!(
-            "{ncomp} components vs config {}",
-            config.ncomp()
-        )));
+    if let Some(config) = config {
+        if global_nx != config.dims.nx || ny != config.dims.ny || nz != config.dims.nz {
+            return Err(CheckpointError::ConfigMismatch(format!(
+                "grid {global_nx}x{ny}x{nz} vs config {}x{}x{}",
+                config.dims.nx, config.dims.ny, config.dims.nz
+            )));
+        }
+        if ncomp != config.ncomp() {
+            return Err(CheckpointError::ConfigMismatch(format!(
+                "{ncomp} components vs config {}",
+                config.ncomp()
+            )));
+        }
     }
     if nx_local == 0 || x0.checked_add(nx_local).is_none_or(|end| end > global_nx) {
         return Err(CheckpointError::ConfigMismatch(format!(
             "slab of {nx_local} planes at x0={x0} outside the {global_nx}-plane domain"
         )));
     }
+    Ok((Slab { x0, nx_local }, phase))
+}
 
-    let mut solver = SlabSolver::new(config, Slab { x0, nx_local });
+/// Restores a slab solver from the `payload_len` bytes `r` yields,
+/// validating against `config`. Returns the solver and the saved phase
+/// counter. The header is checked — with overflow-checked arithmetic, it
+/// may be hostile — before anything is allocated, and the length before
+/// any array is read. The arrays are allocated, never initialized: every
+/// value comes from the bytes.
+pub fn decode_solver(
+    config: &ChannelConfig,
+    r: &mut impl Read,
+    payload_len: u64,
+) -> Result<(SlabSolver, u64), CheckpointError> {
+    let (slab, phase) = decode_header(Some(config), r, payload_len)?;
+    let mut solver = SlabSolver::allocate(config, slab);
     let expected = encoded_len(&solver) as u64;
     if expected != payload_len {
         return Err(CheckpointError::BadLength { expected, got: payload_len });
     }
     for array in solver.comps.iter_mut().flat_map(ComponentState::arrays_mut) {
         for ch in 0..array.channels() {
-            read_f64s(r, array.channel_mut(ch)).map_err(unreadable)?;
+            read_f64s(r, array.channel_mut(ch))
+                .map_err(|e| CheckpointError::Corrupt { detail: e.to_string() })?;
         }
     }
     Ok((solver, phase))
+}
+
+/// The slab a sealed checkpoint file holds, from its header alone — the
+/// file is not verified (its restore is). How a gatherer lays the slabs of
+/// several files out before restoring any.
+pub fn read_slab(path: &Path) -> Result<Slab, CheckpointError> {
+    let mut reader = microslip_codec::open(path)?;
+    let payload_len = reader.remaining();
+    decode_header(None, &mut reader, payload_len).map(|(slab, _)| slab)
 }
 
 /// Serializes a slab solver's mutable state plus a phase counter.

@@ -122,14 +122,16 @@ impl ComponentSpec {
 ///
 /// Storage covers the slab *including* ghost planes — as the window of a
 /// larger reservation when the slab can gain planes
-/// ([`windowed`](Self::windowed)); the four arrays always share one
+/// ([`windowed`](Self::windowed)); the three arrays always share one
 /// capacity and one window. `f` holds the
 /// current populations; streaming updates it **in place** (three-slot-ring
 /// sweep, see [`crate::streaming`]), so no second lattice is stored — the
 /// dominant allocation is half what a two-lattice scheme would need. `psi`
 /// is the number density (ghost planes refreshed by the second halo
-/// exchange of each phase); `force` is the total force density and `ueq`
-/// the equilibrium velocity used by the next collision.
+/// exchange of each phase, and kept valid across migrations); `ueq` the
+/// equilibrium velocity used by the next collision. The force density is
+/// not state: the phase computes it one plane at a time and consumes it at
+/// once ([`crate::multicomponent::forces_and_velocities`]).
 #[derive(Clone, Debug)]
 pub struct ComponentState {
     pub spec: ComponentSpec,
@@ -137,8 +139,6 @@ pub struct ComponentState {
     pub f: SlabArray,
     /// Number density `n_σ = Σ_i f_i`, 1 channel (ghosts exchanged).
     pub psi: SlabArray,
-    /// Total force density on this component, 3 channels (interior only).
-    pub force: SlabArray,
     /// Equilibrium velocity `u_σ^eq` for the next collision, 3 channels.
     pub ueq: SlabArray,
 }
@@ -153,16 +153,16 @@ impl ComponentState {
     /// of `cap_planes` reserved planes (see [`SlabArray::windowed`]).
     pub fn windowed(spec: ComponentSpec, grid: LocalGrid, cap_planes: usize, off: usize) -> Self {
         let array = |channels| SlabArray::windowed(grid, channels, cap_planes, off);
-        ComponentState { spec, f: array(D3Q19::Q), psi: array(1), force: array(3), ueq: array(3) }
+        ComponentState { spec, f: array(D3Q19::Q), psi: array(1), ueq: array(3) }
     }
 
-    /// The four arrays, in checkpoint and migration-message order.
-    pub(crate) fn arrays(&self) -> [&SlabArray; 4] {
-        [&self.f, &self.psi, &self.force, &self.ueq]
+    /// The three arrays, in checkpoint and migration-message order.
+    pub(crate) fn arrays(&self) -> [&SlabArray; 3] {
+        [&self.f, &self.psi, &self.ueq]
     }
 
-    pub(crate) fn arrays_mut(&mut self) -> [&mut SlabArray; 4] {
-        [&mut self.f, &mut self.psi, &mut self.force, &mut self.ueq]
+    pub(crate) fn arrays_mut(&mut self) -> [&mut SlabArray; 3] {
+        [&mut self.f, &mut self.psi, &mut self.ueq]
     }
 
     pub fn grid(&self) -> LocalGrid {
@@ -194,26 +194,30 @@ impl ComponentState {
     /// Initializes each x-plane to equilibrium at a per-plane number
     /// density `n_of_x(global_x)` and zero velocity. `x0` is the global
     /// index of the first interior plane, so decomposed initialization is
-    /// identical to sequential initialization.
+    /// identical to sequential initialization. Channel by channel, one
+    /// `fill` per plane: a fresh allocation is first touched in order.
     pub fn init_profile(&mut self, x0: usize, n_of_x: impl Fn(usize) -> f64) {
         let grid = self.grid();
-        let mut feq = vec![0.0; D3Q19::Q];
-        for xl in LocalGrid::FIRST..=grid.last() {
-            let n = n_of_x(x0 + xl - 1);
-            assert!(n >= 0.0 && n.is_finite(), "invalid initial density {n}");
-            crate::equilibrium::feq_all::<D3Q19>(n, [0.0; 3], &mut feq);
-            for y in 0..grid.ny {
-                for z in 0..grid.nz {
-                    let cell = grid.idx(xl, y, z);
-                    for (i, &v) in feq.iter().enumerate() {
-                        self.f.set(i, cell, v);
-                    }
-                    self.psi.set(0, cell, n);
-                    for a in 0..3 {
-                        self.ueq.set(a, cell, 0.0);
-                    }
-                }
-            }
+        let p = grid.plane_cells();
+        let n: Vec<f64> = (LocalGrid::FIRST..=grid.last()).map(|xl| n_of_x(x0 + xl - 1)).collect();
+        let feq: Vec<[f64; D3Q19::Q]> = n
+            .iter()
+            .map(|&n| {
+                assert!(n >= 0.0 && n.is_finite(), "invalid initial density {n}");
+                let mut feq = [0.0; D3Q19::Q];
+                crate::equilibrium::feq_all::<D3Q19>(n, [0.0; 3], &mut feq);
+                feq
+            })
+            .collect();
+        let interior = LocalGrid::FIRST * p..(grid.last() + 1) * p;
+        for i in 0..D3Q19::Q {
+            let cells = &mut self.f.channel_mut(i)[interior.clone()];
+            cells.chunks_exact_mut(p).zip(&feq).for_each(|(plane, feq)| plane.fill(feq[i]));
+        }
+        let cells = &mut self.psi.channel_mut(0)[interior.clone()];
+        cells.chunks_exact_mut(p).zip(&n).for_each(|(plane, &n)| plane.fill(n));
+        for a in 0..3 {
+            self.ueq.channel_mut(a)[interior.clone()].fill(0.0);
         }
     }
 

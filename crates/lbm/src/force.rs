@@ -22,7 +22,7 @@
 //! `feels_wall_force` set (water), and is identically zero for air.
 
 use crate::component::{ComponentState, CouplingMatrix};
-use crate::field::LocalGrid;
+use crate::field::{LocalGrid, SlabArray};
 use crate::lattice::{Lattice, D3Q19};
 use crate::potential::PsiFn;
 
@@ -78,179 +78,221 @@ impl WallForce {
     }
 }
 
-/// Computes the total force density on every component at every interior
-/// cell: Shan–Chen interaction + wall force + body force.
+/// The force kernel of one slab, set up once per pass: computes the total
+/// force density (Shan–Chen interaction + adhesion + wall force + body
+/// force) of every component on one interior plane at a time, into
+/// whatever 3-channel plane the caller names. The production step consumes
+/// each plane at once ([`crate::multicomponent::forces_and_velocities`]),
+/// the snapshot turns it into the half-force velocity term, and only the
+/// two-pass reference ([`compute_forces`]) writes a whole-slab array.
 ///
 /// Requires ψ ghost planes to be current (second halo exchange of the
 /// phase). `body` is an acceleration applied to all components (the
 /// paper's streamwise driving), contributing force density `ρ_σ · body`.
-/// All three passes (adhesion kernel, interaction-kernel vectors, force
-/// assembly) iterate x-planes and write only cells of their own plane,
-/// reading at most a ±1-plane ψ stencil that nobody mutates.
+/// Every plane reads at most a ±1-plane ψ stencil and the solid mask, and
+/// nobody mutates either meanwhile.
+pub(crate) struct ForcePlanes<'a> {
+    grid: LocalGrid,
+    solid: &'a [bool],
+    /// ψ evaluated per cell for the non-linear components (the gather would
+    /// re-evaluate each neighbor up to 18×); `pe` points into these, or
+    /// straight at the density for `Linear`, the identity.
+    _evals: Vec<Option<Vec<f64>>>,
+    pe: Vec<*const f64>,
+    assemblies: Vec<crate::simd::ForceAssembly>,
+    /// The interaction-kernel vectors of the current plane, 3 channels × p
+    /// per component, and where each component's starts.
+    g: Vec<f64>,
+    planes: Vec<*const f64>,
+    /// Staging plane + trailing zero row for the aggregate sweeps.
+    scratch: Vec<f64>,
+    /// The adhesion kernel of the current plane (3 channels × p); empty
+    /// when no component has adhesion.
+    adhesion: Vec<f64>,
+    _psi: std::marker::PhantomData<&'a [ComponentState]>,
+}
+
+impl<'a> ForcePlanes<'a> {
+    pub(crate) fn new(
+        comps: &'a [ComponentState],
+        coupling: &CouplingMatrix,
+        wall: &WallForce,
+        body: [f64; 3],
+        solid: &'a [bool],
+    ) -> Self {
+        assert_eq!(comps.len(), coupling.components());
+        let grid = comps[0].grid();
+        assert_eq!(solid.len(), grid.cells());
+        let (s, p) = (comps.len(), grid.plane_cells());
+        let evals: Vec<Option<Vec<f64>>> = comps
+            .iter()
+            .map(|c| match c.spec.psi_fn {
+                PsiFn::Linear => None,
+                pf => Some(c.psi.channel(0).iter().map(|&n| pf.eval(n)).collect()),
+            })
+            .collect();
+        let pe: Vec<*const f64> = comps
+            .iter()
+            .zip(&evals)
+            .map(|(c, ev)| ev.as_deref().unwrap_or(c.psi.channel(0)).as_ptr())
+            .collect();
+
+        let dims1 = crate::geometry::Dims::new(1, grid.ny, grid.nz);
+        let assemblies = (0..s)
+            .map(|a| {
+                let g_wall = comps[a].spec.wall_adhesion;
+                // G(d) separates by axis (y walls depend only on y, z walls
+                // only on z), so the four exp() per cell collapse into two
+                // per-row tables. Each entry is computed by the exact
+                // expression the per-cell code used, so the values are
+                // bitwise identical.
+                let use_wall = comps[a].spec.feels_wall_force && !wall.is_off();
+                let magnitude = |y, z| {
+                    if use_wall {
+                        wall.magnitudes(dims1.wall_distances(y, z))
+                    } else {
+                        (0.0, 0.0)
+                    }
+                };
+                crate::simd::ForceAssembly {
+                    ny: grid.ny,
+                    nz: grid.nz,
+                    p,
+                    n: comps[a].psi.channel(0).as_ptr(),
+                    pe: pe[a],
+                    // Both repointed per plane.
+                    force: std::ptr::null_mut(),
+                    force_stride: 0,
+                    // Active couplings in ascending-b order (the inactive
+                    // g = 0 terms contributed nothing and are skipped).
+                    couplings: (0..s)
+                        .filter(|&b| coupling.get(a, b) != 0.0)
+                        .map(|b| (b, coupling.get(a, b)))
+                        .collect(),
+                    adhesion: (g_wall != 0.0).then_some((std::ptr::null(), g_wall)),
+                    wy: (0..grid.ny).map(|y| magnitude(y, 0).0).collect(),
+                    wz: (0..grid.nz).map(|z| magnitude(0, z).1).collect(),
+                    per_mass: wall.mode == WallForceMode::PerMass,
+                    mass: comps[a].spec.mass,
+                    body,
+                }
+            })
+            .collect();
+        let any_adhesion = comps.iter().any(|c| c.spec.wall_adhesion != 0.0);
+        ForcePlanes {
+            grid,
+            solid,
+            _evals: evals,
+            pe,
+            assemblies,
+            g: vec![0.0; 3 * p * s],
+            planes: vec![std::ptr::null(); s],
+            scratch: vec![0.0; p + grid.nz],
+            adhesion: if any_adhesion { vec![0.0; 3 * p] } else { Vec::new() },
+            _psi: std::marker::PhantomData,
+        }
+    }
+
+    /// Computes every component's force density on interior plane `xl`
+    /// into `out[a]`: cell `q` of channel `k` of component `a` goes to
+    /// `out[a] + k·stride + q`.
+    ///
+    /// # Safety
+    ///
+    /// `out` holds one pointer per component, each writable for 3 channels
+    /// of `plane_cells` cells at `stride`, disjoint from each other and from
+    /// every array the kernel reads, with no other access during the call.
+    pub(crate) unsafe fn plane(&mut self, xl: usize, out: &[*mut f64], stride: usize) {
+        let grid = self.grid;
+        let p = grid.plane_cells();
+        assert!((LocalGrid::FIRST..=grid.last()).contains(&xl) && out.len() == self.assemblies.len());
+        if !self.adhesion.is_empty() {
+            adhesion_plane(self.solid, grid, xl, &mut self.adhesion);
+        }
+        // The interaction-kernel vector G_b(x) = Σ_i w_i ψ_b(x+e_i) e_i
+        // (≈ c_s² ∇ψ_b to second order), via the separable-aggregate form
+        // (see [`crate::simd::gvec_plane`]). The per-cell values depend only
+        // on ψ and the cell position, so the result is bitwise identical at
+        // any slab decomposition.
+        let g = self.g.as_mut_ptr();
+        let scratch = self.scratch.as_mut_ptr();
+        for (b, (&pe, plane)) in self.pe.iter().zip(self.planes.iter_mut()).enumerate() {
+            *plane = g.add(3 * p * b);
+            crate::simd::gvec_plane(pe, g.add(3 * p * b), scratch, xl, grid.ny, grid.nz, p);
+        }
+        let planes = &self.planes;
+        let adhesion = self.adhesion.as_ptr();
+        for (args, &force) in self.assemblies.iter_mut().zip(out) {
+            args.force = force;
+            args.force_stride = stride;
+            if let Some((plane, _)) = args.adhesion.as_mut() {
+                *plane = adhesion;
+            }
+            #[cfg(target_arch = "x86_64")]
+            if crate::simd::avx2_available() {
+                crate::simd::force_assemble_avx2(args, xl, planes);
+                continue;
+            }
+            crate::simd::force_assemble_scalar(args, xl, planes);
+        }
+    }
+}
+
+/// The adhesion kernel A(x) = Σ_i w_i s(x+e_i) e_i of interior plane `xl`
+/// (s = 1 behind channel walls and at obstacle cells), shared by every
+/// component, into `out` (3 channels × plane cells).
+fn adhesion_plane(solid: &[bool], grid: LocalGrid, xl: usize, out: &mut [f64]) {
+    let p = grid.plane_cells();
+    let (ny, nz) = (grid.ny as isize, grid.nz as isize);
+    for y in 0..grid.ny {
+        for z in 0..grid.nz {
+            let mut acc = [0.0f64; 3];
+            for i in 1..D3Q19::Q {
+                let e = D3Q19::E[i];
+                let yn = y as isize + e[1] as isize;
+                let zn = z as isize + e[2] as isize;
+                let is_solid = if yn < 0 || yn >= ny || zn < 0 || zn >= nz {
+                    true // channel wall
+                } else {
+                    let xn = (xl as isize + e[0] as isize) as usize;
+                    solid[(xn * grid.ny + yn as usize) * grid.nz + zn as usize]
+                };
+                if is_solid {
+                    acc[0] += D3Q19::W[i] * e[0] as f64;
+                    acc[1] += D3Q19::W[i] * e[1] as f64;
+                    acc[2] += D3Q19::W[i] * e[2] as f64;
+                }
+            }
+            for a in 0..3 {
+                out[a * p + y * grid.nz + z] = acc[a];
+            }
+        }
+    }
+}
+
+/// The two-pass reference's first pass: the total force density of every
+/// component at every interior cell, into `out` (one 3-channel array per
+/// component, the slab's grid). Production never stores forces; the test
+/// oracle and the frozen ledger step table do.
 pub fn compute_forces(
-    comps: &mut [ComponentState],
+    comps: &[ComponentState],
     coupling: &CouplingMatrix,
     wall: &WallForce,
     body: [f64; 3],
     solid: &[bool],
+    out: &mut [SlabArray],
 ) {
-    assert_eq!(comps.len(), coupling.components());
     let grid = comps[0].grid();
-    assert_eq!(solid.len(), grid.cells());
-    // Channel stride of the 3-channel arrays the assembly kernels address:
-    // every component's `force`, and the adhesion kernel below, which is
-    // laid out to match (its window at storage plane 0; the zeroed pages
-    // past the window are never touched).
-    let ncells = comps[0].force.stride();
-    let s = comps.len();
-    let (first, last) = (LocalGrid::FIRST, grid.last());
-    let ny = grid.ny as isize;
-    let nz = grid.nz as isize;
-    // Adhesion kernel A(x) = Σ_i w_i s(x+e_i) e_i, shared by all
-    // components (s = 1 behind channel walls and at obstacle cells).
-    let any_adhesion = comps.iter().any(|c| c.spec.wall_adhesion != 0.0);
-    let adhesion_vec: Vec<f64> = if any_adhesion {
-        let mut out = vec![0.0; 3 * ncells];
-        for xl in first..=last {
-            for y in 0..grid.ny {
-                for z in 0..grid.nz {
-                    let cell = (xl * grid.ny + y) * grid.nz + z;
-                    let mut acc = [0.0f64; 3];
-                    for i in 1..D3Q19::Q {
-                        let e = D3Q19::E[i];
-                        let yn = y as isize + e[1] as isize;
-                        let zn = z as isize + e[2] as isize;
-                        let is_solid = if yn < 0 || yn >= ny || zn < 0 || zn >= nz {
-                            true // channel wall
-                        } else {
-                            let xn = (xl as isize + e[0] as isize) as usize;
-                            solid[(xn * grid.ny + yn as usize) * grid.nz + zn as usize]
-                        };
-                        if is_solid {
-                            acc[0] += D3Q19::W[i] * e[0] as f64;
-                            acc[1] += D3Q19::W[i] * e[1] as f64;
-                            acc[2] += D3Q19::W[i] * e[2] as f64;
-                        }
-                    }
-                    for a in 0..3 {
-                        out[a * ncells + cell] = acc[a];
-                    }
-                }
-            }
-        }
-        out
-    } else {
-        Vec::new()
-    };
-
-    // The interaction-kernel vector G_b(x) = Σ_i w_i ψ_b(x+e_i) e_i
-    // (≈ c_s² ∇ψ_b to second order) is never materialized over the whole
-    // lattice: it is computed one plane at a time into a cache-resident
-    // buffer (via the separable-aggregate form, see
-    // [`crate::simd::gvec_plane`]) and every component's total force for
-    // that plane is assembled at once. That removes 3·s full-lattice
-    // channels of write+read memory traffic per phase. The per-cell values
-    // depend only on ψ and the cell position, so the result is bitwise
-    // identical at any slab decomposition.
-    //
-    // ψ is pre-evaluated once per cell per component (the gather would
-    // re-evaluate each neighbor up to 18×); Linear is the identity, so
-    // the density array is borrowed directly. The arrays live until the
-    // end of this function, so raw pointers into them stay valid for the
-    // launches below.
-    let evals: Vec<Option<Vec<f64>>> = comps
-        .iter()
-        .map(|c| match c.spec.psi_fn {
-            PsiFn::Linear => None,
-            pf => Some(c.psi.channel(0).iter().map(|&n| pf.eval(n)).collect()),
-        })
-        .collect();
-    let pe_ptrs: Vec<*const f64> = comps
-        .iter()
-        .zip(&evals)
-        .map(|(c, ev)| ev.as_deref().unwrap_or(c.psi.channel(0)).as_ptr())
-        .collect();
-
-    // Per-component assembly inputs (see [`crate::simd::ForceAssembly`]).
-    let dims1 = crate::geometry::Dims::new(1, grid.ny, grid.nz);
-    let assemblies: Vec<crate::simd::ForceAssembly> = (0..s)
-        .map(|a| {
-            let g_wall = comps[a].spec.wall_adhesion;
-            // G(d) separates by axis (y walls depend only on y, z walls
-            // only on z), so the four exp() per cell collapse into two
-            // per-row tables. Each entry is computed by the exact
-            // expression the per-cell code used, so the values are
-            // bitwise identical.
-            let use_wall = comps[a].spec.feels_wall_force && !wall.is_off();
-            crate::simd::ForceAssembly {
-                ny: grid.ny,
-                nz: grid.nz,
-                ncells,
-                p: grid.plane_cells(),
-                n: comps[a].psi.channel(0).as_ptr(),
-                pe: pe_ptrs[a],
-                force: comps[a].force.base_mut_ptr(),
-                // Active couplings in ascending-b order (the inactive
-                // g = 0 terms contributed nothing and are skipped,
-                // exactly as before).
-                couplings: (0..s)
-                    .filter(|&b| coupling.get(a, b) != 0.0)
-                    .map(|b| (b, coupling.get(a, b)))
-                    .collect(),
-                adhesion: if g_wall != 0.0 {
-                    Some((adhesion_vec.as_ptr(), g_wall))
-                } else {
-                    None
-                },
-                wy: (0..grid.ny)
-                    .map(|y| {
-                        if use_wall {
-                            wall.magnitudes(dims1.wall_distances(y, 0)).0
-                        } else {
-                            0.0
-                        }
-                    })
-                    .collect(),
-                wz: (0..grid.nz)
-                    .map(|z| {
-                        if use_wall {
-                            wall.magnitudes(dims1.wall_distances(0, z)).1
-                        } else {
-                            0.0
-                        }
-                    })
-                    .collect(),
-                per_mass: wall.mode == WallForceMode::PerMass,
-                mass: comps[a].spec.mass,
-                body,
-            }
-        })
-        .collect();
-
-    // Plane buffers for the interaction-kernel vectors (3 channels × plane
-    // cells per component), and a staging plane + trailing zero row for
-    // the aggregate sweeps.
-    let p = grid.plane_cells();
-    let mut gp: Vec<Vec<f64>> = (0..s).map(|_| vec![0.0; 3 * p]).collect();
-    let gp_ptrs: Vec<*mut f64> = gp.iter_mut().map(|v| v.as_mut_ptr()).collect();
-    let planes: Vec<*const f64> = gp_ptrs.iter().map(|&q| q as *const f64).collect();
-    let mut scratch = vec![0.0; p + grid.nz];
-    let scratch = scratch.as_mut_ptr();
-    for xl in first..=last {
-        // Safety: the plane buffers and ψ arrays are only read by the
-        // assembly, and each force plane is written once.
+    assert!(out.len() == comps.len() && out.iter().all(|f| f.grid() == grid && f.channels() == 3));
+    let (p, stride) = (grid.plane_cells(), out[0].stride());
+    let bases: Vec<*mut f64> = out.iter_mut().map(SlabArray::base_mut_ptr).collect();
+    let mut kernel = ForcePlanes::new(comps, coupling, wall, body, solid);
+    for xl in LocalGrid::FIRST..=grid.last() {
+        // Safety: plane `xl` of each output array is inside its window and
+        // exclusively borrowed through `out`.
         unsafe {
-            for b in 0..s {
-                crate::simd::gvec_plane(pe_ptrs[b], gp_ptrs[b], scratch, xl, grid.ny, grid.nz, p);
-            }
-            for args in &assemblies {
-                #[cfg(target_arch = "x86_64")]
-                if crate::simd::avx2_available() {
-                    crate::simd::force_assemble_avx2(args, xl, &planes);
-                    continue;
-                }
-                crate::simd::force_assemble_scalar(args, xl, &planes);
-            }
+            let planes: Vec<*mut f64> = bases.iter().map(|b| b.add(xl * p)).collect();
+            kernel.plane(xl, &planes, stride);
         }
     }
 }
@@ -267,6 +309,19 @@ mod tests {
             ComponentState::new(ComponentSpec::water(), grid),
             ComponentState::new(ComponentSpec::air(), grid),
         ]
+    }
+
+    /// The reference pass's force arrays, one per component.
+    fn forces(
+        comps: &[ComponentState],
+        coupling: &CouplingMatrix,
+        wall: &WallForce,
+        body: [f64; 3],
+        solid: &[bool],
+    ) -> Vec<SlabArray> {
+        let mut out: Vec<SlabArray> = comps.iter().map(|c| SlabArray::new(c.grid(), 3)).collect();
+        compute_forces(comps, coupling, wall, body, solid, &mut out);
+        out
     }
 
     fn no_solid(c: &ComponentState) -> Vec<bool> {
@@ -293,14 +348,14 @@ mod tests {
         }
         let coupling = CouplingMatrix::cross(0.5);
         let solid = no_solid(&comps[0]);
-        compute_forces(&mut comps, &coupling, &WallForce::off(), [0.0; 3], &solid);
+        let force = forces(&comps, &coupling, &WallForce::off(), [0.0; 3], &solid);
         // Away from walls (where ψ=0 beyond the boundary breaks uniformity)
         // the force must vanish.
         let grid = comps[0].grid();
         let cell = grid.idx(2, grid.ny / 2, grid.nz / 2);
-        for c in &comps {
+        for f in &force {
             for a in 0..3 {
-                assert!(c.force.at(a, cell).abs() < 1e-14, "bulk SC force must vanish");
+                assert!(f.at(a, cell).abs() < 1e-14, "bulk SC force must vanish");
             }
         }
     }
@@ -329,15 +384,15 @@ mod tests {
         }
         let coupling = CouplingMatrix::cross(0.7);
         let solid = no_solid(&comps[0]);
-        compute_forces(&mut comps, &coupling, &WallForce::off(), [0.0; 3], &solid);
+        let force = forces(&comps, &coupling, &WallForce::off(), [0.0; 3], &solid);
         let mut total = [0.0f64; 3];
-        for c in &comps {
+        for f in &force {
             for xl in 1..=grid.last() {
                 for y in 0..grid.ny {
                     for z in 0..grid.nz {
                         let cell = grid.idx(xl, y, z);
                         for a in 0..3 {
-                            total[a] += c.force.at(a, cell);
+                            total[a] += f.at(a, cell);
                         }
                     }
                 }
@@ -366,9 +421,9 @@ mod tests {
         }
         let coupling = CouplingMatrix::cross(1.0);
         let solid = no_solid(&comps[0]);
-        compute_forces(&mut comps, &coupling, &WallForce::off(), [0.0; 3], &solid);
+        let force = forces(&comps, &coupling, &WallForce::off(), [0.0; 3], &solid);
         let cell = grid.idx(3, 1, 1);
-        assert!(comps[0].force.at(0, cell) < 0.0, "repulsion must push down the gradient");
+        assert!(force[0].at(0, cell) < 0.0, "repulsion must push down the gradient");
     }
 
     #[test]
@@ -382,19 +437,19 @@ mod tests {
         }
         let wall = WallForce { amplitude: 0.2, decay: 2.0, mode: WallForceMode::PerMass };
         let solid = no_solid(&comps[0]);
-        compute_forces(&mut comps, &CouplingMatrix::none(2), &wall, [0.0; 3], &solid);
+        let force = forces(&comps, &CouplingMatrix::none(2), &wall, [0.0; 3], &solid);
         let grid = comps[0].grid();
         // Near the low-y wall: positive (inward) F_y on water.
         let lo = grid.idx(1, 0, grid.nz / 2);
-        assert!(comps[0].force.at(1, lo) > 0.0);
+        assert!(force[0].at(1, lo) > 0.0);
         // Near the high-y wall: negative F_y.
         let hi = grid.idx(1, grid.ny - 1, grid.nz / 2);
-        assert!(comps[0].force.at(1, hi) < 0.0);
+        assert!(force[0].at(1, hi) < 0.0);
         // Antisymmetric between the two walls.
-        assert!((comps[0].force.at(1, lo) + comps[0].force.at(1, hi)).abs() < 1e-12);
+        assert!((force[0].at(1, lo) + force[0].at(1, hi)).abs() < 1e-12);
         // Air is untouched.
-        assert_eq!(comps[1].force.at(1, lo), 0.0);
-        assert_eq!(comps[1].force.at(2, lo), 0.0);
+        assert_eq!(force[1].at(1, lo), 0.0);
+        assert_eq!(force[1].at(2, lo), 0.0);
     }
 
     #[test]
@@ -422,17 +477,17 @@ mod tests {
         compute_psi(&mut comps[0]);
         fill_psi_ghosts_periodic(&mut comps[0]);
         let solid = vec![false; grid.cells()];
-        compute_forces(&mut comps, &CouplingMatrix::none(1), &WallForce::off(), [0.0; 3], &solid);
+        let force = forces(&comps, &CouplingMatrix::none(1), &WallForce::off(), [0.0; 3], &solid);
         // First fluid row next to the y-low wall: force points inward (+y).
         let lo = grid.idx(1, 0, 4);
-        assert!(comps[0].force.at(1, lo) > 0.0, "hydrophobic adhesion must repel");
+        assert!(force[0].at(1, lo) > 0.0, "hydrophobic adhesion must repel");
         // One row in: the nearest-neighbor kernel no longer sees the wall.
         let inner = grid.idx(1, 2, 4);
-        assert_eq!(comps[0].force.at(1, inner), 0.0, "adhesion has one-cell range");
+        assert_eq!(force[0].at(1, inner), 0.0, "adhesion has one-cell range");
         // Attractive (wetting) sign flips the force.
         comps[0].spec.wall_adhesion = -0.3;
-        compute_forces(&mut comps, &CouplingMatrix::none(1), &WallForce::off(), [0.0; 3], &solid);
-        assert!(comps[0].force.at(1, lo) < 0.0, "wetting adhesion must attract");
+        let force = forces(&comps, &CouplingMatrix::none(1), &WallForce::off(), [0.0; 3], &solid);
+        assert!(force[0].at(1, lo) < 0.0, "wetting adhesion must attract");
     }
 
     #[test]
@@ -448,10 +503,10 @@ mod tests {
         let mut solid = vec![false; grid.cells()];
         // Solid cell beside (1, 3, 3) in +y.
         solid[grid.idx(1, 4, 3)] = true;
-        compute_forces(&mut comps, &CouplingMatrix::none(1), &WallForce::off(), [0.0; 3], &solid);
+        let force = forces(&comps, &CouplingMatrix::none(1), &WallForce::off(), [0.0; 3], &solid);
         let beside = grid.idx(1, 3, 3);
         assert!(
-            comps[0].force.at(1, beside) < 0.0,
+            force[0].at(1, beside) < 0.0,
             "repulsion must push away from the obstacle (−y)"
         );
     }
@@ -473,12 +528,12 @@ mod tests {
         }
         let solid = vec![false; grid.cells()];
         let wall = WallForce::paper();
-        compute_forces(&mut comps, &CouplingMatrix::cross(0.15), &wall, [1e-5, 0.0, 0.0], &solid);
-        let snapshot: Vec<f64> = comps[0].force.to_vec();
+        let force = forces(&comps, &CouplingMatrix::cross(0.15), &wall, [1e-5, 0.0, 0.0], &solid);
+        let snapshot: Vec<f64> = force[0].to_vec();
         // Recompute with adhesion explicitly zero (same thing).
         comps[0].spec.wall_adhesion = 0.0;
-        compute_forces(&mut comps, &CouplingMatrix::cross(0.15), &wall, [1e-5, 0.0, 0.0], &solid);
-        assert_eq!(snapshot, comps[0].force.to_vec());
+        let force = forces(&comps, &CouplingMatrix::cross(0.15), &wall, [1e-5, 0.0, 0.0], &solid);
+        assert_eq!(snapshot, force[0].to_vec());
     }
 
     #[test]
@@ -492,10 +547,10 @@ mod tests {
         }
         let g = [1e-5, 0.0, 0.0];
         let solid = no_solid(&comps[0]);
-        compute_forces(&mut comps, &CouplingMatrix::none(2), &WallForce::off(), g, &solid);
+        let force = forces(&comps, &CouplingMatrix::none(2), &WallForce::off(), g, &solid);
         let grid = comps[0].grid();
         let cell = grid.idx(1, 1, 1);
-        assert!((comps[0].force.at(0, cell) - 0.8 * 1e-5).abs() < 1e-18);
-        assert!((comps[1].force.at(0, cell) - 0.4 * 1e-5).abs() < 1e-18);
+        assert!((force[0].at(0, cell) - 0.8 * 1e-5).abs() < 1e-18);
+        assert!((force[1].at(0, cell) - 0.4 * 1e-5).abs() < 1e-18);
     }
 }

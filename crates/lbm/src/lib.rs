@@ -58,7 +58,7 @@ pub use component::{CollisionOperator, ComponentSpec, CouplingMatrix};
 pub use config::{ChannelConfig, InitProfile};
 pub use force::{WallForce, WallForceMode};
 pub use geometry::{Dims, Microchannel, Slab, SolidRegion};
-pub use macroscopic::Snapshot;
+pub use macroscopic::{Snapshot, SnapshotSlab};
 pub use potential::PsiFn;
 pub use artifact::ResultArtifact;
 pub use checkpoint::CheckpointError;

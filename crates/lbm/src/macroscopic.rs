@@ -16,10 +16,12 @@
 //! j = Σ_i f_i e_i goes through one kernel, [`moments_raw`]: the streaming
 //! sweep runs it on each plane it has just streamed (ψ into `psi`, j into
 //! the plane's `ueq` slots — see [`crate::streaming`]), [`compute_psi`] on
-//! the whole slab for priming, [`Snapshot::capture_into`] plane by plane.
+//! the whole slab for priming, [`capture`] plane by plane.
 
 use crate::component::ComponentState;
 use crate::field::LocalGrid;
+use crate::force::ForcePlanes;
+use crate::geometry::Slab;
 use crate::lattice::{Lattice, D3Q19};
 
 /// Recomputes the moments of every interior cell from the populations: ψ
@@ -151,70 +153,53 @@ impl Snapshot {
     }
 
     /// An all-zero snapshot of planes `x0 .. x0 + nx`, for slabs to be
-    /// [captured into](Self::capture_into).
+    /// captured into ([`SlabSolver::snapshot_into`](crate::SlabSolver::snapshot_into)).
     pub fn zeros(x0: usize, nx: usize, ny: usize, nz: usize, ncomp: usize) -> Snapshot {
         let n = nx * ny * nz;
         Snapshot { x0, nx, ny, nz, rho: vec![vec![0.0; n]; ncomp], velocity: vec![0.0; 3 * n] }
     }
 
-    /// Captures the interior of a slab. `x0` is the slab's global offset.
-    pub fn capture(comps: &[ComponentState], x0: usize) -> Snapshot {
-        let grid = comps[0].grid();
-        let mut out = Snapshot::zeros(x0, grid.nx_local(), grid.ny, grid.nz, comps.len());
-        out.capture_into(comps, x0);
-        out
+    /// The planes of `slab` as a [`SnapshotSlab`]. Panics if the slab does
+    /// not lie inside `self`.
+    pub fn slab_mut(&mut self, slab: Slab) -> SnapshotSlab<'_> {
+        self.split_slabs(&[slab]).pop().expect("one view per slab")
     }
 
-    /// Captures the interior of the slab at global offset `x0` straight
-    /// into its planes of `self` — how slabs that tile a channel become one
-    /// snapshot without a per-slab copy in between ([`stitch`](Self::stitch)
-    /// is the same for snapshots that already exist). Panics if the slab
-    /// does not lie inside `self` or disagrees on lateral extent or
-    /// component count.
-    pub fn capture_into(&mut self, comps: &[ComponentState], x0: usize) {
-        let grid = comps[0].grid();
-        let (ny, nz) = (grid.ny, grid.nz);
-        assert!((ny, nz, comps.len()) == (self.ny, self.nz, self.rho.len()));
-        assert!(
-            x0 >= self.x0 && x0 + grid.nx_local() <= self.x0 + self.nx,
-            "slab lies outside the snapshot"
-        );
-        let p = grid.plane_cells();
-        // Plane by plane: j from the moments kernel into a scratch (`ueq`,
-        // where a phase keeps j, is live at a phase boundary; the ψ the
-        // kernel also produces goes unused — `psi` is the state's own), the
-        // momentum summed in place in `velocity`, the components
-        // accumulating per cell in ascending order.
-        let mut j = vec![0.0f64; 4 * p];
-        for xl in LocalGrid::FIRST..=grid.last() {
-            let (here, out) = (xl * p..(xl + 1) * p, (x0 - self.x0 + xl - 1) * p);
-            let u = &mut self.velocity[3 * out..3 * (out + p)];
-            u.fill(0.0);
-            for (c, rho) in comps.iter().zip(self.rho.iter_mut()) {
-                let m = c.spec.mass;
-                // Safety: plane `xl` lies in the window of `f`; the scratch
-                // holds 3 + 1 channels of `p` cells.
-                unsafe {
-                    let j = j.as_mut_ptr();
-                    moments_raw(c.f.base_ptr().add(here.start), c.f.stride(), j.add(3 * p), j, p, p)
-                };
-                for (rho, psi) in rho[out..out + p].iter_mut().zip(&c.psi.channel(0)[here.clone()]) {
-                    *rho = m * psi;
-                }
-                for a in 0..3 {
-                    let force = &c.force.channel(a)[here.clone()];
-                    for (q, u) in u.chunks_exact_mut(3).enumerate() {
-                        u[a] += m * j[a * p + q] + 0.5 * force[q];
-                    }
-                }
+    /// Splits `self` at slab boundaries into disjoint views, one per entry
+    /// of `slabs` and in that order, so slabs that tile a channel can be
+    /// captured at once, each on its own thread. Panics if two slabs
+    /// overlap or one reaches outside `self`.
+    pub fn split_slabs(&mut self, slabs: &[Slab]) -> Vec<SnapshotSlab<'_>> {
+        let p = self.ny * self.nz;
+        let (x0, ny, nz) = (self.x0, self.ny, self.nz);
+        let mut order: Vec<usize> = (0..slabs.len()).collect();
+        order.sort_by_key(|&k| slabs[k].x0);
+        // Cut every vector at each slab's ends, in ascending x.
+        let mut rho: Vec<&mut [f64]> = self.rho.iter_mut().map(Vec::as_mut_slice).collect();
+        let mut velocity = self.velocity.as_mut_slice();
+        let mut at = x0;
+        let mut views: Vec<Option<SnapshotSlab<'_>>> = slabs.iter().map(|_| None).collect();
+        for k in order {
+            let slab = slabs[k];
+            assert!(
+                slab.x0 >= at && slab.x_end() <= x0 + self.nx,
+                "slab lies outside the snapshot or overlaps another"
+            );
+            let (skip, take) = ((slab.x0 - at) * p, slab.nx_local * p);
+            let mut slab_rho = Vec::with_capacity(rho.len());
+            for r in rho.iter_mut() {
+                let (_, rest) = std::mem::take(r).split_at_mut(skip);
+                let (here, rest) = rest.split_at_mut(take);
+                slab_rho.push(here);
+                *r = rest;
             }
-            for (q, u) in u.chunks_exact_mut(3).enumerate() {
-                let rho_tot = self.rho.iter().fold(0.0, |tot, rho| tot + rho[out + q]);
-                for a in 0..3 {
-                    u[a] = if rho_tot > 0.0 { u[a] / rho_tot } else { 0.0 };
-                }
-            }
+            let (_, rest) = std::mem::take(&mut velocity).split_at_mut(3 * skip);
+            let (here, rest) = rest.split_at_mut(3 * take);
+            velocity = rest;
+            views[k] = Some(SnapshotSlab { slab, ny, nz, rho: slab_rho, velocity: here });
+            at = slab.x_end();
         }
+        views.into_iter().map(|v| v.expect("every slab was cut")).collect()
     }
 
     /// Stitches per-slab snapshots (any order) into one global snapshot.
@@ -243,6 +228,73 @@ impl Snapshot {
             expect_x0 += s.nx;
         }
         out
+    }
+}
+
+/// The planes of a [`Snapshot`] that one slab fills ([`Snapshot::split_slabs`]).
+pub struct SnapshotSlab<'a> {
+    pub slab: Slab,
+    pub ny: usize,
+    pub nz: usize,
+    /// Mass density per component, x-major over the slab's cells.
+    pub rho: Vec<&'a mut [f64]>,
+    /// Velocity, 3 values per cell.
+    pub velocity: &'a mut [f64],
+}
+
+/// Captures the interior of a slab into `out`: ρ from ψ, and the velocity
+/// from j (recomputed from the populations, as the sweep does) plus half
+/// of the force density `forces` recomputes plane by plane — the state
+/// holds neither j nor the force at a phase boundary.
+pub(crate) fn capture(comps: &[ComponentState], forces: &mut ForcePlanes<'_>, out: SnapshotSlab<'_>) {
+    let grid = comps[0].grid();
+    let SnapshotSlab { slab, ny, nz, mut rho, velocity } = out;
+    assert!(
+        (slab.nx_local, ny, nz, comps.len()) == (grid.nx_local(), grid.ny, grid.nz, rho.len()),
+        "snapshot shape differs from the slab"
+    );
+    let p = grid.plane_cells();
+    // Plane by plane: j from the moments kernel into a scratch (`ueq`,
+    // where a phase keeps j, is live at a phase boundary; the ψ the kernel
+    // also produces goes unused — `psi` is the state's own), the forces
+    // from the force kernel into another, the momentum summed in place in
+    // `velocity`, the components accumulating per cell in ascending order.
+    let mut j = vec![0.0f64; 4 * p];
+    let mut force = vec![0.0f64; 3 * p * comps.len()];
+    let base = force.as_mut_ptr();
+    // Safety: component `a`'s scratch starts inside `force`.
+    let planes: Vec<*mut f64> = (0..comps.len()).map(|a| unsafe { base.add(3 * p * a) }).collect();
+    for xl in LocalGrid::FIRST..=grid.last() {
+        let (here, out) = (xl * p..(xl + 1) * p, (xl - 1) * p);
+        // Safety: each scratch plane holds 3·p cells and nothing else
+        // refers to the scratch meanwhile.
+        unsafe { forces.plane(xl, &planes, p) };
+        let u = &mut velocity[3 * out..3 * (out + p)];
+        u.fill(0.0);
+        for ((c, rho), force) in comps.iter().zip(rho.iter_mut()).zip(force.chunks_exact(3 * p)) {
+            let m = c.spec.mass;
+            // Safety: plane `xl` lies in the window of `f`; the scratch
+            // holds 3 + 1 channels of `p` cells.
+            unsafe {
+                let j = j.as_mut_ptr();
+                moments_raw(c.f.base_ptr().add(here.start), c.f.stride(), j.add(3 * p), j, p, p)
+            };
+            for (rho, psi) in rho[out..out + p].iter_mut().zip(&c.psi.channel(0)[here.clone()]) {
+                *rho = m * psi;
+            }
+            for a in 0..3 {
+                let force = &force[a * p..(a + 1) * p];
+                for (q, u) in u.chunks_exact_mut(3).enumerate() {
+                    u[a] += m * j[a * p + q] + 0.5 * force[q];
+                }
+            }
+        }
+        for (q, u) in u.chunks_exact_mut(3).enumerate() {
+            let rho_tot = rho.iter().fold(0.0, |tot, rho| tot + rho[out + q]);
+            for a in 0..3 {
+                u[a] = if rho_tot > 0.0 { u[a] / rho_tot } else { 0.0 };
+            }
+        }
     }
 }
 
@@ -279,76 +331,40 @@ mod tests {
     }
 
     #[test]
-    fn capture_and_stitch_roundtrip() {
-        // Two slabs covering x ∈ [0,2) and [2,5) must stitch into the same
-        // snapshot as a direct capture of the union.
-        let specs = [ComponentSpec::water(), ComponentSpec::air()];
-        let make = |nx: usize, seed: usize| -> Vec<ComponentState> {
-            specs
-                .iter()
-                .map(|s| {
-                    let grid = LocalGrid::new(nx, 2, 2);
-                    let mut c = ComponentState::new(s.clone(), grid);
-                    c.init_uniform(1.0 + seed as f64 * 0.1, [0.0; 3]);
-                    compute_psi(&mut c);
-                    c
-                })
-                .collect()
-        };
-        let a = Snapshot::capture(&make(2, 1), 0);
-        let b = Snapshot::capture(&make(3, 2), 2);
-        let joined = Snapshot::stitch(vec![b.clone(), a.clone()]);
-        assert_eq!(joined.nx, 5);
-        assert_eq!(joined.rho[0][0], a.rho[0][0]);
-        let base = 2 * 2 * 2;
-        assert_eq!(joined.rho[0][base], b.rho[0][0]);
-        assert_eq!(joined.u(0), a.u(0));
-        // Capturing each slab straight into place gives the same snapshot,
-        // in either order.
-        let mut direct = Snapshot::zeros(0, 5, 2, 2, 2);
-        direct.capture_into(&make(3, 2), 2);
-        direct.capture_into(&make(2, 1), 0);
-        assert_eq!(direct, joined);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside the snapshot")]
-    fn capture_into_rejects_a_slab_past_the_end() {
-        let grid = LocalGrid::new(3, 2, 2);
-        let c = ComponentState::new(ComponentSpec::water(), grid);
-        Snapshot::zeros(0, 4, 2, 2, 1).capture_into(std::slice::from_ref(&c), 2);
-    }
-
-    #[test]
     #[should_panic(expected = "tile contiguously")]
     fn stitch_rejects_gaps() {
-        let specs = [ComponentSpec::water()];
-        let make = |nx: usize| -> Vec<ComponentState> {
-            specs
-                .iter()
-                .map(|s| {
-                    let grid = LocalGrid::new(nx, 2, 2);
-                    let mut c = ComponentState::new(s.clone(), grid);
-                    c.init_uniform(1.0, [0.0; 3]);
-                    c
-                })
-                .collect()
-        };
-        let a = Snapshot::capture(&make(2), 0);
-        let b = Snapshot::capture(&make(2), 3); // gap at x=2
+        let a = Snapshot::zeros(0, 2, 2, 2, 1);
+        let b = Snapshot::zeros(3, 2, 2, 2, 1); // gap at x=2
         Snapshot::stitch(vec![a, b]);
     }
 
     #[test]
-    fn velocity_includes_half_force() {
-        let grid = LocalGrid::new(3, 2, 2);
-        let mut c = ComponentState::new(ComponentSpec::water(), grid);
-        c.init_uniform(2.0, [0.0; 3]);
-        compute_psi(&mut c);
-        let cell = grid.idx(1, 0, 0);
-        c.force.set(0, cell, 0.4);
-        let snap = Snapshot::capture(std::slice::from_ref(&c), 0);
-        // u = (0 + 0.5·0.4) / 2.0 = 0.1 at the forced cell.
-        assert!((snap.u(0)[0] - 0.1).abs() < 1e-14);
+    fn split_slabs_hands_out_each_slabs_planes_in_the_given_order() {
+        let mut snap = Snapshot::zeros(1, 5, 2, 3, 2);
+        let slabs = [Slab { x0: 4, nx_local: 2 }, Slab { x0: 1, nx_local: 3 }];
+        for (k, view) in snap.split_slabs(&slabs).into_iter().enumerate() {
+            assert_eq!(view.slab, slabs[k]);
+            assert_eq!((view.rho.len(), view.velocity.len()), (2, 3 * 6 * slabs[k].nx_local));
+            view.velocity.fill(k as f64 + 1.0);
+            for r in view.rho {
+                r.fill(10.0 + k as f64);
+            }
+        }
+        assert!(snap.velocity[..3 * 18].iter().all(|&v| v == 2.0));
+        assert!(snap.velocity[3 * 18..].iter().all(|&v| v == 1.0));
+        assert!(snap.rho[1][..18].iter().all(|&v| v == 11.0) && snap.rho[1][18..].iter().all(|&v| v == 10.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the snapshot")]
+    fn split_slabs_rejects_a_slab_past_the_end() {
+        Snapshot::zeros(0, 4, 2, 2, 1).slab_mut(Slab { x0: 2, nx_local: 3 });
+    }
+
+    #[test]
+    #[should_panic(expected = "overlaps another")]
+    fn split_slabs_rejects_overlapping_slabs() {
+        let slabs = [Slab { x0: 0, nx_local: 3 }, Slab { x0: 2, nx_local: 2 }];
+        Snapshot::zeros(0, 4, 2, 2, 1).split_slabs(&slabs);
     }
 }

@@ -14,16 +14,25 @@
 //! u_σ^eq(x) = ū(x) + τ_σ F_σ(x) / ρ_σ(x)
 //! ```
 //!
-//! where `F_σ` is the total force density (interaction + wall + body) from
-//! [`crate::force::compute_forces`]. The force shift is how forcing enters
-//! the Shan–Chen LBGK scheme.
+//! where `F_σ` is the total force density (interaction + wall + body),
+//! which [`crate::force::ForcePlanes`] computes one plane at a time. The
+//! force shift is how forcing enters the Shan–Chen LBGK scheme.
 //!
 //! `Σ_i f_i^σ e_i` is not gathered here: the streaming sweep (or, when
 //! priming, [`crate::macroscopic::compute_psi`]) left it in the three `ueq`
 //! slots of each cell; this update reads it there and writes `u_σ^eq` back.
+//!
+//! Production runs both as one step, [`forces_and_velocities`]: each
+//! plane's forces go into a plane-sized scratch that stays in cache and
+//! are consumed by that plane's update, so the force field is never
+//! stored. [`crate::force::compute_forces`] + [`update_equilibrium_velocities`]
+//! are the same arithmetic as two whole-slab passes, kept as the reference.
 
-use crate::component::ComponentState;
-use crate::field::LocalGrid;
+use std::ops::Range;
+
+use crate::component::{ComponentState, CouplingMatrix};
+use crate::field::{LocalGrid, SlabArray};
+use crate::force::{ForcePlanes, WallForce};
 
 /// Density floor below which the force shift is suppressed to avoid
 /// dividing by a vanishing component density.
@@ -33,78 +42,134 @@ pub const RHO_FLOOR: f64 = 1e-12;
 /// `force` are read-only, `ueq` is read (j) and then written once per cell.
 pub(crate) struct CompView {
     pub(crate) psi: *const f64,
+    /// Total force density, 3 channels of stride `force_stride`.
     pub(crate) force: *const f64,
+    pub(crate) force_stride: usize,
     pub(crate) ueq: *mut f64,
     pub(crate) mass: f64,
     pub(crate) momentum_tau: f64,
 }
 
-/// Computes `u_σ^eq` at every interior cell for all components.
-///
-/// Must run after [`crate::force::compute_forces`] in the phase, with
-/// `psi` and the j held in `ueq` current (see the module docs). The update
-/// is cell-local: it couples components, not cells.
-pub fn update_equilibrium_velocities(comps: &mut [ComponentState]) {
-    let grid = comps[0].grid();
-    // One channel stride for every array of every component: they share a
-    // storage capacity and a window.
-    let cells = comps[0].ueq.stride();
-    let p = grid.plane_cells();
-    let views: Vec<CompView> = comps
-        .iter_mut()
-        .map(|c| CompView {
+impl CompView {
+    /// The view of `c` at its window base, reading the force from `force`.
+    fn new(c: &mut ComponentState, force: *const f64, force_stride: usize) -> CompView {
+        CompView {
             psi: c.psi.base_ptr(),
-            force: c.force.base_ptr(),
+            force,
+            force_stride,
             ueq: c.ueq.base_mut_ptr(),
             mass: c.spec.mass,
             momentum_tau: c.spec.momentum_tau(),
-        })
-        .collect();
+        }
+    }
+}
 
-    let range = LocalGrid::FIRST * p..(grid.last() + 1) * p;
+/// The update of the cells `range` of every view. The update is
+/// cell-local: it couples components, not cells.
+///
+/// # Safety
+///
+/// As [`crate::simd::update_ueq_avx2`]: `psi`/`ueq` of stride `cells` and
+/// each view's force cover `range`, and no one else accesses them.
+pub(crate) unsafe fn update_cells(views: &[CompView], cells: usize, range: Range<usize>) {
     // AVX2 4-cells-at-a-time when the host supports it (bitwise identical,
     // including the lane-wise IEEE divisions — see [`crate::simd`]); the
     // scalar loop takes the rest and other hosts.
     #[cfg(target_arch = "x86_64")]
     let range = if crate::simd::avx2_available() {
-        // Safety: the views hold live window bases covering the interior.
-        unsafe { crate::simd::update_ueq_avx2(&views, cells, range) }
+        crate::simd::update_ueq_avx2(views, cells, range)
     } else {
         range
     };
     for cell in range {
-        // Safety (whole cell): `psi` and `force` are only read; a cell's
-        // `ueq` slots are read, every component's j before any is
-        // overwritten.
-        unsafe {
-            // ū accumulates in ascending component order.
-            let mut num = [0.0f64; 3];
-            let mut den = 0.0f64;
-            for v in &views {
-                let inv_tau = 1.0 / v.momentum_tau;
-                for a in 0..3 {
-                    num[a] += v.mass * *v.ueq.add(a * cells + cell) * inv_tau;
-                }
-                den += v.mass * *v.psi.add(cell) * inv_tau;
+        // ū accumulates in ascending component order.
+        let mut num = [0.0f64; 3];
+        let mut den = 0.0f64;
+        for v in views {
+            let inv_tau = 1.0 / v.momentum_tau;
+            for a in 0..3 {
+                num[a] += v.mass * *v.ueq.add(a * cells + cell) * inv_tau;
             }
-            let ubar = if den > RHO_FLOOR { num.map(|n| n / den) } else { [0.0; 3] };
-            for v in &views {
-                let rho = v.mass * *v.psi.add(cell);
-                let shift = if rho > RHO_FLOOR { v.momentum_tau / rho } else { 0.0 };
-                for a in 0..3 {
-                    *v.ueq.add(a * cells + cell) = ubar[a] + shift * *v.force.add(a * cells + cell);
-                }
+            den += v.mass * *v.psi.add(cell) * inv_tau;
+        }
+        let ubar = if den > RHO_FLOOR { num.map(|n| n / den) } else { [0.0; 3] };
+        // Every component's j is read above before any is overwritten.
+        for v in views {
+            let rho = v.mass * *v.psi.add(cell);
+            let shift = if rho > RHO_FLOOR { v.momentum_tau / rho } else { 0.0 };
+            for a in 0..3 {
+                *v.ueq.add(a * cells + cell) = ubar[a] + shift * *v.force.add(a * v.force_stride + cell);
             }
         }
     }
+}
+
+/// The production step after the ψ exchange: for each interior plane, every
+/// component's force density into a plane scratch (3 × plane cells per
+/// component), then `u_σ^eq` of that plane's cells from it. Bit for bit
+/// [`crate::force::compute_forces`] followed by
+/// [`update_equilibrium_velocities`], without the whole-slab force array.
+pub fn forces_and_velocities(
+    comps: &mut [ComponentState],
+    coupling: &CouplingMatrix,
+    wall: &WallForce,
+    body: [f64; 3],
+    solid: &[bool],
+) {
+    let grid = comps[0].grid();
+    let (p, s) = (grid.plane_cells(), comps.len());
+    // One channel stride for every array of every component: they share a
+    // storage capacity and a window.
+    let cells = comps[0].ueq.stride();
+    let mut scratch = vec![0.0; 3 * p * s];
+    let base = scratch.as_mut_ptr();
+    // Safety: component `a`'s scratch starts inside `scratch`.
+    let out: Vec<*mut f64> = (0..s).map(|a| unsafe { base.add(3 * p * a) }).collect();
+    let mut views: Vec<CompView> =
+        comps.iter_mut().zip(&out).map(|(c, &force)| CompView::new(c, force, p)).collect();
+    let bases: Vec<(*const f64, *mut f64)> = views.iter().map(|v| (v.psi, v.ueq)).collect();
+    let mut kernel = ForcePlanes::new(comps, coupling, wall, body, solid);
+    for xl in LocalGrid::FIRST..=grid.last() {
+        // Safety: the scratch planes are written by the kernel and then only
+        // read; plane `xl` lies inside the window the views' arrays share,
+        // and the kernel reads ψ, never `ueq`.
+        unsafe {
+            kernel.plane(xl, &out, p);
+            for (v, &(psi, ueq)) in views.iter_mut().zip(&bases) {
+                v.psi = psi.add(xl * p);
+                v.ueq = ueq.add(xl * p);
+            }
+            update_cells(&views, cells, 0..p);
+        }
+    }
+}
+
+/// The two-pass reference's second pass: `u_σ^eq` at every interior cell
+/// from the whole-slab forces [`crate::force::compute_forces`] left in
+/// `forces`, with `psi` and the j held in `ueq` current (see the module
+/// docs).
+pub fn update_equilibrium_velocities(comps: &mut [ComponentState], forces: &[SlabArray]) {
+    let grid = comps[0].grid();
+    assert!(forces.len() == comps.len() && forces.iter().all(|f| f.grid() == grid && f.channels() == 3));
+    let cells = comps[0].ueq.stride();
+    let p = grid.plane_cells();
+    let views: Vec<CompView> =
+        comps.iter_mut().zip(forces).map(|(c, f)| CompView::new(c, f.base_ptr(), f.stride())).collect();
+    // Safety: the views hold live window bases covering the interior, and
+    // `forces` is only read.
+    unsafe { update_cells(&views, cells, LocalGrid::FIRST * p..(grid.last() + 1) * p) }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::component::ComponentSpec;
-    use crate::field::LocalGrid;
     use crate::macroscopic::compute_psi;
+
+    /// Zero forces for `comps`, for the reference pass.
+    fn no_force(comps: &[ComponentState]) -> Vec<SlabArray> {
+        comps.iter().map(|c| SlabArray::new(c.grid(), 3)).collect()
+    }
 
     fn setup(taus: [f64; 2], masses: [f64; 2], ns: [f64; 2], us: [[f64; 3]; 2]) -> Vec<ComponentState> {
         let grid = LocalGrid::new(3, 2, 2);
@@ -135,7 +200,8 @@ mod tests {
             [1.0, 0.8],
             [[0.02, 0.0, 0.0], [-0.01, 0.01, 0.0]],
         );
-        update_equilibrium_velocities(&mut comps);
+        let force = no_force(&comps);
+        update_equilibrium_velocities(&mut comps, &force);
         let grid = comps[0].grid();
         let cell = grid.idx(1, 0, 0);
         // Hand-computed ū.
@@ -150,7 +216,8 @@ mod tests {
     #[test]
     fn equal_components_at_rest_stay_at_rest() {
         let mut comps = setup([1.0, 1.0], [1.0, 1.0], [0.5, 0.5], [[0.0; 3]; 2]);
-        update_equilibrium_velocities(&mut comps);
+        let force = no_force(&comps);
+        update_equilibrium_velocities(&mut comps, &force);
         let grid = comps[0].grid();
         for cell in [grid.idx(1, 0, 0), grid.idx(2, 1, 1)] {
             for c in &comps {
@@ -166,9 +233,10 @@ mod tests {
         let mut comps = setup([0.8, 1.2], [1.0, 2.0], [1.0, 0.5], [[0.0; 3]; 2]);
         let grid = comps[0].grid();
         let cell = grid.idx(1, 1, 1);
-        comps[0].force.set(0, cell, 0.01);
-        comps[1].force.set(1, cell, -0.02);
-        update_equilibrium_velocities(&mut comps);
+        let mut force = no_force(&comps);
+        force[0].set(0, cell, 0.01);
+        force[1].set(1, cell, -0.02);
+        update_equilibrium_velocities(&mut comps, &force);
         // ū = 0 (both at rest), so ueq is purely the force shift.
         let rho0 = 1.0 * 1.0;
         let rho1 = 2.0 * 0.5;
@@ -183,8 +251,9 @@ mod tests {
         let mut comps = setup([1.0, 1.0], [1.0, 1.0], [1.0, 0.0], [[0.0; 3]; 2]);
         let grid = comps[0].grid();
         let cell = grid.idx(1, 0, 0);
-        comps[1].force.set(0, cell, 1.0); // force on an empty component
-        update_equilibrium_velocities(&mut comps);
+        let mut force = no_force(&comps);
+        force[1].set(0, cell, 1.0); // force on an empty component
+        update_equilibrium_velocities(&mut comps, &force);
         assert!(comps[1].ueq.at(0, cell).is_finite());
         assert_eq!(comps[1].ueq.at(0, cell), 0.0);
     }

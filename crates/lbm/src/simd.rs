@@ -198,10 +198,11 @@ pub(crate) unsafe fn moments_avx2(
 ///
 /// # Safety
 ///
-/// Every view must hold the window bases of channel-major arrays of
-/// channel stride `cells` whose windows cover `range` (3 channels for
-/// `force`/`ueq`, 1 for `psi`); no other thread may access the `ueq` cells
-/// of `range` during the call, and the caller must have checked
+/// Every view's `psi` and `ueq` must point at cell 0 of channel-major
+/// arrays of channel stride `cells` covering `range` (1 channel for `psi`,
+/// 3 for `ueq`), and its `force` at cell 0 of 3 channels of stride
+/// `force_stride` covering `range`; no other thread may access the `ueq`
+/// cells of `range` during the call, and the caller must have checked
 /// [`avx2_available`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
@@ -247,7 +248,7 @@ pub(crate) unsafe fn update_ueq_avx2(
             let rho_ok = _mm256_cmp_pd::<_CMP_GT_OQ>(rho, floor);
             let shift = _mm256_blendv_pd(zero, _mm256_div_pd(tau, rho), rho_ok);
             for a in 0..3 {
-                let fc = _mm256_loadu_pd(v.force.add(a * cells + cell));
+                let fc = _mm256_loadu_pd(v.force.add(a * v.force_stride + cell));
                 let out = _mm256_add_pd(ubar[a], _mm256_mul_pd(shift, fc));
                 _mm256_storeu_pd(v.ueq.add(a * cells + cell), out);
             }
@@ -618,25 +619,28 @@ unsafe fn gvec_plane_avx2(
 /// everything is read-only during the launch except `force`, written once
 /// per cell. The Shan–Chen couplings reference *plane* buffers of the
 /// interaction-kernel vectors (3 channels, stride `p`) by component index,
-/// so the kernels assemble one plane per call.
+/// so the kernels assemble one plane per call; `force` and the adhesion
+/// plane are repointed at the plane being assembled before each call.
 pub(crate) struct ForceAssembly {
     pub(crate) ny: usize,
     pub(crate) nz: usize,
-    /// Channel stride of the 3-channel lattice arrays (`force`, adhesion).
-    pub(crate) ncells: usize,
-    /// Cells per plane (`ny·nz`), the channel stride of the G buffers.
+    /// Cells per plane (`ny·nz`), the channel stride of the G and adhesion
+    /// plane buffers.
     pub(crate) p: usize,
     /// Component number density n_a (1 channel, the slab's window).
     pub(crate) n: *const f64,
     /// Evaluated interaction potential ψ_a (1 channel, the slab's window).
     pub(crate) pe: *const f64,
-    /// Output force density (3 channels, window base, stride `ncells`).
+    /// Output force density of the plane: its cell 0 of 3 channels of
+    /// stride `force_stride` — a plane scratch (stride `p`) or a plane of a
+    /// whole-slab array.
     pub(crate) force: *mut f64,
+    pub(crate) force_stride: usize,
     /// Active couplings (component index b, g_ab), ascending b; b indexes
     /// the caller's per-plane G buffers.
     pub(crate) couplings: Vec<(usize, f64)>,
-    /// Adhesion kernel (base pointer, g_w) when g_w ≠ 0; 3 channels of
-    /// stride `ncells`.
+    /// Adhesion-kernel plane (3 channels of stride `p`) and g_w, when
+    /// g_w ≠ 0.
     pub(crate) adhesion: Option<(*const f64, f64)>,
     /// Per-row wall-force magnitudes (lengths ny and nz).
     pub(crate) wy: Vec<f64>,
@@ -653,11 +657,11 @@ pub(crate) struct ForceAssembly {
 ///
 /// # Safety
 ///
-/// All lattice pointers in `args` must be the window bases of live
-/// channel-major arrays covering plane `xl`, the 3-channel ones of channel
-/// stride `ncells` (channel counts per the field docs); every coupling's
-/// `planes` entry must hold `3·p` readable cells; no other thread may
-/// write the force cells of plane `xl` during the call.
+/// `n` and `pe` must be the window bases of live 1-channel arrays covering
+/// plane `xl`; `force` must be writable for 3 channels of `p` cells at
+/// stride `force_stride`, and the adhesion plane and every coupling's
+/// `planes` entry readable for `3·p` cells; no other thread may access the
+/// force cells during the call.
 pub(crate) unsafe fn force_assemble_scalar(
     args: &ForceAssembly,
     xl: usize,
@@ -673,7 +677,7 @@ pub(crate) unsafe fn force_assemble_scalar(
 }
 
 /// One cell of [`force_assemble_scalar`]: `cell` indexes the full lattice,
-/// `pcell` the plane buffers. Safety: see there.
+/// `pcell` the plane buffers and the force output. Safety: see there.
 #[inline(always)]
 unsafe fn force_cell_scalar(
     args: &ForceAssembly,
@@ -683,7 +687,6 @@ unsafe fn force_cell_scalar(
     wy: f64,
     wz: f64,
 ) {
-    let ncells = args.ncells;
     let p = args.p;
     let n_here = *args.n.add(cell);
     let psi_here = *args.pe.add(cell);
@@ -703,9 +706,9 @@ unsafe fn force_cell_scalar(
     // Solid-fluid adhesion: F = −g_w ψ(n) Σ_i w_i s(x+e_i) e_i.
     if let Some((adh, gw)) = args.adhesion {
         let pg = gw * psi_here;
-        fx -= pg * *adh.add(cell);
-        fy -= pg * *adh.add(ncells + cell);
-        fz -= pg * *adh.add(2 * ncells + cell);
+        fx -= pg * *adh.add(pcell);
+        fy -= pg * *adh.add(p + pcell);
+        fz -= pg * *adh.add(2 * p + pcell);
     }
     // Hydrophobic wall force.
     let ws = if args.per_mass { rho_here } else { 1.0 };
@@ -715,10 +718,10 @@ unsafe fn force_cell_scalar(
     fx += rho_here * args.body[0];
     fy += rho_here * args.body[1];
     fz += rho_here * args.body[2];
-    let f = args.force;
-    *f.add(cell) = fx;
-    *f.add(ncells + cell) = fy;
-    *f.add(2 * ncells + cell) = fz;
+    let (f, fs) = (args.force, args.force_stride);
+    *f.add(pcell) = fx;
+    *f.add(fs + pcell) = fy;
+    *f.add(2 * fs + pcell) = fz;
 }
 
 /// AVX2 force assembly of local plane `xl`, 4 cells per iteration along z
@@ -740,8 +743,7 @@ pub(crate) unsafe fn force_assemble_avx2(
     use core::arch::x86_64::*;
 
     const L: usize = 4;
-    let ncells = args.ncells;
-    let p = args.p;
+    let (p, fs) = (args.p, args.force_stride);
     let zero = _mm256_setzero_pd();
     let one = _mm256_set1_pd(1.0);
     let mass_v = _mm256_set1_pd(args.mass);
@@ -777,14 +779,11 @@ pub(crate) unsafe fn force_assemble_avx2(
             }
             if let Some((adh, gw)) = args.adhesion {
                 let pg = _mm256_mul_pd(_mm256_set1_pd(gw), pe_v);
-                fx = _mm256_sub_pd(fx, _mm256_mul_pd(pg, _mm256_loadu_pd(adh.add(cell))));
-                fy = _mm256_sub_pd(
-                    fy,
-                    _mm256_mul_pd(pg, _mm256_loadu_pd(adh.add(ncells + cell))),
-                );
+                fx = _mm256_sub_pd(fx, _mm256_mul_pd(pg, _mm256_loadu_pd(adh.add(pcell))));
+                fy = _mm256_sub_pd(fy, _mm256_mul_pd(pg, _mm256_loadu_pd(adh.add(p + pcell))));
                 fz = _mm256_sub_pd(
                     fz,
-                    _mm256_mul_pd(pg, _mm256_loadu_pd(adh.add(2 * ncells + cell))),
+                    _mm256_mul_pd(pg, _mm256_loadu_pd(adh.add(2 * p + pcell))),
                 );
             }
             let ws = if args.per_mass { rho } else { one };
@@ -794,9 +793,9 @@ pub(crate) unsafe fn force_assemble_avx2(
             fy = _mm256_add_pd(fy, _mm256_mul_pd(rho, body_v[1]));
             fz = _mm256_add_pd(fz, _mm256_mul_pd(rho, body_v[2]));
             let f = args.force;
-            _mm256_storeu_pd(f.add(cell), fx);
-            _mm256_storeu_pd(f.add(ncells + cell), fy);
-            _mm256_storeu_pd(f.add(2 * ncells + cell), fz);
+            _mm256_storeu_pd(f.add(pcell), fx);
+            _mm256_storeu_pd(f.add(fs + pcell), fy);
+            _mm256_storeu_pd(f.add(2 * fs + pcell), fz);
             z += L;
         }
         while z < args.nz {
@@ -956,19 +955,24 @@ mod tests {
 
     /// The velocity update fed Σf·e through the `ueq` slots (AVX2 body and
     /// scalar tail both run) against a per-cell reference with the
-    /// documented association order.
+    /// documented association order — reading the force from a whole-slab
+    /// array (the two-pass reference) and from a plane scratch of stride
+    /// `p` with plane-based views (the production step).
     #[test]
     fn velocity_update_reads_j_from_ueq_bitwise() {
-        use crate::multicomponent::{update_equilibrium_velocities, RHO_FLOOR};
+        use crate::field::SlabArray;
+        use crate::multicomponent::{update_cells, update_equilibrium_velocities, CompView, RHO_FLOOR};
         let grid = LocalGrid::new(1, 3, 5); // 15 interior cells: 3 AVX2 blocks + 3 tail cells
         let specs = [
             ComponentSpec { mass: 1.0, tau: 1.0, ..ComponentSpec::water() },
             ComponentSpec { mass: 0.037, tau: 0.8, ..ComponentSpec::air() },
         ];
+        let mut forces: Vec<SlabArray> = specs.iter().map(|_| SlabArray::new(grid, 3)).collect();
         let mut comps: Vec<ComponentState> = specs
             .iter()
+            .zip(forces.iter_mut())
             .enumerate()
-            .map(|(k, spec)| {
+            .map(|(k, (spec, f))| {
                 let mut c = ComponentState::new(spec.clone(), grid);
                 let mut j = vec![0.0; 3 * grid.cells()];
                 let mut psi = vec![0.0; grid.cells()];
@@ -982,15 +986,38 @@ mod tests {
                     c.psi.set(0, cell, if cell % 7 == 3 { 0.0 } else { psi[cell].abs() + 0.1 });
                     for a in 0..3 {
                         c.ueq.set(a, cell, j[a * grid.cells() + cell]);
-                        c.force.set(a, cell, force[a * grid.cells() + cell]);
+                        f.set(a, cell, force[a * grid.cells() + cell]);
                     }
                 }
                 c
             })
             .collect();
         let before = comps.clone();
-        update_equilibrium_velocities(&mut comps);
         let p = grid.plane_cells();
+        let mut planed = comps.clone();
+        update_equilibrium_velocities(&mut comps, &forces);
+        // The same update over plane 1 with its forces copied to a scratch.
+        let mut scratch: Vec<Vec<f64>> = forces
+            .iter()
+            .map(|f| (0..3).flat_map(|a| f.channel(a)[p..2 * p].to_vec()).collect())
+            .collect();
+        let views: Vec<CompView> = planed
+            .iter_mut()
+            .zip(scratch.iter_mut())
+            .map(|(c, force)| CompView {
+                psi: unsafe { c.psi.base_ptr().add(p) },
+                force: force.as_ptr(),
+                force_stride: p,
+                ueq: unsafe { c.ueq.base_mut_ptr().add(p) },
+                mass: c.spec.mass,
+                momentum_tau: c.spec.momentum_tau(),
+            })
+            .collect();
+        unsafe { update_cells(&views, grid.cells(), 0..p) };
+        for (c, d) in planed.iter().zip(&comps) {
+            let bits = |c: &ComponentState| c.ueq.to_vec().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert!(bits(c) == bits(d), "plane-strided force differs from the whole-slab one");
+        }
         for cell in p..2 * p {
             let mut num = [0.0f64; 3];
             let mut den = 0.0f64;
@@ -1006,7 +1033,7 @@ mod tests {
                 let rho = c.spec.mass * c.psi.at(0, cell);
                 let shift = if rho > RHO_FLOOR { c.spec.momentum_tau() / rho } else { 0.0 };
                 for a in 0..3 {
-                    let want = ubar[a] + shift * c.force.at(a, cell);
+                    let want = ubar[a] + shift * forces[k].at(a, cell);
                     assert_eq!(
                         comps[k].ueq.at(a, cell).to_bits(),
                         want.to_bits(),
@@ -1067,7 +1094,7 @@ mod tests {
         let xl = 1;
         let mut n = vec![0.0; ncells];
         let mut pe = vec![0.0; ncells];
-        let mut adh = vec![0.0; 3 * ncells];
+        let mut adh = vec![0.0; 3 * p];
         lcg_fill(&mut n, 0x11);
         lcg_fill(&mut pe, 0x22);
         lcg_fill(&mut adh, 0x33);
@@ -1081,17 +1108,19 @@ mod tests {
         let mut wz = vec![0.0; nz];
         lcg_fill(&mut wy, 0x55);
         lcg_fill(&mut wz, 0x66);
+        // The scalar kernel writes a plane of a whole-lattice array (stride
+        // `ncells`), the AVX2 one a plane scratch (stride `p`).
         let mut out_scalar = vec![0.0; 3 * ncells];
-        let mut out_simd = vec![0.0; 3 * ncells];
+        let mut out_simd = vec![0.0; 3 * p];
         for per_mass in [false, true] {
-            let build = |force: &mut Vec<f64>| super::ForceAssembly {
+            let build = |force: *mut f64, force_stride: usize| super::ForceAssembly {
                 ny,
                 nz,
-                ncells,
                 p,
                 n: n.as_ptr(),
                 pe: pe.as_ptr(),
-                force: force.as_mut_ptr(),
+                force,
+                force_stride,
                 couplings: vec![(0, 0.9), (1, -0.31)],
                 adhesion: Some((adh.as_ptr(), 0.17)),
                 wy: wy.clone(),
@@ -1100,8 +1129,8 @@ mod tests {
                 mass: 0.7,
                 body: [1.3e-4, -2.0e-5, 7.0e-6],
             };
-            let a_scalar = build(&mut out_scalar);
-            let a_simd = build(&mut out_simd);
+            let a_scalar = build(unsafe { out_scalar.as_mut_ptr().add(xl * p) }, ncells);
+            let a_simd = build(out_simd.as_mut_ptr(), p);
             unsafe {
                 super::force_assemble_scalar(&a_scalar, xl, &planes);
                 super::force_assemble_avx2(&a_simd, xl, &planes);
@@ -1109,10 +1138,9 @@ mod tests {
             let lo = xl * p;
             for ch in 0..3 {
                 for pc in 0..p {
-                    let i = ch * ncells + lo + pc;
                     assert_eq!(
-                        out_simd[i].to_bits(),
-                        out_scalar[i].to_bits(),
+                        out_simd[ch * p + pc].to_bits(),
+                        out_scalar[ch * ncells + lo + pc].to_bits(),
                         "per_mass={per_mass} channel {ch} cell {pc}"
                     );
                 }

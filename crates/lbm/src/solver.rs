@@ -15,13 +15,16 @@
 //!                                  stream + bounce back, take ψ and Σf·e
 //!                                  of each streamed plane — one sweep)
 //! ⇄ exchange number density       (line 14)
-//! compute_forces                  (line 16)
-//! compute_velocities              (line 17, from the Σf·e parked in `ueq`)
+//! forces_and_velocities           (lines 16–17, plane by plane: forces into
+//!                                  a plane scratch, then the velocities
+//!                                  from it and the Σf·e parked in `ueq`)
 //! ```
 //!
-//! Between `stream_collide_fused` and `compute_velocities`, `ueq` holds
+//! Between `stream_collide_fused` and `forces_and_velocities`, `ueq` holds
 //! Σf·e, not a velocity; every checkpoint, migration and snapshot is taken
-//! at a phase boundary, outside that interval.
+//! at a phase boundary, outside that interval. The state at a phase
+//! boundary is `f`, ψ (ghost planes included) and `ueq`: the force field
+//! is never stored, and the snapshot recomputes it from ψ.
 //!
 //! The sequential driver is the single-slab special case where both
 //! exchanges reduce to periodic ghost copies
@@ -29,18 +32,19 @@
 //! operate per cell in the same order in every driver, a decomposed run is
 //! **bitwise identical** to a sequential run — the invariant the
 //! integration tests pin down. The textbook order (collide everything,
-//! then stream everything) survives only as the serial, test-only
+//! then stream everything, forces and velocities as two whole-slab passes)
+//! survives only as the serial, test-only
 //! [`phase_periodic_reference`](SlabSolver::phase_periodic_reference) that
 //! `tests/parallel_equivalence.rs` holds the schedule to.
 
 use crate::boundary::{SlipMap, WallBc};
 use crate::component::{ComponentState, CouplingMatrix};
 use crate::config::ChannelConfig;
-use crate::field::LocalGrid;
-use crate::force::WallForce;
+use crate::field::{LocalGrid, SlabArray};
+use crate::force::{ForcePlanes, WallForce};
 use crate::geometry::{Slab, SolidRegion};
 use crate::lattice::{Lattice, D3Q19};
-use crate::macroscopic::Snapshot;
+use crate::macroscopic::{Snapshot, SnapshotSlab};
 
 /// A slab edge, in global x orientation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -84,17 +88,32 @@ pub struct SlabSolver {
     /// Solid mask over the same storage planes (so ghost planes included),
     /// built once from `obstacles` and read through the same window.
     solid: Vec<bool>,
+    /// The whole-slab force arrays of the two-pass reference, allocated by
+    /// [`compute_forces`](Self::compute_forces) only; no production path
+    /// touches them.
+    reference_force: Option<Vec<SlabArray>>,
 }
 
 impl SlabSolver {
     /// Builds the solver for `slab` of the configured channel and
     /// initializes every component to its uniform initial state.
     pub fn new(config: &ChannelConfig, slab: Slab) -> Self {
+        let mut solver = SlabSolver::allocate(config, slab);
+        let (init, nx_global) = (config.init, config.dims.nx);
+        for (c, (_, n0)) in solver.comps.iter_mut().zip(&config.components) {
+            c.init_profile(slab.x0, |x| n0 * init.factor(x, nx_global));
+        }
+        solver.clear_solid_cells();
+        solver
+    }
+
+    /// The solver for `slab` with its arrays allocated and its mask built,
+    /// but no value initialized — for a restore that overwrites every one.
+    pub(crate) fn allocate(config: &ChannelConfig, slab: Slab) -> Self {
         config.validate().expect("invalid channel configuration");
         assert!(slab.x_end() <= config.dims.nx, "slab exceeds the domain");
         assert!(slab.nx_local > 0);
         let grid = LocalGrid::new(slab.nx_local, config.dims.ny, config.dims.nz);
-        let init = config.init;
         let nx_global = config.dims.nx;
         // Every slab reserves the whole channel and lives at the storage
         // planes of its global x (left ghost at plane `x0`), so migration
@@ -104,11 +123,7 @@ impl SlabSolver {
         let comps = config
             .components
             .iter()
-            .map(|(spec, n0)| {
-                let mut c = ComponentState::windowed(spec.clone(), grid, cap_planes, slab.x0);
-                c.init_profile(slab.x0, |x| n0 * init.factor(x, nx_global));
-                c
-            })
+            .map(|(spec, _)| ComponentState::windowed(spec.clone(), grid, cap_planes, slab.x0))
             .collect();
         let mut solver = SlabSolver {
             x0: slab.x0,
@@ -121,9 +136,9 @@ impl SlabSolver {
             wall_bc: config.wall_bc.clone(),
             slip_ry: config.wall_bc.slip_ry(0, nx_global, cap_planes),
             solid: Vec::new(),
+            reference_force: None,
         };
         solver.solid = solver.build_mask();
-        solver.clear_solid_cells();
         solver
     }
 
@@ -168,7 +183,6 @@ impl SlabSolver {
                 }
                 c.psi.set(0, cell, 0.0);
                 for a in 0..3 {
-                    c.force.set(a, cell, 0.0);
                     c.ueq.set(a, cell, 0.0);
                 }
             }
@@ -262,16 +276,46 @@ impl SlabSolver {
         self.comps.iter_mut().for_each(crate::macroscopic::compute_psi);
     }
 
-    /// Phase step 3 (after ψ exchange): total force densities.
-    pub fn compute_forces(&mut self) {
+    /// Phase step 3 (after the ψ exchange): the total force densities and,
+    /// from them and the Σf·e held in `ueq`, the common velocity and the
+    /// equilibrium velocities — one plane at a time, so the forces live in
+    /// a plane scratch and never in memory (see
+    /// [`crate::multicomponent::forces_and_velocities`]).
+    pub fn forces_and_velocities(&mut self) {
         let solid = window(&self.solid, self.x0, self.grid());
-        crate::force::compute_forces(&mut self.comps, &self.coupling, &self.wall, self.body, solid);
+        crate::multicomponent::forces_and_velocities(&mut self.comps, &self.coupling, &self.wall, self.body, solid);
     }
 
-    /// Phase step 4: common velocity and equilibrium velocities, from the
-    /// Σf·e held in `ueq`.
+    /// The force kernel of this slab as it stands (ψ ghosts current).
+    fn force_planes(&self) -> ForcePlanes<'_> {
+        let solid = window(&self.solid, self.x0, self.grid());
+        ForcePlanes::new(&self.comps, &self.coupling, &self.wall, self.body, solid)
+    }
+
+    /// First half of the two-pass reference of
+    /// [`forces_and_velocities`](Self::forces_and_velocities): every
+    /// force density into whole-slab arrays this call allocates (and keeps
+    /// for the next). For the test oracle and the ledger's step table; no
+    /// production path calls it.
+    #[doc(hidden)]
+    pub fn compute_forces(&mut self) {
+        let grid = self.grid();
+        let mut forces = match self.reference_force.take() {
+            Some(forces) if forces[0].grid() == grid => forces,
+            _ => self.comps.iter().map(|_| SlabArray::new(grid, 3)).collect(),
+        };
+        let solid = window(&self.solid, self.x0, grid);
+        crate::force::compute_forces(&self.comps, &self.coupling, &self.wall, self.body, solid, &mut forces);
+        self.reference_force = Some(forces);
+    }
+
+    /// Second half of the two-pass reference: the equilibrium velocities
+    /// from the forces [`compute_forces`](Self::compute_forces) stored.
+    /// Panics without them.
+    #[doc(hidden)]
     pub fn compute_velocities(&mut self) {
-        crate::multicomponent::update_equilibrium_velocities(&mut self.comps);
+        let forces = self.reference_force.as_deref().expect("compute_velocities needs compute_forces first");
+        crate::multicomponent::update_equilibrium_velocities(&mut self.comps, forces);
     }
 
     // ---- halo protocol ---------------------------------------------------
@@ -420,16 +464,27 @@ impl SlabSolver {
 
     // ---- migration protocol ----------------------------------------------
 
-    /// `f64` values per migrated plane: populations, number density, force
-    /// and equilibrium velocity for every component — the complete
+    /// `f64` values per migrated plane: populations, number density and
+    /// equilibrium velocity for every component — the complete
     /// phase-boundary state of a plane, so migration is exactly
-    /// state-preserving (observables included).
+    /// state-preserving (observables included). A migration message is
+    /// `count` of these plus one ψ plane per component
+    /// ([`psi_halo_len`](Self::psi_halo_len)), the receiver's new ghost.
     pub fn migration_plane_len(&self) -> usize {
-        (D3Q19::Q + 1 + 3 + 3) * self.comps.len() * self.grid().plane_cells()
+        (D3Q19::Q + 1 + 3) * self.comps.len() * self.grid().plane_cells()
+    }
+
+    /// Values in a migration message of `count` planes.
+    pub fn migration_len(&self, count: usize) -> usize {
+        count * self.migration_plane_len() + self.psi_halo_len()
     }
 
     /// Removes `count` planes from the `side` edge of this slab and returns
-    /// their state, planes ordered by ascending global x. Adjusts `x0`.
+    /// their state, planes ordered by ascending global x, followed by the ψ
+    /// of this slab's new `side` edge plane — the receiver's new ghost.
+    /// Adjusts `x0`. This slab's new `side` ghost is the given plane next
+    /// to its new edge, whose ψ stays in that storage slot, so both slabs
+    /// are phase-boundary-consistent without another exchange.
     ///
     /// Panics if the slab would be left without at least one plane.
     pub fn take_planes(&mut self, side: Side, count: usize) -> Vec<f64> {
@@ -438,7 +493,7 @@ impl SlabSolver {
             Side::Left => LocalGrid::FIRST,
             Side::Right => self.grid().last() + 1 - count,
         };
-        let mut out = Vec::with_capacity(count * self.migration_plane_len());
+        let mut out = Vec::with_capacity(self.migration_len(count));
         for arr in self.comps.iter().flat_map(ComponentState::arrays) {
             arr.append_planes(first, count, &mut out);
         }
@@ -446,24 +501,30 @@ impl SlabSolver {
             self.x0 += count;
         }
         self.set_window(self.nx_local() - count);
+        self.psi_halo_runs(side).for_each(|run| out.extend_from_slice(run));
         out
     }
 
     /// Moves every array's window to `nx_local` planes at the current `x0`.
-    /// The surviving planes stay where they are in storage; the two new
-    /// ghost planes come out zero (a checkpoint stores them), and the solid
-    /// mask and slip weights need nothing — they are read through the same
-    /// window.
+    /// The surviving planes stay where they are in storage. The new ghost
+    /// planes of `f` and `ueq` come out zero (a checkpoint stores them, and
+    /// nothing reads them before the next exchange); ψ's keep their slots'
+    /// values — the caller installs any that were outside the old window.
+    /// The solid mask and slip weights need nothing: they are read through
+    /// the same window.
     fn set_window(&mut self, nx_local: usize) {
-        for arr in self.comps.iter_mut().flat_map(ComponentState::arrays_mut) {
-            arr.set_window(self.x0, nx_local);
+        for c in self.comps.iter_mut() {
+            c.f.set_window(self.x0, nx_local);
+            c.psi.move_window(self.x0, nx_local);
+            c.ueq.set_window(self.x0, nx_local);
         }
     }
 
     /// Attaches `count` planes (produced by the neighbor's `take_planes`)
-    /// to the `side` edge of this slab. Adjusts `x0`.
+    /// to the `side` edge of this slab and installs the ψ that follows them
+    /// as the new `side` ghost. Adjusts `x0`.
     pub fn give_planes(&mut self, side: Side, count: usize, data: &[f64]) {
-        assert_eq!(data.len(), count * self.migration_plane_len());
+        assert_eq!(data.len(), self.migration_len(count));
         if side == Side::Left {
             self.x0 = self.x0.checked_sub(count).expect("planes given past the channel's left end");
         }
@@ -478,12 +539,13 @@ impl SlabSolver {
             arr.copy_planes_in(first, &data[off..off + len]);
             off += len;
         }
+        self.psi_halo_in(side, &data[off..]);
     }
 
     // ---- drivers & observables --------------------------------------------
 
     /// One full phase with periodic ghost self-exchange; only meaningful
-    /// when this slab covers the entire channel. The same six steps the
+    /// when this slab covers the entire channel. The same five steps the
     /// runtime workers run, with the two exchanges as local ghost copies.
     pub fn phase_periodic(&mut self) {
         assert_eq!(self.nx_local(), self.global_nx, "phase_periodic needs the whole channel");
@@ -496,8 +558,9 @@ impl SlabSolver {
     /// Test oracle for [`phase_periodic`](Self::phase_periodic): the
     /// textbook order — collide every plane, fill ghosts, stream every
     /// plane — run serially, then the rest recomputed from the populations
-    /// as priming does (whole-slab moments first). Not a second schedule:
-    /// nothing outside the tests calls it.
+    /// (whole-slab moments first), with the forces and the velocities as
+    /// two whole-slab passes. Not a second schedule: nothing outside the
+    /// tests calls it.
     #[doc(hidden)]
     pub fn phase_periodic_reference(&mut self) {
         assert_eq!(self.nx_local(), self.global_nx, "phase_periodic needs the whole channel");
@@ -511,18 +574,20 @@ impl SlabSolver {
         for c in self.comps.iter_mut() {
             crate::streaming::stream_unfused(c, window(&self.solid, 0, grid), has_solid, slip);
         }
-        self.prime_periodic();
-    }
-
-    /// The post-moments half of a periodic phase (and of priming).
-    fn finish_phase_periodic(&mut self) {
+        self.compute_psi();
         self.psi_ghosts_periodic();
         self.compute_forces();
         self.compute_velocities();
     }
 
+    /// The post-moments half of a periodic phase (and of priming).
+    fn finish_phase_periodic(&mut self) {
+        self.psi_ghosts_periodic();
+        self.forces_and_velocities();
+    }
+
     /// Brings a freshly initialized solver to a consistent phase-start
-    /// state (ψ, forces, ueq), using periodic ghosts. Parallel drivers do
+    /// state (ψ and its ghosts, ueq), using periodic ghosts. Parallel drivers do
     /// the same steps with real exchanges instead.
     pub fn prime_periodic(&mut self) {
         self.compute_psi();
@@ -537,19 +602,34 @@ impl SlabSolver {
 
     /// Completes priming after the ψ exchange.
     pub fn prime_finish(&mut self) {
-        self.compute_forces();
-        self.compute_velocities();
+        self.forces_and_velocities();
     }
 
     /// Captures the macroscopic state of this slab's interior.
     pub fn snapshot(&self) -> Snapshot {
-        Snapshot::capture(&self.comps, self.x0)
+        let grid = self.grid();
+        let mut out = Snapshot::zeros(self.x0, grid.nx_local(), grid.ny, grid.nz, self.comps.len());
+        self.snapshot_into(&mut out);
+        out
     }
 
-    /// Captures this slab's interior into its planes of `out` (see
-    /// [`Snapshot::capture_into`]).
+    /// Captures this slab's interior straight into its planes of `out` —
+    /// how slabs that tile a channel become one snapshot without a per-slab
+    /// copy in between ([`Snapshot::stitch`] is the same for snapshots that
+    /// already exist). Panics if the slab does not lie inside `out` or
+    /// disagrees on lateral extent or component count.
     pub fn snapshot_into(&self, out: &mut Snapshot) {
-        out.capture_into(&self.comps, self.x0);
+        self.capture(out.slab_mut(self.slab()));
+    }
+
+    /// Captures this slab's interior into `out`, its planes of a snapshot
+    /// ([`Snapshot::split_slabs`]): ρ from ψ, the velocity from the
+    /// populations plus the half-force term, the forces recomputed plane by
+    /// plane from ψ by the kernel the phase uses — at a phase boundary, bit
+    /// for bit the forces that phase computed.
+    pub fn capture(&self, out: SnapshotSlab<'_>) {
+        assert_eq!(out.slab, self.slab(), "snapshot planes differ from the slab");
+        crate::macroscopic::capture(&self.comps, &mut self.force_planes(), out);
     }
 
     /// Total mass over this slab (all components).
@@ -598,6 +678,52 @@ mod tests {
             ((m1 - m0) / m0).abs() < 1e-12,
             "mass drifted: {m0} -> {m1}"
         );
+    }
+
+    #[test]
+    fn snapshots_of_slabs_stitch_like_captures_in_place() {
+        // Two slabs covering x ∈ [0,2) and [2,5): stitching their snapshots
+        // is capturing each straight into its planes, in either order, and
+        // on threads through disjoint views.
+        let cfg = small_config();
+        let cfg = ChannelConfig { dims: Dims::new(5, 6, 4), ..cfg };
+        let slabs = [Slab { x0: 0, nx_local: 2 }, Slab { x0: 2, nx_local: 3 }];
+        let solvers: Vec<SlabSolver> = slabs.iter().map(|&slab| SlabSolver::new(&cfg, slab)).collect();
+        let joined = Snapshot::stitch(vec![solvers[1].snapshot(), solvers[0].snapshot()]);
+        assert_eq!(joined.nx, 5);
+        let mut direct = Snapshot::zeros(0, 5, 6, 4, 2);
+        solvers[1].snapshot_into(&mut direct);
+        solvers[0].snapshot_into(&mut direct);
+        assert_eq!(direct, joined);
+        let mut threaded = Snapshot::zeros(0, 5, 6, 4, 2);
+        std::thread::scope(|scope| {
+            for (s, planes) in solvers.iter().zip(threaded.split_slabs(&slabs)) {
+                scope.spawn(move || s.capture(planes));
+            }
+        });
+        assert_eq!(threaded, joined);
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the snapshot")]
+    fn snapshot_into_rejects_a_slab_past_the_end() {
+        let cfg = small_config();
+        let s = SlabSolver::new(&cfg, Slab { x0: 2, nx_local: 3 });
+        s.snapshot_into(&mut Snapshot::zeros(0, 4, 6, 4, 2));
+    }
+
+    #[test]
+    fn velocity_includes_half_force() {
+        // A fluid at rest under a body force g: j = 0, so the snapshot's
+        // velocity is the half-force term alone, (½ ρ g) / ρ.
+        let g = 4.0e-3;
+        let cfg = ChannelConfig::single_component(Dims::new(3, 4, 4), 1.0, g);
+        let s = SlabSolver::new(&cfg, Slab { x0: 0, nx_local: 3 });
+        let snap = s.snapshot();
+        for cell in 0..snap.cells() {
+            assert!((snap.u(cell)[0] - 0.5 * g).abs() < 1e-15, "cell {cell}: {:?}", snap.u(cell));
+            assert_eq!(&snap.u(cell)[1..], &[0.0, 0.0]);
+        }
     }
 
     #[test]
@@ -652,8 +778,7 @@ mod tests {
             solvers[i].psi_halo_in(Side::Right, &left_psi[from_right]);
         }
         for s in solvers.iter_mut() {
-            s.compute_forces();
-            s.compute_velocities();
+            s.forces_and_velocities();
         }
     }
 
@@ -748,9 +873,12 @@ mod tests {
 
     #[test]
     fn take_give_roundtrip_restores_slabs() {
+        // Primed, so that the ψ ghosts are the neighbours' edges — the
+        // phase-boundary state a migration keeps.
         let cfg = small_config();
-        let mut a = SlabSolver::new(&cfg, Slab { x0: 0, nx_local: 6 });
-        let mut b = SlabSolver::new(&cfg, Slab { x0: 6, nx_local: 6 });
+        let mut pair: Vec<SlabSolver> = even_slabs(12, 2).into_iter().map(|s| SlabSolver::new(&cfg, s)).collect();
+        prime_decomposed(&mut pair);
+        let (mut a, mut b) = (pair[0].clone(), pair[1].clone());
         let before_a = a.snapshot();
         let before_b = b.snapshot();
         let data = a.take_planes(Side::Right, 2);
@@ -794,7 +922,7 @@ mod tests {
     fn planes_cannot_be_given_past_the_periodic_seam() {
         let cfg = small_config();
         let mut a = SlabSolver::new(&cfg, Slab { x0: 6, nx_local: 6 });
-        let data = vec![0.0; a.migration_plane_len()];
+        let data = vec![0.0; a.migration_len(1)];
         a.give_planes(Side::Right, 1, &data);
     }
 

@@ -217,19 +217,25 @@ pub fn default_config() -> LintConfig {
                 "crates/lbm/src/macroscopic.rs",
                 "the moments kernel (psi and momentum of a run of cells) through raw \
                  pointers: disjoint cell ranges of the window (window base + storage \
-                 channel stride) into psi/ueq, or one plane into a snapshot's scratch",
+                 channel stride) into psi/ueq, or one plane into a snapshot's scratch; \
+                 the force kernel into the snapshot's plane scratch",
             ),
             unsafe_file(
                 "crates/lbm/src/force.rs",
-                "force assembly writes each plane of the window once through raw pointers \
-                 from the window base, reading psi and per-plane gradient buffers that \
-                 alias nothing it writes",
+                "the force kernel computes one plane at a time through raw pointers: it reads \
+                 psi from the window base and per-plane gradient and adhesion buffers it \
+                 owns, and writes each component's forces once into a plane the caller \
+                 names (a plane scratch, or a plane of a reference array) that aliases \
+                 nothing it reads",
             ),
             unsafe_file(
                 "crates/lbm/src/multicomponent.rs",
-                "per-component raw window-base pointers (one shared storage channel \
-                 stride) in the velocity update: each cell's ueq slots are read (momentum) \
-                 for every component before any is overwritten",
+                "per-component raw pointers in the velocity update: psi and ueq at the \
+                 window base or at one plane of it (one shared storage channel stride), \
+                 the force in a plane scratch or a reference array (its own stride); each \
+                 cell's ueq slots are read (momentum) for every component before any is \
+                 overwritten, and the plane scratch is written by the force kernel only \
+                 before the update reads it",
             ),
         ],
         scan_roots: vec![

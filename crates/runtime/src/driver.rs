@@ -10,7 +10,7 @@ use microslip_comm::channel::mesh;
 use microslip_comm::Transport;
 use microslip_lbm::geometry::{even_slabs, slabs_tile};
 use microslip_lbm::macroscopic::Snapshot;
-use microslip_lbm::{ChannelConfig, SlabSolver};
+use microslip_lbm::{ChannelConfig, Slab, SlabSolver};
 use microslip_obs::{Event, TraceSink};
 
 use crate::throttle::ThrottlePlan;
@@ -208,16 +208,17 @@ where
     let wall_seconds = start.elapsed().as_secs_f64();
     reports.sort_by_key(|r| r.rank);
     // The solvers stay in the reports, so each slab is captured straight
-    // into the global snapshot — no per-rank snapshot in between.
+    // into its planes of the global snapshot — no per-rank snapshot in
+    // between — every slab on its own thread.
     let dims = cfg.channel.dims;
-    assert!(
-        slabs_tile(reports.iter().map(|r| r.final_slab), dims.nx),
-        "final slabs do not tile the domain"
-    );
+    let slabs: Vec<Slab> = reports.iter().map(|r| r.solver.slab()).collect();
+    assert!(slabs_tile(slabs.iter().copied(), dims.nx), "final slabs do not tile the domain");
     let mut snapshot = Snapshot::zeros(0, dims.nx, dims.ny, dims.nz, cfg.channel.ncomp());
-    for r in &reports {
-        r.solver.snapshot_into(&mut snapshot);
-    }
+    std::thread::scope(|scope| {
+        for (r, planes) in reports.iter().zip(snapshot.split_slabs(&slabs)) {
+            scope.spawn(move || r.solver.capture(planes));
+        }
+    });
     RunOutcome { snapshot, reports, wall_seconds }
 }
 

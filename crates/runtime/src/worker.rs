@@ -244,11 +244,8 @@ fn run_phases<T: Transport>(
         // Exchange number densities.
         exchange_psi(solver, transport, topo, tracer, phase)?;
 
-        // Forces + velocities.
-        compute_secs += section(tracer, &throttle, phase, || {
-            solver.compute_forces();
-            solver.compute_velocities();
-        });
+        // Forces + velocities, plane by plane.
+        compute_secs += section(tracer, &throttle, phase, || solver.forces_and_velocities());
 
         // Load index: per-point compute time, independent of slab size.
         // The synthetic model replaces the clock with the throttle factor
@@ -512,7 +509,7 @@ fn remap_round<T: Transport>(
         if f > 0 {
             let data = transport.recv(l, Tag::MIGRATE_DATA)?;
             let count = f as usize;
-            check_len(l, "migration", data.len(), count * solver.migration_plane_len())?;
+            check_len(l, "migration", data.len(), solver.migration_len(count))?;
             solver.give_planes(Side::Left, count, &data);
             *planes_received += count;
         } else if f < 0 {
@@ -536,7 +533,7 @@ fn remap_round<T: Transport>(
         } else if f < 0 {
             let data = transport.recv(r, Tag::MIGRATE_DATA)?;
             let count = (-f) as usize;
-            check_len(r, "migration", data.len(), count * solver.migration_plane_len())?;
+            check_len(r, "migration", data.len(), solver.migration_len(count))?;
             solver.give_planes(Side::Right, count, &data);
             *planes_received += count;
         }
@@ -617,17 +614,19 @@ mod tests {
         assert_protocol_error(remap_round_against(vec![f64::NAN, 6.0], vec![]), "not a number");
     }
 
-    /// Values per migrated plane of the test channel.
-    fn plane_len() -> usize {
+    /// Values per migrated plane of the test channel, and the ψ ghost plane
+    /// every message ends with.
+    fn plane_len() -> (usize, usize) {
         let channel = ChannelConfig::paper_scaled(Dims::new(12, 4, 3));
-        SlabSolver::new(&channel, even_slabs(12, 2)[0]).migration_plane_len()
+        let solver = SlabSolver::new(&channel, even_slabs(12, 2)[0]);
+        (solver.migration_plane_len(), solver.psi_halo_len())
     }
 
     #[test]
     fn a_short_or_long_migration_is_a_typed_protocol_error() {
-        let plane = plane_len();
+        let (plane, psi) = plane_len();
         // No whole number of planes: wrong whatever count the policy chose.
-        for len in [0, 1, plane - 1, plane + 1, 5 * plane + 1] {
+        for len in [0, 1, plane - 1, plane + 1, plane + psi + 1, 5 * plane + psi + 1] {
             let outcome = remap_round_against(vec![1e-5, 6.0], vec![0.0; len]);
             assert_protocol_error(outcome, "migration");
         }
@@ -636,9 +635,9 @@ mod tests {
     #[test]
     fn a_well_formed_round_against_the_same_peer_succeeds() {
         // The control: the same loads with the planes the policy asks for.
-        let plane = plane_len();
+        let (plane, psi) = plane_len();
         let moved = (1..6)
-            .filter(|count| remap_round_against(vec![1e-5, 6.0], vec![0.0; count * plane]).is_ok())
+            .filter(|count| remap_round_against(vec![1e-5, 6.0], vec![0.0; count * plane + psi]).is_ok())
             .count();
         assert_eq!(moved, 1, "exactly one plane count is the one decided");
     }

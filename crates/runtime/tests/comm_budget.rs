@@ -117,15 +117,18 @@ fn filtered_load_exchange_is_neighbor_local() {
 #[test]
 fn migration_payload_matches_plane_size() {
     let out = run_instrumented(2, 8, 2, true, 8.0);
-    // One migrated plane = 26 channels × 2 components × 24 cells values.
-    let plane_values = 26 * 2 * 24;
+    // One migrated plane = 23 channels × 2 components × 24 cells values,
+    // and every message ends with one ψ plane per component, the
+    // receiver's new ghost.
+    let (plane_values, psi_values) = (23 * 2 * 24, 2 * 24);
     for (_, t) in &out {
         let c = t.sent(Tag::MIGRATE_DATA);
         assert_eq!(
-            c.values % plane_values,
+            (c.values - c.messages * psi_values) % plane_values,
             0,
-            "migration payloads must be whole planes ({} values)",
-            c.values
+            "migration payloads must be whole planes plus a ψ ghost ({} values in {} messages)",
+            c.values,
+            c.messages
         );
     }
 }

@@ -14,8 +14,9 @@
 //!   `serve` job reads, so a rank's command line carries only what differs
 //!   per process ([`MpWorkerArgs`]);
 //! * `rank{r}.state` — each rank's end-of-run solver state
-//!   ([`microslip_lbm::checkpoint`] format), stitched into the global
-//!   [`Snapshot`];
+//!   ([`microslip_lbm::checkpoint`] format: `f`, ψ and `ueq`, 23 channels
+//!   per component, ghost planes included), captured slab by slab into
+//!   the global [`Snapshot`];
 //! * `rank{r}.report` — a small key/value summary (slab, migration
 //!   counts);
 //! * `rank{r}.jsonl` — the rank's structured trace, merged with
@@ -40,7 +41,6 @@ use std::fs;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use microslip_balance::policy::NeighborPolicy;
@@ -50,7 +50,7 @@ use microslip_balance::Partition;
 use microslip_comm::{CommError, NodeId, Tag, Transport};
 use microslip_lbm::checkpoint::{self, read_solver, write_solver};
 use microslip_lbm::geometry::{even_slabs, slabs_tile};
-use microslip_lbm::macroscopic::Snapshot;
+use microslip_lbm::macroscopic::{Snapshot, SnapshotSlab};
 use microslip_lbm::{Slab, SlabSolver};
 use microslip_net::{connect_epoch, reserve_port, NetConfig};
 use microslip_obs::{
@@ -369,37 +369,43 @@ fn supervise(
 }
 
 /// Restores every rank's final state and stitches the global snapshot.
-/// The state files are streamed from disk straight into a solver's arrays
-/// and captured straight into the snapshot, on scoped threads — as many
-/// slabs in flight as the host has CPUs, so the driver's memory is bounded
-/// by that, not by the rank count.
+/// The headers say where each rank's slab lies, so the snapshot is split at
+/// the slab boundaries first; then the state files are streamed from disk
+/// straight into a solver's arrays and captured straight into their own
+/// planes, on scoped threads — as many slabs in flight as the host has
+/// CPUs, so the driver's memory is bounded by that, not by the rank count.
 fn gather_snapshot(run: &Scenario, dir: &Path) -> Result<Snapshot, String> {
     let dims = run.channel.dims;
-    let global = Mutex::new(Snapshot::zeros(0, dims.nx, dims.ny, dims.nz, run.channel.ncomp()));
-    let restore = |rank: usize| -> Result<Slab, String> {
-        let path = dir.join(format!("rank{rank}.state"));
-        let (solver, _) = read_solver(&run.channel, &path)
-            .map_err(|e| format!("{}: {e}", path.display()))?;
-        solver.snapshot_into(&mut global.lock().expect("a gather lane panicked"));
-        Ok(solver.slab())
-    };
-    let lanes = std::thread::available_parallelism().map_or(1, |n| n.get()).min(run.workers);
-    let slabs = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..lanes)
-            .map(|lane| {
-                let ranks = (lane..run.workers).step_by(lanes);
-                scope.spawn(move || ranks.map(restore).collect::<Result<Vec<_>, _>>())
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|lane| lane.join().expect("a gather lane panicked"))
-            .collect::<Result<Vec<Vec<Slab>>, String>>()
-    })?;
-    if !slabs_tile(slabs.into_iter().flatten(), dims.nx) {
+    let path = |rank: usize| dir.join(format!("rank{rank}.state"));
+    let slabs = (0..run.workers)
+        .map(|rank| checkpoint::read_slab(&path(rank)).map_err(|e| format!("{}: {e}", path(rank).display())))
+        .collect::<Result<Vec<Slab>, String>>()?;
+    if !slabs_tile(slabs.iter().copied(), dims.nx) {
         return Err(format!("the rank state files in {} do not tile the channel", dir.display()));
     }
-    Ok(global.into_inner().expect("a gather lane panicked"))
+    let mut global = Snapshot::zeros(0, dims.nx, dims.ny, dims.nz, run.channel.ncomp());
+    let restore = |rank: usize, planes: SnapshotSlab<'_>| -> Result<(), String> {
+        let (solver, _) = read_solver(&run.channel, &path(rank))
+            .map_err(|e| format!("{}: {e}", path(rank).display()))?;
+        if solver.slab() != planes.slab {
+            return Err(format!("{}: the slab changed while it was read", path(rank).display()));
+        }
+        solver.capture(planes);
+        Ok(())
+    };
+    let lanes = std::thread::available_parallelism().map_or(1, |n| n.get()).min(run.workers);
+    let mut work: Vec<Vec<(usize, SnapshotSlab<'_>)>> = (0..lanes).map(|_| Vec::new()).collect();
+    for (rank, planes) in global.split_slabs(&slabs).into_iter().enumerate() {
+        work[rank % lanes].push((rank, planes));
+    }
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = work
+            .into_iter()
+            .map(|ranks| scope.spawn(move || ranks.into_iter().try_for_each(|(rank, planes)| restore(rank, planes))))
+            .collect();
+        handles.into_iter().try_for_each(|lane| lane.join().expect("a gather lane panicked"))
+    })?;
+    Ok(global)
 }
 
 /// Reads every rank's artifacts and assembles the outcome.

@@ -45,8 +45,7 @@ pub fn phase(solvers: &mut [SlabSolver]) {
     }
     exchange_psi(solvers);
     for s in solvers.iter_mut() {
-        s.compute_forces();
-        s.compute_velocities();
+        s.forces_and_velocities();
     }
 }
 

@@ -239,6 +239,31 @@ fn a_slab_travels_across_the_channel_and_back() {
     }
 }
 
+/// A snapshot taken right after a migration, with no phase in between,
+/// reads the ψ ghosts the migration left: the giver keeps the given plane
+/// next to its new edge, the receiver installs the giver's new edge plane
+/// from the message. Both directions, several planes at once, with and
+/// without a solid mask; the checkpoint taken there must restore to the
+/// same snapshot.
+#[test]
+fn a_snapshot_right_after_a_migration_is_the_sequential_one() {
+    let dims = Dims::new(12, 6, 3);
+    for (bc, relaxed) in [(0, false), (2, true)] {
+        let cfg = migration_config(dims, bc, relaxed);
+        for rightward in [true, false] {
+            for count in [2, 3] {
+                let mut solvers: Vec<SlabSolver> =
+                    even_slabs(dims.nx, 3).into_iter().map(|slab| SlabSolver::new(&cfg, slab)).collect();
+                prime(&mut solvers);
+                phase(&mut solvers);
+                phase(&mut solvers);
+                migrate(&mut solvers, 1, count, rightward);
+                assert_remapped_run_is_sequential(&cfg, &solvers, 2);
+            }
+        }
+    }
+}
+
 /// Arbitrary live partitions: 2–8 ranks, each holding 1–30 planes.
 fn plane_counts() -> impl Strategy<Value = Vec<usize>> {
     proptest::collection::vec(1usize..30, 2..8)

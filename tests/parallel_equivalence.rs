@@ -9,8 +9,8 @@ use microslip::balance::policy::NeighborPolicy;
 use microslip::balance::{Conservative, FilterParams, Filtered, NoRemap};
 use microslip::lbm::geometry::even_slabs;
 use microslip::lbm::{
-    ChannelConfig, CollisionOperator, Dims, Simulation, Slab, SlabSolver, Snapshot, SolidRegion,
-    WallBc,
+    ChannelConfig, CollisionOperator, Dims, PsiFn, Simulation, Slab, SlabSolver, Snapshot,
+    SolidRegion, WallBc, WallForceMode,
 };
 use microslip::runtime::{run_parallel, RuntimeConfig};
 
@@ -34,7 +34,10 @@ fn sequential(channel: &ChannelConfig, phases: u64) -> Snapshot {
 
 /// The schedule matrix: every wall BC × {BGK, TRT+MRT} × {no obstacle, a
 /// block}, on a 12×6×4 channel (one streaming row block per plane) and a
-/// 12×30×9 one (several).
+/// 12×30×9 one (several). The force kernel's other inputs ride along: the
+/// TRT+MRT cases give the air a non-linear ψ and the wall force the
+/// density-independent mode, the block cases give the water solid–fluid
+/// adhesion (which sees the block as well as the walls).
 fn schedule_matrix() -> Vec<(String, ChannelConfig)> {
     let mut out = Vec::new();
     for dims in [Dims::new(12, 6, 4), Dims::new(12, 30, 9)] {
@@ -51,11 +54,15 @@ fn schedule_matrix() -> Vec<(String, ChannelConfig)> {
                 if trt_mrt {
                     cfg.components[0].0.collision = CollisionOperator::trt_magic();
                     cfg.components[1].0.collision = CollisionOperator::mrt_standard();
+                    cfg.components[1].0.psi_fn = PsiFn::ShanChen { n0: 1.0 };
+                    cfg.wall.mode = WallForceMode::ForceDensity;
                 }
                 if block {
                     cfg.obstacles.push(SolidRegion::Block { min: [4, 2, 1], max: [6, 4, 3] });
+                    cfg.components[0].0.wall_adhesion = 0.05;
                 }
-                out.push((format!("{dims:?}, {bc:?}, trt+mrt {trt_mrt}, block {block}"), cfg));
+                let case = format!("{dims:?}, {bc:?}, trt+mrt+ψ+density-wall {trt_mrt}, block+adhesion {block}");
+                out.push((case, cfg));
             }
         }
     }
@@ -67,8 +74,9 @@ fn fused_schedule_matches_the_serial_reference_bitwise() {
     // `Simulation` runs the same fused schedule as the workers and the
     // ranks, so every other test here compares fused with fused. This one
     // anchors them all: the textbook collide-all-then-stream-all order,
-    // must give the same bits at every wall BC, collision operator and
-    // obstacle layout.
+    // with the forces and the velocities as two whole-slab passes, must
+    // give the same bits at every wall BC, collision operator, obstacle
+    // layout and force-kernel input.
     let phases = 6;
     for (case, cfg) in schedule_matrix() {
         let mut reference = SlabSolver::new(&cfg, Slab { x0: 0, nx_local: cfg.dims.nx });
@@ -91,7 +99,8 @@ fn fused_schedule_matches_the_serial_reference_bitwise() {
 fn the_sweep_leaves_the_moments_a_whole_slab_pass_would() {
     // The production phase has no ψ pass: the sweep takes ψ and Σf·e from
     // each plane as it streams it. Right after the sweep, recomputing the
-    // moments of the whole slab must change no bit of `psi` or `ueq`.
+    // moments of the whole slab must change no bit of `psi` or `ueq`; and
+    // no force pass either, checked against the two-pass reference below.
     let bits = |s: &SlabSolver| -> Vec<Vec<u64>> {
         let arrays = s.components().iter().flat_map(|c| [&c.psi, &c.ueq]);
         arrays.map(|a| a.to_vec().iter().map(|v| v.to_bits()).collect()).collect()
@@ -113,6 +122,17 @@ fn the_sweep_leaves_the_moments_a_whole_slab_pass_would() {
                 let mut again = s.clone();
                 again.compute_psi();
                 assert!(bits(s) == bits(&again), "stale moments: {case}, slab {k} of {parts}");
+            }
+            // After the ψ exchange, the production step (forces into a plane
+            // scratch, consumed at once) leaves what the two whole-slab
+            // passes do, on every slab of the decomposition.
+            common::exchange_psi(&mut solvers);
+            for (k, s) in solvers.iter_mut().enumerate() {
+                let mut two_pass = s.clone();
+                two_pass.compute_forces();
+                two_pass.compute_velocities();
+                s.forces_and_velocities();
+                assert!(bits(s) == bits(&two_pass), "fused ≠ two passes: {case}, slab {k} of {parts}");
             }
         }
     }

@@ -1,9 +1,12 @@
-//! Golden bytes of the three checksummed formats, recorded from the
-//! pre-`crates/codec` implementation (PR 11's tree): a sealed checkpoint,
-//! a sealed result artifact and one wire frame, each pinned by length,
+//! Golden bytes of the three checksummed formats: a sealed checkpoint, a
+//! sealed result artifact and one wire frame, each pinned by length,
 //! payload CRC (recomputed here by a bytewise oracle, compared with the
 //! stored one) and its first and last sixteen bytes. A change to a byte
 //! format, to the CRC or to the order anything is written in fails here.
+//! The artifact and the frame were recorded from the pre-`crates/codec`
+//! implementation; the checkpoints when the force left the solver state
+//! (`MSLIPCK2`, 23 channels per component), and the previous 26-channel
+//! `MSLIPCK1` bytes are rebuilt here and must be refused by magic.
 //!
 //! The three unsealed codecs — `MSLIPCF3` channel config, `MSLIPSC2`
 //! `Scenario` canonical bytes (with the content key derived from them) and
@@ -13,6 +16,9 @@
 //! by magic.
 
 use microslip::lbm::checkpoint::{load_solver, read_sealed, save_solver, write_sealed};
+use microslip::lbm::field::SlabArray;
+use microslip::lbm::force::compute_forces;
+use microslip::lbm::CheckpointError;
 use microslip::lbm::diagnostics::FlowDiagnostics;
 use microslip::lbm::geometry::even_slabs;
 use microslip::lbm::{ChannelConfig, Dims, ResultArtifact, Simulation, SlabSolver, Snapshot};
@@ -87,10 +93,10 @@ fn sealed_checkpoint_bytes_are_pinned() {
         &bytes,
         0..bytes.len() - 4,
         &Golden {
-            len: 119_876,
-            crc: 0x5cb3_34aa,
-            first: *b"MSLIPCK1\x0a\0\0\0\0\0\0\0",
-            last: [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xaa, 0x34, 0xb3, 0x5c],
+            len: 106_052,
+            crc: 0x052d_3208,
+            first: *b"MSLIPCK2\x0a\0\0\0\0\0\0\0",
+            last: [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x08, 0x32, 0x2d, 0x05],
         },
     );
     // And the file still opens through the buffered API.
@@ -117,24 +123,25 @@ fn remapped_slabs() -> Vec<SlabSolver> {
 
 #[test]
 fn sealed_checkpoint_bytes_after_a_remap_are_pinned() {
-    // Recorded from PR 17's tree, where a migration rebuilt the slab
-    // (`resize_all`): the bytes a checkpoint holds after planes have moved
-    // — ghost planes zeroed by the migration included — must not depend on
-    // how the slab is stored.
+    // The bytes a checkpoint holds after planes have moved must not depend
+    // on how the slab is stored. The ghost planes of `f` and `ueq` are
+    // zeroed by the migration; ψ's are not: they hold the neighbours' edge
+    // planes, which the giver keeps and the receiver installs from the
+    // message.
     let slabs = remapped_slabs();
     assert_eq!(slabs.iter().map(|s| s.nx_local()).collect::<Vec<_>>(), [6, 4]);
     let want = [
         Golden {
-            len: 79_940,
-            crc: 0xd881_a255,
-            first: *b"MSLIPCK1\x0a\0\0\0\0\0\0\0",
-            last: [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x55, 0xa2, 0x81, 0xd8],
+            len: 70_724,
+            crc: 0x9837_e793,
+            first: *b"MSLIPCK2\x0a\0\0\0\0\0\0\0",
+            last: [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x93, 0xe7, 0x37, 0x98],
         },
         Golden {
-            len: 59_972,
-            crc: 0x4c1f_b970,
-            first: *b"MSLIPCK1\x0a\0\0\0\0\0\0\0",
-            last: [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x70, 0xb9, 0x1f, 0x4c],
+            len: 53_060,
+            crc: 0xde0b_44df,
+            first: *b"MSLIPCK2\x0a\0\0\0\0\0\0\0",
+            last: [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xdf, 0x44, 0x0b, 0xde],
         },
     ];
     let dir = std::env::temp_dir().join(format!("microslip-golden-remap-{}", std::process::id()));
@@ -315,3 +322,36 @@ fn previous_format_bytes_are_rejected_by_magic() {
     }
 }
 
+/// The sealed checkpoint of `sim` in the previous layout: magic `MSLIPCK1`
+/// and each component's 3-channel force — what the two-pass reference
+/// computes from the state, ghost planes zero — between ψ and `ueq`.
+fn previous_checkpoint(sim: &Simulation) -> Vec<u8> {
+    let (solver, cfg) = (sim.solver(), sim.config());
+    let grid = solver.grid();
+    let solid: Vec<bool> = (0..grid.lx)
+        .flat_map(|x| (0..grid.ny).flat_map(move |y| (0..grid.nz).map(move |z| (x, y, z))))
+        .map(|(x, y, z)| solver.is_solid(x, y, z))
+        .collect();
+    let mut forces: Vec<SlabArray> = solver.components().iter().map(|_| SlabArray::new(grid, 3)).collect();
+    compute_forces(solver.components(), &cfg.coupling, &cfg.wall, cfg.body, &solid, &mut forces);
+    let bytes = sim.save();
+    let cells = 8 * grid.cells();
+    let mut old = [b"MSLIPCK1".as_slice(), &bytes[8..64]].concat();
+    for (k, force) in forces.iter().enumerate() {
+        let state = &bytes[64 + k * 23 * cells..][..23 * cells];
+        old.extend_from_slice(&state[..20 * cells]);
+        old.extend(force.to_vec().iter().flat_map(|v| v.to_le_bytes()));
+        old.extend_from_slice(&state[20 * cells..]);
+    }
+    microslip_codec::seal(old)
+}
+
+#[test]
+fn previous_checkpoint_bytes_are_rejected_by_magic() {
+    // The fixture as the previous tree sealed it, byte for byte…
+    let old = previous_checkpoint(&simulation());
+    assert_eq!((old.len(), crc32_bytewise(&old[..old.len() - 4])), (119_876, 0x5cb3_34aa), "not the old bytes");
+    // …is refused as a bad magic, not misread as 23 channels of something.
+    let payload = &old[..old.len() - 4];
+    assert_eq!(load_solver(&config(), payload).unwrap_err(), CheckpointError::BadMagic);
+}
