@@ -40,9 +40,10 @@
 //! ```
 
 
-// Index-based loops are the idiom of choice in the numerical kernels —
-// they keep the stencil arithmetic explicit.
-#![allow(clippy::needless_range_loop)]
+#![allow(
+    clippy::needless_range_loop,
+    reason = "index loops keep the stencil arithmetic explicit in the numerical kernels"
+)]
 pub mod partition;
 pub mod plan;
 pub mod policy;

@@ -15,7 +15,7 @@ use crate::policy::{node_speeds, RemapPolicy};
 ///   `None` outside a per-node decision's two-hop window).
 /// * `target` — what the policy produced; `applied` is whether the
 ///   partition actually changed (false = lazily filtered out).
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "one argument per field of the audit event")]
 pub fn decision_event(
     time: f64,
     node: Option<usize>,

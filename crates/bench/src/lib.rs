@@ -10,9 +10,29 @@
 //! here. The binaries print their tables with the registry's formatting
 //! helpers (`microslip_cluster::experiment::{row, header, f}`).
 
-/// Reads the `idx`-th CLI argument as a number, with a default.
+/// Reads the `idx`-th CLI argument, or `default` when it is absent. An
+/// argument that does not parse ends the process with status 2, naming it.
 pub fn arg_or<T: std::str::FromStr>(idx: usize, default: T) -> T {
-    std::env::args().nth(idx).and_then(|s| s.parse().ok()).unwrap_or(default)
+    parse_arg(std::env::args().nth(idx).as_deref(), idx, default).unwrap_or_else(|e| {
+        let program = std::env::args().next().unwrap_or_default();
+        eprintln!("{program}: {e}");
+        std::process::exit(2)
+    })
+}
+
+/// [`arg_or`]'s parse: an absent argument is the default, a present one
+/// must parse as a `T`.
+pub fn parse_arg<T: std::str::FromStr>(
+    arg: Option<&str>,
+    idx: usize,
+    default: T,
+) -> Result<T, String> {
+    match arg {
+        None => Ok(default),
+        Some(s) => s.parse().map_err(|_| {
+            format!("argument {idx} ({s:?}) is not a valid {}", std::any::type_name::<T>())
+        }),
+    }
 }
 
 #[cfg(test)]
@@ -20,7 +40,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn arg_or_defaults() {
-        assert_eq!(arg_or::<u64>(99, 42), 42);
+    fn absent_arguments_default_and_bad_ones_are_named() {
+        assert_eq!(parse_arg::<u64>(None, 1, 42), Ok(42));
+        assert_eq!(parse_arg::<u64>(Some("30"), 1, 42), Ok(30));
+        let err = parse_arg::<u64>(Some("abc"), 1, 42).unwrap_err();
+        assert_eq!(err, "argument 1 (\"abc\") is not a valid u64");
     }
 }

@@ -28,6 +28,11 @@ const fn shift8(mut crc: u32) -> u32 {
     crc
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "const-evaluated with k < SLICES and byte < 256 by the loop bounds; a bad index \
+              is a compile error"
+)]
 const fn build_tables() -> [[u32; 256]; SLICES] {
     let mut tables = [[0u32; 256]; SLICES];
     let (mut byte, mut crc0) = (0usize, 0u32);
@@ -35,7 +40,6 @@ const fn build_tables() -> [[u32; 256]; SLICES] {
         let (mut k, mut crc) = (0, crc0);
         while k < SLICES {
             crc = shift8(crc);
-            // lint:allow(boundary-index, const-evaluated with k < SLICES and byte < 256 by the loop bounds — a bad index is a compile error)
             tables[k][byte] = crc;
             k += 1;
         }
@@ -48,8 +52,11 @@ const fn build_tables() -> [[u32; 256]; SLICES] {
 static TABLES: [[u32; 256]; SLICES] = build_tables();
 
 #[inline(always)]
+#[expect(
+    clippy::indexing_slicing,
+    reason = "a u8 cannot exceed a 256-entry table, and the compiler drops the bounds check"
+)]
 fn lut(table: &[u32; 256], byte: u8) -> u32 {
-    // lint:allow(boundary-index, a u8 cannot exceed a 256-entry table and the compiler drops the bounds check)
     table[usize::from(byte)]
 }
 
@@ -188,9 +195,13 @@ impl Crc32 {
             && is_x86_feature_detected!("pclmulqdq")
             && is_x86_feature_detected!("sse4.1")
         {
+            #[expect(
+                unsafe_code,
+                reason = "the crate's one dispatch into the CRC-32 fold, after runtime \
+                          detection of the target features it needs"
+            )]
             // SAFETY: the kernel's two target features were detected on
             // this CPU just above; it reads `bytes` through safe slices.
-            #[allow(unsafe_code)]
             let (state, tail) = unsafe { fold::update(self.state, bytes) };
             self.state = update_table(state, tail);
             return;

@@ -1,3 +1,15 @@
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::cast_possible_wrap
+)]
 //! The one checksum and the one seal of the microslip workspace.
 //!
 //! Checkpoints (`MSLIPCK2`), rank state files, result artifacts
@@ -13,8 +25,6 @@
 //! these bytes come off disks and sockets, so nothing here panics on what it
 //! reads. Its one `unsafe` is the call into the fold after the CPU features
 //! it needs were detected; the fold itself reads through safe slices.
-
-#![deny(unsafe_code)]
 
 mod crc;
 mod cursor;

@@ -39,8 +39,8 @@
 //! a (convexly weighted) bijection on populations, i.e. mass-conserving.
 //!
 //! The codec surface (untrusted bytes → [`WallBc`]) lives in the
-//! [`codec`] submodule, registered with `microslip-lint`'s boundary
-//! panic-freedom paths.
+//! [`codec`] submodule, a boundary module: its header denies clippy's
+//! panic, indexing and cast lints.
 
 pub mod codec;
 

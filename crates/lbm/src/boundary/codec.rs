@@ -1,9 +1,21 @@
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::cast_possible_wrap
+)]
 //! Binary codec for [`WallBc`] — the wall-BC slice of the config codec.
 //!
 //! Follows [`crate::config_codec`]'s conventions exactly: little-endian,
 //! `u64` discriminant plus payload, bit-exact `f64`s, every read
-//! bounds-checked with a typed error. This module is on `microslip-lint`'s
-//! boundary panic-freedom list: untrusted bytes may reach
+//! bounds-checked with a typed error. This module is a boundary module
+//! (the `#![deny(clippy::…)]` header above): untrusted bytes may reach
 //! [`decode_wall_bc`] via `Scenario::decode`, so nothing here may panic.
 //!
 //! Decoding re-validates parameters ([`WallBc::validate`]): out-of-range

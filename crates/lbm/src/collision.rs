@@ -1,3 +1,10 @@
+#![expect(
+    unsafe_code,
+    reason = "BGK/TRT collision kernels via raw pointers, one src/dst body each: in \
+              place over disjoint cell ranges of the window (window base + storage \
+              channel stride), or from the window into a ring slot that aliases \
+              nothing"
+)]
 //! LBGK collision operator.
 //!
 //! Relaxes each component's populations toward equilibrium at that
@@ -66,7 +73,10 @@ pub(crate) fn collide_cells(comp: &mut ComponentState, range: Range<usize>) {
 /// `src` nor `ueq`; no other thread may write those cells, or access the
 /// `dst` cells, during the call (distinct cells may be collided
 /// concurrently — collision is purely cell-local).
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a raw kernel takes its pointers, strides and relaxation rates as scalars"
+)]
 pub(crate) unsafe fn collide_cells_raw(
     op: CollisionOperator,
     tau: f64,
@@ -166,7 +176,10 @@ unsafe fn collide_bgk(
 /// population pair relaxes with ω⁺ = 1/τ; the antisymmetric (odd) part
 /// with ω⁻ from the magic parameter: τ⁻ = ½ + Λ/(τ⁺ − ½).
 /// Safety: see [`collide_cells_raw`].
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a raw kernel takes its pointers, strides and relaxation rates as scalars"
+)]
 unsafe fn collide_trt(
     tau_plus: f64,
     magic: f64,

@@ -269,12 +269,10 @@ impl CouplingMatrix {
     }
 
     pub fn get(&self, a: usize, b: usize) -> f64 {
-        // lint:allow(panic-reachability, component indices are bounded by the validated component count at construction)
         self.g[a * self.n + b]
     }
 
     pub fn set(&mut self, a: usize, b: usize, v: f64) {
-        // lint:allow(panic-reachability, component indices are bounded by the validated component count at construction)
         self.g[a * self.n + b] = v;
     }
 

@@ -1,3 +1,10 @@
+#![expect(
+    unsafe_code,
+    reason = "madvise on memory the array owns exclusively: MADV_DONTNEED on whole \
+              pages of storage planes a slab's window has just left, MADV_HUGEPAGE \
+              on the 2 MiB-aligned interior of each channel's window (a paging hint \
+              that keeps every value); mincore in a residency test"
+)]
 //! Flat structure-of-arrays field storage for slab subdomains.
 //!
 //! Every node (or the sequential driver, which is the one-node special case)
@@ -189,7 +196,6 @@ impl SlabArray {
     pub fn set(&mut self, ch: usize, cell: usize, v: f64) {
         debug_assert!(ch < self.channels && cell < self.grid.cells(), "cell outside the window");
         let i = ch * self.stride() + self.base() + cell;
-        // lint:allow(panic-reachability, kernel hot path; ch and cell are bounded by grid construction)
         self.data[i] = v;
     }
 

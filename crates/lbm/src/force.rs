@@ -1,3 +1,11 @@
+#![expect(
+    unsafe_code,
+    reason = "the force kernel computes one plane at a time through raw pointers: it \
+              reads psi from the window base and per-plane gradient and adhesion \
+              buffers it owns, and writes each component's forces once into a plane \
+              the caller names (a plane scratch, or a plane of a reference array) \
+              that aliases nothing it reads"
+)]
 //! Force computation: Shan–Chen interparticle interaction, hydrophobic wall
 //! forces, and the uniform body force driving the flow.
 //!

@@ -179,7 +179,7 @@ mod tests {
 
     #[test]
     fn d3q19_has_nineteen_unique_velocities() {
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for e in D3Q19::E {
             assert!(seen.insert(*e), "duplicate velocity {e:?}");
             assert!(e.iter().all(|c| c.abs() <= 1));

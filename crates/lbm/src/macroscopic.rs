@@ -1,3 +1,10 @@
+#![expect(
+    unsafe_code,
+    reason = "the moments kernel (psi and momentum of a run of cells) through raw \
+              pointers: disjoint cell ranges of the window (window base + storage \
+              channel stride) into psi/ueq, or one plane into a snapshot's scratch; \
+              the force kernel into the snapshot's plane scratch"
+)]
 //! Macroscopic quantities: number density, mass density, momentum and the
 //! physical velocity field.
 //!

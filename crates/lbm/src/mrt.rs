@@ -1,3 +1,9 @@
+#![expect(
+    unsafe_code,
+    reason = "MRT collision kernel via raw pointers, one src/dst body: in place over \
+              disjoint cell ranges of the window (window base + storage channel \
+              stride), or from the window into a ring slot that aliases nothing"
+)]
 //! Multiple-relaxation-time (MRT) collision for D3Q19.
 //!
 //! The d'Humières-style operator: populations are transformed to a moment
@@ -198,7 +204,10 @@ pub fn collide_mrt(comp: &mut ComponentState, rates: MrtRates) {
 
 /// MRT collision of `n` cells from `src` into `dst` (in place when they
 /// are the same). Safety: see [`crate::collision::collide_cells_raw`].
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a raw kernel takes its pointers, strides and relaxation rates as scalars"
+)]
 pub(crate) unsafe fn collide_mrt_raw(
     tau: f64,
     rates: MrtRates,

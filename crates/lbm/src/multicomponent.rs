@@ -1,3 +1,12 @@
+#![expect(
+    unsafe_code,
+    reason = "per-component raw pointers in the velocity update: psi and ueq at the \
+              window base or at one plane of it (one shared storage channel stride), \
+              the force in a plane scratch or a reference array (its own stride); \
+              each cell's ueq slots are read (momentum) for every component before \
+              any is overwritten, and the plane scratch is written by the force \
+              kernel only before the update reads it"
+)]
 //! Shan–Chen multicomponent coupling: the common velocity and the
 //! per-component equilibrium velocities.
 //!

@@ -1,3 +1,11 @@
+#![expect(
+    unsafe_code,
+    reason = "runtime-dispatched core::arch AVX2 kernels (src/dst BGK collide, \
+              psi/momentum moments, ueq update, interaction gradient, force \
+              assembly) plus their raw-pointer scalar references, addressing window- \
+              local cells from a window base with the storage channel stride; every \
+              pair is held bitwise identical by the in-file proptests"
+)]
 //! Explicit-SIMD collision kernels (`core::arch`, runtime-dispatched).
 //!
 //! The workspace builds for baseline x86-64 (no `-C target-cpu`), so the
@@ -267,7 +275,10 @@ pub(crate) unsafe fn update_ueq_avx2(
 /// `c`, `a`, `b` must hold `nz` readable cells and `out` `nz` writable
 /// cells.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the three stencil rows, the output and the cell's weights stay in registers"
+)]
 unsafe fn cross_cell<const SUB: bool>(
     c: *const f64,
     a: *const f64,
@@ -924,6 +935,8 @@ mod tests {
             let j_stride = n + 2;
             let f = c.f.base_ptr();
             // The AVX2 body alone, then the dispatcher (body + scalar tail).
+            // SAFETY: AVX2 was detected above; cells start..start + n lie in
+            // the window of `c.f`, psi holds n cells and j 3 rows of j_stride.
             let body = unsafe {
                 super::moments_avx2(f.add(start), c.f.stride(), psi.as_mut_ptr(), j.as_mut_ptr(), j_stride, n)
             };
@@ -946,6 +959,7 @@ mod tests {
                 }
             };
             check(&psi, &j, body);
+            // SAFETY: as for the AVX2 body above.
             unsafe {
                 moments_raw(f.add(start), c.f.stride(), psi.as_mut_ptr(), j.as_mut_ptr(), j_stride, n)
             };
@@ -1005,14 +1019,18 @@ mod tests {
             .iter_mut()
             .zip(scratch.iter_mut())
             .map(|(c, force)| CompView {
+                // SAFETY: plane 1 of a three-plane window is in bounds.
                 psi: unsafe { c.psi.base_ptr().add(p) },
                 force: force.as_ptr(),
                 force_stride: p,
+                // SAFETY: as for psi.
                 ueq: unsafe { c.ueq.base_mut_ptr().add(p) },
                 mass: c.spec.mass,
                 momentum_tau: c.spec.momentum_tau(),
             })
             .collect();
+        // SAFETY: every view addresses plane 1 with the arrays' own strides,
+        // and the scratch planes alias nothing the update reads.
         unsafe { update_cells(&views, grid.cells(), 0..p) };
         for (c, d) in planed.iter().zip(&comps) {
             let bits = |c: &ComponentState| c.ueq.to_vec().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
@@ -1068,6 +1086,8 @@ mod tests {
         let mut got = vec![0.0; 3 * p];
         let mut scratch = vec![0.0; p + nz];
         for xl in 1..planes - 1 {
+            // SAFETY: AVX2 was detected above; xl ± 1 are planes of `pe`,
+            // the outputs hold 3 planes and the scratch a plane plus a row.
             unsafe {
                 super::gvec_plane_impl(pe.as_ptr(), want.as_mut_ptr(), scratch.as_mut_ptr(), xl, ny, nz, p);
                 super::gvec_plane_avx2(pe.as_ptr(), got.as_mut_ptr(), scratch.as_mut_ptr(), xl, ny, nz, p);
@@ -1129,8 +1149,11 @@ mod tests {
                 mass: 0.7,
                 body: [1.3e-4, -2.0e-5, 7.0e-6],
             };
+            // SAFETY: plane xl of the three-plane lattice is in bounds.
             let a_scalar = build(unsafe { out_scalar.as_mut_ptr().add(xl * p) }, ncells);
             let a_simd = build(out_simd.as_mut_ptr(), p);
+            // SAFETY: AVX2 was detected above; every input covers three
+            // planes and each output the plane its assembly names.
             unsafe {
                 super::force_assemble_scalar(&a_scalar, xl, &planes);
                 super::force_assemble_avx2(&a_simd, xl, &planes);

@@ -1,3 +1,15 @@
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::cast_possible_wrap
+)]
 //! Content-addressed on-disk store for sealed result artifacts.
 //!
 //! One directory, one file per key: `<dir>/<key>.artifact`, where the key
@@ -129,7 +141,11 @@ impl CacheStore {
     /// Returns the evicted keys (sorted). Ties on modification time break
     /// by key, so the trim is reproducible within timestamp resolution.
     pub fn trim_to(&self, max_entries: usize) -> io::Result<Vec<String>> {
-        // lint:allow(determinism-clock, eviction order reads file mtimes, not the physics; results are content-addressed so which entries survive never affects any computed value)
+        #[expect(
+            clippy::disallowed_types,
+            reason = "eviction order reads file mtimes, not the physics; results are \
+                      content-addressed, so which entries survive never affects a computed value"
+        )]
         let mut aged: Vec<(std::time::SystemTime, String)> = Vec::new();
         for key in self.keys()? {
             let Ok(path) = self.entry_path(&key) else { continue };
@@ -219,6 +235,7 @@ mod tests {
         for (i, key) in ["aa", "bb", "cc"].iter().enumerate() {
             store.put_sealed(key, &sealed(key.as_bytes())).expect("put");
             // Distinct mtimes so age ordering is unambiguous.
+            #[expect(clippy::disallowed_types, reason = "sets file mtimes; reads no clock")]
             let when = std::time::SystemTime::UNIX_EPOCH
                 + std::time::Duration::from_secs(1_000_000 + i as u64);
             let file = fs::File::options()

@@ -1,3 +1,13 @@
+#![expect(
+    unsafe_code,
+    reason = "raw-pointer sweep over the x-planes of the slab's window (window base \
+              + storage channel stride, the window inside the capacity): each plane \
+              is collided out of place into a three-slot ring of post-collision \
+              planes (or copied in, if collided before the sweep), and f is written \
+              only by streaming, from ring slots or ghost planes, never a plane of f \
+              being written; psi and the ueq slots of the streamed plane are written \
+              row block by row block, after that plane's collision read them"
+)]
 //! Streaming (propagation) with halfway bounce-back walls, and the moments
 //! of each streamed plane.
 //!
@@ -200,6 +210,7 @@ fn sweep(
     let psi = comp.psi.base_mut_ptr();
     let fp = comp.f.base_mut_ptr();
     // A ghost plane of `f`: channel i of plane xl is at xl*p + i*cells.
+    // SAFETY: called only with the window's two ghost planes, in bounds.
     let ghost = |xl: usize| PlaneSrc { base: unsafe { fp.add(xl * p) as *const f64 }, stride: cells };
     // The ring: post-collision planes xl − 1, xl, xl + 1; plane first + j
     // lives in slot j % 3.
@@ -290,7 +301,10 @@ unsafe fn upstream(i: usize, prev: PlaneSrc, cur: PlaneSrc, next: PlaneSrc) -> *
 /// expose the post-collision values of planes `xl − 1`, `xl`, `xl + 1` and
 /// not alias plane `xl` of `f`; no other thread may access plane `xl` of
 /// `f` during the call.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a raw kernel takes its plane pointers, strides and wall data as scalars"
+)]
 unsafe fn stream_plane_fast(
     f: *mut f64,
     cells: usize,
@@ -339,7 +353,10 @@ unsafe fn stream_plane_fast(
 /// Reference per-cell in-place streaming with obstacle bounce-back.
 /// Safety: see [`stream_plane_fast`]; additionally `solid` must cover the
 /// full local grid.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a raw kernel takes its plane pointers, strides and wall data as scalars"
+)]
 unsafe fn stream_plane_generic(
     f: *mut f64,
     cells: usize,
@@ -402,7 +419,10 @@ unsafe fn stream_plane_generic(
 ///
 /// As [`stream_plane_fast`]; additionally `ry` must have one entry per
 /// local plane (ghosts included).
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a raw kernel takes its plane pointers, strides and wall data as scalars"
+)]
 unsafe fn stream_plane_slip(
     f: *mut f64,
     cells: usize,
@@ -496,7 +516,10 @@ unsafe fn stream_plane_slip(
 /// back to full bounce-back (the roughness element interrupts the smooth
 /// wall, so there is nothing to reflect off specularly).
 /// Safety: see [`stream_plane_slip`] and [`stream_plane_generic`].
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a raw kernel takes its plane pointers, strides and wall data as scalars"
+)]
 unsafe fn stream_plane_slip_generic(
     f: *mut f64,
     cells: usize,

@@ -1,11 +1,11 @@
 //! Name-resolved intra-workspace call graph and the transitive
 //! panic-reachability pass.
 //!
-//! The direct-token boundary rules prove the *parser files themselves*
-//! cannot panic; this pass closes the gap they leave: a helper in some
-//! other file that a decoder calls. Resolution is name-based over the
-//! [`crate::items::FnItem`] table — no types — so it is deliberately an
-//! over-approximation with narrow, documented tiers:
+//! Clippy's lints in each boundary module's header prove the *parser
+//! files themselves* cannot panic; this pass closes the gap they leave: a
+//! helper in some other file that a decoder calls. Resolution is
+//! name-based over the [`crate::items::FnItem`] table — no types — so it
+//! is deliberately an over-approximation with narrow, documented tiers:
 //!
 //! * `path::name(..)` / `Type::name(..)` — items whose `impl` type
 //!   matches the qualifier anywhere in the workspace, else free items in
@@ -18,15 +18,25 @@
 //!
 //! Panic sites reached from a configured entry point are reported *at
 //! the site*, with the call chain in the message. Sites inside boundary
-//! path files are skipped — the per-file token rules already ban them
-//! there — so this pass reports exactly the complement.
+//! files are skipped — clippy already denies them there — so this pass
+//! reports exactly the complement.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use crate::diag::Finding;
 use crate::items::FnItem;
 use crate::lexer::Tok;
-use crate::passes::boundary::{NON_INDEX_KEYWORDS, PANIC_MACROS};
+use crate::Finding;
+
+const PANIC_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
+
+/// Rust keywords that may directly precede `[` without it being an index
+/// expression (`return [..]`, `in [..]`, `let [a, b] = …`, `&mut [..]`).
+const NON_INDEX_KEYWORDS: &[&str] = &[
+    "let", "mut", "ref", "in", "if", "else", "match", "return", "break", "continue", "loop",
+    "while", "for", "move", "as", "const", "static", "fn", "impl", "trait", "type", "struct",
+    "enum", "union", "mod", "use", "pub", "crate", "super", "where", "unsafe", "dyn", "async",
+    "await", "yield", "box", "extern", "true", "false",
+];
 
 /// One potentially-panicking token site inside a fn body.
 #[derive(Clone, Debug)]
@@ -36,8 +46,7 @@ pub struct PanicSite {
 }
 
 /// Direct panic sites in a fn body: `.unwrap()` / `.expect()`,
-/// panic-family macros, and slice indexing (same heuristics as the
-/// boundary token rules).
+/// panic-family macros, and slice indexing.
 pub fn direct_panic_sites(item: &FnItem) -> Vec<PanicSite> {
     let body = &item.body;
     let mut out = Vec::new();
@@ -214,13 +223,13 @@ impl<'a> CallGraph<'a> {
 
 /// Transitive panic-reachability from the configured entry points.
 ///
-/// `entries` are `(file, fn name)` pairs; `report_in` gates which files'
-/// panic sites become findings (boundary-path files return `false` — the
-/// per-file token rules own them).
+/// `entries` are `(file, fn name)` pairs; `report` is asked once for each
+/// reached fn that has panic sites, and gates whether they become
+/// findings (boundary files and exempted fns answer `false`).
 pub fn check_reachability(
     items: &[FnItem],
     entries: &[(String, String)],
-    report_in: impl Fn(&str) -> bool,
+    mut report: impl FnMut(&FnItem) -> bool,
 ) -> Vec<Finding> {
     let graph = CallGraph::new(items);
     let mut findings = Vec::new();
@@ -266,11 +275,12 @@ pub fn check_reachability(
     let mut seen: BTreeSet<(String, u32, String)> = BTreeSet::new();
     for (&ix, path) in &chain {
         let it = &items[ix];
-        if !report_in(&it.file) || it.test_only {
+        let sites = direct_panic_sites(it);
+        if it.test_only || sites.is_empty() || !report(it) {
             continue;
         }
         let via: Vec<String> = path.iter().map(|&p| items[p].qualified_name()).collect();
-        for site in direct_panic_sites(it) {
+        for site in sites {
             if !seen.insert((it.file.clone(), site.line, site.what.clone())) {
                 continue;
             }
@@ -280,7 +290,7 @@ pub fn check_reachability(
                 rule: "panic-reachability",
                 message: format!(
                     "{} in `{}` is reachable from untrusted input via {}; return a typed \
-                     error along the chain or justify with lint:allow",
+                     error along the chain or add an exemption with its reason",
                     site.what,
                     it.qualified_name(),
                     via.join(" -> "),
@@ -329,7 +339,7 @@ mod tests {
         ]);
         let entries = vec![("net/wire.rs".to_string(), "decode".to_string())];
         // The entry file is a boundary file: its own sites are not ours.
-        let f = check_reachability(&items, &entries, |file| file != "net/wire.rs");
+        let f = check_reachability(&items, &entries, |it| it.file != "net/wire.rs");
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].file, "net/util.rs");
         assert_eq!(f[0].rule, "panic-reachability");

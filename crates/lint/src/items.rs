@@ -7,28 +7,22 @@
 
 use crate::lexer::{Tok, Token};
 
-/// Comment tokens stripped — every syntactic scan works on this view.
-pub fn sig_tokens(tokens: &[Token]) -> Vec<&Token> {
-    tokens.iter().filter(|t| !t.is_comment()).collect()
-}
-
 /// Inclusive line ranges covered by `#[cfg(test)]` items (test modules,
-/// test-only functions and imports). The determinism and boundary rules
-/// skip these — test code may unwrap and may measure time.
-pub fn test_exempt_ranges(tokens: &[Token]) -> Vec<(u32, u32)> {
-    let sig = sig_tokens(tokens);
+/// test-only functions and imports). Their fns are never call-graph
+/// edges: test code may unwrap.
+fn test_exempt_ranges(sig: &[Token]) -> Vec<(u32, u32)> {
     let mut ranges = Vec::new();
     let mut i = 0usize;
     while i < sig.len() {
-        if let Some((attr_is_test, after_attr)) = parse_attribute(&sig, i) {
+        if let Some((attr_is_test, after_attr)) = parse_attribute(sig, i) {
             if attr_is_test {
                 let start_line = sig[i].line;
                 // Skip any further attributes on the same item.
                 let mut j = after_attr;
-                while let Some((_, next)) = parse_attribute(&sig, j) {
+                while let Some((_, next)) = parse_attribute(sig, j) {
                     j = next;
                 }
-                let end_line = item_end_line(&sig, j);
+                let end_line = item_end_line(sig, j);
                 ranges.push((start_line, end_line));
             }
             i = after_attr;
@@ -41,7 +35,7 @@ pub fn test_exempt_ranges(tokens: &[Token]) -> Vec<(u32, u32)> {
 
 /// If `sig[i]` opens an attribute (`#[…]` or `#![…]`), returns whether it
 /// is a `cfg(test)`-style attribute and the index just past its `]`.
-fn parse_attribute(sig: &[&Token], i: usize) -> Option<(bool, usize)> {
+pub(crate) fn parse_attribute(sig: &[Token], i: usize) -> Option<(bool, usize)> {
     if !sig.get(i)?.is_punct('#') {
         return None;
     }
@@ -74,7 +68,7 @@ fn parse_attribute(sig: &[&Token], i: usize) -> Option<(bool, usize)> {
 
 /// Line where the item starting at `sig[i]` ends: the matching `}` of its
 /// first brace, or the first `;` before any brace opens.
-fn item_end_line(sig: &[&Token], i: usize) -> u32 {
+fn item_end_line(sig: &[Token], i: usize) -> u32 {
     let mut depth = 0usize;
     let mut last_line = sig.get(i).map_or(1, |t| t.line);
     for t in sig.iter().skip(i) {
@@ -94,7 +88,7 @@ fn item_end_line(sig: &[&Token], i: usize) -> u32 {
     last_line
 }
 
-pub fn line_is_exempt(ranges: &[(u32, u32)], line: u32) -> bool {
+fn line_is_exempt(ranges: &[(u32, u32)], line: u32) -> bool {
     ranges.iter().any(|&(a, b)| (a..=b).contains(&line))
 }
 
@@ -109,11 +103,9 @@ pub struct FnItem {
     pub file: String,
     /// Line of the `fn` keyword.
     pub line: u32,
-    /// Declared `unsafe fn`.
-    pub is_unsafe: bool,
     /// Inside a `#[cfg(test)]` extent.
     pub test_only: bool,
-    /// Body tokens including both braces, comments stripped.
+    /// Body tokens including both braces.
     pub body: Vec<Token>,
 }
 
@@ -128,7 +120,7 @@ impl FnItem {
 }
 
 /// `(start, end, type)` signature-token index ranges of `impl` blocks.
-fn impl_regions(sig: &[&Token]) -> Vec<(usize, usize, String)> {
+fn impl_regions(sig: &[Token]) -> Vec<(usize, usize, String)> {
     let mut out = Vec::new();
     let mut i = 0usize;
     while i < sig.len() {
@@ -180,7 +172,7 @@ fn impl_regions(sig: &[&Token]) -> Vec<(usize, usize, String)> {
 }
 
 /// Index of `sig[open]`'s matching `}` (or the last token if unclosed).
-fn brace_match(sig: &[&Token], open: usize) -> (usize, usize) {
+fn brace_match(sig: &[Token], open: usize) -> (usize, usize) {
     let mut depth = 0usize;
     for (k, t) in sig.iter().enumerate().skip(open) {
         match &t.tok {
@@ -199,10 +191,9 @@ fn brace_match(sig: &[&Token], open: usize) -> (usize, usize) {
 
 /// Parses every `fn` item (free, method, nested) with a body out of the
 /// token stream. Bodyless trait declarations are skipped.
-pub fn parse_fn_items(file: &str, tokens: &[Token]) -> Vec<FnItem> {
-    let sig = sig_tokens(tokens);
-    let exempt = test_exempt_ranges(tokens);
-    let impls = impl_regions(&sig);
+pub fn parse_fn_items(file: &str, sig: &[Token]) -> Vec<FnItem> {
+    let exempt = test_exempt_ranges(sig);
+    let impls = impl_regions(sig);
     let mut out = Vec::new();
     for i in 0..sig.len() {
         if sig[i].ident() != Some("fn") {
@@ -210,7 +201,6 @@ pub fn parse_fn_items(file: &str, tokens: &[Token]) -> Vec<FnItem> {
         }
         // `fn(` is a fn-pointer type, not an item.
         let Some(name) = sig.get(i + 1).and_then(|t| t.ident()) else { continue };
-        let is_unsafe = i > 0 && sig[i - 1].ident() == Some("unsafe");
         // Find the body brace, or bail on `;` (trait method declaration).
         // `;` inside `[u8; 8]`-style signature types is depth-guarded.
         let mut j = i + 2;
@@ -222,7 +212,7 @@ pub fn parse_fn_items(file: &str, tokens: &[Token]) -> Vec<FnItem> {
                 Tok::Punct(')') | Tok::Punct(']') => nest -= 1,
                 Tok::Punct(';') if nest <= 0 => break,
                 Tok::Punct('{') => {
-                    body = Some(brace_match(&sig, j));
+                    body = Some(brace_match(sig, j));
                     break;
                 }
                 _ => {}
@@ -239,9 +229,8 @@ pub fn parse_fn_items(file: &str, tokens: &[Token]) -> Vec<FnItem> {
             impl_of,
             file: file.to_string(),
             line: sig[i].line,
-            is_unsafe,
             test_only: line_is_exempt(&exempt, sig[i].line),
-            body: sig[open..=end].iter().map(|t| (*t).clone()).collect(),
+            body: sig[open..=end].to_vec(),
         });
     }
     out
@@ -304,7 +293,6 @@ mod tests { fn t_only() {} }
                 ("t_only".into(), None),
             ]
         );
-        assert!(items.iter().find(|i| i.name == "danger").unwrap().is_unsafe);
         assert!(items.iter().find(|i| i.name == "t_only").unwrap().test_only);
         assert!(!items.iter().find(|i| i.name == "method").unwrap().test_only);
         assert_eq!(items.iter().find(|i| i.name == "method").unwrap().line, 4);

@@ -2,8 +2,9 @@
 //! linting, in the same vendored-shim philosophy as the rest of the
 //! workspace (no `syn`, no `proc-macro2`, no registry access).
 //!
-//! The lexer's one job is to classify source bytes so the rules never
-//! mistake a word inside a string literal or a doc comment for code. It
+//! The lexer's one job is to classify source bytes so the call graph never
+//! mistakes a word inside a string literal or a comment for code; comments
+//! are dropped, everything else becomes a token. It
 //! handles every literal form the workspace uses: nested block comments,
 //! raw strings (`r"…"`, `r#"…"#`), byte strings (`b"…"`, `br#"…"#`), byte
 //! chars (`b'x'`), char-vs-lifetime disambiguation (`'a'` vs `'a`), and
@@ -11,8 +12,7 @@
 //! AST: rules work on the flat token stream plus brace matching.
 
 /// One lexed token. Identifiers keep their text (rules match on names),
-/// literals keep their raw text, comments keep their text (the
-/// suppression parser reads `lint:allow` out of them).
+/// literals their raw text.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Tok {
     /// Identifier or keyword (`unsafe`, `HashMap`, `unwrap`, …).
@@ -28,10 +28,6 @@ pub enum Tok {
     Num(String),
     /// Lifetime or loop label (`'a`, `'static`, `'outer`).
     Lifetime,
-    /// `// …` comment; payload is the text after the slashes.
-    LineComment(String),
-    /// `/* … */` comment (nesting handled); payload is the interior text.
-    BlockComment(String),
 }
 
 /// A token plus the 1-based source line it starts on.
@@ -42,11 +38,6 @@ pub struct Token {
 }
 
 impl Token {
-    /// True for comment tokens (skipped by every syntactic rule).
-    pub fn is_comment(&self) -> bool {
-        matches!(self.tok, Tok::LineComment(_) | Tok::BlockComment(_))
-    }
-
     /// The identifier text, if this token is an identifier.
     pub fn ident(&self) -> Option<&str> {
         match &self.tok {
@@ -112,47 +103,25 @@ pub fn lex(src: &str) -> Vec<Token> {
                 cur.bump();
             }
             b'/' if cur.peek(1) == Some(b'/') => {
-                cur.bump();
-                cur.bump();
-                let text = cur.take_while(|c| c != b'\n');
-                out.push(Token {
-                    tok: Tok::LineComment(String::from_utf8_lossy(text).into_owned()),
-                    line,
-                });
+                cur.take_while(|c| c != b'\n');
             }
             b'/' if cur.peek(1) == Some(b'*') => {
                 cur.bump();
                 cur.bump();
-                let start = cur.pos;
                 let mut depth = 1usize;
-                let mut end = cur.pos;
                 while depth > 0 {
                     match (cur.peek(0), cur.peek(1)) {
-                        (Some(b'/'), Some(b'*')) => {
-                            depth += 1;
-                            cur.bump();
-                            cur.bump();
-                        }
-                        (Some(b'*'), Some(b'/')) => {
-                            depth -= 1;
-                            end = cur.pos;
-                            cur.bump();
-                            cur.bump();
-                        }
+                        (Some(b'/'), Some(b'*')) => depth += 1,
+                        (Some(b'*'), Some(b'/')) => depth -= 1,
                         (Some(_), _) => {
                             cur.bump();
+                            continue;
                         }
-                        (None, _) => {
-                            end = cur.pos;
-                            break;
-                        }
+                        (None, _) => break,
                     }
+                    cur.bump();
+                    cur.bump();
                 }
-                let text = &cur.bytes[start..end];
-                out.push(Token {
-                    tok: Tok::BlockComment(String::from_utf8_lossy(text).into_owned()),
-                    line,
-                });
             }
             b'"' => {
                 cur.bump();
@@ -390,9 +359,8 @@ mod tests {
     #[test]
     fn nested_block_comments() {
         let toks = lex("/* outer /* inner */ still comment */ code");
-        assert_eq!(toks.len(), 2);
-        assert!(matches!(&toks[0].tok, Tok::BlockComment(t) if t.contains("inner")));
-        assert_eq!(toks[1].ident(), Some("code"));
+        assert_eq!(toks.len(), 1);
+        assert_eq!(toks[0].ident(), Some("code"));
     }
 
     #[test]
@@ -436,14 +404,5 @@ mod tests {
         lex("/* unterminated");
         lex("let c = '");
         lex("let r = r#\"unterminated");
-    }
-
-    #[test]
-    fn lint_allow_comment_text_is_preserved() {
-        let toks = lex("foo(); // lint:allow(boundary-panic, bench helper)");
-        let Some(Tok::LineComment(text)) = toks.last().map(|t| &t.tok) else {
-            panic!("expected trailing line comment");
-        };
-        assert_eq!(text.trim(), "lint:allow(boundary-panic, bench helper)");
     }
 }

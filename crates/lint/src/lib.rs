@@ -1,105 +1,105 @@
 #![forbid(unsafe_code)]
-//! # microslip-lint — static invariant checking for the workspace
+//! # microslip-lint — panic-reachability from the decode entry points
 //!
-//! A zero-dependency linter enforcing the project rules clippy cannot
-//! express, because they are about *this* system's guarantees:
+//! Most of the workspace's invariants are rustc and clippy lints:
 //!
-//! * **determinism** (`determinism-clock` / `determinism-hash` /
-//!   `determinism-thread`) — the bitwise serial/threaded/multi-process
-//!   equivalence results rest on decision and kernel code never reading a
-//!   wall clock, iterating a hash-ordered collection, or branching on
-//!   thread identity. Timing modules are allowlisted by name.
-//! * **panic-freedom at the trust boundary** (`boundary-panic` /
-//!   `boundary-index` / `cast-truncation`) — files that parse untrusted
-//!   bytes (TCP frames, JSONL traces, config blobs) must return typed
-//!   errors, never panic, and never narrow integers with `as`.
-//! * **transitive panic-reachability** (`panic-reachability`) — a
-//!   name-resolved call graph over every `fn` in the workspace; panic
-//!   sites reachable from the decode entry points are findings even when
-//!   they live outside the boundary files ([`callgraph`]).
-//! * **unsafe containment** (`unsafe-containment`) — `unsafe` only in
-//!   explicitly registered kernel files, each with a justification whose
-//!   named fns are re-verified against the file.
+//! * **panic-freedom at the trust boundary** — every module that parses
+//!   untrusted bytes (TCP frames, JSONL traces, config blobs, sealed
+//!   files) opens with a `#![deny(clippy::unwrap_used, …)]` header
+//!   ([`BOUNDARY_LINTS`]): no panics, no unchecked indexing, no narrowing
+//!   casts;
+//! * **determinism** — `clippy.toml` in `balance`, `cluster`, `lbm` and
+//!   `runtime` disallows wall clocks, hash-ordered collections and thread
+//!   identity;
+//! * **unsafe containment** — `unsafe_code` is denied workspace-wide, the
+//!   kernel files that need it say why in an `#![expect(unsafe_code)]`,
+//!   and every block carries a `// SAFETY:` line;
+//! * **suppressions** — `#[expect(lint, reason = "…")]`: a missing reason
+//!   and an expectation nothing fulfils are both errors.
 //!
-//! Drift between the byte codecs, the frame-kind table and the trace
-//! schema is not checked here: each encoder destructures its type
-//! exhaustively, `FrameKind`'s `#[repr(u8)]` discriminants are the one
-//! code table, and the round-trip tests beside each format cover every
-//! variant, so that drift is a compile error or a failing test.
-//!
-//! Findings can be suppressed inline with `// lint:allow(<rule>,
-//! <reason>)`; a missing reason is itself a violation (`allow-syntax`),
-//! and an allow that no longer suppresses anything is one too
-//! (`allow-stale`). The binary prints rustc-style `file:line: rule:
-//! message` diagnostics (or JSON with `--json`), diffs against a
-//! committed baseline with `--baseline`, and exits nonzero on any new
+//! What no tool in the toolchain sees is the call graph. This crate keeps
+//! that one rule, `panic-reachability` ([`callgraph`]): a name-resolved
+//! call graph over every `fn` in the workspace, walked from the decode
+//! entry points, reports panic sites reachable from untrusted input that
+//! live *outside* the boundary files. The accepted ones are exemptions
+//! with a reason ([`config::default_config`]); an exemption that
+//! suppresses nothing is a finding too. The binary prints rustc-style
+//! `file:line: rule: message` diagnostics and exits nonzero on any
 //! finding.
 
-pub mod allow;
 pub mod callgraph;
 pub mod config;
-pub mod diag;
 pub mod items;
 pub mod lexer;
-pub mod passes;
-pub mod rules;
 
+use std::fmt;
 use std::path::{Path, PathBuf};
 
-pub use allow::{format_allow, parse_allow, Allow, AllowParse};
-pub use config::{default_config, LintConfig, ReachabilityCheck, UnsafeEntry};
-pub use diag::{diff_baseline, parse_baseline, sort_findings, to_json, BaselineEntry, Finding};
+pub use config::{default_config, Exemption, LintConfig, BOUNDARY_LINTS};
 
-use items::FnItem;
-use passes::Suppressions;
-
-/// One scanned file: its item table, per-file findings (already filtered
-/// through suppressions), and the suppressions themselves so the
-/// workspace passes can consult them before the staleness audit.
-struct FileScan {
-    rel: String,
-    items: Vec<FnItem>,
-    suppressions: Suppressions,
-    findings: Vec<Finding>,
-    has_unsafe: bool,
+/// One rule violation at one source location.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Finding {
+    /// Workspace-root-relative path with forward slashes.
+    pub file: String,
+    /// 1-based line number.
+    pub line: u32,
+    /// `panic-reachability` or `unused-exemption`.
+    pub rule: &'static str,
+    pub message: String,
 }
 
-/// Runs every per-file rule the config scopes `rel_path` into.
-fn scan_file(rel_path: &str, src: &str, cfg: &LintConfig) -> FileScan {
-    let tokens = lexer::lex(src);
-    let (suppressions, mut findings) = passes::collect_suppressions(rel_path, &tokens);
-    let mut raw = Vec::new();
-    if cfg.in_determinism_paths(rel_path) {
-        raw.extend(passes::determinism::check_determinism(rel_path, &tokens));
+impl fmt::Display for Finding {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}:{}: {}: {}", self.file, self.line, self.rule, self.message)
     }
-    if cfg.in_boundary_paths(rel_path) {
-        raw.extend(passes::boundary::check_boundary(rel_path, &tokens));
-        raw.extend(passes::casts::check_casts(rel_path, &tokens));
-    }
-    let registered = cfg.unsafe_justification(rel_path).is_some();
-    raw.extend(passes::unsafe_check::check_unsafe_containment(rel_path, &tokens, registered));
-    findings.extend(raw.into_iter().filter(|f| !suppressions.covers(f.rule, f.line)));
-    let has_unsafe = !passes::unsafe_check::unsafe_lines(&tokens).is_empty();
-    let items = items::parse_fn_items(rel_path, &tokens);
-    FileScan { rel: rel_path.to_string(), items, suppressions, findings, has_unsafe }
 }
 
-/// Lints one file's source in isolation (per-file rules only — the
-/// cross-file passes need the whole workspace). Returns the surviving
-/// findings (including `allow-stale` for suppressions nothing used) and
-/// whether the file contains `unsafe` at all.
-pub fn lint_source(rel_path: &str, src: &str, cfg: &LintConfig) -> (Vec<Finding>, bool) {
-    let scan = scan_file(rel_path, src, cfg);
-    let mut findings = scan.findings;
-    findings.extend(scan.suppressions.stale(rel_path));
-    (findings, scan.has_unsafe)
+/// True when the file's leading inner attributes include a `deny` of
+/// every [`BOUNDARY_LINTS`] entry.
+fn opens_with_boundary_header(src: &str) -> bool {
+    let sig = lexer::lex(src);
+    let mut i = 0;
+    while sig.get(i + 1).is_some_and(|t| t.is_punct('!')) {
+        let Some((_, end)) = items::parse_attribute(&sig, i) else { break };
+        let attr = &sig[i..end];
+        if attr.get(3).and_then(|t| t.ident()) == Some("deny")
+            && BOUNDARY_LINTS.iter().all(|l| attr.iter().any(|t| t.ident() == Some(l)))
+        {
+            return true;
+        }
+        i = end;
+    }
+    false
+}
+
+/// The `lib.rs` whose inner attributes govern `file`: `crates/X/src/…` →
+/// `crates/X/src/lib.rs`, `src/…` → `src/lib.rs`. Binary roots and
+/// everything outside `src/` (tests, examples) are crates of their own.
+fn crate_lib(file: &str) -> Option<String> {
+    let (krate, rest) = match file.strip_prefix("crates/") {
+        Some(rest) => {
+            let (name, rest) = rest.split_once('/')?;
+            (format!("crates/{name}/"), rest)
+        }
+        None => (String::new(), file),
+    };
+    let module = rest.strip_prefix("src/")?;
+    (module != "main.rs" && !module.starts_with("bin/")).then(|| format!("{krate}src/lib.rs"))
+}
+
+/// Whether clippy's boundary header governs `rel`: the file, or its
+/// crate's `lib.rs`, opens with it.
+pub fn is_boundary_file(root: &Path, rel: &str) -> std::io::Result<bool> {
+    let opens = |rel: &str| -> std::io::Result<bool> {
+        Ok(opens_with_boundary_header(&std::fs::read_to_string(root.join(rel))?))
+    };
+    Ok(opens(rel)? || crate_lib(rel).map_or(Ok(false), |lib| opens(&lib))?)
 }
 
 /// Lints the whole workspace under `root`: walks the configured scan
-/// roots, runs the per-file rules, then the cross-file passes (unsafe
-/// registry staleness, panic reachability), filters everything through
-/// the inline suppressions, and finally audits the suppressions
-/// themselves for staleness. Findings come back sorted.
+/// roots, parses every fn and which files are boundary files, and runs
+/// [`lint_items`].
 pub fn lint_workspace(root: &Path, cfg: &LintConfig) -> std::io::Result<Vec<Finding>> {
     let mut files = Vec::new();
     for scan_root in &cfg.scan_roots {
@@ -107,74 +107,50 @@ pub fn lint_workspace(root: &Path, cfg: &LintConfig) -> std::io::Result<Vec<Find
     }
     files.sort();
 
-    let mut scans = Vec::with_capacity(files.len());
+    let mut items = Vec::new();
+    let mut boundary = Vec::new();
     for rel in &files {
         let src = std::fs::read_to_string(root.join(rel))?;
-        scans.push(scan_file(rel, &src, cfg));
-    }
-    let mut findings: Vec<Finding> = scans.iter().flat_map(|s| s.findings.clone()).collect();
-
-    // Workspace passes collect raw findings here, then go through the
-    // owning file's suppressions in one place at the end.
-    let mut raw: Vec<Finding> = Vec::new();
-
-    // Unsafe registry: an entry whose file no longer uses unsafe is a
-    // hole waiting to hide a future violation; a justification naming a
-    // fn that no longer exists (or no longer touches unsafe) has drifted
-    // from the code it vouches for.
-    for entry in &cfg.unsafe_registry {
-        let scan = scans.iter().find(|s| s.rel == entry.path);
-        if !scan.is_some_and(|s| s.has_unsafe) {
-            raw.push(Finding {
-                file: entry.path.clone(),
-                line: 1,
-                rule: "unsafe-containment",
-                message: "registered in the unsafe registry but contains no `unsafe` \
-                          (or was not scanned); remove the stale registry entry"
-                    .to_string(),
-            });
-            continue;
+        items.extend(items::parse_fn_items(rel, &lexer::lex(&src)));
+        if is_boundary_file(root, rel)? {
+            boundary.push(rel.as_str());
         }
-        let scan = scan.expect("checked above");
-        let names = passes::unsafe_check::unsafe_fn_names(&scan.items);
-        for expected in &entry.expect_fns {
-            if !names.iter().any(|n| n == expected) {
-                raw.push(Finding {
-                    file: entry.path.clone(),
-                    line: 1,
-                    rule: "unsafe-containment",
-                    message: format!(
-                        "the registry justification names `fn {expected}` but no such \
-                         unsafe-using fn exists here; the rationale has drifted from the \
-                         code"
-                    ),
-                });
+    }
+    Ok(lint_items(&items, &boundary, cfg))
+}
+
+/// Reports the panic sites reachable from the entry points outside the
+/// `boundary` files and the exemptions, then the exemptions that
+/// suppressed nothing. Findings come back sorted.
+pub fn lint_items(items: &[items::FnItem], boundary: &[&str], cfg: &LintConfig) -> Vec<Finding> {
+    let mut used = vec![false; cfg.exemptions.len()];
+    let mut findings = callgraph::check_reachability(items, &cfg.entries, |it| {
+        if boundary.contains(&it.file.as_str()) {
+            return false;
+        }
+        let name = it.qualified_name();
+        match cfg.exemptions.iter().position(|e| e.file == it.file && e.func == name) {
+            Some(k) => {
+                used[k] = true;
+                false
             }
+            None => true,
         }
+    });
+    for (e, _) in cfg.exemptions.iter().zip(&used).filter(|(_, &u)| !u) {
+        findings.push(Finding {
+            file: e.file.clone(),
+            line: 1,
+            rule: "unused-exemption",
+            message: format!(
+                "the exemption for `{}` suppresses nothing (not reached, or no panic site \
+                 left); remove it from the lint config",
+                e.func
+            ),
+        });
     }
-
-    if let Some(rc) = &cfg.reachability {
-        let all_items: Vec<FnItem> = scans.iter().flat_map(|s| s.items.clone()).collect();
-        raw.extend(callgraph::check_reachability(&all_items, &rc.entries, |file| {
-            !cfg.in_boundary_paths(file)
-        }));
-    }
-
-    findings.extend(raw.into_iter().filter(|f| {
-        !scans
-            .iter()
-            .find(|s| s.rel == f.file)
-            .is_some_and(|s| s.suppressions.covers(f.rule, f.line))
-    }));
-
-    // Last, once every pass has had its chance to use each allow: the
-    // staleness audit.
-    for scan in &scans {
-        findings.extend(scan.suppressions.stale(&scan.rel));
-    }
-
-    sort_findings(&mut findings);
-    Ok(findings)
+    findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
+    findings
 }
 
 /// Recursively collects `.rs` files under `root/dir` (paths returned
@@ -211,45 +187,32 @@ mod tests {
     use super::*;
 
     #[test]
-    fn lint_source_scopes_rules_by_path() {
-        let cfg = LintConfig {
-            determinism_paths: vec!["kernel".into()],
-            boundary_paths: vec!["parser/wire.rs".into()],
-            ..LintConfig::default()
-        };
-        let src = "fn f() { let t = Instant::now(); x.unwrap(); }";
-        let (in_kernel, _) = lint_source("kernel/k.rs", src, &cfg);
-        assert_eq!(in_kernel.iter().map(|f| f.rule).collect::<Vec<_>>(), ["determinism-clock"]);
-        let (in_parser, _) = lint_source("parser/wire.rs", src, &cfg);
-        assert_eq!(in_parser.iter().map(|f| f.rule).collect::<Vec<_>>(), ["boundary-panic"]);
-        let (elsewhere, _) = lint_source("docs/example.rs", src, &cfg);
-        assert!(elsewhere.is_empty());
+    fn the_header_is_recognized_among_leading_inner_attributes() {
+        let header = format!(
+            "#![deny({})]",
+            BOUNDARY_LINTS.iter().map(|l| format!("clippy::{l}")).collect::<Vec<_>>().join(", ")
+        );
+        assert!(opens_with_boundary_header(&format!("{header}\n//! Docs.\nfn f() {{}}")));
+        assert!(opens_with_boundary_header(&format!(
+            "//! Docs.\n#![forbid(unsafe_code)]\n{header}\nfn f() {{}}"
+        )));
+        // After the first item it is not the file's header any more.
+        assert!(!opens_with_boundary_header(&format!("fn f() {{}}\n{header}")));
+        // Every lint must be denied, and denied rather than allowed.
+        assert!(!opens_with_boundary_header("#![deny(clippy::unwrap_used)]"));
+        assert!(!opens_with_boundary_header(&header.replace("deny", "allow")));
     }
 
     #[test]
-    fn suppression_silences_exactly_its_rule_and_site() {
-        let cfg = LintConfig { boundary_paths: vec!["p.rs".into()], ..LintConfig::default() };
-        let src = "fn f() {\n    // lint:allow(boundary-panic, infallible by construction)\n    \
-                   x.unwrap();\n    y.unwrap();\n}\n";
-        let (findings, _) = lint_source("p.rs", src, &cfg);
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].line, 4);
-    }
-
-    #[test]
-    fn unsafe_flag_reported_per_file() {
-        let cfg = LintConfig::default();
-        let (findings, has_unsafe) = lint_source("a.rs", "unsafe fn f() {}", &cfg);
-        assert!(has_unsafe);
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].rule, "unsafe-containment");
-    }
-
-    #[test]
-    fn unused_allow_is_stale_in_lint_source() {
-        let cfg = LintConfig::default();
-        let src = "// lint:allow(boundary-panic, nothing here panics anymore)\nfn f() {}\n";
-        let (findings, _) = lint_source("a.rs", src, &cfg);
-        assert_eq!(findings.iter().map(|f| f.rule).collect::<Vec<_>>(), ["allow-stale"]);
+    fn crate_lib_covers_library_modules_only() {
+        assert_eq!(
+            crate_lib("crates/codec/src/crc.rs").as_deref(),
+            Some("crates/codec/src/lib.rs")
+        );
+        assert_eq!(crate_lib("src/serve.rs").as_deref(), Some("src/lib.rs"));
+        assert_eq!(crate_lib("src/bin/microslip.rs"), None);
+        assert_eq!(crate_lib("crates/lint/src/main.rs"), None);
+        assert_eq!(crate_lib("crates/codec/tests/crc.rs"), None);
+        assert_eq!(crate_lib("tests/seal_golden.rs"), None);
     }
 }

@@ -1,53 +1,24 @@
 #![forbid(unsafe_code)]
-//! The `microslip-lint` binary: lints the workspace and exits nonzero on
-//! any finding (or, with a baseline, on any *new* finding).
+//! The `microslip-lint` binary: runs the panic-reachability scan over the
+//! workspace and exits nonzero on any finding.
 //!
 //! ```text
-//! microslip-lint [--root <dir>] [--json] [--baseline <file>]
+//! microslip-lint [--root <dir>]
 //! ```
 //!
-//! Without `--root`, the workspace root is located by walking upward from
-//! the current directory to the first `Cargo.toml` declaring
-//! `[workspace]`. Diagnostics go to stdout — rustc-style text by default,
-//! a JSON array with `--json`; the summary line goes to stderr so piped
-//! JSON stays clean.
-//!
-//! `--baseline <file>` diffs against a committed findings snapshot (the
-//! `--json` output format): only findings absent from the baseline print
-//! in text mode and fail the run, so CI blocks regressions without
-//! demanding the backlog be fixed first. Regenerate with
-//! `microslip-lint --json > lint-baseline.json` (or `just lint-baseline`).
+//! Without `--root`, it scans the workspace it was built from.
+//! Diagnostics go to stdout, the summary line to stderr.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use microslip_lint::{default_config, diff_baseline, lint_workspace, parse_baseline, to_json};
-
-fn find_workspace_root() -> Option<PathBuf> {
-    let mut dir = std::env::current_dir().ok()?;
-    loop {
-        let manifest = dir.join("Cargo.toml");
-        if manifest.is_file() {
-            if let Ok(text) = std::fs::read_to_string(&manifest) {
-                if text.contains("[workspace]") {
-                    return Some(dir);
-                }
-            }
-        }
-        if !dir.pop() {
-            return None;
-        }
-    }
-}
+use microslip_lint::{default_config, lint_workspace};
 
 fn main() -> ExitCode {
-    let mut json = false;
     let mut root: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--json" => json = true,
             "--root" => match args.next() {
                 Some(dir) => root = Some(PathBuf::from(dir)),
                 None => {
@@ -55,15 +26,8 @@ fn main() -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--baseline" => match args.next() {
-                Some(file) => baseline_path = Some(PathBuf::from(file)),
-                None => {
-                    eprintln!("microslip-lint: --baseline needs a file argument");
-                    return ExitCode::from(2);
-                }
-            },
             "--help" | "-h" => {
-                eprintln!("usage: microslip-lint [--root <dir>] [--json] [--baseline <file>]");
+                eprintln!("usage: microslip-lint [--root <dir>]");
                 return ExitCode::SUCCESS;
             }
             other => {
@@ -72,34 +36,10 @@ fn main() -> ExitCode {
             }
         }
     }
-    let Some(root) = root.or_else(find_workspace_root) else {
-        eprintln!("microslip-lint: could not locate the workspace root (no Cargo.toml with [workspace] above the current directory); pass --root");
-        return ExitCode::from(2);
-    };
-
-    let baseline = match &baseline_path {
-        None => None,
-        Some(path) => {
-            let text = match std::fs::read_to_string(root.join(path)) {
-                Ok(text) => text,
-                Err(e) => {
-                    eprintln!("microslip-lint: cannot read baseline {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            };
-            match parse_baseline(&text) {
-                Ok(entries) => Some(entries),
-                Err(e) => {
-                    eprintln!("microslip-lint: malformed baseline {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            }
-        }
-    };
+    let root = root.unwrap_or_else(|| PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../..")));
 
     let started = std::time::Instant::now();
-    let cfg = default_config();
-    let findings = match lint_workspace(&root, &cfg) {
+    let findings = match lint_workspace(&root, &default_config()) {
         Ok(findings) => findings,
         Err(e) => {
             eprintln!("microslip-lint: cannot scan {}: {e}", root.display());
@@ -107,48 +47,14 @@ fn main() -> ExitCode {
         }
     };
     let elapsed_ms = started.elapsed().as_millis();
-
-    // With a baseline only the regressions are actionable; without one,
-    // everything is. `--json` always prints the full set so the baseline
-    // can be regenerated from it.
-    let (failing, resolved) = match &baseline {
-        Some(entries) => diff_baseline(&findings, entries),
-        None => (findings.clone(), 0),
-    };
-
-    if json {
-        println!("{}", to_json(&findings));
-    } else {
-        for f in &failing {
-            println!("{f}");
-        }
+    for f in &findings {
+        println!("{f}");
     }
-
-    if let Some(entries) = &baseline {
-        eprintln!(
-            "microslip-lint: {} finding(s): {} baselined ({} in baseline), {} new, {} \
-             resolved [{elapsed_ms} ms]",
-            findings.len(),
-            findings.len() - failing.len(),
-            entries.len(),
-            failing.len(),
-            resolved
-        );
-        if resolved > 0 {
-            eprintln!(
-                "microslip-lint: baseline has {resolved} stale entr{}; regenerate with \
-                 `just lint-baseline`",
-                if resolved == 1 { "y" } else { "ies" }
-            );
-        }
-    } else if failing.is_empty() {
+    if findings.is_empty() {
         eprintln!("microslip-lint: workspace clean [{elapsed_ms} ms]");
-    } else {
-        eprintln!("microslip-lint: {} finding(s) [{elapsed_ms} ms]", failing.len());
-    }
-    if failing.is_empty() {
         ExitCode::SUCCESS
     } else {
+        eprintln!("microslip-lint: {} finding(s) [{elapsed_ms} ms]", findings.len());
         ExitCode::FAILURE
     }
 }

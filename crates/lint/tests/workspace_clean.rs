@@ -1,33 +1,17 @@
-//! The workspace must produce no findings beyond the committed baseline
-//! — this is the same gate `just lint` (and therefore `just tier1`)
-//! runs, embedded in the test suite so plain `cargo test` enforces it
-//! too. The baseline is also required to be tight: entries no scan
-//! reproduces must be pruned (`just lint-baseline`), so the accepted
-//! backlog can only shrink.
+//! The workspace must produce no findings — the same gate `just lint`
+//! (and therefore `just tier1`) runs, embedded in the test suite so plain
+//! `cargo test` enforces it too.
 
 use std::path::Path;
 
 #[test]
-fn workspace_has_no_findings_beyond_the_baseline() {
+fn workspace_has_no_findings() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let cfg = microslip_lint::default_config();
-    let findings = microslip_lint::lint_workspace(&root, &cfg)
+    let findings = microslip_lint::lint_workspace(&root, &microslip_lint::default_config())
         .expect("workspace scan must be able to read every source file");
-    let baseline_text = std::fs::read_to_string(root.join("lint-baseline.json"))
-        .expect("lint-baseline.json must exist at the workspace root");
-    let baseline = microslip_lint::parse_baseline(&baseline_text)
-        .expect("lint-baseline.json must be valid findings JSON");
-    let (new, resolved) = microslip_lint::diff_baseline(&findings, &baseline);
     assert!(
-        new.is_empty(),
-        "the workspace has NEW lint findings (fix them or, deliberately, regenerate the \
-         baseline with `just lint-baseline`):\n{}",
-        new.iter().map(|f| format!("  {f}\n")).collect::<String>()
-    );
-    assert_eq!(
-        resolved, 0,
-        "the baseline contains {resolved} entr{} no finding matches; prune with `just \
-         lint-baseline`",
-        if resolved == 1 { "y" } else { "ies" }
+        findings.is_empty(),
+        "the workspace has lint findings:\n{}",
+        findings.iter().map(|f| format!("  {f}\n")).collect::<String>()
     );
 }

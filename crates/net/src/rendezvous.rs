@@ -1,3 +1,15 @@
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::cast_possible_wrap
+)]
 //! Rendezvous handshake and mesh establishment.
 //!
 //! Every participant first binds its own *data listener* on an ephemeral
@@ -211,6 +223,12 @@ fn coordinate(
         let joiner_epoch = match hello.kind {
             FrameKind::Hello => 1,
             FrameKind::Rejoin => match hello.payload.as_slice() {
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    clippy::cast_sign_loss,
+                    reason = "an integer ≥ 1; one beyond u64 saturates, and the epoch \
+                              equality check below fences it"
+                )]
                 [e] if e.fract() == 0.0 && *e >= 1.0 => *e as u64,
                 _ => {
                     return handshake(format!(
@@ -335,8 +353,13 @@ fn join(
         if p.fract() != 0.0 || !(1.0..=u16::MAX as f64).contains(&p) {
             return handshake(format!("roster contains invalid port {p}"));
         }
-        // lint:allow(cast-truncation, p is validated as an integer in 1..=u16::MAX just above)
-        ports.push(p as u16);
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "p is validated as an integer in 1..=u16::MAX just above"
+        )]
+        let port = p as u16;
+        ports.push(port);
     }
     Ok((rank, ports))
 }
@@ -476,8 +499,11 @@ pub fn connect_epoch(
 /// Test/bench helper: builds an `n`-rank TCP mesh over localhost threads.
 /// Element `i` of the result is rank `i`'s transport. Panics on failure —
 /// production code goes through [`connect`].
+#[expect(
+    clippy::expect_used,
+    reason = "test/bench helper documented to panic on failure; production code uses connect()"
+)]
 pub fn localhost_mesh(n: usize, cfg: &NetConfig) -> Vec<TcpTransport> {
-    // lint:allow(boundary-panic, test/bench helper documented to panic on failure; production code uses connect())
     let port = reserve_port().expect("reserve rendezvous port");
     let addr = format!("127.0.0.1:{port}");
     let handles: Vec<_> = (0..n)
@@ -489,7 +515,6 @@ pub fn localhost_mesh(n: usize, cfg: &NetConfig) -> Vec<TcpTransport> {
         .collect();
     let mut out: Vec<TcpTransport> = handles
         .into_iter()
-        // lint:allow(boundary-panic, test/bench helper documented to panic on failure; production code uses connect())
         .map(|h| h.join().expect("mesh thread panicked").expect("mesh establishment"))
         .collect();
     out.sort_by_key(|t| t.rank());

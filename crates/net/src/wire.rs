@@ -1,3 +1,15 @@
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::cast_possible_wrap
+)]
 //! The length-prefixed little-endian wire protocol.
 //!
 //! Every message on a microslip TCP connection is one frame:
@@ -143,7 +155,6 @@ impl FrameKind {
     ];
 
     fn code(self) -> u8 {
-        // lint:allow(cast-truncation, a fieldless #[repr(u8)] enum casts to its own u8 discriminant)
         self as u8
     }
 
@@ -221,7 +232,11 @@ impl From<io::Error> for FrameError {
 /// Serializes `frame` into a single buffer (one `write_all`, so a frame is
 /// never interleaved mid-stream by a panicking sender).
 pub fn encode(frame: &Frame) -> Vec<u8> {
-    // lint:allow(cast-truncation, frames are locally constructed and the decoder's MAX_PAYLOAD_LEN check rejects anything a truncated length could describe)
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "frames are locally constructed, and the decoder's MAX_PAYLOAD_LEN check \
+                  rejects anything a truncated length could describe"
+    )]
     let len = frame.payload.len() as u32;
     let mut buf = Vec::with_capacity(MAGIC.len() + 20 + frame.payload.len() * 8 + 4);
     buf.extend_from_slice(&MAGIC);
@@ -390,7 +405,7 @@ mod tests {
         // reinterprets as NaN/infinity bit patterns — packing must never
         // canonicalize them.
         for n in [0usize, 1, 7, 8, 9, 15, 16, 4096] {
-            let bytes: Vec<u8> = (0..n).map(|i| (i * 37 % 251) as u8).collect();
+            let bytes: Vec<u8> = (0..n).map(|i| u8::try_from(i * 37 % 251).unwrap()).collect();
             let f = Frame::from_bytes(FrameKind::FetchReply, 2, &bytes);
             assert_eq!(f.tag, n as u64);
             let wire = encode(&f);

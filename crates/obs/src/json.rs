@@ -1,3 +1,15 @@
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::cast_possible_wrap
+)]
 //! Minimal JSON support — writer helpers and a small recursive-descent
 //! parser.
 //!
@@ -54,8 +66,13 @@ impl Value {
             // Bound by 2^53 so the value is an exactly-representable
             // integer; beyond that the float cast would silently saturate.
             if x.fract() == 0.0 && (0.0..9_007_199_254_740_992.0).contains(&x) {
-                // lint:allow(cast-truncation, x is a non-negative integer below 2^53, in range for usize)
-                Some(x as usize)
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    clippy::cast_sign_loss,
+                    reason = "x is a non-negative integer below 2^53, in range for usize"
+                )]
+                let n = x as usize;
+                Some(n)
             } else {
                 None
             }

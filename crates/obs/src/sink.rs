@@ -7,7 +7,7 @@
 //! one virtual call per potential event and nothing else.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::event::Event;
 
@@ -70,10 +70,10 @@ impl Recorder {
         self.capacity
     }
 
-    /// Number of events currently held.
+    /// Number of events currently held. A recorder whose mutex a
+    /// panicking thread poisoned still answers: its state is a plain ring.
     pub fn len(&self) -> usize {
-        // lint:allow(panic-reachability, lock() only panics on mutex poisoning, which is not input-dependent)
-        self.state.lock().unwrap().events.len()
+        self.state.lock().unwrap_or_else(PoisonError::into_inner).events.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -207,6 +207,21 @@ mod tests {
             Event::Span(s) => assert_eq!(s.node, 4, "oldest must be dropped"),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn len_survives_a_poisoned_mutex() {
+        let r = Arc::new(Recorder::new(4));
+        r.record(span(0, 0.0));
+        let held = Arc::clone(&r);
+        let died = std::thread::spawn(move || {
+            let _guard = held.state.lock().unwrap();
+            panic!("a recording thread dies holding the lock");
+        })
+        .join();
+        assert!(died.is_err());
+        assert!(r.state.is_poisoned());
+        assert_eq!(r.len(), 1);
     }
 
     #[test]

@@ -1,3 +1,8 @@
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "run-level timing (epoch, wall totals) around the workers, outside the decision loop"
+)]
 //! The parallel driver: spawns workers, wires the communicator, joins the
 //! reports and stitches the global result.
 

@@ -1,3 +1,8 @@
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "injects and measures wall-clock padding; feeds observability, not decisions"
+)]
 //! Deterministic slowdown injection for the threaded runtime.
 //!
 //! The paper slows cluster nodes by running a CPU-bound competing job on

@@ -1,3 +1,8 @@
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "stamps trace events with wall time relative to the run epoch"
+)]
 //! Span-based activity accounting for worker threads.
 //!
 //! A [`Tracer`] is one worker's clock and event emitter: it stamps

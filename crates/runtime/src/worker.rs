@@ -13,8 +13,12 @@
 //! still leaves a coherent partial trace behind.
 
 use std::fmt;
-// lint:allow(determinism-clock, Instant is only named as the epoch field type; clock reads live in the allowlisted tracer)
-use std::time::{Duration, Instant};
+use std::time::Duration;
+#[expect(
+    clippy::disallowed_types,
+    reason = "Instant is only named as the epoch field type; clock reads live in the tracer"
+)]
+use std::time::Instant;
 
 use microslip_balance::policy::NeighborPolicy;
 use microslip_balance::predict::{History, Predictor};
@@ -95,7 +99,10 @@ pub struct WorkerConfig {
     pub trace: TraceSink,
     /// Common wall-clock origin for span timestamps, shared by every
     /// worker of a run so their timelines align.
-    // lint:allow(determinism-clock, epoch is a passed-in origin the driver read once; workers never read the clock here)
+    #[expect(
+        clippy::disallowed_types,
+        reason = "a passed-in origin the driver read once; workers never read the clock here"
+    )]
     pub epoch: Instant,
 }
 
@@ -178,7 +185,10 @@ pub fn worker_main_with_solver<T: Transport>(
 }
 
 /// Priming plus the phase loop — everything that can fail.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the worker's state, borrowed piecewise so the solver and transport stay disjoint"
+)]
 fn run_phases<T: Transport>(
     cfg: &WorkerConfig,
     policy: &dyn NeighborPolicy,
@@ -387,7 +397,10 @@ type LoadView = Vec<Option<(Option<f64>, usize)>>;
 
 /// The distributed remap round: two-hop load-index exchange, edge-flow
 /// evaluation, and plane migration with the adjacent neighbors.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the worker's state, borrowed piecewise so the solver and transport stay disjoint"
+)]
 fn remap_round<T: Transport>(
     cfg: &WorkerConfig,
     policy: &dyn NeighborPolicy,
@@ -558,6 +571,11 @@ mod tests {
     /// planes from it.
     fn remap_round_against(load: Vec<f64>, data: Vec<f64>) -> Result<(), CommError> {
         let channel = ChannelConfig::paper_scaled(Dims::new(12, 4, 3));
+        #[expect(
+            clippy::disallowed_types,
+            clippy::disallowed_methods,
+            reason = "the epoch only stamps trace spans, and the null sink drops them"
+        )]
         let cfg = WorkerConfig {
             channel: channel.clone(),
             phases: 2,

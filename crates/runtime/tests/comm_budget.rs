@@ -22,6 +22,11 @@ fn run_instrumented(
 ) -> Vec<(WorkerReport, InstrumentedTransport<microslip_comm::ChannelTransport>)> {
     let mut channel = ChannelConfig::paper_scaled(Dims::new(16, 6, 4));
     channel.body = [1e-4, 0.0, 0.0];
+    #[expect(
+        clippy::disallowed_types,
+        clippy::disallowed_methods,
+        reason = "the epoch only stamps trace spans, and the null sink drops them"
+    )]
     let cfg = Arc::new(WorkerConfig {
         channel,
         phases,

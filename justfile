@@ -38,24 +38,18 @@ figures:
         ./target/release/microslip cluster "$name" > "tests/goldens/cluster/$name.txt"
     done
 
-# Project-invariant static analysis (microslip-lint): determinism of the
-# decision/kernel crates, panic-freedom of the untrusted-input parsers
-# (direct tokens *and* call-graph reachability), cast truncation on trust
-# boundaries, and unsafe containment. Codec, frame-kind and trace-schema
-# drift are compile errors and round-trip test failures instead (see
-# README "Static analysis"). The self-tests prove each rule fires; the binary
-# run diffs the workspace against the committed findings baseline, so CI
-# fails only on NEW findings (fix them or regenerate with
-# `just lint-baseline` and justify the diff in review).
+# Panic-reachability (microslip-lint): panic sites reachable over the call
+# graph from the decode entry points, outside the boundary files. Every
+# other project rule is clippy's or rustc's, run by `tier1` before this:
+# boundary panic-freedom, indexing and casts by each boundary module's
+# `#![deny(clippy::…)]` header, determinism by the clippy.toml of balance,
+# cluster, lbm and runtime, unsafe containment by `unsafe_code = "deny"`
+# and `undocumented_unsafe_blocks`, stale or reasonless suppressions by
+# `unfulfilled_lint_expectations` and `allow_attributes_without_reason`
+# (see README "Static analysis"). Any finding fails.
 lint:
     cargo test -q --offline -p microslip-lint
-    cargo run -q --offline -p microslip-lint -- --baseline lint-baseline.json
-
-# Regenerates the findings baseline after deliberate changes. The diff of
-# lint-baseline.json is part of the PR — new entries need a reviewer's
-# eyes, resolved entries are free.
-lint-baseline:
-    cargo run -q --offline -p microslip-lint -- --json > lint-baseline.json
+    cargo run -q --offline -p microslip-lint
 
 # End-to-end observability smoke: a traced virtual-cluster run and a
 # traced threaded run, artifacts re-parsed and schema-checked (--check),

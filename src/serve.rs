@@ -1,3 +1,15 @@
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::cast_possible_wrap
+)]
 //! `microslip serve` — the sweep daemon: an async scheduler with a
 //! content-addressed result cache, fronted by the unified
 //! [`Scenario`] API.
@@ -149,7 +161,13 @@ pub fn apply_axis(s: &mut Scenario, axis: &str, value: f64) -> Result<(), String
             if value.fract() != 0.0 || !(1.0..=1e12).contains(&value) {
                 return Err(format!("phases axis value {value} is not a positive integer"));
             }
-            s.phases = value as u64;
+            #[expect(
+                clippy::cast_possible_truncation,
+                clippy::cast_sign_loss,
+                reason = "value is validated as an integer in 1..=1e12 just above"
+            )]
+            let phases = value as u64;
+            s.phases = phases;
         }
         "slip-r" => {
             if !(0.0..=1.0).contains(&value) {
@@ -167,8 +185,13 @@ pub fn apply_axis(s: &mut Scenario, axis: &str, value: f64) -> Result<(), String
                 return Err(format!("patch-period axis value {value} is not a positive integer"));
             }
             let (r_a, r_b, _, phase) = patterned_parts(&s.channel.wall_bc);
-            // lint:allow(cast-truncation, value is validated as an integer in 1..=1e6 just above)
-            s.channel.wall_bc = WallBc::PatternedSlip { r_a, r_b, period: value as usize, phase };
+            #[expect(
+                clippy::cast_possible_truncation,
+                clippy::cast_sign_loss,
+                reason = "value is validated as an integer in 1..=1e6 just above"
+            )]
+            let period = value as usize;
+            s.channel.wall_bc = WallBc::PatternedSlip { r_a, r_b, period, phase };
         }
         "patch-phase" => {
             if value.fract() != 0.0 || !(0.0..=1e6).contains(&value) {
@@ -177,8 +200,13 @@ pub fn apply_axis(s: &mut Scenario, axis: &str, value: f64) -> Result<(), String
                 ));
             }
             let (r_a, r_b, period, _) = patterned_parts(&s.channel.wall_bc);
-            // lint:allow(cast-truncation, value is validated as an integer in 0..=1e6 just above)
-            s.channel.wall_bc = WallBc::PatternedSlip { r_a, r_b, period, phase: value as usize };
+            #[expect(
+                clippy::cast_possible_truncation,
+                clippy::cast_sign_loss,
+                reason = "value is validated as an integer in 0..=1e6 just above"
+            )]
+            let phase = value as usize;
+            s.channel.wall_bc = WallBc::PatternedSlip { r_a, r_b, period, phase };
         }
         other => {
             let names: Vec<&str> = GRID_AXES.iter().map(|(n, _)| *n).collect();

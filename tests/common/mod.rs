@@ -1,7 +1,7 @@
 //! Hand-carried halo exchange between a vector of solvers forming a
 //! periodic ring — the single-threaded equivalent of what the threaded
 //! runtime does, shared by the integration tests that migrate planes.
-#![allow(dead_code)]
+#![allow(dead_code, reason = "each test binary uses a different subset of the helpers")]
 
 use microslip::lbm::{Side, SlabSolver};
 
