@@ -7,33 +7,42 @@
 //! a restored simulation continues on the identical trajectory.
 //!
 //! Layout: an 8-byte magic, seven `u64` header words (grid, slab, phase,
-//! component count), then for every component the raw `f` (19 channels), ψ
-//! (1) and `ueq` (3) arrays — 23 channels, ghost planes included, so no
-//! re-exchange is needed before the first restored phase (the force is not
-//! state: a phase and a snapshot recompute it from ψ and its ghosts). On
-//! disk the payload is sealed with the [`microslip_codec`] CRC-32 trailer.
-//! `MSLIPCK1`, the 26-channel layout with a stored force, is refused by
-//! magic.
+//! component count), then one record per storage plane of the slab's
+//! window, ghost planes included, in ascending x: for every component the
+//! plane's `f` (19 channels), ψ (1) and `ueq` (3), each a run of
+//! `ny · nz` values — 23 channels, the same records, in the same order, as
+//! a migrated plane ([`SlabSolver::take_planes`]). The ghosts are stored so
+//! no re-exchange is needed before the first restored phase (the force is
+//! not state: a phase and a snapshot recompute it from ψ and its ghosts).
+//! On disk the payload is sealed with the [`microslip_codec`] CRC-32
+//! trailer. `MSLIPCK2`, the same channels channel-major (each whole array
+//! after the other), and the 26-channel `MSLIPCK1` are refused by magic.
 //!
-//! The codec is a stream: [`encode_solver`] writes a solver's arrays to any
-//! `Write` and [`decode_solver`] fills a solver's arrays from any `Read`,
-//! a chunk at a time, so [`write_solver`] / [`read_solver`] move a slab
+//! The codec is a stream: [`encode_solver`] writes a solver's planes to any
+//! `Write` and [`decode_solver`] fills a solver's planes from any `Read`,
+//! a record at a time, so [`write_solver`] / [`read_solver`] move a slab
 //! between memory and a sealed file without a second, serialised copy of
-//! it. The `Vec<u8>` entry points are the same code over a buffer.
+//! it. The `Vec<u8>` entry points are the same code over a buffer. Because
+//! a plane's force needs only the ψ of its two neighbours,
+//! [`capture_file`] takes a slab's snapshot straight off its file with one
+//! plane of state in memory, never the slab.
 
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 
-use microslip_codec::{read_f64s, write_f64s, SealError, TRAILER_LEN};
+use microslip_codec::{f64s_from_le, put_f64s, SealError, TRAILER_LEN};
 
 use crate::component::ComponentState;
 use crate::config::ChannelConfig;
+use crate::field::LocalGrid;
+use crate::force::ForcePlanes;
 use crate::geometry::Slab;
+use crate::macroscopic::SnapshotSlab;
 use crate::simulation::Simulation;
-use crate::solver::SlabSolver;
+use crate::solver::{solid_mask, SlabSolver};
 
-/// File-format magic ("MSLIPCK2").
-pub const MAGIC: [u8; 8] = *b"MSLIPCK2";
+/// File-format magic ("MSLIPCK3").
+pub const MAGIC: [u8; 8] = *b"MSLIPCK3";
 
 /// Magic plus the seven header words.
 const HEADER_LEN: usize = 64;
@@ -77,13 +86,7 @@ impl From<SealError> for CheckpointError {
 
 /// Bytes [`encode_solver`] writes for `solver`.
 fn encoded_len(solver: &SlabSolver) -> usize {
-    let values: usize = solver
-        .comps
-        .iter()
-        .flat_map(ComponentState::arrays)
-        .map(|a| a.channels() * a.grid().cells())
-        .sum();
-    HEADER_LEN + 8 * values
+    HEADER_LEN + 8 * solver.grid().lx * solver.migration_plane_len()
 }
 
 /// Streams a slab solver's mutable state plus a phase counter into `w`.
@@ -104,12 +107,30 @@ pub fn encode_solver(solver: &SlabSolver, phase: u64, w: &mut impl Write) -> io:
         dst.copy_from_slice(&word.to_le_bytes());
     }
     w.write_all(&header)?;
-    // The window only, channel by channel: the bytes do not depend on how
-    // many planes the slab has reserved around it.
-    for array in solver.comps.iter().flat_map(ComponentState::arrays) {
-        for ch in 0..array.channels() {
-            write_f64s(w, array.channel(ch))?;
-        }
+    // The window only, a plane record at a time: the bytes do not depend
+    // on how many planes the slab has reserved around it.
+    let mut record = Vec::with_capacity(8 * solver.migration_plane_len());
+    for xl in 0..grid.lx {
+        record.clear();
+        SlabSolver::plane_runs(&solver.comps, xl).for_each(|run| put_f64s(&mut record, run));
+        w.write_all(&record)?;
+    }
+    Ok(())
+}
+
+/// Reads the next plane record from `r` through the byte buffer `record`
+/// (its exact size) into `runs`, the plane's [`SlabSolver::plane_runs_mut`].
+fn read_record<'a>(
+    r: &mut impl Read,
+    record: &mut [u8],
+    runs: impl Iterator<Item = &'a mut [f64]>,
+) -> Result<(), CheckpointError> {
+    r.read_exact(record).map_err(|e| CheckpointError::Corrupt { detail: e.to_string() })?;
+    let mut bytes = &record[..];
+    for run in runs {
+        let (here, rest) = bytes.split_at(8 * run.len());
+        f64s_from_le(here, run);
+        bytes = rest;
     }
     Ok(())
 }
@@ -171,7 +192,7 @@ fn decode_header(
 /// validating against `config`. Returns the solver and the saved phase
 /// counter. The header is checked — with overflow-checked arithmetic, it
 /// may be hostile — before anything is allocated, and the length before
-/// any array is read. The arrays are allocated, never initialized: every
+/// any plane is read. The arrays are allocated, never initialized: every
 /// value comes from the bytes.
 pub fn decode_solver(
     config: &ChannelConfig,
@@ -184,18 +205,95 @@ pub fn decode_solver(
     if expected != payload_len {
         return Err(CheckpointError::BadLength { expected, got: payload_len });
     }
-    for array in solver.comps.iter_mut().flat_map(ComponentState::arrays_mut) {
-        for ch in 0..array.channels() {
-            read_f64s(r, array.channel_mut(ch))
-                .map_err(|e| CheckpointError::Corrupt { detail: e.to_string() })?;
-        }
+    let mut record = vec![0u8; 8 * solver.migration_plane_len()];
+    for xl in 0..solver.grid().lx {
+        read_record(r, &mut record, SlabSolver::plane_runs_mut(&mut solver.comps, xl))?;
     }
     Ok((solver, phase))
 }
 
+/// Captures the slab a sealed checkpoint file holds straight into `out`,
+/// its planes of a snapshot, and returns the file's phase — bit for bit
+/// what [`read_solver`] followed by [`SlabSolver::capture`] produces, with
+/// one plane of state in memory instead of the slab. The header must hold
+/// `out.slab` on `config`'s grid (a `ConfigMismatch` before any plane is
+/// read otherwise). The records stream through the CRC once; whatever the
+/// file holds, a damaged one is an error, never an `Ok`, and on any error
+/// `out` holds unspecified values.
+pub fn capture_file(
+    config: &ChannelConfig,
+    path: &Path,
+    out: SnapshotSlab<'_>,
+) -> Result<u64, CheckpointError> {
+    let mut reader = microslip_codec::open(path)?;
+    let payload_len = reader.remaining();
+    let captured = capture_stream(config, &mut reader, payload_len, out);
+    reader.finish()?;
+    captured
+}
+
+/// [`capture_file`] over the payload `r` yields. Two one-plane windows of
+/// the components' state alternate: `cur` holds plane `x` (its `f` and ψ
+/// at window plane 1) with the ψ of planes `x − 1` and `x + 1` around it,
+/// while `next` takes record `x + 1`; then the windows swap, so only ψ
+/// planes are ever copied.
+fn capture_stream(
+    config: &ChannelConfig,
+    r: &mut impl Read,
+    payload_len: u64,
+    mut out: SnapshotSlab<'_>,
+) -> Result<u64, CheckpointError> {
+    config.validate().map_err(CheckpointError::ConfigMismatch)?;
+    let (slab, phase) = decode_header(Some(config), r, payload_len)?;
+    let dims = config.dims;
+    if slab != out.slab {
+        return Err(CheckpointError::ConfigMismatch(format!(
+            "file holds planes {}..{}, the snapshot asks for {}..{}",
+            slab.x0,
+            slab.x_end(),
+            out.slab.x0,
+            out.slab.x_end()
+        )));
+    }
+    if (out.ny, out.nz, out.rho.len()) != (dims.ny, dims.nz, config.ncomp()) {
+        return Err(CheckpointError::ConfigMismatch("snapshot shape differs from the config".into()));
+    }
+    let grid = LocalGrid::new(1, dims.ny, dims.nz);
+    let window = || -> Vec<ComponentState> {
+        config.components.iter().map(|(spec, _)| ComponentState::new(spec.clone(), grid)).collect()
+    };
+    let (mut cur, mut next) = (window(), window());
+    let record_len = 8 * SlabSolver::plane_runs(&cur, 1).map(<[f64]>::len).sum::<usize>();
+    let expected = (HEADER_LEN + (slab.nx_local + 2) * record_len) as u64;
+    if expected != payload_len {
+        return Err(CheckpointError::BadLength { expected, got: payload_len });
+    }
+    let mut record = vec![0u8; record_len];
+    let obstacles = config.effective_obstacles();
+    let p = grid.plane_cells();
+    // Record `k` is local plane `k` of the slab, storage plane `x0 + k`.
+    for k in 0..slab.nx_local + 2 {
+        read_record(r, &mut record, SlabSolver::plane_runs_mut(&mut next, 1))?;
+        if k >= 2 {
+            // Local plane k − 1 has the ψ of both neighbours now.
+            for (c, n) in cur.iter_mut().zip(&next) {
+                c.psi.channel_mut(0)[2 * p..].copy_from_slice(&n.psi.channel(0)[p..2 * p]);
+            }
+            let solid = solid_mask(&obstacles, dims, slab.x0 + k - 2..slab.x0 + k + 1);
+            let mut forces = ForcePlanes::new(&cur, &config.coupling, &config.wall, config.body, &solid);
+            crate::macroscopic::capture(&cur, &mut forces, out.plane(k - 2));
+        }
+        for (n, c) in next.iter_mut().zip(&cur) {
+            n.psi.channel_mut(0)[..p].copy_from_slice(&c.psi.channel(0)[p..2 * p]);
+        }
+        std::mem::swap(&mut cur, &mut next);
+    }
+    Ok(phase)
+}
+
 /// The slab a sealed checkpoint file holds, from its header alone — the
-/// file is not verified (its restore is). How a gatherer lays the slabs of
-/// several files out before restoring any.
+/// file is not verified (its restore or capture is). How a gatherer lays
+/// the slabs of several files out before capturing any.
 pub fn read_slab(path: &Path) -> Result<Slab, CheckpointError> {
     let mut reader = microslip_codec::open(path)?;
     let payload_len = reader.remaining();

@@ -212,7 +212,7 @@ impl SlabArray {
         &mut self.data[start..start + self.grid.cells()]
     }
 
-    /// The window's values, channel-major — what a checkpoint stores.
+    /// The window's values, channel-major.
     pub fn to_vec(&self) -> Vec<f64> {
         (0..self.channels).flat_map(|ch| self.channel(ch)).copied().collect()
     }
@@ -241,23 +241,20 @@ impl SlabArray {
         }
     }
 
-    /// Appends a contiguous run of `count` planes starting at `xl` to `out`
-    /// (channel-major within each plane, planes concatenated in x order).
-    pub fn append_planes(&self, xl: usize, count: usize, out: &mut Vec<f64>) {
+    /// Local plane `xl` of every channel, in channel order: what one plane
+    /// record of a checkpoint or a migration message holds of this array.
+    pub fn plane_runs(&self, xl: usize) -> impl Iterator<Item = &[f64]> {
         let p = self.grid.plane_cells();
-        for xl in xl..xl + count {
-            for ch in 0..self.channels {
-                out.extend_from_slice(&self.channel(ch)[xl * p..(xl + 1) * p]);
-            }
-        }
+        (0..self.channels).map(move |ch| &self.channel(ch)[xl * p..(xl + 1) * p])
     }
 
-    /// Inverse of [`append_planes`](Self::append_planes).
-    pub fn copy_planes_in(&mut self, xl: usize, buf: &[f64]) {
-        assert_eq!(buf.len() % self.plane_len(), 0);
-        for (k, chunk) in buf.chunks_exact(self.plane_len()).enumerate() {
-            self.copy_plane_in(xl + k, chunk);
-        }
+    /// Mutable [`plane_runs`](Self::plane_runs).
+    pub fn plane_runs_mut(&mut self, xl: usize) -> impl Iterator<Item = &mut [f64]> {
+        assert!(xl < self.grid.lx, "plane outside the window");
+        let p = self.grid.plane_cells();
+        let start = self.base() + xl * p;
+        let stride = self.stride();
+        self.data.chunks_exact_mut(stride).map(move |channel| &mut channel[start..start + p])
     }
 
     /// Moves the window to `nx_local` owned planes whose left ghost is
@@ -402,20 +399,18 @@ mod tests {
     }
 
     #[test]
-    fn multi_plane_roundtrip() {
-        let grid = LocalGrid::new(6, 2, 2);
-        let a = filled(grid, 19);
-        let mut buf = Vec::new();
-        a.append_planes(2, 3, &mut buf);
-        assert_eq!(buf.len(), 3 * a.plane_len());
-        let mut b = filled(grid, 19);
-        // Wipe and restore.
-        for xl in 2..5 {
-            let zeros = vec![0.0; a.plane_len()];
-            b.copy_plane_in(xl, &zeros);
+    fn plane_runs_read_and_write_the_window_plane_by_plane() {
+        let a = windowed_filled(3);
+        let mut b = SlabArray::windowed(a.grid(), 3, 7, 1);
+        for xl in 0..a.grid().lx {
+            for (dst, src) in b.plane_runs_mut(xl).zip(a.plane_runs(xl)) {
+                dst.copy_from_slice(src);
+            }
+            assert_eq!(a.plane_runs(xl).count(), 3);
         }
-        b.copy_planes_in(2, &buf);
         assert_eq!(a, b);
+        let runs: Vec<f64> = a.plane_runs(2).flatten().copied().collect();
+        assert_eq!(runs, values(&a, 2), "a plane's runs are its channel-major plane");
     }
 
     /// A 4-plane window at storage plane 3 of 12, every window cell (ghosts

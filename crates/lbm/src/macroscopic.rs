@@ -249,6 +249,21 @@ pub struct SnapshotSlab<'a> {
     pub velocity: &'a mut [f64],
 }
 
+impl SnapshotSlab<'_> {
+    /// The `k`-th plane of these planes (global x `slab.x0 + k`) as a
+    /// one-plane view — what a capture that holds one plane at a time fills.
+    pub(crate) fn plane(&mut self, k: usize) -> SnapshotSlab<'_> {
+        let p = self.ny * self.nz;
+        SnapshotSlab {
+            slab: Slab { x0: self.slab.x0 + k, nx_local: 1 },
+            ny: self.ny,
+            nz: self.nz,
+            rho: self.rho.iter_mut().map(|rho| &mut rho[k * p..(k + 1) * p]).collect(),
+            velocity: &mut self.velocity[3 * k * p..3 * (k + 1) * p],
+        }
+    }
+}
+
 /// Captures the interior of a slab into `out`: ρ from ψ, and the velocity
 /// from j (recomputed from the populations, as the sweep does) plus half
 /// of the force density `forces` recomputes plane by plane — the state

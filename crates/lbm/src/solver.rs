@@ -42,7 +42,7 @@ use crate::component::{ComponentState, CouplingMatrix};
 use crate::config::ChannelConfig;
 use crate::field::{LocalGrid, SlabArray};
 use crate::force::{ForcePlanes, WallForce};
-use crate::geometry::{Slab, SolidRegion};
+use crate::geometry::{Dims, Slab, SolidRegion};
 use crate::lattice::{Lattice, D3Q19};
 use crate::macroscopic::{Snapshot, SnapshotSlab};
 
@@ -138,29 +138,8 @@ impl SlabSolver {
             solid: Vec::new(),
             reference_force: None,
         };
-        solver.solid = solver.build_mask();
+        solver.solid = solid_mask(&solver.obstacles, config.dims, 0..cap_planes);
         solver
-    }
-
-    /// The solid mask over the storage planes: the whole channel plus its
-    /// two ghost planes, which take the periodic global x of their source
-    /// plane, so decomposed masks agree with the sequential one.
-    fn build_mask(&self) -> Vec<bool> {
-        let channel = LocalGrid::new(self.global_nx, self.grid().ny, self.grid().nz);
-        let mut solid = vec![false; channel.cells()];
-        if !self.obstacles.is_empty() {
-            for s in 0..channel.lx {
-                let gx = (self.global_nx + s - 1) % self.global_nx;
-                for y in 0..channel.ny {
-                    for z in 0..channel.nz {
-                        if self.obstacles.iter().any(|o| o.contains(gx, y, z)) {
-                            solid[channel.idx(s, y, z)] = true;
-                        }
-                    }
-                }
-            }
-        }
-        solid
     }
 
     /// The solid mask over the local grid (ghost planes included).
@@ -374,6 +353,18 @@ impl SlabSolver {
         self.comps.iter().map(move |c| &c.psi.channel(0)[xl * p..(xl + 1) * p])
     }
 
+    /// The plane-long runs of local plane `xl`'s phase-boundary state, in
+    /// the one order a checkpoint's plane records and a migration message
+    /// hold them: component by component, `f` (19 channels), ψ, `ueq` (3).
+    pub(crate) fn plane_runs(comps: &[ComponentState], xl: usize) -> impl Iterator<Item = &[f64]> {
+        comps.iter().flat_map(ComponentState::arrays).flat_map(move |a| a.plane_runs(xl))
+    }
+
+    /// Mutable [`plane_runs`](Self::plane_runs), in the same order.
+    pub(crate) fn plane_runs_mut(comps: &mut [ComponentState], xl: usize) -> impl Iterator<Item = &mut [f64]> {
+        comps.iter_mut().flat_map(ComponentState::arrays_mut).flat_map(move |a| a.plane_runs_mut(xl))
+    }
+
     /// Extracts the post-collision populations the `side` neighbor needs:
     /// the edge plane's boundary-crossing directions, per component.
     pub fn f_halo_out(&self, side: Side, buf: &mut [f64]) {
@@ -480,7 +471,8 @@ impl SlabSolver {
     }
 
     /// Removes `count` planes from the `side` edge of this slab and returns
-    /// their state, planes ordered by ascending global x, followed by the ψ
+    /// their state — one record per plane, by ascending global x, each in
+    /// [`plane_runs`](Self::plane_runs) order — followed by the ψ
     /// of this slab's new `side` edge plane — the receiver's new ghost.
     /// Adjusts `x0`. This slab's new `side` ghost is the given plane next
     /// to its new edge, whose ψ stays in that storage slot, so both slabs
@@ -494,8 +486,8 @@ impl SlabSolver {
             Side::Right => self.grid().last() + 1 - count,
         };
         let mut out = Vec::with_capacity(self.migration_len(count));
-        for arr in self.comps.iter().flat_map(ComponentState::arrays) {
-            arr.append_planes(first, count, &mut out);
+        for xl in first..first + count {
+            Self::plane_runs(&self.comps, xl).for_each(|run| out.extend_from_slice(run));
         }
         if side == Side::Left {
             self.x0 += count;
@@ -533,13 +525,14 @@ impl SlabSolver {
             Side::Left => LocalGrid::FIRST,
             Side::Right => self.grid().last() + 1 - count,
         };
-        let mut off = 0;
-        for arr in self.comps.iter_mut().flat_map(ComponentState::arrays_mut) {
-            let len = count * arr.plane_len();
-            arr.copy_planes_in(first, &data[off..off + len]);
-            off += len;
+        let (p, plane_len) = (self.grid().plane_cells(), self.migration_plane_len());
+        let (planes, ghost) = data.split_at(count * plane_len);
+        for (xl, record) in (first..).zip(planes.chunks_exact(plane_len)) {
+            for (dst, src) in Self::plane_runs_mut(&mut self.comps, xl).zip(record.chunks_exact(p)) {
+                dst.copy_from_slice(src);
+            }
         }
-        self.psi_halo_in(side, &data[off..]);
+        self.psi_halo_in(side, ghost);
     }
 
     // ---- drivers & observables --------------------------------------------
@@ -643,6 +636,25 @@ impl SlabSolver {
 /// `slip_ry` is empty).
 fn slip_map<'a>(slip_ry: &'a [f64], x0: usize, lx: usize, wall_bc: &WallBc) -> Option<SlipMap<'a>> {
     (!slip_ry.is_empty()).then(|| SlipMap { ry: &slip_ry[x0..x0 + lx], rz: wall_bc.slip_rz() })
+}
+
+/// The solid mask over storage `planes` of the channel (its `nx` planes and
+/// the two ghosts, storage plane `s` holding global x `s − 1`): ghost planes
+/// take the periodic global x of their source plane, so decomposed masks
+/// agree with the sequential one. Storage plane `s` is at `s − planes.start`.
+pub(crate) fn solid_mask(obstacles: &[SolidRegion], dims: Dims, planes: std::ops::Range<usize>) -> Vec<bool> {
+    let plane = dims.ny * dims.nz;
+    let mut solid = vec![false; planes.len() * plane];
+    if !obstacles.is_empty() {
+        for (s, cells) in planes.zip(solid.chunks_exact_mut(plane)) {
+            let gx = (dims.nx + s - 1) % dims.nx;
+            for (cell, solid) in cells.iter_mut().enumerate() {
+                let (y, z) = (cell / dims.nz, cell % dims.nz);
+                *solid = obstacles.iter().any(|o| o.contains(gx, y, z));
+            }
+        }
+    }
+    solid
 }
 
 /// The slab's share of a per-cell table over the channel's storage planes:

@@ -62,13 +62,18 @@ trace-smoke:
 
 # Multi-process smoke: a 2-rank run on real OS processes meshed over
 # localhost TCP, checked bitwise against the threaded runtime — fields
-# AND (under the synthetic load model) remap decisions must match.
+# AND (under the synthetic load model) remap decisions must match. The
+# 3-rank run on 31 planes sends uneven slabs, and the slabs holding both
+# periodic wrap planes, through the driver's plane-by-plane gather.
 mp-smoke:
     cargo build --release --offline --bin microslip
-    rm -rf target/mp-smoke && mkdir -p target/mp-smoke
+    rm -rf target/mp-smoke && mkdir -p target/mp-smoke/uneven
     ./target/release/microslip mp --ranks 2 --phases 12 --remap-every 3 \
         --predictor-window 2 --throttle 1:6 --synthetic-load 1.0 \
         --dir target/mp-smoke --trace target/mp-smoke/run --check
+    ./target/release/microslip mp --ranks 3 --nx 31 --phases 12 --remap-every 3 \
+        --predictor-window 2 --throttle 1:6 --synthetic-load 1.0 \
+        --dir target/mp-smoke/uneven --check
 
 # Elastic-ranks chaos smoke: 4 ranks, rank 2 killed mid-halo at phase 7;
 # the supervisor respawns it, the mesh re-forms at epoch 2 and rolls back

@@ -14,9 +14,10 @@
 //!   `serve` job reads, so a rank's command line carries only what differs
 //!   per process ([`MpWorkerArgs`]);
 //! * `rank{r}.state` — each rank's end-of-run solver state
-//!   ([`microslip_lbm::checkpoint`] format: `f`, ψ and `ueq`, 23 channels
-//!   per component, ghost planes included), captured slab by slab into
-//!   the global [`Snapshot`];
+//!   ([`microslip_lbm::checkpoint`] format: a record per plane of `f`, ψ
+//!   and `ueq`, 23 channels per component, ghost planes included),
+//!   captured plane by plane straight off the file into the global
+//!   [`Snapshot`] — the driver never rebuilds a rank's solver;
 //! * `rank{r}.report` — a small key/value summary (slab, migration
 //!   counts);
 //! * `rank{r}.jsonl` — the rank's structured trace, merged with
@@ -368,12 +369,13 @@ fn supervise(
     rank_errors
 }
 
-/// Restores every rank's final state and stitches the global snapshot.
-/// The headers say where each rank's slab lies, so the snapshot is split at
-/// the slab boundaries first; then the state files are streamed from disk
-/// straight into a solver's arrays and captured straight into their own
-/// planes, on scoped threads — as many slabs in flight as the host has
-/// CPUs, so the driver's memory is bounded by that, not by the rank count.
+/// Captures every rank's final state into the global snapshot. The headers
+/// say where each rank's slab lies, so the snapshot is split at the slab
+/// boundaries first; then each state file streams through
+/// [`checkpoint::capture_file`], which holds one plane of state at a time
+/// and writes the slab's planes of the snapshot directly, on scoped threads
+/// — as many files in flight as the host has CPUs, each costing the driver
+/// a few planes of memory, never a slab.
 fn gather_snapshot(run: &Scenario, dir: &Path) -> Result<Snapshot, String> {
     let dims = run.channel.dims;
     let path = |rank: usize| dir.join(format!("rank{rank}.state"));
@@ -384,14 +386,10 @@ fn gather_snapshot(run: &Scenario, dir: &Path) -> Result<Snapshot, String> {
         return Err(format!("the rank state files in {} do not tile the channel", dir.display()));
     }
     let mut global = Snapshot::zeros(0, dims.nx, dims.ny, dims.nz, run.channel.ncomp());
-    let restore = |rank: usize, planes: SnapshotSlab<'_>| -> Result<(), String> {
-        let (solver, _) = read_solver(&run.channel, &path(rank))
-            .map_err(|e| format!("{}: {e}", path(rank).display()))?;
-        if solver.slab() != planes.slab {
-            return Err(format!("{}: the slab changed while it was read", path(rank).display()));
-        }
-        solver.capture(planes);
-        Ok(())
+    let capture = |rank: usize, planes: SnapshotSlab<'_>| -> Result<(), String> {
+        checkpoint::capture_file(&run.channel, &path(rank), planes)
+            .map(drop)
+            .map_err(|e| format!("{}: {e}", path(rank).display()))
     };
     let lanes = std::thread::available_parallelism().map_or(1, |n| n.get()).min(run.workers);
     let mut work: Vec<Vec<(usize, SnapshotSlab<'_>)>> = (0..lanes).map(|_| Vec::new()).collect();
@@ -401,7 +399,7 @@ fn gather_snapshot(run: &Scenario, dir: &Path) -> Result<Snapshot, String> {
     std::thread::scope(|scope| {
         let handles: Vec<_> = work
             .into_iter()
-            .map(|ranks| scope.spawn(move || ranks.into_iter().try_for_each(|(rank, planes)| restore(rank, planes))))
+            .map(|ranks| scope.spawn(move || ranks.into_iter().try_for_each(|(rank, planes)| capture(rank, planes))))
             .collect();
         handles.into_iter().try_for_each(|lane| lane.join().expect("a gather lane panicked"))
     })?;

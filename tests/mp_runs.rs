@@ -8,6 +8,7 @@ use std::path::PathBuf;
 use std::process::Command;
 
 use microslip::lbm::checkpoint::{load_solver, read_sealed};
+use microslip::lbm::{Snapshot, SolidRegion};
 use microslip::obs::{from_jsonl, remap_fingerprints, validate_jsonl, Event, TraceSink};
 use microslip::runtime::LoadModel;
 use microslip::{FaultSite, MpFault, Scenario};
@@ -98,6 +99,34 @@ fn mp_run_matches_threaded_bitwise_with_identical_remap_decisions() {
 
         let _ = fs::remove_dir_all(&outcome.dir);
     }
+}
+
+/// Every value of a snapshot as bits.
+fn bits(s: &Snapshot) -> Vec<u64> {
+    s.rho.iter().flatten().chain(&s.velocity).map(|v| v.to_bits()).collect()
+}
+
+#[test]
+fn gather_captures_an_obstacle_across_a_rank_boundary_bitwise() {
+    // Two ranks start on ten planes each and the block covers planes 8..12,
+    // so each rank's state file holds solid cells up to its edge and in the
+    // ghost plane beyond it: the gather's plane-by-plane force reads the
+    // mask on both sides of the boundary, wherever remapping moves it.
+    let scenario = || {
+        let mut s = builder(2, 9);
+        s.channel.obstacles.push(SolidRegion::Block { min: [8, 2, 1], max: [12, 4, 3] });
+        s
+    };
+    let threaded = scenario().runtime().unwrap().run();
+    let mut mp = scenario().multiprocess().unwrap();
+    mp.config_mut().worker_exe = Some(WORKER_EXE.into());
+    mp.config_mut().dir = Some(scratch_dir("obstacle"));
+    let outcome = mp.run().unwrap_or_else(|e| panic!("mp run with an obstacle failed: {e}"));
+    assert_eq!(bits(&outcome.snapshot), bits(&threaded.snapshot), "the gathered snapshot differs");
+    assert_eq!(outcome.final_counts(), threaded.final_counts());
+    let solid = |x: usize| outcome.snapshot.rho[0][outcome.snapshot.idx(x, 2, 1)];
+    assert_eq!((solid(9), solid(10)), (0.0, 0.0), "the block is empty of fluid on both sides");
+    let _ = fs::remove_dir_all(&outcome.dir);
 }
 
 #[test]

@@ -4,9 +4,10 @@
 //! stored one) and its first and last sixteen bytes. A change to a byte
 //! format, to the CRC or to the order anything is written in fails here.
 //! The artifact and the frame were recorded from the pre-`crates/codec`
-//! implementation; the checkpoints when the force left the solver state
-//! (`MSLIPCK2`, 23 channels per component), and the previous 26-channel
-//! `MSLIPCK1` bytes are rebuilt here and must be refused by magic.
+//! implementation; the checkpoints when they became plane records
+//! (`MSLIPCK3`: per plane, every component's 23 channels), and the previous
+//! channel-major `MSLIPCK2` bytes are rebuilt here and must be refused by
+//! magic.
 //!
 //! The three unsealed codecs — `MSLIPCF3` channel config, `MSLIPSC2`
 //! `Scenario` canonical bytes (with the content key derived from them) and
@@ -16,8 +17,6 @@
 //! by magic.
 
 use microslip::lbm::checkpoint::{load_solver, read_sealed, save_solver, write_sealed};
-use microslip::lbm::field::SlabArray;
-use microslip::lbm::force::compute_forces;
 use microslip::lbm::CheckpointError;
 use microslip::lbm::diagnostics::FlowDiagnostics;
 use microslip::lbm::geometry::even_slabs;
@@ -94,9 +93,9 @@ fn sealed_checkpoint_bytes_are_pinned() {
         0..bytes.len() - 4,
         &Golden {
             len: 106_052,
-            crc: 0x052d_3208,
-            first: *b"MSLIPCK2\x0a\0\0\0\0\0\0\0",
-            last: [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x08, 0x32, 0x2d, 0x05],
+            crc: 0x0cff_a366,
+            first: *b"MSLIPCK3\x0a\0\0\0\0\0\0\0",
+            last: [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x66, 0xa3, 0xff, 0x0c],
         },
     );
     // And the file still opens through the buffered API.
@@ -133,15 +132,15 @@ fn sealed_checkpoint_bytes_after_a_remap_are_pinned() {
     let want = [
         Golden {
             len: 70_724,
-            crc: 0x9837_e793,
-            first: *b"MSLIPCK2\x0a\0\0\0\0\0\0\0",
-            last: [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x93, 0xe7, 0x37, 0x98],
+            crc: 0x9134_aaf1,
+            first: *b"MSLIPCK3\x0a\0\0\0\0\0\0\0",
+            last: [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xf1, 0xaa, 0x34, 0x91],
         },
         Golden {
             len: 53_060,
-            crc: 0xde0b_44df,
-            first: *b"MSLIPCK2\x0a\0\0\0\0\0\0\0",
-            last: [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xdf, 0x44, 0x0b, 0xde],
+            crc: 0xca90_fd9c,
+            first: *b"MSLIPCK3\x0a\0\0\0\0\0\0\0",
+            last: [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x9c, 0xfd, 0x90, 0xca],
         },
     ];
     let dir = std::env::temp_dir().join(format!("microslip-golden-remap-{}", std::process::id()));
@@ -322,36 +321,35 @@ fn previous_format_bytes_are_rejected_by_magic() {
     }
 }
 
-/// The sealed checkpoint of `sim` in the previous layout: magic `MSLIPCK1`
-/// and each component's 3-channel force — what the two-pass reference
-/// computes from the state, ghost planes zero — between ψ and `ueq`.
-fn previous_checkpoint(sim: &Simulation) -> Vec<u8> {
-    let (solver, cfg) = (sim.solver(), sim.config());
-    let grid = solver.grid();
-    let solid: Vec<bool> = (0..grid.lx)
-        .flat_map(|x| (0..grid.ny).flat_map(move |y| (0..grid.nz).map(move |z| (x, y, z))))
-        .map(|(x, y, z)| solver.is_solid(x, y, z))
-        .collect();
-    let mut forces: Vec<SlabArray> = solver.components().iter().map(|_| SlabArray::new(grid, 3)).collect();
-    compute_forces(solver.components(), &cfg.coupling, &cfg.wall, cfg.body, &solid, &mut forces);
-    let bytes = sim.save();
-    let cells = 8 * grid.cells();
-    let mut old = [b"MSLIPCK1".as_slice(), &bytes[8..64]].concat();
-    for (k, force) in forces.iter().enumerate() {
-        let state = &bytes[64 + k * 23 * cells..][..23 * cells];
-        old.extend_from_slice(&state[..20 * cells]);
-        old.extend(force.to_vec().iter().flat_map(|v| v.to_le_bytes()));
-        old.extend_from_slice(&state[20 * cells..]);
+/// The sealed checkpoint of `solver` in the previous layout: magic
+/// `MSLIPCK2`, the same header words, then every array of every component
+/// whole, channel after channel, instead of a record per plane.
+fn previous_checkpoint(solver: &SlabSolver, phase: u64) -> Vec<u8> {
+    let bytes = save_solver(solver, phase);
+    let mut old = [b"MSLIPCK2".as_slice(), &bytes[8..64]].concat();
+    for c in solver.components() {
+        for array in [&c.f, &c.psi, &c.ueq] {
+            old.extend(array.to_vec().iter().flat_map(|v| v.to_le_bytes()));
+        }
     }
     microslip_codec::seal(old)
 }
 
 #[test]
 fn previous_checkpoint_bytes_are_rejected_by_magic() {
-    // The fixture as the previous tree sealed it, byte for byte…
-    let old = previous_checkpoint(&simulation());
-    assert_eq!((old.len(), crc32_bytewise(&old[..old.len() - 4])), (119_876, 0x5cb3_34aa), "not the old bytes");
-    // …is refused as a bad magic, not misread as 23 channels of something.
-    let payload = &old[..old.len() - 4];
-    assert_eq!(load_solver(&config(), payload).unwrap_err(), CheckpointError::BadMagic);
+    // The fixtures as the previous tree sealed them, byte for byte — the
+    // remapped pair too, so the plane records a migration now carries left
+    // every value where it was…
+    let (sim, slabs) = (simulation(), remapped_slabs());
+    let old = [
+        (previous_checkpoint(sim.solver(), sim.phase()), 106_052, 0x052d_3208),
+        (previous_checkpoint(&slabs[0], 5), 70_724, 0x9837_e793),
+        (previous_checkpoint(&slabs[1], 5), 53_060, 0xde0b_44df),
+    ];
+    for (k, (old, len, crc)) in old.iter().enumerate() {
+        assert_eq!((old.len(), crc32_bytewise(&old[..old.len() - 4])), (*len, *crc), "fixture {k}: not the old bytes");
+        // …and each is refused as a bad magic, not misread as plane records.
+        let payload = &old[..old.len() - 4];
+        assert_eq!(load_solver(&config(), payload).unwrap_err(), CheckpointError::BadMagic);
+    }
 }
