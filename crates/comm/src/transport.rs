@@ -26,9 +26,12 @@ impl Tag {
     pub const PSI_HALO: Tag = Tag(2);
     /// Load index (predicted time) exchange — paper line 24.
     pub const LOAD: Tag = Tag(3);
-    /// Migration plane count announcement — paper line 26/29.
+    /// Migration batch acknowledgement — paper line 26/29: the receiver
+    /// of a move answers every installed `MIGRATE_DATA` batch with the
+    /// number of planes it installed, which is what lets the sender keep
+    /// only a bounded window of batches in flight.
     pub const MIGRATE_COUNT: Tag = Tag(4);
-    /// Migration plane payload — paper line 29.
+    /// Migration plane payload — paper line 29: one batch of a move.
     pub const MIGRATE_DATA: Tag = Tag(5);
     /// All-rank agreement (the rollback-phase sync after a recovery).
     pub const COLLECTIVE: Tag = Tag(6);

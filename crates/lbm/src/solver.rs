@@ -478,6 +478,12 @@ impl SlabSolver {
     /// to its new edge, whose ψ stays in that storage slot, so both slabs
     /// are phase-boundary-consistent without another exchange.
     ///
+    /// Repeated takes compose: `take_planes(side, a)` then `(side, b)`,
+    /// each given in turn, leave both slabs bitwise as one
+    /// `take_planes(side, a + b)` would. The runtime moves a large count
+    /// that way, as a stream of bounded batches (one message each), so a
+    /// move never holds a second copy of every plane it moves.
+    ///
     /// Panics if the slab would be left without at least one plane.
     pub fn take_planes(&mut self, side: Side, count: usize) -> Vec<f64> {
         assert!(count > 0 && count < self.nx_local(), "cannot give away the whole slab");

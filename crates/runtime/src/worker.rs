@@ -5,7 +5,8 @@
 //! a **two-hop** neighbor exchange of load indices, which is exactly
 //! enough for each worker to compute the plane flow across its own edges
 //! consistently with its neighbors (see
-//! [`microslip_balance::policy::NeighborPolicy`]).
+//! [`microslip_balance::policy::NeighborPolicy`]), and moves planes in
+//! bounded, acknowledged batches (see [`MIGRATION_BATCH_BYTES`]).
 //!
 //! Transport failures do not panic: the worker returns
 //! [`WorkerError::Comm`] with the typed [`CommError`], after flushing its
@@ -396,7 +397,11 @@ fn decode_load(
 type LoadView = Vec<Option<(Option<f64>, usize)>>;
 
 /// The distributed remap round: two-hop load-index exchange, edge-flow
-/// evaluation, and plane migration with the adjacent neighbors.
+/// evaluation, and plane migration with the adjacent neighbors. A move
+/// travels as a stream of `MIGRATE_DATA` batches of at most
+/// [`MIGRATION_BATCH_BYTES`], each acknowledged on `MIGRATE_COUNT` once
+/// installed, with at most [`MIGRATION_WINDOW`] unacknowledged — so the
+/// transient of a move is two batches, not the move.
 #[expect(
     clippy::too_many_arguments,
     reason = "the worker's state, borrowed piecewise so the solver and transport stay disjoint"
@@ -504,55 +509,115 @@ fn remap_round<T: Transport>(
     }
 
     // Execute this node's edges in increasing edge order: (rank−1, rank)
-    // then (rank, rank+1). Dependencies point strictly left-to-right, so
-    // the line cannot deadlock. The *sender* records each migration, so
-    // every plane transfer appears exactly once in the event stream.
-    let migration = |tracer: &Tracer, from: usize, to: usize, count: usize, values: usize| {
-        Event::Migration {
-            time: tracer.now(),
-            phase,
-            from,
-            to,
-            planes: count,
-            bytes: (values * 8) as u64,
-        }
-    };
-    if let Some(l) = topo.line_left() {
-        let f = flows[rank - 1]; // planes l → me if positive
-        if f > 0 {
-            let data = transport.recv(l, Tag::MIGRATE_DATA)?;
-            let count = f as usize;
-            check_len(l, "migration", data.len(), solver.migration_len(count))?;
-            solver.give_planes(Side::Left, count, &data);
-            *planes_received += count;
-        } else if f < 0 {
-            let count = (-f) as usize;
-            let data = solver.take_planes(Side::Left, count);
-            let values = data.len();
-            transport.send(l, Tag::MIGRATE_DATA, data)?;
+    // then (rank, rank+1). Dependencies point strictly left-to-right —
+    // both ends of an edge finish every edge left of it first — so the
+    // line cannot deadlock, acknowledgements included. The *sender*
+    // records each migration, so every move appears exactly once in the
+    // event stream, as one event however many batches carried it.
+    let edges = [
+        topo.line_left().map(|l| (l, Side::Left, -flows[rank - 1])),
+        topo.line_right().map(|r| (r, Side::Right, flows[rank])),
+    ];
+    for (peer, side, outflow) in edges.into_iter().flatten() {
+        let count = outflow.unsigned_abs();
+        if outflow > 0 {
+            send_planes(solver, transport, peer, side, count)?;
             *planes_sent += count;
-            tracer.event(migration(tracer, rank, l, count, values));
-        }
-    }
-    if let Some(r) = topo.line_right() {
-        let f = flows[rank]; // planes me → r if positive
-        if f > 0 {
-            let count = f as usize;
-            let data = solver.take_planes(Side::Right, count);
-            let values = data.len();
-            transport.send(r, Tag::MIGRATE_DATA, data)?;
-            *planes_sent += count;
-            tracer.event(migration(tracer, rank, r, count, values));
-        } else if f < 0 {
-            let data = transport.recv(r, Tag::MIGRATE_DATA)?;
-            let count = (-f) as usize;
-            check_len(r, "migration", data.len(), solver.migration_len(count))?;
-            solver.give_planes(Side::Right, count, &data);
+            tracer.event(Event::Migration {
+                time: tracer.now(),
+                phase,
+                from: rank,
+                to: peer,
+                planes: count,
+                bytes: (solver.migration_len(count) * 8) as u64,
+            });
+        } else if outflow < 0 {
+            receive_planes(solver, transport, peer, side, count)?;
             *planes_received += count;
         }
     }
     let t1 = tracer.now();
     tracer.span(SpanKind::Remap, phase, t0, t1);
+    Ok(())
+}
+
+/// Upper bound, in bytes, of one `MIGRATE_DATA` message: a move of more
+/// planes travels as a stream of batches of
+/// [`migration_batch_planes`] planes. 4 MiB is two planes of the paper's
+/// 200 × 20 cross-section (EXPERIMENTS.md, "Migrations in batches", has
+/// the sweep behind it).
+pub const MIGRATION_BATCH_BYTES: usize = 4 << 20;
+
+/// Batches a sender may have unacknowledged: the take of one batch
+/// overlaps the give of the previous one, and a move never holds more
+/// than this many batches in transit.
+const MIGRATION_WINDOW: usize = 2;
+
+/// Planes per migration batch of `solver`'s cross-section: as many as fit
+/// [`MIGRATION_BATCH_BYTES`] together with the trailing ψ ghost plane, and
+/// at least one.
+pub fn migration_batch_planes(solver: &SlabSolver) -> usize {
+    let budget = MIGRATION_BATCH_BYTES / std::mem::size_of::<f64>();
+    (budget.saturating_sub(solver.psi_halo_len()) / solver.migration_plane_len()).max(1)
+}
+
+/// Sends `count` planes off the `side` edge to `peer` as a stream of
+/// [`SlabSolver::take_planes`] batches, keeping at most
+/// [`MIGRATION_WINDOW`] of them unacknowledged. Repeated takes are bitwise
+/// one take of `count` planes: each batch is the next run of planes
+/// inward from the edge, with the ψ of the edge it leaves behind.
+fn send_planes<T: Transport>(
+    solver: &mut SlabSolver,
+    transport: &mut T,
+    peer: usize,
+    side: Side,
+    count: usize,
+) -> Result<(), CommError> {
+    let batch = migration_batch_planes(solver);
+    let mut in_flight = std::collections::VecDeque::with_capacity(MIGRATION_WINDOW);
+    let mut left = count;
+    while left > 0 || !in_flight.is_empty() {
+        if left > 0 && in_flight.len() < MIGRATION_WINDOW {
+            let k = left.min(batch);
+            transport.send(peer, Tag::MIGRATE_DATA, solver.take_planes(side, k))?;
+            in_flight.push_back(k);
+            left -= k;
+        } else if let Some(k) = in_flight.pop_front() {
+            let ack = transport.recv(peer, Tag::MIGRATE_COUNT)?;
+            if ack != [k as f64] {
+                return Err(CommError::Protocol {
+                    peer,
+                    detail: format!("migration ack {ack:?}, expected [{k}] planes installed"),
+                });
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Receives `count` planes from `peer` onto the `side` edge, batch by
+/// batch as [`send_planes`] cuts them, installing each with
+/// [`SlabSolver::give_planes`] and acknowledging it on
+/// [`Tag::MIGRATE_COUNT`] with the number of planes installed.
+fn receive_planes<T: Transport>(
+    solver: &mut SlabSolver,
+    transport: &mut T,
+    peer: usize,
+    side: Side,
+    count: usize,
+) -> Result<(), CommError> {
+    let batch = migration_batch_planes(solver);
+    let mut left = count;
+    while left > 0 {
+        let k = left.min(batch);
+        let data = transport.recv(peer, Tag::MIGRATE_DATA)?;
+        check_len(peer, "migration batch", data.len(), solver.migration_len(k))?;
+        solver.give_planes(side, k, &data);
+        // Freed before the acknowledgement lets the sender take another.
+        drop(data);
+        transport.send(peer, Tag::MIGRATE_COUNT, vec![k as f64])?;
+        left -= k;
+    }
     Ok(())
 }
 
@@ -565,12 +630,25 @@ mod tests {
     use microslip_lbm::geometry::even_slabs;
     use microslip_lbm::Dims;
 
-    /// Rank 0 of two runs one remap round against a peer that has already
-    /// sent `load` and `data` — what a broken or hostile rank 1 would put on
-    /// the wire. The peer claims to be ten times slower, so rank 0 expects
-    /// planes from it.
-    fn remap_round_against(load: Vec<f64>, data: Vec<f64>) -> Result<(), CommError> {
-        let channel = ChannelConfig::paper_scaled(Dims::new(12, 4, 3));
+    /// A channel of 12 planes whose moves fit one batch.
+    const NARROW: Dims = Dims { nx: 12, ny: 4, nz: 3 };
+    /// A channel of 12 planes with the paper's cross-section, where a
+    /// batch is two planes and a move of more is a stream.
+    const WIDE: Dims = Dims { nx: 12, ny: 200, nz: 20 };
+
+    /// Rank 0 of two runs one remap round on a `dims` channel against a
+    /// peer that sends `load` and the `batches` — what a broken or hostile
+    /// rank 1 would put on the wire — and hangs up once every batch is
+    /// acknowledged (or rank 0 is gone), so a stream that runs dry fails
+    /// rank 0 instead of blocking it. The peer claims to be ten times
+    /// slower, so rank 0 expects planes from it. Returns the round's
+    /// outcome and the acknowledgements rank 0 sent back.
+    fn remap_round_against(
+        dims: Dims,
+        load: Vec<f64>,
+        batches: Vec<Vec<f64>>,
+    ) -> (Result<(), CommError>, Vec<Vec<f64>>) {
+        let channel = ChannelConfig::paper_scaled(dims);
         #[expect(
             clippy::disallowed_types,
             clippy::disallowed_methods,
@@ -591,13 +669,26 @@ mod tests {
         let mut ends = mesh(2);
         let mut peer = ends.pop().expect("two endpoints");
         let mut me = ends.pop().expect("two endpoints");
-        peer.send(0, Tag::LOAD, load)?;
-        peer.send(0, Tag::MIGRATE_DATA, data)?;
-        let mut solver = SlabSolver::new(&channel, even_slabs(12, 2)[0]);
+        let peer = std::thread::spawn(move || {
+            peer.send(0, Tag::LOAD, load).expect("queue the load");
+            let sent = batches.len();
+            for batch in batches {
+                peer.send(0, Tag::MIGRATE_DATA, batch).expect("queue a batch");
+            }
+            let mut acks = Vec::new();
+            while acks.len() < sent {
+                match peer.recv(0, Tag::MIGRATE_COUNT) {
+                    Ok(ack) => acks.push(ack),
+                    Err(_) => break,
+                }
+            }
+            acks
+        });
+        let mut solver = SlabSolver::new(&channel, even_slabs(dims.nx, 2)[0]);
         let mut history = History::new(1);
         history.push(1e-6);
         let mut tracer = Tracer::new(TraceSink::null(), 0, cfg.epoch);
-        remap_round(
+        let outcome = remap_round(
             &cfg,
             &Filtered::default(),
             &LastPhase,
@@ -609,7 +700,9 @@ mod tests {
             2,
             &mut 0,
             &mut 0,
-        )
+        );
+        drop(me);
+        (outcome, peer.join().expect("the peer thread"))
     }
 
     fn assert_protocol_error(outcome: Result<(), CommError>, needle: &str) {
@@ -623,40 +716,89 @@ mod tests {
 
     #[test]
     fn a_bad_load_message_is_a_typed_protocol_error() {
+        let against = |load| remap_round_against(NARROW, load, vec![]).0;
         for load in [vec![], vec![1e-5], vec![1e-5, 6.0, 0.0]] {
-            assert_protocol_error(remap_round_against(load, vec![]), "expected 2");
+            assert_protocol_error(against(load), "expected 2");
         }
         for planes in [f64::NAN, f64::INFINITY, -1.0, 6.5, 13.0] {
-            assert_protocol_error(remap_round_against(vec![1e-5, planes], vec![]), "planes");
+            assert_protocol_error(against(vec![1e-5, planes]), "planes");
         }
-        assert_protocol_error(remap_round_against(vec![f64::NAN, 6.0], vec![]), "not a number");
+        assert_protocol_error(against(vec![f64::NAN, 6.0]), "not a number");
     }
 
-    /// Values per migrated plane of the test channel, and the ψ ghost plane
-    /// every message ends with.
-    fn plane_len() -> (usize, usize) {
-        let channel = ChannelConfig::paper_scaled(Dims::new(12, 4, 3));
-        let solver = SlabSolver::new(&channel, even_slabs(12, 2)[0]);
-        (solver.migration_plane_len(), solver.psi_halo_len())
+    /// Values per migrated plane of a `dims` channel, the ψ ghost plane
+    /// every message ends with, and the planes of one batch.
+    fn plane_len(dims: Dims) -> (usize, usize, usize) {
+        let solver = SlabSolver::new(&ChannelConfig::paper_scaled(dims), even_slabs(dims.nx, 2)[0]);
+        (solver.migration_plane_len(), solver.psi_halo_len(), migration_batch_planes(&solver))
+    }
+
+    /// A well-formed move of `count` planes of a `dims` channel, as the
+    /// sender cuts it into batches (values zero).
+    fn batches_of(dims: Dims, count: usize) -> Vec<Vec<f64>> {
+        let (plane, psi, batch) = plane_len(dims);
+        (0..count)
+            .step_by(batch)
+            .map(|first| vec![0.0; batch.min(count - first) * plane + psi])
+            .collect()
+    }
+
+    /// The one move the policy decides against the ten-times-slower peer:
+    /// the only well-formed count the round takes in full.
+    fn decided_count(dims: Dims) -> usize {
+        let accepted: Vec<usize> = (1..dims.nx / 2)
+            .filter(|&count| {
+                let batches = batches_of(dims, count);
+                let sent = batches.len();
+                let (outcome, acks) = remap_round_against(dims, vec![1e-5, 6.0], batches);
+                outcome.is_ok() && acks.len() == sent
+            })
+            .collect();
+        assert_eq!(accepted.len(), 1, "exactly one plane count is the one decided: {accepted:?}");
+        accepted[0]
     }
 
     #[test]
     fn a_short_or_long_migration_is_a_typed_protocol_error() {
-        let (plane, psi) = plane_len();
+        let (plane, psi, batch) = plane_len(NARROW);
+        assert!(batch >= NARROW.nx, "a narrow move is one batch");
         // No whole number of planes: wrong whatever count the policy chose.
         for len in [0, 1, plane - 1, plane + 1, plane + psi + 1, 5 * plane + psi + 1] {
-            let outcome = remap_round_against(vec![1e-5, 6.0], vec![0.0; len]);
+            let (outcome, acks) = remap_round_against(NARROW, vec![1e-5, 6.0], vec![vec![0.0; len]]);
             assert_protocol_error(outcome, "migration");
+            assert!(acks.is_empty(), "a refused batch is not acknowledged");
+        }
+
+        // Mid-move: the first batch is right, the second is a value or a
+        // plane short or long. The first is installed and acknowledged,
+        // the second refused.
+        let count = decided_count(WIDE);
+        let (plane, _, batch) = plane_len(WIDE);
+        assert!(count > batch, "the wide move spans batches ({count} planes, {batch} a batch)");
+        for delta in [-(plane as isize), -1, 1, plane as isize] {
+            let mut batches = batches_of(WIDE, count);
+            let len = batches[1].len().checked_add_signed(delta).expect("a batch is longer than a plane");
+            batches[1].resize(len, 0.0);
+            let (outcome, acks) = remap_round_against(WIDE, vec![1e-5, 6.0], batches);
+            assert_protocol_error(outcome, "migration batch");
+            assert_eq!(acks, vec![vec![batch as f64]], "only the first batch is acknowledged");
         }
     }
 
     #[test]
     fn a_well_formed_round_against_the_same_peer_succeeds() {
-        // The control: the same loads with the planes the policy asks for.
-        let (plane, psi) = plane_len();
-        let moved = (1..6)
-            .filter(|count| remap_round_against(vec![1e-5, 6.0], vec![0.0; count * plane + psi]).is_ok())
-            .count();
-        assert_eq!(moved, 1, "exactly one plane count is the one decided");
+        // The control: the same loads with the planes the policy asks for,
+        // in one batch and in several, each acknowledged with its planes.
+        for dims in [NARROW, WIDE] {
+            let count = decided_count(dims);
+            let (outcome, acks) = remap_round_against(dims, vec![1e-5, 6.0], batches_of(dims, count));
+            assert!(outcome.is_ok());
+            let (_, _, batch) = plane_len(dims);
+            let want: Vec<Vec<f64>> = (0..count)
+                .step_by(batch)
+                .map(|first| vec![batch.min(count - first) as f64])
+                .collect();
+            assert_eq!(acks, want);
+        }
     }
 }

@@ -1,16 +1,19 @@
 //! Communication-budget tests: the worker protocol must send exactly the
 //! traffic the paper's algorithm implies — two halo exchanges per phase,
 //! and (for filtered remapping) O(1) neighbor-local load messages per
-//! remap round, never a collective.
+//! remap round, never a collective — and a migration must travel in
+//! bounded, acknowledged batches.
 
 use std::sync::Arc;
 
 use microslip_balance::policy::{Filtered, NoRemap};
 use microslip_balance::predict::HarmonicMean;
-use microslip_comm::{mesh, InstrumentedTransport, Tag, Transport};
+use microslip_comm::{mesh, CommError, InstrumentedTransport, NodeId, Tag, Transport};
 use microslip_lbm::geometry::even_slabs;
-use microslip_lbm::{ChannelConfig, Dims};
-use microslip_runtime::worker::{worker_main, WorkerConfig, WorkerReport};
+use microslip_lbm::{ChannelConfig, Dims, SlabSolver};
+use microslip_runtime::worker::{
+    migration_batch_planes, worker_main, WorkerConfig, WorkerReport, MIGRATION_BATCH_BYTES,
+};
 use microslip_runtime::ThrottlePlan;
 
 fn run_instrumented(
@@ -136,4 +139,152 @@ fn migration_payload_matches_plane_size() {
             c.messages
         );
     }
+}
+
+/// One step of a migration as a rank saw it, in the order it happened.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Step {
+    /// A `MIGRATE_DATA` batch of this many values went to the peer.
+    SentBatch(NodeId, usize),
+    /// An acknowledgement came back from the peer.
+    GotAck(NodeId),
+    /// A batch of this many values arrived from the peer.
+    GotBatch(NodeId, usize),
+    /// An acknowledgement went to the peer.
+    SentAck(NodeId),
+}
+
+/// A transport that logs every migration message in order.
+struct MoveLog<T: Transport> {
+    inner: T,
+    steps: Vec<Step>,
+}
+
+impl<T: Transport> Transport for MoveLog<T> {
+    fn rank(&self) -> NodeId {
+        self.inner.rank()
+    }
+
+    fn size(&self) -> usize {
+        self.inner.size()
+    }
+
+    fn send(&mut self, to: NodeId, tag: Tag, payload: Vec<f64>) -> Result<(), CommError> {
+        match tag {
+            Tag::MIGRATE_DATA => self.steps.push(Step::SentBatch(to, payload.len())),
+            Tag::MIGRATE_COUNT => self.steps.push(Step::SentAck(to)),
+            _ => {}
+        }
+        self.inner.send(to, tag, payload)
+    }
+
+    fn recv(&mut self, from: NodeId, tag: Tag) -> Result<Vec<f64>, CommError> {
+        let payload = self.inner.recv(from, tag)?;
+        match tag {
+            Tag::MIGRATE_DATA => self.steps.push(Step::GotBatch(from, payload.len())),
+            Tag::MIGRATE_COUNT => self.steps.push(Step::GotAck(from)),
+            _ => {}
+        }
+        Ok(payload)
+    }
+}
+
+#[test]
+fn migrations_travel_in_bounded_acknowledged_batches() {
+    // The paper's cross-section, where a batch is a couple of planes, and
+    // a throttle that makes rank 1 shed most of its slab at once.
+    let mut channel = ChannelConfig::paper_scaled(Dims::new(12, 200, 20));
+    channel.body = [1e-4, 0.0, 0.0];
+    let probe = SlabSolver::new(&channel, even_slabs(12, 2)[0]);
+    let batch = migration_batch_planes(&probe);
+    let budget = (MIGRATION_BATCH_BYTES / 8).max(probe.migration_len(1));
+    #[expect(
+        clippy::disallowed_types,
+        clippy::disallowed_methods,
+        reason = "the epoch only stamps trace spans, and the null sink drops them"
+    )]
+    let cfg = Arc::new(WorkerConfig {
+        channel,
+        phases: 4,
+        start_phase: 0,
+        remap_interval: 2,
+        predictor_window: 2,
+        checkpoint_every: 0,
+        checkpoint_dir: None,
+        load: microslip_runtime::LoadModel::Synthetic { per_point: 1.0 },
+        trace: microslip_obs::TraceSink::null(),
+        epoch: std::time::Instant::now(),
+    });
+    let handles: Vec<_> = mesh(2)
+        .into_iter()
+        .zip(even_slabs(12, 2))
+        .map(|(t, slab)| {
+            let cfg = Arc::clone(&cfg);
+            std::thread::spawn(move || {
+                let throttle = match t.rank() {
+                    1 => ThrottlePlan::constant(8.0),
+                    _ => ThrottlePlan::none(),
+                };
+                let mut log = MoveLog { inner: t, steps: Vec::new() };
+                let predictor = HarmonicMean { window: 2 };
+                let report = worker_main(&cfg, &Filtered::default(), &predictor, &mut log, slab, throttle)
+                    .expect("worker failed");
+                (report, log.steps)
+            })
+        })
+        .collect();
+    let out: Vec<(WorkerReport, Vec<Step>)> =
+        handles.into_iter().map(|h| h.join().unwrap()).collect();
+
+    let mut longest_move = 0;
+    for (report, steps) in &out {
+        let rank = report.rank;
+        // Sends minus acknowledgements, and receipts minus acknowledgements,
+        // as the log unfolds: never more than the window in flight, every
+        // batch acknowledged once it is installed, nothing left over.
+        let (mut in_flight, mut unacked_receipts, mut run) = (0usize, 0usize, 0usize);
+        for &step in steps {
+            match step {
+                Step::SentBatch(_, values) => {
+                    assert!(values <= budget, "rank {rank}: a batch of {values} values > {budget}");
+                    in_flight += 1;
+                    run += 1;
+                    assert!(in_flight <= 2, "rank {rank}: {in_flight} batches unacknowledged");
+                }
+                Step::GotAck(_) => {
+                    in_flight = in_flight.checked_sub(1).expect("an acknowledgement of no batch");
+                    if in_flight == 0 {
+                        longest_move = longest_move.max(run);
+                        run = 0;
+                    }
+                }
+                Step::GotBatch(_, values) => {
+                    assert!(values <= budget, "rank {rank}: a batch of {values} values > {budget}");
+                    assert_eq!(unacked_receipts, 0, "rank {rank}: a batch arrived before the last was acknowledged");
+                    unacked_receipts += 1;
+                }
+                Step::SentAck(_) => {
+                    unacked_receipts = unacked_receipts.checked_sub(1).expect("an acknowledgement of no batch");
+                }
+            }
+        }
+        assert_eq!((in_flight, unacked_receipts), (0, 0), "rank {rank}: a move left unfinished");
+        let count = |want: fn(&Step) -> bool| steps.iter().filter(|s| want(s)).count();
+        assert_eq!(
+            count(|s| matches!(s, Step::SentBatch(..))),
+            count(|s| matches!(s, Step::GotAck(_))),
+            "rank {rank}: acks equal batches sent"
+        );
+        assert_eq!(
+            count(|s| matches!(s, Step::GotBatch(..))),
+            count(|s| matches!(s, Step::SentAck(_))),
+            "rank {rank}: acks equal batches received"
+        );
+    }
+    assert!(
+        longest_move >= 3,
+        "a move must span three batches or more to exercise the window ({batch} planes a batch)"
+    );
+    let counts: Vec<usize> = out.iter().map(|(r, _)| r.final_slab.nx_local).collect();
+    assert_eq!(counts.iter().sum::<usize>(), 12);
 }

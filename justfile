@@ -64,16 +64,21 @@ trace-smoke:
 # localhost TCP, checked bitwise against the threaded runtime — fields
 # AND (under the synthetic load model) remap decisions must match. The
 # 3-rank run on 31 planes sends uneven slabs, and the slabs holding both
-# periodic wrap planes, through the driver's plane-by-plane gather.
+# periodic wrap planes, through the driver's plane-by-plane gather. The
+# run at the paper's 200×20 cross-section moves 11 planes as a stream of
+# six acknowledged batches over TCP.
 mp-smoke:
     cargo build --release --offline --bin microslip
-    rm -rf target/mp-smoke && mkdir -p target/mp-smoke/uneven
+    rm -rf target/mp-smoke && mkdir -p target/mp-smoke/uneven target/mp-smoke/batches
     ./target/release/microslip mp --ranks 2 --phases 12 --remap-every 3 \
         --predictor-window 2 --throttle 1:6 --synthetic-load 1.0 \
         --dir target/mp-smoke --trace target/mp-smoke/run --check
     ./target/release/microslip mp --ranks 3 --nx 31 --phases 12 --remap-every 3 \
         --predictor-window 2 --throttle 1:6 --synthetic-load 1.0 \
         --dir target/mp-smoke/uneven --check
+    ./target/release/microslip mp --ranks 2 --nx 24 --ny 200 --nz 20 --phases 6 \
+        --remap-every 3 --predictor-window 2 --throttle 1:6 --synthetic-load 1.0 \
+        --dir target/mp-smoke/batches --check
 
 # Elastic-ranks chaos smoke: 4 ranks, rank 2 killed mid-halo at phase 7;
 # the supervisor respawns it, the mesh re-forms at epoch 2 and rolls back

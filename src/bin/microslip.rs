@@ -110,8 +110,9 @@ fn print_help() {
     println!("                                              --checkpoint-every N --checkpoint-dir DIR]");
     println!("  mp        multi-process runtime over TCP   [--ranks --phases --throttle R:F --scheme --dir DIR");
     println!("                                              --checkpoint-every N --resume-phase P --synthetic-load P --trace PREFIX");
-    println!("                                              --chaos kill:RANK@PHASE  (kill that rank mid-run; the driver");
-    println!("                                              respawns it and the mesh rolls back to the last common checkpoint)");
+    println!("                                              --chaos kill:RANK@PHASE[:remap|:migrate]  (kill that rank mid-run;");
+    println!("                                              the driver respawns it and the mesh rolls back to the last");
+    println!("                                              common checkpoint)");
     println!("                                              --check  (compare against the threaded runtime)]");
     println!("  mp-worker one rank of an mp run (internal; spawned by 'mp')");
     println!("  serve     sweep daemon with content-addressed result cache");
@@ -373,14 +374,15 @@ fn cmd_mp(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `--chaos kill:RANK@PHASE[:remap]` → an [`MpFault`]. The optional
-/// `:remap` suffix lands the kill in the load-index exchange of the next
-/// remap round instead of the halo exchange.
+/// `--chaos kill:RANK@PHASE[:SITE]` → an [`MpFault`]. The optional site
+/// lands the kill in the load-index exchange of the next remap round
+/// (`:remap`) or on the second batch of the next move of several
+/// (`:migrate`) instead of the halo exchange.
 fn chaos_spec(spec: &str, ranks: usize) -> Result<MpFault, String> {
-    let err = || format!("--chaos wants kill:RANK@PHASE[:remap], got '{spec}'");
+    let err = || format!("--chaos wants kill:RANK@PHASE[:remap|:migrate], got '{spec}'");
     let body = spec.strip_prefix("kill:").ok_or_else(err)?;
-    let (body, site) = match body.strip_suffix(":remap") {
-        Some(b) => (b, FaultSite::Remap),
+    let (body, site) = match body.split_once(':') {
+        Some((b, name)) => (b, FaultSite::from_name(name).ok_or_else(err)?),
         None => (body, FaultSite::Halo),
     };
     let (rank, phase) = body.split_once('@').ok_or_else(err)?;
@@ -412,10 +414,10 @@ fn cmd_mp_worker(args: &[String]) -> Result<(), String> {
         checkpoint_every: f.get("checkpoint-every", 0u64)?,
         resume_phase: optional(&f, "resume-phase")?,
         die_at_phase: optional(&f, "die-at-phase")?,
-        die_site: match f.values.get("die-site").map(String::as_str) {
-            None | Some("halo") => FaultSite::Halo,
-            Some("remap") => FaultSite::Remap,
-            Some(other) => return Err(format!("bad --die-site '{other}' (halo, remap)")),
+        die_site: match f.values.get("die-site") {
+            None => FaultSite::Halo,
+            Some(name) => FaultSite::from_name(name)
+                .ok_or_else(|| format!("bad --die-site '{name}' (halo, remap, migrate)"))?,
         },
         supervised: f.has("supervised"),
         epoch: f.get("epoch", 1u64)?,
@@ -800,6 +802,11 @@ mod tests {
             chaos_spec("kill:1@9:remap", 4).unwrap(),
             MpFault { rank: 1, die_at_phase: 9, site: FaultSite::Remap }
         );
+        assert_eq!(
+            chaos_spec("kill:1@9:migrate", 4).unwrap(),
+            MpFault { rank: 1, die_at_phase: 9, site: FaultSite::Migrate }
+        );
+        assert!(chaos_spec("kill:1@9:gather", 4).is_err(), "unknown site");
         assert!(chaos_spec("kill:9@5", 4).is_err(), "rank out of range");
         assert!(chaos_spec("kill:2", 4).is_err(), "missing phase");
         assert!(chaos_spec("spawn:2@5", 4).is_err(), "unknown verb");

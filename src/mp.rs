@@ -92,6 +92,28 @@ pub enum FaultSite {
     /// Mid load-index exchange of a remap round: peers die holding
     /// partially exchanged balance state.
     Remap,
+    /// On the second `MIGRATE_DATA` batch of a move: the receiver has
+    /// installed the first batch and waits for the rest.
+    Migrate,
+}
+
+impl FaultSite {
+    /// Every site, in the order the CLI lists them.
+    pub const ALL: [FaultSite; 3] = [FaultSite::Halo, FaultSite::Remap, FaultSite::Migrate];
+
+    /// The site's name on the command line (`--die-site`, `--chaos`).
+    pub fn name(self) -> &'static str {
+        match self {
+            FaultSite::Halo => "halo",
+            FaultSite::Remap => "remap",
+            FaultSite::Migrate => "migrate",
+        }
+    }
+
+    /// The site called `name`.
+    pub fn from_name(name: &str) -> Option<FaultSite> {
+        FaultSite::ALL.into_iter().find(|site| site.name() == name)
+    }
 }
 
 /// Deliberate mid-run death of one rank, for fault-injection tests: the
@@ -587,7 +609,7 @@ impl MpWorkerArgs {
             ("checkpoint-every", Some(self.checkpoint_every.to_string())),
             ("resume-phase", self.resume_phase.map(|phase| phase.to_string())),
             ("die-at-phase", self.die_at_phase.map(|phase| phase.to_string())),
-            ("die-site", (self.die_site == FaultSite::Remap).then(|| "remap".to_string())),
+            ("die-site", (self.die_site != FaultSite::Halo).then(|| self.die_site.name().to_string())),
         ];
         let switches = [("supervised", self.supervised), ("rejoin", self.rejoin)];
         let mut args = vec!["mp-worker".to_string()];
@@ -611,8 +633,12 @@ struct FaultTransport<T: Transport> {
     /// leaves the right-bound message of `die_at_phase` delivered and the
     /// left-bound one missing. For [`FaultSite::Remap`] the same counter
     /// tells which phase the run has reached, and the kill lands on the
-    /// first load-index send at or after it.
+    /// first load-index send at or after it; for [`FaultSite::Migrate`],
+    /// on the second batch of the first move at or after it that has one.
     die_on_send: u64,
+    /// The peer of the move under way and the `MIGRATE_DATA` batches sent
+    /// to it; every remap round's first load-index send starts afresh.
+    move_batches: (NodeId, u64),
 }
 
 impl<T: Transport> FaultTransport<T> {
@@ -622,6 +648,7 @@ impl<T: Transport> FaultTransport<T> {
             site,
             f_halo_sends: 0,
             die_on_send: 2 * die_at_phase.max(1),
+            move_batches: (0, 0),
         }
     }
 }
@@ -636,12 +663,17 @@ impl<T: Transport> Transport for FaultTransport<T> {
     }
 
     fn send(&mut self, to: NodeId, tag: Tag, payload: Vec<f64>) -> Result<(), CommError> {
-        if tag == Tag::F_HALO {
-            self.f_halo_sends += 1;
+        match tag {
+            Tag::F_HALO => self.f_halo_sends += 1,
+            Tag::LOAD => self.move_batches = (to, 0),
+            Tag::MIGRATE_DATA if self.move_batches.0 == to => self.move_batches.1 += 1,
+            Tag::MIGRATE_DATA => self.move_batches = (to, 1),
+            _ => {}
         }
         let strikes = match self.site {
             FaultSite::Halo => tag == Tag::F_HALO,
             FaultSite::Remap => tag == Tag::LOAD,
+            FaultSite::Migrate => tag == Tag::MIGRATE_DATA && self.move_batches.1 == 2,
         };
         if strikes && self.f_halo_sends >= self.die_on_send {
             die_injected(&format!("rank {} dies mid-{:?} exchange", self.rank(), self.site));
@@ -948,6 +980,11 @@ mod tests {
             a.to_args().join(" "),
             format!("{plain} --resume-phase 6 --die-at-phase 7 --die-site remap --supervised --rejoin")
         );
+        a.die_site = FaultSite::Migrate;
+        assert!(a.to_args().join(" ").contains("--die-site migrate --supervised"));
+        for site in FaultSite::ALL {
+            assert_eq!(FaultSite::from_name(site.name()), Some(site));
+        }
     }
 
     /// Rank 0 and rank 1 of a two-rank channel mesh.

@@ -384,8 +384,9 @@ impl Scenario {
 
     /// What the worker protocol demands of a scenario, on threads and on
     /// rank processes alike (`role` names them in the error): a
-    /// neighbor-local scheme, a plane per `role`, a valid channel and
-    /// throttle ranks in range. Returns the policy and the dense throttle.
+    /// neighbor-local scheme, a plane per `role`, a valid channel,
+    /// throttle ranks in range and well-formed spikes. Returns the policy
+    /// and the dense throttle.
     pub(crate) fn validate_ranks(
         &self,
         role: &str,
@@ -393,6 +394,7 @@ impl Scenario {
         let policy = neighbor_policy(self.scheme)?;
         self.validate_for(role)?;
         self.channel.validate()?;
+        validate_spikes(&self.spikes, self.workers, role)?;
         Ok((policy, expand_throttle(&self.throttle, self.workers)?))
     }
 
@@ -508,6 +510,28 @@ fn expand_throttle(pairs: &[(usize, f64)], workers: usize) -> Result<Vec<f64>, S
     Ok(out)
 }
 
+/// Every spike names an existing rank, a non-empty phase range and a
+/// finite factor ≥ 1 — what [`microslip_runtime::ThrottlePlan::with_spike`]
+/// and [`microslip_runtime::Throttle::new`] assert once the run is under way.
+fn validate_spikes(
+    spikes: &[(usize, u64, u64, f64)],
+    workers: usize,
+    role: &str,
+) -> Result<(), String> {
+    for &(rank, from, to, factor) in spikes {
+        if rank >= workers {
+            return Err(format!("spike rank {rank} out of range for {workers} {role}s"));
+        }
+        if from >= to {
+            return Err(format!("spike on rank {rank} covers no phase: [{from}, {to}) is empty"));
+        }
+        if !factor.is_finite() || factor < 1.0 {
+            return Err(format!("spike factor {factor} on rank {rank} is not a finite factor ≥ 1"));
+        }
+    }
+    Ok(())
+}
+
 /// A fully-validated threaded run, ready to execute.
 #[derive(Clone)]
 pub struct Runtime {
@@ -617,6 +641,39 @@ mod tests {
         assert!(Scenario::paper_scaled(16, 6, 4).scheme(Scheme::Global).cluster().is_ok());
         assert!(Scenario::paper_scaled(16, 6, 4).scheme(Scheme::Global).multiprocess().is_err());
         assert!(Scenario::paper_scaled(16, 6, 4).workers(0).cluster().is_err());
+    }
+
+    /// `spike` finalized for threads and for rank processes: both must
+    /// refuse it with an error naming `needle`, before anything runs.
+    fn assert_spike_refused(spike: (usize, u64, u64, f64), needle: &str) {
+        let (rank, from, to, factor) = spike;
+        let scenario = || Scenario::paper_scaled(16, 6, 4).workers(2).spike(rank, from, to, factor);
+        let threaded = scenario().runtime().expect_err("runtime() accepted a bad spike");
+        assert!(threaded.contains(needle), "{threaded}");
+        let ranks = scenario().multiprocess().expect_err("multiprocess() accepted a bad spike");
+        assert!(ranks.contains(needle), "{ranks}");
+    }
+
+    #[test]
+    fn a_spike_on_a_missing_rank_is_refused() {
+        assert_spike_refused((2, 1, 4, 2.0), "spike rank 2 out of range");
+    }
+
+    #[test]
+    fn a_spike_over_no_phase_is_refused() {
+        assert_spike_refused((1, 4, 4, 2.0), "covers no phase");
+        assert_spike_refused((1, 5, 4, 2.0), "covers no phase");
+    }
+
+    #[test]
+    fn a_spike_factor_below_one_is_refused() {
+        assert_spike_refused((1, 1, 4, 0.5), "spike factor");
+    }
+
+    #[test]
+    fn a_spike_factor_that_is_not_a_number_is_refused() {
+        assert_spike_refused((1, 1, 4, f64::NAN), "spike factor");
+        assert_spike_refused((1, 1, 4, f64::INFINITY), "spike factor");
     }
 
     #[test]

@@ -9,6 +9,7 @@ use microslip::lbm::component::CollisionOperator;
 use microslip::lbm::geometry::{even_slabs, SolidRegion};
 use microslip::lbm::macroscopic::Snapshot;
 use microslip::lbm::{ChannelConfig, Dims, Side, Simulation, Slab, SlabSolver, WallBc};
+use microslip::runtime::worker::migration_batch_planes;
 use proptest::prelude::*;
 
 mod common;
@@ -259,6 +260,65 @@ fn a_snapshot_right_after_a_migration_is_the_sequential_one() {
                 phase(&mut solvers);
                 migrate(&mut solvers, 1, count, rightward);
                 assert_remapped_run_is_sequential(&cfg, &solvers, 2);
+            }
+        }
+    }
+}
+
+/// Moves `count` planes across `edge` the way a worker does, as a stream
+/// of `take_planes` batches of at most `batch` planes, each installed with
+/// `give_planes` before the next is taken.
+fn migrate_in_batches(
+    solvers: &mut [SlabSolver],
+    edge: usize,
+    count: usize,
+    rightward: bool,
+    batch: usize,
+) {
+    let mut left = count;
+    while left > 0 {
+        let k = left.min(batch);
+        migrate(solvers, edge, k, rightward);
+        left -= k;
+    }
+}
+
+/// A move cut into batches is bitwise the same move made in one message:
+/// on the paper's cross-section (a batch is a couple of planes), moves of
+/// one plane, exactly one batch, one batch and a plane, and three batches
+/// and a plane, in both directions, with two and three slabs, under a
+/// solid mask that varies along x. Both slabs' checkpoints — every plane's
+/// state, ghosts included — match the one-message move's, which the
+/// tests above hold to the sequential run.
+#[test]
+fn a_move_in_batches_is_bitwise_one_move() {
+    // (slab sizes, edge, rightward): the edge's donor holds 8 planes.
+    let cases: [(&[usize], usize, bool); 4] =
+        [(&[8, 8], 0, true), (&[8, 8], 0, false), (&[2, 8, 2], 1, true), (&[2, 8, 2], 0, false)];
+    for (sizes, edge, rightward) in cases {
+        let dims = Dims::new(sizes.iter().sum(), 200, 20);
+        let cfg = migration_config(dims, 2, true);
+        let mut base: Vec<SlabSolver> = sizes
+            .iter()
+            .scan(0, |x0, &nx_local| {
+                let slab = Slab { x0: *x0, nx_local };
+                *x0 += nx_local;
+                Some(SlabSolver::new(&cfg, slab))
+            })
+            .collect();
+        prime(&mut base);
+        phase(&mut base);
+        let batch = migration_batch_planes(&base[0]);
+        assert!((2..=3).contains(&batch), "a batch is a few planes of this cross-section: {batch}");
+        for count in [1, batch, batch + 1, 3 * batch + 1] {
+            let label = format!("slabs {sizes:?}, edge {edge}, rightward {rightward}, {count} planes");
+            let mut whole = base.clone();
+            migrate(&mut whole, edge, count, rightward);
+            let mut batched = base.clone();
+            migrate_in_batches(&mut batched, edge, count, rightward, batch);
+            for (a, b) in whole.iter().zip(&batched).skip(edge).take(2) {
+                assert_eq!(a.slab(), b.slab(), "{label}");
+                assert!(save_solver(a, 1) == save_solver(b, 1), "{label}: checkpoints differ");
             }
         }
     }

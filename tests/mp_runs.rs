@@ -8,7 +8,9 @@ use std::path::PathBuf;
 use std::process::Command;
 
 use microslip::lbm::checkpoint::{load_solver, read_sealed};
-use microslip::lbm::{Snapshot, SolidRegion};
+use microslip::lbm::geometry::even_slabs;
+use microslip::lbm::{Simulation, SlabSolver, Snapshot, SolidRegion};
+use microslip::runtime::worker::migration_batch_planes;
 use microslip::obs::{from_jsonl, remap_fingerprints, validate_jsonl, Event, TraceSink};
 use microslip::runtime::LoadModel;
 use microslip::{FaultSite, MpFault, Scenario};
@@ -99,6 +101,54 @@ fn mp_run_matches_threaded_bitwise_with_identical_remap_decisions() {
 
         let _ = fs::remove_dir_all(&outcome.dir);
     }
+}
+
+#[test]
+fn moves_of_several_batches_stay_bitwise_on_threads_and_ranks() {
+    // The paper's cross-section, where a migration batch is a couple of
+    // planes, and a throttle that sheds five planes in one move.
+    let wide = || {
+        Scenario::paper_scaled(12, 200, 20)
+            .workers(2)
+            .phases(4)
+            .remap_every(2)
+            .predictor_window(2)
+            .throttle(1, 6.0)
+            .load_model(LoadModel::Synthetic { per_point: 1.0 })
+    };
+    let channel = wide().channel;
+    let batch = migration_batch_planes(&SlabSolver::new(&channel, even_slabs(12, 2)[0]));
+    let mut sim = Simulation::new(channel);
+    sim.run(4);
+    let want = bits(&sim.snapshot());
+
+    let (sink, recorder) = TraceSink::recorder(1 << 16);
+    let threaded = wide().trace(sink).runtime().unwrap().run();
+    let threaded_events = recorder.events();
+    let mut mp = wide().multiprocess().unwrap();
+    mp.config_mut().worker_exe = Some(WORKER_EXE.into());
+    mp.config_mut().dir = Some(scratch_dir("batches"));
+    let outcome = mp.run().unwrap_or_else(|e| panic!("mp run failed: {e}"));
+
+    assert!(bits(&threaded.snapshot) == want, "the threaded run left the sequential one");
+    assert!(bits(&outcome.snapshot) == want, "the mp run left the sequential one");
+    let prints = remap_fingerprints(&outcome.events);
+    assert!(!prints.is_empty());
+    assert_eq!(prints, remap_fingerprints(&threaded_events), "remap decisions differ");
+    for events in [&threaded_events, &outcome.events] {
+        let longest = events
+            .iter()
+            .filter_map(|e| match e {
+                Event::Migration { planes, .. } => Some(*planes),
+                _ => None,
+            })
+            .max();
+        assert!(
+            longest > Some(2 * batch),
+            "a move must span three batches of {batch} planes: longest {longest:?}"
+        );
+    }
+    let _ = fs::remove_dir_all(&outcome.dir);
 }
 
 /// Every value of a snapshot as bits.
