@@ -1,13 +1,12 @@
-//! # microslip-bench — physics figures and micro-benchmarks
+//! # microslip-bench — the threaded remap timing and micro-benchmarks
 //!
-//! The virtual-cluster figures and tables are `microslip cluster NAME`
-//! (the registry in `microslip_cluster::experiment`). What stays here
-//! runs the LBM itself: the physics figures (`fig6_density`,
-//! `fig7_velocity`, `ablation_physics`), the remap policies on real
-//! threads (`remap_threaded`), and criterion micro-benchmarks of the
-//! balancer, the cluster engine and the halo transport. Kernel, socket
-//! and tracing costs are ledger metrics (`examples/ledger/`), not benches
-//! here. The binaries print their tables with the registry's formatting
+//! Every paper figure and table, the physics ones included, is `microslip
+//! figure NAME` (the registry in `microslip::figure`). What stays here is
+//! wall-clock and so has no golden: the remap policies on real threads
+//! (`remap_threaded`), and criterion micro-benchmarks of the balancer,
+//! the cluster engine and the halo transport. Kernel, socket and tracing
+//! costs are ledger metrics (`examples/ledger/`), not benches here.
+//! `remap_threaded` prints its table with the registry's formatting
 //! helpers (`microslip_cluster::experiment::{row, header, f}`).
 
 /// Reads the `idx`-th CLI argument, or `default` when it is absent. An

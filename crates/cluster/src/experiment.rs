@@ -1,11 +1,12 @@
 //! The paper's evaluation on the virtual cluster.
 //!
 //! Point functions ([`fig3_point`], [`fixed_slow_point`], …) run one point
-//! of a figure or table. [`EXPERIMENTS`] assembles them into the paper's
-//! full sweeps, one entry per figure or table, each rendered as the text
-//! table `microslip cluster NAME` prints. Every entry runs at the paper's
-//! own parameters and is deterministic; `tests/goldens/cluster/NAME.txt`
-//! pins its output byte for byte.
+//! of a figure or table. The renderers ([`fig3`], [`fig8`], …) assemble
+//! them into the paper's full sweeps, one per figure or table, each as the
+//! text table `microslip figure NAME` prints; the figure registry
+//! (`microslip::figure`) lists them beside the physics figures. Every
+//! renderer runs at the paper's own parameters and is deterministic;
+//! `tests/goldens/figures/NAME.txt` pins its output byte for byte.
 
 use microslip_balance::policy::{
     Conservative, FilterParams, Filtered, Global, NoRemap, RemapPolicy,
@@ -134,11 +135,12 @@ pub fn dedicated_speedup(phases: u64, nodes: usize) -> f64 {
 // ---------------------------------------------------------------------
 
 /// One table line: a left label right-aligned to `first_width`, then
-/// 14-character right-aligned cells.
+/// 14-character cells, each a space and its value right-aligned to 13. A
+/// longer value widens its cell but never runs into its neighbour.
 pub fn row<S: std::fmt::Display>(first_width: usize, label: &str, cells: &[S]) -> String {
     let mut line = format!("{label:>first_width$}");
     for c in cells {
-        line += &format!("{c:>14}");
+        line += &format!(" {c:>13}");
     }
     line.push('\n');
     line
@@ -176,48 +178,8 @@ pub fn par_map<T: Sync, R: Send>(items: &[T], f: impl Fn(&T) -> R + Sync) -> Vec
 }
 
 // ---------------------------------------------------------------------
-// The registry
+// The paper's figures and tables, one renderer each
 // ---------------------------------------------------------------------
-
-/// Renders one experiment as the text table `microslip cluster` prints.
-pub type Render = fn() -> String;
-
-/// Every paper figure and table the virtual cluster regenerates, as
-/// `(name, renderer)`, in the paper's order. `microslip cluster NAME`
-/// prints `renderer()`.
-pub const EXPERIMENTS: &[(&str, Render)] = &[
-    ("fig3", fig3),
-    ("fig8", fig8),
-    ("fig9", fig9),
-    ("fig10", fig10),
-    ("table1", table1),
-    ("scaling", scaling),
-    ("filters", filters),
-    ("hetero", hetero),
-    ("transient", transient),
-];
-
-/// A name that is not in [`EXPERIMENTS`]; its message lists every name.
-#[derive(Debug)]
-pub struct UnknownExperiment(pub String);
-
-impl std::fmt::Display for UnknownExperiment {
-    fn fmt(&self, out: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let names: Vec<&str> = EXPERIMENTS.iter().map(|(name, _)| *name).collect();
-        write!(out, "unknown experiment '{}' (valid: {})", self.0, names.join(", "))
-    }
-}
-
-impl std::error::Error for UnknownExperiment {}
-
-/// Looks up the renderer registered as `name`.
-pub fn find(name: &str) -> Result<Render, UnknownExperiment> {
-    EXPERIMENTS
-        .iter()
-        .find(|(n, _)| *n == name)
-        .map(|(_, render)| *render)
-        .ok_or_else(|| UnknownExperiment(name.to_string()))
-}
 
 /// Fig. 3: execution time and per-phase overhead vs. disturbance level.
 ///
@@ -226,7 +188,7 @@ pub fn find(name: &str) -> Result<Render, UnknownExperiment> {
 /// parallel LBM (600 phases, no remapping) is timed against the dedicated
 /// baseline. The paper observes a near-linear overhead up to ~60%
 /// disturbance and a sharp increase beyond it.
-fn fig3() -> String {
+pub fn fig3() -> String {
     let mut out = header(
         "Fig. 3 — increased time caused by competing jobs",
         "20 nodes, 600 phases, no remapping, duty-cycle disturbance on one node",
@@ -246,7 +208,7 @@ fn fig3() -> String {
 /// 20 nodes, 20,000 LBM phases (the paper's full workload), fixed slow
 /// nodes under a 70% competing job. Speedup = sequential time / parallel
 /// time; normalized efficiency = speedup / (P − 0.7·m).
-fn fig8() -> String {
+pub fn fig8() -> String {
     let mut out = header(
         "Fig. 8 — speedup and normalized efficiency, 20,000 phases",
         "20 nodes, fixed slow nodes (70% competing job), filtered vs no-remapping",
@@ -286,7 +248,7 @@ fn one_slow_node_runs() -> [(&'static str, RunResult); 4] {
 
 /// Fig. 9: per-node compute / communication / remapping time for the
 /// four schemes with one fixed slow node (node 9).
-fn fig9() -> String {
+pub fn fig9() -> String {
     let mut out = header(
         "Fig. 9 — execution profile and cost distribution, one slow node",
         "20 nodes, 600 phases; node 9 runs a 70% competing job",
@@ -321,7 +283,7 @@ fn fig9() -> String {
 
 /// Fig. 10: execution time of 600 phases for the four remapping
 /// techniques as the number of fixed slow nodes grows from 0 to 5.
-fn fig10() -> String {
+pub fn fig10() -> String {
     let mut out = header(
         "Fig. 10 — execution time by remapping technique",
         "20 nodes, 600 phases, 0-5 fixed slow nodes (70% competing job)",
@@ -346,7 +308,7 @@ fn fig10() -> String {
 /// the same scheme. The paper finds no-remapping, filtered and
 /// conservative comparable (lazy remapping tolerates transients) and
 /// global much worse.
-fn table1() -> String {
+pub fn table1() -> String {
     let mut out = header(
         "Table 1 — slowdown under transient spikes",
         "20 nodes, 100 phases; random node spiked (70% job) every 10 s",
@@ -364,7 +326,7 @@ fn table1() -> String {
 
 /// §4.2 scaling claim: near-linear speedup on a dedicated cluster ("the
 /// speedup is 18.97 with 20 nodes"), 600 phases per node count.
-fn scaling() -> String {
+pub fn scaling() -> String {
     let mut out = header(
         "§4.2 — dedicated-cluster speedup",
         "400x200x20 lattice; paper reports 18.97 at 20 nodes",
@@ -382,7 +344,7 @@ fn scaling() -> String {
 /// threshold and remapping interval. 20 nodes, 600 phases, 2 fixed slow
 /// nodes, plus a 3 s transient-spike column showing which choices
 /// tolerate transients.
-fn filters() -> String {
+pub fn filters() -> String {
     let cfg = ClusterConfig::paper(20, 600);
     // (fixed-slow time, spiked time, planes migrated under the slow nodes)
     let timed = |cfg: &ClusterConfig, policy: &dyn RemapPolicy, predictor: &dyn Predictor| {
@@ -443,7 +405,7 @@ fn filters() -> String {
 /// own pace but pays no scheduling latency, so proportional balancing is
 /// the right answer and over-redistribution's advantage shrinks — the
 /// ablation that locates *why* filtered wins in the paper's setting.
-fn hetero() -> String {
+pub fn hetero() -> String {
     let cfg = ClusterConfig::paper(20, 600);
     let mut out = header(
         "Extension — heterogeneous cluster (no contention vs contention)",
@@ -473,7 +435,7 @@ fn hetero() -> String {
 /// remapping pays a short, aggressive drain and settles near the
 /// dedicated cost; conservative settles slower and higher; no-remapping
 /// never recovers.
-fn transient() -> String {
+pub fn transient() -> String {
     const BLOCK: usize = 25;
     let mut out = header(
         "Remapping transient — per-phase cost over time (block means)",
@@ -504,6 +466,17 @@ mod tests {
     fn scheme_names() {
         assert_eq!(Scheme::Filtered.name(), "filtered");
         assert_eq!(Scheme::ALL.len(), 4);
+    }
+
+    #[test]
+    fn row_right_aligns_and_always_separates_cells() {
+        assert_eq!(row(6, "m", &["1.5", "22"]), "     m           1.5            22\n");
+        // A cell of 14 characters or more still starts with a space.
+        assert_eq!(
+            row(4, "nm", &["water g/cm3", "air 1e-4 g/cm3"]),
+            "  nm   water g/cm3 air 1e-4 g/cm3\n"
+        );
+        assert_eq!(row::<&str>(3, "x", &[]), "  x\n");
     }
 
     #[test]

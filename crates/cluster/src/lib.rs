@@ -14,9 +14,9 @@
 //! * [`costmodel`] — calibrated compute/communication cost constants.
 //! * [`engine`] — the per-phase virtual-time engine with full per-node
 //!   compute/communication/remapping accounting (Fig. 9's profile).
-//! * [`experiment`] — one function per paper scenario, and the registry
-//!   of the paper's figures and tables ([`experiment::EXPERIMENTS`]) that
-//!   `microslip cluster NAME` prints.
+//! * [`experiment`] — one function per paper scenario, and one renderer
+//!   per performance figure or table of the paper, each the text table
+//!   `microslip figure NAME` prints (the registry is `microslip::figure`).
 //!
 //! ```
 //! use microslip_cluster::{fixed_slow_point, Scheme};

@@ -24,18 +24,19 @@ tier1:
 physics:
     cargo test -q --offline --test physics_validation
 
-# Rewrites the virtual-cluster goldens, tests/goldens/cluster/NAME.txt,
-# from `microslip cluster NAME` for every registry entry. This is the only
-# way a golden changes: `cargo test` compares each entry against its golden
-# byte for byte and never writes one. Review the diff; the shape assertions
-# in tests/cluster_reproduction.rs say which moves are legitimate.
+# Rewrites the figure goldens, tests/goldens/figures/NAME.txt, from
+# `microslip figure NAME --quick` for every registry entry. This is the
+# only way a golden changes: `cargo test` compares each entry against its
+# golden byte for byte and never writes one. Review the diff; the shape
+# assertions in tests/cluster_reproduction.rs and the physics tests in
+# tests/physics_validation.rs say which moves are legitimate.
 figures:
     #!/usr/bin/env bash
     set -euo pipefail
     cargo build --release --offline --bin microslip
-    rm -rf tests/goldens/cluster && mkdir -p tests/goldens/cluster
-    for name in $(./target/release/microslip cluster | tail -n +2); do
-        ./target/release/microslip cluster "$name" > "tests/goldens/cluster/$name.txt"
+    rm -rf tests/goldens/figures && mkdir -p tests/goldens/figures
+    for name in $(./target/release/microslip figure | tail -n +2); do
+        ./target/release/microslip figure "$name" --quick > "tests/goldens/figures/$name.txt"
     done
 
 # Panic-reachability (microslip-lint): panic sites reachable over the call

@@ -1,9 +1,8 @@
 //! `microslip` — command-line front end.
 //!
 //! ```console
-//! $ microslip slip --ny 40 --phases 1500        # fluid-slip physics run
-//! $ microslip cluster fig10                      # a paper figure or table,
-//!                                                #   from the virtual cluster
+//! $ microslip figure fig7                        # a paper figure or table
+//!                                                #   (no NAME lists them)
 //! $ microslip parallel --workers 4 --throttle 1:4 # threaded runtime demo
 //! $ microslip trace --mode cluster --out run     # traced run -> run.jsonl,
 //!                                                #   run.trace.json (Perfetto),
@@ -16,13 +15,12 @@
 
 use std::collections::HashMap;
 
-use microslip::cluster::{experiment, ClusterConfig, FixedSlowNodes, RunResult, Scheme};
-use microslip::lbm::diagnostics::FlowDiagnostics;
-use microslip::lbm::observables::{apparent_slip_fraction, mean_velocity_y_profile};
-use microslip::lbm::{ChannelConfig, Dims, Simulation, WallBc, WallForce};
+use microslip::cluster::{ClusterConfig, FixedSlowNodes, RunResult, Scheme};
+use microslip::figure::{self, Size, FIGURES};
+use microslip::lbm::{ChannelConfig, Dims, WallBc};
 use microslip::obs::{
     remap_fingerprints, to_chrome_trace, to_jsonl, validate_chrome_trace, validate_jsonl,
-    Event, Recorder, TraceSink, TraceSummary, DEFAULT_CAPACITY,
+    Event, TraceSink, TraceSummary, DEFAULT_CAPACITY,
 };
 use microslip::mp::{FaultSite, MpFault, MpWorkerArgs};
 use microslip::runtime::LoadModel;
@@ -75,8 +73,7 @@ fn main() {
         None => ("help", &args[..]),
     };
     let result = match cmd {
-        "slip" => cmd_slip(rest),
-        "cluster" => cmd_cluster(rest),
+        "figure" => cmd_figure(rest),
         "parallel" => cmd_parallel(rest),
         "mp" => cmd_mp(rest),
         "mp-worker" => cmd_mp_worker(rest),
@@ -104,8 +101,7 @@ fn print_help() {
     println!("  (reproduction of Zhou, Zhu, Petzold & Yang, IPDPS 2004)");
     println!();
     println!("commands:");
-    println!("  slip      run the two-phase slip physics   [--nx --ny --nz --phases --no-wall-force]");
-    println!("  cluster   a paper figure/table, virtual cluster [NAME; no NAME lists them]");
+    println!("  figure    a paper figure or table          [NAME --quick; no NAME lists them]");
     println!("  parallel  threaded runtime with remapping  [--workers --phases --throttle R:F --scheme --trace PREFIX");
     println!("                                              --checkpoint-every N --checkpoint-dir DIR]");
     println!("  mp        multi-process runtime over TCP   [--ranks --phases --throttle R:F --scheme --dir DIR");
@@ -135,27 +131,6 @@ fn print_help() {
     println!("  info      model parameters and calibration anchors");
 }
 
-fn cmd_slip(args: &[String]) -> Result<(), String> {
-    let f = Flags::parse(args)?;
-    let nx = f.get("nx", 12usize)?;
-    let ny = f.get("ny", 40usize)?;
-    let nz = f.get("nz", 8usize)?;
-    let phases = f.get("phases", 1200u64)?;
-    let mut cfg = ChannelConfig::paper_scaled(Dims::new(nx, ny, nz));
-    if f.has("no-wall-force") {
-        cfg.wall = WallForce::off();
-    }
-    println!("slip run: {nx}x{ny}x{nz}, {phases} phases, wall force {}", !cfg.wall.is_off());
-    let mut sim = Simulation::new(cfg);
-    sim.run(phases);
-    let snap = sim.snapshot();
-    let u = mean_velocity_y_profile(&snap);
-    let d = FlowDiagnostics::compute(&snap);
-    println!("apparent slip u_wall/u0 = {:.3}", apparent_slip_fraction(&u));
-    println!("flow rate {:.3e}  max Mach {:.4}  mass {:.3}", d.flow_rate, d.max_mach, d.total_mass);
-    Ok(())
-}
-
 fn scheme_by_name(name: &str) -> Result<Scheme, String> {
     Scheme::ALL
         .into_iter()
@@ -163,18 +138,21 @@ fn scheme_by_name(name: &str) -> Result<Scheme, String> {
         .ok_or_else(|| format!("unknown scheme '{name}' (no-remap, filtered, conservative, global)"))
 }
 
-/// `--trace PREFIX`: builds a recording sink, or a null sink when absent.
-fn trace_flag(f: &Flags) -> (TraceSink, Option<(String, std::sync::Arc<Recorder>)>) {
-    match f.values.get("trace") {
-        Some(prefix) if prefix != "true" => {
-            let (sink, rec) = TraceSink::recorder(DEFAULT_CAPACITY);
-            (sink, Some((prefix.clone(), rec)))
-        }
-        Some(_) => {
-            eprintln!("warning: --trace needs a file prefix; tracing disabled");
-            (TraceSink::null(), None)
-        }
-        None => (TraceSink::null(), None),
+/// `--trace` given without the PREFIX its artifacts are written to.
+#[derive(Debug)]
+struct TraceNeedsPrefix;
+
+impl std::fmt::Display for TraceNeedsPrefix {
+    fn fmt(&self, out: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(out, "--trace needs a file prefix (--trace PREFIX)")
+    }
+}
+
+/// `--trace PREFIX`: the prefix, or `None` when the flag is absent.
+fn trace_prefix(f: &Flags) -> Result<Option<&str>, TraceNeedsPrefix> {
+    match f.values.get("trace").map(String::as_str) {
+        Some("true") => Err(TraceNeedsPrefix),
+        prefix => Ok(prefix),
     }
 }
 
@@ -196,25 +174,28 @@ fn write_trace_artifacts(prefix: &str, events: &[Event]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_cluster(args: &[String]) -> Result<(), String> {
-    print!("{}", cluster_text(args)?);
+fn cmd_figure(args: &[String]) -> Result<(), String> {
+    print!("{}", figure_text(args)?);
     Ok(())
 }
 
-/// What `microslip cluster [NAME]` prints: the experiment's table, or the
-/// list of experiments when no name is given.
-fn cluster_text(args: &[String]) -> Result<String, String> {
-    match args {
+/// What `microslip figure [NAME [--quick]]` prints: the figure's table at
+/// the paper's size (or the quick size its golden pins), or the list of
+/// figures when no name is given.
+fn figure_text(args: &[String]) -> Result<String, String> {
+    let (name, size) = match args {
         [] => {
-            let mut out = String::from("experiments (microslip cluster NAME):\n");
-            for (name, _) in experiment::EXPERIMENTS {
+            let mut out = String::from("figures (microslip figure NAME [--quick]):\n");
+            for (name, _) in FIGURES {
                 out += &format!("  {name}\n");
             }
-            Ok(out)
+            return Ok(out);
         }
-        [name] => Ok(experiment::find(name).map_err(|e| e.to_string())?()),
-        _ => Err("usage: microslip cluster [NAME]".to_string()),
-    }
+        [name] => (name, Size::Paper),
+        [name, quick] if quick == "--quick" => (name, Size::Quick),
+        _ => return Err("usage: microslip figure [NAME [--quick]]".to_string()),
+    };
+    Ok(figure::find(name).map_err(|e| e.to_string())?(size))
 }
 
 /// The `trace --mode cluster` run: the paper's 400×200×20 channel on
@@ -241,8 +222,8 @@ fn cluster_run(
 }
 
 /// `--throttle RANK:FACTOR[,RANK:FACTOR…]` → the scenario's sparse
-/// `(rank, factor)` pairs.
-fn throttle_spec(spec: &str, ranks: usize) -> Result<Vec<(usize, f64)>, String> {
+/// `(rank, factor)` pairs; the scenario's finalizer checks their values.
+fn throttle_spec(spec: &str) -> Result<Vec<(usize, f64)>, String> {
     let mut out = Vec::new();
     for part in spec.split(',') {
         let (rank, factor) = part
@@ -250,9 +231,6 @@ fn throttle_spec(spec: &str, ranks: usize) -> Result<Vec<(usize, f64)>, String> 
             .ok_or_else(|| format!("--throttle wants RANK:FACTOR, got '{part}'"))?;
         let rank: usize = rank.parse().map_err(|_| format!("bad rank '{rank}'"))?;
         let factor: f64 = factor.parse().map_err(|_| format!("bad factor '{factor}'"))?;
-        if rank >= ranks {
-            return Err(format!("rank {rank} out of range for {ranks} ranks"));
-        }
         out.push((rank, factor));
     }
     Ok(out)
@@ -263,14 +241,17 @@ fn cmd_parallel(args: &[String]) -> Result<(), String> {
     let workers = f.get("workers", 4usize)?;
     let phases = f.get("phases", 100u64)?;
     let scheme = scheme_by_name(&f.get("scheme", "filtered".to_string())?)?;
-    let (sink, recording) = trace_flag(&f);
+    let recording = trace_prefix(&f)
+        .map_err(|e| e.to_string())?
+        .map(|prefix| (prefix, TraceSink::recorder(DEFAULT_CAPACITY)));
+    let sink = recording.as_ref().map_or_else(TraceSink::null, |(_, (sink, _))| sink.clone());
     let mut scenario = Scenario::new(ChannelConfig::paper_scaled(Dims::new(48, 24, 8)))
         .workers(workers)
         .phases(phases)
         .scheme(scheme)
         .trace(sink);
     if let Some(spec) = f.values.get("throttle") {
-        scenario.throttle = throttle_spec(spec, workers)?;
+        scenario.throttle = throttle_spec(spec)?;
     }
     let mut runtime = scenario.runtime()?;
     runtime.config_mut().checkpoint_every = f.get("checkpoint-every", 0u64)?;
@@ -291,8 +272,8 @@ fn cmd_parallel(args: &[String]) -> Result<(), String> {
             r.rank, r.profile.compute, r.profile.pad, r.profile.comm, r.profile.remap
         );
     }
-    if let Some((prefix, rec)) = recording {
-        write_trace_artifacts(&prefix, &rec.events())?;
+    if let Some((prefix, (_, rec))) = recording {
+        write_trace_artifacts(prefix, &rec.events())?;
     }
     Ok(())
 }
@@ -303,6 +284,7 @@ fn cmd_mp(args: &[String]) -> Result<(), String> {
     let phases = f.get("phases", 20u64)?;
     let scheme = scheme_by_name(&f.get("scheme", "filtered".to_string())?)?;
     let dims = (f.get("nx", 32usize)?, f.get("ny", 8usize)?, f.get("nz", 4usize)?);
+    let trace = trace_prefix(&f).map_err(|e| e.to_string())?;
     let mut scenario = Scenario::paper_scaled(dims.0, dims.1, dims.2)
         .workers(ranks)
         .phases(phases)
@@ -310,7 +292,7 @@ fn cmd_mp(args: &[String]) -> Result<(), String> {
         .predictor_window(f.get("predictor-window", 3usize)?)
         .scheme(scheme);
     if let Some(spec) = f.values.get("throttle") {
-        scenario.throttle = throttle_spec(spec, ranks)?;
+        scenario.throttle = throttle_spec(spec)?;
     }
     if f.has("synthetic-load") {
         let per_point = f.get("synthetic-load", 1.0f64)?;
@@ -339,10 +321,8 @@ fn cmd_mp(args: &[String]) -> Result<(), String> {
         outcome.planes_migrated()
     );
     println!("artifacts in {}", outcome.dir.display());
-    if let Some(prefix) = f.values.get("trace") {
-        if prefix != "true" {
-            write_trace_artifacts(prefix, &outcome.events)?;
-        }
+    if let Some(prefix) = trace {
+        write_trace_artifacts(prefix, &outcome.events)?;
     }
     if f.has("check") {
         // Re-run the exact scenario on the threaded runtime and hold the
@@ -696,7 +676,7 @@ mod tests {
     use super::*;
 
     fn flags(s: &[&str]) -> Flags {
-        Flags::parse(&s.iter().map(|x| x.to_string()).collect::<Vec<_>>()).unwrap()
+        Flags::parse(&args(s)).unwrap()
     }
 
     #[test]
@@ -728,17 +708,36 @@ mod tests {
         assert!(scheme_by_name("magic").is_err());
     }
 
+    fn args(s: &[&str]) -> Vec<String> {
+        s.iter().map(|x| x.to_string()).collect()
+    }
+
     #[test]
-    fn cluster_lists_every_experiment_and_rejects_unknown_names() {
-        let listing = cluster_text(&[]).unwrap();
-        let err = cluster_text(&["fig11".to_string()]).unwrap_err();
-        assert!(err.contains("unknown experiment 'fig11'"), "{err}");
-        for (name, _) in experiment::EXPERIMENTS {
+    fn figure_lists_every_entry_and_rejects_unknown_names() {
+        let listing = figure_text(&[]).unwrap();
+        let err = figure_text(&args(&["fig11"])).unwrap_err();
+        assert!(err.contains("unknown figure 'fig11'"), "{err}");
+        for (name, _) in FIGURES {
             let listed = listing.matches(&format!("  {name}\n")).count();
             assert_eq!(listed, 1, "{name} must be listed exactly once: {listing}");
             assert!(err.contains(name), "error misses {name}: {err}");
         }
-        assert!(cluster_text(&["fig3".to_string(), "fig8".to_string()]).is_err());
+        assert!(figure_text(&args(&["fig11", "--quick"])).unwrap_err().contains("fig11"));
+        assert!(figure_text(&args(&["fig3", "fig8"])).is_err());
+        assert!(figure_text(&args(&["fig3", "--quick", "--quick"])).is_err());
+    }
+
+    #[test]
+    fn trace_without_a_prefix_is_refused_before_a_run() {
+        assert_eq!(trace_prefix(&flags(&[])).unwrap(), None);
+        assert_eq!(trace_prefix(&flags(&["--trace", "run"])).unwrap(), Some("run"));
+        assert!(trace_prefix(&flags(&["--trace"])).is_err());
+        assert!(trace_prefix(&flags(&["--trace", "--phases", "2"])).is_err());
+        // Both runtimes refuse it before they start a worker or a rank.
+        for cmd in [cmd_parallel, cmd_mp] {
+            let err = cmd(&args(&["--phases", "1", "--trace"])).unwrap_err();
+            assert!(err.contains("--trace needs a file prefix"), "{err}");
+        }
     }
 
     #[test]

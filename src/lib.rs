@@ -20,8 +20,10 @@
 //! * [`obs`] — the zero-dependency structured event-tracing layer (JSONL
 //!   and Chrome `trace_event` exporters, derived summaries).
 //!
-//! Four additions live in the facade itself:
+//! Five additions live in the facade itself:
 //!
+//! * [`figure`] — the one registry of the paper's figures and tables,
+//!   virtual-cluster and physics alike, behind `microslip figure NAME`;
 //! * [`Scenario`] — the canonical value type describing one run
 //!   (geometry + physics + boundary conditions + schedule), with a
 //!   canonical binary codec and a content-address [`Scenario::key`];
@@ -60,6 +62,7 @@ pub use microslip_lbm as lbm;
 pub use microslip_obs as obs;
 pub use microslip_runtime as runtime;
 
+pub mod figure;
 pub mod mp;
 pub mod scenario;
 pub mod serve;

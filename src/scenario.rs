@@ -395,7 +395,7 @@ impl Scenario {
         self.validate_for(role)?;
         self.channel.validate()?;
         validate_spikes(&self.spikes, self.workers, role)?;
-        Ok((policy, expand_throttle(&self.throttle, self.workers)?))
+        Ok((policy, expand_throttle(&self.throttle, self.workers, role)?))
     }
 
     /// Finalizes into a threaded [`Runtime`].
@@ -493,17 +493,21 @@ pub fn neighbor_policy(scheme: Scheme) -> Result<Arc<dyn NeighborPolicy>, String
 }
 
 /// Expands sparse `(rank, factor)` throttle pairs into a dense per-rank
-/// vector, validating ranks.
-fn expand_throttle(pairs: &[(usize, f64)], workers: usize) -> Result<Vec<f64>, String> {
+/// vector, refusing a missing rank and a factor that is not finite and
+/// ≥ 1 (which [`microslip_runtime::ThrottlePlan`] would clamp to 1).
+fn expand_throttle(pairs: &[(usize, f64)], workers: usize, role: &str) -> Result<Vec<f64>, String> {
     if pairs.is_empty() {
         return Ok(Vec::new());
     }
     let mut out = vec![1.0; workers];
     for &(rank, factor) in pairs {
+        if !factor.is_finite() || factor < 1.0 {
+            return Err(format!("throttle factor {factor} on rank {rank} is not a finite factor ≥ 1"));
+        }
         match out.get_mut(rank) {
             Some(slot) => *slot = factor,
             None => {
-                return Err(format!("throttle rank {rank} out of range for {workers} workers"))
+                return Err(format!("throttle rank {rank} out of range for {workers} {role}s"))
             }
         }
     }
@@ -643,15 +647,18 @@ mod tests {
         assert!(Scenario::paper_scaled(16, 6, 4).workers(0).cluster().is_err());
     }
 
-    /// `spike` finalized for threads and for rank processes: both must
-    /// refuse it with an error naming `needle`, before anything runs.
+    /// `scenario()` finalized for threads and for rank processes: both
+    /// must refuse it with an error naming `needle`, before anything runs.
+    fn assert_refused(scenario: impl Fn() -> Scenario, needle: &str) {
+        let threaded = scenario().runtime().expect_err("runtime() accepted a bad scenario");
+        assert!(threaded.contains(needle), "{threaded}");
+        let ranks = scenario().multiprocess().expect_err("multiprocess() accepted it");
+        assert!(ranks.contains(needle), "{ranks}");
+    }
+
     fn assert_spike_refused(spike: (usize, u64, u64, f64), needle: &str) {
         let (rank, from, to, factor) = spike;
-        let scenario = || Scenario::paper_scaled(16, 6, 4).workers(2).spike(rank, from, to, factor);
-        let threaded = scenario().runtime().expect_err("runtime() accepted a bad spike");
-        assert!(threaded.contains(needle), "{threaded}");
-        let ranks = scenario().multiprocess().expect_err("multiprocess() accepted a bad spike");
-        assert!(ranks.contains(needle), "{ranks}");
+        assert_refused(|| Scenario::paper_scaled(16, 6, 4).workers(2).spike(rank, from, to, factor), needle);
     }
 
     #[test]
@@ -674,6 +681,15 @@ mod tests {
     fn a_spike_factor_that_is_not_a_number_is_refused() {
         assert_spike_refused((1, 1, 4, f64::NAN), "spike factor");
         assert_spike_refused((1, 1, 4, f64::INFINITY), "spike factor");
+    }
+
+    #[test]
+    fn a_throttle_factor_below_one_or_not_a_number_is_refused() {
+        for factor in [0.5, 0.0, -2.0, f64::NAN, f64::INFINITY] {
+            let scenario = || Scenario::paper_scaled(16, 6, 4).workers(2).throttle(1, factor);
+            assert_refused(scenario, "throttle factor");
+        }
+        assert!(Scenario::paper_scaled(16, 6, 4).workers(2).throttle(1, 1.0).runtime().is_ok());
     }
 
     #[test]

@@ -1,23 +1,26 @@
 //! End-to-end assertions that the cluster simulator reproduces the
 //! *shape* of every performance artifact in the paper's evaluation —
 //! who wins, by roughly what factor, and where the crossovers fall — and
-//! that every figure and table it prints is byte-identical to its golden.
+//! that every figure and table of the registry, performance and physics
+//! alike, is byte-identical to its golden.
 
 use std::path::Path;
 
-use microslip::cluster::experiment::{par_map, EXPERIMENTS};
+use microslip::cluster::experiment::par_map;
+use microslip::figure::{Size, FIGURES};
 use microslip::cluster::{
     dedicated_speedup, fig3_point, fixed_slow_point, run_scheme, transient_point,
     ClusterConfig, Dedicated, FixedSlowNodes, Scheme,
 };
 
-/// Every registry entry against `tests/goldens/cluster/NAME.txt`, byte for
-/// byte. The shape tests below say why a golden may move; `just figures`
-/// is the one way to move it.
+/// Every registry entry at [`Size::Quick`] against
+/// `tests/goldens/figures/NAME.txt`, byte for byte. The shape tests below
+/// and `tests/physics_validation.rs` say why a golden may move; `just
+/// figures` is the one way to move it.
 #[test]
 fn every_experiment_matches_its_golden() {
-    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/goldens/cluster");
-    for (name, got) in par_map(EXPERIMENTS, |(name, render)| (*name, render())) {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/goldens/figures");
+    for (name, got) in par_map(FIGURES, |(name, render)| (*name, render(Size::Quick))) {
         let path = dir.join(format!("{name}.txt"));
         let want = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("reading {}: {e}", path.display()));
@@ -27,7 +30,7 @@ fn every_experiment_matches_its_golden() {
         let same = want.lines().zip(got.lines()).take_while(|(w, g)| w == g).count();
         let line = |text: &str| text.lines().nth(same).unwrap_or("<end of output>").to_string();
         panic!(
-            "experiment `{name}` differs from {} at line {}:\n  golden: {}\n  got:    {}\n\
+            "figure `{name}` differs from {} at line {}:\n  golden: {}\n  got:    {}\n\
              if the change is intended, regenerate the goldens with `just figures`",
             path.display(),
             same + 1,
@@ -35,13 +38,13 @@ fn every_experiment_matches_its_golden() {
             line(&got)
         );
     }
-    // No golden outlives its experiment.
+    // No golden outlives its figure.
     for entry in std::fs::read_dir(&dir).unwrap() {
         let file = entry.unwrap().file_name().into_string().unwrap();
         let stem = file.strip_suffix(".txt").unwrap_or(&file);
         assert!(
-            EXPERIMENTS.iter().any(|(name, _)| *name == stem),
-            "{file} in {} names no experiment",
+            FIGURES.iter().any(|(name, _)| *name == stem),
+            "{file} in {} names no figure",
             dir.display()
         );
     }
