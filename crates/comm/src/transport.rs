@@ -38,6 +38,17 @@ impl Tag {
     /// Result gathering at the end of a run.
     pub const GATHER: Tag = Tag(7);
 
+    /// Every named tag, in tag order.
+    pub const ALL: [Tag; 7] = [
+        Tag::F_HALO,
+        Tag::PSI_HALO,
+        Tag::LOAD,
+        Tag::MIGRATE_COUNT,
+        Tag::MIGRATE_DATA,
+        Tag::COLLECTIVE,
+        Tag::GATHER,
+    ];
+
     /// Stable schema name of the traffic class (used in trace events).
     pub fn name(&self) -> &'static str {
         match *self {
@@ -50,6 +61,11 @@ impl Tag {
             Tag::GATHER => "gather",
             _ => "other",
         }
+    }
+
+    /// The named tag whose [`Self::name`] is `name`.
+    pub fn from_name(name: &str) -> Option<Tag> {
+        Tag::ALL.into_iter().find(|tag| tag.name() == name)
     }
 }
 
@@ -141,19 +157,21 @@ mod tests {
 
     #[test]
     fn tags_are_distinct() {
-        let tags = [
-            Tag::F_HALO,
-            Tag::PSI_HALO,
-            Tag::LOAD,
-            Tag::MIGRATE_COUNT,
-            Tag::MIGRATE_DATA,
-            Tag::COLLECTIVE,
-            Tag::GATHER,
-        ];
+        let tags = Tag::ALL;
         for (i, a) in tags.iter().enumerate() {
             for b in &tags[i + 1..] {
                 assert_ne!(a, b);
             }
+        }
+    }
+
+    #[test]
+    fn tag_names_round_trip() {
+        for tag in Tag::ALL {
+            assert_eq!(Tag::from_name(tag.name()), Some(tag));
+        }
+        for unknown in ["other", "F_HALO", "halo", "remap", "migrate", ""] {
+            assert_eq!(Tag::from_name(unknown), None, "{unknown}");
         }
     }
 

@@ -97,10 +97,11 @@
 //! slip variants use pure specular z-walls (`rz = 0`), making the flow
 //! z-independent — the pseudo-2-D setup of the slip papers.
 //!
-//! The kernel is selected per plane *outside* the channel/row loops
-//! ([`stream_plane_slip`] vs [`stream_plane_fast`]), so the default
-//! bounce-back path is untouched — same machine code, bitwise-identical
-//! results.
+//! The kernel is selected per row block *outside* the channel/row loops
+//! ([`stream_plane_slip_generic`] vs [`stream_plane_fast`]), so the
+//! default bounce-back path is untouched — same machine code,
+//! bitwise-identical results. Slip walls always take the per-cell kernel,
+//! obstacles or not: no paper workload sets one.
 
 use crate::boundary::SlipMap;
 use crate::component::ComponentState;
@@ -248,16 +249,13 @@ fn sweep(
             // Safety: the write target (plane xl of `f`) never aliases a
             // source — slots live outside `f`, and ghost planes are never
             // written. The wall-BC dispatch is resolved here, per block, so
-            // the channel/row loops inside each kernel stay branch-free.
+            // the bounce-back kernels' channel/row loops stay branch-free.
             unsafe {
                 let r = rows.clone();
                 match (slip, has_solid) {
                     (None, false) => stream_plane_fast(fp, cells, grid, xl, prev, cur, next, r),
                     (None, true) => stream_plane_generic(fp, cells, grid, xl, prev, cur, next, r, solid),
-                    (Some(s), false) => {
-                        stream_plane_slip(fp, cells, grid, xl, prev, cur, next, r, s.ry, s.rz)
-                    }
-                    (Some(s), true) => stream_plane_slip_generic(
+                    (Some(s), _) => stream_plane_slip_generic(
                         fp, cells, grid, xl, prev, cur, next, r, solid, s.ry, s.rz,
                     ),
                 }
@@ -408,114 +406,20 @@ unsafe fn stream_plane_generic(
     }
 }
 
-/// Obstacle-free streaming of one plane under a slip wall BC (see the
-/// module docs): y-wall rows mix bounce-back (weight `ry[xl]`) with the
-/// same-row specular source (weight `1 − ry[xl − e_x]`), z-walls mix with
-/// the constant `rz`; the four corner lines bounce back fully. Interior
-/// cells stream exactly as in [`stream_plane_fast`] — same contiguous row
-/// copies, so the slip path costs extra work only on wall rows.
+/// Per-cell streaming of one plane under a slip wall BC (see the module
+/// docs), with obstacle bounce-back — the slip analogue of
+/// [`stream_plane_generic`], and the one slip kernel whatever the mask.
+/// y-wall links mix bounce-back (weight `ry[xl]`) with the same-row
+/// specular source (weight `1 − ry[xl − e_x]`), z-wall links mix with the
+/// constant `rz`; the four corner lines bounce back fully. A wall link
+/// whose specular source cell is solid falls back to full bounce-back (the
+/// roughness element interrupts the smooth wall, so there is nothing to
+/// reflect off specularly).
 ///
 /// # Safety
 ///
-/// As [`stream_plane_fast`]; additionally `ry` must have one entry per
+/// As [`stream_plane_generic`]; additionally `ry` must have one entry per
 /// local plane (ghosts included).
-#[expect(
-    clippy::too_many_arguments,
-    reason = "a raw kernel takes its plane pointers, strides and wall data as scalars"
-)]
-unsafe fn stream_plane_slip(
-    f: *mut f64,
-    cells: usize,
-    grid: LocalGrid,
-    xl: usize,
-    prev: PlaneSrc,
-    cur: PlaneSrc,
-    next: PlaneSrc,
-    rows: Range<usize>,
-    ry: &[f64],
-    rz: f64,
-) {
-    let p = grid.plane_cells();
-    let (ny, nz) = (grid.ny, grid.nz);
-    for i in 0..Q {
-        let e = D3Q19::E[i];
-        let opp = D3Q19::OPP[i];
-        let src = upstream(i, prev, cur, next);
-        let dst = f.add(i * cells + xl * p);
-        if e[1] == 0 && e[2] == 0 {
-            // Rest and x-only channels never touch a wall: one copy of the
-            // block's rows.
-            let at = rows.start * nz;
-            std::ptr::copy_nonoverlapping(src.add(at), dst.add(at), rows.len() * nz);
-            continue;
-        }
-        let bounce = cur.ch(opp);
-        let spec_y = upstream(D3Q19::MIRROR_Y[i], prev, cur, next);
-        let spec_z = upstream(D3Q19::MIRROR_Z[i], prev, cur, next);
-        // Bounce weight of the destination plane; specular weight of the
-        // source plane (e_x(mirror_y(i)) = e_x(i), so both specular sources
-        // live on plane xl − e_x). Mixed weights at stripe boundaries are
-        // what keeps the patterned rule exactly mass-conserving.
-        let rb = ry[xl];
-        let rs = 1.0 - ry[(xl as isize - e[0] as isize) as usize];
-        for y in rows.clone() {
-            let row = y * nz;
-            let ys = y as isize - e[1] as isize;
-            if ys < 0 || ys >= ny as isize {
-                // y-wall row: specular source shares the row (the
-                // population left it, reflected off the wall half a
-                // spacing out, and came back), shifted by −e_z.
-                match e[2] {
-                    0 => {
-                        for z in 0..nz {
-                            *dst.add(row + z) =
-                                rb * *bounce.add(row + z) + rs * *spec_y.add(row + z);
-                        }
-                    }
-                    1 => {
-                        // z = 0: the specular image exits the z-low wall —
-                        // corner line, full bounce-back.
-                        *dst.add(row) = *bounce.add(row);
-                        for z in 1..nz {
-                            *dst.add(row + z) =
-                                rb * *bounce.add(row + z) + rs * *spec_y.add(row + z - 1);
-                        }
-                    }
-                    _ => {
-                        for z in 0..nz - 1 {
-                            *dst.add(row + z) =
-                                rb * *bounce.add(row + z) + rs * *spec_y.add(row + z + 1);
-                        }
-                        *dst.add(row + nz - 1) = *bounce.add(row + nz - 1);
-                    }
-                }
-                continue;
-            }
-            let srow = ys as usize * nz;
-            match e[2] {
-                0 => std::ptr::copy_nonoverlapping(src.add(srow), dst.add(row), nz),
-                1 => {
-                    // z = 0 pulls from behind the z-low wall: bounce/specular
-                    // mix with the constant z-wall weight.
-                    *dst.add(row) = rz * *bounce.add(row) + (1.0 - rz) * *spec_z.add(srow);
-                    std::ptr::copy_nonoverlapping(src.add(srow), dst.add(row + 1), nz - 1);
-                }
-                _ => {
-                    std::ptr::copy_nonoverlapping(src.add(srow + 1), dst.add(row), nz - 1);
-                    *dst.add(row + nz - 1) = rz * *bounce.add(row + nz - 1)
-                        + (1.0 - rz) * *spec_z.add(srow + nz - 1);
-                }
-            }
-        }
-    }
-}
-
-/// Per-cell slip streaming with obstacle bounce-back — the slip analogue
-/// of [`stream_plane_generic`], bitwise identical to [`stream_plane_slip`]
-/// on an empty mask. A wall link whose specular source cell is solid falls
-/// back to full bounce-back (the roughness element interrupts the smooth
-/// wall, so there is nothing to reflect off specularly).
-/// Safety: see [`stream_plane_slip`] and [`stream_plane_generic`].
 #[expect(
     clippy::too_many_arguments,
     reason = "a raw kernel takes its plane pointers, strides and wall data as scalars"
@@ -925,8 +829,8 @@ mod tests {
     }
 
     /// Two-lattice per-cell slip streaming: the specification
-    /// `stream_plane_slip` / `stream_plane_slip_generic` must reproduce
-    /// bit for bit (same mix arithmetic, same operand order).
+    /// `stream_plane_slip_generic` must reproduce bit for bit (same mix
+    /// arithmetic, same operand order).
     fn stream_reference_slip(c: &mut ComponentState, ry: &[f64], rz: f64) {
         let grid = c.grid();
         let cells = grid.cells();
@@ -1000,25 +904,6 @@ mod tests {
                 stream_reference_slip(&mut b, &ry, rz);
                 assert_eq!(a.f, b.f, "slip sweep diverged ({nx}x{ny}x{nz}, rz={rz})");
             }
-        }
-    }
-
-    #[test]
-    fn slip_generic_matches_slip_fast_on_empty_mask() {
-        // One row block per plane, then several.
-        for ny in [4, 31] {
-            let mut a = make(6, ny, 3);
-            fill_pseudorandom(&mut a, 5);
-            let mut b = a.clone();
-            let solid = no_solid(&a);
-            let ry = varied_ry(a.grid().lx);
-            fill_ghosts_periodic(&mut a);
-            fill_ghosts_periodic(&mut b);
-            let slip = SlipMap { ry: &ry, rz: 0.0 };
-            // `has_solid` selects the kernel; the mask itself is empty.
-            stream_unfused(&mut a, &solid, false, Some(slip));
-            stream_unfused(&mut b, &solid, true, Some(slip));
-            assert_eq!(a.f, b.f, "slip fast/generic kernels disagree (ny {ny})");
         }
     }
 

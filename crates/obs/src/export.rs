@@ -156,9 +156,9 @@ fn required_fields(event_type: &str) -> Option<&'static [&'static str]> {
     }
 }
 
-/// Parses and validates a JSONL event stream: every line must be a JSON
-/// object of a known type carrying exactly the schema fields, spans must
-/// be well-formed (`t1 ≥ t0`, known kind), and per-node spans must not
+/// Parses and validates a JSONL event stream: every line must parse as a
+/// typed event ([`event_from_json`]) carrying exactly the schema fields,
+/// spans must not end before they start, and per-node spans must not
 /// overlap.
 pub fn validate_jsonl(text: &str) -> Result<JsonlStats, String> {
     let mut stats = JsonlStats::default();
@@ -169,53 +169,27 @@ pub fn validate_jsonl(text: &str) -> Result<JsonlStats, String> {
             continue;
         }
         let v = Value::parse(line).map_err(err)?;
-        let obj = v.as_obj().ok_or_else(|| err("not an object".into()))?;
-        let ty = v
-            .get("type")
-            .and_then(Value::as_str)
-            .ok_or_else(|| err("missing \"type\"".into()))?
-            .to_string();
-        let required =
-            required_fields(&ty).ok_or_else(|| err(format!("unknown event type '{ty}'")))?;
-        let mut keys: Vec<String> = obj.keys().cloned().collect();
-        keys.sort_unstable();
-        let mut want: Vec<String> = required.iter().map(|s| s.to_string()).collect();
-        want.sort_unstable();
-        if keys != want {
-            return Err(err(format!("schema mismatch for '{ty}': got {keys:?}, want {want:?}")));
+        let event = event_from_value(&v).map_err(err)?;
+        let ty = event.type_name();
+        // The typed parse found every schema field, so the field set is
+        // exact unless there are more.
+        let required = required_fields(ty).unwrap_or_default();
+        let fields = v.as_obj().map_or(0, |obj| obj.len());
+        if fields != required.len() {
+            let why = format!("schema mismatch for '{ty}': {fields} fields, want {required:?}");
+            return Err(err(why));
         }
-        if ty == "span" {
-            let kind = v.get("kind").and_then(Value::as_str).unwrap_or("");
-            if SpanKind::from_name(kind).is_none() {
-                return Err(err(format!("unknown span kind '{kind}'")));
+        if let Event::Span(span) = &event {
+            if span.end < span.start {
+                let why = format!("span ends before it starts: {} > {}", span.start, span.end);
+                return Err(err(why));
             }
-            let node = v
-                .get("node")
-                .and_then(Value::as_usize)
-                .ok_or_else(|| err("span node must be a non-negative integer".into()))?;
-            let t0 = v.get("t0").and_then(Value::as_f64).ok_or_else(|| err("bad t0".into()))?;
-            let t1 = v.get("t1").and_then(Value::as_f64).ok_or_else(|| err("bad t1".into()))?;
-            if t1 < t0 {
-                return Err(err(format!("span ends before it starts: {t0} > {t1}")));
-            }
-            spans_per_node.entry(node).or_default().push((t0, t1));
+            spans_per_node.entry(span.node).or_default().push((span.start, span.end));
         }
-        if ty == "recovery" {
-            let stage = v.get("stage").and_then(Value::as_str).unwrap_or("");
-            if RecoveryStage::from_name(stage).is_none() {
-                return Err(err(format!("unknown recovery stage '{stage}'")));
-            }
-        }
-        if ty == "job" {
-            let stage = v.get("stage").and_then(Value::as_str).unwrap_or("");
-            if JobStage::from_name(stage).is_none() {
-                return Err(err(format!("unknown job stage '{stage}'")));
-            }
-        }
-        *stats.counts.entry(ty.clone()).or_default() += 1;
+        *stats.counts.entry(ty.to_string()).or_default() += 1;
         stats
             .schema
-            .entry(ty)
+            .entry(ty.to_string())
             .or_insert_with(|| required.iter().map(|s| s.to_string()).collect());
     }
     check_non_overlap(&spans_per_node)?;
@@ -248,7 +222,11 @@ fn check_non_overlap(spans_per_node: &BTreeMap<usize, Vec<(f64, f64)>>) -> Resul
 /// the inverse of [`event_to_json`]. The schema is exact: unknown types,
 /// missing fields, and wrongly-typed fields are all rejected.
 pub fn event_from_json(line: &str) -> Result<Event, String> {
-    let v = Value::parse(line)?;
+    event_from_value(&Value::parse(line)?)
+}
+
+/// [`event_from_json`] on an already parsed line.
+fn event_from_value(v: &Value) -> Result<Event, String> {
     let obj = v.as_obj().ok_or("not an object")?;
     let ty = v.get("type").and_then(Value::as_str).ok_or("missing \"type\"")?.to_string();
     let required = required_fields(&ty).ok_or_else(|| format!("unknown event type '{ty}'"))?;

@@ -81,7 +81,8 @@ mp-smoke:
         --remap-every 3 --predictor-window 2 --throttle 1:6 --synthetic-load 1.0 \
         --dir target/mp-smoke/batches --check
 
-# Elastic-ranks chaos smoke: 4 ranks, rank 2 killed mid-halo at phase 7;
+# Elastic-ranks chaos smoke: 4 ranks, rank 2 killed mid-halo at phase 7
+# (before its 26th f_halo message: 4 per phase, the 2nd of phase 7);
 # the supervisor respawns it, the mesh re-forms at epoch 2 and rolls back
 # to the last common checkpoint, and --check holds the recovered fields
 # to bitwise equality with the threaded (undisturbed) reference.
@@ -90,7 +91,7 @@ chaos:
     rm -rf target/chaos-smoke && mkdir -p target/chaos-smoke
     ./target/release/microslip mp --ranks 4 --phases 12 --remap-every 3 \
         --predictor-window 2 --throttle 1:6 --synthetic-load 1.0 \
-        --checkpoint-every 3 --chaos kill:2@7 \
+        --checkpoint-every 3 --chaos kill:2@f_halo:26 \
         --dir target/chaos-smoke --trace target/chaos-smoke/run --check
 
 # Sweep-daemon smoke: start `microslip serve`, submit a 4-job grid with

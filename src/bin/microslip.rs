@@ -22,7 +22,8 @@ use microslip::obs::{
     remap_fingerprints, to_chrome_trace, to_jsonl, validate_chrome_trace, validate_jsonl,
     Event, TraceSink, TraceSummary, DEFAULT_CAPACITY,
 };
-use microslip::mp::{FaultSite, MpFault, MpWorkerArgs};
+use microslip::comm::Tag;
+use microslip::mp::{MpFault, MpWorkerArgs};
 use microslip::runtime::LoadModel;
 use microslip::serve::{self, RunJobArgs, ServeConfig, SweepRequest};
 use microslip::Scenario;
@@ -106,9 +107,10 @@ fn print_help() {
     println!("                                              --checkpoint-every N --checkpoint-dir DIR]");
     println!("  mp        multi-process runtime over TCP   [--ranks --phases --throttle R:F --scheme --dir DIR");
     println!("                                              --checkpoint-every N --resume-phase P --synthetic-load P --trace PREFIX");
-    println!("                                              --chaos kill:RANK@PHASE[:remap|:migrate]  (kill that rank mid-run;");
-    println!("                                              the driver respawns it and the mesh rolls back to the last");
-    println!("                                              common checkpoint)");
+    println!("                                              --chaos kill:RANK@TAG:N  (kill that rank just before its N-th");
+    println!("                                              send or receive on TAG — f_halo psi_halo load migrate_count");
+    println!("                                              migrate_data collective gather; the driver respawns it and the");
+    println!("                                              mesh rolls back to the last common checkpoint)");
     println!("                                              --check  (compare against the threaded runtime)]");
     println!("  mp-worker one rank of an mp run (internal; spawned by 'mp')");
     println!("  serve     sweep daemon with content-addressed result cache");
@@ -354,24 +356,24 @@ fn cmd_mp(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `--chaos kill:RANK@PHASE[:SITE]` → an [`MpFault`]. The optional site
-/// lands the kill in the load-index exchange of the next remap round
-/// (`:remap`) or on the second batch of the next move of several
-/// (`:migrate`) instead of the halo exchange.
+/// `--chaos kill:RANK@TAG:N` → an [`MpFault`].
 fn chaos_spec(spec: &str, ranks: usize) -> Result<MpFault, String> {
-    let err = || format!("--chaos wants kill:RANK@PHASE[:remap|:migrate], got '{spec}'");
+    let err = || format!("--chaos wants kill:RANK@TAG:N, got '{spec}'");
     let body = spec.strip_prefix("kill:").ok_or_else(err)?;
-    let (body, site) = match body.split_once(':') {
-        Some((b, name)) => (b, FaultSite::from_name(name).ok_or_else(err)?),
-        None => (body, FaultSite::Halo),
-    };
-    let (rank, phase) = body.split_once('@').ok_or_else(err)?;
+    let (rank, on) = body.split_once('@').ok_or_else(err)?;
     let rank: usize = rank.parse().map_err(|_| err())?;
-    let die_at_phase: u64 = phase.parse().map_err(|_| err())?;
+    let (tag, nth) = tag_count(on).ok_or_else(err)?;
     if rank >= ranks {
         return Err(format!("--chaos rank {rank} out of range for {ranks} ranks"));
     }
-    Ok(MpFault { rank, die_at_phase, site })
+    Ok(MpFault { rank, tag, nth })
+}
+
+/// `TAG:N` — a tag by its trace name and a count from 1.
+fn tag_count(spec: &str) -> Option<(Tag, u64)> {
+    let (tag, nth) = spec.split_once(':')?;
+    let nth: u64 = nth.parse().ok().filter(|&n| n > 0)?;
+    Some((Tag::from_name(tag)?, nth))
 }
 
 /// `--key N` when present.
@@ -393,12 +395,11 @@ fn cmd_mp_worker(args: &[String]) -> Result<(), String> {
         dir: f.need("dir")?.into(),
         checkpoint_every: f.get("checkpoint-every", 0u64)?,
         resume_phase: optional(&f, "resume-phase")?,
-        die_at_phase: optional(&f, "die-at-phase")?,
-        die_site: match f.values.get("die-site") {
-            None => FaultSite::Halo,
-            Some(name) => FaultSite::from_name(name)
-                .ok_or_else(|| format!("bad --die-site '{name}' (halo, remap, migrate)"))?,
-        },
+        die_on: f
+            .values
+            .get("die-on")
+            .map(|spec| tag_count(spec).ok_or_else(|| format!("bad --die-on '{spec}' (TAG:N)")))
+            .transpose()?,
         supervised: f.has("supervised"),
         epoch: f.get("epoch", 1u64)?,
         rejoin: f.has("rejoin"),
@@ -792,22 +793,27 @@ mod tests {
     }
 
     #[test]
-    fn chaos_spec_parses_kill_with_optional_site() {
+    fn chaos_spec_parses_a_kill_at_a_tag_and_count() {
         assert_eq!(
-            chaos_spec("kill:2@50", 4).unwrap(),
-            MpFault { rank: 2, die_at_phase: 50, site: FaultSite::Halo }
+            chaos_spec("kill:2@f_halo:26", 4).unwrap(),
+            MpFault { rank: 2, tag: Tag::F_HALO, nth: 26 }
         );
         assert_eq!(
-            chaos_spec("kill:1@9:remap", 4).unwrap(),
-            MpFault { rank: 1, die_at_phase: 9, site: FaultSite::Remap }
+            chaos_spec("kill:1@migrate_data:3", 4).unwrap(),
+            MpFault { rank: 1, tag: Tag::MIGRATE_DATA, nth: 3 }
         );
-        assert_eq!(
-            chaos_spec("kill:1@9:migrate", 4).unwrap(),
-            MpFault { rank: 1, die_at_phase: 9, site: FaultSite::Migrate }
-        );
-        assert!(chaos_spec("kill:1@9:gather", 4).is_err(), "unknown site");
-        assert!(chaos_spec("kill:9@5", 4).is_err(), "rank out of range");
-        assert!(chaos_spec("kill:2", 4).is_err(), "missing phase");
-        assert!(chaos_spec("spawn:2@5", 4).is_err(), "unknown verb");
+        for tag in Tag::ALL {
+            let fault = MpFault { rank: 3, tag, nth: 1 };
+            assert_eq!(chaos_spec(&fault.to_string(), 4).unwrap(), fault);
+        }
+        assert!(chaos_spec("kill:1@halo:9", 4).is_err(), "unknown tag");
+        assert!(chaos_spec("kill:1@other:9", 4).is_err(), "unnamed tag");
+        assert!(chaos_spec("kill:1@f_halo:0", 4).is_err(), "n counts from 1");
+        assert!(chaos_spec("kill:1@f_halo:-2", 4).is_err(), "negative n");
+        assert!(chaos_spec("kill:9@f_halo:5", 4).is_err(), "rank out of range");
+        assert!(chaos_spec("kill:2@50", 4).is_err(), "a bare phase is the old form");
+        assert!(chaos_spec("kill:1@9:remap", 4).is_err(), "the old site suffix");
+        assert!(chaos_spec("kill:2", 4).is_err(), "missing tag and count");
+        assert!(chaos_spec("spawn:2@f_halo:5", 4).is_err(), "unknown verb");
     }
 }

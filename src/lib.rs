@@ -68,7 +68,7 @@ pub mod scenario;
 pub mod serve;
 pub mod supervisor;
 pub use mp::{
-    run_multiprocess, FaultSite, MpConfig, MpFailure, MpFault, MpOutcome, MpReport,
+    run_multiprocess, MpConfig, MpFailure, MpFault, MpOutcome, MpReport,
 };
 pub use scenario::{ClusterExperiment, Multiprocess, Runtime, Scenario};
 

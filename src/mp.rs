@@ -83,48 +83,23 @@ const ABORT_GRACE: Duration = Duration::from_secs(30);
 /// The driver's poll interval over its children.
 const POLL: Duration = Duration::from_millis(15);
 
-/// Where in the worker protocol an injected fault strikes.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum FaultSite {
-    /// Mid F-halo exchange: peers block in `recv` when the rank dies.
-    #[default]
-    Halo,
-    /// Mid load-index exchange of a remap round: peers die holding
-    /// partially exchanged balance state.
-    Remap,
-    /// On the second `MIGRATE_DATA` batch of a move: the receiver has
-    /// installed the first batch and waits for the rest.
-    Migrate,
-}
-
-impl FaultSite {
-    /// Every site, in the order the CLI lists them.
-    pub const ALL: [FaultSite; 3] = [FaultSite::Halo, FaultSite::Remap, FaultSite::Migrate];
-
-    /// The site's name on the command line (`--die-site`, `--chaos`).
-    pub fn name(self) -> &'static str {
-        match self {
-            FaultSite::Halo => "halo",
-            FaultSite::Remap => "remap",
-            FaultSite::Migrate => "migrate",
-        }
-    }
-
-    /// The site called `name`.
-    pub fn from_name(name: &str) -> Option<FaultSite> {
-        FaultSite::ALL.into_iter().find(|site| site.name() == name)
-    }
-}
-
-/// Deliberate mid-run death of one rank, for fault-injection tests: the
-/// rank exits hard (no goodbye frame, no flush) partway through the
-/// protocol step chosen by [`FaultSite`] at `die_at_phase`, exactly like
-/// a killed cluster node.
+/// Deliberate mid-run death of one rank, for fault-injection tests:
+/// `rank` exits hard (no goodbye frame, no flush) just before its `nth`
+/// send or receive on `tag`, counting from 1 and including the priming
+/// exchange, exactly like a killed cluster node. It strikes in the rank's
+/// first attempt only; a replacement does not inherit it.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MpFault {
     pub rank: usize,
-    pub die_at_phase: u64,
-    pub site: FaultSite,
+    pub tag: Tag,
+    pub nth: u64,
+}
+
+impl fmt::Display for MpFault {
+    /// The `--chaos` spelling, `kill:RANK@TAG:N`.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "kill:{}@{}:{}", self.rank, self.tag.name(), self.nth)
+    }
 }
 
 /// A multi-process run: the [`Scenario`] (`workers` = ranks) plus how to
@@ -172,6 +147,8 @@ impl MpConfig {
 #[derive(Clone, Debug, PartialEq)]
 pub struct MpReport {
     pub rank: usize,
+    /// The membership epoch the rank finished in (1 = no recovery).
+    pub epoch: u64,
     pub final_slab: Slab,
     pub planes_sent: usize,
     pub planes_received: usize,
@@ -265,19 +242,18 @@ pub fn run_multiprocess(cfg: &MpConfig) -> Result<MpOutcome, MpFailure> {
             .map_err(|e| fail(format!("locate worker executable: {e}")))?,
     };
 
-    // Shared by the initial spawn and respawns: a rejoining rank gets the
-    // new epoch's rendezvous and no fault — a replacement must not
-    // re-inherit its predecessor's death sentence.
-    let spawn_rank = |rank: usize, rendezvous: &str, epoch: u64, rejoin: bool| {
-        let fault = cfg.fault.filter(|f| f.rank == rank && !rejoin);
+    // Shared by the initial spawn (epoch 1) and every rejoin: a rejoining
+    // rank gets its epoch's rendezvous and no fault — a replacement must
+    // not re-inherit its predecessor's death sentence.
+    let spawn_rank = |rank: usize, rendezvous: &str, epoch: u64| {
+        let rejoin = epoch > 1;
         let args = MpWorkerArgs {
             rank,
             rendezvous: rendezvous.to_string(),
             dir: dir.clone(),
             checkpoint_every: cfg.checkpoint_every,
             resume_phase: cfg.resume_phase,
-            die_at_phase: fault.map(|f| f.die_at_phase),
-            die_site: fault.map(|f| f.site).unwrap_or_default(),
+            die_on: cfg.fault.filter(|f| f.rank == rank && !rejoin).map(|f| (f.tag, f.nth)),
             supervised: cfg.recover,
             epoch,
             rejoin,
@@ -287,10 +263,10 @@ pub fn run_multiprocess(cfg: &MpConfig) -> Result<MpOutcome, MpFailure> {
     };
 
     // A membership change: publish the next epoch — a fresh rendezvous
-    // port and the nominal recovery plan for `dead` — and spawn the
-    // replacement. Survivors poll the epoch file, drop their dead mesh, and
+    // port and the nominal recovery plan for `dead` — and return where it
+    // meshes. Survivors poll the epoch file, drop their dead mesh, and
     // rendezvous again at the new address.
-    let respawn = |dead: usize, epoch: u64| {
+    let publish = |dead: usize, epoch: u64| {
         let port = reserve_port().map_err(|e| format!("reserve rejoin port: {e}"))?;
         // The audit plan: where the dead rank's planes would land had the
         // survivors absorbed them (see [`EpochInfo::plan`]).
@@ -300,29 +276,52 @@ pub fn run_multiprocess(cfg: &MpConfig) -> Result<MpOutcome, MpFailure> {
         let rendezvous = format!("127.0.0.1:{port}");
         let info = EpochInfo { epoch, rendezvous, dead, plan: plan.summary() };
         write_epoch_file(&dir, &info)?;
-        spawn_rank(dead, &info.rendezvous, epoch, true)
+        Ok(info.rendezvous)
     };
 
     let rendezvous = format!("127.0.0.1:{port}");
     let mut live = Vec::with_capacity(ranks);
     for rank in 0..ranks {
-        live.push(Some(spawn_rank(rank, &rendezvous, 1, false).map_err(&fail)?));
+        live.push(Some(spawn_rank(rank, &rendezvous, 1).map_err(&fail)?));
     }
 
-    let rank_errors = supervise(cfg.recover, &dir, live, &respawn);
-    if !rank_errors.is_empty() {
-        return Err(MpFailure {
+    let epoch = supervise(cfg.recover, &dir, live, rendezvous, &publish, &spawn_rank).map_err(
+        |rank_errors| MpFailure {
             message: format!(
                 "{} of {ranks} ranks failed (partial traces in {})",
                 rank_errors.len(),
                 dir.display()
             ),
             rank_errors,
-            dir,
-        });
-    }
+            dir: dir.clone(),
+        },
+    )?;
 
-    gather(&cfg.scenario, &dir).map_err(fail)
+    let outcome = gather(&cfg.scenario, &dir).map_err(&fail)?;
+    let Some(fault) = cfg.fault.filter(|_| epoch == 1) else { return Ok(outcome) };
+    // No rank died, so the injected fault never struck and the run proves
+    // nothing about recovery: name the rank's actual count on the tag.
+    let tag = fault.tag.name();
+    let count: u64 = outcome
+        .events
+        .iter()
+        .map(|e| match e {
+            Event::Traffic { node, tag: name, sent_messages, recv_messages, .. }
+                if *node == fault.rank && name == tag =>
+            {
+                sent_messages + recv_messages
+            }
+            _ => 0,
+        })
+        .sum();
+    Err(MpFailure {
+        message: format!("injected fault {fault} never fired"),
+        rank_errors: vec![(
+            fault.rank,
+            format!("made {count} sends and receives on {tag}, fewer than {}", fault.nth),
+        )],
+        dir,
+    })
 }
 
 /// The driver's gang policy over its children's exits. A rank that dies
@@ -331,45 +330,56 @@ pub fn run_multiprocess(cfg: &MpConfig) -> Result<MpOutcome, MpFailure> {
 /// membership epoch is bumped and a replacement spawned with `--rejoin`.
 /// A typed error, a wait failure or an exhausted budget aborts the run:
 /// the rest are reaped and whoever still runs is killed, so the caller
-/// gets a prompt, complete failure report. Returns the failed ranks.
+/// gets a prompt, complete failure report. Returns the final epoch, or
+/// the failed ranks.
 fn supervise(
     recover: bool,
     dir: &Path,
     mut live: Vec<Option<Child>>,
-    respawn: &dyn Fn(usize, u64) -> Result<Child, String>,
-) -> Vec<(usize, String)> {
+    mut rendezvous: String,
+    publish: &dyn Fn(usize, u64) -> Result<String, String>,
+    spawn: &dyn Fn(usize, &str, u64) -> Result<Child, String>,
+) -> Result<u64, Vec<(usize, String)>> {
     let error_file = |rank: usize| dir.join(format!("rank{rank}.error"));
     let mut budget = Budget::new(if recover { MAX_RESPAWNS } else { 0 });
     let mut epoch: u64 = 1;
+    // The epoch each rank last exited clean in; 0 until it has.
+    let mut finished = vec![0u64; live.len()];
     let first_failure = 'poll: loop {
-        let mut running = false;
         for (rank, slot) in live.iter_mut().enumerate() {
             let Some(child) = slot.as_mut() else { continue };
-            let Some(exit) = child.poll(Some(&error_file(rank))) else {
-                running = true;
-                continue;
-            };
+            let Some(exit) = child.poll(Some(&error_file(rank))) else { continue };
             *slot = None;
-            let replacement = match budget.judge(exit) {
-                Verdict::Done => continue,
+            match budget.judge(exit) {
+                Verdict::Done => finished[rank] = report_epoch(dir, rank).unwrap_or(epoch),
                 Verdict::Fatal(why) => break 'poll Some((rank, why)),
                 Verdict::Respawn { .. } => {
                     epoch += 1;
-                    respawn(rank, epoch)
+                    match publish(rank, epoch) {
+                        Ok(next) => rendezvous = next,
+                        Err(why) => break 'poll Some((rank, why)),
+                    }
                 }
-            };
-            match replacement {
-                Ok(child) => *slot = Some(child),
-                Err(why) => break 'poll Some((rank, why)),
             }
-            running = true;
         }
-        if !running {
+        // Whoever is not in the current epoch joins it: the dead rank's
+        // replacement, and every rank that exited clean in an earlier
+        // epoch — the rollback needs all ranks, and finishing is not a
+        // death, so the budget does not pay for it.
+        for (rank, slot) in live.iter_mut().enumerate() {
+            if slot.is_none() && finished[rank] < epoch {
+                match spawn(rank, &rendezvous, epoch) {
+                    Ok(child) => *slot = Some(child),
+                    Err(why) => break 'poll Some((rank, why)),
+                }
+            }
+        }
+        if live.iter().all(Option::is_none) {
             break None;
         }
         std::thread::sleep(POLL);
     };
-    let Some(first_failure) = first_failure else { return Vec::new() };
+    let Some(first_failure) = first_failure else { return Ok(epoch) };
 
     // Abort. A supervised survivor is waiting for an epoch that will not
     // come, so there is nothing to wait for; an unsupervised one exits on
@@ -388,7 +398,13 @@ fn supervise(
         rank_errors.extend(exit.filter(|exit| *exit != Exit::Clean).map(|exit| (rank, exit.to_string())));
     }
     rank_errors.sort_by_key(|&(rank, _)| rank);
-    rank_errors
+    Err(rank_errors)
+}
+
+/// The epoch a rank that exited clean finished in, from its report.
+fn report_epoch(dir: &Path, rank: usize) -> Option<u64> {
+    let text = fs::read_to_string(dir.join(format!("rank{rank}.report"))).ok()?;
+    parse_report(rank, &text).ok().map(|report| report.epoch)
 }
 
 /// Captures every rank's final state into the global snapshot. The headers
@@ -465,6 +481,7 @@ fn parse_report(rank: usize, text: &str) -> Result<MpReport, String> {
     }
     Ok(MpReport {
         rank,
+        epoch: get("epoch ")? as u64,
         final_slab: Slab { x0: get("x0 ")?, nx_local: get("nx_local ")? },
         planes_sent: get("planes_sent ")?,
         planes_received: get("planes_received ")?,
@@ -583,10 +600,9 @@ pub struct MpWorkerArgs {
     pub dir: PathBuf,
     pub checkpoint_every: u64,
     pub resume_phase: Option<u64>,
-    /// Fault injection: exit hard at this phase (site below).
-    pub die_at_phase: Option<u64>,
-    /// Which protocol step the injected death strikes.
-    pub die_site: FaultSite,
+    /// Fault injection: exit hard just before the n-th send or receive
+    /// on the tag (see [`MpFault`]).
+    pub die_on: Option<(Tag, u64)>,
     /// The driver supervises this run: on a lost peer, poll the epoch
     /// file and re-mesh instead of failing.
     pub supervised: bool,
@@ -608,8 +624,7 @@ impl MpWorkerArgs {
             ("epoch", Some(self.epoch.to_string())),
             ("checkpoint-every", Some(self.checkpoint_every.to_string())),
             ("resume-phase", self.resume_phase.map(|phase| phase.to_string())),
-            ("die-at-phase", self.die_at_phase.map(|phase| phase.to_string())),
-            ("die-site", (self.die_site != FaultSite::Halo).then(|| self.die_site.name().to_string())),
+            ("die-on", self.die_on.map(|(tag, nth)| format!("{}:{nth}", tag.name()))),
         ];
         let switches = [("supervised", self.supervised), ("rejoin", self.rejoin)];
         let mut args = vec!["mp-worker".to_string()];
@@ -621,34 +636,34 @@ impl MpWorkerArgs {
     }
 }
 
-/// A [`Transport`] wrapper that kills the process partway through a
-/// chosen protocol step of a chosen phase — [`die_injected`] runs no
-/// destructors, so no goodbye frame is sent and peers see a raw EOF,
-/// exactly like a node crash.
+/// A [`Transport`] wrapper that kills the process just before the `nth`
+/// send or receive on `tag` — [`die_injected`] runs no destructors, so no
+/// goodbye frame is sent and peers see a raw EOF, exactly like a node
+/// crash.
 struct FaultTransport<T: Transport> {
     inner: T,
-    site: FaultSite,
-    f_halo_sends: u64,
-    /// Each phase sends two F-halo messages; dying on send `2 × phase`
-    /// leaves the right-bound message of `die_at_phase` delivered and the
-    /// left-bound one missing. For [`FaultSite::Remap`] the same counter
-    /// tells which phase the run has reached, and the kill lands on the
-    /// first load-index send at or after it; for [`FaultSite::Migrate`],
-    /// on the second batch of the first move at or after it that has one.
-    die_on_send: u64,
-    /// The peer of the move under way and the `MIGRATE_DATA` batches sent
-    /// to it; every remap round's first load-index send starts afresh.
-    move_batches: (NodeId, u64),
+    tag: Tag,
+    nth: u64,
+    /// Operations on `tag` so far, both directions.
+    seen: u64,
+    /// How the strike dies: [`die_injected`], or a panic under test.
+    die: fn(&str) -> !,
 }
 
 impl<T: Transport> FaultTransport<T> {
-    fn new(inner: T, die_at_phase: u64, site: FaultSite) -> Self {
-        FaultTransport {
-            inner,
-            site,
-            f_halo_sends: 0,
-            die_on_send: 2 * die_at_phase.max(1),
-            move_batches: (0, 0),
+    fn new(inner: T, tag: Tag, nth: u64) -> Self {
+        FaultTransport { inner, tag, nth, seen: 0, die: die_injected }
+    }
+
+    /// Counts one operation on `tag`; the `nth` on the fault's tag dies
+    /// before it starts.
+    fn count(&mut self, tag: Tag, op: &str) {
+        if tag == self.tag {
+            self.seen += 1;
+            if self.seen == self.nth {
+                let rank = self.inner.rank();
+                (self.die)(&format!("rank {rank} dies before {op} {} on {}", self.nth, tag.name()));
+            }
         }
     }
 }
@@ -663,25 +678,12 @@ impl<T: Transport> Transport for FaultTransport<T> {
     }
 
     fn send(&mut self, to: NodeId, tag: Tag, payload: Vec<f64>) -> Result<(), CommError> {
-        match tag {
-            Tag::F_HALO => self.f_halo_sends += 1,
-            Tag::LOAD => self.move_batches = (to, 0),
-            Tag::MIGRATE_DATA if self.move_batches.0 == to => self.move_batches.1 += 1,
-            Tag::MIGRATE_DATA => self.move_batches = (to, 1),
-            _ => {}
-        }
-        let strikes = match self.site {
-            FaultSite::Halo => tag == Tag::F_HALO,
-            FaultSite::Remap => tag == Tag::LOAD,
-            FaultSite::Migrate => tag == Tag::MIGRATE_DATA && self.move_batches.1 == 2,
-        };
-        if strikes && self.f_halo_sends >= self.die_on_send {
-            die_injected(&format!("rank {} dies mid-{:?} exchange", self.rank(), self.site));
-        }
+        self.count(tag, "send");
         self.inner.send(to, tag, payload)
     }
 
     fn recv(&mut self, from: NodeId, tag: Tag) -> Result<Vec<f64>, CommError> {
+        self.count(tag, "receive");
         self.inner.recv(from, tag)
     }
 }
@@ -773,14 +775,22 @@ impl RankRun<'_> {
     /// other failure — and any failure of an unsupervised rank — is final.
     /// Rollback recovery replays identical deterministic physics from a
     /// bitwise checkpoint of the same run, so the final fields match the
-    /// undisturbed run exactly — the property the chaos tests pin.
-    fn attempts(&self, cfg: &mut WorkerConfig) -> Result<WorkerReport, WorkerError> {
+    /// undisturbed run exactly — the property the chaos tests pin. Returns
+    /// the report and the epoch it finished in.
+    fn attempts(&self, cfg: &mut WorkerConfig) -> Result<(WorkerReport, u64), WorkerError> {
         use RecoveryStage::{DeathDetected, Remesh};
         let a = self.a;
         let ranks = self.run.workers;
         let net = NetConfig::default();
         let mut epoch = a.epoch.max(1);
         let mut rendezvous = a.rendezvous.clone();
+        // A rank that finished clean before a peer died learns of the death
+        // from the driver, which respawns it into the recovery epoch.
+        let published = if a.rejoin { read_epoch_file(&a.dir) } else { None };
+        if let Some(info) = published.filter(|i| i.epoch == epoch && i.dead != a.rank) {
+            let detail = format!("rank {} died after this rank finished; rejoining", info.dead);
+            self.recovery_event(epoch - 1, DeathDetected, 0, 0, detail);
+        }
         loop {
             let transport = connect_epoch(Some(a.rank), ranks, &rendezvous, epoch, &net)
                 .map_err(WorkerError::Comm)?;
@@ -789,9 +799,9 @@ impl RankRun<'_> {
                 self.recovery_event(epoch, Remesh, 0, 0, detail);
             }
             // The injected fault belongs to the first attempt only.
-            let attempt = match a.die_at_phase.filter(|_| epoch == 1) {
-                Some(phase) => {
-                    self.execute(cfg, epoch, FaultTransport::new(transport, phase, a.die_site))
+            let attempt = match a.die_on.filter(|_| epoch == 1) {
+                Some((tag, nth)) => {
+                    self.execute(cfg, epoch, FaultTransport::new(transport, tag, nth))
                 }
                 None => self.execute(cfg, epoch, transport),
             };
@@ -809,7 +819,7 @@ impl RankRun<'_> {
                     epoch = next.epoch;
                     rendezvous = next.rendezvous;
                 }
-                other => return other,
+                other => return other.map(|report| (report, epoch)),
             }
         }
     }
@@ -867,12 +877,12 @@ pub fn run_worker(a: &MpWorkerArgs) -> Result<(), String> {
         .map_err(|e| format!("write {}: {e}", trace_path.display()))?;
 
     match result {
-        Ok(report) => {
+        Ok((report, epoch)) => {
             let state_path = a.dir.join(format!("rank{rank}.state"));
             write_solver(&state_path, &report.solver, runtime.config().phases)
                 .map_err(|e| format!("write {}: {e}", state_path.display()))?;
             let summary = format!(
-                "rank {}\nx0 {}\nnx_local {}\nplanes_sent {}\nplanes_received {}\n",
+                "rank {}\nepoch {epoch}\nx0 {}\nnx_local {}\nplanes_sent {}\nplanes_received {}\n",
                 report.rank,
                 report.final_slab.x0,
                 report.final_slab.nx_local,
@@ -899,12 +909,13 @@ mod tests {
 
     #[test]
     fn report_round_trips_through_the_kv_format() {
-        let text = "rank 2\nx0 8\nnx_local 5\nplanes_sent 3\nplanes_received 1\n";
+        let text = "rank 2\nepoch 3\nx0 8\nnx_local 5\nplanes_sent 3\nplanes_received 1\n";
         let r = parse_report(2, text).unwrap();
         assert_eq!(
             r,
             MpReport {
                 rank: 2,
+                epoch: 3,
                 final_slab: Slab { x0: 8, nx_local: 5 },
                 planes_sent: 3,
                 planes_received: 1,
@@ -962,8 +973,7 @@ mod tests {
             dir: "/tmp/run".into(),
             checkpoint_every: 3,
             resume_phase: None,
-            die_at_phase: None,
-            die_site: FaultSite::Halo,
+            die_on: None,
             supervised: false,
             epoch: 1,
             rejoin: false,
@@ -972,19 +982,13 @@ mod tests {
                      --checkpoint-every 3";
         assert_eq!(a.to_args().join(" "), plain);
         a.resume_phase = Some(6);
-        a.die_at_phase = Some(7);
-        a.die_site = FaultSite::Remap;
+        a.die_on = Some((Tag::LOAD, 8));
         a.supervised = true;
         a.rejoin = true;
         assert_eq!(
             a.to_args().join(" "),
-            format!("{plain} --resume-phase 6 --die-at-phase 7 --die-site remap --supervised --rejoin")
+            format!("{plain} --resume-phase 6 --die-on load:8 --supervised --rejoin")
         );
-        a.die_site = FaultSite::Migrate;
-        assert!(a.to_args().join(" ").contains("--die-site migrate --supervised"));
-        for site in FaultSite::ALL {
-            assert_eq!(FaultSite::from_name(site.name()), Some(site));
-        }
     }
 
     /// Rank 0 and rank 1 of a two-rank channel mesh.
@@ -1029,17 +1033,55 @@ mod tests {
 
     #[test]
     fn fault_transport_passes_through_below_the_trigger() {
-        // Two channel endpoints; the fault only fires at the configured
-        // send count, so an early exchange is untouched.
-        let mut mesh = microslip_comm::mesh(2);
-        let b = mesh.pop().unwrap();
-        let a = mesh.pop().unwrap();
-        let mut a = FaultTransport::new(a, 1000, FaultSite::Halo);
-        let mut b = FaultTransport::new(b, 1000, FaultSite::Halo);
+        // The fault only fires at the configured count on its tag, so an
+        // early exchange is untouched.
+        let (a, b) = two_ranks();
+        let mut a = FaultTransport::new(a, Tag::F_HALO, 1000);
+        let mut b = FaultTransport::new(b, Tag::F_HALO, 1000);
         a.send(1, Tag::F_HALO, vec![1.0, 2.0]).unwrap();
         assert_eq!(b.recv(0, Tag::F_HALO).unwrap(), vec![1.0, 2.0]);
-        assert_eq!(a.f_halo_sends, 1);
+        assert_eq!((a.seen, b.seen), (1, 1));
         assert_eq!(a.rank(), 0);
         assert_eq!(b.size(), 2);
+    }
+
+    fn die_by_panic(what: &str) -> ! {
+        panic!("{what}")
+    }
+
+    #[test]
+    fn fault_transport_strikes_just_before_the_nth_operation_on_its_tag() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        // Rank 0 dies before its 4th operation on f_halo: two sends and a
+        // receive go through, ψ traffic in between is not counted, and the
+        // 4th — a send here, a receive below — never reaches the wire.
+        for fourth_is_send in [true, false] {
+            let (a, mut b) = two_ranks();
+            let mut a = FaultTransport::new(a, Tag::F_HALO, 4);
+            a.die = die_by_panic;
+            a.send(1, Tag::F_HALO, vec![1.0]).unwrap();
+            a.send(1, Tag::PSI_HALO, vec![2.0]).unwrap();
+            a.send(1, Tag::F_HALO, vec![3.0]).unwrap();
+            b.send(0, Tag::F_HALO, vec![4.0]).unwrap();
+            b.send(0, Tag::F_HALO, vec![5.0]).unwrap();
+            assert_eq!(a.recv(1, Tag::F_HALO).unwrap(), vec![4.0]);
+            assert_eq!(a.seen, 3);
+            let strike = catch_unwind(AssertUnwindSafe(|| {
+                if fourth_is_send {
+                    a.send(1, Tag::F_HALO, vec![6.0]).map(drop)
+                } else {
+                    a.recv(1, Tag::F_HALO).map(drop)
+                }
+            }));
+            let why = strike.expect_err("the 4th operation must strike");
+            let why = why.downcast_ref::<String>().unwrap();
+            let op = if fourth_is_send { "send" } else { "receive" };
+            assert_eq!(*why, format!("rank 0 dies before {op} 4 on f_halo"));
+            drop(a);
+            assert_eq!(b.recv(0, Tag::F_HALO).unwrap(), vec![1.0]);
+            assert_eq!(b.recv(0, Tag::PSI_HALO).unwrap(), vec![2.0]);
+            assert_eq!(b.recv(0, Tag::F_HALO).unwrap(), vec![3.0]);
+            assert_eq!(b.recv(0, Tag::F_HALO), Err(CommError::Disconnected { peer: 0 }));
+        }
     }
 }

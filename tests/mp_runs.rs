@@ -13,7 +13,8 @@ use microslip::lbm::{Simulation, SlabSolver, Snapshot, SolidRegion};
 use microslip::runtime::worker::migration_batch_planes;
 use microslip::obs::{from_jsonl, remap_fingerprints, validate_jsonl, Event, TraceSink};
 use microslip::runtime::LoadModel;
-use microslip::{FaultSite, MpFault, Scenario};
+use microslip::comm::Tag;
+use microslip::{MpFault, Scenario};
 
 const WORKER_EXE: &str = env!("CARGO_BIN_EXE_microslip");
 
@@ -218,8 +219,10 @@ fn killed_rank_surfaces_typed_errors_and_partial_traces() {
     let mut mp = builder(2, 8).multiprocess().unwrap();
     mp.config_mut().worker_exe = Some(WORKER_EXE.into());
     mp.config_mut().dir = Some(dir.clone());
-    mp.config_mut().fault =
-        Some(MpFault { rank: 1, die_at_phase: 3, site: FaultSite::Halo });
+    // Mid F-halo exchange at phase 3: each phase a rank sends two halo
+    // messages, then receives two, so that phase's second send is message
+    // 2 × 4 + 2.
+    mp.config_mut().fault = Some(MpFault { rank: 1, tag: Tag::F_HALO, nth: 10 });
 
     let failure = mp.run().expect_err("a killed rank must fail the run");
     assert_eq!(failure.rank_errors.len(), 2, "{failure}");
@@ -264,7 +267,8 @@ fn chaos_kill_and_rejoin_recovers_bitwise_with_full_recovery_arc() {
     let want = clean.run().expect("reference run failed");
 
     // Same configuration, but rank 2 is killed mid-halo-exchange at phase
-    // 7 and the supervising driver respawns it. Checkpoints exist at
+    // 7 — before its second halo send of that phase, message 6 × 4 + 2 —
+    // and the supervising driver respawns it. Checkpoints exist at
     // phases 3 and 6 when the death lands, so the mesh must agree to roll
     // back to phase 6 and replay 7..=12.
     let dir = scratch_dir("chaos");
@@ -272,8 +276,7 @@ fn chaos_kill_and_rejoin_recovers_bitwise_with_full_recovery_arc() {
     mp.config_mut().worker_exe = Some(WORKER_EXE.into());
     mp.config_mut().dir = Some(dir.clone());
     mp.config_mut().checkpoint_every = 3;
-    mp.config_mut().fault =
-        Some(MpFault { rank: 2, die_at_phase: 7, site: FaultSite::Halo });
+    mp.config_mut().fault = Some(MpFault { rank: 2, tag: Tag::F_HALO, nth: 26 });
     mp.config_mut().recover = true;
     let got = mp.run().expect("chaos run failed to recover");
 
