@@ -12,7 +12,7 @@
 )]
 //! The one checksum and the one seal of the microslip workspace.
 //!
-//! Checkpoints (`MSLIPCK3`), rank state files, result artifacts
+//! Checkpoints (`MSLIPCK4`), rank state files, result artifacts
 //! (`MSLIPRA1`), cache entries and wire frames (`MSN1`) all protect their
 //! bytes with the same CRC-32, and all but the frames carry it the same
 //! way: as a four-byte little-endian trailer. This crate owns both — the

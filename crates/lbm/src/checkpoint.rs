@@ -9,14 +9,16 @@
 //! Layout: an 8-byte magic, seven `u64` header words (grid, slab, phase,
 //! component count), then one record per storage plane of the slab's
 //! window, ghost planes included, in ascending x: for every component the
-//! plane's `f` (19 channels), ψ (1) and `ueq` (3), each a run of
-//! `ny · nz` values — 23 channels, the same records, in the same order, as
-//! a migrated plane ([`SlabSolver::take_planes`]). The ghosts are stored so
-//! no re-exchange is needed before the first restored phase (the force is
-//! not state: a phase and a snapshot recompute it from ψ and its ghosts).
-//! On disk the payload is sealed with the [`microslip_codec`] CRC-32
-//! trailer. `MSLIPCK2`, the same channels channel-major (each whole array
-//! after the other), and the 26-channel `MSLIPCK1` are refused by magic.
+//! plane's `f` (19 channels) and ψ (1), each a run of `ny · nz` values —
+//! 20 channels, the same records, in the same order, as a migrated plane
+//! ([`SlabSolver::take_planes`]). The ghosts are stored so no re-exchange
+//! is needed before the first restored phase (neither the force nor the
+//! equilibrium velocity is state: a collision forms them from ψ and its
+//! ghosts, a snapshot recomputes the force). On disk the payload is sealed
+//! with the [`microslip_codec`] CRC-32 trailer. `MSLIPCK3`, the same plane
+//! records with the 3 `ueq` channels after ψ (23 channels), the
+//! channel-major `MSLIPCK2` and the 26-channel `MSLIPCK1` are refused by
+//! magic.
 //!
 //! The codec is a stream: [`encode_solver`] writes a solver's planes to any
 //! `Write` and [`decode_solver`] fills a solver's planes from any `Read`,
@@ -41,8 +43,8 @@ use crate::macroscopic::SnapshotSlab;
 use crate::simulation::Simulation;
 use crate::solver::{solid_mask, SlabSolver};
 
-/// File-format magic ("MSLIPCK3").
-pub const MAGIC: [u8; 8] = *b"MSLIPCK3";
+/// File-format magic ("MSLIPCK4").
+pub const MAGIC: [u8; 8] = *b"MSLIPCK4";
 
 /// Magic plus the seven header words.
 const HEADER_LEN: usize = 64;

@@ -3,13 +3,14 @@
     reason = "BGK/TRT collision kernels via raw pointers, one src/dst body each: in \
               place over disjoint cell ranges of the window (window base + storage \
               channel stride), or from the window into a ring slot that aliases \
-              nothing"
+              nothing; the equilibrium velocity read from an array of its own stride"
 )]
 //! LBGK collision operator.
 //!
 //! Relaxes each component's populations toward equilibrium at that
-//! component's equilibrium velocity `u_σ^eq` (computed at the end of the
-//! previous phase, pseudo-code line 17 → line 4 of the paper):
+//! component's equilibrium velocity `u_σ^eq` (the paper's pseudo-code line
+//! 17, formed here from the previous phase's ψ just before line 4 — see
+//! [`crate::multicomponent::PlaneCollision`]):
 //!
 //! ```text
 //! f_i ← f_i − (1/τ_σ) (f_i − f_i^eq(n_σ, u_σ^eq))
@@ -25,54 +26,47 @@
 //! body reads all of a cell's populations before it writes any.
 
 use crate::component::{CollisionOperator, ComponentState};
-use crate::field::LocalGrid;
+use crate::field::{LocalGrid, SlabArray};
 use crate::lattice::{Lattice, D3Q19};
-use std::ops::Range;
+use crate::macroscopic::moments_raw;
 
 const Q: usize = D3Q19::Q;
 
 /// Applies one collision (BGK, TRT or MRT per the component's spec) to
-/// every interior cell of `comp`, in place.
-pub fn collide(comp: &mut ComponentState) {
+/// every interior cell of `comp`, in place, at the equilibrium velocities
+/// `ueq` (3 channels on the component's grid): the whole-slab collision of
+/// the test-only reference schedule.
+pub fn collide(comp: &mut ComponentState, ueq: &SlabArray) {
     let grid = comp.grid();
-    let p = grid.plane_cells();
-    collide_cells(comp, LocalGrid::FIRST * p..(grid.last() + 1) * p);
-}
-
-/// Collides the contiguous cell range `range` of `comp` (a sub-range of
-/// the interior) in place: the slab-edge planes of the phase schedule, and
-/// [`collide`]'s whole interior.
-pub(crate) fn collide_cells(comp: &mut ComponentState, range: Range<usize>) {
-    let cells = comp.f.stride();
-    debug_assert!(range.end <= comp.grid().cells() && comp.ueq.stride() == cells);
-    let op = comp.spec.collision;
-    let tau = comp.spec.tau;
-    let ueq = comp.ueq.base_ptr();
+    assert!(ueq.grid() == grid && ueq.channels() == 3, "ueq must be 3 channels on the component's grid");
+    let (cells, p) = (comp.f.stride(), grid.plane_cells());
+    let at = LocalGrid::FIRST * p;
     let f = comp.f.base_mut_ptr();
-    // Safety: `f`/`ueq` are the window bases of the component's
-    // channel-major arrays (channel stride `cells`, the window inside the
-    // storage capacity), `range` lies within the window, and we hold
-    // exclusive access to `comp`.
+    // Safety: `f`/`ueq` are window bases of channel-major arrays of their
+    // own strides over the same grid, the interior lies within the window,
+    // and we hold exclusive access to `comp`.
     unsafe {
-        let at = f.add(range.start);
-        collide_cells_raw(op, tau, at, cells, at, cells, ueq.add(range.start), range.len())
+        let (f, u) = (f.add(at), ueq.base_ptr().add(at));
+        collide_cells_raw(comp.spec.collision, comp.spec.tau, f, cells, f, cells, u, ueq.stride(), grid.nx_local() * p, None)
     }
 }
 
 /// Collides `n` consecutive cells from `src` into `dst`, dispatching on the
-/// operator; in place when `dst == src`.
+/// operator; in place when `dst == src`. Takes j of the `then = (f, j, n)`
+/// run (strides `src_stride`, `ueq_stride`) too: inside the BGK AVX2 loop,
+/// whose arithmetic hides the run's loads, else after the collision.
 ///
 /// # Safety
 ///
 /// `src` must point at channel 0 of the first cell of a Q-channel
 /// channel-major array of channel stride `src_stride`, `ueq` at axis 0 of
-/// the same cell of a 3-channel array of the same stride, and `dst` at
+/// the same cell of a 3-channel array of channel stride `ueq_stride`, and `dst` at
 /// channel 0 of the first cell of a Q-channel array of stride
 /// `dst_stride`, all valid for `n` cells per channel. `dst` is either
 /// `src` itself (with `dst_stride == src_stride`) or overlaps neither
 /// `src` nor `ueq`; no other thread may write those cells, or access the
 /// `dst` cells, during the call (distinct cells may be collided
-/// concurrently — collision is purely cell-local).
+/// concurrently — collision is purely cell-local); `then` as [`moments_raw`].
 #[expect(
     clippy::too_many_arguments,
     reason = "a raw kernel takes its pointers, strides and relaxation rates as scalars"
@@ -85,16 +79,24 @@ pub(crate) unsafe fn collide_cells_raw(
     dst: *mut f64,
     dst_stride: usize,
     ueq: *const f64,
+    ueq_stride: usize,
     n: usize,
+    then: Option<(*const f64, *mut f64, usize)>,
 ) {
-    match op {
-        CollisionOperator::Bgk => collide_bgk(1.0 / tau, src, src_stride, dst, dst_stride, ueq, n),
+    let (ss, ds, us) = (src_stride, dst_stride, ueq_stride);
+    let taken = match op {
+        CollisionOperator::Bgk => collide_bgk(1.0 / tau, src, ss, dst, ds, ueq, us, n, then),
         CollisionOperator::Trt { magic } => {
-            collide_trt(tau, magic, src, src_stride, dst, dst_stride, ueq, n)
+            collide_trt(tau, magic, src, ss, dst, ds, ueq, us, n);
+            0
         }
         CollisionOperator::Mrt(rates) => {
-            crate::mrt::collide_mrt_raw(tau, rates, src, src_stride, dst, dst_stride, ueq, n)
+            crate::mrt::collide_mrt_raw(tau, rates, src, ss, dst, ds, ueq, us, n);
+            0
         }
+    };
+    if let Some((f, j, n)) = then {
+        moments_raw(f.add(taken), ss, None, Some((j.add(taken), us)), n - taken);
     }
 }
 
@@ -127,7 +129,12 @@ pub(crate) const OPPOSITE_PAIRS: [OppositePair; 9] = [
 
 /// Single-relaxation-time LBGK: AVX2 4 cells at a time where the host has
 /// it, this scalar loop for the rest — the same pair-folded arithmetic
-/// ([`crate::simd`] docs). Safety: see [`collide_cells_raw`].
+/// ([`crate::simd`] docs). Returns how many cells of `then` it took j of.
+/// Safety: see [`collide_cells_raw`].
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a raw kernel takes its pointers, strides and relaxation rate as scalars"
+)]
 unsafe fn collide_bgk(
     omega: f64,
     src: *const f64,
@@ -135,11 +142,13 @@ unsafe fn collide_bgk(
     dst: *mut f64,
     ds: usize,
     ueq: *const f64,
+    us: usize,
     n: usize,
-) {
+    then: Option<(*const f64, *mut f64, usize)>,
+) -> usize {
     #[cfg(target_arch = "x86_64")]
     let done = if crate::simd::avx2_available() {
-        crate::simd::collide_bgk_into_avx2(omega, src, ss, dst, ds, ueq, n)
+        crate::simd::collide_bgk_into_avx2(omega, src, ss, dst, ds, ueq, us, n, then)
     } else {
         0
     };
@@ -153,7 +162,7 @@ unsafe fn collide_bgk(
             fi[i] = v;
             rho += v;
         }
-        let u = [*ueq.add(cell), *ueq.add(ss + cell), *ueq.add(2 * ss + cell)];
+        let u = [*ueq.add(cell), *ueq.add(us + cell), *ueq.add(2 * us + cell)];
         let uu15 = 1.5 * (u[0] * u[0] + u[1] * u[1] + u[2] * u[2]);
         let (wn_axis, wn_diag) = (D3Q19::W[1] * rho, D3Q19::W[7] * rho);
         let relax = |i: usize, feq: f64| *dst.add(i * ds + cell) = fi[i] - omega * (fi[i] - feq);
@@ -170,6 +179,7 @@ unsafe fn collide_bgk(
             relax(p.o, wn * (((1.0 - t) + sq) - uu15));
         }
     }
+    then.map_or(0, |(.., m)| done.min(m - m % 4))
 }
 
 /// Two-relaxation-time collision. The symmetric (even) part of each
@@ -188,6 +198,7 @@ unsafe fn collide_trt(
     dst: *mut f64,
     ds: usize,
     ueq: *const f64,
+    us: usize,
     n: usize,
 ) {
     assert!(magic > 0.0, "TRT magic parameter must be positive");
@@ -203,7 +214,7 @@ unsafe fn collide_trt(
             fi[i] = v;
             rho += v;
         }
-        let u = [*ueq.add(cell), *ueq.add(ss + cell), *ueq.add(2 * ss + cell)];
+        let u = [*ueq.add(cell), *ueq.add(us + cell), *ueq.add(2 * us + cell)];
         let uu = u[0] * u[0] + u[1] * u[1] + u[2] * u[2];
         let mut feq = [0.0f64; Q];
         for i in 0..Q {
@@ -256,6 +267,11 @@ mod tests {
         }
     }
 
+    /// Equilibrium velocities on `c`'s grid, all zero.
+    fn rest(c: &ComponentState) -> SlabArray {
+        SlabArray::new(c.grid(), 3)
+    }
+
     fn cell_moments(c: &ComponentState, cell: usize) -> (f64, [f64; 3]) {
         let mut n = 0.0;
         let mut mom = [0.0; 3];
@@ -276,6 +292,7 @@ mod tests {
         let mut c = make(0.8);
         perturb(&mut c);
         let grid = c.grid();
+        let mut ueq = rest(&c);
         // Set ueq to the actual velocity of each cell.
         for xl in 1..=grid.last() {
             for y in 0..grid.ny {
@@ -283,14 +300,14 @@ mod tests {
                     let cell = grid.idx(xl, y, z);
                     let (n, mom) = cell_moments(&c, cell);
                     for a in 0..3 {
-                        c.ueq.set(a, cell, mom[a] / n);
+                        ueq.set(a, cell, mom[a] / n);
                     }
                 }
             }
         }
         let before: Vec<(f64, [f64; 3])> =
             (0..grid.cells()).map(|cell| cell_moments(&c, cell)).collect();
-        collide(&mut c);
+        collide(&mut c, &ueq);
         for cell in 0..grid.cells() {
             let (n0, m0) = before[cell];
             let (n1, m1) = cell_moments(&c, cell);
@@ -305,7 +322,8 @@ mod tests {
     fn equilibrium_is_fixed_point() {
         let mut c = make(1.0);
         let snapshot = c.f.clone();
-        collide(&mut c);
+        let ueq = rest(&c);
+        collide(&mut c, &ueq);
         let cells = c.grid().cells();
         for i in 0..D3Q19::Q {
             for cell in 0..cells {
@@ -322,7 +340,8 @@ mod tests {
         let mut c = make(1.0);
         perturb(&mut c);
         let grid = c.grid();
-        collide(&mut c);
+        let ueq = rest(&c);
+        collide(&mut c, &ueq);
         // With τ = 1 the outcome is exactly f_eq(n, ueq=0).
         for xl in 1..=grid.last() {
             let cell = grid.idx(xl, 0, 0);
@@ -345,6 +364,7 @@ mod tests {
         perturb(&mut c);
         let grid = c.grid();
         let du = [0.01, -0.005, 0.002];
+        let mut u = rest(&c);
         let mut expect = Vec::new();
         for xl in 1..=grid.last() {
             for y in 0..grid.ny {
@@ -354,7 +374,7 @@ mod tests {
                     let mut ueq = [0.0; 3];
                     for a in 0..3 {
                         ueq[a] = mom[a] / n + du[a];
-                        c.ueq.set(a, cell, ueq[a]);
+                        u.set(a, cell, ueq[a]);
                     }
                     let want: Vec<f64> =
                         (0..3).map(|a| mom[a] + (n * ueq[a] - mom[a]) / tau).collect();
@@ -362,7 +382,7 @@ mod tests {
                 }
             }
         }
-        collide(&mut c);
+        collide(&mut c, &u);
         for (cell, want) in expect {
             let (_, m1) = cell_moments(&c, cell);
             for a in 0..3 {
@@ -377,20 +397,21 @@ mod tests {
         c.spec.collision = crate::component::CollisionOperator::trt_magic();
         perturb(&mut c);
         let grid = c.grid();
+        let mut ueq = rest(&c);
         for xl in 1..=grid.last() {
             for y in 0..grid.ny {
                 for z in 0..grid.nz {
                     let cell = grid.idx(xl, y, z);
                     let (n, mom) = cell_moments(&c, cell);
                     for a in 0..3 {
-                        c.ueq.set(a, cell, mom[a] / n);
+                        ueq.set(a, cell, mom[a] / n);
                     }
                 }
             }
         }
         let before: Vec<(f64, [f64; 3])> =
             (0..grid.cells()).map(|cell| cell_moments(&c, cell)).collect();
-        collide(&mut c);
+        collide(&mut c, &ueq);
         for cell in 0..grid.cells() {
             let (n0, m0) = before[cell];
             let (n1, m1) = cell_moments(&c, cell);
@@ -411,8 +432,9 @@ mod tests {
         perturb(&mut bgk);
         let mut trt = bgk.clone();
         trt.spec.collision = crate::component::CollisionOperator::Trt { magic };
-        collide(&mut bgk);
-        collide(&mut trt);
+        let ueq = rest(&bgk);
+        collide(&mut bgk, &ueq);
+        collide(&mut trt, &ueq);
         let cells = bgk.grid().cells();
         for i in 0..D3Q19::Q {
             for cell in 0..cells {
@@ -431,7 +453,8 @@ mod tests {
         let mut c = make(1.3);
         c.spec.collision = crate::component::CollisionOperator::trt_magic();
         let snapshot = c.f.clone();
-        collide(&mut c);
+        let ueq = rest(&c);
+        collide(&mut c, &ueq);
         let cells = c.grid().cells();
         for i in 0..D3Q19::Q {
             for cell in 0..cells {
@@ -464,14 +487,16 @@ mod tests {
     fn out_of_place_collision_matches_in_place_bitwise() {
         // A windowed component, so the source stride (the channel's whole
         // capacity) differs from the window; the destination has stride
-        // `plane_cells`, as a ring slot does.
+        // `plane_cells`, as a ring slot does, and the equilibrium velocities
+        // a third stride of their own.
         let grid = LocalGrid::new(3, 3, 17);
         let p = grid.plane_cells();
         let ops = [CollisionOperator::Bgk, CollisionOperator::trt_magic(), CollisionOperator::mrt_standard()];
         for op in ops {
             let spec = ComponentSpec { tau: 0.83, collision: op, ..ComponentSpec::water() };
             let mut c = ComponentState::windowed(spec, grid, 11, 4);
-            assert_ne!(c.f.stride(), grid.cells());
+            let mut u = SlabArray::new(LocalGrid::new(3, 3, 18), 3);
+            assert!(c.f.stride() != grid.cells() && u.stride() != grid.cells());
             let mut seed = 0x5EEDu64;
             let mut next = || {
                 seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -482,22 +507,27 @@ mod tests {
                     c.f.set(i, cell, 0.05 + 0.02 * next());
                 }
                 for a in 0..3 {
-                    c.ueq.set(a, cell, 0.04 * next());
+                    u.set(a, cell, 0.04 * next());
                 }
             }
             let before = c.f.to_vec();
             // Unaligned starts; lengths around and across the 4-cell body.
             for (start, n) in [(p + 1, 0), (p + 2, 1), (p + 3, 3), (p, 4), (2 * p + 5, 7), (p + 1, 45)] {
                 let mut slot = vec![f64::NAN; Q * p];
+                let (us, tau) = (u.stride(), c.spec.tau);
                 // Safety: `start + n` lies inside the window, `slot` holds
                 // Q channels of stride `p ≥ n`, and nothing else runs.
                 unsafe {
-                    let (f, ueq) = (c.f.base_ptr().add(start), c.ueq.base_ptr().add(start));
-                    collide_cells_raw(op, c.spec.tau, f, c.f.stride(), slot.as_mut_ptr(), p, ueq, n);
+                    let (f, ueq) = (c.f.base_ptr().add(start), u.base_ptr().add(start));
+                    collide_cells_raw(op, tau, f, c.f.stride(), slot.as_mut_ptr(), p, ueq, us, n, None);
                 }
                 assert_eq!(c.f.to_vec(), before, "{op:?}: the source was written");
                 let mut in_place = c.clone();
-                collide_cells(&mut in_place, start..start + n);
+                // Safety: as above, in place over the same cells.
+                unsafe {
+                    let (f, ueq) = (in_place.f.base_mut_ptr().add(start), u.base_ptr().add(start));
+                    collide_cells_raw(op, tau, f, c.f.stride(), f, c.f.stride(), ueq, us, n, None);
+                }
                 for i in 0..Q {
                     for q in 0..p {
                         let got = slot[i * p + q];
@@ -519,7 +549,8 @@ mod tests {
         perturb(&mut c);
         let grid = c.grid();
         let p = grid.plane_cells();
-        collide(&mut c);
+        let ueq = rest(&c);
+        collide(&mut c, &ueq);
         for i in 0..D3Q19::Q {
             let ch = c.f.channel(i);
             assert!(ch[..p].iter().all(|&v| v == 0.0));

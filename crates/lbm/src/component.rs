@@ -122,16 +122,16 @@ impl ComponentSpec {
 ///
 /// Storage covers the slab *including* ghost planes — as the window of a
 /// larger reservation when the slab can gain planes
-/// ([`windowed`](Self::windowed)); the three arrays always share one
+/// ([`windowed`](Self::windowed)); the two arrays always share one
 /// capacity and one window. `f` holds the
 /// current populations; streaming updates it **in place** (three-slot-ring
 /// sweep, see [`crate::streaming`]), so no second lattice is stored — the
 /// dominant allocation is half what a two-lattice scheme would need. `psi`
 /// is the number density (ghost planes refreshed by the second halo
-/// exchange of each phase, and kept valid across migrations); `ueq` the
-/// equilibrium velocity used by the next collision. The force density is
-/// not state: the phase computes it one plane at a time and consumes it at
-/// once ([`crate::multicomponent::forces_and_velocities`]).
+/// exchange of each phase, and kept valid across migrations). Nothing else
+/// is state: the force density and the equilibrium velocity of a plane
+/// are formed from ψ and the populations just before that plane is
+/// collided, and consumed at once ([`crate::multicomponent::PlaneCollision`]).
 #[derive(Clone, Debug)]
 pub struct ComponentState {
     pub spec: ComponentSpec,
@@ -139,8 +139,6 @@ pub struct ComponentState {
     pub f: SlabArray,
     /// Number density `n_σ = Σ_i f_i`, 1 channel (ghosts exchanged).
     pub psi: SlabArray,
-    /// Equilibrium velocity `u_σ^eq` for the next collision, 3 channels.
-    pub ueq: SlabArray,
 }
 
 impl ComponentState {
@@ -153,42 +151,20 @@ impl ComponentState {
     /// of `cap_planes` reserved planes (see [`SlabArray::windowed`]).
     pub fn windowed(spec: ComponentSpec, grid: LocalGrid, cap_planes: usize, off: usize) -> Self {
         let array = |channels| SlabArray::windowed(grid, channels, cap_planes, off);
-        ComponentState { spec, f: array(D3Q19::Q), psi: array(1), ueq: array(3) }
+        ComponentState { spec, f: array(D3Q19::Q), psi: array(1) }
     }
 
-    /// The three arrays, in checkpoint and migration-message order.
-    pub(crate) fn arrays(&self) -> [&SlabArray; 3] {
-        [&self.f, &self.psi, &self.ueq]
+    /// The two arrays, in checkpoint and migration-message order.
+    pub(crate) fn arrays(&self) -> [&SlabArray; 2] {
+        [&self.f, &self.psi]
     }
 
-    pub(crate) fn arrays_mut(&mut self) -> [&mut SlabArray; 3] {
-        [&mut self.f, &mut self.psi, &mut self.ueq]
+    pub(crate) fn arrays_mut(&mut self) -> [&mut SlabArray; 2] {
+        [&mut self.f, &mut self.psi]
     }
 
     pub fn grid(&self) -> LocalGrid {
         self.f.grid()
-    }
-
-    /// Initializes every interior cell to equilibrium at number density `n`
-    /// and velocity `u` (the paper's uniform initial water–air mixture).
-    pub fn init_uniform(&mut self, n: f64, u: [f64; 3]) {
-        let grid = self.grid();
-        let mut feq = vec![0.0; D3Q19::Q];
-        crate::equilibrium::feq_all::<D3Q19>(n, u, &mut feq);
-        for xl in LocalGrid::FIRST..=grid.last() {
-            for y in 0..grid.ny {
-                for z in 0..grid.nz {
-                    let cell = grid.idx(xl, y, z);
-                    for (i, &v) in feq.iter().enumerate() {
-                        self.f.set(i, cell, v);
-                    }
-                    self.psi.set(0, cell, n);
-                    for a in 0..3 {
-                        self.ueq.set(a, cell, u[a]);
-                    }
-                }
-            }
-        }
     }
 
     /// Initializes each x-plane to equilibrium at a per-plane number
@@ -214,11 +190,8 @@ impl ComponentState {
             let cells = &mut self.f.channel_mut(i)[interior.clone()];
             cells.chunks_exact_mut(p).zip(&feq).for_each(|(plane, feq)| plane.fill(feq[i]));
         }
-        let cells = &mut self.psi.channel_mut(0)[interior.clone()];
+        let cells = &mut self.psi.channel_mut(0)[interior];
         cells.chunks_exact_mut(p).zip(&n).for_each(|(plane, &n)| plane.fill(n));
-        for a in 0..3 {
-            self.ueq.channel_mut(a)[interior.clone()].fill(0.0);
-        }
     }
 
     /// Total number of particles (Σ over interior cells and directions).
@@ -293,6 +266,28 @@ impl CouplingMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The tests' uniform states.
+    impl ComponentState {
+        /// Initializes every interior cell to equilibrium at number density `n`
+        /// and velocity `u` (the paper's uniform initial water–air mixture).
+        pub(crate) fn init_uniform(&mut self, n: f64, u: [f64; 3]) {
+            let grid = self.grid();
+            let mut feq = vec![0.0; D3Q19::Q];
+            crate::equilibrium::feq_all::<D3Q19>(n, u, &mut feq);
+            for xl in LocalGrid::FIRST..=grid.last() {
+                for y in 0..grid.ny {
+                    for z in 0..grid.nz {
+                        let cell = grid.idx(xl, y, z);
+                        for (i, &v) in feq.iter().enumerate() {
+                            self.f.set(i, cell, v);
+                        }
+                        self.psi.set(0, cell, n);
+                    }
+                }
+            }
+        }
+    }
 
     #[test]
     fn uniform_init_mass() {

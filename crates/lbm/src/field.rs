@@ -222,25 +222,6 @@ impl SlabArray {
         self.channels * self.grid.plane_cells()
     }
 
-    /// Copies local plane `xl` (all channels, channel-major) into `buf`.
-    pub fn copy_plane_out(&self, xl: usize, buf: &mut [f64]) {
-        let p = self.grid.plane_cells();
-        assert_eq!(buf.len(), self.plane_len());
-        for (ch, dst) in buf.chunks_exact_mut(p).enumerate() {
-            dst.copy_from_slice(&self.channel(ch)[xl * p..(xl + 1) * p]);
-        }
-    }
-
-    /// Overwrites local plane `xl` from a buffer produced by
-    /// [`copy_plane_out`](Self::copy_plane_out).
-    pub fn copy_plane_in(&mut self, xl: usize, buf: &[f64]) {
-        let p = self.grid.plane_cells();
-        assert_eq!(buf.len(), self.plane_len());
-        for (ch, src) in buf.chunks_exact(p).enumerate() {
-            self.channel_mut(ch)[xl * p..(xl + 1) * p].copy_from_slice(src);
-        }
-    }
-
     /// Local plane `xl` of every channel, in channel order: what one plane
     /// record of a checkpoint or a migration message holds of this array.
     pub fn plane_runs(&self, xl: usize) -> impl Iterator<Item = &[f64]> {
@@ -374,6 +355,28 @@ impl std::fmt::Debug for SlabArray {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Plane copies for the tests' ghost fills.
+    impl SlabArray {
+        /// Copies local plane `xl` (all channels, channel-major) into `buf`.
+        pub(crate) fn copy_plane_out(&self, xl: usize, buf: &mut [f64]) {
+            let p = self.grid.plane_cells();
+            assert_eq!(buf.len(), self.plane_len());
+            for (ch, dst) in buf.chunks_exact_mut(p).enumerate() {
+                dst.copy_from_slice(&self.channel(ch)[xl * p..(xl + 1) * p]);
+            }
+        }
+
+        /// Overwrites local plane `xl` from a buffer produced by
+        /// [`copy_plane_out`](Self::copy_plane_out).
+        pub(crate) fn copy_plane_in(&mut self, xl: usize, buf: &[f64]) {
+            let p = self.grid.plane_cells();
+            assert_eq!(buf.len(), self.plane_len());
+            for (ch, src) in buf.chunks_exact(p).enumerate() {
+                self.channel_mut(ch)[xl * p..(xl + 1) * p].copy_from_slice(src);
+            }
+        }
+    }
 
     fn filled(grid: LocalGrid, channels: usize) -> SlabArray {
         let mut a = SlabArray::new(grid, channels);

@@ -89,13 +89,13 @@ impl WallForce {
 /// The force kernel of one slab, set up once per pass: computes the total
 /// force density (Shan–Chen interaction + adhesion + wall force + body
 /// force) of every component on one interior plane at a time, into
-/// whatever 3-channel plane the caller names. The production step consumes
-/// each plane at once ([`crate::multicomponent::forces_and_velocities`]),
-/// the snapshot turns it into the half-force velocity term, and only the
-/// two-pass reference ([`compute_forces`]) writes a whole-slab array.
+/// whatever 3-channel plane the caller names. The collision consumes each
+/// plane at once ([`crate::multicomponent::PlaneCollision`]), the snapshot
+/// turns it into the half-force velocity term, and only the two-pass
+/// reference ([`compute_forces`]) writes a whole-slab array.
 ///
 /// Requires ψ ghost planes to be current (second halo exchange of the
-/// phase). `body` is an acceleration applied to all components (the
+/// previous phase). `body` is an acceleration applied to all components (the
 /// paper's streamwise driving), contributing force density `ρ_σ · body`.
 /// Every plane reads at most a ±1-plane ψ stencil and the solid mask, and
 /// nobody mutates either meanwhile.

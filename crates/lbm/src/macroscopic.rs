@@ -1,8 +1,8 @@
 #![expect(
     unsafe_code,
-    reason = "the moments kernel (psi and momentum of a run of cells) through raw \
-              pointers: disjoint cell ranges of the window (window base + storage \
-              channel stride) into psi/ueq, or one plane into a snapshot's scratch; \
+    reason = "the moments kernel (psi and/or momentum of a run of cells) through raw \
+              pointers: from disjoint cell ranges of the window (window base + storage \
+              channel stride) into psi, or into a block or plane scratch of momentum; \
               the force kernel into the snapshot's plane scratch"
 )]
 //! Macroscopic quantities: number density, mass density, momentum and the
@@ -19,11 +19,12 @@
 //! (the half-force term makes the measured velocity second-order accurate
 //! in the presence of forcing).
 //!
-//! Every reduction of populations to ψ = Σ_i f_i and the number momentum
+//! Every reduction of populations to ψ = Σ_i f_i or the number momentum
 //! j = Σ_i f_i e_i goes through one kernel, [`moments_raw`]: the streaming
-//! sweep runs it on each plane it has just streamed (ψ into `psi`, j into
-//! the plane's `ueq` slots — see [`crate::streaming`]), [`compute_psi`] on
-//! the whole slab for priming, [`capture`] plane by plane.
+//! sweep takes ψ of each plane it has just streamed into `psi` (see
+//! [`crate::streaming`]), the collision j of each row block it is about to
+//! collide ([`crate::multicomponent::PlaneCollision`]), [`compute_psi`] ψ
+//! of the whole slab for priming, [`capture`] j plane by plane.
 
 use crate::component::ComponentState;
 use crate::field::LocalGrid;
@@ -31,24 +32,23 @@ use crate::force::ForcePlanes;
 use crate::geometry::Slab;
 use crate::lattice::{Lattice, D3Q19};
 
-/// Recomputes the moments of every interior cell from the populations: ψ
-/// (number density) into `psi` and j into the three `ueq` slots, where
-/// [`crate::multicomponent::update_equilibrium_velocities`] expects it —
-/// what a sweep leaves behind, for priming a state no sweep produced (a
-/// one-off, so serial). Ghost planes are left to the halo exchange.
+/// Recomputes ψ (number density) of every interior cell from the
+/// populations into `psi` — what a sweep leaves behind, for priming a state
+/// no sweep produced (a one-off, so serial). Ghost planes are left to the
+/// halo exchange.
 pub fn compute_psi(comp: &mut ComponentState) {
     let grid = comp.grid();
     let (cells, p) = (comp.f.stride(), grid.plane_cells());
-    assert_eq!(comp.ueq.stride(), cells);
     let at = LocalGrid::FIRST * p;
-    let (f, psi, ueq) = (comp.f.base_ptr(), comp.psi.base_mut_ptr(), comp.ueq.base_mut_ptr());
-    // Safety: the interior planes lie inside the window the three arrays
-    // share, and the outputs are exclusively borrowed.
-    unsafe { moments_raw(f.add(at), cells, psi.add(at), ueq.add(at), cells, grid.nx_local() * p) }
+    let (f, psi) = (comp.f.base_ptr(), comp.psi.base_mut_ptr());
+    // Safety: the interior planes lie inside the window both arrays share,
+    // and `psi` is exclusively borrowed.
+    unsafe { moments_raw(f.add(at), cells, Some(psi.add(at)), None, grid.nx_local() * p) }
 }
 
-/// The moments kernel: for each of `n` consecutive cells, ψ = Σ_i f_i and
-/// j_a = Σ_i f_i e_ia, every sum over ascending channels from +0.0 with the
+/// The moments kernel: for each of `n` consecutive cells, ψ = Σ_i f_i into
+/// `psi` and j_a = Σ_i f_i e_ia into `j = (base, stride)`, each only if
+/// asked for; every sum over ascending channels from +0.0 with the
 /// `e_ia = 0` terms skipped (they would only add ±0.0 to an accumulator
 /// that is never −0.0). AVX2 4 cells at a time where the host has it, the
 /// scalar loop for the rest — the same additions in the same order.
@@ -58,29 +58,28 @@ pub fn compute_psi(comp: &mut ComponentState) {
 /// `f` must point at channel 0 of the first cell of a Q-channel
 /// channel-major array of channel stride `f_stride`, `psi` at the first
 /// cell's ψ and `j` at axis 0 of the first cell of a 3-channel array of
-/// channel stride `j_stride`, all valid for `n` cells per channel; outputs
+/// the given channel stride, all valid for `n` cells per channel; outputs
 /// must not overlap `f`, and no other thread may access them meanwhile.
 pub(crate) unsafe fn moments_raw(
     f: *const f64,
     f_stride: usize,
-    psi: *mut f64,
-    j: *mut f64,
-    j_stride: usize,
+    psi: Option<*mut f64>,
+    j: Option<(*mut f64, usize)>,
     n: usize,
 ) {
     #[cfg(target_arch = "x86_64")]
-    let done = if crate::simd::avx2_available() {
-        crate::simd::moments_avx2(f, f_stride, psi, j, j_stride, n)
-    } else {
-        0
-    };
+    let done = if crate::simd::avx2_available() { crate::simd::moments_avx2(f, f_stride, psi, j, n) } else { 0 };
     #[cfg(not(target_arch = "x86_64"))]
     let done = 0;
     for cell in done..n {
         let at = |i: usize| *f.add(i * f_stride + cell);
-        *psi.add(cell) = (0..D3Q19::Q).fold(0.0, |acc, i| acc + at(i));
-        for a in 0..3 {
-            *j.add(a * j_stride + cell) = MOMENTUM_TERMS[a].iter().fold(0.0, |acc, &(i, e)| acc + at(i) * e);
+        if let Some(psi) = psi {
+            *psi.add(cell) = (0..D3Q19::Q).fold(0.0, |acc, i| acc + at(i));
+        }
+        if let Some((j, j_stride)) = j {
+            for a in 0..3 {
+                *j.add(a * j_stride + cell) = MOMENTUM_TERMS[a].iter().fold(0.0, |acc, &(i, e)| acc + at(i) * e);
+            }
         }
     }
 }
@@ -104,22 +103,6 @@ pub(crate) const MOMENTUM_TERMS: [[(usize, f64); 10]; 3] = {
     }
     terms
 };
-
-/// Number-momentum of one component at `cell`: `Σ_i f_i e_i` (multiply by
-/// `m_σ` for mass momentum) — the per-cell definition the moments kernel
-/// is held to.
-#[inline]
-pub fn raw_momentum(comp: &ComponentState, cell: usize) -> [f64; 3] {
-    let mut m = [0.0f64; 3];
-    for i in 1..D3Q19::Q {
-        let v = comp.f.at(i, cell);
-        let e = D3Q19::E[i];
-        m[0] += v * e[0] as f64;
-        m[1] += v * e[1] as f64;
-        m[2] += v * e[2] as f64;
-    }
-    m
-}
 
 /// A gathered macroscopic snapshot of a slab's interior, used for
 /// observables and for stitching distributed results back together.
@@ -276,12 +259,10 @@ pub(crate) fn capture(comps: &[ComponentState], forces: &mut ForcePlanes<'_>, ou
         "snapshot shape differs from the slab"
     );
     let p = grid.plane_cells();
-    // Plane by plane: j from the moments kernel into a scratch (`ueq`,
-    // where a phase keeps j, is live at a phase boundary; the ψ the kernel
-    // also produces goes unused — `psi` is the state's own), the forces
+    // Plane by plane: j from the moments kernel into a scratch, the forces
     // from the force kernel into another, the momentum summed in place in
     // `velocity`, the components accumulating per cell in ascending order.
-    let mut j = vec![0.0f64; 4 * p];
+    let mut j = vec![0.0f64; 3 * p];
     let mut force = vec![0.0f64; 3 * p * comps.len()];
     let base = force.as_mut_ptr();
     // Safety: component `a`'s scratch starts inside `force`.
@@ -296,11 +277,8 @@ pub(crate) fn capture(comps: &[ComponentState], forces: &mut ForcePlanes<'_>, ou
         for ((c, rho), force) in comps.iter().zip(rho.iter_mut()).zip(force.chunks_exact(3 * p)) {
             let m = c.spec.mass;
             // Safety: plane `xl` lies in the window of `f`; the scratch
-            // holds 3 + 1 channels of `p` cells.
-            unsafe {
-                let j = j.as_mut_ptr();
-                moments_raw(c.f.base_ptr().add(here.start), c.f.stride(), j.add(3 * p), j, p, p)
-            };
+            // holds 3 channels of `p` cells.
+            unsafe { moments_raw(c.f.base_ptr().add(here.start), c.f.stride(), None, Some((j.as_mut_ptr(), p)), p) };
             for (rho, psi) in rho[out..out + p].iter_mut().zip(&c.psi.channel(0)[here.clone()]) {
                 *rho = m * psi;
             }
@@ -321,9 +299,24 @@ pub(crate) fn capture(comps: &[ComponentState], forces: &mut ForcePlanes<'_>, ou
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::component::ComponentSpec;
+
+    /// Number-momentum of one component at `cell`: `Σ_i f_i e_i` (multiply by
+    /// `m_σ` for mass momentum) — the per-cell definition the moments kernel
+    /// is held to.
+    pub(crate) fn raw_momentum(comp: &ComponentState, cell: usize) -> [f64; 3] {
+        let mut m = [0.0f64; 3];
+        for i in 1..D3Q19::Q {
+            let v = comp.f.at(i, cell);
+            let e = D3Q19::E[i];
+            m[0] += v * e[0] as f64;
+            m[1] += v * e[1] as f64;
+            m[2] += v * e[2] as f64;
+        }
+        m
+    }
 
     #[test]
     fn psi_matches_population_sum() {

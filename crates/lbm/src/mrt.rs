@@ -28,8 +28,6 @@
 
 use std::sync::OnceLock;
 
-use crate::component::ComponentState;
-use crate::field::LocalGrid;
 use crate::lattice::{Lattice, D3Q19};
 
 /// Relaxation rates for the non-hydrodynamic (ghost) moment families.
@@ -186,22 +184,6 @@ pub fn rate_vector(tau: f64, rates: MrtRates) -> [f64; 19] {
     s
 }
 
-/// Applies one MRT collision to every interior cell of `comp`, in place.
-pub fn collide_mrt(comp: &mut ComponentState, rates: MrtRates) {
-    let grid = comp.grid();
-    let cells = comp.f.stride();
-    let p = grid.plane_cells();
-    let at = LocalGrid::FIRST * p;
-    let tau = comp.spec.tau;
-    let ueq = comp.ueq.base_ptr();
-    let f = comp.f.base_mut_ptr();
-    // Safety: window bases of channel-major arrays of stride `cells`, the
-    // window's interior cells, exclusive access.
-    unsafe {
-        collide_mrt_raw(tau, rates, f.add(at), cells, f.add(at), cells, ueq.add(at), grid.nx_local() * p)
-    }
-}
-
 /// MRT collision of `n` cells from `src` into `dst` (in place when they
 /// are the same). Safety: see [`crate::collision::collide_cells_raw`].
 #[expect(
@@ -216,6 +198,7 @@ pub(crate) unsafe fn collide_mrt_raw(
     dst: *mut f64,
     ds: usize,
     ueq: *const f64,
+    us: usize,
     n: usize,
 ) {
     let b = basis();
@@ -230,7 +213,7 @@ pub(crate) unsafe fn collide_mrt_raw(
             fi[i] = v;
             rho += v;
         }
-        let u = [*ueq.add(cell), *ueq.add(ss + cell), *ueq.add(2 * ss + cell)];
+        let u = [*ueq.add(cell), *ueq.add(us + cell), *ueq.add(2 * us + cell)];
         let uu = u[0] * u[0] + u[1] * u[1] + u[2] * u[2];
         for i in 0..D3Q19::Q {
             let e = D3Q19::E[i];
@@ -262,7 +245,8 @@ pub(crate) unsafe fn collide_mrt_raw(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::component::{CollisionOperator, ComponentSpec};
+    use crate::component::{CollisionOperator, ComponentSpec, ComponentState};
+    use crate::field::{LocalGrid, SlabArray};
 
     #[test]
     fn basis_is_orthogonal_and_complete() {
@@ -303,7 +287,13 @@ mod tests {
         }
     }
 
-    fn make(collision: CollisionOperator) -> ComponentState {
+    /// One MRT collision of every interior cell of `c` at `ueq`.
+    fn collide_mrt(c: &mut ComponentState, ueq: &SlabArray, rates: MrtRates) {
+        c.spec.collision = CollisionOperator::Mrt(rates);
+        crate::collision::collide(c, ueq);
+    }
+
+    fn make(collision: CollisionOperator) -> (ComponentState, SlabArray) {
         let grid = LocalGrid::new(3, 4, 3);
         let spec = ComponentSpec { tau: 0.8, collision, ..ComponentSpec::water() };
         let mut c = ComponentState::new(spec, grid);
@@ -316,20 +306,21 @@ mod tests {
             }
         }
         // ueq: a mild uniform velocity.
+        let mut ueq = SlabArray::new(grid, 3);
         for cell in 0..grid.cells() {
-            c.ueq.set(0, cell, 0.01);
-            c.ueq.set(1, cell, -0.004);
+            ueq.set(0, cell, 0.01);
+            ueq.set(1, cell, -0.004);
         }
-        c
+        (c, ueq)
     }
 
     #[test]
     fn uniform_rates_reduce_to_bgk() {
         let omega = 1.0 / 0.8;
-        let mut bgk = make(CollisionOperator::Bgk);
-        let mut mrt = make(CollisionOperator::Bgk);
-        crate::collision::collide(&mut bgk);
-        collide_mrt(&mut mrt, MrtRates::uniform(omega));
+        let (mut bgk, ueq) = make(CollisionOperator::Bgk);
+        let mut mrt = bgk.clone();
+        crate::collision::collide(&mut bgk, &ueq);
+        collide_mrt(&mut mrt, &ueq, MrtRates::uniform(omega));
         let cells = bgk.grid().cells();
         for i in 0..19 {
             for cell in 0..cells {
@@ -345,7 +336,7 @@ mod tests {
 
     #[test]
     fn standard_rates_conserve_mass_and_momentum() {
-        let mut c = make(CollisionOperator::Bgk);
+        let (mut c, mut ueq) = make(CollisionOperator::Bgk);
         // Make ueq the true cell velocity so conservation is exact.
         let grid = c.grid();
         for cell in 0..grid.cells() {
@@ -359,7 +350,7 @@ mod tests {
                 }
             }
             for a in 0..3 {
-                c.ueq.set(a, cell, mom[a] / n);
+                ueq.set(a, cell, mom[a] / n);
             }
         }
         let before: Vec<(f64, [f64; 3])> = (0..grid.cells())
@@ -376,7 +367,7 @@ mod tests {
                 (n, mom)
             })
             .collect();
-        collide_mrt(&mut c, MrtRates::standard());
+        collide_mrt(&mut c, &ueq, MrtRates::standard());
         for cell in 0..grid.cells() {
             let mut n = 0.0;
             let mut mom = [0.0f64; 3];
@@ -399,10 +390,10 @@ mod tests {
     fn ghost_rates_change_only_ghost_modes() {
         // Two MRT collisions differing only in ghost rates must produce
         // the same hydrodynamic moments (density, momentum, stress).
-        let mut a = make(CollisionOperator::Bgk);
+        let (mut a, ueq) = make(CollisionOperator::Bgk);
         let mut b = a.clone();
-        collide_mrt(&mut a, MrtRates::standard());
-        collide_mrt(&mut b, MrtRates { s_e: 1.0, s_eps: 1.0, s_q: 1.0, s_pi: 1.0, s_m: 1.0 });
+        collide_mrt(&mut a, &ueq, MrtRates::standard());
+        collide_mrt(&mut b, &ueq, MrtRates { s_e: 1.0, s_eps: 1.0, s_q: 1.0, s_pi: 1.0, s_m: 1.0 });
         let bas = basis();
         let cells = a.grid().cells();
         let hydro_rows = [0usize, 3, 5, 7, 9, 11, 13, 14, 15];

@@ -1,47 +1,36 @@
 #![expect(
     unsafe_code,
-    reason = "per-component raw pointers in the velocity update: psi and ueq at the \
-              window base or at one plane of it (one shared storage channel stride), \
-              the force in a plane scratch or a reference array (its own stride); \
-              each cell's ueq slots are read (momentum) for every component before \
-              any is overwritten, and the plane scratch is written by the force \
-              kernel only before the update reads it"
+    reason = "per-component raw pointers in the velocity update and the plane \
+              collision: f and psi at the window base (one shared storage channel \
+              stride), read only while the cells they address are uncollided; the \
+              force in a plane scratch or a reference array, the momentum and then \
+              ueq in a block scratch or a reference array (each its own stride); \
+              each cell's momentum is read for every component before any ueq slot \
+              is overwritten"
 )]
 //! Shan–Chen multicomponent coupling: the common velocity and the
-//! per-component equilibrium velocities.
-//!
-//! After forces are known, each phase ends by computing (paper §2.1,
-//! pseudo-code line 17) the common velocity
+//! per-component equilibrium velocities, formed just before a collision
+//! (paper §2.1, pseudo-code line 17, for line 4):
 //!
 //! ```text
 //! ū(x) = [ Σ_σ (m_σ / τ_σ) Σ_i f_i^σ e_i ] / [ Σ_σ ρ_σ / τ_σ ]
-//! ```
-//!
-//! and each component's equilibrium velocity for the *next* collision,
-//!
-//! ```text
 //! u_σ^eq(x) = ū(x) + τ_σ F_σ(x) / ρ_σ(x)
 //! ```
 //!
 //! where `F_σ` is the total force density (interaction + wall + body),
-//! which [`crate::force::ForcePlanes`] computes one plane at a time. The
-//! force shift is how forcing enters the Shan–Chen LBGK scheme.
-//!
-//! `Σ_i f_i^σ e_i` is not gathered here: the streaming sweep (or, when
-//! priming, [`crate::macroscopic::compute_psi`]) left it in the three `ueq`
-//! slots of each cell; this update reads it there and writes `u_σ^eq` back.
-//!
-//! Production runs both as one step, [`forces_and_velocities`]: each
-//! plane's forces go into a plane-sized scratch that stays in cache and
-//! are consumed by that plane's update, so the force field is never
-//! stored. [`crate::force::compute_forces`] + [`update_equilibrium_velocities`]
+//! which [`crate::force::ForcePlanes`] computes one plane at a time from
+//! the ψ the previous phase left (ghost planes included). The force shift
+//! is how forcing enters the Shan–Chen LBGK scheme. Production forms them
+//! where they are consumed ([`PlaneCollision`]), so neither is ever
+//! stored; [`crate::force::compute_forces`] + [`update_equilibrium_velocities`]
 //! are the same arithmetic as two whole-slab passes, kept as the reference.
 
 use std::ops::Range;
 
-use crate::component::{ComponentState, CouplingMatrix};
+use crate::component::{CollisionOperator, ComponentState, CouplingMatrix};
 use crate::field::{LocalGrid, SlabArray};
 use crate::force::{ForcePlanes, WallForce};
+use crate::macroscopic::moments_raw;
 
 /// Density floor below which the force shift is suppressed to avoid
 /// dividing by a vanishing component density.
@@ -60,16 +49,11 @@ pub(crate) struct CompView {
 }
 
 impl CompView {
-    /// The view of `c` at its window base, reading the force from `force`.
-    fn new(c: &mut ComponentState, force: *const f64, force_stride: usize) -> CompView {
-        CompView {
-            psi: c.psi.base_ptr(),
-            force,
-            force_stride,
-            ueq: c.ueq.base_mut_ptr(),
-            mass: c.spec.mass,
-            momentum_tau: c.spec.momentum_tau(),
-        }
+    /// The view of `c` at its window base, with the force at `force` and
+    /// the j to be turned into `u_σ^eq` at `ueq`.
+    fn new(c: &ComponentState, force: *const f64, force_stride: usize, ueq: *mut f64) -> CompView {
+        let (psi, mass, momentum_tau) = (c.psi.base_ptr(), c.spec.mass, c.spec.momentum_tau());
+        CompView { psi, force, force_stride, ueq, mass, momentum_tau }
     }
 }
 
@@ -78,8 +62,9 @@ impl CompView {
 ///
 /// # Safety
 ///
-/// As [`crate::simd::update_ueq_avx2`]: `psi`/`ueq` of stride `cells` and
-/// each view's force cover `range`, and no one else accesses them.
+/// As [`crate::simd::update_ueq_avx2`]: each view's `psi`, its `ueq` of
+/// channel stride `cells` and its force cover `range`, and no one else
+/// accesses them.
 pub(crate) unsafe fn update_cells(views: &[CompView], cells: usize, range: Range<usize>) {
     // AVX2 4-cells-at-a-time when the host supports it (bitwise identical,
     // including the lane-wise IEEE divisions — see [`crate::simd`]); the
@@ -113,60 +98,149 @@ pub(crate) unsafe fn update_cells(views: &[CompView], cells: usize, range: Range
     }
 }
 
-/// The production step after the ψ exchange: for each interior plane, every
-/// component's force density into a plane scratch (3 × plane cells per
-/// component), then `u_σ^eq` of that plane's cells from it. Bit for bit
-/// [`crate::force::compute_forces`] followed by
-/// [`update_equilibrium_velocities`], without the whole-slab force array.
-pub fn forces_and_velocities(
-    comps: &mut [ComponentState],
-    coupling: &CouplingMatrix,
-    wall: &WallForce,
-    body: [f64; 3],
-    solid: &[bool],
-) {
-    let grid = comps[0].grid();
-    let (p, s) = (grid.plane_cells(), comps.len());
-    // One channel stride for every array of every component: they share a
-    // storage capacity and a window.
-    let cells = comps[0].ueq.stride();
-    let mut scratch = vec![0.0; 3 * p * s];
-    let base = scratch.as_mut_ptr();
-    // Safety: component `a`'s scratch starts inside `scratch`.
-    let out: Vec<*mut f64> = (0..s).map(|a| unsafe { base.add(3 * p * a) }).collect();
-    let mut views: Vec<CompView> =
-        comps.iter_mut().zip(&out).map(|(c, &force)| CompView::new(c, force, p)).collect();
-    let bases: Vec<(*const f64, *mut f64)> = views.iter().map(|v| (v.psi, v.ueq)).collect();
-    let mut kernel = ForcePlanes::new(comps, coupling, wall, body, solid);
-    for xl in LocalGrid::FIRST..=grid.last() {
-        // Safety: the scratch planes are written by the kernel and then only
-        // read; plane `xl` lies inside the window the views' arrays share,
-        // and the kernel reads ψ, never `ueq`.
-        unsafe {
-            kernel.plane(xl, &out, p);
-            for (v, &(psi, ueq)) in views.iter_mut().zip(&bases) {
-                v.psi = psi.add(xl * p);
-                v.ueq = ueq.add(xl * p);
+/// Cells per row block of a [`PlaneCollision`], rounded down to whole
+/// z-rows (at least one). On the paper grid ~1000 ran at least as fast as
+/// 160, 400 or a whole plane (EXPERIMENTS.md, "ueq out of the state").
+const COLLISION_BLOCK_CELLS: usize = 1024;
+
+/// What a collision forms its equilibrium velocities from besides the
+/// state: the coupling, the wall force and the body force.
+pub(crate) type Forcing<'a> = (&'a CouplingMatrix, &'a WallForce, [f64; 3]);
+
+/// One component of a [`PlaneCollision`]: `f` and ψ at the window base,
+/// the operator, a force plane and two blocks of j, then `u_σ^eq`.
+struct Part {
+    f: *const f64,
+    psi: *const f64,
+    op: CollisionOperator,
+    tau: f64,
+    force: Vec<f64>,
+    ueq: [Vec<f64>; 2],
+}
+
+/// The collision of whole planes, each at equilibrium velocities formed
+/// just before it: the plane's forces into a plane scratch, then per row
+/// block j of the pre-collision populations (taken by the collision of the
+/// block before), `u_σ^eq` over it ([`update_cells`]) and every
+/// component's collision from it. Bit for bit
+/// [`crate::force::compute_forces`], [`update_equilibrium_velocities`] and
+/// a whole-slab [`crate::collision::collide`], without their arrays.
+pub(crate) struct PlaneCollision<'a> {
+    forces: ForcePlanes<'a>,
+    parts: Vec<Part>,
+    force_planes: Vec<*mut f64>,
+    views: Vec<CompView>,
+    /// Channel stride of `f` and ψ; cells of a plane and of a row block.
+    cells: usize,
+    plane: usize,
+    block: usize,
+    /// The scratch the next block is collided from, and the plane whose
+    /// first block's j it holds.
+    k: usize,
+    ready: Option<usize>,
+}
+
+impl<'a> PlaneCollision<'a> {
+    pub(crate) fn new(comps: &'a [ComponentState], forcing: Forcing<'_>, solid: &'a [bool]) -> Self {
+        let grid = comps[0].grid();
+        let p = grid.plane_cells();
+        let block = (COLLISION_BLOCK_CELLS / grid.nz).max(1).min(grid.ny) * grid.nz;
+        let mut parts: Vec<Part> = comps
+            .iter()
+            .map(|c| Part {
+                f: c.f.base_ptr(),
+                psi: c.psi.base_ptr(),
+                op: c.spec.collision,
+                tau: c.spec.tau,
+                force: vec![0.0; 3 * p],
+                ueq: [vec![0.0; 3 * block], vec![0.0; 3 * block]],
+            })
+            .collect();
+        let force_planes = parts.iter_mut().map(|part| part.force.as_mut_ptr()).collect();
+        let views = comps.iter().zip(&mut parts).map(|(c, part)| CompView::new(c, part.force.as_ptr(), p, part.ueq[0].as_mut_ptr())).collect();
+        let (coupling, wall, body) = forcing;
+        let forces = ForcePlanes::new(comps, coupling, wall, body, solid);
+        PlaneCollision { forces, parts, force_planes, views, cells: comps[0].f.stride(), plane: p, block, k: 0, ready: None }
+    }
+
+    /// Collides interior plane `xl` of every component from `f` into
+    /// `dst[a]` (Q channels of stride `dst_stride`, plane-relative cells),
+    /// taking j of the first block of plane `next`, the next to collide.
+    ///
+    /// # Safety
+    ///
+    /// `dst[a]` is plane `xl` of component `a`'s `f` (in place) or Q
+    /// channels of plane cells aliasing nothing the collision reads. The
+    /// populations of planes `xl` and `next` and the ψ of planes `xl − 1`
+    /// to `xl + 1` must be the phase boundary's, and no one else may access
+    /// those planes meanwhile.
+    pub(crate) unsafe fn collide(&mut self, xl: usize, dst: &[*mut f64], dst_stride: usize, next: Option<usize>) {
+        let (p, block, cells) = (self.plane, self.block, self.cells);
+        self.forces.plane(xl, &self.force_planes, p);
+        if self.ready != Some(xl) {
+            for part in &mut self.parts {
+                let j = Some((part.ueq[self.k].as_mut_ptr(), block));
+                moments_raw(part.f.add(xl * p), cells, None, j, block.min(p));
             }
-            update_cells(&views, cells, 0..p);
         }
+        for q0 in (0..p).step_by(block) {
+            let (at, n, k) = (xl * p + q0, block.min(p - q0), self.k);
+            for (v, part) in self.views.iter_mut().zip(&mut self.parts) {
+                (v.psi, v.force, v.ueq) = (part.psi.add(at), part.force.as_ptr().add(q0), part.ueq[k].as_mut_ptr());
+            }
+            update_cells(&self.views, block, 0..n);
+            // j of the next block: this plane's, or the first of `next`.
+            let then_at = if q0 + block < p { Some(at + block) } else { next.map(|x| x * p) };
+            for (part, &dst) in self.parts.iter_mut().zip(dst) {
+                let then = then_at.map(|at| (part.f.add(at), part.ueq[1 - k].as_mut_ptr(), block.min(p - at % p)));
+                let (op, tau, src, ueq) = (part.op, part.tau, part.f.add(at), part.ueq[k].as_ptr());
+                crate::collision::collide_cells_raw(op, tau, src, cells, dst.add(q0), dst_stride, ueq, block, n, then);
+            }
+            self.k = 1 - k;
+        }
+        self.ready = next;
+    }
+}
+
+/// Collides interior planes `planes` (each once) of every component in
+/// place ([`PlaneCollision`]; ψ ghosts current).
+pub(crate) fn collide_planes(comps: &mut [ComponentState], forcing: Forcing<'_>, solid: &[bool], planes: &[usize]) {
+    let (p, cells) = (comps[0].grid().plane_cells(), comps[0].f.stride());
+    let f: Vec<*mut f64> = comps.iter_mut().map(|c| c.f.base_mut_ptr()).collect();
+    let mut collision = PlaneCollision::new(comps, forcing, solid);
+    for &xl in planes {
+        // Safety: plane `xl` of every `f`, collided in place, once, while
+        // its populations and the ψ around it are the phase boundary's.
+        unsafe { collision.collide(xl, &f.iter().map(|f| f.add(xl * p)).collect::<Vec<_>>(), cells, None) };
     }
 }
 
 /// The two-pass reference's second pass: `u_σ^eq` at every interior cell
-/// from the whole-slab forces [`crate::force::compute_forces`] left in
-/// `forces`, with `psi` and the j held in `ueq` current (see the module
-/// docs).
-pub fn update_equilibrium_velocities(comps: &mut [ComponentState], forces: &[SlabArray]) {
+/// into `ueq` (3 channels per component on the slab's grid), from j of the
+/// current populations and the whole-slab forces
+/// [`crate::force::compute_forces`] left in `forces`, with ψ current.
+pub fn update_equilibrium_velocities(comps: &[ComponentState], forces: &[SlabArray], ueq: &mut [SlabArray]) {
     let grid = comps[0].grid();
-    assert!(forces.len() == comps.len() && forces.iter().all(|f| f.grid() == grid && f.channels() == 3));
-    let cells = comps[0].ueq.stride();
-    let p = grid.plane_cells();
-    let views: Vec<CompView> =
-        comps.iter_mut().zip(forces).map(|(c, f)| CompView::new(c, f.base_ptr(), f.stride())).collect();
-    // Safety: the views hold live window bases covering the interior, and
-    // `forces` is only read.
-    unsafe { update_cells(&views, cells, LocalGrid::FIRST * p..(grid.last() + 1) * p) }
+    let on_grid = |a: &SlabArray| a.grid() == grid && a.channels() == 3;
+    assert!(forces.len() == comps.len() && ueq.len() == comps.len() && forces.iter().chain(&*ueq).all(on_grid));
+    let (p, stride) = (grid.plane_cells(), ueq[0].stride());
+    let interior = LocalGrid::FIRST * p..(grid.last() + 1) * p;
+    let views: Vec<CompView> = comps
+        .iter()
+        .zip(forces)
+        .zip(ueq.iter_mut())
+        .map(|((c, f), u)| CompView::new(c, f.base_ptr(), f.stride(), u.base_mut_ptr()))
+        .collect();
+    // Safety: the views hold live window bases covering the interior; j
+    // goes into `ueq`, exclusively borrowed, before the update reads it
+    // there; `forces` and the states are only read.
+    unsafe {
+        for (v, c) in views.iter().zip(comps) {
+            let at = interior.start;
+            moments_raw(c.f.base_ptr().add(at), c.f.stride(), None, Some((v.ueq.add(at), stride)), interior.len());
+        }
+        update_cells(&views, stride, interior)
+    }
 }
 
 #[cfg(test)]
@@ -175,9 +249,16 @@ mod tests {
     use crate::component::ComponentSpec;
     use crate::macroscopic::compute_psi;
 
-    /// Zero forces for `comps`, for the reference pass.
+    /// Zero forces (or velocities) for `comps`, for the reference pass.
     fn no_force(comps: &[ComponentState]) -> Vec<SlabArray> {
         comps.iter().map(|c| SlabArray::new(c.grid(), 3)).collect()
+    }
+
+    /// The reference pass's `u_σ^eq` of `comps` under `force`.
+    fn velocities(comps: &[ComponentState], force: &[SlabArray]) -> Vec<SlabArray> {
+        let mut ueq = no_force(comps);
+        update_equilibrium_velocities(comps, force, &mut ueq);
+        ueq
     }
 
     fn setup(taus: [f64; 2], masses: [f64; 2], ns: [f64; 2], us: [[f64; 3]; 2]) -> Vec<ComponentState> {
@@ -203,14 +284,14 @@ mod tests {
 
     #[test]
     fn common_velocity_is_tau_weighted_average() {
-        let mut comps = setup(
+        let comps = setup(
             [1.0, 0.6],
             [1.0, 0.5],
             [1.0, 0.8],
             [[0.02, 0.0, 0.0], [-0.01, 0.01, 0.0]],
         );
         let force = no_force(&comps);
-        update_equilibrium_velocities(&mut comps, &force);
+        let ueq = velocities(&comps, &force);
         let grid = comps[0].grid();
         let cell = grid.idx(1, 0, 0);
         // Hand-computed ū.
@@ -218,20 +299,20 @@ mod tests {
         let den = 1.0 * 1.0 / 1.0 + 0.5 * 0.8 / 0.6;
         let want = num_x / den;
         // No forces set → ueq = ū for both components.
-        assert!((comps[0].ueq.at(0, cell) - want).abs() < 1e-12);
-        assert!((comps[1].ueq.at(0, cell) - want).abs() < 1e-12);
+        assert!((ueq[0].at(0, cell) - want).abs() < 1e-12);
+        assert!((ueq[1].at(0, cell) - want).abs() < 1e-12);
     }
 
     #[test]
     fn equal_components_at_rest_stay_at_rest() {
-        let mut comps = setup([1.0, 1.0], [1.0, 1.0], [0.5, 0.5], [[0.0; 3]; 2]);
+        let comps = setup([1.0, 1.0], [1.0, 1.0], [0.5, 0.5], [[0.0; 3]; 2]);
         let force = no_force(&comps);
-        update_equilibrium_velocities(&mut comps, &force);
+        let ueq = velocities(&comps, &force);
         let grid = comps[0].grid();
         for cell in [grid.idx(1, 0, 0), grid.idx(2, 1, 1)] {
-            for c in &comps {
+            for u in &ueq {
                 for a in 0..3 {
-                    assert_eq!(c.ueq.at(a, cell), 0.0);
+                    assert_eq!(u.at(a, cell), 0.0);
                 }
             }
         }
@@ -239,31 +320,31 @@ mod tests {
 
     #[test]
     fn force_shift_is_tau_f_over_rho() {
-        let mut comps = setup([0.8, 1.2], [1.0, 2.0], [1.0, 0.5], [[0.0; 3]; 2]);
+        let comps = setup([0.8, 1.2], [1.0, 2.0], [1.0, 0.5], [[0.0; 3]; 2]);
         let grid = comps[0].grid();
         let cell = grid.idx(1, 1, 1);
         let mut force = no_force(&comps);
         force[0].set(0, cell, 0.01);
         force[1].set(1, cell, -0.02);
-        update_equilibrium_velocities(&mut comps, &force);
+        let ueq = velocities(&comps, &force);
         // ū = 0 (both at rest), so ueq is purely the force shift.
         let rho0 = 1.0 * 1.0;
         let rho1 = 2.0 * 0.5;
-        assert!((comps[0].ueq.at(0, cell) - 0.8 * 0.01 / rho0).abs() < 1e-14);
-        assert!((comps[1].ueq.at(1, cell) - 1.2 * -0.02 / rho1).abs() < 1e-14);
+        assert!((ueq[0].at(0, cell) - 0.8 * 0.01 / rho0).abs() < 1e-14);
+        assert!((ueq[1].at(1, cell) - 1.2 * -0.02 / rho1).abs() < 1e-14);
         // Unforced axes remain zero.
-        assert_eq!(comps[0].ueq.at(2, cell), 0.0);
+        assert_eq!(ueq[0].at(2, cell), 0.0);
     }
 
     #[test]
     fn vanishing_density_does_not_blow_up() {
-        let mut comps = setup([1.0, 1.0], [1.0, 1.0], [1.0, 0.0], [[0.0; 3]; 2]);
+        let comps = setup([1.0, 1.0], [1.0, 1.0], [1.0, 0.0], [[0.0; 3]; 2]);
         let grid = comps[0].grid();
         let cell = grid.idx(1, 0, 0);
         let mut force = no_force(&comps);
         force[1].set(0, cell, 1.0); // force on an empty component
-        update_equilibrium_velocities(&mut comps, &force);
-        assert!(comps[1].ueq.at(0, cell).is_finite());
-        assert_eq!(comps[1].ueq.at(0, cell), 0.0);
+        let ueq = velocities(&comps, &force);
+        assert!(ueq[1].at(0, cell).is_finite());
+        assert_eq!(ueq[1].at(0, cell), 0.0);
     }
 }

@@ -56,8 +56,10 @@ pub(crate) fn avx2_available() -> bool {
 
 /// AVX2 BGK collision of `n` cells from `src` into `dst`, 4 cells per
 /// iteration, unrolled over [`crate::collision::OPPOSITE_PAIRS`] (module
-/// docs). Returns how many cells it covered (a multiple of 4); the
-/// caller's scalar loop — the same arithmetic — takes the rest.
+/// docs), and j of the same 4 cells of the `then = (f, j, n)` run
+/// (strides `ss`, `us`) while it has them. Returns how many cells it
+/// collided (a multiple of 4); the caller's scalar loop — the same
+/// arithmetic — takes the rest, and the moments kernel the rest of `then`.
 ///
 /// # Safety
 ///
@@ -65,6 +67,10 @@ pub(crate) fn avx2_available() -> bool {
 /// caller must have checked [`avx2_available`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a raw kernel takes its pointers, strides and relaxation rate as scalars"
+)]
 pub(crate) unsafe fn collide_bgk_into_avx2(
     omega: f64,
     src: *const f64,
@@ -72,7 +78,9 @@ pub(crate) unsafe fn collide_bgk_into_avx2(
     dst: *mut f64,
     ds: usize,
     ueq: *const f64,
+    us: usize,
     n: usize,
+    then: Option<(*const f64, *mut f64, usize)>,
 ) -> usize {
     use crate::collision::{OppositePair, OPPOSITE_PAIRS};
     use crate::lattice::{Lattice, D3Q19};
@@ -100,8 +108,8 @@ pub(crate) unsafe fn collide_bgk_into_avx2(
         }
         let u = [
             _mm256_loadu_pd(ueq.add(cell)),
-            _mm256_loadu_pd(ueq.add(ss + cell)),
-            _mm256_loadu_pd(ueq.add(2 * ss + cell)),
+            _mm256_loadu_pd(ueq.add(us + cell)),
+            _mm256_loadu_pd(ueq.add(2 * us + cell)),
         ];
         // 1.5·((u0·u0 + u1·u1) + u2·u2), shared by every direction.
         let uu15 = _mm256_mul_pd(
@@ -139,6 +147,9 @@ pub(crate) unsafe fn collide_bgk_into_avx2(
             })*};
         }
         pairs!(0 1 2 3 4 5 6 7 8);
+        if let Some((f, j, _)) = then.filter(|&(.., m)| cell + L <= m) {
+            moments_avx2(f.add(cell), ss, None, Some((j.add(cell), us)), L);
+        }
         cell += L;
     }
     cell
@@ -158,12 +169,12 @@ pub(crate) unsafe fn collide_bgk_into_avx2(
 /// checked [`avx2_available`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
+#[inline]
 pub(crate) unsafe fn moments_avx2(
     f: *const f64,
     f_stride: usize,
-    psi: *mut f64,
-    j: *mut f64,
-    j_stride: usize,
+    psi: Option<*mut f64>,
+    j: Option<(*mut f64, usize)>,
     n: usize,
 ) -> usize {
     use crate::lattice::{Lattice, D3Q19};
@@ -174,18 +185,22 @@ pub(crate) unsafe fn moments_avx2(
     let mut cell = 0;
     while cell + L <= n {
         let at = f.add(cell);
-        let mut acc = _mm256_setzero_pd();
-        for i in 0..D3Q19::Q {
-            acc = _mm256_add_pd(acc, _mm256_loadu_pd(at.add(i * f_stride)));
-        }
-        _mm256_storeu_pd(psi.add(cell), acc);
-        for a in 0..3 {
+        if let Some(psi) = psi {
             let mut acc = _mm256_setzero_pd();
-            for &(i, e) in &MOMENTUM_TERMS[a] {
-                let v = _mm256_loadu_pd(at.add(i * f_stride));
-                acc = _mm256_add_pd(acc, _mm256_mul_pd(v, _mm256_set1_pd(e)));
+            for i in 0..D3Q19::Q {
+                acc = _mm256_add_pd(acc, _mm256_loadu_pd(at.add(i * f_stride)));
             }
-            _mm256_storeu_pd(j.add(a * j_stride + cell), acc);
+            _mm256_storeu_pd(psi.add(cell), acc);
+        }
+        if let Some((j, j_stride)) = j {
+            for a in 0..3 {
+                let mut acc = _mm256_setzero_pd();
+                for &(i, e) in &MOMENTUM_TERMS[a] {
+                    let v = _mm256_loadu_pd(at.add(i * f_stride));
+                    acc = _mm256_add_pd(acc, _mm256_mul_pd(v, _mm256_set1_pd(e)));
+                }
+                _mm256_storeu_pd(j.add(a * j_stride + cell), acc);
+            }
         }
         cell += L;
     }
@@ -818,14 +833,14 @@ pub(crate) unsafe fn force_assemble_avx2(
 
 #[cfg(test)]
 mod tests {
-    use crate::collision::collide;
+    use crate::collision::{collide, collide_cells_raw};
     use crate::component::{ComponentSpec, ComponentState};
-    use crate::field::LocalGrid;
+    use crate::field::{LocalGrid, SlabArray};
     use crate::lattice::{Lattice, D3Q19};
 
     /// Scalar-only reference BGK, kept in test code so the production
     /// dispatcher can never accidentally be its own oracle.
-    fn collide_bgk_reference(c: &mut ComponentState) {
+    fn collide_bgk_reference(c: &mut ComponentState, ueq: &SlabArray) {
         let grid = c.grid();
         let tau = c.spec.tau;
         let omega = 1.0 / tau;
@@ -838,7 +853,7 @@ mod tests {
                 fi[i] = v;
                 n += v;
             }
-            let u = [c.ueq.at(0, cell), c.ueq.at(1, cell), c.ueq.at(2, cell)];
+            let u = [ueq.at(0, cell), ueq.at(1, cell), ueq.at(2, cell)];
             let uu = u[0] * u[0] + u[1] * u[1] + u[2] * u[2];
             for i in 0..D3Q19::Q {
                 let e = D3Q19::E[i];
@@ -857,10 +872,11 @@ mod tests {
         // every combination with each other and with nonzero values of
         // either sign, and exact-zero populations of both signs among
         // mixed-sign ones. A windowed component, so the channel stride
-        // differs from the window.
+        // differs from the window, and velocities of a stride of their own.
         let grid = LocalGrid::new(5, 3, 5); // 75 interior cells: 18 AVX2 blocks + 3
         let spec = ComponentSpec { tau: 0.71, ..ComponentSpec::water() };
         let mut a = ComponentState::windowed(spec, grid, 10, 3);
+        let mut u = SlabArray::new(grid, 3);
         let mut vals = vec![0.0; D3Q19::Q * grid.cells()];
         lcg_fill(&mut vals, 0xB6);
         let p = grid.plane_cells();
@@ -878,20 +894,25 @@ mod tests {
             // all 64 sign/zero combinations of (u0, u1, u2).
             let k = cell.wrapping_sub(p);
             for axis in 0..3 {
-                a.ueq.set(axis, cell, palette[(k >> (2 * axis)) % 4]);
+                u.set(axis, cell, palette[(k >> (2 * axis)) % 4]);
             }
         }
         let mut want = a.clone();
-        collide_bgk_reference(&mut want);
+        collide_bgk_reference(&mut want, &u);
         let bits = |c: &ComponentState| c.f.to_vec().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         // The dispatcher over the whole interior (AVX2 body + scalar tail),
         // then cell by cell (the scalar loop alone).
         let mut whole = a.clone();
-        collide(&mut whole);
+        collide(&mut whole, &u);
         assert!(bits(&whole) == bits(&want), "folded BGK (AVX2 + tail) differs from the textbook formula");
         let mut scalar = a.clone();
+        let (ss, us, op) = (scalar.f.stride(), u.stride(), scalar.spec.collision);
         for cell in p..p + grid.nx_local() * p {
-            crate::collision::collide_cells(&mut scalar, cell..cell + 1);
+            // SAFETY: one interior cell of each array, collided in place.
+            unsafe {
+                let (f, ueq) = (scalar.f.base_mut_ptr().add(cell), u.base_ptr().add(cell));
+                collide_cells_raw(op, 0.71, f, ss, f, ss, ueq, us, 1, None);
+            }
         }
         assert!(bits(&scalar) == bits(&want), "folded BGK (scalar) differs from the textbook formula");
     }
@@ -907,7 +928,8 @@ mod tests {
     #[cfg(target_arch = "x86_64")]
     #[test]
     fn moments_avx2_matches_scalar_bitwise() {
-        use crate::macroscopic::{moments_raw, raw_momentum};
+        use crate::macroscopic::moments_raw;
+        use crate::macroscopic::tests::raw_momentum;
         if !super::avx2_available() {
             return;
         }
@@ -938,7 +960,7 @@ mod tests {
             // SAFETY: AVX2 was detected above; cells start..start + n lie in
             // the window of `c.f`, psi holds n cells and j 3 rows of j_stride.
             let body = unsafe {
-                super::moments_avx2(f.add(start), c.f.stride(), psi.as_mut_ptr(), j.as_mut_ptr(), j_stride, n)
+                super::moments_avx2(f.add(start), c.f.stride(), Some(psi.as_mut_ptr()), Some((j.as_mut_ptr(), j_stride)), n)
             };
             assert_eq!(body, n - n % 4);
             let check = |psi: &[f64], j: &[f64], upto: usize| {
@@ -961,20 +983,22 @@ mod tests {
             check(&psi, &j, body);
             // SAFETY: as for the AVX2 body above.
             unsafe {
-                moments_raw(f.add(start), c.f.stride(), psi.as_mut_ptr(), j.as_mut_ptr(), j_stride, n)
+                moments_raw(f.add(start), c.f.stride(), Some(psi.as_mut_ptr()), Some((j.as_mut_ptr(), j_stride)), n)
             };
             check(&psi, &j, n);
         }
     }
 
-    /// The velocity update fed Σf·e through the `ueq` slots (AVX2 body and
-    /// scalar tail both run) against a per-cell reference with the
-    /// documented association order — reading the force from a whole-slab
-    /// array (the two-pass reference) and from a plane scratch of stride
-    /// `p` with plane-based views (the production step).
+    /// The velocity update (AVX2 body and scalar tail both run) against a
+    /// per-cell reference with the documented association order: the
+    /// two-pass reference (j of the populations and u_σ^eq into whole-slab
+    /// arrays, the force from a whole-slab array) and the plane collision's
+    /// form (j into a scratch of stride `p` that the update overwrites, the
+    /// force from a plane scratch, plane-based views).
     #[test]
-    fn velocity_update_reads_j_from_ueq_bitwise() {
-        use crate::field::SlabArray;
+    fn velocity_update_turns_j_into_ueq_bitwise() {
+        use crate::macroscopic::moments_raw;
+        use crate::macroscopic::tests::raw_momentum;
         use crate::multicomponent::{update_cells, update_equilibrium_velocities, CompView, RHO_FLOOR};
         let grid = LocalGrid::new(1, 3, 5); // 15 interior cells: 3 AVX2 blocks + 3 tail cells
         let specs = [
@@ -982,89 +1006,94 @@ mod tests {
             ComponentSpec { mass: 0.037, tau: 0.8, ..ComponentSpec::air() },
         ];
         let mut forces: Vec<SlabArray> = specs.iter().map(|_| SlabArray::new(grid, 3)).collect();
-        let mut comps: Vec<ComponentState> = specs
+        let comps: Vec<ComponentState> = specs
             .iter()
             .zip(forces.iter_mut())
             .enumerate()
             .map(|(k, (spec, f))| {
                 let mut c = ComponentState::new(spec.clone(), grid);
-                let mut j = vec![0.0; 3 * grid.cells()];
+                let mut pops = vec![0.0; D3Q19::Q * grid.cells()];
                 let mut psi = vec![0.0; grid.cells()];
                 let mut force = vec![0.0; 3 * grid.cells()];
-                lcg_fill(&mut j, 0xF0 + k as u64);
+                lcg_fill(&mut pops, 0xF0 + k as u64);
                 lcg_fill(&mut psi, 0x51 + k as u64);
                 lcg_fill(&mut force, 0xFA + k as u64);
                 for cell in 0..grid.cells() {
+                    for i in 0..D3Q19::Q {
+                        c.f.set(i, cell, pops[i * grid.cells() + cell]);
+                    }
                     // Mix dense cells with a few below the density floor so
                     // the guard is exercised in both directions.
                     c.psi.set(0, cell, if cell % 7 == 3 { 0.0 } else { psi[cell].abs() + 0.1 });
                     for a in 0..3 {
-                        c.ueq.set(a, cell, j[a * grid.cells() + cell]);
                         f.set(a, cell, force[a * grid.cells() + cell]);
                     }
                 }
                 c
             })
             .collect();
-        let before = comps.clone();
+        let mut ueq: Vec<SlabArray> = specs.iter().map(|_| SlabArray::new(grid, 3)).collect();
+        update_equilibrium_velocities(&comps, &forces, &mut ueq);
+        // The same update over plane 1, forces copied to a plane scratch and
+        // j taken into a block scratch.
         let p = grid.plane_cells();
-        let mut planed = comps.clone();
-        update_equilibrium_velocities(&mut comps, &forces);
-        // The same update over plane 1 with its forces copied to a scratch.
-        let mut scratch: Vec<Vec<f64>> = forces
+        let scratch: Vec<Vec<f64>> = forces
             .iter()
             .map(|f| (0..3).flat_map(|a| f.channel(a)[p..2 * p].to_vec()).collect())
             .collect();
-        let views: Vec<CompView> = planed
-            .iter_mut()
-            .zip(scratch.iter_mut())
-            .map(|(c, force)| CompView {
-                // SAFETY: plane 1 of a three-plane window is in bounds.
-                psi: unsafe { c.psi.base_ptr().add(p) },
-                force: force.as_ptr(),
-                force_stride: p,
-                // SAFETY: as for psi.
-                ueq: unsafe { c.ueq.base_mut_ptr().add(p) },
-                mass: c.spec.mass,
-                momentum_tau: c.spec.momentum_tau(),
+        let mut blocks = vec![vec![f64::NAN; 3 * p]; comps.len()];
+        let views: Vec<CompView> = comps
+            .iter()
+            .zip(&scratch)
+            .zip(blocks.iter_mut())
+            .map(|((c, force), block)| {
+                // SAFETY: plane 1 of a three-plane window is in bounds, and
+                // the block holds 3 channels of `p` cells.
+                unsafe { moments_raw(c.f.base_ptr().add(p), c.f.stride(), None, Some((block.as_mut_ptr(), p)), p) };
+                CompView {
+                    // SAFETY: as above.
+                    psi: unsafe { c.psi.base_ptr().add(p) },
+                    force: force.as_ptr(),
+                    force_stride: p,
+                    ueq: block.as_mut_ptr(),
+                    mass: c.spec.mass,
+                    momentum_tau: c.spec.momentum_tau(),
+                }
             })
             .collect();
-        // SAFETY: every view addresses plane 1 with the arrays' own strides,
-        // and the scratch planes alias nothing the update reads.
-        unsafe { update_cells(&views, grid.cells(), 0..p) };
-        for (c, d) in planed.iter().zip(&comps) {
-            let bits = |c: &ComponentState| c.ueq.to_vec().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert!(bits(c) == bits(d), "plane-strided force differs from the whole-slab one");
+        // SAFETY: every view addresses plane 1 or a scratch of its own
+        // stride, and the scratches alias nothing the update reads.
+        unsafe { update_cells(&views, p, 0..p) };
+        for (block, u) in blocks.iter().zip(&ueq) {
+            let plane: Vec<u64> = (0..3).flat_map(|a| u.channel(a)[p..2 * p].to_vec()).map(f64::to_bits).collect();
+            assert!(block.iter().map(|v| v.to_bits()).eq(plane), "the block form differs from the whole-slab one");
         }
         for cell in p..2 * p {
+            let j: Vec<[f64; 3]> = comps.iter().map(|c| raw_momentum(c, cell)).collect();
             let mut num = [0.0f64; 3];
             let mut den = 0.0f64;
-            for c in &before {
+            for (c, j) in comps.iter().zip(&j) {
                 let (m, inv_tau) = (c.spec.mass, 1.0 / c.spec.momentum_tau());
                 for a in 0..3 {
-                    num[a] += m * c.ueq.at(a, cell) * inv_tau;
+                    num[a] += m * j[a] * inv_tau;
                 }
                 den += m * c.psi.at(0, cell) * inv_tau;
             }
             let ubar = if den > RHO_FLOOR { num.map(|n| n / den) } else { [0.0; 3] };
-            for (k, c) in before.iter().enumerate() {
+            for (k, c) in comps.iter().enumerate() {
                 let rho = c.spec.mass * c.psi.at(0, cell);
                 let shift = if rho > RHO_FLOOR { c.spec.momentum_tau() / rho } else { 0.0 };
                 for a in 0..3 {
                     let want = ubar[a] + shift * forces[k].at(a, cell);
-                    assert_eq!(
-                        comps[k].ueq.at(a, cell).to_bits(),
-                        want.to_bits(),
-                        "component {k} axis {a} cell {cell}"
-                    );
+                    assert_eq!(ueq[k].at(a, cell).to_bits(), want.to_bits(), "component {k} axis {a} cell {cell}");
                 }
             }
         }
         // Ghost planes are not part of the update.
-        for (c, b) in comps.iter().zip(&before) {
+        for u in &ueq {
             for cell in (0..p).chain(2 * p..3 * p) {
                 for a in 0..3 {
-                    assert_eq!(c.ueq.at(a, cell).to_bits(), b.ueq.at(a, cell).to_bits());
+                    assert_eq!(u.at(a, cell).to_bits(), 0);
                 }
             }
         }

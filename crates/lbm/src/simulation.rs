@@ -7,7 +7,6 @@
 //! speedup in the paper's evaluation.
 
 use crate::config::ChannelConfig;
-use crate::field::{LocalGrid, SlabArray};
 use crate::geometry::Slab;
 use crate::macroscopic::Snapshot;
 use crate::solver::SlabSolver;
@@ -88,14 +87,9 @@ impl Simulation {
     }
 
     /// Ends the simulation with its [`snapshot`](Self::snapshot) and frees
-    /// the lattices, without the process's peak memory rising for the
-    /// snapshot: the equilibrium velocities, which a snapshot does not read
-    /// and which outweigh it for two components, go before its fields are
-    /// allocated.
-    pub fn into_snapshot(mut self) -> Snapshot {
-        for c in &mut self.solver.comps {
-            c.ueq = SlabArray::new(LocalGrid::new(1, 1, 1), 1);
-        }
+    /// the lattices as soon as it is taken, so a caller that goes on to
+    /// encode the snapshot does so without the lattices alive.
+    pub fn into_snapshot(self) -> Snapshot {
         self.solver.snapshot()
     }
 

@@ -9,30 +9,32 @@
 //! workers and the TCP ranks:
 //!
 //! ```text
-//! collide_edges                   (line 4, the two planes the halo ships)
+//! collide_edges                   (lines 16–17 and 4 for the two planes the
+//!                                  halo ships: forces and equilibrium
+//!                                  velocities from ψ, then the collision)
 //! ⇄ exchange populations          (line 8)
-//! stream_collide_fused            (lines 4–5, 10–11, 14: collide the rest,
-//!                                  stream + bounce back, take ψ and Σf·e
-//!                                  of each streamed plane — one sweep)
+//! stream_collide_fused            (the same for the rest, plane by plane
+//!                                  just ahead of streaming, then lines 10–11,
+//!                                  14: stream + bounce back, take ψ of each
+//!                                  streamed plane — one sweep)
 //! ⇄ exchange number density       (line 14)
-//! forces_and_velocities           (lines 16–17, plane by plane: forces into
-//!                                  a plane scratch, then the velocities
-//!                                  from it and the Σf·e parked in `ueq`)
 //! ```
 //!
-//! Between `stream_collide_fused` and `forces_and_velocities`, `ueq` holds
-//! Σf·e, not a velocity; every checkpoint, migration and snapshot is taken
-//! at a phase boundary, outside that interval. The state at a phase
-//! boundary is `f`, ψ (ghost planes included) and `ueq`: the force field
-//! is never stored, and the snapshot recomputes it from ψ.
+//! Two compute sections around the paper's two exchanges: the forces and
+//! equilibrium velocities the paper computes at the end of phase n are
+//! formed at the start of phase n + 1, one plane at a time, just before
+//! that plane's collision consumes them. The state at a phase boundary is
+//! `f` and ψ (ghost planes included), 20 channels per component; neither
+//! the force nor the equilibrium velocity is ever stored, and the snapshot
+//! recomputes the force from ψ.
 //!
 //! The sequential driver is the single-slab special case where both
 //! exchanges reduce to periodic ghost copies
 //! ([`phase_periodic`](SlabSolver::phase_periodic)). Because all kernels
 //! operate per cell in the same order in every driver, a decomposed run is
 //! **bitwise identical** to a sequential run — the invariant the
-//! integration tests pin down. The textbook order (collide everything,
-//! then stream everything, forces and velocities as two whole-slab passes)
+//! integration tests pin down. The textbook order (forces and velocities as
+//! two whole-slab passes, collide everything, then stream everything)
 //! survives only as the serial, test-only
 //! [`phase_periodic_reference`](SlabSolver::phase_periodic_reference) that
 //! `tests/parallel_equivalence.rs` holds the schedule to.
@@ -88,10 +90,12 @@ pub struct SlabSolver {
     /// Solid mask over the same storage planes (so ghost planes included),
     /// built once from `obstacles` and read through the same window.
     solid: Vec<bool>,
-    /// The whole-slab force arrays of the two-pass reference, allocated by
-    /// [`compute_forces`](Self::compute_forces) only; no production path
-    /// touches them.
+    /// The whole-slab force and equilibrium-velocity arrays of the
+    /// two-pass reference, allocated by [`compute_forces`](Self::compute_forces)
+    /// and [`compute_velocities`](Self::compute_velocities) only; no
+    /// production path touches them.
     reference_force: Option<Vec<SlabArray>>,
+    reference_ueq: Option<Vec<SlabArray>>,
 }
 
 impl SlabSolver {
@@ -137,6 +141,7 @@ impl SlabSolver {
             slip_ry: config.wall_bc.slip_ry(0, nx_global, cap_planes),
             solid: Vec::new(),
             reference_force: None,
+            reference_ueq: None,
         };
         solver.solid = solid_mask(&solver.obstacles, config.dims, 0..cap_planes);
         solver
@@ -148,8 +153,8 @@ impl SlabSolver {
     }
 
     /// Zeros all per-cell state at solid cells, once, after initialization
-    /// (whose ψ/ueq defaults must not linger there); streaming keeps their
-    /// populations zero from then on, and ψ and ueq follow from those.
+    /// (whose ψ default must not linger there); streaming keeps their
+    /// populations zero from then on, and ψ follows from those.
     fn clear_solid_cells(&mut self) {
         if self.obstacles.is_empty() {
             return;
@@ -161,9 +166,6 @@ impl SlabSolver {
                     c.f.set(i, cell, 0.0);
                 }
                 c.psi.set(0, cell, 0.0);
-                for a in 0..3 {
-                    c.ueq.set(a, cell, 0.0);
-                }
             }
         }
     }
@@ -218,51 +220,39 @@ impl SlabSolver {
 
     /// Phase step 1: collides the two slab-edge planes — everything the
     /// population halo exchange reads ([`f_halo_out`](Self::f_halo_out)
-    /// ships edge planes only). The remaining planes are left to
-    /// [`stream_collide_fused`](Self::stream_collide_fused), which collides
-    /// them just ahead of streaming.
+    /// ships edge planes only) — in place, each at equilibrium velocities
+    /// formed from ψ just before (ψ ghosts current). The remaining planes
+    /// are left to [`stream_collide_fused`](Self::stream_collide_fused),
+    /// which collides them just ahead of streaming.
     pub fn collide_edges(&mut self) {
         let grid = self.grid();
-        let p = grid.plane_cells();
-        for c in self.comps.iter_mut() {
-            crate::collision::collide_cells(c, LocalGrid::FIRST * p..(LocalGrid::FIRST + 1) * p);
-            if grid.last() != LocalGrid::FIRST {
-                crate::collision::collide_cells(c, grid.last() * p..(grid.last() + 1) * p);
-            }
-        }
+        let edges = [LocalGrid::FIRST, grid.last()];
+        let planes = if grid.last() == LocalGrid::FIRST { &edges[..1] } else { &edges[..] };
+        let solid = window(&self.solid, self.x0, grid);
+        let forcing = (&self.coupling, &self.wall, self.body);
+        crate::multicomponent::collide_planes(&mut self.comps, forcing, solid, planes);
     }
 
     /// Phase step 2 (after the population exchange): collides the interior
     /// planes and streams every plane in a single sweep over `f`, applying
     /// the active wall BC (bounce-back or a slip rule) at channel walls and
-    /// obstacles, and leaves each streamed plane's ψ in `psi` and its Σf·e
-    /// in `ueq`. The BC is resolved to a per-plane weight map here, once;
-    /// the sweep kernels never dispatch per cell.
+    /// obstacles, and leaves each streamed plane's ψ in `psi`. The BC is
+    /// resolved to a per-plane weight map here, once; the sweep kernels
+    /// never dispatch per cell.
     pub fn stream_collide_fused(&mut self) {
         let grid = self.grid();
         let slip = slip_map(&self.slip_ry, self.x0, grid.lx, &self.wall_bc);
         let solid = window(&self.solid, self.x0, grid);
         let has_solid = !self.obstacles.is_empty();
-        for c in self.comps.iter_mut() {
-            crate::streaming::stream_collide_fused(c, solid, has_solid, slip);
-        }
+        let forcing = (&self.coupling, &self.wall, self.body);
+        crate::streaming::sweep(&mut self.comps, solid, has_solid, slip, Some(forcing));
     }
 
-    /// The moments of the whole slab (ψ into `psi`, Σf·e into `ueq`) — what
+    /// ψ of the whole slab — what
     /// [`stream_collide_fused`](Self::stream_collide_fused) leaves behind.
     /// Not a phase step: priming and the test oracle call it.
     pub fn compute_psi(&mut self) {
         self.comps.iter_mut().for_each(crate::macroscopic::compute_psi);
-    }
-
-    /// Phase step 3 (after the ψ exchange): the total force densities and,
-    /// from them and the Σf·e held in `ueq`, the common velocity and the
-    /// equilibrium velocities — one plane at a time, so the forces live in
-    /// a plane scratch and never in memory (see
-    /// [`crate::multicomponent::forces_and_velocities`]).
-    pub fn forces_and_velocities(&mut self) {
-        let solid = window(&self.solid, self.x0, self.grid());
-        crate::multicomponent::forces_and_velocities(&mut self.comps, &self.coupling, &self.wall, self.body, solid);
     }
 
     /// The force kernel of this slab as it stands (ψ ghosts current).
@@ -271,30 +261,38 @@ impl SlabSolver {
         ForcePlanes::new(&self.comps, &self.coupling, &self.wall, self.body, solid)
     }
 
-    /// First half of the two-pass reference of
-    /// [`forces_and_velocities`](Self::forces_and_velocities): every
-    /// force density into whole-slab arrays this call allocates (and keeps
-    /// for the next). For the test oracle and the ledger's step table; no
-    /// production path calls it.
+    /// First half of the two-pass reference of the equilibrium velocities
+    /// the collisions form: every force density into whole-slab arrays this
+    /// call allocates (and keeps for the next). For the test oracle and the
+    /// ledger's step table; no production path calls it.
     #[doc(hidden)]
     pub fn compute_forces(&mut self) {
         let grid = self.grid();
-        let mut forces = match self.reference_force.take() {
-            Some(forces) if forces[0].grid() == grid => forces,
-            _ => self.comps.iter().map(|_| SlabArray::new(grid, 3)).collect(),
-        };
+        let mut forces = reference_arrays(self.reference_force.take(), grid, self.comps.len());
         let solid = window(&self.solid, self.x0, grid);
         crate::force::compute_forces(&self.comps, &self.coupling, &self.wall, self.body, solid, &mut forces);
         self.reference_force = Some(forces);
     }
 
     /// Second half of the two-pass reference: the equilibrium velocities
-    /// from the forces [`compute_forces`](Self::compute_forces) stored.
-    /// Panics without them.
+    /// from the current populations and the forces
+    /// [`compute_forces`](Self::compute_forces) stored, into whole-slab
+    /// arrays of their own ([`reference_ueq`](Self::reference_ueq)); the
+    /// state is not written. Panics without the forces.
     #[doc(hidden)]
     pub fn compute_velocities(&mut self) {
         let forces = self.reference_force.as_deref().expect("compute_velocities needs compute_forces first");
-        crate::multicomponent::update_equilibrium_velocities(&mut self.comps, forces);
+        let mut ueq = reference_arrays(self.reference_ueq.take(), self.grid(), self.comps.len());
+        crate::multicomponent::update_equilibrium_velocities(&self.comps, forces, &mut ueq);
+        self.reference_ueq = Some(ueq);
+    }
+
+    /// The equilibrium velocities the last
+    /// [`compute_velocities`](Self::compute_velocities) formed, one
+    /// 3-channel array per component (ghost planes zero), if any.
+    #[doc(hidden)]
+    pub fn reference_ueq(&self) -> Option<&[SlabArray]> {
+        self.reference_ueq.as_deref()
     }
 
     // ---- halo protocol ---------------------------------------------------
@@ -355,7 +353,7 @@ impl SlabSolver {
 
     /// The plane-long runs of local plane `xl`'s phase-boundary state, in
     /// the one order a checkpoint's plane records and a migration message
-    /// hold them: component by component, `f` (19 channels), ψ, `ueq` (3).
+    /// hold them: component by component, `f` (19 channels), then ψ.
     pub(crate) fn plane_runs(comps: &[ComponentState], xl: usize) -> impl Iterator<Item = &[f64]> {
         comps.iter().flat_map(ComponentState::arrays).flat_map(move |a| a.plane_runs(xl))
     }
@@ -455,14 +453,13 @@ impl SlabSolver {
 
     // ---- migration protocol ----------------------------------------------
 
-    /// `f64` values per migrated plane: populations, number density and
-    /// equilibrium velocity for every component — the complete
-    /// phase-boundary state of a plane, so migration is exactly
-    /// state-preserving (observables included). A migration message is
-    /// `count` of these plus one ψ plane per component
+    /// `f64` values per migrated plane: populations and number density for
+    /// every component — the complete phase-boundary state of a plane, so
+    /// migration is exactly state-preserving (observables included). A
+    /// migration message is `count` of these plus one ψ plane per component
     /// ([`psi_halo_len`](Self::psi_halo_len)), the receiver's new ghost.
     pub fn migration_plane_len(&self) -> usize {
-        (D3Q19::Q + 1 + 3) * self.comps.len() * self.grid().plane_cells()
+        (D3Q19::Q + 1) * self.comps.len() * self.grid().plane_cells()
     }
 
     /// Values in a migration message of `count` planes.
@@ -505,16 +502,15 @@ impl SlabSolver {
 
     /// Moves every array's window to `nx_local` planes at the current `x0`.
     /// The surviving planes stay where they are in storage. The new ghost
-    /// planes of `f` and `ueq` come out zero (a checkpoint stores them, and
-    /// nothing reads them before the next exchange); ψ's keep their slots'
-    /// values — the caller installs any that were outside the old window.
+    /// planes of `f` come out zero (a checkpoint stores them, and nothing
+    /// reads them before the next exchange); ψ's keep their slots' values —
+    /// the caller installs any that were outside the old window.
     /// The solid mask and slip weights need nothing: they are read through
     /// the same window.
     fn set_window(&mut self, nx_local: usize) {
         for c in self.comps.iter_mut() {
             c.f.set_window(self.x0, nx_local);
             c.psi.move_window(self.x0, nx_local);
-            c.ueq.set_window(self.x0, nx_local);
         }
     }
 
@@ -544,65 +540,58 @@ impl SlabSolver {
     // ---- drivers & observables --------------------------------------------
 
     /// One full phase with periodic ghost self-exchange; only meaningful
-    /// when this slab covers the entire channel. The same five steps the
-    /// runtime workers run, with the two exchanges as local ghost copies.
+    /// when this slab covers the entire channel. The same steps the runtime
+    /// workers run, with the two exchanges as local ghost copies.
     pub fn phase_periodic(&mut self) {
         assert_eq!(self.nx_local(), self.global_nx, "phase_periodic needs the whole channel");
         self.collide_edges();
         self.f_ghosts_periodic();
         self.stream_collide_fused();
-        self.finish_phase_periodic();
+        self.psi_ghosts_periodic();
     }
 
     /// Test oracle for [`phase_periodic`](Self::phase_periodic): the
-    /// textbook order — collide every plane, fill ghosts, stream every
-    /// plane — run serially, then the rest recomputed from the populations
-    /// (whole-slab moments first), with the forces and the velocities as
-    /// two whole-slab passes. Not a second schedule: nothing outside the
-    /// tests calls it.
+    /// textbook order — the forces and the equilibrium velocities as two
+    /// whole-slab passes, collide every plane, fill ghosts, stream every
+    /// plane — run serially, then ψ recomputed from the populations as a
+    /// whole-slab pass. Not a second schedule: nothing outside the tests
+    /// calls it.
     #[doc(hidden)]
     pub fn phase_periodic_reference(&mut self) {
         assert_eq!(self.nx_local(), self.global_nx, "phase_periodic needs the whole channel");
-        for c in self.comps.iter_mut() {
-            crate::collision::collide(c);
+        self.compute_forces();
+        self.compute_velocities();
+        let ueq = self.reference_ueq.as_deref().expect("compute_velocities stores them");
+        for (c, ueq) in self.comps.iter_mut().zip(ueq) {
+            crate::collision::collide(c, ueq);
         }
         self.f_ghosts_periodic();
         let grid = self.grid();
         let slip = slip_map(&self.slip_ry, 0, grid.lx, &self.wall_bc);
         let has_solid = !self.obstacles.is_empty();
-        for c in self.comps.iter_mut() {
-            crate::streaming::stream_unfused(c, window(&self.solid, 0, grid), has_solid, slip);
-        }
+        crate::streaming::sweep(&mut self.comps, window(&self.solid, 0, grid), has_solid, slip, None);
         self.compute_psi();
         self.psi_ghosts_periodic();
-        self.compute_forces();
-        self.compute_velocities();
-    }
-
-    /// The post-moments half of a periodic phase (and of priming).
-    fn finish_phase_periodic(&mut self) {
-        self.psi_ghosts_periodic();
-        self.forces_and_velocities();
     }
 
     /// Brings a freshly initialized solver to a consistent phase-start
-    /// state (ψ and its ghosts, ueq), using periodic ghosts. Parallel drivers do
-    /// the same steps with real exchanges instead.
+    /// state (ψ and its ghosts), using periodic ghosts. Parallel drivers do
+    /// the same steps with a real exchange instead.
     pub fn prime_periodic(&mut self) {
         self.compute_psi();
-        self.finish_phase_periodic();
+        self.psi_ghosts_periodic();
     }
 
     /// As [`prime_periodic`](Self::prime_periodic) but without the ghost
-    /// fill — the parallel driver exchanges ψ between the two steps.
+    /// fill — the parallel driver exchanges ψ after it.
     pub fn prime_local_psi(&mut self) {
         self.compute_psi();
     }
 
-    /// Completes priming after the ψ exchange.
-    pub fn prime_finish(&mut self) {
-        self.forces_and_velocities();
-    }
+    /// Completes priming after the ψ exchange: nothing is left to do, as
+    /// the first collision forms its equilibrium velocities itself. Kept so
+    /// a driver written against the three-step priming still runs.
+    pub fn prime_finish(&mut self) {}
 
     /// Captures the macroscopic state of this slab's interior.
     pub fn snapshot(&self) -> Snapshot {
@@ -634,6 +623,15 @@ impl SlabSolver {
     /// Total mass over this slab (all components).
     pub fn total_mass(&self) -> f64 {
         self.comps.iter().map(|c| c.total_mass()).sum()
+    }
+}
+
+/// The reference arrays of a two-pass step: `kept` if they are still on
+/// `grid`, else `comps` fresh 3-channel arrays.
+fn reference_arrays(kept: Option<Vec<SlabArray>>, grid: LocalGrid, comps: usize) -> Vec<SlabArray> {
+    match kept {
+        Some(arrays) if arrays[0].grid() == grid => arrays,
+        _ => (0..comps).map(|_| SlabArray::new(grid, 3)).collect(),
     }
 }
 
@@ -781,7 +779,12 @@ mod tests {
         for s in solvers.iter_mut() {
             s.stream_collide_fused();
         }
-        // Exchange ψ.
+        exchange_psi(solvers);
+    }
+
+    /// The ψ exchange of [`phase_decomposed`], alone for priming.
+    fn exchange_psi(solvers: &mut [SlabSolver]) {
+        let n = solvers.len();
         let p_len = solvers[0].psi_halo_len();
         let mut right_psi = vec![vec![0.0; p_len]; n];
         let mut left_psi = vec![vec![0.0; p_len]; n];
@@ -794,33 +797,14 @@ mod tests {
             let from_right = (i + 1) % n;
             solvers[i].psi_halo_in(Side::Left, &right_psi[from_left]);
             solvers[i].psi_halo_in(Side::Right, &left_psi[from_right]);
-        }
-        for s in solvers.iter_mut() {
-            s.forces_and_velocities();
         }
     }
 
     fn prime_decomposed(solvers: &mut [SlabSolver]) {
-        let n = solvers.len();
         for s in solvers.iter_mut() {
             s.prime_local_psi();
         }
-        let p_len = solvers[0].psi_halo_len();
-        let mut right_psi = vec![vec![0.0; p_len]; n];
-        let mut left_psi = vec![vec![0.0; p_len]; n];
-        for (i, s) in solvers.iter().enumerate() {
-            s.psi_halo_out(Side::Right, &mut right_psi[i]);
-            s.psi_halo_out(Side::Left, &mut left_psi[i]);
-        }
-        for i in 0..n {
-            let from_left = (i + n - 1) % n;
-            let from_right = (i + 1) % n;
-            solvers[i].psi_halo_in(Side::Left, &right_psi[from_left]);
-            solvers[i].psi_halo_in(Side::Right, &left_psi[from_right]);
-        }
-        for s in solvers.iter_mut() {
-            s.prime_finish();
-        }
+        exchange_psi(solvers);
     }
 
     #[test]
@@ -918,7 +902,6 @@ mod tests {
         let cfg = small_config();
         let mut a = SlabSolver::new(&cfg, Slab { x0: 3, nx_local: 6 });
         a.prime_local_psi();
-        a.prime_finish();
         // Planes leave on both sides; their values stay behind in storage.
         a.take_planes(Side::Left, 2);
         a.take_planes(Side::Right, 3);
@@ -933,6 +916,22 @@ mod tests {
         for (c, d) in a.components().iter().zip(fresh.components()) {
             assert_eq!(c.arrays(), d.arrays());
         }
+    }
+
+    #[test]
+    fn the_phase_boundary_state_is_f_and_psi() {
+        // Q + 1 channels a component — populations and ψ — in the arrays,
+        // in a migrated plane and in every plane record of a checkpoint
+        // (magic and seven header words, then the window, ghosts included).
+        let cfg = small_config();
+        let s = SlabSolver::new(&cfg, Slab { x0: 2, nx_local: 5 });
+        let (q1, comps, p) = (D3Q19::Q + 1, s.components().len(), cfg.dims.ny * cfg.dims.nz);
+        for c in s.components() {
+            assert_eq!(c.arrays().iter().map(|a| a.channels()).sum::<usize>(), q1);
+        }
+        assert_eq!(s.migration_plane_len(), q1 * comps * p);
+        let bytes = crate::checkpoint::save_solver(&s, 0);
+        assert_eq!(bytes.len(), 64 + (s.nx_local() + 2) * q1 * comps * p * 8);
     }
 
     #[test]

@@ -1,15 +1,16 @@
 #![expect(
     unsafe_code,
     reason = "raw-pointer sweep over the x-planes of the slab's window (window base \
-              + storage channel stride, the window inside the capacity): each plane \
-              is collided out of place into a three-slot ring of post-collision \
-              planes (or copied in, if collided before the sweep), and f is written \
-              only by streaming, from ring slots or ghost planes, never a plane of f \
-              being written; psi and the ueq slots of the streamed plane are written \
-              row block by row block, after that plane's collision read them"
+              + storage channel stride, the window inside the capacity), every \
+              component plane by plane: each plane is collided out of place into its \
+              component's three-slot ring of post-collision planes (or copied in, if \
+              collided before the sweep), and f is written only by streaming, from \
+              ring slots or ghost planes, never a plane of f being written; psi of \
+              the streamed plane is written row block by row block, after the last \
+              collision that reads it (that of the next plane)"
 )]
-//! Streaming (propagation) with halfway bounce-back walls, and the moments
-//! of each streamed plane.
+//! Streaming (propagation) with halfway bounce-back walls, and ψ of each
+//! streamed plane.
 //!
 //! Post-collision populations move one lattice link per phase. We use the
 //! *pull* formulation: the new population at a cell is read from the
@@ -34,12 +35,14 @@
 //!
 //! # One schedule
 //!
-//! There is one production entry point, [`stream_collide_fused`]: the
+//! There is one production entry point, [`sweep`] with forcing: the
 //! solver collides the two slab-edge planes, exchanges halos, and this
-//! sweep collides every remaining plane just ahead of streaming it. The
-//! unfused variant of the same sweep (`fuse = false`, all planes collided
-//! beforehand) exists only for `SlabSolver::phase_periodic_reference` and
-//! the unit tests below, which hold it to a two-lattice per-cell oracle.
+//! sweep collides every remaining plane just ahead of streaming it — all
+//! components plane by plane, as a plane's equilibrium velocities couple
+//! them ([`PlaneCollision`]). The same sweep without forcing (all planes
+//! collided beforehand) exists only for
+//! `SlabSolver::phase_periodic_reference` and the unit tests below, which
+//! hold it to a two-lattice per-cell oracle.
 //!
 //! # In-place sweep over a three-slot ring
 //!
@@ -53,8 +56,9 @@
 //! before plane `xl` is streamed. So `f` is written once per plane, by
 //! streaming: collided values are neither written back to `f` nor copied
 //! into the ring. Only planes collided before the sweep are copied into a
-//! slot: the two slab-edge planes and every plane of the `fuse = false`
-//! path.
+//! slot: the two slab-edge planes and every plane of a sweep without
+//! forcing.
+//! Every component has its own ring; all of them are live at once.
 //!
 //! Streaming is pure data movement — every destination receives exactly the
 //! same source value as the two-lattice scheme — so the result is bitwise
@@ -64,15 +68,14 @@
 //! # Row blocks
 //!
 //! A plane is streamed [`ROW_BLOCK_CELLS`] cells (whole z-rows) at a time,
-//! all 19 channels, and each block's moments — ψ = Σ_i f_i to `psi`, the
-//! number momentum Σ_i f_i e_i to its `ueq` slots ([`moments_raw`]) — are
-//! taken while it is still in L1, not re-read as a whole plane from L3 (a
-//! paper-grid plane is 608 KB, and the ring alone fills most of a 2 MiB
-//! L2). The `ueq` slots are dead storage by then — a plane is always
-//! collided, their only reader, before it is streamed — until
-//! [`crate::multicomponent`]'s velocity update reads the momentum there and
-//! overwrites it with the next equilibrium velocity: no ψ pass, no extra
-//! lattice-sized array.
+//! all 19 channels, and each block's ψ = Σ_i f_i ([`moments_raw`]) is taken
+//! into `psi` while it is still in L1, not re-read as a whole plane from L3
+//! (a paper-grid plane is 608 KB, and one component's ring alone fills most
+//! of a 2 MiB L2): no ψ pass. ψ of plane `xl` is overwritten only once the
+//! collision of plane `xl + 1`, the last whose forces read it, is done. The
+//! number momentum Σ_i f_i e_i is not taken here: the collision of the next
+//! phase takes it from the same populations, which no one changes in
+//! between, just before it needs it.
 //!
 //! # Slip boundary conditions
 //!
@@ -108,6 +111,7 @@ use crate::component::ComponentState;
 use crate::field::LocalGrid;
 use crate::lattice::{Lattice, D3Q19};
 use crate::macroscopic::moments_raw;
+use crate::multicomponent::{Forcing, PlaneCollision};
 use std::ops::Range;
 
 const Q: usize = D3Q19::Q;
@@ -115,50 +119,6 @@ const Q: usize = D3Q19::Q;
 /// Cells per streaming row block, rounded down to whole z-rows (at least
 /// one): the block's 19 channels stay in L1 for its moments (module docs).
 const ROW_BLOCK_CELLS: usize = 80;
-
-/// The production sweep: collides and streams one component over the
-/// interior of its slab **in place**, consuming the ghost planes of `f`.
-///
-/// Requires planes `FIRST` and `last` to be **already collided**
-/// ([`crate::solver::SlabSolver::collide_edges`] — their post-collision
-/// populations are what the halo exchange ships) and the ghost planes of
-/// `f` to be current. Collides each remaining interior plane and streams
-/// every plane in a single pass: streaming plane `xl` pulls from planes
-/// `xl − 1 ..= xl + 1`, so the sweep collides plane `xl + 1` into the ring
-/// just before streaming `xl`.
-///
-/// `solid` flags solid cells over the full local grid (ghost planes
-/// included); populations bounce back at solid upstream cells exactly as
-/// they do at the channel walls, and solid cells themselves carry no
-/// populations. `has_solid` selects the per-cell obstacle kernels (the
-/// solver knows it without scanning the mask).
-///
-/// Collision stays cell-local and streaming reads the same post-collision
-/// values, so the result is bitwise identical to a whole-slab collision
-/// followed by [`stream_unfused`].
-///
-/// After this call, `f` holds the post-streaming populations (its ghost
-/// planes are stale), `psi` their ψ and `ueq` their Σf·e (module docs).
-pub(crate) fn stream_collide_fused(
-    comp: &mut ComponentState,
-    solid: &[bool],
-    has_solid: bool,
-    slip: Option<SlipMap<'_>>,
-) {
-    sweep(comp, solid, has_solid, slip, true);
-}
-
-/// The same sweep over a slab whose planes are **all** already collided:
-/// the streaming half of the test-only reference schedule
-/// ([`crate::solver::SlabSolver::phase_periodic_reference`]).
-pub(crate) fn stream_unfused(
-    comp: &mut ComponentState,
-    solid: &[bool],
-    has_solid: bool,
-    slip: Option<SlipMap<'_>>,
-) {
-    sweep(comp, solid, has_solid, slip, false);
-}
 
 /// One post-collision x-plane as a streaming source: a ring slot or a
 /// ghost plane of `f` (which streaming never writes). `ch(i)` is the
@@ -179,24 +139,40 @@ impl PlaneSrc {
     }
 }
 
-/// The in-place sweep behind [`stream_collide_fused`] (`fuse = true`: edge
-/// planes collided, the rest collided into the ring inside the sweep) and
-/// [`stream_unfused`] (`fuse = false`: every plane already collided — pure
-/// data movement, which is what the unit tests hold against the
-/// two-lattice oracles). Either way each row block's moments are taken as
-/// soon as it is streamed (module docs).
-fn sweep(
-    comp: &mut ComponentState,
+/// The in-place sweep: collides and streams every component over the
+/// interior of its slab **in place**, consuming the ghost planes of `f`,
+/// and leaves the post-streaming populations in `f` (its ghost planes
+/// stale) and their ψ in `psi` (module docs).
+///
+/// With `forcing` — the production sweep — planes `FIRST` and `last` must
+/// be **already collided** ([`crate::solver::SlabSolver::collide_edges`]:
+/// their post-collision populations are what the halo exchange ships), and
+/// ψ, ghost planes included, that of the phase boundary. Streaming plane
+/// `xl` pulls from planes `xl − 1 ..= xl + 1`, so the sweep collides plane
+/// `xl + 1` into the ring just before streaming `xl`, at equilibrium
+/// velocities formed from ψ of planes `xl ..= xl + 2`, none of which it
+/// has overwritten yet ([`PlaneCollision`]); collision stays cell-local,
+/// so the result is bitwise a whole-slab collision followed by the sweep
+/// without `forcing`. Without it, every plane must be collided already —
+/// pure data movement, the streaming half of the test-only reference
+/// schedule, which the unit tests hold against two-lattice oracles.
+///
+/// The ghost planes of `f` must be current. `solid` flags solid cells over
+/// the full local grid (ghost planes included); populations bounce back at
+/// solid upstream cells exactly as they do at the channel walls, and solid
+/// cells themselves carry no populations. `has_solid` selects the per-cell
+/// obstacle kernels (the solver knows it without scanning the mask).
+pub(crate) fn sweep(
+    comps: &mut [ComponentState],
     solid: &[bool],
     has_solid: bool,
     slip: Option<SlipMap<'_>>,
-    fuse: bool,
+    forcing: Option<Forcing<'_>>,
 ) {
-    let grid = comp.grid();
-    // Channel stride of `f` and `ueq`; every plane index below is local to
-    // the window both base pointers start at.
-    let cells = comp.f.stride();
-    debug_assert_eq!(comp.ueq.stride(), cells);
+    let grid = comps[0].grid();
+    // Channel stride of `f` and `psi` of every component; every plane
+    // index below is local to the window all base pointers start at.
+    let cells = comps[0].f.stride();
     let p = grid.plane_cells();
     assert_eq!(solid.len(), grid.cells());
     if let Some(s) = slip {
@@ -204,72 +180,75 @@ fn sweep(
     }
     let first = LocalGrid::FIRST;
     let last = grid.last();
-    let op = comp.spec.collision;
-    let tau = comp.spec.tau;
     let rows_per_block = (ROW_BLOCK_CELLS / grid.nz).max(1);
-    let ueq = comp.ueq.base_mut_ptr();
-    let psi = comp.psi.base_mut_ptr();
-    let fp = comp.f.base_mut_ptr();
+    let fps: Vec<*mut f64> = comps.iter_mut().map(|c| c.f.base_mut_ptr()).collect();
+    let psis: Vec<*mut f64> = comps.iter_mut().map(|c| c.psi.base_mut_ptr()).collect();
+    let mut collision = forcing.map(|forcing| PlaneCollision::new(comps, forcing, solid));
     // A ghost plane of `f`: channel i of plane xl is at xl*p + i*cells.
     // SAFETY: called only with the window's two ghost planes, in bounds.
-    let ghost = |xl: usize| PlaneSrc { base: unsafe { fp.add(xl * p) as *const f64 }, stride: cells };
-    // The ring: post-collision planes xl − 1, xl, xl + 1; plane first + j
-    // lives in slot j % 3.
-    let mut ring = [vec![0.0f64; Q * p], vec![0.0f64; Q * p], vec![0.0f64; Q * p]];
-    let slots = ring.each_mut().map(|slot| slot.as_mut_ptr());
-    // Puts post-collision plane `xl` (not yet streamed) into `slot`: copied
-    // if it was collided before the sweep (an edge plane, or every plane
-    // without `fuse`), else collided out of place from `f`. Safety: the
-    // slot is not a live source (see the loop below).
-    let fill = |slot: *mut f64, xl: usize| unsafe {
-        let at = xl * p;
-        if !fuse || xl == first || xl == last {
-            for i in 0..Q {
-                std::ptr::copy_nonoverlapping(fp.add(i * cells + at), slot.add(i * p), p);
+    let ghost = |f: *mut f64, xl: usize| PlaneSrc { base: unsafe { f.add(xl * p) as *const f64 }, stride: cells };
+    // Every component's ring: post-collision planes xl − 1, xl, xl + 1;
+    // plane first + j lives in slot j % 3, `slots[j % 3][a]` for component a.
+    let mut rings: Vec<Vec<f64>> = (0..3 * comps.len()).map(|_| vec![0.0f64; Q * p]).collect();
+    let mut ring = rings.iter_mut().map(|slot| slot.as_mut_ptr());
+    let slots: [Vec<*mut f64>; 3] = std::array::from_fn(|_| fps.iter().map(|_| ring.next().expect("3 slots each")).collect());
+    // Puts post-collision plane `xl` (not yet streamed) of every component
+    // into its slot `k`: copied if it was collided before the sweep (an
+    // edge plane, or every plane without `forcing`), else collided out of
+    // place from `f`. Safety: the slots are not live sources (see the loop
+    // below), and plane `xl` has not been streamed.
+    let mut fill = |k: usize, xl: usize| unsafe {
+        match collision.as_mut() {
+            Some(collision) if xl != first && xl != last => {
+                // The sweep's next collision is of plane xl + 1, unless that
+                // is the edge plane `last`, collided before the sweep.
+                collision.collide(xl, &slots[k], p, (xl + 1 < last).then_some(xl + 1))
             }
-        } else {
-            let ueq = ueq.add(at) as *const f64;
-            crate::collision::collide_cells_raw(op, tau, fp.add(at), cells, slot, p, ueq, p);
+            _ => {
+                for (&f, &slot) in fps.iter().zip(&slots[k]) {
+                    for i in 0..Q {
+                        std::ptr::copy_nonoverlapping(f.add(i * cells + xl * p), slot.add(i * p), p);
+                    }
+                }
+            }
         }
-        PlaneSrc { base: slot, stride: p }
     };
-    let mut prev = ghost(first - 1);
-    let mut cur = fill(slots[0], first);
+    fill(0, first);
     for (j, xl) in (first..=last).enumerate() {
         let nxt = xl + 1;
-        let next = if nxt <= last {
+        if nxt <= last {
             // Slot (j + 1) % 3 held plane xl − 2, no longer a source.
-            fill(slots[(j + 1) % 3], nxt)
-        } else {
+            fill((j + 1) % 3, nxt);
+        }
+        for (a, (&fp, &psi)) in fps.iter().zip(&psis).enumerate() {
+            let slot = |k: usize| PlaneSrc { base: slots[k % 3][a], stride: p };
+            let prev = if xl == first { ghost(fp, first - 1) } else { slot(j + 2) };
             // Plane `last + 1` is the right ghost plane.
-            ghost(nxt)
-        };
-        for y0 in (0..grid.ny).step_by(rows_per_block) {
-            let rows = y0..(y0 + rows_per_block).min(grid.ny);
-            // Safety: the write target (plane xl of `f`) never aliases a
-            // source — slots live outside `f`, and ghost planes are never
-            // written. The wall-BC dispatch is resolved here, per block, so
-            // the bounce-back kernels' channel/row loops stay branch-free.
-            unsafe {
-                let r = rows.clone();
-                match (slip, has_solid) {
-                    (None, false) => stream_plane_fast(fp, cells, grid, xl, prev, cur, next, r),
-                    (None, true) => stream_plane_generic(fp, cells, grid, xl, prev, cur, next, r, solid),
-                    (Some(s), _) => stream_plane_slip_generic(
-                        fp, cells, grid, xl, prev, cur, next, r, solid, s.ry, s.rz,
-                    ),
+            let next = if nxt <= last { slot(j + 1) } else { ghost(fp, nxt) };
+            let cur = slot(j);
+            for y0 in (0..grid.ny).step_by(rows_per_block) {
+                let rows = y0..(y0 + rows_per_block).min(grid.ny);
+                // Safety: the write target (plane xl of `f`) never aliases a
+                // source — slots live outside `f`, and ghost planes are never
+                // written. The wall-BC dispatch is resolved here, per block, so
+                // the bounce-back kernels' channel/row loops stay branch-free.
+                unsafe {
+                    let r = rows.clone();
+                    match (slip, has_solid) {
+                        (None, false) => stream_plane_fast(fp, cells, grid, xl, prev, cur, next, r),
+                        (None, true) => stream_plane_generic(fp, cells, grid, xl, prev, cur, next, r, solid),
+                        (Some(s), _) => stream_plane_slip_generic(
+                            fp, cells, grid, xl, prev, cur, next, r, solid, s.ry, s.rz,
+                        ),
+                    }
+                    // ψ of the block just streamed. Safety: plane xl is
+                    // streamed, so no later collision reads its ψ (plane
+                    // xl + 1 was collided above); one window and stride.
+                    let at = xl * p + rows.start * grid.nz;
+                    moments_raw(fp.add(at), cells, Some(psi.add(at)), None, rows.len() * grid.nz);
                 }
-                // Moments of the block just streamed: ψ, and j into its
-                // `ueq` slots. Safety: plane xl was collided before it was
-                // streamed, so its `ueq` is dead; one window and stride for
-                // all.
-                let at = xl * p + rows.start * grid.nz;
-                let n = rows.len() * grid.nz;
-                moments_raw(fp.add(at), cells, psi.add(at), ueq.add(at), cells, n);
             }
         }
-        prev = cur;
-        cur = next;
     }
 }
 
@@ -497,6 +476,7 @@ unsafe fn stream_plane_slip_generic(
 mod tests {
     use super::*;
     use crate::component::ComponentSpec;
+    use std::slice::from_mut;
 
     fn make(nx: usize, ny: usize, nz: usize) -> ComponentState {
         let grid = LocalGrid::new(nx, ny, nz);
@@ -523,7 +503,7 @@ mod tests {
 
     /// Serial bounce-back streaming, kernel picked by scanning the mask.
     fn stream(c: &mut ComponentState, solid: &[bool]) {
-        stream_unfused(c, solid, solid.iter().any(|&s| s), None);
+        sweep(from_mut(c), solid, solid.iter().any(|&s| s), None, None);
     }
 
     /// Streams with an empty obstacle mask.
@@ -772,7 +752,7 @@ mod tests {
 
             fill_ghosts_periodic(&mut a);
             fill_ghosts_periodic(&mut b);
-            stream_unfused(&mut a, &solid, false, None);
+            sweep(from_mut(&mut a), &solid, false, None, None);
             stream_reference(&mut b, &solid);
             assert_eq!(a.f, b.f, "in-place sweep diverged ({nx}x{ny}x{nz})");
         }
@@ -822,7 +802,7 @@ mod tests {
             let mut b = a.clone();
             fill_ghosts_periodic(&mut a);
             fill_ghosts_periodic(&mut b);
-            stream_unfused(&mut a, &solid, true, None);
+            sweep(from_mut(&mut a), &solid, true, None, None);
             stream_reference(&mut b, &solid);
             assert_eq!(a.f, b.f, "obstacle sweep diverged (ny {ny})");
         }
@@ -900,7 +880,7 @@ mod tests {
                 fill_ghosts_periodic(&mut a);
                 fill_ghosts_periodic(&mut b);
                 let slip = SlipMap { ry: &ry, rz };
-                stream_unfused(&mut a, &solid, false, Some(slip));
+                sweep(from_mut(&mut a), &solid, false, Some(slip), None);
                 stream_reference_slip(&mut b, &ry, rz);
                 assert_eq!(a.f, b.f, "slip sweep diverged ({nx}x{ny}x{nz}, rz={rz})");
             }
@@ -920,7 +900,7 @@ mod tests {
             fill_ghosts_periodic(&mut c);
             let solid = no_solid(&c);
             let slip = SlipMap { ry: &ry, rz: 0.0 };
-            stream_unfused(&mut c, &solid, false, Some(slip));
+            sweep(from_mut(&mut c), &solid, false, Some(slip), None);
         }
         assert!(
             (interior_mass(&c) - m0).abs() < 1e-10,
@@ -940,7 +920,7 @@ mod tests {
         let ry = vec![0.0; grid.lx];
         let solid = no_solid(&c);
         let slip = SlipMap { ry: &ry, rz: 0.0 };
-        stream_unfused(&mut c, &solid, false, Some(slip));
+        sweep(from_mut(&mut c), &solid, false, Some(slip), None);
         // MIRROR_Y[7] = 9 = (+1, −1, 0).
         assert_eq!(c.f.at(9, grid.idx(3, grid.ny - 1, 1)), 0.8);
         // Nothing bounced straight back into the source cell.
@@ -1011,7 +991,7 @@ mod tests {
 
                 let mut before: Vec<u64> =
                     a.f.to_vec().iter().map(|v| v.to_bits()).collect();
-                stream_unfused(&mut a, &solid, false, None);
+                sweep(from_mut(&mut a), &solid, false, None, None);
                 let mut after: Vec<u64> =
                     a.f.to_vec().iter().map(|v| v.to_bits()).collect();
                 // Ghost planes are stale after streaming; compare the

@@ -165,9 +165,10 @@ proptest! {
     #[test]
     fn damaged_files_are_corrupt_and_yield_no_solver(
         two_components in 0u8..2,
-        // At least six planes, so even one component spans a chunk edge.
-        x0 in 0usize..(NX - 6),
-        span in 6usize..NX,
+        // At least seven planes, so even one component (20 channels a
+        // plane) spans a chunk edge.
+        x0 in 0usize..(NX - 7),
+        span in 7usize..NX,
         at in 0usize..usize::MAX,
         bit in 0u8..8,
     ) {

@@ -182,9 +182,6 @@ fn phase(solvers: &mut [SlabSolver]) {
         s.stream_collide_fused();
     }
     exchange_psi(solvers);
-    for s in solvers.iter_mut() {
-        s.forces_and_velocities();
-    }
 }
 
 fn prime(solvers: &mut [SlabSolver]) {
@@ -192,7 +189,4 @@ fn prime(solvers: &mut [SlabSolver]) {
         s.prime_local_psi();
     }
     exchange_psi(solvers);
-    for s in solvers.iter_mut() {
-        s.prime_finish();
-    }
 }

@@ -230,33 +230,30 @@ fn run_phases<T: Transport>(
         d + pad
     }
 
-    // Priming: ψ from the initial state, one ψ exchange, then forces and
-    // velocities — the same steps the sequential driver does. Phase 0 =
-    // outside the phase loop.
+    // Priming: ψ from the initial state and one ψ exchange — the same
+    // steps the sequential driver does. Phase 0 = outside the phase loop.
     solver.prime_local_psi();
     exchange_psi(solver, transport, topo, tracer, 0)?;
-    solver.prime_finish();
 
     for phase in cfg.start_phase + 1..=cfg.phases {
         let throttle = throttle.at(phase);
         let mut compute_secs = 0.0;
 
         // Collision of the slab-edge planes only — everything the halo
-        // exchange needs. Interior planes are collided inside the fused
-        // streaming sweep below, while the wires would otherwise be idle.
+        // exchange needs — each at forces and equilibrium velocities formed
+        // from the last exchanged ψ. Interior planes are collided inside the
+        // fused streaming sweep below, while the wires would otherwise be
+        // idle.
         compute_secs += section(tracer, &throttle, phase, || solver.collide_edges());
 
         // Exchange distribution functions.
         exchange_f(solver, transport, topo, tracer, phase)?;
 
-        // Fused collide→stream over the interior, bounce-back, ψ and Σf·e.
+        // Fused collide→stream over the interior, bounce-back, ψ.
         compute_secs += section(tracer, &throttle, phase, || solver.stream_collide_fused());
 
-        // Exchange number densities.
+        // Exchange number densities: the next phase's forces read them.
         exchange_psi(solver, transport, topo, tracer, phase)?;
-
-        // Forces + velocities, plane by plane.
-        compute_secs += section(tracer, &throttle, phase, || solver.forces_and_velocities());
 
         // Load index: per-point compute time, independent of slab size.
         // The synthetic model replaces the clock with the throttle factor
@@ -543,10 +540,11 @@ fn remap_round<T: Transport>(
 
 /// Upper bound, in bytes, of one `MIGRATE_DATA` message: a move of more
 /// planes travels as a stream of batches of
-/// [`migration_batch_planes`] planes. 4 MiB is two planes of the paper's
-/// 200 × 20 cross-section (EXPERIMENTS.md, "Migrations in batches", has
-/// the sweep behind it).
-pub const MIGRATION_BATCH_BYTES: usize = 4 << 20;
+/// [`migration_batch_planes`] planes. 3 MiB is two planes of the paper's
+/// 200 × 20 cross-section, the batch EXPERIMENTS.md's sweep ("Migrations
+/// in batches") chose when a plane carried 23 channels a component and two
+/// fitted 4 MiB; at 20 channels, 4 MiB would hold three.
+pub const MIGRATION_BATCH_BYTES: usize = 3 << 20;
 
 /// Batches a sender may have unacknowledged: the take of one batch
 /// overlaps the give of the previous one, and a move never holds more

@@ -70,7 +70,7 @@ trace-smoke:
 # six acknowledged batches over TCP.
 mp-smoke:
     cargo build --release --offline --bin microslip
-    rm -rf target/mp-smoke && mkdir -p target/mp-smoke/uneven target/mp-smoke/batches
+    rm -rf target/mp-smoke && mkdir -p target/mp-smoke/uneven target/mp-smoke/batches target/mp-smoke/batches-chaos
     ./target/release/microslip mp --ranks 2 --phases 12 --remap-every 3 \
         --predictor-window 2 --throttle 1:6 --synthetic-load 1.0 \
         --dir target/mp-smoke --trace target/mp-smoke/run --check
@@ -80,6 +80,10 @@ mp-smoke:
     ./target/release/microslip mp --ranks 2 --nx 24 --ny 200 --nz 20 --phases 6 \
         --remap-every 3 --predictor-window 2 --throttle 1:6 --synthetic-load 1.0 \
         --dir target/mp-smoke/batches --check
+    ./target/release/microslip mp --ranks 2 --nx 24 --ny 200 --nz 20 --phases 6 \
+        --remap-every 3 --predictor-window 2 --throttle 1:6 --synthetic-load 1.0 \
+        --checkpoint-every 3 --chaos kill:1@f_halo:18 \
+        --dir target/mp-smoke/batches-chaos --check
 
 # Elastic-ranks chaos smoke: 4 ranks, rank 2 killed mid-halo at phase 7
 # (before its 26th f_halo message: 4 per phase, the 2nd of phase 7);

@@ -14,8 +14,8 @@
 //!   `serve` job reads, so a rank's command line carries only what differs
 //!   per process ([`MpWorkerArgs`]);
 //! * `rank{r}.state` — each rank's end-of-run solver state
-//!   ([`microslip_lbm::checkpoint`] format: a record per plane of `f`, ψ
-//!   and `ueq`, 23 channels per component, ghost planes included),
+//!   ([`microslip_lbm::checkpoint`] format: a record per plane of `f` and
+//!   ψ, 20 channels per component, ghost planes included),
 //!   captured plane by plane straight off the file into the global
 //!   [`Snapshot`] — the driver never rebuilds a rank's solver;
 //! * `rank{r}.report` — a small key/value summary (slab, migration

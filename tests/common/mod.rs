@@ -44,9 +44,6 @@ pub fn phase(solvers: &mut [SlabSolver]) {
         s.stream_collide_fused();
     }
     exchange_psi(solvers);
-    for s in solvers.iter_mut() {
-        s.forces_and_velocities();
-    }
 }
 
 pub fn prime(solvers: &mut [SlabSolver]) {
@@ -54,9 +51,6 @@ pub fn prime(solvers: &mut [SlabSolver]) {
         s.prime_local_psi();
     }
     exchange_psi(solvers);
-    for s in solvers.iter_mut() {
-        s.prime_finish();
-    }
 }
 
 /// Moves `count` planes across the edge between `solvers[edge]` and

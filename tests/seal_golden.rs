@@ -4,10 +4,11 @@
 //! stored one) and its first and last sixteen bytes. A change to a byte
 //! format, to the CRC or to the order anything is written in fails here.
 //! The artifact and the frame were recorded from the pre-`crates/codec`
-//! implementation; the checkpoints when they became plane records
-//! (`MSLIPCK3`: per plane, every component's 23 channels), and the previous
-//! channel-major `MSLIPCK2` bytes are rebuilt here and must be refused by
-//! magic.
+//! implementation; the checkpoints when the equilibrium velocities left the
+//! state (`MSLIPCK4`: per plane, every component's 20 channels, `f` and ψ),
+//! and the previous `MSLIPCK3` bytes (the same records with the three
+//! `ueq` channels after ψ, 23 a component) are rebuilt here and must be
+//! refused by magic.
 //!
 //! The three unsealed codecs — `MSLIPCF3` channel config, `MSLIPSC2`
 //! `Scenario` canonical bytes (with the content key derived from them) and
@@ -92,10 +93,10 @@ fn sealed_checkpoint_bytes_are_pinned() {
         &bytes,
         0..bytes.len() - 4,
         &Golden {
-            len: 106_052,
-            crc: 0x0cff_a366,
-            first: *b"MSLIPCK3\x0a\0\0\0\0\0\0\0",
-            last: [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x66, 0xa3, 0xff, 0x0c],
+            len: 92_228,
+            crc: 0xaf94_e460,
+            first: *b"MSLIPCK4\x0a\0\0\0\0\0\0\0",
+            last: [3, 12, 30, 63, 160, 103, 147, 0, 64, 89, 32, 63, 0x60, 0xe4, 0x94, 0xaf],
         },
     );
     // And the file still opens through the buffered API.
@@ -123,32 +124,40 @@ fn remapped_slabs() -> Vec<SlabSolver> {
 #[test]
 fn sealed_checkpoint_bytes_after_a_remap_are_pinned() {
     // The bytes a checkpoint holds after planes have moved must not depend
-    // on how the slab is stored. The ghost planes of `f` and `ueq` are
-    // zeroed by the migration; ψ's are not: they hold the neighbours' edge
-    // planes, which the giver keeps and the receiver installs from the
-    // message.
+    // on how the slab is stored. The ghost planes of `f` are zeroed by the
+    // migration (but for what the next halo exchange installs); ψ's are
+    // not: they hold the neighbours' edge planes, which the giver keeps and
+    // the receiver installs from the message.
     let slabs = remapped_slabs();
     assert_eq!(slabs.iter().map(|s| s.nx_local()).collect::<Vec<_>>(), [6, 4]);
     let want = [
         Golden {
-            len: 70_724,
-            crc: 0x9134_aaf1,
-            first: *b"MSLIPCK3\x0a\0\0\0\0\0\0\0",
-            last: [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xf1, 0xaa, 0x34, 0x91],
+            len: 61_508,
+            crc: 0x3264_2b58,
+            first: *b"MSLIPCK4\x0a\0\0\0\0\0\0\0",
+            last: [111, 11, 30, 63, 182, 24, 201, 109, 91, 255, 33, 63, 0x58, 0x2b, 0x64, 0x32],
         },
         Golden {
-            len: 53_060,
-            crc: 0xca90_fd9c,
-            first: *b"MSLIPCK3\x0a\0\0\0\0\0\0\0",
-            last: [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x9c, 0xfd, 0x90, 0xca],
+            len: 46_148,
+            crc: 0x30ca_cdbe,
+            first: *b"MSLIPCK4\x0a\0\0\0\0\0\0\0",
+            last: [111, 11, 30, 63, 182, 24, 201, 109, 91, 255, 33, 63, 0xbe, 0xcd, 0xca, 0x30],
         },
     ];
     let dir = std::env::temp_dir().join(format!("microslip-golden-remap-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    for (rank, (slab, want)) in slabs.iter().zip(&want).enumerate() {
-        let path = dir.join(format!("rank{rank}.bin"));
-        write_sealed(&path, save_solver(slab, 5)).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
+    // Both files first, so a failing run leaves both to re-record from.
+    let paths: Vec<_> = slabs
+        .iter()
+        .enumerate()
+        .map(|(rank, slab)| {
+            let path = dir.join(format!("rank{rank}.bin"));
+            write_sealed(&path, save_solver(slab, 5)).unwrap();
+            path
+        })
+        .collect();
+    for (rank, (path, want)) in paths.iter().zip(&want).enumerate() {
+        let bytes = std::fs::read(path).unwrap();
         assert_golden(&format!("remapped rank {rank}"), &bytes, 0..bytes.len() - 4, want);
     }
     // The remapped run is still the sequential run.
@@ -322,14 +331,27 @@ fn previous_format_bytes_are_rejected_by_magic() {
 }
 
 /// The sealed checkpoint of `solver` in the previous layout: magic
-/// `MSLIPCK2`, the same header words, then every array of every component
-/// whole, channel after channel, instead of a record per plane.
+/// `MSLIPCK3`, the same header words, then per plane record every
+/// component's `f` and ψ followed by its three `ueq` channels — the
+/// equilibrium velocities the state held then, which the two-pass
+/// reference forms again from the populations and ψ (zero on the ghost
+/// planes, which nothing wrote).
 fn previous_checkpoint(solver: &SlabSolver, phase: u64) -> Vec<u8> {
     let bytes = save_solver(solver, phase);
-    let mut old = [b"MSLIPCK2".as_slice(), &bytes[8..64]].concat();
-    for c in solver.components() {
-        for array in [&c.f, &c.psi, &c.ueq] {
-            old.extend(array.to_vec().iter().flat_map(|v| v.to_le_bytes()));
+    let mut reference = solver.clone();
+    reference.compute_forces();
+    reference.compute_velocities();
+    let ueq = reference.reference_ueq().expect("compute_velocities stores them");
+    let grid = solver.grid();
+    let p = grid.plane_cells();
+    let mut old = [b"MSLIPCK3".as_slice(), &bytes[8..64]].concat();
+    for xl in 0..grid.lx {
+        for (c, u) in solver.components().iter().zip(ueq) {
+            for array in [&c.f, &c.psi, u] {
+                for ch in 0..array.channels() {
+                    old.extend(array.channel(ch)[xl * p..(xl + 1) * p].iter().flat_map(|v| v.to_le_bytes()));
+                }
+            }
         }
     }
     microslip_codec::seal(old)
@@ -338,13 +360,13 @@ fn previous_checkpoint(solver: &SlabSolver, phase: u64) -> Vec<u8> {
 #[test]
 fn previous_checkpoint_bytes_are_rejected_by_magic() {
     // The fixtures as the previous tree sealed them, byte for byte — the
-    // remapped pair too, so the plane records a migration now carries left
-    // every value where it was…
+    // remapped pair too, so the equilibrium velocities a collision now
+    // forms are the ones the state used to carry…
     let (sim, slabs) = (simulation(), remapped_slabs());
     let old = [
-        (previous_checkpoint(sim.solver(), sim.phase()), 106_052, 0x052d_3208),
-        (previous_checkpoint(&slabs[0], 5), 70_724, 0x9837_e793),
-        (previous_checkpoint(&slabs[1], 5), 53_060, 0xde0b_44df),
+        (previous_checkpoint(sim.solver(), sim.phase()), 106_052, 0x0cff_a366),
+        (previous_checkpoint(&slabs[0], 5), 70_724, 0x9134_aaf1),
+        (previous_checkpoint(&slabs[1], 5), 53_060, 0xca90_fd9c),
     ];
     for (k, (old, len, crc)) in old.iter().enumerate() {
         assert_eq!((old.len(), crc32_bytewise(&old[..old.len() - 4])), (*len, *crc), "fixture {k}: not the old bytes");
