@@ -12,8 +12,6 @@
 //!   no-remapping, filtered (lazy + over-redistribution), conservative and
 //!   global.
 //! * [`plan`] — plane transfers implied by a partition change.
-//! * [`recovery`] — deterministic re-partitioning plans for rank death
-//!   (re-home onto survivors) and rank join (drain to the newcomer).
 //! * [`trace`] — remap-decision audit events for the observability layer.
 //!
 //! The crate is substrate-agnostic: the same policies drive the
@@ -48,12 +46,10 @@ pub mod partition;
 pub mod plan;
 pub mod policy;
 pub mod predict;
-pub mod recovery;
 pub mod trace;
 
 pub use partition::Partition;
-pub use plan::{diff, diff_counts, is_neighbor_only, total_moved, Move};
-pub use recovery::RecoveryPlan;
+pub use plan::{diff, is_neighbor_only, total_moved, Move};
 pub use policy::{
     node_speeds, Conservative, FilterParams, Filtered, Global, InfoExchange, NeighborPolicy,
     NoRemap, RemapPolicy,

@@ -32,15 +32,7 @@ impl Move {
 /// Returns moves ordered by plane index. Panics if the target does not
 /// conserve planes.
 pub fn diff(old: &Partition, new_counts: &[usize]) -> Vec<Move> {
-    assert_eq!(new_counts.len(), old.nodes());
-    diff_counts(old.counts(), new_counts)
-}
-
-/// Like [`diff`], but on raw count vectors. Unlike [`Partition`], a count
-/// vector may hold zero-count nodes, which occur mid-recovery: a dead
-/// rank whose planes are re-homed ends at zero, and a joining rank starts
-/// there. Panics if the target does not conserve planes.
-pub fn diff_counts(old_counts: &[usize], new_counts: &[usize]) -> Vec<Move> {
+    let old_counts = old.counts();
     assert_eq!(new_counts.len(), old_counts.len());
     let total: usize = old_counts.iter().sum();
     assert_eq!(new_counts.iter().sum::<usize>(), total, "plane leak in plan");

@@ -246,10 +246,10 @@ impl Disturbance for BaseSpeeds {
 /// A rank dies at `at` and its replacement comes back `outage` seconds
 /// later: the node delivers zero work inside the window (the engine's
 /// work integrator clamps the speed, so the phase simply stalls until the
-/// respawned rank catches up) and runs at full speed outside it. This is
-/// the cluster-model twin of the runtime's kill-and-rejoin chaos path —
-/// it lets the remap policies be tuned against rank death in virtual
-/// time, where a 20,000-phase run takes milliseconds.
+/// respawned rank catches up) and runs at full speed outside it. It
+/// models the stall of the runtime's chaos kill, not its replay from a
+/// checkpoint — it lets the remap policies be tuned against rank death in
+/// virtual time, where a 20,000-phase run takes milliseconds.
 #[derive(Clone, Copy, Debug)]
 pub struct RankDeath {
     pub node: usize,

@@ -206,10 +206,10 @@ mod tests {
         let mut m = mesh(2);
         let mut a = m.remove(0);
         assert_eq!(
-            a.send(0, Tag::GATHER, vec![7.0]),
+            a.send(0, Tag::LOAD, vec![7.0]),
             Err(CommError::SelfSend { rank: 0 })
         );
-        assert_eq!(a.recv(0, Tag::GATHER), Err(CommError::SelfSend { rank: 0 }));
+        assert_eq!(a.recv(0, Tag::LOAD), Err(CommError::SelfSend { rank: 0 }));
     }
 
     #[test]

@@ -155,11 +155,11 @@ pub fn check_self_send_rejected<T: Transport>(make_mesh: &impl Fn(usize) -> Vec<
     let mut m = make_mesh(2);
     let mut a = m.remove(0);
     assert!(
-        matches!(a.send(0, Tag::GATHER, vec![7.0]), Err(CommError::SelfSend { rank: 0 })),
+        matches!(a.send(0, Tag::LOAD, vec![7.0]), Err(CommError::SelfSend { rank: 0 })),
         "self-send must be rejected"
     );
     assert!(
-        matches!(a.recv(0, Tag::GATHER), Err(CommError::SelfSend { rank: 0 })),
+        matches!(a.recv(0, Tag::LOAD), Err(CommError::SelfSend { rank: 0 })),
         "self-recv must be rejected"
     );
 }

@@ -145,14 +145,14 @@ mod tests {
         assert_eq!(a.rank(), 0);
         assert_eq!(b.size(), 2);
         let h = thread::spawn(move || {
-            let x = b.recv(0, Tag::GATHER).unwrap();
-            b.send(0, Tag::GATHER, vec![x[0] + 1.0]).unwrap();
+            let x = b.recv(0, Tag::LOAD).unwrap();
+            b.send(0, Tag::LOAD, vec![x[0] + 1.0]).unwrap();
             b
         });
-        a.send(1, Tag::GATHER, vec![41.0]).unwrap();
-        assert_eq!(a.recv(1, Tag::GATHER).unwrap(), vec![42.0]);
+        a.send(1, Tag::LOAD, vec![41.0]).unwrap();
+        assert_eq!(a.recv(1, Tag::LOAD).unwrap(), vec![42.0]);
         let b = h.join().unwrap();
-        assert_eq!(b.received(Tag::GATHER).messages, 1);
+        assert_eq!(b.received(Tag::LOAD).messages, 1);
         // into_inner unwraps cleanly.
         let _inner = a.into_inner();
     }

@@ -33,21 +33,10 @@ impl Tag {
     pub const MIGRATE_COUNT: Tag = Tag(4);
     /// Migration plane payload — paper line 29: one batch of a move.
     pub const MIGRATE_DATA: Tag = Tag(5);
-    /// All-rank agreement (the rollback-phase sync after a recovery).
-    pub const COLLECTIVE: Tag = Tag(6);
-    /// Result gathering at the end of a run.
-    pub const GATHER: Tag = Tag(7);
 
-    /// Every named tag, in tag order.
-    pub const ALL: [Tag; 7] = [
-        Tag::F_HALO,
-        Tag::PSI_HALO,
-        Tag::LOAD,
-        Tag::MIGRATE_COUNT,
-        Tag::MIGRATE_DATA,
-        Tag::COLLECTIVE,
-        Tag::GATHER,
-    ];
+    /// Every named tag, in tag order: the whole worker protocol.
+    pub const ALL: [Tag; 5] =
+        [Tag::F_HALO, Tag::PSI_HALO, Tag::LOAD, Tag::MIGRATE_COUNT, Tag::MIGRATE_DATA];
 
     /// Stable schema name of the traffic class (used in trace events).
     pub fn name(&self) -> &'static str {
@@ -57,8 +46,6 @@ impl Tag {
             Tag::LOAD => "load",
             Tag::MIGRATE_COUNT => "migrate_count",
             Tag::MIGRATE_DATA => "migrate_data",
-            Tag::COLLECTIVE => "collective",
-            Tag::GATHER => "gather",
             _ => "other",
         }
     }
@@ -170,7 +157,7 @@ mod tests {
         for tag in Tag::ALL {
             assert_eq!(Tag::from_name(tag.name()), Some(tag));
         }
-        for unknown in ["other", "F_HALO", "halo", "remap", "migrate", ""] {
+        for unknown in ["other", "F_HALO", "halo", "remap", "migrate", "collective", "gather", ""] {
             assert_eq!(Tag::from_name(unknown), None, "{unknown}");
         }
     }

@@ -29,15 +29,6 @@
 //!    the TCP backlog regardless of what the peer is currently doing —
 //!    the sequential connect-then-accept order cannot deadlock.
 //!
-//! **Epoch-stamped membership.** Every mesh belongs to an epoch (1 =
-//! initial). After a rank dies, the driver re-runs the rendezvous at a
-//! fresh address with the epoch incremented; joiners announce themselves
-//! with a REJOIN frame carrying their epoch, and every IDENT carries the
-//! epoch in its tag. The coordinator and every acceptor reject mismatched
-//! epochs, fencing a stale process out of a recovered mesh. Per-frame
-//! fencing inside the data phase is unnecessary: frames cannot cross
-//! connections, and each epoch's mesh is a fresh set of connections.
-//!
 //! **Bounded wall-time.** One `handshake_timeout` deadline covers the
 //! whole rendezvous — connect retries, binds, accepts and handshake reads
 //! all charge against it, so per-attempt timeouts cannot stack unbounded.
@@ -196,14 +187,12 @@ fn send_handshake_frame(stream: &mut TcpStream, frame: &Frame) -> Result<(), Com
         .map_err(|e| CommError::Handshake { detail: format!("handshake send failed: {e}") })
 }
 
-/// Rank 0's side of the rendezvous: collect HELLOs (epoch 1) or REJOINs
-/// (later epochs), assign/verify ranks, fence epoch mismatches, answer
-/// with ROSTERs. Returns the data port of every rank.
+/// Rank 0's side of the rendezvous: collect HELLOs, assign/verify ranks,
+/// answer with ROSTERs. Returns the data port of every rank.
 fn coordinate(
     rendezvous: SocketAddr,
     size: usize,
     my_data_port: u16,
-    epoch: u64,
     cfg: &NetConfig,
     deadline: Instant,
 ) -> Result<Vec<u16>, CommError> {
@@ -220,30 +209,8 @@ fn coordinate(
             )
         })?;
         let hello = read_handshake_frame(&mut stream, deadline)?;
-        let joiner_epoch = match hello.kind {
-            FrameKind::Hello => 1,
-            FrameKind::Rejoin => match hello.payload.as_slice() {
-                #[expect(
-                    clippy::cast_possible_truncation,
-                    clippy::cast_sign_loss,
-                    reason = "an integer ≥ 1; one beyond u64 saturates, and the epoch \
-                              equality check below fences it"
-                )]
-                [e] if e.fract() == 0.0 && *e >= 1.0 => *e as u64,
-                _ => {
-                    return handshake(format!(
-                        "REJOIN from rank {} carries no valid epoch",
-                        hello.from
-                    ))
-                }
-            },
-            other => return handshake(format!("expected HELLO or REJOIN, got {other:?}")),
-        };
-        if joiner_epoch != epoch {
-            return handshake(format!(
-                "fenced joiner rank {} at epoch {joiner_epoch}: the mesh is at epoch {epoch}",
-                hello.from
-            ));
+        if hello.kind != FrameKind::Hello {
+            return handshake(format!("expected HELLO, got {:?}", hello.kind));
         }
         let port = match u16::try_from(hello.tag) {
             Ok(p) if p != 0 => p,
@@ -304,7 +271,6 @@ fn join(
     claimed: Option<NodeId>,
     size: usize,
     my_data_port: u16,
-    epoch: u64,
     cfg: &NetConfig,
     deadline: Instant,
 ) -> Result<(NodeId, Vec<u16>), CommError> {
@@ -318,16 +284,7 @@ fn join(
         },
         None => ASSIGN_ME,
     };
-    let announce = if epoch <= 1 {
-        Frame { kind: FrameKind::Hello, from, tag: my_data_port as u64, payload: vec![] }
-    } else {
-        Frame {
-            kind: FrameKind::Rejoin,
-            from,
-            tag: my_data_port as u64,
-            payload: vec![epoch as f64],
-        }
-    };
+    let announce = Frame { kind: FrameKind::Hello, from, tag: my_data_port as u64, payload: vec![] };
     send_handshake_frame(&mut stream, &announce)?;
     let roster = read_handshake_frame(&mut stream, deadline)?;
     if roster.kind != FrameKind::Roster {
@@ -364,13 +321,11 @@ fn join(
     Ok((rank, ports))
 }
 
-/// Builds the fully connected mesh once ranks and ports are known. Every
-/// IDENT carries the epoch in its tag; acceptors fence mismatches.
+/// Builds the fully connected mesh once ranks and ports are known.
 fn establish_mesh(
     rank: NodeId,
     ports: &[u16],
     data_listener: &TcpListener,
-    epoch: u64,
     cfg: &NetConfig,
     deadline: Instant,
 ) -> Result<Vec<Option<TcpStream>>, CommError> {
@@ -385,7 +340,7 @@ fn establish_mesh(
             connect_with_retry(SocketAddr::from(([127, 0, 0, 1], port)), cfg, deadline)?;
         send_handshake_frame(
             &mut stream,
-            &Frame { kind: FrameKind::Ident, from: wire_rank, tag: epoch, payload: vec![] },
+            &Frame { kind: FrameKind::Ident, from: wire_rank, tag: 0, payload: vec![] },
         )?;
         match streams.get_mut(j) {
             Some(slot) => *slot = Some(stream),
@@ -403,12 +358,6 @@ fn establish_mesh(
         let ident = read_handshake_frame(&mut stream, deadline)?;
         if ident.kind != FrameKind::Ident {
             return handshake(format!("expected IDENT, got {:?}", ident.kind));
-        }
-        if ident.tag != epoch {
-            return handshake(format!(
-                "fenced IDENT from rank {} at epoch {}: the mesh is at epoch {epoch}",
-                ident.from, ident.tag
-            ));
         }
         let peer = ident.from as NodeId;
         if peer <= rank || peer >= size {
@@ -437,34 +386,14 @@ fn establish_mesh(
 /// Joins (or, as rank 0, coordinates) a TCP mesh of `size` ranks meeting
 /// at `rendezvous_addr`. `rank` is the claimed rank — `Some(0)` makes
 /// this participant the coordinator; `None` asks rank 0 to assign one.
-/// The mesh belongs to membership epoch 1; a recovered run re-meshes via
-/// [`connect_epoch`].
 pub fn connect(
     rank: Option<NodeId>,
     size: usize,
     rendezvous_addr: &str,
     cfg: &NetConfig,
 ) -> Result<TcpTransport, CommError> {
-    connect_epoch(rank, size, rendezvous_addr, 1, cfg)
-}
-
-/// [`connect`] for an explicit membership epoch. Joiners at epoch > 1
-/// announce themselves with REJOIN frames; the coordinator and every mesh
-/// acceptor reject participants whose epoch differs, fencing stale
-/// processes (and their frames — frames cannot cross connections) out of
-/// the recovered mesh.
-pub fn connect_epoch(
-    rank: Option<NodeId>,
-    size: usize,
-    rendezvous_addr: &str,
-    epoch: u64,
-    cfg: &NetConfig,
-) -> Result<TcpTransport, CommError> {
     if size == 0 {
         return handshake("mesh size must be at least 1");
-    }
-    if epoch == 0 {
-        return handshake("membership epochs start at 1");
     }
     if let Some(r) = rank {
         if r >= size {
@@ -488,11 +417,11 @@ pub fn connect_epoch(
         .port();
     let rendezvous = resolve(rendezvous_addr)?;
     let (my_rank, ports) = if rank == Some(0) {
-        (0, coordinate(rendezvous, size, my_data_port, epoch, cfg, deadline)?)
+        (0, coordinate(rendezvous, size, my_data_port, cfg, deadline)?)
     } else {
-        join(rendezvous, rank, size, my_data_port, epoch, cfg, deadline)?
+        join(rendezvous, rank, size, my_data_port, cfg, deadline)?
     };
-    let streams = establish_mesh(my_rank, &ports, &data_listener, epoch, cfg, deadline)?;
+    let streams = establish_mesh(my_rank, &ports, &data_listener, cfg, deadline)?;
     Ok(TcpTransport::new(my_rank, streams))
 }
 

@@ -40,7 +40,7 @@
 //!    2  Hello        mesh (v1)       rendezvous join request
 //!    3  Roster       mesh (v1)       rendezvous port table
 //!    4  Ident        mesh (v1)       data-connection identification
-//!    5  Rejoin       mesh (v1)       epoch-fenced re-rendezvous
+//!    5  (retired)    —               was Rejoin; the decoder rejects it
 //!   16  SweepSubmit  serve (v2)      byte payload: encoded sweep request
 //!   17  SweepReply   serve (v2)      byte payload: accepted-sweep report
 //!   18  StatusQuery  serve (v2)      tag = sweep id (0 = all)
@@ -101,14 +101,8 @@ pub enum FrameKind {
     /// payload = data ports of all ranks, indexed by rank.
     Roster = 3,
     /// Mesh establishment: first frame on a data connection, `from` =
-    /// the connecting rank, `tag` = the membership epoch.
+    /// the connecting rank.
     Ident = 4,
-    /// Rendezvous after a membership change: like [`Hello`](Self::Hello)
-    /// (`from` = rank, `tag` = data-listener port) but carries the
-    /// membership epoch as a one-element payload. The coordinator rejects
-    /// joiners whose epoch does not match its own — the fencing that keeps
-    /// a stale process out of a recovered mesh.
-    Rejoin = 5,
     /// Serve: client → daemon. Byte payload = an encoded sweep request
     /// (base scenario + parameter grid). Codes ≥ 16 are the serve
     /// protocol's range — a v1 mesh peer rejects them with a typed
@@ -137,13 +131,12 @@ pub enum FrameKind {
 
 impl FrameKind {
     /// Every kind, in code order.
-    pub const ALL: [FrameKind; 14] = [
+    pub const ALL: [FrameKind; 13] = [
         FrameKind::Data,
         FrameKind::Goodbye,
         FrameKind::Hello,
         FrameKind::Roster,
         FrameKind::Ident,
-        FrameKind::Rejoin,
         FrameKind::SweepSubmit,
         FrameKind::SweepReply,
         FrameKind::StatusQuery,
@@ -344,7 +337,6 @@ mod tests {
             Frame { kind: FrameKind::Hello, from: ASSIGN_ME, tag: 45123, payload: vec![] },
             Frame { kind: FrameKind::Roster, from: 2, tag: 0, payload: vec![45123.0, 45124.0] },
             Frame { kind: FrameKind::Ident, from: 1, tag: 0, payload: vec![] },
-            Frame { kind: FrameKind::Rejoin, from: 2, tag: 45125, payload: vec![3.0] },
             Frame::from_bytes(FrameKind::SweepSubmit, 0, b"scenario bytes"),
             Frame::from_bytes(FrameKind::SweepReply, 0, b"sweep=1 jobs=4"),
             Frame { kind: FrameKind::StatusQuery, from: 0, tag: 1, payload: vec![] },
@@ -379,15 +371,14 @@ mod tests {
                 FrameKind::Hello => 2,
                 FrameKind::Roster => 3,
                 FrameKind::Ident => 4,
-                FrameKind::Rejoin => 5,
-                FrameKind::SweepSubmit => 6,
-                FrameKind::SweepReply => 7,
-                FrameKind::StatusQuery => 8,
-                FrameKind::StatusReply => 9,
-                FrameKind::Fetch => 10,
-                FrameKind::FetchReply => 11,
-                FrameKind::ServeError => 12,
-                FrameKind::Shutdown => 13,
+                FrameKind::SweepSubmit => 5,
+                FrameKind::SweepReply => 6,
+                FrameKind::StatusQuery => 7,
+                FrameKind::StatusReply => 8,
+                FrameKind::Fetch => 9,
+                FrameKind::FetchReply => 10,
+                FrameKind::ServeError => 11,
+                FrameKind::Shutdown => 12,
             };
             assert_eq!(position, i, "{kind:?} is out of place in ALL");
         }
@@ -441,6 +432,18 @@ mod tests {
         bytes[6] = 99;
         match read_frame(&mut Cursor::new(&bytes)) {
             Err(FrameError::Protocol(d)) => assert!(d.contains("unknown frame kind 99")),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn the_retired_rejoin_code_is_refused() {
+        // A retired code is no kind: a frame claiming it is a protocol error.
+        assert_eq!(FrameKind::from_code(5), None);
+        let mut bytes = encode(&Frame::goodbye(0));
+        bytes[6] = 5;
+        match read_frame(&mut Cursor::new(&bytes)) {
+            Err(FrameError::Protocol(d)) => assert!(d.contains("unknown frame kind 5"), "{d}"),
             other => panic!("{other:?}"),
         }
     }

@@ -5,7 +5,7 @@
 use std::time::Duration;
 
 use microslip_comm::{contract, CommError, Tag, Transport};
-use microslip_net::{connect, connect_epoch, localhost_mesh, reserve_port, NetConfig};
+use microslip_net::{connect, localhost_mesh, reserve_port, NetConfig};
 
 fn test_cfg() -> NetConfig {
     NetConfig {
@@ -132,64 +132,32 @@ fn duplicate_rank_claim_is_rejected() {
 }
 
 #[test]
-fn epoch_stamped_mesh_forms_after_rejoin() {
-    // A recovered mesh: every participant re-rendezvouses at epoch 3 via
-    // REJOIN frames and epoch-tagged IDENTs. The mesh must work exactly
-    // like an epoch-1 mesh.
+fn the_coordinator_admits_only_hello_frames() {
+    // A joiner that opens with anything but HELLO — here the IDENT of a
+    // data connection — is refused before any mesh forms.
+    use microslip_net::wire::{encode, Frame, FrameKind};
     let port = reserve_port().unwrap();
     let addr = format!("127.0.0.1:{port}");
     let cfg = test_cfg();
-    let handles: Vec<_> = (0..3)
-        .map(|i| {
-            let addr = addr.clone();
-            let cfg = cfg.clone();
-            std::thread::spawn(move || connect_epoch(Some(i), 3, &addr, 3, &cfg).unwrap())
+    let coordinator = {
+        let (addr, cfg) = (addr.clone(), cfg.clone());
+        std::thread::spawn(move || connect(Some(0), 2, &addr, &cfg))
+    };
+    let mut stream = (0..200)
+        .find_map(|_| {
+            std::net::TcpStream::connect(&addr)
+                .map_err(|_| std::thread::sleep(Duration::from_millis(10)))
+                .ok()
         })
-        .collect();
-    let mut mesh: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-    mesh.sort_by_key(|t| t.rank());
-    let handles: Vec<_> = mesh
-        .into_iter()
-        .map(|mut t| {
-            std::thread::spawn(move || {
-                let (n, me) = (t.size(), t.rank());
-                t.send((me + 1) % n, Tag::F_HALO, vec![me as f64]).unwrap();
-                let left = (me + n - 1) % n;
-                assert_eq!(t.recv(left, Tag::F_HALO).unwrap(), vec![left as f64]);
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().unwrap();
+        .expect("the coordinator listens");
+    let ident = Frame { kind: FrameKind::Ident, from: 1, tag: 0, payload: vec![] };
+    std::io::Write::write_all(&mut stream, &encode(&ident)).unwrap();
+    match coordinator.join().unwrap() {
+        Err(CommError::Handshake { detail }) => {
+            assert!(detail.contains("expected HELLO, got Ident"), "{detail}")
+        }
+        other => panic!("expected Handshake error, got {other:?}"),
     }
-}
-
-#[test]
-fn stale_epoch_joiner_is_fenced() {
-    // The coordinator is at epoch 2; a stale epoch-1 process (plain HELLO)
-    // must be fenced out with a typed error naming the epochs, and the
-    // recovered mesh must not form around it.
-    let port = reserve_port().unwrap();
-    let addr = format!("127.0.0.1:{port}");
-    let cfg = NetConfig { handshake_timeout: Duration::from_secs(3), ..test_cfg() };
-    let handles: Vec<_> = [(0usize, 2u64), (1, 1)]
-        .into_iter()
-        .map(|(rank, epoch)| {
-            let addr = addr.clone();
-            let cfg = cfg.clone();
-            std::thread::spawn(move || connect_epoch(Some(rank), 2, &addr, epoch, &cfg))
-        })
-        .collect();
-    let results: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-    assert!(results.iter().all(|r| r.is_err()), "a cross-epoch mesh must not form");
-    assert!(
-        results.iter().any(|r| matches!(
-            r,
-            Err(CommError::Handshake { detail })
-                if detail.contains("fenced") && detail.contains("epoch")
-        )),
-        "{results:?}"
-    );
 }
 
 #[test]

@@ -103,23 +103,18 @@ pub struct RemapDecision {
     pub applied: bool,
 }
 
-/// Stage of the recovery arc after a rank dies (or joins) mid-run.
+/// Stage of the recovery arc after a rank dies mid-run.
 ///
-/// A chaotic run's trace tells the whole story in order:
-/// death detected → rollback chosen → mesh re-established → recovery
-/// plan applied → run resumed.
+/// The `mp` driver records it: a chaotic run's trace tells the whole story
+/// in order — death detected → rollback chosen → one resumed per rank.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum RecoveryStage {
-    /// A survivor observed the dead peer (disconnect or timeout).
+    /// The driver saw a rank die hard and restarts the gang.
     DeathDetected,
-    /// The rollback phase was agreed: state restored from the last
-    /// common CRC-valid checkpoint (phase 0 = fresh start).
+    /// The rollback phase was chosen: the newest checkpoint every rank
+    /// holds CRC-valid (phase 0 = fresh start).
     Rollback,
-    /// The epoch-stamped mesh was re-established with the replacement.
-    Remesh,
-    /// The recovery plan (plane re-homing) was applied.
-    PlanApplied,
-    /// The phase loop resumed from the rollback point.
+    /// A rank was respawned to run on from the rollback phase.
     Resumed,
 }
 
@@ -129,8 +124,6 @@ impl RecoveryStage {
         match self {
             RecoveryStage::DeathDetected => "death-detected",
             RecoveryStage::Rollback => "rollback",
-            RecoveryStage::Remesh => "remesh",
-            RecoveryStage::PlanApplied => "plan-applied",
             RecoveryStage::Resumed => "resumed",
         }
     }
@@ -140,21 +133,14 @@ impl RecoveryStage {
         match name {
             "death-detected" => Some(RecoveryStage::DeathDetected),
             "rollback" => Some(RecoveryStage::Rollback),
-            "remesh" => Some(RecoveryStage::Remesh),
-            "plan-applied" => Some(RecoveryStage::PlanApplied),
             "resumed" => Some(RecoveryStage::Resumed),
             _ => None,
         }
     }
 
     /// All stages, in arc order.
-    pub const ALL: [RecoveryStage; 5] = [
-        RecoveryStage::DeathDetected,
-        RecoveryStage::Rollback,
-        RecoveryStage::Remesh,
-        RecoveryStage::PlanApplied,
-        RecoveryStage::Resumed,
-    ];
+    pub const ALL: [RecoveryStage; 3] =
+        [RecoveryStage::DeathDetected, RecoveryStage::Rollback, RecoveryStage::Resumed];
 }
 
 /// Stage of a served sweep job's lifecycle (`microslip serve`).
@@ -253,20 +239,20 @@ pub enum Event {
         recv_messages: u64,
         recv_bytes: u64,
     },
-    /// One stage of the recovery arc after a membership change.
+    /// One stage of the recovery arc after a rank died.
     Recovery {
         time: f64,
-        /// Rank observing or executing the stage.
+        /// The rank the stage is about: the dead one for `death-detected`
+        /// and `rollback`, the respawned one for `resumed`.
         node: usize,
-        /// Membership epoch the stage belongs to (1 = initial mesh).
+        /// The gang's attempt the stage belongs to (1 = first).
         epoch: u64,
         stage: RecoveryStage,
-        /// Phase the stage refers to: the rollback/restart phase once
-        /// agreed, otherwise the phase at which the stage occurred.
+        /// The rollback phase (0 = fresh start; 0 for `death-detected`).
         phase: u64,
-        /// Planes involved (restored slab width or plan volume).
+        /// Planes involved (the respawned rank's restored slab width).
         planes: usize,
-        /// Free-form context ("peer 2 disconnected", plan summary, …).
+        /// Free-form context ("rank 2 exited with …", the checkpoint, …).
         detail: String,
     },
     /// One stage of a served sweep job's lifecycle (`microslip serve`).
@@ -310,6 +296,22 @@ impl Event {
             Event::Traffic { .. } => None,
             Event::Recovery { time, .. } => Some(*time),
             Event::Job { time, .. } => Some(*time),
+        }
+    }
+
+    /// Moves the event `dt` seconds along its timeline (a span, both ends):
+    /// how a stream timed from a later origin joins an earlier one.
+    pub fn shift(&mut self, dt: f64) {
+        match self {
+            Event::Meta { .. } | Event::Traffic { .. } => {}
+            Event::Span(s) => {
+                s.start += dt;
+                s.end += dt;
+            }
+            Event::Remap(d) => d.time += dt,
+            Event::Migration { time, .. }
+            | Event::Recovery { time, .. }
+            | Event::Job { time, .. } => *time += dt,
         }
     }
 }
@@ -368,6 +370,14 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), 6);
+        for e in &events {
+            let mut later = e.clone();
+            later.shift(2.0);
+            assert_eq!(later.time(), e.time().map(|t| t + 2.0), "{e:?}");
+            if let (Event::Span(a), Event::Span(b)) = (e, &later) {
+                assert_eq!(b.duration(), a.duration());
+            }
+        }
     }
 
     #[test]
@@ -375,7 +385,9 @@ mod tests {
         for s in RecoveryStage::ALL {
             assert_eq!(RecoveryStage::from_name(s.name()), Some(s));
         }
-        assert_eq!(RecoveryStage::from_name("bogus"), None);
+        for retired in ["bogus", "remesh", "plan-applied"] {
+            assert_eq!(RecoveryStage::from_name(retired), None, "{retired}");
+        }
     }
 
     #[test]

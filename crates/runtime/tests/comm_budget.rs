@@ -110,8 +110,9 @@ fn filtered_load_exchange_is_neighbor_local() {
         // Load messages are tiny (2 values), independent of domain size —
         // the cheapness the paper's local exchange is designed for.
         assert_eq!(t.sent(Tag::LOAD).values, per_round * rounds * 2);
-        // Never any collective traffic.
-        assert_eq!(t.sent(Tag::COLLECTIVE).messages, 0);
+        // Never any traffic outside the five protocol tags (no collective).
+        let named: u64 = Tag::ALL.iter().map(|&tag| t.sent(tag).messages).sum();
+        assert_eq!(t.total_sent().messages, named);
     }
     // The throttled worker actually shed planes (migration happened).
     let migrated: u64 =

@@ -67,7 +67,8 @@ trace-smoke:
 # 3-rank run on 31 planes sends uneven slabs, and the slabs holding both
 # periodic wrap planes, through the driver's plane-by-plane gather. The
 # run at the paper's 200×20 cross-section moves 11 planes as a stream of
-# six acknowledged batches over TCP.
+# six acknowledged batches over TCP; its chaos twin kills rank 1 mid-halo
+# at phase 5 and must restart both ranks from their phase-3 checkpoints.
 mp-smoke:
     cargo build --release --offline --bin microslip
     rm -rf target/mp-smoke && mkdir -p target/mp-smoke/uneven target/mp-smoke/batches target/mp-smoke/batches-chaos
@@ -83,13 +84,16 @@ mp-smoke:
     ./target/release/microslip mp --ranks 2 --nx 24 --ny 200 --nz 20 --phases 6 \
         --remap-every 3 --predictor-window 2 --throttle 1:6 --synthetic-load 1.0 \
         --checkpoint-every 3 --chaos kill:1@f_halo:18 \
-        --dir target/mp-smoke/batches-chaos --check
+        --dir target/mp-smoke/batches-chaos --trace target/mp-smoke/batches-chaos/run --check
+    grep '"stage":"rollback"' target/mp-smoke/batches-chaos/run.jsonl | grep -q '"phase":3,'
+    test ! -e target/mp-smoke/batches-chaos/epoch
 
-# Elastic-ranks chaos smoke: 4 ranks, rank 2 killed mid-halo at phase 7
-# (before its 26th f_halo message: 4 per phase, the 2nd of phase 7);
-# the supervisor respawns it, the mesh re-forms at epoch 2 and rolls back
-# to the last common checkpoint, and --check holds the recovered fields
-# to bitwise equality with the threaded (undisturbed) reference.
+# Chaos smoke: 4 ranks, rank 2 killed mid-halo at phase 7 (before its
+# 26th f_halo message: 4 per phase, the 2nd of phase 7); the driver
+# restarts the whole gang from phase 6, the newest checkpoint every rank
+# holds, and --check holds the recovered fields to bitwise equality with
+# the threaded (undisturbed) reference. The trace must carry that
+# rollback, and a gang restart writes no epoch file.
 chaos:
     cargo build --release --offline --bin microslip
     rm -rf target/chaos-smoke && mkdir -p target/chaos-smoke
@@ -97,6 +101,8 @@ chaos:
         --predictor-window 2 --throttle 1:6 --synthetic-load 1.0 \
         --checkpoint-every 3 --chaos kill:2@f_halo:26 \
         --dir target/chaos-smoke --trace target/chaos-smoke/run --check
+    grep '"stage":"rollback"' target/chaos-smoke/run.jsonl | grep -q '"phase":6,'
+    test ! -e target/chaos-smoke/epoch
 
 # Sweep-daemon smoke: start `microslip serve`, submit a 4-job grid with
 # 2 duplicate parameter points (chaos kills the first scheduled job at

@@ -36,24 +36,26 @@
 //! a pure function of the configuration too, and the two substrates
 //! produce identical decision audit trails (compare with
 //! [`microslip_obs::remap_fingerprints`]).
+//!
+//! Recovery is one rule, the one `serve` applies to a job: when a rank
+//! dies, the whole gang restarts from the newest checkpoint every rank
+//! holds. A worker knows nothing of it — it runs from its `--resume-phase`
+//! checkpoint (or a fresh slab) to the scenario's last phase, or fails.
 
 use std::fmt;
 use std::fs;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use microslip_balance::policy::NeighborPolicy;
 use microslip_balance::predict::HarmonicMean;
-use microslip_balance::recovery::RecoveryPlan;
-use microslip_balance::Partition;
 use microslip_comm::{CommError, NodeId, Tag, Transport};
 use microslip_lbm::checkpoint::{self, read_solver, write_solver};
 use microslip_lbm::geometry::{even_slabs, slabs_tile};
 use microslip_lbm::macroscopic::{Snapshot, SnapshotSlab};
 use microslip_lbm::{Slab, SlabSolver};
-use microslip_net::{connect_epoch, reserve_port, NetConfig};
+use microslip_net::{connect, reserve_port, NetConfig};
 use microslip_obs::{
     from_jsonl, merge_rank_streams, to_jsonl, Event, RecoveryStage, TraceSink,
     DEFAULT_CAPACITY,
@@ -66,18 +68,14 @@ use microslip_runtime::RuntimeConfig;
 use crate::scenario::Scenario;
 use crate::supervisor::{die_injected, Budget, Child, Exit, Verdict};
 
-/// How many times the driver respawns dead ranks before the run is
-/// declared lost.
+/// How many times the driver restarts the gang before the run is declared
+/// lost.
 const MAX_RESPAWNS: usize = 3;
 
-/// How long a supervised survivor waits for the driver to publish the
-/// next epoch before giving up — the bound keeps an orphaned survivor
-/// (driver died too) from hanging forever.
-const EPOCH_WAIT: Duration = Duration::from_secs(30);
-
-/// How long an aborting driver lets unsupervised survivors exit on their
-/// own: each notices its dead peer within a phase and leaves its typed
-/// error and partial trace behind.
+/// How long the driver lets the other ranks exit on their own once one
+/// has died: each notices its dead peer within a phase and leaves its
+/// typed error and partial trace behind. Whoever is still running after
+/// it is killed.
 const ABORT_GRACE: Duration = Duration::from_secs(30);
 
 /// The driver's poll interval over its children.
@@ -86,8 +84,8 @@ const POLL: Duration = Duration::from_millis(15);
 /// Deliberate mid-run death of one rank, for fault-injection tests:
 /// `rank` exits hard (no goodbye frame, no flush) just before its `nth`
 /// send or receive on `tag`, counting from 1 and including the priming
-/// exchange, exactly like a killed cluster node. It strikes in the rank's
-/// first attempt only; a replacement does not inherit it.
+/// exchange, exactly like a killed cluster node. It strikes in the gang's
+/// first attempt only; a restarted gang does not inherit it.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MpFault {
     pub rank: usize,
@@ -112,7 +110,8 @@ pub struct MpConfig {
     /// disables them.
     pub checkpoint_every: u64,
     /// Resume every rank from its [`checkpoint::path`] file of this phase
-    /// in the run directory and run `phases` *more* phases.
+    /// in the run directory and run on to the scenario's last phase,
+    /// numbering phases (and checkpoints) from it.
     pub resume_phase: Option<u64>,
     /// Run directory; `None` = a fresh directory under the system temp
     /// dir.
@@ -121,10 +120,9 @@ pub struct MpConfig {
     pub worker_exe: Option<PathBuf>,
     /// Optional fault injection (tests).
     pub fault: Option<MpFault>,
-    /// Supervise the children: when a rank dies without leaving a typed
-    /// error file, bump the membership epoch, respawn it with `--rejoin`,
-    /// and let the survivors re-mesh and roll back to the last common
-    /// checkpoint. Off, a dead rank fails the run.
+    /// Supervise the gang: when a rank dies without leaving a typed error
+    /// file, restart every rank from the newest checkpoint they all hold.
+    /// Off, a dead rank fails the run.
     pub recover: bool,
 }
 
@@ -147,8 +145,6 @@ impl MpConfig {
 #[derive(Clone, Debug, PartialEq)]
 pub struct MpReport {
     pub rank: usize,
-    /// The membership epoch the rank finished in (1 = no recovery).
-    pub epoch: u64,
     pub final_slab: Slab,
     pub planes_sent: usize,
     pub planes_received: usize,
@@ -162,7 +158,8 @@ pub struct MpOutcome {
     /// Per-rank reports, ordered by rank.
     pub reports: Vec<MpReport>,
     /// The merged trace: one meta (mode `"mp"`), then each rank's events
-    /// in rank-major order.
+    /// in rank-major order — a restarted run keeps what every attempt
+    /// flushed, oldest first — then the driver's recovery events.
     pub events: Vec<Event>,
     /// The run directory with all artifacts.
     pub dir: PathBuf,
@@ -215,9 +212,14 @@ fn fresh_run_dir() -> PathBuf {
 }
 
 /// Forks one worker process per rank, supervises them, and stitches their
-/// results. On failure the error carries every failed rank's typed error
-/// text; partial traces stay in the run directory. However this returns,
-/// no rank process outlives it.
+/// results. A rank's hard death, while the respawn budget lasts (it is
+/// empty unless `recover` is on), restarts the whole gang on a fresh
+/// rendezvous port from the newest checkpoint every rank holds; the
+/// recovery arc — `death-detected`, `rollback`, one `resumed` per rank,
+/// `epoch` = the gang's attempt — joins the merged trace. On failure the
+/// error carries every failed rank's typed error text; partial traces stay
+/// in the run directory. However this returns, no rank process outlives
+/// it.
 pub fn run_multiprocess(cfg: &MpConfig) -> Result<MpOutcome, MpFailure> {
     let dir = cfg.dir.clone().unwrap_or_else(fresh_run_dir);
     let fail = |message: String| MpFailure {
@@ -227,78 +229,108 @@ pub fn run_multiprocess(cfg: &MpConfig) -> Result<MpOutcome, MpFailure> {
     };
     let ranks = cfg.scenario.workers;
     cfg.scenario.validate_ranks("rank").map_err(&fail)?;
+    if let Some(phase) = cfg.resume_phase.filter(|&phase| phase > cfg.scenario.phases) {
+        let phases = cfg.scenario.phases;
+        return Err(fail(format!("resume phase {phase} is past the run's {phases} phases")));
+    }
 
     fs::create_dir_all(&dir)
         .map_err(|e| fail(format!("create run dir {}: {e}", dir.display())))?;
     let scenario_path = dir.join("scenario.bin");
     fs::write(&scenario_path, cfg.scenario.canonical_bytes())
         .map_err(|e| fail(format!("write {}: {e}", scenario_path.display())))?;
-
-    let port =
-        reserve_port().map_err(|e| fail(format!("reserve rendezvous port: {e}")))?;
     let exe = match &cfg.worker_exe {
         Some(p) => p.clone(),
         None => std::env::current_exe()
             .map_err(|e| fail(format!("locate worker executable: {e}")))?,
     };
 
-    // Shared by the initial spawn (epoch 1) and every rejoin: a rejoining
-    // rank gets its epoch's rendezvous and no fault — a replacement must
-    // not re-inherit its predecessor's death sentence.
-    let spawn_rank = |rank: usize, rendezvous: &str, epoch: u64| {
-        let rejoin = epoch > 1;
-        let args = MpWorkerArgs {
-            rank,
-            rendezvous: rendezvous.to_string(),
-            dir: dir.clone(),
-            checkpoint_every: cfg.checkpoint_every,
-            resume_phase: cfg.resume_phase,
-            die_on: cfg.fault.filter(|f| f.rank == rank && !rejoin).map(|f| (f.tag, f.nth)),
-            supervised: cfg.recover,
-            epoch,
-            rejoin,
-        };
-        Child::spawn(&exe, args.to_args(), &dir.join(format!("rank{rank}.stderr")))
-            .map_err(|e| format!("rank {rank}: {e}"))
-    };
-
-    // A membership change: publish the next epoch — a fresh rendezvous
-    // port and the nominal recovery plan for `dead` — and return where it
-    // meshes. Survivors poll the epoch file, drop their dead mesh, and
-    // rendezvous again at the new address.
-    let publish = |dead: usize, epoch: u64| {
-        let port = reserve_port().map_err(|e| format!("reserve rejoin port: {e}"))?;
-        // The audit plan: where the dead rank's planes would land had the
-        // survivors absorbed them (see [`EpochInfo::plan`]).
-        let dims = cfg.scenario.channel.dims;
-        let nominal = even_slabs(dims.nx, ranks).iter().map(|s| s.nx_local).collect();
-        let plan = RecoveryPlan::for_death(&Partition::new(nominal, dims.ny * dims.nz), dead);
+    let mut budget = Budget::new(if cfg.recover { MAX_RESPAWNS } else { 0 });
+    let mut resume = cfg.resume_phase;
+    // What earlier attempts' ranks flushed, and the driver's own events.
+    let mut flushed: Vec<Vec<Event>> = vec![Vec::new(); ranks];
+    let mut recovery = Vec::new();
+    let mut attempt: u64 = 1;
+    // The driver's clock starts with the first attempt, and each rank's own
+    // clock just after its spawn: a later attempt's rank events move onto
+    // the driver's clock by the time that attempt started.
+    let t0 = Instant::now();
+    let offset = loop {
+        let offset = if attempt == 1 { 0.0 } else { t0.elapsed().as_secs_f64() };
+        // Each attempt starts from a clean slate: whatever error files and
+        // traces lie in the directory afterwards are this attempt's.
+        for rank in 0..ranks {
+            let _ = fs::remove_file(dir.join(format!("rank{rank}.error")));
+            let _ = fs::remove_file(dir.join(format!("rank{rank}.jsonl")));
+        }
+        let port = reserve_port().map_err(|e| fail(format!("reserve rendezvous port: {e}")))?;
         let rendezvous = format!("127.0.0.1:{port}");
-        let info = EpochInfo { epoch, rendezvous, dead, plan: plan.summary() };
-        write_epoch_file(&dir, &info)?;
-        Ok(info.rendezvous)
+        let mut gang = Vec::with_capacity(ranks);
+        for rank in 0..ranks {
+            let args = MpWorkerArgs {
+                rank,
+                rendezvous: rendezvous.clone(),
+                dir: dir.clone(),
+                checkpoint_every: cfg.checkpoint_every,
+                resume_phase: resume,
+                die_on: cfg
+                    .fault
+                    .filter(|f| f.rank == rank && attempt == 1)
+                    .map(|f| (f.tag, f.nth)),
+            };
+            let stderr = dir.join(format!("rank{rank}.stderr"));
+            let child = Child::spawn(&exe, args.to_args(), &stderr)
+                .map_err(|e| fail(format!("rank {rank}: {e}")))?;
+            gang.push(child);
+            if attempt > 1 {
+                // What the respawned rank starts from, and its slab width.
+                let (from, slab) = match resume {
+                    Some(phase) => {
+                        let path = checkpoint::path(&dir, rank, phase);
+                        (path.display().to_string(), checkpoint::read_slab(&path).ok())
+                    }
+                    None => {
+                        let slab = even_slabs(cfg.scenario.channel.dims.nx, ranks)[rank];
+                        ("a fresh slab".to_string(), Some(slab))
+                    }
+                };
+                let detail = format!("respawned at {rendezvous} from {from}");
+                let (phase, planes) = (resume.unwrap_or(0), slab.map_or(0, |s| s.nx_local));
+                recovery.push(recovery_event(t0, rank, attempt, RecoveryStage::Resumed, phase, planes, detail));
+            }
+        }
+
+        let (dead, status) = match supervise(&dir, gang, &mut budget) {
+            Ok(()) => break offset,
+            Err(Ended::Died { rank, status }) => (rank, status),
+            Err(Ended::Failed(rank_errors)) => {
+                return Err(MpFailure {
+                    message: format!(
+                        "{} of {ranks} ranks failed (partial traces in {})",
+                        rank_errors.len(),
+                        dir.display()
+                    ),
+                    rank_errors,
+                    dir,
+                })
+            }
+        };
+        let detail = format!("rank {dead} exited with {status}; restarting the gang");
+        recovery.push(recovery_event(t0, dead, attempt, RecoveryStage::DeathDetected, 0, 0, detail));
+        keep_traces(&dir, &mut flushed, offset);
+        let phase = rollback_phase(&dir, ranks);
+        let detail = if phase == 0 {
+            format!("no checkpoint every one of {ranks} ranks holds; restarting fresh")
+        } else {
+            format!("rolling back to phase {phase}, the newest checkpoint every rank holds")
+        };
+        attempt += 1;
+        recovery.push(recovery_event(t0, dead, attempt, RecoveryStage::Rollback, phase, 0, detail));
+        resume = (phase > 0).then_some(phase);
     };
 
-    let rendezvous = format!("127.0.0.1:{port}");
-    let mut live = Vec::with_capacity(ranks);
-    for rank in 0..ranks {
-        live.push(Some(spawn_rank(rank, &rendezvous, 1).map_err(&fail)?));
-    }
-
-    let epoch = supervise(cfg.recover, &dir, live, rendezvous, &publish, &spawn_rank).map_err(
-        |rank_errors| MpFailure {
-            message: format!(
-                "{} of {ranks} ranks failed (partial traces in {})",
-                rank_errors.len(),
-                dir.display()
-            ),
-            rank_errors,
-            dir: dir.clone(),
-        },
-    )?;
-
-    let outcome = gather(&cfg.scenario, &dir).map_err(&fail)?;
-    let Some(fault) = cfg.fault.filter(|_| epoch == 1) else { return Ok(outcome) };
+    let outcome = gather(&cfg.scenario, &dir, flushed, offset, recovery).map_err(&fail)?;
+    let Some(fault) = cfg.fault.filter(|_| attempt == 1) else { return Ok(outcome) };
     // No rank died, so the injected fault never struck and the run proves
     // nothing about recovery: name the rank's actual count on the tag.
     let tag = fault.tag.name();
@@ -324,87 +356,99 @@ pub fn run_multiprocess(cfg: &MpConfig) -> Result<MpOutcome, MpFailure> {
     })
 }
 
-/// The driver's gang policy over its children's exits. A rank that dies
-/// without leaving a typed `rank{r}.error` file is treated as crashed:
-/// while the respawn budget lasts (it is empty unless `recover` is on) the
-/// membership epoch is bumped and a replacement spawned with `--rejoin`.
-/// A typed error, a wait failure or an exhausted budget aborts the run:
-/// the rest are reaped and whoever still runs is killed, so the caller
-/// gets a prompt, complete failure report. Returns the final epoch, or
-/// the failed ranks.
-fn supervise(
-    recover: bool,
-    dir: &Path,
-    mut live: Vec<Option<Child>>,
-    mut rendezvous: String,
-    publish: &dyn Fn(usize, u64) -> Result<String, String>,
-    spawn: &dyn Fn(usize, &str, u64) -> Result<Child, String>,
-) -> Result<u64, Vec<(usize, String)>> {
-    let error_file = |rank: usize| dir.join(format!("rank{rank}.error"));
-    let mut budget = Budget::new(if recover { MAX_RESPAWNS } else { 0 });
-    let mut epoch: u64 = 1;
-    // The epoch each rank last exited clean in; 0 until it has.
-    let mut finished = vec![0u64; live.len()];
-    let first_failure = 'poll: loop {
-        for (rank, slot) in live.iter_mut().enumerate() {
-            let Some(child) = slot.as_mut() else { continue };
-            let Some(exit) = child.poll(Some(&error_file(rank))) else { continue };
-            *slot = None;
-            match budget.judge(exit) {
-                Verdict::Done => finished[rank] = report_epoch(dir, rank).unwrap_or(epoch),
-                Verdict::Fatal(why) => break 'poll Some((rank, why)),
-                Verdict::Respawn { .. } => {
-                    epoch += 1;
-                    match publish(rank, epoch) {
-                        Ok(next) => rendezvous = next,
-                        Err(why) => break 'poll Some((rank, why)),
-                    }
-                }
-            }
-        }
-        // Whoever is not in the current epoch joins it: the dead rank's
-        // replacement, and every rank that exited clean in an earlier
-        // epoch — the rollback needs all ranks, and finishing is not a
-        // death, so the budget does not pay for it.
-        for (rank, slot) in live.iter_mut().enumerate() {
-            if slot.is_none() && finished[rank] < epoch {
-                match spawn(rank, &rendezvous, epoch) {
-                    Ok(child) => *slot = Some(child),
-                    Err(why) => break 'poll Some((rank, why)),
-                }
-            }
-        }
-        if live.iter().all(Option::is_none) {
-            break None;
-        }
-        std::thread::sleep(POLL);
-    };
-    let Some(first_failure) = first_failure else { return Ok(epoch) };
+/// One stage of the recovery arc, timed on the driver's clock.
+fn recovery_event(
+    t0: Instant,
+    node: usize,
+    attempt: u64,
+    stage: RecoveryStage,
+    phase: u64,
+    planes: usize,
+    detail: String,
+) -> Event {
+    let time = t0.elapsed().as_secs_f64();
+    Event::Recovery { time, node, epoch: attempt, stage, phase, planes, detail }
+}
 
-    // Abort. A supervised survivor is waiting for an epoch that will not
-    // come, so there is nothing to wait for; an unsupervised one exits on
-    // its own once it notices the dead peer.
-    let deadline = Instant::now() + if recover { Duration::ZERO } else { ABORT_GRACE };
-    while Instant::now() < deadline
-        && live.iter_mut().flatten().any(|child| child.poll(None).is_none())
-    {
+/// How an attempt of the gang ended, when not every rank finished clean.
+enum Ended {
+    /// A rank died hard and the budget granted a restart.
+    Died { rank: usize, status: String },
+    /// The run is lost: `(rank, error)` for every rank that failed.
+    Failed(Vec<(usize, String)>),
+}
+
+/// The driver's gang policy over its children's exits, for one attempt.
+/// Once a rank fails, the others get [`ABORT_GRACE`] to exit on their own
+/// — they notice the dead peer within a phase, flushing their traces — and
+/// whoever still runs then is killed as its handle drops. A rank that died
+/// without leaving a typed `rank{r}.error` file is treated as crashed: the
+/// first such death decides the attempt, since the typed errors of the
+/// others follow from it, and restarts the gang while the budget lasts.
+/// Anything else — typed errors only, a wait failure, an exhausted budget
+/// — ends the run.
+fn supervise(dir: &Path, mut gang: Vec<Child>, budget: &mut Budget) -> Result<(), Ended> {
+    let error_file = |rank: usize| dir.join(format!("rank{rank}.error"));
+    let mut exits: Vec<Option<Exit>> = vec![None; gang.len()];
+    let mut deadline = None;
+    loop {
+        for (rank, (child, exit)) in gang.iter_mut().zip(&mut exits).enumerate() {
+            if exit.is_none() {
+                *exit = child.poll(Some(&error_file(rank)));
+            }
+        }
+        if exits.iter().all(|exit| *exit == Some(Exit::Clean)) {
+            return Ok(());
+        }
+        if exits.iter().flatten().any(|exit| *exit != Exit::Clean) {
+            let deadline = *deadline.get_or_insert_with(|| Instant::now() + ABORT_GRACE);
+            if exits.iter().all(Option::is_some) || Instant::now() >= deadline {
+                break;
+            }
+        }
         std::thread::sleep(POLL);
     }
-    // Every exit of a rank's own is part of the report; whoever still runs
-    // is killed as its handle drops.
-    let mut rank_errors = vec![first_failure];
-    for (rank, slot) in live.iter_mut().enumerate() {
-        let exit = slot.as_mut().and_then(|child| child.poll(Some(&error_file(rank))));
+    let mut rank_errors = Vec::new();
+    let died = exits.iter_mut().enumerate().find(|(_, exit)| matches!(exit, Some(Exit::Died(_))));
+    if let Some((rank, Some(exit))) = died.map(|(rank, exit)| (rank, exit.take())) {
+        match budget.judge(exit) {
+            Verdict::Respawn { status, .. } => return Err(Ended::Died { rank, status }),
+            Verdict::Fatal(why) => rank_errors.push((rank, why)),
+            Verdict::Done => {}
+        }
+    }
+    for (rank, exit) in exits.into_iter().enumerate() {
         rank_errors.extend(exit.filter(|exit| *exit != Exit::Clean).map(|exit| (rank, exit.to_string())));
     }
     rank_errors.sort_by_key(|&(rank, _)| rank);
-    Err(rank_errors)
+    Err(Ended::Failed(rank_errors))
 }
 
-/// The epoch a rank that exited clean finished in, from its report.
-fn report_epoch(dir: &Path, rank: usize) -> Option<u64> {
-    let text = fs::read_to_string(dir.join(format!("rank{rank}.report"))).ok()?;
-    parse_report(rank, &text).ok().map(|report| report.epoch)
+/// Appends the traces the ranks of a failed attempt flushed to `flushed`,
+/// rank by rank, moved `offset` seconds onto the driver's clock. A rank
+/// that died hard flushed none; a trace that does not parse (a straggler
+/// killed mid-write) is dropped.
+fn keep_traces(dir: &Path, flushed: &mut [Vec<Event>], offset: f64) {
+    for (rank, events) in flushed.iter_mut().enumerate() {
+        let path = dir.join(format!("rank{rank}.jsonl"));
+        let text = fs::read_to_string(&path).unwrap_or_default();
+        events.extend(from_jsonl(&text).unwrap_or_default().into_iter().map(|mut e| {
+            e.shift(offset);
+            e
+        }));
+    }
+}
+
+/// The phase a restarted gang resumes from: the newest phase whose
+/// checkpoint passes its CRC on every rank, or 0 (a fresh start) when
+/// there is none. The driver sees every rank's files, since all ranks
+/// share the run directory.
+fn rollback_phase(dir: &Path, ranks: usize) -> u64 {
+    (0..ranks)
+        .map(|rank| checkpoint::valid_phases(dir, rank))
+        .reduce(|common, theirs| common.into_iter().filter(|p| theirs.contains(p)).collect())
+        .and_then(|common| common.into_iter().max())
+        .unwrap_or(0)
 }
 
 /// Captures every rank's final state into the global snapshot. The headers
@@ -444,12 +488,21 @@ fn gather_snapshot(run: &Scenario, dir: &Path) -> Result<Snapshot, String> {
     Ok(global)
 }
 
-/// Reads every rank's artifacts and assembles the outcome.
-fn gather(run: &Scenario, dir: &Path) -> Result<MpOutcome, String> {
+/// Reads every rank's artifacts and assembles the outcome: each rank's
+/// final trace, moved `offset` seconds onto the driver's clock, follows
+/// what its earlier attempts `flushed`, and the driver's `recovery` events
+/// close the merged stream.
+fn gather(
+    run: &Scenario,
+    dir: &Path,
+    flushed: Vec<Vec<Event>>,
+    offset: f64,
+    recovery: Vec<Event>,
+) -> Result<MpOutcome, String> {
     let snapshot = gather_snapshot(run, dir)?;
     let mut reports = Vec::with_capacity(run.workers);
-    let mut streams = Vec::with_capacity(run.workers);
-    for rank in 0..run.workers {
+    let mut streams = Vec::with_capacity(run.workers + 1);
+    for (rank, mut events) in flushed.into_iter().enumerate() {
         let report_path = dir.join(format!("rank{rank}.report"));
         let text = fs::read_to_string(&report_path)
             .map_err(|e| format!("read {}: {e}", report_path.display()))?;
@@ -458,9 +511,14 @@ fn gather(run: &Scenario, dir: &Path) -> Result<MpOutcome, String> {
         let trace_path = dir.join(format!("rank{rank}.jsonl"));
         let jsonl = fs::read_to_string(&trace_path)
             .map_err(|e| format!("read {}: {e}", trace_path.display()))?;
-        streams
-            .push(from_jsonl(&jsonl).map_err(|e| format!("{}: {e}", trace_path.display()))?);
+        let last = from_jsonl(&jsonl).map_err(|e| format!("{}: {e}", trace_path.display()))?;
+        events.extend(last.into_iter().map(|mut e| {
+            e.shift(offset);
+            e
+        }));
+        streams.push(events);
     }
+    streams.push(recovery);
     Ok(MpOutcome {
         snapshot,
         reports,
@@ -481,110 +539,10 @@ fn parse_report(rank: usize, text: &str) -> Result<MpReport, String> {
     }
     Ok(MpReport {
         rank,
-        epoch: get("epoch ")? as u64,
         final_slab: Slab { x0: get("x0 ")?, nx_local: get("nx_local ")? },
         planes_sent: get("planes_sent ")?,
         planes_received: get("planes_received ")?,
     })
-}
-
-// ---------------------------------------------------------------------------
-// Membership epochs and recovery support
-// ---------------------------------------------------------------------------
-
-/// Contents of the run directory's `epoch` file — the driver's one-way
-/// channel to the workers. Published atomically (temp file + rename)
-/// whenever the membership changes; survivors poll it after losing a
-/// peer to learn where (and as which epoch) to re-mesh.
-#[derive(Clone, Debug, PartialEq)]
-pub struct EpochInfo {
-    /// Membership epoch (1 = initial mesh; each respawn bumps it).
-    pub epoch: u64,
-    /// Rendezvous address of this epoch's mesh (fresh port per epoch).
-    pub rendezvous: String,
-    /// The rank whose death triggered the epoch.
-    pub dead: usize,
-    /// [`RecoveryPlan::summary`] of where the dead rank's planes would
-    /// re-home on the survivors — the audit record of the alternative the
-    /// runtime deliberately rejects in favor of checkpoint rollback
-    /// (rollback is the only scheme that keeps the run bitwise identical).
-    pub plan: String,
-}
-
-/// Atomically publishes `info` as `dir/epoch`.
-pub fn write_epoch_file(dir: &Path, info: &EpochInfo) -> Result<(), String> {
-    let text = format!(
-        "epoch {}\nrendezvous {}\ndead {}\nplan {}\n",
-        info.epoch, info.rendezvous, info.dead, info.plan
-    );
-    let path = dir.join("epoch");
-    microslip_codec::publish(&path, |file| file.write_all(text.as_bytes()))
-        .map_err(|e| format!("publish {}: {e}", path.display()))
-}
-
-/// Reads `dir/epoch`; `None` when absent or unparseable (a torn write is
-/// impossible by construction, but a missing file is the normal state of
-/// an undisturbed run).
-pub fn read_epoch_file(dir: &Path) -> Option<EpochInfo> {
-    let text = fs::read_to_string(dir.join("epoch")).ok()?;
-    let get = |key: &str| {
-        text.lines().find_map(|l| l.strip_prefix(key)).map(|v| v.trim().to_string())
-    };
-    Some(EpochInfo {
-        epoch: get("epoch ")?.parse().ok()?,
-        rendezvous: get("rendezvous ")?,
-        dead: get("dead ")?.parse().ok()?,
-        plan: get("plan ")?,
-    })
-}
-
-/// Post-re-mesh collective: agree on the rollback phase. Every rank
-/// reports the checkpoint phases it can restore; rank 0 intersects them
-/// and broadcasts the newest common one (0 = none in common, restart
-/// fresh). Runs over [`Tag::COLLECTIVE`] — the one place this runtime
-/// pays for a collective, because recovery is off the steady-state path.
-fn recovery_sync<T: Transport>(t: &mut T, mine: &[u64]) -> Result<u64, CommError> {
-    use std::collections::BTreeSet;
-    let n = t.size();
-    if t.rank() == 0 {
-        let mut common: BTreeSet<u64> = mine.iter().copied().collect();
-        for from in 1..n {
-            let theirs = t.recv(from, Tag::COLLECTIVE)?;
-            let theirs = theirs
-                .iter()
-                .map(|&p| decode_phase(from, p))
-                .collect::<Result<BTreeSet<u64>, _>>()?;
-            common = common.intersection(&theirs).copied().collect();
-        }
-        let agreed = common.iter().next_back().copied().unwrap_or(0);
-        for to in 1..n {
-            t.send(to, Tag::COLLECTIVE, vec![agreed as f64])?;
-        }
-        Ok(agreed)
-    } else {
-        t.send(0, Tag::COLLECTIVE, mine.iter().map(|&p| p as f64).collect())?;
-        let reply = t.recv(0, Tag::COLLECTIVE)?;
-        let &[agreed] = reply.as_slice() else {
-            return Err(CommError::Protocol {
-                peer: 0,
-                detail: format!("recovery broadcast of {} values, expected 1", reply.len()),
-            });
-        };
-        decode_phase(0, agreed)
-    }
-}
-
-/// A checkpoint phase in a recovery message from `peer`: an integer in
-/// [0, 2^53), never a NaN, a negative or a fraction truncated into one.
-fn decode_phase(peer: usize, phase: f64) -> Result<u64, CommError> {
-    if phase.fract() == 0.0 && (0.0..9_007_199_254_740_992.0).contains(&phase) {
-        Ok(phase as u64)
-    } else {
-        Err(CommError::Protocol {
-            peer,
-            detail: format!("recovery phase {phase} is not a non-negative integer"),
-        })
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -599,19 +557,12 @@ pub struct MpWorkerArgs {
     pub rendezvous: String,
     pub dir: PathBuf,
     pub checkpoint_every: u64,
+    /// Start from this rank's checkpoint of the phase instead of a fresh
+    /// slab, and run on to the scenario's last phase.
     pub resume_phase: Option<u64>,
     /// Fault injection: exit hard just before the n-th send or receive
     /// on the tag (see [`MpFault`]).
     pub die_on: Option<(Tag, u64)>,
-    /// The driver supervises this run: on a lost peer, poll the epoch
-    /// file and re-mesh instead of failing.
-    pub supervised: bool,
-    /// Membership epoch to rendezvous at (1 = initial mesh; a respawned
-    /// replacement starts at the epoch its driver published).
-    pub epoch: u64,
-    /// This process replaces a dead rank: it recovers from checkpoints
-    /// exactly like a survivor instead of starting the run fresh.
-    pub rejoin: bool,
 }
 
 impl MpWorkerArgs {
@@ -621,17 +572,14 @@ impl MpWorkerArgs {
             ("rank", Some(self.rank.to_string())),
             ("rendezvous", Some(self.rendezvous.clone())),
             ("dir", Some(self.dir.display().to_string())),
-            ("epoch", Some(self.epoch.to_string())),
             ("checkpoint-every", Some(self.checkpoint_every.to_string())),
             ("resume-phase", self.resume_phase.map(|phase| phase.to_string())),
             ("die-on", self.die_on.map(|(tag, nth)| format!("{}:{nth}", tag.name()))),
         ];
-        let switches = [("supervised", self.supervised), ("rejoin", self.rejoin)];
         let mut args = vec!["mp-worker".to_string()];
         for (name, value) in valued {
             args.extend(value.into_iter().flat_map(|value| [format!("--{name}"), value]));
         }
-        args.extend(switches.iter().filter(|(_, on)| *on).map(|(name, _)| format!("--{name}")));
         args
     }
 }
@@ -688,157 +636,35 @@ impl<T: Transport> Transport for FaultTransport<T> {
     }
 }
 
-/// One rank's view of the run it is part of.
-struct RankRun<'a> {
-    a: &'a MpWorkerArgs,
-    /// The scenario finalized exactly as the threaded runtime would run it.
-    run: &'a RuntimeConfig,
-    policy: &'a dyn NeighborPolicy,
-    t0: Instant,
-}
-
-impl RankRun<'_> {
-    /// This rank's solver at the start of an attempt — restored from its
-    /// checkpoint of `phase`, or a fresh even slab — and what was done.
-    fn solver_at(&self, phase: Option<u64>) -> Result<(SlabSolver, String), WorkerError> {
-        let Some(phase) = phase else {
-            let slab = even_slabs(self.run.channel.dims.nx, self.run.workers)[self.a.rank];
-            let how = format!("fresh slab x0={} nx={}", slab.x0, slab.nx_local);
-            return Ok((SlabSolver::new(&self.run.channel, slab), how));
-        };
-        let path = checkpoint::path(&self.a.dir, self.a.rank, phase);
-        let (solver, _) = read_solver(&self.run.channel, &path)
-            .map_err(|e| WorkerError::Io(format!("{}: {e}", path.display())))?;
-        let slab = solver.slab();
-        let how = format!("restored {} (slab x0={} nx={})", path.display(), slab.x0, slab.nx_local);
-        Ok((solver, how))
-    }
-
-    fn recovery_event(&self, epoch: u64, stage: RecoveryStage, phase: u64, planes: usize, detail: String) {
-        self.run.trace.record(Event::Recovery {
-            time: self.t0.elapsed().as_secs_f64(),
-            node: self.a.rank,
-            epoch,
-            stage,
-            phase,
-            planes,
-            detail,
-        });
-    }
-
-    /// One attempt over a connected mesh. The first (epoch 1) starts from
-    /// a fresh slab or the checkpoint `--resume-phase` names. A recovery
-    /// attempt (epoch > 1) agrees on the rollback phase over the fresh
-    /// mesh, restores the newest common checkpoint (or restarts fresh) and
-    /// runs the remaining phases, emitting the rollback → plan-applied →
-    /// resumed stages of the recovery arc.
-    fn execute<T: Transport>(
-        &self,
-        cfg: &mut WorkerConfig,
-        epoch: u64,
-        mut transport: T,
-    ) -> Result<WorkerReport, WorkerError> {
-        use RecoveryStage::{PlanApplied, Resumed, Rollback};
-        let solver = if epoch == 1 {
-            self.solver_at(self.a.resume_phase)?.0
-        } else {
-            let mine = checkpoint::valid_phases(&self.a.dir, self.a.rank);
-            let agreed = recovery_sync(&mut transport, &mine).map_err(WorkerError::Comm)?;
-            let (rollback, resumed) = if agreed == 0 {
-                let ranks = self.run.workers;
-                (
-                    format!("no common checkpoint among {ranks} ranks; restarting fresh"),
-                    format!("phase loop restarted at 1 of {}", cfg.phases),
-                )
-            } else {
-                (
-                    format!("rolling back to the newest common checkpoint, phase {agreed}"),
-                    format!("phase loop resumed at {} of {}", agreed + 1, cfg.phases),
-                )
-            };
-            self.recovery_event(epoch, Rollback, agreed, 0, rollback);
-            cfg.start_phase = agreed;
-            let (solver, how) = self.solver_at((agreed > 0).then_some(agreed))?;
-            let planes = solver.slab().nx_local;
-            self.recovery_event(epoch, PlanApplied, agreed, planes, how);
-            self.recovery_event(epoch, Resumed, agreed, planes, resumed);
-            solver
-        };
-        let predictor = HarmonicMean { window: cfg.predictor_window.max(1) };
-        let throttle = self.run.throttle_for(self.a.rank);
-        worker_main_with_solver(cfg, self.policy, &predictor, transport, solver, throttle)
-    }
-
-    /// The attempt loop: connect at the current epoch and run. A
-    /// supervised rank that loses a peer emits the death-detected stage,
-    /// waits for the driver to publish the next epoch, and re-meshes; any
-    /// other failure — and any failure of an unsupervised rank — is final.
-    /// Rollback recovery replays identical deterministic physics from a
-    /// bitwise checkpoint of the same run, so the final fields match the
-    /// undisturbed run exactly — the property the chaos tests pin. Returns
-    /// the report and the epoch it finished in.
-    fn attempts(&self, cfg: &mut WorkerConfig) -> Result<(WorkerReport, u64), WorkerError> {
-        use RecoveryStage::{DeathDetected, Remesh};
-        let a = self.a;
-        let ranks = self.run.workers;
-        let net = NetConfig::default();
-        let mut epoch = a.epoch.max(1);
-        let mut rendezvous = a.rendezvous.clone();
-        // A rank that finished clean before a peer died learns of the death
-        // from the driver, which respawns it into the recovery epoch.
-        let published = if a.rejoin { read_epoch_file(&a.dir) } else { None };
-        if let Some(info) = published.filter(|i| i.epoch == epoch && i.dead != a.rank) {
-            let detail = format!("rank {} died after this rank finished; rejoining", info.dead);
-            self.recovery_event(epoch - 1, DeathDetected, 0, 0, detail);
+/// One rank's run: join the mesh, start from the `--resume-phase`
+/// checkpoint (numbering phases from it) or a fresh even slab, and run
+/// the standard worker protocol to the scenario's last phase.
+fn run_rank(
+    a: &MpWorkerArgs,
+    run: &RuntimeConfig,
+    policy: &dyn NeighborPolicy,
+    cfg: &mut WorkerConfig,
+) -> Result<WorkerReport, WorkerError> {
+    let transport = connect(Some(a.rank), run.workers, &a.rendezvous, &NetConfig::default())
+        .map_err(WorkerError::Comm)?;
+    let solver = match a.resume_phase {
+        None => SlabSolver::new(&run.channel, even_slabs(run.channel.dims.nx, run.workers)[a.rank]),
+        Some(phase) => {
+            let path = checkpoint::path(&a.dir, a.rank, phase);
+            cfg.start_phase = phase;
+            read_solver(&run.channel, &path)
+                .map_err(|e| WorkerError::Io(format!("{}: {e}", path.display())))?
+                .0
         }
-        loop {
-            let transport = connect_epoch(Some(a.rank), ranks, &rendezvous, epoch, &net)
-                .map_err(WorkerError::Comm)?;
-            if epoch > 1 {
-                let detail = format!("re-meshed {ranks} ranks at {rendezvous}");
-                self.recovery_event(epoch, Remesh, 0, 0, detail);
-            }
-            // The injected fault belongs to the first attempt only.
-            let attempt = match a.die_on.filter(|_| epoch == 1) {
-                Some((tag, nth)) => {
-                    self.execute(cfg, epoch, FaultTransport::new(transport, tag, nth))
-                }
-                None => self.execute(cfg, epoch, transport),
-            };
-            match attempt {
-                Err(WorkerError::Comm(CommError::Disconnected { peer })) if a.supervised => {
-                    // A peer died mid-protocol. Our own transport was
-                    // dropped with the failed attempt, cascading goodbye
-                    // frames so every survivor reaches this point within
-                    // milliseconds.
-                    let detail = format!("lost peer {peer} (epoch {epoch}); awaiting new epoch");
-                    self.recovery_event(epoch, DeathDetected, 0, 0, detail);
-                    let Some(next) = wait_for_epoch(&a.dir, epoch, EPOCH_WAIT) else {
-                        return Err(WorkerError::Comm(CommError::Disconnected { peer }));
-                    };
-                    epoch = next.epoch;
-                    rendezvous = next.rendezvous;
-                }
-                other => return other.map(|report| (report, epoch)),
-            }
+    };
+    let predictor = HarmonicMean { window: cfg.predictor_window.max(1) };
+    let throttle = run.throttle_for(a.rank);
+    match a.die_on {
+        Some((tag, nth)) => {
+            let transport = FaultTransport::new(transport, tag, nth);
+            worker_main_with_solver(cfg, policy, &predictor, transport, solver, throttle)
         }
-    }
-}
-
-/// Polls the epoch file until the driver publishes an epoch newer than
-/// `current`, up to `wait`.
-fn wait_for_epoch(dir: &Path, current: u64, wait: Duration) -> Option<EpochInfo> {
-    let deadline = Instant::now() + wait;
-    loop {
-        if let Some(info) = read_epoch_file(dir) {
-            if info.epoch > current {
-                return Some(info);
-            }
-        }
-        if Instant::now() >= deadline {
-            return None;
-        }
-        std::thread::sleep(Duration::from_millis(20));
+        None => worker_main_with_solver(cfg, policy, &predictor, transport, solver, throttle),
     }
 }
 
@@ -865,10 +691,8 @@ pub fn run_worker(a: &MpWorkerArgs) -> Result<(), String> {
     runtime.config_mut().checkpoint_every = a.checkpoint_every;
     runtime.config_mut().checkpoint_dir = Some(a.dir.clone());
     let policy = runtime.policy();
-    let t0 = Instant::now();
-    let mut cfg = runtime.config().worker_config(t0);
-    let result =
-        RankRun { a, run: runtime.config(), policy: policy.as_ref(), t0 }.attempts(&mut cfg);
+    let mut cfg = runtime.config().worker_config(Instant::now());
+    let result = run_rank(a, runtime.config(), policy.as_ref(), &mut cfg);
 
     // The trace lands on disk no matter what: a failed rank must leave
     // its partial evidence (spans, traffic totals) behind.
@@ -877,12 +701,12 @@ pub fn run_worker(a: &MpWorkerArgs) -> Result<(), String> {
         .map_err(|e| format!("write {}: {e}", trace_path.display()))?;
 
     match result {
-        Ok((report, epoch)) => {
+        Ok(report) => {
             let state_path = a.dir.join(format!("rank{rank}.state"));
             write_solver(&state_path, &report.solver, runtime.config().phases)
                 .map_err(|e| format!("write {}: {e}", state_path.display()))?;
             let summary = format!(
-                "rank {}\nepoch {epoch}\nx0 {}\nnx_local {}\nplanes_sent {}\nplanes_received {}\n",
+                "rank {}\nx0 {}\nnx_local {}\nplanes_sent {}\nplanes_received {}\n",
                 report.rank,
                 report.final_slab.x0,
                 report.final_slab.nx_local,
@@ -909,13 +733,12 @@ mod tests {
 
     #[test]
     fn report_round_trips_through_the_kv_format() {
-        let text = "rank 2\nepoch 3\nx0 8\nnx_local 5\nplanes_sent 3\nplanes_received 1\n";
+        let text = "rank 2\nx0 8\nnx_local 5\nplanes_sent 3\nplanes_received 1\n";
         let r = parse_report(2, text).unwrap();
         assert_eq!(
             r,
             MpReport {
                 rank: 2,
-                epoch: 3,
                 final_slab: Slab { x0: 8, nx_local: 5 },
                 planes_sent: 3,
                 planes_received: 1,
@@ -933,6 +756,10 @@ mod tests {
         let global = Scenario::paper_scaled(8, 6, 4).workers(2).scheme(Scheme::Global);
         let err = run(global).unwrap_err();
         assert!(err.to_string().contains("global"), "{err}");
+        let mut past = MpConfig::new(Scenario::paper_scaled(8, 6, 4).workers(2).phases(4));
+        past.resume_phase = Some(5);
+        let err = run_multiprocess(&past).unwrap_err();
+        assert!(err.to_string().contains("resume phase 5 is past the run's 4 phases"), "{err}");
     }
 
     fn scratch(label: &str) -> PathBuf {
@@ -946,26 +773,6 @@ mod tests {
     }
 
     #[test]
-    fn epoch_file_round_trips_atomically() {
-        let dir = scratch("epoch");
-        assert_eq!(read_epoch_file(&dir), None, "no epoch before a membership change");
-        let info = EpochInfo {
-            epoch: 3,
-            rendezvous: "127.0.0.1:4501".into(),
-            dead: 2,
-            plan: "2->1:2@8 2->3:3@10".into(),
-        };
-        write_epoch_file(&dir, &info).unwrap();
-        assert_eq!(read_epoch_file(&dir), Some(info.clone()));
-        // Republishing replaces the file in place (rename, never truncate).
-        let next = EpochInfo { epoch: 4, ..info };
-        write_epoch_file(&dir, &next).unwrap();
-        assert_eq!(read_epoch_file(&dir), Some(next));
-        assert!(!dir.join("epoch.tmp").exists(), "temp file must not linger");
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn worker_command_line_carries_only_per_process_flags() {
         let mut a = MpWorkerArgs {
             rank: 2,
@@ -974,21 +781,38 @@ mod tests {
             checkpoint_every: 3,
             resume_phase: None,
             die_on: None,
-            supervised: false,
-            epoch: 1,
-            rejoin: false,
         };
-        let plain = "mp-worker --rank 2 --rendezvous 127.0.0.1:4501 --dir /tmp/run --epoch 1 \
+        let plain = "mp-worker --rank 2 --rendezvous 127.0.0.1:4501 --dir /tmp/run \
                      --checkpoint-every 3";
         assert_eq!(a.to_args().join(" "), plain);
         a.resume_phase = Some(6);
         a.die_on = Some((Tag::LOAD, 8));
-        a.supervised = true;
-        a.rejoin = true;
-        assert_eq!(
-            a.to_args().join(" "),
-            format!("{plain} --resume-phase 6 --die-on load:8 --supervised --rejoin")
-        );
+        assert_eq!(a.to_args().join(" "), format!("{plain} --resume-phase 6 --die-on load:8"));
+    }
+
+    #[test]
+    fn rollback_phase_is_the_newest_every_rank_holds_intact() {
+        let dir = scratch("rollback");
+        let seal = |rank: usize, phase: u64| {
+            checkpoint::write_sealed(&checkpoint::path(&dir, rank, phase), vec![7; 64]).unwrap()
+        };
+        for phase in [3, 6, 9] {
+            seal(0, phase);
+        }
+        for phase in [3, 6] {
+            seal(1, phase);
+        }
+        assert_eq!(rollback_phase(&dir, 2), 6, "rank 1 holds nothing newer than 6");
+
+        // A torn newest file on one rank falls back to the previous phase.
+        let torn = checkpoint::path(&dir, 1, 6);
+        let bytes = fs::read(&torn).unwrap();
+        fs::write(&torn, &bytes[..bytes.len() - 3]).unwrap();
+        assert_eq!(rollback_phase(&dir, 2), 3);
+
+        // A rank with no checkpoint at all leaves no common phase.
+        assert_eq!(rollback_phase(&dir, 3), 0);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     /// Rank 0 and rank 1 of a two-rank channel mesh.
@@ -996,39 +820,6 @@ mod tests {
         let mut mesh = microslip_comm::mesh(2);
         let rank1 = mesh.pop().unwrap();
         (mesh.pop().unwrap(), rank1)
-    }
-
-    #[test]
-    fn recovery_sync_refuses_malformed_phases() {
-        // Rank 1 reports phases no checkpoint can have.
-        for hostile in [vec![f64::NAN], vec![-3.0], vec![2.5], vec![3.0, f64::INFINITY]] {
-            let (mut rank0, mut rank1) = two_ranks();
-            rank1.send(0, Tag::COLLECTIVE, hostile.clone()).unwrap();
-            match recovery_sync(&mut rank0, &[3, 6]) {
-                Err(CommError::Protocol { peer: 1, detail }) => {
-                    assert!(detail.contains("not a non-negative integer"), "{detail}")
-                }
-                other => panic!("{hostile:?}: expected a protocol error, got {other:?}"),
-            }
-        }
-        // Rank 0 broadcasts anything but exactly one such phase.
-        for hostile in [vec![], vec![3.0, 6.0], vec![f64::NAN], vec![-1.0], vec![4.5]] {
-            let (mut rank0, mut rank1) = two_ranks();
-            rank0.send(1, Tag::COLLECTIVE, hostile.clone()).unwrap();
-            let outcome = recovery_sync(&mut rank1, &[3, 6]);
-            assert!(
-                matches!(outcome, Err(CommError::Protocol { peer: 0, .. })),
-                "{hostile:?}: expected a protocol error, got {outcome:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn recovery_sync_agrees_on_the_newest_common_phase() {
-        let (mut rank0, mut rank1) = two_ranks();
-        let peer = std::thread::spawn(move || recovery_sync(&mut rank1, &[3, 6, 9]));
-        assert_eq!(recovery_sync(&mut rank0, &[3, 6]).unwrap(), 6);
-        assert_eq!(peer.join().unwrap().unwrap(), 6);
     }
 
     #[test]

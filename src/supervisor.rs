@@ -23,9 +23,10 @@
 //! * [`Budget`] turns an exit into a [`Verdict`] under a bounded number of
 //!   respawns.
 //!
-//! What a respawn *means* stays with the owners: [`crate::mp`] bumps the
-//! membership epoch and respawns that rank (a fatal verdict kills the
-//! gang), [`crate::serve`] requeues the job with `--resume`.
+//! Both owners answer a respawn the same way — start over from the newest
+//! checkpoint: [`crate::mp`] restarts the whole gang from the newest one
+//! every rank holds (a fatal verdict fails the run), [`crate::serve`]
+//! requeues the job with `--resume`.
 
 use std::ffi::OsStr;
 use std::io;

@@ -1,9 +1,7 @@
 //! Property-based tests of lattice-plane migration and the parallel
 //! equivalence invariant: arbitrary migration schedules applied to an
-//! arbitrary decomposition never change the physics — plus the recovery
-//! plans that decide *which* planes move after a membership change.
+//! arbitrary decomposition never change the physics.
 
-use microslip::balance::{Partition, RecoveryPlan};
 use microslip::lbm::checkpoint::{load_solver, save_solver};
 use microslip::lbm::component::CollisionOperator;
 use microslip::lbm::geometry::{even_slabs, SolidRegion};
@@ -321,104 +319,5 @@ fn a_move_in_batches_is_bitwise_one_move() {
                 assert!(save_solver(a, 1) == save_solver(b, 1), "{label}: checkpoints differ");
             }
         }
-    }
-}
-
-/// Arbitrary live partitions: 2–8 ranks, each holding 1–30 planes.
-fn plane_counts() -> impl Strategy<Value = Vec<usize>> {
-    proptest::collection::vec(1usize..30, 2..8)
-}
-
-/// Replays `moves` as count transfers and returns the resulting counts.
-fn apply_moves(counts: &[usize], plan: &RecoveryPlan) -> Vec<i64> {
-    let mut after: Vec<i64> = counts.iter().map(|&c| c as i64).collect();
-    for m in &plan.moves {
-        after[m.from] -= m.planes as i64;
-        after[m.to] += m.planes as i64;
-    }
-    after
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    #[test]
-    fn death_plans_conserve_planes_zero_the_dead_and_never_overlap(
-        counts in plane_counts(),
-        dead_raw in 0usize..64,
-    ) {
-        let dead = dead_raw % counts.len();
-        let p = Partition::new(counts.clone(), 12);
-        let plan = RecoveryPlan::for_death(&p, dead);
-
-        // Conservation: every plane of the dead rank lands on a survivor.
-        let total: usize = counts.iter().sum();
-        prop_assert_eq!(plan.target.iter().sum::<usize>(), total);
-        prop_assert_eq!(plan.target[dead], 0);
-        for (i, &c) in plan.target.iter().enumerate() {
-            prop_assert!(i == dead || c >= 1, "survivor {i} starved: {:?}", plan.target);
-        }
-
-        // The moves realize exactly the target — nothing lost, nothing
-        // duplicated.
-        let after = apply_moves(&counts, &plan);
-        let want: Vec<i64> = plan.target.iter().map(|&c| c as i64).collect();
-        prop_assert_eq!(after, want);
-        prop_assert!(plan.planes_moved() >= counts[dead]);
-
-        // Moves are plane-ordered and disjoint: no plane moves twice.
-        for w in plan.moves.windows(2) {
-            prop_assert!(
-                w[0].first_plane + w[0].planes <= w[1].first_plane,
-                "overlapping moves {:?} / {:?}", w[0], w[1]
-            );
-        }
-    }
-
-    #[test]
-    fn join_plans_level_the_partition_toward_the_newcomer(
-        counts in plane_counts(),
-        joiner_raw in 0usize..64,
-    ) {
-        // The post-death state a joiner sees: it owns nothing yet.
-        let joiner = joiner_raw % counts.len();
-        let mut counts = counts;
-        counts[joiner] = 0;
-        prop_assume!(counts.iter().sum::<usize>() >= counts.len());
-
-        let plan = RecoveryPlan::for_join(&counts, joiner);
-        let total: usize = counts.iter().sum();
-        prop_assert_eq!(plan.target.iter().sum::<usize>(), total);
-        // As even as integers allow.
-        let min = plan.target.iter().min().unwrap();
-        let max = plan.target.iter().max().unwrap();
-        prop_assert!(max - min <= 1, "uneven rejoin target: {:?}", plan.target);
-        prop_assert!(plan.target[joiner] >= 1, "the newcomer must end with planes");
-        let after = apply_moves(&counts, &plan);
-        let want: Vec<i64> = plan.target.iter().map(|&c| c as i64).collect();
-        prop_assert_eq!(after, want);
-    }
-
-    #[test]
-    fn recovery_plans_are_deterministic_across_recomputation(
-        counts in plane_counts(),
-        subject_raw in 0usize..64,
-    ) {
-        // Every rank recomputes the plan independently during recovery;
-        // any nondeterminism (hash-order iteration, float tie ambiguity)
-        // would desynchronize the mesh.
-        let subject = subject_raw % counts.len();
-        let p = Partition::new(counts.clone(), 12);
-        prop_assert_eq!(
-            RecoveryPlan::for_death(&p, subject),
-            RecoveryPlan::for_death(&p, subject)
-        );
-        let mut drained = counts;
-        drained[subject] = 0;
-        prop_assume!(drained.iter().sum::<usize>() >= drained.len());
-        prop_assert_eq!(
-            RecoveryPlan::for_join(&drained, subject),
-            RecoveryPlan::for_join(&drained, subject)
-        );
     }
 }
