@@ -12,9 +12,12 @@
 //! plane's `f` (19 channels) and ψ (1), each a run of `ny · nz` values —
 //! 20 channels, the same records, in the same order, as a migrated plane
 //! ([`SlabSolver::take_planes`]). The ghosts are stored so no re-exchange
-//! is needed before the first restored phase (neither the force nor the
-//! equilibrium velocity is state: a collision forms them from ψ and its
-//! ghosts, a snapshot recomputes the force). On disk the payload is sealed
+//! is needed before the first restored phase. An owned plane's ψ is not
+//! state: it is written as Σ_i f_i of the record's populations, and a
+//! decoder holds it to that sum, to the bit, refusing a record that
+//! disagrees as `Corrupt`; a ghost plane's ψ is the exchanged value the
+//! state keeps (neither the force nor the equilibrium velocity is state: a
+//! collision forms them from ψ, a snapshot recomputes them). On disk the payload is sealed
 //! with the [`microslip_codec`] CRC-32 trailer. `MSLIPCK3`, the same plane
 //! records with the 3 `ueq` channels after ψ (23 channels), the
 //! channel-major `MSLIPCK2` and the 26-channel `MSLIPCK1` are refused by
@@ -37,9 +40,10 @@ use microslip_codec::{f64s_from_le, put_f64s, SealError, TRAILER_LEN};
 use crate::component::ComponentState;
 use crate::config::ChannelConfig;
 use crate::field::LocalGrid;
-use crate::force::ForcePlanes;
 use crate::geometry::Slab;
+use crate::lattice::{Lattice, D3Q19};
 use crate::macroscopic::SnapshotSlab;
+use crate::multicomponent::PlaneCollision;
 use crate::simulation::Simulation;
 use crate::solver::{solid_mask, SlabSolver};
 
@@ -111,28 +115,42 @@ pub fn encode_solver(solver: &SlabSolver, phase: u64, w: &mut impl Write) -> io:
     w.write_all(&header)?;
     // The window only, a plane record at a time: the bytes do not depend
     // on how many planes the slab has reserved around it.
+    let mut values = Vec::with_capacity(solver.migration_plane_len());
     let mut record = Vec::with_capacity(8 * solver.migration_plane_len());
     for xl in 0..grid.lx {
+        values.clear();
+        SlabSolver::push_plane_record(&solver.comps, xl, &mut values);
         record.clear();
-        SlabSolver::plane_runs(&solver.comps, xl).for_each(|run| put_f64s(&mut record, run));
+        put_f64s(&mut record, &values);
         w.write_all(&record)?;
     }
     Ok(())
 }
 
 /// Reads the next plane record from `r` through the byte buffer `record`
-/// (its exact size) into `runs`, the plane's [`SlabSolver::plane_runs_mut`].
-fn read_record<'a>(
+/// (its exact size) and `values` into local plane `xl` of `comps`
+/// ([`SlabSolver::install_plane_record`]). An owned plane's ψ must be the
+/// sum of its populations to the bit — the state keeps no other — or the
+/// record is corrupt, at `storage_plane`.
+fn read_record(
     r: &mut impl Read,
     record: &mut [u8],
-    runs: impl Iterator<Item = &'a mut [f64]>,
+    values: &mut [f64],
+    comps: &mut [ComponentState],
+    xl: usize,
+    storage_plane: usize,
 ) -> Result<(), CheckpointError> {
     r.read_exact(record).map_err(|e| CheckpointError::Corrupt { detail: e.to_string() })?;
-    let mut bytes = &record[..];
-    for run in runs {
-        let (here, rest) = bytes.split_at(8 * run.len());
-        f64s_from_le(here, run);
-        bytes = rest;
+    f64s_from_le(record, values);
+    SlabSolver::install_plane_record(comps, xl, values);
+    let (grid, mut sum) = (comps[0].grid(), vec![0.0; comps[0].grid().plane_cells()]);
+    let owned = (LocalGrid::FIRST..=grid.last()).contains(&xl);
+    for (c, record) in comps.iter().zip(values.chunks_exact(values.len() / comps.len())).filter(|_| owned) {
+        crate::macroscopic::plane_psi(&c.f, xl, &mut sum);
+        if !sum.iter().zip(&record[record.len() - sum.len()..]).all(|(a, b)| a.to_bits() == b.to_bits()) {
+            let detail = format!("storage plane {storage_plane}: ψ is not the sum of its populations");
+            return Err(CheckpointError::Corrupt { detail });
+        }
     }
     Ok(())
 }
@@ -207,9 +225,10 @@ pub fn decode_solver(
     if expected != payload_len {
         return Err(CheckpointError::BadLength { expected, got: payload_len });
     }
-    let mut record = vec![0u8; 8 * solver.migration_plane_len()];
+    let mut values = vec![0.0; solver.migration_plane_len()];
+    let mut record = vec![0u8; 8 * values.len()];
     for xl in 0..solver.grid().lx {
-        read_record(r, &mut record, SlabSolver::plane_runs_mut(&mut solver.comps, xl))?;
+        read_record(r, &mut record, &mut values, &mut solver.comps, xl, slab.x0 + xl)?;
     }
     Ok((solver, phase))
 }
@@ -235,10 +254,10 @@ pub fn capture_file(
 }
 
 /// [`capture_file`] over the payload `r` yields. Two one-plane windows of
-/// the components' state alternate: `cur` holds plane `x` (its `f` and ψ
-/// at window plane 1) with the ψ of planes `x − 1` and `x + 1` around it,
-/// while `next` takes record `x + 1`; then the windows swap, so only ψ
-/// planes are ever copied.
+/// the components' state alternate: `cur` holds plane `x` (its `f` at
+/// window plane 1) with ψ of planes `x − 1` and `x + 1` as its ghosts'
+/// `halo_psi`, while `next` takes record `x + 1`; then the windows swap, so
+/// only ψ planes are ever copied.
 fn capture_stream(
     config: &ChannelConfig,
     r: &mut impl Read,
@@ -265,28 +284,37 @@ fn capture_stream(
         config.components.iter().map(|(spec, _)| ComponentState::new(spec.clone(), grid)).collect()
     };
     let (mut cur, mut next) = (window(), window());
-    let record_len = 8 * SlabSolver::plane_runs(&cur, 1).map(<[f64]>::len).sum::<usize>();
+    let mut values = vec![0.0; (D3Q19::Q + 1) * config.ncomp() * grid.plane_cells()];
+    let record_len = 8 * values.len();
     let expected = (HEADER_LEN + (slab.nx_local + 2) * record_len) as u64;
     if expected != payload_len {
         return Err(CheckpointError::BadLength { expected, got: payload_len });
     }
     let mut record = vec![0u8; record_len];
     let obstacles = config.effective_obstacles();
-    let p = grid.plane_cells();
-    // Record `k` is local plane `k` of the slab, storage plane `x0 + k`.
+    // Record `k` is local plane `k` of the slab, storage plane `x0 + k`. An
+    // owned plane's is installed as the window's owned plane, and checked;
+    // a ghost plane's as the window's left ghost. Either way its ψ lands in
+    // `halo_psi` (plane 1, or 0 for a ghost), where a neighbour reads it.
+    let psi_of = |k: usize| if k == 0 || k > slab.nx_local { 0 } else { 1 };
+    const KEPT: &str = "a one-plane window keeps ψ of each of its planes";
     for k in 0..slab.nx_local + 2 {
-        read_record(r, &mut record, SlabSolver::plane_runs_mut(&mut next, 1))?;
+        let at = if psi_of(k) == 0 { LocalGrid::GHOST_LEFT } else { LocalGrid::FIRST };
+        read_record(r, &mut record, &mut values, &mut next, at, slab.x0 + k)?;
         if k >= 2 {
             // Local plane k − 1 has the ψ of both neighbours now.
             for (c, n) in cur.iter_mut().zip(&next) {
-                c.psi.channel_mut(0)[2 * p..].copy_from_slice(&n.psi.channel(0)[p..2 * p]);
+                c.keep_psi(2, n.kept_psi(psi_of(k)).expect(KEPT));
             }
             let solid = solid_mask(&obstacles, dims, slab.x0 + k - 2..slab.x0 + k + 1);
-            let mut forces = ForcePlanes::new(&cur, &config.coupling, &config.wall, config.body, &solid);
-            crate::macroscopic::capture(&cur, &mut forces, out.plane(k - 2));
+            let forcing = (&config.coupling, &config.wall, config.body);
+            let mut collision = PlaneCollision::new(&cur, forcing, &solid);
+            crate::macroscopic::capture(&cur, &mut collision, out.plane(k - 2));
         }
-        for (n, c) in next.iter_mut().zip(&cur) {
-            n.psi.channel_mut(0)[..p].copy_from_slice(&c.psi.channel(0)[p..2 * p]);
+        if k >= 1 {
+            for (n, c) in next.iter_mut().zip(&cur) {
+                n.keep_psi(0, c.kept_psi(psi_of(k - 1)).expect(KEPT));
+            }
         }
         std::mem::swap(&mut cur, &mut next);
     }

@@ -28,7 +28,6 @@
 use crate::component::{CollisionOperator, ComponentState};
 use crate::field::{LocalGrid, SlabArray};
 use crate::lattice::{Lattice, D3Q19};
-use crate::macroscopic::moments_raw;
 
 const Q: usize = D3Q19::Q;
 
@@ -47,14 +46,12 @@ pub fn collide(comp: &mut ComponentState, ueq: &SlabArray) {
     // and we hold exclusive access to `comp`.
     unsafe {
         let (f, u) = (f.add(at), ueq.base_ptr().add(at));
-        collide_cells_raw(comp.spec.collision, comp.spec.tau, f, cells, f, cells, u, ueq.stride(), grid.nx_local() * p, None)
+        collide_cells_raw(comp.spec.collision, comp.spec.tau, f, cells, f, cells, u, ueq.stride(), grid.nx_local() * p)
     }
 }
 
 /// Collides `n` consecutive cells from `src` into `dst`, dispatching on the
-/// operator; in place when `dst == src`. Takes j of the `then = (f, j, n)`
-/// run (strides `src_stride`, `ueq_stride`) too: inside the BGK AVX2 loop,
-/// whose arithmetic hides the run's loads, else after the collision.
+/// operator; in place when `dst == src`.
 ///
 /// # Safety
 ///
@@ -66,7 +63,7 @@ pub fn collide(comp: &mut ComponentState, ueq: &SlabArray) {
 /// `src` itself (with `dst_stride == src_stride`) or overlaps neither
 /// `src` nor `ueq`; no other thread may write those cells, or access the
 /// `dst` cells, during the call (distinct cells may be collided
-/// concurrently — collision is purely cell-local); `then` as [`moments_raw`].
+/// concurrently — collision is purely cell-local).
 #[expect(
     clippy::too_many_arguments,
     reason = "a raw kernel takes its pointers, strides and relaxation rates as scalars"
@@ -81,22 +78,12 @@ pub(crate) unsafe fn collide_cells_raw(
     ueq: *const f64,
     ueq_stride: usize,
     n: usize,
-    then: Option<(*const f64, *mut f64, usize)>,
 ) {
     let (ss, ds, us) = (src_stride, dst_stride, ueq_stride);
-    let taken = match op {
-        CollisionOperator::Bgk => collide_bgk(1.0 / tau, src, ss, dst, ds, ueq, us, n, then),
-        CollisionOperator::Trt { magic } => {
-            collide_trt(tau, magic, src, ss, dst, ds, ueq, us, n);
-            0
-        }
-        CollisionOperator::Mrt(rates) => {
-            crate::mrt::collide_mrt_raw(tau, rates, src, ss, dst, ds, ueq, us, n);
-            0
-        }
-    };
-    if let Some((f, j, n)) = then {
-        moments_raw(f.add(taken), ss, None, Some((j.add(taken), us)), n - taken);
+    match op {
+        CollisionOperator::Bgk => collide_bgk(1.0 / tau, src, ss, dst, ds, ueq, us, n),
+        CollisionOperator::Trt { magic } => collide_trt(tau, magic, src, ss, dst, ds, ueq, us, n),
+        CollisionOperator::Mrt(rates) => crate::mrt::collide_mrt_raw(tau, rates, src, ss, dst, ds, ueq, us, n),
     }
 }
 
@@ -129,8 +116,7 @@ pub(crate) const OPPOSITE_PAIRS: [OppositePair; 9] = [
 
 /// Single-relaxation-time LBGK: AVX2 4 cells at a time where the host has
 /// it, this scalar loop for the rest — the same pair-folded arithmetic
-/// ([`crate::simd`] docs). Returns how many cells of `then` it took j of.
-/// Safety: see [`collide_cells_raw`].
+/// ([`crate::simd`] docs). Safety: see [`collide_cells_raw`].
 #[expect(
     clippy::too_many_arguments,
     reason = "a raw kernel takes its pointers, strides and relaxation rate as scalars"
@@ -144,11 +130,10 @@ unsafe fn collide_bgk(
     ueq: *const f64,
     us: usize,
     n: usize,
-    then: Option<(*const f64, *mut f64, usize)>,
-) -> usize {
+) {
     #[cfg(target_arch = "x86_64")]
     let done = if crate::simd::avx2_available() {
-        crate::simd::collide_bgk_into_avx2(omega, src, ss, dst, ds, ueq, us, n, then)
+        crate::simd::collide_bgk_into_avx2(omega, src, ss, dst, ds, ueq, us, n)
     } else {
         0
     };
@@ -179,7 +164,6 @@ unsafe fn collide_bgk(
             relax(p.o, wn * (((1.0 - t) + sq) - uu15));
         }
     }
-    then.map_or(0, |(.., m)| done.min(m - m % 4))
 }
 
 /// Two-relaxation-time collision. The symmetric (even) part of each
@@ -519,14 +503,14 @@ mod tests {
                 // Q channels of stride `p ≥ n`, and nothing else runs.
                 unsafe {
                     let (f, ueq) = (c.f.base_ptr().add(start), u.base_ptr().add(start));
-                    collide_cells_raw(op, tau, f, c.f.stride(), slot.as_mut_ptr(), p, ueq, us, n, None);
+                    collide_cells_raw(op, tau, f, c.f.stride(), slot.as_mut_ptr(), p, ueq, us, n);
                 }
                 assert_eq!(c.f.to_vec(), before, "{op:?}: the source was written");
                 let mut in_place = c.clone();
                 // Safety: as above, in place over the same cells.
                 unsafe {
                     let (f, ueq) = (in_place.f.base_mut_ptr().add(start), u.base_ptr().add(start));
-                    collide_cells_raw(op, tau, f, c.f.stride(), f, c.f.stride(), ueq, us, n, None);
+                    collide_cells_raw(op, tau, f, c.f.stride(), f, c.f.stride(), ueq, us, n);
                 }
                 for i in 0..Q {
                     for q in 0..p {

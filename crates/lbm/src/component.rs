@@ -120,25 +120,27 @@ impl ComponentSpec {
 
 /// Per-slab mutable state of one component.
 ///
-/// Storage covers the slab *including* ghost planes — as the window of a
-/// larger reservation when the slab can gain planes
-/// ([`windowed`](Self::windowed)); the two arrays always share one
-/// capacity and one window. `f` holds the
-/// current populations; streaming updates it **in place** (three-slot-ring
-/// sweep, see [`crate::streaming`]), so no second lattice is stored — the
-/// dominant allocation is half what a two-lattice scheme would need. `psi`
-/// is the number density (ghost planes refreshed by the second halo
-/// exchange of each phase, and kept valid across migrations). Nothing else
-/// is state: the force density and the equilibrium velocity of a plane
-/// are formed from ψ and the populations just before that plane is
-/// collided, and consumed at once ([`crate::multicomponent::PlaneCollision`]).
+/// `f` holds the current populations over the slab *including* ghost
+/// planes — as the window of a larger reservation when the slab can gain
+/// planes ([`windowed`](Self::windowed)). Streaming updates it **in place**
+/// (three-slot-ring sweep, see [`crate::streaming`]), so no second lattice
+/// is stored — the dominant allocation is half what a two-lattice scheme
+/// would need.
+///
+/// Nothing else is stored over the slab: ψ = Σ_i f_i of a plane is taken
+/// from its populations one plane ahead of its collision, the force density
+/// and the equilibrium velocity just before it
+/// ([`crate::multicomponent::PlaneCollision`]). What `f` cannot give is ψ
+/// of the ghost planes, which the second halo exchange delivers.
 #[derive(Clone, Debug)]
 pub struct ComponentState {
     pub spec: ComponentSpec,
     /// Populations, Q channels.
     pub f: SlabArray,
-    /// Number density `n_σ = Σ_i f_i`, 1 channel (ghosts exchanged).
-    pub psi: SlabArray,
+    /// ψ of four planes, `plane_cells` values each: the left ghost, the
+    /// first and the last owned plane (what the ψ exchange ships, Σ_i f_i
+    /// as of the last phase boundary) and the right ghost.
+    pub(crate) halo_psi: Vec<f64>,
 }
 
 impl ComponentState {
@@ -150,17 +152,30 @@ impl ComponentState {
     /// As [`new`](Self::new) with `grid` the window at storage plane `off`
     /// of `cap_planes` reserved planes (see [`SlabArray::windowed`]).
     pub fn windowed(spec: ComponentSpec, grid: LocalGrid, cap_planes: usize, off: usize) -> Self {
-        let array = |channels| SlabArray::windowed(grid, channels, cap_planes, off);
-        ComponentState { spec, f: array(D3Q19::Q), psi: array(1) }
+        let f = SlabArray::windowed(grid, D3Q19::Q, cap_planes, off);
+        ComponentState { spec, f, halo_psi: vec![0.0; 4 * grid.plane_cells()] }
     }
 
-    /// The two arrays, in checkpoint and migration-message order.
-    pub(crate) fn arrays(&self) -> [&SlabArray; 2] {
-        [&self.f, &self.psi]
+    /// The runs of [`halo_psi`](Self::halo_psi) holding ψ of local plane
+    /// `xl`: one for a ghost or an edge plane, two for the plane of a
+    /// one-plane slab, none for a plane between the edges.
+    fn halo_runs(&self, xl: usize) -> impl Iterator<Item = std::ops::Range<usize>> {
+        let (lx, p) = (self.grid().lx, self.grid().plane_cells());
+        [0, 1, lx - 2, lx - 1].into_iter().enumerate().filter(move |&(_, at)| at == xl).map(move |(k, _)| k * p..(k + 1) * p)
     }
 
-    pub(crate) fn arrays_mut(&mut self) -> [&mut SlabArray; 2] {
-        [&mut self.f, &mut self.psi]
+    /// ψ of local plane `xl` as [`halo_psi`](Self::halo_psi) keeps it, if
+    /// it does.
+    pub(crate) fn kept_psi(&self, xl: usize) -> Option<&[f64]> {
+        Some(&self.halo_psi[self.halo_runs(xl).next()?])
+    }
+
+    /// Keeps `psi` as ψ of local plane `xl`, where
+    /// [`halo_psi`](Self::halo_psi) does.
+    pub(crate) fn keep_psi(&mut self, xl: usize, psi: &[f64]) {
+        for run in self.halo_runs(xl).collect::<Vec<_>>() {
+            self.halo_psi[run].copy_from_slice(psi);
+        }
     }
 
     pub fn grid(&self) -> LocalGrid {
@@ -171,7 +186,8 @@ impl ComponentState {
     /// density `n_of_x(global_x)` and zero velocity. `x0` is the global
     /// index of the first interior plane, so decomposed initialization is
     /// identical to sequential initialization. Channel by channel, one
-    /// `fill` per plane: a fresh allocation is first touched in order.
+    /// `fill` per plane: a fresh allocation is first touched in order. ψ is
+    /// left to priming, which takes it from these populations.
     pub fn init_profile(&mut self, x0: usize, n_of_x: impl Fn(usize) -> f64) {
         let grid = self.grid();
         let p = grid.plane_cells();
@@ -190,8 +206,6 @@ impl ComponentState {
             let cells = &mut self.f.channel_mut(i)[interior.clone()];
             cells.chunks_exact_mut(p).zip(&feq).for_each(|(plane, feq)| plane.fill(feq[i]));
         }
-        let cells = &mut self.psi.channel_mut(0)[interior];
-        cells.chunks_exact_mut(p).zip(&n).for_each(|(plane, &n)| plane.fill(n));
     }
 
     /// Total number of particles (Σ over interior cells and directions).
@@ -282,7 +296,6 @@ mod tests {
                         for (i, &v) in feq.iter().enumerate() {
                             self.f.set(i, cell, v);
                         }
-                        self.psi.set(0, cell, n);
                     }
                 }
             }

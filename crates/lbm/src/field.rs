@@ -246,21 +246,6 @@ impl SlabArray {
     /// `old_xl + old_off - off`. Used when lattice-point migration changes
     /// the slab.
     pub fn set_window(&mut self, off: usize, nx_local: usize) {
-        self.move_window(off, nx_local);
-        let (p, lx) = (self.grid.plane_cells(), self.grid.lx);
-        for ch in 0..self.channels {
-            let cells = self.channel_mut(ch);
-            cells[..p].fill(0.0);
-            cells[(lx - 1) * p..].fill(0.0);
-        }
-    }
-
-    /// As [`set_window`](Self::set_window), but the ghost planes keep
-    /// whatever their storage slots hold: a ghost slot that was inside the
-    /// old window keeps that plane's values, one outside it holds
-    /// unspecified values the caller overwrites. For state whose ghosts
-    /// stay valid across a migration (ψ).
-    pub fn move_window(&mut self, off: usize, nx_local: usize) {
         let grid = LocalGrid::new(nx_local, self.grid.ny, self.grid.nz);
         // Not a debug_assert: kernels address the window through raw
         // pointers, so memory safety rests on it lying inside the storage.
@@ -270,8 +255,13 @@ impl SlabArray {
         let (old, new) = (self.off..self.off + self.grid.lx, off..off + grid.lx);
         self.release_planes(old.start..new.start.min(old.end));
         self.release_planes(new.end.max(old.start)..old.end);
-        self.grid = grid;
-        self.off = off;
+        (self.grid, self.off) = (grid, off);
+        let (p, lx) = (grid.plane_cells(), grid.lx);
+        for ch in 0..self.channels {
+            let cells = self.channel_mut(ch);
+            cells[..p].fill(0.0);
+            cells[(lx - 1) * p..].fill(0.0);
+        }
     }
 }
 
@@ -477,13 +467,6 @@ mod tests {
                 assert!(plane(moved, ghost).iter().all(|&bits| bits == 0), "dirty ghost");
             }
         }
-        // `move_window` leaves the ghost slots alone: a shrink from the
-        // left keeps the old left ghost's storage neighbour, interior
-        // plane 2, as the new left ghost, and the right ghost unchanged.
-        let mut d = a.clone();
-        d.move_window(5, 2);
-        assert_eq!(plane(&d, LocalGrid::GHOST_LEFT), plane(&a, 2));
-        assert_eq!(plane(&d, d.grid().ghost_right()), plane(&a, a.grid().ghost_right()));
     }
 
     #[test]

@@ -1,10 +1,10 @@
 #![expect(
     unsafe_code,
     reason = "the force kernel computes one plane at a time through raw pointers: it \
-              reads psi from the window base and per-plane gradient and adhesion \
-              buffers it owns, and writes each component's forces once into a plane \
-              the caller names (a plane scratch, or a plane of a reference array) \
-              that aliases nothing it reads"
+              reads psi from the three-plane ring and the per-plane gradient and \
+              adhesion buffers it owns, and writes each component's forces once into \
+              a plane the caller names (a plane scratch, or a plane of a reference \
+              array) that aliases nothing it reads"
 )]
 //! Force computation: Shan–Chen interparticle interaction, hydrophobic wall
 //! forces, and the uniform body force driving the flow.
@@ -18,7 +18,11 @@
 //! ```
 //!
 //! ψ is the component number density (the quantity the paper exchanges with
-//! neighbors each phase). Sites behind a wall carry ψ = 0, i.e. the walls
+//! neighbors each phase). It is not stored: whoever asks for a plane's
+//! force hands the kernel ψ of that plane and its two neighbours, taken
+//! from the populations (or, at a slab edge, from the exchanged ghost
+//! plane), and the kernel keeps those three planes ([`ForcePlanes`]).
+//! Sites behind a wall carry ψ = 0, i.e. the walls
 //! are neutral in the interparticle interaction — hydrophobicity enters
 //! exclusively through the explicit wall force below, exactly as in the
 //! paper ("the hydrophobic walls were modeled by applying a force in a
@@ -29,7 +33,8 @@
 //! (the paper's `G(d) = c0 exp(−d/c1)`); it applies only to components with
 //! `feels_wall_force` set (water), and is identically zero for air.
 
-use crate::component::{ComponentState, CouplingMatrix};
+use crate::component::{ComponentSpec, ComponentState, CouplingMatrix};
+use crate::multicomponent::PlaneCollision;
 use crate::field::{LocalGrid, SlabArray};
 use crate::lattice::{Lattice, D3Q19};
 use crate::potential::PsiFn;
@@ -94,19 +99,19 @@ impl WallForce {
 /// turns it into the half-force velocity term, and only the two-pass
 /// reference ([`compute_forces`]) writes a whole-slab array.
 ///
-/// Requires ψ ghost planes to be current (second halo exchange of the
-/// previous phase). `body` is an acceleration applied to all components (the
-/// paper's streamwise driving), contributing force density `ρ_σ · body`.
-/// Every plane reads at most a ±1-plane ψ stencil and the solid mask, and
-/// nobody mutates either meanwhile.
+/// The kernel holds ψ of three consecutive planes per component, plane `y`
+/// in slot `y % 3` — one plane's stencil: the caller fills a plane's
+/// number density ([`psi_mut`](Self::psi_mut)) and hands it in
+/// ([`entered`](Self::entered)), where a non-linear ψ(n) is evaluated once.
+/// `body` is an acceleration applied to all components (the paper's
+/// streamwise driving), contributing force density `ρ_σ · body`.
 pub(crate) struct ForcePlanes<'a> {
     grid: LocalGrid,
     solid: &'a [bool],
-    /// ψ evaluated per cell for the non-linear components (the gather would
-    /// re-evaluate each neighbor up to 18×); `pe` points into these, or
-    /// straight at the density for `Linear`, the identity.
-    _evals: Vec<Option<Vec<f64>>>,
-    pe: Vec<*const f64>,
+    /// Number density n of the three slots, and ψ(n) of the non-linear
+    /// components (`None`: ψ is n).
+    n: Vec<Vec<f64>>,
+    evals: Vec<Option<(PsiFn, Vec<f64>)>>,
     assemblies: Vec<crate::simd::ForceAssembly>,
     /// The interaction-kernel vectors of the current plane, 3 channels × p
     /// per component, and where each component's starts.
@@ -117,44 +122,40 @@ pub(crate) struct ForcePlanes<'a> {
     /// The adhesion kernel of the current plane (3 channels × p); empty
     /// when no component has adhesion.
     adhesion: Vec<f64>,
-    _psi: std::marker::PhantomData<&'a [ComponentState]>,
 }
 
 impl<'a> ForcePlanes<'a> {
-    pub(crate) fn new(
-        comps: &'a [ComponentState],
+    pub(crate) fn new<'s>(
+        specs: impl IntoIterator<Item = &'s ComponentSpec>,
         coupling: &CouplingMatrix,
         wall: &WallForce,
         body: [f64; 3],
+        grid: LocalGrid,
         solid: &'a [bool],
     ) -> Self {
-        assert_eq!(comps.len(), coupling.components());
-        let grid = comps[0].grid();
+        let specs: Vec<&ComponentSpec> = specs.into_iter().collect();
+        assert_eq!(specs.len(), coupling.components());
         assert_eq!(solid.len(), grid.cells());
-        let (s, p) = (comps.len(), grid.plane_cells());
-        let evals: Vec<Option<Vec<f64>>> = comps
+        let (s, p) = (specs.len(), grid.plane_cells());
+        let evals = specs
             .iter()
-            .map(|c| match c.spec.psi_fn {
+            .map(|spec| match spec.psi_fn {
                 PsiFn::Linear => None,
-                pf => Some(c.psi.channel(0).iter().map(|&n| pf.eval(n)).collect()),
+                pf => Some((pf, vec![0.0; 3 * p])),
             })
             .collect();
-        let pe: Vec<*const f64> = comps
-            .iter()
-            .zip(&evals)
-            .map(|(c, ev)| ev.as_deref().unwrap_or(c.psi.channel(0)).as_ptr())
-            .collect();
-
         let dims1 = crate::geometry::Dims::new(1, grid.ny, grid.nz);
-        let assemblies = (0..s)
-            .map(|a| {
-                let g_wall = comps[a].spec.wall_adhesion;
+        let assemblies = specs
+            .iter()
+            .enumerate()
+            .map(|(a, spec)| {
+                let g_wall = spec.wall_adhesion;
                 // G(d) separates by axis (y walls depend only on y, z walls
                 // only on z), so the four exp() per cell collapse into two
                 // per-row tables. Each entry is computed by the exact
                 // expression the per-cell code used, so the values are
                 // bitwise identical.
-                let use_wall = comps[a].spec.feels_wall_force && !wall.is_off();
+                let use_wall = spec.feels_wall_force && !wall.is_off();
                 let magnitude = |y, z| {
                     if use_wall {
                         wall.magnitudes(dims1.wall_distances(y, z))
@@ -166,9 +167,9 @@ impl<'a> ForcePlanes<'a> {
                     ny: grid.ny,
                     nz: grid.nz,
                     p,
-                    n: comps[a].psi.channel(0).as_ptr(),
-                    pe: pe[a],
-                    // Both repointed per plane.
+                    // All four repointed per plane.
+                    n: std::ptr::null(),
+                    pe: std::ptr::null(),
                     force: std::ptr::null_mut(),
                     force_stride: 0,
                     // Active couplings in ascending-b order (the inactive
@@ -181,29 +182,51 @@ impl<'a> ForcePlanes<'a> {
                     wy: (0..grid.ny).map(|y| magnitude(y, 0).0).collect(),
                     wz: (0..grid.nz).map(|z| magnitude(0, z).1).collect(),
                     per_mass: wall.mode == WallForceMode::PerMass,
-                    mass: comps[a].spec.mass,
+                    mass: spec.mass,
                     body,
                 }
             })
             .collect();
-        let any_adhesion = comps.iter().any(|c| c.spec.wall_adhesion != 0.0);
+        let any_adhesion = specs.iter().any(|spec| spec.wall_adhesion != 0.0);
         ForcePlanes {
             grid,
             solid,
-            _evals: evals,
-            pe,
+            n: vec![vec![0.0; 3 * p]; s],
+            evals,
             assemblies,
             g: vec![0.0; 3 * p * s],
             planes: vec![std::ptr::null(); s],
             scratch: vec![0.0; p + grid.nz],
             adhesion: if any_adhesion { vec![0.0; 3 * p] } else { Vec::new() },
-            _psi: std::marker::PhantomData,
+        }
+    }
+
+    /// Component `a`'s number density slot of plane `y`, to fill before
+    /// [`entered`](Self::entered).
+    pub(crate) fn psi_mut(&mut self, a: usize, y: usize) -> &mut [f64] {
+        let p = self.grid.plane_cells();
+        &mut self.n[a][y % 3 * p..][..p]
+    }
+
+    /// Component `a`'s number density slot of plane `y`.
+    pub(crate) fn psi(&self, a: usize, y: usize) -> &[f64] {
+        let p = self.grid.plane_cells();
+        &self.n[a][y % 3 * p..][..p]
+    }
+
+    /// Takes in plane `y`, its number density filled for every component:
+    /// evaluates ψ(n) of the non-linear components, once per plane.
+    pub(crate) fn entered(&mut self, y: usize) {
+        let at = y % 3 * self.grid.plane_cells()..(y % 3 + 1) * self.grid.plane_cells();
+        for (n, (pf, pe)) in self.n.iter().zip(&mut self.evals).filter_map(|(n, e)| Some((n, e.as_mut()?))) {
+            pe[at.clone()].iter_mut().zip(&n[at.clone()]).for_each(|(pe, &n)| *pe = pf.eval(n));
         }
     }
 
     /// Computes every component's force density on interior plane `xl`
     /// into `out[a]`: cell `q` of channel `k` of component `a` goes to
-    /// `out[a] + k·stride + q`.
+    /// `out[a] + k·stride + q`. Planes `xl − 1 ..= xl + 1` must be the last
+    /// to have [`entered`](Self::entered) their slots.
     ///
     /// # Safety
     ///
@@ -217,6 +240,9 @@ impl<'a> ForcePlanes<'a> {
         if !self.adhesion.is_empty() {
             adhesion_plane(self.solid, grid, xl, &mut self.adhesion);
         }
+        // ψ of component `a` at plane `y`: evaluated, or the density itself.
+        let (n, evals) = (&self.n, &self.evals);
+        let pe = |a: usize, y: usize| evals[a].as_ref().map_or(&n[a], |(_, pe)| pe)[y % 3 * p..].as_ptr();
         // The interaction-kernel vector G_b(x) = Σ_i w_i ψ_b(x+e_i) e_i
         // (≈ c_s² ∇ψ_b to second order), via the separable-aggregate form
         // (see [`crate::simd::gvec_plane`]). The per-cell values depend only
@@ -224,24 +250,25 @@ impl<'a> ForcePlanes<'a> {
         // any slab decomposition.
         let g = self.g.as_mut_ptr();
         let scratch = self.scratch.as_mut_ptr();
-        for (b, (&pe, plane)) in self.pe.iter().zip(self.planes.iter_mut()).enumerate() {
+        for (b, plane) in self.planes.iter_mut().enumerate() {
             *plane = g.add(3 * p * b);
-            crate::simd::gvec_plane(pe, g.add(3 * p * b), scratch, xl, grid.ny, grid.nz, p);
+            let stencil = [pe(b, xl - 1), pe(b, xl), pe(b, xl + 1)];
+            crate::simd::gvec_plane(stencil, g.add(3 * p * b), scratch, grid.ny, grid.nz, p);
         }
         let planes = &self.planes;
         let adhesion = self.adhesion.as_ptr();
-        for (args, &force) in self.assemblies.iter_mut().zip(out) {
-            args.force = force;
-            args.force_stride = stride;
+        for (a, (args, &force)) in self.assemblies.iter_mut().zip(out).enumerate() {
+            (args.n, args.pe) = (n[a][xl % 3 * p..].as_ptr(), pe(a, xl));
+            (args.force, args.force_stride) = (force, stride);
             if let Some((plane, _)) = args.adhesion.as_mut() {
                 *plane = adhesion;
             }
             #[cfg(target_arch = "x86_64")]
             if crate::simd::avx2_available() {
-                crate::simd::force_assemble_avx2(args, xl, planes);
+                crate::simd::force_assemble_avx2(args, planes);
                 continue;
             }
-            crate::simd::force_assemble_scalar(args, xl, planes);
+            crate::simd::force_assemble_scalar(args, planes);
         }
     }
 }
@@ -280,8 +307,8 @@ fn adhesion_plane(solid: &[bool], grid: LocalGrid, xl: usize, out: &mut [f64]) {
 
 /// The two-pass reference's first pass: the total force density of every
 /// component at every interior cell, into `out` (one 3-channel array per
-/// component, the slab's grid). Production never stores forces; the test
-/// oracle and the frozen ledger step table do.
+/// component, the slab's grid), from ψ as a collision loads it. Production
+/// never stores forces; the test oracle and the frozen ledger step table do.
 pub fn compute_forces(
     comps: &[ComponentState],
     coupling: &CouplingMatrix,
@@ -292,15 +319,17 @@ pub fn compute_forces(
 ) {
     let grid = comps[0].grid();
     assert!(out.len() == comps.len() && out.iter().all(|f| f.grid() == grid && f.channels() == 3));
-    let (p, stride) = (grid.plane_cells(), out[0].stride());
-    let bases: Vec<*mut f64> = out.iter_mut().map(SlabArray::base_mut_ptr).collect();
-    let mut kernel = ForcePlanes::new(comps, coupling, wall, body, solid);
-    for xl in LocalGrid::FIRST..=grid.last() {
-        // Safety: plane `xl` of each output array is inside its window and
-        // exclusively borrowed through `out`.
-        unsafe {
-            let planes: Vec<*mut f64> = bases.iter().map(|b| b.add(xl * p)).collect();
-            kernel.plane(xl, &planes, stride);
+    let p = grid.plane_cells();
+    let mut collision = PlaneCollision::new(comps, (coupling, wall, body), solid);
+    for y in 0..grid.lx {
+        // Safety: plane `y` lies in the window, and nothing writes it.
+        unsafe { collision.load(comps, y, false) };
+        if y >= 2 {
+            for ((.., force), out) in collision.forces(y - 1).into_iter().zip(out.iter_mut()) {
+                for a in 0..3 {
+                    out.channel_mut(a)[(y - 1) * p..y * p].copy_from_slice(&force[a * p..(a + 1) * p]);
+                }
+            }
         }
     }
 }
@@ -309,7 +338,7 @@ pub fn compute_forces(
 mod tests {
     use super::*;
     use crate::component::ComponentSpec;
-    use crate::macroscopic::compute_psi;
+    use crate::lattice::{Lattice, D3Q19};
 
     fn two_comp(nx: usize, ny: usize, nz: usize) -> Vec<ComponentState> {
         let grid = LocalGrid::new(nx, ny, nz);
@@ -319,14 +348,21 @@ mod tests {
         ]
     }
 
-    /// The reference pass's force arrays, one per component.
+    /// The reference pass's force arrays, one per component, with ψ of
+    /// the ghost planes periodic.
     fn forces(
-        comps: &[ComponentState],
+        comps: &mut [ComponentState],
         coupling: &CouplingMatrix,
         wall: &WallForce,
         body: [f64; 3],
         solid: &[bool],
     ) -> Vec<SlabArray> {
+        for c in comps.iter_mut() {
+            crate::macroscopic::edge_psi(c);
+            let p = c.grid().plane_cells();
+            c.halo_psi.copy_within(2 * p..3 * p, 0);
+            c.halo_psi.copy_within(p..2 * p, 3 * p);
+        }
         let mut out: Vec<SlabArray> = comps.iter().map(|c| SlabArray::new(c.grid(), 3)).collect();
         compute_forces(comps, coupling, wall, body, solid, &mut out);
         out
@@ -336,13 +372,12 @@ mod tests {
         vec![false; c.grid().cells()]
     }
 
-    fn fill_psi_ghosts_periodic(c: &mut ComponentState) {
-        let grid = c.grid();
-        let mut buf = vec![0.0; c.psi.plane_len()];
-        c.psi.copy_plane_out(grid.last(), &mut buf);
-        c.psi.copy_plane_in(LocalGrid::GHOST_LEFT, &buf);
-        c.psi.copy_plane_out(LocalGrid::FIRST, &mut buf);
-        c.psi.copy_plane_in(grid.ghost_right(), &buf);
+    /// Populations of ψ = `n` at every cell of plane `xl`, all at rest.
+    fn set_density(c: &mut ComponentState, xl: usize, n: f64) {
+        let p = c.grid().plane_cells();
+        for cell in xl * p..(xl + 1) * p {
+            (0..D3Q19::Q).for_each(|i| c.f.set(i, cell, if i == 0 { n } else { 0.0 }));
+        }
     }
 
     #[test]
@@ -350,13 +385,9 @@ mod tests {
         let mut comps = two_comp(4, 8, 8);
         comps[0].init_uniform(1.0, [0.0; 3]);
         comps[1].init_uniform(0.3, [0.0; 3]);
-        for c in comps.iter_mut() {
-            compute_psi(c);
-            fill_psi_ghosts_periodic(c);
-        }
         let coupling = CouplingMatrix::cross(0.5);
         let solid = no_solid(&comps[0]);
-        let force = forces(&comps, &coupling, &WallForce::off(), [0.0; 3], &solid);
+        let force = forces(&mut comps, &coupling, &WallForce::off(), [0.0; 3], &solid);
         // Away from walls (where ψ=0 beyond the boundary breaks uniformity)
         // the force must vanish.
         let grid = comps[0].grid();
@@ -378,21 +409,13 @@ mod tests {
         let mut comps = two_comp(6, 4, 4);
         let grid = comps[0].grid();
         for (k, c) in comps.iter_mut().enumerate() {
-            c.init_uniform(1.0, [0.0; 3]);
             for xl in 1..=grid.last() {
-                let val = 0.5 + 0.1 * ((xl + k) as f64).sin();
-                for y in 0..grid.ny {
-                    for z in 0..grid.nz {
-                        let cell = grid.idx(xl, y, z);
-                        c.psi.set(0, cell, val);
-                    }
-                }
+                set_density(c, xl, 0.5 + 0.1 * ((xl + k) as f64).sin());
             }
-            fill_psi_ghosts_periodic(c);
         }
         let coupling = CouplingMatrix::cross(0.7);
         let solid = no_solid(&comps[0]);
-        let force = forces(&comps, &coupling, &WallForce::off(), [0.0; 3], &solid);
+        let force = forces(&mut comps, &coupling, &WallForce::off(), [0.0; 3], &solid);
         let mut total = [0.0f64; 3];
         for f in &force {
             for xl in 1..=grid.last() {
@@ -418,18 +441,12 @@ mod tests {
         let mut comps = two_comp(6, 3, 3);
         let grid = comps[0].grid();
         comps[0].init_uniform(1.0, [0.0; 3]);
-        comps[1].init_uniform(1.0, [0.0; 3]);
-        for xl in 0..grid.lx {
-            for y in 0..grid.ny {
-                for z in 0..grid.nz {
-                    let cell = grid.idx(xl, y, z);
-                    comps[1].psi.set(0, cell, 0.1 * xl as f64);
-                }
-            }
+        for xl in 1..=grid.last() {
+            set_density(&mut comps[1], xl, 0.1 * xl as f64);
         }
         let coupling = CouplingMatrix::cross(1.0);
         let solid = no_solid(&comps[0]);
-        let force = forces(&comps, &coupling, &WallForce::off(), [0.0; 3], &solid);
+        let force = forces(&mut comps, &coupling, &WallForce::off(), [0.0; 3], &solid);
         let cell = grid.idx(3, 1, 1);
         assert!(force[0].at(0, cell) < 0.0, "repulsion must push down the gradient");
     }
@@ -439,13 +456,9 @@ mod tests {
         let mut comps = two_comp(3, 10, 6);
         comps[0].init_uniform(1.0, [0.0; 3]);
         comps[1].init_uniform(0.2, [0.0; 3]);
-        for c in comps.iter_mut() {
-            compute_psi(c);
-            fill_psi_ghosts_periodic(c);
-        }
         let wall = WallForce { amplitude: 0.2, decay: 2.0, mode: WallForceMode::PerMass };
         let solid = no_solid(&comps[0]);
-        let force = forces(&comps, &CouplingMatrix::none(2), &wall, [0.0; 3], &solid);
+        let force = forces(&mut comps, &CouplingMatrix::none(2), &wall, [0.0; 3], &solid);
         let grid = comps[0].grid();
         // Near the low-y wall: positive (inward) F_y on water.
         let lo = grid.idx(1, 0, grid.nz / 2);
@@ -482,10 +495,8 @@ mod tests {
         spec.wall_adhesion = 0.3; // hydrophobic
         let mut comps = vec![ComponentState::new(spec, grid)];
         comps[0].init_uniform(1.0, [0.0; 3]);
-        compute_psi(&mut comps[0]);
-        fill_psi_ghosts_periodic(&mut comps[0]);
         let solid = vec![false; grid.cells()];
-        let force = forces(&comps, &CouplingMatrix::none(1), &WallForce::off(), [0.0; 3], &solid);
+        let force = forces(&mut comps, &CouplingMatrix::none(1), &WallForce::off(), [0.0; 3], &solid);
         // First fluid row next to the y-low wall: force points inward (+y).
         let lo = grid.idx(1, 0, 4);
         assert!(force[0].at(1, lo) > 0.0, "hydrophobic adhesion must repel");
@@ -494,7 +505,7 @@ mod tests {
         assert_eq!(force[0].at(1, inner), 0.0, "adhesion has one-cell range");
         // Attractive (wetting) sign flips the force.
         comps[0].spec.wall_adhesion = -0.3;
-        let force = forces(&comps, &CouplingMatrix::none(1), &WallForce::off(), [0.0; 3], &solid);
+        let force = forces(&mut comps, &CouplingMatrix::none(1), &WallForce::off(), [0.0; 3], &solid);
         assert!(force[0].at(1, lo) < 0.0, "wetting adhesion must attract");
     }
 
@@ -506,12 +517,10 @@ mod tests {
         spec.wall_adhesion = 0.2;
         let mut comps = vec![ComponentState::new(spec, grid)];
         comps[0].init_uniform(1.0, [0.0; 3]);
-        compute_psi(&mut comps[0]);
-        fill_psi_ghosts_periodic(&mut comps[0]);
         let mut solid = vec![false; grid.cells()];
         // Solid cell beside (1, 3, 3) in +y.
         solid[grid.idx(1, 4, 3)] = true;
-        let force = forces(&comps, &CouplingMatrix::none(1), &WallForce::off(), [0.0; 3], &solid);
+        let force = forces(&mut comps, &CouplingMatrix::none(1), &WallForce::off(), [0.0; 3], &solid);
         let beside = grid.idx(1, 3, 3);
         assert!(
             force[0].at(1, beside) < 0.0,
@@ -530,17 +539,13 @@ mod tests {
         ];
         comps[0].init_uniform(1.0, [0.0; 3]);
         comps[1].init_uniform(0.2, [0.0; 3]);
-        for c in comps.iter_mut() {
-            compute_psi(c);
-            fill_psi_ghosts_periodic(c);
-        }
         let solid = vec![false; grid.cells()];
         let wall = WallForce::paper();
-        let force = forces(&comps, &CouplingMatrix::cross(0.15), &wall, [1e-5, 0.0, 0.0], &solid);
+        let force = forces(&mut comps, &CouplingMatrix::cross(0.15), &wall, [1e-5, 0.0, 0.0], &solid);
         let snapshot: Vec<f64> = force[0].to_vec();
         // Recompute with adhesion explicitly zero (same thing).
         comps[0].spec.wall_adhesion = 0.0;
-        let force = forces(&comps, &CouplingMatrix::cross(0.15), &wall, [1e-5, 0.0, 0.0], &solid);
+        let force = forces(&mut comps, &CouplingMatrix::cross(0.15), &wall, [1e-5, 0.0, 0.0], &solid);
         assert_eq!(snapshot, force[0].to_vec());
     }
 
@@ -549,13 +554,9 @@ mod tests {
         let mut comps = two_comp(3, 3, 3);
         comps[0].init_uniform(0.8, [0.0; 3]);
         comps[1].init_uniform(0.4, [0.0; 3]);
-        for c in comps.iter_mut() {
-            compute_psi(c);
-            fill_psi_ghosts_periodic(c);
-        }
         let g = [1e-5, 0.0, 0.0];
         let solid = no_solid(&comps[0]);
-        let force = forces(&comps, &CouplingMatrix::none(2), &WallForce::off(), g, &solid);
+        let force = forces(&mut comps, &CouplingMatrix::none(2), &WallForce::off(), g, &solid);
         let grid = comps[0].grid();
         let cell = grid.idx(1, 1, 1);
         assert!((force[0].at(0, cell) - 0.8 * 1e-5).abs() < 1e-18);

@@ -2,8 +2,9 @@
     unsafe_code,
     reason = "the moments kernel (psi and/or momentum of a run of cells) through raw \
               pointers: from disjoint cell ranges of the window (window base + storage \
-              channel stride) into psi, or into a block or plane scratch of momentum; \
-              the force kernel into the snapshot's plane scratch"
+              channel stride) into a plane of psi or a reference array, or into a \
+              plane scratch of momentum; the force kernel into the snapshot's plane \
+              scratch"
 )]
 //! Macroscopic quantities: number density, mass density, momentum and the
 //! physical velocity field.
@@ -21,29 +22,34 @@
 //!
 //! Every reduction of populations to ψ = Σ_i f_i or the number momentum
 //! j = Σ_i f_i e_i goes through one kernel, [`moments_raw`]: the streaming
-//! sweep takes ψ of each plane it has just streamed into `psi` (see
-//! [`crate::streaming`]), the collision j of each row block it is about to
-//! collide ([`crate::multicomponent::PlaneCollision`]), [`compute_psi`] ψ
-//! of the whole slab for priming, [`capture`] j plane by plane.
+//! sweep takes ψ and j of each plane one plane ahead of its collision
+//! ([`crate::multicomponent::PlaneCollision`]), as [`capture`] does,
+//! [`edge_psi`] ψ of a slab's edge planes for the ψ exchange, and the
+//! checkpoint codec the ψ channel of every plane record.
 
 use crate::component::ComponentState;
-use crate::field::LocalGrid;
-use crate::force::ForcePlanes;
+use crate::field::{LocalGrid, SlabArray};
+use crate::multicomponent::PlaneCollision;
 use crate::geometry::Slab;
 use crate::lattice::{Lattice, D3Q19};
 
-/// Recomputes ψ (number density) of every interior cell from the
-/// populations into `psi` — what a sweep leaves behind, for priming a state
-/// no sweep produced (a one-off, so serial). Ghost planes are left to the
-/// halo exchange.
-pub fn compute_psi(comp: &mut ComponentState) {
-    let grid = comp.grid();
-    let (cells, p) = (comp.f.stride(), grid.plane_cells());
-    let at = LocalGrid::FIRST * p;
-    let (f, psi) = (comp.f.base_ptr(), comp.psi.base_mut_ptr());
-    // Safety: the interior planes lie inside the window both arrays share,
-    // and `psi` is exclusively borrowed.
-    unsafe { moments_raw(f.add(at), cells, Some(psi.add(at)), None, grid.nx_local() * p) }
+/// ψ of the slab's edge planes from their populations into `halo_psi`:
+/// what the ψ exchange ships, at a phase boundary.
+pub fn edge_psi(comp: &mut ComponentState) {
+    let (grid, ComponentState { f, halo_psi, .. }) = (comp.grid(), comp);
+    let (p, last) = (grid.plane_cells(), grid.last());
+    plane_psi(f, LocalGrid::FIRST, &mut halo_psi[p..2 * p]);
+    plane_psi(f, last, &mut halo_psi[2 * p..3 * p]);
+}
+
+/// ψ = Σ_i f_i of local plane `xl` of the populations `f` into `out`
+/// (`plane_cells` values).
+pub(crate) fn plane_psi(f: &SlabArray, xl: usize, out: &mut [f64]) {
+    let p = f.grid().plane_cells();
+    assert!(xl < f.grid().lx && out.len() == p);
+    // Safety: plane `xl` lies inside the window of `f`, and `out`, a
+    // separate exclusive borrow, holds its `p` cells.
+    unsafe { moments_raw(f.base_ptr().add(xl * p), f.stride(), Some(out.as_mut_ptr()), None, p) }
 }
 
 /// The moments kernel: for each of `n` consecutive cells, ψ = Σ_i f_i into
@@ -248,38 +254,34 @@ impl SnapshotSlab<'_> {
 }
 
 /// Captures the interior of a slab into `out`: ρ from ψ, and the velocity
-/// from j (recomputed from the populations, as the sweep does) plus half
-/// of the force density `forces` recomputes plane by plane — the state
-/// holds neither j nor the force at a phase boundary.
-pub(crate) fn capture(comps: &[ComponentState], forces: &mut ForcePlanes<'_>, out: SnapshotSlab<'_>) {
+/// from j plus half of the force density — ψ and j loaded plane by plane
+/// one plane ahead, the force recomputed from ψ of the planes around, as a
+/// collision does it ([`PlaneCollision`]); the state holds none of them
+/// over the slab.
+pub(crate) fn capture(comps: &[ComponentState], collision: &mut PlaneCollision<'_>, out: SnapshotSlab<'_>) {
     let grid = comps[0].grid();
     let SnapshotSlab { slab, ny, nz, mut rho, velocity } = out;
     assert!(
         (slab.nx_local, ny, nz, comps.len()) == (grid.nx_local(), grid.ny, grid.nz, rho.len()),
         "snapshot shape differs from the slab"
     );
-    let p = grid.plane_cells();
-    // Plane by plane: j from the moments kernel into a scratch, the forces
-    // from the force kernel into another, the momentum summed in place in
-    // `velocity`, the components accumulating per cell in ascending order.
-    let mut j = vec![0.0f64; 3 * p];
-    let mut force = vec![0.0f64; 3 * p * comps.len()];
-    let base = force.as_mut_ptr();
-    // Safety: component `a`'s scratch starts inside `force`.
-    let planes: Vec<*mut f64> = (0..comps.len()).map(|a| unsafe { base.add(3 * p * a) }).collect();
-    for xl in LocalGrid::FIRST..=grid.last() {
-        let (here, out) = (xl * p..(xl + 1) * p, (xl - 1) * p);
-        // Safety: each scratch plane holds 3·p cells and nothing else
-        // refers to the scratch meanwhile.
-        unsafe { forces.plane(xl, &planes, p) };
+    let (p, last) = (grid.plane_cells(), grid.last());
+    // Safety: every plane loaded lies in the window, and nothing writes it.
+    unsafe {
+        collision.load(comps, 0, false);
+        collision.load(comps, LocalGrid::FIRST, true);
+    }
+    for xl in LocalGrid::FIRST..=last {
+        // Safety: as above.
+        unsafe { collision.load(comps, xl + 1, xl < last) };
+        let out = (xl - 1) * p;
         let u = &mut velocity[3 * out..3 * (out + p)];
         u.fill(0.0);
-        for ((c, rho), force) in comps.iter().zip(rho.iter_mut()).zip(force.chunks_exact(3 * p)) {
+        // The momentum summed in place in `velocity`, the components
+        // accumulating per cell in ascending order.
+        for ((c, rho), (psi, j, force)) in comps.iter().zip(rho.iter_mut()).zip(collision.forces(xl)) {
             let m = c.spec.mass;
-            // Safety: plane `xl` lies in the window of `f`; the scratch
-            // holds 3 channels of `p` cells.
-            unsafe { moments_raw(c.f.base_ptr().add(here.start), c.f.stride(), None, Some((j.as_mut_ptr(), p)), p) };
-            for (rho, psi) in rho[out..out + p].iter_mut().zip(&c.psi.channel(0)[here.clone()]) {
+            for (rho, psi) in rho[out..out + p].iter_mut().zip(psi) {
                 *rho = m * psi;
             }
             for a in 0..3 {
@@ -327,10 +329,10 @@ pub(crate) mod tests {
                 c.f.set(i, cell, (i + 1) as f64 * 0.01);
             }
         }
-        compute_psi(&mut c);
+        let mut psi = vec![0.0; grid.plane_cells()];
+        plane_psi(&c.f, 1, &mut psi);
         let want: f64 = (1..=19).map(|i| i as f64 * 0.01).sum();
-        let cell = grid.idx(1, 1, 1);
-        assert!((c.psi.at(0, cell) - want).abs() < 1e-12);
+        assert!((psi[grid.idx(0, 1, 1)] - want).abs() < 1e-12);
     }
 
     #[test]

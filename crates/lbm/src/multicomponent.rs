@@ -1,12 +1,12 @@
 #![expect(
     unsafe_code,
     reason = "per-component raw pointers in the velocity update and the plane \
-              collision: f and psi at the window base (one shared storage channel \
-              stride), read only while the cells they address are uncollided; the \
-              force in a plane scratch or a reference array, the momentum and then \
-              ueq in a block scratch or a reference array (each its own stride); \
-              each cell's momentum is read for every component before any ueq slot \
-              is overwritten"
+              collision: f at the window base, read only while the cells it \
+              addresses are uncollided; psi in the force kernel's plane ring or a \
+              reference array, the force in a plane scratch or a reference array, \
+              the momentum and then ueq in a plane buffer or a reference array; each \
+              cell's momentum is read for every component before any ueq slot is \
+              overwritten"
 )]
 //! Shan–Chen multicomponent coupling: the common velocity and the
 //! per-component equilibrium velocities, formed just before a collision
@@ -18,12 +18,14 @@
 //! ```
 //!
 //! where `F_σ` is the total force density (interaction + wall + body),
-//! which [`crate::force::ForcePlanes`] computes one plane at a time from
-//! the ψ the previous phase left (ghost planes included). The force shift
-//! is how forcing enters the Shan–Chen LBGK scheme. Production forms them
-//! where they are consumed ([`PlaneCollision`]), so neither is ever
-//! stored; [`crate::force::compute_forces`] + [`update_equilibrium_velocities`]
-//! are the same arithmetic as two whole-slab passes, kept as the reference.
+//! which [`crate::force::ForcePlanes`] computes one plane at a time from ψ
+//! of the phase boundary — taken from the populations one plane ahead,
+//! the ghost planes' as the previous phase's exchange delivered them. The
+//! force shift is how forcing enters the Shan–Chen LBGK scheme. Production
+//! forms ψ, j, the force and `u_σ^eq` where they are consumed
+//! ([`PlaneCollision`]), so none is ever stored over the slab;
+//! [`crate::force::compute_forces`] + [`update_equilibrium_velocities`] are
+//! the same arithmetic as whole-slab passes, kept as the reference.
 
 use std::ops::Range;
 
@@ -49,11 +51,8 @@ pub(crate) struct CompView {
 }
 
 impl CompView {
-    /// The view of `c` at its window base, with the force at `force` and
-    /// the j to be turned into `u_σ^eq` at `ueq`.
-    fn new(c: &ComponentState, force: *const f64, force_stride: usize, ueq: *mut f64) -> CompView {
-        let (psi, mass, momentum_tau) = (c.psi.base_ptr(), c.spec.mass, c.spec.momentum_tau());
-        CompView { psi, force, force_stride, ueq, mass, momentum_tau }
+    fn new(c: &ComponentState, psi: *const f64, force: *const f64, force_stride: usize, ueq: *mut f64) -> CompView {
+        CompView { psi, force, force_stride, ueq, mass: c.spec.mass, momentum_tau: c.spec.momentum_tau() }
     }
 }
 
@@ -107,41 +106,40 @@ const COLLISION_BLOCK_CELLS: usize = 1024;
 /// state: the coupling, the wall force and the body force.
 pub(crate) type Forcing<'a> = (&'a CouplingMatrix, &'a WallForce, [f64; 3]);
 
-/// One component of a [`PlaneCollision`]: `f` and ψ at the window base,
-/// the operator, a force plane and two blocks of j, then `u_σ^eq`.
+/// One component of a [`PlaneCollision`]: `f` at the window base, the
+/// operator, a force plane and j of two planes, turned into `u_σ^eq` in
+/// place.
 struct Part {
     f: *const f64,
-    psi: *const f64,
     op: CollisionOperator,
     tau: f64,
     force: Vec<f64>,
+    /// j of the planes `y` with `y % 2 == 0` and `== 1`, 3 channels of
+    /// plane cells each.
     ueq: [Vec<f64>; 2],
 }
 
 /// The collision of whole planes, each at equilibrium velocities formed
-/// just before it: the plane's forces into a plane scratch, then per row
-/// block j of the pre-collision populations (taken by the collision of the
-/// block before), `u_σ^eq` over it ([`update_cells`]) and every
-/// component's collision from it. Bit for bit
-/// [`crate::force::compute_forces`], [`update_equilibrium_velocities`] and
-/// a whole-slab [`crate::collision::collide`], without their arrays.
+/// just before it. The caller loads every plane's ψ, and j of each plane to
+/// be collided, one plane ahead of the collision that reads it last
+/// ([`load`](Self::load)); a collision then computes the plane's forces
+/// into a plane scratch and, per row block, `u_σ^eq` over j in place
+/// ([`update_cells`]) and every component's collision from it. Bit for bit
+/// [`crate::force::compute_forces`], [`update_equilibrium_velocities`] and a
+/// whole-slab [`crate::collision::collide`], without their arrays.
 pub(crate) struct PlaneCollision<'a> {
     forces: ForcePlanes<'a>,
     parts: Vec<Part>,
     force_planes: Vec<*mut f64>,
     views: Vec<CompView>,
-    /// Channel stride of `f` and ψ; cells of a plane and of a row block.
+    /// Channel stride of `f`; cells of a plane and of a row block.
     cells: usize,
     plane: usize,
     block: usize,
-    /// The scratch the next block is collided from, and the plane whose
-    /// first block's j it holds.
-    k: usize,
-    ready: Option<usize>,
 }
 
 impl<'a> PlaneCollision<'a> {
-    pub(crate) fn new(comps: &'a [ComponentState], forcing: Forcing<'_>, solid: &'a [bool]) -> Self {
+    pub(crate) fn new(comps: &[ComponentState], forcing: Forcing<'_>, solid: &'a [bool]) -> Self {
         let grid = comps[0].grid();
         let p = grid.plane_cells();
         let block = (COLLISION_BLOCK_CELLS / grid.nz).max(1).min(grid.ny) * grid.nz;
@@ -149,96 +147,137 @@ impl<'a> PlaneCollision<'a> {
             .iter()
             .map(|c| Part {
                 f: c.f.base_ptr(),
-                psi: c.psi.base_ptr(),
                 op: c.spec.collision,
                 tau: c.spec.tau,
                 force: vec![0.0; 3 * p],
-                ueq: [vec![0.0; 3 * block], vec![0.0; 3 * block]],
+                ueq: [vec![0.0; 3 * p], vec![0.0; 3 * p]],
             })
             .collect();
         let force_planes = parts.iter_mut().map(|part| part.force.as_mut_ptr()).collect();
-        let views = comps.iter().zip(&mut parts).map(|(c, part)| CompView::new(c, part.force.as_ptr(), p, part.ueq[0].as_mut_ptr())).collect();
+        // Every pointer of a view is repointed per block.
+        let (null, null_mut) = (std::ptr::null(), std::ptr::null_mut());
+        let views = comps.iter().map(|c| CompView::new(c, null, null, p, null_mut)).collect();
         let (coupling, wall, body) = forcing;
-        let forces = ForcePlanes::new(comps, coupling, wall, body, solid);
-        PlaneCollision { forces, parts, force_planes, views, cells: comps[0].f.stride(), plane: p, block, k: 0, ready: None }
+        let forces = ForcePlanes::new(comps.iter().map(|c| &c.spec), coupling, wall, body, grid, solid);
+        PlaneCollision { forces, parts, force_planes, views, cells: comps[0].f.stride(), plane: p, block }
     }
 
-    /// Collides interior plane `xl` of every component from `f` into
-    /// `dst[a]` (Q channels of stride `dst_stride`, plane-relative cells),
-    /// taking j of the first block of plane `next`, the next to collide.
+    /// ψ of plane `y` of every component into the force kernel's ring — as
+    /// `halo_psi` keeps it, or else from the populations — and j too if `j`,
+    /// into the buffer of `y % 2`; one pass over the populations for both.
     ///
     /// # Safety
     ///
-    /// `dst[a]` is plane `xl` of component `a`'s `f` (in place) or Q
-    /// channels of plane cells aliasing nothing the collision reads. The
-    /// populations of planes `xl` and `next` and the ψ of planes `xl − 1`
-    /// to `xl + 1` must be the phase boundary's, and no one else may access
-    /// those planes meanwhile.
-    pub(crate) unsafe fn collide(&mut self, xl: usize, dst: &[*mut f64], dst_stride: usize, next: Option<usize>) {
+    /// `comps` are this collision's, plane `y` lies in their window, the
+    /// populations read are the phase boundary's, and no one writes them.
+    pub(crate) unsafe fn load(&mut self, comps: &[ComponentState], y: usize, j: bool) {
+        let (p, cells) = (self.plane, self.cells);
+        for (a, (c, part)) in comps.iter().zip(&mut self.parts).enumerate() {
+            let ring = self.forces.psi_mut(a, y);
+            let kept = c.kept_psi(y).map(|kept| ring.copy_from_slice(kept));
+            let psi = kept.is_none().then_some(ring.as_mut_ptr());
+            let j = j.then(|| (part.ueq[y % 2].as_mut_ptr(), p));
+            if psi.is_some() || j.is_some() {
+                moments_raw(part.f.add(y * p), cells, psi, j, p);
+            }
+        }
+        self.forces.entered(y);
+    }
+
+    /// The forces of interior plane `xl` into the plane scratch; every
+    /// component's ψ, j and force of the plane, `plane_cells` values a
+    /// channel. ψ of planes `xl − 1 ..= xl + 1` and j of plane `xl` must
+    /// have been loaded last among their slots.
+    pub(crate) fn forces(&mut self, xl: usize) -> Vec<(&[f64], &[f64], &[f64])> {
+        // Safety: the scratch planes hold 3 channels of plane cells each,
+        // and nothing else refers to them meanwhile.
+        unsafe { self.forces.plane(xl, &self.force_planes, self.plane) };
+        let (forces, parts) = (&self.forces, &self.parts);
+        parts.iter().enumerate().map(|(a, part)| (forces.psi(a, xl), &part.ueq[xl % 2][..], &part.force[..])).collect()
+    }
+
+    /// Collides interior plane `xl` of every component from `f` into
+    /// `dst[a]` (Q channels of stride `dst_stride`, plane-relative cells).
+    ///
+    /// # Safety
+    ///
+    /// ψ of planes `xl − 1 ..= xl + 1` and j of plane `xl` were loaded last
+    /// among their slots; `dst[a]` is plane `xl` of component `a`'s `f` (in
+    /// place) or Q channels of plane cells aliasing nothing the collision
+    /// reads; plane `xl` holds the phase boundary's populations, and no one
+    /// else accesses it meanwhile.
+    pub(crate) unsafe fn collide(&mut self, xl: usize, dst: &[*mut f64], dst_stride: usize) {
         let (p, block, cells) = (self.plane, self.block, self.cells);
         self.forces.plane(xl, &self.force_planes, p);
-        if self.ready != Some(xl) {
-            for part in &mut self.parts {
-                let j = Some((part.ueq[self.k].as_mut_ptr(), block));
-                moments_raw(part.f.add(xl * p), cells, None, j, block.min(p));
-            }
-        }
         for q0 in (0..p).step_by(block) {
-            let (at, n, k) = (xl * p + q0, block.min(p - q0), self.k);
-            for (v, part) in self.views.iter_mut().zip(&mut self.parts) {
-                (v.psi, v.force, v.ueq) = (part.psi.add(at), part.force.as_ptr().add(q0), part.ueq[k].as_mut_ptr());
+            let (at, n) = (xl * p + q0, block.min(p - q0));
+            for (a, (v, part)) in self.views.iter_mut().zip(&mut self.parts).enumerate() {
+                let psi = self.forces.psi(a, xl).as_ptr().add(q0);
+                (v.psi, v.force, v.ueq) = (psi, part.force.as_ptr().add(q0), part.ueq[xl % 2].as_mut_ptr().add(q0));
             }
-            update_cells(&self.views, block, 0..n);
-            // j of the next block: this plane's, or the first of `next`.
-            let then_at = if q0 + block < p { Some(at + block) } else { next.map(|x| x * p) };
-            for (part, &dst) in self.parts.iter_mut().zip(dst) {
-                let then = then_at.map(|at| (part.f.add(at), part.ueq[1 - k].as_mut_ptr(), block.min(p - at % p)));
-                let (op, tau, src, ueq) = (part.op, part.tau, part.f.add(at), part.ueq[k].as_ptr());
-                crate::collision::collide_cells_raw(op, tau, src, cells, dst.add(q0), dst_stride, ueq, block, n, then);
+            update_cells(&self.views, p, 0..n);
+            for (part, &dst) in self.parts.iter().zip(dst) {
+                let ueq = part.ueq[xl % 2].as_ptr().add(q0);
+                crate::collision::collide_cells_raw(part.op, part.tau, part.f.add(at), cells, dst.add(q0), dst_stride, ueq, p, n);
             }
-            self.k = 1 - k;
         }
-        self.ready = next;
     }
 }
 
-/// Collides interior planes `planes` (each once) of every component in
-/// place ([`PlaneCollision`]; ψ ghosts current).
-pub(crate) fn collide_planes(comps: &mut [ComponentState], forcing: Forcing<'_>, solid: &[bool], planes: &[usize]) {
+/// Collides the slab's edge planes, `FIRST` and `last` (one plane if they
+/// are the same), in place ([`PlaneCollision`]), each at ψ of the planes
+/// around it — loaded, with j of both edges, before either is collided.
+pub(crate) fn collide_edges(comps: &mut [ComponentState], forcing: Forcing<'_>, solid: &[bool]) {
+    let (first, last) = (LocalGrid::FIRST, comps[0].grid().last());
     let (p, cells) = (comps[0].grid().plane_cells(), comps[0].f.stride());
     let f: Vec<*mut f64> = comps.iter_mut().map(|c| c.f.base_mut_ptr()).collect();
+    // Safety: plane `xl` of every window.
+    let at = |xl: usize| -> Vec<*mut f64> { f.iter().map(|f| unsafe { f.add(xl * p) }).collect() };
     let mut collision = PlaneCollision::new(comps, forcing, solid);
-    for &xl in planes {
-        // Safety: plane `xl` of every `f`, collided in place, once, while
-        // its populations and the ψ around it are the phase boundary's.
-        unsafe { collision.collide(xl, &f.iter().map(|f| f.add(xl * p)).collect::<Vec<_>>(), cells, None) };
+    // Safety: every plane loaded is in the window, and the populations read
+    // are the phase boundary's: planes 0 ..= 2, `last` among them when it is
+    // 2, go before either edge is collided, and the planes from 3 on are
+    // neither edge but `last`, whose ψ is kept. Each edge is collided once,
+    // in place.
+    unsafe {
+        for y in 0..=first + 1 {
+            collision.load(comps, y, y == first || y == last);
+        }
+        collision.collide(first, &at(first), cells);
+        if last > first {
+            for y in (last - 1).max(first + 2)..=last + 1 {
+                collision.load(comps, y, y == last);
+            }
+            collision.collide(last, &at(last), cells);
+        }
     }
 }
 
 /// The two-pass reference's second pass: `u_σ^eq` at every interior cell
-/// into `ueq` (3 channels per component on the slab's grid), from j of the
-/// current populations and the whole-slab forces
-/// [`crate::force::compute_forces`] left in `forces`, with ψ current.
+/// into `ueq` (3 channels per component on the slab's grid), from ψ and j
+/// of the current populations and the whole-slab forces
+/// [`crate::force::compute_forces`] left in `forces`.
 pub fn update_equilibrium_velocities(comps: &[ComponentState], forces: &[SlabArray], ueq: &mut [SlabArray]) {
     let grid = comps[0].grid();
     let on_grid = |a: &SlabArray| a.grid() == grid && a.channels() == 3;
     assert!(forces.len() == comps.len() && ueq.len() == comps.len() && forces.iter().chain(&*ueq).all(on_grid));
     let (p, stride) = (grid.plane_cells(), ueq[0].stride());
     let interior = LocalGrid::FIRST * p..(grid.last() + 1) * p;
-    let views: Vec<CompView> = comps
-        .iter()
-        .zip(forces)
-        .zip(ueq.iter_mut())
-        .map(|((c, f), u)| CompView::new(c, f.base_ptr(), f.stride(), u.base_mut_ptr()))
-        .collect();
-    // Safety: the views hold live window bases covering the interior; j
-    // goes into `ueq`, exclusively borrowed, before the update reads it
-    // there; `forces` and the states are only read.
+    let mut psi: Vec<SlabArray> = comps.iter().map(|_| SlabArray::new(grid, 1)).collect();
+    // Safety: ψ and j of the interior cells go into `psi` and `ueq`, both
+    // exclusively borrowed, before the update reads them there; the views
+    // hold live window bases covering the interior; `forces` and the states
+    // are only read.
     unsafe {
-        for (v, c) in views.iter().zip(comps) {
-            let at = interior.start;
-            moments_raw(c.f.base_ptr().add(at), c.f.stride(), None, Some((v.ueq.add(at), stride)), interior.len());
+        let at = interior.start;
+        for ((c, n), u) in comps.iter().zip(&mut psi).zip(ueq.iter_mut()) {
+            let j = Some((u.base_mut_ptr().add(at), stride));
+            moments_raw(c.f.base_ptr().add(at), c.f.stride(), Some(n.base_mut_ptr().add(at)), j, interior.len());
         }
+        let views: Vec<CompView> = (comps.iter().zip(&psi))
+            .zip(forces.iter().zip(ueq.iter_mut()))
+            .map(|((c, n), (f, u))| CompView::new(c, n.base_ptr(), f.base_ptr(), f.stride(), u.base_mut_ptr()))
+            .collect();
         update_cells(&views, stride, interior)
     }
 }
@@ -247,7 +286,6 @@ pub fn update_equilibrium_velocities(comps: &[ComponentState], forces: &[SlabArr
 mod tests {
     use super::*;
     use crate::component::ComponentSpec;
-    use crate::macroscopic::compute_psi;
 
     /// Zero forces (or velocities) for `comps`, for the reference pass.
     fn no_force(comps: &[ComponentState]) -> Vec<SlabArray> {
@@ -276,7 +314,6 @@ mod tests {
                 };
                 let mut c = ComponentState::new(spec, grid);
                 c.init_uniform(ns[k], us[k]);
-                compute_psi(&mut c);
                 c
             })
             .collect()

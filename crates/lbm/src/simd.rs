@@ -56,10 +56,8 @@ pub(crate) fn avx2_available() -> bool {
 
 /// AVX2 BGK collision of `n` cells from `src` into `dst`, 4 cells per
 /// iteration, unrolled over [`crate::collision::OPPOSITE_PAIRS`] (module
-/// docs), and j of the same 4 cells of the `then = (f, j, n)` run
-/// (strides `ss`, `us`) while it has them. Returns how many cells it
-/// collided (a multiple of 4); the caller's scalar loop — the same
-/// arithmetic — takes the rest, and the moments kernel the rest of `then`.
+/// docs). Returns how many cells it collided (a multiple of 4); the
+/// caller's scalar loop — the same arithmetic — takes the rest.
 ///
 /// # Safety
 ///
@@ -80,7 +78,6 @@ pub(crate) unsafe fn collide_bgk_into_avx2(
     ueq: *const f64,
     us: usize,
     n: usize,
-    then: Option<(*const f64, *mut f64, usize)>,
 ) -> usize {
     use crate::collision::{OppositePair, OPPOSITE_PAIRS};
     use crate::lattice::{Lattice, D3Q19};
@@ -147,9 +144,6 @@ pub(crate) unsafe fn collide_bgk_into_avx2(
             })*};
         }
         pairs!(0 1 2 3 4 5 6 7 8);
-        if let Some((f, j, _)) = then.filter(|&(.., m)| cell + L <= m) {
-            moments_avx2(f.add(cell), ss, None, Some((j.add(cell), us)), L);
-        }
         cell += L;
     }
     cell
@@ -336,9 +330,9 @@ unsafe fn cross_row<const SUB: bool>(
 }
 
 /// Fills `out` (3 channels × `p` plane cells, channel stride `p`) with the
-/// interaction-kernel vector G(x) = Σ_i w_i ψ(x+e_i) e_i of local plane
-/// `xl`, reading the evaluated-ψ array `pe` (full local lattice including
-/// ghost planes).
+/// interaction-kernel vector G(x) = Σ_i w_i ψ(x+e_i) e_i of one plane,
+/// reading the evaluated ψ of that plane and its two neighbours,
+/// `[x − 1, x, x + 1]`, each `p` cells.
 ///
 /// The D3Q19 stencil separates by axis: the five directions with e_x = +1
 /// see plane x+1 through the in-plane cross aggregate C = w₁ψ +
@@ -357,35 +351,23 @@ unsafe fn cross_row<const SUB: bool>(
 ///
 /// # Safety
 ///
-/// `pe` must cover the full local lattice (ghost planes included) with
-/// `xl` an interior plane; `out` must hold at least `3·p` writable cells;
+/// Each `stencil` plane must hold `p` readable cells; `out` must hold at
+/// least `3·p` writable cells;
 /// `scratch` must hold `p + nz` cells whose last `nz` are zero (and are
 /// left zero); `ny·nz == p`.
 #[inline(always)]
 unsafe fn gvec_plane_impl(
-    pe: *const f64,
+    stencil: [*const f64; 3],
     out: *mut f64,
     scratch: *mut f64,
-    xl: usize,
     ny: usize,
     nz: usize,
     p: usize,
 ) {
     use crate::lattice::{Lattice, D3Q19};
-    // Axis and diagonal weights from the lattice table.
-    let mut wa = 0.0;
-    let mut wd = 0.0;
-    for i in 1..D3Q19::Q {
-        let e = D3Q19::E[i];
-        if e[0] * e[0] + e[1] * e[1] + e[2] * e[2] == 1 {
-            wa = D3Q19::W[i];
-        } else {
-            wd = D3Q19::W[i];
-        }
-    }
-    let pc = pe.add(xl * p);
-    let pm = pe.add((xl - 1) * p);
-    let pp = pe.add((xl + 1) * p);
+    // The axis and the diagonal weight.
+    let (wa, wd) = (D3Q19::W[1], D3Q19::W[7]);
+    let [pm, pc, pp] = stencil;
     let bplane = scratch;
     let zrow = scratch.add(p) as *const f64; // stays all-zero
 
@@ -448,19 +430,18 @@ unsafe fn gvec_plane_impl(
 /// alias analysis, so the scalar build stays scalar). Safety: see
 /// [`gvec_plane_impl`].
 pub(crate) unsafe fn gvec_plane(
-    pe: *const f64,
+    stencil: [*const f64; 3],
     out: *mut f64,
     scratch: *mut f64,
-    xl: usize,
     ny: usize,
     nz: usize,
     p: usize,
 ) {
     #[cfg(target_arch = "x86_64")]
     if avx2_available() {
-        return gvec_plane_avx2(pe, out, scratch, xl, ny, nz, p);
+        return gvec_plane_avx2(stencil, out, scratch, ny, nz, p);
     }
-    gvec_plane_impl(pe, out, scratch, xl, ny, nz, p)
+    gvec_plane_impl(stencil, out, scratch, ny, nz, p)
 }
 
 /// AVX2 [`cross_row`]: 4 z-cells per iteration over the interior, the
@@ -525,10 +506,9 @@ unsafe fn cross_row_avx2<const SUB: bool>(
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn gvec_plane_avx2(
-    pe: *const f64,
+    stencil: [*const f64; 3],
     out: *mut f64,
     scratch: *mut f64,
-    xl: usize,
     ny: usize,
     nz: usize,
     p: usize,
@@ -537,21 +517,10 @@ unsafe fn gvec_plane_avx2(
     use core::arch::x86_64::*;
 
     const L: usize = 4;
-    let mut wa = 0.0;
-    let mut wd = 0.0;
-    for i in 1..D3Q19::Q {
-        let e = D3Q19::E[i];
-        if e[0] * e[0] + e[1] * e[1] + e[2] * e[2] == 1 {
-            wa = D3Q19::W[i];
-        } else {
-            wd = D3Q19::W[i];
-        }
-    }
+    let (wa, wd) = (D3Q19::W[1], D3Q19::W[7]);
     let wav = _mm256_set1_pd(wa);
     let wdv = _mm256_set1_pd(wd);
-    let pc = pe.add(xl * p);
-    let pm = pe.add((xl - 1) * p);
-    let pp = pe.add((xl + 1) * p);
+    let [pm, pc, pp] = stencil;
     let bplane = scratch;
     let zrow = scratch.add(p) as *const f64;
 
@@ -653,9 +622,9 @@ pub(crate) struct ForceAssembly {
     /// Cells per plane (`ny·nz`), the channel stride of the G and adhesion
     /// plane buffers.
     pub(crate) p: usize,
-    /// Component number density n_a (1 channel, the slab's window).
+    /// Component number density n_a of the plane (`p` cells).
     pub(crate) n: *const f64,
-    /// Evaluated interaction potential ψ_a (1 channel, the slab's window).
+    /// Evaluated interaction potential ψ_a of the plane (`p` cells).
     pub(crate) pe: *const f64,
     /// Output force density of the plane: its cell 0 of 3 channels of
     /// stride `force_stride` — a plane scratch (stride `p`) or a plane of a
@@ -677,45 +646,33 @@ pub(crate) struct ForceAssembly {
     pub(crate) body: [f64; 3],
 }
 
-/// Scalar force assembly of local plane `xl` — the reference the AVX2
-/// kernel must match bit for bit, and the non-x86 path. `planes[b]` is the
-/// G buffer of component b for this plane.
+/// Scalar force assembly of one plane — the reference the AVX2 kernel
+/// must match bit for bit, and the non-x86 path. `planes[b]` is the G
+/// buffer of component b for this plane.
 ///
 /// # Safety
 ///
-/// `n` and `pe` must be the window bases of live 1-channel arrays covering
-/// plane `xl`; `force` must be writable for 3 channels of `p` cells at
-/// stride `force_stride`, and the adhesion plane and every coupling's
-/// `planes` entry readable for `3·p` cells; no other thread may access the
-/// force cells during the call.
-pub(crate) unsafe fn force_assemble_scalar(
-    args: &ForceAssembly,
-    xl: usize,
-    planes: &[*const f64],
-) {
+/// `n` and `pe` must be readable for `p` cells; `force` must be writable
+/// for 3 channels of `p` cells at stride `force_stride`, and the adhesion
+/// plane and every coupling's `planes` entry readable for `3·p` cells; no
+/// other thread may access the force cells during the call.
+pub(crate) unsafe fn force_assemble_scalar(args: &ForceAssembly, planes: &[*const f64]) {
     for y in 0..args.ny {
         let wy = args.wy[y];
         let prow = y * args.nz;
         for z in 0..args.nz {
-            force_cell_scalar(args, planes, xl * args.p + prow + z, prow + z, wy, args.wz[z]);
+            force_cell_scalar(args, planes, prow + z, wy, args.wz[z]);
         }
     }
 }
 
-/// One cell of [`force_assemble_scalar`]: `cell` indexes the full lattice,
-/// `pcell` the plane buffers and the force output. Safety: see there.
+/// One cell of [`force_assemble_scalar`], `pcell` of the plane. Safety:
+/// see there.
 #[inline(always)]
-unsafe fn force_cell_scalar(
-    args: &ForceAssembly,
-    planes: &[*const f64],
-    cell: usize,
-    pcell: usize,
-    wy: f64,
-    wz: f64,
-) {
+unsafe fn force_cell_scalar(args: &ForceAssembly, planes: &[*const f64], pcell: usize, wy: f64, wz: f64) {
     let p = args.p;
-    let n_here = *args.n.add(cell);
-    let psi_here = *args.pe.add(cell);
+    let n_here = *args.n.add(pcell);
+    let psi_here = *args.pe.add(pcell);
     let rho_here = args.mass * n_here;
     // Shan–Chen term: ψ·g is hoisted out of the three axis products; the
     // association (ψ·g)·G_b is the one the original expression had.
@@ -750,7 +707,7 @@ unsafe fn force_cell_scalar(
     *f.add(2 * fs + pcell) = fz;
 }
 
-/// AVX2 force assembly of local plane `xl`, 4 cells per iteration along z
+/// AVX2 force assembly of one plane, 4 cells per iteration along z
 /// with a scalar row tail. Every lane performs exactly the operations of
 /// [`force_assemble_scalar`] in the same order (mul/add/sub only, no FMA),
 /// so the output is bitwise identical.
@@ -761,11 +718,7 @@ unsafe fn force_cell_scalar(
 /// [`avx2_available`].
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-pub(crate) unsafe fn force_assemble_avx2(
-    args: &ForceAssembly,
-    xl: usize,
-    planes: &[*const f64],
-) {
+pub(crate) unsafe fn force_assemble_avx2(args: &ForceAssembly, planes: &[*const f64]) {
     use core::arch::x86_64::*;
 
     const L: usize = 4;
@@ -782,13 +735,11 @@ pub(crate) unsafe fn force_assemble_avx2(
         let wy_s = args.wy[y];
         let wy_v = _mm256_set1_pd(wy_s);
         let prow = y * args.nz;
-        let row = xl * p + prow;
         let mut z = 0;
         while z + L <= args.nz {
-            let cell = row + z;
             let pcell = prow + z;
-            let n_v = _mm256_loadu_pd(args.n.add(cell));
-            let pe_v = _mm256_loadu_pd(args.pe.add(cell));
+            let n_v = _mm256_loadu_pd(args.n.add(pcell));
+            let pe_v = _mm256_loadu_pd(args.pe.add(pcell));
             let rho = _mm256_mul_pd(mass_v, n_v);
             let mut fx = zero;
             let mut fy = zero;
@@ -825,7 +776,7 @@ pub(crate) unsafe fn force_assemble_avx2(
             z += L;
         }
         while z < args.nz {
-            force_cell_scalar(args, planes, row + z, prow + z, wy_s, args.wz[z]);
+            force_cell_scalar(args, planes, prow + z, wy_s, args.wz[z]);
             z += 1;
         }
     }
@@ -911,7 +862,7 @@ mod tests {
             // SAFETY: one interior cell of each array, collided in place.
             unsafe {
                 let (f, ueq) = (scalar.f.base_mut_ptr().add(cell), u.base_ptr().add(cell));
-                collide_cells_raw(op, 0.71, f, ss, f, ss, ueq, us, 1, None);
+                collide_cells_raw(op, 0.71, f, ss, f, ss, ueq, us, 1);
             }
         }
         assert!(bits(&scalar) == bits(&want), "folded BGK (scalar) differs from the textbook formula");
@@ -1013,18 +964,15 @@ mod tests {
             .map(|(k, (spec, f))| {
                 let mut c = ComponentState::new(spec.clone(), grid);
                 let mut pops = vec![0.0; D3Q19::Q * grid.cells()];
-                let mut psi = vec![0.0; grid.cells()];
                 let mut force = vec![0.0; 3 * grid.cells()];
                 lcg_fill(&mut pops, 0xF0 + k as u64);
-                lcg_fill(&mut psi, 0x51 + k as u64);
                 lcg_fill(&mut force, 0xFA + k as u64);
                 for cell in 0..grid.cells() {
+                    // Mix dense cells with a few empty ones, below the
+                    // density floor, so the guard is exercised both ways.
                     for i in 0..D3Q19::Q {
-                        c.f.set(i, cell, pops[i * grid.cells() + cell]);
+                        c.f.set(i, cell, if cell % 7 == 3 { 0.0 } else { 0.1 * pops[i * grid.cells() + cell].abs() });
                     }
-                    // Mix dense cells with a few below the density floor so
-                    // the guard is exercised in both directions.
-                    c.psi.set(0, cell, if cell % 7 == 3 { 0.0 } else { psi[cell].abs() + 0.1 });
                     for a in 0..3 {
                         f.set(a, cell, force[a * grid.cells() + cell]);
                     }
@@ -1042,17 +990,19 @@ mod tests {
             .map(|f| (0..3).flat_map(|a| f.channel(a)[p..2 * p].to_vec()).collect())
             .collect();
         let mut blocks = vec![vec![f64::NAN; 3 * p]; comps.len()];
+        let mut psis = vec![vec![f64::NAN; p]; comps.len()];
         let views: Vec<CompView> = comps
             .iter()
+            .zip(psis.iter_mut())
             .zip(&scratch)
             .zip(blocks.iter_mut())
-            .map(|((c, force), block)| {
-                // SAFETY: plane 1 of a three-plane window is in bounds, and
-                // the block holds 3 channels of `p` cells.
-                unsafe { moments_raw(c.f.base_ptr().add(p), c.f.stride(), None, Some((block.as_mut_ptr(), p)), p) };
+            .map(|(((c, psi), force), block)| {
+                let (n, j) = (Some(psi.as_mut_ptr()), Some((block.as_mut_ptr(), p)));
+                // SAFETY: plane 1 of a three-plane window is in bounds, ψ
+                // holds `p` cells and the block 3 channels of `p` cells.
+                unsafe { moments_raw(c.f.base_ptr().add(p), c.f.stride(), n, j, p) };
                 CompView {
-                    // SAFETY: as above.
-                    psi: unsafe { c.psi.base_ptr().add(p) },
+                    psi: psi.as_ptr(),
                     force: force.as_ptr(),
                     force_stride: p,
                     ueq: block.as_mut_ptr(),
@@ -1072,16 +1022,17 @@ mod tests {
             let j: Vec<[f64; 3]> = comps.iter().map(|c| raw_momentum(c, cell)).collect();
             let mut num = [0.0f64; 3];
             let mut den = 0.0f64;
+            let psi = |c: &ComponentState| (0..D3Q19::Q).fold(0.0, |n, i| n + c.f.at(i, cell));
             for (c, j) in comps.iter().zip(&j) {
                 let (m, inv_tau) = (c.spec.mass, 1.0 / c.spec.momentum_tau());
                 for a in 0..3 {
                     num[a] += m * j[a] * inv_tau;
                 }
-                den += m * c.psi.at(0, cell) * inv_tau;
+                den += m * psi(c) * inv_tau;
             }
             let ubar = if den > RHO_FLOOR { num.map(|n| n / den) } else { [0.0; 3] };
             for (k, c) in comps.iter().enumerate() {
-                let rho = c.spec.mass * c.psi.at(0, cell);
+                let rho = c.spec.mass * psi(c);
                 let shift = if rho > RHO_FLOOR { c.spec.momentum_tau() / rho } else { 0.0 };
                 for a in 0..3 {
                     let want = ubar[a] + shift * forces[k].at(a, cell);
@@ -1118,8 +1069,9 @@ mod tests {
             // SAFETY: AVX2 was detected above; xl ± 1 are planes of `pe`,
             // the outputs hold 3 planes and the scratch a plane plus a row.
             unsafe {
-                super::gvec_plane_impl(pe.as_ptr(), want.as_mut_ptr(), scratch.as_mut_ptr(), xl, ny, nz, p);
-                super::gvec_plane_avx2(pe.as_ptr(), got.as_mut_ptr(), scratch.as_mut_ptr(), xl, ny, nz, p);
+                let stencil = [pe.as_ptr().add((xl - 1) * p), pe.as_ptr().add(xl * p), pe.as_ptr().add((xl + 1) * p)];
+                super::gvec_plane_impl(stencil, want.as_mut_ptr(), scratch.as_mut_ptr(), ny, nz, p);
+                super::gvec_plane_avx2(stencil, got.as_mut_ptr(), scratch.as_mut_ptr(), ny, nz, p);
             }
             assert!(
                 scratch[p..].iter().all(|&v| v == 0.0),
@@ -1166,8 +1118,10 @@ mod tests {
                 ny,
                 nz,
                 p,
-                n: n.as_ptr(),
-                pe: pe.as_ptr(),
+                // SAFETY: plane xl of the three-plane inputs is in bounds.
+                n: unsafe { n.as_ptr().add(xl * p) },
+                // SAFETY: as above.
+                pe: unsafe { pe.as_ptr().add(xl * p) },
                 force,
                 force_stride,
                 couplings: vec![(0, 0.9), (1, -0.31)],
@@ -1184,8 +1138,8 @@ mod tests {
             // SAFETY: AVX2 was detected above; every input covers three
             // planes and each output the plane its assembly names.
             unsafe {
-                super::force_assemble_scalar(&a_scalar, xl, &planes);
-                super::force_assemble_avx2(&a_simd, xl, &planes);
+                super::force_assemble_scalar(&a_scalar, &planes);
+                super::force_assemble_avx2(&a_simd, &planes);
             }
             let lo = xl * p;
             for ch in 0..3 {

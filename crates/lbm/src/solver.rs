@@ -9,24 +9,25 @@
 //! workers and the TCP ranks:
 //!
 //! ```text
-//! collide_edges                   (lines 16–17 and 4 for the two planes the
-//!                                  halo ships: forces and equilibrium
-//!                                  velocities from ψ, then the collision)
+//! collide_edges                   (lines 14, 16–17 and 4 for the two planes
+//!                                  the halo ships: ψ of the planes around
+//!                                  them, forces and equilibrium velocities,
+//!                                  then the collision)
 //! ⇄ exchange populations          (line 8)
 //! stream_collide_fused            (the same for the rest, plane by plane
-//!                                  just ahead of streaming, then lines 10–11,
-//!                                  14: stream + bounce back, take ψ of each
-//!                                  streamed plane — one sweep)
+//!                                  just ahead of streaming, then lines 10–11:
+//!                                  stream + bounce back — one sweep; then
+//!                                  line 14 for the two edge planes)
 //! ⇄ exchange number density       (line 14)
 //! ```
 //!
-//! Two compute sections around the paper's two exchanges: the forces and
-//! equilibrium velocities the paper computes at the end of phase n are
-//! formed at the start of phase n + 1, one plane at a time, just before
-//! that plane's collision consumes them. The state at a phase boundary is
-//! `f` and ψ (ghost planes included), 20 channels per component; neither
-//! the force nor the equilibrium velocity is ever stored, and the snapshot
-//! recomputes the force from ψ.
+//! Two compute sections around the paper's two exchanges: the number
+//! density, forces and equilibrium velocities the paper computes at the end
+//! of phase n are formed at the start of phase n + 1, plane by plane, just
+//! ahead of the collision that consumes them. The state at a phase boundary
+//! is `f` (ghost planes included) plus, per component, ψ of the two ghost
+//! planes the second exchange delivered and of the two edge planes it
+//! shipped ([`ComponentState`]); the snapshot recomputes the rest from `f`.
 //!
 //! The sequential driver is the single-slab special case where both
 //! exchanges reduce to periodic ghost copies
@@ -43,10 +44,11 @@ use crate::boundary::{SlipMap, WallBc};
 use crate::component::{ComponentState, CouplingMatrix};
 use crate::config::ChannelConfig;
 use crate::field::{LocalGrid, SlabArray};
-use crate::force::{ForcePlanes, WallForce};
+use crate::force::WallForce;
 use crate::geometry::{Dims, Slab, SolidRegion};
 use crate::lattice::{Lattice, D3Q19};
 use crate::macroscopic::{Snapshot, SnapshotSlab};
+use crate::multicomponent::PlaneCollision;
 
 /// A slab edge, in global x orientation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -108,6 +110,7 @@ impl SlabSolver {
             c.init_profile(slab.x0, |x| n0 * init.factor(x, nx_global));
         }
         solver.clear_solid_cells();
+        solver.compute_psi();
         solver
     }
 
@@ -152,9 +155,8 @@ impl SlabSolver {
         window(&self.solid, self.x0, self.grid())
     }
 
-    /// Zeros all per-cell state at solid cells, once, after initialization
-    /// (whose ψ default must not linger there); streaming keeps their
-    /// populations zero from then on, and ψ follows from those.
+    /// Zeros the populations at solid cells, once, after initialization;
+    /// streaming keeps them zero from then on, and ψ follows from those.
     fn clear_solid_cells(&mut self) {
         if self.obstacles.is_empty() {
             return;
@@ -165,7 +167,6 @@ impl SlabSolver {
                 for i in 0..D3Q19::Q {
                     c.f.set(i, cell, 0.0);
                 }
-                c.psi.set(0, cell, 0.0);
             }
         }
     }
@@ -221,24 +222,23 @@ impl SlabSolver {
     /// Phase step 1: collides the two slab-edge planes — everything the
     /// population halo exchange reads ([`f_halo_out`](Self::f_halo_out)
     /// ships edge planes only) — in place, each at equilibrium velocities
-    /// formed from ψ just before (ψ ghosts current). The remaining planes
-    /// are left to [`stream_collide_fused`](Self::stream_collide_fused),
-    /// which collides them just ahead of streaming.
+    /// formed just before from ψ of the planes around it (ψ ghosts
+    /// current), taken from the phase-boundary populations first. The
+    /// remaining planes are left to
+    /// [`stream_collide_fused`](Self::stream_collide_fused), which collides
+    /// them just ahead of streaming.
     pub fn collide_edges(&mut self) {
-        let grid = self.grid();
-        let edges = [LocalGrid::FIRST, grid.last()];
-        let planes = if grid.last() == LocalGrid::FIRST { &edges[..1] } else { &edges[..] };
-        let solid = window(&self.solid, self.x0, grid);
+        let solid = window(&self.solid, self.x0, self.grid());
         let forcing = (&self.coupling, &self.wall, self.body);
-        crate::multicomponent::collide_planes(&mut self.comps, forcing, solid, planes);
+        crate::multicomponent::collide_edges(&mut self.comps, forcing, solid);
     }
 
     /// Phase step 2 (after the population exchange): collides the interior
     /// planes and streams every plane in a single sweep over `f`, applying
     /// the active wall BC (bounce-back or a slip rule) at channel walls and
-    /// obstacles, and leaves each streamed plane's ψ in `psi`. The BC is
-    /// resolved to a per-plane weight map here, once; the sweep kernels
-    /// never dispatch per cell.
+    /// obstacles, then takes ψ of the two streamed edge planes for the ψ
+    /// exchange. The BC is resolved to a per-plane weight map here, once;
+    /// the sweep kernels never dispatch per cell.
     pub fn stream_collide_fused(&mut self) {
         let grid = self.grid();
         let slip = slip_map(&self.slip_ry, self.x0, grid.lx, &self.wall_bc);
@@ -246,19 +246,15 @@ impl SlabSolver {
         let has_solid = !self.obstacles.is_empty();
         let forcing = (&self.coupling, &self.wall, self.body);
         crate::streaming::sweep(&mut self.comps, solid, has_solid, slip, Some(forcing));
+        self.compute_psi();
     }
 
-    /// ψ of the whole slab — what
-    /// [`stream_collide_fused`](Self::stream_collide_fused) leaves behind.
-    /// Not a phase step: priming and the test oracle call it.
+    /// ψ of the two edge planes from their populations — what
+    /// [`stream_collide_fused`](Self::stream_collide_fused) leaves for the
+    /// ψ exchange. Not a phase step: priming calls it, and the ledger times
+    /// it.
     pub fn compute_psi(&mut self) {
-        self.comps.iter_mut().for_each(crate::macroscopic::compute_psi);
-    }
-
-    /// The force kernel of this slab as it stands (ψ ghosts current).
-    fn force_planes(&self) -> ForcePlanes<'_> {
-        let solid = window(&self.solid, self.x0, self.grid());
-        ForcePlanes::new(&self.comps, &self.coupling, &self.wall, self.body, solid)
+        self.comps.iter_mut().for_each(crate::macroscopic::edge_psi);
     }
 
     /// First half of the two-pass reference of the equilibrium velocities
@@ -343,24 +339,44 @@ impl SlabSolver {
         })
     }
 
-    /// As [`f_halo_runs`](Self::f_halo_runs) for the ψ message: the edge
-    /// plane of each component.
+    /// As [`f_halo_runs`](Self::f_halo_runs) for the ψ message: ψ of the
+    /// edge plane of each component.
     fn psi_halo_runs(&self, side: Side) -> impl Iterator<Item = &[f64]> {
-        let p = self.grid().plane_cells();
         let xl = self.edge(side);
-        self.comps.iter().map(move |c| &c.psi.channel(0)[xl * p..(xl + 1) * p])
+        self.comps.iter().flat_map(move |c| c.kept_psi(xl))
     }
 
-    /// The plane-long runs of local plane `xl`'s phase-boundary state, in
-    /// the one order a checkpoint's plane records and a migration message
-    /// hold them: component by component, `f` (19 channels), then ψ.
-    pub(crate) fn plane_runs(comps: &[ComponentState], xl: usize) -> impl Iterator<Item = &[f64]> {
-        comps.iter().flat_map(ComponentState::arrays).flat_map(move |a| a.plane_runs(xl))
+    /// Appends local plane `xl`'s record — a checkpoint's and a migration
+    /// message's — to `out`: per component `f` (19 channels), then ψ, Σ_i
+    /// f_i of an owned plane, the exchanged ψ of a ghost plane.
+    pub(crate) fn push_plane_record(comps: &[ComponentState], xl: usize, out: &mut Vec<f64>) {
+        let grid = comps[0].grid();
+        let ghost = xl == LocalGrid::GHOST_LEFT || xl == grid.ghost_right();
+        for c in comps {
+            c.f.plane_runs(xl).for_each(|run| out.extend_from_slice(run));
+            match c.kept_psi(xl).filter(|_| ghost) {
+                Some(psi) => out.extend_from_slice(psi),
+                None => {
+                    let at = out.len();
+                    out.resize(at + grid.plane_cells(), 0.0);
+                    crate::macroscopic::plane_psi(&c.f, xl, &mut out[at..]);
+                }
+            }
+        }
     }
 
-    /// Mutable [`plane_runs`](Self::plane_runs), in the same order.
-    pub(crate) fn plane_runs_mut(comps: &mut [ComponentState], xl: usize) -> impl Iterator<Item = &mut [f64]> {
-        comps.iter_mut().flat_map(ComponentState::arrays_mut).flat_map(move |a| a.plane_runs_mut(xl))
+    /// Installs a [`push_plane_record`](Self::push_plane_record) record as
+    /// local plane `xl`: `f`, and ψ where `halo_psi` keeps it (a ghost or
+    /// an edge plane).
+    pub(crate) fn install_plane_record(comps: &mut [ComponentState], xl: usize, record: &[f64]) {
+        let p = comps[0].grid().plane_cells();
+        for (c, record) in comps.iter_mut().zip(record.chunks_exact((D3Q19::Q + 1) * p)) {
+            let (f, psi) = record.split_at(D3Q19::Q * p);
+            for (dst, src) in c.f.plane_runs_mut(xl).zip(f.chunks_exact(p)) {
+                dst.copy_from_slice(src);
+            }
+            c.keep_psi(xl, psi);
+        }
     }
 
     /// Extracts the post-collision populations the `side` neighbor needs:
@@ -418,10 +434,9 @@ impl SlabSolver {
     /// Installs a neighbor's ψ plane into the `side` ghost.
     pub fn psi_halo_in(&mut self, side: Side, buf: &[f64]) {
         assert_eq!(buf.len(), self.psi_halo_len());
-        let p = self.grid().plane_cells();
-        let xl = self.ghost(side);
+        let (p, xl) = (self.grid().plane_cells(), self.ghost(side));
         for (c, run) in self.comps.iter_mut().zip(buf.chunks_exact(p)) {
-            c.psi.channel_mut(0)[xl * p..(xl + 1) * p].copy_from_slice(run);
+            c.keep_psi(xl, run);
         }
     }
 
@@ -442,20 +457,21 @@ impl SlabSolver {
 
     /// Periodic self-exchange of the ψ halo.
     pub fn psi_ghosts_periodic(&mut self) {
+        // What leaves the `side` edge enters through the other ghost: in
+        // `halo_psi`, the left ghost's plane takes the last plane's (2 → 0)
+        // and the right ghost's the first plane's (1 → 3).
         let p = self.grid().plane_cells();
-        for side in [Side::Right, Side::Left] {
-            let (src, dst) = (self.edge(side), self.ghost(side.opposite()));
-            for c in self.comps.iter_mut() {
-                c.psi.channel_mut(0).copy_within(src * p..(src + 1) * p, dst * p);
-            }
+        for c in self.comps.iter_mut() {
+            c.halo_psi.copy_within(2 * p..3 * p, 0);
+            c.halo_psi.copy_within(p..2 * p, 3 * p);
         }
     }
 
     // ---- migration protocol ----------------------------------------------
 
     /// `f64` values per migrated plane: populations and number density for
-    /// every component — the complete phase-boundary state of a plane, so
-    /// migration is exactly state-preserving (observables included). A
+    /// every component — everything a plane's phase-boundary state is made
+    /// of, so migration is exactly state-preserving (observables included). A
     /// migration message is `count` of these plus one ψ plane per component
     /// ([`psi_halo_len`](Self::psi_halo_len)), the receiver's new ghost.
     pub fn migration_plane_len(&self) -> usize {
@@ -468,12 +484,12 @@ impl SlabSolver {
     }
 
     /// Removes `count` planes from the `side` edge of this slab and returns
-    /// their state — one record per plane, by ascending global x, each in
-    /// [`plane_runs`](Self::plane_runs) order — followed by the ψ
-    /// of this slab's new `side` edge plane — the receiver's new ghost.
-    /// Adjusts `x0`. This slab's new `side` ghost is the given plane next
-    /// to its new edge, whose ψ stays in that storage slot, so both slabs
-    /// are phase-boundary-consistent without another exchange.
+    /// their state — one record per plane, by ascending global x, each as
+    /// [`push_plane_record`](Self::push_plane_record) writes it — followed
+    /// by the ψ of this slab's new `side` edge plane — the receiver's new
+    /// ghost. Adjusts `x0`. This slab's new `side` ghost is the given plane
+    /// next to its new edge, whose ψ its record carries, so both slabs are
+    /// phase-boundary-consistent without another exchange.
     ///
     /// Repeated takes compose: `take_planes(side, a)` then `(side, b)`,
     /// each given in turn, leave both slabs bitwise as one
@@ -488,35 +504,44 @@ impl SlabSolver {
             Side::Left => LocalGrid::FIRST,
             Side::Right => self.grid().last() + 1 - count,
         };
+        let (p, plane_len) = (self.grid().plane_cells(), self.migration_plane_len());
         let mut out = Vec::with_capacity(self.migration_len(count));
         for xl in first..first + count {
-            Self::plane_runs(&self.comps, xl).for_each(|run| out.extend_from_slice(run));
+            Self::push_plane_record(&self.comps, xl, &mut out);
         }
+        // The given plane next to the new edge: its ψ is the new ghost's.
+        let next = match side {
+            Side::Left => count - 1,
+            Side::Right => 0,
+        };
         if side == Side::Left {
             self.x0 += count;
         }
         self.set_window(self.nx_local() - count);
+        let (ghost, records) = (self.ghost(side), out[next * plane_len..][..plane_len].chunks_exact(plane_len / self.comps.len()));
+        for (c, record) in self.comps.iter_mut().zip(records) {
+            c.keep_psi(ghost, &record[D3Q19::Q * p..]);
+        }
+        self.compute_psi();
         self.psi_halo_runs(side).for_each(|run| out.extend_from_slice(run));
         out
     }
 
-    /// Moves every array's window to `nx_local` planes at the current `x0`.
-    /// The surviving planes stay where they are in storage. The new ghost
-    /// planes of `f` come out zero (a checkpoint stores them, and nothing
-    /// reads them before the next exchange); ψ's keep their slots' values —
-    /// the caller installs any that were outside the old window.
-    /// The solid mask and slip weights need nothing: they are read through
-    /// the same window.
+    /// Moves the window of every `f` to `nx_local` planes at the current
+    /// `x0`. The surviving planes stay where they are in storage. The new
+    /// ghost planes come out zero (a checkpoint stores them, and nothing
+    /// reads them before the next exchange). The solid mask and slip weights
+    /// need nothing: they are read through the same window.
     fn set_window(&mut self, nx_local: usize) {
         for c in self.comps.iter_mut() {
             c.f.set_window(self.x0, nx_local);
-            c.psi.move_window(self.x0, nx_local);
         }
     }
 
     /// Attaches `count` planes (produced by the neighbor's `take_planes`)
     /// to the `side` edge of this slab and installs the ψ that follows them
-    /// as the new `side` ghost. Adjusts `x0`.
+    /// as the new `side` ghost; ψ of the new `side` edge comes with its
+    /// record. Adjusts `x0`.
     pub fn give_planes(&mut self, side: Side, count: usize, data: &[f64]) {
         assert_eq!(data.len(), self.migration_len(count));
         if side == Side::Left {
@@ -527,12 +552,10 @@ impl SlabSolver {
             Side::Left => LocalGrid::FIRST,
             Side::Right => self.grid().last() + 1 - count,
         };
-        let (p, plane_len) = (self.grid().plane_cells(), self.migration_plane_len());
+        let plane_len = self.migration_plane_len();
         let (planes, ghost) = data.split_at(count * plane_len);
         for (xl, record) in (first..).zip(planes.chunks_exact(plane_len)) {
-            for (dst, src) in Self::plane_runs_mut(&mut self.comps, xl).zip(record.chunks_exact(p)) {
-                dst.copy_from_slice(src);
-            }
+            Self::install_plane_record(&mut self.comps, xl, record);
         }
         self.psi_halo_in(side, ghost);
     }
@@ -551,11 +574,10 @@ impl SlabSolver {
     }
 
     /// Test oracle for [`phase_periodic`](Self::phase_periodic): the
-    /// textbook order — the forces and the equilibrium velocities as two
+    /// textbook order — ψ, the forces and the equilibrium velocities as
     /// whole-slab passes, collide every plane, fill ghosts, stream every
-    /// plane — run serially, then ψ recomputed from the populations as a
-    /// whole-slab pass. Not a second schedule: nothing outside the tests
-    /// calls it.
+    /// plane — run serially, then ψ of the edges for the ghost fill. Not a
+    /// second schedule: nothing outside the tests calls it.
     #[doc(hidden)]
     pub fn phase_periodic_reference(&mut self) {
         assert_eq!(self.nx_local(), self.global_nx, "phase_periodic needs the whole channel");
@@ -575,8 +597,9 @@ impl SlabSolver {
     }
 
     /// Brings a freshly initialized solver to a consistent phase-start
-    /// state (ψ and its ghosts), using periodic ghosts. Parallel drivers do
-    /// the same steps with a real exchange instead.
+    /// state (ψ of the edge planes, and the ghosts' from them), using
+    /// periodic ghosts. Parallel drivers do the same steps with a real
+    /// exchange instead.
     pub fn prime_periodic(&mut self) {
         self.compute_psi();
         self.psi_ghosts_periodic();
@@ -611,13 +634,15 @@ impl SlabSolver {
     }
 
     /// Captures this slab's interior into `out`, its planes of a snapshot
-    /// ([`Snapshot::split_slabs`]): ρ from ψ, the velocity from the
-    /// populations plus the half-force term, the forces recomputed plane by
-    /// plane from ψ by the kernel the phase uses — at a phase boundary, bit
-    /// for bit the forces that phase computed.
+    /// ([`Snapshot::split_slabs`]): ρ from ψ and the velocity from j, both
+    /// taken from the populations, plus the half-force term, the forces
+    /// recomputed plane by plane from ψ by the kernel the phase uses — at a
+    /// phase boundary, bit for bit the forces that phase computed.
     pub fn capture(&self, out: SnapshotSlab<'_>) {
         assert_eq!(out.slab, self.slab(), "snapshot planes differ from the slab");
-        crate::macroscopic::capture(&self.comps, &mut self.force_planes(), out);
+        let forcing = (&self.coupling, &self.wall, self.body);
+        let mut collision = PlaneCollision::new(&self.comps, forcing, window(&self.solid, self.x0, self.grid()));
+        crate::macroscopic::capture(&self.comps, &mut collision, out);
     }
 
     /// Total mass over this slab (all components).
@@ -914,20 +939,21 @@ mod tests {
         assert_eq!(fresh.snapshot(), a.snapshot());
         assert_eq!(fresh.total_mass().to_bits(), a.total_mass().to_bits());
         for (c, d) in a.components().iter().zip(fresh.components()) {
-            assert_eq!(c.arrays(), d.arrays());
+            assert_eq!((&c.f, &c.halo_psi), (&d.f, &d.halo_psi));
         }
     }
 
     #[test]
     fn the_phase_boundary_state_is_f_and_psi() {
-        // Q + 1 channels a component — populations and ψ — in the arrays,
-        // in a migrated plane and in every plane record of a checkpoint
-        // (magic and seven header words, then the window, ghosts included).
+        // A component keeps its Q populations and ψ of four planes (the
+        // ghosts and the edges); a migrated plane and every plane record of
+        // a checkpoint (magic and seven header words, then the window,
+        // ghosts included) carry Q + 1 channels a component, f and ψ.
         let cfg = small_config();
         let s = SlabSolver::new(&cfg, Slab { x0: 2, nx_local: 5 });
         let (q1, comps, p) = (D3Q19::Q + 1, s.components().len(), cfg.dims.ny * cfg.dims.nz);
         for c in s.components() {
-            assert_eq!(c.arrays().iter().map(|a| a.channels()).sum::<usize>(), q1);
+            assert_eq!((c.f.channels(), c.halo_psi.len()), (D3Q19::Q, 4 * p));
         }
         assert_eq!(s.migration_plane_len(), q1 * comps * p);
         let bytes = crate::checkpoint::save_solver(&s, 0);

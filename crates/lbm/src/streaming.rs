@@ -5,12 +5,11 @@
               component plane by plane: each plane is collided out of place into its \
               component's three-slot ring of post-collision planes (or copied in, if \
               collided before the sweep), and f is written only by streaming, from \
-              ring slots or ghost planes, never a plane of f being written; psi of \
-              the streamed plane is written row block by row block, after the last \
-              collision that reads it (that of the next plane)"
+              ring slots or ghost planes, never a plane of f being written; the \
+              moments of a plane are taken before it is collided or streamed"
 )]
-//! Streaming (propagation) with halfway bounce-back walls, and ψ of each
-//! streamed plane.
+//! Streaming (propagation) with halfway bounce-back walls, fused with the
+//! collision of every plane but the two slab edges.
 //!
 //! Post-collision populations move one lattice link per phase. We use the
 //! *pull* formulation: the new population at a cell is read from the
@@ -39,7 +38,10 @@
 //! solver collides the two slab-edge planes, exchanges halos, and this
 //! sweep collides every remaining plane just ahead of streaming it — all
 //! components plane by plane, as a plane's equilibrium velocities couple
-//! them ([`PlaneCollision`]). The same sweep without forcing (all planes
+//! them ([`PlaneCollision`]). The number density those velocities need is
+//! not stored: ψ and j of plane `x + 2` are taken from its populations in
+//! one pass just before plane `x + 1` is collided, into a three-plane ψ
+//! ring and a two-plane j buffer. The same sweep without forcing (all planes
 //! collided beforehand) exists only for
 //! `SlabSolver::phase_periodic_reference` and the unit tests below, which
 //! hold it to a two-lattice per-cell oracle.
@@ -65,17 +67,11 @@
 //! identical while the memory footprint halves. The sweep runs serially on
 //! the thread that owns the slab; more cores mean more slabs.
 //!
-//! # Row blocks
-//!
-//! A plane is streamed [`ROW_BLOCK_CELLS`] cells (whole z-rows) at a time,
-//! all 19 channels, and each block's ψ = Σ_i f_i ([`moments_raw`]) is taken
-//! into `psi` while it is still in L1, not re-read as a whole plane from L3
-//! (a paper-grid plane is 608 KB, and one component's ring alone fills most
-//! of a 2 MiB L2): no ψ pass. ψ of plane `xl` is overwritten only once the
-//! collision of plane `xl + 1`, the last whose forces read it, is done. The
-//! number momentum Σ_i f_i e_i is not taken here: the collision of the next
-//! phase takes it from the same populations, which no one changes in
-//! between, just before it needs it.
+//! Streaming takes no moments: ψ of a streamed plane is what the next
+//! phase's sweep takes from it, one plane ahead; only ψ of the two edge
+//! planes, which the ψ exchange ships, is taken after the sweep
+//! (`SlabSolver::stream_collide_fused`). So a plane streams channel by
+//! channel, whole: no row blocks kept in L1 for a ψ sum.
 //!
 //! # Slip boundary conditions
 //!
@@ -100,7 +96,7 @@
 //! slip variants use pure specular z-walls (`rz = 0`), making the flow
 //! z-independent — the pseudo-2-D setup of the slip papers.
 //!
-//! The kernel is selected per row block *outside* the channel/row loops
+//! The kernel is selected per plane *outside* the channel/row loops
 //! ([`stream_plane_slip_generic`] vs [`stream_plane_fast`]), so the
 //! default bounce-back path is untouched — same machine code,
 //! bitwise-identical results. Slip walls always take the per-cell kernel,
@@ -110,15 +106,8 @@ use crate::boundary::SlipMap;
 use crate::component::ComponentState;
 use crate::field::LocalGrid;
 use crate::lattice::{Lattice, D3Q19};
-use crate::macroscopic::moments_raw;
 use crate::multicomponent::{Forcing, PlaneCollision};
-use std::ops::Range;
-
 const Q: usize = D3Q19::Q;
-
-/// Cells per streaming row block, rounded down to whole z-rows (at least
-/// one): the block's 19 channels stay in L1 for its moments (module docs).
-const ROW_BLOCK_CELLS: usize = 80;
 
 /// One post-collision x-plane as a streaming source: a ring slot or a
 /// ghost plane of `f` (which streaming never writes). `ch(i)` is the
@@ -142,20 +131,22 @@ impl PlaneSrc {
 /// The in-place sweep: collides and streams every component over the
 /// interior of its slab **in place**, consuming the ghost planes of `f`,
 /// and leaves the post-streaming populations in `f` (its ghost planes
-/// stale) and their ψ in `psi` (module docs).
+/// stale; module docs).
 ///
 /// With `forcing` — the production sweep — planes `FIRST` and `last` must
-/// be **already collided** ([`crate::solver::SlabSolver::collide_edges`]:
-/// their post-collision populations are what the halo exchange ships), and
-/// ψ, ghost planes included, that of the phase boundary. Streaming plane
-/// `xl` pulls from planes `xl − 1 ..= xl + 1`, so the sweep collides plane
-/// `xl + 1` into the ring just before streaming `xl`, at equilibrium
-/// velocities formed from ψ of planes `xl ..= xl + 2`, none of which it
-/// has overwritten yet ([`PlaneCollision`]); collision stays cell-local,
-/// so the result is bitwise a whole-slab collision followed by the sweep
-/// without `forcing`. Without it, every plane must be collided already —
-/// pure data movement, the streaming half of the test-only reference
-/// schedule, which the unit tests hold against two-lattice oracles.
+/// be **already collided** ([`crate::multicomponent::collide_edges`]: their
+/// post-collision populations are what the halo exchange ships; their
+/// phase-boundary ψ is kept in `halo_psi`). Streaming plane `xl` pulls from
+/// planes `xl − 1 ..= xl + 1`, so the sweep collides plane `xl + 1` into
+/// the ring just before streaming `xl`, at equilibrium velocities formed
+/// from ψ of planes `xl ..= xl + 2` and j of plane `xl + 1`; ψ and j of
+/// plane `xl + 2` are taken from its populations in one pass just before,
+/// while they are still those of the phase boundary ([`PlaneCollision`]).
+/// Collision stays cell-local, so the result is bitwise a whole-slab
+/// collision followed by the sweep without `forcing`. Without it, every
+/// plane must be collided already — pure data movement, the streaming half
+/// of the test-only reference schedule, which the unit tests hold against
+/// two-lattice oracles.
 ///
 /// The ghost planes of `f` must be current. `solid` flags solid cells over
 /// the full local grid (ghost planes included); populations bounce back at
@@ -170,8 +161,8 @@ pub(crate) fn sweep(
     forcing: Option<Forcing<'_>>,
 ) {
     let grid = comps[0].grid();
-    // Channel stride of `f` and `psi` of every component; every plane
-    // index below is local to the window all base pointers start at.
+    // Channel stride of `f` of every component; every plane index below is
+    // local to the window all base pointers start at.
     let cells = comps[0].f.stride();
     let p = grid.plane_cells();
     assert_eq!(solid.len(), grid.cells());
@@ -180,10 +171,17 @@ pub(crate) fn sweep(
     }
     let first = LocalGrid::FIRST;
     let last = grid.last();
-    let rows_per_block = (ROW_BLOCK_CELLS / grid.nz).max(1);
     let fps: Vec<*mut f64> = comps.iter_mut().map(|c| c.f.base_mut_ptr()).collect();
-    let psis: Vec<*mut f64> = comps.iter_mut().map(|c| c.psi.base_mut_ptr()).collect();
+    let comps = &*comps;
     let mut collision = forcing.map(|forcing| PlaneCollision::new(comps, forcing, solid));
+    if let Some(collision) = collision.as_mut().filter(|_| last > first + 1) {
+        // Safety: the edge plane's ψ is kept, and plane `first + 1` is
+        // interior and uncollided.
+        unsafe {
+            collision.load(comps, first, false);
+            collision.load(comps, first + 1, true);
+        }
+    }
     // A ghost plane of `f`: channel i of plane xl is at xl*p + i*cells.
     // SAFETY: called only with the window's two ghost planes, in bounds.
     let ghost = |f: *mut f64, xl: usize| PlaneSrc { base: unsafe { f.add(xl * p) as *const f64 }, stride: cells };
@@ -195,14 +193,15 @@ pub(crate) fn sweep(
     // Puts post-collision plane `xl` (not yet streamed) of every component
     // into its slot `k`: copied if it was collided before the sweep (an
     // edge plane, or every plane without `forcing`), else collided out of
-    // place from `f`. Safety: the slots are not live sources (see the loop
-    // below), and plane `xl` has not been streamed.
+    // place from `f`, after ψ and j of plane `xl + 1` are loaded (only ψ,
+    // kept, if that is the edge plane `last`). Safety: the slots are not
+    // live sources (see the loop below), and planes `xl` and `xl + 1` have
+    // been neither collided nor streamed, unless `xl + 1` is `last`.
     let mut fill = |k: usize, xl: usize| unsafe {
         match collision.as_mut() {
             Some(collision) if xl != first && xl != last => {
-                // The sweep's next collision is of plane xl + 1, unless that
-                // is the edge plane `last`, collided before the sweep.
-                collision.collide(xl, &slots[k], p, (xl + 1 < last).then_some(xl + 1))
+                collision.load(comps, xl + 1, xl + 1 < last);
+                collision.collide(xl, &slots[k], p)
             }
             _ => {
                 for (&f, &slot) in fps.iter().zip(&slots[k]) {
@@ -220,32 +219,21 @@ pub(crate) fn sweep(
             // Slot (j + 1) % 3 held plane xl − 2, no longer a source.
             fill((j + 1) % 3, nxt);
         }
-        for (a, (&fp, &psi)) in fps.iter().zip(&psis).enumerate() {
+        for (a, &fp) in fps.iter().enumerate() {
             let slot = |k: usize| PlaneSrc { base: slots[k % 3][a], stride: p };
             let prev = if xl == first { ghost(fp, first - 1) } else { slot(j + 2) };
             // Plane `last + 1` is the right ghost plane.
             let next = if nxt <= last { slot(j + 1) } else { ghost(fp, nxt) };
             let cur = slot(j);
-            for y0 in (0..grid.ny).step_by(rows_per_block) {
-                let rows = y0..(y0 + rows_per_block).min(grid.ny);
-                // Safety: the write target (plane xl of `f`) never aliases a
-                // source — slots live outside `f`, and ghost planes are never
-                // written. The wall-BC dispatch is resolved here, per block, so
-                // the bounce-back kernels' channel/row loops stay branch-free.
-                unsafe {
-                    let r = rows.clone();
-                    match (slip, has_solid) {
-                        (None, false) => stream_plane_fast(fp, cells, grid, xl, prev, cur, next, r),
-                        (None, true) => stream_plane_generic(fp, cells, grid, xl, prev, cur, next, r, solid),
-                        (Some(s), _) => stream_plane_slip_generic(
-                            fp, cells, grid, xl, prev, cur, next, r, solid, s.ry, s.rz,
-                        ),
-                    }
-                    // ψ of the block just streamed. Safety: plane xl is
-                    // streamed, so no later collision reads its ψ (plane
-                    // xl + 1 was collided above); one window and stride.
-                    let at = xl * p + rows.start * grid.nz;
-                    moments_raw(fp.add(at), cells, Some(psi.add(at)), None, rows.len() * grid.nz);
+            // Safety: the write target (plane xl of `f`) never aliases a
+            // source — slots live outside `f`, and ghost planes are never
+            // written. The wall-BC dispatch is resolved here, per plane, so
+            // the bounce-back kernels' channel/row loops stay branch-free.
+            unsafe {
+                match (slip, has_solid) {
+                    (None, false) => stream_plane_fast(fp, cells, grid, xl, prev, cur, next),
+                    (None, true) => stream_plane_generic(fp, cells, grid, xl, prev, cur, next, solid),
+                    (Some(s), _) => stream_plane_slip_generic(fp, cells, grid, xl, prev, cur, next, solid, s.ry, s.rz),
                 }
             }
         }
@@ -263,7 +251,7 @@ unsafe fn upstream(i: usize, prev: PlaneSrc, cur: PlaneSrc, next: PlaneSrc) -> *
     }
 }
 
-/// Obstacle-free in-place streaming of the z-rows `rows` of one plane:
+/// Obstacle-free in-place streaming of one plane:
 /// with no solids, a whole z-row either bounces in place (upstream row
 /// behind a y-wall) or is a contiguous copy of the upstream row, with at
 /// most one bounce-back cell at a z-wall. Produces bit-identical values to
@@ -274,14 +262,10 @@ unsafe fn upstream(i: usize, prev: PlaneSrc, cur: PlaneSrc, next: PlaneSrc) -> *
 ///
 /// `f` must be the window base of the component's channel-major population
 /// array, `cells` its channel stride and `grid` its window; `xl` an
-/// interior plane and `rows` within `0..ny`; `prev`/`cur`/`next` must
+/// interior plane; `prev`/`cur`/`next` must
 /// expose the post-collision values of planes `xl − 1`, `xl`, `xl + 1` and
 /// not alias plane `xl` of `f`; no other thread may access plane `xl` of
 /// `f` during the call.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "a raw kernel takes its plane pointers, strides and wall data as scalars"
-)]
 unsafe fn stream_plane_fast(
     f: *mut f64,
     cells: usize,
@@ -290,7 +274,6 @@ unsafe fn stream_plane_fast(
     prev: PlaneSrc,
     cur: PlaneSrc,
     next: PlaneSrc,
-    rows: Range<usize>,
 ) {
     let p = grid.plane_cells();
     let (ny, nz) = (grid.ny, grid.nz);
@@ -300,7 +283,7 @@ unsafe fn stream_plane_fast(
         let src = upstream(i, prev, cur, next);
         let bounce = cur.ch(opp);
         let dst = f.add(i * cells + xl * p);
-        for y in rows.clone() {
+        for y in 0..ny {
             let row = y * nz;
             let ys = y as isize - e[1] as isize;
             if ys < 0 || ys >= ny as isize {
@@ -342,7 +325,6 @@ unsafe fn stream_plane_generic(
     prev: PlaneSrc,
     cur: PlaneSrc,
     next: PlaneSrc,
-    rows: Range<usize>,
     solid: &[bool],
 ) {
     let p = grid.plane_cells();
@@ -357,7 +339,7 @@ unsafe fn stream_plane_generic(
         // Upstream plane along x always exists (ghosts at 0, lx−1); the
         // solid mask is indexed globally, the sources plane-locally.
         let xs = (xl as isize - e[0] as isize) as usize;
-        for y in rows.start as isize..rows.end as isize {
+        for y in 0..ny {
             let ys = y - e[1] as isize;
             for z in 0..nz {
                 let zs = z - e[2] as isize;
@@ -411,7 +393,6 @@ unsafe fn stream_plane_slip_generic(
     prev: PlaneSrc,
     cur: PlaneSrc,
     next: PlaneSrc,
-    rows: Range<usize>,
     solid: &[bool],
     ry: &[f64],
     rz: f64,
@@ -430,7 +411,7 @@ unsafe fn stream_plane_slip_generic(
         let xs = (xl as isize - e[0] as isize) as usize;
         let rb = ry[xl];
         let rs = 1.0 - ry[xs];
-        for y in rows.start as isize..rows.end as isize {
+        for y in 0..ny {
             let ys = y - e[1] as isize;
             for z in 0..nz {
                 let zs = z - e[2] as isize;
@@ -741,10 +722,8 @@ mod tests {
     fn inplace_sweep_matches_two_lattice_reference() {
         // The heart of the rewrite: the in-place ring sweep must
         // reproduce the two-lattice pull scheme bit for bit — obstacle-free
-        // fast path and generic obstacle path. The last three shapes split
-        // each plane into several row blocks (with nz = 90, every block is
-        // a single row).
-        for (nx, ny, nz) in MULTI_BLOCK_SHAPES {
+        // fast path and generic obstacle path.
+        for (nx, ny, nz) in SHAPES {
             let mut a = make(nx, ny, nz);
             fill_pseudorandom(&mut a, nx + 1);
             let mut b = a.clone();
@@ -758,15 +737,9 @@ mod tests {
         }
     }
 
-    /// Plane shapes for the sweep oracles: the first four are one row
-    /// block per plane, the last three several.
-    const MULTI_BLOCK_SHAPES: [(usize, usize, usize); 7] =
+    /// Plane shapes for the sweep oracles.
+    const SHAPES: [(usize, usize, usize); 7] =
         [(1, 3, 4), (2, 4, 3), (5, 3, 5), (9, 4, 2), (4, 37, 9), (3, 7, 90), (6, 31, 3)];
-
-    /// Rows per streaming block at lateral extent `nz` (as `sweep` cuts).
-    fn block_rows(nz: usize) -> usize {
-        (ROW_BLOCK_CELLS / nz).max(1)
-    }
 
     #[test]
     fn inplace_sweep_matches_reference_with_obstacles() {
@@ -782,12 +755,10 @@ mod tests {
                 }
             }
             solid[grid.idx(1, 4, 0)] = true;
-            // On the tall plane, a block straddling the first row-block
-            // edge: its faces bounce populations across the edge.
-            let edge = block_rows(grid.nz);
-            if edge < ny {
+            // On the tall plane, a taller block.
+            if ny > 20 {
                 for xl in 2..=5 {
-                    for y in edge - 2..edge + 2 {
+                    for y in 18..22 {
                         solid[grid.idx(xl, y, 1)] = true;
                     }
                 }
@@ -869,7 +840,7 @@ mod tests {
 
     #[test]
     fn slip_sweep_matches_two_lattice_reference() {
-        for (nx, ny, nz) in MULTI_BLOCK_SHAPES {
+        for (nx, ny, nz) in SHAPES {
             for rz in [0.0, 0.4] {
                 let mut a = make(nx, ny, nz);
                 fill_pseudorandom(&mut a, nx + 1);

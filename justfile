@@ -166,9 +166,18 @@ bench seed="1":
 bench-check BASE: bench
     ./target/release/examples/ledger --compare {{BASE}} target/ledger/ledger.json --manifest BENCHMARK.json
 
+# A parent tree for `pairs`: clears target/pairs/parent-src and writes
+# `git archive REV` into it (REV is the commit to beat; HEAD while the
+# change is uncommitted). The acceptance measurement is then two commands:
+# `just parent REV` and `just pairs WORKLOADS target/pairs/parent-src`.
+parent REV="HEAD":
+    rm -rf target/pairs/parent-src && mkdir -p target/pairs/parent-src
+    git archive {{REV}} | tar -x -C target/pairs/parent-src
+
 # The choosing-metrics §8 rule, per workload: builds PARENT_DIR (a
 # checkout of the commit to beat — `git clone` or `git archive`, not a
-# worktree) and this tree into separate target dirs, then for each workload
+# worktree; `just parent REV` writes one to target/pairs/parent-src) and
+# this tree into separate target dirs, then for each workload
 # of the comma-separated WORKLOADS runs the benchmark command N times per
 # side on seeds SEED0 .. SEED0+N−1 (pick seeds not used while writing the
 # change), alternating which side goes first, and prints one block per

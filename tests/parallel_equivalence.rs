@@ -9,6 +9,8 @@ use microslip::balance::policy::NeighborPolicy;
 use microslip::balance::{Conservative, FilterParams, Filtered, NoRemap};
 use microslip::lbm::checkpoint::{load_solver, save_solver};
 use microslip::lbm::geometry::even_slabs;
+use microslip::lbm::component::ComponentState;
+use microslip::lbm::lattice::{Lattice, D3Q19};
 use microslip::lbm::{
     ChannelConfig, CollisionOperator, Dims, PsiFn, Simulation, Slab, SlabSolver, Snapshot,
     SolidRegion, WallBc, WallForceMode,
@@ -34,8 +36,8 @@ fn sequential(channel: &ChannelConfig, phases: u64) -> Snapshot {
 }
 
 /// The schedule matrix: every wall BC × {BGK, TRT+MRT} × {no obstacle, a
-/// block}, on a 12×6×4 channel (one streaming row block per plane) and a
-/// 12×30×9 one (several); and, bounce-back only, a 12×70×20 one (two
+/// block}, on a 12×6×4 channel and a 12×30×9 one; and, bounce-back
+/// only, a 12×70×20 one (two
 /// collision blocks per plane, the second short — the wall BC never reaches
 /// the collision). The force kernel's other inputs ride along: the
 /// TRT+MRT cases give the air a non-linear ψ and the wall force the
@@ -99,34 +101,95 @@ fn fused_schedule_matches_the_serial_reference_bitwise() {
     }
 }
 
-#[test]
-fn the_sweep_leaves_the_moments_a_whole_slab_pass_would() {
-    // The production phase has no ψ pass: the sweep takes ψ from each plane
-    // as it streams it. Right after the sweep, recomputing ψ of the whole
-    // slab must change no bit of `psi`, on every slab of 1–3-slab
-    // decompositions.
-    let bits = |s: &SlabSolver| -> Vec<Vec<u64>> {
-        s.components().iter().map(|c| c.psi.to_vec().iter().map(|v| v.to_bits()).collect()).collect()
+/// ψ of `s`'s two ghost planes, left and right, per component, as bits:
+/// read off its checkpoint, whose first and last plane records are the
+/// ghost planes (after the magic and seven header words).
+fn ghost_psi(s: &SlabSolver) -> Vec<[Vec<u64>; 2]> {
+    let bytes = save_solver(s, 0);
+    let (p, record) = (s.grid().plane_cells(), 8 * s.migration_plane_len());
+    let psi = |k: usize, a: usize| -> Vec<u64> {
+        let at = 64 + k * record + 8 * (a * (D3Q19::Q + 1) + D3Q19::Q) * p;
+        bytes[at..at + 8 * p].chunks_exact(8).map(|b| u64::from_le_bytes(b.try_into().unwrap())).collect()
     };
-    for (case, cfg) in schedule_matrix() {
-        for parts in [1, 2, 3] {
-            let mut solvers: Vec<SlabSolver> = even_slabs(cfg.dims.nx, parts)
-                .into_iter()
-                .map(|slab| SlabSolver::new(&cfg, slab))
-                .collect();
-            common::prime(&mut solvers);
-            for _ in 0..2 {
-                common::phase(&mut solvers);
-            }
-            solvers.iter_mut().for_each(SlabSolver::collide_edges);
-            common::exchange_f(&mut solvers);
-            for (k, s) in solvers.iter_mut().enumerate() {
-                s.stream_collide_fused();
-                let mut again = s.clone();
-                again.compute_psi();
-                assert!(bits(s) == bits(&again), "stale ψ: {case}, slab {k} of {parts}");
+    (0..s.components().len()).map(|a| [psi(0, a), psi(s.grid().lx - 1, a)]).collect()
+}
+
+/// Σ_i f_i of local plane `xl` of `s`, per component, as bits — from
+/// scratch, in ascending channel order from +0.0.
+fn plane_sum(s: &SlabSolver, xl: usize) -> Vec<Vec<u64>> {
+    let p = s.grid().plane_cells();
+    let sum = |c: &ComponentState, q: usize| (0..D3Q19::Q).fold(0.0, |n, i| n + c.f.at(i, xl * p + q));
+    s.components().iter().map(|c| (0..p).map(|q| sum(c, q).to_bits()).collect()).collect()
+}
+
+#[test]
+fn every_psi_ghost_is_the_sum_over_the_neighbours_edge_plane() {
+    // The state keeps ψ only where the populations cannot give it: on the
+    // ghost planes. Wherever a phase can start — after two phases, after
+    // planes moved both ways, after a checkpoint round trip — each slab's
+    // must be, bit for bit, Σ_i f_i of its neighbour's edge plane taken
+    // from scratch, on every slab of 1–3-slab decompositions and of one
+    // with slabs of one and two planes, whose phases must stay the
+    // sequential run's.
+    let check = |slabs: &[SlabSolver], what: &str, case: &str| {
+        let n = slabs.len();
+        for (k, s) in slabs.iter().enumerate() {
+            let (left, right) = (&slabs[(k + n - 1) % n], &slabs[(k + 1) % n]);
+            let (want_left, want_right) = (plane_sum(left, left.grid().last()), plane_sum(right, 1));
+            for (a, [l, r]) in ghost_psi(s).into_iter().enumerate() {
+                assert!(l == want_left[a] && r == want_right[a], "stale ψ ghost after {what}: {case}, slab {k} of {n}");
             }
         }
+    };
+    for (case, cfg) in schedule_matrix() {
+        let mut sim = Simulation::new(cfg.clone());
+        sim.run(2);
+        let narrow = [(0, 1), (1, 2), (3, 3), (6, 6)].map(|(x0, nx_local)| Slab { x0, nx_local });
+        for layout in [even_slabs(12, 1), even_slabs(12, 2), even_slabs(12, 3), narrow.to_vec()] {
+            let parts = layout.len();
+            let mut slabs: Vec<SlabSolver> = layout.into_iter().map(|slab| SlabSolver::new(&cfg, slab)).collect();
+            common::prime(&mut slabs);
+            for _ in 0..2 {
+                common::phase(&mut slabs);
+            }
+            check(&slabs, "two phases", &case);
+            let stitched = Snapshot::stitch(slabs.iter().map(SlabSolver::snapshot).collect());
+            assert_eq!(stitched, sim.snapshot(), "{parts} slabs left the sequential run: {case}");
+            if parts > 1 {
+                common::migrate(&mut slabs, parts - 2, 1, true);
+                common::migrate(&mut slabs, parts - 2, 2, false);
+                check(&slabs, "two migrations", &case);
+            }
+            let restored: Vec<SlabSolver> =
+                slabs.iter().map(|s| load_solver(&cfg, &save_solver(s, 2)).unwrap().0).collect();
+            check(&restored, "a checkpoint round trip", &case);
+        }
+    }
+}
+
+#[test]
+fn the_ledger_step_order_is_the_phase() {
+    // The ledger times a phase step by step, with ψ of the edges and the
+    // two-pass reference's whole-slab forces and velocities in between;
+    // none of them may move the trajectory off `phase_periodic`'s.
+    let phases = 6;
+    for (case, cfg) in schedule_matrix() {
+        let whole = Slab { x0: 0, nx_local: cfg.dims.nx };
+        let (mut stepped, mut phased) = (SlabSolver::new(&cfg, whole), SlabSolver::new(&cfg, whole));
+        stepped.prime_periodic();
+        phased.prime_periodic();
+        for _ in 0..phases {
+            stepped.collide_edges();
+            stepped.f_ghosts_periodic();
+            stepped.stream_collide_fused();
+            stepped.compute_psi();
+            stepped.psi_ghosts_periodic();
+            stepped.compute_forces();
+            stepped.compute_velocities();
+            phased.phase_periodic();
+        }
+        assert!(save_solver(&stepped, phases) == save_solver(&phased, phases), "state diverged: {case}");
+        assert_eq!(stepped.snapshot(), phased.snapshot(), "fields diverged: {case}");
     }
 }
 

@@ -17,11 +17,11 @@
 //! versions (`MSLIPCF2`, `MSLIPSC1`) are rebuilt here and must be refused
 //! by magic.
 
-use microslip::lbm::checkpoint::{load_solver, read_sealed, save_solver, write_sealed};
+use microslip::lbm::checkpoint::{capture_file, load_solver, read_sealed, read_solver, save_solver, write_sealed};
 use microslip::lbm::CheckpointError;
 use microslip::lbm::diagnostics::FlowDiagnostics;
 use microslip::lbm::geometry::even_slabs;
-use microslip::lbm::{ChannelConfig, Dims, ResultArtifact, Simulation, SlabSolver, Snapshot};
+use microslip::lbm::{ChannelConfig, Dims, ResultArtifact, Simulation, Slab, SlabSolver, Snapshot};
 use microslip::lbm::config_codec::{decode_config, encode_config};
 use microslip::lbm::WallBc;
 use microslip::scenario::{fnv1a64, Scenario};
@@ -102,6 +102,43 @@ fn sealed_checkpoint_bytes_are_pinned() {
     // And the file still opens through the buffered API.
     let (solver, phase) = load_solver(&config(), &read_sealed(&path).unwrap()).unwrap();
     assert_eq!((phase, solver.snapshot()), (3, sim.snapshot()));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_checkpoint_whose_psi_is_not_its_populations_sum_is_refused() {
+    // The state keeps no ψ of an owned plane, so a decoder cannot drop the
+    // ψ channel of its record: it holds it to Σ_i f_i of the record's
+    // populations, to the bit. One interior ψ value changed and the file
+    // re-sealed (its CRC valid again) is refused by both decoders, naming
+    // the storage plane; the untouched golden restores and continues on the
+    // sequential trajectory.
+    let cfg = config();
+    let (sim, p) = (simulation(), cfg.dims.ny * cfg.dims.nz);
+    let dir = std::env::temp_dir().join(format!("microslip-golden-psi-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (good, bad) = (dir.join("good.bin"), dir.join("bad.bin"));
+    let bytes = sim.save();
+    write_sealed(&good, bytes.clone()).unwrap();
+    // Storage plane 4's record, water's ψ run (after its 19 f runs), cell 5.
+    let at = 64 + 4 * (8 * 2 * 20 * p) + 8 * (19 * p + 5);
+    let mut tampered = bytes.clone();
+    let psi = f64::from_le_bytes(tampered[at..at + 8].try_into().unwrap());
+    tampered[at..at + 8].copy_from_slice(&f64::from_bits(psi.to_bits() ^ 1).to_le_bytes());
+    write_sealed(&bad, tampered.clone()).unwrap();
+    let refused = |err: CheckpointError| matches!(&err, CheckpointError::Corrupt { detail } if detail.contains("storage plane 4"));
+    assert!(refused(load_solver(&cfg, &tampered).map(|_| ()).unwrap_err()));
+    assert!(refused(read_solver(&cfg, &bad).map(|_| ()).unwrap_err()));
+    let mut snap = Snapshot::zeros(0, cfg.dims.nx, cfg.dims.ny, cfg.dims.nz, 2);
+    let whole = Slab { x0: 0, nx_local: cfg.dims.nx };
+    assert!(refused(capture_file(&cfg, &bad, snap.slab_mut(whole)).unwrap_err()));
+    assert_eq!(capture_file(&cfg, &good, snap.slab_mut(whole)), Ok(3));
+    assert_eq!(snap, sim.snapshot());
+    let mut restored = Simulation::restore_file(cfg.clone(), &good).unwrap();
+    let mut sequential = Simulation::new(cfg);
+    restored.run(3);
+    sequential.run(6);
+    assert_eq!(restored.snapshot(), sequential.snapshot());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -342,15 +379,16 @@ fn previous_checkpoint(solver: &SlabSolver, phase: u64) -> Vec<u8> {
     reference.compute_forces();
     reference.compute_velocities();
     let ueq = reference.reference_ueq().expect("compute_velocities stores them");
-    let grid = solver.grid();
-    let p = grid.plane_cells();
+    let p = solver.grid().plane_cells();
     let mut old = [b"MSLIPCK3".as_slice(), &bytes[8..64]].concat();
-    for xl in 0..grid.lx {
-        for (c, u) in solver.components().iter().zip(ueq) {
-            for array in [&c.f, &c.psi, u] {
-                for ch in 0..array.channels() {
-                    old.extend(array.channel(ch)[xl * p..(xl + 1) * p].iter().flat_map(|v| v.to_le_bytes()));
-                }
+    // Each plane record of the current bytes, its 20 channels a component
+    // followed by that component's three `ueq` channels.
+    let records = bytes[64..].chunks_exact(8 * solver.migration_plane_len());
+    for (xl, record) in records.enumerate() {
+        for (state, u) in record.chunks_exact(8 * 20 * p).zip(ueq) {
+            old.extend_from_slice(state);
+            for ch in 0..3 {
+                old.extend(u.channel(ch)[xl * p..(xl + 1) * p].iter().flat_map(|v| v.to_le_bytes()));
             }
         }
     }
