@@ -309,7 +309,7 @@ fn capture_stream(
             let solid = solid_mask(&obstacles, dims, slab.x0 + k - 2..slab.x0 + k + 1);
             let forcing = (&config.coupling, &config.wall, config.body);
             let mut collision = PlaneCollision::new(&cur, forcing, &solid);
-            crate::macroscopic::capture(&cur, &mut collision, out.plane(k - 2));
+            crate::macroscopic::capture(&cur, &mut collision, out.plane(k - 2), &mut []);
         }
         if k >= 1 {
             for (n, c) in next.iter_mut().zip(&cur) {

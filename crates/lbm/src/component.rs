@@ -243,6 +243,12 @@ impl CouplingMatrix {
         CouplingMatrix { n, g: vec![0.0; n * n] }
     }
 
+    /// The matrix of `n` components from its entries, row-major (`g_ab` at
+    /// `a·n + b`); `None` unless there are exactly `n²` of them.
+    pub fn from_rows(n: usize, g: Vec<f64>) -> Option<Self> {
+        (n.checked_mul(n) == Some(g.len())).then_some(CouplingMatrix { n, g })
+    }
+
     /// Symmetric cross coupling `g` between two components.
     pub fn cross(g: f64) -> Self {
         let mut m = CouplingMatrix::none(2);
@@ -266,14 +272,12 @@ impl CouplingMatrix {
     /// Whether the matrix is symmetric (required for global momentum
     /// conservation of the interaction force).
     pub fn is_symmetric(&self) -> bool {
-        for a in 0..self.n {
-            for b in 0..a {
-                if (self.get(a, b) - self.get(b, a)).abs() > 1e-15 {
-                    return false;
-                }
-            }
-        }
-        true
+        // Row a against column a, entry by entry: g_ab against g_ba.
+        (0..self.n).all(|a| {
+            let row = self.g.iter().skip(a * self.n).take(self.n);
+            let column = self.g.iter().skip(a).step_by(self.n);
+            !row.zip(column).any(|(g_ab, g_ba)| (g_ab - g_ba).abs() > 1e-15)
+        })
     }
 }
 
@@ -339,6 +343,23 @@ mod tests {
         let mut m = CouplingMatrix::none(2);
         m.set(0, 1, 0.2);
         assert!(!m.is_symmetric());
+        // Every off-diagonal pair is compared, far from the diagonal too.
+        let mut m = CouplingMatrix::none(3);
+        m.set(2, 0, 0.2);
+        assert!(!m.is_symmetric());
+        m.set(0, 2, 0.2);
+        assert!(m.is_symmetric());
+    }
+
+    #[test]
+    fn from_rows_takes_exactly_n_squared_entries() {
+        let m = CouplingMatrix::from_rows(2, vec![0.0, 0.3, 0.4, 0.0]).unwrap();
+        assert_eq!((m.components(), m.get(0, 1), m.get(1, 0)), (2, 0.3, 0.4));
+        assert!(!m.is_symmetric());
+        assert_eq!(CouplingMatrix::from_rows(2, vec![0.0, 0.1, 0.1, 0.0]), Some(CouplingMatrix::cross(0.1)));
+        assert!(CouplingMatrix::from_rows(2, vec![0.0; 3]).is_none());
+        assert!(CouplingMatrix::from_rows(usize::MAX, Vec::new()).is_none());
+        assert!(CouplingMatrix::from_rows(0, Vec::new()).is_some_and(|m| m.is_symmetric()));
     }
 
     #[test]

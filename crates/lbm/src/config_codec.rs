@@ -201,12 +201,8 @@ pub fn decode_config(bytes: &[u8]) -> Result<ChannelConfig, String> {
     if n != ncomp {
         return Err(format!("coupling size {n} does not match {ncomp} components"));
     }
-    let mut coupling = CouplingMatrix::none(n);
-    for a in 0..n {
-        for b in 0..n {
-            coupling.set(a, b, r.f64()?);
-        }
-    }
+    let entries = (0..n * n).map(|_| r.f64()).collect::<Result<Vec<f64>, _>>()?;
+    let coupling = CouplingMatrix::from_rows(n, entries).ok_or("coupling entries do not fill the matrix")?;
     let wall = WallForce {
         amplitude: r.f64()?,
         decay: r.f64()?,

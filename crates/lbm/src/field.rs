@@ -1,9 +1,10 @@
 #![expect(
     unsafe_code,
     reason = "madvise on memory the array owns exclusively: MADV_DONTNEED on whole \
-              pages of storage planes a slab's window has just left, MADV_HUGEPAGE \
-              on the 2 MiB-aligned interior of each channel's window (a paging hint \
-              that keeps every value); mincore in a residency test"
+              pages of storage planes a slab's window has just left, or that a \
+              consuming capture has passed (through the window's base pointer), \
+              MADV_HUGEPAGE on the 2 MiB-aligned interior of each channel's window \
+              (a paging hint that keeps every value); mincore in residency tests"
 )]
 //! Flat structure-of-arrays field storage for slab subdomains.
 //!
@@ -265,6 +266,54 @@ impl SlabArray {
     }
 }
 
+/// A [`SlabArray`]'s window as a capture that consumes it sees it: the
+/// planes it has passed go back to the OS while it still reads the planes
+/// ahead through the window's base pointer ([`SlabArray::plane_release`]).
+pub(crate) struct PlaneRelease {
+    /// Window cell 0 of channel 0.
+    base: *mut f64,
+    stride: usize,
+    channels: usize,
+    plane: usize,
+    lx: usize,
+    /// Window planes handed back so far.
+    done: usize,
+}
+
+impl SlabArray {
+    /// The window's storage, for a capture that consumes the array to hand
+    /// back plane by plane from the left ([`PlaneRelease::release_below`]).
+    pub(crate) fn plane_release(&mut self) -> PlaneRelease {
+        let (stride, channels, plane, lx) = (self.stride(), self.channels, self.grid.plane_cells(), self.grid.lx);
+        PlaneRelease { base: self.base_mut_ptr(), stride, channels, plane, lx, done: 0 }
+    }
+}
+
+impl PlaneRelease {
+    /// Hands back every whole page of window planes `..end` in every
+    /// channel, from the page the first plane not handed back yet shares
+    /// with the plane below it: no call released that page, as it reached
+    /// past the planes the call was given.
+    ///
+    /// # Safety
+    ///
+    /// The array outlives `self` and its window has not moved; nothing reads
+    /// planes `..end` of the window afterwards (they hold unspecified
+    /// values), and nothing else accesses them meanwhile.
+    pub(crate) unsafe fn release_below(&mut self, end: usize) {
+        assert!(end <= self.lx, "plane outside the window");
+        if end <= self.done {
+            return;
+        }
+        let from = (self.done * self.plane).saturating_sub(PAGE / std::mem::size_of::<f64>());
+        let to = end * self.plane;
+        for ch in 0..self.channels {
+            release(std::slice::from_raw_parts_mut(self.base.add(ch * self.stride + from), to - from));
+        }
+        self.done = end;
+    }
+}
+
 /// Hands the whole pages inside `vacated` — storage a window has just left —
 /// back to the operating system, so a slab's resident memory follows its
 /// window down as well as up: without this, planes given away would stay
@@ -343,8 +392,43 @@ impl std::fmt::Debug for SlabArray {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Resident bytes of the pages `first..end` (page-aligned addresses),
+    /// page by page (`mincore`): unlike `VmRSS`, blind to what concurrently
+    /// running tests touch.
+    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+    fn resident_pages(first: usize, end: usize) -> usize {
+        extern "C" {
+            fn mincore(addr: *mut core::ffi::c_void, len: usize, vec: *mut u8) -> i32;
+        }
+        if end <= first {
+            return 0;
+        }
+        let mut pages = vec![0u8; (end - first) / PAGE];
+        // SAFETY: `first..end` is page-aligned and lies in mappings the
+        // caller's array owns; `pages` has one byte per page.
+        let rc = unsafe { mincore(first as *mut core::ffi::c_void, end - first, pages.as_mut_ptr()) };
+        assert_eq!(rc, 0, "mincore failed");
+        pages.iter().filter(|&&b| b & 1 == 1).count() * PAGE
+    }
+
+    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+    impl SlabArray {
+        /// Resident bytes of the whole pages inside window planes `planes`,
+        /// over every channel.
+        pub(crate) fn resident_plane_bytes(&self, planes: std::ops::Range<usize>) -> usize {
+            let p = self.grid.plane_cells();
+            (0..self.channels)
+                .map(|ch| {
+                    let cells = &self.channel(ch)[planes.start * p..planes.end * p];
+                    let start = cells.as_ptr() as usize;
+                    resident_pages(start.next_multiple_of(PAGE), (start + std::mem::size_of_val(cells)) & !(PAGE - 1))
+                })
+                .sum()
+        }
+    }
 
     /// Plane copies for the tests' ghost fills.
     impl SlabArray {
@@ -516,21 +600,11 @@ mod tests {
     #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
     #[test]
     fn huge_page_advice_stays_inside_the_window() {
-        /// Resident bytes of `a`'s whole storage, page by page (`mincore`):
-        /// unlike `VmRSS`, blind to what concurrently running tests touch.
+        /// Resident bytes of `a`'s whole storage, with the rest of its
+        /// first and last pages (in the same mapping).
         fn resident_storage(a: &SlabArray) -> usize {
-            extern "C" {
-                fn mincore(addr: *mut core::ffi::c_void, len: usize, vec: *mut u8) -> i32;
-            }
-            let start = a.data.as_ptr() as usize & !(PAGE - 1);
-            let end = (a.data.as_ptr() as usize + std::mem::size_of_val(&a.data[..])).next_multiple_of(PAGE);
-            let mut pages = vec![0u8; (end - start) / PAGE];
-            // SAFETY: `start..end` is page-aligned and covers the live
-            // allocation behind `a.data` (plus the rest of its first and
-            // last pages, in the same mapping); `pages` has one byte per page.
-            let rc = unsafe { mincore(start as *mut core::ffi::c_void, end - start, pages.as_mut_ptr()) };
-            assert_eq!(rc, 0, "mincore failed");
-            pages.iter().filter(|&&b| b & 1 == 1).count() * PAGE
+            let start = a.data.as_ptr() as usize;
+            resident_pages(start & !(PAGE - 1), (start + std::mem::size_of_val(&a.data[..])).next_multiple_of(PAGE))
         }
         // Two channels of 1024 planes × 32 KB (32 MiB each), windowed over
         // half of them from storage plane 260 — edges off any 2 MiB line.
@@ -581,6 +655,34 @@ mod tests {
         // The planes that came back are writable storage again.
         a.channel_mut(1).fill(7.0);
         assert!(a.channel(1).iter().all(|&v| v == 7.0));
+    }
+
+    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+    #[test]
+    fn plane_release_hands_back_the_planes_below_and_keeps_the_rest() {
+        // 8000-byte planes, so page edges fall inside planes and the page
+        // two calls' planes share goes back with the second.
+        let grid = LocalGrid::new(30, 50, 20);
+        let mut a = SlabArray::windowed(grid, 2, 40, 3);
+        for ch in 0..2 {
+            for (cell, v) in a.channel_mut(ch).iter_mut().enumerate() {
+                *v = (1 + ch + 2 * cell) as f64;
+            }
+        }
+        let before = a.clone();
+        let mut release = a.plane_release();
+        // SAFETY: `a` outlives `release` and keeps its window, and nothing
+        // below reads the planes handed back.
+        unsafe {
+            release.release_below(5);
+            release.release_below(9);
+            release.release_below(9);
+        }
+        assert_eq!(a.resident_plane_bytes(0..9), 0, "a page below plane 9 is still resident");
+        assert!(a.resident_plane_bytes(9..grid.lx) > 0);
+        for xl in 9..grid.lx {
+            assert_eq!(plane(&a, xl), plane(&before, xl), "plane {xl}");
+        }
     }
 
     #[test]

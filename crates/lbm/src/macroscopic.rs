@@ -4,7 +4,7 @@
               pointers: from disjoint cell ranges of the window (window base + storage \
               channel stride) into a plane of psi or a reference array, or into a \
               plane scratch of momentum; the force kernel into the snapshot's plane \
-              scratch"
+              scratch; the hand-back of the planes a consuming capture has passed"
 )]
 //! Macroscopic quantities: number density, mass density, momentum and the
 //! physical velocity field.
@@ -28,7 +28,7 @@
 //! checkpoint codec the ψ channel of every plane record.
 
 use crate::component::ComponentState;
-use crate::field::{LocalGrid, SlabArray};
+use crate::field::{LocalGrid, PlaneRelease, SlabArray};
 use crate::multicomponent::PlaneCollision;
 use crate::geometry::Slab;
 use crate::lattice::{Lattice, D3Q19};
@@ -150,9 +150,13 @@ impl Snapshot {
 
     /// An all-zero snapshot of planes `x0 .. x0 + nx`, for slabs to be
     /// captured into ([`SlabSolver::snapshot_into`](crate::SlabSolver::snapshot_into)).
+    /// Untouched memory: each vector is its own zeroed allocation (`vec!` of
+    /// a vector would copy one into the others), so a page becomes resident
+    /// only when a capture writes it.
     pub fn zeros(x0: usize, nx: usize, ny: usize, nz: usize, ncomp: usize) -> Snapshot {
         let n = nx * ny * nz;
-        Snapshot { x0, nx, ny, nz, rho: vec![vec![0.0; n]; ncomp], velocity: vec![0.0; 3 * n] }
+        let rho = (0..ncomp).map(|_| vec![0.0; n]).collect();
+        Snapshot { x0, nx, ny, nz, rho, velocity: vec![0.0; 3 * n] }
     }
 
     /// The planes of `slab` as a [`SnapshotSlab`]. Panics if the slab does
@@ -253,12 +257,25 @@ impl SnapshotSlab<'_> {
     }
 }
 
+/// Planes a consuming capture passes between two hand-backs of the
+/// populations behind it: fewer calls against less memory held while the
+/// snapshot's planes fill (EXPERIMENTS.md, "A run ends in its snapshot").
+pub(crate) const RELEASE_BATCH: usize = 4;
+
 /// Captures the interior of a slab into `out`: ρ from ψ, and the velocity
 /// from j plus half of the force density — ψ and j loaded plane by plane
 /// one plane ahead, the force recomputed from ψ of the planes around, as a
 /// collision does it ([`PlaneCollision`]); the state holds none of them
-/// over the slab.
-pub(crate) fn capture(comps: &[ComponentState], collision: &mut PlaneCollision<'_>, out: SnapshotSlab<'_>) {
+/// over the slab. Each of `release` (the populations of `comps`, or none)
+/// gets the planes the capture has passed back, every [`RELEASE_BATCH`]
+/// planes: a capture that consumes its slab holds both whole only at the
+/// start.
+pub(crate) fn capture(
+    comps: &[ComponentState],
+    collision: &mut PlaneCollision<'_>,
+    out: SnapshotSlab<'_>,
+    release: &mut [PlaneRelease],
+) {
     let grid = comps[0].grid();
     let SnapshotSlab { slab, ny, nz, mut rho, velocity } = out;
     assert!(
@@ -295,6 +312,13 @@ pub(crate) fn capture(comps: &[ComponentState], collision: &mut PlaneCollision<'
             let rho_tot = rho.iter().fold(0.0, |tot, rho| tot + rho[out + q]);
             for a in 0..3 {
                 u[a] = if rho_tot > 0.0 { u[a] / rho_tot } else { 0.0 };
+            }
+        }
+        if xl % RELEASE_BATCH == 0 {
+            for planes in release.iter_mut() {
+                // Safety: ψ and j of planes ..= xl + 1 were loaded, and no
+                // plane is loaded twice.
+                unsafe { planes.release_below(xl + 1) };
             }
         }
     }

@@ -86,11 +86,16 @@ impl Simulation {
         self.solver.snapshot()
     }
 
-    /// Ends the simulation with its [`snapshot`](Self::snapshot) and frees
-    /// the lattices as soon as it is taken, so a caller that goes on to
-    /// encode the snapshot does so without the lattices alive.
+    /// Ends the simulation in its [`snapshot`](Self::snapshot), bit for bit:
+    /// the lattices are handed back to the OS plane by plane as the capture
+    /// passes them ([`SlabSolver::into_capture`]), so the snapshot fills
+    /// while they empty, and a caller that goes on to encode it does so
+    /// without them.
     pub fn into_snapshot(self) -> Snapshot {
-        self.solver.snapshot()
+        let (slab, grid) = (self.solver.slab(), self.solver.grid());
+        let mut out = Snapshot::zeros(slab.x0, slab.nx_local, grid.ny, grid.nz, self.config.ncomp());
+        self.solver.into_capture(out.slab_mut(slab));
+        out
     }
 
     /// Total mass in the channel.

@@ -43,7 +43,7 @@
 use crate::boundary::{SlipMap, WallBc};
 use crate::component::{ComponentState, CouplingMatrix};
 use crate::config::ChannelConfig;
-use crate::field::{LocalGrid, SlabArray};
+use crate::field::{LocalGrid, PlaneRelease, SlabArray};
 use crate::force::WallForce;
 use crate::geometry::{Dims, Slab, SolidRegion};
 use crate::lattice::{Lattice, D3Q19};
@@ -639,10 +639,24 @@ impl SlabSolver {
     /// recomputed plane by plane from ψ by the kernel the phase uses — at a
     /// phase boundary, bit for bit the forces that phase computed.
     pub fn capture(&self, out: SnapshotSlab<'_>) {
+        self.capture_releasing(out, &mut []);
+    }
+
+    /// Ends the solver in its [`capture`](Self::capture): the same capture,
+    /// bit for bit, but the pages of the populations' planes it has passed
+    /// go back to the OS as it goes, so the slab and its snapshot planes
+    /// are never both whole.
+    pub fn into_capture(mut self, out: SnapshotSlab<'_>) {
+        let mut release: Vec<_> = self.comps.iter_mut().map(|c| c.f.plane_release()).collect();
+        self.capture_releasing(out, &mut release);
+    }
+
+    /// [`capture`](Self::capture), handing `release` the planes it passes.
+    fn capture_releasing(&self, out: SnapshotSlab<'_>, release: &mut [PlaneRelease]) {
         assert_eq!(out.slab, self.slab(), "snapshot planes differ from the slab");
         let forcing = (&self.coupling, &self.wall, self.body);
         let mut collision = PlaneCollision::new(&self.comps, forcing, window(&self.solid, self.x0, self.grid()));
-        crate::macroscopic::capture(&self.comps, &mut collision, out);
+        crate::macroscopic::capture(&self.comps, &mut collision, out, release);
     }
 
     /// Total mass over this slab (all components).
@@ -743,6 +757,34 @@ mod tests {
             }
         });
         assert_eq!(threaded, joined);
+    }
+
+    #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
+    #[test]
+    fn a_consuming_capture_hands_back_the_planes_it_has_passed() {
+        // 8000-byte planes per channel, 22 owned: the capture hands back
+        // the planes up to the last multiple of the batch it passes, and
+        // leaves those after it (the last and the right ghost among them).
+        let mut cfg = small_config();
+        cfg.dims = Dims::new(22, 40, 25);
+        let mut s = SlabSolver::new(&cfg, Slab { x0: 0, nx_local: 22 });
+        s.prime_periodic();
+        s.phase_periodic();
+        let want = s.snapshot();
+        let batch = crate::macroscopic::RELEASE_BATCH;
+        let released = s.grid().last() / batch * batch + 1;
+        let mut got = Snapshot::zeros(0, 22, 40, 25, 2);
+        // `into_capture` but for the drop, so the storage can be inspected.
+        let mut release: Vec<_> = s.comps.iter_mut().map(|c| c.f.plane_release()).collect();
+        s.capture_releasing(got.slab_mut(s.slab()), &mut release);
+        let bits = |s: &Snapshot| -> Vec<u64> {
+            s.rho.iter().flatten().chain(&s.velocity).map(|v| v.to_bits()).collect()
+        };
+        assert_eq!(bits(&got), bits(&want));
+        for c in &s.comps {
+            assert_eq!(c.f.resident_plane_bytes(0..released), 0, "a passed plane is still resident");
+            assert!(c.f.resident_plane_bytes(released..s.grid().lx) > 0);
+        }
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! `capture_file` into an error, never a snapshot. `capture_file` itself is
 //! held bit for bit to restoring the slab and capturing it, over the slabs
 //! of 1–3-slab decompositions, every wall BC, Shan–Chen ψ, wall adhesion,
-//! obstacles across slab edges and one or two components.
+//! obstacles across slab edges and one or two components — as, over the
+//! same matrix, the capture that consumes a slab (`into_capture`, and
+//! `Simulation::into_snapshot`) is held to the borrowing one.
 
 use std::io::{Cursor, Read, Write};
 use std::path::PathBuf;
@@ -18,7 +20,8 @@ use microslip_lbm::checkpoint::{
     CheckpointError,
 };
 use microslip_lbm::{
-    ChannelConfig, Dims, InitProfile, PsiFn, Side, Slab, SlabSolver, Snapshot, SolidRegion, WallBc,
+    ChannelConfig, Dims, InitProfile, PsiFn, Side, Simulation, Slab, SlabSolver, Snapshot, SolidRegion,
+    WallBc,
 };
 use proptest::prelude::*;
 
@@ -95,7 +98,18 @@ const CAPTURE_NX: usize = 12;
 /// x so ψ differs between neighbouring planes, and a solid block over
 /// planes `block - 1 .. block + 1`.
 fn capture_config(two_components: bool, bc: u8, shan_chen: bool, adhesion: bool, block: usize) -> ChannelConfig {
-    let dims = Dims::new(CAPTURE_NX, 6, 5);
+    capture_config_on(Dims::new(CAPTURE_NX, 6, 5), two_components, bc, shan_chen, adhesion, block)
+}
+
+/// [`capture_config`] on a cross-section of its own.
+fn capture_config_on(
+    dims: Dims,
+    two_components: bool,
+    bc: u8,
+    shan_chen: bool,
+    adhesion: bool,
+    block: usize,
+) -> ChannelConfig {
     let mut c = config(two_components);
     c.dims = dims;
     c.init = InitProfile::CosineX { amplitude: 0.2 };
@@ -247,6 +261,43 @@ proptest! {
         // The slabs' captures stitch to the whole channel's snapshot.
         prop_assert_eq!(bits(&Snapshot::stitch(parts)), bits(&whole.snapshot()));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The capture that consumes its slab, handing back the planes it has
+    /// passed, is the borrowing one bit for bit — a slab's, and the whole
+    /// simulation's. The cross-section's planes are 4224 bytes a channel,
+    /// so pages go back mid-capture and page edges fall inside planes.
+    #[test]
+    fn consuming_captures_are_the_borrowing_ones_bit_for_bit(
+        // Bit 0: two components; bit 1: Shan–Chen ψ; bit 2: wall adhesion.
+        flags in 0u8..8,
+        bc in 0u8..4,
+        cuts in proptest::collection::vec(1usize..CAPTURE_NX, 0..3),
+        block in 1usize..CAPTURE_NX,
+        phases in 0u64..4,
+    ) {
+        let cuts: std::collections::BTreeSet<usize> = cuts.into_iter().collect();
+        // The block straddles the first slab edge when there is one.
+        let block = cuts.iter().next().copied().unwrap_or(block);
+        let dims = Dims::new(CAPTURE_NX, 24, 22);
+        let config = capture_config_on(dims, flags & 1 == 1, bc, flags & 2 == 2, flags & 4 == 4, block);
+        let mut sim = Simulation::new(config.clone());
+        sim.run(phases);
+        let edges: Vec<usize> = [0].into_iter().chain(cuts.iter().copied()).chain([CAPTURE_NX]).collect();
+        for ends in edges.windows(2) {
+            let slab = Slab { x0: ends[0], nx_local: ends[1] - ends[0] };
+            let s = cut(sim.solver(), slab);
+            let want = s.snapshot();
+            let mut got = Snapshot::zeros(slab.x0, slab.nx_local, dims.ny, dims.nz, config.ncomp());
+            s.into_capture(got.slab_mut(slab));
+            prop_assert_eq!(bits(&got), bits(&want), "slab {:?}", slab);
+        }
+        let want = sim.snapshot();
+        prop_assert_eq!(bits(&sim.into_snapshot()), bits(&want));
     }
 }
 

@@ -61,10 +61,6 @@ impl LintConfig {
     }
 }
 
-fn exemption(file: &str, func: &str, reason: &str) -> Exemption {
-    Exemption { file: file.into(), func: func.into(), reason: reason.into() }
-}
-
 /// The microslip workspace's entry points and exemptions.
 pub fn default_config() -> LintConfig {
     LintConfig {
@@ -93,23 +89,9 @@ pub fn default_config() -> LintConfig {
             ("crates/obs/src/export.rs".into(), "from_jsonl".into()),
             ("crates/obs/src/json.rs".into(), "parse".into()),
         ],
-        exemptions: vec![
-            exemption(
-                "crates/lbm/src/field.rs",
-                "SlabArray::set",
-                "kernel hot path; ch and cell are bounded by grid construction",
-            ),
-            exemption(
-                "crates/lbm/src/component.rs",
-                "CouplingMatrix::get",
-                "component indices are bounded by the validated component count at construction",
-            ),
-            exemption(
-                "crates/lbm/src/component.rs",
-                "CouplingMatrix::set",
-                "component indices are bounded by the validated component count at construction",
-            ),
-        ],
+        // None: every panic site the entry points reach is a checked API
+        // or lives in a boundary file.
+        exemptions: Vec::new(),
     }
 }
 

@@ -138,10 +138,10 @@ pub fn run_parallel(cfg: &RuntimeConfig, policy: Arc<dyn NeighborPolicy>) -> Run
 }
 
 /// Resumes a parallel run from per-worker solvers (one per rank, in rank
-/// order — e.g. the `solver` fields of a prior run's reports, or files
-/// restored with [`microslip_lbm::checkpoint::read_solver`]). The slab
-/// layout is taken from the solvers, so a partition reshaped by earlier
-/// remapping resumes exactly where it stood.
+/// order — e.g. a prior run's periodic checkpoint files, restored with
+/// [`microslip_lbm::checkpoint::read_solver`]). The slab layout is taken
+/// from the solvers, so a partition reshaped by earlier remapping resumes
+/// exactly where it stood.
 pub fn run_parallel_from(
     cfg: &RuntimeConfig,
     policy: Arc<dyn NeighborPolicy>,
@@ -202,7 +202,7 @@ where
                 .expect("spawn worker"),
         );
     }
-    let mut reports: Vec<WorkerReport> = handles
+    let mut finished: Vec<(WorkerReport, SlabSolver)> = handles
         .into_iter()
         .map(|h| {
             h.join()
@@ -211,17 +211,18 @@ where
         })
         .collect();
     let wall_seconds = start.elapsed().as_secs_f64();
-    reports.sort_by_key(|r| r.rank);
-    // The solvers stay in the reports, so each slab is captured straight
-    // into its planes of the global snapshot — no per-rank snapshot in
-    // between — every slab on its own thread.
+    finished.sort_by_key(|(r, _)| r.rank);
+    let (reports, solvers): (Vec<WorkerReport>, Vec<SlabSolver>) = finished.into_iter().unzip();
+    // Each solver ends in its planes of the global snapshot — no per-rank
+    // snapshot in between, and its lattice handed back as the capture
+    // passes it — every slab on its own thread.
     let dims = cfg.channel.dims;
-    let slabs: Vec<Slab> = reports.iter().map(|r| r.solver.slab()).collect();
+    let slabs: Vec<Slab> = solvers.iter().map(SlabSolver::slab).collect();
     assert!(slabs_tile(slabs.iter().copied(), dims.nx), "final slabs do not tile the domain");
     let mut snapshot = Snapshot::zeros(0, dims.nx, dims.ny, dims.nz, cfg.channel.ncomp());
     std::thread::scope(|scope| {
-        for (r, planes) in reports.iter().zip(snapshot.split_slabs(&slabs)) {
-            scope.spawn(move || r.solver.capture(planes));
+        for (solver, planes) in solvers.into_iter().zip(snapshot.split_slabs(&slabs)) {
+            scope.spawn(move || solver.into_capture(planes));
         }
     });
     RunOutcome { snapshot, reports, wall_seconds }
@@ -300,22 +301,34 @@ mod tests {
 
     #[test]
     fn parallel_checkpoint_resume_is_bitwise() {
-        // 4 workers, migrations mid-run, checkpoint after 10 phases,
-        // resume for 10 more — must equal the uninterrupted 20-phase run.
+        // 4 workers, migrations mid-run, checkpoint files after 10 phases,
+        // resume from them for 10 more — must equal the uninterrupted
+        // 20-phase run.
         let channel = {
             let mut c = ChannelConfig::paper_scaled(Dims::new(20, 6, 4));
             c.body = [1e-4, 0.0, 0.0];
             c
         };
+        let dir = std::env::temp_dir().join(format!("microslip-driver-resume-{}", std::process::id()));
         let mut cfg = RuntimeConfig::new(channel.clone(), 4, 10);
         cfg.remap_interval = 3;
         cfg.predictor_window = 2;
         cfg.throttle = vec![1.0, 6.0, 1.0, 1.0];
+        cfg.checkpoint_every = 10;
+        cfg.checkpoint_dir = Some(dir.clone());
         let first = run_parallel(&cfg, Arc::new(Filtered::default()));
         // The slow worker shed planes before the checkpoint.
         assert!(first.final_counts()[1] < 5, "{:?}", first.final_counts());
-        let solvers = first.reports.into_iter().map(|r| r.solver).collect();
+        let solvers: Vec<SlabSolver> = (0..cfg.workers)
+            .map(|rank| {
+                let path = microslip_lbm::checkpoint::path(&dir, rank, 10);
+                microslip_lbm::checkpoint::read_solver(&channel, &path).expect("phase-10 checkpoint").0
+            })
+            .collect();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(solvers.iter().map(SlabSolver::nx_local).collect::<Vec<_>>(), first.final_counts());
 
+        cfg.checkpoint_every = 0;
         let resumed = run_parallel_from(&cfg, Arc::new(Filtered::default()), solvers);
 
         let want = sequential_snapshot(&channel, 20);

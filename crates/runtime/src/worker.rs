@@ -107,17 +107,14 @@ pub struct WorkerConfig {
     pub epoch: Instant,
 }
 
-/// What a worker hands back when the run completes.
+/// What a worker reports when the run completes. The solver itself comes
+/// back beside it ([`worker_main_with_solver`]), so a report outlives no
+/// lattice.
 #[derive(Clone, Debug)]
 pub struct WorkerReport {
     pub rank: usize,
     pub final_slab: Slab,
     pub profile: Profile,
-    /// The solver as the last phase left it: snapshot it, stream it to a
-    /// checkpoint file ([`microslip_lbm::checkpoint::write_solver`]), or
-    /// hand it to [`crate::driver::run_parallel_from`] to resume — no
-    /// serialised copy is made on the way.
-    pub solver: SlabSolver,
     /// Planes this worker sent away / received during remapping.
     pub planes_sent: usize,
     pub planes_received: usize,
@@ -134,12 +131,16 @@ pub fn worker_main<T: Transport>(
     throttle: ThrottlePlan,
 ) -> Result<WorkerReport, WorkerError> {
     let solver = SlabSolver::new(&cfg.channel, slab);
-    worker_main_with_solver(cfg, policy, predictor, transport, solver, throttle)
+    worker_main_with_solver(cfg, policy, predictor, transport, solver, throttle).map(|(report, _)| report)
 }
 
 /// As [`worker_main`] but starting from an existing solver state (e.g. a
-/// restored checkpoint). Priming recomputes ψ/forces/velocities from the
-/// populations, which is idempotent, so restored runs continue bitwise.
+/// restored checkpoint), and handing the solver back beside the report as
+/// the last phase left it: capture it into the run's snapshot
+/// ([`SlabSolver::into_capture`]) or stream it to a checkpoint file
+/// ([`microslip_lbm::checkpoint::write_solver`]). Priming recomputes ψ
+/// from the populations, which is idempotent, so restored runs continue
+/// bitwise.
 pub fn worker_main_with_solver<T: Transport>(
     cfg: &WorkerConfig,
     policy: &dyn NeighborPolicy,
@@ -147,7 +148,7 @@ pub fn worker_main_with_solver<T: Transport>(
     transport: T,
     mut solver: SlabSolver,
     throttle: ThrottlePlan,
-) -> Result<WorkerReport, WorkerError> {
+) -> Result<(WorkerReport, SlabSolver), WorkerError> {
     let rank = transport.rank();
     let n = transport.size();
     let topo = LinearTopology::new(rank, n);
@@ -175,14 +176,14 @@ pub fn worker_main_with_solver<T: Transport>(
     transport.flush_to(tracer.sink(), rank);
     outcome?;
 
-    Ok(WorkerReport {
+    let report = WorkerReport {
         rank,
         final_slab: solver.slab(),
         profile: tracer.profile,
-        solver,
         planes_sent,
         planes_received,
-    })
+    };
+    Ok((report, solver))
 }
 
 /// Priming plus the phase loop — everything that can fail.

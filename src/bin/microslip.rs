@@ -28,42 +28,81 @@ use microslip::runtime::LoadModel;
 use microslip::serve::{self, RunJobArgs, ServeConfig, SweepRequest};
 use microslip::Scenario;
 
-/// Parsed `--key value` flags (and bare `--key` booleans).
+// The flags each subcommand reads; any other is refused before it runs.
+const PARALLEL_FLAGS: &[&str] =
+    &["workers", "phases", "scheme", "trace", "throttle", "checkpoint-every", "checkpoint-dir"];
+const MP_FLAGS: &[&str] = &[
+    "ranks", "phases", "scheme", "nx", "ny", "nz", "trace", "remap-every", "predictor-window", "throttle",
+    "synthetic-load", "checkpoint-every", "resume-phase", "dir", "chaos", "recover", "check",
+];
+const MP_WORKER_FLAGS: &[&str] = &["rank", "rendezvous", "dir", "checkpoint-every", "resume-phase", "die-on"];
+const SERVE_FLAGS: &[&str] = &["dir", "addr", "max-workers", "max-respawns", "cache-capacity", "chaos-die"];
+/// `submit`'s own flags, [`resolve_addr`]'s and [`scenario_from_flags`]'s.
+const SUBMIT_FLAGS: &[&str] = &[
+    "list-axes", "grid", "checkpoint-every", "dump", "wait", "wait-secs", "addr", "addr-file", "nx", "ny", "nz",
+    "workers", "phases", "remap-every", "predictor-window", "scheme", "synthetic-load", "slip-r", "patch-period",
+    "patch-phase", "rough-height", "rough-period",
+];
+const STATUS_FLAGS: &[&str] = &["addr", "addr-file", "shutdown", "sweep"];
+const FETCH_FLAGS: &[&str] = &["addr", "addr-file", "key", "out"];
+const RUN_JOB_FLAGS: &[&str] = &["scenario", "out", "checkpoint-dir", "checkpoint-every", "resume", "die-at-phase"];
+const TRACE_FLAGS: &[&str] = &["mode", "out", "scheme", "nodes", "phases", "slow", "workers", "throttle", "check"];
+
+/// Parsed `--key value` flags (and bare `--key` booleans) of one
+/// subcommand.
 struct Flags {
     values: HashMap<String, String>,
+    /// The flags the subcommand reads.
+    known: &'static [&'static str],
 }
 
 impl Flags {
-    fn parse(args: &[String]) -> Result<Flags, String> {
+    /// Parses `args`, refusing a flag outside `known` with the list of
+    /// those it takes.
+    fn parse(args: &[String], known: &'static [&'static str]) -> Result<Flags, String> {
         let mut values = HashMap::new();
         let mut it = args.iter().peekable();
         while let Some(arg) = it.next() {
             let key = arg
                 .strip_prefix("--")
                 .ok_or_else(|| format!("unexpected argument '{arg}' (flags are --key value)"))?;
+            if !known.contains(&key) {
+                let takes = match known {
+                    [] => "no flags".to_string(),
+                    _ => known.iter().map(|k| format!("--{k}")).collect::<Vec<_>>().join(" "),
+                };
+                return Err(format!("unknown flag --{key} (this command takes {takes})"));
+            }
             let value = match it.next_if(|v| !v.starts_with("--")) {
                 Some(v) => v.clone(),
                 None => "true".to_string(),
             };
             values.insert(key.to_string(), value);
         }
-        Ok(Flags { values })
+        Ok(Flags { values, known })
+    }
+
+    /// The value of `--key` when present; `key` must be one the command
+    /// names.
+    fn value(&self, key: &str) -> Option<&String> {
+        debug_assert!(self.known.contains(&key), "--{key} is read but not among the command's flags");
+        self.values.get(key)
     }
 
     fn get<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
-        match self.values.get(key) {
+        match self.value(key) {
             None => Ok(default),
             Some(v) => v.parse().map_err(|_| format!("invalid value for --{key}: '{v}'")),
         }
     }
 
     fn has(&self, key: &str) -> bool {
-        self.values.contains_key(key)
+        self.value(key).is_some()
     }
 
     /// The value of a flag the (internal) command cannot run without.
     fn need(&self, key: &str) -> Result<String, String> {
-        self.values.get(key).cloned().ok_or_else(|| format!("missing required --{key}"))
+        self.value(key).cloned().ok_or_else(|| format!("missing required --{key}"))
     }
 }
 
@@ -84,7 +123,7 @@ fn main() {
         "fetch" => cmd_fetch(rest),
         "run-job" => cmd_run_job(rest),
         "trace" => cmd_trace(rest),
-        "info" => cmd_info(),
+        "info" => cmd_info(rest),
         "help" | "--help" | "-h" => {
             print_help();
             Ok(())
@@ -154,7 +193,7 @@ impl std::fmt::Display for TraceNeedsPrefix {
 
 /// `--trace PREFIX`: the prefix, or `None` when the flag is absent.
 fn trace_prefix(f: &Flags) -> Result<Option<&str>, TraceNeedsPrefix> {
-    match f.values.get("trace").map(String::as_str) {
+    match f.value("trace").map(String::as_str) {
         Some("true") => Err(TraceNeedsPrefix),
         prefix => Ok(prefix),
     }
@@ -241,7 +280,7 @@ fn throttle_spec(spec: &str) -> Result<Vec<(usize, f64)>, String> {
 }
 
 fn cmd_parallel(args: &[String]) -> Result<(), String> {
-    let f = Flags::parse(args)?;
+    let f = Flags::parse(args, PARALLEL_FLAGS)?;
     let workers = f.get("workers", 4usize)?;
     let phases = f.get("phases", 100u64)?;
     let scheme = scheme_by_name(&f.get("scheme", "filtered".to_string())?)?;
@@ -254,12 +293,12 @@ fn cmd_parallel(args: &[String]) -> Result<(), String> {
         .phases(phases)
         .scheme(scheme)
         .trace(sink);
-    if let Some(spec) = f.values.get("throttle") {
+    if let Some(spec) = f.value("throttle") {
         scenario.throttle = throttle_spec(spec)?;
     }
     let mut runtime = scenario.runtime()?;
     runtime.config_mut().checkpoint_every = f.get("checkpoint-every", 0u64)?;
-    if let Some(dir) = f.values.get("checkpoint-dir") {
+    if let Some(dir) = f.value("checkpoint-dir") {
         runtime.config_mut().checkpoint_dir = Some(dir.into());
     }
     let outcome = runtime.run();
@@ -283,7 +322,7 @@ fn cmd_parallel(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_mp(args: &[String]) -> Result<(), String> {
-    let f = Flags::parse(args)?;
+    let f = Flags::parse(args, MP_FLAGS)?;
     let ranks = f.get("ranks", 2usize)?;
     let phases = f.get("phases", 20u64)?;
     let scheme = scheme_by_name(&f.get("scheme", "filtered".to_string())?)?;
@@ -295,7 +334,7 @@ fn cmd_mp(args: &[String]) -> Result<(), String> {
         .remap_every(f.get("remap-every", 10u64)?)
         .predictor_window(f.get("predictor-window", 3usize)?)
         .scheme(scheme);
-    if let Some(spec) = f.values.get("throttle") {
+    if let Some(spec) = f.value("throttle") {
         scenario.throttle = throttle_spec(spec)?;
     }
     if f.has("synthetic-load") {
@@ -308,10 +347,10 @@ fn cmd_mp(args: &[String]) -> Result<(), String> {
     if f.has("resume-phase") {
         cfg.resume_phase = Some(f.get("resume-phase", 0u64)?);
     }
-    if let Some(dir) = f.values.get("dir") {
+    if let Some(dir) = f.value("dir") {
         cfg.dir = Some(dir.into());
     }
-    if let Some(spec) = f.values.get("chaos") {
+    if let Some(spec) = f.value("chaos") {
         cfg.fault = Some(chaos_spec(spec, ranks)?);
     }
     // A chaos kill only makes sense with the supervisor on.
@@ -382,17 +421,14 @@ fn tag_count(spec: &str) -> Option<(Tag, u64)> {
 
 /// `--key N` when present.
 fn optional<T: std::str::FromStr>(f: &Flags, key: &str) -> Result<Option<T>, String> {
-    f.values
-        .get(key)
-        .map(|v| v.parse().map_err(|_| format!("bad --{key} '{v}'")))
-        .transpose()
+    f.value(key).map(|v| v.parse().map_err(|_| format!("bad --{key} '{v}'"))).transpose()
 }
 
 /// One rank of a multi-process run — spawned by `microslip mp`, not meant
 /// for direct use. What to run is the `scenario.bin` in `--dir`; the flags
 /// are what differs per process.
 fn cmd_mp_worker(args: &[String]) -> Result<(), String> {
-    let f = Flags::parse(args)?;
+    let f = Flags::parse(args, MP_WORKER_FLAGS)?;
     let a = MpWorkerArgs {
         rank: f.need("rank")?.parse().map_err(|_| "bad --rank".to_string())?,
         rendezvous: f.need("rendezvous")?,
@@ -400,8 +436,7 @@ fn cmd_mp_worker(args: &[String]) -> Result<(), String> {
         checkpoint_every: f.get("checkpoint-every", 0u64)?,
         resume_phase: optional(&f, "resume-phase")?,
         die_on: f
-            .values
-            .get("die-on")
+            .value("die-on")
             .map(|spec| tag_count(spec).ok_or_else(|| format!("bad --die-on '{spec}' (TAG:N)")))
             .transpose()?,
     };
@@ -412,7 +447,7 @@ fn cmd_mp_worker(args: &[String]) -> Result<(), String> {
 /// `--addr-file FILE` reading the `serve.addr` a daemon published (the
 /// way scripts find an ephemeral port).
 fn resolve_addr(f: &Flags) -> Result<String, String> {
-    if let Some(path) = f.values.get("addr-file") {
+    if let Some(path) = f.value("addr-file") {
         let text =
             std::fs::read_to_string(path).map_err(|e| format!("reading --addr-file {path}: {e}"))?;
         let addr = text.trim();
@@ -421,7 +456,7 @@ fn resolve_addr(f: &Flags) -> Result<String, String> {
         }
         return Ok(addr.to_string());
     }
-    match f.values.get("addr") {
+    match f.value("addr") {
         Some(addr) if addr != "true" => Ok(addr.clone()),
         _ => Err("need --addr HOST:PORT or --addr-file FILE".to_string()),
     }
@@ -481,14 +516,14 @@ fn scenario_from_flags(f: &Flags) -> Result<Scenario, String> {
 }
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
-    let f = Flags::parse(args)?;
+    let f = Flags::parse(args, SERVE_FLAGS)?;
     let exe = std::env::current_exe().map_err(|e| format!("locating own executable: {e}"))?;
     let mut cfg = ServeConfig::new(f.get("dir", "target/serve".to_string())?, exe);
     cfg.addr = f.get("addr", "127.0.0.1:0".to_string())?;
     cfg.max_workers = f.get("max-workers", 2usize)?;
     cfg.max_respawns = f.get("max-respawns", 3usize)?;
     cfg.cache_capacity = f.get("cache-capacity", 0usize)?;
-    if let Some(spec) = f.values.get("chaos-die") {
+    if let Some(spec) = f.value("chaos-die") {
         let err = || format!("--chaos-die wants JOB@PHASE, got '{spec}'");
         let (job, phase) = spec.split_once('@').ok_or_else(err)?;
         let job: usize = job.parse().map_err(|_| err())?;
@@ -499,14 +534,14 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_submit(args: &[String]) -> Result<(), String> {
-    let f = Flags::parse(args)?;
+    let f = Flags::parse(args, SUBMIT_FLAGS)?;
     if f.has("list-axes") {
         print!("{}", serve::list_axes_text());
         return Ok(());
     }
     let addr = resolve_addr(&f)?;
     let base = scenario_from_flags(&f)?;
-    let axes = match f.values.get("grid") {
+    let axes = match f.value("grid") {
         Some(spec) => grid_spec(spec)?,
         None => Vec::new(),
     };
@@ -516,7 +551,7 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
         None
     };
     let req = SweepRequest { base, checkpoint_every, axes };
-    if let Some(dir) = f.values.get("dump") {
+    if let Some(dir) = f.value("dump") {
         // Write each unique expanded scenario so a script can replay one
         // directly with `run-job` and byte-compare against the fetch.
         std::fs::create_dir_all(dir).map_err(|e| format!("creating --dump {dir}: {e}"))?;
@@ -547,7 +582,7 @@ fn cmd_submit(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_status(args: &[String]) -> Result<(), String> {
-    let f = Flags::parse(args)?;
+    let f = Flags::parse(args, STATUS_FLAGS)?;
     let addr = resolve_addr(&f)?;
     if f.has("shutdown") {
         serve::shutdown(&addr)?;
@@ -559,10 +594,10 @@ fn cmd_status(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_fetch(args: &[String]) -> Result<(), String> {
-    let f = Flags::parse(args)?;
+    let f = Flags::parse(args, FETCH_FLAGS)?;
     let addr = resolve_addr(&f)?;
-    let key = f.values.get("key").cloned().ok_or("fetch requires --key")?;
-    let out = f.values.get("out").cloned().ok_or("fetch requires --out FILE")?;
+    let key = f.value("key").cloned().ok_or("fetch requires --key")?;
+    let out = f.value("out").cloned().ok_or("fetch requires --out FILE")?;
     let sealed = serve::fetch(&addr, &key)?;
     // Stored verbatim: these are the sealed bytes exactly as the cache
     // holds them, directly comparable against a local `run-job` output.
@@ -582,7 +617,7 @@ fn cmd_fetch(args: &[String]) -> Result<(), String> {
 /// One scheduled job — spawned by `microslip serve`, also usable directly
 /// to reproduce a cached artifact bit for bit.
 fn cmd_run_job(args: &[String]) -> Result<(), String> {
-    let f = Flags::parse(args)?;
+    let f = Flags::parse(args, RUN_JOB_FLAGS)?;
     let a = RunJobArgs {
         scenario_path: f.need("scenario")?.into(),
         out_path: f.need("out")?.into(),
@@ -596,7 +631,7 @@ fn cmd_run_job(args: &[String]) -> Result<(), String> {
 
 /// A traced run end to end: run, export, optionally re-parse and check.
 fn cmd_trace(args: &[String]) -> Result<(), String> {
-    let f = Flags::parse(args)?;
+    let f = Flags::parse(args, TRACE_FLAGS)?;
     let mode = f.get("mode", "cluster".to_string())?;
     let prefix = f.get("out", "trace".to_string())?;
     let scheme = scheme_by_name(&f.get("scheme", "filtered".to_string())?)?;
@@ -655,7 +690,8 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_info() -> Result<(), String> {
+fn cmd_info(args: &[String]) -> Result<(), String> {
+    Flags::parse(args, &[])?;
     let cfg = ChannelConfig::paper();
     let cluster = ClusterConfig::paper(20, 20_000);
     println!("paper:   Zhou, Zhu, Petzold, Yang — Parallel Simulation of Fluid Slip");
@@ -677,16 +713,17 @@ fn cmd_info() -> Result<(), String> {
 mod tests {
     use super::*;
 
+    /// `submit`'s flags from `s`.
     fn flags(s: &[&str]) -> Flags {
-        Flags::parse(&args(s)).unwrap()
+        Flags::parse(&args(s), SUBMIT_FLAGS).unwrap()
     }
 
     #[test]
     fn parses_key_values_and_booleans() {
-        let f = flags(&["--ny", "32", "--no-wall-force", "--phases", "10"]);
+        let f = flags(&["--ny", "32", "--wait", "--phases", "10"]);
         assert_eq!(f.get("ny", 0usize).unwrap(), 32);
         assert_eq!(f.get("phases", 0u64).unwrap(), 10);
-        assert!(f.has("no-wall-force"));
+        assert!(f.has("wait"));
         assert!(!f.has("nx"));
         assert_eq!(f.get("nx", 7usize).unwrap(), 7);
     }
@@ -694,13 +731,77 @@ mod tests {
     #[test]
     fn rejects_positional_arguments() {
         let args: Vec<String> = vec!["oops".into()];
-        assert!(Flags::parse(&args).is_err());
+        assert!(Flags::parse(&args, SUBMIT_FLAGS).is_err());
     }
 
     #[test]
     fn rejects_bad_values() {
         let f = flags(&["--phases", "many"]);
         assert!(f.get("phases", 0u64).is_err());
+    }
+
+    #[test]
+    fn every_command_refuses_an_unknown_flag_before_it_runs() {
+        type Command = fn(&[String]) -> Result<(), String>;
+        let commands: [Command; 10] = [
+            cmd_parallel, cmd_mp, cmd_mp_worker, cmd_serve, cmd_submit, cmd_status, cmd_fetch, cmd_run_job,
+            cmd_trace, cmd_info,
+        ];
+        for cmd in commands {
+            let err = cmd(&args(&["--bogus", "3"])).unwrap_err();
+            assert!(err.starts_with("unknown flag --bogus (this command takes "), "{err}");
+        }
+        // A flag another command reads is still unknown here: `parallel`
+        // runs a fixed grid, and says which flags it does take.
+        let err = cmd_parallel(&args(&["--nx", "400"])).unwrap_err();
+        assert!(err.contains("unknown flag --nx"), "{err}");
+        for known in PARALLEL_FLAGS {
+            assert!(err.contains(&format!("--{known}")), "{err}");
+        }
+        assert_eq!(cmd_info(&args(&["--nx"])).unwrap_err(), "unknown flag --nx (this command takes no flags)");
+    }
+
+    #[test]
+    fn the_flags_scripts_pass_are_known() {
+        // The smokes', the supervisor's, the mp driver's and the ledger's
+        // command lines, by subcommand.
+        let lines: [(&[&str], &str); 9] = [
+            (
+                PARALLEL_FLAGS,
+                "--workers 3 --phases 40 --throttle 1:4 --scheme filtered --trace p --checkpoint-every 5 \
+                 --checkpoint-dir d",
+            ),
+            (
+                MP_FLAGS,
+                "--ranks 2 --nx 24 --ny 200 --nz 20 --phases 6 --remap-every 3 --predictor-window 2 \
+                 --throttle 1:6 --synthetic-load 1.0 --checkpoint-every 3 --chaos kill:1@f_halo:18 --dir d \
+                 --trace p --check --resume-phase 3 --recover --scheme global",
+            ),
+            (
+                MP_WORKER_FLAGS,
+                "--rank 1 --rendezvous 127.0.0.1:9 --dir d --checkpoint-every 0 --resume-phase 6 --die-on load:8",
+            ),
+            (
+                SERVE_FLAGS,
+                "--dir d --max-workers 2 --chaos-die 0@9 --addr 127.0.0.1:0 --max-respawns 3 --cache-capacity 4",
+            ),
+            (
+                SUBMIT_FLAGS,
+                "--addr-file f --phases 12 --checkpoint-every 4 --grid wall-amplitude=0.1 --dump d --wait \
+                 --list-axes --slip-r 0.3",
+            ),
+            (STATUS_FLAGS, "--addr-file f --shutdown --sweep 1"),
+            (FETCH_FLAGS, "--addr-file f --key k --out o"),
+            (
+                RUN_JOB_FLAGS,
+                "--scenario s --out o --checkpoint-dir d --checkpoint-every 0 --resume --die-at-phase 9",
+            ),
+            (TRACE_FLAGS, "--mode parallel --out p --phases 12 --workers 3 --check --nodes 8 --slow 3"),
+        ];
+        for (known, line) in lines {
+            let line: Vec<&str> = line.split_whitespace().collect();
+            assert!(Flags::parse(&args(&line), known).is_ok(), "{line:?}");
+        }
     }
 
     #[test]
@@ -731,6 +832,7 @@ mod tests {
 
     #[test]
     fn trace_without_a_prefix_is_refused_before_a_run() {
+        let flags = |s: &[&str]| Flags::parse(&args(s), PARALLEL_FLAGS).unwrap();
         assert_eq!(trace_prefix(&flags(&[])).unwrap(), None);
         assert_eq!(trace_prefix(&flags(&["--trace", "run"])).unwrap(), Some("run"));
         assert!(trace_prefix(&flags(&["--trace"])).is_err());

@@ -644,7 +644,7 @@ fn run_rank(
     run: &RuntimeConfig,
     policy: &dyn NeighborPolicy,
     cfg: &mut WorkerConfig,
-) -> Result<WorkerReport, WorkerError> {
+) -> Result<(WorkerReport, SlabSolver), WorkerError> {
     let transport = connect(Some(a.rank), run.workers, &a.rendezvous, &NetConfig::default())
         .map_err(WorkerError::Comm)?;
     let solver = match a.resume_phase {
@@ -701,9 +701,9 @@ pub fn run_worker(a: &MpWorkerArgs) -> Result<(), String> {
         .map_err(|e| format!("write {}: {e}", trace_path.display()))?;
 
     match result {
-        Ok(report) => {
+        Ok((report, solver)) => {
             let state_path = a.dir.join(format!("rank{rank}.state"));
-            write_solver(&state_path, &report.solver, runtime.config().phases)
+            write_solver(&state_path, &solver, runtime.config().phases)
                 .map_err(|e| format!("write {}: {e}", state_path.display()))?;
             let summary = format!(
                 "rank {}\nx0 {}\nnx_local {}\nplanes_sent {}\nplanes_received {}\n",
