@@ -1,7 +1,7 @@
 //! Channel simulation configuration.
 
 use crate::boundary::WallBc;
-use crate::component::{ComponentSpec, CouplingMatrix};
+use crate::component::{CollisionOperator, ComponentSpec, CouplingMatrix};
 use crate::force::WallForce;
 use crate::geometry::{Dims, SolidRegion};
 
@@ -170,6 +170,11 @@ impl ChannelConfig {
             if spec.mass <= 0.0 {
                 return Err(format!("component {}: mass must be positive", spec.name));
             }
+            if let CollisionOperator::Trt { magic } = spec.collision {
+                if !(magic.is_finite() && magic > 0.0) {
+                    return Err(format!("component {}: TRT magic parameter must be positive and finite, got {magic}", spec.name));
+                }
+            }
         }
         if self.wall.decay <= 0.0 {
             return Err("wall force decay length must be positive".into());
@@ -222,6 +227,19 @@ mod tests {
     fn bad_tau_rejected() {
         let cfg = ChannelConfig::single_component(Dims::new(4, 4, 4), 0.5, 0.0);
         assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn trt_magic_must_be_positive_and_finite() {
+        for magic in [f64::NAN, 0.0, -1.0, f64::INFINITY, -0.0] {
+            let mut cfg = ChannelConfig::paper_scaled(Dims::new(8, 8, 4));
+            cfg.components[0].0.collision = CollisionOperator::Trt { magic };
+            let err = cfg.validate().expect_err("a bad magic must be refused");
+            assert!(err.contains("TRT magic"), "{magic}: {err}");
+        }
+        let mut cfg = ChannelConfig::paper_scaled(Dims::new(8, 8, 4));
+        cfg.components[0].0.collision = CollisionOperator::trt_magic();
+        cfg.validate().unwrap();
     }
 
     #[test]

@@ -1,10 +1,9 @@
 #![expect(
     unsafe_code,
-    reason = "the moments kernel (psi and/or momentum of a run of cells) through raw \
-              pointers: from disjoint cell ranges of the window (window base + storage \
-              channel stride) into a plane of psi or a reference array, or into a \
-              plane scratch of momentum; the force kernel into the snapshot's plane \
-              scratch; the hand-back of the planes a consuming capture has passed"
+    reason = "the moments entry point turns a run of cells of the window (window base \
+              + storage channel stride) and its psi and momentum outputs into slices \
+              once; the capture loads each plane through the plane collision's window \
+              pointer and hands back the planes it has passed"
 )]
 //! Macroscopic quantities: number density, mass density, momentum and the
 //! physical velocity field.
@@ -21,7 +20,9 @@
 //! in the presence of forcing).
 //!
 //! Every reduction of populations to ψ = Σ_i f_i or the number momentum
-//! j = Σ_i f_i e_i goes through one kernel, [`moments_raw`]: the streaming
+//! j = Σ_i f_i e_i goes through one lane-typed body, [`moments`] (4-cell
+//! blocks and a 1-cell tail, compiled plain and AVX2 behind
+//! [`crate::simd::dispatch`]): the streaming
 //! sweep takes ψ and j of each plane one plane ahead of its collision
 //! ([`crate::multicomponent::PlaneCollision`]), as [`capture`] does,
 //! [`edge_psi`] ψ of a slab's edge planes for the ψ exchange, and the
@@ -32,6 +33,9 @@ use crate::field::{LocalGrid, PlaneRelease, SlabArray};
 use crate::multicomponent::PlaneCollision;
 use crate::geometry::Slab;
 use crate::lattice::{Lattice, D3Q19};
+use crate::simd::{dispatch, V};
+
+const Q: usize = D3Q19::Q;
 
 /// ψ of the slab's edge planes from their populations into `halo_psi`:
 /// what the ψ exchange ships, at a phase boundary.
@@ -46,18 +50,13 @@ pub fn edge_psi(comp: &mut ComponentState) {
 /// (`plane_cells` values).
 pub(crate) fn plane_psi(f: &SlabArray, xl: usize, out: &mut [f64]) {
     let p = f.grid().plane_cells();
-    assert!(xl < f.grid().lx && out.len() == p);
-    // Safety: plane `xl` lies inside the window of `f`, and `out`, a
-    // separate exclusive borrow, holds its `p` cells.
-    unsafe { moments_raw(f.base_ptr().add(xl * p), f.stride(), Some(out.as_mut_ptr()), None, p) }
+    assert!(out.len() == p);
+    let f: [&[f64]; Q] = std::array::from_fn(|i| &f.channel(i)[xl * p..(xl + 1) * p]);
+    dispatch(#[inline(always)] || moments(f, Some(out), None));
 }
 
-/// The moments kernel: for each of `n` consecutive cells, ψ = Σ_i f_i into
-/// `psi` and j_a = Σ_i f_i e_ia into `j = (base, stride)`, each only if
-/// asked for; every sum over ascending channels from +0.0 with the
-/// `e_ia = 0` terms skipped (they would only add ±0.0 to an accumulator
-/// that is never −0.0). AVX2 4 cells at a time where the host has it, the
-/// scalar loop for the rest — the same additions in the same order.
+/// [`moments`] of `n` consecutive cells through raw pointers: builds the
+/// slices of the cells once and runs the dispatched body.
 ///
 /// # Safety
 ///
@@ -73,21 +72,75 @@ pub(crate) unsafe fn moments_raw(
     j: Option<(*mut f64, usize)>,
     n: usize,
 ) {
-    #[cfg(target_arch = "x86_64")]
-    let done = if crate::simd::avx2_available() { crate::simd::moments_avx2(f, f_stride, psi, j, n) } else { 0 };
-    #[cfg(not(target_arch = "x86_64"))]
-    let done = 0;
-    for cell in done..n {
-        let at = |i: usize| *f.add(i * f_stride + cell);
-        if let Some(psi) = psi {
-            *psi.add(cell) = (0..D3Q19::Q).fold(0.0, |acc, i| acc + at(i));
-        }
-        if let Some((j, j_stride)) = j {
-            for a in 0..3 {
-                *j.add(a * j_stride + cell) = MOMENTUM_TERMS[a].iter().fold(0.0, |acc, &(i, e)| acc + at(i) * e);
-            }
-        }
+    use std::slice::{from_raw_parts, from_raw_parts_mut};
+    let f: [&[f64]; Q] = std::array::from_fn(|i| from_raw_parts(f.add(i * f_stride), n));
+    let psi = psi.map(|psi| from_raw_parts_mut(psi, n));
+    let j = j.map(|(j, stride)| std::array::from_fn(|a| from_raw_parts_mut(j.add(a * stride), n)));
+    dispatch(#[inline(always)] || moments(f, psi, j));
+}
+
+/// The moments body: for each cell of `f` (one slice a channel), ψ = Σ_i
+/// f_i into `psi` and j_a = Σ_i f_i e_ia into `j[a]`, each only if asked
+/// for; every sum over ascending channels from +0.0 with the `e_ia = 0`
+/// terms skipped (they would only add ±0.0 to an accumulator that is never
+/// −0.0). 4-cell blocks, then a 1-cell tail of the same code; called
+/// directly it is the plain instance.
+#[inline(always)]
+pub(crate) fn moments(f: [&[f64]; Q], psi: Option<&mut [f64]>, j: Option<[&mut [f64]; 3]>) {
+    let (n, mut f) = (f[0].len(), f);
+    for f in &mut f {
+        *f = &f[..n];
     }
+    let mut psi = psi.map(|psi| &mut psi[..n]);
+    let mut j = j.map(|[x, y, z]| [&mut x[..n], &mut y[..n], &mut z[..n]]);
+    for block in 0..n / 4 {
+        moments_block::<4>(f, psi.as_deref_mut(), j.as_mut(), block);
+    }
+    for cell in n / 4 * 4..n {
+        moments_block::<1>(f, psi.as_deref_mut(), j.as_mut(), cell);
+    }
+}
+
+#[inline(always)]
+fn moments_block<const L: usize>(
+    f: [&[f64]; Q],
+    psi: Option<&mut [f64]>,
+    j: Option<&mut [&mut [f64]; 3]>,
+    block: usize,
+) {
+    // Plain loops and constant indices, as in
+    // [`crate::collision::collide_lanes`].
+    let mut fi = [V::<L>::splat(0.0); Q];
+    for (fi, &f) in fi.iter_mut().zip(&f) {
+        *fi = V::load(f, block);
+    }
+    if let Some(psi) = psi {
+        let mut acc = V::splat(0.0);
+        for &v in &fi {
+            acc = acc + v;
+        }
+        acc.store(psi, block);
+    }
+    if let Some([x, y, z]) = j {
+        momentum::<L, 0>(&fi).store(x, block);
+        momentum::<L, 1>(&fi).store(y, block);
+        momentum::<L, 2>(&fi).store(z, block);
+    }
+}
+
+/// j_A of a block: the terms of [`MOMENTUM_TERMS`]`[A]` in order, each
+/// channel and sign a constant.
+#[inline(always)]
+fn momentum<const L: usize, const A: usize>(fi: &[V<L>; Q]) -> V<L> {
+    let mut acc = V::splat(0.0);
+    macro_rules! terms {
+        ($($k:literal)*) => {$({
+            let (i, e) = MOMENTUM_TERMS[A][$k];
+            acc = acc + fi[i] * e;
+        })*};
+    }
+    terms!(0 1 2 3 4 5 6 7 8 9);
+    acc
 }
 
 /// Per axis `a`, the ten channels with `e_ia ≠ 0` in ascending order, each
@@ -357,6 +410,52 @@ pub(crate) mod tests {
         plane_psi(&c.f, 1, &mut psi);
         let want: f64 = (1..=19).map(|i| i as f64 * 0.01).sum();
         assert!((psi[grid.idx(0, 1, 1)] - want).abs() < 1e-12);
+    }
+
+    #[test]
+    fn moments_avx2_matches_scalar_bitwise() {
+        use crate::simd::tests::{bits, lcg_fill, runs, slices_mut};
+        // A windowed component, so the channel stride (the whole channel's
+        // capacity) differs from the window the body runs over.
+        let grid = LocalGrid::new(3, 3, 5);
+        let mut c = ComponentState::windowed(ComponentSpec::water(), grid, 9, 2);
+        assert_ne!(c.f.stride(), grid.cells());
+        let mut vals = vec![0.0; D3Q19::Q * grid.cells()];
+        lcg_fill(&mut vals, 0xB0); // both signs
+        for (k, &v) in vals.iter().enumerate() {
+            let (i, cell) = (k / grid.cells(), k % grid.cells());
+            // Exact zeros of both signs in some cells and channels.
+            let v = match (cell + i) % 11 {
+                0 => 0.0,
+                1 => -0.0,
+                _ => v,
+            };
+            c.f.set(i, cell, if cell % 13 == 5 { 0.0 } else { v });
+        }
+        for (start, n) in runs() {
+            let cells = start..start + n;
+            let want_psi: Vec<f64> = cells.clone().map(|q| (0..Q).fold(0.0, |acc, i| acc + c.f.at(i, q))).collect();
+            let want_j: Vec<Vec<f64>> = (0..3).map(|a| cells.clone().map(|q| raw_momentum(&c, q)[a]).collect()).collect();
+            let f: [&[f64]; Q] = std::array::from_fn(|i| &c.f.channel(i)[cells.clone()]);
+            // The plain body, then the dispatched one through the raw entry
+            // point (rows of j a stride apart that is not the run's length).
+            let (mut psi, mut j) = (vec![f64::NAN; n], vec![vec![f64::NAN; n]; 3]);
+            moments(f, Some(&mut psi), Some(slices_mut(&mut j)));
+            assert_eq!(bits(&psi), bits(&want_psi), "plain ψ of {n} cells at {start}");
+            assert_eq!(j.iter().map(|j| bits(j)).collect::<Vec<_>>(), want_j.iter().map(|j| bits(j)).collect::<Vec<_>>(), "plain j of {n} cells at {start}");
+            let (mut psi, j_stride) = (vec![f64::NAN; n], n + 2);
+            let mut j = vec![f64::NAN; 3 * j_stride];
+            // SAFETY: cells start..start + n lie in the window of `c.f`, ψ
+            // holds n cells and j 3 rows of j_stride ≥ n.
+            unsafe {
+                let f = c.f.base_ptr().add(start);
+                moments_raw(f, c.f.stride(), Some(psi.as_mut_ptr()), Some((j.as_mut_ptr(), j_stride)), n)
+            };
+            assert_eq!(bits(&psi), bits(&want_psi), "dispatched ψ of {n} cells at {start}");
+            for a in 0..3 {
+                assert_eq!(bits(&j[a * j_stride..][..n]), bits(&want_j[a]), "dispatched j[{a}] of {n} cells at {start}");
+            }
+        }
     }
 
     #[test]

@@ -31,6 +31,6 @@ pub mod serve;
 pub mod tcp;
 pub mod wire;
 
-pub use rendezvous::{connect, localhost_mesh, reserve_port};
+pub use rendezvous::{connect, coordinate_mesh, localhost_mesh};
 pub use serve::{request, Reply, Served, ServeLoop};
 pub use tcp::{NetConfig, TcpTransport};

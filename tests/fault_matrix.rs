@@ -283,35 +283,37 @@ fn strike(
 ) -> Vec<Event> {
     let ranks = scenario.workers;
     let dir = scratch_dir(label);
-    let mut mp = scenario.multiprocess().unwrap();
+    // Every failure below leaves the run directory behind; say where.
+    let kept = format!("run directory kept: {}", dir.display());
+    let mut mp = scenario.multiprocess().unwrap_or_else(|e| panic!("{fault}: {e}; {kept}"));
     mp.config_mut().worker_exe = Some(WORKER_EXE.into());
     mp.config_mut().dir = Some(dir.clone());
     mp.config_mut().checkpoint_every = checkpoint_every;
     mp.config_mut().fault = Some(fault);
     mp.config_mut().recover = supervised;
     let events = if supervised {
-        let got = mp.run().unwrap_or_else(|e| panic!("{fault}: recovery failed: {e}"));
-        assert!(got.snapshot == *want, "{fault}: the recovered run diverged");
+        let got = mp.run().unwrap_or_else(|e| panic!("{fault}: recovery failed: {e}; {kept}"));
+        assert!(got.snapshot == *want, "{fault}: the recovered run diverged; {kept}");
         let stages = recovery_stages(&got.events);
         for s in ["death-detected", "rollback", "resumed"] {
-            assert!(stages.contains(s), "{fault}: missing stage {s}: {stages:?}");
+            assert!(stages.contains(s), "{fault}: missing stage {s}: {stages:?}; {kept}");
         }
-        validate_jsonl(&microslip::obs::to_jsonl(&got.events)).unwrap();
+        validate_jsonl(&microslip::obs::to_jsonl(&got.events)).unwrap_or_else(|e| panic!("{fault}: {e}; {kept}"));
         got.events
     } else {
-        let failure = mp.run().expect_err("an unsupervised death must fail the run");
+        let Err(failure) = mp.run() else { panic!("{fault}: an unsupervised death must fail the run; {kept}") };
         let error = |rank| {
             failure.rank_errors.iter().find(|(r, _)| *r == rank).map(|(_, e)| e.as_str())
         };
         let killed = error(fault.rank)
-            .unwrap_or_else(|| panic!("{fault}: killed rank not named: {failure}"));
-        assert!(killed.contains("13"), "{fault}: expected the injected exit code: {killed}");
+            .unwrap_or_else(|| panic!("{fault}: killed rank not named: {failure}; {kept}"));
+        assert!(killed.contains("13"), "{fault}: expected the injected exit code: {killed}; {kept}");
         for rank in (0..ranks).filter(|&r| r != fault.rank) {
             match error(rank) {
-                Some(e) => assert!(e.contains("transport failure"), "{fault}: rank {rank}: {e}"),
+                Some(e) => assert!(e.contains("transport failure"), "{fault}: rank {rank}: {e}; {kept}"),
                 None => assert!(
                     dir.join(format!("rank{rank}.report")).exists(),
-                    "{fault}: rank {rank} neither failed typed nor finished clean"
+                    "{fault}: rank {rank} neither failed typed nor finished clean; {kept}"
                 ),
             }
         }

@@ -240,3 +240,28 @@ fn resume_skips_a_torn_newest_checkpoint_and_stays_bitwise() {
     assert_eq!(checkpoint::valid_phases(&ckpt, 0), vec![8, 12]);
     let _ = fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn run_job_refuses_a_bad_trt_magic_with_exit_1() {
+    use microslip::lbm::CollisionOperator;
+    let dir = scratch_dir("trt-magic");
+    for magic in [f64::NAN, 0.0, -1.0, f64::INFINITY] {
+        let mut scenario = base_scenario(2);
+        scenario.channel.components[0].0.collision = CollisionOperator::Trt { magic };
+        let path = dir.join("bad.scenario");
+        fs::write(&path, scenario.canonical_bytes()).expect("write scenario");
+        let out = std::process::Command::new(WORKER_EXE)
+            .args(["run-job", "--scenario"])
+            .arg(&path)
+            .arg("--out")
+            .arg(dir.join("bad.artifact"))
+            .arg("--checkpoint-dir")
+            .arg(dir.join("ckpt"))
+            .output()
+            .expect("spawn run-job");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "magic {magic}: {stderr}");
+        assert!(stderr.contains("TRT magic parameter must be positive"), "magic {magic}: {stderr}");
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
