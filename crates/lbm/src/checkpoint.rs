@@ -43,7 +43,6 @@ use crate::field::LocalGrid;
 use crate::geometry::Slab;
 use crate::lattice::{Lattice, D3Q19};
 use crate::macroscopic::SnapshotSlab;
-use crate::multicomponent::PlaneCollision;
 use crate::simulation::Simulation;
 use crate::solver::{solid_mask, SlabSolver};
 
@@ -308,8 +307,7 @@ fn capture_stream(
             }
             let solid = solid_mask(&obstacles, dims, slab.x0 + k - 2..slab.x0 + k + 1);
             let forcing = (&config.coupling, &config.wall, config.body);
-            let mut collision = PlaneCollision::new(&cur, forcing, &solid);
-            crate::macroscopic::capture(&cur, &mut collision, out.plane(k - 2), &mut []);
+            crate::macroscopic::capture(&cur[..], forcing, &solid, out.plane(k - 2));
         }
         if k >= 1 {
             for (n, c) in next.iter_mut().zip(&cur) {

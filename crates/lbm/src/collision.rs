@@ -1,11 +1,3 @@
-#![expect(
-    unsafe_code,
-    reason = "the raw-pointer entry point of every collision: BGK and TRT turn a run of \
-              cells into per-channel slices once — in place over disjoint cell ranges \
-              of the window (window base + storage channel stride), or from the window \
-              into a ring slot that aliases nothing — and run their safe lane body; \
-              MRT's body stays raw"
-)]
 //! LBGK collision operator.
 //!
 //! Relaxes each component's populations toward equilibrium at that
@@ -21,19 +13,21 @@
 //! incoming populations, so collision is purely cell-local — the property
 //! that makes the LBM "very natural for parallelization" (paper §2.1).
 //!
-//! Each operator (BGK, TRT, [`crate::mrt`]) has one body, reached through
-//! [`collide_cells_raw`]: the sweep collides out of place into its ring
-//! ([`crate::streaming`]), everything else in place — safe, as every body
-//! reads all of a cell's populations before it writes any. BGK and TRT
-//! are safe bodies over slices written on the lane type
-//! [`crate::simd::V`] ([`collide_lanes`]), one per-cell arithmetic each
-//! ([`Relax`]) run in 4-cell blocks and a 1-cell tail, compiled plain and
-//! AVX2 behind [`crate::simd::dispatch`]; [`Populations`] serves the
-//! in-place and the out-of-place caller.
+//! Each operator (BGK, TRT, [`crate::mrt`]) is one per-cell arithmetic
+//! ([`Relax`]) written on the lane type [`crate::simd::V`], run over slices
+//! in 4-cell blocks and a 1-cell tail by one body ([`collide_lanes`]) and
+//! compiled plain and AVX2 behind [`crate::simd::dispatch`]; every caller
+//! goes through [`collide_cells`]. The sweep collides out of place into its
+//! ring ([`crate::streaming`]), everything else in place — [`Populations`]
+//! serves both, as every body reads all of a cell's populations before it
+//! writes any.
+
+use std::ops::Range;
 
 use crate::component::{CollisionOperator, ComponentState};
 use crate::field::{LocalGrid, SlabArray};
 use crate::lattice::{Lattice, D3Q19};
+use crate::mrt::Mrt;
 use crate::simd::{dispatch, V};
 
 const Q: usize = D3Q19::Q;
@@ -45,82 +39,20 @@ const Q: usize = D3Q19::Q;
 pub fn collide(comp: &mut ComponentState, ueq: &SlabArray) {
     let grid = comp.grid();
     assert!(ueq.grid() == grid && ueq.channels() == 3, "ueq must be 3 channels on the component's grid");
-    let (cells, p) = (comp.f.stride(), grid.plane_cells());
-    let at = LocalGrid::FIRST * p;
-    let f = comp.f.base_mut_ptr();
-    // Safety: `f`/`ueq` are window bases of channel-major arrays of their
-    // own strides over the same grid, the interior lies within the window,
-    // and we hold exclusive access to `comp`.
-    unsafe {
-        let (f, u) = (f.add(at), ueq.base_ptr().add(at));
-        collide_cells_raw(comp.spec.collision, comp.spec.tau, f, cells, f, cells, u, ueq.stride(), grid.nx_local() * p)
-    }
+    let p = grid.plane_cells();
+    let interior = LocalGrid::FIRST * p..(grid.last() + 1) * p;
+    let (op, tau) = (comp.spec.collision, comp.spec.tau);
+    collide_cells(op, tau, InPlace(comp.f.runs_mut(interior.clone())), ueq.runs(interior));
 }
 
-/// Collides `n` consecutive cells from `src` into `dst`, dispatching on the
-/// operator; in place when `dst == src`. BGK and TRT build the slices of
-/// the cells once and run the safe body ([`collide_lanes`]); MRT keeps its
-/// raw body.
-///
-/// # Safety
-///
-/// `src` must point at channel 0 of the first cell of a Q-channel
-/// channel-major array of channel stride `src_stride`, `ueq` at axis 0 of
-/// the same cell of a 3-channel array of channel stride `ueq_stride`, and `dst` at
-/// channel 0 of the first cell of a Q-channel array of stride
-/// `dst_stride`, all valid for `n` cells per channel. `dst` is either
-/// `src` itself (with `dst_stride == src_stride`) or overlaps neither
-/// `src` nor `ueq`; no other thread may write those cells, or access the
-/// `dst` cells, during the call (distinct cells may be collided
-/// concurrently — collision is purely cell-local).
-#[expect(
-    clippy::too_many_arguments,
-    reason = "a raw kernel takes its pointers, strides and relaxation rates as scalars"
-)]
-pub(crate) unsafe fn collide_cells_raw(
-    op: CollisionOperator,
-    tau: f64,
-    src: *const f64,
-    src_stride: usize,
-    dst: *mut f64,
-    dst_stride: usize,
-    ueq: *const f64,
-    ueq_stride: usize,
-    n: usize,
-) {
-    let (ss, ds, us) = (src_stride, dst_stride, ueq_stride);
+/// Collides the cells of `pops` at the equilibrium velocities `ueq` (one
+/// slice an axis, as long as the population slices): the operator's lane
+/// body ([`collide_lanes`]), dispatched.
+pub(crate) fn collide_cells(op: CollisionOperator, tau: f64, pops: impl Populations, ueq: [&[f64]; 3]) {
     match op {
-        CollisionOperator::Bgk => collide_slices(&Bgk { omega: 1.0 / tau }, src, ss, dst, ds, ueq, us, n),
-        CollisionOperator::Trt { magic } => collide_slices(&Trt::new(tau, magic), src, ss, dst, ds, ueq, us, n),
-        CollisionOperator::Mrt(rates) => crate::mrt::collide_mrt_raw(tau, rates, src, ss, dst, ds, ueq, us, n),
-    }
-}
-
-/// [`collide_cells_raw`] of a lane collision: the slices of its cells,
-/// built once, and the dispatched body over them. Safety: see there.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "a raw kernel takes its pointers, strides and relaxation rates as scalars"
-)]
-#[inline(always)]
-unsafe fn collide_slices<R: Relax>(
-    op: &R,
-    src: *const f64,
-    ss: usize,
-    dst: *mut f64,
-    ds: usize,
-    ueq: *const f64,
-    us: usize,
-    n: usize,
-) {
-    use std::slice::{from_raw_parts, from_raw_parts_mut};
-    let ueq: [&[f64]; 3] = std::array::from_fn(|a| from_raw_parts(ueq.add(a * us), n));
-    let dst: [&mut [f64]; Q] = std::array::from_fn(|i| from_raw_parts_mut(dst.add(i * ds), n));
-    if std::ptr::eq(src, dst[0].as_ptr()) {
-        dispatch(#[inline(always)] || collide_lanes(op, InPlace(dst), ueq));
-    } else {
-        let src: [&[f64]; Q] = std::array::from_fn(|i| from_raw_parts(src.add(i * ss), n));
-        dispatch(#[inline(always)] || collide_lanes(op, OutOfPlace { src, dst }, ueq));
+        CollisionOperator::Bgk => dispatch(#[inline(always)] || collide_lanes(&Bgk { omega: 1.0 / tau }, pops, ueq)),
+        CollisionOperator::Trt { magic } => dispatch(#[inline(always)] || collide_lanes(&Trt::new(tau, magic), pops, ueq)),
+        CollisionOperator::Mrt(rates) => dispatch(#[inline(always)] || collide_lanes(&Mrt::new(tau, rates), pops, ueq)),
     }
 }
 
@@ -129,10 +61,14 @@ unsafe fn collide_slices<R: Relax>(
 /// all of a block's populations before it writes any, so one impl serves
 /// in place and one out of place.
 pub(crate) trait Populations {
-    /// The same slices, each cut to its first `n` cells: every slice of a
-    /// call then has one length the compiler knows, and a block's loads and
-    /// stores need no bounds check of their own.
-    fn fit(self, n: usize) -> Self;
+    type Run<'b>: Populations
+    where
+        Self: 'b;
+    /// The same populations, cells `cells` of each slice: a plane
+    /// collision's row block, or every slice cut to one length the compiler
+    /// knows, so that a block's loads and stores need no bounds check of
+    /// their own.
+    fn run(&mut self, cells: Range<usize>) -> Self::Run<'_>;
     fn load<const L: usize>(&self, i: usize, block: usize) -> V<L>;
     fn store<const L: usize>(&mut self, i: usize, block: usize, v: V<L>);
 }
@@ -147,12 +83,15 @@ pub(crate) struct OutOfPlace<'a> {
 }
 
 impl Populations for InPlace<'_> {
+    type Run<'b>
+        = InPlace<'b>
+    where
+        Self: 'b;
     #[inline(always)]
-    fn fit(mut self, n: usize) -> Self {
-        for f in &mut self.0 {
-            *f = &mut std::mem::take(f)[..n];
-        }
-        self
+    fn run(&mut self, cells: Range<usize>) -> InPlace<'_> {
+        let mut run: [&mut [f64]; Q] = Default::default();
+        cut(&mut run, &mut self.0, &cells);
+        InPlace(run)
     }
     #[inline(always)]
     fn load<const L: usize>(&self, i: usize, block: usize) -> V<L> {
@@ -165,15 +104,19 @@ impl Populations for InPlace<'_> {
 }
 
 impl Populations for OutOfPlace<'_> {
+    type Run<'b>
+        = OutOfPlace<'b>
+    where
+        Self: 'b;
     #[inline(always)]
-    fn fit(mut self, n: usize) -> Self {
-        for f in &mut self.src {
-            *f = &f[..n];
+    fn run(&mut self, cells: Range<usize>) -> OutOfPlace<'_> {
+        let mut src = self.src;
+        for f in &mut src {
+            *f = &f[cells.clone()];
         }
-        for f in &mut self.dst {
-            *f = &mut std::mem::take(f)[..n];
-        }
-        self
+        let mut dst: [&mut [f64]; Q] = Default::default();
+        cut(&mut dst, &mut self.dst, &cells);
+        OutOfPlace { src, dst }
     }
     #[inline(always)]
     fn load<const L: usize>(&self, i: usize, block: usize) -> V<L> {
@@ -185,6 +128,17 @@ impl Populations for OutOfPlace<'_> {
     }
 }
 
+/// `run[i]` becomes cells `cells` of `f[i]`. A plain loop, not an array
+/// combinator: those are not inlined into a body as large as a collision's,
+/// and the slices' lengths would come back through memory, unknown to the
+/// block loop's bounds checks.
+#[inline(always)]
+fn cut<'b>(run: &mut [&'b mut [f64]; Q], f: &'b mut [&mut [f64]; Q], cells: &Range<usize>) {
+    for (run, f) in run.iter_mut().zip(f) {
+        *run = &mut f[cells.clone()];
+    }
+}
+
 /// A collision's per-cell arithmetic on `L` cells at once: the block's
 /// populations and equilibrium velocities in, each collided population
 /// out through `store(i, value)` as soon as it is formed (holding all 19
@@ -193,20 +147,20 @@ pub(crate) trait Relax {
     fn relax<const L: usize>(&self, fi: [V<L>; Q], u: [V<L>; 3], store: impl FnMut(usize, V<L>));
 }
 
-/// The one body of every lane collision (BGK, TRT) of the cells of `f`
+/// The one body of every collision (BGK, TRT, MRT) of the cells of `f`
 /// at the equilibrium velocities `ueq` (one slice an axis, as long as
 /// `f`'s): 4-cell blocks, then a 1-cell tail of the same code. Called
-/// directly it is the plain instance; [`collide_cells_raw`] runs it
-/// through [`dispatch`].
+/// directly it is the plain instance; [`collide_cells`] runs it through
+/// [`dispatch`].
 #[inline(always)]
-pub(crate) fn collide_lanes<R: Relax, P: Populations>(op: &R, f: P, ueq: [&[f64]; 3]) {
+pub(crate) fn collide_lanes<R: Relax, P: Populations>(op: &R, mut f: P, ueq: [&[f64]; 3]) {
     let n = ueq[0].len();
-    let (mut f, ueq) = (f.fit(n), [&ueq[0][..n], &ueq[1][..n], &ueq[2][..n]]);
+    let (mut f, ueq) = (f.run(0..n), [&ueq[0][..n], &ueq[1][..n], &ueq[2][..n]]);
     for block in 0..n / 4 {
-        collide_block::<4, R, P>(op, &mut f, ueq, block);
+        collide_block::<4, R, _>(op, &mut f, ueq, block);
     }
     for cell in n / 4 * 4..n {
-        collide_block::<1, R, P>(op, &mut f, ueq, cell);
+        collide_block::<1, R, _>(op, &mut f, ueq, cell);
     }
 }
 
@@ -360,6 +314,7 @@ impl Relax for Trt {
 mod tests {
     use super::*;
     use crate::component::ComponentSpec;
+    use crate::mrt::MrtRates;
     use crate::simd::tests::{bits, lcg_fill, runs, slices_mut};
 
     fn make(tau: f64) -> ComponentState {
@@ -633,20 +588,12 @@ mod tests {
             // Unaligned starts; lengths around and across the 4-cell body.
             for (start, n) in [(p + 1, 0), (p + 2, 1), (p + 3, 3), (p, 4), (2 * p + 5, 7), (p + 1, 45)] {
                 let mut slot = vec![f64::NAN; Q * p];
-                let (us, tau) = (u.stride(), c.spec.tau);
-                // Safety: `start + n` lies inside the window, `slot` holds
-                // Q channels of stride `p ≥ n`, and nothing else runs.
-                unsafe {
-                    let (f, ueq) = (c.f.base_ptr().add(start), u.base_ptr().add(start));
-                    collide_cells_raw(op, tau, f, c.f.stride(), slot.as_mut_ptr(), p, ueq, us, n);
-                }
+                let (cells, tau) = (start..start + n, c.spec.tau);
+                let dst = crate::field::runs_mut(&mut slot, p, 0..n);
+                collide_cells(op, tau, OutOfPlace { src: c.f.runs(cells.clone()), dst }, u.runs(cells.clone()));
                 assert_eq!(c.f.to_vec(), before, "{op:?}: the source was written");
                 let mut in_place = c.clone();
-                // Safety: as above, in place over the same cells.
-                unsafe {
-                    let (f, ueq) = (in_place.f.base_mut_ptr().add(start), u.base_ptr().add(start));
-                    collide_cells_raw(op, tau, f, c.f.stride(), f, c.f.stride(), ueq, us, n);
-                }
+                collide_cells(op, tau, InPlace(in_place.f.runs_mut(cells.clone())), u.runs(cells));
                 for i in 0..Q {
                     for q in 0..p {
                         let got = slot[i * p + q];
@@ -715,6 +662,44 @@ mod tests {
         }
     }
 
+    /// Scalar-only reference MRT, the per-cell loop the lane body replaced:
+    /// it skips a moment whose scaled correction is zero. Returns how many
+    /// (cell, moment) pairs it skipped.
+    fn collide_mrt_reference(c: &mut ComponentState, ueq: &SlabArray, rates: MrtRates) -> usize {
+        let (b, s) = (crate::mrt::basis(), crate::mrt::rate_vector(c.spec.tau, rates));
+        let grid = c.grid();
+        let p = grid.plane_cells();
+        let mut skipped = 0;
+        for cell in LocalGrid::FIRST * p..(grid.last() + 1) * p {
+            let fi: [f64; Q] = std::array::from_fn(|i| c.f.at(i, cell));
+            let rho = fi.iter().fold(0.0, |rho, v| rho + v);
+            let u = [ueq.at(0, cell), ueq.at(1, cell), ueq.at(2, cell)];
+            let uu = u[0] * u[0] + u[1] * u[1] + u[2] * u[2];
+            let feq: [f64; Q] = std::array::from_fn(|i| {
+                let e = D3Q19::E[i];
+                let eu = e[0] as f64 * u[0] + e[1] as f64 * u[1] + e[2] as f64 * u[2];
+                D3Q19::W[i] * rho * (1.0 + 3.0 * eu + 4.5 * eu * eu - 1.5 * uu)
+            });
+            let mut delta = [0.0f64; Q];
+            for k in 0..Q {
+                let row = &b.rows[k];
+                let mk = (0..Q).fold(0.0, |mk, i| mk + row[i] * (fi[i] - feq[i]));
+                let scaled = s[k] * mk / b.norm2[k];
+                if scaled != 0.0 {
+                    for i in 0..Q {
+                        delta[i] += row[i] * scaled;
+                    }
+                } else {
+                    skipped += 1;
+                }
+            }
+            for i in 0..Q {
+                c.f.set(i, cell, fi[i] - delta[i]);
+            }
+        }
+        skipped
+    }
+
     /// A windowed component of 75 interior cells (so the channel stride
     /// differs from the window) and velocities of a stride of their own, on
     /// the inputs where folding e·u could change a bit: velocity components
@@ -775,7 +760,7 @@ mod tests {
     fn simd_matches_scalar_bitwise() {
         // The pair-folded BGK body against the textbook per-direction
         // formula: dispatched over the whole interior in place, cell by cell
-        // (1-lane blocks alone) through the raw entry point, and plain and
+        // (1-lane blocks alone) through the operator dispatch, and plain and
         // dispatched over runs of every length.
         let (a, u) = signed_zero_palette(CollisionOperator::Bgk);
         let mut want = a.clone();
@@ -785,14 +770,10 @@ mod tests {
         collide(&mut whole, &u);
         assert!(state_bits(&whole) == state_bits(&want), "folded BGK (dispatched) differs from the textbook formula");
         let mut scalar = a.clone();
-        let (grid, ss, us, op) = (a.grid(), scalar.f.stride(), u.stride(), scalar.spec.collision);
+        let (grid, op) = (a.grid(), scalar.spec.collision);
         let p = grid.plane_cells();
         for cell in p..p + grid.nx_local() * p {
-            // SAFETY: one interior cell of each array, collided in place.
-            unsafe {
-                let (f, ueq) = (scalar.f.base_mut_ptr().add(cell), u.base_ptr().add(cell));
-                collide_cells_raw(op, 0.71, f, ss, f, ss, ueq, us, 1);
-            }
+            collide_cells(op, 0.71, InPlace(scalar.f.runs_mut(cell..cell + 1)), u.runs(cell..cell + 1));
         }
         assert!(state_bits(&scalar) == state_bits(&want), "folded BGK (cell by cell) differs from the textbook formula");
         lanes_match(&Bgk { omega: 1.0 / 0.71 }, &a, &u, &want);
@@ -810,6 +791,31 @@ mod tests {
         collide(&mut whole, &u);
         assert!(bits(&whole.f.to_vec()) == bits(&want.f.to_vec()), "TRT (dispatched) differs from the scalar loop");
         lanes_match(&Trt::new(0.71, 3.0 / 16.0), &a, &u, &want);
+    }
+
+    #[test]
+    fn mrt_lanes_match_the_textbook_loop_bitwise() {
+        // MRT's lane body, plain and dispatched, in place and out of place,
+        // against the per-cell loop it replaced, which skips a moment whose
+        // scaled correction is zero where the body adds it: on BGK's
+        // signed-zero palette, with every fifth interior cell emptied to
+        // populations of ±0.0, whose every moment the loop skips.
+        let rates = MrtRates::standard();
+        let (mut a, u) = signed_zero_palette(CollisionOperator::Mrt(rates));
+        let p = a.grid().plane_cells();
+        let empty: Vec<usize> = (p..p + a.grid().nx_local() * p).filter(|cell| cell % 5 == 2).collect();
+        for &cell in &empty {
+            for i in 0..Q {
+                a.f.set(i, cell, if i % 2 == 0 { 0.0 } else { -0.0 });
+            }
+        }
+        let mut want = a.clone();
+        let skipped = collide_mrt_reference(&mut want, &u, rates);
+        assert!(skipped >= Q * empty.len(), "the skip was not exercised ({skipped} moments skipped)");
+        let mut whole = a.clone();
+        collide(&mut whole, &u);
+        assert!(bits(&whole.f.to_vec()) == bits(&want.f.to_vec()), "MRT (dispatched) differs from the scalar loop");
+        lanes_match(&Mrt::new(0.71, rates), &a, &u, &want);
     }
 
     #[test]

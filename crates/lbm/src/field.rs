@@ -2,9 +2,9 @@
     unsafe_code,
     reason = "madvise on memory the array owns exclusively: MADV_DONTNEED on whole \
               pages of storage planes a slab's window has just left, or that a \
-              consuming capture has passed (through the window's base pointer), \
-              MADV_HUGEPAGE on the 2 MiB-aligned interior of each channel's window \
-              (a paging hint that keeps every value); mincore in residency tests"
+              consuming capture has passed, MADV_HUGEPAGE on the 2 MiB-aligned \
+              interior of each channel's window (a paging hint that keeps every \
+              value); mincore in residency tests"
 )]
 //! Flat structure-of-arrays field storage for slab subdomains.
 //!
@@ -95,8 +95,7 @@ impl LocalGrid {
 /// plane_cells` values, of which the grid is the **window** of `lx` planes
 /// starting at storage plane `off`. Every accessor — indexing, slices,
 /// `==`, `clone()`, `Debug` — reads and writes the window only; kernels get
-/// the window's base pointer and the storage channel [`stride`](Self::stride)
-/// and keep their loop extents local. Moving the window
+/// slices of window cells, one a channel, and keep their loop extents local. Moving the window
 /// ([`set_window`](Self::set_window)) is how a slab gains and loses planes
 /// without its surviving planes being copied. Slots outside the window hold
 /// unspecified values nothing reads, and (to page granularity) no memory:
@@ -175,19 +174,6 @@ impl SlabArray {
         self.off * self.grid.plane_cells()
     }
 
-    /// Pointer to window cell 0 of channel 0: cell `cell` of channel `ch`
-    /// is at `base_ptr().add(ch * stride() + cell)` for `cell <
-    /// grid().cells()`.
-    pub fn base_ptr(&self) -> *const f64 {
-        self.data[self.base()..].as_ptr()
-    }
-
-    /// Mutable [`base_ptr`](Self::base_ptr).
-    pub fn base_mut_ptr(&mut self) -> *mut f64 {
-        let base = self.base();
-        self.data[base..].as_mut_ptr()
-    }
-
     /// Value of `(ch, cell)`.
     #[inline(always)]
     pub fn at(&self, ch: usize, cell: usize) -> f64 {
@@ -215,11 +201,27 @@ impl SlabArray {
         &mut self.data[start..start + self.grid.cells()]
     }
 
-    /// Window cells `cells` of the first three channels (the axes of a
-    /// vector field), all three borrowed at once.
-    pub(crate) fn axes_mut(&mut self, cells: Range<usize>) -> [&mut [f64]; 3] {
+    /// Window cells `cells` of the first `N` channels.
+    pub(crate) fn runs<const N: usize>(&self, cells: Range<usize>) -> [&[f64]; N] {
+        std::array::from_fn(|ch| &self.channel(ch)[cells.clone()])
+    }
+
+    /// Mutable [`runs`](Self::runs), all `N` borrowed at once.
+    pub(crate) fn runs_mut<const N: usize>(&mut self, cells: Range<usize>) -> [&mut [f64]; N] {
         let (base, stride) = (self.base(), self.stride());
-        axes_mut(&mut self.data, stride, base + cells.start..base + cells.end)
+        runs_mut(&mut self.data, stride, base + cells.start..base + cells.end)
+    }
+
+    /// Local plane `xl` of the first `N` channels.
+    pub(crate) fn plane<const N: usize>(&self, xl: usize) -> [&[f64]; N] {
+        let p = self.grid.plane_cells();
+        self.runs(xl * p..(xl + 1) * p)
+    }
+
+    /// Mutable [`plane`](Self::plane).
+    pub(crate) fn plane_mut<const N: usize>(&mut self, xl: usize) -> [&mut [f64]; N] {
+        let p = self.grid.plane_cells();
+        self.runs_mut(xl * p..(xl + 1) * p)
     }
 
     /// The window's values, channel-major.
@@ -257,8 +259,8 @@ impl SlabArray {
     /// the slab.
     pub fn set_window(&mut self, off: usize, nx_local: usize) {
         let grid = LocalGrid::new(nx_local, self.grid.ny, self.grid.nz);
-        // Not a debug_assert: kernels address the window through raw
-        // pointers, so memory safety rests on it lying inside the storage.
+        // Not a debug_assert: a window past the storage would otherwise
+        // surface as an index panic inside the first kernel to reach it.
         assert!(off + grid.lx <= self.cap_planes, "window outside the storage capacity");
         // Storage planes the old window covered and the new one does not,
         // on its left and on its right.
@@ -275,64 +277,34 @@ impl SlabArray {
     }
 }
 
-/// The three axis channels of a 3-channel buffer of channel stride
-/// `stride`, cells `cells` of each.
-pub(crate) fn axes(buf: &[f64], stride: usize, cells: Range<usize>) -> [&[f64]; 3] {
-    std::array::from_fn(|a| &buf[a * stride..][cells.clone()])
+/// The first `N` channels of a buffer of channel stride `stride`, cells
+/// `cells` of each.
+pub(crate) fn runs<const N: usize>(buf: &[f64], stride: usize, cells: Range<usize>) -> [&[f64]; N] {
+    std::array::from_fn(|ch| &buf[ch * stride..][cells.clone()])
 }
 
-/// Mutable [`axes`], all three borrowed at once.
-pub(crate) fn axes_mut(buf: &mut [f64], stride: usize, cells: Range<usize>) -> [&mut [f64]; 3] {
-    let (x, rest) = buf.split_at_mut(stride);
-    let (y, z) = rest.split_at_mut(stride);
-    [x, y, z].map(|axis| &mut axis[cells.clone()])
-}
-
-/// A [`SlabArray`]'s window as a capture that consumes it sees it: the
-/// planes it has passed go back to the OS while it still reads the planes
-/// ahead through the window's base pointer ([`SlabArray::plane_release`]).
-pub(crate) struct PlaneRelease {
-    /// Window cell 0 of channel 0.
-    base: *mut f64,
-    stride: usize,
-    channels: usize,
-    plane: usize,
-    lx: usize,
-    /// Window planes handed back so far.
-    done: usize,
+/// Mutable [`runs`], all `N` borrowed at once.
+pub(crate) fn runs_mut<const N: usize>(mut buf: &mut [f64], stride: usize, cells: Range<usize>) -> [&mut [f64]; N] {
+    std::array::from_fn(|_| {
+        let (channel, rest) = std::mem::take(&mut buf).split_at_mut(stride);
+        buf = rest;
+        &mut channel[cells.clone()]
+    })
 }
 
 impl SlabArray {
-    /// The window's storage, for a capture that consumes the array to hand
-    /// back plane by plane from the left ([`PlaneRelease::release_below`]).
-    pub(crate) fn plane_release(&mut self) -> PlaneRelease {
-        let (stride, channels, plane, lx) = (self.stride(), self.channels, self.grid.plane_cells(), self.grid.lx);
-        PlaneRelease { base: self.base_mut_ptr(), stride, channels, plane, lx, done: 0 }
-    }
-}
-
-impl PlaneRelease {
-    /// Hands back every whole page of window planes `..end` in every
-    /// channel, from the page the first plane not handed back yet shares
-    /// with the plane below it: no call released that page, as it reached
-    /// past the planes the call was given.
-    ///
-    /// # Safety
-    ///
-    /// The array outlives `self` and its window has not moved; nothing reads
-    /// planes `..end` of the window afterwards (they hold unspecified
-    /// values), and nothing else accesses them meanwhile.
-    pub(crate) unsafe fn release_below(&mut self, end: usize) {
-        assert!(end <= self.lx, "plane outside the window");
-        if end <= self.done {
-            return;
+    /// Hands back every whole page of window planes `planes` in every
+    /// channel, from the page their first plane shares with the plane below
+    /// it: a consuming capture's planes passed since its last hand-back,
+    /// which released none of that page, as it reached past the planes it
+    /// was given. The planes hold unspecified values afterwards.
+    pub(crate) fn release_window_planes(&mut self, planes: Range<usize>) {
+        assert!(planes.end <= self.grid.lx, "plane outside the window");
+        let (p, base, stride) = (self.grid.plane_cells(), self.base(), self.stride());
+        let from = (planes.start * p).saturating_sub(PAGE / std::mem::size_of::<f64>());
+        for channel in self.data.chunks_exact_mut(stride) {
+            release(&mut channel[base + from..base + planes.end * p]);
         }
-        let from = (self.done * self.plane).saturating_sub(PAGE / std::mem::size_of::<f64>());
-        let to = end * self.plane;
-        for ch in 0..self.channels {
-            release(std::slice::from_raw_parts_mut(self.base.add(ch * self.stride + from), to - from));
-        }
-        self.done = end;
     }
 }
 
@@ -692,14 +664,9 @@ pub(crate) mod tests {
             }
         }
         let before = a.clone();
-        let mut release = a.plane_release();
-        // SAFETY: `a` outlives `release` and keeps its window, and nothing
-        // below reads the planes handed back.
-        unsafe {
-            release.release_below(5);
-            release.release_below(9);
-            release.release_below(9);
-        }
+        a.release_window_planes(0..5);
+        a.release_window_planes(5..9);
+        a.release_window_planes(9..9);
         assert_eq!(a.resident_plane_bytes(0..9), 0, "a page below plane 9 is still resident");
         assert!(a.resident_plane_bytes(9..grid.lx) > 0);
         for xl in 9..grid.lx {

@@ -1,8 +1,3 @@
-#![expect(
-    unsafe_code,
-    reason = "the two-pass reference's force pass loads each plane's psi from the \
-              populations through the plane collision's window pointer"
-)]
 //! Force computation: Shan–Chen interparticle interaction, hydrophobic wall
 //! forces, and the uniform body force driving the flow.
 //!
@@ -536,8 +531,7 @@ pub fn compute_forces(
     let p = grid.plane_cells();
     let mut collision = PlaneCollision::new(comps, (coupling, wall, body), solid);
     for y in 0..grid.lx {
-        // Safety: plane `y` lies in the window, and nothing writes it.
-        unsafe { collision.load(comps, y, false) };
+        collision.load(comps, y, false);
         if y >= 2 {
             for ((.., force), out) in collision.forces(y - 1).into_iter().zip(out.iter_mut()) {
                 for a in 0..3 {

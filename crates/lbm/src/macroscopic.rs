@@ -1,10 +1,3 @@
-#![expect(
-    unsafe_code,
-    reason = "the moments entry point turns a run of cells of the window (window base \
-              + storage channel stride) and its psi and momentum outputs into slices \
-              once; the capture loads each plane through the plane collision's window \
-              pointer and hands back the planes it has passed"
-)]
 //! Macroscopic quantities: number density, mass density, momentum and the
 //! physical velocity field.
 //!
@@ -28,12 +21,14 @@
 //! [`edge_psi`] ψ of a slab's edge planes for the ψ exchange, and the
 //! checkpoint codec the ψ channel of every plane record.
 
+use std::ops::Range;
+
 use crate::component::ComponentState;
-use crate::field::{LocalGrid, PlaneRelease, SlabArray};
-use crate::multicomponent::PlaneCollision;
+use crate::field::{LocalGrid, SlabArray};
 use crate::geometry::Slab;
 use crate::lattice::{Lattice, D3Q19};
-use crate::simd::{dispatch, V};
+use crate::multicomponent::{Forcing, PlaneCollision};
+use crate::simd::{blocks, dispatch, V};
 
 const Q: usize = D3Q19::Q;
 
@@ -49,41 +44,17 @@ pub fn edge_psi(comp: &mut ComponentState) {
 /// ψ = Σ_i f_i of local plane `xl` of the populations `f` into `out`
 /// (`plane_cells` values).
 pub(crate) fn plane_psi(f: &SlabArray, xl: usize, out: &mut [f64]) {
-    let p = f.grid().plane_cells();
-    assert!(out.len() == p);
-    let f: [&[f64]; Q] = std::array::from_fn(|i| &f.channel(i)[xl * p..(xl + 1) * p]);
+    assert!(out.len() == f.grid().plane_cells());
+    let f: [&[f64]; Q] = f.plane(xl);
     dispatch(#[inline(always)] || moments(f, Some(out), None));
-}
-
-/// [`moments`] of `n` consecutive cells through raw pointers: builds the
-/// slices of the cells once and runs the dispatched body.
-///
-/// # Safety
-///
-/// `f` must point at channel 0 of the first cell of a Q-channel
-/// channel-major array of channel stride `f_stride`, `psi` at the first
-/// cell's ψ and `j` at axis 0 of the first cell of a 3-channel array of
-/// the given channel stride, all valid for `n` cells per channel; outputs
-/// must not overlap `f`, and no other thread may access them meanwhile.
-pub(crate) unsafe fn moments_raw(
-    f: *const f64,
-    f_stride: usize,
-    psi: Option<*mut f64>,
-    j: Option<(*mut f64, usize)>,
-    n: usize,
-) {
-    use std::slice::{from_raw_parts, from_raw_parts_mut};
-    let f: [&[f64]; Q] = std::array::from_fn(|i| from_raw_parts(f.add(i * f_stride), n));
-    let psi = psi.map(|psi| from_raw_parts_mut(psi, n));
-    let j = j.map(|(j, stride)| std::array::from_fn(|a| from_raw_parts_mut(j.add(a * stride), n)));
-    dispatch(#[inline(always)] || moments(f, psi, j));
 }
 
 /// The moments body: for each cell of `f` (one slice a channel), ψ = Σ_i
 /// f_i into `psi` and j_a = Σ_i f_i e_ia into `j[a]`, each only if asked
 /// for; every sum over ascending channels from +0.0 with the `e_ia = 0`
 /// terms skipped (they would only add ±0.0 to an accumulator that is never
-/// −0.0). 4-cell blocks, then a 1-cell tail of the same code; called
+/// −0.0). 4-cell blocks ([`blocks`]: the ψ-only instance, unfenced, is
+/// widened into transposes), then a 1-cell tail of the same code; called
 /// directly it is the plain instance.
 #[inline(always)]
 pub(crate) fn moments(f: [&[f64]; Q], psi: Option<&mut [f64]>, j: Option<[&mut [f64]; 3]>) {
@@ -93,7 +64,7 @@ pub(crate) fn moments(f: [&[f64]; Q], psi: Option<&mut [f64]>, j: Option<[&mut [
     }
     let mut psi = psi.map(|psi| &mut psi[..n]);
     let mut j = j.map(|[x, y, z]| [&mut x[..n], &mut y[..n], &mut z[..n]]);
-    for block in 0..n / 4 {
+    for block in blocks(n) {
         moments_block::<4>(f, psi.as_deref_mut(), j.as_mut(), block);
     }
     for cell in n / 4 * 4..n {
@@ -315,41 +286,60 @@ impl SnapshotSlab<'_> {
 /// snapshot's planes fill (EXPERIMENTS.md, "A run ends in its snapshot").
 pub(crate) const RELEASE_BATCH: usize = 4;
 
+/// The populations a capture reads: kept whole (`&[ComponentState]`), or
+/// handed back plane by plane as the capture passes them (`&mut
+/// [ComponentState]`, a capture that consumes its slab).
+pub(crate) trait Captured {
+    fn comps(&self) -> &[ComponentState];
+    /// Window planes `planes` of every component are passed for good.
+    fn passed(&mut self, planes: Range<usize>);
+}
+
+impl Captured for &[ComponentState] {
+    fn comps(&self) -> &[ComponentState] {
+        self
+    }
+    fn passed(&mut self, _: Range<usize>) {}
+}
+
+impl Captured for &mut [ComponentState] {
+    fn comps(&self) -> &[ComponentState] {
+        self
+    }
+    fn passed(&mut self, planes: Range<usize>) {
+        for c in self.iter_mut() {
+            c.f.release_window_planes(planes.clone());
+        }
+    }
+}
+
 /// Captures the interior of a slab into `out`: ρ from ψ, and the velocity
 /// from j plus half of the force density — ψ and j loaded plane by plane
 /// one plane ahead, the force recomputed from ψ of the planes around, as a
 /// collision does it ([`PlaneCollision`]); the state holds none of them
-/// over the slab. Each of `release` (the populations of `comps`, or none)
-/// gets the planes the capture has passed back, every [`RELEASE_BATCH`]
-/// planes: a capture that consumes its slab holds both whole only at the
-/// start.
-pub(crate) fn capture(
-    comps: &[ComponentState],
-    collision: &mut PlaneCollision<'_>,
-    out: SnapshotSlab<'_>,
-    release: &mut [PlaneRelease],
-) {
-    let grid = comps[0].grid();
+/// over the slab. The planes passed are [`Captured::passed`] every
+/// [`RELEASE_BATCH`] planes: a capture that consumes its slab holds both
+/// whole only at the start.
+pub(crate) fn capture(mut comps: impl Captured, forcing: Forcing<'_>, solid: &[bool], out: SnapshotSlab<'_>) {
+    let mut collision = PlaneCollision::new(comps.comps(), forcing, solid);
+    let grid = comps.comps()[0].grid();
     let SnapshotSlab { slab, ny, nz, mut rho, velocity } = out;
     assert!(
-        (slab.nx_local, ny, nz, comps.len()) == (grid.nx_local(), grid.ny, grid.nz, rho.len()),
+        (slab.nx_local, ny, nz, comps.comps().len()) == (grid.nx_local(), grid.ny, grid.nz, rho.len()),
         "snapshot shape differs from the slab"
     );
     let (p, last) = (grid.plane_cells(), grid.last());
-    // Safety: every plane loaded lies in the window, and nothing writes it.
-    unsafe {
-        collision.load(comps, 0, false);
-        collision.load(comps, LocalGrid::FIRST, true);
-    }
+    collision.load(comps.comps(), 0, false);
+    collision.load(comps.comps(), LocalGrid::FIRST, true);
+    let mut passed = 0;
     for xl in LocalGrid::FIRST..=last {
-        // Safety: as above.
-        unsafe { collision.load(comps, xl + 1, xl < last) };
+        collision.load(comps.comps(), xl + 1, xl < last);
         let out = (xl - 1) * p;
         let u = &mut velocity[3 * out..3 * (out + p)];
         u.fill(0.0);
         // The momentum summed in place in `velocity`, the components
         // accumulating per cell in ascending order.
-        for ((c, rho), (psi, j, force)) in comps.iter().zip(rho.iter_mut()).zip(collision.forces(xl)) {
+        for ((c, rho), (psi, j, force)) in comps.comps().iter().zip(rho.iter_mut()).zip(collision.forces(xl)) {
             let m = c.spec.mass;
             for (rho, psi) in rho[out..out + p].iter_mut().zip(psi) {
                 *rho = m * psi;
@@ -368,11 +358,10 @@ pub(crate) fn capture(
             }
         }
         if xl % RELEASE_BATCH == 0 {
-            for planes in release.iter_mut() {
-                // Safety: ψ and j of planes ..= xl + 1 were loaded, and no
-                // plane is loaded twice.
-                unsafe { planes.release_below(xl + 1) };
-            }
+            // ψ and j of planes ..= xl + 1 are loaded, and none is loaded
+            // twice.
+            comps.passed(passed..xl + 1);
+            passed = xl + 1;
         }
     }
 }
@@ -414,6 +403,7 @@ pub(crate) mod tests {
 
     #[test]
     fn moments_avx2_matches_scalar_bitwise() {
+        use crate::field::runs_mut;
         use crate::simd::tests::{bits, lcg_fill, runs, slices_mut};
         // A windowed component, so the channel stride (the whole channel's
         // capacity) differs from the window the body runs over.
@@ -436,22 +426,22 @@ pub(crate) mod tests {
             let cells = start..start + n;
             let want_psi: Vec<f64> = cells.clone().map(|q| (0..Q).fold(0.0, |acc, i| acc + c.f.at(i, q))).collect();
             let want_j: Vec<Vec<f64>> = (0..3).map(|a| cells.clone().map(|q| raw_momentum(&c, q)[a]).collect()).collect();
-            let f: [&[f64]; Q] = std::array::from_fn(|i| &c.f.channel(i)[cells.clone()]);
-            // The plain body, then the dispatched one through the raw entry
-            // point (rows of j a stride apart that is not the run's length).
+            let f: [&[f64]; Q] = c.f.runs(cells.clone());
+            // The plain body, then the dispatched one (rows of j a stride
+            // apart that is not the run's length).
             let (mut psi, mut j) = (vec![f64::NAN; n], vec![vec![f64::NAN; n]; 3]);
             moments(f, Some(&mut psi), Some(slices_mut(&mut j)));
             assert_eq!(bits(&psi), bits(&want_psi), "plain ψ of {n} cells at {start}");
             assert_eq!(j.iter().map(|j| bits(j)).collect::<Vec<_>>(), want_j.iter().map(|j| bits(j)).collect::<Vec<_>>(), "plain j of {n} cells at {start}");
             let (mut psi, j_stride) = (vec![f64::NAN; n], n + 2);
             let mut j = vec![f64::NAN; 3 * j_stride];
-            // SAFETY: cells start..start + n lie in the window of `c.f`, ψ
-            // holds n cells and j 3 rows of j_stride ≥ n.
-            unsafe {
-                let f = c.f.base_ptr().add(start);
-                moments_raw(f, c.f.stride(), Some(psi.as_mut_ptr()), Some((j.as_mut_ptr(), j_stride)), n)
-            };
+            let rows = runs_mut(&mut j, j_stride, 0..n);
+            dispatch(#[inline(always)] || moments(f, Some(&mut psi), Some(rows)));
             assert_eq!(bits(&psi), bits(&want_psi), "dispatched ψ of {n} cells at {start}");
+            // The ψ-only instance `plane_psi` dispatches.
+            let mut psi = vec![f64::NAN; n];
+            dispatch(#[inline(always)] || moments(f, Some(&mut psi), None));
+            assert_eq!(bits(&psi), bits(&want_psi), "dispatched ψ alone of {n} cells at {start}");
             for a in 0..3 {
                 assert_eq!(bits(&j[a * j_stride..][..n]), bits(&want_j[a]), "dispatched j[{a}] of {n} cells at {start}");
             }

@@ -1,9 +1,3 @@
-#![expect(
-    unsafe_code,
-    reason = "MRT collision kernel via raw pointers, one src/dst body: in place over \
-              disjoint cell ranges of the window (window base + storage channel \
-              stride), or from the window into a ring slot that aliases nothing"
-)]
 //! Multiple-relaxation-time (MRT) collision for D3Q19.
 //!
 //! The d'Humières-style operator: populations are transformed to a moment
@@ -28,7 +22,11 @@
 
 use std::sync::OnceLock;
 
+use crate::collision::Relax;
 use crate::lattice::{Lattice, D3Q19};
+use crate::simd::V;
+
+const Q: usize = D3Q19::Q;
 
 /// Relaxation rates for the non-hydrodynamic (ghost) moment families.
 /// The shear-stress and momentum rates always come from the component's τ.
@@ -184,60 +182,54 @@ pub fn rate_vector(tau: f64, rates: MrtRates) -> [f64; 19] {
     s
 }
 
-/// MRT collision of `n` cells from `src` into `dst` (in place when they
-/// are the same). Safety: see [`crate::collision::collide_cells_raw`].
-#[expect(
-    clippy::too_many_arguments,
-    reason = "a raw kernel takes its pointers, strides and relaxation rates as scalars"
-)]
-pub(crate) unsafe fn collide_mrt_raw(
-    tau: f64,
-    rates: MrtRates,
-    src: *const f64,
-    ss: usize,
-    dst: *mut f64,
-    ds: usize,
-    ueq: *const f64,
-    us: usize,
-    n: usize,
-) {
-    let b = basis();
-    let s = rate_vector(tau, rates);
+/// The MRT collision as a [`Relax`]: the rate vector of a component and
+/// the shared basis. Per cell, n over ascending channels from +0.0, the
+/// textbook per-direction `f_eq`, then `Δf` accumulated moment by moment.
+pub(crate) struct Mrt {
+    s: [f64; 19],
+    basis: &'static MomentBasis,
+}
 
-    let mut feq = [0.0f64; 19];
-    for cell in 0..n {
-        let mut fi = [0.0f64; 19];
-        let mut rho = 0.0;
-        for i in 0..D3Q19::Q {
-            let v = *src.add(i * ss + cell);
-            fi[i] = v;
-            rho += v;
+impl Mrt {
+    pub(crate) fn new(tau: f64, rates: MrtRates) -> Mrt {
+        Mrt { s: rate_vector(tau, rates), basis: basis() }
+    }
+}
+
+impl Relax for Mrt {
+    #[inline(always)]
+    fn relax<const L: usize>(&self, fi: [V<L>; Q], u: [V<L>; 3], mut store: impl FnMut(usize, V<L>)) {
+        let b = self.basis;
+        let mut rho = V::splat(0.0);
+        for &v in &fi {
+            rho = rho + v;
         }
-        let u = [*ueq.add(cell), *ueq.add(us + cell), *ueq.add(2 * us + cell)];
         let uu = u[0] * u[0] + u[1] * u[1] + u[2] * u[2];
-        for i in 0..D3Q19::Q {
+        let mut feq = [V::splat(0.0); Q];
+        for i in 0..Q {
             let e = D3Q19::E[i];
             let eu = e[0] as f64 * u[0] + e[1] as f64 * u[1] + e[2] as f64 * u[2];
             feq[i] = D3Q19::W[i] * rho * (1.0 + 3.0 * eu + 4.5 * eu * eu - 1.5 * uu);
         }
         // Relax in moment space: accumulate the post-collision correction
-        // Δf = Mᵀ D⁻¹ S M (f − f_eq) and subtract.
-        let mut delta = [0.0f64; 19];
-        for k in 0..19 {
+        // Δf = Mᵀ D⁻¹ S M (f − f_eq) and subtract. A moment already at its
+        // equilibrium adds row·(+0.0) terms, ±0.0, to a `delta` that starts
+        // at +0.0 and is never −0.0 (round to nearest), so it is added
+        // like any other.
+        let mut delta = [V::splat(0.0); Q];
+        for k in 0..Q {
             let row = &b.rows[k];
-            let mut mk = 0.0;
-            for i in 0..19 {
-                mk += row[i] * (fi[i] - feq[i]);
+            let mut mk = V::splat(0.0);
+            for i in 0..Q {
+                mk = mk + row[i] * (fi[i] - feq[i]);
             }
-            let scaled = s[k] * mk / b.norm2[k];
-            if scaled != 0.0 {
-                for i in 0..19 {
-                    delta[i] += row[i] * scaled;
-                }
+            let scaled = self.s[k] * mk / b.norm2[k];
+            for i in 0..Q {
+                delta[i] = delta[i] + row[i] * scaled;
             }
         }
-        for i in 0..19 {
-            *dst.add(i * ds + cell) = fi[i] - delta[i];
+        for i in 0..Q {
+            store(i, fi[i] - delta[i]);
         }
     }
 }

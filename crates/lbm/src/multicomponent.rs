@@ -1,9 +1,3 @@
-#![expect(
-    unsafe_code,
-    reason = "the plane collision's per-component raw pointers: f at the window base, \
-              read only while the cells it addresses are uncollided, and the plane each \
-              collision writes (in place, or a ring slot that aliases nothing)"
-)]
 //! Shan–Chen multicomponent coupling: the common velocity and the
 //! per-component equilibrium velocities, formed just before a collision
 //! (paper §2.1, pseudo-code line 17, for line 4):
@@ -27,11 +21,12 @@
 //! [`crate::simd::dispatch`]); each cell's momentum is read for every
 //! component before any `u_eq` slot is overwritten.
 
+use crate::collision::{collide_cells, InPlace, Populations};
 use crate::component::{CollisionOperator, ComponentState, CouplingMatrix};
-use crate::field::{axes, axes_mut, LocalGrid, SlabArray};
+use crate::field::{runs, runs_mut, LocalGrid, SlabArray};
 use crate::force::{ForcePlanes, WallForce};
 use crate::lattice::{Lattice, D3Q19};
-use crate::macroscopic::{moments, moments_raw};
+use crate::macroscopic::moments;
 use crate::simd::{dispatch, V};
 
 /// Density floor below which the force shift is suppressed to avoid
@@ -99,11 +94,9 @@ const COLLISION_BLOCK_CELLS: usize = 1024;
 /// state: the coupling, the wall force and the body force.
 pub(crate) type Forcing<'a> = (&'a CouplingMatrix, &'a WallForce, [f64; 3]);
 
-/// One component of a [`PlaneCollision`]: `f` at the window base, the
-/// operator, a force plane and j of two planes, turned into `u_σ^eq` in
-/// place.
+/// One component of a [`PlaneCollision`]: the operator, a force plane and
+/// j of two planes, turned into `u_σ^eq` in place.
 struct Part {
-    f: *const f64,
     op: CollisionOperator,
     tau: f64,
     mass: f64,
@@ -125,8 +118,7 @@ struct Part {
 pub(crate) struct PlaneCollision<'a> {
     forces: ForcePlanes<'a>,
     parts: Vec<Part>,
-    /// Channel stride of `f`; cells of a plane and of a row block.
-    cells: usize,
+    /// Cells of a plane and of a row block.
     plane: usize,
     block: usize,
 }
@@ -139,7 +131,6 @@ impl<'a> PlaneCollision<'a> {
         let parts = comps
             .iter()
             .map(|c| Part {
-                f: c.f.base_ptr(),
                 op: c.spec.collision,
                 tau: c.spec.tau,
                 mass: c.spec.mass,
@@ -150,26 +141,29 @@ impl<'a> PlaneCollision<'a> {
             .collect();
         let (coupling, wall, body) = forcing;
         let forces = ForcePlanes::new(comps.iter().map(|c| &c.spec), coupling, wall, body, grid, solid);
-        PlaneCollision { forces, parts, cells: comps[0].f.stride(), plane: p, block }
+        PlaneCollision { forces, parts, plane: p, block }
     }
 
     /// ψ of plane `y` of every component into the force kernel's ring — as
     /// `halo_psi` keeps it, or else from the populations — and j too if `j`,
     /// into the buffer of `y % 2`; one pass over the populations for both.
-    ///
-    /// # Safety
-    ///
-    /// `comps` are this collision's, plane `y` lies in their window, the
-    /// populations read are the phase boundary's, and no one writes them.
-    pub(crate) unsafe fn load(&mut self, comps: &[ComponentState], y: usize, j: bool) {
-        let (p, cells) = (self.plane, self.cells);
+    /// `comps` are this collision's, and their plane `y` holds the phase
+    /// boundary's populations.
+    pub(crate) fn load(&mut self, comps: &[ComponentState], y: usize, j: bool) {
+        let p = self.plane;
         for (a, (c, part)) in comps.iter().zip(&mut self.parts).enumerate() {
             let ring = self.forces.psi_mut(a, y);
-            let kept = c.kept_psi(y).map(|kept| ring.copy_from_slice(kept));
-            let psi = kept.is_none().then_some(ring.as_mut_ptr());
-            let j = j.then(|| (part.ueq[y % 2].as_mut_ptr(), p));
+            let psi = match c.kept_psi(y) {
+                Some(kept) => {
+                    ring.copy_from_slice(kept);
+                    None
+                }
+                None => Some(ring),
+            };
+            let j = j.then(|| runs_mut(&mut part.ueq[y % 2], p, 0..p));
             if psi.is_some() || j.is_some() {
-                moments_raw(part.f.add(y * p), cells, psi, j, p);
+                let f = c.f.plane(y);
+                dispatch(#[inline(always)] || moments(f, psi, j));
             }
         }
         self.forces.entered(y);
@@ -185,38 +179,33 @@ impl<'a> PlaneCollision<'a> {
         parts.iter().enumerate().map(|(a, part)| (forces.psi(a, xl), &part.ueq[xl % 2][..], &part.force[..])).collect()
     }
 
-    /// Collides interior plane `xl` of every component from `f` into
-    /// `dst[a]` (Q channels of stride `dst_stride`, plane-relative cells).
-    ///
-    /// # Safety
-    ///
-    /// ψ of planes `xl − 1 ..= xl + 1` and j of plane `xl` were loaded last
-    /// among their slots; `dst[a]` is plane `xl` of component `a`'s `f` (in
-    /// place) or Q channels of plane cells aliasing nothing the collision
-    /// reads; plane `xl` holds the phase boundary's populations, and no one
-    /// else accesses it meanwhile.
-    pub(crate) unsafe fn collide(&mut self, xl: usize, dst: &[*mut f64], dst_stride: usize) {
-        let (p, block, cells) = (self.plane, self.block, self.cells);
+    /// Collides interior plane `xl` of every component: `pops[a]` is its
+    /// plane of component `a`, in place ([`InPlace`]) or from `f` into a
+    /// ring slot ([`crate::collision::OutOfPlace`]). ψ of planes `xl − 1
+    /// ..= xl + 1` and j of plane `xl` must have been loaded last among
+    /// their slots, and plane `xl` must hold the phase boundary's
+    /// populations.
+    pub(crate) fn collide(&mut self, xl: usize, pops: &mut [impl Populations]) {
+        let (p, block) = (self.plane, self.block);
         let PlaneCollision { forces, parts, .. } = self;
         forces.plane(xl, parts.iter_mut().map(|part| &mut part.force[..]));
         for q0 in (0..p).step_by(block) {
-            let (at, n) = (xl * p + q0, block.min(p - q0));
-            let run = q0..q0 + n;
+            let run = q0..q0 + block.min(p - q0);
             let mut views: Vec<CompView<'_>> = parts
                 .iter_mut()
                 .enumerate()
                 .map(|(a, part)| CompView {
                     psi: &forces.psi(a, xl)[run.clone()],
-                    force: axes(&part.force, p, run.clone()),
-                    ueq: axes_mut(&mut part.ueq[xl % 2], p, run.clone()),
+                    force: runs(&part.force, p, run.clone()),
+                    ueq: runs_mut(&mut part.ueq[xl % 2], p, run.clone()),
                     mass: part.mass,
                     momentum_tau: part.momentum_tau,
                 })
                 .collect();
             dispatch(#[inline(always)] || update_cells(&mut views));
-            for (part, &dst) in parts.iter().zip(dst) {
-                let ueq = part.ueq[xl % 2][q0..].as_ptr();
-                crate::collision::collide_cells_raw(part.op, part.tau, part.f.add(at), cells, dst.add(q0), dst_stride, ueq, p, n);
+            for (part, pops) in parts.iter().zip(pops.iter_mut()) {
+                let ueq = runs(&part.ueq[xl % 2], p, run.clone());
+                collide_cells(part.op, part.tau, pops.run(run.clone()), ueq);
             }
         }
     }
@@ -227,27 +216,23 @@ impl<'a> PlaneCollision<'a> {
 /// around it — loaded, with j of both edges, before either is collided.
 pub(crate) fn collide_edges(comps: &mut [ComponentState], forcing: Forcing<'_>, solid: &[bool]) {
     let (first, last) = (LocalGrid::FIRST, comps[0].grid().last());
-    let (p, cells) = (comps[0].grid().plane_cells(), comps[0].f.stride());
-    let f: Vec<*mut f64> = comps.iter_mut().map(|c| c.f.base_mut_ptr()).collect();
-    // Safety: plane `xl` of every window.
-    let at = |xl: usize| -> Vec<*mut f64> { f.iter().map(|f| unsafe { f.add(xl * p) }).collect() };
+    fn in_place(comps: &mut [ComponentState], xl: usize) -> Vec<InPlace<'_>> {
+        comps.iter_mut().map(|c| InPlace(c.f.plane_mut(xl))).collect()
+    }
     let mut collision = PlaneCollision::new(comps, forcing, solid);
-    // Safety: every plane loaded is in the window, and the populations read
-    // are the phase boundary's: planes 0 ..= 2, `last` among them when it is
-    // 2, go before either edge is collided, and the planes from 3 on are
-    // neither edge but `last`, whose ψ is kept. Each edge is collided once,
-    // in place.
-    unsafe {
-        for y in 0..=first + 1 {
-            collision.load(comps, y, y == first || y == last);
+    // The populations loaded are the phase boundary's: planes 0 ..= 2,
+    // `last` among them when it is 2, go before either edge is collided,
+    // and the planes from 3 on are neither edge but `last`, whose ψ is
+    // kept. Each edge is collided once, in place.
+    for y in 0..=first + 1 {
+        collision.load(comps, y, y == first || y == last);
+    }
+    collision.collide(first, &mut in_place(comps, first));
+    if last > first {
+        for y in (last - 1).max(first + 2)..=last + 1 {
+            collision.load(comps, y, y == last);
         }
-        collision.collide(first, &at(first), cells);
-        if last > first {
-            for y in (last - 1).max(first + 2)..=last + 1 {
-                collision.load(comps, y, y == last);
-            }
-            collision.collide(last, &at(last), cells);
-        }
+        collision.collide(last, &mut in_place(comps, last));
     }
 }
 
@@ -265,14 +250,14 @@ pub fn update_equilibrium_velocities(comps: &[ComponentState], forces: &[SlabArr
     let mut views: Vec<CompView<'_>> = (comps.iter().zip(&mut psi))
         .zip(forces.iter().zip(ueq.iter_mut()))
         .map(|((c, psi), (force, ueq))| {
-            let f: [&[f64]; D3Q19::Q] = std::array::from_fn(|i| &c.f.channel(i)[interior.clone()]);
-            let mut ueq = ueq.axes_mut(interior.clone());
+            let f: [&[f64]; D3Q19::Q] = c.f.runs(interior.clone());
+            let mut ueq = ueq.runs_mut(interior.clone());
             // ψ and j of the interior, into `psi` and `ueq`.
             let j = ueq.each_mut().map(|j| &mut **j);
             dispatch(#[inline(always)] || moments(f, Some(&mut psi[..]), Some(j)));
             CompView {
                 psi,
-                force: std::array::from_fn(|a| &force.channel(a)[interior.clone()]),
+                force: force.runs(interior.clone()),
                 ueq,
                 mass: c.spec.mass,
                 momentum_tau: c.spec.momentum_tau(),
@@ -411,11 +396,11 @@ mod tests {
                     .zip(blocks.iter_mut())
                     .map(|(((c, psi), force), block)| {
                         let f: [&[f64]; D3Q19::Q] = std::array::from_fn(|i| &c.f.channel(i)[p + start..p + start + n]);
-                        let mut j = axes_mut(block, n, 0..n);
+                        let mut j = runs_mut(block, n, 0..n);
                         moments(f, Some(&mut psi[..]), Some(j.each_mut().map(|j| &mut **j)));
                         CompView {
                             psi,
-                            force: axes(force, p, run.clone()),
+                            force: crate::field::runs(force, p, run.clone()),
                             ueq: j,
                             mass: c.spec.mass,
                             momentum_tau: c.spec.momentum_tau(),

@@ -43,12 +43,11 @@
 use crate::boundary::{SlipMap, WallBc};
 use crate::component::{ComponentState, CouplingMatrix};
 use crate::config::ChannelConfig;
-use crate::field::{LocalGrid, PlaneRelease, SlabArray};
+use crate::field::{LocalGrid, SlabArray};
 use crate::force::WallForce;
 use crate::geometry::{Dims, Slab, SolidRegion};
 use crate::lattice::{Lattice, D3Q19};
 use crate::macroscopic::{Snapshot, SnapshotSlab};
-use crate::multicomponent::PlaneCollision;
 
 /// A slab edge, in global x orientation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -639,7 +638,9 @@ impl SlabSolver {
     /// recomputed plane by plane from ψ by the kernel the phase uses — at a
     /// phase boundary, bit for bit the forces that phase computed.
     pub fn capture(&self, out: SnapshotSlab<'_>) {
-        self.capture_releasing(out, &mut []);
+        assert_eq!(out.slab, self.slab(), "snapshot planes differ from the slab");
+        let solid = window(&self.solid, self.x0, self.grid());
+        crate::macroscopic::capture(&self.comps[..], (&self.coupling, &self.wall, self.body), solid, out);
     }
 
     /// Ends the solver in its [`capture`](Self::capture): the same capture,
@@ -647,16 +648,14 @@ impl SlabSolver {
     /// go back to the OS as it goes, so the slab and its snapshot planes
     /// are never both whole.
     pub fn into_capture(mut self, out: SnapshotSlab<'_>) {
-        let mut release: Vec<_> = self.comps.iter_mut().map(|c| c.f.plane_release()).collect();
-        self.capture_releasing(out, &mut release);
+        self.capture_releasing(out);
     }
 
-    /// [`capture`](Self::capture), handing `release` the planes it passes.
-    fn capture_releasing(&self, out: SnapshotSlab<'_>, release: &mut [PlaneRelease]) {
+    /// [`capture`](Self::capture), handing back the planes it passes.
+    fn capture_releasing(&mut self, out: SnapshotSlab<'_>) {
         assert_eq!(out.slab, self.slab(), "snapshot planes differ from the slab");
-        let forcing = (&self.coupling, &self.wall, self.body);
-        let mut collision = PlaneCollision::new(&self.comps, forcing, window(&self.solid, self.x0, self.grid()));
-        crate::macroscopic::capture(&self.comps, &mut collision, out, release);
+        let solid = window(&self.solid, self.x0, self.grid());
+        crate::macroscopic::capture(&mut self.comps[..], (&self.coupling, &self.wall, self.body), solid, out);
     }
 
     /// Total mass over this slab (all components).
@@ -775,8 +774,7 @@ mod tests {
         let released = s.grid().last() / batch * batch + 1;
         let mut got = Snapshot::zeros(0, 22, 40, 25, 2);
         // `into_capture` but for the drop, so the storage can be inspected.
-        let mut release: Vec<_> = s.comps.iter_mut().map(|c| c.f.plane_release()).collect();
-        s.capture_releasing(got.slab_mut(s.slab()), &mut release);
+        s.capture_releasing(got.slab_mut(s.slab()));
         let bits = |s: &Snapshot| -> Vec<u64> {
             s.rho.iter().flatten().chain(&s.velocity).map(|v| v.to_bits()).collect()
         };

@@ -1,13 +1,3 @@
-#![expect(
-    unsafe_code,
-    reason = "raw-pointer sweep over the x-planes of the slab's window (window base \
-              + storage channel stride, the window inside the capacity), every \
-              component plane by plane: each plane is collided out of place into its \
-              component's three-slot ring of post-collision planes (or copied in, if \
-              collided before the sweep), and f is written only by streaming, from \
-              ring slots or ghost planes, never a plane of f being written; the \
-              moments of a plane are taken before it is collided or streamed"
-)]
 //! Streaming (propagation) with halfway bounce-back walls, fused with the
 //! collision of every plane but the two slab edges.
 //!
@@ -59,7 +49,8 @@
 //! streaming: collided values are neither written back to `f` nor copied
 //! into the ring. Only planes collided before the sweep are copied into a
 //! slot: the two slab-edge planes and every plane of a sweep without
-//! forcing.
+//! forcing — and the two ghost planes, when the sweep first needs them, so
+//! every source is a slot: `Q` channels of `plane_cells` values each.
 //! Every component has its own ring; all of them are live at once.
 //!
 //! Streaming is pure data movement — every destination receives exactly the
@@ -103,30 +94,12 @@
 //! obstacles or not: no paper workload sets one.
 
 use crate::boundary::SlipMap;
+use crate::collision::OutOfPlace;
 use crate::component::ComponentState;
-use crate::field::LocalGrid;
+use crate::field::{runs_mut, LocalGrid};
 use crate::lattice::{Lattice, D3Q19};
 use crate::multicomponent::{Forcing, PlaneCollision};
 const Q: usize = D3Q19::Q;
-
-/// One post-collision x-plane as a streaming source: a ring slot or a
-/// ghost plane of `f` (which streaming never writes). `ch(i)` is the
-/// contiguous `plane_cells`-long channel-`i` slice of the plane.
-#[derive(Clone, Copy)]
-struct PlaneSrc {
-    base: *const f64,
-    /// Channel stride: that of `f` for a ghost plane (channel-major over
-    /// the slab's storage capacity), `plane_cells` for slots.
-    stride: usize,
-}
-
-impl PlaneSrc {
-    /// Safety: caller guarantees `base + i*stride + plane_cells` stays in
-    /// bounds of the underlying allocation for all `i < Q`.
-    unsafe fn ch(self, i: usize) -> *const f64 {
-        self.base.add(i * self.stride)
-    }
-}
 
 /// The in-place sweep: collides and streams every component over the
 /// interior of its slab **in place**, consuming the ghost planes of `f`,
@@ -161,9 +134,6 @@ pub(crate) fn sweep(
     forcing: Option<Forcing<'_>>,
 ) {
     let grid = comps[0].grid();
-    // Channel stride of `f` of every component; every plane index below is
-    // local to the window all base pointers start at.
-    let cells = comps[0].f.stride();
     let p = grid.plane_cells();
     assert_eq!(solid.len(), grid.cells());
     if let Some(s) = slip {
@@ -171,171 +141,126 @@ pub(crate) fn sweep(
     }
     let first = LocalGrid::FIRST;
     let last = grid.last();
-    let fps: Vec<*mut f64> = comps.iter_mut().map(|c| c.f.base_mut_ptr()).collect();
-    let comps = &*comps;
     let mut collision = forcing.map(|forcing| PlaneCollision::new(comps, forcing, solid));
     if let Some(collision) = collision.as_mut().filter(|_| last > first + 1) {
-        // Safety: the edge plane's ψ is kept, and plane `first + 1` is
-        // interior and uncollided.
-        unsafe {
-            collision.load(comps, first, false);
-            collision.load(comps, first + 1, true);
-        }
+        // The edge plane's ψ is kept, and plane `first + 1` is interior and
+        // uncollided.
+        collision.load(comps, first, false);
+        collision.load(comps, first + 1, true);
     }
-    // A ghost plane of `f`: channel i of plane xl is at xl*p + i*cells.
-    // SAFETY: called only with the window's two ghost planes, in bounds.
-    let ghost = |f: *mut f64, xl: usize| PlaneSrc { base: unsafe { f.add(xl * p) as *const f64 }, stride: cells };
     // Every component's ring: post-collision planes xl − 1, xl, xl + 1;
-    // plane first + j lives in slot j % 3, `slots[j % 3][a]` for component a.
-    let mut rings: Vec<Vec<f64>> = (0..3 * comps.len()).map(|_| vec![0.0f64; Q * p]).collect();
-    let mut ring = rings.iter_mut().map(|slot| slot.as_mut_ptr());
-    let slots: [Vec<*mut f64>; 3] = std::array::from_fn(|_| fps.iter().map(|_| ring.next().expect("3 slots each")).collect());
+    // plane first + j lives in slot j % 3 (the left ghost plane, j = −1, in
+    // slot 2), `rings[a][j % 3]` for component a.
+    let mut rings: Vec<[Vec<f64>; 3]> = comps.iter().map(|_| std::array::from_fn(|_| vec![0.0; Q * p])).collect();
     // Puts post-collision plane `xl` (not yet streamed) of every component
-    // into its slot `k`: copied if it was collided before the sweep (an
-    // edge plane, or every plane without `forcing`), else collided out of
-    // place from `f`, after ψ and j of plane `xl + 1` are loaded (only ψ,
-    // kept, if that is the edge plane `last`). Safety: the slots are not
-    // live sources (see the loop below), and planes `xl` and `xl + 1` have
-    // been neither collided nor streamed, unless `xl + 1` is `last`.
-    let mut fill = |k: usize, xl: usize| unsafe {
-        match collision.as_mut() {
-            Some(collision) if xl != first && xl != last => {
-                collision.load(comps, xl + 1, xl + 1 < last);
-                collision.collide(xl, &slots[k], p)
-            }
-            _ => {
-                for (&f, &slot) in fps.iter().zip(&slots[k]) {
-                    for i in 0..Q {
-                        std::ptr::copy_nonoverlapping(f.add(i * cells + xl * p), slot.add(i * p), p);
-                    }
+    // into its slot `k`, which is no live source: copied if it is a ghost
+    // plane or was collided before the sweep (an edge plane, or every plane
+    // without `forcing`), else collided out of place from `f`, after ψ and
+    // j of plane `xl + 1` are loaded (only ψ, kept, if that is the edge
+    // plane `last`). Planes `xl` and `xl + 1` have been neither collided
+    // nor streamed yet, unless `xl + 1` is `last`.
+    let mut fill = |comps: &[ComponentState], rings: &mut [[Vec<f64>; 3]], k: usize, xl: usize| match collision.as_mut() {
+        Some(collision) if xl > first && xl < last => {
+            collision.load(comps, xl + 1, xl + 1 < last);
+            let mut pops: Vec<OutOfPlace<'_>> = comps
+                .iter()
+                .zip(rings.iter_mut())
+                .map(|(c, ring)| OutOfPlace { src: c.f.plane(xl), dst: runs_mut(&mut ring[k], p, 0..p) })
+                .collect();
+            collision.collide(xl, &mut pops);
+        }
+        _ => {
+            for (c, ring) in comps.iter().zip(rings.iter_mut()) {
+                for (slot, plane) in ring[k].chunks_exact_mut(p).zip(c.f.plane_runs(xl)) {
+                    slot.copy_from_slice(plane);
                 }
             }
         }
     };
-    fill(0, first);
+    fill(comps, &mut rings, 2, first - 1);
+    fill(comps, &mut rings, 0, first);
     for (j, xl) in (first..=last).enumerate() {
-        let nxt = xl + 1;
-        if nxt <= last {
-            // Slot (j + 1) % 3 held plane xl − 2, no longer a source.
-            fill((j + 1) % 3, nxt);
-        }
-        for (a, &fp) in fps.iter().enumerate() {
-            let slot = |k: usize| PlaneSrc { base: slots[k % 3][a], stride: p };
-            let prev = if xl == first { ghost(fp, first - 1) } else { slot(j + 2) };
-            // Plane `last + 1` is the right ghost plane.
-            let next = if nxt <= last { slot(j + 1) } else { ghost(fp, nxt) };
-            let cur = slot(j);
-            // Safety: the write target (plane xl of `f`) never aliases a
-            // source — slots live outside `f`, and ghost planes are never
-            // written. The wall-BC dispatch is resolved here, per plane, so
-            // the bounce-back kernels' channel/row loops stay branch-free.
-            unsafe {
-                match (slip, has_solid) {
-                    (None, false) => stream_plane_fast(fp, cells, grid, xl, prev, cur, next),
-                    (None, true) => stream_plane_generic(fp, cells, grid, xl, prev, cur, next, solid),
-                    (Some(s), _) => stream_plane_slip_generic(fp, cells, grid, xl, prev, cur, next, solid, s.ry, s.rz),
-                }
+        // Slot (j + 1) % 3 held plane xl − 2, no longer a source; plane
+        // `last + 1` is the right ghost plane.
+        fill(comps, &mut rings, (j + 1) % 3, xl + 1);
+        for (c, ring) in comps.iter_mut().zip(&rings) {
+            let slots = [&ring[(j + 2) % 3][..], &ring[j % 3][..], &ring[(j + 1) % 3][..]];
+            let dst = c.f.plane_mut(xl);
+            // The wall-BC dispatch is resolved here, per plane, so the
+            // bounce-back kernels' channel/row loops stay branch-free.
+            match (slip, has_solid) {
+                (None, false) => stream_plane_fast(dst, slots, grid),
+                (None, true) => stream_plane_generic(dst, slots, grid, xl, solid),
+                (Some(s), _) => stream_plane_slip_generic(dst, slots, grid, xl, solid, s.ry, s.rz),
             }
         }
     }
 }
 
-/// Picks the upstream plane source for channel `i`: `e_x = +1` pulls from
-/// the post-collision plane `xl − 1`, `e_x = 0` from plane `xl`, `e_x = −1`
-/// from plane `xl + 1`.
-unsafe fn upstream(i: usize, prev: PlaneSrc, cur: PlaneSrc, next: PlaneSrc) -> *const f64 {
-    match D3Q19::E[i][0] {
-        1 => prev.ch(i),
-        0 => cur.ch(i),
-        _ => next.ch(i),
-    }
+/// Channel `i` of the post-collision plane it pulls from, out of `slots`
+/// (the slots of planes `xl − 1`, `xl`, `xl + 1`): `e_x = +1` pulls from
+/// plane `xl − 1`, `e_x = 0` from plane `xl`, `e_x = −1` from plane
+/// `xl + 1`.
+fn upstream(i: usize, slots: [&[f64]; 3], p: usize) -> &[f64] {
+    channel(slots[(1 - D3Q19::E[i][0]) as usize], i, p)
 }
 
-/// Obstacle-free in-place streaming of one plane:
+/// Channel `i` of a slot of `p`-cell channels.
+fn channel(slot: &[f64], i: usize, p: usize) -> &[f64] {
+    &slot[i * p..(i + 1) * p]
+}
+
+/// Obstacle-free in-place streaming of one plane into `dst` (plane `xl` of
+/// `f`, one slice a channel) from the slots of planes `xl − 1 ..= xl + 1`:
 /// with no solids, a whole z-row either bounces in place (upstream row
 /// behind a y-wall) or is a contiguous copy of the upstream row, with at
 /// most one bounce-back cell at a z-wall. Produces bit-identical values to
 /// the per-cell reference loop — every cell receives the same source
 /// element either way.
-///
-/// # Safety
-///
-/// `f` must be the window base of the component's channel-major population
-/// array, `cells` its channel stride and `grid` its window; `xl` an
-/// interior plane; `prev`/`cur`/`next` must
-/// expose the post-collision values of planes `xl − 1`, `xl`, `xl + 1` and
-/// not alias plane `xl` of `f`; no other thread may access plane `xl` of
-/// `f` during the call.
-unsafe fn stream_plane_fast(
-    f: *mut f64,
-    cells: usize,
-    grid: LocalGrid,
-    xl: usize,
-    prev: PlaneSrc,
-    cur: PlaneSrc,
-    next: PlaneSrc,
-) {
+fn stream_plane_fast(dst: [&mut [f64]; Q], slots: [&[f64]; 3], grid: LocalGrid) {
     let p = grid.plane_cells();
     let (ny, nz) = (grid.ny, grid.nz);
-    for i in 0..Q {
+    for (i, dst) in dst.into_iter().enumerate() {
         let e = D3Q19::E[i];
-        let opp = D3Q19::OPP[i];
-        let src = upstream(i, prev, cur, next);
-        let bounce = cur.ch(opp);
-        let dst = f.add(i * cells + xl * p);
+        let src = upstream(i, slots, p);
+        let bounce = channel(slots[1], D3Q19::OPP[i], p);
         for y in 0..ny {
-            let row = y * nz;
+            let row = y * nz..(y + 1) * nz;
             let ys = y as isize - e[1] as isize;
             if ys < 0 || ys >= ny as isize {
                 // Upstream row is behind a y-wall: the whole row bounces
                 // back in place.
-                std::ptr::copy_nonoverlapping(bounce.add(row), dst.add(row), nz);
+                dst[row.clone()].copy_from_slice(&bounce[row]);
                 continue;
             }
-            let srow = ys as usize * nz;
+            let (dst, bounce, src) = (&mut dst[row.clone()], &bounce[row], &src[ys as usize * nz..][..nz]);
             match e[2] {
-                0 => std::ptr::copy_nonoverlapping(src.add(srow), dst.add(row), nz),
+                0 => dst.copy_from_slice(src),
                 1 => {
                     // z = 0 pulls from behind the z-low wall: bounce.
-                    *dst.add(row) = *bounce.add(row);
-                    std::ptr::copy_nonoverlapping(src.add(srow), dst.add(row + 1), nz - 1);
+                    dst[0] = bounce[0];
+                    dst[1..].copy_from_slice(&src[..nz - 1]);
                 }
                 _ => {
                     // e_z = −1: z = nz−1 bounces at the z-high wall.
-                    std::ptr::copy_nonoverlapping(src.add(srow + 1), dst.add(row), nz - 1);
-                    *dst.add(row + nz - 1) = *bounce.add(row + nz - 1);
+                    dst[..nz - 1].copy_from_slice(&src[1..]);
+                    dst[nz - 1] = bounce[nz - 1];
                 }
             }
         }
     }
 }
 
-/// Reference per-cell in-place streaming with obstacle bounce-back.
-/// Safety: see [`stream_plane_fast`]; additionally `solid` must cover the
-/// full local grid.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "a raw kernel takes its plane pointers, strides and wall data as scalars"
-)]
-unsafe fn stream_plane_generic(
-    f: *mut f64,
-    cells: usize,
-    grid: LocalGrid,
-    xl: usize,
-    prev: PlaneSrc,
-    cur: PlaneSrc,
-    next: PlaneSrc,
-    solid: &[bool],
-) {
+/// Reference per-cell in-place streaming with obstacle bounce-back, as
+/// [`stream_plane_fast`]; `solid` covers the full local grid.
+fn stream_plane_generic(dst: [&mut [f64]; Q], slots: [&[f64]; 3], grid: LocalGrid, xl: usize, solid: &[bool]) {
     let p = grid.plane_cells();
     let ny = grid.ny as isize;
     let nz = grid.nz as isize;
-    for i in 0..Q {
+    for (i, dst) in dst.into_iter().enumerate() {
         let e = D3Q19::E[i];
-        let opp = D3Q19::OPP[i];
-        let src = upstream(i, prev, cur, next);
-        let bounce = cur.ch(opp);
-        let dst = f.add(i * cells + xl * p);
+        let src = upstream(i, slots, p);
+        let bounce = channel(slots[1], D3Q19::OPP[i], p);
         // Upstream plane along x always exists (ghosts at 0, lx−1); the
         // solid mask is indexed globally, the sources plane-locally.
         let xs = (xl as isize - e[0] as isize) as usize;
@@ -346,22 +271,21 @@ unsafe fn stream_plane_generic(
                 let q = (y * nz + z) as usize;
                 if solid[xl * p + q] {
                     // Solid cells carry no populations.
-                    *dst.add(q) = 0.0;
+                    dst[q] = 0.0;
                     continue;
                 }
-                let v = if ys < 0 || ys >= ny || zs < 0 || zs >= nz {
+                dst[q] = if ys < 0 || ys >= ny || zs < 0 || zs >= nz {
                     // Upstream cell is behind a wall: bounce back.
-                    *bounce.add(q)
+                    bounce[q]
                 } else {
                     let sq = (ys * nz + zs) as usize;
                     if solid[xs * p + sq] {
                         // Upstream cell is an obstacle: bounce back.
-                        *bounce.add(q)
+                        bounce[q]
                     } else {
-                        *src.add(sq)
+                        src[sq]
                     }
                 };
-                *dst.add(q) = v;
             }
         }
     }
@@ -375,24 +299,13 @@ unsafe fn stream_plane_generic(
 /// constant `rz`; the four corner lines bounce back fully. A wall link
 /// whose specular source cell is solid falls back to full bounce-back (the
 /// roughness element interrupts the smooth wall, so there is nothing to
-/// reflect off specularly).
-///
-/// # Safety
-///
-/// As [`stream_plane_generic`]; additionally `ry` must have one entry per
-/// local plane (ghosts included).
-#[expect(
-    clippy::too_many_arguments,
-    reason = "a raw kernel takes its plane pointers, strides and wall data as scalars"
-)]
-unsafe fn stream_plane_slip_generic(
-    f: *mut f64,
-    cells: usize,
+/// reflect off specularly). `ry` has one entry per local plane (ghosts
+/// included).
+fn stream_plane_slip_generic(
+    dst: [&mut [f64]; Q],
+    slots: [&[f64]; 3],
     grid: LocalGrid,
     xl: usize,
-    prev: PlaneSrc,
-    cur: PlaneSrc,
-    next: PlaneSrc,
     solid: &[bool],
     ry: &[f64],
     rz: f64,
@@ -400,14 +313,12 @@ unsafe fn stream_plane_slip_generic(
     let p = grid.plane_cells();
     let ny = grid.ny as isize;
     let nz = grid.nz as isize;
-    for i in 0..Q {
+    for (i, dst) in dst.into_iter().enumerate() {
         let e = D3Q19::E[i];
-        let opp = D3Q19::OPP[i];
-        let src = upstream(i, prev, cur, next);
-        let bounce = cur.ch(opp);
-        let spec_y = upstream(D3Q19::MIRROR_Y[i], prev, cur, next);
-        let spec_z = upstream(D3Q19::MIRROR_Z[i], prev, cur, next);
-        let dst = f.add(i * cells + xl * p);
+        let src = upstream(i, slots, p);
+        let bounce = channel(slots[1], D3Q19::OPP[i], p);
+        let spec_y = upstream(D3Q19::MIRROR_Y[i], slots, p);
+        let spec_z = upstream(D3Q19::MIRROR_Z[i], slots, p);
         let xs = (xl as isize - e[0] as isize) as usize;
         let rb = ry[xl];
         let rs = 1.0 - ry[xs];
@@ -417,37 +328,36 @@ unsafe fn stream_plane_slip_generic(
                 let zs = z - e[2] as isize;
                 let q = (y * nz + z) as usize;
                 if solid[xl * p + q] {
-                    *dst.add(q) = 0.0;
+                    dst[q] = 0.0;
                     continue;
                 }
                 let y_oob = ys < 0 || ys >= ny;
                 let z_oob = zs < 0 || zs >= nz;
-                let v = if y_oob && z_oob {
+                dst[q] = if y_oob && z_oob {
                     // Corner line: full bounce-back.
-                    *bounce.add(q)
+                    bounce[q]
                 } else if y_oob {
                     let sq = (y * nz + zs) as usize;
                     if solid[xs * p + sq] {
-                        *bounce.add(q)
+                        bounce[q]
                     } else {
-                        rb * *bounce.add(q) + rs * *spec_y.add(sq)
+                        rb * bounce[q] + rs * spec_y[sq]
                     }
                 } else if z_oob {
                     let sq = (ys * nz + z) as usize;
                     if solid[xs * p + sq] {
-                        *bounce.add(q)
+                        bounce[q]
                     } else {
-                        rz * *bounce.add(q) + (1.0 - rz) * *spec_z.add(sq)
+                        rz * bounce[q] + (1.0 - rz) * spec_z[sq]
                     }
                 } else {
                     let sq = (ys * nz + zs) as usize;
                     if solid[xs * p + sq] {
-                        *bounce.add(q)
+                        bounce[q]
                     } else {
-                        *src.add(sq)
+                        src[sq]
                     }
                 };
-                *dst.add(q) = v;
             }
         }
     }

@@ -12,8 +12,8 @@
 //!   `runtime` disallows wall clocks, hash-ordered collections and thread
 //!   identity;
 //! * **unsafe containment** — `unsafe_code` is denied workspace-wide, the
-//!   kernel files that need it say why in an `#![expect(unsafe_code)]`,
-//!   and every block carries a `// SAFETY:` line;
+//!   files that need it say why in an `#![expect(unsafe_code)]`, and
+//!   every block carries a `// SAFETY:` line and one unsafe operation;
 //! * **suppressions** — `#[expect(lint, reason = "…")]`: a missing reason
 //!   and an expectation nothing fulfils are both errors.
 //!

@@ -6,7 +6,7 @@
 # (all external deps are vendored shims, see vendor/README.md).
 tier1:
     cargo build --release --offline
-    cargo test -q --offline
+    cargo test -q --offline --workspace
     cargo clippy --workspace --all-targets --offline -- -D warnings
     just lint
     just physics
