@@ -112,43 +112,49 @@ pub fn encode_solver(solver: &SlabSolver, phase: u64, w: &mut impl Write) -> io:
         dst.copy_from_slice(&word.to_le_bytes());
     }
     w.write_all(&header)?;
-    // The window only, a plane record at a time: the bytes do not depend
-    // on how many planes the slab has reserved around it.
-    let mut values = Vec::with_capacity(solver.migration_plane_len());
+    // The window only, a plane record at a time, each plane of `f`
+    // encoded straight from its storage: the bytes do not depend on how
+    // many planes the slab has reserved around it.
+    let mut psi = vec![0.0; grid.plane_cells()];
     let mut record = Vec::with_capacity(8 * solver.migration_plane_len());
     for xl in 0..grid.lx {
-        values.clear();
-        SlabSolver::push_plane_record(&solver.comps, xl, &mut values);
         record.clear();
-        put_f64s(&mut record, &values);
+        SlabSolver::plane_record(&solver.comps, xl, &mut psi, |run| put_f64s(&mut record, run));
         w.write_all(&record)?;
     }
     Ok(())
 }
 
 /// Reads the next plane record from `r` through the byte buffer `record`
-/// (its exact size) and `values` into local plane `xl` of `comps`
-/// ([`SlabSolver::install_plane_record`]). An owned plane's ψ must be the
-/// sum of its populations to the bit — the state keeps no other — or the
-/// record is corrupt, at `storage_plane`.
+/// (its exact size) into local plane `xl` of `comps`: each component's
+/// `f` decoded straight into its plane, its ψ into `scratch` (two planes'
+/// cells) and kept where `halo_psi` keeps it. An owned plane's ψ must be
+/// the sum of its populations to the bit — the state keeps no other — or
+/// the record is corrupt, at `storage_plane`.
 fn read_record(
     r: &mut impl Read,
     record: &mut [u8],
-    values: &mut [f64],
+    scratch: &mut [f64],
     comps: &mut [ComponentState],
     xl: usize,
     storage_plane: usize,
 ) -> Result<(), CheckpointError> {
     r.read_exact(record).map_err(|e| CheckpointError::Corrupt { detail: e.to_string() })?;
-    f64s_from_le(record, values);
-    SlabSolver::install_plane_record(comps, xl, values);
-    let (grid, mut sum) = (comps[0].grid(), vec![0.0; comps[0].grid().plane_cells()]);
+    let grid = comps[0].grid();
     let owned = (LocalGrid::FIRST..=grid.last()).contains(&xl);
-    for (c, record) in comps.iter().zip(values.chunks_exact(values.len() / comps.len())).filter(|_| owned) {
-        crate::macroscopic::plane_psi(&c.f, xl, &mut sum);
-        if !sum.iter().zip(&record[record.len() - sum.len()..]).all(|(a, b)| a.to_bits() == b.to_bits()) {
-            let detail = format!("storage plane {storage_plane}: ψ is not the sum of its populations");
-            return Err(CheckpointError::Corrupt { detail });
+    let (psi, sum) = scratch.split_at_mut(grid.plane_cells());
+    let per_component = record.len() / comps.len();
+    for (c, bytes) in comps.iter_mut().zip(record.chunks_exact(per_component)) {
+        let (f, psi_bytes) = bytes.split_at(8 * c.f.plane_len());
+        f64s_from_le(f, c.f.plane_values_mut(xl));
+        f64s_from_le(psi_bytes, psi);
+        c.keep_psi(xl, psi);
+        if owned {
+            crate::macroscopic::plane_psi(&c.f, xl, sum);
+            if !sum.iter().zip(&*psi).all(|(a, b)| a.to_bits() == b.to_bits()) {
+                let detail = format!("storage plane {storage_plane}: ψ is not the sum of its populations");
+                return Err(CheckpointError::Corrupt { detail });
+            }
         }
     }
     Ok(())
@@ -224,10 +230,10 @@ pub fn decode_solver(
     if expected != payload_len {
         return Err(CheckpointError::BadLength { expected, got: payload_len });
     }
-    let mut values = vec![0.0; solver.migration_plane_len()];
-    let mut record = vec![0u8; 8 * values.len()];
+    let mut scratch = vec![0.0; 2 * solver.grid().plane_cells()];
+    let mut record = vec![0u8; 8 * solver.migration_plane_len()];
     for xl in 0..solver.grid().lx {
-        read_record(r, &mut record, &mut values, &mut solver.comps, xl, slab.x0 + xl)?;
+        read_record(r, &mut record, &mut scratch, &mut solver.comps, xl, slab.x0 + xl)?;
     }
     Ok((solver, phase))
 }
@@ -283,8 +289,8 @@ fn capture_stream(
         config.components.iter().map(|(spec, _)| ComponentState::new(spec.clone(), grid)).collect()
     };
     let (mut cur, mut next) = (window(), window());
-    let mut values = vec![0.0; (D3Q19::Q + 1) * config.ncomp() * grid.plane_cells()];
-    let record_len = 8 * values.len();
+    let mut scratch = vec![0.0; 2 * grid.plane_cells()];
+    let record_len = 8 * (D3Q19::Q + 1) * config.ncomp() * grid.plane_cells();
     let expected = (HEADER_LEN + (slab.nx_local + 2) * record_len) as u64;
     if expected != payload_len {
         return Err(CheckpointError::BadLength { expected, got: payload_len });
@@ -299,7 +305,7 @@ fn capture_stream(
     const KEPT: &str = "a one-plane window keeps ψ of each of its planes";
     for k in 0..slab.nx_local + 2 {
         let at = if psi_of(k) == 0 { LocalGrid::GHOST_LEFT } else { LocalGrid::FIRST };
-        read_record(r, &mut record, &mut values, &mut next, at, slab.x0 + k)?;
+        read_record(r, &mut record, &mut scratch, &mut next, at, slab.x0 + k)?;
         if k >= 2 {
             // Local plane k − 1 has the ψ of both neighbours now.
             for (c, n) in cur.iter_mut().zip(&next) {

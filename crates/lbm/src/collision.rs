@@ -39,10 +39,10 @@ const Q: usize = D3Q19::Q;
 pub fn collide(comp: &mut ComponentState, ueq: &SlabArray) {
     let grid = comp.grid();
     assert!(ueq.grid() == grid && ueq.channels() == 3, "ueq must be 3 channels on the component's grid");
-    let p = grid.plane_cells();
-    let interior = LocalGrid::FIRST * p..(grid.last() + 1) * p;
     let (op, tau) = (comp.spec.collision, comp.spec.tau);
-    collide_cells(op, tau, InPlace(comp.f.runs_mut(interior.clone())), ueq.runs(interior));
+    for xl in LocalGrid::FIRST..=grid.last() {
+        collide_cells(op, tau, InPlace(comp.f.plane_mut(xl)), ueq.plane(xl));
+    }
 }
 
 /// Collides the cells of `pops` at the equilibrium velocities `ueq` (one
@@ -315,6 +315,7 @@ mod tests {
     use super::*;
     use crate::component::ComponentSpec;
     use crate::mrt::MrtRates;
+    use crate::field::runs_mut;
     use crate::simd::tests::{bits, lcg_fill, runs, slices_mut};
 
     fn make(tau: f64) -> ComponentState {
@@ -559,18 +560,19 @@ mod tests {
 
     #[test]
     fn out_of_place_collision_matches_in_place_bitwise() {
-        // A windowed component, so the source stride (the channel's whole
-        // capacity) differs from the window; the destination has stride
-        // `plane_cells`, as a ring slot does, and the equilibrium velocities
-        // a third stride of their own.
+        // A windowed component, so the source planes lie inside a larger
+        // reservation; the source, the destination (a ring slot) and the
+        // equilibrium velocities all have channels `plane_cells` apart, but
+        // the source's planes lie Q channels apart and the velocities' 3.
         let grid = LocalGrid::new(3, 3, 17);
         let p = grid.plane_cells();
+        let distance = |a: &SlabArray| a.plane_values(2).as_ptr() as usize - a.plane_values(1).as_ptr() as usize;
         let ops = [CollisionOperator::Bgk, CollisionOperator::trt_magic(), CollisionOperator::mrt_standard()];
         for op in ops {
             let spec = ComponentSpec { tau: 0.83, collision: op, ..ComponentSpec::water() };
             let mut c = ComponentState::windowed(spec, grid, 11, 4);
-            let mut u = SlabArray::new(LocalGrid::new(3, 3, 18), 3);
-            assert!(c.f.stride() != grid.cells() && u.stride() != grid.cells());
+            let mut u = SlabArray::new(grid, 3);
+            assert_eq!((distance(&c.f), distance(&u)), (8 * Q * p, 8 * 3 * p));
             let mut seed = 0x5EEDu64;
             let mut next = || {
                 seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -588,12 +590,13 @@ mod tests {
             // Unaligned starts; lengths around and across the 4-cell body.
             for (start, n) in [(p + 1, 0), (p + 2, 1), (p + 3, 3), (p, 4), (2 * p + 5, 7), (p + 1, 45)] {
                 let mut slot = vec![f64::NAN; Q * p];
-                let (cells, tau) = (start..start + n, c.spec.tau);
-                let dst = crate::field::runs_mut(&mut slot, p, 0..n);
-                collide_cells(op, tau, OutOfPlace { src: c.f.runs(cells.clone()), dst }, u.runs(cells.clone()));
+                let (xl, cells, tau) = (start / p, start % p..start % p + n, c.spec.tau);
+                let ueq = crate::field::runs(u.plane_values(xl), p, cells.clone());
+                let src = crate::field::runs(c.f.plane_values(xl), p, cells.clone());
+                collide_cells(op, tau, OutOfPlace { src, dst: runs_mut(&mut slot, p, 0..n) }, ueq);
                 assert_eq!(c.f.to_vec(), before, "{op:?}: the source was written");
                 let mut in_place = c.clone();
-                collide_cells(op, tau, InPlace(in_place.f.runs_mut(cells.clone())), u.runs(cells));
+                collide_cells(op, tau, InPlace(runs_mut(in_place.f.plane_values_mut(xl), p, cells)), ueq);
                 for i in 0..Q {
                     for q in 0..p {
                         let got = slot[i * p + q];
@@ -700,8 +703,8 @@ mod tests {
         skipped
     }
 
-    /// A windowed component of 75 interior cells (so the channel stride
-    /// differs from the window) and velocities of a stride of their own, on
+    /// A windowed component of 75 interior cells (its window inside a
+    /// larger reservation) and velocities in a compact array, on
     /// the inputs where folding e·u could change a bit: velocity components
     /// of +0.0 and −0.0 in every combination with each other and with
     /// nonzero values of either sign, and exact-zero populations of both
@@ -734,24 +737,26 @@ mod tests {
         (a, u)
     }
 
-    /// `op`'s lane body over every run of [`runs`] (interior-relative),
-    /// plain and in place, then dispatched and out of place, against the
-    /// reference `want` of the whole interior.
+    /// `op`'s lane body over every run of [`runs`] (interior-relative, of
+    /// channel-major copies, so a run may cross planes), plain and in place,
+    /// then dispatched and out of place, against the reference `want` of
+    /// the whole interior.
     fn lanes_match<R: Relax>(op: &R, a: &ComponentState, u: &SlabArray, want: &ComponentState) {
-        let p = a.grid().plane_cells();
+        let (cells_n, p) = (a.grid().cells(), a.grid().plane_cells());
+        let (a, u, want) = (a.f.to_vec(), u.to_vec(), want.f.to_vec());
         for (start, n) in runs() {
             let cells = p + start..p + start + n;
-            let ueq: [&[f64]; 3] = std::array::from_fn(|k| &u.channel(k)[cells.clone()]);
-            let want: Vec<Vec<f64>> = (0..Q).map(|i| want.f.channel(i)[cells.clone()].to_vec()).collect();
-            let mut plain: Vec<Vec<f64>> = (0..Q).map(|i| a.f.channel(i)[cells.clone()].to_vec()).collect();
+            let ueq: [&[f64]; 3] = crate::field::runs(&u, cells_n, cells.clone());
+            let want: [&[f64]; Q] = crate::field::runs(&want, cells_n, cells.clone());
+            let src: [&[f64]; Q] = crate::field::runs(&a, cells_n, cells.clone());
+            let mut plain: Vec<Vec<f64>> = src.iter().map(|run| run.to_vec()).collect();
             collide_lanes(op, InPlace(slices_mut(&mut plain)), ueq);
-            let src: [&[f64]; Q] = std::array::from_fn(|i| &a.f.channel(i)[cells.clone()]);
             let mut slot = vec![vec![f64::NAN; n]; Q];
             let dst = slices_mut(&mut slot);
             dispatch(#[inline(always)] || collide_lanes(op, OutOfPlace { src, dst }, ueq));
             for i in 0..Q {
-                assert_eq!(bits(&plain[i]), bits(&want[i]), "plain, {n} cells at {start}: dir {i}");
-                assert_eq!(bits(&slot[i]), bits(&want[i]), "dispatched, {n} cells at {start}: dir {i}");
+                assert_eq!(bits(&plain[i]), bits(want[i]), "plain, {n} cells at {start}: dir {i}");
+                assert_eq!(bits(&slot[i]), bits(want[i]), "dispatched, {n} cells at {start}: dir {i}");
             }
         }
     }
@@ -773,7 +778,9 @@ mod tests {
         let (grid, op) = (a.grid(), scalar.spec.collision);
         let p = grid.plane_cells();
         for cell in p..p + grid.nx_local() * p {
-            collide_cells(op, 0.71, InPlace(scalar.f.runs_mut(cell..cell + 1)), u.runs(cell..cell + 1));
+            let (xl, q) = (cell / p, cell % p);
+            let ueq = crate::field::runs(u.plane_values(xl), p, q..q + 1);
+            collide_cells(op, 0.71, InPlace(runs_mut(scalar.f.plane_values_mut(xl), p, q..q + 1)), ueq);
         }
         assert!(state_bits(&scalar) == state_bits(&want), "folded BGK (cell by cell) differs from the textbook formula");
         lanes_match(&Bgk { omega: 1.0 / 0.71 }, &a, &u, &want);
@@ -823,13 +830,10 @@ mod tests {
         let mut c = make(0.9);
         perturb(&mut c);
         let grid = c.grid();
-        let p = grid.plane_cells();
         let ueq = rest(&c);
         collide(&mut c, &ueq);
-        for i in 0..D3Q19::Q {
-            let ch = c.f.channel(i);
-            assert!(ch[..p].iter().all(|&v| v == 0.0));
-            assert!(ch[ch.len() - p..].iter().all(|&v| v == 0.0));
+        for ghost in [LocalGrid::GHOST_LEFT, grid.ghost_right()] {
+            assert!(c.f.plane_values(ghost).iter().all(|&v| v == 0.0));
         }
     }
 }

@@ -185,9 +185,9 @@ impl ComponentState {
     /// Initializes each x-plane to equilibrium at a per-plane number
     /// density `n_of_x(global_x)` and zero velocity. `x0` is the global
     /// index of the first interior plane, so decomposed initialization is
-    /// identical to sequential initialization. Channel by channel, one
-    /// `fill` per plane: a fresh allocation is first touched in order. ψ is
-    /// left to priming, which takes it from these populations.
+    /// identical to sequential initialization. Plane by plane, one `fill`
+    /// per channel: a fresh allocation is first touched in storage order. ψ
+    /// is left to priming, which takes it from these populations.
     pub fn init_profile(&mut self, x0: usize, n_of_x: impl Fn(usize) -> f64) {
         let grid = self.grid();
         let p = grid.plane_cells();
@@ -201,21 +201,20 @@ impl ComponentState {
                 feq
             })
             .collect();
-        let interior = LocalGrid::FIRST * p..(grid.last() + 1) * p;
-        for i in 0..D3Q19::Q {
-            let cells = &mut self.f.channel_mut(i)[interior.clone()];
-            cells.chunks_exact_mut(p).zip(&feq).for_each(|(plane, feq)| plane.fill(feq[i]));
+        for (xl, feq) in (LocalGrid::FIRST..).zip(&feq) {
+            self.f.plane_values_mut(xl).chunks_exact_mut(p).zip(feq).for_each(|(run, &v)| run.fill(v));
         }
     }
 
     /// Total number of particles (Σ over interior cells and directions).
+    /// Channel by channel, each over the interior cells in ascending order.
     pub fn total_number(&self) -> f64 {
         let grid = self.grid();
         let p = grid.plane_cells();
         let mut sum = 0.0;
         for i in 0..D3Q19::Q {
-            let ch = self.f.channel(i);
-            sum += ch[LocalGrid::FIRST * p..(grid.last() + 1) * p].iter().sum::<f64>();
+            let run = |xl: usize| &self.f.plane_values(xl)[i * p..(i + 1) * p];
+            sum += (LocalGrid::FIRST..=grid.last()).flat_map(run).sum::<f64>();
         }
         sum
     }
@@ -321,12 +320,8 @@ mod tests {
         let grid = LocalGrid::new(3, 2, 2);
         let mut c = ComponentState::new(ComponentSpec::air(), grid);
         c.init_uniform(1.0, [0.01, 0.0, 0.0]);
-        let p = grid.plane_cells();
-        for i in 0..D3Q19::Q {
-            let ch = c.f.channel(i);
-            assert!(ch[..p].iter().all(|&v| v == 0.0), "left ghost dirty");
-            assert!(ch[ch.len() - p..].iter().all(|&v| v == 0.0), "right ghost dirty");
-        }
+        assert!(c.f.plane_values(LocalGrid::GHOST_LEFT).iter().all(|&v| v == 0.0), "left ghost dirty");
+        assert!(c.f.plane_values(grid.ghost_right()).iter().all(|&v| v == 0.0), "right ghost dirty");
     }
 
     #[test]

@@ -3,27 +3,27 @@
     reason = "madvise on memory the array owns exclusively: MADV_DONTNEED on whole \
               pages of storage planes a slab's window has just left, or that a \
               consuming capture has passed, MADV_HUGEPAGE on the 2 MiB-aligned \
-              interior of each channel's window (a paging hint that keeps every \
-              value); mincore in residency tests"
+              interior of the window (a paging hint that keeps every value); \
+              mincore in residency tests"
 )]
-//! Flat structure-of-arrays field storage for slab subdomains.
+//! Flat plane-major field storage for slab subdomains.
 //!
 //! Every node (or the sequential driver, which is the one-node special case)
 //! stores its slab of the channel plus one *ghost* plane on each side in x.
 //! Ghost planes hold copies of the neighbor's boundary data and are refreshed
 //! by halo exchange each phase; they are never owned.
 //!
-//! Layout is channel-major with x-major cell indexing, so one y–z plane of
-//! one channel is a contiguous run — plane extraction for halo exchange and
-//! lattice-point migration is a straight `copy_from_slice`. The slab is a
-//! *window* of planes inside a possibly larger storage reservation (see
-//! [`SlabArray`]): a slab that gains or loses planes moves its window and
-//! copies only the planes that travel.
+//! Layout is plane-major: one y–z plane holds every channel, each a
+//! contiguous run of the plane's cells in x-major cell order, so a plane —
+//! what a halo, a migration and a checkpoint record move — is one slice,
+//! and a channel of it one run inside that slice. The slab is a *window* of
+//! planes inside a possibly larger storage reservation (see [`SlabArray`]):
+//! a slab that gains or loses planes moves its window and copies only the
+//! planes that travel.
 
 use std::ops::Range;
 
 use crate::geometry::Dims;
-
 /// Local grid of a slab: `lx` planes **including** the two ghost planes
 /// (`lx = nx_local + 2`), times the full lateral extent.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -91,21 +91,23 @@ impl LocalGrid {
 /// "Channel" means one scalar slot per cell: the 19 populations of one fluid
 /// component, the 3 components of a velocity, or a single scalar density.
 ///
-/// Storage may hold more planes than the grid: `channels × cap_planes ×
-/// plane_cells` values, of which the grid is the **window** of `lx` planes
-/// starting at storage plane `off`. Every accessor — indexing, slices,
-/// `==`, `clone()`, `Debug` — reads and writes the window only; kernels get
-/// slices of window cells, one a channel, and keep their loop extents local. Moving the window
-/// ([`set_window`](Self::set_window)) is how a slab gains and loses planes
-/// without its surviving planes being copied. Slots outside the window hold
-/// unspecified values nothing reads, and (to page granularity) no memory:
-/// storage comes from `alloc_zeroed`, whose untouched pages are reserved,
-/// not resident, pages a window leaves are handed back (`release`), and
-/// only a new window's 2 MiB-aligned interior is advised into huge pages.
+/// Storage may hold more planes than the grid: `cap_planes` planes of
+/// `channels × plane_cells` values, of which the grid is the **window** of
+/// `lx` planes starting at storage plane `off`, one contiguous slice. Every
+/// accessor — indexing, slices, `==`, `clone()`, `Debug` — is cut from that
+/// slice, so it reads and writes the window only; kernels get slices of
+/// window cells, one a channel, and keep their loop extents local.
+/// Moving the window ([`set_window`](Self::set_window)) is how a slab gains
+/// and loses planes without its surviving planes being copied. Slots
+/// outside the window hold unspecified values nothing reads, and (to page
+/// granularity) no memory: storage comes from `alloc_zeroed`, whose
+/// untouched pages are reserved, not resident, pages a window leaves are
+/// handed back (`release`), and only a new window's 2 MiB-aligned interior
+/// is advised into huge pages.
 pub struct SlabArray {
     grid: LocalGrid,
     channels: usize,
-    /// Planes per channel in `data` (`>= off + grid.lx`).
+    /// Planes in `data` (`>= off + grid.lx`).
     cap_planes: usize,
     /// Storage plane of the window's left ghost plane.
     off: usize,
@@ -120,39 +122,59 @@ impl SlabArray {
     }
 
     /// Zero-initialized field over the window `off .. off + grid.lx` of
-    /// `cap_planes` storage planes per channel.
+    /// `cap_planes` storage planes.
     pub fn windowed(grid: LocalGrid, channels: usize, cap_planes: usize, off: usize) -> Self {
         assert!(channels > 0);
         assert!(off + grid.lx <= cap_planes, "window outside the storage capacity");
-        let data = vec![0.0; channels * cap_planes * grid.plane_cells()];
+        let data = vec![0.0; cap_planes * channels * grid.plane_cells()];
         let mut array = SlabArray { grid, channels, cap_planes, off, data };
         // Zeroed storage is untouched pages when it comes fresh from the
         // OS, but written ones when the allocator recycles memory (glibc
         // below its mmap threshold): hand back what the window leaves.
-        array.release_planes(0..off);
-        array.release_planes(off + grid.lx..cap_planes);
+        array.release(array.storage(0..off));
+        array.release(array.storage(off + grid.lx..cap_planes));
         // Huge pages where the window's first touch faults (most of
-        // `SlabSolver::new` on a VM), but only on the 2 MiB-aligned interior
-        // of each channel's window: one reaching outside would make reserved
-        // storage resident. Without THP the advice changes nothing.
-        let (window, stride) = (array.base()..array.base() + grid.cells(), array.stride());
-        for channel in array.data.chunks_exact_mut(stride) {
-            if let Some(cells) = channel.get_mut(window.clone()) {
-                madvise_interior(cells, HUGE_PAGE, MADV_HUGEPAGE);
-            }
-        }
+        // `SlabSolver::new` on a VM), but only on the window's 2 MiB-aligned
+        // interior: advice reaching outside it would make reserved storage
+        // resident. Without THP the advice changes nothing.
+        madvise_interior(array.window_mut(), HUGE_PAGE, MADV_HUGEPAGE);
         array
     }
 
-    /// Returns the storage of `planes` (outside the window) to the OS. An
-    /// inverted range — nothing vacated on that side — selects nothing.
-    fn release_planes(&mut self, planes: std::ops::Range<usize>) {
-        let (p, stride) = (self.grid.plane_cells(), self.stride());
-        for channel in self.data.chunks_exact_mut(stride) {
-            if let Some(vacated) = channel.get_mut(planes.start * p..planes.end * p) {
-                release(vacated);
-            }
+    /// Storage values of storage planes `planes`.
+    fn storage(&self, planes: Range<usize>) -> Range<usize> {
+        let n = self.plane_len();
+        planes.start * n..planes.end * n
+    }
+
+    /// Hands the whole pages inside storage values `values` back to the
+    /// operating system, so a slab's resident memory follows its window
+    /// down as well as up: without this, planes given away would stay
+    /// resident in the giver for the rest of the run while the receiver
+    /// faults in its own copies. The values become unspecified (zeros where
+    /// a page went, the old values on the partial pages at either end),
+    /// which is all storage outside the window ever promises. An inverted
+    /// range — nothing vacated on that side — selects nothing.
+    fn release(&mut self, values: Range<usize>) {
+        if let Some(vacated) = self.data.get_mut(values) {
+            madvise_interior(vacated, PAGE, MADV_DONTNEED);
         }
+    }
+
+    /// The window's values, plane by plane. `windowed` and `set_window`
+    /// keep the window inside the storage, so the range never misses (an
+    /// empty window would only turn every access into a bounds panic). Cut
+    /// without indexing: `clone()` reaches it, and the panic-reachability
+    /// lint follows every `.clone()` of the decoders here.
+    fn window(&self) -> &[f64] {
+        let window = self.storage(self.off..self.off + self.grid.lx);
+        let head = self.data.split_at_checked(window.end).map(|(head, _)| head).unwrap_or_default();
+        head.split_at_checked(window.start).map(|(_, window)| window).unwrap_or_default()
+    }
+
+    fn window_mut(&mut self) -> &mut [f64] {
+        let window = self.storage(self.off..self.off + self.grid.lx);
+        self.data.get_mut(window).unwrap_or_default()
     }
 
     pub fn grid(&self) -> LocalGrid {
@@ -163,91 +185,67 @@ impl SlabArray {
         self.channels
     }
 
-    /// Distance in `f64`s between the same cell of consecutive channels.
-    pub fn stride(&self) -> usize {
-        self.cap_planes * self.grid.plane_cells()
-    }
-
-    /// Storage index of window cell 0 of channel 0.
+    /// Window index of `(ch, cell)`.
     #[inline(always)]
-    fn base(&self) -> usize {
-        self.off * self.grid.plane_cells()
+    fn index(&self, ch: usize, cell: usize) -> usize {
+        debug_assert!(ch < self.channels && cell < self.grid.cells(), "cell outside the window");
+        let p = self.grid.plane_cells();
+        (cell / p * self.channels + ch) * p + cell % p
     }
 
     /// Value of `(ch, cell)`.
-    #[inline(always)]
     pub fn at(&self, ch: usize, cell: usize) -> f64 {
-        debug_assert!(ch < self.channels && cell < self.grid.cells(), "cell outside the window");
-        self.data[ch * self.stride() + self.base() + cell]
+        self.window()[self.index(ch, cell)]
     }
 
-    #[inline(always)]
     pub fn set(&mut self, ch: usize, cell: usize, v: f64) {
-        debug_assert!(ch < self.channels && cell < self.grid.cells(), "cell outside the window");
-        let i = ch * self.stride() + self.base() + cell;
-        self.data[i] = v;
+        let i = self.index(ch, cell);
+        self.window_mut()[i] = v;
     }
 
-    /// All window cells of one channel.
-    #[inline]
-    pub fn channel(&self, ch: usize) -> &[f64] {
-        let start = ch * self.stride() + self.base();
-        &self.data[start..start + self.grid.cells()]
-    }
-
-    #[inline]
-    pub fn channel_mut(&mut self, ch: usize) -> &mut [f64] {
-        let start = ch * self.stride() + self.base();
-        &mut self.data[start..start + self.grid.cells()]
-    }
-
-    /// Window cells `cells` of the first `N` channels.
-    pub(crate) fn runs<const N: usize>(&self, cells: Range<usize>) -> [&[f64]; N] {
-        std::array::from_fn(|ch| &self.channel(ch)[cells.clone()])
-    }
-
-    /// Mutable [`runs`](Self::runs), all `N` borrowed at once.
-    pub(crate) fn runs_mut<const N: usize>(&mut self, cells: Range<usize>) -> [&mut [f64]; N] {
-        let (base, stride) = (self.base(), self.stride());
-        runs_mut(&mut self.data, stride, base + cells.start..base + cells.end)
-    }
-
-    /// Local plane `xl` of the first `N` channels.
+    /// Local plane `xl` of the first `N` channels, one slice a channel.
     pub(crate) fn plane<const N: usize>(&self, xl: usize) -> [&[f64]; N] {
         let p = self.grid.plane_cells();
-        self.runs(xl * p..(xl + 1) * p)
+        runs(self.plane_values(xl), p, 0..p)
     }
 
     /// Mutable [`plane`](Self::plane).
     pub(crate) fn plane_mut<const N: usize>(&mut self, xl: usize) -> [&mut [f64]; N] {
         let p = self.grid.plane_cells();
-        self.runs_mut(xl * p..(xl + 1) * p)
+        runs_mut(self.plane_values_mut(xl), p, 0..p)
     }
 
     /// The window's values, channel-major.
     pub fn to_vec(&self) -> Vec<f64> {
-        (0..self.channels).flat_map(|ch| self.channel(ch)).copied().collect()
+        let p = self.grid.plane_cells();
+        let run = |ch: usize| (0..self.grid.lx).flat_map(move |xl| &self.plane_values(xl)[ch * p..(ch + 1) * p]);
+        (0..self.channels).flat_map(run).copied().collect()
     }
 
-    /// Number of `f64` values in one extracted plane (all channels).
+    /// Number of `f64` values in one plane (all channels).
     pub fn plane_len(&self) -> usize {
         self.channels * self.grid.plane_cells()
     }
 
-    /// Local plane `xl` of every channel, in channel order: what one plane
+    /// Local plane `xl`, every channel in channel order: what one plane
     /// record of a checkpoint or a migration message holds of this array.
-    pub fn plane_runs(&self, xl: usize) -> impl Iterator<Item = &[f64]> {
-        let p = self.grid.plane_cells();
-        (0..self.channels).map(move |ch| &self.channel(ch)[xl * p..(xl + 1) * p])
+    pub fn plane_values(&self, xl: usize) -> &[f64] {
+        let n = self.plane_len();
+        &self.window()[xl * n..][..n]
     }
 
-    /// Mutable [`plane_runs`](Self::plane_runs).
-    pub fn plane_runs_mut(&mut self, xl: usize) -> impl Iterator<Item = &mut [f64]> {
-        assert!(xl < self.grid.lx, "plane outside the window");
-        let p = self.grid.plane_cells();
-        let start = self.base() + xl * p;
-        let stride = self.stride();
-        self.data.chunks_exact_mut(stride).map(move |channel| &mut channel[start..start + p])
+    /// Mutable [`plane_values`](Self::plane_values).
+    pub fn plane_values_mut(&mut self, xl: usize) -> &mut [f64] {
+        let n = self.plane_len();
+        &mut self.window_mut()[xl * n..][..n]
+    }
+
+    /// Copies channel `ch` of local plane `src` onto the same channel of
+    /// local plane `dst`.
+    pub(crate) fn copy_run(&mut self, ch: usize, src: usize, dst: usize) {
+        let (n, p) = (self.plane_len(), self.grid.plane_cells());
+        let run = src * n + ch * p;
+        self.window_mut().copy_within(run..run + p, dst * n + ch * p);
     }
 
     /// Moves the window to `nx_local` owned planes whose left ghost is
@@ -265,15 +263,27 @@ impl SlabArray {
         // Storage planes the old window covered and the new one does not,
         // on its left and on its right.
         let (old, new) = (self.off..self.off + self.grid.lx, off..off + grid.lx);
-        self.release_planes(old.start..new.start.min(old.end));
-        self.release_planes(new.end.max(old.start)..old.end);
+        self.release(self.storage(old.start..new.start.min(old.end)));
+        self.release(self.storage(new.end.max(old.start)..old.end));
         (self.grid, self.off) = (grid, off);
-        let (p, lx) = (grid.plane_cells(), grid.lx);
-        for ch in 0..self.channels {
-            let cells = self.channel_mut(ch);
-            cells[..p].fill(0.0);
-            cells[(lx - 1) * p..].fill(0.0);
-        }
+        let n = self.plane_len();
+        let window = self.window_mut();
+        let right = window.len() - n;
+        window[..n].fill(0.0);
+        window[right..].fill(0.0);
+    }
+
+    /// Hands back every whole page of window planes `planes`, from the page
+    /// their first plane shares with the plane below it: a consuming
+    /// capture's planes passed since its last hand-back, which released
+    /// none of that page, as it reached past the planes it was given. The
+    /// planes hold unspecified values afterwards.
+    pub(crate) fn release_window_planes(&mut self, planes: Range<usize>) {
+        assert!(planes.end <= self.grid.lx, "plane outside the window");
+        let n = self.plane_len();
+        let base = self.off * n;
+        let from = (planes.start * n).saturating_sub(PAGE / std::mem::size_of::<f64>());
+        self.release(base + from..base + planes.end * n);
     }
 }
 
@@ -290,33 +300,6 @@ pub(crate) fn runs_mut<const N: usize>(mut buf: &mut [f64], stride: usize, cells
         buf = rest;
         &mut channel[cells.clone()]
     })
-}
-
-impl SlabArray {
-    /// Hands back every whole page of window planes `planes` in every
-    /// channel, from the page their first plane shares with the plane below
-    /// it: a consuming capture's planes passed since its last hand-back,
-    /// which released none of that page, as it reached past the planes it
-    /// was given. The planes hold unspecified values afterwards.
-    pub(crate) fn release_window_planes(&mut self, planes: Range<usize>) {
-        assert!(planes.end <= self.grid.lx, "plane outside the window");
-        let (p, base, stride) = (self.grid.plane_cells(), self.base(), self.stride());
-        let from = (planes.start * p).saturating_sub(PAGE / std::mem::size_of::<f64>());
-        for channel in self.data.chunks_exact_mut(stride) {
-            release(&mut channel[base + from..base + planes.end * p]);
-        }
-    }
-}
-
-/// Hands the whole pages inside `vacated` — storage a window has just left —
-/// back to the operating system, so a slab's resident memory follows its
-/// window down as well as up: without this, planes given away would stay
-/// resident in the giver for the rest of the run while the receiver faults
-/// in its own copies. The values become unspecified (zeros where a page
-/// went, the old values on the partial pages at either end), which is all
-/// storage outside the window ever promises.
-fn release(vacated: &mut [f64]) {
-    madvise_interior(vacated, PAGE, MADV_DONTNEED);
 }
 
 // Linux's advice values, and the base and huge page sizes of x86-64.
@@ -356,11 +339,7 @@ fn madvise_interior(_cells: &mut [f64], _align: usize, _advice: i32) {}
 impl Clone for SlabArray {
     fn clone(&self) -> Self {
         let mut out = SlabArray::windowed(self.grid, self.channels, self.cap_planes, self.off);
-        let stride = self.stride();
-        for (dst, src) in out.data.chunks_exact_mut(stride).zip(self.data.chunks_exact(stride)) {
-            let window = dst.iter_mut().zip(src).skip(self.base()).take(self.grid.cells());
-            window.for_each(|(d, s)| *d = *s);
-        }
+        out.window_mut().copy_from_slice(self.window());
         out
     }
 }
@@ -369,9 +348,7 @@ impl Clone for SlabArray {
 /// its storage, and what lies outside it, is not part of the value.
 impl PartialEq for SlabArray {
     fn eq(&self, other: &Self) -> bool {
-        self.grid == other.grid
-            && self.channels == other.channels
-            && (0..self.channels).all(|ch| self.channel(ch) == other.channel(ch))
+        self.grid == other.grid && self.channels == other.channels && self.window() == other.window()
     }
 }
 
@@ -410,39 +387,12 @@ pub(crate) mod tests {
 
     #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
     impl SlabArray {
-        /// Resident bytes of the whole pages inside window planes `planes`,
-        /// over every channel.
+        /// Resident bytes of the whole pages inside window planes `planes`.
         pub(crate) fn resident_plane_bytes(&self, planes: std::ops::Range<usize>) -> usize {
-            let p = self.grid.plane_cells();
-            (0..self.channels)
-                .map(|ch| {
-                    let cells = &self.channel(ch)[planes.start * p..planes.end * p];
-                    let start = cells.as_ptr() as usize;
-                    resident_pages(start.next_multiple_of(PAGE), (start + std::mem::size_of_val(cells)) & !(PAGE - 1))
-                })
-                .sum()
-        }
-    }
-
-    /// Plane copies for the tests' ghost fills.
-    impl SlabArray {
-        /// Copies local plane `xl` (all channels, channel-major) into `buf`.
-        pub(crate) fn copy_plane_out(&self, xl: usize, buf: &mut [f64]) {
-            let p = self.grid.plane_cells();
-            assert_eq!(buf.len(), self.plane_len());
-            for (ch, dst) in buf.chunks_exact_mut(p).enumerate() {
-                dst.copy_from_slice(&self.channel(ch)[xl * p..(xl + 1) * p]);
-            }
-        }
-
-        /// Overwrites local plane `xl` from a buffer produced by
-        /// [`copy_plane_out`](Self::copy_plane_out).
-        pub(crate) fn copy_plane_in(&mut self, xl: usize, buf: &[f64]) {
-            let p = self.grid.plane_cells();
-            assert_eq!(buf.len(), self.plane_len());
-            for (ch, src) in buf.chunks_exact(p).enumerate() {
-                self.channel_mut(ch)[xl * p..(xl + 1) * p].copy_from_slice(src);
-            }
+            let n = self.plane_len();
+            let values = &self.window()[planes.start * n..planes.end * n];
+            let start = values.as_ptr() as usize;
+            resident_pages(start.next_multiple_of(PAGE), (start + std::mem::size_of_val(values)) & !(PAGE - 1))
         }
     }
 
@@ -461,27 +411,28 @@ pub(crate) mod tests {
         let grid = LocalGrid::new(4, 3, 2);
         let a = filled(grid, 5);
         let mut b = SlabArray::new(grid, 5);
-        let mut buf = vec![0.0; a.plane_len()];
         for xl in 0..grid.lx {
-            a.copy_plane_out(xl, &mut buf);
-            b.copy_plane_in(xl, &buf);
+            b.plane_values_mut(xl).copy_from_slice(a.plane_values(xl));
         }
         assert_eq!(a, b);
     }
 
     #[test]
-    fn plane_runs_read_and_write_the_window_plane_by_plane() {
+    fn plane_values_read_and_write_the_window_plane_by_plane() {
         let a = windowed_filled(3);
         let mut b = SlabArray::windowed(a.grid(), 3, 7, 1);
         for xl in 0..a.grid().lx {
-            for (dst, src) in b.plane_runs_mut(xl).zip(a.plane_runs(xl)) {
-                dst.copy_from_slice(src);
-            }
-            assert_eq!(a.plane_runs(xl).count(), 3);
+            b.plane_values_mut(xl).copy_from_slice(a.plane_values(xl));
+            assert_eq!(a.plane_values(xl).len(), a.plane_len());
         }
         assert_eq!(a, b);
-        let runs: Vec<f64> = a.plane_runs(2).flatten().copied().collect();
-        assert_eq!(runs, values(&a, 2), "a plane's runs are its channel-major plane");
+        // A plane's values are its channels in channel order, each the
+        // plane's cells in cell order.
+        let p = a.grid().plane_cells();
+        let want: Vec<f64> = (0..3).flat_map(|ch| (2 * p..3 * p).map(move |cell| (ch, cell))).map(|(ch, cell)| a.at(ch, cell)).collect();
+        assert_eq!(a.plane_values(2), &want[..]);
+        let runs: [&[f64]; 3] = a.plane(2);
+        assert_eq!(runs.concat(), want, "a plane's runs are its channels");
     }
 
     /// A 4-plane window at storage plane 3 of 12, every window cell (ghosts
@@ -497,14 +448,8 @@ pub(crate) mod tests {
         a
     }
 
-    fn values(a: &SlabArray, xl: usize) -> Vec<f64> {
-        let mut buf = vec![0.0; a.plane_len()];
-        a.copy_plane_out(xl, &mut buf);
-        buf
-    }
-
     fn plane(a: &SlabArray, xl: usize) -> Vec<u64> {
-        values(a, xl).iter().map(|v| v.to_bits()).collect()
+        a.plane_values(xl).iter().map(|v| v.to_bits()).collect()
     }
 
     #[test]
@@ -512,12 +457,16 @@ pub(crate) mod tests {
         let a = windowed_filled(3);
         let mut b = SlabArray::new(a.grid(), 3);
         for xl in 0..a.grid().lx {
-            b.copy_plane_in(xl, &values(&a, xl));
+            b.plane_values_mut(xl).copy_from_slice(a.plane_values(xl));
         }
         assert_eq!(a, b);
         assert_eq!(a.to_vec(), b.to_vec());
-        assert_eq!(a.stride(), 12 * 4);
-        assert_eq!(b.stride(), 6 * 4);
+        // Consecutive planes lie one plane (3 channels × 4 cells) apart, in
+        // the reservation as in the compact storage.
+        for x in [&a, &b] {
+            let distance = x.plane_values(2).as_ptr() as usize - x.plane_values(1).as_ptr() as usize;
+            assert_eq!(distance, 3 * 4 * std::mem::size_of::<f64>());
+        }
     }
 
     #[test]
@@ -555,7 +504,7 @@ pub(crate) mod tests {
         a.set_window(5, 1);
         let mut fresh = SlabArray::windowed(a.grid(), 2, 12, 5);
         for xl in 0..3 {
-            fresh.copy_plane_in(xl, &values(&a, xl));
+            fresh.plane_values_mut(xl).copy_from_slice(a.plane_values(xl));
         }
         assert_eq!(a, fresh, "== must not see outside the window");
         assert_eq!(a.to_vec(), fresh.to_vec(), "nor what a checkpoint stores");
@@ -578,16 +527,16 @@ pub(crate) mod tests {
             let statm = std::fs::read_to_string("/proc/self/statm").unwrap();
             (statm.split(' ').nth(1).unwrap().parse::<usize>().unwrap() * 4096) >> 20
         }
-        // 128 MB reserved (one channel of 4096 planes × 32 KB), 4-plane
+        // 128 MB reserved (4096 planes of one 32 KB channel), 4-plane
         // window in the middle.
         let grid = LocalGrid::new(2, 64, 64);
         let before = resident_mb();
         let mut a = SlabArray::windowed(grid, 1, 4096, 2000);
-        a.channel_mut(0).fill(1.5);
+        a.window_mut().fill(1.5);
         let b = std::hint::black_box(a.clone());
         let grown = resident_mb().saturating_sub(before);
         assert_eq!(a, b);
-        assert_eq!(b.stride(), a.stride(), "the clone keeps the reservation");
+        assert_eq!(b.data.len(), a.data.len(), "the clone keeps the reservation");
         assert!(grown < 64, "reservation became resident: +{grown} MB for two 128 KB windows");
     }
 
@@ -600,13 +549,11 @@ pub(crate) mod tests {
             let start = a.data.as_ptr() as usize;
             resident_pages(start & !(PAGE - 1), (start + std::mem::size_of_val(&a.data[..])).next_multiple_of(PAGE))
         }
-        // Two channels of 1024 planes × 32 KB (32 MiB each), windowed over
-        // half of them from storage plane 260 — edges off any 2 MiB line.
+        // 1024 planes of two 32 KB channels (64 MiB), windowed over half
+        // of them from storage plane 260 — edges off any 2 MiB line.
         let grid = LocalGrid::new(510, 64, 64);
         let mut a = SlabArray::windowed(grid, 2, 1024, 260);
-        for ch in 0..2 {
-            a.channel_mut(ch).fill(2.5);
-        }
+        a.window_mut().fill(2.5);
         // Outside the window, only the base pages the window's edges share
         // with it (and the allocation's first and last page) may be
         // resident — unless the host's THP mode is `always`, where the
@@ -623,7 +570,7 @@ pub(crate) mod tests {
             resident >> 10,
             window >> 10
         );
-        assert!(a.channel(1).iter().all(|&v| v == 2.5));
+        assert!(a.window().iter().all(|&v| v == 2.5));
     }
 
     #[test]
@@ -632,11 +579,8 @@ pub(crate) mod tests {
         // back to the OS (where `release` is implemented).
         let grid = LocalGrid::new(30, 64, 64);
         let mut a = SlabArray::windowed(grid, 2, 64, 16);
-        for ch in 0..2 {
-            let cells = a.channel_mut(ch);
-            for (cell, v) in cells.iter_mut().enumerate() {
-                *v = (1 + ch + 2 * cell) as f64;
-            }
+        for (k, v) in a.window_mut().iter_mut().enumerate() {
+            *v = (1 + k) as f64;
         }
         let before = a.clone();
         // Lose 10 planes on the left and 12 on the right, then take the
@@ -647,8 +591,8 @@ pub(crate) mod tests {
             assert_eq!(plane(&a, xl), plane(&before, xl), "plane {xl}");
         }
         // The planes that came back are writable storage again.
-        a.channel_mut(1).fill(7.0);
-        assert!(a.channel(1).iter().all(|&v| v == 7.0));
+        a.window_mut().fill(7.0);
+        assert!(a.window().iter().all(|&v| v == 7.0));
     }
 
     #[cfg(all(target_os = "linux", target_arch = "x86_64"))]
@@ -658,10 +602,8 @@ pub(crate) mod tests {
         // two calls' planes share goes back with the second.
         let grid = LocalGrid::new(30, 50, 20);
         let mut a = SlabArray::windowed(grid, 2, 40, 3);
-        for ch in 0..2 {
-            for (cell, v) in a.channel_mut(ch).iter_mut().enumerate() {
-                *v = (1 + ch + 2 * cell) as f64;
-            }
+        for (k, v) in a.window_mut().iter_mut().enumerate() {
+            *v = (1 + k) as f64;
         }
         let before = a.clone();
         a.release_window_planes(0..5);
@@ -689,6 +631,32 @@ pub(crate) mod tests {
         let a = windowed_filled(2);
         // In storage (the reservation continues), but not in the window.
         a.at(0, a.grid().cells());
+    }
+
+    // A storage plane outside the window sits right next to it, so the
+    // plane accessors and the per-cell ones past the window must hit the
+    // window slice's bounds, in every build, not read the neighbour.
+    #[test]
+    fn every_accessor_past_the_window_panics_in_every_build() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let mut a = windowed_filled(2);
+        let lx = a.grid().lx;
+        let panics = |f: &mut dyn FnMut()| catch_unwind(AssertUnwindSafe(f)).is_err();
+        assert!(panics(&mut || {
+            a.plane::<2>(lx);
+        }));
+        assert!(panics(&mut || {
+            a.plane_values(lx);
+        }));
+        assert!(panics(&mut || {
+            a.plane_values_mut(lx);
+        }));
+        assert!(panics(&mut || {
+            a.at(0, a.grid().cells());
+        }));
+        assert!(panics(&mut || a.set_window(7, 4)), "the reservation ends at storage plane 12");
+        // The window itself is intact.
+        assert_eq!(a, windowed_filled(2));
     }
 
     #[test]

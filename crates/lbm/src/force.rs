@@ -528,15 +528,12 @@ pub fn compute_forces(
 ) {
     let grid = comps[0].grid();
     assert!(out.len() == comps.len() && out.iter().all(|f| f.grid() == grid && f.channels() == 3));
-    let p = grid.plane_cells();
     let mut collision = PlaneCollision::new(comps, (coupling, wall, body), solid);
     for y in 0..grid.lx {
         collision.load(comps, y, false);
         if y >= 2 {
             for ((.., force), out) in collision.forces(y - 1).into_iter().zip(out.iter_mut()) {
-                for a in 0..3 {
-                    out.channel_mut(a)[(y - 1) * p..y * p].copy_from_slice(&force[a * p..(a + 1) * p]);
-                }
+                out.plane_values_mut(y - 1).copy_from_slice(force);
             }
         }
     }

@@ -405,11 +405,11 @@ pub(crate) mod tests {
     fn moments_avx2_matches_scalar_bitwise() {
         use crate::field::runs_mut;
         use crate::simd::tests::{bits, lcg_fill, runs, slices_mut};
-        // A windowed component, so the channel stride (the whole channel's
-        // capacity) differs from the window the body runs over.
-        let grid = LocalGrid::new(3, 3, 5);
+        // A windowed component, its runs cut from plane 2 of the window:
+        // channels a plane (75 cells) apart in storage, not a run apart.
+        let grid = LocalGrid::new(3, 5, 15);
+        let p = grid.plane_cells();
         let mut c = ComponentState::windowed(ComponentSpec::water(), grid, 9, 2);
-        assert_ne!(c.f.stride(), grid.cells());
         let mut vals = vec![0.0; D3Q19::Q * grid.cells()];
         lcg_fill(&mut vals, 0xB0); // both signs
         for (k, &v) in vals.iter().enumerate() {
@@ -422,11 +422,13 @@ pub(crate) mod tests {
             };
             c.f.set(i, cell, if cell % 13 == 5 { 0.0 } else { v });
         }
+        let plane: [&[f64]; Q] = c.f.plane(2);
+        assert_eq!(plane[1].as_ptr() as usize - plane[0].as_ptr() as usize, p * std::mem::size_of::<f64>());
         for (start, n) in runs() {
-            let cells = start..start + n;
+            let cells = 2 * p + start..2 * p + start + n;
             let want_psi: Vec<f64> = cells.clone().map(|q| (0..Q).fold(0.0, |acc, i| acc + c.f.at(i, q))).collect();
             let want_j: Vec<Vec<f64>> = (0..3).map(|a| cells.clone().map(|q| raw_momentum(&c, q)[a]).collect()).collect();
-            let f: [&[f64]; Q] = c.f.runs(cells.clone());
+            let f: [&[f64]; Q] = plane.map(|ch| &ch[start..start + n]);
             // The plain body, then the dispatched one (rows of j a stride
             // apart that is not the run's length).
             let (mut psi, mut j) = (vec![f64::NAN; n], vec![vec![f64::NAN; n]; 3]);

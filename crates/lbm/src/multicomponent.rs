@@ -239,32 +239,32 @@ pub(crate) fn collide_edges(comps: &mut [ComponentState], forcing: Forcing<'_>, 
 /// The two-pass reference's second pass: `u_σ^eq` at every interior cell
 /// into `ueq` (3 channels per component on the slab's grid), from ψ and j
 /// of the current populations and the whole-slab forces
-/// [`crate::force::compute_forces`] left in `forces`.
+/// [`crate::force::compute_forces`] left in `forces`, plane by plane.
 pub fn update_equilibrium_velocities(comps: &[ComponentState], forces: &[SlabArray], ueq: &mut [SlabArray]) {
     let grid = comps[0].grid();
     let on_grid = |a: &SlabArray| a.grid() == grid && a.channels() == 3;
     assert!(forces.len() == comps.len() && ueq.len() == comps.len() && forces.iter().chain(&*ueq).all(on_grid));
-    let p = grid.plane_cells();
-    let interior = LocalGrid::FIRST * p..(grid.last() + 1) * p;
-    let mut psi: Vec<Vec<f64>> = comps.iter().map(|_| vec![0.0; interior.len()]).collect();
-    let mut views: Vec<CompView<'_>> = (comps.iter().zip(&mut psi))
-        .zip(forces.iter().zip(ueq.iter_mut()))
-        .map(|((c, psi), (force, ueq))| {
-            let f: [&[f64]; D3Q19::Q] = c.f.runs(interior.clone());
-            let mut ueq = ueq.runs_mut(interior.clone());
-            // ψ and j of the interior, into `psi` and `ueq`.
-            let j = ueq.each_mut().map(|j| &mut **j);
-            dispatch(#[inline(always)] || moments(f, Some(&mut psi[..]), Some(j)));
-            CompView {
-                psi,
-                force: force.runs(interior.clone()),
-                ueq,
-                mass: c.spec.mass,
-                momentum_tau: c.spec.momentum_tau(),
-            }
-        })
-        .collect();
-    dispatch(#[inline(always)] || update_cells(&mut views));
+    let mut psi: Vec<Vec<f64>> = comps.iter().map(|_| vec![0.0; grid.plane_cells()]).collect();
+    for xl in LocalGrid::FIRST..=grid.last() {
+        let mut views: Vec<CompView<'_>> = (comps.iter().zip(&mut psi))
+            .zip(forces.iter().zip(ueq.iter_mut()))
+            .map(|((c, psi), (force, ueq))| {
+                let f: [&[f64]; D3Q19::Q] = c.f.plane(xl);
+                let mut ueq = ueq.plane_mut(xl);
+                // ψ and j of the plane, into `psi` and `ueq`.
+                let j = ueq.each_mut().map(|j| &mut **j);
+                dispatch(#[inline(always)] || moments(f, Some(&mut psi[..]), Some(j)));
+                CompView {
+                    psi,
+                    force: force.plane(xl),
+                    ueq,
+                    mass: c.spec.mass,
+                    momentum_tau: c.spec.momentum_tau(),
+                }
+            })
+            .collect();
+        dispatch(#[inline(always)] || update_cells(&mut views));
+    }
 }
 
 #[cfg(test)]
@@ -378,14 +378,10 @@ mod tests {
         }
         // The plane form: ψ and j of a run into scratches, the force copied
         // to a plane scratch, the update plain and dispatched.
-        let scratch: Vec<Vec<f64>> = forces
-            .iter()
-            .map(|f| (0..3).flat_map(|a| f.channel(a)[p..2 * p].to_vec()).collect())
-            .collect();
+        let scratch: Vec<Vec<f64>> = forces.iter().map(|f| f.plane_values(1).to_vec()).collect();
         for (start, n) in runs() {
             let run = start..start + n;
-            let want: Vec<Vec<u64>> =
-                ueq.iter().map(|u| (0..3).flat_map(|a| bits(&u.channel(a)[p + start..p + start + n])).collect()).collect();
+            let want: Vec<Vec<u64>> = ueq.iter().map(|u| bits(&crate::field::runs::<3>(u.plane_values(1), p, run.clone()).concat())).collect();
             let mut psis = vec![vec![f64::NAN; n]; comps.len()];
             let mut blocks = vec![vec![f64::NAN; 3 * n]; comps.len()];
             for plain in [true, false] {
@@ -395,7 +391,7 @@ mod tests {
                     .zip(&scratch)
                     .zip(blocks.iter_mut())
                     .map(|(((c, psi), force), block)| {
-                        let f: [&[f64]; D3Q19::Q] = std::array::from_fn(|i| &c.f.channel(i)[p + start..p + start + n]);
+                        let f: [&[f64]; D3Q19::Q] = crate::field::runs(c.f.plane_values(1), p, run.clone());
                         let mut j = runs_mut(block, n, 0..n);
                         moments(f, Some(&mut psi[..]), Some(j.each_mut().map(|j| &mut **j)));
                         CompView {

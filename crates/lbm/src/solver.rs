@@ -331,10 +331,10 @@ impl SlabSolver {
     /// is made of: the edge plane's boundary-crossing directions, per
     /// component.
     fn f_halo_runs(&self, side: Side) -> impl Iterator<Item = &[f64]> {
-        let p = self.grid().plane_cells();
         let xl = self.edge(side);
         self.comps.iter().flat_map(move |c| {
-            Self::crossing_dirs(side).iter().map(move |&i| &c.f.channel(i)[xl * p..(xl + 1) * p])
+            let plane: [&[f64]; D3Q19::Q] = c.f.plane(xl);
+            Self::crossing_dirs(side).iter().map(move |&i| plane[i])
         })
     }
 
@@ -345,36 +345,23 @@ impl SlabSolver {
         self.comps.iter().flat_map(move |c| c.kept_psi(xl))
     }
 
-    /// Appends local plane `xl`'s record — a checkpoint's and a migration
-    /// message's — to `out`: per component `f` (19 channels), then ψ, Σ_i
-    /// f_i of an owned plane, the exchanged ψ of a ghost plane.
-    pub(crate) fn push_plane_record(comps: &[ComponentState], xl: usize, out: &mut Vec<f64>) {
+    /// Hands local plane `xl`'s record — a checkpoint's and a migration
+    /// message's — to `emit` a run at a time: per component its plane of
+    /// `f` (19 channels, one slice), then ψ: the exchanged ψ of a ghost
+    /// plane, Σ_i f_i of an owned one, taken into `psi` (`plane_cells`
+    /// values of scratch).
+    pub(crate) fn plane_record(comps: &[ComponentState], xl: usize, psi: &mut [f64], mut emit: impl FnMut(&[f64])) {
         let grid = comps[0].grid();
         let ghost = xl == LocalGrid::GHOST_LEFT || xl == grid.ghost_right();
         for c in comps {
-            c.f.plane_runs(xl).for_each(|run| out.extend_from_slice(run));
+            emit(c.f.plane_values(xl));
             match c.kept_psi(xl).filter(|_| ghost) {
-                Some(psi) => out.extend_from_slice(psi),
+                Some(kept) => emit(kept),
                 None => {
-                    let at = out.len();
-                    out.resize(at + grid.plane_cells(), 0.0);
-                    crate::macroscopic::plane_psi(&c.f, xl, &mut out[at..]);
+                    crate::macroscopic::plane_psi(&c.f, xl, psi);
+                    emit(psi);
                 }
             }
-        }
-    }
-
-    /// Installs a [`push_plane_record`](Self::push_plane_record) record as
-    /// local plane `xl`: `f`, and ψ where `halo_psi` keeps it (a ghost or
-    /// an edge plane).
-    pub(crate) fn install_plane_record(comps: &mut [ComponentState], xl: usize, record: &[f64]) {
-        let p = comps[0].grid().plane_cells();
-        for (c, record) in comps.iter_mut().zip(record.chunks_exact((D3Q19::Q + 1) * p)) {
-            let (f, psi) = record.split_at(D3Q19::Q * p);
-            for (dst, src) in c.f.plane_runs_mut(xl).zip(f.chunks_exact(p)) {
-                dst.copy_from_slice(src);
-            }
-            c.keep_psi(xl, psi);
         }
     }
 
@@ -408,8 +395,9 @@ impl SlabSolver {
         let dirs = Self::crossing_dirs(side.opposite());
         let mut runs = buf.chunks_exact(p);
         for c in self.comps.iter_mut() {
+            let plane = c.f.plane_values_mut(xl);
             for (&i, run) in dirs.iter().zip(&mut runs) {
-                c.f.channel_mut(i)[xl * p..(xl + 1) * p].copy_from_slice(run);
+                plane[i * p..(i + 1) * p].copy_from_slice(run);
             }
         }
     }
@@ -442,13 +430,12 @@ impl SlabSolver {
     /// Periodic self-exchange of the population halo (sequential driver, or
     /// a single node owning the whole channel).
     pub fn f_ghosts_periodic(&mut self) {
-        let p = self.grid().plane_cells();
         for side in [Side::Right, Side::Left] {
             // What leaves the `side` edge enters through the other ghost.
             let (src, dst) = (self.edge(side), self.ghost(side.opposite()));
             for c in self.comps.iter_mut() {
                 for &i in Self::crossing_dirs(side) {
-                    c.f.channel_mut(i).copy_within(src * p..(src + 1) * p, dst * p);
+                    c.f.copy_run(i, src, dst);
                 }
             }
         }
@@ -484,7 +471,7 @@ impl SlabSolver {
 
     /// Removes `count` planes from the `side` edge of this slab and returns
     /// their state — one record per plane, by ascending global x, each as
-    /// [`push_plane_record`](Self::push_plane_record) writes it — followed
+    /// [`plane_record`](Self::plane_record) makes it — followed
     /// by the ψ of this slab's new `side` edge plane — the receiver's new
     /// ghost. Adjusts `x0`. This slab's new `side` ghost is the given plane
     /// next to its new edge, whose ψ its record carries, so both slabs are
@@ -505,8 +492,9 @@ impl SlabSolver {
         };
         let (p, plane_len) = (self.grid().plane_cells(), self.migration_plane_len());
         let mut out = Vec::with_capacity(self.migration_len(count));
+        let mut psi = vec![0.0; p];
         for xl in first..first + count {
-            Self::push_plane_record(&self.comps, xl, &mut out);
+            Self::plane_record(&self.comps, xl, &mut psi, |run| out.extend_from_slice(run));
         }
         // The given plane next to the new edge: its ψ is the new ghost's.
         let next = match side {
@@ -551,10 +539,16 @@ impl SlabSolver {
             Side::Left => LocalGrid::FIRST,
             Side::Right => self.grid().last() + 1 - count,
         };
-        let plane_len = self.migration_plane_len();
+        let (p, plane_len) = (self.grid().plane_cells(), self.migration_plane_len());
         let (planes, ghost) = data.split_at(count * plane_len);
+        // Each record's `f` and ψ a component, ψ kept where `halo_psi`
+        // keeps it (the new edge plane's).
         for (xl, record) in (first..).zip(planes.chunks_exact(plane_len)) {
-            Self::install_plane_record(&mut self.comps, xl, record);
+            for (c, record) in self.comps.iter_mut().zip(record.chunks_exact((D3Q19::Q + 1) * p)) {
+                let (f, psi) = record.split_at(D3Q19::Q * p);
+                c.f.plane_values_mut(xl).copy_from_slice(f);
+                c.keep_psi(xl, psi);
+            }
         }
         self.psi_halo_in(side, ghost);
     }
@@ -959,6 +953,27 @@ mod tests {
         assert_eq!(b.snapshot(), before_b);
         assert_eq!(a.slab(), Slab { x0: 0, nx_local: 6 });
         assert_eq!(b.slab(), Slab { x0: 6, nx_local: 6 });
+    }
+
+    #[test]
+    fn total_number_is_an_ascending_per_channel_fold_of_the_interior() {
+        // Windowed slabs after a phase and a migration, so the populations
+        // vary from cell to cell and neither window starts at its storage.
+        let cfg = small_config();
+        let mut pair: Vec<SlabSolver> = even_slabs(12, 2).into_iter().map(|s| SlabSolver::new(&cfg, s)).collect();
+        prime_decomposed(&mut pair);
+        phase_decomposed(&mut pair);
+        let data = pair[0].take_planes(Side::Right, 2);
+        pair[1].give_planes(Side::Left, 2, &data);
+        for s in &pair {
+            let (grid, p) = (s.grid(), s.grid().plane_cells());
+            let interior = LocalGrid::FIRST * p..(grid.last() + 1) * p;
+            for c in s.components() {
+                let channel = |i: usize| interior.clone().map(|cell| c.f.at(i, cell)).sum::<f64>();
+                let want = (0..D3Q19::Q).fold(0.0, |sum, i| sum + channel(i));
+                assert_eq!(c.total_number().to_bits(), want.to_bits());
+            }
+        }
     }
 
     #[test]

@@ -50,7 +50,8 @@
 //! into the ring. Only planes collided before the sweep are copied into a
 //! slot: the two slab-edge planes and every plane of a sweep without
 //! forcing — and the two ghost planes, when the sweep first needs them, so
-//! every source is a slot: `Q` channels of `plane_cells` values each.
+//! every source is a slot: `Q` channels of `plane_cells` values each, laid
+//! out as a plane of `f` is, so each of those copies is one slice copy.
 //! Every component has its own ring; all of them are live at once.
 //!
 //! Streaming is pure data movement — every destination receives exactly the
@@ -171,9 +172,7 @@ pub(crate) fn sweep(
         }
         _ => {
             for (c, ring) in comps.iter().zip(rings.iter_mut()) {
-                for (slot, plane) in ring[k].chunks_exact_mut(p).zip(c.f.plane_runs(xl)) {
-                    slot.copy_from_slice(plane);
-                }
+                ring[k].copy_from_slice(c.f.plane_values(xl));
             }
         }
     };
@@ -377,11 +376,10 @@ mod tests {
     /// Fills ghosts periodically (the sequential single-slab convention).
     fn fill_ghosts_periodic(c: &mut ComponentState) {
         let grid = c.grid();
-        let mut buf = vec![0.0; c.f.plane_len()];
-        c.f.copy_plane_out(grid.last(), &mut buf);
-        c.f.copy_plane_in(LocalGrid::GHOST_LEFT, &buf);
-        c.f.copy_plane_out(LocalGrid::FIRST, &mut buf);
-        c.f.copy_plane_in(grid.ghost_right(), &buf);
+        let last = c.f.plane_values(grid.last()).to_vec();
+        c.f.plane_values_mut(LocalGrid::GHOST_LEFT).copy_from_slice(&last);
+        let first = c.f.plane_values(LocalGrid::FIRST).to_vec();
+        c.f.plane_values_mut(grid.ghost_right()).copy_from_slice(&first);
     }
 
     fn interior_mass(c: &ComponentState) -> f64 {
@@ -523,9 +521,7 @@ mod tests {
         assert_eq!(c.f.at(4, cell), 0.7, "halfway bounce-back at y-high wall");
         // And nothing leaked into any interior +y population (ghost planes
         // are stale after an in-place sweep and excluded).
-        let p = grid.plane_cells();
-        let total3: f64 =
-            c.f.channel(3)[LocalGrid::FIRST * p..(grid.last() + 1) * p].iter().sum();
+        let total3: f64 = (LocalGrid::FIRST..=grid.last()).flat_map(|xl| c.f.plane::<4>(xl)[3]).sum();
         assert_eq!(total3, 0.0);
     }
 

@@ -387,9 +387,7 @@ fn previous_checkpoint(solver: &SlabSolver, phase: u64) -> Vec<u8> {
     for (xl, record) in records.enumerate() {
         for (state, u) in record.chunks_exact(8 * 20 * p).zip(ueq) {
             old.extend_from_slice(state);
-            for ch in 0..3 {
-                old.extend(u.channel(ch)[xl * p..(xl + 1) * p].iter().flat_map(|v| v.to_le_bytes()));
-            }
+            old.extend(u.plane_values(xl).iter().flat_map(|v| v.to_le_bytes()));
         }
     }
     microslip_codec::seal(old)
