@@ -243,110 +243,6 @@ impl Disturbance for BaseSpeeds {
     }
 }
 
-/// A rank dies at `at` and its replacement comes back `outage` seconds
-/// later: the node delivers zero work inside the window (the engine's
-/// work integrator clamps the speed, so the phase simply stalls until the
-/// respawned rank catches up) and runs at full speed outside it. It
-/// models the stall of the runtime's chaos kill, not its replay from a
-/// checkpoint — it lets the remap policies be tuned against rank death in
-/// virtual time, where a 20,000-phase run takes milliseconds.
-#[derive(Clone, Copy, Debug)]
-pub struct RankDeath {
-    pub node: usize,
-    /// Virtual time at which the rank dies.
-    pub at: f64,
-    /// Seconds until the replacement rank has rejoined and resumed.
-    pub outage: f64,
-}
-
-impl RankDeath {
-    pub fn new(node: usize, at: f64, outage: f64) -> Self {
-        assert!(at >= 0.0 && outage > 0.0, "death needs at >= 0 and a positive outage");
-        RankDeath { node, at, outage }
-    }
-
-    fn down(&self, node: usize, t: f64) -> bool {
-        node == self.node && t >= self.at && t < self.at + self.outage
-    }
-}
-
-impl Disturbance for RankDeath {
-    fn speed(&self, node: usize, t: f64) -> f64 {
-        if self.down(node, t) {
-            0.0
-        } else {
-            1.0
-        }
-    }
-
-    fn next_change(&self, node: usize, t: f64) -> f64 {
-        if node != self.node {
-            return f64::INFINITY;
-        }
-        if t < self.at {
-            self.at
-        } else if t < self.at + self.outage {
-            self.at + self.outage
-        } else {
-            f64::INFINITY
-        }
-    }
-
-    fn load(&self, node: usize, t: f64) -> f64 {
-        // A dead rank is maximally unresponsive: peers blocking on it pay
-        // the full wakeup penalty until the replacement answers.
-        if self.down(node, t) {
-            1.0
-        } else {
-            0.0
-        }
-    }
-}
-
-/// A rank that does not exist until `at`: zero speed before its join (no
-/// work can be placed there profitably), full speed after. Paired with a
-/// near-empty initial plane count for the newcomer, this models elastic
-/// scale-up — the remap policies drain planes onto the new node once its
-/// measured speed appears.
-#[derive(Clone, Copy, Debug)]
-pub struct RankJoin {
-    pub node: usize,
-    /// Virtual time at which the rank joins the mesh.
-    pub at: f64,
-}
-
-impl RankJoin {
-    pub fn new(node: usize, at: f64) -> Self {
-        assert!(at >= 0.0);
-        RankJoin { node, at }
-    }
-}
-
-impl Disturbance for RankJoin {
-    fn speed(&self, node: usize, t: f64) -> f64 {
-        if node == self.node && t < self.at {
-            0.0
-        } else {
-            1.0
-        }
-    }
-
-    fn next_change(&self, node: usize, t: f64) -> f64 {
-        if node == self.node && t < self.at {
-            self.at
-        } else {
-            f64::INFINITY
-        }
-    }
-
-    fn load(&self, node: usize, t: f64) -> f64 {
-        // An absent machine is not a contended machine; once joined it is
-        // dedicated.
-        let _ = (node, t);
-        0.0
-    }
-}
-
 /// The product of two disturbances: speeds multiply, loads add (capped at
 /// 1), and the next change is whichever happens first. Models e.g. a
 /// heterogeneous cluster that also suffers background jobs.
@@ -547,55 +443,6 @@ mod tests {
                 assert!(end.is_finite() && end > t);
             }
         }
-    }
-
-    #[test]
-    fn rank_death_stalls_work_for_the_outage() {
-        let d = RankDeath::new(2, 5.0, 3.0);
-        assert_eq!(d.speed(2, 4.9), 1.0);
-        assert_eq!(d.speed(2, 5.0), 0.0);
-        assert_eq!(d.speed(2, 7.9), 0.0);
-        assert_eq!(d.speed(2, 8.0), 1.0);
-        assert_eq!(d.speed(1, 6.0), 1.0, "other ranks unaffected");
-        assert_eq!(d.load(2, 6.0), 1.0, "a dead rank is maximally loaded");
-        assert_eq!(d.load(2, 9.0), 0.0);
-        // 2s of work starting 1s before the death: 1s runs, then the
-        // outage stalls everything, the rest finishes after the rejoin.
-        let end = work_to_time(&d, 2, 4.0, 2.0);
-        assert!((end - 9.0).abs() < 1e-6, "got {end}");
-        // Work placed entirely outside the window is unaffected.
-        assert_eq!(work_to_time(&d, 2, 10.0, 2.0), 12.0);
-    }
-
-    #[test]
-    fn rank_death_next_change_brackets_the_window() {
-        let d = RankDeath::new(0, 5.0, 3.0);
-        assert_eq!(d.next_change(0, 0.0), 5.0);
-        assert_eq!(d.next_change(0, 6.0), 8.0);
-        assert_eq!(d.next_change(0, 9.0), f64::INFINITY);
-        assert_eq!(d.next_change(1, 0.0), f64::INFINITY);
-    }
-
-    #[test]
-    fn rank_join_delivers_no_work_before_joining() {
-        let d = RankJoin::new(3, 4.0);
-        assert_eq!(d.speed(3, 0.0), 0.0);
-        assert_eq!(d.speed(3, 4.0), 1.0);
-        assert_eq!(d.speed(0, 0.0), 1.0);
-        assert_eq!(d.load(3, 0.0), 0.0, "absence is not contention");
-        assert_eq!(d.next_change(3, 1.0), 4.0);
-        assert_eq!(d.next_change(3, 5.0), f64::INFINITY);
-        // Work scheduled at t=0 on the newcomer waits for the join.
-        let end = work_to_time(&d, 3, 0.0, 1.5);
-        assert!((end - 5.5).abs() < 1e-6, "got {end}");
-    }
-
-    #[test]
-    fn death_composes_with_background_load() {
-        let c = Compose(RankDeath::new(0, 2.0, 1.0), FixedSlowNodes::new(2, &[0], 0.5));
-        assert_eq!(c.speed(0, 2.5), 0.0, "dead is dead, even on a slow node");
-        assert_eq!(c.speed(0, 4.0), 0.5);
-        assert_eq!(c.next_change(0, 1.0), 2.0);
     }
 
     #[test]

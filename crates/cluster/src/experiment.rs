@@ -16,8 +16,7 @@ use microslip_balance::predict::{
 };
 
 use crate::disturbance::{
-    BaseSpeeds, Compose, Dedicated, Disturbance, DutyCycle, FixedSlowNodes, RankDeath,
-    TransientSpikes,
+    BaseSpeeds, Compose, Dedicated, Disturbance, DutyCycle, FixedSlowNodes, TransientSpikes,
 };
 use crate::engine::{run, ClusterConfig, RunResult};
 
@@ -107,21 +106,6 @@ pub fn transient_point(phases: u64, scheme: Scheme, spike_len: f64, seed: u64) -
     let spiked = run_scheme(&cfg, scheme, &spikes);
     let dedicated = run_scheme(&cfg, scheme, &Dedicated);
     (spiked.total_time - dedicated.total_time) / dedicated.total_time * 100.0
-}
-
-/// Elastic-ranks scenario: `victim` dies at virtual time `at` and its
-/// replacement rejoins `outage` seconds later, on an otherwise dedicated
-/// 20-node cluster. Lets a remap scheme be tuned against rank death in
-/// virtual time before the runtime pays for it with real processes.
-pub fn rank_death_point(
-    phases: u64,
-    scheme: Scheme,
-    victim: usize,
-    at: f64,
-    outage: f64,
-) -> RunResult {
-    let cfg = ClusterConfig::paper(20, phases);
-    run_scheme(&cfg, scheme, &RankDeath::new(victim, at, outage))
 }
 
 /// §4.2 scaling claim: dedicated speedup at `nodes` nodes.
@@ -490,36 +474,6 @@ mod tests {
         let items: Vec<u64> = (0..37).collect();
         assert_eq!(par_map(&items, |&x| x * x), items.iter().map(|x| x * x).collect::<Vec<_>>());
         assert!(par_map(&[] as &[u64], |&x| x).is_empty());
-    }
-
-    #[test]
-    fn rank_death_costs_the_outage_for_every_scheme() {
-        // The model's key lesson for the elastic-ranks design: phases are
-        // neighbor-synchronized, so a dead rank's in-flight phase simply
-        // spans the whole outage — there is no remap boundary while it is
-        // down, and *no* remapping scheme can recover the lost window.
-        // Rank death therefore costs ≈ the outage regardless of policy,
-        // which is why the process runtime handles death with checkpoint
-        // rollback instead of load redistribution.
-        let (phases, outage) = (600, 30.0);
-        let dedicated = fixed_slow_point(phases, Scheme::NoRemap, 0).total_time;
-        for scheme in [Scheme::NoRemap, Scheme::Filtered] {
-            let dead = rank_death_point(phases, scheme, 9, 10.0, outage).total_time;
-            let cost = dead - dedicated;
-            assert!(
-                cost > 0.9 * outage && cost < 1.5 * outage,
-                "{}: death cost {cost} should be ≈ the {outage}s outage",
-                scheme.name()
-            );
-        }
-        // Filtered's post-mortem churn (the predictor briefly believes the
-        // revived rank is slow) must stay a small fraction of the run.
-        let stuck = rank_death_point(phases, Scheme::NoRemap, 9, 10.0, outage).total_time;
-        let healed = rank_death_point(phases, Scheme::Filtered, 9, 10.0, outage).total_time;
-        assert!(
-            (healed - stuck).abs() < 0.05 * stuck,
-            "schemes should agree within 5% under one death: {healed} vs {stuck}"
-        );
     }
 
     #[test]

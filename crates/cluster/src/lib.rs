@@ -42,10 +42,10 @@ pub mod experiment;
 pub use costmodel::{CostModel, MessageSizes};
 pub use disturbance::{
     work_to_time, BaseSpeeds, Compose, Dedicated, Disturbance, DutyCycle, FixedSlowNodes,
-    RankDeath, RankJoin, TransientSpikes, SLOW_SPEED, WINDOW,
+    TransientSpikes, SLOW_SPEED, WINDOW,
 };
 pub use engine::{run, run_traced, ClusterConfig, NodeAccount, RunResult};
 pub use experiment::{
-    dedicated_speedup, fig3_point, fixed_slow_point, rank_death_point, run_scheme,
+    dedicated_speedup, fig3_point, fixed_slow_point, run_scheme,
     run_scheme_traced, transient_point, Scheme,
 };

@@ -5,8 +5,7 @@
 //! cluster traces diffable artifacts.
 
 use microslip_cluster::{
-    run_scheme, run_scheme_traced, ClusterConfig, Compose, FixedSlowNodes, RankDeath, RankJoin,
-    Scheme, TransientSpikes,
+    run_scheme, run_scheme_traced, ClusterConfig, FixedSlowNodes, Scheme, TransientSpikes,
 };
 use microslip_obs::{to_jsonl, validate_jsonl, TraceSink, DEFAULT_CAPACITY};
 
@@ -49,41 +48,6 @@ fn cluster_trace_validates_and_covers_all_event_types() {
     }
     assert_eq!(stats.counts["meta"], 1);
     assert_eq!(rec.dropped(), 0, "default capacity must hold a short run");
-}
-
-#[test]
-fn rank_death_trace_is_byte_identical_across_runs() {
-    // The elastic-ranks disturbance goes through the same single-threaded
-    // engine, so a seeded death-and-rejoin scenario must also emit
-    // byte-identical JSONL — recovery experiments stay diffable artifacts.
-    let jsonl = |outage: f64| {
-        let cfg = ClusterConfig::paper(20, 120);
-        let death = RankDeath::new(9, 5.0, outage);
-        let (sink, rec) = TraceSink::recorder(DEFAULT_CAPACITY);
-        let result = run_scheme_traced(&cfg, Scheme::Filtered, &death, &sink);
-        (to_jsonl(&rec.events()), result)
-    };
-    let (a, ra) = jsonl(20.0);
-    let (b, rb) = jsonl(20.0);
-    assert_eq!(a, b, "identical death scenarios must emit identical bytes");
-    assert_eq!(ra.total_time, rb.total_time);
-    assert_eq!(ra.final_counts, rb.final_counts);
-    let (c, _) = jsonl(40.0);
-    assert_ne!(a, c, "a longer outage must alter the trace");
-    validate_jsonl(&a).expect("rank-death JSONL must validate");
-}
-
-#[test]
-fn rank_join_scenario_traces_and_validates() {
-    // Death at t=5 on node 9, a fresh rank usable from t=30 on node 9
-    // again — the compose models a kill-then-rejoin arc in virtual time.
-    let cfg = ClusterConfig::paper(20, 120);
-    let arc = Compose(RankDeath::new(9, 5.0, 25.0), RankJoin::new(9, 30.0));
-    let (sink, rec) = TraceSink::recorder(DEFAULT_CAPACITY);
-    let result = run_scheme_traced(&cfg, Scheme::Filtered, &arc, &sink);
-    assert!(result.total_time.is_finite() && result.total_time > 0.0);
-    assert_eq!(result.final_counts.iter().sum::<usize>(), cfg.planes);
-    validate_jsonl(&to_jsonl(&rec.events())).expect("rank-join JSONL must validate");
 }
 
 #[test]

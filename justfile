@@ -4,11 +4,18 @@
 # Tier-1 gate: everything a PR must keep green. Mirrors what CI and the
 # verify loop run; uses --offline so it never depends on registry access
 # (all external deps are vendored shims, see vendor/README.md).
+# The project's rules are clippy's and rustc's: panic-freedom on every
+# decode path by the boundary header of each decoder crate's lib.rs,
+# determinism by the clippy.toml of balance, cluster, config, lbm and
+# runtime, unsafe containment by `unsafe_code = "deny"` and
+# `undocumented_unsafe_blocks`, stale or reasonless suppressions by
+# `unfulfilled_lint_expectations` and `allow_attributes_without_reason`
+# (see README "Static analysis"); tests/lint_config.rs and
+# tests/decoders_never_panic.rs run with the workspace tests.
 tier1:
     cargo build --release --offline
     cargo test -q --offline --workspace
     cargo clippy --workspace --all-targets --offline -- -D warnings
-    just lint
     just physics
     just trace-smoke
     just mp-smoke
@@ -38,19 +45,6 @@ figures:
     for name in $(./target/release/microslip figure | tail -n +2); do
         ./target/release/microslip figure "$name" --quick > "tests/goldens/figures/$name.txt"
     done
-
-# Panic-reachability (microslip-lint): panic sites reachable over the call
-# graph from the decode entry points, outside the boundary files. Every
-# other project rule is clippy's or rustc's, run by `tier1` before this:
-# boundary panic-freedom, indexing and casts by each boundary module's
-# `#![deny(clippy::…)]` header, determinism by the clippy.toml of balance,
-# cluster, lbm and runtime, unsafe containment by `unsafe_code = "deny"`
-# and `undocumented_unsafe_blocks`, stale or reasonless suppressions by
-# `unfulfilled_lint_expectations` and `allow_attributes_without_reason`
-# (see README "Static analysis"). Any finding fails.
-lint:
-    cargo test -q --offline -p microslip-lint
-    cargo run -q --offline -p microslip-lint
 
 # End-to-end observability smoke: a traced virtual-cluster run and a
 # traced threaded run, artifacts re-parsed and schema-checked (--check),

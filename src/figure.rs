@@ -101,20 +101,17 @@ fn fig6(size: Size) -> String {
     let water = mean_density_y_profile(&snap, 0);
     let air = mean_density_y_profile(&snap, 1);
     out += &row(12, "dist (nm)", &["water g/cm3", "air 1e-4 g/cm3"]);
-    for k in 0..FIG67_DIMS.ny / 2 {
-        let nm = scales.length_to_physical(water.distance[k]) * 1e9;
-        let cells = [
-            f(scales.density_to_g_cm3(water.value[k]), 4),
-            f(scales.density_to_g_cm3(air.value[k]) * 1e4, 4),
-        ];
+    let half = water.distance.iter().zip(&water.value).zip(&air.value).take(FIG67_DIMS.ny / 2);
+    for ((&distance, &w), &a) in half {
+        let nm = scales.length_to_physical(distance) * 1e9;
+        let cells = [f(scales.density_to_g_cm3(w), 4), f(scales.density_to_g_cm3(a) * 1e4, 4)];
         out += &row(12, &f(nm, 1), &cells);
     }
-    let bulk_w = water.value[FIG67_DIMS.ny / 2];
-    let bulk_a = air.value[FIG67_DIMS.ny / 2];
+    let wall_to_bulk = |v: &[f64]| at(v, 0) / at(v, FIG67_DIMS.ny / 2);
     out += &format!(
         "\nwall/bulk: water {} (paper ~0.55/1.0), air {} (paper ~1.6/0.8 = 2.0)\n",
-        f(water.value[0] / bulk_w, 2),
-        f(air.value[0] / bulk_a, 2)
+        f(wall_to_bulk(&water.value), 2),
+        f(wall_to_bulk(&air.value), 2)
     );
     out
 }
@@ -139,9 +136,10 @@ fn fig7(size: Size) -> String {
     let n_off = u_off.normalized();
     let scales = UnitScales::paper();
     out += &row(12, "dist (nm)", &["u/u0 forces", "u/u0 none"]);
-    for k in 0..FIG67_DIMS.ny / 2 {
-        let nm = scales.length_to_physical(n_on.distance[k]) * 1e9;
-        out += &row(12, &f(nm, 1), &[f(n_on.value[k], 4), f(n_off.value[k], 4)]);
+    let half = n_on.distance.iter().zip(&n_on.value).zip(&n_off.value).take(FIG67_DIMS.ny / 2);
+    for ((&distance, &on), &off) in half {
+        let nm = scales.length_to_physical(distance) * 1e9;
+        out += &row(12, &f(nm, 1), &[f(on, 4), f(off, 4)]);
     }
     out += &format!(
         "\napparent slip: {} with wall forces (paper ~0.10), {} without (paper ~0)\n",
@@ -187,7 +185,9 @@ fn ablation(size: Size) -> String {
     let adhesion = |g_w: f64| {
         with(&|c| {
             c.wall = WallForce::off();
-            c.components[0].0.wall_adhesion = g_w;
+            if let Some((water, _)) = c.components.first_mut() {
+                water.wall_adhesion = g_w;
+            }
         })
     };
     let models = [
@@ -209,5 +209,10 @@ fn ablation_point(cfg: &ChannelConfig, phases: u64) -> (f64, f64) {
     let snap = run(cfg.clone(), phases);
     let slip = apparent_slip_fraction(&mean_velocity_y_profile(&snap));
     let water = mean_density_y_profile(&snap, 0);
-    (slip, 1.0 - water.value[0] / water.value[cfg.dims.ny / 2])
+    (slip, 1.0 - at(&water.value, 0) / at(&water.value, cfg.dims.ny / 2))
+}
+
+/// Entry `k` of a profile; NaN, printed as such, past its end.
+fn at(profile: &[f64], k: usize) -> f64 {
+    profile.get(k).copied().unwrap_or(f64::NAN)
 }

