@@ -167,7 +167,8 @@ impl RemapPolicy for Global {
     }
 
     fn target_counts(&self, predicted: &[Option<f64>], partition: &Partition) -> Vec<usize> {
-        let Some(speeds) = speeds(predicted, partition) else {
+        let speeds: Option<Vec<f64>> = node_speeds(predicted, partition).into_iter().collect();
+        let Some(speeds) = speeds else {
             return partition.counts().to_vec();
         };
         let target = partition.proportional_counts(&speeds);
@@ -187,23 +188,11 @@ impl RemapPolicy for Global {
     }
 }
 
-/// Node speeds S_i = N_i / T_i, or `None` if any prediction is missing.
-fn speeds(predicted: &[Option<f64>], partition: &Partition) -> Option<Vec<f64>> {
-    assert_eq!(predicted.len(), partition.nodes());
-    predicted
-        .iter()
-        .enumerate()
-        .map(|(i, p)| {
-            p.map(|t| partition.points(i) as f64 / t.max(f64::MIN_POSITIVE))
-        })
-        .collect()
-}
-
 /// Per-node speeds `S_i = N_i / T_i` with per-entry availability — the β
 /// over-redistribution inputs, exposed so decision audit events can record
-/// exactly what the policy saw. Unlike the internal all-or-nothing helper,
-/// each entry is derived independently (`None` only where the prediction
-/// is missing).
+/// exactly what the policy saw. Each entry is derived independently
+/// (`None` only where the prediction is missing); the policies collect
+/// them into `Option<Vec<_>>` and act only when every speed is known.
 pub fn node_speeds(predicted: &[Option<f64>], partition: &Partition) -> Vec<Option<f64>> {
     assert_eq!(predicted.len(), partition.nodes());
     predicted
@@ -231,7 +220,8 @@ fn local_edge_flows(
     if n <= 1 {
         return vec![0; n.saturating_sub(1)];
     }
-    let Some(speeds) = speeds(predicted, partition) else {
+    let speeds: Option<Vec<f64>> = node_speeds(predicted, partition).into_iter().collect();
+    let Some(speeds) = speeds else {
         return vec![0; n - 1];
     };
     let pc = partition.plane_cells() as f64;

@@ -1,4 +1,4 @@
-//! In-process transport over crossbeam channels.
+//! In-process transport over `std::sync::mpsc` channels.
 //!
 //! [`mesh`] builds a fully connected communicator of `n` ranks; each rank's
 //! [`ChannelTransport`] is moved onto its worker thread. Receives match on
@@ -14,7 +14,7 @@
 
 use std::collections::{HashMap, VecDeque};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 
 use crate::transport::{CommError, NodeId, Tag, Transport};
 
@@ -48,7 +48,7 @@ pub fn mesh(n: usize) -> Vec<ChannelTransport> {
     let mut senders = Vec::with_capacity(n);
     let mut receivers = Vec::with_capacity(n);
     for _ in 0..n {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         senders.push(tx);
         receivers.push(rx);
     }

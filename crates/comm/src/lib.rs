@@ -3,7 +3,7 @@
 //!
 //! An in-process substitute for the paper's MPI layer: tagged blocking
 //! point-to-point transport ([`transport::Transport`]) with a
-//! crossbeam-channel implementation ([`channel::mesh`]), the linear/ring
+//! `std::sync::mpsc` implementation ([`channel::mesh`]), the linear/ring
 //! topology of the 1-D slab decomposition ([`topology::LinearTopology`]),
 //! the transport contract every backend must pass ([`contract`]) and a
 //! traffic-counting wrapper ([`instrument`]). There are no collectives:

@@ -16,7 +16,7 @@
 //! A zero-dependency, low-overhead event layer shared by every crate in
 //! the workspace. Producers (the threaded runtime, the virtual-time
 //! cluster engine, the balance policies, the transports) emit one common
-//! vocabulary of typed [`Event`]s into an [`EventSink`]; consumers export
+//! vocabulary of typed [`Event`]s into a [`TraceSink`]; consumers export
 //! the stream as JSONL or Chrome `trace_event` JSON (Perfetto-loadable)
 //! and fold it into machine-readable [`TraceSummary`] benchmarks.
 //!
@@ -62,5 +62,5 @@ pub use export::{
     event_from_json, event_to_json, from_jsonl, merge_rank_streams, remap_fingerprints,
     to_chrome_trace, to_jsonl, validate_chrome_trace, validate_jsonl, ChromeStats, JsonlStats,
 };
-pub use sink::{EventSink, NullSink, Recorder, TraceSink, DEFAULT_CAPACITY};
+pub use sink::{Recorder, TraceSink, DEFAULT_CAPACITY};
 pub use summary::{NodeSummary, TraceSummary};

@@ -1,39 +1,14 @@
 //! Event sinks: where recorded events go.
 //!
-//! The contract is deliberately minimal — [`EventSink::record`] takes an
-//! owned [`Event`] and must be callable concurrently from worker threads.
-//! Producers are expected to consult [`EventSink::enabled`] before
-//! assembling expensive payloads, so a disabled sink ([`NullSink`]) costs
-//! one virtual call per potential event and nothing else.
+//! A [`TraceSink`] is either disabled or a handle to one shared
+//! [`Recorder`], callable concurrently from worker threads. Producers
+//! consult [`TraceSink::enabled`] before assembling expensive payloads, so
+//! a disabled sink costs one `Option` check per potential event.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use crate::event::Event;
-
-/// A consumer of structured events.
-pub trait EventSink: Send + Sync {
-    /// Records one event. Must be cheap and non-blocking (bounded work).
-    fn record(&self, event: Event);
-
-    /// Whether recording does anything — producers skip payload assembly
-    /// when `false`.
-    fn enabled(&self) -> bool {
-        true
-    }
-}
-
-/// Discards everything; `enabled()` is `false`.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullSink;
-
-impl EventSink for NullSink {
-    fn record(&self, _event: Event) {}
-
-    fn enabled(&self) -> bool {
-        false
-    }
-}
 
 /// Default [`Recorder`] capacity: plenty for the repo's experiment scales
 /// (a 20-node × 2,000-phase cluster run emits ~400k events).
@@ -99,10 +74,9 @@ impl Recorder {
     pub fn take(&self) -> Vec<Event> {
         self.state().events.drain(..).collect()
     }
-}
 
-impl EventSink for Recorder {
-    fn record(&self, event: Event) {
+    /// Records one event, dropping the oldest when the ring is full.
+    pub fn record(&self, event: Event) {
         let mut st = self.state();
         if st.events.len() >= self.capacity {
             st.events.pop_front();
@@ -112,12 +86,12 @@ impl EventSink for Recorder {
     }
 }
 
-/// A cloneable handle to an optional sink — the form configuration structs
-/// carry. The default is disabled (null), so tracing is strictly opt-in
-/// and a disabled handle is a single `Option` check per event site.
+/// A cloneable handle to an optional recorder — the form configuration
+/// structs carry. The default is disabled (null), so tracing is strictly
+/// opt-in and a disabled handle is a single `Option` check per event site.
 #[derive(Clone)]
 pub struct TraceSink {
-    inner: Option<Arc<dyn EventSink>>,
+    inner: Option<Arc<Recorder>>,
 }
 
 impl TraceSink {
@@ -126,28 +100,21 @@ impl TraceSink {
         TraceSink { inner: None }
     }
 
-    /// Wraps any sink implementation.
-    pub fn new(sink: Arc<dyn EventSink>) -> Self {
-        TraceSink { inner: Some(sink) }
-    }
-
-    /// Convenience: a fresh ring-buffered recorder plus its handle.
+    /// A fresh ring-buffered recorder plus its handle.
     pub fn recorder(capacity: usize) -> (TraceSink, Arc<Recorder>) {
         let rec = Arc::new(Recorder::new(capacity));
-        (TraceSink::new(rec.clone()), rec)
+        (TraceSink { inner: Some(Arc::clone(&rec)) }, rec)
     }
 
     /// Whether events will actually be kept.
     pub fn enabled(&self) -> bool {
-        self.inner.as_ref().is_some_and(|s| s.enabled())
+        self.inner.is_some()
     }
 
     /// Records `event` if enabled.
     pub fn record(&self, event: Event) {
-        if let Some(sink) = &self.inner {
-            if sink.enabled() {
-                sink.record(event);
-            }
+        if let Some(rec) = &self.inner {
+            rec.record(event);
         }
     }
 
@@ -239,7 +206,7 @@ mod tests {
 
     #[test]
     fn null_sink_is_disabled() {
-        assert!(!NullSink.enabled());
+        assert!(!TraceSink::null().enabled());
         let t = TraceSink::default();
         assert!(!t.enabled());
         t.record(span(0, 0.0)); // must be a no-op, not a panic

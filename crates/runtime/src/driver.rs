@@ -19,14 +19,21 @@ use microslip_lbm::{ChannelConfig, Slab, SlabSolver};
 use microslip_obs::{Event, TraceSink};
 
 use crate::throttle::ThrottlePlan;
-use crate::worker::{worker_main_with_solver, LoadModel, WorkerConfig, WorkerReport};
+use crate::worker::{worker_main, LoadModel, WorkerReport};
 
-/// Configuration of a threaded parallel run.
+/// Configuration of a threaded parallel run, shared by every worker of it:
+/// the threads of [`run_parallel`] and the rank processes of a
+/// multi-process run alike.
 #[derive(Clone, Debug)]
 pub struct RuntimeConfig {
     pub channel: ChannelConfig,
     pub workers: usize,
     pub phases: u64,
+    /// First phase already completed: the loop runs `start_phase + 1 ..=
+    /// phases`. 0 for a fresh run; a checkpoint's phase when resuming, so
+    /// the phase numbering (and periodic checkpoint names) continue where
+    /// the interrupted run stopped.
+    pub start_phase: u64,
     /// Phases between remap rounds; 0 disables remapping.
     pub remap_interval: u64,
     /// Predictor window for the harmonic load index (paper: 10).
@@ -58,6 +65,7 @@ impl RuntimeConfig {
             channel,
             workers,
             phases,
+            start_phase: 0,
             remap_interval: 0,
             predictor_window: 10,
             throttle: Vec::new(),
@@ -66,24 +74,6 @@ impl RuntimeConfig {
             checkpoint_dir: None,
             load: LoadModel::Measured,
             trace: TraceSink::null(),
-        }
-    }
-
-    /// The static configuration every worker of this run shares — the
-    /// threads of [`run_parallel`] and the rank processes of a
-    /// multi-process run alike. `epoch` is their common time origin.
-    pub fn worker_config(&self, epoch: Instant) -> WorkerConfig {
-        WorkerConfig {
-            channel: self.channel.clone(),
-            phases: self.phases,
-            start_phase: 0,
-            remap_interval: self.remap_interval,
-            predictor_window: self.predictor_window,
-            checkpoint_every: self.checkpoint_every,
-            checkpoint_dir: self.checkpoint_dir.clone(),
-            load: self.load,
-            trace: self.trace.clone(),
-            epoch,
         }
     }
 
@@ -164,7 +154,7 @@ fn run_workers<S>(
     starts: Vec<S>,
 ) -> RunOutcome
 where
-    S: FnOnce(&ChannelConfig) -> SlabSolver + Send + 'static,
+    S: FnOnce(&ChannelConfig) -> SlabSolver + Send,
 {
     cfg.channel.validate().expect("invalid channel configuration");
     let transports = mesh(cfg.workers);
@@ -175,41 +165,33 @@ where
         phases: cfg.phases,
         policy: policy.name().into(),
     });
-    let worker_cfg = Arc::new(cfg.worker_config(start));
-
-    let mut handles = Vec::with_capacity(cfg.workers);
-    for (transport, solver) in transports.into_iter().zip(starts) {
-        let rank = transport.rank();
-        let wcfg = Arc::clone(&worker_cfg);
-        let policy = Arc::clone(&policy);
-        let throttle = cfg.throttle_for(rank);
-        let predictor_window = cfg.predictor_window;
-        handles.push(
-            std::thread::Builder::new()
-                .name(format!("microslip-worker-{rank}"))
-                .spawn(move || {
-                    let predictor = HarmonicMean { window: predictor_window };
-                    let solver = solver(&wcfg.channel);
-                    worker_main_with_solver(
-                        &wcfg,
-                        policy.as_ref(),
-                        &predictor,
-                        transport,
-                        solver,
-                        throttle,
-                    )
-                })
-                .expect("spawn worker"),
-        );
-    }
-    let mut finished: Vec<(WorkerReport, SlabSolver)> = handles
-        .into_iter()
-        .map(|h| {
-            h.join()
-                .expect("worker panicked")
-                .unwrap_or_else(|e| panic!("worker failed: {e}"))
-        })
-        .collect();
+    let policy = policy.as_ref();
+    let mut finished: Vec<(WorkerReport, SlabSolver)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = transports
+            .into_iter()
+            .zip(starts)
+            .map(|(transport, solver)| {
+                let rank = transport.rank();
+                let throttle = cfg.throttle_for(rank);
+                std::thread::Builder::new()
+                    .name(format!("microslip-worker-{rank}"))
+                    .spawn_scoped(scope, move || {
+                        let predictor = HarmonicMean { window: cfg.predictor_window };
+                        let solver = solver(&cfg.channel);
+                        worker_main(cfg, policy, &predictor, transport, solver, throttle, start)
+                    })
+                    .expect("spawn worker")
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                h.join()
+                    .expect("worker panicked")
+                    .unwrap_or_else(|e| panic!("worker failed: {e}"))
+            })
+            .collect()
+    });
     let wall_seconds = start.elapsed().as_secs_f64();
     finished.sort_by_key(|(r, _)| r.rank);
     let (reports, solvers): (Vec<WorkerReport>, Vec<SlabSolver>) = finished.into_iter().unzip();

@@ -44,4 +44,4 @@ pub use driver::{run_parallel, RunOutcome, RuntimeConfig};
 pub use profile::Profile;
 pub use throttle::{Throttle, ThrottlePlan};
 pub use trace::Tracer;
-pub use worker::{LoadModel, WorkerConfig, WorkerError, WorkerReport};
+pub use worker::{LoadModel, WorkerError, WorkerReport};

@@ -15,19 +15,15 @@
 
 use std::fmt;
 use std::time::Duration;
-#[expect(
-    clippy::disallowed_types,
-    reason = "Instant is only named as the epoch field type; clock reads live in the tracer"
-)]
-use std::time::Instant;
 
 use microslip_balance::policy::NeighborPolicy;
 use microslip_balance::predict::{History, Predictor};
 use microslip_balance::Partition;
 use microslip_comm::{CommError, InstrumentedTransport, LinearTopology, Tag, Transport};
-use microslip_lbm::{ChannelConfig, Side, Slab, SlabSolver};
-use microslip_obs::{Event, SpanKind, TraceSink};
+use microslip_lbm::{Side, Slab, SlabSolver};
+use microslip_obs::{Event, SpanKind};
 
+use crate::driver::RuntimeConfig;
 use crate::profile::Profile;
 use crate::trace::Tracer;
 use crate::throttle::{Throttle, ThrottlePlan};
@@ -73,42 +69,8 @@ impl From<CommError> for WorkerError {
     }
 }
 
-/// Static configuration shared by every worker.
-pub struct WorkerConfig {
-    pub channel: ChannelConfig,
-    pub phases: u64,
-    /// First phase already completed: the loop runs `start_phase + 1 ..=
-    /// phases`. 0 for a fresh run; a checkpoint's phase when resuming, so
-    /// the phase numbering (and periodic checkpoint names) continue where
-    /// the interrupted run stopped.
-    pub start_phase: u64,
-    /// Phases between remap rounds; 0 disables remapping entirely.
-    pub remap_interval: u64,
-    /// Harmonic-predictor window (paper: 10).
-    pub predictor_window: usize,
-    /// Phases between periodic on-disk checkpoints; 0 disables them.
-    pub checkpoint_every: u64,
-    /// Directory for periodic checkpoints
-    /// ([`microslip_lbm::checkpoint::path`]); defaults to the current
-    /// directory.
-    pub checkpoint_dir: Option<std::path::PathBuf>,
-    /// Load-index source for the remap predictor (see [`LoadModel`]).
-    pub load: LoadModel,
-    /// Observability sink (default: disabled). Workers emit activity
-    /// spans, remap-decision audits, migrations and end-of-run traffic
-    /// totals into it.
-    pub trace: TraceSink,
-    /// Common wall-clock origin for span timestamps, shared by every
-    /// worker of a run so their timelines align.
-    #[expect(
-        clippy::disallowed_types,
-        reason = "a passed-in origin the driver read once; workers never read the clock here"
-    )]
-    pub epoch: Instant,
-}
-
 /// What a worker reports when the run completes. The solver itself comes
-/// back beside it ([`worker_main_with_solver`]), so a report outlives no
+/// back beside it ([`worker_main`]), so a report outlives no
 /// lattice.
 #[derive(Clone, Debug)]
 pub struct WorkerReport {
@@ -120,40 +82,33 @@ pub struct WorkerReport {
     pub planes_received: usize,
 }
 
-/// Runs one worker to completion. `transport` is this rank's endpoint of
-/// the communicator; `slab` its initial share of the channel.
-pub fn worker_main<T: Transport>(
-    cfg: &WorkerConfig,
-    policy: &dyn NeighborPolicy,
-    predictor: &dyn Predictor,
-    transport: T,
-    slab: Slab,
-    throttle: ThrottlePlan,
-) -> Result<WorkerReport, WorkerError> {
-    let solver = SlabSolver::new(&cfg.channel, slab);
-    worker_main_with_solver(cfg, policy, predictor, transport, solver, throttle).map(|(report, _)| report)
-}
-
-/// As [`worker_main`] but starting from an existing solver state (e.g. a
-/// restored checkpoint), and handing the solver back beside the report as
+/// Runs one worker to completion from `solver` (a fresh slab, or a
+/// restored checkpoint) and hands the solver back beside the report as
 /// the last phase left it: capture it into the run's snapshot
 /// ([`SlabSolver::into_capture`]) or stream it to a checkpoint file
-/// ([`microslip_lbm::checkpoint::write_solver`]). Priming recomputes ψ
-/// from the populations, which is idempotent, so restored runs continue
-/// bitwise.
-pub fn worker_main_with_solver<T: Transport>(
-    cfg: &WorkerConfig,
+/// ([`microslip_lbm::checkpoint::write_solver`]). `transport` is this
+/// rank's endpoint of the communicator; `epoch` the wall-clock origin of
+/// the run's span timestamps, shared by every worker so their timelines
+/// align. Priming recomputes ψ from the populations, which is idempotent,
+/// so restored runs continue bitwise.
+#[expect(
+    clippy::disallowed_types,
+    reason = "the epoch is a passed-in origin the driver read once; clock reads live in the tracer"
+)]
+pub fn worker_main<T: Transport>(
+    cfg: &RuntimeConfig,
     policy: &dyn NeighborPolicy,
     predictor: &dyn Predictor,
     transport: T,
     mut solver: SlabSolver,
     throttle: ThrottlePlan,
+    epoch: std::time::Instant,
 ) -> Result<(WorkerReport, SlabSolver), WorkerError> {
     let rank = transport.rank();
     let n = transport.size();
     let topo = LinearTopology::new(rank, n);
     let mut transport = InstrumentedTransport::new(transport);
-    let mut tracer = Tracer::new(cfg.trace.clone(), rank, cfg.epoch);
+    let mut tracer = Tracer::new(cfg.trace.clone(), rank, epoch);
     let mut history = History::new(cfg.predictor_window.max(1));
     let mut planes_sent = 0usize;
     let mut planes_received = 0usize;
@@ -192,7 +147,7 @@ pub fn worker_main_with_solver<T: Transport>(
     reason = "the worker's state, borrowed piecewise so the solver and transport stay disjoint"
 )]
 fn run_phases<T: Transport>(
-    cfg: &WorkerConfig,
+    cfg: &RuntimeConfig,
     policy: &dyn NeighborPolicy,
     predictor: &dyn Predictor,
     solver: &mut SlabSolver,
@@ -405,7 +360,7 @@ type LoadView = Vec<Option<(Option<f64>, usize)>>;
     reason = "the worker's state, borrowed piecewise so the solver and transport stay disjoint"
 )]
 fn remap_round<T: Transport>(
-    cfg: &WorkerConfig,
+    cfg: &RuntimeConfig,
     policy: &dyn NeighborPolicy,
     predictor: &dyn Predictor,
     solver: &mut SlabSolver,
@@ -627,7 +582,8 @@ mod tests {
     use microslip_balance::predict::LastPhase;
     use microslip_comm::channel::mesh;
     use microslip_lbm::geometry::even_slabs;
-    use microslip_lbm::Dims;
+    use microslip_lbm::{ChannelConfig, Dims};
+    use microslip_obs::TraceSink;
 
     /// A channel of 12 planes whose moves fit one batch.
     const NARROW: Dims = Dims { nx: 12, ny: 4, nz: 3 };
@@ -648,23 +604,10 @@ mod tests {
         batches: Vec<Vec<f64>>,
     ) -> (Result<(), CommError>, Vec<Vec<f64>>) {
         let channel = ChannelConfig::paper_scaled(dims);
-        #[expect(
-            clippy::disallowed_types,
-            clippy::disallowed_methods,
-            reason = "the epoch only stamps trace spans, and the null sink drops them"
-        )]
-        let cfg = WorkerConfig {
-            channel: channel.clone(),
-            phases: 2,
-            start_phase: 0,
-            remap_interval: 2,
-            predictor_window: 1,
-            checkpoint_every: 0,
-            checkpoint_dir: None,
-            load: LoadModel::Synthetic { per_point: 1e-6 },
-            trace: TraceSink::null(),
-            epoch: Instant::now(),
-        };
+        let mut cfg = RuntimeConfig::new(channel.clone(), 2, 2);
+        cfg.remap_interval = 2;
+        cfg.predictor_window = 1;
+        cfg.load = LoadModel::Synthetic { per_point: 1e-6 };
         let mut ends = mesh(2);
         let mut peer = ends.pop().expect("two endpoints");
         let mut me = ends.pop().expect("two endpoints");
@@ -686,7 +629,12 @@ mod tests {
         let mut solver = SlabSolver::new(&channel, even_slabs(dims.nx, 2)[0]);
         let mut history = History::new(1);
         history.push(1e-6);
-        let mut tracer = Tracer::new(TraceSink::null(), 0, cfg.epoch);
+        #[expect(
+            clippy::disallowed_types,
+            clippy::disallowed_methods,
+            reason = "the epoch only stamps trace spans, and the null sink drops them"
+        )]
+        let mut tracer = Tracer::new(TraceSink::null(), 0, std::time::Instant::now());
         let outcome = remap_round(
             &cfg,
             &Filtered::default(),

@@ -12,9 +12,9 @@ use microslip_comm::{mesh, CommError, InstrumentedTransport, NodeId, Tag, Transp
 use microslip_lbm::geometry::even_slabs;
 use microslip_lbm::{ChannelConfig, Dims, SlabSolver};
 use microslip_runtime::worker::{
-    migration_batch_planes, worker_main, WorkerConfig, WorkerReport, MIGRATION_BATCH_BYTES,
+    migration_batch_planes, worker_main, WorkerReport, MIGRATION_BATCH_BYTES,
 };
-use microslip_runtime::ThrottlePlan;
+use microslip_runtime::{RuntimeConfig, ThrottlePlan};
 
 fn run_instrumented(
     workers: usize,
@@ -25,23 +25,16 @@ fn run_instrumented(
 ) -> Vec<(WorkerReport, InstrumentedTransport<microslip_comm::ChannelTransport>)> {
     let mut channel = ChannelConfig::paper_scaled(Dims::new(16, 6, 4));
     channel.body = [1e-4, 0.0, 0.0];
+    let mut cfg = RuntimeConfig::new(channel, workers, phases);
+    cfg.remap_interval = remap_interval;
+    cfg.predictor_window = 2;
+    let cfg = Arc::new(cfg);
     #[expect(
         clippy::disallowed_types,
         clippy::disallowed_methods,
         reason = "the epoch only stamps trace spans, and the null sink drops them"
     )]
-    let cfg = Arc::new(WorkerConfig {
-        channel,
-        phases,
-        start_phase: 0,
-        remap_interval,
-        predictor_window: 2,
-        checkpoint_every: 0,
-        checkpoint_dir: None,
-        load: microslip_runtime::LoadModel::Measured,
-        trace: microslip_obs::TraceSink::null(),
-        epoch: std::time::Instant::now(),
-    });
+    let epoch = std::time::Instant::now();
     let slabs = even_slabs(16, workers);
     let handles: Vec<_> = mesh(workers)
         .into_iter()
@@ -57,12 +50,13 @@ fn run_instrumented(
                 } else {
                     ThrottlePlan::none()
                 };
-                let report = if filtered {
-                    worker_main(&cfg, &Filtered::default(), &predictor, &mut t, slab, throttle)
+                let solver = SlabSolver::new(&cfg.channel, slab);
+                let outcome = if filtered {
+                    worker_main(&cfg, &Filtered::default(), &predictor, &mut t, solver, throttle, epoch)
                 } else {
-                    worker_main(&cfg, &NoRemap, &predictor, &mut t, slab, throttle)
+                    worker_main(&cfg, &NoRemap, &predictor, &mut t, solver, throttle, epoch)
                 };
-                (report.expect("worker failed"), t)
+                (outcome.expect("worker failed").0, t)
             })
         })
         .collect();
@@ -201,23 +195,17 @@ fn migrations_travel_in_bounded_acknowledged_batches() {
     let probe = SlabSolver::new(&channel, even_slabs(12, 2)[0]);
     let batch = migration_batch_planes(&probe);
     let budget = (MIGRATION_BATCH_BYTES / 8).max(probe.migration_len(1));
+    let mut cfg = RuntimeConfig::new(channel, 2, 4);
+    cfg.remap_interval = 2;
+    cfg.predictor_window = 2;
+    cfg.load = microslip_runtime::LoadModel::Synthetic { per_point: 1.0 };
+    let cfg = Arc::new(cfg);
     #[expect(
         clippy::disallowed_types,
         clippy::disallowed_methods,
         reason = "the epoch only stamps trace spans, and the null sink drops them"
     )]
-    let cfg = Arc::new(WorkerConfig {
-        channel,
-        phases: 4,
-        start_phase: 0,
-        remap_interval: 2,
-        predictor_window: 2,
-        checkpoint_every: 0,
-        checkpoint_dir: None,
-        load: microslip_runtime::LoadModel::Synthetic { per_point: 1.0 },
-        trace: microslip_obs::TraceSink::null(),
-        epoch: std::time::Instant::now(),
-    });
+    let epoch = std::time::Instant::now();
     let handles: Vec<_> = mesh(2)
         .into_iter()
         .zip(even_slabs(12, 2))
@@ -230,8 +218,10 @@ fn migrations_travel_in_bounded_acknowledged_batches() {
                 };
                 let mut log = MoveLog { inner: t, steps: Vec::new() };
                 let predictor = HarmonicMean { window: 2 };
-                let report = worker_main(&cfg, &Filtered::default(), &predictor, &mut log, slab, throttle)
-                    .expect("worker failed");
+                let solver = SlabSolver::new(&cfg.channel, slab);
+                let (report, _) =
+                    worker_main(&cfg, &Filtered::default(), &predictor, &mut log, solver, throttle, epoch)
+                        .expect("worker failed");
                 (report, log.steps)
             })
         })

@@ -24,7 +24,7 @@ use microslip::obs::{
 };
 use microslip::comm::Tag;
 use microslip::mp::{MpFault, MpWorkerArgs};
-use microslip::runtime::LoadModel;
+use microslip::runtime::{LoadModel, RunOutcome};
 use microslip::serve::{self, RunJobArgs, ServeConfig, SweepRequest};
 use microslip::Scenario;
 
@@ -262,6 +262,28 @@ fn cluster_run(
         return Err(format!("--slow {slow}: at most {max} slow node(s) on {nodes} nodes"));
     }
     Ok(if slow == 0 { ex.run_dedicated() } else { ex.run(&FixedSlowNodes::paper(nodes, slow)) })
+}
+
+/// `trace --mode parallel`'s run on the 32×8×4 channel: worker 1 (worker 0
+/// when it runs alone) is slowed by `throttled`. The scenario refuses a
+/// worker count of 0 before anything runs.
+fn parallel_run(
+    workers: usize,
+    phases: u64,
+    throttled: f64,
+    scheme: Scheme,
+    sink: TraceSink,
+) -> Result<RunOutcome, String> {
+    Ok(Scenario::paper_scaled(32, 8, 4)
+        .workers(workers)
+        .phases(phases)
+        .remap_every(4)
+        .predictor_window(3)
+        .scheme(scheme)
+        .throttle(usize::from(workers > 1), throttled)
+        .trace(sink)
+        .runtime()?
+        .run())
 }
 
 /// `--throttle RANK:FACTOR[,RANK:FACTOR…]` → the scenario's sparse
@@ -651,17 +673,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
         "parallel" => {
             let workers = f.get("workers", 4usize)?;
             let phases = f.get("phases", 24u64)?;
-            let throttled = f.get("throttle", 4.0f64)?;
-            let outcome = Scenario::paper_scaled(32, 8, 4)
-                .workers(workers)
-                .phases(phases)
-                .remap_every(4)
-                .predictor_window(3)
-                .scheme(scheme)
-                .throttle(workers.min(2) - 1, throttled)
-                .trace(sink)
-                .runtime()?
-                .run();
+            let outcome = parallel_run(workers, phases, f.get("throttle", 4.0f64)?, scheme, sink)?;
             println!(
                 "parallel {} on {workers} workers, {phases} phases: wall {:.2}s, migrated {}",
                 scheme.name(),
@@ -852,6 +864,13 @@ mod tests {
         assert!(run(500, 2).unwrap_err().contains("at least one plane per node"));
         let r = run(4, 1).unwrap();
         assert_eq!(r.final_counts.iter().sum::<usize>(), 400);
+    }
+
+    #[test]
+    fn trace_parallel_run_rejects_zero_workers_before_running() {
+        let run = |workers| parallel_run(workers, 2, 4.0, Scheme::Filtered, TraceSink::null());
+        assert!(run(0).unwrap_err().contains("at least one worker"));
+        assert_eq!(run(1).unwrap().final_counts(), vec![32]);
     }
 
     #[test]

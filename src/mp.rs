@@ -61,9 +61,7 @@ use microslip_obs::{
     from_jsonl, merge_rank_streams, to_jsonl, Event, RecoveryStage, TraceSink,
     DEFAULT_CAPACITY,
 };
-use microslip_runtime::worker::{
-    worker_main_with_solver, WorkerConfig, WorkerError, WorkerReport,
-};
+use microslip_runtime::worker::{worker_main, WorkerError, WorkerReport};
 use microslip_runtime::RuntimeConfig;
 
 use crate::scenario::Scenario;
@@ -673,13 +671,14 @@ impl<T: Transport> Transport for FaultTransport<T> {
 }
 
 /// One rank's run: join the mesh, start from the `--resume-phase`
-/// checkpoint (numbering phases from it) or a fresh even slab, and run
-/// the standard worker protocol to the scenario's last phase.
+/// checkpoint (`run` numbers phases from it) or a fresh even slab, and
+/// run the standard worker protocol to the scenario's last phase, its
+/// spans stamped from `epoch`.
 fn run_rank(
     a: &MpWorkerArgs,
     run: &RuntimeConfig,
     policy: &dyn NeighborPolicy,
-    cfg: &mut WorkerConfig,
+    epoch: Instant,
 ) -> Result<(WorkerReport, SlabSolver), WorkerError> {
     let transport = if a.rank == 0 {
         // Bound here, to whatever port the address names (any free one for
@@ -706,20 +705,19 @@ fn run_rank(
         }
         Some(phase) => {
             let path = checkpoint::path(&a.dir, a.rank, phase);
-            cfg.start_phase = phase;
             read_solver(&run.channel, &path)
                 .map_err(|e| WorkerError::Io(format!("{}: {e}", path.display())))?
                 .0
         }
     };
-    let predictor = HarmonicMean { window: cfg.predictor_window.max(1) };
+    let predictor = HarmonicMean { window: run.predictor_window.max(1) };
     let throttle = run.throttle_for(a.rank);
     match a.die_on {
         Some((tag, nth)) => {
             let transport = FaultTransport::new(transport, tag, nth);
-            worker_main_with_solver(cfg, policy, &predictor, transport, solver, throttle)
+            worker_main(run, policy, &predictor, transport, solver, throttle, epoch)
         }
-        None => worker_main_with_solver(cfg, policy, &predictor, transport, solver, throttle),
+        None => worker_main(run, policy, &predictor, transport, solver, throttle, epoch),
     }
 }
 
@@ -743,11 +741,12 @@ pub fn run_worker(a: &MpWorkerArgs) -> Result<(), String> {
         policy: scenario.scheme.name().into(),
     });
     let mut runtime = scenario.trace(sink).runtime()?;
-    runtime.config_mut().checkpoint_every = a.checkpoint_every;
-    runtime.config_mut().checkpoint_dir = Some(a.dir.clone());
+    let cfg = runtime.config_mut();
+    cfg.start_phase = a.resume_phase.unwrap_or(0);
+    cfg.checkpoint_every = a.checkpoint_every;
+    cfg.checkpoint_dir = Some(a.dir.clone());
     let policy = runtime.policy();
-    let mut cfg = runtime.config().worker_config(Instant::now());
-    let result = run_rank(a, runtime.config(), policy.as_ref(), &mut cfg);
+    let result = run_rank(a, runtime.config(), policy.as_ref(), Instant::now());
 
     // The trace lands on disk no matter what: a failed rank must leave
     // its partial evidence (spans, traffic totals) behind.
