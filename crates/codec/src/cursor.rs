@@ -23,7 +23,7 @@ pub fn put_str(out: &mut Vec<u8>, s: &str) {
 }
 
 /// Longest string [`Reader::str`] accepts (1 MiB).
-const MAX_STR_LEN: usize = 1 << 20;
+pub const MAX_STR_LEN: usize = 1 << 20;
 
 /// Bounds-checked little-endian cursor over untrusted bytes.
 pub struct Reader<'a> {

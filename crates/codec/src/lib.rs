@@ -32,7 +32,7 @@ mod le;
 mod seal;
 
 pub use crc::{crc32, Crc32};
-pub use cursor::{put_f64, put_str, put_u64, Reader};
+pub use cursor::{put_f64, put_str, put_u64, Reader, MAX_STR_LEN};
 pub use le::{f64s_from_le, put_f64s, read_f64s, write_f64s};
 pub use seal::{
     open, publish, read_file, seal, unseal, verify, write_file, SealError, SealReader, SealWriter,

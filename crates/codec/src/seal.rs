@@ -11,7 +11,7 @@
 
 use std::fmt;
 use std::fs::{self, File};
-use std::io::{self, Read, Write};
+use std::io::{self, Read, Seek, Write};
 use std::path::Path;
 
 use crate::crc::{crc32, Crc32};
@@ -174,9 +174,15 @@ pub fn open(path: &Path) -> Result<SealReader<File>, SealError> {
     SealReader::new(file, len)
 }
 
-/// Checks a sealed file's trailer in one pass through a fixed buffer.
-pub fn verify(path: &Path) -> Result<(), SealError> {
-    open(path)?.finish().map(drop)
+/// Checks a sealed file's trailer in one pass through a fixed buffer, then
+/// hands the file back rewound, with its length, for a second pass that
+/// reads the bytes just verified.
+pub fn verify(path: &Path) -> Result<(File, u64), SealError> {
+    let mut file = File::open(path)?;
+    let len = file.metadata()?.len();
+    SealReader::new(&file, len)?.finish()?;
+    file.rewind()?;
+    Ok((file, len))
 }
 
 /// Reads a sealed file and returns its bytes verbatim — trailer included —

@@ -93,7 +93,12 @@ fn files_publish_atomically_verify_and_read_back_verbatim() {
     microslip_codec::write_file(&path, |w| w.write_all(&payload)).unwrap();
     assert!(!path.with_extension("tmp").exists(), "temp file must be renamed away");
     assert_eq!(std::fs::read(&path).unwrap(), seal(payload.clone()));
-    microslip_codec::verify(&path).unwrap();
+    // A verified file comes back rewound: the second pass reads it whole.
+    let (mut file, len) = microslip_codec::verify(&path).unwrap();
+    let mut again = Vec::new();
+    file.read_to_end(&mut again).unwrap();
+    assert_eq!(len, again.len() as u64);
+    assert_eq!(again, seal(payload.clone()));
     assert_eq!(microslip_codec::read_file(&path).unwrap(), seal(payload));
 
     // One flipped bit on disk: both the streaming check and the read say so.

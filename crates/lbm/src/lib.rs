@@ -62,7 +62,7 @@ pub use force::{WallForce, WallForceMode};
 pub use geometry::{Dims, Microchannel, Slab, SolidRegion};
 pub use macroscopic::{Snapshot, SnapshotSlab};
 pub use potential::PsiFn;
-pub use artifact::ResultArtifact;
+pub use artifact::{ArtifactInfo, ResultArtifact};
 pub use checkpoint::CheckpointError;
 pub use diagnostics::FlowDiagnostics;
 pub use simulation::Simulation;

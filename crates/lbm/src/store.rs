@@ -13,21 +13,25 @@
 //! Content-addressed on-disk store for sealed result artifacts.
 //!
 //! One directory, one file per key: `<dir>/<key>.artifact`, where the key
-//! is the hex hash of the job's canonical scenario bytes. Entries are
-//! written atomically ([`microslip_codec::publish`]) and verified on every
-//! read — a torn or bit-rotted entry is treated as a
-//! **miss** and evicted so the job simply recomputes, because a cache
-//! must never be able to fail a sweep.
+//! is the hex hash of the job's canonical scenario bytes. Entries arrive
+//! atomically — written through [`microslip_codec::publish`], or checked
+//! in one streamed pass and renamed in ([`CacheStore::put_file`]) — and
+//! are verified on every read, buffered ([`CacheStore::get_sealed`]) or
+//! streamed ([`CacheStore::open_sealed`]): a torn or bit-rotted entry is
+//! treated as a **miss** and evicted so the job simply recomputes, because
+//! a cache must never be able to fail a sweep.
 //!
 //! Keys come off the wire, so they are validated before ever touching a
 //! path: lowercase hex only, bounded length. A malicious `../`-shaped key
 //! is a typed error, not a file access.
 
-use std::fs;
+use std::fs::{self, File};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 use microslip_codec::SealError;
+
+use crate::artifact::{ArtifactInfo, ResultArtifact};
 
 /// Longest accepted key (the scenario hash is 16 hex chars; leave head
 /// room for wider hashes without admitting arbitrary strings).
@@ -75,20 +79,48 @@ impl CacheStore {
         self.entry_path(key).map(|p| p.exists()).unwrap_or(false)
     }
 
-    /// Looks `key` up and returns the **sealed** artifact bytes, verbatim
-    /// as stored, verified against the CRC trailer as they stream in. A
-    /// missing or unreadable entry is `None`; a corrupt entry is evicted
-    /// and reported as `None` too — the caller recomputes, it never fails.
-    pub fn get_sealed(&self, key: &str) -> Option<Vec<u8>> {
+    /// Looks `key` up and hands its path to `read`. A missing or
+    /// unreadable entry is `None`; a corrupt one is evicted and reported as
+    /// `None` too — the caller recomputes, it never fails.
+    fn lookup<T>(&self, key: &str, read: impl FnOnce(&Path) -> Result<T, SealError>) -> Option<T> {
         let path = self.entry_path(key).ok()?;
-        match microslip_codec::read_file(&path) {
-            Ok(sealed) => Some(sealed),
+        match read(&path) {
+            Ok(found) => Some(found),
             Err(SealError::Io(_)) => None,
             Err(SealError::Corrupt(_)) => {
                 let _ = fs::remove_file(&path);
                 None
             }
         }
+    }
+
+    /// Looks `key` up and returns the entry's file, its seal verified in
+    /// one streamed pass and rewound for the second that sends it, with its
+    /// length. Misses and corrupt entries as [`lookup`](Self::lookup).
+    pub fn open_sealed(&self, key: &str) -> Option<(File, u64)> {
+        self.lookup(key, microslip_codec::verify)
+    }
+
+    /// Looks `key` up and returns the **sealed** artifact bytes, verbatim
+    /// as stored, verified against the CRC trailer as they stream in.
+    /// Misses and corrupt entries as [`lookup`](Self::lookup).
+    pub fn get_sealed(&self, key: &str) -> Option<Vec<u8>> {
+        self.lookup(key, microslip_codec::read_file)
+    }
+
+    /// Checks the sealed artifact at `path` in one streamed pass — the
+    /// seal, the whole structure ([`ResultArtifact::check_file`]) and that
+    /// it answers `key` — and moves it in as the entry for `key`. The move
+    /// is a rename, atomic like [`microslip_codec::publish`]'s, so `path`
+    /// must be on the store's filesystem. Returns what the pass read.
+    pub fn put_file(&self, key: &str, path: &Path) -> Result<ArtifactInfo, String> {
+        let entry = self.entry_path(key)?;
+        let info = ResultArtifact::check_file(path)?;
+        if info.key != key {
+            return Err(format!("artifact claims key {}, expected {key}", info.key));
+        }
+        fs::rename(path, &entry).map_err(|e| format!("cache move failed: {e}"))?;
+        Ok(info)
     }
 
     /// Stores `sealed` (already CRC-trailed) under `key`, atomically.
@@ -187,6 +219,63 @@ mod tests {
         assert!(store.contains("00ab"));
         assert_eq!(store.get_sealed("00ab").expect("hit"), bytes);
         assert_eq!(store.keys().unwrap(), vec!["00ab".to_string()]);
+    }
+
+    /// A sealed artifact of a 2×1×1 grid answering `key`.
+    fn artifact(key: &str) -> Vec<u8> {
+        use crate::{FlowDiagnostics, Snapshot};
+        let snapshot =
+            Snapshot { x0: 0, nx: 2, ny: 1, nz: 1, rho: vec![vec![1.0, 0.5]], velocity: vec![0.0; 6] };
+        let diagnostics = FlowDiagnostics::compute(&snapshot);
+        ResultArtifact { key: key.into(), phases: 3, snapshot, diagnostics, summary_json: "{}".into() }
+            .seal()
+    }
+
+    #[test]
+    fn open_sealed_hands_back_the_verified_entry_rewound() {
+        use std::io::Read;
+        let store = tmp_store("open");
+        let bytes = sealed(b"artifact payload");
+        store.put_sealed("00ab", &bytes).expect("put");
+        let (mut file, len) = store.open_sealed("00ab").expect("hit");
+        let mut read = Vec::new();
+        file.read_to_end(&mut read).unwrap();
+        assert_eq!((read, len), (bytes.clone(), bytes.len() as u64));
+        assert!(store.open_sealed("beef").is_none());
+        // Rot: a miss, and the entry is gone.
+        let path = store.dir().join("00ab.artifact");
+        let mut rotted = bytes;
+        rotted[3] ^= 0x40;
+        fs::write(&path, &rotted).unwrap();
+        assert!(store.open_sealed("00ab").is_none());
+        assert!(!store.contains("00ab"), "corrupt entry should be evicted");
+    }
+
+    #[test]
+    fn put_file_checks_in_one_pass_and_moves_the_file_in() {
+        let store = tmp_store("put-file");
+        let src = store.dir().join("result.artifact");
+        let bytes = artifact("0a1b");
+        fs::write(&src, &bytes).unwrap();
+        assert_eq!(store.put_file("0a1b", &src).expect("put_file").phases, 3);
+        assert!(!src.exists(), "the result is moved, not copied");
+        assert_eq!(store.get_sealed("0a1b").expect("hit"), bytes);
+
+        // A key the artifact does not answer, a flipped byte, a torn tail
+        // and a sealed non-artifact are refused, and the file stays put.
+        let mut flipped = bytes.clone();
+        flipped[bytes.len() / 2] ^= 1;
+        let torn = &bytes[..bytes.len() - 1];
+        let foreign = sealed(b"not an artifact");
+        for (key, content) in
+            [("0c2d", &bytes[..]), ("0a1b", &flipped[..]), ("0a1b", torn), ("0e", &foreign[..])]
+        {
+            store.evict(key).expect("evict");
+            fs::write(&src, content).unwrap();
+            assert!(store.put_file(key, &src).is_err(), "{key} accepted");
+            assert!(src.exists() && !store.contains(key));
+        }
+        assert!(store.put_file("../escape", &src).is_err());
     }
 
     #[test]

@@ -44,5 +44,5 @@ pub mod tcp;
 pub mod wire;
 
 pub use rendezvous::{connect, coordinate_mesh, localhost_mesh};
-pub use serve::{request, Reply, Served, ServeLoop};
+pub use serve::{request, Body, Reply, Served, ServeLoop};
 pub use tcp::{NetConfig, TcpTransport};

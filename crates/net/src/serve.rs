@@ -24,12 +24,18 @@
 //!   between supervision rounds.
 //! - **Panic-free decoding.** Under the crate's boundary header, nothing
 //!   on the request path indexes, unwraps, or panics on untrusted input.
+//! - **Bounded memory.** Every reply is one byte-payload frame sent by one
+//!   writer ([`wire::write_bytes_frame`]), from memory or streamed from a
+//!   file a chunk at a time, so a reply as large as a sealed artifact is
+//!   never whole in the daemon; the client streams it on the same way
+//!   ([`wire::Incoming::bytes_into`]).
 
-use std::io::Write;
+use std::fs::File;
+use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::Duration;
 
-use crate::wire::{self, Frame, FrameError, FrameKind};
+use crate::wire::{self, Frame, FrameError, FrameKind, Incoming};
 
 /// What a single [`ServeLoop::poll`] call observed.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -47,24 +53,50 @@ pub enum Served {
     Rejected(String),
 }
 
-/// The daemon's answer to one request frame.
+/// The daemon's answer to one request frame: a byte-payload frame.
 pub struct Reply {
-    /// Frame to send back on the same connection.
-    pub frame: Frame,
+    /// Kind of the frame sent back on the same connection.
+    pub kind: FrameKind,
+    /// Its byte payload.
+    pub body: Body,
     /// True when the request asked the daemon to finish and exit; the
     /// loop reports [`Served::ShutdownRequested`] after replying.
     pub shutdown: bool,
 }
 
+/// Where a reply's bytes come from.
+pub enum Body {
+    Bytes(Vec<u8>),
+    /// A file already verified, positioned at its first byte, and its
+    /// length: sent as it is read.
+    File(File, u64),
+}
+
 impl Reply {
-    /// An ordinary reply frame.
-    pub fn frame(frame: Frame) -> Reply {
-        Reply { frame, shutdown: false }
+    /// A reply carrying `bytes`.
+    pub fn bytes(kind: FrameKind, bytes: impl Into<Vec<u8>>) -> Reply {
+        Reply { kind, body: Body::Bytes(bytes.into()), shutdown: false }
+    }
+
+    /// A reply carrying the `len` bytes of `file`.
+    pub fn file(kind: FrameKind, file: File, len: u64) -> Reply {
+        Reply { kind, body: Body::File(file, len), shutdown: false }
     }
 
     /// A typed error reply carrying `detail` as its byte payload.
     pub fn error(detail: &str) -> Reply {
-        Reply { frame: Frame::from_bytes(FrameKind::ServeError, 0, detail.as_bytes()), shutdown: false }
+        Reply::bytes(FrameKind::ServeError, detail)
+    }
+
+    /// Sends the reply as one frame, its bytes taken from memory or read
+    /// from the file as they go out.
+    pub fn write_to(self, w: &mut impl Write) -> io::Result<()> {
+        match self.body {
+            Body::Bytes(bytes) => {
+                wire::write_bytes_frame(w, self.kind, 0, bytes.len() as u64, bytes.as_slice())
+            }
+            Body::File(file, len) => wire::write_bytes_frame(w, self.kind, 0, len, file),
+        }
     }
 }
 
@@ -123,15 +155,16 @@ impl ServeLoop {
                 // Answer with a typed error so a confused client sees a
                 // reason instead of a silent close; best-effort, since the
                 // peer may be an old mesh rank that cannot decode it.
-                let _ = stream.write_all(&wire::encode(&Reply::error(&detail).frame));
+                let _ = Reply::error(&detail).write_to(&mut stream);
                 return Served::Rejected(detail);
             }
         };
         let reply = handler(request);
-        if let Err(e) = stream.write_all(&wire::encode(&reply.frame)) {
+        let shutdown = reply.shutdown;
+        if let Err(e) = reply.write_to(&mut stream) {
             return Served::Rejected(format!("reply send failed: {e}"));
         }
-        if reply.shutdown {
+        if shutdown {
             Served::ShutdownRequested
         } else {
             Served::Handled
@@ -140,8 +173,13 @@ impl ServeLoop {
 }
 
 /// Client side: dial `addr`, send one request frame, read the single
-/// reply. Used by `microslip submit`/`status`/`fetch`.
-pub fn request(addr: &str, frame: &Frame, timeout: Duration) -> Result<Frame, FrameError> {
+/// reply's header; its payload is still on the connection, for the caller
+/// to read whole or stream on. Used by `microslip submit`/`status`/`fetch`.
+pub fn request(
+    addr: &str,
+    frame: &Frame,
+    timeout: Duration,
+) -> Result<Incoming<TcpStream>, FrameError> {
     let stream = connect(addr, timeout)?;
     exchange(stream, frame, timeout)
 }
@@ -157,11 +195,15 @@ fn connect(addr: &str, timeout: Duration) -> Result<TcpStream, FrameError> {
     Ok(TcpStream::connect_timeout(&sock, timeout)?)
 }
 
-fn exchange(mut stream: TcpStream, frame: &Frame, timeout: Duration) -> Result<Frame, FrameError> {
+fn exchange(
+    mut stream: TcpStream,
+    frame: &Frame,
+    timeout: Duration,
+) -> Result<Incoming<TcpStream>, FrameError> {
     stream.set_read_timeout(Some(timeout))?;
     stream.set_nodelay(true)?;
     stream.write_all(&wire::encode(frame))?;
-    wire::read_frame(&mut stream)
+    wire::read_header(stream)
 }
 
 #[cfg(test)]
@@ -204,12 +246,37 @@ mod tests {
             assert_eq!(req.kind, FrameKind::Fetch);
             assert_eq!(req.from, 7);
             assert_eq!(req.bytes_payload().unwrap(), b"a-key");
-            Reply::frame(Frame::from_bytes(FrameKind::FetchReply, 0, b"artifact bytes"))
+            Reply::bytes(FrameKind::FetchReply, b"artifact bytes".as_slice())
         });
         assert_eq!(served, Served::Handled);
         let reply = client.join().unwrap().expect("client reply");
         assert_eq!(reply.kind, FrameKind::FetchReply);
-        assert_eq!(reply.bytes_payload().unwrap(), b"artifact bytes");
+        let mut bytes = Vec::new();
+        assert_eq!(reply.bytes_into(&mut bytes).unwrap(), 14);
+        assert_eq!(bytes, b"artifact bytes");
+    }
+
+    #[test]
+    fn a_file_reply_streams_the_file_verbatim() {
+        // Larger than a chunk and not a whole number of elements.
+        let content: Vec<u8> =
+            (0..3 * microslip_codec::CHUNK + 5).map(|i| u8::try_from(i % 253).unwrap()).collect();
+        let path =
+            std::env::temp_dir().join(format!("microslip-serve-reply-{}", std::process::id()));
+        std::fs::write(&path, &content).unwrap();
+        let (serve, addr) = loop_on_ephemeral();
+        let client = std::thread::spawn(move || {
+            let reply = request(&addr, &Frame::from_bytes(FrameKind::Fetch, 0, b"k"), TIMEOUT)?;
+            let mut bytes = Vec::new();
+            reply.bytes_into(&mut bytes).map(|_| bytes)
+        });
+        let served = poll_until_served(&serve, |_| {
+            let file = File::open(&path).unwrap();
+            Reply::file(FrameKind::FetchReply, file, content.len() as u64)
+        });
+        assert_eq!(served, Served::Handled);
+        assert_eq!(client.join().unwrap().expect("client reply"), content);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -220,8 +287,8 @@ mod tests {
             request(&addr, &f, TIMEOUT)
         });
         let served = poll_until_served(&serve, |_| Reply {
-            frame: Frame::from_bytes(FrameKind::StatusReply, 0, b""),
             shutdown: true,
+            ..Reply::bytes(FrameKind::StatusReply, Vec::new())
         });
         assert_eq!(served, Served::ShutdownRequested);
         assert_eq!(client.join().unwrap().unwrap().kind, FrameKind::StatusReply);

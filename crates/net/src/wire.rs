@@ -54,10 +54,16 @@
 //! packing is a pure bit reinterpretation ([`f64::from_le_bytes`] /
 //! [`f64::to_le_bytes`] never canonicalize NaNs), so
 //! [`Frame::bytes_payload`] recovers the exact input bytes.
+//!
+//! A byte payload can also cross without ever being whole in memory:
+//! [`write_bytes_frame`] sends the bytes of a [`Read`] as they arrive, and
+//! [`Incoming::bytes_into`] hands them to a [`Write`] as they are read,
+//! each a [`CHUNK`] at a time with the CRC computed on the way. The bytes
+//! on the wire are the same either way.
 
 use std::io::{self, Read, Write};
 
-use microslip_codec::{crc32, f64s_from_le, put_f64s, Crc32};
+use microslip_codec::{crc32, f64s_from_le, put_f64s, Crc32, CHUNK};
 
 /// Frame preamble: the ASCII bytes `MSN1` ("microslip net v1").
 pub const MAGIC: [u8; 4] = *b"MSN1";
@@ -69,9 +75,8 @@ pub const VERSION: u16 = 1;
 /// must not trigger a multi-gigabyte allocation.
 pub const MAX_PAYLOAD_LEN: u32 = 1 << 28;
 
-/// The most [`read_frame`] reserves before a payload's bytes arrive
-/// (64 KiB); a longer payload's buffer grows as it is read.
-const READ_CHUNK: usize = 1 << 16;
+/// Bytes of the header, magic included, in front of the payload.
+const HEADER_LEN: usize = 24;
 
 /// `from` value in a HELLO frame meaning "assign me a rank".
 pub const ASSIGN_ME: u32 = u32::MAX;
@@ -214,6 +219,17 @@ impl From<io::Error> for FrameError {
     }
 }
 
+/// Appends the 24 header bytes of a frame of `len` elements.
+fn put_header(out: &mut Vec<u8>, kind: FrameKind, from: u32, tag: u64, len: u32) {
+    out.extend_from_slice(&MAGIC);
+    out.extend_from_slice(&VERSION.to_le_bytes());
+    out.push(kind.code());
+    out.push(0); // pad
+    out.extend_from_slice(&from.to_le_bytes());
+    out.extend_from_slice(&tag.to_le_bytes());
+    out.extend_from_slice(&len.to_le_bytes());
+}
+
 /// Serializes `frame` into a single buffer (one `write_all`, so a frame is
 /// never interleaved mid-stream by a panicking sender).
 pub fn encode(frame: &Frame) -> Vec<u8> {
@@ -223,14 +239,8 @@ pub fn encode(frame: &Frame) -> Vec<u8> {
                   rejects anything a truncated length could describe"
     )]
     let len = frame.payload.len() as u32;
-    let mut buf = Vec::with_capacity(MAGIC.len() + 20 + frame.payload.len() * 8 + 4);
-    buf.extend_from_slice(&MAGIC);
-    buf.extend_from_slice(&VERSION.to_le_bytes());
-    buf.push(frame.kind.code());
-    buf.push(0); // pad
-    buf.extend_from_slice(&frame.from.to_le_bytes());
-    buf.extend_from_slice(&frame.tag.to_le_bytes());
-    buf.extend_from_slice(&len.to_le_bytes());
+    let mut buf = Vec::with_capacity(HEADER_LEN + frame.payload.len() * 8 + 4);
+    put_header(&mut buf, frame.kind, frame.from, frame.tag, len);
     put_f64s(&mut buf, &frame.payload);
     // The CRC covers everything after the magic.
     let crc = crc32(buf.get(MAGIC.len()..).unwrap_or_default());
@@ -243,8 +253,72 @@ pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
     w.write_all(&encode(frame))
 }
 
-fn read_exact(r: &mut impl Read, buf: &mut [u8]) -> io::Result<()> {
-    r.read_exact(buf)
+/// Writes the byte-payload frame [`Frame::from_bytes`] would build from
+/// `len` bytes, reading them from `body` as they go out: through one
+/// buffer of at most a [`CHUNK`], zero-padded to whole elements, the CRC
+/// computed as they pass. The bytes written are exactly
+/// `encode(&Frame::from_bytes(kind, from, bytes))`, and a frame that fits
+/// the buffer leaves in one write, as `encode`'s does. A `body` that ends
+/// before `len` bytes is an `UnexpectedEof` error, possibly after part of
+/// the frame has gone out.
+pub fn write_bytes_frame(
+    w: &mut impl Write,
+    kind: FrameKind,
+    from: u32,
+    len: u64,
+    body: impl Read,
+) -> io::Result<()> {
+    let elems = u32::try_from(len.div_ceil(8))
+        .ok()
+        .filter(|&n| n <= MAX_PAYLOAD_LEN)
+        .ok_or_else(|| {
+            io::Error::new(io::ErrorKind::InvalidInput, format!("{len} bytes exceed the frame cap"))
+        })?;
+    let pad = usize::try_from(u64::from(elems) * 8 - len).unwrap_or_default();
+    let frame_len = HEADER_LEN as u64 + u64::from(elems) * 8 + 4;
+    let cap = usize::try_from(frame_len).map_or(CHUNK, |n| n.min(CHUNK));
+    let mut buf = Vec::with_capacity(cap);
+    put_header(&mut buf, kind, from, len, elems);
+    let mut crc = Crc32::new();
+    crc.update(buf.get(MAGIC.len()..).unwrap_or_default());
+    let mut filled = buf.len();
+    buf.resize(cap, 0);
+    let mut body = body.take(len);
+    let mut sent = 0u64;
+    loop {
+        if filled == cap {
+            w.write_all(&buf)?;
+            filled = 0;
+        }
+        let room = buf.get_mut(filled..).unwrap_or_default();
+        let n = match body.read(room) {
+            Ok(0) => break,
+            Ok(n) => n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        crc.update(room.get(..n).unwrap_or_default());
+        filled += n;
+        sent += n as u64;
+    }
+    if sent != len {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("byte payload ended after {sent} of {len} bytes"),
+        ));
+    }
+    // The zero pad and the CRC close the frame, in the buffer's last write.
+    let zeros = [0u8; 8];
+    let pad = zeros.get(..pad).unwrap_or_default();
+    crc.update(pad);
+    if filled + pad.len() + 4 > cap {
+        w.write_all(buf.get(..filled).unwrap_or_default())?;
+        filled = 0;
+    }
+    buf.truncate(filled);
+    buf.extend_from_slice(pad);
+    buf.extend_from_slice(&crc.finish().to_le_bytes());
+    w.write_all(&buf)
 }
 
 /// Converts one `chunks(8)` chunk into an `f64`, zero-padding a short
@@ -257,10 +331,24 @@ fn f64_from_le_chunk(chunk: &[u8]) -> f64 {
     f64::from_le_bytes(le)
 }
 
-/// Reads and validates one frame from `r`.
-pub fn read_frame(r: &mut impl Read) -> Result<Frame, FrameError> {
+/// A frame whose header has been read and checked, its payload still on
+/// the stream: [`into_frame`](Self::into_frame) reads it as `f64`s,
+/// [`bytes_into`](Self::bytes_into) streams a byte payload on.
+pub struct Incoming<R> {
+    pub kind: FrameKind,
+    pub from: u32,
+    pub tag: u64,
+    /// Payload length in `f64` elements, at most [`MAX_PAYLOAD_LEN`].
+    len: u32,
+    /// The CRC of the bytes read so far, the header's.
+    crc: Crc32,
+    r: R,
+}
+
+/// Reads and validates one frame's header from `r`.
+pub fn read_header<R: Read>(mut r: R) -> Result<Incoming<R>, FrameError> {
     let mut magic = [0u8; 4];
-    read_exact(r, &mut magic)?;
+    r.read_exact(&mut magic)?;
     if magic != MAGIC {
         return Err(FrameError::Protocol(format!(
             "bad magic {magic:02x?} (expected {MAGIC:02x?})"
@@ -268,8 +356,8 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, FrameError> {
     }
     // Fixed-size header after the magic, destructured by pattern so no
     // byte is ever fetched through a fallible index.
-    let mut header = [0u8; 20];
-    read_exact(r, &mut header)?;
+    let mut header = [0u8; HEADER_LEN - 4];
+    r.read_exact(&mut header)?;
     #[rustfmt::skip]
     let [v0, v1, kind_code, pad,
          from0, from1, from2, from3,
@@ -294,31 +382,80 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, FrameError> {
             "payload length {len} exceeds cap {MAX_PAYLOAD_LEN}"
         )));
     }
-    let body_len = usize::try_from(len)
-        .map_err(|_| FrameError::Protocol(format!("payload length {len} overflows usize")))?;
-    // The length is unverified until the CRC: the buffer grows with the
-    // bytes that actually arrive, from at most one read chunk up front.
-    let mut body = Vec::with_capacity((body_len * 8).min(READ_CHUNK));
-    r.take(u64::from(len) * 8).read_to_end(&mut body)?;
-    if body.len() != body_len * 8 {
-        return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into());
-    }
-    let mut crc_bytes = [0u8; 4];
-    read_exact(r, &mut crc_bytes)?;
-    let got = u32::from_le_bytes(crc_bytes);
     // The CRC covers version..payload == header ++ body.
     let mut crc = Crc32::new();
     crc.update(&header);
-    crc.update(&body);
-    let want = crc.finish();
-    if got != want {
-        return Err(FrameError::Protocol(format!(
-            "crc mismatch: frame says {got:#010x}, computed {want:#010x}"
-        )));
+    Ok(Incoming { kind, from, tag, len, crc, r })
+}
+
+/// Reads and validates one frame from `r`.
+pub fn read_frame(r: &mut impl Read) -> Result<Frame, FrameError> {
+    read_header(r)?.into_frame()
+}
+
+impl<R: Read> Incoming<R> {
+    /// Reads the payload as `f64`s and checks the CRC: the rest of
+    /// [`read_frame`].
+    pub fn into_frame(mut self) -> Result<Frame, FrameError> {
+        let body_len = usize::try_from(self.len)
+            .map_err(|_| FrameError::Protocol(format!("payload length {} overflows usize", self.len)))?;
+        // The length is unverified until the CRC: the buffer grows with the
+        // bytes that actually arrive, from at most one chunk up front.
+        let mut body = Vec::with_capacity((body_len * 8).min(CHUNK));
+        (&mut self.r).take(u64::from(self.len) * 8).read_to_end(&mut body)?;
+        if body.len() != body_len * 8 {
+            return Err(io::Error::from(io::ErrorKind::UnexpectedEof).into());
+        }
+        self.crc.update(&body);
+        self.check_crc()?;
+        let mut payload = vec![0.0; body_len];
+        f64s_from_le(&body, &mut payload);
+        Ok(Frame { kind: self.kind, from: self.from, tag: self.tag, payload })
     }
-    let mut payload = vec![0.0; body_len];
-    f64s_from_le(&body, &mut payload);
-    Ok(Frame { kind, from, tag, payload })
+
+    /// Streams a byte payload — the layout [`Frame::from_bytes`] builds —
+    /// into `sink`: the first `tag` bytes of the lane, a [`CHUNK`] at a
+    /// time, then checks the CRC. A lane that is not `ceil(tag / 8)`
+    /// elements long is a protocol violation, refused before anything is
+    /// read. What reaches `sink` is **unverified until this returns
+    /// `Ok`**; on an error the caller discards it. Returns the byte count.
+    pub fn bytes_into(mut self, sink: &mut impl Write) -> Result<u64, FrameError> {
+        let need = self.tag.div_ceil(8);
+        if need != u64::from(self.len) {
+            return Err(FrameError::Protocol(format!(
+                "byte payload length {} needs {need} f64 elements, frame has {}",
+                self.tag, self.len
+            )));
+        }
+        let mut left = u64::from(self.len) * 8;
+        let mut keep = self.tag;
+        let mut buf = vec![0u8; usize::try_from(left).map_or(CHUNK, |n| n.min(CHUNK))];
+        while left > 0 {
+            let n = usize::try_from(left).map_or(buf.len(), |l| l.min(buf.len()));
+            let chunk = buf.get_mut(..n).unwrap_or_default();
+            self.r.read_exact(chunk)?;
+            self.crc.update(chunk);
+            let kept = usize::try_from(keep).map_or(n, |k| k.min(n));
+            sink.write_all(chunk.get(..kept).unwrap_or_default())?;
+            keep -= kept as u64;
+            left -= n as u64;
+        }
+        self.check_crc()?;
+        Ok(self.tag)
+    }
+
+    fn check_crc(&mut self) -> Result<(), FrameError> {
+        let mut crc_bytes = [0u8; 4];
+        self.r.read_exact(&mut crc_bytes)?;
+        let got = u32::from_le_bytes(crc_bytes);
+        let want = self.crc.finish();
+        if got != want {
+            return Err(FrameError::Protocol(format!(
+                "crc mismatch: frame says {got:#010x}, computed {want:#010x}"
+            )));
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -405,6 +542,79 @@ mod tests {
         assert_eq!(f.bytes_payload().unwrap(), nan_bits);
     }
 
+    /// Hands out at most `step` bytes per read, like a socket might.
+    struct Trickle<'a>(&'a [u8], usize);
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let n = self.1.min(buf.len()).min(self.0.len());
+            buf[..n].copy_from_slice(&self.0[..n]);
+            self.0 = &self.0[n..];
+            Ok(n)
+        }
+    }
+
+    fn pattern(n: usize) -> Vec<u8> {
+        (0..n).map(|i| u8::try_from(i * 37 % 251).unwrap()).collect()
+    }
+
+    fn streamed(bytes: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        write_bytes_frame(&mut out, FrameKind::FetchReply, 3, bytes.len() as u64, bytes).unwrap();
+        out
+    }
+
+    fn streamed_back(wire: &[u8]) -> Result<Vec<u8>, FrameError> {
+        let mut bytes = Vec::new();
+        read_header(wire)?.bytes_into(&mut bytes)?;
+        Ok(bytes)
+    }
+
+    #[test]
+    fn a_streamed_byte_frame_is_the_encoded_one() {
+        let lengths = (0..=17).chain(CHUNK - 1..=CHUNK + 1).chain([3 * CHUNK + 5]);
+        for n in lengths {
+            let bytes = pattern(n);
+            let want = encode(&Frame::from_bytes(FrameKind::FetchReply, 3, &bytes));
+            assert_eq!(streamed(&bytes), want, "{n} bytes");
+            let mut trickled = Vec::new();
+            write_bytes_frame(&mut trickled, FrameKind::FetchReply, 3, n as u64, Trickle(&bytes, 7))
+                .unwrap();
+            assert_eq!(trickled, want, "{n} bytes in reads of 7");
+            // Both readers give the bytes back.
+            assert_eq!(streamed_back(&want).unwrap(), bytes, "{n} bytes");
+            let frame = read_frame(&mut Cursor::new(&want)).unwrap();
+            assert_eq!(frame.bytes_payload().unwrap(), bytes, "{n} bytes");
+        }
+    }
+
+    #[test]
+    fn a_streamed_byte_frame_refuses_truncation_and_bit_flips() {
+        for n in [13, CHUNK + 1, 3 * CHUNK + 5] {
+            let wire = streamed(&pattern(n));
+            let len = wire.len();
+            for cut in [0, 3, 23, 24, 25, len / 2, len - 5, len - 4, len - 1] {
+                assert!(read_frame(&mut Cursor::new(&wire[..cut])).is_err(), "{n}: cut at {cut}");
+                assert!(streamed_back(&wire[..cut]).is_err(), "{n}: cut at {cut}");
+            }
+            let step = if n < 64 { 1 } else { 997 };
+            for pos in (0..len).step_by(step).chain(len - 8..len) {
+                let mut bytes = wire.clone();
+                bytes[pos] ^= 0x10;
+                assert!(read_frame(&mut Cursor::new(&bytes)).is_err(), "{n}: flip at {pos}");
+                assert!(streamed_back(&bytes).is_err(), "{n}: flip at {pos}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_body_shorter_than_its_length_is_an_error() {
+        let mut out = Vec::new();
+        let err =
+            write_bytes_frame(&mut out, FrameKind::FetchReply, 0, 10, &b"12345"[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
     #[test]
     fn inconsistent_byte_length_is_protocol_error() {
         // tag says 9 bytes (needs 2 elements) but payload has 1.
@@ -416,6 +626,14 @@ mod tests {
         // tag says 3 bytes but payload has 2 elements (too many).
         let f = Frame { kind: FrameKind::Fetch, from: 0, tag: 3, payload: vec![0.0, 0.0] };
         assert!(f.bytes_payload().is_err());
+        // The streaming reader refuses both before reading the lane.
+        for (tag, elems) in [(9, 1), (3, 2)] {
+            let f = Frame { kind: FrameKind::Fetch, from: 0, tag, payload: vec![0.0; elems] };
+            match streamed_back(&encode(&f)) {
+                Err(FrameError::Protocol(d)) => assert!(d.contains("byte payload"), "{d}"),
+                other => panic!("{other:?}"),
+            }
+        }
     }
 
     #[test]

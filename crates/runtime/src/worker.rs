@@ -617,6 +617,10 @@ mod tests {
             for batch in batches {
                 peer.send(0, Tag::MIGRATE_DATA, batch).expect("queue a batch");
             }
+            // The round opens by sending rank 0's load: a peer gone before
+            // that would fail it with `Disconnected`, not the outcome under
+            // test.
+            let _ = peer.recv(0, Tag::LOAD);
             let mut acks = Vec::new();
             while acks.len() < sent {
                 match peer.recv(0, Tag::MIGRATE_COUNT) {

@@ -7,14 +7,18 @@ use std::sync::Arc;
 
 use microslip_balance::Filtered;
 use microslip_lbm::{ChannelConfig, Dims, Simulation};
-use microslip_runtime::{run_parallel, RuntimeConfig};
+use microslip_runtime::{run_parallel, LoadModel, RuntimeConfig};
 
+/// The load index is synthetic — work per plane times the throttle and
+/// spike factors — so a spike reaches the predictor exactly as set, and a
+/// busy host's wall-clock noise cannot.
 fn base_config(phases: u64) -> RuntimeConfig {
     let mut channel = ChannelConfig::paper_scaled(Dims::new(16, 8, 4));
     channel.body = [1e-4, 0.0, 0.0];
     let mut cfg = RuntimeConfig::new(channel, 4, phases);
     cfg.remap_interval = 5;
     cfg.predictor_window = 10;
+    cfg.load = LoadModel::Synthetic { per_point: 1e-6 };
     cfg
 }
 

@@ -124,10 +124,13 @@ serve-smoke:
     wait $SERVE_PID
     test "$(grep -c '"stage":"cache-hit"' $DIR/serve.jsonl)" -eq 2
     grep -q '"stage":"restarted"' $DIR/serve.jsonl
+    # Results are moved into the cache, and a cached job keeps no checkpoints.
+    test -s $DIR/cache/$KEY.artifact && test ! -e $DIR/jobs/$KEY/result.artifact
+    test -z "$(find $DIR/jobs -mindepth 2 -maxdepth 2 -name ckpt)"
     $MS run-job --scenario $DIR/scenarios/$KEY.scenario \
         --out $DIR/direct.artifact --checkpoint-dir $DIR/direct-ckpt
     cmp $DIR/fetched.artifact $DIR/direct.artifact
-    echo "serve-smoke: OK (2 cache hits, worker death recovered, fetch bitwise-equal to direct run)"
+    echo "serve-smoke: OK (2 cache hits, worker death recovered, results moved, checkpoints dropped, fetch bitwise-equal to direct run)"
 
 # Ledger smoke: all five BENCHMARK.json workloads at toy scale with every
 # in-command bitwise/mass/count check (~5 s). The ledger under

@@ -620,16 +620,20 @@ fn cmd_fetch(args: &[String]) -> Result<(), String> {
     let addr = resolve_addr(&f)?;
     let key = f.value("key").cloned().ok_or("fetch requires --key")?;
     let out = f.value("out").cloned().ok_or("fetch requires --out FILE")?;
-    let sealed = serve::fetch(&addr, &key)?;
-    // Stored verbatim: these are the sealed bytes exactly as the cache
-    // holds them, directly comparable against a local `run-job` output.
-    std::fs::write(&out, &sealed).map_err(|e| format!("writing {out}: {e}"))?;
-    let artifact = microslip::lbm::ResultArtifact::unseal(&sealed)?;
+    // Streamed to a temp file renamed into place once the frame's CRC has
+    // held: the sealed bytes exactly as the cache holds them, directly
+    // comparable against a local `run-job` output.
+    let path = std::path::Path::new(&out);
+    microslip_codec::publish(path, |file| {
+        serve::fetch_to(&addr, &key, file).map_err(std::io::Error::other)
+    })
+    .map_err(|e| format!("fetching into {out}: {e}"))?;
+    let artifact = microslip::lbm::ResultArtifact::check_file(path)?;
+    let sealed = std::fs::metadata(path).map_err(|e| format!("{out}: {e}"))?.len();
     println!(
-        "{out}: key {} after {} phases, {} bytes sealed (flow rate {:.3e}, mass {:.3})",
+        "{out}: key {} after {} phases, {sealed} bytes sealed (flow rate {:.3e}, mass {:.3})",
         artifact.key,
         artifact.phases,
-        sealed.len(),
         artifact.diagnostics.flow_rate,
         artifact.diagnostics.total_mass
     );

@@ -39,7 +39,7 @@ use microslip_lbm::checkpoint;
 use microslip_lbm::store::validate_key;
 use microslip_lbm::{CacheStore, FlowDiagnostics, ResultArtifact, Simulation, WallBc};
 use microslip_net::serve::{request, Reply, Served, ServeLoop};
-use microslip_net::wire::{Frame, FrameKind};
+use microslip_net::wire::{Frame, FrameError, FrameKind};
 use microslip_obs::{to_jsonl, Event, JobStage, TraceSummary};
 
 use crate::scenario::Scenario;
@@ -63,10 +63,12 @@ const CADENCE_DEFAULT: u64 = u64::MAX;
 /// measurements predate the streaming seal and the folded CRC-32 of
 /// `crates/codec`. Re-measured on a 2-vCPU x86-64 VM with both: a
 /// 100-phase job on the 100×50×20 paper-scaled channel at this default
-/// (every 16, six sealed 42 MB checkpoints) spends ~13 % of its wall
-/// time checkpointing (median paired difference 0.12 s of 0.92 s against
+/// (every 16: six sealed checkpoints, 42 MB each when measured, 32.6 MB
+/// since a checkpoint carries only `f` and ψ) spent ~13 % of its wall time
+/// checkpointing (median paired difference 0.12 s of 0.92 s against
 /// `checkpoint_every = 0`), down from ~24 % with the table-only CRC. The
 /// rule itself has not been re-derived (EXPERIMENTS.md "Recovery cost").
+/// A job's checkpoints are removed once its result is cached.
 pub fn default_checkpoint_every(phases: u64) -> u64 {
     (phases / 6).max(10)
 }
@@ -502,15 +504,13 @@ impl Daemon {
     fn handle(&mut self, req: Frame) -> Reply {
         match req.kind {
             FrameKind::SweepSubmit => self.handle_submit(&req),
-            FrameKind::StatusQuery => Reply::frame(Frame::from_bytes(
-                FrameKind::StatusReply,
-                0,
-                self.status_report(req.tag).as_bytes(),
-            )),
+            FrameKind::StatusQuery => {
+                Reply::bytes(FrameKind::StatusReply, self.status_report(req.tag))
+            }
             FrameKind::Fetch => self.handle_fetch(&req),
             FrameKind::Shutdown => Reply {
-                frame: Frame::from_bytes(FrameKind::StatusReply, 0, b"shutting down\n"),
                 shutdown: true,
+                ..Reply::bytes(FrameKind::StatusReply, "shutting down\n")
             },
             other => Reply::error(&format!("unexpected frame kind {other:?} on the serve port")),
         }
@@ -545,12 +545,14 @@ impl Daemon {
             let key = scenario.key();
             keys.push(key.clone());
             self.record(sweep, &key, JobStage::Submitted, 0, "");
-            if self.store.get_sealed(&key).is_some() {
+            if self.store.open_sealed(&key).is_some() {
                 cached += 1;
                 self.record(sweep, &key, JobStage::CacheHit, 0, "served from cache");
                 continue;
             }
-            if self.jobs.contains_key(&key) {
+            // A done job whose entry is gone (evicted, or corrupt and so
+            // evicted just now) is computed again; any other job answers.
+            if self.jobs.get(&key).is_some_and(|job| !matches!(job.state, JobState::Done)) {
                 cached += 1;
                 self.record(sweep, &key, JobStage::CacheHit, 0, "deduped against scheduled job");
                 continue;
@@ -569,18 +571,17 @@ impl Daemon {
                 Some((nth, phase)) if nth == ordinal => Some(phase),
                 _ => None,
             };
-            self.jobs.insert(
-                key.clone(),
-                Job {
-                    key: key.clone(),
-                    sweep,
-                    state: JobState::Queued,
-                    budget: Budget::new(self.cfg.max_respawns),
-                    checkpoint_every: cadence,
-                    die_at_phase,
-                },
-            );
-            self.queue.push(key);
+            let job = Job {
+                key: key.clone(),
+                sweep,
+                state: JobState::Queued,
+                budget: Budget::new(self.cfg.max_respawns),
+                checkpoint_every: cadence,
+                die_at_phase,
+            };
+            if self.jobs.insert(key.clone(), job).is_none() {
+                self.queue.push(key);
+            }
             scheduled += 1;
         }
         let mut report = format!(
@@ -591,7 +592,7 @@ impl Daemon {
             report.push_str(key);
             report.push('\n');
         }
-        Reply::frame(Frame::from_bytes(FrameKind::SweepReply, 0, report.as_bytes()))
+        Reply::bytes(FrameKind::SweepReply, report)
     }
 
     fn handle_fetch(&mut self, req: &Frame) -> Reply {
@@ -606,9 +607,13 @@ impl Daemon {
         if let Err(e) = validate_key(&key) {
             return Reply::error(&e);
         }
-        match self.store.get_sealed(&key) {
-            Some(sealed) => Reply::frame(Frame::from_bytes(FrameKind::FetchReply, 0, &sealed)),
+        // Verified in one streamed pass, sent from the file in a second.
+        match self.store.open_sealed(&key) {
+            Some((file, len)) => Reply::file(FrameKind::FetchReply, file, len),
             None => match self.jobs.get(&key) {
+                Some(job) if matches!(job.state, JobState::Done) => Reply::error(&format!(
+                    "the result of job {key} is no longer cached; submit it again to recompute"
+                )),
                 Some(job) => Reply::error(&format!("job {key} not finished ({})", state_name(&job.state))),
                 None => Reply::error(&format!("unknown key {key}")),
             },
@@ -741,16 +746,17 @@ impl Daemon {
         changed
     }
 
-    /// A child exited zero: verify its artifact and publish it.
+    /// A child exited zero: check its artifact in one streamed pass and
+    /// move it into the cache. The job's checkpoints go then: a cached
+    /// result is never resumed, and a job whose entry is evicted later
+    /// is computed again from phase 0.
     fn absorb_result(&mut self, key: &str) -> Result<(), String> {
-        let path = self.job_dir(key).join("result.artifact");
-        let sealed = std::fs::read(&path).map_err(|e| format!("result missing: {e}"))?;
-        let artifact = ResultArtifact::unseal(&sealed)?;
-        if artifact.key != key {
-            return Err(format!("artifact claims key {}, expected {key}", artifact.key));
+        let dir = self.job_dir(key);
+        let info = self.store.put_file(key, &dir.join("result.artifact"))?;
+        if let Err(e) = std::fs::remove_dir_all(dir.join("ckpt")) {
+            eprintln!("serve: job {key}: removing its checkpoints: {e}");
         }
-        self.store.put_sealed(key, &sealed)?;
-        self.transition(key, JobState::Done, JobStage::Done, artifact.phases, "");
+        self.transition(key, JobState::Done, JobStage::Done, info.phases, "");
         Ok(())
     }
 
@@ -852,16 +858,24 @@ pub fn run_serve(cfg: &ServeConfig) -> Result<(), String> {
 
 const CLIENT_TIMEOUT: Duration = Duration::from_secs(30);
 
-fn expect_reply(frame: Frame, want: FrameKind) -> Result<Vec<u8>, String> {
-    match frame.kind {
-        k if k == want => frame.bytes_payload().map_err(|e| format!("bad reply payload: {e:?}")),
+/// Sends `frame` to the daemon at `addr` and streams the byte payload of
+/// its `want` reply into `sink`; a [`FrameKind::ServeError`] reply comes
+/// back as the error it carries. `what` names the call in errors.
+fn call(
+    addr: &str,
+    what: &str,
+    frame: &Frame,
+    want: FrameKind,
+    sink: &mut impl Write,
+) -> Result<(), String> {
+    let failed = |e: FrameError| format!("{what}: {e:?}");
+    let reply = request(addr, frame, CLIENT_TIMEOUT).map_err(failed)?;
+    match reply.kind {
+        k if k == want => reply.bytes_into(sink).map(drop).map_err(failed),
         FrameKind::ServeError => {
-            let detail = frame
-                .bytes_payload()
-                .ok()
-                .and_then(|b| String::from_utf8(b).ok())
-                .unwrap_or_else(|| "unreadable error detail".into());
-            Err(format!("daemon refused: {detail}"))
+            let mut detail = Vec::new();
+            reply.bytes_into(&mut detail).map_err(failed)?;
+            Err(format!("daemon refused: {}", String::from_utf8_lossy(&detail)))
         }
         other => Err(format!("unexpected reply kind {other:?}")),
     }
@@ -905,8 +919,8 @@ fn parse_ticket(text: &str) -> Result<SweepTicket, String> {
 /// Submits a sweep request; returns the daemon's ticket.
 pub fn submit(addr: &str, req: &SweepRequest) -> Result<SweepTicket, String> {
     let frame = Frame::from_bytes(FrameKind::SweepSubmit, 0, &req.encode());
-    let reply = request(addr, &frame, CLIENT_TIMEOUT).map_err(|e| format!("submit: {e:?}"))?;
-    let bytes = expect_reply(reply, FrameKind::SweepReply)?;
+    let mut bytes = Vec::new();
+    call(addr, "submit", &frame, FrameKind::SweepReply, &mut bytes)?;
     let text = String::from_utf8(bytes).map_err(|_| "reply is not utf-8".to_string())?;
     parse_ticket(&text)
 }
@@ -914,24 +928,31 @@ pub fn submit(addr: &str, req: &SweepRequest) -> Result<SweepTicket, String> {
 /// Fetches the daemon's status report (`sweep` 0 = all sweeps).
 pub fn status(addr: &str, sweep: u64) -> Result<String, String> {
     let frame = Frame { kind: FrameKind::StatusQuery, from: 0, tag: sweep, payload: vec![] };
-    let reply = request(addr, &frame, CLIENT_TIMEOUT).map_err(|e| format!("status: {e:?}"))?;
-    let bytes = expect_reply(reply, FrameKind::StatusReply)?;
+    let mut bytes = Vec::new();
+    call(addr, "status", &frame, FrameKind::StatusReply, &mut bytes)?;
     String::from_utf8(bytes).map_err(|_| "status report is not utf-8".to_string())
 }
 
 /// Fetches the sealed artifact for `key`, verbatim as stored.
 pub fn fetch(addr: &str, key: &str) -> Result<Vec<u8>, String> {
+    let mut sealed = Vec::new();
+    fetch_to(addr, key, &mut sealed)?;
+    Ok(sealed)
+}
+
+/// Streams the sealed artifact for `key` into `sink` as it arrives. The
+/// bytes are the artifact only once this returns `Ok` (the frame's CRC is
+/// checked last); on an error the caller discards what `sink` got.
+pub fn fetch_to(addr: &str, key: &str, sink: &mut impl Write) -> Result<(), String> {
     validate_key(key)?;
     let frame = Frame::from_bytes(FrameKind::Fetch, 0, key.as_bytes());
-    let reply = request(addr, &frame, CLIENT_TIMEOUT).map_err(|e| format!("fetch: {e:?}"))?;
-    expect_reply(reply, FrameKind::FetchReply)
+    call(addr, "fetch", &frame, FrameKind::FetchReply, sink)
 }
 
 /// Asks the daemon to drain its queue and exit.
 pub fn shutdown(addr: &str) -> Result<(), String> {
     let frame = Frame { kind: FrameKind::Shutdown, from: 0, tag: 0, payload: vec![] };
-    let reply = request(addr, &frame, CLIENT_TIMEOUT).map_err(|e| format!("shutdown: {e:?}"))?;
-    expect_reply(reply, FrameKind::StatusReply).map(|_| ())
+    call(addr, "shutdown", &frame, FrameKind::StatusReply, &mut std::io::sink())
 }
 
 /// Polls the daemon until no job is queued or running (or the deadline
@@ -1165,7 +1186,7 @@ mod tests {
                 continue;
             }
             let reply = daemon.handle(Frame { kind, from: 0, tag: 0, payload: vec![] });
-            assert_eq!(reply.frame.kind, FrameKind::ServeError, "{kind:?}");
+            assert_eq!(reply.kind, FrameKind::ServeError, "{kind:?}");
             assert!(!reply.shutdown, "{kind:?}");
         }
         let _ = std::fs::remove_dir_all(&dir);

@@ -1,14 +1,11 @@
-#![expect(
-    unsafe_code,
-    reason = "a counting global allocator measures the largest allocation a decoder makes"
-)]
 //! The decode entry points never panic and never size an allocation by a
 //! count they have not checked.
 //!
-//! Untrusted bytes enter the workspace through eleven decoders: wire
+//! Untrusted bytes enter the workspace through twelve decoders: wire
 //! frames and their byte payloads, scenario blobs, sweep requests, channel
-//! configs and their wall-BC field, result artifacts sealed and unsealed,
-//! and JSONL traces line by line, whole, and as JSON. Clippy's boundary
+//! configs and their wall-BC field, result artifacts sealed and unsealed
+//! and checked as a stream with the runs skipped, and JSONL traces line by
+//! line, whole, and as JSON. Clippy's boundary
 //! header proves that nothing they reach unwraps, indexes or narrows; what
 //! it cannot see is arithmetic overflow and allocation size, which these
 //! properties exercise. From a valid encoding of each, every truncation,
@@ -18,8 +15,6 @@
 //! must do the same without an allocation larger than the honest
 //! decoding's.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use microslip::lbm::boundary::codec::{decode_wall_bc, encode_wall_bc};
@@ -39,42 +34,10 @@ use microslip_net::wire::{encode, read_frame, Frame, FrameKind};
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-/// The system allocator, noting per thread the largest block asked for.
-struct Counting;
-
-thread_local! {
-    static LARGEST: Cell<usize> = const { Cell::new(0) };
+mod common {
+    pub mod counting;
 }
-
-fn note(size: usize) {
-    let _ = LARGEST.try_with(|largest| largest.set(largest.get().max(size)));
-}
-
-// SAFETY: every method forwards to `System` with the caller's arguments
-// unchanged, so `System`'s guarantees are this allocator's.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        System.alloc(layout)
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        note(layout.size());
-        System.alloc_zeroed(layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size);
-        System.realloc(ptr, layout, new_size)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
+use common::counting;
 
 /// One decode entry point and a valid encoding to mutate.
 struct Entry {
@@ -90,9 +53,9 @@ impl Entry {
     /// the decoder panics; returns whether it decoded and the largest
     /// allocation it made.
     fn run(&self, case: &str, bytes: &[u8]) -> (bool, usize) {
-        LARGEST.with(|largest| largest.set(0));
+        counting::reset();
         let decoded = catch_unwind(AssertUnwindSafe(|| (self.decode)(bytes)));
-        let largest = LARGEST.with(Cell::get);
+        let largest = counting::largest();
         match decoded {
             Ok(ok) => (ok, largest),
             Err(_) => panic!("{} panicked on {case}: {bytes:02x?}", self.name),
@@ -171,7 +134,7 @@ fn events() -> Vec<Event> {
     ]
 }
 
-/// The eleven entries, each with a valid encoding.
+/// The twelve entries, each with a valid encoding.
 fn entries() -> Vec<Entry> {
     let frame = Frame::from_bytes(FrameKind::SweepSubmit, 0, b"a scenario blob, 29 bytes long");
     let mut wall_bc = Vec::new();
@@ -239,6 +202,11 @@ fn entries() -> Vec<Entry> {
             name: "ResultArtifact::decode",
             valid: artifact().encode(),
             decode: |b| ResultArtifact::decode(b).is_ok(),
+        },
+        Entry {
+            name: "ResultArtifact::check",
+            valid: artifact().encode(),
+            decode: |b| ResultArtifact::check(b, b.len() as u64).is_ok(),
         },
         Entry {
             name: "ResultArtifact::unseal",

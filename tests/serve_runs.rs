@@ -150,6 +150,43 @@ fn sweep_dedupes_caches_and_serves_bitwise_identical_results() {
 }
 
 #[test]
+fn a_corrupt_cache_entry_is_recomputed_not_served() {
+    let dir = scratch_dir("evicted");
+    let (addr, handle) = start_daemon(ServeConfig::new(&dir, WORKER_EXE));
+    let req = SweepRequest { base: base_scenario(8), checkpoint_every: Some(4), axes: vec![] };
+    let ticket = serve::submit(&addr, &req).expect("submit");
+    assert_eq!(ticket.scheduled, 1);
+    serve::wait_idle(&addr, Duration::from_secs(60)).expect("sweep completes");
+    let key = &ticket.keys[0];
+
+    // The result was moved into the cache, and once it was cached the
+    // job's checkpoints went; its stderr log stays.
+    let job = dir.join("jobs").join(key);
+    assert!(!job.join("result.artifact").exists(), "the result is moved, not copied");
+    assert!(!job.join("ckpt").exists(), "a cached job keeps no checkpoints");
+    assert!(job.join("job.stderr").exists());
+
+    // Rot the entry behind the daemon's back: the resubmit is a miss that
+    // schedules the job again, not a hit on the finished job.
+    let entry = dir.join("cache").join(format!("{key}.artifact"));
+    let mut bytes = fs::read(&entry).expect("cache entry");
+    bytes[100] ^= 0xff;
+    fs::write(&entry, &bytes).unwrap();
+    let again = serve::submit(&addr, &req).expect("resubmit");
+    assert_eq!((again.scheduled, again.cached), (1, 0), "a corrupt entry is a miss");
+    serve::wait_idle(&addr, Duration::from_secs(60)).expect("recompute completes");
+    let sealed = serve::fetch(&addr, key).expect("fetch the recomputed result");
+    serve::shutdown(&addr).expect("shutdown");
+    handle.join().expect("daemon thread").expect("daemon exits clean");
+    assert_eq!(sealed, direct_run(&req.base, &dir), "the recomputed result differs");
+
+    let events = job_events(&dir);
+    assert_eq!(stage_count(&events, JobStage::Done), 2);
+    assert_eq!(stage_count(&events, JobStage::CacheHit), 0);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn killed_worker_restarts_from_checkpoint_and_matches_direct_run_bitwise() {
     let dir = scratch_dir("death");
     let mut cfg = ServeConfig::new(&dir, WORKER_EXE);
