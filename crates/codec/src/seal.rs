@@ -12,7 +12,7 @@
 use std::fmt;
 use std::fs::{self, File};
 use std::io::{self, Read, Seek, Write};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use crate::crc::{crc32, Crc32};
 
@@ -198,11 +198,15 @@ pub fn read_file(path: &Path) -> Result<Vec<u8>, SealError> {
     Ok(sealed)
 }
 
-/// Crash-safe publish: `fill` writes a same-directory temp file that is
-/// then renamed into place, so a reader sees the old file, the new file, or
-/// a leftover `.tmp` it ignores — never a half-written one.
+/// Crash-safe publish: `fill` writes a same-directory temp file, the whole
+/// file name with `.tmp` appended, that is then renamed into place, so a
+/// reader sees the old file, the new file, or a leftover `.tmp` it ignores
+/// — never a half-written one. Files that differ only in their extension
+/// (`rank0.state`, `rank0.port`) never share a temp file.
 pub fn publish(path: &Path, fill: impl FnOnce(&mut File) -> io::Result<()>) -> io::Result<()> {
-    let tmp = path.with_extension("tmp");
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
     fill(&mut File::create(&tmp)?)?;
     fs::rename(&tmp, path)
 }

@@ -91,7 +91,7 @@ fn files_publish_atomically_verify_and_read_back_verbatim() {
     let path = dir.join("entry.bin");
     let payload = noise(2 * CHUNK + 5, 11);
     microslip_codec::write_file(&path, |w| w.write_all(&payload)).unwrap();
-    assert!(!path.with_extension("tmp").exists(), "temp file must be renamed away");
+    assert!(!dir.join("entry.bin.tmp").exists(), "temp file must be renamed away");
     assert_eq!(std::fs::read(&path).unwrap(), seal(payload.clone()));
     // A verified file comes back rewound: the second pass reads it whole.
     let (mut file, len) = microslip_codec::verify(&path).unwrap();
@@ -108,6 +108,30 @@ fn files_publish_atomically_verify_and_read_back_verbatim() {
     assert!(matches!(microslip_codec::verify(&path), Err(SealError::Corrupt(_))));
     assert!(matches!(microslip_codec::read_file(&path), Err(SealError::Corrupt(_))));
     assert!(matches!(microslip_codec::verify(&dir.join("absent.bin")), Err(SealError::Io(_))));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn files_of_one_stem_publish_through_their_own_temp_files() {
+    // `a.x` is published from inside the fill of `a.y`. Were the temp name
+    // the stem's (`a.tmp`), the inner publish would take the outer one's
+    // file away and the outer rename would fail.
+    let dir = std::env::temp_dir().join(format!("microslip-codec-stem-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let (x, y) = (dir.join("a.x"), dir.join("a.y"));
+    microslip_codec::publish(&y, |outer| {
+        outer.write_all(b"outer, ")?;
+        microslip_codec::publish(&x, |inner| inner.write_all(b"inner"))?;
+        outer.write_all(b"still outer")
+    })
+    .unwrap();
+    assert_eq!(std::fs::read(&x).unwrap(), b"inner");
+    assert_eq!(std::fs::read(&y).unwrap(), b"outer, still outer");
+    let mut names: Vec<_> =
+        std::fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name().into_string().unwrap()).collect();
+    names.sort();
+    assert_eq!(names, ["a.x", "a.y"], "no temp file is left behind");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

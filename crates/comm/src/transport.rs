@@ -74,8 +74,9 @@ pub enum CommError {
     /// The peer spoke, but not the protocol: bad magic, unsupported
     /// version, CRC mismatch, or an impossible frame.
     Protocol { peer: NodeId, detail: String },
-    /// The rendezvous/mesh establishment failed before the communicator
-    /// existed (duplicate rank claim, roster mismatch, listener failure).
+    /// The mesh establishment failed before the communicator existed (a
+    /// peer's port never published, a refused dial, a frame other than
+    /// IDENT, listener failure).
     Handshake { detail: String },
 }
 

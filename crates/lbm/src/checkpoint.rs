@@ -41,7 +41,7 @@ use crate::component::ComponentState;
 use crate::config::ChannelConfig;
 use crate::field::LocalGrid;
 use crate::geometry::Slab;
-use crate::lattice::{Lattice, D3Q19};
+use crate::lattice::D3Q19;
 use crate::macroscopic::SnapshotSlab;
 use crate::simulation::Simulation;
 use crate::solver::{solid_mask, SlabSolver};
@@ -556,7 +556,7 @@ mod tests {
         let path = dir.join("ckpt-rank0-phase5.bin");
         let payload = Simulation::new(config()).save();
         write_sealed(&path, payload.clone()).unwrap();
-        assert!(!path.with_extension("tmp").exists(), "temp file must be renamed away");
+        assert!(!dir.join("ckpt-rank0-phase5.bin.tmp").exists(), "temp file must be renamed away");
         assert_eq!(read_sealed(&path).unwrap(), payload);
         // A sealed file restores through the normal loader.
         let (solver, phase) = load_solver(&config(), &read_sealed(&path).unwrap()).unwrap();

@@ -26,7 +26,7 @@ use std::ops::Range;
 
 use crate::component::{CollisionOperator, ComponentState};
 use crate::field::{LocalGrid, SlabArray};
-use crate::lattice::{Lattice, D3Q19};
+use crate::lattice::D3Q19;
 use crate::mrt::Mrt;
 use crate::simd::{dispatch, V};
 
@@ -422,7 +422,7 @@ mod tests {
             let cell = grid.idx(xl, 0, 0);
             let (n, _) = cell_moments(&c, cell);
             for i in 0..D3Q19::Q {
-                let feq = crate::equilibrium::feq_i::<D3Q19>(i, n, [0.0; 3]);
+                let feq = crate::equilibrium::feq_i(i, n, [0.0; 3]);
                 assert!((c.f.at(i, cell) - feq).abs() < 1e-13);
             }
         }

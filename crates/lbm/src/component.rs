@@ -5,7 +5,7 @@
 //! re-exported here.
 
 use crate::field::{LocalGrid, SlabArray};
-use crate::lattice::{Lattice, D3Q19};
+use crate::lattice::D3Q19;
 
 pub use microslip_config::component::{CollisionOperator, ComponentSpec, CouplingMatrix};
 
@@ -88,7 +88,7 @@ impl ComponentState {
             .map(|&n| {
                 assert!(n >= 0.0 && n.is_finite(), "invalid initial density {n}");
                 let mut feq = [0.0; D3Q19::Q];
-                crate::equilibrium::feq_all::<D3Q19>(n, [0.0; 3], &mut feq);
+                crate::equilibrium::feq_all(n, [0.0; 3], &mut feq);
                 feq
             })
             .collect();
@@ -127,7 +127,7 @@ mod tests {
         pub(crate) fn init_uniform(&mut self, n: f64, u: [f64; 3]) {
             let grid = self.grid();
             let mut feq = vec![0.0; D3Q19::Q];
-            crate::equilibrium::feq_all::<D3Q19>(n, u, &mut feq);
+            crate::equilibrium::feq_all(n, u, &mut feq);
             for xl in LocalGrid::FIRST..=grid.last() {
                 for y in 0..grid.ny {
                     for z in 0..grid.nz {

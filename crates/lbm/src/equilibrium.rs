@@ -11,46 +11,46 @@
 //! (common velocity plus the Shan–Chen force shift, see
 //! [`crate::multicomponent`]). `n` is the component number density.
 
-use crate::lattice::Lattice;
+use crate::lattice::D3Q19;
 
 /// Evaluates `f_i^eq` for one discrete velocity `i`.
 #[inline(always)]
-pub fn feq_i<L: Lattice>(i: usize, n: f64, u: [f64; 3]) -> f64 {
-    let e = L::E[i];
+pub fn feq_i(i: usize, n: f64, u: [f64; 3]) -> f64 {
+    let e = D3Q19::E[i];
     let eu = e[0] as f64 * u[0] + e[1] as f64 * u[1] + e[2] as f64 * u[2];
     let uu = u[0] * u[0] + u[1] * u[1] + u[2] * u[2];
-    L::W[i] * n * (1.0 + 3.0 * eu + 4.5 * eu * eu - 1.5 * uu)
+    D3Q19::W[i] * n * (1.0 + 3.0 * eu + 4.5 * eu * eu - 1.5 * uu)
 }
 
 /// Fills `out[0..Q]` with the full equilibrium set for `(n, u)`.
 #[inline]
-pub fn feq_all<L: Lattice>(n: f64, u: [f64; 3], out: &mut [f64]) {
-    assert_eq!(out.len(), L::Q);
+pub fn feq_all(n: f64, u: [f64; 3], out: &mut [f64]) {
+    assert_eq!(out.len(), D3Q19::Q);
     let uu = u[0] * u[0] + u[1] * u[1] + u[2] * u[2];
-    for i in 0..L::Q {
-        let e = L::E[i];
+    for i in 0..D3Q19::Q {
+        let e = D3Q19::E[i];
         let eu = e[0] as f64 * u[0] + e[1] as f64 * u[1] + e[2] as f64 * u[2];
-        out[i] = L::W[i] * n * (1.0 + 3.0 * eu + 4.5 * eu * eu - 1.5 * uu);
+        out[i] = D3Q19::W[i] * n * (1.0 + 3.0 * eu + 4.5 * eu * eu - 1.5 * uu);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lattice::{D3Q19, CS2};
+    use crate::lattice::CS2;
 
-    fn moments<L: Lattice>(n: f64, u: [f64; 3]) -> (f64, [f64; 3], [[f64; 3]; 3]) {
-        let mut f = vec![0.0; L::Q];
-        feq_all::<L>(n, u, &mut f);
+    fn moments(n: f64, u: [f64; 3]) -> (f64, [f64; 3], [[f64; 3]; 3]) {
+        let mut f = vec![0.0; D3Q19::Q];
+        feq_all(n, u, &mut f);
         let mut m0 = 0.0;
         let mut m1 = [0.0; 3];
         let mut m2 = [[0.0; 3]; 3];
-        for i in 0..L::Q {
+        for i in 0..D3Q19::Q {
             m0 += f[i];
             for a in 0..3 {
-                m1[a] += f[i] * L::E[i][a] as f64;
+                m1[a] += f[i] * D3Q19::E[i][a] as f64;
                 for b in 0..3 {
-                    m2[a][b] += f[i] * (L::E[i][a] * L::E[i][b]) as f64;
+                    m2[a][b] += f[i] * (D3Q19::E[i][a] * D3Q19::E[i][b]) as f64;
                 }
             }
         }
@@ -64,7 +64,7 @@ mod tests {
             (0.7, [0.03, -0.01, 0.02]),
             (2.5, [-0.05, 0.04, 0.0]),
         ] {
-            let (m0, m1, _) = moments::<D3Q19>(n, u);
+            let (m0, m1, _) = moments(n, u);
             assert!((m0 - n).abs() < 1e-14, "mass moment");
             for a in 0..3 {
                 assert!((m1[a] - n * u[a]).abs() < 1e-14, "momentum moment axis {a}");
@@ -76,7 +76,7 @@ mod tests {
     fn second_moment_to_second_order() {
         let n = 1.2;
         let u = [0.02, -0.015, 0.01];
-        let (_, _, m2) = moments::<D3Q19>(n, u);
+        let (_, _, m2) = moments(n, u);
         for a in 0..3 {
             for b in 0..3 {
                 let want = n * (CS2 * f64::from(a == b) + u[a] * u[b]);
@@ -92,7 +92,7 @@ mod tests {
     #[test]
     fn rest_state_equals_weights() {
         let mut f = vec![0.0; D3Q19::Q];
-        feq_all::<D3Q19>(1.0, [0.0; 3], &mut f);
+        feq_all(1.0, [0.0; 3], &mut f);
         for i in 0..D3Q19::Q {
             assert!((f[i] - D3Q19::W[i]).abs() < 1e-16);
         }
@@ -103,16 +103,16 @@ mod tests {
         let n = 1.1;
         let u = [0.01, 0.02, -0.03];
         let mut f = vec![0.0; D3Q19::Q];
-        feq_all::<D3Q19>(n, u, &mut f);
+        feq_all(n, u, &mut f);
         for i in 0..D3Q19::Q {
-            assert_eq!(f[i], feq_i::<D3Q19>(i, n, u));
+            assert_eq!(f[i], feq_i(i, n, u));
         }
     }
 
     #[test]
     fn equilibrium_positive_for_moderate_velocity() {
         let mut f = vec![0.0; D3Q19::Q];
-        feq_all::<D3Q19>(1.0, [0.1, 0.1, 0.1], &mut f);
+        feq_all(1.0, [0.1, 0.1, 0.1], &mut f);
         assert!(f.iter().all(|&v| v > 0.0));
     }
 }

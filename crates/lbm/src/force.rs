@@ -33,7 +33,7 @@
 use crate::component::{ComponentSpec, ComponentState, CouplingMatrix};
 use crate::multicomponent::PlaneCollision;
 use crate::field::{LocalGrid, SlabArray};
-use crate::lattice::{Lattice, D3Q19};
+use crate::lattice::D3Q19;
 use crate::potential::PsiFn;
 use crate::simd::{blocks, dispatch, V};
 
@@ -493,7 +493,7 @@ pub fn compute_forces(
 mod tests {
     use super::*;
     use crate::component::ComponentSpec;
-    use crate::lattice::{Lattice, D3Q19};
+    use crate::lattice::D3Q19;
 
     fn two_comp(nx: usize, ny: usize, nz: usize) -> Vec<ComponentState> {
         let grid = LocalGrid::new(nx, ny, nz);

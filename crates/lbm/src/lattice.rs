@@ -18,25 +18,6 @@ pub const CS2: f64 = microslip_config::CS2;
 /// Inverse of [`CS2`], used in equilibrium expansion.
 pub const INV_CS2: f64 = 3.0;
 
-/// A discrete velocity set.
-///
-/// Implementations expose their tables as associated constants so generic
-/// kernels monomorphize to straight-line code.
-pub trait Lattice: Copy + Send + Sync + 'static {
-    /// Spatial dimension.
-    const D: usize;
-    /// Number of discrete velocities.
-    const Q: usize;
-    /// Discrete velocity vectors `e_i`.
-    const E: &'static [[i32; 3]];
-    /// Quadrature weights `w_i`.
-    const W: &'static [f64];
-    /// Index of the opposite velocity: `E[OPP[i]] == -E[i]`.
-    const OPP: &'static [usize];
-    /// Human-readable name, e.g. `"D3Q19"`.
-    const NAME: &'static str;
-}
-
 /// The three-dimensional, nineteen-velocity lattice used by the paper.
 ///
 /// Ordering: rest vector first, then the six axis vectors, then the twelve
@@ -46,10 +27,13 @@ pub trait Lattice: Copy + Send + Sync + 'static {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct D3Q19;
 
-impl Lattice for D3Q19 {
-    const D: usize = 3;
-    const Q: usize = 19;
-    const E: &'static [[i32; 3]] = &[
+impl D3Q19 {
+    /// Spatial dimension.
+    pub const D: usize = 3;
+    /// Number of discrete velocities.
+    pub const Q: usize = 19;
+    /// Discrete velocity vectors `e_i`.
+    pub const E: &'static [[i32; 3]] = &[
         [0, 0, 0],
         [1, 0, 0],
         [-1, 0, 0],
@@ -70,7 +54,8 @@ impl Lattice for D3Q19 {
         [0, 1, -1],
         [0, -1, 1],
     ];
-    const W: &'static [f64] = &[
+    /// Quadrature weights `w_i`.
+    pub const W: &'static [f64] = &[
         1.0 / 3.0,
         1.0 / 18.0,
         1.0 / 18.0,
@@ -91,13 +76,12 @@ impl Lattice for D3Q19 {
         1.0 / 36.0,
         1.0 / 36.0,
     ];
-    const OPP: &'static [usize] = &[
+    /// Index of the opposite velocity: `E[OPP[i]] == -E[i]`.
+    pub const OPP: &'static [usize] = &[
         0, 2, 1, 4, 3, 6, 5, 8, 7, 10, 9, 12, 11, 14, 13, 16, 15, 18, 17,
     ];
-    const NAME: &'static str = "D3Q19";
-}
-
-impl D3Q19 {
+    /// Human-readable name.
+    pub const NAME: &'static str = "D3Q19";
     /// Directions with a positive x-component — the five populations a slab
     /// must send to its *right* neighbor each phase (paper §2.2).
     pub const POS_X: [usize; 5] = [1, 7, 9, 11, 13];
@@ -120,48 +104,48 @@ impl D3Q19 {
 ///
 /// Returns an error string naming the first violated identity; used by the
 /// test-suite and by `debug_assert!`s in solver constructors.
-pub fn validate<L: Lattice>() -> Result<(), String> {
-    if L::E.len() != L::Q || L::W.len() != L::Q || L::OPP.len() != L::Q {
-        return Err(format!("{}: table lengths do not match Q={}", L::NAME, L::Q));
+pub fn validate() -> Result<(), String> {
+    if D3Q19::E.len() != D3Q19::Q || D3Q19::W.len() != D3Q19::Q || D3Q19::OPP.len() != D3Q19::Q {
+        return Err(format!("{}: table lengths do not match Q={}", D3Q19::NAME, D3Q19::Q));
     }
     let mut wsum = 0.0;
     let mut m1 = [0.0f64; 3];
     let mut m2 = [[0.0f64; 3]; 3];
-    for i in 0..L::Q {
-        wsum += L::W[i];
+    for i in 0..D3Q19::Q {
+        wsum += D3Q19::W[i];
         for a in 0..3 {
-            m1[a] += L::W[i] * L::E[i][a] as f64;
+            m1[a] += D3Q19::W[i] * D3Q19::E[i][a] as f64;
             for b in 0..3 {
-                m2[a][b] += L::W[i] * (L::E[i][a] * L::E[i][b]) as f64;
+                m2[a][b] += D3Q19::W[i] * (D3Q19::E[i][a] * D3Q19::E[i][b]) as f64;
             }
         }
-        let o = L::OPP[i];
-        if o >= L::Q {
-            return Err(format!("{}: OPP[{}] out of range", L::NAME, i));
+        let o = D3Q19::OPP[i];
+        if o >= D3Q19::Q {
+            return Err(format!("{}: OPP[{}] out of range", D3Q19::NAME, i));
         }
         for a in 0..3 {
-            if L::E[o][a] != -L::E[i][a] {
-                return Err(format!("{}: OPP[{}] is not the reverse velocity", L::NAME, i));
+            if D3Q19::E[o][a] != -D3Q19::E[i][a] {
+                return Err(format!("{}: OPP[{}] is not the reverse velocity", D3Q19::NAME, i));
             }
         }
-        if L::OPP[o] != i {
-            return Err(format!("{}: OPP is not an involution at {}", L::NAME, i));
+        if D3Q19::OPP[o] != i {
+            return Err(format!("{}: OPP is not an involution at {}", D3Q19::NAME, i));
         }
-        if (L::W[i] - L::W[o]).abs() > 1e-15 {
-            return Err(format!("{}: weights not symmetric under reversal at {}", L::NAME, i));
+        if (D3Q19::W[i] - D3Q19::W[o]).abs() > 1e-15 {
+            return Err(format!("{}: weights not symmetric under reversal at {}", D3Q19::NAME, i));
         }
     }
     if (wsum - 1.0).abs() > 1e-14 {
-        return Err(format!("{}: weights sum to {wsum}, not 1", L::NAME));
+        return Err(format!("{}: weights sum to {wsum}, not 1", D3Q19::NAME));
     }
     for a in 0..3 {
         if m1[a].abs() > 1e-14 {
-            return Err(format!("{}: first moment nonzero along axis {a}", L::NAME));
+            return Err(format!("{}: first moment nonzero along axis {a}", D3Q19::NAME));
         }
         for b in 0..3 {
-            let want = if a == b && a < L::D { CS2 } else { 0.0 };
+            let want = if a == b && a < D3Q19::D { CS2 } else { 0.0 };
             if (m2[a][b] - want).abs() > 1e-14 {
-                return Err(format!("{}: second moment [{a}][{b}] = {} != {want}", L::NAME, m2[a][b]));
+                return Err(format!("{}: second moment [{a}][{b}] = {} != {want}", D3Q19::NAME, m2[a][b]));
             }
         }
     }
@@ -174,7 +158,7 @@ mod tests {
 
     #[test]
     fn d3q19_is_valid() {
-        validate::<D3Q19>().unwrap();
+        validate().unwrap();
     }
 
     #[test]

@@ -26,7 +26,7 @@ use std::ops::Range;
 use crate::component::ComponentState;
 use crate::field::{LocalGrid, SlabArray};
 use crate::geometry::Slab;
-use crate::lattice::{Lattice, D3Q19};
+use crate::lattice::D3Q19;
 use crate::multicomponent::{Forcing, PlaneCollision};
 use crate::simd::{blocks, dispatch, V};
 

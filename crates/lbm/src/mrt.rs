@@ -23,7 +23,7 @@
 use std::sync::OnceLock;
 
 use crate::collision::Relax;
-use crate::lattice::{Lattice, D3Q19};
+use crate::lattice::D3Q19;
 use crate::simd::V;
 
 pub use microslip_config::component::MrtRates;

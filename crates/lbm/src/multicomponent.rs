@@ -25,7 +25,7 @@ use crate::collision::{collide_cells, InPlace, Populations};
 use crate::component::{CollisionOperator, ComponentState, CouplingMatrix};
 use crate::field::{runs, runs_mut, LocalGrid, SlabArray};
 use crate::force::{ForcePlanes, WallForce};
-use crate::lattice::{Lattice, D3Q19};
+use crate::lattice::D3Q19;
 use crate::macroscopic::moments;
 use crate::simd::{dispatch, V};
 

@@ -46,7 +46,7 @@ use crate::config::ChannelConfig;
 use crate::field::{LocalGrid, SlabArray};
 use crate::force::WallForce;
 use crate::geometry::{Dims, Slab, SolidRegion};
-use crate::lattice::{Lattice, D3Q19};
+use crate::lattice::D3Q19;
 use crate::macroscopic::{Snapshot, SnapshotSlab};
 
 /// A slab edge, in global x orientation.

@@ -98,7 +98,7 @@ use crate::boundary::SlipMap;
 use crate::collision::OutOfPlace;
 use crate::component::ComponentState;
 use crate::field::{runs_mut, LocalGrid};
-use crate::lattice::{Lattice, D3Q19};
+use crate::lattice::D3Q19;
 use crate::multicomponent::{Forcing, PlaneCollision};
 const Q: usize = D3Q19::Q;
 

@@ -44,11 +44,6 @@ impl UnitScales {
         self.dx * self.dx / self.dt
     }
 
-    /// Force density scale in N/m³ per lattice unit (ρ·dx/dt²).
-    pub fn force_density(&self) -> f64 {
-        self.rho * self.dx / (self.dt * self.dt)
-    }
-
     /// Converts a physical length in meters to lattice units.
     pub fn length_to_lattice(&self, meters: f64) -> f64 {
         meters / self.dx

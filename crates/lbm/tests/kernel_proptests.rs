@@ -4,7 +4,7 @@
 //! arbitrary obstacle masks lives with the sweep, in `streaming.rs`.)
 
 use microslip_lbm::equilibrium::feq_all;
-use microslip_lbm::lattice::{Lattice, D3Q19};
+use microslip_lbm::lattice::D3Q19;
 use microslip_lbm::observables::YProfile;
 use microslip_lbm::potential::{bulk_compressibility, bulk_pressure, PsiFn};
 use microslip_lbm::{ChannelConfig, Dims, Simulation};
@@ -21,7 +21,7 @@ proptest! {
         uz in -0.1f64..0.1,
     ) {
         let mut f = vec![0.0; 19];
-        feq_all::<D3Q19>(n, [ux, uy, uz], &mut f);
+        feq_all(n, [ux, uy, uz], &mut f);
         let mass: f64 = f.iter().sum();
         prop_assert!((mass - n).abs() < 1e-12 * n.max(1.0));
         for a in 0..3 {

@@ -24,10 +24,12 @@
 //! Layers:
 //! - [`wire`]: the length-prefixed little-endian frame format with CRC-32
 //!   integrity checking;
-//! - [`rendezvous`]: the rank-0-coordinated handshake that turns N
-//!   processes into a fully connected mesh with verified ranks;
+//! - [`mesh`]: [`join_mesh`], which turns N processes sharing a run
+//!   directory into a fully connected mesh with verified ranks: each
+//!   publishes its data port as `DIR/rank{r}.port`, dials the ranks below
+//!   it and identifies itself;
 //! - [`tcp`]: [`TcpTransport`], the steady-state tagged send/receive with
-//!   timeout, retry, and clean-shutdown semantics;
+//!   timeout and clean-shutdown semantics;
 //! - [`serve`]: [`ServeLoop`], the one-request/one-reply accept loop the
 //!   sweep daemon (`microslip serve`) fronts its scheduler with, plus the
 //!   matching single-exchange [`request`] client call. Serve frames use
@@ -38,11 +40,11 @@
 //! on threads and sockets — which is what makes the multi-process runtime
 //! bitwise-equivalent to the threaded one.
 
-pub mod rendezvous;
+pub mod mesh;
 pub mod serve;
 pub mod tcp;
 pub mod wire;
 
-pub use rendezvous::{connect, coordinate_mesh, localhost_mesh};
+pub use mesh::{join_mesh, localhost_mesh, parse_port, port_path};
 pub use serve::{request, Body, Reply, Served, ServeLoop};
 pub use tcp::{NetConfig, TcpTransport};

@@ -1,6 +1,6 @@
 //! Request/reply accept loop for the sweep service.
 //!
-//! Where [`rendezvous`](crate::rendezvous) builds a long-lived
+//! Where [`mesh`](crate::mesh) builds a long-lived
 //! fully-connected mesh, the sweep daemon speaks a much simpler shape:
 //! each client connection carries **one request frame and one reply
 //! frame**, then closes. [`ServeLoop`] owns the listening socket and the
@@ -17,10 +17,11 @@
 //!   detail, then the connection closes. Old mesh peers dialing the serve
 //!   port get the same typed `Protocol` error their own decoder would
 //!   produce for a serve frame (see the versioning notes in [`wire`]).
-//! - **Bounded reads.** Every per-connection read runs under
-//!   `read_timeout`; a client that connects and stalls cannot wedge the
-//!   daemon, because the accept loop only ever services one connection
-//!   per [`poll`](ServeLoop::poll) call and the scheduler keeps polling
+//! - **Bounded reads and writes.** Every per-connection read and write
+//!   runs under `read_timeout`; a client that connects and stalls, or asks
+//!   for a fetch and never reads the reply, cannot wedge the daemon,
+//!   because the accept loop only ever services one connection per
+//!   [`poll`](ServeLoop::poll) call and the scheduler keeps polling
 //!   between supervision rounds.
 //! - **Panic-free decoding.** Under the crate's boundary header, nothing
 //!   on the request path indexes, unwraps, or panics on untrusted input.
@@ -142,6 +143,7 @@ impl ServeLoop {
         if let Err(e) = stream
             .set_nonblocking(false)
             .and_then(|_| stream.set_read_timeout(Some(self.read_timeout)))
+            .and_then(|_| stream.set_write_timeout(Some(self.read_timeout)))
             .and_then(|_| stream.set_nodelay(true))
         {
             return Served::Rejected(format!("socket setup: {e}"));
@@ -320,6 +322,37 @@ mod tests {
         assert_eq!(reply.kind, FrameKind::ServeError);
         let detail = String::from_utf8(reply.bytes_payload().unwrap()).unwrap();
         assert!(detail.contains("magic"), "{detail}");
+    }
+
+    #[test]
+    fn a_client_that_never_reads_cannot_wedge_the_loop() {
+        // A fetch whose reply is far larger than the loopback buffers, to a
+        // client that never reads it: the bounded write must give up, and
+        // the next client must be served.
+        let timeout = Duration::from_millis(200);
+        let serve = ServeLoop::bind("127.0.0.1:0", timeout).expect("bind");
+        let addr = format!("127.0.0.1:{}", serve.local_addr().unwrap().port());
+        let path = std::env::temp_dir().join(format!("microslip-serve-sparse-{}", std::process::id()));
+        File::create(&path).unwrap().set_len(64 << 20).unwrap();
+        let mut stalled = TcpStream::connect(&addr).unwrap();
+        stalled.write_all(&wire::encode(&Frame::from_bytes(FrameKind::Fetch, 0, b"k"))).unwrap();
+        let started = std::time::Instant::now();
+        let served = poll_until_served(&serve, |_| {
+            Reply::file(FrameKind::FetchReply, File::open(&path).unwrap(), 64 << 20)
+        });
+        match served {
+            Served::Rejected(detail) => assert!(detail.contains("reply send failed"), "{detail}"),
+            other => panic!("{other:?}"),
+        }
+        assert!(started.elapsed() < 10 * timeout, "the write took {:?}", started.elapsed());
+        let client = std::thread::spawn(move || {
+            request(&addr, &Frame::from_bytes(FrameKind::Fetch, 0, b"k"), TIMEOUT).map(|r| r.kind)
+        });
+        let served = poll_until_served(&serve, |_| Reply::bytes(FrameKind::FetchReply, b"small".as_slice()));
+        assert_eq!(served, Served::Handled);
+        assert_eq!(client.join().unwrap().unwrap(), FrameKind::FetchReply);
+        drop(stalled);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! [`TcpTransport`]: the [`Transport`] contract over localhost TCP.
 //!
 //! One socket per peer pair (a fully connected mesh, built by
-//! [`crate::rendezvous`]). Because each peer has its own stream, messages
+//! [`crate::mesh`]). Because each peer has its own stream, messages
 //! from different senders can never mix; out-of-order *tags* from the same
 //! peer are buffered in a local stash, exactly like the in-process channel
 //! transport.
@@ -25,44 +25,19 @@ use microslip_comm::{CommError, NodeId, Tag, Transport};
 
 use crate::wire::{self, Frame, FrameError, FrameKind};
 
-/// Tunables for connection establishment and steady-state I/O.
+/// Deadlines for mesh establishment and steady-state I/O.
 #[derive(Clone, Debug)]
 pub struct NetConfig {
-    /// Deadline for one TCP connect attempt.
-    pub connect_timeout: Duration,
-    /// Connect attempts before giving up (covers rendezvous races where a
-    /// child starts before rank 0's listener is up).
-    pub connect_retries: u32,
-    /// Sleep before the first retry; doubles each attempt (exponential
-    /// backoff, capped at [`NetConfig::backoff_cap`]).
-    pub backoff: Duration,
-    /// Upper bound on a single backoff sleep.
-    pub backoff_cap: Duration,
     /// Deadline for a blocking `recv` on an established connection.
-    /// `None` waits forever (trust the peer).
-    pub read_timeout: Option<Duration>,
-    /// Deadline for the whole rendezvous + mesh establishment.
+    pub read_timeout: Duration,
+    /// Deadline for the whole mesh establishment: port files, dials,
+    /// accepts and IDENT frames.
     pub handshake_timeout: Duration,
 }
 
 impl Default for NetConfig {
     fn default() -> NetConfig {
-        NetConfig {
-            connect_timeout: Duration::from_secs(5),
-            connect_retries: 10,
-            backoff: Duration::from_millis(20),
-            backoff_cap: Duration::from_millis(500),
-            read_timeout: Some(Duration::from_secs(60)),
-            handshake_timeout: Duration::from_secs(20),
-        }
-    }
-}
-
-impl NetConfig {
-    /// Backoff before retry number `attempt` (0-based).
-    pub fn backoff_for(&self, attempt: u32) -> Duration {
-        let exp = self.backoff.saturating_mul(1u32 << attempt.min(10));
-        exp.min(self.backoff_cap)
+        NetConfig { read_timeout: Duration::from_secs(60), handshake_timeout: Duration::from_secs(20) }
     }
 }
 

@@ -8,8 +8,8 @@
 //!      4     2  version    u16 LE, currently 1
 //!      6     1  kind       see the kind-code table below
 //!      7     1  pad        must be 0
-//!      8     4  from       u32 LE, sender rank (or u32::MAX = assign-me)
-//!     12     8  tag        u64 LE, message tag / handshake argument
+//!      8     4  from       u32 LE, sender rank
+//!     12     8  tag        u64 LE, message tag (a byte payload's length)
 //!     20     4  len        u32 LE, payload length in f64 elements
 //!     24  8×len payload    f64 LE array
 //!      …     4  crc        CRC-32 (IEEE) over bytes 4 .. 24+8×len
@@ -25,8 +25,8 @@
 //! code  kind         protocol        carries
 //!    0  Data         mesh (v1)       tagged f64 application payload
 //!    1  Goodbye      mesh (v1)       clean connection shutdown
-//!    2  Hello        mesh (v1)       rendezvous join request
-//!    3  Roster       mesh (v1)       rendezvous port table
+//!    2  (retired)    —               was Hello; the decoder rejects it
+//!    3  (retired)    —               was Roster; the decoder rejects it
 //!    4  Ident        mesh (v1)       data-connection identification
 //!    5  (retired)    —               was Rejoin; the decoder rejects it
 //!   16  SweepSubmit  serve (v2)      byte payload: encoded sweep request
@@ -78,9 +78,6 @@ pub const MAX_PAYLOAD_LEN: u32 = 1 << 28;
 /// Bytes of the header, magic included, in front of the payload.
 const HEADER_LEN: usize = 24;
 
-/// `from` value in a HELLO frame meaning "assign me a rank".
-pub const ASSIGN_ME: u32 = u32::MAX;
-
 /// What a frame carries. The discriminants are the wire's kind codes,
 /// the one code table (the module docs list it): `code` is the cast and
 /// `from_code` searches [`FrameKind::ALL`].
@@ -91,12 +88,6 @@ pub enum FrameKind {
     Data = 0,
     /// Poison frame: the sender is shutting this connection down cleanly.
     Goodbye = 1,
-    /// Rendezvous: joiner → rank 0. `from` = claimed rank (or
-    /// [`ASSIGN_ME`]), `tag` = the joiner's data-listener port.
-    Hello = 2,
-    /// Rendezvous: rank 0 → joiner. `from` = the joiner's final rank,
-    /// payload = data ports of all ranks, indexed by rank.
-    Roster = 3,
     /// Mesh establishment: first frame on a data connection, `from` =
     /// the connecting rank.
     Ident = 4,
@@ -128,11 +119,9 @@ pub enum FrameKind {
 
 impl FrameKind {
     /// Every kind, in code order.
-    pub const ALL: [FrameKind; 13] = [
+    pub const ALL: [FrameKind; 11] = [
         FrameKind::Data,
         FrameKind::Goodbye,
-        FrameKind::Hello,
-        FrameKind::Roster,
         FrameKind::Ident,
         FrameKind::SweepSubmit,
         FrameKind::SweepReply,
@@ -246,11 +235,6 @@ pub fn encode(frame: &Frame) -> Vec<u8> {
     let crc = crc32(buf.get(MAGIC.len()..).unwrap_or_default());
     buf.extend_from_slice(&crc.to_le_bytes());
     buf
-}
-
-/// Writes one frame to `w`.
-pub fn write_frame(w: &mut impl Write, frame: &Frame) -> io::Result<()> {
-    w.write_all(&encode(frame))
 }
 
 /// Writes the byte-payload frame [`Frame::from_bytes`] would build from
@@ -468,8 +452,6 @@ mod tests {
         let frames = [
             Frame::data(3, 17, vec![1.0, -2.5, f64::MIN_POSITIVE, 0.0]),
             Frame::goodbye(0),
-            Frame { kind: FrameKind::Hello, from: ASSIGN_ME, tag: 45123, payload: vec![] },
-            Frame { kind: FrameKind::Roster, from: 2, tag: 0, payload: vec![45123.0, 45124.0] },
             Frame { kind: FrameKind::Ident, from: 1, tag: 0, payload: vec![] },
             Frame::from_bytes(FrameKind::SweepSubmit, 0, b"scenario bytes"),
             Frame::from_bytes(FrameKind::SweepReply, 0, b"sweep=1 jobs=4"),
@@ -502,17 +484,15 @@ mod tests {
             let position = match kind {
                 FrameKind::Data => 0,
                 FrameKind::Goodbye => 1,
-                FrameKind::Hello => 2,
-                FrameKind::Roster => 3,
-                FrameKind::Ident => 4,
-                FrameKind::SweepSubmit => 5,
-                FrameKind::SweepReply => 6,
-                FrameKind::StatusQuery => 7,
-                FrameKind::StatusReply => 8,
-                FrameKind::Fetch => 9,
-                FrameKind::FetchReply => 10,
-                FrameKind::ServeError => 11,
-                FrameKind::Shutdown => 12,
+                FrameKind::Ident => 2,
+                FrameKind::SweepSubmit => 3,
+                FrameKind::SweepReply => 4,
+                FrameKind::StatusQuery => 5,
+                FrameKind::StatusReply => 6,
+                FrameKind::Fetch => 7,
+                FrameKind::FetchReply => 8,
+                FrameKind::ServeError => 9,
+                FrameKind::Shutdown => 10,
             };
             assert_eq!(position, i, "{kind:?} is out of place in ALL");
         }
@@ -652,14 +632,19 @@ mod tests {
     }
 
     #[test]
-    fn the_retired_rejoin_code_is_refused() {
-        // A retired code is no kind: a frame claiming it is a protocol error.
-        assert_eq!(FrameKind::from_code(5), None);
-        let mut bytes = encode(&Frame::goodbye(0));
-        bytes[6] = 5;
-        match read_frame(&mut Cursor::new(&bytes)) {
-            Err(FrameError::Protocol(d)) => assert!(d.contains("unknown frame kind 5"), "{d}"),
-            other => panic!("{other:?}"),
+    fn the_retired_codes_are_refused() {
+        // Hello (2), Roster (3) and Rejoin (5) are no kinds: a frame
+        // claiming one is a protocol error.
+        for code in [2, 3, 5] {
+            assert_eq!(FrameKind::from_code(code), None);
+            let mut bytes = encode(&Frame::goodbye(0));
+            bytes[6] = code;
+            match read_frame(&mut Cursor::new(&bytes)) {
+                Err(FrameError::Protocol(d)) => {
+                    assert!(d.contains(&format!("unknown frame kind {code}")), "{d}")
+                }
+                other => panic!("code {code}: {other:?}"),
+            }
         }
     }
 

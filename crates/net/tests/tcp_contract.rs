@@ -2,28 +2,37 @@
 //! modes only a real network backend has: read deadlines, refused
 //! connections, handshake verification, clean shutdown.
 
+use std::fs;
 use std::net::TcpListener;
-use std::time::Duration;
+use std::path::{Path, PathBuf};
+use std::time::{Duration, Instant};
 
 use microslip_comm::{contract, CommError, Tag, Transport};
-use microslip_net::{connect, coordinate_mesh, localhost_mesh, NetConfig};
+use microslip_net::{join_mesh, localhost_mesh, parse_port, port_path, NetConfig, TcpTransport};
 
 fn test_cfg() -> NetConfig {
-    NetConfig {
-        connect_timeout: Duration::from_secs(2),
-        connect_retries: 20,
-        backoff: Duration::from_millis(5),
-        backoff_cap: Duration::from_millis(50),
-        read_timeout: Some(Duration::from_secs(10)),
-        handshake_timeout: Duration::from_secs(10),
-    }
+    NetConfig { read_timeout: Duration::from_secs(10), handshake_timeout: Duration::from_secs(10) }
 }
 
-/// Rank 0's rendezvous listener on a free port, and its address.
-fn rendezvous() -> (TcpListener, String) {
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap().to_string();
-    (listener, addr)
+/// A fresh, empty run directory for one test.
+fn run_dir(label: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("microslip-net-{label}-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// Ranks `ranks` of a mesh of `size` joining in `dir`, each on its own
+/// thread; their results in the order of `ranks`.
+fn join_all(dir: &Path, ranks: &[usize], size: usize, cfg: &NetConfig) -> Vec<Result<TcpTransport, CommError>> {
+    let handles: Vec<_> = ranks
+        .iter()
+        .map(|&rank| {
+            let (dir, cfg) = (dir.to_path_buf(), cfg.clone());
+            std::thread::spawn(move || join_mesh(&dir, rank, size, &cfg))
+        })
+        .collect();
+    handles.into_iter().map(|h| h.join().unwrap()).collect()
 }
 
 #[test]
@@ -34,7 +43,7 @@ fn tcp_transport_satisfies_the_contract() {
 
 #[test]
 fn recv_deadline_surfaces_as_timeout() {
-    let cfg = NetConfig { read_timeout: Some(Duration::from_millis(50)), ..test_cfg() };
+    let cfg = NetConfig { read_timeout: Duration::from_millis(50), ..test_cfg() };
     let mut mesh = localhost_mesh(2, &cfg);
     let _b = mesh.pop().unwrap();
     let mut a = mesh.pop().unwrap();
@@ -42,25 +51,6 @@ fn recv_deadline_surfaces_as_timeout() {
     assert_eq!(a.recv(1, Tag::F_HALO), Err(CommError::Timeout { peer: 1 }));
     // A timeout is not fatal — traffic afterwards still works.
     a.send(1, Tag::LOAD, vec![5.0]).unwrap();
-}
-
-#[test]
-fn connect_to_dead_port_fails_with_handshake_error() {
-    // A bound-then-released port refuses connections; bounded retry
-    // must give up with a typed error, not hang or panic.
-    let port = rendezvous().0.local_addr().unwrap().port();
-    let cfg = NetConfig {
-        connect_retries: 3,
-        backoff: Duration::from_millis(1),
-        handshake_timeout: Duration::from_secs(2),
-        ..test_cfg()
-    };
-    match connect(Some(1), 2, &format!("127.0.0.1:{port}"), &cfg) {
-        Err(CommError::Handshake { detail }) => {
-            assert!(detail.contains("connect"), "unhelpful detail: {detail}");
-        }
-        other => panic!("expected Handshake error, got {other:?}"),
-    }
 }
 
 #[test]
@@ -78,163 +68,115 @@ fn explicit_close_reports_disconnected_to_peer() {
 }
 
 #[test]
-fn auto_assigned_ranks_form_a_working_mesh() {
-    let (listener, addr) = rendezvous();
-    let mut listener = Some(listener);
-    let cfg = test_cfg();
-    let handles: Vec<_> = (0..3)
-        .map(|_| {
-            let (addr, cfg, listener) = (addr.clone(), cfg.clone(), listener.take());
-            // Only rank 0 knows who it is; the others ask to be assigned.
-            std::thread::spawn(move || match listener {
-                Some(listener) => coordinate_mesh(listener, 3, &cfg).unwrap(),
-                None => connect(None, 3, &addr, &cfg).unwrap(),
-            })
-        })
-        .collect();
-    let mut mesh: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-    mesh.sort_by_key(|t| t.rank());
-    let ranks: Vec<_> = mesh.iter().map(|t| t.rank()).collect();
-    assert_eq!(ranks, vec![0, 1, 2]);
-    // Ring exchange proves every socket pair is wired to the right rank.
-    let handles: Vec<_> = mesh
-        .into_iter()
-        .map(|mut t| {
-            std::thread::spawn(move || {
-                let n = t.size();
-                let me = t.rank();
-                t.send((me + 1) % n, Tag::F_HALO, vec![me as f64]).unwrap();
-                let left = (me + n - 1) % n;
-                assert_eq!(t.recv(left, Tag::F_HALO).unwrap(), vec![left as f64]);
-            })
-        })
-        .collect();
-    for h in handles {
-        h.join().unwrap();
-    }
-}
-
-#[test]
-fn duplicate_rank_claim_is_rejected() {
-    let (listener, addr) = rendezvous();
-    let cfg = NetConfig { handshake_timeout: Duration::from_secs(5), ..test_cfg() };
-    let coordinator = {
-        let cfg = cfg.clone();
-        std::thread::spawn(move || coordinate_mesh(listener, 3, &cfg))
-    };
-    let joiners = [Some(1), Some(1)].into_iter().map(|claim| {
-        let (addr, cfg) = (addr.clone(), cfg.clone());
-        std::thread::spawn(move || connect(claim, 3, &addr, &cfg))
-    });
-    let handles: Vec<_> = std::iter::once(coordinator).chain(joiners).collect();
-    let results: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-    // The coordinator must detect the duplicate; with it gone, nobody can
-    // complete the handshake.
-    assert!(
-        results.iter().all(|r| r.is_err()),
-        "a mesh with duplicate rank claims must not form"
-    );
-    assert!(results.iter().any(|r| matches!(
-        r,
-        Err(CommError::Handshake { detail }) if detail.contains("claimed twice")
-    )));
-}
-
-#[test]
-fn the_coordinator_admits_only_hello_frames() {
-    // A joiner that opens with anything but HELLO — here the IDENT of a
-    // data connection — is refused before any mesh forms.
-    use microslip_net::wire::{encode, Frame, FrameKind};
-    let (listener, addr) = rendezvous();
-    let cfg = test_cfg();
-    let coordinator = {
-        let cfg = cfg.clone();
-        std::thread::spawn(move || coordinate_mesh(listener, 2, &cfg))
-    };
-    let mut stream = (0..200)
-        .find_map(|_| {
-            std::net::TcpStream::connect(&addr)
-                .map_err(|_| std::thread::sleep(Duration::from_millis(10)))
-                .ok()
-        })
-        .expect("the coordinator listens");
-    let ident = Frame { kind: FrameKind::Ident, from: 1, tag: 0, payload: vec![] };
-    std::io::Write::write_all(&mut stream, &encode(&ident)).unwrap();
-    match coordinator.join().unwrap() {
-        Err(CommError::Handshake { detail }) => {
-            assert!(detail.contains("expected HELLO, got Ident"), "{detail}")
-        }
-        other => panic!("expected Handshake error, got {other:?}"),
-    }
-}
-
-#[test]
-fn handshake_timeout_names_the_missing_ranks() {
-    // Rank 2 never shows up (died before its HELLO). The coordinator must
-    // classify that as a handshake failure naming the offending rank, not
-    // a generic timeout — and within the bounded rendezvous wall-time.
-    let (listener, addr) = rendezvous();
-    let cfg = NetConfig { handshake_timeout: Duration::from_secs(2), ..test_cfg() };
-    let joiner = {
-        let cfg = cfg.clone();
-        std::thread::spawn(move || connect(Some(1), 3, &addr, &cfg))
-    };
-    let started = std::time::Instant::now();
-    let result = coordinate_mesh(listener, 3, &cfg);
-    assert!(started.elapsed() < Duration::from_secs(10), "rendezvous wall-time unbounded");
-    match result {
-        Err(CommError::Handshake { detail }) => {
-            assert!(detail.contains("[2]"), "must name the missing rank: {detail}");
-            assert!(detail.contains("1 of 2"), "must count arrivals: {detail}");
-        }
-        other => panic!("expected Handshake error, got {other:?}"),
-    }
-    assert!(joiner.join().unwrap().is_err(), "the mesh must not form without rank 2");
-}
-
-#[test]
-fn a_mesh_forms_with_rank_0_on_port_0() {
-    // Rank 0 binds the rendezvous to port 0 and hands out the address it
-    // got, so no port is released between being chosen and being bound.
+fn ranks_meeting_in_a_run_directory_form_a_working_mesh() {
     for n in 1..=4 {
-        let mut mesh = localhost_mesh(n, &test_cfg());
+        let dir = run_dir(&format!("mesh-{n}"));
+        // Highest rank first: a rank may start before the ranks it dials.
+        let ranks: Vec<usize> = (0..n).rev().collect();
+        let mut mesh: Vec<_> =
+            join_all(&dir, &ranks, n, &test_cfg()).into_iter().map(Result::unwrap).collect();
+        mesh.reverse();
         assert_eq!(mesh.iter().map(|t| t.rank()).collect::<Vec<_>>(), (0..n).collect::<Vec<_>>());
-        if n > 1 {
-            let handles: Vec<_> = mesh
-                .drain(..)
-                .map(|mut t| {
-                    std::thread::spawn(move || {
-                        let me = t.rank();
-                        t.send((me + 1) % n, Tag::LOAD, vec![me as f64]).unwrap();
-                        let left = (me + n - 1) % n;
-                        assert_eq!(t.recv(left, Tag::LOAD).unwrap(), vec![left as f64]);
-                    })
+        // Every rank of a real mesh published its port; one rank needs none.
+        assert_eq!((0..n).all(|r| port_path(&dir, r).exists()), n > 1);
+        // Ring exchange proves every socket pair is wired to the right rank.
+        let handles: Vec<_> = mesh
+            .into_iter()
+            .filter(|t| t.size() > 1)
+            .map(|mut t| {
+                std::thread::spawn(move || {
+                    let (me, n) = (t.rank(), t.size());
+                    t.send((me + 1) % n, Tag::F_HALO, vec![me as f64]).unwrap();
+                    let left = (me + n - 1) % n;
+                    assert_eq!(t.recv(left, Tag::F_HALO).unwrap(), vec![left as f64]);
                 })
-                .collect();
-            for h in handles {
-                h.join().unwrap();
-            }
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
         }
+        let _ = fs::remove_dir_all(&dir);
     }
 }
 
 #[test]
-fn rank_0_of_a_mesh_cannot_join_through_connect() {
-    // Rank 0 coordinates through `coordinate_mesh` on a listener it bound;
-    // `connect` is the joiners' side only.
-    match connect(Some(0), 2, "127.0.0.1:1", &test_cfg()) {
+fn a_rank_that_never_publishes_is_named_by_the_others() {
+    // Rank 1 of three dies before it publishes its port. Rank 2 waits for
+    // its port file and rank 0 for its IDENT; both must fail with handshake
+    // errors naming it, within the bounded handshake.
+    let dir = run_dir("missing");
+    let cfg = NetConfig { handshake_timeout: Duration::from_secs(1), ..test_cfg() };
+    let started = Instant::now();
+    let results = join_all(&dir, &[0, 2], 3, &cfg);
+    assert!(started.elapsed() < Duration::from_secs(2), "handshake wall-time unbounded");
+    for (rank, result) in [0, 2].into_iter().zip(results) {
+        match result {
+            Err(CommError::Handshake { detail }) => {
+                assert!(detail.contains("[1"), "rank {rank}: {detail}");
+            }
+            other => panic!("rank {rank}: expected Handshake error, got {other:?}"),
+        }
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_stale_port_file_fails_at_once() {
+    // A port file left by a rank that is gone names a port nobody listens
+    // on. The listener came before the file, so the refused dial is final:
+    // no retry, no waiting out the handshake deadline.
+    let dir = run_dir("stale");
+    let port = TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap().port();
+    fs::write(port_path(&dir, 0), format!("{port}\n")).unwrap();
+    let started = Instant::now();
+    match join_mesh(&dir, 1, 2, &test_cfg()) {
         Err(CommError::Handshake { detail }) => {
-            assert!(detail.contains("coordinate_mesh"), "unhelpful detail: {detail}");
+            assert!(detail.contains("could not connect to rank 0"), "unhelpful detail: {detail}");
         }
         other => panic!("expected Handshake error, got {other:?}"),
     }
+    assert!(started.elapsed() < Duration::from_secs(2), "a refused dial must fail at once");
+    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn single_rank_mesh_needs_no_sockets() {
-    let t = connect(Some(0), 1, "127.0.0.1:1", &test_cfg()).unwrap();
-    assert_eq!(t.rank(), 0);
-    assert_eq!(t.size(), 1);
+fn a_data_listener_admits_only_ident_frames() {
+    // A peer that opens with anything but IDENT — here a GOODBYE — is
+    // refused before any mesh forms.
+    use microslip_net::wire::{encode, Frame};
+    let dir = run_dir("ident");
+    let rank0 = {
+        let dir = dir.clone();
+        std::thread::spawn(move || join_mesh(&dir, 0, 2, &test_cfg()))
+    };
+    let path = port_path(&dir, 0);
+    let port = (0..500)
+        .find_map(|_| match fs::read(&path) {
+            Ok(bytes) => Some(parse_port(0, &bytes).unwrap()),
+            Err(_) => {
+                std::thread::sleep(Duration::from_millis(10));
+                None
+            }
+        })
+        .expect("rank 0 publishes its port");
+    let mut stream = std::net::TcpStream::connect(("127.0.0.1", port)).unwrap();
+    std::io::Write::write_all(&mut stream, &encode(&Frame::goodbye(1))).unwrap();
+    match rank0.join().unwrap() {
+        Err(CommError::Handshake { detail }) => {
+            assert!(detail.contains("expected IDENT, got Goodbye"), "{detail}")
+        }
+        other => panic!("expected Handshake error, got {other:?}"),
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_rank_outside_the_mesh_is_refused() {
+    let dir = run_dir("range");
+    let out_of_range = join_mesh(&dir, 2, 2, &test_cfg()).err();
+    assert_eq!(out_of_range, Some(CommError::InvalidRank { rank: 2, size: 2 }));
+    assert!(matches!(join_mesh(&dir, 0, 0, &test_cfg()), Err(CommError::Handshake { .. })));
+    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]

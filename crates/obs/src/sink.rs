@@ -37,10 +37,6 @@ impl Recorder {
         }
     }
 
-    pub fn with_default_capacity() -> Self {
-        Recorder::new(DEFAULT_CAPACITY)
-    }
-
     pub fn capacity(&self) -> usize {
         self.capacity
     }

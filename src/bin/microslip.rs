@@ -35,7 +35,7 @@ const MP_FLAGS: &[&str] = &[
     "ranks", "phases", "scheme", "nx", "ny", "nz", "trace", "remap-every", "predictor-window", "throttle",
     "synthetic-load", "checkpoint-every", "resume-phase", "dir", "chaos", "recover", "check",
 ];
-const MP_WORKER_FLAGS: &[&str] = &["rank", "rendezvous", "dir", "checkpoint-every", "resume-phase", "die-on"];
+const MP_WORKER_FLAGS: &[&str] = &["rank", "dir", "checkpoint-every", "resume-phase", "die-on"];
 const SERVE_FLAGS: &[&str] = &["dir", "addr", "max-workers", "max-respawns", "cache-capacity", "chaos-die"];
 /// `submit`'s own flags, [`resolve_addr`]'s and [`scenario_from_flags`]'s.
 const SUBMIT_FLAGS: &[&str] = &[
@@ -453,7 +453,6 @@ fn cmd_mp_worker(args: &[String]) -> Result<(), String> {
     let f = Flags::parse(args, MP_WORKER_FLAGS)?;
     let a = MpWorkerArgs {
         rank: f.need("rank")?.parse().map_err(|_| "bad --rank".to_string())?,
-        rendezvous: f.need("rendezvous")?,
         dir: f.need("dir")?.into(),
         checkpoint_every: f.get("checkpoint-every", 0u64)?,
         resume_phase: optional(&f, "resume-phase")?,
@@ -795,7 +794,7 @@ mod tests {
             ),
             (
                 MP_WORKER_FLAGS,
-                "--rank 1 --rendezvous 127.0.0.1:9 --dir d --checkpoint-every 0 --resume-phase 6 --die-on load:8",
+                "--rank 1 --dir d --checkpoint-every 0 --resume-phase 6 --die-on load:8",
             ),
             (
                 SERVE_FLAGS,

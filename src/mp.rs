@@ -6,9 +6,11 @@
 //! closest reproduction of the paper's actual deployment — separate MPI
 //! ranks on a cluster — that a single machine can host. The driver
 //! ([`run_multiprocess`]) forks `ranks` copies of the `microslip` binary
-//! running the `mp-worker` subcommand, hands them a rendezvous address,
-//! and gathers their results from a shared run directory:
+//! running the `mp-worker` subcommand and gathers their results from a
+//! shared run directory, which is also where the ranks meet:
 //!
+//! * `rank{r}.port` — the port of rank `r`'s data listener, published by
+//!   the rank for the ranks above it to dial ([`microslip_net::join_mesh`]);
 //! * `scenario.bin` — the run's [`Scenario`] in its canonical bytes,
 //!   written by the driver and decoded by every child: the same file a
 //!   `serve` job reads, so a rank's command line carries only what differs
@@ -44,7 +46,6 @@
 
 use std::fmt;
 use std::fs;
-use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -56,7 +57,7 @@ use microslip_lbm::checkpoint::{self, read_solver, write_solver};
 use microslip_lbm::geometry::{even_slabs, slabs_tile};
 use microslip_lbm::macroscopic::{Snapshot, SnapshotSlab};
 use microslip_lbm::{Slab, SlabSolver};
-use microslip_net::{connect, coordinate_mesh, NetConfig};
+use microslip_net::{join_mesh, port_path, NetConfig};
 use microslip_obs::{
     from_jsonl, merge_rank_streams, to_jsonl, Event, RecoveryStage, TraceSink,
     DEFAULT_CAPACITY,
@@ -212,8 +213,8 @@ fn fresh_run_dir() -> PathBuf {
 
 /// Forks one worker process per rank, supervises them, and stitches their
 /// results. A rank's hard death, while the respawn budget lasts (it is
-/// empty unless `recover` is on), restarts the whole gang on a fresh
-/// rendezvous port from the newest checkpoint every rank holds; the
+/// empty unless `recover` is on), restarts the whole gang on fresh ports
+/// from the newest checkpoint every rank holds; the
 /// recovery arc — `death-detected`, `rollback`, one `resumed` per rank,
 /// `epoch` = the gang's attempt — joins the merged trace. On failure the
 /// error carries every failed rank's typed error text; partial traces stay
@@ -256,28 +257,18 @@ pub fn run_multiprocess(cfg: &MpConfig) -> Result<MpOutcome, MpFailure> {
     let t0 = Instant::now();
     let offset = loop {
         let offset = if attempt == 1 { 0.0 } else { t0.elapsed().as_secs_f64() };
-        // Each attempt starts from a clean slate: whatever error files and
-        // traces lie in the directory afterwards are this attempt's.
+        // Each attempt starts from a clean slate: whatever error files,
+        // traces and port files lie in the directory afterwards are this
+        // attempt's.
         for rank in 0..ranks {
             let _ = fs::remove_file(dir.join(format!("rank{rank}.error")));
             let _ = fs::remove_file(dir.join(format!("rank{rank}.jsonl")));
+            let _ = fs::remove_file(port_path(&dir, rank));
         }
-        let _ = fs::remove_file(dir.join(RENDEZVOUS_FILE));
-        // Rank 0 binds the rendezvous to any free port and publishes what
-        // it got; the others are spawned with that address once it is
-        // there (or not at all, if rank 0 exits first).
-        let mut rendezvous = "127.0.0.1:0".to_string();
         let mut gang = Vec::with_capacity(ranks);
         for rank in 0..ranks {
-            if rank == 1 {
-                match gang.first_mut().and_then(|rank0| await_rendezvous(&dir, rank0)) {
-                    Some(addr) => rendezvous = addr,
-                    None => break,
-                }
-            }
             let args = MpWorkerArgs {
                 rank,
-                rendezvous: rendezvous.clone(),
                 dir: dir.clone(),
                 checkpoint_every: cfg.checkpoint_every,
                 resume_phase: resume,
@@ -302,7 +293,7 @@ pub fn run_multiprocess(cfg: &MpConfig) -> Result<MpOutcome, MpFailure> {
                         ("a fresh slab".to_string(), slab)
                     }
                 };
-                let detail = format!("respawned at {rendezvous} from {from}");
+                let detail = format!("respawned from {from}");
                 let (phase, planes) = (resume.unwrap_or(0), slab.map_or(0, |s| s.nx_local));
                 recovery.push(recovery_event(t0, rank, attempt, RecoveryStage::Resumed, phase, planes, detail));
             }
@@ -384,27 +375,6 @@ enum Ended {
     Died { rank: usize, status: String },
     /// The run is lost: `(rank, error)` for every rank that failed.
     Failed(Vec<(usize, String)>),
-}
-
-/// Where rank 0 publishes the rendezvous address it bound, in the run
-/// directory.
-const RENDEZVOUS_FILE: &str = "rendezvous.addr";
-
-/// Waits for rank 0 (`rank0`) to publish its rendezvous address in `dir`,
-/// bounded by the handshake deadline and by rank 0's exit; `None` if it
-/// exits or the deadline passes first (the supervisor then sees the exit,
-/// or the ranks' own handshake deadline fails the run).
-fn await_rendezvous(dir: &Path, rank0: &mut Child) -> Option<String> {
-    let deadline = Instant::now() + NetConfig::default().handshake_timeout;
-    loop {
-        if let Ok(text) = fs::read_to_string(dir.join(RENDEZVOUS_FILE)) {
-            return Some(text.trim().to_string());
-        }
-        if rank0.poll(None).is_some() || Instant::now() >= deadline {
-            return None;
-        }
-        std::thread::sleep(POLL);
-    }
 }
 
 /// The driver's gang policy over its children's exits, for one attempt.
@@ -588,7 +558,6 @@ fn parse_report(rank: usize, text: &str) -> Result<MpReport, String> {
 #[derive(Clone, Debug)]
 pub struct MpWorkerArgs {
     pub rank: usize,
-    pub rendezvous: String,
     pub dir: PathBuf,
     pub checkpoint_every: u64,
     /// Start from this rank's checkpoint of the phase instead of a fresh
@@ -604,7 +573,6 @@ impl MpWorkerArgs {
     fn to_args(&self) -> Vec<String> {
         let valued = [
             ("rank", Some(self.rank.to_string())),
-            ("rendezvous", Some(self.rendezvous.clone())),
             ("dir", Some(self.dir.display().to_string())),
             ("checkpoint-every", Some(self.checkpoint_every.to_string())),
             ("resume-phase", self.resume_phase.map(|phase| phase.to_string())),
@@ -680,21 +648,7 @@ fn run_rank(
     policy: &dyn NeighborPolicy,
     epoch: Instant,
 ) -> Result<(WorkerReport, SlabSolver), WorkerError> {
-    let transport = if a.rank == 0 {
-        // Bound here, to whatever port the address names (any free one for
-        // port 0), and published for the driver to hand to the others.
-        let listener = TcpListener::bind(&a.rendezvous)
-            .map_err(|e| WorkerError::Io(format!("bind rendezvous {}: {e}", a.rendezvous)))?;
-        let addr = listener.local_addr().map_err(|e| WorkerError::Io(format!("rendezvous address: {e}")))?;
-        let (tmp, path) = (a.dir.join(format!("{RENDEZVOUS_FILE}.tmp")), a.dir.join(RENDEZVOUS_FILE));
-        fs::write(&tmp, format!("{addr}\n"))
-            .and_then(|()| fs::rename(&tmp, &path))
-            .map_err(|e| WorkerError::Io(format!("publish {}: {e}", path.display())))?;
-        coordinate_mesh(listener, run.workers, &NetConfig::default())
-    } else {
-        connect(Some(a.rank), run.workers, &a.rendezvous, &NetConfig::default())
-    };
-    let transport = transport.map_err(WorkerError::Comm)?;
+    let transport = join_mesh(&a.dir, a.rank, run.workers, &NetConfig::default()).map_err(WorkerError::Comm)?;
     let solver = match a.resume_phase {
         None => {
             let slabs = even_slabs(run.channel.dims.nx, run.workers);
@@ -722,7 +676,7 @@ fn run_rank(
 }
 
 /// Entry point of the `mp-worker` subcommand: reads the run's
-/// `scenario.bin`, joins the TCP mesh, runs the standard worker protocol,
+/// `scenario.bin`, joins the TCP mesh in the run directory, runs the standard worker protocol,
 /// and leaves `rank{r}.state` / `rank{r}.report` / `rank{r}.jsonl` in the
 /// run directory. On failure the trace is still flushed and
 /// `rank{r}.error` carries the typed error.
@@ -830,14 +784,12 @@ mod tests {
     fn worker_command_line_carries_only_per_process_flags() {
         let mut a = MpWorkerArgs {
             rank: 2,
-            rendezvous: "127.0.0.1:4501".into(),
             dir: "/tmp/run".into(),
             checkpoint_every: 3,
             resume_phase: None,
             die_on: None,
         };
-        let plain = "mp-worker --rank 2 --rendezvous 127.0.0.1:4501 --dir /tmp/run \
-                     --checkpoint-every 3";
+        let plain = "mp-worker --rank 2 --dir /tmp/run --checkpoint-every 3";
         assert_eq!(a.to_args().join(" "), plain);
         a.resume_phase = Some(6);
         a.die_on = Some((Tag::LOAD, 8));

@@ -1,11 +1,12 @@
 //! The decode entry points never panic and never size an allocation by a
 //! count they have not checked.
 //!
-//! Untrusted bytes enter the workspace through twelve decoders: wire
-//! frames and their byte payloads, scenario blobs, sweep requests, channel
-//! configs and their wall-BC field, result artifacts sealed and unsealed
-//! and checked as a stream with the runs skipped, and JSONL traces line by
-//! line, whole, and as JSON. Clippy's boundary
+//! Untrusted bytes enter the workspace through thirteen decoders: wire
+//! frames and their byte payloads, the port files an `mp` gang meets
+//! through, scenario blobs, sweep requests, channel configs and their
+//! wall-BC field, result artifacts sealed and unsealed and checked as a
+//! stream with the runs skipped, and JSONL traces line by line, whole, and
+//! as JSON. Clippy's boundary
 //! header proves that nothing they reach unwraps, indexes or narrows; what
 //! it cannot see is arithmetic overflow and allocation size, which these
 //! properties exercise. From a valid encoding of each, every truncation,
@@ -28,8 +29,10 @@ use microslip::obs::{
     event_from_json, from_jsonl, to_jsonl, Event, JobStage, RecoveryStage, Span, SpanKind,
 };
 use microslip::serve::SweepRequest;
+use microslip::comm::CommError;
 use microslip::Scenario;
 use microslip_codec::Reader;
+use microslip_net::parse_port;
 use microslip_net::wire::{encode, read_frame, Frame, FrameKind};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -134,7 +137,7 @@ fn events() -> Vec<Event> {
     ]
 }
 
-/// The twelve entries, each with a valid encoding.
+/// The thirteen entries, each with a valid encoding.
 fn entries() -> Vec<Entry> {
     let frame = Frame::from_bytes(FrameKind::SweepSubmit, 0, b"a scenario blob, 29 bytes long");
     let mut wall_bc = Vec::new();
@@ -173,6 +176,16 @@ fn entries() -> Vec<Entry> {
                 let payload =
                     lane.chunks(8).map(|c| f64::from_le_bytes(c.try_into().unwrap_or([0; 8]))).collect();
                 Frame { kind: FrameKind::SweepSubmit, from: 0, tag, payload }.bytes_payload().is_ok()
+            },
+        },
+        Entry {
+            name: "parse_port",
+            valid: b"45123\n".to_vec(),
+            // A port file that is not a port is a handshake failure.
+            decode: |b| match parse_port(1, b) {
+                Ok(_) => true,
+                Err(CommError::Handshake { .. }) => false,
+                Err(e) => panic!("an untyped port-file error: {e}"),
             },
         },
         Entry {

@@ -359,25 +359,30 @@ fn chaos_kill_and_rejoin_recovers_bitwise_with_full_recovery_arc() {
 
 #[test]
 fn unreachable_rendezvous_fails_with_typed_handshake_error() {
-    let dir = scratch_dir("dead-rendezvous");
+    let dir = scratch_dir("stale-port");
     let scenario = Scenario::paper_scaled(8, 6, 4).workers(2).phases(2);
     fs::write(dir.join("scenario.bin"), scenario.canonical_bytes()).unwrap();
+    // A stale port file: rank 0's, naming a port nobody listens on.
+    let port = std::net::TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap().port();
+    fs::write(microslip_net::port_path(&dir, 0), format!("{port}\n")).unwrap();
 
-    // Rank 1 dials a port nobody listens on; bounded retries must give up
-    // with a typed handshake error, an error file, and a flushed trace.
+    // Rank 1 dials it and is refused: a typed handshake error at once (no
+    // retry, no waiting out the handshake deadline), an error file and a
+    // flushed trace.
+    let started = std::time::Instant::now();
     let output = Command::new(WORKER_EXE)
         .arg("mp-worker")
         .args(["--rank", "1"])
-        .args(["--rendezvous", "127.0.0.1:9"])
         .arg("--dir")
         .arg(&dir)
         .output()
         .expect("spawn mp-worker");
     assert!(!output.status.success(), "connecting to a dead port must fail");
+    assert!(started.elapsed() < std::time::Duration::from_secs(5), "a refused dial must fail at once");
 
     let err = fs::read_to_string(dir.join("rank1.error")).unwrap();
     assert!(
-        err.contains("handshake failed") && err.contains("could not connect"),
+        err.contains("handshake failed") && err.contains("could not connect to rank 0"),
         "expected a typed handshake failure: {err}"
     );
     let jsonl = fs::read_to_string(dir.join("rank1.jsonl")).unwrap();

@@ -10,7 +10,7 @@ use microslip::balance::{Conservative, FilterParams, Filtered, NoRemap};
 use microslip::lbm::checkpoint::{load_solver, save_solver};
 use microslip::lbm::geometry::even_slabs;
 use microslip::lbm::component::ComponentState;
-use microslip::lbm::lattice::{Lattice, D3Q19};
+use microslip::lbm::lattice::D3Q19;
 use microslip::lbm::{
     ChannelConfig, CollisionOperator, Dims, PsiFn, Simulation, Slab, SlabSolver, Snapshot,
     SolidRegion, WallBc, WallForceMode,
