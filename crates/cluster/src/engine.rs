@@ -165,6 +165,19 @@ enum Ledger {
     Remap,
 }
 
+/// The traffic classes a node's messages are counted under, in the order
+/// its `Traffic` events are emitted; the names are the runtime's
+/// `comm::Tag` names.
+#[derive(Clone, Copy)]
+enum Tag {
+    FHalo,
+    PsiHalo,
+    Load,
+    MigrateData,
+}
+
+const TAG_NAMES: [&str; 4] = ["f_halo", "psi_halo", "load", "migrate_data"];
+
 struct Engine<'a> {
     cfg: &'a ClusterConfig,
     dist: &'a dyn Disturbance,
@@ -173,6 +186,9 @@ struct Engine<'a> {
     acct: Vec<NodeAccount>,
     first_wait_phase: Vec<Option<u64>>,
     phase: u64,
+    /// `[node][tag]`: messages sent, bytes sent, messages received, bytes
+    /// received.
+    traffic: Vec<[[u64; 4]; 4]>,
 }
 
 impl<'a> Engine<'a> {
@@ -185,6 +201,15 @@ impl<'a> Engine<'a> {
             acct: vec![NodeAccount::default(); cfg.nodes],
             first_wait_phase: vec![None; cfg.nodes],
             phase: 0,
+            traffic: vec![[[0; 4]; 4]; cfg.nodes],
+        }
+    }
+
+    /// Adds `[sent messages, sent bytes, received messages, received
+    /// bytes]` to node `i`'s traffic under `tag`.
+    fn count(&mut self, i: usize, tag: Tag, add: [u64; 4]) {
+        for (total, n) in self.traffic[i][tag as usize].iter_mut().zip(add) {
+            *total += n;
         }
     }
 
@@ -267,8 +292,15 @@ impl<'a> Engine<'a> {
     }
 
     /// A symmetric neighbor exchange: every node sends one `bytes` message
-    /// to each peer in `peers(i)`, then receives from each.
-    fn exchange(&mut self, bytes: usize, ledger: Ledger, peers: impl Fn(usize) -> Vec<usize>) {
+    /// to each peer in `peers(i)`, then receives from each; the messages
+    /// are counted under `tag`.
+    fn exchange(
+        &mut self,
+        tag: Tag,
+        bytes: usize,
+        ledger: Ledger,
+        peers: impl Fn(usize) -> Vec<usize>,
+    ) {
         let n = self.cfg.nodes;
         let work = self.cfg.cost.message_work(bytes);
         let peer_lists: Vec<Vec<usize>> = (0..n).map(&peers).collect();
@@ -280,8 +312,10 @@ impl<'a> Engine<'a> {
                 continue;
             }
             self.slot_delay(i, ledger);
-            let count = peer_lists[i].len() as f64;
-            self.handle(i, count * work, ledger);
+            let count = peer_lists[i].len();
+            self.handle(i, count as f64 * work, ledger);
+            let (count, bytes) = (count as u64, (count * bytes) as u64);
+            self.count(i, tag, [count, bytes, count, bytes]);
         }
         let send_done = self.t.clone();
         // Receives, lowest-rank peer first.
@@ -304,75 +338,6 @@ impl<'a> Engine<'a> {
                 Ledger::Remap => SpanKind::Remap,
             };
             self.span_since(before, kind);
-        }
-    }
-}
-
-/// Per-node modeled traffic volumes for one tag class.
-#[derive(Clone, Copy, Debug, Default)]
-struct TrafficDir {
-    messages: u64,
-    bytes: u64,
-}
-
-impl TrafficDir {
-    fn add(&mut self, messages: u64, bytes: u64) {
-        self.messages += messages;
-        self.bytes += bytes;
-    }
-}
-
-/// Traffic tag classes in emission order, matching the runtime's
-/// [`Tag`](microslip_comm::Tag) schema names and ordering.
-const TRAFFIC_TAGS: [&str; 4] = ["f_halo", "psi_halo", "load", "migrate_data"];
-
-#[derive(Clone, Debug, Default)]
-struct TrafficLedger {
-    /// `[node][tag]` sent / received.
-    sent: Vec<[TrafficDir; 4]>,
-    recv: Vec<[TrafficDir; 4]>,
-}
-
-impl TrafficLedger {
-    fn new(nodes: usize) -> Self {
-        TrafficLedger {
-            sent: vec![[TrafficDir::default(); 4]; nodes],
-            recv: vec![[TrafficDir::default(); 4]; nodes],
-        }
-    }
-
-    /// A symmetric exchange: every node sends and receives one `bytes`
-    /// message per peer.
-    fn symmetric(&mut self, tag: usize, bytes: usize, peers: impl Fn(usize) -> Vec<usize>) {
-        for i in 0..self.sent.len() {
-            let count = peers(i).len() as u64;
-            self.sent[i][tag].add(count, count * bytes as u64);
-            self.recv[i][tag].add(count, count * bytes as u64);
-        }
-    }
-
-    fn migration(&mut self, from: usize, to: usize, bytes: u64) {
-        self.sent[from][3].add(1, bytes);
-        self.recv[to][3].add(1, bytes);
-    }
-
-    fn flush(&self, trace: &TraceSink) {
-        for node in 0..self.sent.len() {
-            for (tag, name) in TRAFFIC_TAGS.iter().enumerate() {
-                let s = self.sent[node][tag];
-                let r = self.recv[node][tag];
-                if s.messages == 0 && r.messages == 0 {
-                    continue;
-                }
-                trace.record(Event::Traffic {
-                    node,
-                    tag: name.to_string(),
-                    sent_messages: s.messages,
-                    sent_bytes: s.bytes,
-                    recv_messages: r.messages,
-                    recv_bytes: r.bytes,
-                });
-            }
         }
     }
 }
@@ -409,7 +374,6 @@ pub fn run_traced(
         policy: policy.name().into(),
     });
     let sizes = cfg.sizes();
-    let mut traffic = trace.enabled().then(|| TrafficLedger::new(cfg.nodes));
     let mut partition = Partition::even(cfg.planes, cfg.nodes, cfg.plane_cells);
     let mut histories: Vec<History> =
         (0..cfg.nodes).map(|_| History::new(predictor.window().max(1))).collect();
@@ -433,10 +397,7 @@ pub fn run_traced(
         }
         // Exchange distribution functions.
         if cfg.nodes > 1 {
-            eng.exchange(sizes.f_halo, Ledger::Comm, |i| eng_ring(cfg.nodes, i));
-            if let Some(t) = traffic.as_mut() {
-                t.symmetric(0, sizes.f_halo, |i| eng_ring(cfg.nodes, i));
-            }
+            eng.exchange(Tag::FHalo, sizes.f_halo, Ledger::Comm, |i| eng_ring(cfg.nodes, i));
         }
         // Stage B: bounce back + number densities.
         for i in 0..cfg.nodes {
@@ -445,10 +406,7 @@ pub fn run_traced(
         }
         // Exchange number densities.
         if cfg.nodes > 1 {
-            eng.exchange(sizes.psi_halo, Ledger::Comm, |i| eng_ring(cfg.nodes, i));
-            if let Some(t) = traffic.as_mut() {
-                t.symmetric(1, sizes.psi_halo, |i| eng_ring(cfg.nodes, i));
-            }
+            eng.exchange(Tag::PsiHalo, sizes.psi_halo, Ledger::Comm, |i| eng_ring(cfg.nodes, i));
         }
         // Stage C: forces + velocities.
         for i in 0..cfg.nodes {
@@ -461,10 +419,6 @@ pub fn run_traced(
             histories[i].push(phase_compute[i] / partition.points(i) as f64);
         }
 
-        // Phase timeline (remap cost lands in the phase that triggers it,
-        // recorded after the round below).
-        let _ = phase;
-
         // Remap round.
         if phase % cfg.remap_interval == 0 && policy.info_exchange() != InfoExchange::None {
             remap_rounds += 1;
@@ -472,12 +426,9 @@ pub fn run_traced(
                 InfoExchange::None => unreachable!(),
                 InfoExchange::Neighbor => {
                     if cfg.nodes > 1 {
-                        eng.exchange(sizes.load_index, Ledger::Remap, |i| {
+                        eng.exchange(Tag::Load, sizes.load_index, Ledger::Remap, |i| {
                             eng_line(cfg.nodes, i)
                         });
-                        if let Some(t) = traffic.as_mut() {
-                            t.symmetric(2, sizes.load_index, |i| eng_line(cfg.nodes, i));
-                        }
                     }
                 }
                 InfoExchange::Global => {
@@ -487,10 +438,7 @@ pub fn run_traced(
                         let all = |i: usize| -> Vec<usize> {
                             (0..cfg.nodes).filter(|&j| j != i).collect()
                         };
-                        eng.exchange(sizes.load_index, Ledger::Remap, all);
-                        if let Some(t) = traffic.as_mut() {
-                            t.symmetric(2, sizes.load_index, all);
-                        }
+                        eng.exchange(Tag::Load, sizes.load_index, Ledger::Remap, all);
                         // Barrier semantics: nobody proceeds before the
                         // slowest participant.
                         let tmax =
@@ -553,9 +501,8 @@ pub fn run_traced(
                         planes: m.planes,
                         bytes,
                     });
-                    if let Some(t) = traffic.as_mut() {
-                        t.migration(m.from, m.to, bytes);
-                    }
+                    eng.count(m.from, Tag::MigrateData, [1, bytes, 0, 0]);
+                    eng.count(m.to, Tag::MigrateData, [0, 0, 1, bytes]);
                     eng.wait_until(m.to, arrival, Ledger::Remap);
                     eng.handle(m.to, work, Ledger::Remap);
                 }
@@ -566,13 +513,30 @@ pub fn run_traced(
             }
         }
 
+        // The phase's duration: a remap round's cost lands in the phase
+        // that triggers it.
         let makespan = eng.t.iter().copied().fold(0.0f64, f64::max);
         phase_durations.push(makespan - prev_makespan);
         prev_makespan = makespan;
     }
 
-    if let Some(t) = traffic.as_ref() {
-        t.flush(trace);
+    // One `Traffic` event per node and tag that carried a message,
+    // node-major in tag order.
+    for (node, tags) in eng.traffic.iter().enumerate() {
+        for (name, &[sent_messages, sent_bytes, recv_messages, recv_bytes]) in
+            TAG_NAMES.iter().zip(tags)
+        {
+            if sent_messages > 0 || recv_messages > 0 {
+                trace.record_with(|| Event::Traffic {
+                    node,
+                    tag: name.to_string(),
+                    sent_messages,
+                    sent_bytes,
+                    recv_messages,
+                    recv_bytes,
+                });
+            }
+        }
     }
     let total_time = eng.t.iter().copied().fold(0.0f64, f64::max);
     RunResult {

@@ -8,8 +8,10 @@
 //! renderer runs at the paper's own parameters and is deterministic;
 //! `tests/goldens/figures/NAME.txt` pins its output byte for byte.
 
+use std::sync::Arc;
+
 use microslip_balance::policy::{
-    Conservative, FilterParams, Filtered, Global, NoRemap, RemapPolicy,
+    Conservative, FilterParams, Filtered, Global, NeighborPolicy, NoRemap, RemapPolicy,
 };
 use microslip_balance::predict::{
     ArithmeticMean, ExpSmoothing, HarmonicMean, LastPhase, Predictor,
@@ -43,13 +45,33 @@ impl Scheme {
         }
     }
 
-    /// The policy object (with paper-default parameters).
-    pub fn policy(&self) -> Box<dyn RemapPolicy> {
+    /// The scheme [`name`](Self::name) spells `name`.
+    pub fn from_name(name: &str) -> Result<Scheme, String> {
+        Scheme::ALL
+            .into_iter()
+            .find(|s| s.name() == name)
+            .ok_or_else(|| format!("unknown scheme '{name}' (no-remap, filtered, conservative, global)"))
+    }
+
+    /// The policy object of a scheme the worker protocol can execute, with
+    /// paper-default parameters: every scheme whose decisions are
+    /// neighbor-local, i.e. all but [`Scheme::Global`].
+    pub fn neighbor_policy(&self) -> Result<Arc<dyn NeighborPolicy>, String> {
         match self {
-            Scheme::NoRemap => Box::new(NoRemap),
-            Scheme::Filtered => Box::new(Filtered::default()),
-            Scheme::Conservative => Box::new(Conservative::default()),
-            Scheme::Global => Box::new(Global::default()),
+            Scheme::NoRemap => Ok(Arc::new(NoRemap)),
+            Scheme::Filtered => Ok(Arc::new(Filtered::default())),
+            Scheme::Conservative => Ok(Arc::new(Conservative::default())),
+            Scheme::Global => Err("the global scheme needs a collective exchange and only runs \
+                                   on the virtual cluster — use cluster()"
+                .into()),
+        }
+    }
+
+    /// The policy object (with paper-default parameters).
+    pub fn policy(&self) -> Arc<dyn RemapPolicy> {
+        match self.neighbor_policy() {
+            Ok(policy) => policy,
+            Err(_) => Arc::new(Global::default()),
         }
     }
 }

@@ -144,14 +144,6 @@ impl Drop for ChannelTransport {
     }
 }
 
-impl ChannelTransport {
-    /// Number of stashed (arrived but unclaimed) messages — useful to
-    /// assert protocols consume everything they are sent.
-    pub fn stashed(&self) -> usize {
-        self.stash.values().map(VecDeque::len).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

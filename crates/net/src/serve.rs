@@ -17,12 +17,14 @@
 //!   detail, then the connection closes. Old mesh peers dialing the serve
 //!   port get the same typed `Protocol` error their own decoder would
 //!   produce for a serve frame (see the versioning notes in [`wire`]).
-//! - **Bounded reads and writes.** Every per-connection read and write
-//!   runs under `read_timeout`; a client that connects and stalls, or asks
-//!   for a fetch and never reads the reply, cannot wedge the daemon,
-//!   because the accept loop only ever services one connection per
-//!   [`poll`](ServeLoop::poll) call and the scheduler keeps polling
-//!   between supervision rounds.
+//! - **Bounded reads and writes.** A request must arrive whole within
+//!   `read_timeout` of its accept, however its bytes trickle in, and a
+//!   header announcing more than [`MAX_REQUEST_BYTES`] is refused before
+//!   any payload is read; every reply write runs under `read_timeout`
+//!   too. A client that connects and stalls, or asks for a fetch and never
+//!   reads the reply, cannot wedge the daemon, because the accept loop
+//!   only ever services one connection per [`poll`](ServeLoop::poll) call
+//!   and the scheduler keeps polling between supervision rounds.
 //! - **Panic-free decoding.** Under the crate's boundary header, nothing
 //!   on the request path indexes, unwraps, or panics on untrusted input.
 //! - **Bounded memory.** Every reply is one byte-payload frame sent by one
@@ -32,11 +34,17 @@
 //!   ([`wire::Incoming::bytes_into`]).
 
 use std::fs::File;
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::wire::{self, Frame, FrameError, FrameKind, Incoming};
+
+/// The longest request payload the loop reads, in bytes: a larger one is
+/// refused from its header. It bounds what one request can make the
+/// daemon buffer, and sits above the largest sweep request the daemon's
+/// decoder accepts (a test of the facade holds it there).
+pub const MAX_REQUEST_BYTES: u64 = 32 << 20;
 
 /// What a single [`ServeLoop::poll`] call observed.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -140,15 +148,15 @@ impl ServeLoop {
     }
 
     fn serve_one(&self, mut stream: TcpStream, handler: impl FnOnce(Frame) -> Reply) -> Served {
+        let deadline = Instant::now() + self.read_timeout;
         if let Err(e) = stream
             .set_nonblocking(false)
-            .and_then(|_| stream.set_read_timeout(Some(self.read_timeout)))
             .and_then(|_| stream.set_write_timeout(Some(self.read_timeout)))
             .and_then(|_| stream.set_nodelay(true))
         {
             return Served::Rejected(format!("socket setup: {e}"));
         }
-        let request = match wire::read_frame(&mut stream) {
+        let request = match read_request(&stream, deadline) {
             Ok(frame) => frame,
             Err(FrameError::Io(e)) => {
                 return Served::Rejected(format!("request never arrived: {e}"));
@@ -171,6 +179,38 @@ impl ServeLoop {
         } else {
             Served::Handled
         }
+    }
+}
+
+/// Reads one request frame, the whole of it by `deadline`, refusing from
+/// its header a payload longer than [`MAX_REQUEST_BYTES`].
+fn read_request(stream: &TcpStream, deadline: Instant) -> Result<Frame, FrameError> {
+    let incoming = wire::read_header(Deadline { stream, deadline })?;
+    let len = incoming.payload_bytes();
+    if len > MAX_REQUEST_BYTES {
+        return Err(FrameError::Protocol(format!(
+            "request payload of {len} bytes exceeds the cap of {MAX_REQUEST_BYTES}"
+        )));
+    }
+    incoming.into_frame()
+}
+
+/// A stream whose reads share one deadline: each waits at most for the
+/// time left, so a peer trickling bytes cannot stretch a request past it.
+struct Deadline<'a> {
+    stream: &'a TcpStream,
+    deadline: Instant,
+}
+
+impl Read for Deadline<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::Error::new(io::ErrorKind::TimedOut, "request deadline passed"));
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        let mut stream = self.stream;
+        stream.read(buf)
     }
 }
 
@@ -353,6 +393,71 @@ mod tests {
         assert_eq!(client.join().unwrap().unwrap(), FrameKind::FetchReply);
         drop(stalled);
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn an_oversize_request_is_refused_from_its_header() {
+        let (serve, addr) = loop_on_ephemeral();
+        // A header announcing one element more than the cap, and no
+        // payload: the refusal cannot wait for bytes that never come.
+        let mut header =
+            wire::encode(&Frame { kind: FrameKind::SweepSubmit, from: 0, tag: 0, payload: vec![] });
+        header.truncate(24);
+        let elems = u32::try_from(MAX_REQUEST_BYTES / 8 + 1).unwrap();
+        header[20..24].copy_from_slice(&elems.to_le_bytes());
+        let client = std::thread::spawn(move || {
+            use std::io::Read;
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream.set_read_timeout(Some(TIMEOUT)).unwrap();
+            stream.write_all(&header).unwrap();
+            let mut buf = Vec::new();
+            let _ = stream.read_to_end(&mut buf);
+            buf
+        });
+        let started = Instant::now();
+        match poll_until_served(&serve, |_| Reply::error("unreachable: the payload is never read")) {
+            Served::Rejected(detail) => assert!(detail.contains("exceeds the cap"), "{detail}"),
+            other => panic!("{other:?}"),
+        }
+        assert!(started.elapsed() < TIMEOUT / 5, "the refusal took {:?}", started.elapsed());
+        let raw = client.join().unwrap();
+        let reply = wire::read_frame(&mut std::io::Cursor::new(&raw)).expect("error frame");
+        assert_eq!(reply.kind, FrameKind::ServeError);
+    }
+
+    #[test]
+    fn a_trickled_request_is_cut_off_at_its_deadline() {
+        let timeout = Duration::from_millis(500);
+        let serve = ServeLoop::bind("127.0.0.1:0", timeout).expect("bind");
+        let addr = format!("127.0.0.1:{}", serve.local_addr().unwrap().port());
+        // One byte per 100 ms: every read returns well inside the timeout,
+        // but the 36-byte request would take 3.6 s.
+        let bytes = wire::encode(&Frame::from_bytes(FrameKind::Fetch, 0, b"a-key"));
+        let trickle = {
+            let addr = addr.clone();
+            std::thread::spawn(move || {
+                let mut stream = TcpStream::connect(addr).unwrap();
+                for byte in bytes {
+                    if stream.write_all(&[byte]).is_err() {
+                        break;
+                    }
+                    std::thread::sleep(Duration::from_millis(100));
+                }
+            })
+        };
+        let started = Instant::now();
+        match poll_until_served(&serve, |_| Reply::bytes(FrameKind::FetchReply, b"x".as_slice())) {
+            Served::Rejected(detail) => assert!(detail.contains("never arrived"), "{detail}"),
+            other => panic!("{other:?}"),
+        }
+        assert!(started.elapsed() < 2 * timeout, "the cut-off took {:?}", started.elapsed());
+        let client = std::thread::spawn(move || {
+            request(&addr, &Frame::from_bytes(FrameKind::Fetch, 0, b"k"), TIMEOUT).map(|r| r.kind)
+        });
+        let served = poll_until_served(&serve, |_| Reply::bytes(FrameKind::FetchReply, b"x".as_slice()));
+        assert_eq!(served, Served::Handled);
+        assert_eq!(client.join().unwrap().unwrap(), FrameKind::FetchReply);
+        trickle.join().unwrap();
     }
 
     #[test]

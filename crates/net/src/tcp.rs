@@ -79,11 +79,6 @@ impl TcpTransport {
         TcpTransport { rank, streams, stash: HashMap::new(), hung_up: vec![false; n], closed: false }
     }
 
-    /// Number of stashed (arrived but unclaimed) messages.
-    pub fn stashed(&self) -> usize {
-        self.stash.values().map(VecDeque::len).sum()
-    }
-
     /// Clean shutdown: GOODBYE to every live peer, FIN, then a bounded
     /// drain of whatever the peer still had in flight. Idempotent; also
     /// invoked from `Drop`.

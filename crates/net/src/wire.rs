@@ -377,6 +377,13 @@ pub fn read_frame(r: &mut impl Read) -> Result<Frame, FrameError> {
     read_header(r)?.into_frame()
 }
 
+impl<R> Incoming<R> {
+    /// Bytes of the payload lane the header announces.
+    pub(crate) fn payload_bytes(&self) -> u64 {
+        u64::from(self.len) * 8
+    }
+}
+
 impl<R: Read> Incoming<R> {
     /// Reads the payload as `f64`s and checks the CRC: the rest of
     /// [`read_frame`].

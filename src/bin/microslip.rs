@@ -36,7 +36,7 @@ const MP_FLAGS: &[&str] = &[
     "synthetic-load", "checkpoint-every", "resume-phase", "dir", "chaos", "recover", "check",
 ];
 const MP_WORKER_FLAGS: &[&str] = &["rank", "dir", "checkpoint-every", "resume-phase", "die-on"];
-const SERVE_FLAGS: &[&str] = &["dir", "addr", "max-workers", "max-respawns", "cache-capacity", "chaos-die"];
+const SERVE_FLAGS: &[&str] = &["dir", "addr", "max-workers", "cache-capacity", "chaos-die"];
 /// `submit`'s own flags, [`resolve_addr`]'s and [`scenario_from_flags`]'s.
 const SUBMIT_FLAGS: &[&str] = &[
     "list-axes", "grid", "checkpoint-every", "dump", "wait", "wait-secs", "addr", "addr-file", "nx", "ny", "nz",
@@ -155,8 +155,8 @@ fn print_help() {
     println!("                                              --check  (compare against the threaded runtime)]");
     println!("  mp-worker one rank of an mp run (internal; spawned by 'mp')");
     println!("  serve     sweep daemon with content-addressed result cache");
-    println!("            [--addr HOST:PORT --dir DIR --max-workers N --max-respawns N");
-    println!("             --cache-capacity N --chaos-die JOB@PHASE]  resolved address -> DIR/serve.addr");
+    println!("            [--addr HOST:PORT --dir DIR --max-workers N --cache-capacity N");
+    println!("             --chaos-die JOB@PHASE]  resolved address -> DIR/serve.addr");
     println!("  submit    submit a parameter sweep to a serve daemon");
     println!("            [--addr HOST:PORT | --addr-file FILE  --grid \"axis=v1,v2;axis2=...\"");
     println!("             --nx --ny --nz --phases --workers --scheme --checkpoint-every N");
@@ -172,13 +172,6 @@ fn print_help() {
     println!("            [--mode cluster|parallel --out PREFIX --scheme --phases --check");
     println!("             cluster: --nodes --slow   parallel: --workers --throttle]");
     println!("  info      model parameters and calibration anchors");
-}
-
-fn scheme_by_name(name: &str) -> Result<Scheme, String> {
-    Scheme::ALL
-        .into_iter()
-        .find(|s| s.name() == name)
-        .ok_or_else(|| format!("unknown scheme '{name}' (no-remap, filtered, conservative, global)"))
 }
 
 /// `--trace` given without the PREFIX its artifacts are written to.
@@ -305,7 +298,7 @@ fn cmd_parallel(args: &[String]) -> Result<(), String> {
     let f = Flags::parse(args, PARALLEL_FLAGS)?;
     let workers = f.get("workers", 4usize)?;
     let phases = f.get("phases", 100u64)?;
-    let scheme = scheme_by_name(&f.get("scheme", "filtered".to_string())?)?;
+    let scheme = Scheme::from_name(&f.get("scheme", "filtered".to_string())?)?;
     let recording = trace_prefix(&f)
         .map_err(|e| e.to_string())?
         .map(|prefix| (prefix, TraceSink::recorder(DEFAULT_CAPACITY)));
@@ -347,7 +340,7 @@ fn cmd_mp(args: &[String]) -> Result<(), String> {
     let f = Flags::parse(args, MP_FLAGS)?;
     let ranks = f.get("ranks", 2usize)?;
     let phases = f.get("phases", 20u64)?;
-    let scheme = scheme_by_name(&f.get("scheme", "filtered".to_string())?)?;
+    let scheme = Scheme::from_name(&f.get("scheme", "filtered".to_string())?)?;
     let dims = (f.get("nx", 32usize)?, f.get("ny", 8usize)?, f.get("nz", 4usize)?);
     let trace = trace_prefix(&f).map_err(|e| e.to_string())?;
     let mut scenario = Scenario::paper_scaled(dims.0, dims.1, dims.2)
@@ -515,7 +508,7 @@ fn scenario_from_flags(f: &Flags) -> Result<Scenario, String> {
         .phases(f.get("phases", 30u64)?)
         .remap_every(f.get("remap-every", 10u64)?)
         .predictor_window(f.get("predictor-window", 10usize)?)
-        .scheme(scheme_by_name(&f.get("scheme", "filtered".to_string())?)?);
+        .scheme(Scheme::from_name(&f.get("scheme", "filtered".to_string())?)?);
     if f.has("synthetic-load") {
         s = s.load_model(LoadModel::Synthetic { per_point: f.get("synthetic-load", 1.0f64)? });
     }
@@ -542,7 +535,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let mut cfg = ServeConfig::new(f.get("dir", "target/serve".to_string())?, exe);
     cfg.addr = f.get("addr", "127.0.0.1:0".to_string())?;
     cfg.max_workers = f.get("max-workers", 2usize)?;
-    cfg.max_respawns = f.get("max-respawns", 3usize)?;
     cfg.cache_capacity = f.get("cache-capacity", 0usize)?;
     if let Some(spec) = f.value("chaos-die") {
         let err = || format!("--chaos-die wants JOB@PHASE, got '{spec}'");
@@ -659,7 +651,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     let f = Flags::parse(args, TRACE_FLAGS)?;
     let mode = f.get("mode", "cluster".to_string())?;
     let prefix = f.get("out", "trace".to_string())?;
-    let scheme = scheme_by_name(&f.get("scheme", "filtered".to_string())?)?;
+    let scheme = Scheme::from_name(&f.get("scheme", "filtered".to_string())?)?;
     let (sink, rec) = TraceSink::recorder(DEFAULT_CAPACITY);
     match mode.as_str() {
         "cluster" => {
@@ -798,7 +790,7 @@ mod tests {
             ),
             (
                 SERVE_FLAGS,
-                "--dir d --max-workers 2 --chaos-die 0@9 --addr 127.0.0.1:0 --max-respawns 3 --cache-capacity 4",
+                "--dir d --max-workers 2 --chaos-die 0@9 --addr 127.0.0.1:0 --cache-capacity 4",
             ),
             (
                 SUBMIT_FLAGS,
@@ -821,9 +813,9 @@ mod tests {
 
     #[test]
     fn scheme_lookup() {
-        assert_eq!(scheme_by_name("filtered").unwrap(), Scheme::Filtered);
-        assert_eq!(scheme_by_name("global").unwrap(), Scheme::Global);
-        assert!(scheme_by_name("magic").is_err());
+        assert_eq!(Scheme::from_name("filtered").unwrap(), Scheme::Filtered);
+        assert_eq!(Scheme::from_name("global").unwrap(), Scheme::Global);
+        assert!(Scheme::from_name("magic").is_err());
     }
 
     fn args(s: &[&str]) -> Vec<String> {

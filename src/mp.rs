@@ -66,11 +66,7 @@ use microslip_runtime::worker::{worker_main, WorkerError, WorkerReport};
 use microslip_runtime::RuntimeConfig;
 
 use crate::scenario::Scenario;
-use crate::supervisor::{die_injected, Budget, Child, Exit, Verdict};
-
-/// How many times the driver restarts the gang before the run is declared
-/// lost.
-const MAX_RESPAWNS: usize = 3;
+use crate::supervisor::{die_injected, Budget, Child, Exit, Verdict, MAX_RESPAWNS};
 
 /// How long the driver lets the other ranks exit on their own once one
 /// has died: each notices its dead peer within a phase and leaves its

@@ -48,7 +48,7 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use microslip_balance::policy::{Conservative, Filtered, NeighborPolicy, NoRemap};
+use microslip_balance::policy::NeighborPolicy;
 use microslip_codec::{put_f64, put_u64, Reader};
 use microslip_cluster::{
     run_scheme_traced, ClusterConfig, CostModel, Dedicated, Disturbance, RunResult, Scheme,
@@ -377,7 +377,7 @@ impl Scenario {
         &self,
         role: &str,
     ) -> Result<(Arc<dyn NeighborPolicy>, Vec<f64>), String> {
-        let policy = neighbor_policy(self.scheme)?;
+        let policy = self.scheme.neighbor_policy()?;
         self.validate_for(role)?;
         self.channel.validate()?;
         validate_spikes(&self.spikes, self.workers, role)?;
@@ -461,20 +461,6 @@ fn scheme_from_code(code: u64) -> Result<Scheme, String> {
         2 => Ok(Scheme::Conservative),
         3 => Ok(Scheme::Global),
         d => Err(format!("unknown scheme discriminant {d}")),
-    }
-}
-
-/// The policy object of a scheme the worker protocol can execute: every
-/// scheme whose decisions are neighbor-local, i.e. all but
-/// [`Scheme::Global`].
-pub fn neighbor_policy(scheme: Scheme) -> Result<Arc<dyn NeighborPolicy>, String> {
-    match scheme {
-        Scheme::NoRemap => Ok(Arc::new(NoRemap)),
-        Scheme::Filtered => Ok(Arc::new(Filtered::default())),
-        Scheme::Conservative => Ok(Arc::new(Conservative::default())),
-        Scheme::Global => Err("the global scheme needs a collective exchange and only runs \
-                               on the virtual cluster — use cluster()"
-            .into()),
     }
 }
 

@@ -43,10 +43,17 @@ use microslip_net::wire::{Frame, FrameError, FrameKind};
 use microslip_obs::{to_jsonl, Event, JobStage, TraceSummary};
 
 use crate::scenario::Scenario;
-use crate::supervisor::{die_injected, Budget, Child, Verdict};
+use crate::supervisor::{die_injected, Budget, Child, Verdict, MAX_RESPAWNS};
 
 /// Sweep-request magic ("MSLIPSW1" — microslip sweep v1).
 pub const SWEEP_MAGIC: [u8; 8] = *b"MSLIPSW1";
+
+/// The decoder's caps on a sweep request: the base scenario's bytes, the
+/// grid's axes and one axis's values. A request within them fits
+/// [`microslip_net::serve::MAX_REQUEST_BYTES`].
+const MAX_SCENARIO_BYTES: usize = 1 << 24;
+const MAX_AXES: usize = 8;
+const MAX_AXIS_VALUES: usize = 1 << 12;
 
 /// Sentinel for "use the derived default cadence" in a sweep request's
 /// `checkpoint_every` slot (0 means "no checkpoints").
@@ -234,7 +241,7 @@ impl SweepRequest {
         }
         let mut r = Reader::new("sweep request", bytes, 8);
         let base_len = r.usize()?;
-        if base_len > 1 << 24 {
+        if base_len > MAX_SCENARIO_BYTES {
             return Err(format!("implausible scenario length {base_len}"));
         }
         let base = Scenario::decode(r.take(base_len)?)?;
@@ -243,14 +250,14 @@ impl SweepRequest {
             n => Some(n),
         };
         let naxes = r.usize()?;
-        if naxes > 8 {
-            return Err(format!("at most 8 grid axes supported, got {naxes}"));
+        if naxes > MAX_AXES {
+            return Err(format!("at most {MAX_AXES} grid axes supported, got {naxes}"));
         }
         let mut axes = Vec::with_capacity(naxes);
         for _ in 0..naxes {
             let name = r.str()?;
             let nvalues = r.usize()?;
-            if nvalues == 0 || nvalues > 1 << 12 {
+            if nvalues == 0 || nvalues > MAX_AXIS_VALUES {
                 return Err(format!("implausible axis value count {nvalues}"));
             }
             let mut values = Vec::with_capacity(nvalues);
@@ -353,10 +360,26 @@ fn job_summary(scenario: &Scenario, key: &str) -> String {
     TraceSummary::from_events(&events).to_json()
 }
 
+/// Where a failed `run-job` leaves its error: beside its `--out`, with
+/// the extension `error`. The daemon reads it as the job's typed failure,
+/// the way the `mp` driver reads `rank{r}.error`.
+fn job_error_path(out: &Path) -> PathBuf {
+    out.with_extension("error")
+}
+
 /// Runs one scenario to completion on the serial reference simulation
 /// (bitwise-identical to every parallel substrate), checkpointing on the
-/// requested cadence, and seals the result artifact.
+/// requested cadence, and seals the result artifact. An error is also
+/// written beside `out_path` (`job_error_path`).
 pub fn run_job(args: &RunJobArgs) -> Result<(), String> {
+    let result = run_job_to_end(args);
+    if let Err(e) = &result {
+        let _ = std::fs::write(job_error_path(&args.out_path), format!("{e}\n"));
+    }
+    result
+}
+
+fn run_job_to_end(args: &RunJobArgs) -> Result<(), String> {
     let scenario = Scenario::read_file(&args.scenario_path)?;
     scenario.channel.validate()?;
     let key = scenario.key();
@@ -409,8 +432,6 @@ pub struct ServeConfig {
     pub worker_exe: PathBuf,
     /// Bounded worker pool size.
     pub max_workers: usize,
-    /// Respawn budget per job (the `mp` default: 3).
-    pub max_respawns: usize,
     /// Keep at most this many cache entries (0 = unbounded); oldest are
     /// evicted after each sweep completes.
     pub cache_capacity: usize,
@@ -420,14 +441,13 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// Defaults: ephemeral port, 2 workers, 3 respawns, unbounded cache.
+    /// Defaults: ephemeral port, 2 workers, unbounded cache.
     pub fn new(dir: impl Into<PathBuf>, worker_exe: impl Into<PathBuf>) -> ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:0".into(),
             dir: dir.into(),
             worker_exe: worker_exe.into(),
             max_workers: 2,
-            max_respawns: 3,
             cache_capacity: 0,
             chaos: None,
         }
@@ -446,7 +466,7 @@ struct Job {
     key: String,
     sweep: u64,
     state: JobState,
-    /// Respawns of this job's worker, bounded by `max_respawns`.
+    /// Respawns of this job's worker, bounded by [`MAX_RESPAWNS`].
     budget: Budget,
     checkpoint_every: u64,
     die_at_phase: Option<u64>,
@@ -498,6 +518,11 @@ impl Daemon {
 
     fn job_dir(&self, key: &str) -> PathBuf {
         self.cfg.dir.join("jobs").join(key)
+    }
+
+    /// Where `key`'s `run-job` writes its artifact.
+    fn result_path(&self, key: &str) -> PathBuf {
+        self.job_dir(key).join("result.artifact")
     }
 
     /// Handles one decoded request frame; returns the reply.
@@ -575,7 +600,7 @@ impl Daemon {
                 key: key.clone(),
                 sweep,
                 state: JobState::Queued,
-                budget: Budget::new(self.cfg.max_respawns),
+                budget: Budget::new(MAX_RESPAWNS),
                 checkpoint_every: cadence,
                 die_at_phase,
             };
@@ -655,13 +680,16 @@ impl Daemon {
             return Err(format!("spawn of unknown job {key}"));
         };
         let dir = self.job_dir(key);
+        // Whatever error file lies there afterwards is this attempt's.
+        let out = self.result_path(key);
+        let _ = std::fs::remove_file(job_error_path(&out));
         let path = |name: &str| dir.join(name).display().to_string();
         let mut args = vec![
             "run-job".to_string(),
             "--scenario".into(),
             path("scenario.bin"),
             "--out".into(),
-            path("result.artifact"),
+            out.display().to_string(),
             "--checkpoint-dir".into(),
             path("ckpt"),
             "--checkpoint-every".into(),
@@ -693,16 +721,18 @@ impl Daemon {
     /// start queued jobs while pool slots are free, poll running children,
     /// absorb exits — a death is answered by requeueing the job, whose
     /// next attempt runs with `--resume` (checkpoint-restart of *that
-    /// job*), until its budget is spent. Returns true when anything
-    /// changed (so the caller can skip its idle sleep).
+    /// job*), until its budget is spent; a typed error fails the job at
+    /// once. Returns true when anything changed (so the caller can skip
+    /// its idle sleep).
     fn supervise(&mut self) -> bool {
         let mut changed = false;
         // Reap finished children first so their slots free up this round.
         let keys: Vec<String> = self.queue.clone();
         for key in &keys {
+            let error_file = job_error_path(&self.result_path(key));
             let Some(job) = self.jobs.get_mut(key) else { continue };
             let JobState::Running { child } = &mut job.state else { continue };
-            let Some(exit) = child.poll(None) else { continue };
+            let Some(exit) = child.poll(Some(&error_file)) else { continue };
             changed = true;
             match job.budget.judge(exit) {
                 Verdict::Done => {
@@ -714,7 +744,7 @@ impl Daemon {
                     let detail = format!("child died ({status}); respawn {attempt} will resume");
                     self.transition(key, JobState::Queued, JobStage::Restarted, 0, &detail);
                 }
-                Verdict::Fatal(why) => self.fail(key, format!("child {why}")),
+                Verdict::Fatal(why) => self.fail(key, format!("child failed: {why}")),
             }
         }
         // Fill free pool slots in submission order.
@@ -752,7 +782,7 @@ impl Daemon {
     /// is computed again from phase 0.
     fn absorb_result(&mut self, key: &str) -> Result<(), String> {
         let dir = self.job_dir(key);
-        let info = self.store.put_file(key, &dir.join("result.artifact"))?;
+        let info = self.store.put_file(key, &self.result_path(key))?;
         if let Err(e) = std::fs::remove_dir_all(dir.join("ckpt")) {
             eprintln!("serve: job {key}: removing its checkpoints: {e}");
         }
@@ -979,6 +1009,7 @@ pub fn wait_idle(addr: &str, timeout: Duration) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use microslip_net::serve::MAX_REQUEST_BYTES;
     use microslip_runtime::LoadModel;
 
     fn base() -> Scenario {
@@ -1001,6 +1032,24 @@ mod tests {
             },
             SweepRequest { base: base(), checkpoint_every: None, axes: vec![] },
         ]
+    }
+
+    #[test]
+    fn the_largest_request_fits_the_request_cap() {
+        // Every length at the decoder's cap: the base scenario, and as
+        // many axes of as many values as it takes, each named by the
+        // longest string it reads.
+        let longest = 8 + 8 + MAX_SCENARIO_BYTES + 8 + 8
+            + MAX_AXES * (8 + microslip_codec::MAX_STR_LEN + 8 + MAX_AXIS_VALUES * 8);
+        assert!(longest as u64 <= MAX_REQUEST_BYTES, "{longest} > {MAX_REQUEST_BYTES}");
+        // The sum is the encoder's: such a grid decodes, and its bytes are
+        // the sum less what the base scenario falls short of its cap.
+        let axis = ("x".repeat(microslip_codec::MAX_STR_LEN), vec![0.5; MAX_AXIS_VALUES]);
+        let req = SweepRequest { base: base(), checkpoint_every: None, axes: vec![axis; MAX_AXES] };
+        let bytes = req.encode();
+        let shortfall = MAX_SCENARIO_BYTES - base().canonical_bytes().len();
+        assert_eq!(bytes.len() + shortfall, longest);
+        assert_eq!(SweepRequest::decode(&bytes), Ok(req));
     }
 
     #[test]

@@ -21,6 +21,11 @@ use std::io;
 use std::path::Path;
 use std::process::{Command, ExitStatus, Stdio};
 
+/// How many respawns a [`Budget`] grants: the driver restarts an `mp`
+/// gang, and the daemon a sweep job, at most this many times before the
+/// run or the job is declared lost.
+pub const MAX_RESPAWNS: usize = 3;
+
 /// Exit code of an injected fault — distinct from 1, so a chaos kill is
 /// distinguishable from a real error in the logs.
 pub const FAULT_EXIT: i32 = 13;

@@ -302,3 +302,30 @@ fn run_job_refuses_a_bad_trt_magic_with_exit_1() {
     }
     let _ = fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn a_job_that_fails_with_a_typed_error_fails_once_and_says_why() {
+    // The grid axis passes `apply_axis`, but `run-job` refuses the
+    // channel: respawning it would only repeat the refusal.
+    let dir = scratch_dir("typed-error");
+    let (addr, handle) = start_daemon(ServeConfig::new(&dir, WORKER_EXE));
+    let req = SweepRequest {
+        base: base_scenario(4),
+        checkpoint_every: Some(0),
+        axes: vec![("wall-decay".into(), vec![0.0])],
+    };
+    assert_eq!(serve::submit(&addr, &req).expect("submit").scheduled, 1);
+    let report = serve::wait_idle(&addr, Duration::from_secs(60)).expect("sweep settles");
+    assert!(
+        report.contains("state=failed respawns=0")
+            && report.contains("wall force decay length must be positive"),
+        "the job must fail at once, naming the decay: {report}"
+    );
+    serve::shutdown(&addr).expect("shutdown");
+    let outcome = handle.join().expect("daemon thread");
+    assert!(outcome.is_err_and(|e| e.starts_with("jobs failed")), "a failed job fails the daemon's run");
+    let events = job_events(&dir);
+    assert_eq!(stage_count(&events, JobStage::Restarted), 0);
+    assert_eq!(stage_count(&events, JobStage::Failed), 1);
+    let _ = fs::remove_dir_all(&dir);
+}
