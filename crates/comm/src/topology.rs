@@ -40,12 +40,6 @@ impl LinearTopology {
     pub fn line_right(&self) -> Option<NodeId> {
         (self.rank + 1 < self.size).then_some(self.rank + 1)
     }
-
-    /// Ranks this node exchanges balancing information with (the paper's
-    /// 3-node window, minus self).
-    pub fn balance_neighbors(&self) -> Vec<NodeId> {
-        [self.line_left(), self.line_right()].into_iter().flatten().collect()
-    }
 }
 
 #[cfg(test)]
@@ -67,17 +61,9 @@ mod tests {
         let first = LinearTopology::new(0, 4);
         assert_eq!(first.line_left(), None);
         assert_eq!(first.line_right(), Some(1));
-        assert_eq!(first.balance_neighbors(), vec![1]);
         let last = LinearTopology::new(3, 4);
         assert_eq!(last.line_left(), Some(2));
         assert_eq!(last.line_right(), None);
-        assert_eq!(last.balance_neighbors(), vec![2]);
-    }
-
-    #[test]
-    fn middle_has_two_neighbors() {
-        let t = LinearTopology::new(2, 5);
-        assert_eq!(t.balance_neighbors(), vec![1, 3]);
     }
 
     #[test]
@@ -85,7 +71,7 @@ mod tests {
         let t = LinearTopology::new(0, 1);
         assert_eq!(t.ring_left(), 0);
         assert_eq!(t.ring_right(), 0);
-        assert!(t.balance_neighbors().is_empty());
+        assert_eq!((t.line_left(), t.line_right()), (None, None));
     }
 
     #[test]

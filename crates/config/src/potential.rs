@@ -66,13 +66,6 @@ pub fn bulk_compressibility(psi: PsiFn, g: f64, n: f64) -> f64 {
     CS2 * (1.0 + g * psi.eval(n) * psi.derivative(n))
 }
 
-/// The critical self-coupling below which (more negative than) the
-/// Shan–Chen EOS becomes non-monotone: for ψ = n₀(1 − e^{−n/n₀}) the
-/// maximum of ψψ′ is n₀/4 (at n = n₀ ln 2), so `g_crit = −4/n₀`.
-pub fn critical_coupling_shan_chen(n0: f64) -> f64 {
-    -4.0 / n0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -122,7 +115,10 @@ mod tests {
     fn critical_coupling_marks_monotonicity_loss() {
         let n0 = 1.0;
         let psi = PsiFn::ShanChen { n0 };
-        let gc = critical_coupling_shan_chen(n0);
+        // The Shan–Chen EOS turns non-monotone below (more negative than)
+        // g_crit: for ψ = n₀(1 − e^{−n/n₀}) the maximum of ψψ′ is n₀/4 (at
+        // n = n₀ ln 2), so g_crit = −4/n₀.
+        let gc = -4.0 / n0;
         // Slightly above critical (less attractive): EOS stays monotone.
         let g_stable = gc * 0.95;
         let all_positive = (1..200)

@@ -14,11 +14,6 @@ pub fn plane_poiseuille(d: f64, h: f64, g: f64, nu: f64) -> f64 {
     g / (2.0 * nu) * d * (h - d)
 }
 
-/// Maximum (centerline) plane Poiseuille velocity `g h² / (8ν)`.
-pub fn plane_poiseuille_max(h: f64, g: f64, nu: f64) -> f64 {
-    g * h * h / (8.0 * nu)
-}
-
 /// Plane Poiseuille flow with symmetric Navier slip conditions
 /// `u_wall = b · ∂u/∂n` on both plates: at wall distance `d` for plate
 /// separation `h`, driving acceleration `g`, kinematic viscosity `nu` and
@@ -127,9 +122,9 @@ mod tests {
         // Zero at the walls.
         assert_eq!(plane_poiseuille(0.0, h, g, nu), 0.0);
         assert_eq!(plane_poiseuille(h, h, g, nu), 0.0);
-        // Maximum at the centerline matches the closed form.
+        // Maximum at the centerline is g h² / (8ν).
         let umax = plane_poiseuille(h / 2.0, h, g, nu);
-        assert!((umax - plane_poiseuille_max(h, g, nu)).abs() < 1e-18);
+        assert!((umax - g * h * h / (8.0 * nu)).abs() < 1e-18);
         // Symmetric.
         assert!((plane_poiseuille(2.0, h, g, nu) - plane_poiseuille(8.0, h, g, nu)).abs() < 1e-18);
     }

@@ -65,22 +65,6 @@ impl FlowDiagnostics {
     }
 }
 
-/// Reynolds number of a channel flow: `Re = U L / ν` with characteristic
-/// velocity `u_char`, length `l_char` (both lattice units) and kinematic
-/// viscosity `nu`.
-pub fn reynolds(u_char: f64, l_char: f64, nu: f64) -> f64 {
-    u_char * l_char / nu
-}
-
-/// Knudsen-number estimate for an LBM channel: `Kn ≈ √(π/6) (τ − ½) / N`
-/// where `N` is the channel width in lattice nodes. The paper's regime —
-/// micro/nano flows where `Kn` is no longer ≪ 1 — is where the LBM
-/// "provides a more physically realistic means of simulation" than
-/// Navier–Stokes (§2).
-pub fn knudsen(tau: f64, width_nodes: f64) -> f64 {
-    (std::f64::consts::PI / 6.0).sqrt() * (tau - 0.5) / width_nodes
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,24 +99,6 @@ mod tests {
         assert!(late.max_mach < 0.1, "flow must stay low-Mach: {}", late.max_mach);
         // Mass unchanged by driving.
         assert!((late.total_mass - early.total_mass).abs() / early.total_mass < 1e-12);
-    }
-
-    #[test]
-    fn reynolds_scaling() {
-        assert!((reynolds(0.01, 100.0, 1.0 / 6.0) - 6.0).abs() < 1e-12);
-        assert_eq!(reynolds(0.0, 100.0, 0.1), 0.0);
-    }
-
-    #[test]
-    fn knudsen_regimes() {
-        // Macro-scale channel: Kn tiny. The paper's 200-node-wide channel
-        // at tau = 1 sits at Kn ≈ 1.8e-3 — a slip-flow microchannel.
-        let kn_paper = knudsen(1.0, 200.0);
-        assert!(kn_paper > 1e-3 && kn_paper < 3e-3, "Kn = {kn_paper}");
-        // Fewer nodes (coarser/smaller channel) → larger Kn.
-        assert!(knudsen(1.0, 10.0) > kn_paper);
-        // tau → 1/2 (vanishing viscosity) → Kn → 0.
-        assert!(knudsen(0.5, 200.0) == 0.0);
     }
 
     #[test]

@@ -44,11 +44,6 @@ impl UnitScales {
         self.dx * self.dx / self.dt
     }
 
-    /// Converts a physical length in meters to lattice units.
-    pub fn length_to_lattice(&self, meters: f64) -> f64 {
-        meters / self.dx
-    }
-
     /// Converts a lattice length to meters.
     pub fn length_to_physical(&self, lu: f64) -> f64 {
         lu * self.dx
@@ -68,22 +63,9 @@ pub fn viscosity_of_tau(tau: f64) -> f64 {
     crate::lattice::CS2 * (tau - 0.5)
 }
 
-/// Relaxation time for a desired lattice kinematic viscosity.
-pub fn tau_of_viscosity(nu: f64) -> f64 {
-    nu / crate::lattice::CS2 + 0.5
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn viscosity_tau_roundtrip() {
-        for &tau in &[0.6, 0.8, 1.0, 1.3, 2.0] {
-            let nu = viscosity_of_tau(tau);
-            assert!((tau_of_viscosity(nu) - tau).abs() < 1e-14);
-        }
-    }
 
     #[test]
     fn tau_one_gives_sixth() {
@@ -94,17 +76,10 @@ mod tests {
     fn paper_scales_are_consistent() {
         let s = UnitScales::paper();
         // 5 nm spacing; 2 µm channel length = 400 lattice units.
-        assert!((s.length_to_lattice(2.0e-6) - 400.0).abs() < 1e-9);
+        assert!((s.length_to_physical(400.0) - 2.0e-6).abs() < 1e-20);
         // Lattice viscosity 1/6 at tau=1 must map back to 1e-6 m²/s.
         assert!((s.viscosity() * (1.0 / 6.0) - 1.0e-6).abs() < 1e-12);
         // Density unit maps to 1 g/cm³.
         assert!((s.density_to_g_cm3(1.0) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn length_roundtrip() {
-        let s = UnitScales::paper();
-        let lu = s.length_to_lattice(3.7e-8);
-        assert!((s.length_to_physical(lu) - 3.7e-8).abs() < 1e-20);
     }
 }

@@ -12,7 +12,8 @@
 //!
 //! Each exporter has a validator that re-parses the output and checks the
 //! structural invariants (schema fields present, spans non-overlapping per
-//! node) — used by the golden-file tests and `microslip trace --check`.
+//! node) — used by the golden-file tests and by every `--trace PREFIX` of
+//! the `microslip` CLI, which re-parses what it wrote.
 
 use std::collections::BTreeMap;
 

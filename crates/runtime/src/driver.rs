@@ -114,48 +114,15 @@ impl RunOutcome {
 }
 
 /// Runs the configured simulation on `cfg.workers` threads under the given
-/// neighbor-local remapping policy.
+/// neighbor-local remapping policy, each worker building its even slab on
+/// its own thread. (A run resumes from checkpoints on rank processes:
+/// `microslip mp --resume-phase`.)
 pub fn run_parallel(cfg: &RuntimeConfig, policy: Arc<dyn NeighborPolicy>) -> RunOutcome {
     assert!(cfg.workers >= 1);
     assert!(
         cfg.channel.dims.nx >= cfg.workers,
         "need at least one plane per worker"
     );
-    // Each worker builds its own slab on its own thread.
-    let slabs = even_slabs(cfg.channel.dims.nx, cfg.workers);
-    let starts = slabs.into_iter().map(|slab| move |ch: &ChannelConfig| SlabSolver::new(ch, slab));
-    run_workers(cfg, policy, starts.collect())
-}
-
-/// Resumes a parallel run from per-worker solvers (one per rank, in rank
-/// order — e.g. a prior run's periodic checkpoint files, restored with
-/// [`microslip_lbm::checkpoint::read_solver`]). The slab layout is taken
-/// from the solvers, so a partition reshaped by earlier remapping resumes
-/// exactly where it stood.
-pub fn run_parallel_from(
-    cfg: &RuntimeConfig,
-    policy: Arc<dyn NeighborPolicy>,
-    solvers: Vec<SlabSolver>,
-) -> RunOutcome {
-    assert_eq!(solvers.len(), cfg.workers, "need one solver per worker");
-    assert!(
-        slabs_tile(solvers.iter().map(SlabSolver::slab), cfg.channel.dims.nx),
-        "solvers do not tile the domain"
-    );
-    let starts = solvers.into_iter().map(|solver| move |_: &ChannelConfig| solver);
-    run_workers(cfg, policy, starts.collect())
-}
-
-/// Spawns one worker per entry of `starts` (each yields that rank's
-/// solver, on the rank's own thread), joins them and gathers the result.
-fn run_workers<S>(
-    cfg: &RuntimeConfig,
-    policy: Arc<dyn NeighborPolicy>,
-    starts: Vec<S>,
-) -> RunOutcome
-where
-    S: FnOnce(&ChannelConfig) -> SlabSolver + Send,
-{
     cfg.channel.validate().expect("invalid channel configuration");
     let transports = mesh(cfg.workers);
     let start = Instant::now();
@@ -169,15 +136,15 @@ where
     let mut finished: Vec<(WorkerReport, SlabSolver)> = std::thread::scope(|scope| {
         let handles: Vec<_> = transports
             .into_iter()
-            .zip(starts)
-            .map(|(transport, solver)| {
+            .zip(even_slabs(cfg.channel.dims.nx, cfg.workers))
+            .map(|(transport, slab)| {
                 let rank = transport.rank();
                 let throttle = cfg.throttle_for(rank);
                 std::thread::Builder::new()
                     .name(format!("microslip-worker-{rank}"))
                     .spawn_scoped(scope, move || {
                         let predictor = HarmonicMean { window: cfg.predictor_window };
-                        let solver = solver(&cfg.channel);
+                        let solver = SlabSolver::new(&cfg.channel, slab);
                         worker_main(cfg, policy, &predictor, transport, solver, throttle, start)
                     })
                     .expect("spawn worker")
@@ -279,42 +246,6 @@ mod tests {
             x = r.final_slab.x_end();
         }
         assert_eq!(x, 32);
-    }
-
-    #[test]
-    fn parallel_checkpoint_resume_is_bitwise() {
-        // 4 workers, migrations mid-run, checkpoint files after 10 phases,
-        // resume from them for 10 more — must equal the uninterrupted
-        // 20-phase run.
-        let channel = {
-            let mut c = ChannelConfig::paper_scaled(Dims::new(20, 6, 4));
-            c.body = [1e-4, 0.0, 0.0];
-            c
-        };
-        let dir = std::env::temp_dir().join(format!("microslip-driver-resume-{}", std::process::id()));
-        let mut cfg = RuntimeConfig::new(channel.clone(), 4, 10);
-        cfg.remap_interval = 3;
-        cfg.predictor_window = 2;
-        cfg.throttle = vec![1.0, 6.0, 1.0, 1.0];
-        cfg.checkpoint_every = 10;
-        cfg.checkpoint_dir = Some(dir.clone());
-        let first = run_parallel(&cfg, Arc::new(Filtered::default()));
-        // The slow worker shed planes before the checkpoint.
-        assert!(first.final_counts()[1] < 5, "{:?}", first.final_counts());
-        let solvers: Vec<SlabSolver> = (0..cfg.workers)
-            .map(|rank| {
-                let path = microslip_lbm::checkpoint::path(&dir, rank, 10);
-                microslip_lbm::checkpoint::read_solver(&channel, &path).expect("phase-10 checkpoint").0
-            })
-            .collect();
-        let _ = std::fs::remove_dir_all(&dir);
-        assert_eq!(solvers.iter().map(SlabSolver::nx_local).collect::<Vec<_>>(), first.final_counts());
-
-        cfg.checkpoint_every = 0;
-        let resumed = run_parallel_from(&cfg, Arc::new(Filtered::default()), solvers);
-
-        let want = sequential_snapshot(&channel, 20);
-        assert_eq!(resumed.snapshot, want, "resumed parallel run diverged");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 pub struct Profile {
     /// Lattice updates (collision, streaming, forces, …) including any
     /// injected throttle padding — see the accounting contract on
-    /// [`crate::throttle::Throttle::pad`].
+    /// [`crate::throttle::Throttle::pad_measured`].
     pub compute: f64,
     /// The padding subset of `compute` (0 on unthrottled workers). Spans
     /// attribute it explicitly, so `compute − pad` is pure kernel time.

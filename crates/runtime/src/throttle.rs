@@ -27,22 +27,22 @@ impl Throttle {
         Throttle { factor: 1.0 }
     }
 
-    /// The paper's slow node: 30 % of the CPU left.
-    pub fn paper_slow() -> Self {
-        Throttle { factor: 1.0 / 0.3 }
-    }
-
     pub fn new(factor: f64) -> Self {
         assert!(factor >= 1.0 && factor.is_finite(), "throttle factor must be ≥ 1");
         Throttle { factor }
     }
 
-    pub fn is_active(&self) -> bool {
+    fn is_active(&self) -> bool {
         self.factor > 1.0
     }
 
     /// Busy-spins long enough to stretch a compute section that took
-    /// `busy` to `busy · factor` total.
+    /// `busy` to `busy · factor` total, and returns the padding actually
+    /// spent as *measured* wall time. When the worker is disturbed
+    /// mid-spin (host scheduler preemption) the measured value exceeds the
+    /// nominal `busy · (factor − 1)`; span-based accounting records the
+    /// measured value as an explicit pad span instead of silently folding
+    /// the disturbance into a compute lap.
     ///
     /// # Accounting contract
     ///
@@ -55,16 +55,6 @@ impl Throttle {
     /// the harmonic predictor (`microslip_balance::predict`) sees the
     /// same slowdown the remapping policies are supposed to react to.
     /// `Profile::compute` therefore includes padding by design.
-    pub fn pad(&self, busy: Duration) {
-        self.pad_measured(busy);
-    }
-
-    /// As [`pad`](Self::pad), but returns the padding actually spent as
-    /// *measured* wall time. When the worker is disturbed mid-spin (host
-    /// scheduler preemption) the measured value exceeds the nominal
-    /// `busy · (factor − 1)`; span-based accounting records the measured
-    /// value as an explicit pad span instead of silently folding the
-    /// disturbance into a compute lap.
     pub fn pad_measured(&self, busy: Duration) -> Duration {
         if !self.is_active() {
             return Duration::ZERO;
@@ -85,8 +75,8 @@ impl Throttle {
 /// the real-thread analogue of the cluster simulator's disturbance
 /// models (paper §4.2.4's random 1–4 s spikes).
 ///
-/// See [`Throttle::pad`] for the accounting contract: compute sections
-/// padded by a plan are booked at their padded (wall) duration.
+/// See [`Throttle::pad_measured`] for the accounting contract: compute
+/// sections padded by a plan are booked at their padded (wall) duration.
 #[derive(Clone, Debug, Default)]
 pub struct ThrottlePlan {
     /// Base slowdown factor (≥ 1) applied to every phase; 0 entries in
@@ -138,7 +128,7 @@ mod tests {
         let t = Throttle::none();
         assert!(!t.is_active());
         let start = Instant::now();
-        t.pad(Duration::from_millis(50));
+        t.pad_measured(Duration::from_millis(50));
         assert!(start.elapsed() < Duration::from_millis(5));
     }
 
@@ -147,7 +137,7 @@ mod tests {
         let t = Throttle::new(3.0);
         let busy = Duration::from_millis(10);
         let start = Instant::now();
-        t.pad(busy);
+        t.pad_measured(busy);
         let padded = start.elapsed();
         // Expected ≈ 20 ms of padding for 10 ms busy at factor 3.
         assert!(padded >= Duration::from_millis(18), "padded only {padded:?}");
@@ -171,13 +161,6 @@ mod tests {
     }
 
     #[test]
-    fn paper_slow_factor() {
-        let t = Throttle::paper_slow();
-        assert!((t.factor - 10.0 / 3.0).abs() < 1e-12);
-        assert!(t.is_active());
-    }
-
-    #[test]
     #[should_panic(expected = "must be ≥ 1")]
     fn speedup_rejected() {
         Throttle::new(0.5);
@@ -186,7 +169,7 @@ mod tests {
     #[test]
     fn worker_accounting_books_padded_wall_time() {
         // Pins the worker-loop accounting pattern (worker.rs):
-        //   d = elapsed(); pad(d); section = elapsed();
+        //   d = elapsed(); pad_measured(d); section = elapsed();
         // `section` must be the *padded* duration ≈ d · factor — padded
         // time is simulated compute, counted exactly once.
         let factor = 4.0;
@@ -197,7 +180,7 @@ mod tests {
             std::hint::spin_loop();
         }
         let d = start.elapsed().as_secs_f64();
-        t.pad(Duration::from_secs_f64(d));
+        t.pad_measured(Duration::from_secs_f64(d));
         let section = start.elapsed().as_secs_f64();
         assert!(
             section >= 0.95 * factor * d,

@@ -39,7 +39,7 @@ impl Tracer {
     /// Records one completed activity span `[start, end)` and books its
     /// duration into the matching profile bucket. Pad spans count into
     /// `compute` *and* `pad` — see the accounting contract on
-    /// [`crate::throttle::Throttle::pad`].
+    /// [`crate::throttle::Throttle::pad_measured`].
     pub fn span(&mut self, kind: SpanKind, phase: u64, start: f64, end: f64) {
         let d = end - start;
         match kind {

@@ -47,13 +47,15 @@ figures:
     done
 
 # End-to-end observability smoke: a traced virtual-cluster run and a
-# traced threaded run, artifacts re-parsed and schema-checked (--check),
-# written to a scratch dir so the repo stays clean.
+# traced threaded run, written to a scratch dir so the repo stays clean.
+# Every --trace re-parses and schema-checks what it wrote, prints
+# `check: ok (N events across T types; S spans on L lanes)`, and exits 1
+# on an invalid trace.
 trace-smoke:
     cargo build --release --offline --bin microslip
     rm -rf target/trace-smoke && mkdir -p target/trace-smoke
-    ./target/release/microslip trace --mode cluster --out target/trace-smoke/cluster --phases 120 --check
-    ./target/release/microslip trace --mode parallel --out target/trace-smoke/parallel --phases 12 --workers 3 --check
+    ./target/release/microslip cluster --trace target/trace-smoke/cluster --phases 120
+    ./target/release/microslip parallel --workers 3 --phases 12 --throttle 1:4 --trace target/trace-smoke/parallel
 
 # Multi-process smoke: a 2-rank run on real OS processes meshed over
 # localhost TCP, checked bitwise against the threaded runtime — fields
@@ -63,6 +65,9 @@ trace-smoke:
 # run at the paper's 200×20 cross-section moves 11 planes as a stream of
 # six acknowledged batches over TCP; its chaos twin kills rank 1 mid-halo
 # at phase 5 and must restart both ranks from their phase-3 checkpoints.
+# The two --trace runs check their merged traces as they write them
+# (`check: ok (…)` after the `trace:` line; the chaos twin's holds both
+# attempts and the driver's recovery events).
 mp-smoke:
     cargo build --release --offline --bin microslip
     rm -rf target/mp-smoke && mkdir -p target/mp-smoke/uneven target/mp-smoke/batches target/mp-smoke/batches-chaos
@@ -86,8 +91,9 @@ mp-smoke:
 # 26th f_halo message: 4 per phase, the 2nd of phase 7); the driver
 # restarts the whole gang from phase 6, the newest checkpoint every rank
 # holds, and --check holds the recovered fields to bitwise equality with
-# the threaded (undisturbed) reference. The trace must carry that
-# rollback, and a gang restart writes no epoch file.
+# the threaded (undisturbed) reference. The trace, checked as it is
+# written (`check: ok (…)`), must carry that rollback, and a gang restart
+# writes no epoch file.
 chaos:
     cargo build --release --offline --bin microslip
     rm -rf target/chaos-smoke && mkdir -p target/chaos-smoke

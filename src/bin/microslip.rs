@@ -4,9 +4,9 @@
 //! $ microslip figure fig7                        # a paper figure or table
 //!                                                #   (no NAME lists them)
 //! $ microslip parallel --workers 4 --throttle 1:4 # threaded runtime demo
-//! $ microslip trace --mode cluster --out run     # traced run -> run.jsonl,
-//!                                                #   run.trace.json (Perfetto),
-//!                                                #   run.summary.json
+//! $ microslip cluster --trace run                # virtual-cluster run, traced
+//!                                                #   -> run.jsonl, run.trace.json
+//!                                                #   (Perfetto), run.summary.json
 //! $ microslip serve --dir target/serve           # sweep daemon with result cache
 //! $ microslip submit --addr-file target/serve/serve.addr \
 //!     --grid "wall-amplitude=0.1,0.2" --wait     # submit a sweep, wait for it
@@ -14,17 +14,18 @@
 //! ```
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use microslip::cluster::{ClusterConfig, FixedSlowNodes, RunResult, Scheme};
 use microslip::figure::{self, Size, FIGURES};
 use microslip::lbm::{ChannelConfig, Dims, WallBc};
 use microslip::obs::{
     remap_fingerprints, to_chrome_trace, to_jsonl, validate_chrome_trace, validate_jsonl,
-    Event, TraceSink, TraceSummary, DEFAULT_CAPACITY,
+    Event, Recorder, TraceSink, TraceSummary, DEFAULT_CAPACITY,
 };
 use microslip::comm::Tag;
 use microslip::mp::{MpFault, MpWorkerArgs};
-use microslip::runtime::{LoadModel, RunOutcome};
+use microslip::runtime::LoadModel;
 use microslip::serve::{self, RunJobArgs, ServeConfig, SweepRequest};
 use microslip::Scenario;
 
@@ -46,7 +47,7 @@ const SUBMIT_FLAGS: &[&str] = &[
 const STATUS_FLAGS: &[&str] = &["addr", "addr-file", "shutdown", "sweep"];
 const FETCH_FLAGS: &[&str] = &["addr", "addr-file", "key", "out"];
 const RUN_JOB_FLAGS: &[&str] = &["scenario", "out", "checkpoint-dir", "checkpoint-every", "resume", "die-at-phase"];
-const TRACE_FLAGS: &[&str] = &["mode", "out", "scheme", "nodes", "phases", "slow", "workers", "throttle", "check"];
+const CLUSTER_FLAGS: &[&str] = &["nodes", "phases", "slow", "scheme", "trace"];
 
 /// Parsed `--key value` flags (and bare `--key` booleans) of one
 /// subcommand.
@@ -117,12 +118,12 @@ fn main() {
         "parallel" => cmd_parallel(rest),
         "mp" => cmd_mp(rest),
         "mp-worker" => cmd_mp_worker(rest),
+        "cluster" => cmd_cluster(rest),
         "serve" => cmd_serve(rest),
         "submit" => cmd_submit(rest),
         "status" => cmd_status(rest),
         "fetch" => cmd_fetch(rest),
         "run-job" => cmd_run_job(rest),
-        "trace" => cmd_trace(rest),
         "info" => cmd_info(rest),
         "help" | "--help" | "-h" => {
             print_help();
@@ -154,6 +155,7 @@ fn print_help() {
     println!("                                              checkpoint they all hold)");
     println!("                                              --check  (compare against the threaded runtime)]");
     println!("  mp-worker one rank of an mp run (internal; spawned by 'mp')");
+    println!("  cluster   paper channel on virtual nodes   [--nodes --phases --slow N --scheme --trace PREFIX]");
     println!("  serve     sweep daemon with content-addressed result cache");
     println!("            [--addr HOST:PORT --dir DIR --max-workers N --cache-capacity N");
     println!("             --chaos-die JOB@PHASE]  resolved address -> DIR/serve.addr");
@@ -168,10 +170,10 @@ fn print_help() {
     println!("  fetch     download a sealed result artifact [--addr|--addr-file --key K --out FILE]");
     println!("  run-job   one scenario, serial reference (internal; spawned by 'serve')");
     println!("            [--scenario FILE --out FILE --checkpoint-dir DIR --checkpoint-every N --resume]");
-    println!("  trace     traced run -> PREFIX.jsonl + PREFIX.trace.json + PREFIX.summary.json");
-    println!("            [--mode cluster|parallel --out PREFIX --scheme --phases --check");
-    println!("             cluster: --nodes --slow   parallel: --workers --throttle]");
     println!("  info      model parameters and calibration anchors");
+    println!();
+    println!("--trace PREFIX (parallel, mp, cluster) writes PREFIX.jsonl, PREFIX.trace.json (Perfetto)");
+    println!("and PREFIX.summary.json, then re-parses them and prints the check.");
 }
 
 /// `--trace` given without the PREFIX its artifacts are written to.
@@ -192,7 +194,33 @@ fn trace_prefix(f: &Flags) -> Result<Option<&str>, TraceNeedsPrefix> {
     }
 }
 
-/// Writes the three trace artifacts for `prefix` and prints what landed.
+/// Where a traced run's recorder is written out: `--trace PREFIX`.
+type TraceOut<'a> = Option<(&'a str, Arc<Recorder>)>;
+
+/// `--trace PREFIX`: a sink into a recorder for the prefix, or a null sink
+/// when the flag is absent.
+fn recording(f: &Flags) -> Result<(TraceSink, TraceOut<'_>), String> {
+    let Some(prefix) = trace_prefix(f).map_err(|e| e.to_string())? else {
+        return Ok((TraceSink::null(), None));
+    };
+    let (sink, rec) = TraceSink::recorder(DEFAULT_CAPACITY);
+    Ok((sink, Some((prefix, rec))))
+}
+
+/// With `--trace PREFIX`, writes what the recorder holds as the trace
+/// artifacts for the prefix, warning first when the ring dropped events.
+fn write_recorded(out: TraceOut<'_>) -> Result<(), String> {
+    let Some((prefix, rec)) = out else { return Ok(()) };
+    if rec.dropped() > 0 {
+        eprintln!("warning: ring buffer dropped {} events", rec.dropped());
+    }
+    write_trace_artifacts(prefix, &rec.events())
+}
+
+/// Writes the three trace artifacts for `prefix`, prints what landed, then
+/// re-parses the stream and the Chrome trace and prints what the check
+/// found. An invalid trace stays on disk and fails the command, naming the
+/// file and the reason.
 fn write_trace_artifacts(prefix: &str, events: &[Event]) -> Result<(), String> {
     let jsonl = to_jsonl(events);
     let chrome = to_chrome_trace(events);
@@ -206,6 +234,15 @@ fn write_trace_artifacts(prefix: &str, events: &[Event]) -> Result<(), String> {
     println!(
         "trace: {} events -> {prefix}.jsonl, {prefix}.trace.json (Perfetto), {prefix}.summary.json",
         events.len()
+    );
+    let stats = validate_jsonl(&jsonl).map_err(|e| format!("{prefix}.jsonl: {e}"))?;
+    let lanes = validate_chrome_trace(&chrome).map_err(|e| format!("{prefix}.trace.json: {e}"))?;
+    println!(
+        "check: ok ({} events across {} types; {} spans on {} lanes)",
+        stats.counts.values().sum::<usize>(),
+        stats.counts.len(),
+        lanes.spans,
+        lanes.nodes
     );
     Ok(())
 }
@@ -234,9 +271,9 @@ fn figure_text(args: &[String]) -> Result<String, String> {
     Ok(figure::find(name).map_err(|e| e.to_string())?(size))
 }
 
-/// The `trace --mode cluster` run: the paper's 400×200×20 channel on
-/// `nodes` virtual nodes, `slow` of them under a 70 % competing job.
-/// Node and slow-node counts are checked before the engine runs.
+/// The `cluster` run: the paper's 400×200×20 channel on `nodes` virtual
+/// nodes, `slow` of them under a 70 % competing job. Node and slow-node
+/// counts are checked before the engine runs.
 fn cluster_run(
     nodes: usize,
     phases: u64,
@@ -257,26 +294,21 @@ fn cluster_run(
     Ok(if slow == 0 { ex.run_dedicated() } else { ex.run(&FixedSlowNodes::paper(nodes, slow)) })
 }
 
-/// `trace --mode parallel`'s run on the 32×8×4 channel: worker 1 (worker 0
-/// when it runs alone) is slowed by `throttled`. The scenario refuses a
-/// worker count of 0 before anything runs.
-fn parallel_run(
-    workers: usize,
-    phases: u64,
-    throttled: f64,
-    scheme: Scheme,
-    sink: TraceSink,
-) -> Result<RunOutcome, String> {
-    Ok(Scenario::paper_scaled(32, 8, 4)
-        .workers(workers)
-        .phases(phases)
-        .remap_every(4)
-        .predictor_window(3)
-        .scheme(scheme)
-        .throttle(usize::from(workers > 1), throttled)
-        .trace(sink)
-        .runtime()?
-        .run())
+/// The paper's channel on the virtual-time cluster engine.
+fn cmd_cluster(args: &[String]) -> Result<(), String> {
+    let f = Flags::parse(args, CLUSTER_FLAGS)?;
+    let nodes = f.get("nodes", 20usize)?;
+    let phases = f.get("phases", 200u64)?;
+    let scheme = Scheme::from_name(&f.get("scheme", "filtered".to_string())?)?;
+    let (sink, out) = recording(&f)?;
+    let r = cluster_run(nodes, phases, f.get("slow", 2usize)?, scheme, sink)?;
+    println!(
+        "cluster {} on {nodes} nodes, {phases} phases: time {:.1}s, migrated {}",
+        scheme.name(),
+        r.total_time,
+        r.migrated_planes
+    );
+    write_recorded(out)
 }
 
 /// `--throttle RANK:FACTOR[,RANK:FACTOR…]` → the scenario's sparse
@@ -299,10 +331,7 @@ fn cmd_parallel(args: &[String]) -> Result<(), String> {
     let workers = f.get("workers", 4usize)?;
     let phases = f.get("phases", 100u64)?;
     let scheme = Scheme::from_name(&f.get("scheme", "filtered".to_string())?)?;
-    let recording = trace_prefix(&f)
-        .map_err(|e| e.to_string())?
-        .map(|prefix| (prefix, TraceSink::recorder(DEFAULT_CAPACITY)));
-    let sink = recording.as_ref().map_or_else(TraceSink::null, |(_, (sink, _))| sink.clone());
+    let (sink, out) = recording(&f)?;
     let mut scenario = Scenario::new(ChannelConfig::paper_scaled(Dims::new(48, 24, 8)))
         .workers(workers)
         .phases(phases)
@@ -330,10 +359,7 @@ fn cmd_parallel(args: &[String]) -> Result<(), String> {
             r.rank, r.profile.compute, r.profile.pad, r.profile.comm, r.profile.remap
         );
     }
-    if let Some((prefix, (_, rec))) = recording {
-        write_trace_artifacts(prefix, &rec.events())?;
-    }
-    Ok(())
+    write_recorded(out)
 }
 
 fn cmd_mp(args: &[String]) -> Result<(), String> {
@@ -646,57 +672,6 @@ fn cmd_run_job(args: &[String]) -> Result<(), String> {
     serve::run_job(&a)
 }
 
-/// A traced run end to end: run, export, optionally re-parse and check.
-fn cmd_trace(args: &[String]) -> Result<(), String> {
-    let f = Flags::parse(args, TRACE_FLAGS)?;
-    let mode = f.get("mode", "cluster".to_string())?;
-    let prefix = f.get("out", "trace".to_string())?;
-    let scheme = Scheme::from_name(&f.get("scheme", "filtered".to_string())?)?;
-    let (sink, rec) = TraceSink::recorder(DEFAULT_CAPACITY);
-    match mode.as_str() {
-        "cluster" => {
-            let nodes = f.get("nodes", 20usize)?;
-            let phases = f.get("phases", 200u64)?;
-            let r = cluster_run(nodes, phases, f.get("slow", 2usize)?, scheme, sink)?;
-            println!(
-                "cluster {} on {nodes} nodes, {phases} phases: time {:.1}s, migrated {}",
-                scheme.name(),
-                r.total_time,
-                r.migrated_planes
-            );
-        }
-        "parallel" => {
-            let workers = f.get("workers", 4usize)?;
-            let phases = f.get("phases", 24u64)?;
-            let outcome = parallel_run(workers, phases, f.get("throttle", 4.0f64)?, scheme, sink)?;
-            println!(
-                "parallel {} on {workers} workers, {phases} phases: wall {:.2}s, migrated {}",
-                scheme.name(),
-                outcome.wall_seconds,
-                outcome.planes_migrated()
-            );
-        }
-        other => return Err(format!("unknown mode '{other}' (cluster, parallel)")),
-    }
-    if rec.dropped() > 0 {
-        eprintln!("warning: ring buffer dropped {} events", rec.dropped());
-    }
-    let events = rec.events();
-    write_trace_artifacts(&prefix, &events)?;
-    if f.has("check") {
-        let stats = validate_jsonl(&to_jsonl(&events))?;
-        let chrome = validate_chrome_trace(&to_chrome_trace(&events))?;
-        println!(
-            "check: ok ({} events across {} types; {} spans on {} lanes)",
-            stats.counts.values().sum::<usize>(),
-            stats.counts.len(),
-            chrome.spans,
-            chrome.nodes
-        );
-    }
-    Ok(())
-}
-
 fn cmd_info(args: &[String]) -> Result<(), String> {
     Flags::parse(args, &[])?;
     let cfg = ChannelConfig::paper();
@@ -752,7 +727,7 @@ mod tests {
         type Command = fn(&[String]) -> Result<(), String>;
         let commands: [Command; 10] = [
             cmd_parallel, cmd_mp, cmd_mp_worker, cmd_serve, cmd_submit, cmd_status, cmd_fetch, cmd_run_job,
-            cmd_trace, cmd_info,
+            cmd_cluster, cmd_info,
         ];
         for cmd in commands {
             let err = cmd(&args(&["--bogus", "3"])).unwrap_err();
@@ -803,7 +778,7 @@ mod tests {
                 RUN_JOB_FLAGS,
                 "--scenario s --out o --checkpoint-dir d --checkpoint-every 0 --resume --die-at-phase 9",
             ),
-            (TRACE_FLAGS, "--mode parallel --out p --phases 12 --workers 3 --check --nodes 8 --slow 3"),
+            (CLUSTER_FLAGS, "--trace p --phases 120 --nodes 8 --slow 3 --scheme filtered"),
         ];
         for (known, line) in lines {
             let line: Vec<&str> = line.split_whitespace().collect();
@@ -844,8 +819,8 @@ mod tests {
         assert_eq!(trace_prefix(&flags(&["--trace", "run"])).unwrap(), Some("run"));
         assert!(trace_prefix(&flags(&["--trace"])).is_err());
         assert!(trace_prefix(&flags(&["--trace", "--phases", "2"])).is_err());
-        // Both runtimes refuse it before they start a worker or a rank.
-        for cmd in [cmd_parallel, cmd_mp] {
+        // Every traced command refuses it before it starts a run.
+        for cmd in [cmd_parallel, cmd_mp, cmd_cluster] {
             let err = cmd(&args(&["--phases", "1", "--trace"])).unwrap_err();
             assert!(err.contains("--trace needs a file prefix"), "{err}");
         }
@@ -862,10 +837,26 @@ mod tests {
     }
 
     #[test]
-    fn trace_parallel_run_rejects_zero_workers_before_running() {
-        let run = |workers| parallel_run(workers, 2, 4.0, Scheme::Filtered, TraceSink::null());
-        assert!(run(0).unwrap_err().contains("at least one worker"));
-        assert_eq!(run(1).unwrap().final_counts(), vec![32]);
+    fn parallel_refuses_zero_workers_before_running() {
+        let err = cmd_parallel(&args(&["--workers", "0"])).unwrap_err();
+        assert!(err.contains("at least one worker"), "{err}");
+    }
+
+    #[test]
+    fn an_invalid_trace_is_written_then_refused() {
+        use microslip::obs::{Span, SpanKind};
+        let dir = std::env::temp_dir().join(format!("microslip-cli-overlap-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let prefix = dir.join("run").display().to_string();
+        let span = |kind, start, end| Event::Span(Span { node: 0, kind, phase: 1, start, end });
+        let events = [span(SpanKind::Compute, 0.0, 1.0), span(SpanKind::Halo, 0.5, 0.7)];
+        let err = write_trace_artifacts(&prefix, &events).unwrap_err();
+        assert!(err.starts_with(&format!("{prefix}.jsonl: node 0: spans overlap")), "{err}");
+        // The files stay for a post-mortem.
+        for suffix in [".jsonl", ".trace.json", ".summary.json"] {
+            assert!(std::path::Path::new(&format!("{prefix}{suffix}")).exists(), "{suffix}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -19,12 +19,13 @@
 //!   ([`microslip_lbm::checkpoint`] format: a record per plane of `f` and
 //!   ψ, 20 channels per component, ghost planes included),
 //!   captured plane by plane straight off the file into the global
-//!   [`Snapshot`] — the driver never rebuilds a rank's solver;
-//! * `rank{r}.report` — a small key/value summary (slab, migration
-//!   counts);
+//!   [`Snapshot`] — the driver never rebuilds a rank's solver; its header
+//!   is the rank's final slab;
 //! * `rank{r}.jsonl` — the rank's structured trace, merged with
 //!   [`microslip_obs::merge_rank_streams`]; written even when the rank
-//!   fails, so a crashed run still leaves partial evidence behind;
+//!   fails, so a crashed run still leaves partial evidence behind. Its
+//!   `migration` events are the rank's plane moves, which is where the
+//!   driver counts each rank's planes sent and received;
 //! * `rank{r}.error` — present only on failure, the typed
 //!   [`WorkerError`] rendered for the driver;
 //! * `rank{r}.stderr` — whatever the rank process printed to stderr
@@ -137,7 +138,12 @@ impl MpConfig {
     }
 }
 
-/// Per-rank summary parsed back from `rank{r}.report`.
+/// Per-rank summary of a finished run: the final slab from the header of
+/// `rank{r}.state`, the planes moved from the `migration` events of the
+/// final attempt's `rank{r}.jsonl` files (a move is recorded once, by its
+/// sender: sent by `from`, received by `to`). A rank's ring holds
+/// [`DEFAULT_CAPACITY`] = 2^20 events and drops the oldest when full; a
+/// 20 000-phase run at the paper's size records about 10^5 per rank.
 #[derive(Clone, Debug, PartialEq)]
 pub struct MpReport {
     pub rank: usize,
@@ -446,14 +452,15 @@ fn rollback_phase(dir: &Path, ranks: usize) -> u64 {
         .unwrap_or(0)
 }
 
-/// Captures every rank's final state into the global snapshot. The headers
-/// say where each rank's slab lies, so the snapshot is split at the slab
-/// boundaries first; then each state file streams through
+/// Captures every rank's final state into the global snapshot and returns
+/// it with the ranks' final slabs. The headers say where each rank's slab
+/// lies, so the snapshot is split at the slab boundaries first; then each
+/// state file streams through
 /// [`checkpoint::capture_file`], which holds one plane of state at a time
 /// and writes the slab's planes of the snapshot directly, on scoped threads
 /// — as many files in flight as the host has CPUs, each costing the driver
 /// a few planes of memory, never a slab.
-fn gather_snapshot(run: &Scenario, dir: &Path) -> Result<Snapshot, String> {
+fn gather_snapshot(run: &Scenario, dir: &Path) -> Result<(Snapshot, Vec<Slab>), String> {
     let dims = run.channel.dims;
     let path = |rank: usize| dir.join(format!("rank{rank}.state"));
     let slabs = (0..run.workers)
@@ -485,7 +492,7 @@ fn gather_snapshot(run: &Scenario, dir: &Path) -> Result<Snapshot, String> {
         };
         handles.into_iter().try_for_each(joined)
     })?;
-    Ok(global)
+    Ok((global, slabs))
 }
 
 /// Reads every rank's artifacts and assembles the outcome: each rank's
@@ -499,19 +506,26 @@ fn gather(
     offset: f64,
     recovery: Vec<Event>,
 ) -> Result<MpOutcome, String> {
-    let snapshot = gather_snapshot(run, dir)?;
-    let mut reports = Vec::with_capacity(run.workers);
+    let (snapshot, slabs) = gather_snapshot(run, dir)?;
+    let mut reports: Vec<MpReport> = slabs
+        .into_iter()
+        .enumerate()
+        .map(|(rank, final_slab)| MpReport { rank, final_slab, planes_sent: 0, planes_received: 0 })
+        .collect();
     let mut streams = Vec::with_capacity(run.workers + 1);
     for (rank, mut events) in flushed.into_iter().enumerate() {
-        let report_path = dir.join(format!("rank{rank}.report"));
-        let text = fs::read_to_string(&report_path)
-            .map_err(|e| format!("read {}: {e}", report_path.display()))?;
-        reports.push(parse_report(rank, &text)?);
-
         let trace_path = dir.join(format!("rank{rank}.jsonl"));
         let jsonl = fs::read_to_string(&trace_path)
             .map_err(|e| format!("read {}: {e}", trace_path.display()))?;
         let last = from_jsonl(&jsonl).map_err(|e| format!("{}: {e}", trace_path.display()))?;
+        for e in &last {
+            if let Event::Migration { from, to, planes, .. } = *e {
+                let ranks = run.workers;
+                let stray = || format!("{}: a migration {from} -> {to} among {ranks} ranks", trace_path.display());
+                reports.get_mut(from).ok_or_else(stray)?.planes_sent += planes;
+                reports.get_mut(to).ok_or_else(stray)?.planes_received += planes;
+            }
+        }
         events.extend(last.into_iter().map(|mut e| {
             e.shift(offset);
             e
@@ -524,24 +538,6 @@ fn gather(
         reports,
         events: merge_rank_streams(streams),
         dir: dir.to_path_buf(),
-    })
-}
-
-fn parse_report(rank: usize, text: &str) -> Result<MpReport, String> {
-    let get = |key: &str| -> Result<usize, String> {
-        text.lines()
-            .find_map(|l| l.strip_prefix(key).and_then(|v| v.trim().parse().ok()))
-            .ok_or_else(|| format!("rank{rank}.report: missing or invalid '{key}'"))
-    };
-    let reported = get("rank ")?;
-    if reported != rank {
-        return Err(format!("rank{rank}.report claims rank {reported}"));
-    }
-    Ok(MpReport {
-        rank,
-        final_slab: Slab { x0: get("x0 ")?, nx_local: get("nx_local ")? },
-        planes_sent: get("planes_sent ")?,
-        planes_received: get("planes_received ")?,
     })
 }
 
@@ -672,10 +668,11 @@ fn run_rank(
 }
 
 /// Entry point of the `mp-worker` subcommand: reads the run's
-/// `scenario.bin`, joins the TCP mesh in the run directory, runs the standard worker protocol,
-/// and leaves `rank{r}.state` / `rank{r}.report` / `rank{r}.jsonl` in the
-/// run directory. On failure the trace is still flushed and
-/// `rank{r}.error` carries the typed error.
+/// `scenario.bin`, joins the TCP mesh in the run directory, runs the
+/// standard worker protocol, and leaves its two results in the run
+/// directory: `rank{r}.jsonl`, its trace, and `rank{r}.state`, its final
+/// state. On failure the trace is still flushed and `rank{r}.error`
+/// carries the typed error.
 pub fn run_worker(a: &MpWorkerArgs) -> Result<(), String> {
     let rank = a.rank;
     let scenario = Scenario::read_file(&a.dir.join("scenario.bin"))?;
@@ -705,22 +702,10 @@ pub fn run_worker(a: &MpWorkerArgs) -> Result<(), String> {
         .map_err(|e| format!("write {}: {e}", trace_path.display()))?;
 
     match result {
-        Ok((report, solver)) => {
+        Ok((_, solver)) => {
             let state_path = a.dir.join(format!("rank{rank}.state"));
             write_solver(&state_path, &solver, runtime.config().phases)
-                .map_err(|e| format!("write {}: {e}", state_path.display()))?;
-            let summary = format!(
-                "rank {}\nx0 {}\nnx_local {}\nplanes_sent {}\nplanes_received {}\n",
-                report.rank,
-                report.final_slab.x0,
-                report.final_slab.nx_local,
-                report.planes_sent,
-                report.planes_received,
-            );
-            let report_path = a.dir.join(format!("rank{rank}.report"));
-            fs::write(&report_path, summary)
-                .map_err(|e| format!("write {}: {e}", report_path.display()))?;
-            Ok(())
+                .map_err(|e| format!("write {}: {e}", state_path.display()))
         }
         Err(e) => {
             let err_path = a.dir.join(format!("rank{rank}.error"));
@@ -734,23 +719,6 @@ pub fn run_worker(a: &MpWorkerArgs) -> Result<(), String> {
 mod tests {
     use super::*;
     use microslip_cluster::Scheme;
-
-    #[test]
-    fn report_round_trips_through_the_kv_format() {
-        let text = "rank 2\nx0 8\nnx_local 5\nplanes_sent 3\nplanes_received 1\n";
-        let r = parse_report(2, text).unwrap();
-        assert_eq!(
-            r,
-            MpReport {
-                rank: 2,
-                final_slab: Slab { x0: 8, nx_local: 5 },
-                planes_sent: 3,
-                planes_received: 1,
-            }
-        );
-        assert!(parse_report(1, text).is_err(), "rank mismatch must be caught");
-        assert!(parse_report(0, "rank 0\n").is_err(), "missing keys must be caught");
-    }
 
     #[test]
     fn driver_validates_before_spawning_anything() {

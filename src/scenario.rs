@@ -581,16 +581,6 @@ pub struct ClusterExperiment {
 }
 
 impl ClusterExperiment {
-    /// The derived cluster configuration (escape hatch).
-    pub fn config(&self) -> &ClusterConfig {
-        &self.cfg
-    }
-
-    /// Mutable escape hatch.
-    pub fn config_mut(&mut self) -> &mut ClusterConfig {
-        &mut self.cfg
-    }
-
     /// Replays the run under `disturbance` on the virtual-time engine.
     pub fn run(&self, disturbance: &dyn Disturbance) -> RunResult {
         run_scheme_traced(&self.cfg, self.scheme, disturbance, &self.trace)
@@ -672,7 +662,7 @@ mod tests {
             .remap_every(0)
             .cluster()
             .unwrap();
-        let c = ex.config();
+        let c = &ex.cfg;
         assert_eq!(c.planes, 16);
         assert_eq!(c.plane_cells, 24);
         assert_eq!(c.components, 2);

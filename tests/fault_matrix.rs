@@ -312,7 +312,7 @@ fn strike(
             match error(rank) {
                 Some(e) => assert!(e.contains("transport failure"), "{fault}: rank {rank}: {e}; {kept}"),
                 None => assert!(
-                    dir.join(format!("rank{rank}.report")).exists(),
+                    dir.join(format!("rank{rank}.state")).exists(),
                     "{fault}: rank {rank} neither failed typed nor finished clean; {kept}"
                 ),
             }
@@ -361,7 +361,7 @@ fn a_fault_that_never_fires_fails_the_run() {
         [(1, "made 24 sends and receives on f_halo, fewer than 999".to_string())]
     );
     for rank in 0..2 {
-        assert!(dir.join(format!("rank{rank}.report")).exists(), "no rank died");
+        assert!(dir.join(format!("rank{rank}.state")).exists(), "no rank died");
     }
     let _ = fs::remove_dir_all(&dir);
 }

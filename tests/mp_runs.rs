@@ -57,6 +57,19 @@ fn mp_run_matches_threaded_bitwise_with_identical_remap_decisions() {
             "{ranks}-rank mp run diverged from the threaded run"
         );
         assert_eq!(outcome.final_counts(), threaded.final_counts());
+        // Each rank's slab (from its state file) and plane moves (from the
+        // migrations in the traces) are what the threaded worker reported.
+        let moves = |slab, sent, received| (slab, sent, received);
+        let mp_reports: Vec<_> =
+            outcome.reports.iter().map(|r| moves(r.final_slab, r.planes_sent, r.planes_received)).collect();
+        let threaded_reports: Vec<_> =
+            threaded.reports.iter().map(|r| moves(r.final_slab, r.planes_sent, r.planes_received)).collect();
+        assert_eq!(mp_reports, threaded_reports, "{ranks}-rank reports differ");
+        // A rank leaves its state and its trace, nothing else.
+        for entry in fs::read_dir(&outcome.dir).unwrap() {
+            let name = entry.unwrap().file_name().into_string().unwrap();
+            assert!(!name.ends_with(".report"), "{name}");
+        }
 
         // What the ranks were told to run is the submitted scenario itself.
         let told = fs::read(outcome.dir.join("scenario.bin")).unwrap();
@@ -219,6 +232,45 @@ fn mp_restart_from_periodic_checkpoints_is_bitwise() {
     for (rank, bytes) in before.iter().enumerate() {
         assert!(phase5(rank) == *bytes, "rank {rank}'s phase-5 checkpoint was overwritten");
     }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn periodic_checkpoints_restart_bitwise() {
+    let dir = scratch_dir("threaded-ckpt");
+
+    // The uninterrupted threaded run, and the same run writing periodic
+    // checkpoints; remapping reshapes the slabs before phase 5.
+    let want = builder(4, 10).runtime().unwrap().run();
+    let mut threaded = builder(4, 10).runtime().unwrap();
+    threaded.config_mut().checkpoint_every = 5;
+    threaded.config_mut().checkpoint_dir = Some(dir.clone());
+    let full = threaded.run();
+    assert_eq!(full.snapshot, want.snapshot, "checkpointing must not perturb the run");
+    for rank in 0..4 {
+        for phase in [5u64, 10] {
+            assert!(
+                dir.join(format!("ckpt-rank{rank}-phase{phase}.bin")).exists(),
+                "missing checkpoint rank {rank} phase {phase}"
+            );
+        }
+    }
+    let phase5 = (0..4).map(|rank| {
+        let path = dir.join(format!("ckpt-rank{rank}-phase5.bin"));
+        microslip::lbm::checkpoint::read_slab(&path).unwrap().nx_local
+    });
+    assert_ne!(phase5.collect::<Vec<_>>(), [5; 4], "no planes moved before the checkpoint");
+
+    // Rank processes resume from the threaded run's phase-5 files.
+    let mut resumed = builder(4, 10).multiprocess().unwrap();
+    resumed.config_mut().worker_exe = Some(WORKER_EXE.into());
+    resumed.config_mut().dir = Some(dir.clone());
+    resumed.config_mut().resume_phase = Some(5);
+    let got = resumed.run().expect("mp resume from threaded checkpoints failed");
+    assert!(
+        got.snapshot == want.snapshot,
+        "restart from the threaded run's checkpoints diverged from the uninterrupted run"
+    );
     let _ = fs::remove_dir_all(&dir);
 }
 
